@@ -51,6 +51,7 @@ from ..plan.operators import (
     PlanReader,
     ProjectFillOp,
     SelectOp,
+    base_invalid_tids,
     full_selection,
 )
 from ..plan.physical import PhysicalPlan, QueryPlanner
@@ -145,6 +146,8 @@ class ThreadedPartitionEngine:
             conjunction = plan.logical.conjunction
             projected = plan.logical.projected
             status = [_NOT_CHECKED] * self.table.n_tuples
+            for tid in base_invalid_tids(len(status), plan.snapshot).tolist():
+                status[tid] = _INVALID
             ret: Dict[int, Dict[str, object]] = {}
             load_lock = threading.Lock()
             fctx = FaultContext()
@@ -378,16 +381,21 @@ class ThreadedPartitionEngine:
         """
         projected = plan.logical.projected
         index = plan.snapshot if plan.snapshot is not None else self.manager
-        missing_pids: set = set()
+        missing_tids: Dict[str, List[int]] = {name: [] for name in projected}
         for tid, row in ret.items():
             if status[tid] != _VALID:
                 continue
             for name in projected:
                 if name not in row:
-                    tids = np.array([tid], dtype=np.int64)
-                    missing_pids.update(
-                        index.partitions_with_missing_cells(name, tids)
+                    missing_tids[name].append(tid)
+        missing_pids: set = set()
+        for name, tids in missing_tids.items():
+            if tids:
+                missing_pids.update(
+                    index.partitions_with_missing_cells(
+                        name, np.array(tids, dtype=np.int64)
                     )
+                )
         if not missing_pids:
             return
         wanted = plan.logical.projection_columns

@@ -48,6 +48,7 @@ from ..plan.operators import (
     PlanReader,
     ProjectFillOp,
     SelectOp,
+    base_invalid_tids,
     count_prune,
     finalize_stats,
     full_selection,
@@ -151,6 +152,9 @@ class PartitionAtATimeExecutor:
                     "exec.selection", stats, cpu_model=self.cpu_model
                 ):
                     if plan.logical.conjunction:
+                        status[base_invalid_tids(n, plan.snapshot)] = (
+                            STATUS_INVALID
+                        )
                         self._selection_phase(
                             plan, reader, degrade, status, values, present,
                             stats,
@@ -244,6 +248,7 @@ class PartitionAtATimeExecutor:
         valid = np.nonzero(status == STATUS_VALID)[0].astype(np.int64)
         if not len(valid):
             return
+        index = plan.snapshot if plan.snapshot is not None else self.manager
         proj_pids: Set[int] = set()
         missing_attrs: Set[str] = set()
         missing_by_attr: Dict[str, np.ndarray] = {}
@@ -252,10 +257,6 @@ class PartitionAtATimeExecutor:
             if len(missing):
                 missing_attrs.add(name)
                 missing_by_attr[name] = missing
-                index = (
-                    plan.snapshot if plan.snapshot is not None
-                    else self.manager
-                )
                 proj_pids.update(
                     index.partitions_with_missing_cells(name, missing)
                 )

@@ -41,6 +41,7 @@ from ..plan.operators import (
     PlanReader,
     ProjectFillOp,
     SelectOp,
+    base_invalid_tids,
     count_prune,
     finalize_stats,
     full_selection,
@@ -229,6 +230,7 @@ class ScanExecutor:
         selection = np.ones(n, dtype=bool)
         for mask in masks.values():
             selection &= mask
+        selection[base_invalid_tids(n, plan.snapshot)] = False
         if not self.row_major:
             # Operator-at-a-time materializes one selection vector per
             # predicate plus the conjunction.

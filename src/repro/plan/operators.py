@@ -57,6 +57,7 @@ __all__ = [
     "AccessLoop",
     "SelectOp",
     "ProjectFillOp",
+    "base_invalid_tids",
     "count_prune",
     "full_selection",
     "invalidate_pruned",
@@ -520,6 +521,21 @@ def full_selection(n: int, snapshot=None) -> np.ndarray:
         mask[:m] = valid[:m]
         return mask
     return np.ones(n, dtype=bool)
+
+
+def base_invalid_tids(n: int, snapshot=None) -> np.ndarray:
+    """Tids below ``n`` that a base scan under ``snapshot`` must not return.
+
+    The WHERE-path counterpart of :func:`full_selection`: a budgeted delta
+    compaction drops a deleted tuple's cells from the partitions it rewrites
+    while deferred partitions still hold the rest, so such a tuple can pass
+    the predicates in one partition and have no projected cell in another.
+    Engines mark these tids invalid before the selection phase.  Empty
+    without a write-path ``valid_mask`` (every read-only execution).
+    """
+    if snapshot is None or snapshot.valid_mask is None:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(~full_selection(n, snapshot))
 
 
 def count_prune(decision, stats: ExecutionStats) -> None:

@@ -3,9 +3,11 @@
 Stores each partition in one file (blob), charges reads through the storage
 device, and maintains the two indexes of the paper: the *attribute-level*
 index (attribute -> partitions storing it) and the *tuple-level* index
-(which partitions store a given tuple's cells).  The tuple-level index is
-kept as per-segment sorted tuple-ID arrays, which supports the projection
-phase's "partitions containing attribute ``a`` of tuple ``t``" lookups.
+(which partitions store a given tuple's cells).  Both live in one immutable
+:class:`CatalogIndex` per base-catalog state: the tuple-level half is a dense
+``tid -> owning partition`` array per attribute, so the projection phase's
+"partitions containing attribute ``a`` of tuples ``T``" lookup costs
+O(|T|) whatever the partition count.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .physical import (
 )
 from .table_data import ColumnTable
 
-__all__ = ["CatalogSnapshot", "PartitionInfo", "PartitionManager"]
+__all__ = ["CatalogIndex", "CatalogSnapshot", "PartitionInfo", "PartitionManager"]
 
 
 @dataclass(slots=True)
@@ -77,22 +79,12 @@ class PartitionInfo:
     segment_replicas: List[bool] = field(default_factory=list)
     replica_attributes: frozenset = frozenset()
     full_coverage_attrs: frozenset = frozenset()
-    #: per-segment ``(min_tid, max_tid)``; ``(-1, -1)`` for empty segments.
-    segment_tid_bounds: List[Tuple[int, int]] = field(default_factory=list)
     #: catalog version at which this partition became visible.
     version: int = 0
     #: optional per-partition data-skipping sketches (see
     #: :mod:`repro.storage.sketches`); ``None`` when none were built.
     sketches: Optional[SketchSet] = None
     _tuple_ids_cache: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.segment_tid_bounds:
-            # ``segment_tids`` arrive sorted, so the bounds are the endpoints.
-            self.segment_tid_bounds = [
-                (int(tids[0]), int(tids[-1])) if len(tids) else (-1, -1)
-                for tids in self.segment_tids
-            ]
 
     def tuple_ids(self) -> np.ndarray:
         """Sorted unique tuple IDs with a primary cell in the partition.
@@ -127,26 +119,6 @@ class PartitionInfo:
         zone_lo, zone_hi = bounds
         return zone_hi < lo or zone_lo > hi
 
-    def contains_attribute_of(self, attribute: str, tids: np.ndarray) -> bool:
-        """True when a *primary* segment stores ``attribute`` for any ``tids``."""
-        if not len(tids):
-            return False
-        query_lo, query_hi = int(tids.min()), int(tids.max())
-        for attrs, seg_tids, replica, (seg_lo, seg_hi) in zip(
-            self.segment_attrs,
-            self.segment_tids,
-            self.segment_replicas,
-            self.segment_tid_bounds,
-        ):
-            if replica or attribute not in attrs:
-                continue
-            # Disjoint tid ranges cannot intersect — skip the searchsorted.
-            if seg_hi < query_lo or seg_lo > query_hi:
-                continue
-            if _contains_any(seg_tids, tids):
-                return True
-        return False
-
 
 def _full_coverage(info: PartitionInfo) -> frozenset:
     """Attributes (primary or replica) stored for every tuple of the partition."""
@@ -161,14 +133,152 @@ def _full_coverage(info: PartitionInfo) -> frozenset:
     return frozenset(a for a, count in coverage.items() if count >= len(all_tids))
 
 
-def _contains_any(sorted_tids: np.ndarray, tids: np.ndarray) -> bool:
-    if not len(sorted_tids) or not len(tids):
-        return False
-    positions = np.searchsorted(sorted_tids, tids)
-    in_bounds = positions < len(sorted_tids)
-    if not np.any(in_bounds):
-        return False
-    return bool(np.any(sorted_tids[positions[in_bounds]] == tids[in_bounds]))
+class _OwnerMap:
+    """Dense ``tid -> owning partition`` arrays of one primary placement.
+
+    ``layers[k][tid]`` is the rank in ``pids`` of a partition storing the
+    cell, or ``len(pids)`` — the *no owner* rank — when layer ``k`` has none.
+    One layer suffices while every cell has a single primary home (every
+    built-in layout); overlapping primaries spill into further layers, each
+    partition landing in the first layer where none of its tids is taken,
+    so no home is ever dropped.  Every layer ends in one extra *no owner*
+    slot: probing with ``take(mode="clip")`` sends tids past the stored
+    domain (delta-only rows) there instead of raising.
+    """
+
+    __slots__ = ("pids", "layers")
+
+    def __init__(self, holders: Sequence[Tuple[int, np.ndarray]]):
+        self.pids = tuple(pid for pid, _tids in holders)
+        no_owner = len(holders)
+        domain = 1 + max(
+            (int(tids.max()) for _pid, tids in holders if len(tids)), default=-1
+        )
+        self.layers: List[np.ndarray] = []
+        for rank, (_pid, tids) in enumerate(holders):
+            for layer in self.layers:
+                if not np.any(layer[tids] != no_owner):
+                    break
+            else:
+                layer = np.full(
+                    domain + 1, no_owner, dtype=np.min_scalar_type(no_owner)
+                )
+                self.layers.append(layer)
+            layer[tids] = rank
+
+    def probe(self, tids: np.ndarray) -> Tuple[int, ...]:
+        """Partitions owning a cell of any of ``tids``, in ``pids`` order."""
+        no_owner = len(self.pids)
+        seen = np.zeros(no_owner + 1, dtype=bool)
+        for layer in self.layers:
+            seen[layer.take(tids, mode="clip")] = True
+        return tuple(
+            self.pids[rank] for rank in np.flatnonzero(seen[:no_owner]).tolist()
+        )
+
+
+class CatalogIndex:
+    """The paper's two catalog indexes, frozen for one base-catalog state.
+
+    A *base-catalog state* is one live partition set: it changes when
+    :meth:`PartitionManager.swap_partitions` commits, not when a write
+    commit merely advances the version, so the live manager and every
+    :class:`CatalogSnapshot` pinned since the last swap share one object.
+    ``attribute_pids`` / ``replica_pids`` are the attribute-level index (in
+    the order the partitions were handed in); the tuple-level index is one
+    :class:`_OwnerMap` per attribute, built on first probe — a layout that
+    is never probed (a column scan) allocates nothing — and shared between
+    attributes whose primary cells sit in the same segments.
+
+    Immutable once published: an owner map is fully built before it becomes
+    reachable, so concurrent probes need no lock.
+    """
+
+    def __init__(self, infos: Iterable[PartitionInfo]):
+        self._infos = {info.pid: info for info in infos}
+        self.pids = frozenset(self._infos)
+        attribute_pids: Dict[str, List[int]] = {}
+        replica_pids: Dict[str, List[int]] = {}
+        for pid, info in self._infos.items():
+            for attribute in info.attributes:
+                attribute_pids.setdefault(attribute, []).append(pid)
+            for attribute in info.replica_attributes - info.attributes:
+                replica_pids.setdefault(attribute, []).append(pid)
+        self.attribute_pids = {a: tuple(p) for a, p in attribute_pids.items()}
+        self.replica_pids = {a: tuple(p) for a, p in replica_pids.items()}
+        self._owners: Dict[str, _OwnerMap] = {}
+        self._by_placement: Dict[Tuple[Tuple[int, int], ...], _OwnerMap] = {}
+        self._build_lock = threading.Lock()
+
+    def pids_for_attributes(self, attributes: Iterable[str]) -> Tuple[int, ...]:
+        """Ascending pids storing a primary cell of any of ``attributes``."""
+        pids: set = set()
+        for attribute in attributes:
+            pids.update(self.attribute_pids.get(attribute, ()))
+        return tuple(sorted(pids))
+
+    def owner_bytes(self) -> int:
+        """Bytes held by the owner arrays built so far (shared ones once)."""
+        with self._build_lock:
+            return sum(
+                layer.nbytes
+                for owners in self._by_placement.values()
+                for layer in owners.layers
+            )
+
+    def partitions_with_cells(
+        self, attribute: str, tids: np.ndarray
+    ) -> Tuple[int, ...]:
+        """Tuple-level lookup: the partitions whose *primary* segments store
+        ``attribute`` for at least one of ``tids``, in ``attribute_pids``
+        order.  Replica copies never count."""
+        tracer = obs_tracer()
+        if not tracer.enabled:
+            return self._probe(attribute, tids)
+        with tracer.span(
+            "storage.catalog_probe", attribute=attribute, n_tids=len(tids)
+        ) as span:
+            hits = self._probe(attribute, tids)
+            span.set(n_hits=len(hits))
+        return hits
+
+    def _probe(self, attribute: str, tids: np.ndarray) -> Tuple[int, ...]:
+        if not len(tids) or attribute not in self.attribute_pids:
+            return ()
+        owners = self._owners.get(attribute)
+        if owners is None:
+            owners = self._build_owners(attribute)
+        return owners.probe(tids)
+
+    def _build_owners(self, attribute: str) -> _OwnerMap:
+        with self._build_lock:
+            owners = self._owners.get(attribute)
+            if owners is not None:
+                return owners
+            holders: List[Tuple[int, np.ndarray]] = []
+            placement: List[Tuple[int, int]] = []
+            for pid in self.attribute_pids[attribute]:
+                info = self._infos[pid]
+                held = [
+                    ordinal
+                    for ordinal, (attrs, replica) in enumerate(
+                        zip(info.segment_attrs, info.segment_replicas)
+                    )
+                    if not replica and attribute in attrs
+                ]
+                placement.extend((pid, ordinal) for ordinal in held)
+                segments = [info.segment_tids[ordinal] for ordinal in held]
+                holders.append((
+                    pid,
+                    segments[0] if len(segments) == 1
+                    else np.concatenate(segments),
+                ))
+            key = tuple(placement)
+            owners = self._by_placement.get(key)
+            if owners is None:
+                owners = self._by_placement[key] = _OwnerMap(holders)
+            self._owners[attribute] = owners
+            return owners
 
 
 class PartitionManager:
@@ -208,8 +318,15 @@ class PartitionManager:
         #: pid -> info for partitions removed by a swap but kept readable so
         #: queries planned against the old catalog can still finish.
         self._retired: Dict[int, PartitionInfo] = {}
-        self._attribute_index: Dict[str, List[int]] = {}
-        self._replica_index: Dict[str, List[int]] = {}
+        #: the live partition set's :class:`CatalogIndex`; dropped by every
+        #: swap and rebuilt on the next lookup, so a bulk materialize builds
+        #: it once and :meth:`advance_version` never touches it.
+        self._index: Optional[CatalogIndex] = None
+        #: catalog version of the last swap — every version from here on
+        #: shares the live partition set, and so the live index.
+        self._base_version = 0
+        #: version -> index of an *older* base state, kept while pinned.
+        self._pinned_indexes: Dict[int, CatalogIndex] = {}
         #: commit log: ``(version, pids_added, pids_retired)`` per catalog
         #: commit, in version order.  ``pids_added`` holds only pids that
         #: were *not* live before the commit, so walking the log backwards
@@ -400,10 +517,6 @@ class PartitionManager:
                 old = self._catalog.pop(pid, None)
                 if old is None:
                     continue
-                for index in (self._attribute_index, self._replica_index):
-                    for pids in index.values():
-                        if pid in pids:
-                            pids.remove(pid)
                 if pid in removals and pid not in added_pids:
                     # Stamp the *retirement* version: a pruning pass with
                     # ``before_version=catalog_version`` then spares partitions
@@ -419,10 +532,6 @@ class PartitionManager:
                 info.version = self.catalog_version
                 self._retired.pop(info.pid, None)
                 self._catalog[info.pid] = info
-                for attribute in info.attributes:
-                    self._attribute_index.setdefault(attribute, []).append(info.pid)
-                for attribute in info.replica_attributes - info.attributes:
-                    self._replica_index.setdefault(attribute, []).append(info.pid)
                 if self.buffer_pool is not None:
                     self.buffer_pool.invalidate(info.pid)
                 infos.append(info)
@@ -431,6 +540,8 @@ class PartitionManager:
                 tuple(sorted(added_pids - pre_live)),
                 tuple(sorted(retired_now)),
             ))
+            self._index = None
+            self._base_version = self.catalog_version
         self._notify_invalidation()
         return infos
 
@@ -512,11 +623,14 @@ class PartitionManager:
         """Pin a refcounted, immutable view of the catalog at ``version``.
 
         Defaults to the current version.  The returned
-        :class:`CatalogSnapshot` freezes the *live pid set* of that version
-        (reconstructed by replaying the commit log backwards from the
-        current catalog); while pinned, :meth:`prune_retired` spares every
-        retired partition the snapshot still needs.  Release with
-        :meth:`CatalogSnapshot.release` (or use it as a context manager).
+        :class:`CatalogSnapshot` freezes the *live pid set* of that version:
+        the live :class:`CatalogIndex` itself when no swap has committed
+        since, else one rebuilt by replaying the commit log backwards from
+        the current catalog (shared by every pin of that version and
+        dropped with the last of them).  While pinned,
+        :meth:`prune_retired` spares every retired partition the snapshot
+        still needs.  Release with :meth:`CatalogSnapshot.release` (or use
+        it as a context manager).
 
         Raises :class:`~repro.errors.SnapshotUnavailableError` for future
         versions and for versions below the prune floor.
@@ -536,21 +650,27 @@ class PartitionManager:
                     f"partitions below version {self._floor_version} were "
                     f"already pruned"
                 )
-            live = set(self._catalog)
-            for commit_version, added, retired in reversed(self._history):
-                if commit_version <= version:
-                    break
-                live.difference_update(added)
-                live.update(retired)
+            index: Optional[CatalogIndex] = (
+                self.catalog_index() if version >= self._base_version
+                else self._pinned_indexes.get(version)
+            )
+            if index is None:
+                live = set(self._catalog)
+                for commit_version, added, retired in reversed(self._history):
+                    if commit_version <= version:
+                        break
+                    live.difference_update(added)
+                    live.update(retired)
+                index = self._pinned_indexes[version] = CatalogIndex(
+                    self.info(pid) for pid in sorted(live)
+                )
             self._pins[version] = self._pins.get(version, 0) + 1
             # The pinned token's second slot is -1, not the live pruning
             # version: a pinned version's pid set and data are frozen, so a
             # verdict computed against it stays valid forever — every pin of
             # the same version must share one cache key, and -1 keeps pinned
             # entries from ever colliding with live ``cache_token()`` keys.
-            return CatalogSnapshot(
-                self, version, frozenset(live), (version, -1)
-            )
+            return CatalogSnapshot(self, version, index, (version, -1))
 
     def release_snapshot(self, snapshot: "CatalogSnapshot") -> None:
         """Drop one pin on ``snapshot``'s version (idempotence is the
@@ -559,6 +679,7 @@ class PartitionManager:
             count = self._pins.get(snapshot.version, 0)
             if count <= 1:
                 self._pins.pop(snapshot.version, None)
+                self._pinned_indexes.pop(snapshot.version, None)
             else:
                 self._pins[snapshot.version] = count - 1
 
@@ -775,23 +896,25 @@ class PartitionManager:
         with self._mutex:
             return tuple(sorted(self._retired))
 
+    def catalog_index(self) -> CatalogIndex:
+        """The live partition set's index (shared with every snapshot pinned
+        since the last swap; a new object after each swap)."""
+        with self._mutex:
+            if self._index is None:
+                self._index = CatalogIndex(self._catalog.values())
+            return self._index
+
     def partitions_for_attribute(self, attribute: str) -> Tuple[int, ...]:
         """Attribute-level index: partitions storing a *primary* cell of
         ``attribute`` (replica copies are indexed separately)."""
-        with self._mutex:
-            return tuple(self._attribute_index.get(attribute, ()))
+        return self.catalog_index().attribute_pids.get(attribute, ())
 
     def replica_partitions_for_attribute(self, attribute: str) -> Tuple[int, ...]:
         """Partitions holding replica-only copies of ``attribute``."""
-        with self._mutex:
-            return tuple(self._replica_index.get(attribute, ()))
+        return self.catalog_index().replica_pids.get(attribute, ())
 
     def partitions_for_attributes(self, attributes: Iterable[str]) -> Tuple[int, ...]:
-        pids: set = set()
-        with self._mutex:
-            for attribute in attributes:
-                pids.update(self._attribute_index.get(attribute, ()))
-        return tuple(sorted(pids))
+        return self.catalog_index().pids_for_attributes(attributes)
 
     def partitions_with_missing_cells(
         self, attribute: str, tids: np.ndarray
@@ -801,16 +924,7 @@ class PartitionManager:
         Returns the partitions that store ``attribute`` for at least one of
         the given tuples.
         """
-        with self._mutex:
-            candidates = [
-                (pid, self._catalog[pid])
-                for pid in self._attribute_index.get(attribute, ())
-            ]
-        hits = []
-        for pid, info in candidates:
-            if info.contains_attribute_of(attribute, tids):
-                hits.append(pid)
-        return tuple(hits)
+        return self.catalog_index().partitions_with_cells(attribute, tids)
 
     def attribute_tids(self, pid: int, attribute: str) -> np.ndarray:
         """Sorted unique tuple IDs for which ``pid`` stores a cell of
@@ -844,10 +958,11 @@ class PartitionManager:
         excluded = frozenset(exclude)
         remaining = np.unique(np.asarray(tids, dtype=np.int64))
         chosen: List[int] = []
-        with self._mutex:
-            candidates = list(self._attribute_index.get(attribute, ())) + list(
-                self._replica_index.get(attribute, ())
-            )
+        index = self.catalog_index()
+        candidates = (
+            index.attribute_pids.get(attribute, ())
+            + index.replica_pids.get(attribute, ())
+        )
         for pid in candidates:
             if pid in excluded or not len(remaining):
                 continue
@@ -906,22 +1021,29 @@ class CatalogSnapshot:
     repartitioner and the delta compactor emit.
     """
 
-    __slots__ = ("manager", "version", "pids", "token", "valid_mask",
+    __slots__ = ("manager", "version", "index", "token", "valid_mask",
                  "_released")
 
     def __init__(
         self,
         manager: PartitionManager,
         version: int,
-        pids: frozenset,
+        index: CatalogIndex,
         token: Tuple[int, int],
     ):
         self.manager = manager
         self.version = version
-        self.pids = pids
+        #: the frozen partition set's index — the live manager's own object
+        #: when no swap separates the pinned version from the current one.
+        self.index = index
         self.token = token
         self.valid_mask: Optional[np.ndarray] = None
         self._released = False
+
+    @property
+    def pids(self) -> frozenset:
+        """The live pid set of the pinned version."""
+        return self.index.pids
 
     # ------------------------------------------------------------ lifetime
 
@@ -941,32 +1063,20 @@ class CatalogSnapshot:
     def info(self, pid: int) -> PartitionInfo:
         return self.manager.info(pid)
 
+    # Ascending pid order throughout (the manager answers in catalog order).
+
     def partitions_for_attribute(self, attribute: str) -> Tuple[int, ...]:
-        return tuple(
-            pid for pid in sorted(self.pids)
-            if attribute in self.manager.info(pid).attributes
-        )
+        return tuple(sorted(self.index.attribute_pids.get(attribute, ())))
 
     def partitions_for_attributes(
         self, attributes: Iterable[str]
     ) -> Tuple[int, ...]:
-        wanted = set(attributes)
-        return tuple(
-            pid for pid in sorted(self.pids)
-            if wanted & self.manager.info(pid).attributes
-        )
+        return self.index.pids_for_attributes(attributes)
 
     def partitions_with_missing_cells(
         self, attribute: str, tids: np.ndarray
     ) -> Tuple[int, ...]:
-        hits = []
-        for pid in sorted(self.pids):
-            info = self.manager.info(pid)
-            if attribute not in info.attributes:
-                continue
-            if info.contains_attribute_of(attribute, tids):
-                hits.append(pid)
-        return tuple(hits)
+        return tuple(sorted(self.index.partitions_with_cells(attribute, tids)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -15,7 +15,9 @@ the daemon's ``bytes_budget_per_cycle``): delta segments first (each one
 folded removes a per-scan blob read for every future query), then
 tombstone-dirty partitions by dead-row count.  A partial pass leaves the
 unfolded segments and unresolved tombstones in the post-compaction
-:class:`~repro.txn.delta.DeltaState`, to be picked up by the next cycle.
+:class:`~repro.txn.delta.DeltaState`, to be picked up by the next cycle; a
+tombstone is resolved only once *every* partition holding its tuple has been
+rewritten (on an irregular layout a tuple's cells span several).
 
 Folded segments' blobs are *retained*: older pinned versions and ``AS OF``
 reads still merge them.  The WAL is truncated only when compaction leaves
@@ -221,6 +223,17 @@ class DeltaCompactor:
                         next_pid, specs, table.data, self.tid_storage,
                     ))
                     next_pid += 1
+
+            # A tombstone whose tuple a deferred partition still holds must
+            # outlive this pass: it is what marks that partition dirty for
+            # the next one.  Reads stay exact meanwhile — the tuple's
+            # base-validity drop below makes the engines skip it even
+            # though only some of its cells are gone.
+            for pid in plan.defer_pids:
+                held = self.manager.info(pid).tuple_ids()
+                removed_tombstones.difference_update(
+                    held[np.isin(held, tombs)].tolist()
+                )
 
             infos = self.manager.swap_partitions(
                 physicals, remove=plan.scope_pids, verify=self.verify

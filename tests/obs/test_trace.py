@@ -151,8 +151,12 @@ def _ancestor_names(span, by_id):
 
 @pytest.mark.parametrize("strategy", ["locking", "shared"])
 def test_worker_spans_nest_across_threads(demo, strategy):
-    """Jigsaw-L/S worker spans land on distinct threads yet parent into
-    the engine's phase spans (ContextVar propagation through threads)."""
+    """Jigsaw-L/S worker spans land off the coordinator's thread yet parent
+    into the engine's phase spans (ContextVar propagation through threads).
+
+    Nothing is asserted about *how many* distinct worker thread ids appear:
+    the OS reuses the id of a worker that exits before the next one starts,
+    which a loaded 2-core box does often enough to flake."""
     table, workload, layouts = demo
     layout = layouts["irregular"]
     engine = ThreadedPartitionEngine(
@@ -168,7 +172,6 @@ def test_worker_spans_nest_across_threads(demo, strategy):
     workers = [s for s in spans if s.name == "exec.worker"]
     assert workers, "threaded engine produced no worker spans"
     root_thread = next(s for s in spans if s.name == "exec.query").thread_id
-    assert len({w.thread_id for w in workers}) > 1
     assert all(w.thread_id != root_thread for w in workers)
     for worker in workers:
         ancestors = _ancestor_names(worker, by_id)

@@ -1,0 +1,389 @@
+"""The catalog index against the brute-force definition of the tuple-level
+lookup, through every catalog mutation and every kind of pin."""
+
+from __future__ import annotations
+
+import gc
+import sys
+import threading
+import time
+import weakref
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.core import TableSchema
+from repro.storage import (
+    BALOS_HDD,
+    ColumnTable,
+    PartitionManager,
+    StorageDevice,
+)
+from repro.storage.physical import PhysicalPartition, PhysicalSegment
+
+N_TUPLES = 24
+ATTRS = ("a1", "a2", "a3", "a4")
+SCHEMA = TableSchema.uniform(list(ATTRS))
+TABLE = ColumnTable.build(
+    "T",
+    SCHEMA,
+    {
+        name: np.arange(N_TUPLES, dtype=np.int32) + 100 * i
+        for i, name in enumerate(ATTRS)
+    },
+)
+
+
+def new_manager() -> PartitionManager:
+    return PartitionManager(SCHEMA, StorageDevice(BALOS_HDD))
+
+
+def physical(pid, segments) -> PhysicalPartition:
+    """``segments``: ``(attributes, tids, replica)`` triples, tids may be
+    empty and may repeat across partitions (overlapping primaries)."""
+    built = []
+    for attributes, tids, replica in segments:
+        attrs = tuple(a for a in ATTRS if a in attributes)
+        tids = np.asarray(sorted(tids), dtype=np.int64)
+        built.append(PhysicalSegment(
+            attributes=attrs,
+            tuple_ids=tids,
+            columns=TABLE.gather(attrs, tids),
+            replica=replica,
+        ))
+    return PhysicalPartition(pid=pid, segments=built)
+
+
+def holders(infos, attribute, tids):
+    """The definition: partitions with a *primary* segment storing
+    ``attribute`` for at least one of ``tids``, in the order given."""
+    return tuple(
+        info.pid
+        for info in infos
+        if any(
+            not replica and attribute in attrs and np.isin(tids, seg_tids).any()
+            for attrs, seg_tids, replica in zip(
+                info.segment_attrs, info.segment_tids, info.segment_replicas
+            )
+        )
+    )
+
+
+#: probes: single tids, a run, everything, tids past the stored domain
+#: (delta-only rows), and nothing.
+PROBES = [np.array([t], dtype=np.int64) for t in (0, 7, N_TUPLES - 1)] + [
+    np.arange(3, 11, dtype=np.int64),
+    np.arange(N_TUPLES, dtype=np.int64),
+    np.array([5, N_TUPLES + 40], dtype=np.int64),
+    np.array([N_TUPLES, 10 * N_TUPLES], dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+]
+
+
+def check_manager(manager, order):
+    infos = [manager.info(pid) for pid in order]
+    for attribute in ATTRS + ("nope",):
+        for tids in PROBES:
+            assert manager.partitions_with_missing_cells(
+                attribute, tids
+            ) == holders(infos, attribute, tids)
+        assert manager.partitions_for_attribute(attribute) == tuple(
+            info.pid for info in infos if attribute in info.attributes
+        )
+
+
+def check_snapshot(snapshot, infos):
+    infos = sorted(infos, key=lambda info: info.pid)
+    assert snapshot.pids == frozenset(info.pid for info in infos)
+    for attribute in ATTRS + ("nope",):
+        for tids in PROBES:
+            assert snapshot.partitions_with_missing_cells(
+                attribute, tids
+            ) == holders(infos, attribute, tids)
+        assert snapshot.partitions_for_attribute(attribute) == tuple(
+            info.pid for info in infos if attribute in info.attributes
+        )
+    assert snapshot.partitions_for_attributes(ATTRS[:2]) == tuple(
+        info.pid for info in infos if set(ATTRS[:2]) & info.attributes
+    )
+
+
+segment_st = st.tuples(
+    st.sets(st.sampled_from(ATTRS), min_size=1),
+    st.sets(st.integers(0, N_TUPLES - 1), max_size=N_TUPLES),
+    st.booleans(),
+)
+partition_st = st.lists(segment_st, min_size=1, max_size=3)
+OPS = ("add", "replace", "swap", "advance", "prune", "pin", "pin_old", "release")
+
+
+class TestIndexEqualsDefinition:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_through_swaps_prunes_and_pins(self, data):
+        manager = new_manager()
+        order = []  # live pids in catalog order — the model
+        frozen = {}  # version -> infos live at that version
+        held = []  # (snapshot, infos it must answer from)
+        next_pid = 0
+
+        def fresh(n):
+            nonlocal next_pid
+            parts = [
+                physical(next_pid + i, data.draw(partition_st))
+                for i in range(n)
+            ]
+            next_pid += n
+            return parts
+
+        def committed():
+            frozen[manager.catalog_version] = [
+                manager.info(pid) for pid in order
+            ]
+
+        for part in fresh(data.draw(st.integers(1, 4))):
+            manager.add_partition(part)
+            order.append(part.pid)
+            committed()
+
+        for _ in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(OPS))
+            if op == "add":
+                (part,) = fresh(1)
+                manager.add_partition(part)
+                order.append(part.pid)
+                committed()
+            elif op == "replace":
+                # An in-place replace overwrites the blob older snapshots
+                # read, so they are only guaranteed across fresh-pid swaps.
+                for snapshot, _infos in held:
+                    snapshot.release()
+                held.clear()
+                frozen.clear()
+                pid = data.draw(st.sampled_from(order))
+                manager.replace_partition(
+                    physical(pid, data.draw(partition_st))
+                )
+                order.remove(pid)
+                order.append(pid)
+                committed()
+            elif op == "swap":
+                gone = data.draw(st.sets(st.sampled_from(order)))
+                parts = fresh(data.draw(st.integers(0, 3)))
+                manager.swap_partitions(parts, remove=gone)
+                order[:] = [pid for pid in order if pid not in gone]
+                order.extend(part.pid for part in parts)
+                committed()
+                if not order:
+                    (part,) = fresh(1)
+                    manager.add_partition(part)
+                    order.append(part.pid)
+                    committed()
+            elif op == "advance":
+                manager.advance_version()
+                committed()
+            elif op == "prune":
+                manager.prune_retired()
+            elif op == "pin":
+                held.append((manager.pin_snapshot(), frozen[manager.catalog_version]))
+            elif op == "pin_old":
+                pinnable = [
+                    v for v in frozen if v >= manager.floor_version()
+                ]
+                version = data.draw(st.sampled_from(sorted(pinnable)))
+                held.append((manager.pin_snapshot(version), frozen[version]))
+            elif held:
+                snapshot, _infos = held.pop(
+                    data.draw(st.integers(0, len(held) - 1))
+                )
+                snapshot.release()
+            check_manager(manager, order)
+            for snapshot, infos in held:
+                check_snapshot(snapshot, infos)
+
+        for snapshot, _infos in held:
+            snapshot.release()
+        assert manager.snapshot_refcount() == 0
+
+
+def stripes(first_pid, n, attrs=ATTRS):
+    """One catalog state: ``n`` partitions that together hold ``attrs`` of
+    every tid exactly once."""
+    width = N_TUPLES // n
+    return [
+        physical(
+            first_pid + i,
+            [(set(attrs), range(i * width, (i + 1) * width), False)],
+        )
+        for i in range(n)
+    ]
+
+
+def halves(first_pid, attrs=ATTRS):
+    return stripes(first_pid, 2, attrs)
+
+
+class TestPlacementCases:
+    def test_overlapping_primaries_are_all_returned(self):
+        """Two non-replica partitions hold ``a3`` for every tid: a single
+        owner per cell would silently drop one of them."""
+        manager = new_manager()
+        everything = range(N_TUPLES)
+        manager.add_partition(physical(0, [({"a1", "a3"}, everything, False)]))
+        manager.add_partition(physical(1, [({"a2", "a3"}, everything, False)]))
+        manager.add_partition(physical(2, [({"a3"}, range(4), False)]))
+        one = np.array([2], dtype=np.int64)
+        assert manager.partitions_with_missing_cells("a3", one) == (0, 1, 2)
+        late = np.array([9], dtype=np.int64)
+        assert manager.partitions_with_missing_cells("a3", late) == (0, 1)
+        assert manager.partitions_with_missing_cells("a1", one) == (0,)
+
+    def test_replica_segments_stay_out(self):
+        manager = new_manager()
+        everything = range(N_TUPLES)
+        manager.add_partition(physical(0, [({"a1"}, everything, False)]))
+        manager.add_partition(physical(
+            1, [({"a2"}, everything, False), ({"a1"}, everything, True)]
+        ))
+        tids = np.arange(N_TUPLES, dtype=np.int64)
+        assert manager.partitions_with_missing_cells("a1", tids) == (0,)
+        assert manager.replica_partitions_for_attribute("a1") == (1,)
+
+    def test_answer_order_is_catalog_order_on_the_manager(self):
+        manager = new_manager()
+        for part in halves(0):
+            manager.add_partition(part)
+        manager.replace_partition(halves(0)[0])  # pid 0 moves to the back
+        tids = np.arange(N_TUPLES, dtype=np.int64)
+        assert manager.partitions_with_missing_cells("a1", tids) == (1, 0)
+        with manager.pin_snapshot() as snapshot:
+            assert snapshot.partitions_with_missing_cells("a1", tids) == (0, 1)
+
+
+class TestLifecycle:
+    def test_version_bump_keeps_the_index_and_a_swap_replaces_it(self):
+        manager = new_manager()
+        for part in halves(0):
+            manager.add_partition(part)
+        index = manager.catalog_index()
+        manager.advance_version()
+        assert manager.catalog_index() is index
+        with manager.pin_snapshot() as now, manager.pin_snapshot(
+            manager.catalog_version - 1
+        ) as before:
+            assert now.index is index and before.index is index
+        manager.swap_partitions(halves(2), remove=[0, 1])
+        assert manager.catalog_index() is not index
+
+    def test_last_old_version_pin_frees_its_index(self):
+        manager = new_manager()
+        for part in halves(0):
+            manager.add_partition(part)
+        old_version = manager.catalog_version
+        manager.swap_partitions(halves(2), remove=[0, 1])
+        first = manager.pin_snapshot(old_version)
+        second = manager.pin_snapshot(old_version)
+        assert first.index is second.index
+        assert first.index is not manager.catalog_index()
+        assert first.pids == {0, 1}
+        ref = weakref.ref(first.index)
+        first.release()
+        third = manager.pin_snapshot(old_version)  # one pin is still out
+        assert third.index is second.index
+        second.release()
+        third.release()
+        del first, second, third
+        gc.collect()
+        assert ref() is None
+
+    def test_owner_arrays_are_lazy_and_shared_between_co_placed_attributes(self):
+        manager = new_manager()
+        for part in halves(0, attrs=("a1", "a2")) + halves(2, attrs=("a3",)):
+            manager.add_partition(part)
+        index = manager.catalog_index()
+        manager.partitions_for_attribute("a1")
+        assert index.owner_bytes() == 0  # planning alone builds nothing
+        tids = np.arange(N_TUPLES, dtype=np.int64)
+        manager.partitions_with_missing_cells("a1", tids)
+        one_array = index.owner_bytes()
+        assert one_array > 0
+        manager.partitions_with_missing_cells("a2", tids)
+        assert index.owner_bytes() == one_array  # same segments, same array
+        manager.partitions_with_missing_cells("a3", tids)
+        assert index.owner_bytes() == 2 * one_array
+
+    def test_probe_is_traced_only_when_tracing_is_on(self):
+        manager = new_manager()
+        for part in halves(0):
+            manager.add_partition(part)
+        tids = np.arange(4, dtype=np.int64)
+        with obs.scoped_trace() as collector:
+            assert manager.partitions_with_missing_cells("a1", tids) == (0,)
+            with manager.pin_snapshot() as snapshot:
+                snapshot.partitions_with_missing_cells("a2", tids)
+        spans = [
+            s for s in collector.spans() if s.name == "storage.catalog_probe"
+        ]
+        assert [s.attrs for s in spans] == [
+            {"attribute": "a1", "n_tids": 4, "n_hits": 1},
+            {"attribute": "a2", "n_tids": 4, "n_hits": 1},
+        ]
+
+
+STRIPES = 12
+
+
+class TestConcurrentProbes:
+    def test_probes_during_swaps_never_see_a_half_built_array(self):
+        """A probe racing a swap may answer from the state before or after
+        it — all of that state's stripes — never from an owner array that is
+        still being filled (some stripes missing)."""
+        manager = new_manager()
+        manager.swap_partitions(stripes(0, STRIPES))
+        everything = np.arange(N_TUPLES, dtype=np.int64)
+        stop = threading.Event()
+        problems = []
+
+        def prober():
+            while not stop.is_set():
+                with manager.pin_snapshot() as snapshot:
+                    for index in (manager, snapshot):
+                        hits = index.partitions_with_missing_cells(
+                            "a1", everything
+                        )
+                        first = hits[0] if hits else -1
+                        if first % STRIPES or hits != tuple(
+                            range(first, first + STRIPES)
+                        ):
+                            problems.append(hits)
+                            return
+
+        def swapper():
+            first = STRIPES
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline and not problems:
+                manager.swap_partitions(
+                    stripes(first, STRIPES),
+                    remove=range(first - STRIPES, first),
+                )
+                manager.prune_retired()
+                first += STRIPES
+            stop.set()
+
+        threads = [threading.Thread(target=prober) for _ in range(4)]
+        threads.append(threading.Thread(target=swapper))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        assert manager.snapshot_refcount() == 0

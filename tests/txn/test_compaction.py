@@ -5,16 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import Workload
 from repro.core.query import Query
+from repro.engine import ScanExecutor
+from repro.engine.parallel import ThreadedPartitionEngine
 from repro.errors import TransactionError
+from repro.layouts import BuildContext, IrregularLayout
 from repro.serve import PartitionCache
 from repro.testing import (
     ShadowTable,
     WriteWorkloadConfig,
     apply_random_batch,
+    random_table,
     verify_against_shadow,
 )
-from repro.txn import DeltaCompactor
+from repro.txn import DeltaCompactor, TransactionalTable
 
 from .conftest import build_txn_table
 
@@ -93,6 +98,70 @@ class TestBudget:
         assert reports == []  # first pass is an is_empty no-op report
         state = txn.delta_state()
         assert state.segments or state.tombstones
+
+
+def build_column_group_table(seed, n_tuples, engine=None):
+    """An irregular layout whose tuples each span several partitions: three
+    trained templates over disjoint attribute groups."""
+    rng = np.random.default_rng(seed)
+    table = random_table(rng, n_attrs=12, n_tuples=n_tuples)
+    meta = table.meta
+    names = list(table.schema.attribute_names)
+    train = Workload(meta, [
+        Query.build(meta, names[0:4], {names[0]: (100, 300)}, label="t0"),
+        Query.build(meta, names[4:8], {names[4]: (500, 700)}, label="t1"),
+        Query.build(meta, names[8:12], {names[8]: (0, 200)}, label="t2"),
+    ])
+    layout = IrregularLayout().build(
+        table, train, BuildContext(file_segment_bytes=128 * 1024)
+    )
+    if engine is not None:
+        layout.executor = engine(layout.manager, meta)
+    manager = layout.manager
+    assert len({manager.info(pid).attributes for pid in manager.pids()}) >= 3
+    return rng, TransactionalTable(layout, table)
+
+
+class TestBudgetedFoldAcrossColumnGroups:
+    """A budgeted pass rewrites only *some* of the partitions holding a
+    deleted tuple.  Reads after every partial pass must match the shadow —
+    neither a "partitioning does not cover the table" raise (the tuple
+    passes the predicate in a deferred partition, its projected cells were
+    in a rewritten one) nor the deleted row (its tombstone retired while a
+    deferred partition still held it)."""
+
+    @pytest.mark.parametrize(
+        "engine, n_tuples, budget",
+        [
+            (None, 40_000, 1 << 20),
+            (ScanExecutor, 40_000, 1 << 20),
+            (
+                lambda manager, meta: ThreadedPartitionEngine(
+                    manager, meta, n_threads=2
+                ),
+                1_500, 40_000,
+            ),
+        ],
+        ids=["partition-at-a-time", "scan", "threaded"],
+    )
+    def test_every_partial_pass_is_oracle_exact(self, engine, n_tuples, budget):
+        rng, txn = build_column_group_table(48, n_tuples, engine)
+        shadow = run_batches(txn, rng)
+        assert txn.delta_state().tombstones
+        compactor = DeltaCompactor(txn, bytes_budget=budget, verify=True)
+        first = compactor.run()
+        assert first.n_partitions_deferred > 0  # a partial pass
+        assert txn.delta_state().tombstones  # ... that keeps what it must
+        shadow.snapshot(first.version)
+        assert verify_against_shadow(
+            txn, shadow, rng, versions=(first.version,)
+        ) == []
+        for report in compactor.run_until_clean():
+            shadow.snapshot(report.version)
+        state = txn.delta_state()
+        assert not state.segments and not state.tombstones
+        # Every version, so also the state each later partial pass left.
+        assert verify_against_shadow(txn, shadow, rng) == []
 
 
 class TestWalCheckpoint:
