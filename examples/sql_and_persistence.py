@@ -13,7 +13,7 @@ import io
 import numpy as np
 
 from repro import CostModel, IOModel, JigsawPartitioner, PartitionerConfig, TableSchema, Workload
-from repro.engine import PartitionAtATimeExecutor, aggregate
+from repro.engine import PartitionAtATimeExecutor
 from repro.persistence import load_plan, save_plan
 from repro.sql import parse_query
 from repro.storage import BALOS_HDD, ColumnTable, PartitionManager, StorageDevice
@@ -70,10 +70,10 @@ def main() -> None:
         table.meta, "SELECT c1, c2 FROM sensors WHERE c0 BETWEEN 100 AND 499"
     )
     result, stats = engine.execute(query)
-    summary = aggregate(result, {"c1": "mean", "c2": "max"})
     print(
         f"ad-hoc SQL: {result.n_tuples} rows, {stats.bytes_read:,} bytes read, "
-        f"mean(c1)={summary['mean(c1)']:.1f}, max(c2)={summary['max(c2)']:.0f}"
+        f"mean(c1)={result.column('c1').mean():.1f}, "
+        f"max(c2)={result.column('c2').max():.0f}"
     )
 
 

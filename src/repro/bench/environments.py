@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..core.cost import IOModel, MemoryModel
-from ..engine.stats import CpuModel
 from ..layouts.base import BuildContext
+from ..plan.stats import CpuModel
 from ..storage.device import BALOS_HDD, EBS_GP2, EBS_IO1, DeviceProfile
 
 __all__ = [

@@ -26,7 +26,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ...core.query import Query, Workload
-from ...engine.aggregates import group_aggregate
 from ...layouts import IrregularLayout
 from ...plan.dag import Catalog, DagExecutor
 from ...plan.relational import AggSpec, ColumnRef, JoinCondition, RelationalQuery
@@ -114,7 +113,8 @@ def _join_query(orders: ColumnTable) -> RelationalQuery:
 def _denorm_totals(
     denorm: ColumnTable, key_range: Tuple[int, int]
 ) -> Dict[int, Tuple[float, int]]:
-    """The same aggregate off the denormalized table via the legacy path."""
+    """The same aggregate off the denormalized table: the reference scan
+    plus a numpy sort + ``reduceat`` — nothing the DAG under test runs."""
     query = Query.build(
         denorm.meta,
         ["l_returnflag", "l_extendedprice"],
@@ -124,18 +124,19 @@ def _denorm_totals(
     from ...testing.oracle import run_reference_query
 
     result = run_reference_query(denorm, query)
-    groups = group_aggregate(
-        result, by="l_returnflag", spec={"l_extendedprice": "sum"}
+    by_flag = result.column("l_returnflag")
+    order = np.argsort(by_flag, kind="stable")
+    flags, starts, counts = np.unique(
+        by_flag[order], return_index=True, return_counts=True
     )
-    counts = group_aggregate(
-        result, by="l_returnflag", spec={"l_returnflag": "count"}
+    # Float sums are compared bit for bit, so add in the DAG's order: rows
+    # by ascending tid inside each group, one ``reduceat`` pass.
+    sums = np.add.reduceat(
+        result.column("l_extendedprice")[order].astype(np.float64), starts
     )
     return {
-        int(key): (
-            entry["sum(l_extendedprice)"],
-            int(counts[key]["count(l_returnflag)"]),
-        )
-        for key, entry in groups.items()
+        int(flag): (float(total), int(n))
+        for flag, total, n in zip(flags, sums, counts)
     }
 
 

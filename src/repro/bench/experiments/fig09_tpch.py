@@ -116,7 +116,7 @@ def _necessary_bytes(table, workload) -> int:
     index)."""
     import numpy as np
 
-    from ...engine.predicates import Conjunction
+    from ...plan.predicates import Conjunction
 
     schema = table.schema
     total = 0

@@ -26,8 +26,8 @@ from ...engine.arithmetic import (
     JigsawMemEngine,
     MonetDBStyleEngine,
 )
-from ...engine.predicates import RangePredicate
 from ...errors import JigsawError
+from ...plan.predicates import RangePredicate
 from ...workloads.hap import VALUE_MAX, make_hap_table
 from ..reporting import ExperimentResult
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ...core.cost import IOModel, MemoryModel
-from ...engine.stats import CpuModel
 from ...layouts.base import BuildContext
+from ...plan.stats import CpuModel
 from ...storage.device import DeviceProfile
 from ...workloads.hap import hap_workload, make_hap_table
 from ..environments import BALOS

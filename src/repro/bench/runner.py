@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple, Type
 
 from ..core.query import Query, Workload
-from ..engine.stats import ExecutionStats
 from ..layouts import (
     ALL_LAYOUTS,
     BuildContext,
@@ -20,6 +19,7 @@ from ..layouts import (
     RowLayout,
     RowVLayout,
 )
+from ..plan.stats import ExecutionStats
 from ..storage.table_data import ColumnTable
 
 __all__ = ["LAYOUT_BUILDERS", "QueryRun", "build_layouts", "run_workload"]

@@ -160,11 +160,8 @@ def _run_explain(args) -> int:
     else:
         report = executor.explain(statement.query)
         if args.run:
-            outcome = executor.execute(statement.query)
-            if isinstance(outcome, tuple):
-                report.record_actuals(outcome[1])
-            else:  # threaded engines return a bare ResultSet
-                report.record_actuals(executor.last_stats)
+            _result, stats = executor.execute(statement.query)
+            report.record_actuals(stats)
     print(
         f"-- demo table {table.meta.name!r}: "
         f"{table.n_tuples} tuples x {len(table.schema)} attributes "

@@ -3,10 +3,10 @@
 All four executors (serial scan, partition-at-a-time, the threaded
 Jigsaw-L/S protocols, and replica-local) plan through
 :mod:`repro.plan` and drive its shared operator pipeline; each module here
-owns only its scheduling.  Predicates, results, statistics, and the
-degraded-read machinery live in :mod:`repro.plan` too — the imports below
-(and the ``engine.predicates`` / ``engine.result`` / ``engine.stats`` /
-``engine.degrade`` modules) remain as aliases for existing callers."""
+owns only its scheduling, and every ``execute`` returns
+``(ResultSet, ExecutionStats)``.  Predicates, results, statistics, the
+degraded-read machinery and aggregation (``GroupAggOp``) live in
+:mod:`repro.plan`."""
 
 from .partition_at_a_time import (
     STATUS_INVALID,
@@ -14,28 +14,13 @@ from .partition_at_a_time import (
     STATUS_VALID,
     PartitionAtATimeExecutor,
 )
-from .aggregates import aggregate, group_aggregate, revenue
-from .degrade import FaultContext, plan_alternates
 from .parallel import ThreadedPartitionEngine
-from .predicates import Conjunction, RangePredicate
 from .replicated import ReplicatedExecutor
-from .result import ResultSet
 from .scan import ScanExecutor
-from .stats import CpuModel, ExecutionStats
 
 __all__ = [
-    "Conjunction",
-    "CpuModel",
-    "ExecutionStats",
-    "FaultContext",
-    "plan_alternates",
     "PartitionAtATimeExecutor",
-    "RangePredicate",
     "ReplicatedExecutor",
-    "ResultSet",
-    "aggregate",
-    "group_aggregate",
-    "revenue",
     "STATUS_INVALID",
     "STATUS_NOT_CHECKED",
     "STATUS_VALID",

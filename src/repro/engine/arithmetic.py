@@ -31,9 +31,9 @@ from typing import Tuple
 import numpy as np
 
 from ..core.cost import MemoryModel
+from ..plan.predicates import RangePredicate
+from ..plan.stats import CpuModel, ExecutionStats
 from ..storage.table_data import ColumnTable
-from .predicates import RangePredicate
-from .stats import CpuModel, ExecutionStats
 
 __all__ = [
     "ArithmeticQuery",

@@ -12,9 +12,9 @@ Two deliverables live here:
    :class:`~repro.plan.physical.QueryPlanner` supplies the access lists and
    pushdown sets, :class:`~repro.plan.operators.SelectOp` the per-tuple
    Algorithm 5 transition, and each worker thread accounts its reads in its
-   own :class:`~repro.plan.stats.ExecutionStats` (summed into
-   :attr:`ThreadedPartitionEngine.last_stats` — per-worker counters must add
-   up exactly to the reported totals).
+   own :class:`~repro.plan.stats.ExecutionStats` (summed into the stats
+   ``execute`` returns — per-worker counters must add up exactly to the
+   reported totals).
 
 2. **A deterministic execution simulator** that produces the Figure-5 cycle
    breakdown (I/O / computation / waiting per active thread).  The model
@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import contextvars
 import threading
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -107,18 +108,11 @@ class ThreadedPartitionEngine:
             manager, table, policy=POLICY_PARTITION, pruning=False,
             partition_cache=partition_cache,
         )
-        # Fault counters of the most recent execute(); the threaded engine
-        # returns a bare ResultSet, so these are the quick-look stand-in.
-        self.fault_events: Dict[str, int] = {
-            "n_unreadable_partitions": 0,
-            "n_degraded_reads": 0,
-        }
-        #: accounting of the most recent execute(): one ``ExecutionStats``
-        #: per worker thread, the coordinator's (serial drain + projection
-        #: loads), and their exact sum.
+        #: audit ledgers of the most recent execute(): one ``ExecutionStats``
+        #: per worker thread and the coordinator's (serial drain + projection
+        #: loads); their exact sum is the stats ``execute`` returned.
         self.worker_stats: List[ExecutionStats] = []
         self.coordinator_stats = ExecutionStats()
-        self.last_stats = ExecutionStats()
 
     # ---------------------------------------------------------- planning
 
@@ -133,7 +127,10 @@ class ThreadedPartitionEngine:
 
     # ------------------------------------------------------------ public
 
-    def execute(self, query: Query, snapshot=None) -> ResultSet:
+    def execute(
+        self, query: Query, snapshot=None
+    ) -> Tuple[ResultSet, ExecutionStats]:
+        started = time.perf_counter()
         tracer = obs_tracer()
         engine = "jigsaw-l" if self.strategy == "locking" else "jigsaw-s"
         coordinator = ExecutionStats()
@@ -204,10 +201,6 @@ class ThreadedPartitionEngine:
             totals.add(coordinator)
             for worker in self.worker_stats:
                 totals.add(worker)
-            self.fault_events = {
-                "n_unreadable_partitions": totals.n_unreadable_partitions,
-                "n_degraded_reads": totals.n_degraded_reads,
-            }
             valid = np.array(
                 sorted(tid for tid, s in enumerate(status) if s == _VALID)
             )
@@ -231,9 +224,9 @@ class ThreadedPartitionEngine:
                 for name in projected
             }
             totals.n_result_tuples = len(valid)
-            self.last_stats = totals
+            totals.wall_time_s = time.perf_counter() - started
         record_query(engine, plan, totals, query=query)
-        return ResultSet(valid, columns)
+        return ResultSet(valid, columns), totals
 
     # --------------------------------------------------------- internals
 

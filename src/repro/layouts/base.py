@@ -22,8 +22,8 @@ from ..core.cost import CostModel, MemoryModel
 from ..core.partition import PartitioningPlan
 from ..core.query import Query, Workload
 from ..core.schema import TableMeta
-from ..engine.result import ResultSet
-from ..engine.stats import CpuModel, ExecutionStats
+from ..plan.result import ResultSet
+from ..plan.stats import CpuModel, ExecutionStats
 from ..storage.blob import BlobStore, MemoryBlobStore
 from ..storage.buffer_pool import BufferPool
 from ..storage.device import BALOS_HDD, DeviceProfile, StorageDevice

@@ -19,10 +19,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core.query import Workload
-from ..engine.predicates import Conjunction
 from ..engine.scan import ScanExecutor
 from ..partitioning.peloton import PelotonPartitioner
 from ..partitioning.schism import SchismPartitioner
+from ..plan.predicates import Conjunction
 from ..storage.physical import TID_CATALOG, TID_IMPLICIT, SegmentSpec
 from ..storage.table_data import ColumnTable
 from .base import BuildContext, LayoutBuilder, MaterializedLayout, build_sketch_catalog

@@ -220,19 +220,13 @@ def explain_analyze(executor, query, engine: str = ""):
 
     The report is the executor's ordinary :class:`~repro.plan.explain
     .ExplainReport` with actuals recorded *and* ``report.analyze`` set to
-    the per-operator :class:`AnalyzeNode` tree.  Works with every engine:
-    tuple-returning executors and the threaded protocols (whose stats are
-    read from ``last_stats``).
+    the per-operator :class:`AnalyzeNode` tree.  Works with every engine.
     """
     from . import scoped_trace
 
     report = executor.explain(query)
     with scoped_trace() as collector:
-        outcome = executor.execute(query)
-    if isinstance(outcome, tuple):
-        result, stats = outcome
-    else:
-        result, stats = outcome, executor.last_stats
+        result, stats = executor.execute(query)
     report.record_actuals(stats)
     report.analyze = build_analyze_tree(
         collector.spans(), stats, engine=engine or report.engine

@@ -24,8 +24,8 @@ from typing import List
 import numpy as np
 
 from ..core.query import Workload
-from ..engine.predicates import Conjunction
 from ..errors import InvalidPartitioningError
+from ..plan.predicates import Conjunction
 from ..storage.table_data import ColumnTable
 
 __all__ = ["SchismPartitioner", "SchismStats"]

@@ -56,8 +56,7 @@ class Catalog:
     A binding is anything shaped like a
     :class:`~repro.layouts.base.MaterializedLayout`: ``.table``
     (:class:`TableMeta`), ``.manager``, and ``.execute(query)`` returning
-    either ``(ResultSet, ExecutionStats)`` or a bare ``ResultSet`` whose
-    stats live on ``.executor.last_stats`` (the threaded engine's shape).
+    ``(ResultSet, ExecutionStats)``.
     """
 
     def __init__(self, bindings: Optional[Mapping[str, Any]] = None):
@@ -249,17 +248,8 @@ class DagExecutor:
             query = scan.compile_query(extra=extra)
         if query is None:
             return self._empty_scan_relation(scan)
-        binding = self.catalog[scan.table]
-        outcome = binding.execute(query)
-        if isinstance(outcome, tuple):
-            result, stats = outcome
-        else:  # threaded engine: bare ResultSet, stats on the executor
-            result = outcome
-            stats = getattr(
-                getattr(binding, "executor", binding), "last_stats", None
-            )
-        if stats is not None:
-            total.add(stats)
+        result, stats = self.catalog[scan.table].execute(query)
+        total.add(stats)
         relation = Relation.from_result(scan.table, result)
         if naive and scan.pushed:
             # Post-filter what pushdown would have removed at the leaves.

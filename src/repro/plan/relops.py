@@ -16,8 +16,8 @@ columns plus hidden per-table tuple-id columns) and combines them:
   ``spill_bytes_written`` / ``spill_bytes_read`` in :class:`ExecutionStats`,
   I/O priced by the device's fitted :class:`~repro.core.cost.IOModel`).
 * :class:`GroupAggOp` — sort-based grouped aggregation (lexsort +
-  ``reduceat``) over sum/min/max/mean/count and ``count(*)``, also the
-  engine behind the deprecated :mod:`repro.engine.aggregates` helpers.
+  ``reduceat``) over sum/min/max/mean/count and ``count(*)`` — the one
+  aggregation implementation in the repository.
 
 Join and aggregation outputs are deterministic: every relation carries its
 tables' tuple-id columns and the executor sorts the final output by them

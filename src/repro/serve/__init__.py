@@ -18,12 +18,7 @@ cache plugs into :class:`~repro.plan.physical.QueryPlanner` via the
 ``partition_cache`` knob every engine driver exposes.
 """
 
-from .cache import (
-    CacheStats,
-    CatalogPartitionCache,
-    PartitionCache,
-    predicate_signature,
-)
+from .cache import CacheStats, PartitionCache, predicate_signature
 from .replay import ReplayReport, build_client_mix, run_replay
 from .scheduler import (
     PRIORITY_HIGH,
@@ -37,7 +32,6 @@ from .scheduler import (
 __all__ = [
     "AdmissionRejected",
     "CacheStats",
-    "CatalogPartitionCache",
     "EngineBinding",
     "PRIORITY_HIGH",
     "PRIORITY_NORMAL",

@@ -43,16 +43,13 @@ from ..storage.partition_manager import PartitionManager
 
 __all__ = [
     "CacheStats",
-    "CatalogPartitionCache",
     "PartitionCache",
     "predicate_signature",
 ]
 
-#: ``(table, policy, pruning, ((attribute, lo, hi), ...))`` — hashable,
-#: order-free.  ``table`` is "" for single-table serving (one cache per
-#: manager needs no scope) and the table name when a
-#: :class:`CatalogPartitionCache` keys one multi-table plan's leaves.
-Signature = Tuple[str, str, bool, Tuple[Tuple[str, float, float], ...]]
+#: ``(policy, pruning, ((attribute, lo, hi), ...))`` — hashable,
+#: order-free.  One cache per manager, so the key needs no table scope.
+Signature = Tuple[str, bool, Tuple[Tuple[str, float, float], ...]]
 #: ``(catalog_version, pruning_version)`` from the manager.
 Token = Tuple[int, int]
 
@@ -61,7 +58,6 @@ def predicate_signature(
     ranges: Mapping[str, Tuple[float, float]],
     policy: str,
     pruning: bool,
-    table: str = "",
 ) -> Signature:
     """Canonical hashable form of a normalized conjunction.
 
@@ -69,9 +65,6 @@ def predicate_signature(
     and bound spelling never split entries.  The policy and pruning flag are
     part of the key because the scan (any-disjoint) and partition
     (all-disjoint) rules reach *different* verdicts for the same predicates.
-    ``table`` scopes the entry to one leaf of a multi-table plan — the same
-    conjunction pushed to two tables (e.g. a join key's propagated bound)
-    must never share verdicts.
     """
     triples = []
     for name, (lo, hi) in ranges.items():
@@ -80,7 +73,7 @@ def predicate_signature(
             lo, hi = hi, lo
         triples.append((str(name), lo, hi))
     triples.sort()
-    return (str(table), policy, bool(pruning), tuple(triples))
+    return (policy, bool(pruning), tuple(triples))
 
 
 class CacheStats:
@@ -117,19 +110,11 @@ class PartitionCache:
     invalidations.
     """
 
-    def __init__(
-        self,
-        manager: PartitionManager,
-        capacity: int = 512,
-        table_scope: str = "",
-    ):
+    def __init__(self, manager: PartitionManager, capacity: int = 512):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.manager = manager
         self.capacity = capacity
-        #: "" for single-table serving; the table name when this cache is
-        #: one leaf of a :class:`CatalogPartitionCache`.
-        self.table_scope = table_scope
         self.stats = CacheStats()
         self._entries: "OrderedDict[Tuple[Signature, Token], Dict[int, PartitionDecision]]" = (
             OrderedDict()
@@ -144,10 +129,7 @@ class PartitionCache:
 
     def signature(self, logical: LogicalPlan) -> Signature:
         return predicate_signature(
-            logical.conjunction.ranges(),
-            logical.policy,
-            logical.pruning,
-            table=self.table_scope,
+            logical.conjunction.ranges(), logical.policy, logical.pruning
         )
 
     # ---------------------------------------------------- planner protocol
@@ -250,116 +232,4 @@ class PartitionCache:
         return (
             f"PartitionCache({len(self)} entries, capacity={self.capacity}, "
             f"hits={self.stats.n_hits}, misses={self.stats.n_misses})"
-        )
-
-
-class CatalogPartitionCache:
-    """Per-table partition caches for multi-table (DAG) plans.
-
-    A relational plan executes one single-table leaf per scan node — each
-    with its *own* pushed predicates (including join-key bounds propagated
-    from the other side) against its *own* manager.  This wrapper keeps one
-    :class:`PartitionCache` per catalog table, scoped by table name, so the
-    serving tier can memoize every leaf's verdicts under the multi-table
-    plan without any cross-table key collisions and with per-table
-    invalidation (a swap on ``orders`` never drops ``lineitem`` entries).
-
-    ``bindings`` maps table name -> anything with a ``.manager``
-    (:class:`~repro.plan.dag.Catalog` entries fit).
-    """
-
-    def __init__(
-        self,
-        bindings: Mapping[str, object],
-        capacity: int = 512,
-    ):
-        self._caches: Dict[str, PartitionCache] = {
-            name: PartitionCache(
-                binding.manager, capacity=capacity, table_scope=name
-            )
-            for name, binding in bindings.items()
-        }
-
-    # ----------------------------------------------------------- accessors
-
-    def for_table(self, table: str) -> PartitionCache:
-        try:
-            return self._caches[table]
-        except KeyError:
-            raise KeyError(
-                f"no partition cache for table {table!r}; "
-                f"catalog has {sorted(self._caches)}"
-            ) from None
-
-    def tables(self) -> Tuple[str, ...]:
-        return tuple(self._caches)
-
-    def install(self, bindings: Mapping[str, object]) -> int:
-        """Attach each per-table cache to its binding's planner.
-
-        Every engine driver plans through
-        :class:`~repro.plan.physical.QueryPlanner`, whose
-        ``partition_cache`` attribute is the serving tier's hook — setting
-        it here makes every DAG leaf scan consult (and feed) this cache
-        with no executor changes.  Returns the number of planners wired;
-        bindings without an ``executor.planner`` (e.g. threaded engines)
-        are skipped.
-        """
-        wired = 0
-        for name, binding in bindings.items():
-            if name not in self._caches:
-                continue
-            planner = getattr(
-                getattr(binding, "executor", binding), "planner", None
-            )
-            if planner is None:
-                continue
-            planner.partition_cache = self._caches[name]
-            wired += 1
-        return wired
-
-    # ---------------------------------------------------- planner protocol
-
-    def lookup(
-        self, table: str, logical: LogicalPlan, token: Optional[Token] = None
-    ) -> Tuple[Optional[Dict[int, PartitionDecision]], Token]:
-        """Verdicts for one leaf of a multi-table plan (see
-        :meth:`PartitionCache.lookup`); ``token`` keys on a pinned snapshot
-        version instead of the live catalog token."""
-        return self.for_table(table).lookup(logical, token=token)
-
-    def record(
-        self,
-        table: str,
-        logical: LogicalPlan,
-        token: Optional[Token],
-        pinned: bool = False,
-    ) -> bool:
-        return self.for_table(table).record(logical, token, pinned=pinned)
-
-    def clear(self) -> None:
-        for cache in self._caches.values():
-            cache.clear()
-
-    # ---------------------------------------------------------- inspection
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregated counters across every per-table cache."""
-        total = CacheStats()
-        for cache in self._caches.values():
-            for slot in CacheStats.__slots__:
-                setattr(
-                    total, slot,
-                    getattr(total, slot) + getattr(cache.stats, slot),
-                )
-        return total
-
-    def __len__(self) -> int:
-        return sum(len(cache) for cache in self._caches.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CatalogPartitionCache({sorted(self._caches)}, "
-            f"{len(self)} entries)"
         )

@@ -14,10 +14,10 @@ load-management mechanisms, all plan-level rather than engine-level:
   (scan, partition-at-a-time, replicated) are safely concurrent — their
   ``execute`` state is per-call, and the storage/catalog layers are locked —
   so they default to the pool width.  :class:`~repro.engine.parallel
-  .ThreadedPartitionEngine` mutates per-execute engine state
-  (``worker_stats``, ``last_stats``) and spawns its own workers, so it is
-  capped at 1 unless the caller overrides.  Workers skip over queue entries
-  whose engine is saturated (no head-of-line blocking across engines).
+  .ThreadedPartitionEngine` spawns ``n_threads`` workers of its own per
+  call, so it is capped at 1 unless the caller overrides.  Workers skip
+  over queue entries whose engine is saturated (no head-of-line blocking
+  across engines).
 * **Admission control** — the queue holds at most ``queue_depth`` pending
   requests; beyond that :meth:`submit` raises :class:`AdmissionRejected`
   immediately instead of growing an unbounded backlog (bounded queue =
@@ -128,12 +128,11 @@ class _Pending:
 class QueryScheduler:
     """Bounded worker pool serving queries through registered engines.
 
-    ``engines`` maps names to executors (anything with ``execute(query)``;
-    a bare-``ResultSet`` return is normalized via the engine's
-    ``last_stats``).  ``engine_caps`` overrides per-engine concurrency; the
-    default caps single-flight engines (those that mutate engine state per
-    execute, detected via an ``n_threads`` attribute) at 1 and everything
-    else at the pool width.  ``start``/``drain``/``close`` are idempotent;
+    ``engines`` maps names to executors (anything whose ``execute(query)``
+    returns ``(result, stats)``).  ``engine_caps`` overrides per-engine
+    concurrency; the default caps engines that spawn their own workers per
+    call (detected via an ``n_threads`` attribute) at 1 and everything else
+    at the pool width.  ``start``/``drain``/``close`` are idempotent;
     ``close`` finishes queued work before joining the (non-daemon) workers.
     """
 
@@ -176,9 +175,9 @@ class QueryScheduler:
 
     @staticmethod
     def _default_cap(executor: object, workers: int) -> int:
-        # ThreadedPartitionEngine (and anything shaped like it) keeps
-        # per-execute ledgers on the engine object and runs its own thread
-        # pool: one query at a time per instance.
+        # ThreadedPartitionEngine (and anything shaped like it) spawns
+        # n_threads workers per call: one query at a time per instance keeps
+        # the thread count bounded by the pool.
         return 1 if hasattr(executor, "n_threads") else workers
 
     # ------------------------------------------------------------ lifecycle
@@ -389,13 +388,7 @@ class QueryScheduler:
                         outcome = binding.executor.execute(ticket.query)
                 else:
                     outcome = binding.executor.execute(ticket.query)
-            if isinstance(outcome, tuple):
-                ticket.result, ticket.stats = outcome
-            else:
-                # the threaded engine returns a bare ResultSet and parks its
-                # accounting on the instance; cap=1 makes this read safe
-                ticket.result = outcome
-                ticket.stats = getattr(binding.executor, "last_stats", None)
+            ticket.result, ticket.stats = outcome
         except BaseException as error:  # noqa: BLE001 - re-raised in wait()
             ticket.error = error
         finally:

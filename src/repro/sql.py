@@ -1,26 +1,24 @@
 """A small SQL front end for the query model.
 
-Two grammars share one tokenizer:
+One grammar, one tokenizer, one parser, parsed against a catalog of tables
+(:func:`parse_relational_statement`)::
 
-**Single-table** (the paper's query shape — a projection plus a conjunction
-of range predicates), parsed against one :class:`TableMeta`::
-
-    SELECT <column [, column ...] | *>
-    FROM <table>
-    [WHERE <predicate> [AND <predicate> ...]]
-
-**Relational** (the operator-DAG surface), parsed against a catalog of
-tables (:func:`parse_relational_statement`)::
-
-    SELECT <item [, item ...]>
-    FROM <table> [JOIN <table> ON <col> = <col> ...]
+    SELECT <item [, item ...] | *>
+    FROM <table> [AS OF <version>] [JOIN <table> ON <col> = <col> ...]
     [WHERE <predicate> [AND <predicate> ...]]
     [GROUP BY <column [, column ...]>]
 
 where an *item* is a (possibly ``table.column``-qualified) column, an
 aggregate ``SUM|MIN|MAX|AVG|MEAN|COUNT(<column>)``, or ``COUNT(*)``; bare
-column names resolve against the FROM tables when unambiguous.  Predicates
-take the forms::
+column names resolve against the FROM tables when unambiguous.
+
+The **single-table** query (the paper's shape — a projection plus a
+conjunction of range predicates) is the one-table reduction of that parse:
+:func:`parse_statement` parses against a one-entry catalog and lowers the
+result to a :class:`~repro.core.query.Query`, rejecting JOIN, GROUP BY and
+aggregates with a pointer to the relational entry.  ``AS OF`` (time travel)
+is a single-table read, so the relational entry rejects it in turn.
+Predicates take the forms::
 
     a = 5          a < 5       a <= 5      a > 5       a >= 5
     a BETWEEN 1 AND 20
@@ -42,7 +40,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Generic, List, Mapping, Optional, Tuple, TypeVar, Union
 
 from .core.query import Query
 from .core.schema import TableMeta
@@ -55,7 +53,6 @@ from .plan.relational import (
 )
 
 __all__ = [
-    "RelationalStatement",
     "Statement",
     "parse_query",
     "parse_relational_query",
@@ -101,6 +98,7 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
     tokens: List[Tuple[str, str]] = []
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
+        assert kind is not None  # every alternative of _TOKEN is named
         value = match.group(kind)
         if kind == "name" and value.upper() in _KEYWORDS:
             tokens.append(("keyword", value.upper()))
@@ -111,17 +109,34 @@ def _tokenize(text: str) -> List[Tuple[str, str]]:
     return tokens
 
 
-class _ParserBase:
-    """Shared token-stream helpers for both grammars."""
+class _Parser:
+    """Recursive-descent parser for the grammar in the module docstring."""
 
-    def __init__(self, tokens: List[Tuple[str, str]]):
+    _REJECTED = {
+        "LEFT": "LEFT JOIN", "RIGHT": "RIGHT JOIN", "OUTER": "OUTER JOIN",
+        "FULL": "FULL JOIN", "CROSS": "CROSS JOIN",
+    }
+
+    def __init__(
+        self, tokens: List[Tuple[str, str]], metas: Mapping[str, TableMeta]
+    ):
         self.tokens = tokens
         self.position = 0
+        self.metas = metas
+        self.from_tables: List[str] = []
+        #: catalog version from a ``FROM t AS OF <version>`` clause.
+        self.as_of: Optional[int] = None
+
+    # -------------------------------------------------------- token stream
 
     def _peek(self) -> Tuple[str, str] | None:
         if self.position < len(self.tokens):
             return self.tokens[self.position]
         return None
+
+    def _peek_kind(self) -> Optional[str]:
+        token = self._peek()
+        return None if token is None else token[0]
 
     def _next(self) -> Tuple[str, str]:
         token = self._peek()
@@ -140,169 +155,6 @@ class _ParserBase:
         if token_kind != kind:
             raise InvalidQueryError(f"expected {kind}, found {value!r}")
         return value
-
-
-class _Parser(_ParserBase):
-    """Recursive-descent parser for the single-table grammar."""
-
-    def __init__(self, tokens: List[Tuple[str, str]], table: TableMeta):
-        super().__init__(tokens)
-        self.table = table
-        #: catalog version from a ``FROM t AS OF <version>`` clause.
-        self.as_of: Optional[int] = None
-
-    # -------------------------------------------------------------- parser
-
-    def parse(self) -> Query:
-        self._expect_keyword("SELECT")
-        select = self._parse_select_list()
-        self._expect_keyword("FROM")
-        table_name = self._expect("name")
-        if table_name != self.table.name:
-            raise InvalidQueryError(
-                f"query is FROM {table_name!r} but the table is {self.table.name!r}"
-            )
-        if self._peek() == ("keyword", "AS"):
-            self._next()
-            self._expect_keyword("OF")
-            literal = self._expect("number")
-            version = float(literal)
-            if version != int(version) or version < 0:
-                raise InvalidQueryError(
-                    f"AS OF takes a non-negative integer catalog version, "
-                    f"got {literal!r}"
-                )
-            self.as_of = int(version)
-        where: Dict[str, Tuple[float, float]] = {}
-        token = self._peek()
-        if token is not None and token == ("keyword", "JOIN"):
-            raise InvalidQueryError(
-                "JOIN is not supported in single-table queries: parse "
-                "multi-table statements with parse_relational_statement() "
-                "(SELECT ... FROM a JOIN b ON a.x = b.y ...)"
-            )
-        self._reject_group_by()
-        if self._peek() is not None:
-            self._expect_keyword("WHERE")
-            where = self._parse_predicates()
-        self._reject_group_by()
-        if self._peek() is not None:
-            _kind, value = self._next()
-            raise InvalidQueryError(f"trailing input starting at {value!r}")
-        return Query.build(self.table, select, where, label="sql")
-
-    def _reject_group_by(self) -> None:
-        if self._peek() == ("keyword", "GROUP"):
-            raise InvalidQueryError(
-                "GROUP BY is not supported in single-table queries: parse "
-                "aggregations with parse_relational_statement() "
-                "(SELECT key, SUM(value) FROM t ... GROUP BY key)"
-            )
-
-    def _parse_select_list(self) -> List[str]:
-        token = self._peek()
-        if token is not None and token[0] == "star":
-            self._next()
-            return list(self.table.attribute_names)
-        names = [self._parse_select_item()]
-        while self._peek() is not None and self._peek()[0] == "comma":
-            self._next()
-            names.append(self._parse_select_item())
-        return names
-
-    def _parse_select_item(self) -> str:
-        name = self._expect("name")
-        if self._peek() is not None and self._peek()[0] == "lparen":
-            if name.upper() in _AGG_NAMES:
-                raise InvalidQueryError(
-                    f"aggregate {name.upper()}(...) is not supported in "
-                    "single-table queries: parse it with "
-                    "parse_relational_statement() "
-                    "(SELECT SUM(column) FROM t ...)"
-                )
-            raise InvalidQueryError(
-                f"function call {name!r}(...) is not supported: the select "
-                "list takes plain column names (or * for all columns)"
-            )
-        return name
-
-    def _parse_predicates(self) -> Dict[str, Tuple[float, float]]:
-        bounds: Dict[str, Tuple[float, float]] = {}
-        while True:
-            name, (lo, hi) = self._parse_predicate()
-            if name in bounds:
-                # Conjunctions on the same attribute intersect.
-                old_lo, old_hi = bounds[name]
-                lo, hi = max(lo, old_lo), min(hi, old_hi)
-                if hi < lo:
-                    raise InvalidQueryError(
-                        f"predicates on {name!r} are contradictory"
-                    )
-            bounds[name] = (lo, hi)
-            token = self._peek()
-            if token is None or token == ("keyword", "GROUP"):
-                self._reject_group_by()
-                return bounds
-            if token == ("keyword", "AND"):
-                self._next()
-                continue
-            if token[0] == "keyword" and token[1] in ("OR", "NOT"):
-                raise InvalidQueryError(
-                    f"{token[1]} is not supported: the engine evaluates "
-                    "conjunctions of range predicates (the paper's query shape)"
-                )
-            _kind, value = self._next()
-            raise InvalidQueryError(f"unexpected {value!r} in WHERE clause")
-
-    def _parse_predicate(self) -> Tuple[str, Tuple[float, float]]:
-        name = self._expect("name")
-        if name not in self.table.schema:
-            raise InvalidQueryError(f"unknown column {name!r}")
-        unit = self.table.schema[name].unit
-        token = self._next()
-        if token == ("keyword", "BETWEEN"):
-            lo = float(self._expect("number"))
-            self._expect_keyword("AND")
-            hi = float(self._expect("number"))
-            if hi < lo:
-                raise InvalidQueryError(f"BETWEEN bounds on {name!r} are inverted")
-            return name, (lo, hi)
-        kind, op = token
-        if kind != "op":
-            raise InvalidQueryError(f"expected a comparison after {name!r}, found {op!r}")
-        value = float(self._expect("number"))
-        table_interval = self.table.interval(name)
-        if op == "=":
-            return name, (value, value)
-        if op == "<=":
-            return name, (table_interval.lo, value)
-        if op == ">=":
-            return name, (value, table_interval.hi)
-        if op == "<":
-            upper = value - unit if unit else math.nextafter(value, -math.inf)
-            return name, (table_interval.lo, upper)
-        # op == ">"
-        lower = value + unit if unit else math.nextafter(value, math.inf)
-        return name, (lower, table_interval.hi)
-
-
-# --------------------------------------------------------------- relational
-
-
-class _RelationalParser(_ParserBase):
-    """Recursive-descent parser for the multi-table grammar."""
-
-    _REJECTED = {
-        "LEFT": "LEFT JOIN", "RIGHT": "RIGHT JOIN", "OUTER": "OUTER JOIN",
-        "FULL": "FULL JOIN", "CROSS": "CROSS JOIN",
-    }
-
-    def __init__(
-        self, tokens: List[Tuple[str, str]], metas: Mapping[str, TableMeta]
-    ):
-        super().__init__(tokens)
-        self.metas = metas
-        self.from_tables: List[str] = []
 
     # ------------------------------------------------------------- parsing
 
@@ -356,6 +208,17 @@ class _RelationalParser(_ParserBase):
                 f"unknown table {first!r}; catalog has {sorted(self.metas)}"
             )
         self.from_tables.append(first)
+        if self._peek() == ("keyword", "AS"):
+            self._next()
+            self._expect_keyword("OF")
+            literal = self._expect("number")
+            version = float(literal)
+            if version != int(version) or version < 0:
+                raise InvalidQueryError(
+                    f"AS OF takes a non-negative integer catalog version, "
+                    f"got {literal!r}"
+                )
+            self.as_of = int(version)
         joins: List[JoinCondition] = []
         while True:
             token = self._peek()
@@ -419,8 +282,7 @@ class _RelationalParser(_ParserBase):
             self._next()
 
     def _parse_select_list(self) -> List[Union[ColumnRef, AggSpec]]:
-        token = self._peek()
-        if token is not None and token[0] == "star":
+        if self._peek_kind() == "star":
             self._next()
             return [
                 ColumnRef(table, column)
@@ -428,7 +290,7 @@ class _RelationalParser(_ParserBase):
                 for column in self.metas[table].schema.attribute_names
             ]
         items = [self._parse_select_item()]
-        while self._peek() is not None and self._peek()[0] == "comma":
+        while self._peek_kind() == "comma":
             self._next()
             items.append(self._parse_select_item())
         return items
@@ -445,7 +307,7 @@ class _RelationalParser(_ParserBase):
                 f"expected a column or aggregate in the select list, "
                 f"found {value!r}"
             )
-        if self._peek() is not None and self._peek()[0] == "lparen":
+        if self._peek_kind() == "lparen":
             func = _AGG_NAMES.get(value.upper())
             if func is None:
                 raise InvalidQueryError(
@@ -453,8 +315,7 @@ class _RelationalParser(_ParserBase):
                     + ", ".join(sorted(_AGG_NAMES))
                 )
             self._next()  # (
-            token = self._peek()
-            if token is not None and token[0] == "star":
+            if self._peek_kind() == "star":
                 if func != "count":
                     raise InvalidQueryError(
                         f"{value.upper()}(*) is not defined; only COUNT(*) "
@@ -474,7 +335,7 @@ class _RelationalParser(_ParserBase):
 
     def _parse_column_ref(self) -> ColumnRef:
         first = self._expect("name")
-        if self._peek() is not None and self._peek()[0] == "dot":
+        if self._peek_kind() == "dot":
             self._next()
             column = self._expect("name")
             if first not in self.metas:
@@ -508,7 +369,7 @@ class _RelationalParser(_ParserBase):
 
     def _parse_column_list(self) -> Tuple[ColumnRef, ...]:
         refs = [self._parse_column_ref()]
-        while self._peek() is not None and self._peek()[0] == "comma":
+        while self._peek_kind() == "comma":
             self._next()
             refs.append(self._parse_column_ref())
         return tuple(refs)
@@ -640,11 +501,18 @@ def relational_to_sql(query: RelationalQuery) -> str:
 # --------------------------------------------------------------- statements
 
 
-@dataclass(frozen=True)
-class Statement:
-    """One parsed statement: the query, plus its ``EXPLAIN [ANALYZE]`` mode."""
+_Q = TypeVar("_Q", Query, RelationalQuery)
 
-    query: Query
+
+@dataclass(frozen=True)
+class Statement(Generic[_Q]):
+    """One parsed statement: the query, plus its ``EXPLAIN [ANALYZE]`` mode.
+
+    ``query`` is a :class:`Query` from :func:`parse_statement` and a
+    :class:`RelationalQuery` from :func:`parse_relational_statement`.
+    """
+
+    query: _Q
     explain: bool = False
     analyze: bool = False
     #: catalog version pinned by ``FROM t AS OF <version>`` (time travel);
@@ -652,13 +520,11 @@ class Statement:
     as_of: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class RelationalStatement:
-    """One parsed relational statement with its EXPLAIN mode."""
-
-    query: RelationalQuery
-    explain: bool = False
-    analyze: bool = False
+#: ``(keyword, construct, example)``: what only the relational entry parses.
+_RELATIONAL_ONLY = (
+    ("JOIN", "JOIN", "SELECT ... FROM a JOIN b ON a.x = b.y ..."),
+    ("GROUP", "GROUP BY", "SELECT key, SUM(value) FROM t ... GROUP BY key"),
+)
 
 
 def _strip_explain(tokens: List[Tuple[str, str]]) -> Tuple[List[Tuple[str, str]], bool, bool]:
@@ -682,8 +548,11 @@ def _strip_explain(tokens: List[Tuple[str, str]]) -> Tuple[List[Tuple[str, str]]
     return tokens, explain, analyze
 
 
-def parse_statement(table: TableMeta, sql: str) -> Statement:
-    """Parse one statement (``[EXPLAIN [ANALYZE]] SELECT ...``).
+def parse_statement(table: TableMeta, sql: str) -> Statement[Query]:
+    """Parse one single-table statement (``[EXPLAIN [ANALYZE]] SELECT ...``).
+
+    The one-table reduction of the grammar: ``table`` is the whole catalog
+    and the parse is lowered to a :class:`Query`.
 
     ``EXPLAIN`` marks the statement for planning only: the caller should
     build the executor's plan and render its
@@ -693,8 +562,26 @@ def parse_statement(table: TableMeta, sql: str) -> Statement:
     the report gains the per-operator actuals tree.
     """
     tokens, explain, analyze = _strip_explain(_tokenize(sql))
-    parser = _Parser(tokens, table)
-    query = parser.parse()
+    for keyword, construct, example in _RELATIONAL_ONLY:
+        if ("keyword", keyword) in tokens:
+            raise InvalidQueryError(
+                f"{construct} is not supported in single-table queries: "
+                f"parse it with parse_relational_statement() ({example})"
+            )
+    parser = _Parser(tokens, {table.name: table})
+    relational = parser.parse()
+    if relational.aggregates:
+        raise InvalidQueryError(
+            f"aggregate {relational.aggregates[0].func.upper()}(...) is not "
+            "supported in single-table queries: parse it with "
+            "parse_relational_statement() (SELECT SUM(column) FROM t ...)"
+        )
+    query = Query.build(
+        table,
+        [ref.column for ref in relational.plain_columns],
+        {ref.column: bounds for ref, bounds in relational.where.items()},
+        label="sql",
+    )
     return Statement(
         query=query, explain=explain, analyze=analyze, as_of=parser.as_of
     )
@@ -716,7 +603,7 @@ def parse_query(table: TableMeta, sql: str) -> Query:
 
 def parse_relational_statement(
     metas: Mapping[str, TableMeta], sql: str
-) -> RelationalStatement:
+) -> Statement[RelationalQuery]:
     """Parse one relational statement against a catalog of tables.
 
     ``metas`` maps table name -> :class:`TableMeta` (e.g.
@@ -725,8 +612,15 @@ def parse_relational_statement(
     single-table convention.
     """
     tokens, explain, analyze = _strip_explain(_tokenize(sql))
-    query = _RelationalParser(tokens, metas).parse()
-    return RelationalStatement(query=query, explain=explain, analyze=analyze)
+    parser = _Parser(tokens, metas)
+    query = parser.parse()
+    if parser.as_of is not None:
+        raise InvalidQueryError(
+            "AS OF is not supported in relational statements: time travel "
+            "reads one table — parse it with parse_statement() and run "
+            "TransactionalTable.execute(query, as_of=version)"
+        )
+    return Statement(query=query, explain=explain, analyze=analyze)
 
 
 def parse_relational_query(

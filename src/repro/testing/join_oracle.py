@@ -327,9 +327,8 @@ def random_join_query(
 class ThreadedBinding:
     """Adapts :class:`ThreadedPartitionEngine` to the catalog duck type.
 
-    The threaded engine returns a bare ResultSet (stats on ``last_stats``)
-    and never prunes — exactly the shape the DAG's leaf runner and the
-    strategy chooser must handle, so the oracle exercises it explicitly.
+    The threaded engine never prunes — a shape the DAG's strategy chooser
+    must handle, so the oracle exercises it explicitly.
     """
 
     def __init__(self, layout: MaterializedLayout, strategy: str = "locking"):
@@ -349,10 +348,6 @@ class ThreadedBinding:
     @property
     def manager(self):
         return self.layout.manager
-
-    @property
-    def last_stats(self):
-        return self.engine.last_stats
 
     def execute(self, query: Query):
         return self.engine.execute(query)

@@ -7,7 +7,7 @@ evaluation — deliberately trivial, no partitioning, no indexes, nothing
 shared with the engines under test.  :func:`run_differential_oracle`
 generates seeded random (table, workload, query) cases, materializes each
 table under every layout family, runs each query through every engine, and
-compares the :class:`~repro.engine.result.ResultSet`s bit for bit.
+compares the :class:`~repro.plan.result.ResultSet`s bit for bit.
 
 A disagreement is reported, never silently tolerated: either an engine is
 wrong, a layout dropped cells, or the reference itself is — any of which is
@@ -26,7 +26,6 @@ from ..core.schema import TableSchema
 from ..engine.parallel import ThreadedPartitionEngine
 from ..engine.partition_at_a_time import PartitionAtATimeExecutor
 from ..engine.replicated import ReplicatedExecutor
-from ..engine.result import ResultSet
 from ..engine.scan import ScanExecutor
 from ..layouts import (
     BuildContext,
@@ -36,6 +35,7 @@ from ..layouts import (
     MaterializedLayout,
     ReplicatedIrregularLayout,
 )
+from ..plan.result import ResultSet
 from ..storage.faults import FaultConfig, FaultInjectingBlobStore
 from ..storage.table_data import ColumnTable
 
@@ -215,8 +215,7 @@ def oracle_check(
     mismatch.
     """
     expected = run_reference_query(table, query)
-    outcome = layout.execute(query)
-    result = outcome[0] if isinstance(outcome, tuple) else outcome
+    result, _stats = layout.execute(query)
     if result.equals(expected):
         return None
     return (
@@ -357,7 +356,7 @@ def run_differential_oracle(
                 )
                 report.n_checks += 1
                 expected = run_reference_query(table, query)
-                if not engine.execute(query).equals(expected):
+                if not engine.execute(query)[0].equals(expected):
                     report.failures.append(
                         OracleCase(
                             table_seed, query.label or str(index),

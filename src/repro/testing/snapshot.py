@@ -145,14 +145,6 @@ def iter_snapshot_cases(
                     )
 
 
-def run_case(case: SnapshotCase) -> ExecutionStats:
-    """Execute one case and return its stats (engine-shape agnostic)."""
-    outcome = case.executor.execute(case.query)
-    if isinstance(outcome, tuple):
-        return outcome[1]
-    return case.executor.last_stats
-
-
 def collect_stats_snapshot(
     n_tables: int = SNAPSHOT_N_TABLES,
     queries_per_table: int = SNAPSHOT_QUERIES_PER_TABLE,
@@ -161,6 +153,9 @@ def collect_stats_snapshot(
 ) -> List[SnapshotEntry]:
     """Run the full sweep and return its ordered accounting signatures."""
     return [
-        SnapshotEntry(label=case.label, signature=stats_signature(run_case(case)))
+        SnapshotEntry(
+            label=case.label,
+            signature=stats_signature(case.executor.execute(case.query)[1]),
+        )
         for case in iter_snapshot_cases(n_tables, queries_per_table, seed, ctx)
     ]

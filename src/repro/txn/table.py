@@ -498,14 +498,7 @@ class TransactionalTable:
     def _execute_pinned(
         self, query: Query, snapshot: CatalogSnapshot, state: DeltaState
     ) -> Tuple[ResultSet, ExecutionStats]:
-        executor = self.layout.executor
-        outcome = executor.execute(query, snapshot=snapshot)
-        if isinstance(outcome, tuple):
-            result, stats = outcome
-        else:
-            # The threaded engine returns a bare ResultSet and publishes its
-            # combined ledger on ``last_stats``.
-            result, stats = outcome, executor.last_stats
+        result, stats = self.layout.executor.execute(query, snapshot=snapshot)
         if self._base_events and len(result.tuple_ids) > 1:
             # A layout migration run after a compaction fold can place the
             # same folded tid in two base partitions (the folded partition
@@ -617,11 +610,6 @@ class TransactionalTable:
             # exact rather than additive.
             stats.charge_cpu(cpu_model)
         return merged, stats
-
-    def execute_as_of(
-        self, query: Query, version: int
-    ) -> Tuple[ResultSet, ExecutionStats]:
-        return self.execute(query, as_of=version)
 
     # ------------------------------------------------------------- obs
 

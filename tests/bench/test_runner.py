@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.runner import LAYOUT_BUILDERS, QueryRun, build_layouts, run_workload
-from repro.engine.stats import ExecutionStats
+from repro.plan.stats import ExecutionStats
 from repro.layouts import BuildContext
 
 

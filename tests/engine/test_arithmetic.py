@@ -9,7 +9,7 @@ from repro.engine.arithmetic import (
     JigsawMemEngine,
     MonetDBStyleEngine,
 )
-from repro.engine.predicates import RangePredicate
+from repro.plan.predicates import RangePredicate
 from repro.workloads.hap import make_hap_table
 
 

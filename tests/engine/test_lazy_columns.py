@@ -168,7 +168,7 @@ class TestEngineEquivalence:
                 strategy=strategy,
             )
             for _ in range(2):  # second pass runs warm off the pool
-                result = engine.execute(query)
+                result, _ = engine.execute(query)
                 assert np.array_equal(result.tuple_ids, serial_result.tuple_ids)
                 for name in query.select:
                     assert np.array_equal(
@@ -219,7 +219,7 @@ class TestConcurrentLoads:
                 manager, small_table.meta, n_threads=8, strategy=strategy
             )
             for _ in range(3):
-                result = engine.execute(query)
+                result, _ = engine.execute(query)
                 assert np.array_equal(result.tuple_ids, serial_result.tuple_ids)
                 for name in query.select:
                     assert np.array_equal(

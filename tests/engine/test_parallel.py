@@ -47,7 +47,7 @@ class TestThreadedEngines:
         )
         for query in queries:
             expected, _stats = serial.execute(query)
-            actual = threaded.execute(query)
+            actual, _ = threaded.execute(query)
             assert actual.equals(expected), (strategy, n_threads, query.label)
 
     def test_no_predicate_query(self, tiny_layout):
@@ -56,7 +56,7 @@ class TestThreadedEngines:
         serial = PartitionAtATimeExecutor(layout.manager, table.meta)
         threaded = ThreadedPartitionEngine(layout.manager, table.meta, n_threads=3)
         expected, _stats = serial.execute(query)
-        assert threaded.execute(query).equals(expected)
+        assert threaded.execute(query)[0].equals(expected)
 
     def test_unknown_strategy_rejected(self, tiny_layout):
         table, layout, _queries = tiny_layout

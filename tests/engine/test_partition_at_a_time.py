@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Query, Workload
 from repro.engine import PartitionAtATimeExecutor
-from repro.engine.stats import CpuModel
+from repro.plan.stats import CpuModel
 from repro.layouts import BuildContext, IrregularLayout, RowLayout
 from repro.storage import (
     BALOS_HDD,

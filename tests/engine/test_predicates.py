@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Query
-from repro.engine import Conjunction, RangePredicate
+from repro.plan import Conjunction, RangePredicate
 
 
 class TestRangePredicate:

@@ -57,8 +57,7 @@ class TestPrefetchAccountingIdentity:
             layout = make().build(table, workload, ctx)
             for query in workload:
                 expected = run_reference_query(table, query)
-                outcome = layout.executor.execute(query)
-                result = outcome[0] if isinstance(outcome, tuple) else outcome
+                result, _ = layout.executor.execute(query)
                 assert result.equals(expected), f"{name}: {query.label}"
 
     def test_threaded_engines_exact_with_prefetch(self, rng):
@@ -76,7 +75,7 @@ class TestPrefetchAccountingIdentity:
             )
             for query in workload:
                 expected = run_reference_query(table, query)
-                assert engine.execute(query).equals(expected), (
+                assert engine.execute(query)[0].equals(expected), (
                     f"threaded-{strategy}: {query.label}"
                 )
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import ResultSet
+from repro.plan import ResultSet
 from repro.errors import JigsawError
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.stats import CpuModel, ExecutionStats
+from repro.plan.stats import CpuModel, ExecutionStats
 
 
 class TestCpuModel:

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.engine import ThreadedPartitionEngine
 from repro.obs.flight import (
     FLIGHT_CONTEXT,
     FlightRecord,
@@ -47,12 +48,7 @@ class TestCapture:
         recorder = install_flight_recorder(FlightRecorder())
         layout = layouts["irregular"]
         query = workload.queries[0]
-        outcome = layout.executor.execute(query)
-        stats = (
-            outcome[1]
-            if isinstance(outcome, tuple)
-            else layout.executor.last_stats
-        )
+        _, stats = layout.executor.execute(query)
         assert recorder.n_recorded == 1
         (record,) = recorder.records()
         assert record.engine
@@ -65,6 +61,21 @@ class TestCapture:
         assert record.n_partition_reads == stats.n_partition_reads
         assert record.catalog_version == layout.manager.catalog_version
         assert record.priority == ""  # not a serving-tier request
+
+    @pytest.mark.parametrize(
+        "strategy, engine", [("locking", "jigsaw-l"), ("shared", "jigsaw-s")]
+    )
+    def test_threaded_engine_records_its_wall_time(self, demo, strategy, engine):
+        table, workload, layouts = demo
+        recorder = install_flight_recorder(FlightRecorder())
+        _, stats = ThreadedPartitionEngine(
+            layouts["irregular"].manager, table.meta, n_threads=2,
+            strategy=strategy,
+        ).execute(workload.queries[0])
+        (record,) = recorder.records()
+        assert record.engine == engine
+        assert stats.wall_time_s > 0.0
+        assert record.latency_s == record.wall_time_s == stats.wall_time_s
 
     def test_records_without_metrics_enabled(self, demo):
         """The flight log is independent of the metrics gate."""

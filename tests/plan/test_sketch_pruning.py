@@ -221,6 +221,5 @@ class TestSketchOracleSweep:
             )
             for query in workload:
                 expected = run_reference_query(table, query)
-                outcome = layout.executor.execute(query)
-                result = outcome[0] if isinstance(outcome, tuple) else outcome
+                result, _ = layout.executor.execute(query)
                 assert result.equals(expected), f"{name}: {query.label}"

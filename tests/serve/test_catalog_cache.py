@@ -1,4 +1,6 @@
-"""CatalogPartitionCache: per-table verdict caching under multi-table plans."""
+"""Multi-table plans in the serving tier: per-table verdict caching (one
+plain :class:`PartitionCache` per catalog binding) and a join served
+through :class:`QueryScheduler`."""
 
 from __future__ import annotations
 
@@ -6,13 +8,20 @@ import numpy as np
 import pytest
 
 from repro.layouts import BuildContext, IrregularLayout
+from repro.obs import (
+    FlightRecorder,
+    install_flight_recorder,
+    uninstall_flight_recorder,
+)
 from repro.plan.dag import DagExecutor
-from repro.serve import CatalogPartitionCache, predicate_signature
+from repro.serve import PartitionCache, QueryScheduler
+from repro.sql import parse_relational_query
 from repro.testing.join_oracle import (
     build_join_catalog,
     join_oracle_check,
     random_join_query,
     random_join_tables,
+    run_reference_join,
 )
 
 CTX = BuildContext(file_segment_bytes=2048, schism_sample_size=100)
@@ -26,41 +35,36 @@ def setup():
         lambda: IrregularLayout(zone_maps=True, selection_enabled=False),
         fact, dim, fwl, dwl, CTX,
     )
-    bindings = {name: catalog[name] for name in catalog.tables()}
-    cache = CatalogPartitionCache(bindings)
-    wired = cache.install(bindings)
-    assert wired == 2
+    # Every DAG leaf plans through its binding's QueryPlanner, whose
+    # ``partition_cache`` attribute is the serving tier's hook.
+    caches = {}
+    for name in catalog.tables():
+        caches[name] = PartitionCache(catalog[name].manager)
+        catalog[name].executor.planner.partition_cache = caches[name]
     query = random_join_query(rng, fact, dim, label="cached-join")
-    return catalog, cache, {"fact": fact, "dim": dim}, query
+    return catalog, caches, {"fact": fact, "dim": dim}, query
 
 
 class TestCatalogPartitionCache:
     def test_replay_hits_per_table(self, setup):
-        catalog, cache, tables, query = setup
+        catalog, caches, tables, query = setup
         executor = DagExecutor(catalog)
         assert join_oracle_check(executor, tables, query) is None
-        first = cache.stats
-        assert first.n_misses >= 2 and first.n_hits == 0
-        # The same DAG again: every leaf's verdicts replay from the cache.
+        misses = {name: cache.stats.n_misses for name, cache in caches.items()}
+        for cache in caches.values():
+            assert cache.stats.n_misses >= 1 and cache.stats.n_hits == 0
+        # The same DAG again: every leaf's verdicts replay from its cache.
         assert join_oracle_check(executor, tables, query) is None
-        second = cache.stats
-        assert second.n_hits >= 2
-        assert second.n_misses == first.n_misses
-
-    def test_table_scope_keys_never_collide(self, setup):
-        _, cache, _, _ = setup
-        ranges = {"k": (0.0, 10.0)}
-        fact_sig = predicate_signature(ranges, "scan", True, table="fact")
-        dim_sig = predicate_signature(ranges, "scan", True, table="dim")
-        assert fact_sig != dim_sig
-        assert cache.for_table("fact").table_scope == "fact"
+        for name, cache in caches.items():
+            assert cache.stats.n_hits >= 1
+            assert cache.stats.n_misses == misses[name]
 
     def test_swap_invalidates_only_that_table(self, setup):
-        catalog, cache, tables, query = setup
+        catalog, caches, tables, query = setup
         executor = DagExecutor(catalog)
         assert join_oracle_check(executor, tables, query) is None
-        fact_len = len(cache.for_table("fact"))
-        dim_len = len(cache.for_table("dim"))
+        fact_len = len(caches["fact"])
+        dim_len = len(caches["dim"])
         assert fact_len >= 1 and dim_len >= 1
 
         manager = catalog["fact"].manager
@@ -69,21 +73,54 @@ class TestCatalogPartitionCache:
         manager.swap_partitions([partition])
 
         # fact's entries died with its catalog version; dim's survive.
-        assert len(cache.for_table("fact")) == 0
-        assert len(cache.for_table("dim")) == dim_len
-        assert cache.stats.n_invalidated >= fact_len
+        assert len(caches["fact"]) == 0
+        assert len(caches["dim"]) == dim_len
+        assert caches["fact"].stats.n_invalidated >= fact_len
+        assert caches["dim"].stats.n_invalidated == 0
         # Still exact after the swap, via a fresh fact classification.
         assert join_oracle_check(executor, tables, query) is None
 
-    def test_unknown_table_raises(self, setup):
-        _, cache, _, _ = setup
-        with pytest.raises(KeyError, match="no partition cache"):
-            cache.for_table("nope")
-
     def test_clear_drops_everything(self, setup):
-        catalog, cache, tables, query = setup
+        catalog, caches, tables, query = setup
         executor = DagExecutor(catalog)
         assert join_oracle_check(executor, tables, query) is None
-        assert len(cache) >= 2
-        cache.clear()
-        assert len(cache) == 0
+        for cache in caches.values():
+            assert len(cache) >= 1
+            cache.clear()
+            assert len(cache) == 0
+
+
+class TestSchedulerServesJoins:
+    """A ``DagExecutor`` is an engine like any other: same ``execute``
+    contract, so the scheduler serves joins with no special casing."""
+
+    SQL = (
+        "SELECT dim.d_a, SUM(fact.f_a), COUNT(*) "
+        "FROM fact JOIN dim ON fact.f_key = dim.d_key "
+        "WHERE fact.f_a BETWEEN 10 AND 300 GROUP BY dim.d_a"
+    )
+
+    @pytest.mark.parametrize("recorder_on", [False, True])
+    def test_join_group_by_is_oracle_exact(self, setup, recorder_on):
+        catalog, _caches, tables, _ = setup
+        query = parse_relational_query(catalog.metas(), self.SQL)
+        expected = run_reference_join(tables, query)
+        assert expected.n_rows > 0
+        recorder = None
+        if recorder_on:
+            recorder = install_flight_recorder(FlightRecorder())
+        try:
+            engines = {"dag": DagExecutor(catalog)}
+            with QueryScheduler(engines, workers=2) as scheduler:
+                tickets = [scheduler.submit("dag", query) for _ in range(3)]
+                outcomes = [ticket.wait(timeout=30.0) for ticket in tickets]
+        finally:
+            uninstall_flight_recorder()
+        for result, stats in outcomes:
+            assert result.equals(expected)
+            assert stats.n_result_tuples == expected.n_rows
+        if recorder is not None:
+            # At least one record per request, stamped by the scheduler.
+            served = [r for r in recorder.records() if r.priority]
+            assert len(served) >= len(tickets)
+            assert all(r.outcome == "ok" for r in served)

@@ -316,5 +316,5 @@ class TestDifferentialOracleProperties:
             layout.manager, table.meta, n_threads=3, strategy=strategy
         )
         query = workload[0]
-        result = engine.execute(query)
+        result, _stats = engine.execute(query)
         assert result.equals(run_reference_query(table, query))

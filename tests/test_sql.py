@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidQueryError
-from repro.sql import parse_query, parse_statement
+from repro.sql import parse_query, parse_relational_statement, parse_statement
 
 
 class TestParsing:
@@ -20,6 +20,14 @@ class TestParsing:
         query = parse_query(paper_table, "SELECT * FROM T")
         assert query.select == paper_table.attribute_names
         assert not query.where
+
+    def test_qualified_column_names(self, paper_table):
+        # One grammar: the single-table entry takes table.column too.
+        query = parse_query(paper_table, "SELECT T.a1, a2 FROM T WHERE T.a4 >= 43")
+        assert query.select == ("a1", "a2")
+        assert query.predicate_interval("a4").lo == 43
+        with pytest.raises(InvalidQueryError, match="not in the FROM clause|unknown table"):
+            parse_query(paper_table, "SELECT U.a1 FROM T")
 
     def test_case_insensitive_keywords(self, paper_table):
         query = parse_query(paper_table, "select a2 from T where a1 between 11 and 12")
@@ -194,6 +202,13 @@ class TestAsOf:
     def test_malformed_as_of_rejected(self, paper_table, sql):
         with pytest.raises(InvalidQueryError):
             parse_statement(paper_table, sql)
+
+    def test_relational_entry_rejects_as_of(self, paper_table):
+        # Time travel reads one table; the DAG cannot pin a version.
+        with pytest.raises(InvalidQueryError, match=r"TransactionalTable\.execute"):
+            parse_relational_statement(
+                {paper_table.name: paper_table}, "SELECT a2 FROM T AS OF 3"
+            )
 
     def test_fractional_version_message(self, paper_table):
         with pytest.raises(InvalidQueryError, match="non-negative integer"):

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.result import ResultSet
+from repro.plan.result import ResultSet
 from repro.errors import PartitionUnreadableError
 from repro.layouts import BuildContext
 from repro.storage import FaultConfig, RetryPolicy
