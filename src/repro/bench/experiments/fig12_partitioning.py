@@ -26,7 +26,7 @@ from ...workloads.hap import hap_workload, make_hap_table
 from ..environments import BALOS, scaled_context
 from ..reporting import ExperimentResult
 
-__all__ = ["Fig12Config", "run"]
+__all__ = ["Fig12Config", "run", "time_all"]
 
 
 @dataclass(slots=True)
@@ -46,9 +46,11 @@ class Fig12Config:
     seed: int = 23
 
 
-def _time_all(
+def time_all(
     table, workload, ctx, sample_size: int, result: ExperimentResult, part: str, x: int
-) -> None:
+):
+    """Time the three partitioners on one input and add the row; returns
+    them ``(jigsaw, schism, peloton)`` with their work counters filled in."""
     cost_model = CostModel(
         table.meta,
         ctx.device_profile.io_model,
@@ -84,6 +86,7 @@ def _time_all(
         jigsaw_partitions=jigsaw.stats.n_partitions,
         schism_sample=schism.stats.n_sampled,
     )
+    return jigsaw, schism, peloton
 
 
 def run(cfg: Fig12Config | None = None) -> ExperimentResult:
@@ -105,7 +108,7 @@ def run(cfg: Fig12Config | None = None) -> ExperimentResult:
             cfg.fixed_queries, seed=cfg.seed + 1,
         )
         ctx, _scale = scaled_context(BALOS, table.sizeof(), seed=cfg.seed)
-        _time_all(
+        time_all(
             table, workload, ctx, n_tuples // cfg.schism_sample_divisor,
             result, part="a:cardinality", x=n_tuples,
         )
@@ -117,7 +120,7 @@ def run(cfg: Fig12Config | None = None) -> ExperimentResult:
             table.meta, cfg.selectivity, cfg.projectivity, cfg.n_templates,
             n_queries, seed=cfg.seed + 2,
         )
-        _time_all(
+        time_all(
             table, workload, ctx,
             cfg.fixed_cardinality // cfg.schism_sample_divisor,
             result, part="b:queries", x=n_queries,

@@ -53,7 +53,6 @@ from ..plan.operators import (
     ProjectFillOp,
     SelectOp,
     base_invalid_tids,
-    full_selection,
 )
 from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
@@ -161,11 +160,8 @@ class ThreadedPartitionEngine:
                     "exec.selection", ledgers, strategy=self.strategy
                 ):
                     if not conjunction:
-                        qualifying = full_selection(
-                            self.table.n_tuples, plan.snapshot
-                        )
                         for tid in range(self.table.n_tuples):
-                            if qualifying[tid]:
+                            if status[tid] == _NOT_CHECKED:
                                 status[tid] = _VALID
                                 ret[tid] = {}
                     elif self.strategy == "locking":

@@ -13,9 +13,13 @@ partition is never read twice:
   still missing, locate the partitions holding them through the tuple-level
   index, and fill the gaps partition by partition.
 
-The result hash table is represented densely (per-attribute value + presence
-arrays indexed by tuple ID); hash-table insert/update events are counted and
-priced by the CPU model, matching the paper's ``mem()`` accounting.
+The result hash table is held at its true size: the selection phase keeps
+one status byte per tuple plus |hits|-sized stashed chunks, and once it is
+final the projection phase writes into |result|-sized columns (see
+:mod:`repro.plan.operators`).  Hash-table insert/update events are counted
+in closed form from lengths and mask sums — as if the paper's
+tuple-at-a-time loop had run — and priced by the CPU model, matching the
+paper's ``mem()`` accounting.
 
 Both phases are thin serial drivers over the shared planning layer: the
 :class:`~repro.plan.physical.QueryPlanner` (partition pruning policy —
@@ -48,12 +52,9 @@ from ..plan.operators import (
     PlanReader,
     ProjectFillOp,
     SelectOp,
-    base_invalid_tids,
-    count_prune,
     finalize_stats,
-    full_selection,
-    invalidate_pruned,
-    merge_results,
+    run_selection,
+    stored_cells,
 )
 from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
@@ -122,22 +123,15 @@ class PartitionAtATimeExecutor:
         started = time.perf_counter()
         stats = ExecutionStats()
         tracer = obs_tracer()
-        n = self.table.n_tuples
         with tracer.phase(
             "exec.query", stats, cpu_model=self.cpu_model,
             engine="partition-at-a-time",
         ):
-            status = np.full(n, STATUS_NOT_CHECKED, dtype=np.uint8)
             plan = self.planner.plan(query, snapshot=snapshot)
-            projected = plan.logical.projected
-            values: Dict[str, np.ndarray] = {}
-            present: Dict[str, np.ndarray] = {}
-            for name in projected:
-                values[name] = np.zeros(
-                    n, dtype=self.table.schema[name].np_dtype
-                )
-                present[name] = np.zeros(n, dtype=bool)
-
+            select_op = SelectOp(
+                plan.logical.conjunction, plan.logical.projected,
+                self.table.n_tuples, plan.snapshot,
+            )
             fctx = FaultContext()
             prefetcher = None
             if self.prefetch_depth > 0:
@@ -152,33 +146,24 @@ class PartitionAtATimeExecutor:
                     "exec.selection", stats, cpu_model=self.cpu_model
                 ):
                     if plan.logical.conjunction:
-                        status[base_invalid_tids(n, plan.snapshot)] = (
-                            STATUS_INVALID
-                        )
                         self._selection_phase(
-                            plan, reader, degrade, status, values, present,
-                            stats,
+                            plan, reader, degrade, select_op, stats
                         )
                     else:
-                        # No WHERE clause: every tuple qualifies; lines 3-16
-                        # degenerate to allocating a hash-table row per tuple.
-                        qualifying = full_selection(n, plan.snapshot)
-                        status[qualifying] = STATUS_VALID
-                        stats.hash_inserts += int(qualifying.sum())
+                        stats.hash_inserts += select_op.select_all()
 
                 with tracer.phase(
                     "exec.projection", stats, cpu_model=self.cpu_model
                 ):
-                    self._projection_phase(
-                        plan, reader, degrade, status, values, present, stats
+                    fill_op = self._projection_phase(
+                        plan, reader, degrade, select_op, stats
                     )
             finally:
                 reader.release()
                 if prefetcher is not None:
                     prefetcher.close()
 
-            valid = np.nonzero(status == STATUS_VALID)[0].astype(np.int64)
-            result = merge_results(valid, values, projected, stats)
+            result = fill_op.result(stats)
             finalize_stats(stats, self.cpu_model, started)
         record_query("partition-at-a-time", plan, stats, query=query)
         return result, stats
@@ -190,47 +175,20 @@ class PartitionAtATimeExecutor:
         plan: PhysicalPlan,
         reader: PlanReader,
         degrade: DegradeOp,
-        status: np.ndarray,
-        values: Dict[str, np.ndarray],
-        present: Dict[str, np.ndarray],
+        select_op: SelectOp,
         stats: ExecutionStats,
     ) -> None:
-        conjunction = plan.logical.conjunction
-        select_op = SelectOp(conjunction, plan.logical.projected)
-        loop = AccessLoop(
-            reader,
-            degrade,
-            conjunction.attributes,
-            plan.logical.selection_columns,
-        )
-        loop.enqueue(plan.selection_pids())
-        reader.prefetch(
-            [
-                pid for pid in plan.selection_pids()
-                if not plan.decision_for(pid).is_pruned
-            ],
-            plan.logical.selection_columns,
-        )
+        def process(pid: int, partition) -> None:
+            stats.cells_scanned += stored_cells(partition)
+            inserts, evictions, stashed = select_op.select(partition)
+            stats.hash_inserts += inserts
+            stats.hash_updates += evictions + stashed
 
-        def skip(pid: int) -> bool:
-            decision = plan.decision_for(pid)
-            if decision.is_pruned:
-                # The catalog already proves every stored predicate cell
-                # fails; apply the verdict Algorithm 5 would have reached.
-                invalidate_pruned(
-                    self.manager.info(pid), decision.pruned_attributes,
-                    status, stats,
-                )
-                count_prune(decision, stats)
-                return True
-            return False
-
-        loop.run(
-            lambda pid, partition: select_op.filter_partition(
-                partition, status, values, present, stats
-            ),
-            skip,
-        )
+        # A pruned partition's verdict evicts hash-table rows as the read
+        # would have.  (``+= run_selection(...)`` would read the counter
+        # before ``process`` advances it.)
+        evicted = run_selection(plan, reader, degrade, select_op, stats, process)
+        stats.hash_updates += evicted
 
     # ------------------------------------------------------------ phase 2
 
@@ -239,50 +197,47 @@ class PartitionAtATimeExecutor:
         plan: PhysicalPlan,
         reader: PlanReader,
         degrade: DegradeOp,
-        status: np.ndarray,
-        values: Dict[str, np.ndarray],
-        present: Dict[str, np.ndarray],
+        select_op: SelectOp,
         stats: ExecutionStats,
-    ) -> None:
+    ) -> ProjectFillOp:
         projected = plan.logical.projected
-        valid = np.nonzero(status == STATUS_VALID)[0].astype(np.int64)
-        if not len(valid):
-            return
+        fill_op = ProjectFillOp(projected, select_op, self.table.schema)
+        if not len(fill_op.valid):
+            return fill_op
         index = plan.snapshot if plan.snapshot is not None else self.manager
         proj_pids: Set[int] = set()
-        missing_attrs: Set[str] = set()
         missing_by_attr: Dict[str, np.ndarray] = {}
         for name in projected:
-            missing = valid[~present[name][valid]]
+            missing = fill_op.missing(name)
             if len(missing):
-                missing_attrs.add(name)
                 missing_by_attr[name] = missing
                 proj_pids.update(
                     index.partitions_with_missing_cells(name, missing)
                 )
-        fill_op = ProjectFillOp(projected)
         # Only the still-missing projected attributes need decoding here;
         # everything else in these partitions is dead weight for this phase.
         loop = AccessLoop(
             reader,
             degrade,
-            missing_attrs,
-            frozenset(missing_attrs),
+            missing_by_attr,
+            frozenset(missing_by_attr),
             replan_known_dead=True,
             tids_by_attribute=missing_by_attr,
         )
         loop.enqueue(sorted(proj_pids))
-        reader.prefetch(sorted(proj_pids), frozenset(missing_attrs))
-        loop.run(
-            lambda pid, partition: fill_op.fill_valid(
-                partition, status, values, present, stats
-            )
-        )
+        reader.prefetch(sorted(proj_pids), frozenset(missing_by_attr))
+
+        def process(pid: int, partition) -> None:
+            stats.cells_scanned += stored_cells(partition)
+            stats.hash_updates += fill_op.fill(partition)
+
+        loop.run(process)
         for name in projected:
-            still_missing = valid[~present[name][valid]]
+            still_missing = fill_op.missing(name)
             if len(still_missing):
                 raise StorageError(
                     f"projection could not find attribute {name!r} for "
                     f"{len(still_missing)} tuples (first: {still_missing[:5].tolist()}); "
                     "the partitioning does not cover the table"
                 )
+        return fill_op

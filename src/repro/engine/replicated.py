@@ -19,9 +19,7 @@ the standard engine rather than degrading in place.
 from __future__ import annotations
 
 import time
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from ..core.query import Query
 from ..core.schema import TableMeta
@@ -31,11 +29,13 @@ from ..obs import tracer as obs_tracer
 from ..plan.explain import ExplainReport
 from ..plan.logical import POLICY_SCAN
 from ..plan.operators import (
+    DegradeOp,
     PlanReader,
     ProjectFillOp,
-    count_prune,
+    SelectOp,
     finalize_stats,
-    merge_results,
+    run_selection,
+    stored_cells,
 )
 from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
@@ -108,11 +108,6 @@ class ReplicatedExecutor:
         plan = self.planner.plan_replica_local(query, snapshot=snapshot)
         if plan is None:
             return self.standard.execute(query, snapshot=snapshot)
-        return self._execute_local(query, plan)
-
-    def _execute_local(
-        self, query: Query, plan: PhysicalPlan
-    ) -> Tuple[ResultSet, ExecutionStats]:
         started = time.perf_counter()
         stats = ExecutionStats()
         tracer = obs_tracer()
@@ -120,8 +115,9 @@ class ReplicatedExecutor:
             "exec.query", stats, cpu_model=self.cpu_model,
             engine="replicated-local",
         ):
-            outcome = self._run_local(query, plan, stats, started, tracer)
-        result, final_stats, engine = outcome
+            result, final_stats, engine = self._run_local(
+                query, plan, stats, started, tracer
+            )
         if engine is not None:
             # The fallback path already published through the standard
             # engine; publishing the combined ledger again would double
@@ -137,117 +133,75 @@ class ReplicatedExecutor:
         started: float,
         tracer,
     ) -> Tuple[ResultSet, ExecutionStats, str | None]:
-        n = self.table.n_tuples
-        conjunction = plan.logical.conjunction
         projected = plan.logical.projected
-        # Local evaluation touches predicate cells and projected cells only.
-        needed = plan.logical.selection_columns | plan.logical.projection_columns
-        matched = np.zeros(n, dtype=bool)
-        values: Dict[str, np.ndarray] = {
-            name: np.zeros(n, dtype=self.table.schema[name].np_dtype)
-            for name in projected
-        }
-        present: Dict[str, np.ndarray] = {
-            name: np.zeros(n, dtype=bool) for name in projected
-        }
-        # Scratch arrays to align predicate cells by tuple ID within one
-        # partition (cells may be split across primary and replica segments).
-        pred_values: Dict[str, np.ndarray] = {}
-        pred_present: Dict[str, np.ndarray] = {}
-        for name in conjunction.attributes:
-            pred_values[name] = np.zeros(n, dtype=self.table.schema[name].np_dtype)
-            pred_present[name] = np.zeros(n, dtype=bool)
-
+        # One status vector serves every partition: full coverage puts all
+        # of a tuple's predicate cells in each of its homes, so its verdict
+        # is final where it is reached — and a pruned home's zone (it covers
+        # every local tuple's predicate cells) proves none of its tuples
+        # match.  Predicates only: the emit pass below gathers the projected
+        # cells, so nothing is stashed.
+        select_op = SelectOp(
+            plan.logical.conjunction,
+            n_tuples=self.table.n_tuples,
+            snapshot=plan.snapshot,
+        )
         prefetcher = None
         if self.prefetch_depth > 0:
             prefetcher = Prefetcher(self.manager, depth=self.prefetch_depth)
-        reader = PlanReader(self.manager, stats, prefetcher=prefetcher)
-        fill_op = ProjectFillOp(projected)
+        loaded: dict = {}  # pid -> partition, kept for the emit pass
+        reader = PlanReader(
+            self.manager, stats, cache=loaded, prefetcher=prefetcher
+        )
+
+        def process(pid: int, partition) -> None:
+            stats.cells_scanned += stored_cells(partition)
+            select_op.select(partition)
+
         try:
             with tracer.phase("exec.local", stats, cpu_model=self.cpu_model):
-                reader.prefetch(
-                    [
-                        pid for pid in plan.selection_pids()
-                        if not plan.decision_for(pid).is_pruned
-                    ],
-                    needed,
-                )
-                for pid in plan.selection_pids():
-                    # Zone pruning: the partition's zone map covers every
-                    # tuple's predicate cells (full coverage), so a disjoint
-                    # range proves no local tuple can match — nothing to
-                    # evaluate or emit.
-                    if plan.decision_for(pid).is_pruned:
-                        count_prune(plan.decision_for(pid), stats)
-                        continue
-                    try:
-                        partition = reader.load(pid, columns=needed)
-                    except PartitionUnreadableError as exc:
-                        # Local evaluation needs this exact partition (it owns
-                        # the tuples), so there is no partition-local
-                        # substitute; retreat to the standard engine, whose
-                        # tuple-level index can reassemble the lost cells from
-                        # replicas or overlapping primaries — or prove that
-                        # nothing can.  The aborted local attempt's I/O and
-                        # CPU events stay on the bill.
-                        stats.n_unreadable_partitions += 1
-                        if exc.io_delta is not None:
-                            stats.accrue_io(exc.io_delta)
-                        result, fallback = self.standard.execute(
-                            query, snapshot=plan.snapshot
-                        )
-                        fallback.add(stats)
-                        fallback.charge_cpu(self.cpu_model)
-                        fallback.wall_time_s = time.perf_counter() - started
-                        return result, fallback, None
-                    # 1. scatter the partition's predicate cells by tuple ID.
-                    local_tids = self.manager.info(pid).tuple_ids()
-                    for segment in partition.segments:
-                        tids = segment.tuple_ids
-                        if not len(tids):
-                            continue
-                        stats.cells_scanned += len(tids) * len(segment.attributes)
-                        for name in segment.attributes:
-                            if name in pred_values:
-                                pred_values[name][tids] = segment.columns[name]
-                                pred_present[name][tids] = True
-                    # 2. evaluate the conjunction over the partition's own
-                    #    tuples.
-                    local_mask = np.ones(len(local_tids), dtype=bool)
-                    for predicate in conjunction.predicates:
-                        if not np.all(pred_present[predicate.attribute][local_tids]):
-                            raise StorageError(
-                                f"partition {pid} lacks predicate cells for "
-                                f"{predicate.attribute!r}; local plan was unsound"
-                            )
-                        local_mask &= predicate.mask(
-                            pred_values[predicate.attribute][local_tids]
-                        )
-                    matching = local_tids[local_mask]
-                    matched[matching] = True
-                    if not len(matching):
-                        continue
-                    # 3. emit the projected cells of the matching local tuples
-                    #    (primary segments only — a replica's cells belong to
-                    #    some other partition's tuples and would double-emit).
-                    matching_mask = np.zeros(n, dtype=bool)
-                    matching_mask[matching] = True
-                    fill_op.gather(
-                        partition, matching_mask, values, present, stats,
-                        skip_replicas=True,
+                try:
+                    run_selection(
+                        plan, reader,
+                        DegradeOp(self.manager, stats, enabled=False),
+                        select_op, stats, process,
+                    )
+                except PartitionUnreadableError as exc:
+                    # Local evaluation needs this exact partition (it owns
+                    # the tuples), so there is no partition-local
+                    # substitute; retreat to the standard engine, whose
+                    # tuple-level index can reassemble the lost cells from
+                    # replicas or overlapping primaries — or prove that
+                    # nothing can.  The aborted local attempt's I/O and
+                    # CPU events stay on the bill.
+                    stats.n_unreadable_partitions += 1
+                    if exc.io_delta is not None:
+                        stats.accrue_io(exc.io_delta)
+                    result, fallback = self.standard.execute(
+                        query, snapshot=plan.snapshot
+                    )
+                    fallback.add(stats)
+                    fallback.charge_cpu(self.cpu_model)
+                    fallback.wall_time_s = time.perf_counter() - started
+                    return result, fallback, None
+                # Emit the projected cells of the matching tuples (primary
+                # segments only — a replica's cells belong to some other
+                # partition's tuples and would double-emit).
+                fill_op = ProjectFillOp(projected, select_op, self.table.schema)
+                for partition in loaded.values():
+                    stats.cells_gathered += fill_op.fill(
+                        partition, skip_replicas=True
                     )
         finally:
             if prefetcher is not None:
                 prefetcher.close()
 
-        valid = np.nonzero(matched)[0].astype(np.int64)
         for name in projected:
-            missing = valid[~present[name][valid]]
+            missing = fill_op.missing(name)
             if len(missing):
                 raise StorageError(
                     f"local evaluation missed attribute {name!r} for "
                     f"{len(missing)} tuples"
                 )
-        result = merge_results(valid, values, projected, stats)
+        result = fill_op.result(stats)
         finalize_stats(stats, self.cpu_model, started)
         return result, stats, "replicated-local"

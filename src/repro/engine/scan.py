@@ -15,9 +15,10 @@ The executor is a thin serial driver over the shared planning layer: the
 :class:`~repro.plan.physical.QueryPlanner` (scan pruning policy — a
 partition whose zone refutes *any* predicate cannot contribute a qualifying
 tuple) produces the access lists, and the :mod:`~repro.plan.operators`
-pipeline evaluates them.  Zone pruning is the mechanism behind Column-H's
-advantage over Column in the paper, and the reason that advantage decays as
-query templates multiply.
+core — the same selection-vector ops the partition-at-a-time engine drives,
+priced by this engine's own counter rule — evaluates them.  Zone pruning is
+the mechanism behind Column-H's advantage over Column in the paper, and the
+reason that advantage decays as query templates multiply.
 """
 
 from __future__ import annotations
@@ -41,16 +42,14 @@ from ..plan.operators import (
     PlanReader,
     ProjectFillOp,
     SelectOp,
-    base_invalid_tids,
     count_prune,
     finalize_stats,
-    full_selection,
-    merge_results,
+    run_selection,
 )
 from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
 from ..plan.stats import CpuModel, ExecutionStats
-from ..storage.partition_manager import PartitionInfo, PartitionManager
+from ..storage.partition_manager import PartitionManager
 from ..storage.prefetch import Prefetcher
 
 __all__ = ["ScanExecutor"]
@@ -98,14 +97,6 @@ class ScanExecutor:
         """Snapshot of the plan's pruning and access decisions."""
         return self.plan(query).explain(engine="scan")
 
-    # ------------------------------------------------------------ helpers
-
-    @staticmethod
-    def _any_selected(info: PartitionInfo, selection: np.ndarray) -> bool:
-        return any(
-            len(tids) and bool(np.any(selection[tids])) for tids in info.segment_tids
-        )
-
     # ------------------------------------------------------------ execute
 
     def execute(
@@ -114,7 +105,6 @@ class ScanExecutor:
         started = time.perf_counter()
         stats = ExecutionStats()
         tracer = obs_tracer()
-        n = self.table.n_tuples
         with tracer.phase(
             "exec.query", stats, cpu_model=self.cpu_model, engine="scan"
         ):
@@ -141,29 +131,28 @@ class ScanExecutor:
                 prefetcher=prefetcher,
             )
             degrade = DegradeOp(self.manager, stats, fctx)
+            projected = plan.logical.projected
             try:
                 with tracer.phase(
                     "exec.selection", stats, cpu_model=self.cpu_model
                 ):
-                    selection = self._selection_vector(
-                        plan, reader, degrade, stats, n
+                    # Predicates only: the gather phase revisits partitions
+                    # for their projected cells, so nothing is stashed.
+                    select_op = SelectOp(
+                        plan.logical.conjunction,
+                        n_tuples=self.table.n_tuples,
+                        snapshot=plan.snapshot,
                     )
-                    selected = np.nonzero(selection)[0].astype(np.int64)
+                    self._selection_phase(plan, reader, degrade, select_op, stats)
+                    fill_op = ProjectFillOp(
+                        projected, select_op, self.table.schema
+                    )
 
-                projected = plan.logical.projected
-                values: Dict[str, np.ndarray] = {
-                    name: np.zeros(n, dtype=self.table.schema[name].np_dtype)
-                    for name in projected
-                }
-                present: Dict[str, np.ndarray] = {
-                    name: np.zeros(n, dtype=bool) for name in projected
-                }
                 with tracer.phase(
                     "exec.projection", stats, cpu_model=self.cpu_model
                 ):
                     self._gather_projection(
-                        plan, reader, degrade, selection, selected, values,
-                        present, stats,
+                        plan, reader, degrade, fill_op, stats
                     )
             finally:
                 reader.release()
@@ -171,7 +160,7 @@ class ScanExecutor:
                     prefetcher.close()
 
             for name in projected:
-                missing = selected[~present[name][selected]]
+                missing = fill_op.missing(name)
                 if len(missing):
                     if fctx.unreadable:
                         raise PartitionUnreadableError(
@@ -183,82 +172,65 @@ class ScanExecutor:
                         f"layout does not store attribute {name!r} for "
                         f"{len(missing)} selected tuples"
                     )
-            result = merge_results(selected, values, projected, stats)
+            result = fill_op.result(stats)
             finalize_stats(stats, self.cpu_model, started)
         record_query("scan", plan, stats, query=query)
         return result, stats
 
-    def _selection_vector(
+    def _selection_phase(
         self,
         plan: PhysicalPlan,
         reader: PlanReader,
         degrade: DegradeOp,
+        select_op: SelectOp,
         stats: ExecutionStats,
-        n: int,
-    ) -> np.ndarray:
-        """Evaluate predicates attribute by attribute into one dense mask."""
+    ) -> None:
+        """Evaluate the predicates partition by partition into the status
+        vector: VALID = passed every predicate cell read, none refuted."""
         conjunction = plan.logical.conjunction
         if not conjunction:
-            return full_selection(n, plan.snapshot)
-        masks = {name: np.zeros(n, dtype=bool) for name in conjunction.attributes}
-        select_op = SelectOp(conjunction, row_major=self.row_major)
-        loop = AccessLoop(
-            reader,
-            degrade,
-            conjunction.attributes,
-            plan.logical.selection_columns,
-        )
-        loop.enqueue(plan.selection_pids())
-        reader.prefetch(
-            [
-                pid for pid in plan.selection_pids()
-                if not plan.decision_for(pid).is_pruned
-            ],
-            plan.logical.selection_columns,
-        )
+            select_op.select_all()
+            return
+        predicate_attributes = conjunction.attributes
 
-        def skip(pid: int) -> bool:
-            if plan.decision_for(pid).is_pruned:
-                count_prune(plan.decision_for(pid), stats)
-                return True
-            return False
+        def process(pid: int, partition) -> None:
+            for segment in partition.segments:
+                n_tuples = len(segment.tuple_ids)
+                if self.row_major:
+                    stats.tuples_iterated += n_tuples
+                stats.cells_scanned += n_tuples * sum(
+                    name in predicate_attributes for name in segment.attributes
+                )
+            select_op.select(partition)
 
-        loop.run(
-            lambda pid, partition: select_op.scan_masks(partition, masks, stats),
-            skip,
-        )
-        selection = np.ones(n, dtype=bool)
-        for mask in masks.values():
-            selection &= mask
-        selection[base_invalid_tids(n, plan.snapshot)] = False
+        run_selection(plan, reader, degrade, select_op, stats, process)
         if not self.row_major:
             # Operator-at-a-time materializes one selection vector per
             # predicate plus the conjunction.
-            stats.materialized_bytes += (len(masks) + 1) * ((n + 7) // 8)
-        return selection
+            stats.materialized_bytes += (len(conjunction) + 1) * (
+                (self.table.n_tuples + 7) // 8
+            )
 
     def _gather_projection(
         self,
         plan: PhysicalPlan,
         reader: PlanReader,
         degrade: DegradeOp,
-        selection: np.ndarray,
-        selected: np.ndarray,
-        values: Dict[str, np.ndarray],
-        present: Dict[str, np.ndarray],
+        fill_op: ProjectFillOp,
         stats: ExecutionStats,
     ) -> None:
         projected = plan.logical.projected
-        fill_op = ProjectFillOp(projected)
         loaded = reader.cache
         assert loaded is not None
 
         def still_missing() -> Dict[str, np.ndarray]:
             # Restrict a rescue to projected cells of selected tuples that
             # no readable partition has supplied yet.
-            return {
-                name: selected[~present[name][selected]] for name in projected
-            }
+            return {name: fill_op.missing(name) for name in projected}
+
+        def idle(pid: int) -> bool:
+            # No selected tuple lives here: nothing to gather.
+            return not fill_op.touches(self.manager.info(pid))
 
         loop = AccessLoop(
             reader,
@@ -274,34 +246,27 @@ class ScanExecutor:
                 pid for pid in plan.projection_pids()
                 if pid not in loaded
                 and not plan.decision_for(pid).is_pruned
-                and len(selected)
-                and self._any_selected(self.manager.info(pid), selection)
+                and not idle(pid)
             ],
             plan.logical.projection_columns,
         )
 
         def skip(pid: int) -> bool:
-            info = self.manager.info(pid)
-            if pid not in loaded:
-                if plan.decision_for(pid).is_pruned:
-                    count_prune(plan.decision_for(pid), stats)
-                    return True
-                if len(selected) and not self._any_selected(info, selection):
-                    stats.n_partitions_skipped += 1
-                    return True
-                if not len(selected):
-                    stats.n_partitions_skipped += 1
-                    return True
-            elif not len(selected) or not self._any_selected(info, selection):
-                # Already loaded for the selection phase but no tuple here
-                # survived it: re-scanning would gather nothing.  Not counted
-                # as a skip — no read was avoided, only working-memory churn.
+            if pid in loaded:
+                # Loaded for the selection phase; when no tuple here
+                # survived it, re-scanning would gather nothing.  Not
+                # counted as a skip — no read was avoided.
+                return idle(pid)
+            decision = plan.decision_for(pid)
+            if decision.is_pruned:
+                count_prune(decision, stats)
+                return True
+            if idle(pid):
+                stats.n_partitions_skipped += 1
                 return True
             return False
 
-        loop.run(
-            lambda pid, partition: fill_op.gather(
-                partition, selection, values, present, stats
-            ),
-            skip,
-        )
+        def process(pid: int, partition) -> None:
+            stats.cells_gathered += fill_op.fill(partition)
+
+        loop.run(process, skip)

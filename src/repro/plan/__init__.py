@@ -13,8 +13,8 @@ engines that evaluate it:
    estimates for ``explain()`` (:mod:`repro.plan.explain`).
 3. **Operators** (:mod:`repro.plan.operators`, :mod:`repro.plan.degrade`,
    :mod:`repro.plan.result`, :mod:`repro.plan.stats`) — the shared
-   selection / projection-fill / degrade / merge pipeline the four engines
-   drive with their own scheduling (serial scan, partition-at-a-time,
+   selection / projection-fill / degrade pipeline the four engines drive
+   with their own scheduling (serial scan, partition-at-a-time,
    lock-based and shared-scan threading, replica-local).
 
 On top of the single-table stack sits the **relational layer**
@@ -57,8 +57,6 @@ from .operators import (
     ProjectFillOp,
     SelectOp,
     finalize_stats,
-    invalidate_pruned,
-    merge_results,
 )
 from .physical import AccessPolicy, PartitionAccess, PhysicalPlan, QueryPlanner
 from .predicates import Conjunction, RangePredicate
@@ -112,7 +110,5 @@ __all__ = [
     "explain_relational",
     "finalize_stats",
     "handle_unreadable",
-    "invalidate_pruned",
-    "merge_results",
     "plan_alternates",
 ]

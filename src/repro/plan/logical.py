@@ -15,16 +15,15 @@ metadata — built from the query and the catalog only, before any I/O:
   refutes.
 
 Two pruning policies exist because the engines' correctness arguments
-differ.  The *scan* policy (rectangular layouts, dense per-attribute masks)
-may prune a partition as soon as **any** stored predicate attribute's zone
-is disjoint from the query range: every tuple with cells there fails that
-predicate, and an unset mask bit excludes it anyway.  The *partition*
-policy (partition-at-a-time, Algorithm 5's status codes) may prune only
-when **every** stored predicate attribute's zone is disjoint — a partition
-whose zone overlaps one predicate must be read, because it may also store
-other predicates' cells for tuples that survive — and a pruned partition's
-tuples must be explicitly invalidated, which is the catalog-only verdict
-Algorithm 5 would have reached with I/O.
+differ.  The *scan* policy (rectangular layouts) may prune a partition as
+soon as **any** stored predicate attribute's zone is disjoint from the
+query range: every tuple with a predicate cell there fails the conjunction.
+The *partition* policy (partition-at-a-time over irregular partitions) may
+prune only when **every** stored predicate attribute's zone is disjoint — a
+partition whose zone overlaps one predicate must be read, because it may
+also store other predicates' cells for tuples that survive.  Either way the
+pruned partition's tuples must be explicitly invalidated, which is the
+catalog-only verdict Algorithm 5 would have reached with I/O.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class PartitionDecision:
     ``pruned_attributes`` is only set for partition-policy PRUNED verdicts:
     the predicate attributes whose disjoint zones justified the prune.  The
     executor must invalidate the tuples owning those cells (see
-    :func:`~repro.plan.operators.invalidate_pruned`) — skipping the read is
+    :meth:`~repro.plan.operators.SelectOp.invalidate`) — skipping the read is
     sound precisely because the verdict on those tuples is already known.
 
     ``source`` records which catalog structure proved a PRUNED verdict:

@@ -16,17 +16,24 @@ partition-locally) without re-implementing them:
 * :class:`AccessLoop` — the ordered work queue over partition accesses that
   every phase runs: dedup, known-dead handling, skip hooks, load, degrade
   re-planning, process.
-* :class:`SelectOp` — predicate evaluation in each engine's native shape
-  (dense per-attribute masks, Algorithm 5 status codes, or tuple-at-a-time
-  for the threaded protocols).
-* :class:`ProjectFillOp` — projected-cell gathering in each native shape.
-* :func:`invalidate_pruned` — the catalog-only verdict a partition-policy
-  prune must apply (the tuples a skipped read would have invalidated).
-* :func:`merge_results` — the normalized result merge every engine ends on.
+* :class:`SelectOp` / :class:`ProjectFillOp` — the vectorized engine core,
+  one implementation under the partition-at-a-time, scan and replica-local
+  drivers, built on **selection vectors and result-sized output**: the only
+  table-sized scratch is Algorithm 5's status vector (one byte per tuple);
+  a segment's passing mask becomes positions once; co-located projected
+  cells are stashed as |hits|-sized chunks; and once selection is final the
+  ascending VALID tids *are* the ``tid -> output row`` map, so stash and
+  projection write straight into |result|-sized columns.  Both ops also
+  carry the tuple-at-a-time form the threaded protocols use.
+* :func:`count_prune` / :meth:`SelectOp.invalidate` — a planner-pruned
+  partition's accounting and its catalog-only verdict.
 
-Every counter increment in this module is verbatim from the engine it was
-lifted out of; the differential oracle holds the pipeline to byte-identical
-results *and* simulated I/O accounting.
+**Closed-form counter rule.**  The simulated accounting prices the paper's
+tuple-at-a-time loop, not the numpy calls: the ops return event counts
+computed from segment lengths and mask sums, and each driver prices them by
+its own algorithm's rule, partition by partition — never by redoing dense
+work.  The differential oracle holds the pipeline to byte-identical results
+*and* simulated accounting.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import numpy as np
 from ..errors import PartitionUnreadableError
 from ..obs import tracer as obs_tracer
 from ..storage.partition_manager import PartitionInfo, PartitionManager
-from ..storage.physical import PhysicalPartition
+from ..storage.physical import TID_IMPLICIT, PhysicalPartition
 from .degrade import FaultContext, handle_unreadable
 from .predicates import Conjunction
 from .result import ResultSet
@@ -59,9 +66,8 @@ __all__ = [
     "ProjectFillOp",
     "base_invalid_tids",
     "count_prune",
-    "full_selection",
-    "invalidate_pruned",
-    "merge_results",
+    "run_selection",
+    "stored_cells",
     "finalize_stats",
 ]
 
@@ -324,85 +330,130 @@ class AccessLoop:
             process(pid, partition)
 
 
-class SelectOp:
-    """Predicate evaluation over one partition, in each driver's shape."""
+def _address(tids: np.ndarray, tid_storage: str):
+    """How a per-tuple vector is indexed by one segment's tuples: a segment
+    stored as a contiguous natural-order run (``TID_IMPLICIT``: every
+    Row/Column partition) by slice — never a gather — any other by its tids."""
+    if tid_storage == TID_IMPLICIT:
+        return slice(int(tids[0]), int(tids[0]) + len(tids))
+    return tids
 
-    __slots__ = ("conjunction", "projected", "projected_set", "row_major")
+
+def stored_cells(partition: PhysicalPartition) -> int:
+    """Cells a row-major read of the partition passes over: every stored
+    attribute of every stored tuple (Algorithm 5's ``cells_scanned``)."""
+    return sum(len(s.tuple_ids) * len(s.attributes) for s in partition.segments)
+
+
+class _ProjectingOp:
+    """What both core ops know about the projection: its attributes, and —
+    derived once per distinct segment schema per plan, not per segment —
+    which of a segment's attributes are wanted."""
+
+    __slots__ = ("projected", "_wanted")
+
+    def __init__(self, projected: Tuple[str, ...]):
+        self.projected = projected
+        self._wanted: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+    def wanted(self, attributes: Tuple[str, ...]) -> Tuple[str, ...]:
+        wanted = self._wanted.get(attributes)
+        if wanted is None:
+            wanted = tuple(a for a in attributes if a in self.projected)
+            self._wanted[attributes] = wanted
+        return wanted
+
+
+class SelectOp(_ProjectingOp):
+    """Algorithm 5's selection state: one status byte per tuple, nothing
+    else table-sized.
+
+    :meth:`select` turns each segment's passing mask into positions once
+    and stashes the co-located projected cells (line 16) as |hits|-sized
+    chunks, which reach their output rows only once the selection is final
+    (:class:`ProjectFillOp`) — a tuple some later partition invalidates
+    just never gets one.  The tuple-at-a-time drivers keep their own status
+    list and hash table and use :meth:`process_tuple` alone.
+    """
+
+    __slots__ = ("conjunction", "status", "stash")
 
     def __init__(
         self,
         conjunction: Conjunction,
         projected: Tuple[str, ...] = (),
-        row_major: bool = False,
+        n_tuples: int = 0,
+        snapshot=None,
     ):
+        super().__init__(projected)
         self.conjunction = conjunction
-        self.projected = projected
-        self.projected_set = frozenset(projected)
-        self.row_major = row_major
+        self.status = np.zeros(n_tuples, dtype=np.uint8)
+        self.status[base_invalid_tids(n_tuples, snapshot)] = STATUS_INVALID
+        #: wanted attributes -> ``(tids, their cells)`` of every segment of
+        #: that schema that stashed anything.
+        self.stash: Dict[
+            Tuple[str, ...], List[Tuple[np.ndarray, List[np.ndarray]]]
+        ] = {}
 
-    def scan_masks(
-        self,
-        partition: PhysicalPartition,
-        masks: Dict[str, np.ndarray],
-        stats: ExecutionStats,
-    ) -> None:
-        """Dense per-attribute masks (the rectangular scan engines)."""
+    def select_all(self) -> int:
+        """No WHERE clause: every tuple a base scan may return turns VALID
+        (lines 3-16 degenerate to one hash-table row per tuple)."""
+        fresh = self.status == STATUS_NOT_CHECKED
+        self.status[fresh] = STATUS_VALID
+        return int(np.count_nonzero(fresh))
+
+    def select(self, partition: PhysicalPartition) -> Tuple[int, int, int]:
+        """Algorithm 5 lines 6-16 over one partition: every tuple of a
+        segment ends VALID (passed what is evaluable here, was not INVALID)
+        or INVALID.  Returns the hash-table events in closed form,
+        ``(inserts, evictions, stashed)``: NOT_CHECKED tuples that passed,
+        VALID tuples that failed, projected cells stashed."""
+        status = self.status
+        inserts = evictions = stashed = 0
         for segment in partition.segments:
             tids = segment.tuple_ids
             if not len(tids):
                 continue
-            if self.row_major:
-                stats.tuples_iterated += len(tids)
-            for name in segment.attributes:
-                predicate = self.conjunction.predicate_for(name)
-                if predicate is None:
-                    continue
-                masks[name][tids] = predicate.mask(segment.columns[name])
-                stats.cells_scanned += len(tids)
-
-    def filter_partition(
-        self,
-        partition: PhysicalPartition,
-        status: np.ndarray,
-        values: Dict[str, np.ndarray],
-        present: Dict[str, np.ndarray],
-        stats: ExecutionStats,
-    ) -> None:
-        """Algorithm 5 lines 6-16, vectorized per segment.
-
-        Status transitions, hash-table event counting, and the line-16 stash
-        of co-located projected cells (so the projection phase never reloads
-        this partition).
-        """
-        for segment in partition.segments:
-            tids = segment.tuple_ids
-            if not len(tids):
-                continue
-            stats.cells_scanned += len(tids) * len(segment.attributes)
-            active = status[tids] != STATUS_INVALID
-            satisfied, _n_preds = self.conjunction.evaluate_available(
+            where = _address(tids, segment.tid_storage)
+            before = status[where]
+            passing, _ = self.conjunction.evaluate_available(
                 segment.columns, len(tids)
             )
-            failing = active & ~satisfied
-            if np.any(failing):
-                # Lines 8-11: drop the tuple (and its hash-table row).
-                failed_tids = tids[failing]
-                previously_valid = status[failed_tids] == STATUS_VALID
-                stats.hash_updates += int(previously_valid.sum())
-                status[failed_tids] = STATUS_INVALID
-            passing = active & satisfied
-            if not np.any(passing):
+            if before.any():  # some tuple here already carries a verdict
+                passing &= before != STATUS_INVALID
+                was_valid = before == STATUS_VALID
+                still_valid = int(np.count_nonzero(was_valid & passing))
+                evictions += int(np.count_nonzero(was_valid)) - still_valid
+                inserts -= still_valid
+            hits = passing.nonzero()[0]
+            inserts += len(hits)
+            status[where] = STATUS_INVALID - passing.view(np.uint8)
+            wanted = self.wanted(segment.attributes)
+            if not wanted or not len(hits):
                 continue
-            passing_tids = tids[passing]
-            fresh = status[passing_tids] == STATUS_NOT_CHECKED
-            stats.hash_inserts += int(fresh.sum())
-            status[passing_tids[fresh]] = STATUS_VALID
-            for name in segment.attributes:
-                if name not in self.projected_set:
-                    continue
-                values[name][passing_tids] = segment.columns[name][passing]
-                present[name][passing_tids] = True
-                stats.hash_updates += len(passing_tids)
+            self.stash.setdefault(wanted, []).append(
+                (tids[hits], [segment.columns[name][hits] for name in wanted])
+            )
+            stashed += len(hits) * len(wanted)
+        return inserts, evictions, stashed
+
+    def invalidate(self, info: PartitionInfo, attributes: frozenset) -> int:
+        """Apply a prune's verdict without the read: every tuple owning a
+        cell of the refuted predicate ``attributes`` here fails the
+        conjunction, so mark it INVALID straight from the catalog's tuple-ID
+        arrays.  Returns the VALID tuples evicted, as the read would have
+        counted them."""
+        status = self.status
+        evictions = 0
+        for attrs, tids, mode in zip(
+            info.segment_attrs, info.segment_tids, info.segment_tid_modes
+        ):
+            if not len(tids) or attributes.isdisjoint(attrs):
+                continue
+            where = _address(tids, mode)
+            evictions += int(np.count_nonzero(status[where] == STATUS_VALID))
+            status[where] = STATUS_INVALID
+        return evictions
 
     def process_tuple(
         self,
@@ -433,68 +484,125 @@ class SelectOp:
                     row[name] = cells[name]
 
 
-class ProjectFillOp:
-    """Projected-cell gathering over one partition, in each driver's shape."""
+class ProjectFillOp(_ProjectingOp):
+    """Algorithm 5's result hash table at its true size.
 
-    __slots__ = ("projected", "projected_set")
+    Built once the selection is final: ``valid`` (the ascending VALID tids)
+    *is* the ``tid -> output row`` map — a run segment's rows are a slice of
+    it, any other segment's one lookup of its hits (:meth:`_rows`) — so
+    stash and projection write straight into |result|-sized columns, one
+    gather per (segment, wanted attribute); ``filled`` flags of the same
+    size say which cells are still missing.  The tuple-at-a-time drivers
+    pass no selection and use :meth:`fill_tuple` alone.
+    """
 
-    def __init__(self, projected: Tuple[str, ...]):
-        self.projected = projected
-        self.projected_set = frozenset(projected)
+    __slots__ = ("status", "valid", "columns", "filled", "_row_of", "_touched")
 
-    def gather(
+    def __init__(
         self,
-        partition: PhysicalPartition,
-        selection: np.ndarray,
-        values: Dict[str, np.ndarray],
-        present: Dict[str, np.ndarray],
-        stats: ExecutionStats,
-        skip_replicas: bool = False,
-    ) -> None:
-        """Mask-based gather (scan engines; replica-local emit with
-        ``skip_replicas=True`` so replicated cells are not double-emitted)."""
+        projected: Tuple[str, ...],
+        select: Optional[SelectOp] = None,
+        schema=None,
+    ):
+        super().__init__(projected)
+        if select is None:
+            return
+        status = self.status = select.status
+        self.valid = np.flatnonzero(status == STATUS_VALID)
+        n_rows = len(self.valid)
+        self.columns: Dict[str, np.ndarray] = {
+            name: np.empty(n_rows, dtype=schema[name].np_dtype)
+            for name in projected
+        }
+        self.filled: Dict[str, np.ndarray] = {
+            name: np.zeros(n_rows, dtype=bool) for name in projected
+        }
+        self._touched: Dict[int, bool] = {}
+        # From a quarter of the table up, rows come from a dense map, not
+        # a binary search (n log n on a full-table result); the map's 4 B
+        # per tuple are then at most 16 B per result row.
+        self._row_of = None
+        if 4 * n_rows >= len(status):
+            self._row_of = np.empty(len(status), dtype=np.int32)
+            self._row_of[self.valid] = np.arange(n_rows, dtype=np.int32)
+        # Per stashed schema, not per segment: drop the tuples a later
+        # partition invalidated, place the survivors.
+        for wanted, entries in select.stash.items():
+            tids = np.concatenate([tids for tids, _chunks in entries])
+            keep = status[tids] == STATUS_VALID
+            self._write(
+                self._rows(tids[keep]),
+                wanted,
+                [
+                    np.concatenate([chunks[i] for _tids, chunks in entries])[keep]
+                    for i in range(len(wanted))
+                ],
+            )
+
+    def _write(self, rows, wanted: Tuple[str, ...], chunks) -> None:
+        """Store one segment's gathered cells at their output rows."""
+        for name, chunk in zip(wanted, chunks):
+            self.columns[name][rows] = chunk
+            self.filled[name][rows] = True
+
+    def _rows(self, tids: np.ndarray) -> np.ndarray:
+        """Output rows of result tids."""
+        if self._row_of is not None:
+            return self._row_of[tids]
+        return np.searchsorted(self.valid, tids)
+
+    def _hits(self, tids: np.ndarray, tid_storage: str):
+        """``(output rows, positions in the segment)`` of the result tuples
+        one segment stores."""
+        where = _address(tids, tid_storage)
+        if where is not tids:
+            first, last = np.searchsorted(self.valid, (where.start, where.stop))
+            return slice(first, last), self.valid[first:last] - where.start
+        hits = (self.status[tids] == STATUS_VALID).nonzero()[0]
+        return self._rows(tids[hits]), hits
+
+    def touches(self, info: PartitionInfo) -> bool:
+        """Whether any result tuple lives in the partition (the catalog's
+        verdict, reached once per plan and reused by every caller)."""
+        touched = self._touched.get(info.pid)
+        if touched is None:
+            touched = self._touched[info.pid] = bool(len(self.valid)) and any(
+                len(tids) and len(self._hits(tids, mode)[1])
+                for tids, mode in zip(info.segment_tids, info.segment_tid_modes)
+            )
+        return touched
+
+    def missing(self, name: str) -> np.ndarray:
+        """Result tids whose ``name`` cell no partition has supplied yet."""
+        return self.valid[~self.filled[name]]
+
+    def fill(
+        self, partition: PhysicalPartition, skip_replicas: bool = False
+    ) -> int:
+        """Write the partition's projected cells of result tuples; returns
+        the cells written (hits x wanted attributes, per segment).
+        ``skip_replicas`` is the replica-local emit: a replica's cells
+        belong to some other partition's tuples and would double-emit."""
+        written = 0
         for segment in partition.segments:
             if skip_replicas and segment.replica:
                 continue
-            tids = segment.tuple_ids
-            if not len(tids):
+            wanted = self.wanted(segment.attributes)
+            if not wanted or not len(segment.tuple_ids):
                 continue
-            wanted = [a for a in segment.attributes if a in self.projected_set]
-            if not wanted:
+            rows, hits = self._hits(segment.tuple_ids, segment.tid_storage)
+            if not len(hits):
                 continue
-            mask = selection[tids]
-            if not np.any(mask):
-                continue
-            hit_tids = tids[mask]
-            for name in wanted:
-                values[name][hit_tids] = segment.columns[name][mask]
-                present[name][hit_tids] = True
-                stats.cells_gathered += len(hit_tids)
+            self._write(
+                rows, wanted, [segment.columns[name][hits] for name in wanted]
+            )
+            written += len(hits) * len(wanted)
+        return written
 
-    def fill_valid(
-        self,
-        partition: PhysicalPartition,
-        status: np.ndarray,
-        values: Dict[str, np.ndarray],
-        present: Dict[str, np.ndarray],
-        stats: ExecutionStats,
-    ) -> None:
-        """Status-based fill (partition-at-a-time projection phase)."""
-        for segment in partition.segments:
-            tids = segment.tuple_ids
-            if not len(tids):
-                continue
-            stats.cells_scanned += len(tids) * len(segment.attributes)
-            mask = status[tids] == STATUS_VALID
-            if not np.any(mask):
-                continue
-            hit_tids = tids[mask]
-            for name in segment.attributes:
-                if name not in self.projected_set:
-                    continue
-                values[name][hit_tids] = segment.columns[name][mask]
-                present[name][hit_tids] = True
-                stats.hash_updates += len(hit_tids)
+    def result(self, stats: ExecutionStats) -> ResultSet:
+        """The normalized result every engine ends on."""
+        stats.n_result_tuples = len(self.valid)
+        return ResultSet(self.valid, self.columns)
 
     def fill_tuple(self, tid: int, cells: Dict[str, object],
                    row: Dict[str, object]) -> None:
@@ -504,38 +612,26 @@ class ProjectFillOp:
                 row[name] = cells[name]
 
 
-def full_selection(n: int, snapshot=None) -> np.ndarray:
-    """Dense no-WHERE selection vector over ``n`` tids.
-
-    Without a snapshot (the read-only path) every tuple qualifies — the
-    seed-exact ``ones`` vector.  A pinned snapshot carrying a write-path
-    ``valid_mask`` restricts the scan to tids base partitions actually store
-    at that version: tids folded out by a delta compaction are excluded, and
-    delta-only tids (False here) are merged in later by the transactional
-    wrapper, never by the base engine.
-    """
-    if snapshot is not None and snapshot.valid_mask is not None:
-        mask = np.zeros(n, dtype=bool)
-        valid = np.asarray(snapshot.valid_mask, dtype=bool)
-        m = min(n, len(valid))
-        mask[:m] = valid[:m]
-        return mask
-    return np.ones(n, dtype=bool)
-
-
 def base_invalid_tids(n: int, snapshot=None) -> np.ndarray:
     """Tids below ``n`` that a base scan under ``snapshot`` must not return.
 
-    The WHERE-path counterpart of :func:`full_selection`: a budgeted delta
-    compaction drops a deleted tuple's cells from the partitions it rewrites
-    while deferred partitions still hold the rest, so such a tuple can pass
-    the predicates in one partition and have no projected cell in another.
-    Engines mark these tids invalid before the selection phase.  Empty
-    without a write-path ``valid_mask`` (every read-only execution).
+    A pinned snapshot carrying a write-path ``valid_mask`` restricts the
+    scan to tids base partitions actually store at that version: tids folded
+    out by a delta compaction are excluded, and delta-only tids are merged
+    in later by the transactional wrapper, never by the base engine.  It
+    matters with a WHERE clause too: a budgeted compaction drops a deleted
+    tuple's cells from the partitions it rewrites while deferred partitions
+    still hold the rest, so such a tuple can pass the predicates in one
+    partition and have no projected cell in another.  Engines mark these
+    tids INVALID before the selection phase.  Empty without a ``valid_mask``
+    (every read-only execution).
     """
     if snapshot is None or snapshot.valid_mask is None:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(~full_selection(n, snapshot))
+    valid = np.zeros(n, dtype=bool)
+    mask = np.asarray(snapshot.valid_mask, dtype=bool)[:n]
+    valid[: len(mask)] = mask
+    return np.flatnonzero(~valid)
 
 
 def count_prune(decision, stats: ExecutionStats) -> None:
@@ -553,36 +649,49 @@ def count_prune(decision, stats: ExecutionStats) -> None:
         stats.n_partitions_cache_pruned += 1
 
 
-def invalidate_pruned(
-    info: PartitionInfo,
-    pruned_attributes: frozenset,
-    status: np.ndarray,
+def run_selection(
+    plan,
+    reader: PlanReader,
+    degrade: DegradeOp,
+    select_op: SelectOp,
     stats: ExecutionStats,
-) -> None:
-    """Apply a partition-policy prune's verdict without the read.
+    process: Callable[[int, PhysicalPartition], None],
+) -> int:
+    """Drive a selection phase: every predicate partition in plan order,
+    read-ahead for those the planner kept, ``process`` on each one read, and
+    a pruned one's verdict applied from the catalog alone.  Returns the VALID
+    tuples those verdicts evicted."""
+    logical = plan.logical
+    loop = AccessLoop(
+        reader, degrade, logical.predicate_attributes, logical.selection_columns
+    )
+    loop.enqueue(plan.selection_pids())
+    reader.prefetch(
+        [
+            pid for pid in plan.selection_pids()
+            if not plan.decision_for(pid).is_pruned
+        ],
+        logical.selection_columns,
+    )
+    evictions = 0
 
-    Every tuple owning a cell of a refuted predicate attribute in this
-    partition fails the conjunction; mark it INVALID straight from the
-    catalog's tuple-ID arrays, counting evicted hash-table rows exactly as
-    the read would have.
-    """
-    for attrs, tids in zip(info.segment_attrs, info.segment_tids):
-        if pruned_attributes & set(attrs) and len(tids):
-            previously_valid = status[tids] == STATUS_VALID
-            stats.hash_updates += int(previously_valid.sum())
-            status[tids] = STATUS_INVALID
+    def skip(pid: int) -> bool:
+        nonlocal evictions
+        decision = plan.decision_for(pid)
+        if not decision.is_pruned:
+            return False
+        # The partition policy names the refuted attributes; under the scan
+        # policy one refuted predicate excludes every tuple with a predicate
+        # cell here, whatever its other cells say.
+        evictions += select_op.invalidate(
+            plan.manager.info(pid),
+            decision.pruned_attributes or logical.predicate_attributes,
+        )
+        count_prune(decision, stats)
+        return True
 
-
-def merge_results(
-    valid: np.ndarray,
-    values: Dict[str, np.ndarray],
-    projected: Tuple[str, ...],
-    stats: ExecutionStats,
-) -> ResultSet:
-    """The normalized result merge every engine ends on."""
-    result = ResultSet(valid, {name: values[name][valid] for name in projected})
-    stats.n_result_tuples = result.n_tuples
-    return result
+    loop.run(process, skip)
+    return evictions
 
 
 def finalize_stats(

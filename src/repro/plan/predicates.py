@@ -15,6 +15,7 @@ query's WHERE clause was written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
@@ -35,19 +36,28 @@ class RangePredicate:
 
     def mask(self, column: np.ndarray) -> np.ndarray:
         """Boolean mask of rows whose value falls inside the range."""
-        return (column >= self.lo) & (column <= self.hi)
+        lo, hi = self.lo, self.hi
+        if (
+            column.dtype.kind in "iu"
+            and column.dtype.itemsize <= 4
+            and math.isfinite(lo)
+            and math.isfinite(hi)
+        ):
+            # Integer cells up to 32 bits: ``ceil``/``floor`` give the same
+            # verdict on every cell, and integer bounds compare in the
+            # column's own dtype instead of through a float64 cast.
+            lo, hi = math.ceil(lo), math.floor(hi)
+        return (column >= lo) & (column <= hi)
 
 
 class Conjunction:
     """An AND of range predicates, evaluable on any subset of attributes."""
 
-    __slots__ = ("predicates", "_by_attribute")
+    __slots__ = ("predicates", "attributes")
 
     def __init__(self, predicates: List[RangePredicate]):
         self.predicates: Tuple[RangePredicate, ...] = tuple(predicates)
-        self._by_attribute: Dict[str, RangePredicate] = {
-            p.attribute: p for p in predicates
-        }
+        self.attributes: frozenset = frozenset(p.attribute for p in predicates)
 
     @classmethod
     def from_query(cls, query: Query) -> "Conjunction":
@@ -71,18 +81,11 @@ class Conjunction:
             ]
         )
 
-    @property
-    def attributes(self) -> frozenset:
-        return frozenset(self._by_attribute)
-
     def __len__(self) -> int:
         return len(self.predicates)
 
     def __bool__(self) -> bool:
         return bool(self.predicates)
-
-    def predicate_for(self, attribute: str) -> RangePredicate | None:
-        return self._by_attribute.get(attribute)
 
     def ranges(self) -> Dict[str, Tuple[float, float]]:
         """``{attribute: (lo, hi)}`` — the shape sketch probes consume."""
@@ -96,14 +99,20 @@ class Conjunction:
         Returns ``(mask, n_evaluated)``.  Predicates on absent attributes are
         skipped — this is the partition-at-a-time behaviour of checking only
         the cells a partition stores (Algorithm 5 line 8).  With no evaluable
-        predicate the mask is all-True (vacuous satisfaction).
+        predicate the mask is all-True (vacuous satisfaction).  The mask is
+        the caller's to modify.
         """
-        mask = np.ones(n_rows, dtype=bool)
+        mask = None
         n_evaluated = 0
         for predicate in self.predicates:
             column = columns.get(predicate.attribute)
             if column is None:
                 continue
-            mask &= predicate.mask(column)
+            if mask is None:
+                mask = predicate.mask(column)
+            else:
+                mask &= predicate.mask(column)
             n_evaluated += 1
+        if mask is None:
+            mask = np.ones(n_rows, dtype=bool)
         return mask, n_evaluated

@@ -1,8 +1,8 @@
 """Query results.
 
 Algorithm 5 returns a hash table of projected cells keyed by tuple ID.  The
-vectorized engines build the same thing densely; :class:`ResultSet` is the
-normalized final form — sorted tuple IDs plus one aligned column per
+vectorized engines build the same thing as result-sized columns;
+:class:`ResultSet` is the normalized final form — sorted tuple IDs plus one aligned column per
 projected attribute — so results from every engine and layout can be compared
 bit-for-bit in tests.
 """
@@ -24,17 +24,23 @@ class ResultSet:
     __slots__ = ("tuple_ids", "columns")
 
     def __init__(self, tuple_ids: np.ndarray, columns: Mapping[str, np.ndarray]):
-        order = np.argsort(tuple_ids, kind="stable")
-        self.tuple_ids: np.ndarray = np.asarray(tuple_ids, dtype=np.int64)[order]
+        tuple_ids = np.asarray(tuple_ids, dtype=np.int64)
+        # Every engine hands over ascending tids; only unordered producers
+        # (delta merge, relational ops) pay for the stable permutation.
+        order = None
+        if len(tuple_ids) > 1 and np.any(tuple_ids[1:] < tuple_ids[:-1]):
+            order = np.argsort(tuple_ids, kind="stable")
+            tuple_ids = tuple_ids[order]
+        self.tuple_ids: np.ndarray = tuple_ids
         self.columns: Dict[str, np.ndarray] = {}
         for name, values in columns.items():
             values = np.asarray(values)
-            if len(values) != len(self.tuple_ids):
+            if len(values) != len(tuple_ids):
                 raise JigsawError(
                     f"result column {name!r} has {len(values)} values for "
-                    f"{len(self.tuple_ids)} tuples"
+                    f"{len(tuple_ids)} tuples"
                 )
-            self.columns[name] = values[order]
+            self.columns[name] = values if order is None else values[order]
 
     @property
     def n_tuples(self) -> int:

@@ -32,8 +32,7 @@ class TestConjunction:
         conjunction = Conjunction.from_query(query)
         assert len(conjunction) == 2
         assert conjunction.attributes == {"a1", "a4"}
-        assert conjunction.predicate_for("a1").lo == 11
-        assert conjunction.predicate_for("zz") is None
+        assert conjunction.ranges()["a1"] == (11, 13)
 
     def test_empty_conjunction_is_falsy(self, paper_table):
         query = Query.build(paper_table, ["a2"])

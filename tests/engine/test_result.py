@@ -15,6 +15,24 @@ class TestResultSet:
         assert np.array_equal(result.tuple_ids, [1, 3, 5])
         assert np.array_equal(result.column("a"), [10, 30, 50])
 
+    def test_ascending_input_keeps_the_contract_without_a_permutation(self):
+        tids = np.array([1, 3, 3, 5], dtype=np.int32)
+        cells = np.array([10, 30, 31, 50], dtype=np.int16)
+        result = ResultSet(tids, {"a": cells})
+        assert result.tuple_ids.dtype == np.int64
+        assert np.array_equal(result.tuple_ids, [1, 3, 3, 5])
+        assert result.column("a").dtype == np.int16
+        # already ordered: the cells are handed through, not gathered again
+        assert result.column("a") is cells
+
+    def test_unordered_input_is_permuted_stably(self):
+        result = ResultSet(
+            np.array([3, 1, 3, 1]), {"a": np.array([30, 10, 31, 11])}
+        )
+        assert result.tuple_ids.dtype == np.int64
+        assert np.array_equal(result.tuple_ids, [1, 1, 3, 3])
+        assert np.array_equal(result.column("a"), [10, 11, 30, 31])
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(JigsawError):
             ResultSet(np.array([1, 2]), {"a": np.array([1])})
