@@ -146,16 +146,10 @@ class AdaptiveDaemon:
                 f"layout {layout.name!r} materialized a {layout.plan.kind!r} "
                 "plan; only irregular plans are adaptable"
             )
-        planner = getattr(layout.executor, "planner", None)
-        if planner is None:
-            raise AdaptationError(
-                f"executor {type(layout.executor).__name__} exposes no planner "
-                "to observe"
-            )
         self.layout = layout
         self.data = data
         self.config = config or AdaptiveConfig()
-        self.planner = planner
+        self.planner = layout.executor.planner
         self.manager = layout.manager
         self.cost_model = cost_model or CostModel(
             layout.table, self.manager.device.profile.io_model

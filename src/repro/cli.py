@@ -221,44 +221,25 @@ def _run_profile(args) -> int:
     return 0
 
 
-def _serve_engines(layout, table, cache):
-    """Cache-wired executors suited to the layout's partitioning family.
-
-    Rectangular layouts get the scan engine; irregular families get the
-    partition-at-a-time engine plus both threaded protocols (the scheduler
-    caps the threaded engines at one in-flight query each); the replicated
-    family adds its replica-local dispatcher.
-    """
+def _serve_engines(layout, cache):
+    """The layout's engine — every option it was built with kept — with
+    pruning on and ``cache`` wired, keyed by engine name, plus whatever else
+    can serve the same partitions: its inner engines (the replicated
+    dispatcher's standard engine), and for an engine planned under the
+    partition policy both threaded protocols (the scheduler caps those at
+    one in-flight query each)."""
     from .engine.parallel import ThreadedPartitionEngine
-    from .engine.partition_at_a_time import PartitionAtATimeExecutor
-    from .engine.replicated import ReplicatedExecutor
-    from .engine.scan import ScanExecutor
+    from .plan.logical import POLICY_PARTITION
 
-    manager = layout.manager
-    meta = table.meta
-    engines: dict = {}
-    executor = layout.executor
-    if isinstance(executor, ScanExecutor):
-        engines["scan"] = ScanExecutor(
-            manager, meta, zone_maps=True, partition_cache=cache
-        )
-    elif isinstance(executor, ReplicatedExecutor):
-        engines["replicated"] = ReplicatedExecutor(
-            manager, meta, zone_maps=True, partition_cache=cache
-        )
-        engines["partition-at-a-time"] = PartitionAtATimeExecutor(
-            manager, meta, zone_maps=True, partition_cache=cache
-        )
-    else:
-        engines["partition-at-a-time"] = PartitionAtATimeExecutor(
-            manager, meta, zone_maps=True, partition_cache=cache
-        )
-        engines["jigsaw-l"] = ThreadedPartitionEngine(
-            manager, meta, strategy="locking", partition_cache=cache
-        )
-        engines["jigsaw-s"] = ThreadedPartitionEngine(
-            manager, meta, strategy="shared", partition_cache=cache
-        )
+    served = layout.executor.clone(zone_maps=True, partition_cache=cache)
+    engines = {engine.name: engine for engine in (served, *served.inner)}
+    if served.policy == POLICY_PARTITION:
+        for strategy in ("locking", "shared"):
+            threaded = ThreadedPartitionEngine(
+                served.manager, served.table, strategy=strategy,
+                prefetch_depth=served.prefetch_depth, partition_cache=cache,
+            )
+            engines[threaded.name] = threaded
     return engines
 
 
@@ -310,7 +291,7 @@ def _run_serve(args) -> int:
         if args.partition_cache == "on"
         else None
     )
-    engines = _serve_engines(layout, table, cache)
+    engines = _serve_engines(layout, cache)
     if args.metrics or args.telemetry_port is not None:
         obs.enable(trace=False, metrics=True)
     recorder = FlightRecorder(

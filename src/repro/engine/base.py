@@ -1,0 +1,206 @@
+"""The engine contract: one type under every ``layout.executor``.
+
+:class:`QueryEngine` is what the four drivers extend and what every other
+layer programs against, so no caller needs to know which driver it holds.
+It owns **construction** (a driver declares its keyword options in
+``defaults``; the base checks and records them and builds the
+:class:`~repro.plan.physical.QueryPlanner`), the **contract** (``name``,
+``planner``, ``pruning``, ``cpu_model``, ``clone(**overrides)``,
+``rebind(meta)``, ``plan``/``explain``) and, for the three vectorised
+drivers, the **execute scaffold**: plan → read pipeline (fault context,
+prefetcher, reader, degrade op) *configured from* ``plan.policy`` → the
+driver's :meth:`_select` and :meth:`_project` phases → close → complete
+result or error → price → publish.  Fault and chunking policy is stated
+once, in the plan; a driver never hands it to a collaborator itself.  The
+threaded protocols replace ``execute`` whole.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+
+from ..core.query import Query
+from ..core.schema import TableMeta
+from ..errors import PartitionUnreadableError
+from ..obs import record_query
+from ..obs import tracer as obs_tracer
+from ..plan.degrade import FaultContext
+from ..plan.explain import ExplainReport
+from ..plan.logical import POLICY_PARTITION
+from ..plan.operators import (
+    DegradeOp,
+    PlanReader,
+    ProjectFillOp,
+    SelectOp,
+    finalize_stats,
+)
+from ..plan.physical import PhysicalPlan, QueryPlanner
+from ..plan.result import ResultSet
+from ..plan.stats import CpuModel, ExecutionStats
+from ..storage.partition_manager import PartitionManager
+from ..storage.prefetch import Prefetcher
+
+__all__ = ["QueryEngine", "QueryRun"]
+
+
+class QueryRun(NamedTuple):
+    """One execution's plan, read pipeline and ledger, as the scaffold
+    hands them to a driver's phases."""
+
+    plan: PhysicalPlan
+    reader: PlanReader
+    degrade: DegradeOp
+    stats: ExecutionStats
+
+
+class QueryEngine:
+    """Base of every query engine; see the module docstring."""
+
+    #: label ``explain``, the ``exec.query`` span and ``record_query`` carry.
+    name: str = ""
+    #: the planner's pruning family.
+    policy: str = POLICY_PARTITION
+    #: every keyword option the driver takes, with its default.  The table is
+    #: the whole list: each option is a public attribute, :meth:`clone`
+    #: replays all of them, and any other name is a ``TypeError``.
+    defaults: Mapping[str, Any] = {"prefetch_depth": 0, "partition_cache": None}
+    #: None on an engine that does not price CPU events.
+    cpu_model: Optional[CpuModel] = None
+    #: engines this one delegates to (rebound with it).
+    inner: Tuple["QueryEngine", ...] = ()
+    prefetch_depth: int
+    partition_cache: Any
+
+    def __init__(
+        self, manager: PartitionManager, table: TableMeta, **options: Any
+    ):
+        unknown = sorted(options.keys() - self.defaults.keys())
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no option {unknown}")
+        self.manager = manager
+        self.table = table
+        #: the options as built (None = the default, as in a signature).
+        self.options: Dict[str, Any] = {
+            **self.defaults,
+            **{k: v for k, v in options.items() if v is not None},
+        }
+        vars(self).update(self.options)
+        self.planner = QueryPlanner(
+            manager, table, policy=self.policy,
+            partition_cache=self.partition_cache, **self._planning(),
+        )
+
+    def _planning(self) -> Dict[str, Any]:
+        """The planner arguments this driver's options and policy imply."""
+        return {}
+
+    # ---------------------------------------------------------- contract
+
+    @property
+    def pruning(self) -> bool:
+        """Whether this engine's planner zone-prunes refuted partitions."""
+        return self.planner.pruning
+
+    def clone(self, **overrides: Any) -> "QueryEngine":
+        """This engine, but with ``overrides``: same class, manager and
+        table, every other option as built."""
+        return type(self)(
+            self.manager, self.table, **{**self.options, **overrides}
+        )
+
+    def rebind(self, meta: TableMeta) -> None:
+        """Point the engine, its planner and any inner engine at the grown
+        table meta."""
+        self.table = meta
+        self.planner.table = meta
+        for engine in self.inner:
+            engine.rebind(meta)
+
+    def plan(self, query: Query) -> PhysicalPlan:
+        """The physical plan ``execute`` would drive (no I/O)."""
+        return self.planner.plan(query)
+
+    def explain(self, query: Query) -> ExplainReport:
+        """Snapshot of the plan's pruning and access decisions."""
+        return self.plan(query).explain(engine=self.name)
+
+    # ------------------------------------------------------------ execute
+
+    def execute(
+        self, query: Query, snapshot=None
+    ) -> Tuple[ResultSet, ExecutionStats]:
+        """Evaluate ``query`` (against ``snapshot``, when one is pinned)."""
+        return self._run(
+            query, lambda: self.planner.plan(query, snapshot=snapshot)
+        )
+
+    def _run(
+        self, query: Query, make_plan: Callable[[], PhysicalPlan]
+    ) -> Tuple[ResultSet, ExecutionStats]:
+        """The scaffold: where a vectorised query starts and ends."""
+        started = time.perf_counter()
+        stats = ExecutionStats()
+        tracer = obs_tracer()
+        cpu_model = self.cpu_model
+        with tracer.phase(
+            "exec.query", stats, cpu_model=cpu_model, engine=self.name
+        ):
+            plan = make_plan()
+            policy = plan.policy
+            fctx = FaultContext()
+            prefetcher = None
+            if self.prefetch_depth > 0:
+                prefetcher = Prefetcher(
+                    self.manager,
+                    depth=self.prefetch_depth,
+                    chunk_size=policy.chunk_size,
+                )
+            reader = PlanReader(
+                self.manager, stats, fctx, chunk_size=policy.chunk_size,
+                prefetcher=prefetcher,
+            )
+            degrade = DegradeOp(
+                self.manager, stats, fctx, enabled=policy.degrade_enabled
+            )
+            run = QueryRun(plan, reader, degrade, stats)
+            try:
+                with tracer.phase("exec.selection", stats, cpu_model=cpu_model):
+                    select_op = self._select(run)
+                with tracer.phase("exec.projection", stats, cpu_model=cpu_model):
+                    fill_op = ProjectFillOp(
+                        plan.logical.projected, select_op, self.table.schema
+                    )
+                    self._project(run, fill_op)
+            except PartitionUnreadableError as exc:
+                if not policy.replica_fallback:
+                    raise
+                result, combined = self._retreat(query, run, exc)
+                finalize_stats(combined, cpu_model, started)
+                return result, combined
+            finally:
+                if prefetcher is not None:
+                    prefetcher.close()
+            result = fill_op.result(stats, fctx.unreadable)
+            finalize_stats(stats, cpu_model, started)
+        record_query(self.name, plan, stats, query=query)
+        return result, stats
+
+    # -------------------------------------------------------- driver hooks
+
+    def _select(self, run: QueryRun) -> SelectOp:
+        """Phase 1: read the predicate partitions; the returned op's status
+        vector is final."""
+        raise NotImplementedError
+
+    def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
+        """Phase 2: fill the selected tuples' projected cells."""
+        raise NotImplementedError
+
+    def _retreat(
+        self, query: Query, run: QueryRun, exc: PartitionUnreadableError
+    ) -> Tuple[ResultSet, ExecutionStats]:
+        """Answer ``query`` another way after ``exc`` aborted a plan whose
+        policy is ``replica_fallback`` (only such a plan's driver has one);
+        the returned ledger includes the aborted attempt's."""
+        raise NotImplementedError

@@ -14,7 +14,10 @@ Two deliverables live here:
    Algorithm 5 transition, and each worker thread accounts its reads in its
    own :class:`~repro.plan.stats.ExecutionStats` (summed into the stats
    ``execute`` returns — per-worker counters must add up exactly to the
-   reported totals).
+   reported totals).  From :class:`~repro.engine.base.QueryEngine` the
+   engine takes construction and the contract (``name``, ``planner``,
+   ``clone``, ``rebind``, ``plan``/``explain``); its whole ``execute`` —
+   thread scheduling, the serial drain, the ledgers — is its own.
 
 2. **A deterministic execution simulator** that produces the Figure-5 cycle
    breakdown (I/O / computation / waiting per active thread).  The model
@@ -31,7 +34,7 @@ import contextvars
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +44,6 @@ from ..errors import PartitionUnreadableError
 from ..obs import record_query
 from ..obs import tracer as obs_tracer
 from ..plan.degrade import FaultContext
-from ..plan.explain import ExplainReport
-from ..plan.logical import POLICY_PARTITION
 from ..plan.operators import (
     STATUS_INVALID,
     STATUS_NOT_CHECKED,
@@ -53,13 +54,14 @@ from ..plan.operators import (
     ProjectFillOp,
     SelectOp,
     base_invalid_tids,
+    finalize_stats,
 )
-from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
 from ..storage.device import DeviceProfile
 from ..storage.partition_manager import PartitionManager
 from ..storage.prefetch import Prefetcher
+from .base import QueryEngine
 
 __all__ = [
     "ThreadedPartitionEngine",
@@ -75,54 +77,36 @@ _NOT_CHECKED, _VALID, _INVALID = (
     int(STATUS_INVALID),
 )
 
+#: bucket locks guarding the hash table under the locking strategy.
+N_BUCKETS = 64
 
-class ThreadedPartitionEngine:
+
+class ThreadedPartitionEngine(QueryEngine):
     """Reference multi-threaded partition-at-a-time evaluation.
 
     ``strategy`` is ``"locking"`` (Algorithm 6) or ``"shared"`` (Algorithm 7).
-    The hash table is a plain dict guarded by ``n_buckets`` bucket locks in
+    The hash table is a plain dict guarded by ``N_BUCKETS`` bucket locks in
     the locking strategy, or range-partitioned by ``hash(tid) % n_threads``
     in the shared-scan strategy.
     """
 
+    defaults = {**QueryEngine.defaults, "n_threads": 4, "strategy": "locking"}
+    n_threads: int
+    strategy: str
+
     def __init__(
-        self,
-        manager: PartitionManager,
-        table: TableMeta,
-        n_threads: int = 4,
-        strategy: str = "locking",
-        n_buckets: int = 64,
-        prefetch_depth: int = 0,
-        partition_cache=None,
+        self, manager: PartitionManager, table: TableMeta, **options: Any
     ):
-        if strategy not in ("locking", "shared"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self.manager = manager
-        self.table = table
-        self.n_threads = max(1, n_threads)
-        self.strategy = strategy
-        self.n_buckets = n_buckets
-        self.prefetch_depth = prefetch_depth
-        self.planner = QueryPlanner(
-            manager, table, policy=POLICY_PARTITION, pruning=False,
-            partition_cache=partition_cache,
-        )
+        super().__init__(manager, table, **options)
+        if self.strategy not in ("locking", "shared"):
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        self.n_threads = max(1, self.n_threads)
+        self.name = "jigsaw-l" if self.strategy == "locking" else "jigsaw-s"
         #: audit ledgers of the most recent execute(): one ``ExecutionStats``
         #: per worker thread and the coordinator's (serial drain + projection
         #: loads); their exact sum is the stats ``execute`` returned.
         self.worker_stats: List[ExecutionStats] = []
         self.coordinator_stats = ExecutionStats()
-
-    # ---------------------------------------------------------- planning
-
-    def plan(self, query: Query) -> PhysicalPlan:
-        """The physical plan ``execute`` would drive (no I/O)."""
-        return self.planner.plan(query)
-
-    def explain(self, query: Query) -> ExplainReport:
-        """Snapshot of the plan's pruning and access decisions."""
-        engine = "jigsaw-l" if self.strategy == "locking" else "jigsaw-s"
-        return self.plan(query).explain(engine=engine)
 
     # ------------------------------------------------------------ public
 
@@ -131,13 +115,12 @@ class ThreadedPartitionEngine:
     ) -> Tuple[ResultSet, ExecutionStats]:
         started = time.perf_counter()
         tracer = obs_tracer()
-        engine = "jigsaw-l" if self.strategy == "locking" else "jigsaw-s"
         coordinator = ExecutionStats()
         self.worker_stats = [ExecutionStats() for _ in range(self.n_threads)]
         # The phase snapshots sum across every ledger of the execution: the
         # coordinator's plus one per worker thread.
         ledgers = [coordinator, *self.worker_stats]
-        with tracer.phase("exec.query", ledgers, engine=engine):
+        with tracer.phase("exec.query", ledgers, engine=self.name):
             plan = self.planner.plan(query, snapshot=snapshot)
             conjunction = plan.logical.conjunction
             projected = plan.logical.projected
@@ -220,8 +203,8 @@ class ThreadedPartitionEngine:
                 for name in projected
             }
             totals.n_result_tuples = len(valid)
-            totals.wall_time_s = time.perf_counter() - started
-        record_query(engine, plan, totals, query=query)
+            finalize_stats(totals, self.cpu_model, started)
+        record_query(self.name, plan, totals, query=query)
         return ResultSet(valid, columns), totals
 
     # --------------------------------------------------------- internals
@@ -267,7 +250,7 @@ class ThreadedPartitionEngine:
         """Algorithm 6: threads pop partitions; bucket locks serialize tuples."""
         queue = list(pred_pids)
         queue_lock = threading.Lock()
-        bucket_locks = [threading.Lock() for _ in range(self.n_buckets)]
+        bucket_locks = [threading.Lock() for _ in range(N_BUCKETS)]
         wanted = plan.logical.selection_columns
         if prefetcher is not None:
             prefetcher.start(pred_pids, wanted)
@@ -286,10 +269,10 @@ class ThreadedPartitionEngine:
                 if partition is None:
                     continue
                 for tid, cells in self._tuple_rows(partition, wanted):
-                    with bucket_locks[tid % self.n_buckets]:
+                    with bucket_locks[tid % N_BUCKETS]:
                         select_op.process_tuple(tid, cells, status, ret)
 
-        self._run_threads(worker, pass_id=True)
+        self._run_threads(worker)
 
     def _selection_shared(
         self, plan, pred_pids, select_op, status, ret, load_lock, fctx,
@@ -324,7 +307,7 @@ class ThreadedPartitionEngine:
                         continue
                     select_op.process_tuple(tid, cells, status, ret)
 
-        self._run_threads(worker, pass_id=True)
+        self._run_threads(worker)
 
     def _drain_selection_failures(
         self, plan, failed, select_op, status, ret, fctx, stats
@@ -426,18 +409,17 @@ class ThreadedPartitionEngine:
                         continue
                     fill_op.fill_tuple(tid, cells, ret[tid])
 
-        self._run_threads(worker, pass_id=True)
+        self._run_threads(worker)
 
-    def _run_threads(self, worker, pass_id: bool = False) -> None:
+    def _run_threads(self, worker) -> None:
         tracer = obs_tracer()
 
         def run(thread_index: int) -> None:
-            args = (thread_index,) if pass_id else ()
             if tracer.enabled:
                 with tracer.span("exec.worker", worker=thread_index):
-                    worker(*args)
+                    worker(thread_index)
             else:
-                worker(*args)
+                worker(thread_index)
 
         # Each thread runs inside a copy of the spawning context, so the
         # active span (and any scoped trace collector) propagates into the

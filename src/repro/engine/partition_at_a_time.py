@@ -21,46 +21,34 @@ in closed form from lengths and mask sums — as if the paper's
 tuple-at-a-time loop had run — and priced by the CPU model, matching the
 paper's ``mem()`` accounting.
 
-Both phases are thin serial drivers over the shared planning layer: the
-:class:`~repro.plan.physical.QueryPlanner` (partition pruning policy —
-Algorithm 5's status semantics require the all-stored-attributes-disjoint
-rule plus explicit tuple invalidation) builds the access lists, and
+The driver owns exactly Algorithm 5: the stash-and-probe projection and the
+hash-table counter rule of its two phases.  Everything around them —
+construction, planning (:class:`~repro.plan.physical.QueryPlanner` under the
+partition pruning policy: Algorithm 5's status semantics require the
+all-stored-attributes-disjoint rule plus explicit tuple invalidation), the
+read pipeline, the completeness check, pricing and publishing — is the
+:class:`~repro.engine.base.QueryEngine` scaffold, and
 :mod:`repro.plan.operators` supplies the selection / fill / degrade loop.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Set, Tuple
+from typing import Any, Dict, Set
 
 import numpy as np
 
-from ..core.query import Query
-from ..core.schema import TableMeta
-from ..errors import StorageError
-from ..obs import record_query
-from ..obs import tracer as obs_tracer
-from ..plan.degrade import FaultContext
-from ..plan.explain import ExplainReport
-from ..plan.logical import POLICY_PARTITION
 from ..plan.operators import (
     STATUS_INVALID,
     STATUS_NOT_CHECKED,
     STATUS_VALID,
     AccessLoop,
-    DegradeOp,
-    PlanReader,
     ProjectFillOp,
     SelectOp,
-    finalize_stats,
     run_selection,
     stored_cells,
 )
-from ..plan.physical import PhysicalPlan, QueryPlanner
-from ..plan.result import ResultSet
-from ..plan.stats import CpuModel, ExecutionStats
-from ..storage.partition_manager import PartitionManager
-from ..storage.prefetch import Prefetcher
+from ..plan.stats import CpuModel
+from .base import QueryEngine, QueryRun
 
 __all__ = [
     "STATUS_NOT_CHECKED",
@@ -70,7 +58,7 @@ __all__ = [
 ]
 
 
-class PartitionAtATimeExecutor:
+class PartitionAtATimeExecutor(QueryEngine):
     """Evaluates one query at a time over an irregularly partitioned table.
 
     ``zone_maps=True`` enables an extension beyond the paper (its future-work
@@ -81,103 +69,25 @@ class PartitionAtATimeExecutor:
     NOT_CHECKED has the same effect on the result.
     """
 
-    def __init__(
-        self,
-        manager: PartitionManager,
-        table: TableMeta,
-        cpu_model: CpuModel | None = None,
-        zone_maps: bool = False,
-        pin_pool: bool = False,
-        prefetch_depth: int = 0,
-        partition_cache=None,
-    ):
-        self.manager = manager
-        self.table = table
-        self.cpu_model = cpu_model or CpuModel()
-        self.zone_maps = zone_maps
-        self.prefetch_depth = prefetch_depth
-        self.planner = QueryPlanner(
-            manager,
-            table,
-            policy=POLICY_PARTITION,
-            pruning=zone_maps,
-            pin_pool=pin_pool,
-            partition_cache=partition_cache,
-        )
+    name = "partition-at-a-time"
+    defaults = {**QueryEngine.defaults, "cpu_model": CpuModel(), "zone_maps": False}
+    zone_maps: bool
 
-    # ---------------------------------------------------------- planning
-
-    def plan(self, query: Query) -> PhysicalPlan:
-        """The physical plan ``execute`` would drive (no I/O)."""
-        return self.planner.plan(query)
-
-    def explain(self, query: Query) -> ExplainReport:
-        """Snapshot of the plan's pruning and access decisions."""
-        return self.plan(query).explain(engine="partition-at-a-time")
-
-    # ------------------------------------------------------------ execute
-
-    def execute(
-        self, query: Query, snapshot=None
-    ) -> Tuple[ResultSet, ExecutionStats]:
-        started = time.perf_counter()
-        stats = ExecutionStats()
-        tracer = obs_tracer()
-        with tracer.phase(
-            "exec.query", stats, cpu_model=self.cpu_model,
-            engine="partition-at-a-time",
-        ):
-            plan = self.planner.plan(query, snapshot=snapshot)
-            select_op = SelectOp(
-                plan.logical.conjunction, plan.logical.projected,
-                self.table.n_tuples, plan.snapshot,
-            )
-            fctx = FaultContext()
-            prefetcher = None
-            if self.prefetch_depth > 0:
-                prefetcher = Prefetcher(self.manager, depth=self.prefetch_depth)
-            reader = PlanReader(
-                self.manager, stats, fctx, pin_hints=plan.pin_hints(),
-                prefetcher=prefetcher,
-            )
-            degrade = DegradeOp(self.manager, stats, fctx)
-            try:
-                with tracer.phase(
-                    "exec.selection", stats, cpu_model=self.cpu_model
-                ):
-                    if plan.logical.conjunction:
-                        self._selection_phase(
-                            plan, reader, degrade, select_op, stats
-                        )
-                    else:
-                        stats.hash_inserts += select_op.select_all()
-
-                with tracer.phase(
-                    "exec.projection", stats, cpu_model=self.cpu_model
-                ):
-                    fill_op = self._projection_phase(
-                        plan, reader, degrade, select_op, stats
-                    )
-            finally:
-                reader.release()
-                if prefetcher is not None:
-                    prefetcher.close()
-
-            result = fill_op.result(stats)
-            finalize_stats(stats, self.cpu_model, started)
-        record_query("partition-at-a-time", plan, stats, query=query)
-        return result, stats
+    def _planning(self) -> Dict[str, Any]:
+        return {"pruning": self.zone_maps}
 
     # ------------------------------------------------------------ phase 1
 
-    def _selection_phase(
-        self,
-        plan: PhysicalPlan,
-        reader: PlanReader,
-        degrade: DegradeOp,
-        select_op: SelectOp,
-        stats: ExecutionStats,
-    ) -> None:
+    def _select(self, run: QueryRun) -> SelectOp:
+        plan, reader, degrade, stats = run
+        select_op = SelectOp(
+            plan.logical.conjunction, plan.logical.projected,
+            self.table.n_tuples, plan.snapshot,
+        )
+        if not plan.logical.conjunction:
+            stats.hash_inserts += select_op.select_all()
+            return select_op
+
         def process(pid: int, partition) -> None:
             stats.cells_scanned += stored_cells(partition)
             inserts, evictions, stashed = select_op.select(partition)
@@ -189,25 +99,18 @@ class PartitionAtATimeExecutor:
         # before ``process`` advances it.)
         evicted = run_selection(plan, reader, degrade, select_op, stats, process)
         stats.hash_updates += evicted
+        return select_op
 
     # ------------------------------------------------------------ phase 2
 
-    def _projection_phase(
-        self,
-        plan: PhysicalPlan,
-        reader: PlanReader,
-        degrade: DegradeOp,
-        select_op: SelectOp,
-        stats: ExecutionStats,
-    ) -> ProjectFillOp:
-        projected = plan.logical.projected
-        fill_op = ProjectFillOp(projected, select_op, self.table.schema)
+    def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
+        plan, reader, degrade, stats = run
         if not len(fill_op.valid):
-            return fill_op
+            return
         index = plan.snapshot if plan.snapshot is not None else self.manager
         proj_pids: Set[int] = set()
         missing_by_attr: Dict[str, np.ndarray] = {}
-        for name in projected:
+        for name in plan.logical.projected:
             missing = fill_op.missing(name)
             if len(missing):
                 missing_by_attr[name] = missing
@@ -232,12 +135,3 @@ class PartitionAtATimeExecutor:
             stats.hash_updates += fill_op.fill(partition)
 
         loop.run(process)
-        for name in projected:
-            still_missing = fill_op.missing(name)
-            if len(still_missing):
-                raise StorageError(
-                    f"projection could not find attribute {name!r} for "
-                    f"{len(still_missing)} tuples (first: {still_missing[:5].tolist()}); "
-                    "the partitioning does not cover the table"
-                )
-        return fill_op

@@ -11,186 +11,74 @@ table was materialized, not in how a conjunctive scan query must be answered:
   projected columns; ``row_major=False`` charges materialized selection
   vectors instead.
 
-The executor is a thin serial driver over the shared planning layer: the
-:class:`~repro.plan.physical.QueryPlanner` (scan pruning policy — a
-partition whose zone refutes *any* predicate cannot contribute a qualifying
-tuple) produces the access lists, and the :mod:`~repro.plan.operators`
-core — the same selection-vector ops the partition-at-a-time engine drives,
-priced by this engine's own counter rule — evaluates them.  Zone pruning is
+The driver owns what is the scan engine's own: the list-driven gather over
+within-query working memory, and its counter rule (``row_major`` iterator
+overhead vs ``materialized_bytes`` selection vectors).  Everything around
+that — construction, planning (:class:`~repro.plan.physical.QueryPlanner`
+under the scan pruning policy: a partition whose zone refutes *any*
+predicate cannot contribute a qualifying tuple), the read pipeline, the
+completeness check, pricing and publishing — is the
+:class:`~repro.engine.base.QueryEngine` scaffold, and the
+:mod:`~repro.plan.operators` core — the same selection-vector ops the
+partition-at-a-time engine drives — evaluates the phases.  Zone pruning is
 the mechanism behind Column-H's advantage over Column in the paper, and the
 reason that advantage decays as query templates multiply.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..core.query import Query
-from ..core.schema import TableMeta
-from ..errors import PartitionUnreadableError, StorageError
-from ..obs import record_query
-from ..obs import tracer as obs_tracer
-from ..plan.degrade import FaultContext
-from ..plan.explain import ExplainReport
 from ..plan.logical import POLICY_SCAN
 from ..plan.operators import (
     AccessLoop,
-    DegradeOp,
-    PlanReader,
     ProjectFillOp,
     SelectOp,
     count_prune,
-    finalize_stats,
     run_selection,
 )
-from ..plan.physical import PhysicalPlan, QueryPlanner
-from ..plan.result import ResultSet
-from ..plan.stats import CpuModel, ExecutionStats
-from ..storage.partition_manager import PartitionManager
-from ..storage.prefetch import Prefetcher
+from ..plan.stats import CpuModel
+from .base import QueryEngine, QueryRun
 
 __all__ = ["ScanExecutor"]
 
 
-class ScanExecutor:
+class ScanExecutor(QueryEngine):
     """Evaluates conjunctive scan queries on rectangular layouts."""
 
-    def __init__(
-        self,
-        manager: PartitionManager,
-        table: TableMeta,
-        cpu_model: CpuModel | None = None,
-        zone_maps: bool = True,
-        chunk_size: int | None = None,
-        row_major: bool = False,
-        pin_pool: bool = False,
-        prefetch_depth: int = 0,
-        partition_cache=None,
-    ):
-        self.manager = manager
-        self.table = table
-        self.cpu_model = cpu_model or CpuModel()
-        self.zone_maps = zone_maps
-        self.chunk_size = chunk_size
-        self.row_major = row_major
-        self.prefetch_depth = prefetch_depth
-        self.planner = QueryPlanner(
-            manager,
-            table,
-            policy=POLICY_SCAN,
-            pruning=zone_maps,
-            pin_pool=pin_pool,
-            chunk_size=chunk_size,
-            partition_cache=partition_cache,
-        )
+    name = "scan"
+    policy = POLICY_SCAN
+    defaults = {
+        **QueryEngine.defaults, "cpu_model": CpuModel(), "zone_maps": True,
+        "chunk_size": None, "row_major": False,
+    }
+    zone_maps: bool
+    chunk_size: Optional[int]
+    row_major: bool
 
-    # ---------------------------------------------------------- planning
+    def _planning(self) -> Dict[str, Any]:
+        return {"pruning": self.zone_maps, "chunk_size": self.chunk_size}
 
-    def plan(self, query: Query) -> PhysicalPlan:
-        """The physical plan ``execute`` would drive (no I/O)."""
-        return self.planner.plan(query)
-
-    def explain(self, query: Query) -> ExplainReport:
-        """Snapshot of the plan's pruning and access decisions."""
-        return self.plan(query).explain(engine="scan")
-
-    # ------------------------------------------------------------ execute
-
-    def execute(
-        self, query: Query, snapshot=None
-    ) -> Tuple[ResultSet, ExecutionStats]:
-        started = time.perf_counter()
-        stats = ExecutionStats()
-        tracer = obs_tracer()
-        with tracer.phase(
-            "exec.query", stats, cpu_model=self.cpu_model, engine="scan"
-        ):
-            plan = self.planner.plan(query, snapshot=snapshot)
-            fctx = FaultContext()
-            # Within-query working memory: a partition first loaded for the
-            # selection phase decodes further columns on demand when the
-            # gather phase revisits it, so the reuse stays sound under lazy
-            # loads.
-            prefetcher = None
-            if self.prefetch_depth > 0:
-                prefetcher = Prefetcher(
-                    self.manager,
-                    depth=self.prefetch_depth,
-                    chunk_size=self.chunk_size,
-                )
-            reader = PlanReader(
-                self.manager,
-                stats,
-                fctx,
-                chunk_size=self.chunk_size,
-                cache={},
-                pin_hints=plan.pin_hints(),
-                prefetcher=prefetcher,
-            )
-            degrade = DegradeOp(self.manager, stats, fctx)
-            projected = plan.logical.projected
-            try:
-                with tracer.phase(
-                    "exec.selection", stats, cpu_model=self.cpu_model
-                ):
-                    # Predicates only: the gather phase revisits partitions
-                    # for their projected cells, so nothing is stashed.
-                    select_op = SelectOp(
-                        plan.logical.conjunction,
-                        n_tuples=self.table.n_tuples,
-                        snapshot=plan.snapshot,
-                    )
-                    self._selection_phase(plan, reader, degrade, select_op, stats)
-                    fill_op = ProjectFillOp(
-                        projected, select_op, self.table.schema
-                    )
-
-                with tracer.phase(
-                    "exec.projection", stats, cpu_model=self.cpu_model
-                ):
-                    self._gather_projection(
-                        plan, reader, degrade, fill_op, stats
-                    )
-            finally:
-                reader.release()
-                if prefetcher is not None:
-                    prefetcher.close()
-
-            for name in projected:
-                missing = fill_op.missing(name)
-                if len(missing):
-                    if fctx.unreadable:
-                        raise PartitionUnreadableError(
-                            f"attribute {name!r} is missing for {len(missing)} "
-                            f"selected tuples after losing partitions "
-                            f"{sorted(fctx.unreadable)}"
-                        )
-                    raise StorageError(
-                        f"layout does not store attribute {name!r} for "
-                        f"{len(missing)} selected tuples"
-                    )
-            result = fill_op.result(stats)
-            finalize_stats(stats, self.cpu_model, started)
-        record_query("scan", plan, stats, query=query)
-        return result, stats
-
-    def _selection_phase(
-        self,
-        plan: PhysicalPlan,
-        reader: PlanReader,
-        degrade: DegradeOp,
-        select_op: SelectOp,
-        stats: ExecutionStats,
-    ) -> None:
+    def _select(self, run: QueryRun) -> SelectOp:
         """Evaluate the predicates partition by partition into the status
         vector: VALID = passed every predicate cell read, none refuted."""
+        plan, reader, degrade, stats = run
+        # Within-query working memory: a partition first loaded for the
+        # selection phase decodes further columns on demand when the
+        # gather phase revisits it, so the reuse stays sound under lazy
+        # loads.
+        reader.cache = {}
         conjunction = plan.logical.conjunction
+        # Predicates only: the gather phase revisits partitions for their
+        # projected cells, so nothing is stashed.
+        select_op = SelectOp(
+            conjunction, n_tuples=self.table.n_tuples, snapshot=plan.snapshot
+        )
         if not conjunction:
             select_op.select_all()
-            return
+            return select_op
         predicate_attributes = conjunction.attributes
 
         def process(pid: int, partition) -> None:
@@ -210,15 +98,11 @@ class ScanExecutor:
             stats.materialized_bytes += (len(conjunction) + 1) * (
                 (self.table.n_tuples + 7) // 8
             )
+        return select_op
 
-    def _gather_projection(
-        self,
-        plan: PhysicalPlan,
-        reader: PlanReader,
-        degrade: DegradeOp,
-        fill_op: ProjectFillOp,
-        stats: ExecutionStats,
-    ) -> None:
+    def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
+        """Gather the projected cells of the selected tuples."""
+        plan, reader, degrade, stats = run
         projected = plan.logical.projected
         loaded = reader.cache
         assert loaded is not None

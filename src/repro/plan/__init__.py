@@ -8,9 +8,9 @@ engines that evaluate it:
    metadata-based partition pruning (REQUIRED / PRUNED / PROJECTION-ONLY)
    from catalog zone maps, before any I/O.
 2. **Physical plan** (:mod:`repro.plan.physical`) — the ordered partition
-   access list with the retry/degrade/replica-fallback policy and
-   buffer-pool pinning hints baked in as plan properties, plus cost
-   estimates for ``explain()`` (:mod:`repro.plan.explain`).
+   access list with the degrade/replica-fallback/chunking policy baked in
+   as plan properties the engine scaffold enforces, plus cost estimates for
+   ``explain()`` (:mod:`repro.plan.explain`).
 3. **Operators** (:mod:`repro.plan.operators`, :mod:`repro.plan.degrade`,
    :mod:`repro.plan.result`, :mod:`repro.plan.stats`) — the shared
    selection / projection-fill / degrade pipeline the four engines drive

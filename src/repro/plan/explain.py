@@ -34,7 +34,6 @@ class AccessExplain:
     reason: str
     n_bytes: int
     columns: Tuple[str, ...]
-    pin: bool
 
 
 @dataclass(slots=True)
@@ -51,7 +50,6 @@ class ExplainReport:
     max_attempts: int
     degrade_enabled: bool
     replica_fallback: bool
-    pin_pool: bool
     selection: Tuple[AccessExplain, ...]
     projection: Tuple[AccessExplain, ...]
     estimated_partition_reads: int
@@ -95,8 +93,7 @@ class ExplainReport:
         out("physical plan:")
         out(f"  fault policy: max_attempts={self.max_attempts}, "
             f"degraded reads {'allowed' if self.degrade_enabled else 'off'}, "
-            f"replica fallback {'on' if self.replica_fallback else 'off'}, "
-            f"pool pinning {'on' if self.pin_pool else 'off'}")
+            f"replica fallback {'on' if self.replica_fallback else 'off'}")
         self._render_accesses(out, "selection accesses", self.selection)
         self._render_accesses(out, "projection candidates", self.projection)
         out(f"  estimate: <= {self.estimated_partition_reads} partition reads, "
@@ -138,10 +135,9 @@ class ExplainReport:
     ) -> None:
         out(f"  {title}: {len(accesses)}")
         for access in accesses:
-            flags = " [pin]" if access.pin else ""
             reason = f" — {access.reason}" if access.reason else ""
             out(f"    p{access.pid:<4d} {access.decision:<15s} "
-                f"{access.n_bytes:>8d} B{flags}{reason}")
+                f"{access.n_bytes:>8d} B{reason}")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()

@@ -29,7 +29,7 @@ per split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Any, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.cost import IOModel, MemoryModel
 from ..core.schema import TableMeta
@@ -45,10 +45,12 @@ __all__ = [
 
 
 class TableBinding(Protocol):
-    """What the chooser needs from a catalog entry (MaterializedLayout fits)."""
+    """What the chooser needs from a catalog entry (MaterializedLayout fits):
+    the table, its storage, and the engine (for its ``pruning``)."""
 
     table: TableMeta
     manager: PartitionManager
+    executor: Any
 
 
 @dataclass(slots=True)
@@ -81,9 +83,7 @@ def binding_prunes(binding: TableBinding) -> bool:
     threaded engine) re-read every relevant partition in every split, and
     the chooser must price them that way.
     """
-    executor = getattr(binding, "executor", binding)
-    planner = getattr(executor, "planner", None)
-    return bool(getattr(planner, "pruning", False))
+    return binding.executor.pruning
 
 
 def profile_side(

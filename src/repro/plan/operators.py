@@ -9,8 +9,7 @@ partition-locally) without re-implementing them:
 * :class:`PlanReader` — the partition-open/retry/accounting preamble: load
   through the manager, fold the I/O delta into ``ExecutionStats``, count the
   read (and whether it was a degraded substitute read), reuse within-query
-  working memory, serialize loads under a lock for threaded drivers, and
-  apply the plan's buffer-pool pinning hints.
+  working memory, and serialize loads under a lock for threaded drivers.
 * :class:`DegradeOp` — replica/overlap substitution when a planned access
   turns out unreadable, wrapping :func:`~repro.plan.degrade.handle_unreadable`.
 * :class:`AccessLoop` — the ordered work queue over partition accesses that
@@ -46,7 +45,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..errors import PartitionUnreadableError
+from ..errors import PartitionUnreadableError, StorageError
 from ..obs import tracer as obs_tracer
 from ..storage.partition_manager import PartitionInfo, PartitionManager
 from ..storage.physical import TID_IMPLICIT, PhysicalPartition
@@ -81,19 +80,18 @@ class PlanReader:
     """The partition-open/accounting preamble, shared by every call site.
 
     ``cache`` is optional within-query working memory (the scan engine's
-    selection phase loads may be revisited by its gather phase); ``lock``
-    serializes loads for threaded drivers (the manager's counters are not
-    thread-safe); ``pin_hints`` are the physical plan's buffer-pool pinning
-    hints — pids kept pinned between phases so a concurrent query cannot
-    evict them mid-plan (released by :meth:`release`); ``prefetcher`` is an
-    optional read-ahead pipeline — :meth:`prefetch` queues a phase's access
-    list and :meth:`load` claims staged outcomes before falling back to an
-    inline load, accruing the staged delta exactly as the inline load would.
+    selection phase loads may be revisited by its gather phase; a driver
+    whose later phase revisits partitions sets it); ``lock`` serializes
+    loads for threaded drivers (the manager's counters are not
+    thread-safe); ``prefetcher`` is an optional read-ahead pipeline —
+    :meth:`prefetch` queues a phase's access list and :meth:`load` claims
+    staged outcomes before falling back to an inline load, accruing the
+    staged delta exactly as the inline load would.
     """
 
     __slots__ = (
-        "manager", "stats", "fctx", "chunk_size", "cache", "lock",
-        "pin_hints", "_pinned", "tracer", "prefetcher",
+        "manager", "stats", "fctx", "chunk_size", "cache", "lock", "tracer",
+        "prefetcher",
     )
 
     def __init__(
@@ -104,7 +102,6 @@ class PlanReader:
         chunk_size: Optional[int] = None,
         cache: Optional[Dict[int, PhysicalPartition]] = None,
         lock: Optional[threading.Lock] = None,
-        pin_hints: frozenset = frozenset(),
         prefetcher=None,
     ):
         self.manager = manager
@@ -113,9 +110,7 @@ class PlanReader:
         self.chunk_size = chunk_size
         self.cache = cache
         self.lock = lock
-        self.pin_hints = pin_hints
         self.prefetcher = prefetcher
-        self._pinned: Set[int] = set()
         # Resolved once per execution (readers are per-query objects), so a
         # scoped trace installed before execute() is honoured and a disabled
         # call site pays one attribute load + truth test per partition.
@@ -185,28 +180,17 @@ class PlanReader:
             self.stats.n_degraded_reads += 1
         if self.cache is not None:
             self.cache[pid] = partition
-        pool = self.manager.buffer_pool
-        if pool is not None and pid in self.pin_hints and pid not in self._pinned:
-            if pool.pin(pid):
-                self._pinned.add(pid)
         return partition, io_delta, degraded, staged is not None
-
-    def release(self) -> None:
-        """Unpin every plan-pinned pool entry (end of execution)."""
-        pool = self.manager.buffer_pool
-        if pool is not None:
-            for pid in self._pinned:
-                pool.unpin(pid)
-        self._pinned.clear()
 
 
 class DegradeOp:
     """Substitute reads for unreadable partitions, per the plan's policy.
 
     Holds the execution's :class:`FaultContext` so every phase shares one
-    exclusion set; disabling degradation (``enabled=False``) re-raises
-    instead of re-planning, which is the replica-local engine's behaviour
-    (it retreats to the standard engine rather than degrade in place).
+    exclusion set; ``enabled`` is the plan's ``policy.degrade_enabled`` —
+    off, a discovered failure re-raises instead of re-planning (the
+    replica-local plan: it retreats to the standard engine rather than
+    degrade in place).
     """
 
     __slots__ = ("manager", "stats", "fctx", "enabled")
@@ -599,8 +583,21 @@ class ProjectFillOp(_ProjectingOp):
             written += len(hits) * len(wanted)
         return written
 
-    def result(self, stats: ExecutionStats) -> ResultSet:
-        """The normalized result every engine ends on."""
+    def result(self, stats: ExecutionStats, lost=()) -> ResultSet:
+        """The normalized result every engine ends on — complete, or an
+        error, never a silently partial answer: a projected cell no read
+        supplied was taken by the ``lost`` (unreadable) partitions, a
+        legitimate outcome of faults, or the layout does not cover the
+        table."""
+        for name in self.projected:
+            missing = self.missing(name)
+            if len(missing):
+                error = PartitionUnreadableError if lost else StorageError
+                raise error(
+                    f"attribute {name!r} is missing for {len(missing)} "
+                    f"selected tuples (first: {missing[:5].tolist()}); "
+                    f"unreadable partitions: {sorted(lost)}"
+                )
         stats.n_result_tuples = len(self.valid)
         return ResultSet(self.valid, self.columns)
 
@@ -695,8 +692,10 @@ def run_selection(
 
 
 def finalize_stats(
-    stats: ExecutionStats, cpu_model: CpuModel, started: float
+    stats: ExecutionStats, cpu_model: Optional[CpuModel], started: float
 ) -> None:
-    """Convert event counters to simulated CPU time and stamp wall time."""
-    stats.charge_cpu(cpu_model)
+    """Convert event counters to simulated CPU time (for an engine that
+    prices them) and stamp wall time."""
+    if cpu_model is not None:
+        stats.charge_cpu(cpu_model)
     stats.wall_time_s = time.perf_counter() - started

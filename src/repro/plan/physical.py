@@ -1,4 +1,4 @@
-"""The physical plan: ordered accesses, fault policy, pinning hints.
+"""The physical plan: ordered accesses and the access policy.
 
 The second planning layer.  A :class:`PhysicalPlan` turns the logical
 plan's classifications into an ordered partition access list with
@@ -8,13 +8,13 @@ executor-local code:
 * the **access order** (ascending pid — deterministic, and the order the
   simulated OS cache accounting is calibrated to);
 * the per-access **projection pushdown** column set and catalog size;
-* the **fault policy**: retry budget (the manager's
-  :class:`~repro.storage.faults.RetryPolicy`), whether degraded substitute
-  reads are allowed, and whether the executor falls back to the standard
-  engine instead (the replica-local path);
-* **buffer-pool pinning hints**: partitions the plan knows will be touched
-  by a later phase are flagged for pinning so a concurrent query cannot
-  evict them in between.
+* the **access policy** (:class:`AccessPolicy`): whether degraded
+  substitute reads are allowed, whether the executor retreats to the
+  standard engine instead (the replica-local path), and the read chunk
+  size.  The policy is stated once, here: the engine scaffold configures
+  its reader, prefetcher and degrade op from ``plan.policy`` and nothing
+  else.  (The retry budget is the manager's
+  :class:`~repro.storage.faults.RetryPolicy`, enforced and reported there.)
 
 The plan also carries the planner's *estimates* (partitions to read, bytes,
 predicted I/O seconds from the fitted ``io(x)`` model) so ``explain()`` can
@@ -44,19 +44,15 @@ __all__ = ["AccessPolicy", "PartitionAccess", "PhysicalPlan", "QueryPlanner"]
 
 @dataclass(frozen=True, slots=True)
 class AccessPolicy:
-    """Fault handling and caching behaviour, as plan properties.
-
-    ``max_attempts`` mirrors the manager's retry policy (informational — the
-    manager enforces it); ``degrade_enabled`` allows substitute reads from
-    replicas/overlapping primaries; ``replica_fallback`` marks plans whose
-    executor retreats to the standard engine on an unreadable partition
-    instead of degrading in place; ``pin_pool`` applies the pinning hints.
+    """How an execution reads, as plan properties the engine scaffold
+    enforces: ``degrade_enabled`` allows substitute reads from
+    replicas/overlapping primaries; ``replica_fallback`` makes an unreadable
+    partition retreat to the standard engine instead of degrading in place;
+    ``chunk_size`` is the read granularity of loads and read-ahead.
     """
 
-    max_attempts: int = 3
     degrade_enabled: bool = True
     replica_fallback: bool = False
-    pin_pool: bool = False
     chunk_size: Optional[int] = None
 
 
@@ -68,7 +64,6 @@ class PartitionAccess:
     decision: PartitionDecision
     n_bytes: int
     columns: Optional[frozenset]
-    pin: bool = False
 
 
 class PhysicalPlan:
@@ -128,16 +123,6 @@ class PhysicalPlan:
     def projection_pids(self) -> Tuple[int, ...]:
         return tuple(access.pid for access in self.projection)
 
-    def pin_hints(self) -> frozenset:
-        """Pids flagged for buffer-pool pinning across phases."""
-        if not self.policy.pin_pool:
-            return frozenset()
-        return frozenset(
-            access.pid
-            for access in (*self.selection, *self.projection)
-            if access.pin
-        )
-
     # ------------------------------------------------------------- explain
 
     def explain(self, engine: str = "") -> ExplainReport:
@@ -154,10 +139,9 @@ class PhysicalPlan:
             ),
             selection_columns=tuple(sorted(logical.selection_columns)),
             projection_columns=tuple(sorted(logical.projection_columns)),
-            max_attempts=self.policy.max_attempts,
+            max_attempts=self.manager.retry_policy.max_attempts,
             degrade_enabled=self.policy.degrade_enabled,
             replica_fallback=self.policy.replica_fallback,
-            pin_pool=self.policy.pin_pool,
             selection=tuple(_access_explain(a) for a in self.selection),
             projection=tuple(_access_explain(a) for a in self.projection),
             estimated_partition_reads=self.estimated_partition_reads,
@@ -173,7 +157,6 @@ def _access_explain(access: PartitionAccess) -> AccessExplain:
         reason=access.decision.reason,
         n_bytes=access.n_bytes,
         columns=tuple(sorted(access.columns)) if access.columns else (),
-        pin=access.pin,
     )
 
 
@@ -181,8 +164,8 @@ class QueryPlanner:
     """Builds logical + physical plans against one partition manager.
 
     One planner per executor: the executor's pruning knob and scheduling
-    family pick the policy, the manager supplies catalog metadata and the
-    retry budget.  Planning itself performs no I/O.
+    family pick the policy, the manager supplies catalog metadata.
+    Planning itself performs no I/O.
 
     ``observer`` is the adaptive-monitoring hook: a callable invoked with
     every ``(query, physical_plan)`` the planner emits.  All four engines
@@ -209,7 +192,6 @@ class QueryPlanner:
         pruning: bool = False,
         degrade_enabled: bool = True,
         replica_fallback: bool = False,
-        pin_pool: bool = False,
         chunk_size: Optional[int] = None,
         observer: Optional[Callable[[Query, "PhysicalPlan"], None]] = None,
         partition_cache=None,
@@ -221,10 +203,8 @@ class QueryPlanner:
         self.observer = observer
         self.partition_cache = partition_cache
         self.access_policy = AccessPolicy(
-            max_attempts=manager.retry_policy.max_attempts,
             degrade_enabled=degrade_enabled,
             replica_fallback=replica_fallback,
-            pin_pool=pin_pool,
             chunk_size=chunk_size,
         )
 
@@ -288,12 +268,8 @@ class QueryPlanner:
         proj_pids: set = set()
         for name in logical.projected:
             proj_pids.update(index.partitions_for_attribute(name))
-        pin_pool = self.access_policy.pin_pool
         selection = tuple(
-            self._access(
-                pid, logical, logical.selection_columns,
-                pin=pin_pool and pid in proj_pids,
-            )
+            self._access(pid, logical, logical.selection_columns)
             for pid in sorted(pred_pids)
         )
         projection = tuple(
@@ -314,11 +290,7 @@ class QueryPlanner:
         return plan
 
     def _access(
-        self,
-        pid: int,
-        logical: LogicalPlan,
-        columns: Optional[frozenset],
-        pin: bool = False,
+        self, pid: int, logical: LogicalPlan, columns: Optional[frozenset]
     ) -> PartitionAccess:
         info = self.manager.info(pid)
         return PartitionAccess(
@@ -326,7 +298,6 @@ class QueryPlanner:
             decision=logical.classify(info),
             n_bytes=info.n_bytes,
             columns=columns,
-            pin=pin,
         )
 
     # ------------------------------------------------------ replica-local
@@ -387,8 +358,3 @@ class QueryPlanner:
             self.manager, logical, self.access_policy, selection, (),
             snapshot=snapshot,
         )
-
-
-# Re-exported for drivers picking a policy by name.
-SCAN = POLICY_SCAN
-PARTITION = POLICY_PARTITION

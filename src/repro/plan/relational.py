@@ -21,8 +21,8 @@ pipeline underneath it:
 
 Each scan node compiles to an ordinary single-table
 :class:`~repro.core.query.Query`, so the whole existing stack — zone/sketch
-pruning, prefetch, degraded reads, buffer-pool pinning, tracing — executes
-the DAG's leaves unchanged.  Physical join strategy (partition-wise vs
+pruning, prefetch, degraded reads, tracing — executes the DAG's leaves
+unchanged.  Physical join strategy (partition-wise vs
 broadcast, per split) lives in :mod:`repro.plan.joins`.
 """
 

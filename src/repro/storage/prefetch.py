@@ -79,8 +79,8 @@ class _Entry:
 class Prefetcher:
     """Read-ahead pipeline: load partitions ahead of the evaluator.
 
-    One prefetcher serves one query execution (all phases); the engines
-    close it next to ``reader.release()``.  ``start`` enqueues a phase's
+    One prefetcher serves one query execution (all phases); the engine
+    that opened it closes it.  ``start`` enqueues a phase's
     access order; :meth:`take` claims one outcome, blocking only when the
     load is already in flight.  Workers run each load inside a copy of the
     *submitting* context, so ``storage.load`` spans nest under the phase

@@ -334,7 +334,7 @@ class ThreadedBinding:
     def __init__(self, layout: MaterializedLayout, strategy: str = "locking"):
         self.layout = layout
         self.strategy = strategy
-        self.engine = ThreadedPartitionEngine(
+        self.executor = ThreadedPartitionEngine(
             layout.manager,
             layout.table,
             n_threads=2,
@@ -350,7 +350,7 @@ class ThreadedBinding:
         return self.layout.manager
 
     def execute(self, query: Query):
-        return self.engine.execute(query)
+        return self.executor.execute(query)
 
 
 def build_join_catalog(

@@ -24,9 +24,6 @@ import numpy as np
 from ..core.query import Query, Workload
 from ..core.schema import TableSchema
 from ..engine.parallel import ThreadedPartitionEngine
-from ..engine.partition_at_a_time import PartitionAtATimeExecutor
-from ..engine.replicated import ReplicatedExecutor
-from ..engine.scan import ScanExecutor
 from ..layouts import (
     BuildContext,
     ColumnHLayout,
@@ -232,28 +229,9 @@ def pruning_executors(layout: MaterializedLayout):
     query isolates the planner's pruning decision as the only variable.
     """
     ex = layout.executor
-    if isinstance(ex, ScanExecutor):
-        def make(pruning: bool) -> ScanExecutor:
-            return ScanExecutor(
-                ex.manager, ex.table, cpu_model=ex.cpu_model,
-                zone_maps=pruning, chunk_size=ex.chunk_size,
-                row_major=ex.row_major, prefetch_depth=ex.prefetch_depth,
-            )
-    elif isinstance(ex, ReplicatedExecutor):
-        def make(pruning: bool) -> ReplicatedExecutor:
-            return ReplicatedExecutor(
-                ex.manager, ex.table, cpu_model=ex.cpu_model,
-                zone_maps=pruning, prefetch_depth=ex.prefetch_depth,
-            )
-    elif isinstance(ex, PartitionAtATimeExecutor):
-        def make(pruning: bool) -> PartitionAtATimeExecutor:
-            return PartitionAtATimeExecutor(
-                ex.manager, ex.table, cpu_model=ex.cpu_model,
-                zone_maps=pruning, prefetch_depth=ex.prefetch_depth,
-            )
-    else:
+    if "zone_maps" not in ex.options:
         return None
-    return make(False), make(True)
+    return ex.clone(zone_maps=False), ex.clone(zone_maps=True)
 
 
 def pruning_check(

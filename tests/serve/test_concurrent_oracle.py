@@ -57,7 +57,7 @@ class TestConcurrentSweep:
     ):
         layout = make().build(serve_table, serve_workload, serve_ctx)
         cache = PartitionCache(layout.manager)
-        engines = _serve_engines(layout, serve_table, cache)
+        engines = _serve_engines(layout, cache)
         mix = build_client_mix(
             np.random.default_rng(41),
             tuple(engines),
@@ -88,7 +88,7 @@ class TestConcurrentSweep:
             seed=3,
         )
         cache = PartitionCache(layout.manager)
-        engines = _serve_engines(layout, serve_table, cache)
+        engines = _serve_engines(layout, cache)
         mix = build_client_mix(
             np.random.default_rng(42),
             tuple(engines),

@@ -1,21 +1,43 @@
 """One execute contract: every way to run a query returns ``(result,
 stats)`` — a 2-tuple whose second element is an :class:`ExecutionStats`
-reporting the result's row count."""
+reporting the result's row count — and one engine contract: every engine is
+a :class:`QueryEngine` with ``clone``/``rebind``/``pruning``/``name``."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cli import _serve_engines
 from repro.core import Query
 from repro.engine import (
     PartitionAtATimeExecutor,
+    QueryEngine,
     ReplicatedExecutor,
     ScanExecutor,
     ThreadedPartitionEngine,
 )
-from repro.layouts import ColumnLayout, IrregularLayout, ReplicatedIrregularLayout
-from repro.plan import Catalog, ColumnRef, DagExecutor, ExecutionStats, RelationalQuery
-from repro.serve import QueryScheduler
+from repro.layouts import (
+    BuildContext,
+    ColumnHLayout,
+    ColumnLayout,
+    HierarchicalLayout,
+    IrregularLayout,
+    ReplicatedIrregularLayout,
+    RowHLayout,
+    RowLayout,
+    RowVLayout,
+)
+from repro.plan import (
+    Catalog,
+    ColumnRef,
+    CpuModel,
+    DagExecutor,
+    ExecutionStats,
+    RelationalQuery,
+)
+from repro.serve import PartitionCache, QueryScheduler
+from repro.testing.snapshot import stats_signature
 from repro.txn import TransactionalTable
 
 
@@ -102,3 +124,208 @@ def test_execute_returns_result_and_stats(path, small_table, small_workload, ctx
     n_rows = result.n_rows if hasattr(result, "n_rows") else result.n_tuples
     assert n_rows == int((small_table.column("a1") <= 1999).sum())
     assert stats.n_result_tuples == n_rows
+
+
+# ------------------------------------------------------- the engine contract
+
+
+def _threaded_engine(strategy):
+    def build(table, workload, ctx):
+        layout = _irregular(table, workload, ctx)
+        engine = ThreadedPartitionEngine(
+            layout.manager, table.meta, n_threads=2, strategy=strategy
+        )
+        return layout, engine
+
+    return build
+
+
+def _layout_engine(builder):
+    def build(table, workload, ctx):
+        layout = builder.build(table, workload, ctx)
+        return layout, layout.executor
+
+    return build
+
+
+ENGINES = {
+    "scan": _layout_engine(ColumnLayout()),
+    "partition-at-a-time": _layout_engine(IrregularLayout(selection_enabled=False)),
+    "replicated": _layout_engine(ReplicatedIrregularLayout(selection_enabled=False)),
+    "threaded-locking": _threaded_engine("locking"),
+    "threaded-shared": _threaded_engine("shared"),
+}
+
+#: every layout family, built with a non-default value for each engine
+#: option a builder passes (CPU model, chunking via the segment size,
+#: prefetch depth), so a dropped option changes the stats signature.
+LAYOUTS = {
+    "Row": RowLayout(),
+    "Row-H": RowHLayout(),
+    "Row-V": RowVLayout(),
+    "Column": ColumnLayout(),
+    "Column-H": ColumnHLayout(),
+    "Hierarchical": HierarchicalLayout(),
+    "Irregular": IrregularLayout(selection_enabled=False),
+    "Replicated": ReplicatedIrregularLayout(selection_enabled=False),
+}
+
+
+@pytest.fixture()
+def loaded_ctx() -> BuildContext:
+    return BuildContext(
+        file_segment_bytes=4 * 1024,
+        schism_sample_size=200,
+        cpu_model=CpuModel(cell_scan_s=7.0e-9, tuple_overhead_s=9.0e-9),
+        prefetch_depth=2,
+    )
+
+
+def _cold(layout, engine, query):
+    """(stats signature, result) of ``query`` on cold caches."""
+    layout.drop_caches()
+    result, stats = engine.execute(query)
+    return stats_signature(stats), result
+
+
+def _hand_built(engine, **override):
+    """The engine rebuilt from its public attributes — every option spelled
+    out, as a caller without ``clone`` has to — plus ``override``."""
+    options = dict(
+        cpu_model=engine.cpu_model,
+        zone_maps=engine.zone_maps,
+        prefetch_depth=engine.prefetch_depth,
+        partition_cache=engine.partition_cache,
+    )
+    if isinstance(engine, ScanExecutor):
+        options.update(chunk_size=engine.chunk_size, row_major=engine.row_major)
+    options.update(override)
+    return type(engine)(engine.manager, engine.table, **options)
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_clone_reproduces_the_engine(kind, small_table, small_workload, ctx):
+    layout, engine = ENGINES[kind](small_table, small_workload, ctx)
+    assert isinstance(engine, QueryEngine)
+    twin = engine.clone()
+    assert type(twin) is type(engine) and twin is not engine
+    assert twin.manager is engine.manager and twin.table is engine.table
+    assert twin.options == engine.options and twin.name == engine.name
+    for query in small_workload.queries:
+        signature, result = _cold(layout, engine, query)
+        twin_signature, twin_result = _cold(layout, twin, query)
+        assert twin_signature == signature
+        assert twin_result.equals(result)
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_clone_rejects_unknown_options(kind, small_table, small_workload, ctx):
+    _layout, engine = ENGINES[kind](small_table, small_workload, ctx)
+    with pytest.raises(TypeError):
+        engine.clone(no_such_option=1)
+    with pytest.raises(TypeError):
+        type(engine)(engine.manager, engine.table, pin_pool=True)
+
+
+@pytest.mark.parametrize("family", LAYOUTS)
+def test_clone_override_equals_full_hand_build(
+    family, small_table, small_workload, loaded_ctx
+):
+    """The serve regression: "this engine, but with zone maps and a cache"
+    keeps the CPU model, row-major pricing, chunked reads and read-ahead the
+    layout was built with."""
+    layout = LAYOUTS[family].build(small_table, small_workload, loaded_ctx)
+    engine = layout.executor
+    # A fresh cache per engine: a shared one would replay the first
+    # engine's verdicts to the second (a different attribution counter).
+    cases = [
+        lambda: {"zone_maps": True},
+        lambda: {"zone_maps": False},
+        lambda: {"partition_cache": PartitionCache(layout.manager)},
+    ]
+    for override in cases:
+        clone, built = engine.clone(**override()), _hand_built(engine, **override())
+        assert {**clone.options, "partition_cache": None} == {
+            **built.options, "partition_cache": None
+        }
+        assert (clone.partition_cache is None) == (built.partition_cache is None)
+        assert clone.pruning == built.pruning
+        for query in small_workload.queries:
+            clone_signature, clone_result = _cold(layout, clone, query)
+            built_signature, built_result = _cold(layout, built, query)
+            assert clone_signature == built_signature
+            assert clone_result.equals(built_result)
+
+    cache = PartitionCache(layout.manager)
+    served = _serve_engines(layout, cache)[engine.name]
+    assert served.options == {
+        **engine.options, "zone_maps": True, "partition_cache": cache
+    }
+    if engine.zone_maps:  # serving changes nothing but the cache wiring
+        for query in small_workload.queries:
+            assert (
+                _cold(layout, served, query)[0] == _cold(layout, engine, query)[0]
+            )
+
+
+def test_rebind_reaches_the_inner_engine(small_table, small_workload, ctx):
+    layout = ReplicatedIrregularLayout(selection_enabled=False).build(
+        small_table, small_workload, ctx
+    )
+    engine = layout.executor
+    before = engine.table
+    txn = TransactionalTable(layout, small_table)
+    txn.insert({
+        name: np.arange(3, dtype=np.int32)
+        for name in small_table.schema.attribute_names
+    })
+    txn.commit()
+    grown = txn.data.meta
+    assert grown is not before and grown.n_tuples == before.n_tuples + 3
+    for bound in (layout, engine, engine.planner, engine.standard,
+                  engine.standard.planner):
+        assert bound.table is grown
+
+
+def test_execute_can_be_wrapped_per_driver(small_table, small_workload, ctx):
+    """What ``benchmarks/layers/tracing.installed`` relies on: ``execute``
+    of each driver class can be replaced with ``setattr`` and restored, and
+    a wrapper sees its own driver's calls only — the replicated dispatcher's
+    fallback to its inner standard engine included."""
+    query = small_workload.queries[0]
+    unlocalizable = Query.build(small_table.meta, ["a2", "a3"], {})
+    column = ColumnLayout().build(small_table, small_workload, ctx)
+    irregular = _irregular(small_table, small_workload, ctx)
+    replicated = ReplicatedIrregularLayout(selection_enabled=False).build(
+        small_table, small_workload, ctx
+    )
+    assert replicated.executor.local_plan(unlocalizable) is None
+    calls = []
+
+    def counting(owner, original):
+        def wrapper(self, *args, **kwargs):
+            calls.append((owner.__name__, type(self).__name__))
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    owners = (PartitionAtATimeExecutor, ScanExecutor)
+    originals = [(owner, getattr(owner, "execute")) for owner in owners]
+    try:
+        for owner, original in originals:
+            setattr(owner, "execute", counting(owner, original))
+        column.execute(query)
+        irregular.execute(query)
+        replicated.execute(unlocalizable)
+    finally:
+        for owner, original in reversed(originals):
+            setattr(owner, "execute", original)
+    assert calls == [
+        ("ScanExecutor", "ScanExecutor"),
+        ("PartitionAtATimeExecutor", "PartitionAtATimeExecutor"),
+        ("PartitionAtATimeExecutor", "PartitionAtATimeExecutor"),
+    ]
+    calls.clear()
+    column.execute(query)
+    irregular.execute(query)
+    assert calls == []
