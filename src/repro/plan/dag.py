@@ -17,14 +17,19 @@ from the existing machinery.  Join nodes consult
 
 Build sides that exceed the spill budget degrade to a Grace join through
 :class:`~repro.plan.relops.SpillConfig` (chunks written to the build table's
-blob store).  Outputs are canonically ordered by source tuple ids, so every
-strategy/spill combination returns byte-identical results.
+blob store).  Where row order is observed, outputs are canonically ordered
+by source tuple ids, so every strategy/spill combination returns
+byte-identical results.  An order-insensitive aggregate root
+(:func:`~repro.plan.relational.place_aggregate`) carries no tuple ids and
+sorts nothing: splits reach it as partial groups, and a side owning every
+aggregate input is grouped below the join when that is priced to pay.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +38,8 @@ from ..core.query import Query
 from ..core.schema import TableMeta
 from ..errors import InvalidQueryError
 from ..obs import tracer as obs_tracer
+from .joins import JoinStrategy, choose_join_strategy
 from .relational import (
-    AggSpec,
-    ColumnRef,
     GroupAggNode,
     JoinNode,
     RelationalPlan,
@@ -43,7 +47,7 @@ from .relational import (
     ScanNode,
     build_relational_plan,
 )
-from .relops import GroupAggOp, HashJoinOp, Relation, SpillConfig, tid_column
+from .relops import GroupAggOp, HashJoinOp, Relation, SpillConfig, partial_aggs
 from .result import ResultSet
 from .stats import CpuModel, ExecutionStats
 
@@ -136,6 +140,37 @@ class RelationalResult:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class PhysicalChoice:
+    """What the physical layer decided for one plan on one catalog state:
+    priced once by :meth:`DagExecutor.choose`, read by the executor and by
+    EXPLAIN alike."""
+
+    #: the scan ⋈ scan join's priced shape (None: the plan has no join).
+    strategy: Optional[JoinStrategy] = None
+    #: why rows must reach the root in canonical order; "" when the root is
+    #: an order-insensitive aggregate (no tid columns, no sort).
+    ordered: str = ""
+    #: the join side grouped *below* the join, when that was priced to pay.
+    partial_side: Optional[str] = None
+    #: the aggregate placement as EXPLAIN prints it on the GroupAgg line.
+    label: str = ""
+
+
+@dataclass(slots=True)
+class _Run:
+    """One execution's state, threaded through the node runners."""
+
+    choice: PhysicalChoice
+    total: ExecutionStats = field(default_factory=ExecutionStats)
+    ops: ExecutionStats = field(default_factory=ExecutionStats)
+    notes: List[str] = field(default_factory=list)
+    #: groups ``choice.partial_side`` right after its scan.
+    side_op: Optional[GroupAggOp] = None
+    #: reduces each partition-wise split's join output to partial groups.
+    split_op: Optional[GroupAggOp] = None
+
+
 class DagExecutor:
     """Executes :class:`RelationalQuery` DAGs over a :class:`Catalog`.
 
@@ -159,7 +194,8 @@ class DagExecutor:
         self.cpu_model = cpu_model or CpuModel()
         self.memory_model = memory_model or MemoryModel()
         self.force_strategy = force_strategy
-        #: per-execution notes for EXPLAIN ANALYZE (node -> lines).
+        #: the last finished execution's notes for EXPLAIN ANALYZE; replaced
+        #: whole, so concurrent executions never interleave lines.
         self.last_notes: List[str] = []
 
     # ------------------------------------------------------------ public
@@ -170,238 +206,258 @@ class DagExecutor:
     def execute(
         self, query: RelationalQuery
     ) -> Tuple[RelationalResult, ExecutionStats]:
-        plan = self.plan(query)
-        started = time.perf_counter()
-        total = ExecutionStats()
-        op_stats = ExecutionStats()
-        self.last_notes = []
-        tracer = obs_tracer()
-        with tracer.span("exec.dag", tables=",".join(query.tables)):
-            relation = self._run_node(
-                self._join_root(plan), plan, total, op_stats
-            )
-            relation = relation.sorted_canonical()
-            if isinstance(plan.root, GroupAggNode):
-                agg = GroupAggOp(
-                    keys=[k.qualified for k in plan.root.keys],
-                    aggs=plan.root.aggs,
-                )
-                relation = agg.run(relation, op_stats)
-            result = self._project(plan, relation)
-        op_stats.charge_cpu(self.cpu_model)
-        total.add(op_stats)
-        total.n_result_tuples = result.n_rows
-        total.wall_time_s = time.perf_counter() - started
-        return result, total
+        result, stats, _run = self._execute(self.plan(query))
+        return result, stats
 
     def explain(self, query: RelationalQuery, analyze: bool = False) -> str:
         """Render the DAG; with ``analyze`` execute first and show actuals."""
         plan = self.plan(query)
-        actual: Optional[Tuple[RelationalResult, ExecutionStats]] = None
-        if analyze:
-            actual = self.execute(query)
-        return explain_relational(
-            plan,
-            self,
-            actual=actual,
-            notes=self.last_notes if analyze else None,
-        )
+        if not analyze:
+            return explain_relational(plan, self)
+        result, stats, run = self._execute(plan)
+        return explain_relational(plan, self, (result, stats), run.notes, run.choice)
+
+    def choose(self, plan: RelationalPlan) -> PhysicalChoice:
+        """Price the join strategy and place the aggregate — the one decision.
+
+        An order-insensitive aggregate (:func:`place_aggregate`) drops the
+        tid columns and the canonical sort; a side owning every aggregate
+        input is additionally grouped below the join when the simulated
+        seconds its smaller join and root input save exceed the pre-group's
+        hash inserts.
+        """
+        strategy = None
+        if plan.join_nodes:
+            node = plan.join_nodes[0]
+            assert isinstance(node.left, ScanNode)
+            # Equivalence propagation pushed the same joint key bounds into
+            # both scans (a provably empty scan carries none and reads nothing).
+            domain = node.right.meta.interval(node.right_key.column)
+            tables = (node.left.table, node.right.table)
+            budgets = [b for b in map(self._budget, tables) if b is not None]
+            strategy = choose_join_strategy(
+                self.catalog[tables[0]],
+                self.catalog[tables[1]],
+                node.left_key.column,
+                node.right_key.column,
+                node.right.pushed.get(
+                    node.right_key.column, (domain.lo, domain.hi)
+                ),
+                node.left.columns,
+                node.right.columns,
+                spill_budget_bytes=min(budgets, default=None),
+                memory_model=self.memory_model,
+                force=self.force_strategy,
+            )
+        root = plan.root
+        if not isinstance(root, GroupAggNode):
+            return PhysicalChoice(strategy, "rows are returned in tuple-id order")
+        if root.placement.ordered:
+            reason = root.placement.ordered
+            return PhysicalChoice(strategy, reason, label=f"ordered: {reason}")
+        side: Optional[str] = None
+        gain, label = 0.0, "order-insensitive"
+        for table in root.placement.partial_sides:
+            assert strategy is not None
+            is_left = table == plan.query.tables[0]  # a scan ⋈ scan join
+            scan = plan.scans[table]
+            rows = min(
+                strategy.left_rows_est if is_left else strategy.right_rows_est,
+                float(scan.meta.n_tuples),
+            )
+            # Group bound: the pushed widths of the (integer) group keys.
+            groups, keys = rows, root.partial_keys(table)
+            if all(scan.meta.schema[k.column].integer for k in keys):
+                widths = []
+                for k in keys:
+                    domain = scan.meta.interval(k.column)
+                    lo, hi = scan.pushed.get(k.column, (domain.lo, domain.hi))
+                    widths.append(hi - lo + 1)
+                groups = min(rows, float(np.prod(widths)))
+            # Each row the pre-group removes saves at least its probe and its
+            # root hash insert; the pre-group costs mem(rows) inserts.
+            cpu = self.cpu_model
+            saved = (rows - groups) * (
+                cpu.hash_update_s + cpu.hash_insert_s
+            ) - self.memory_model.mem(rows)
+            size = f"≤{groups:.0f} groups of ~{rows:.0f} rows"
+            if saved > gain:
+                by = ", ".join(k.column for k in keys)
+                gain, side = saved, table
+                label = f"partial below join: {table} by {by}, {size}"
+            elif side is None:
+                label = f"order-insensitive; no partial pays: {table} has {size}"
+        return PhysicalChoice(strategy, "", side, label)
 
     # ------------------------------------------------------- node running
 
-    @staticmethod
-    def _join_root(
-        plan: RelationalPlan,
-    ) -> Union[JoinNode, ScanNode]:
-        root = plan.root
-        return root.child if isinstance(root, GroupAggNode) else root
-
-    def _run_node(
-        self,
-        node: Union[JoinNode, ScanNode],
-        plan: RelationalPlan,
-        total: ExecutionStats,
-        op_stats: ExecutionStats,
-    ) -> Relation:
-        if isinstance(node, ScanNode):
-            return self._run_scan(node, None, total)
-        return self._run_join(node, plan, total, op_stats)
+    def _execute(
+        self, plan: RelationalPlan
+    ) -> Tuple[RelationalResult, ExecutionStats, _Run]:
+        started = time.perf_counter()
+        run = _Run(self.choose(plan))
+        choice, root = run.choice, plan.root
+        node = root.child if isinstance(root, GroupAggNode) else root
+        root_op: Optional[GroupAggOp] = None
+        if isinstance(root, GroupAggNode):
+            keys = [k.qualified for k in root.keys]
+            mergeable = partial_aggs(root.aggs)
+            form: Callable[..., GroupAggOp] = GroupAggOp
+            if choice.partial_side is not None:
+                run.side_op = GroupAggOp(
+                    [k.qualified for k in root.partial_keys(choice.partial_side)],
+                    mergeable,
+                )
+                form = GroupAggOp.combining
+            strategy = choice.strategy
+            if (
+                not choice.ordered
+                and strategy is not None
+                and strategy.kind == "partition-wise"
+                and len(plan.join_nodes) == 1
+            ):
+                run.split_op = form(keys, mergeable)
+                form = GroupAggOp.combining
+            root_op = form(keys, root.aggs)
+        with obs_tracer().span("exec.dag", tables=",".join(plan.query.tables)):
+            if isinstance(node, ScanNode):
+                relation = self._run_scan(node, run)
+            else:
+                relation = self._run_join(node, run)
+            if choice.ordered and relation.ordered and relation.n_rows > 1:
+                run.notes.append("sort skipped (probe order is canonical)")
+            elif choice.ordered:
+                relation = relation.sorted_canonical()
+            if root_op is not None:
+                relation = root_op.run(relation, run.ops)
+            # Output names are the qualified columns and the aggregate names.
+            result = RelationalResult(
+                {name: relation.column(name) for name in plan.output}
+            )
+        run.ops.charge_cpu(self.cpu_model)
+        run.total.add(run.ops)
+        run.total.n_result_tuples = result.n_rows
+        run.total.wall_time_s = time.perf_counter() - started
+        self.last_notes = run.notes
+        return result, run.total, run
 
     def _run_scan(
         self,
         scan: ScanNode,
-        extra: Optional[Mapping[str, Tuple[float, float]]],
-        total: ExecutionStats,
+        run: _Run,
+        extra: Optional[Mapping[str, Tuple[float, float]]] = None,
         naive: bool = False,
     ) -> Relation:
-        """Execute one leaf through the table's bound engine."""
-        if scan.empty:
-            return self._empty_scan_relation(scan)
-        if naive:
+        """Execute one leaf through the table's bound engine (and group it
+        straight away when it is the side holding the partial)."""
+        query: Optional[Query] = None
+        if naive and not scan.empty:
             # Benchmark mode: drop every pushed predicate — read it all and
             # post-filter (so predicate columns join the projection).
             columns = list(dict.fromkeys(list(scan.columns) + list(scan.pushed)))
-            query: Optional[Query] = Query.build(
-                scan.meta, columns, {}, label=f"naive:{scan.table}"
-            )
-        else:
+            query = Query.build(scan.meta, columns, {}, label=f"naive:{scan.table}")
+        elif not scan.empty:
             query = scan.compile_query(extra=extra)
         if query is None:
-            return self._empty_scan_relation(scan)
-        result, stats = self.catalog[scan.table].execute(query)
-        total.add(stats)
-        relation = Relation.from_result(scan.table, result)
-        if naive and scan.pushed:
+            result = ResultSet(np.empty(0, dtype=np.int64), {
+                name: np.empty(0, dtype=scan.meta.schema[name].np_dtype)
+                for name in scan.columns
+            })
+        else:
+            result, stats = self.catalog[scan.table].execute(query)
+            run.total.add(stats)
+        tids = bool(run.choice.ordered)
+        relation = Relation.from_result(scan.table, result, tids)
+        if naive and scan.pushed and query is not None:
             # Post-filter what pushdown would have removed at the leaves.
             mask = np.ones(relation.n_rows, dtype=bool)
             for column, (lo, hi) in scan.pushed.items():
                 values = relation.column(f"{scan.table}.{column}")
                 mask &= (values >= lo) & (values <= hi)
             relation = relation.take(np.flatnonzero(mask))
+        if run.side_op is not None and scan.table == run.choice.partial_side:
+            relation = run.side_op.run(relation, run.ops)
         return relation
-
-    def _empty_scan_relation(self, scan: ScanNode) -> Relation:
-        columns: Dict[str, np.ndarray] = {
-            tid_column(scan.table): np.empty(0, dtype=np.int64)
-        }
-        for name in scan.columns:
-            columns[f"{scan.table}.{name}"] = np.empty(
-                0, dtype=scan.meta.schema[name].np_dtype
-            )
-        return Relation(columns=columns, tid_tables=(scan.table,))
 
     # ------------------------------------------------------------- joins
 
+    def _budget(self, table: str) -> Optional[int]:
+        """Spill budget for a build side from ``table``: the configured one,
+        else the table's buffer-pool capacity (no pool: unbounded)."""
+        if self.spill_budget_bytes is not None:
+            return self.spill_budget_bytes
+        pool = getattr(self.catalog[table].manager, "buffer_pool", None)
+        return None if pool is None else pool.capacity_bytes
+
     def _spill_config(self, build_table: str) -> Optional[SpillConfig]:
-        binding = self.catalog[build_table]
-        budget = self.spill_budget_bytes
-        if budget is None:
-            pool = getattr(binding.manager, "buffer_pool", None)
-            if pool is None:
-                return None
-            budget = pool.capacity_bytes
+        budget = self._budget(build_table)
         if budget is None or budget <= 0:
             return None
+        manager = self.catalog[build_table].manager
         return SpillConfig(
-            store=binding.manager.store,
+            store=manager.store,
             budget_bytes=int(budget),
-            io_model=binding.manager.device.profile.io_model,
+            io_model=manager.device.profile.io_model,
         )
 
-    def _run_join(
+    def _hash_join(
         self,
         node: JoinNode,
-        plan: RelationalPlan,
-        total: ExecutionStats,
-        op_stats: ExecutionStats,
+        left_rel: Relation,
+        right_rel: Relation,
+        build_left: Optional[bool],
+        run: _Run,
     ) -> Relation:
-        from .joins import choose_join_strategy
-
-        left_scan = node.left if isinstance(node.left, ScanNode) else None
-        right_scan = node.right
-        left_key_q = node.left_key.qualified
-        right_key_q = node.right_key.qualified
-
-        if left_scan is not None:
-            # scan ⋈ scan: the chooser prices partition-wise vs broadcast.
-            key_range = self._joint_key_range(left_scan, right_scan, node)
-            strategy = choose_join_strategy(
-                self.catalog[left_scan.table],
-                self.catalog[right_scan.table],
-                node.left_key.column,
-                node.right_key.column,
-                key_range,
-                left_scan.columns,
-                right_scan.columns,
-                spill_budget_bytes=self._strategy_budget(node),
-                memory_model=self.memory_model,
-                force=self.force_strategy,
-            )
-            self.last_notes.append(
-                f"join {left_key_q} = {right_key_q}: {strategy.kind} "
-                f"({strategy.reason})"
-            )
-            for split in strategy.splits:
-                self.last_notes.append(
-                    f"  split [{split.lo:g}, {split.hi:g}]: {split.reason}"
-                )
-            if strategy.kind == "partition-wise":
-                return self._run_partition_wise(
-                    node, left_scan, right_scan, strategy, total, op_stats
-                )
-            naive = strategy.kind == "naive"
-            left_rel = self._run_scan(left_scan, None, total, naive=naive)
-        else:
-            # Intermediate ⋈ scan: no catalog stats for the left side —
-            # broadcast with the cheaper measured side building.
-            left_rel = self._run_node(node.left, plan, total, op_stats)
-            self.last_notes.append(
-                f"join {left_key_q} = {right_key_q}: broadcast "
-                "(left side is an intermediate relation)"
-            )
-            naive = self.force_strategy == "naive"
-
-        right_rel = self._run_scan(right_scan, None, total, naive=naive)
-        build_left = left_rel.nbytes <= right_rel.nbytes
-        build = left_rel if build_left else right_rel
-        probe = right_rel if build_left else left_rel
-        build_table = (
-            node.left_key.table if build_left else node.right_key.table
+        """One :class:`HashJoinOp` run; without a priced ``build_left`` the
+        smaller measured side builds."""
+        if build_left is None:
+            build_left = left_rel.nbytes <= right_rel.nbytes
+        sides = [(left_rel, node.left_key), (right_rel, node.right_key)]
+        (build, build_key), (probe, probe_key) = (
+            sides if build_left else sides[::-1]
         )
-        op = HashJoinOp(spill=self._spill_config(build_table))
+        op = HashJoinOp(spill=self._spill_config(build_key.table))
         joined = op.run(
-            build,
-            probe,
-            build_key=left_key_q if build_left else right_key_q,
-            probe_key=right_key_q if build_left else left_key_q,
-            stats=op_stats,
-            build_is_left=build_left,
+            build, probe, build_key.qualified, probe_key.qualified,
+            stats=run.ops, build_is_left=build_left,
         )
-        self.last_notes.append(
+        run.notes.append(
             f"  build={'left' if build_left else 'right'} mode={op.last_mode} "
             f"rows={joined.n_rows}"
         )
         return joined
 
-    def _strategy_budget(self, node: JoinNode) -> Optional[int]:
-        """The budget the *chooser* prices spilling against."""
-        if self.spill_budget_bytes is not None:
-            return self.spill_budget_bytes
-        budgets = []
-        for table in (node.left_key.table, node.right_key.table):
-            pool = getattr(self.catalog[table].manager, "buffer_pool", None)
-            if pool is not None:
-                budgets.append(pool.capacity_bytes)
-        return min(budgets) if budgets else None
-
-    @staticmethod
-    def _joint_key_range(
-        left_scan: ScanNode, right_scan: ScanNode, node: JoinNode
-    ) -> Tuple[float, float]:
-        """Pushed bounds on the join key (equivalence already propagated)."""
-        lo, hi = float("-inf"), float("inf")
-        for scan, key in (
-            (left_scan, node.left_key.column),
-            (right_scan, node.right_key.column),
-        ):
-            bounds = scan.pushed.get(key)
-            interval = scan.meta.interval(key)
-            blo = bounds[0] if bounds else interval.lo
-            bhi = bounds[1] if bounds else interval.hi
-            lo, hi = max(lo, blo), min(hi, bhi)
-        return lo, hi
+    def _run_join(self, node: JoinNode, run: _Run) -> Relation:
+        header = f"join {node.left_key} = {node.right_key}"
+        if isinstance(node.left, ScanNode):
+            # scan ⋈ scan: the chooser priced partition-wise vs broadcast.
+            strategy = run.choice.strategy
+            assert strategy is not None
+            run.notes.append(f"{header}: {strategy.kind} ({strategy.reason})")
+            run.notes.extend(
+                f"  split [{split.lo:g}, {split.hi:g}]: {split.reason}"
+                for split in strategy.splits
+            )
+            if strategy.kind == "partition-wise":
+                return self._run_partition_wise(node, strategy, run)
+            naive = strategy.kind == "naive"
+            left_rel = self._run_scan(node.left, run, naive=naive)
+        else:
+            # Intermediate ⋈ scan: no catalog stats for the left side —
+            # broadcast with the cheaper measured side building.
+            left_rel = self._run_join(node.left, run)
+            run.notes.append(
+                f"{header}: broadcast (left side is an intermediate relation)"
+            )
+            naive = self.force_strategy == "naive"
+        right_rel = self._run_scan(node.right, run, naive=naive)
+        return self._hash_join(node, left_rel, right_rel, None, run)
 
     def _run_partition_wise(
-        self,
-        node: JoinNode,
-        left_scan: ScanNode,
-        right_scan: ScanNode,
-        strategy,
-        total: ExecutionStats,
-        op_stats: ExecutionStats,
+        self, node: JoinNode, strategy: JoinStrategy, run: _Run
     ) -> Relation:
-        left_key_q = node.left_key.qualified
-        right_key_q = node.right_key.qualified
+        """One scan pair and join per key split; an order-insensitive root
+        receives each split as partial groups, never the joined rows."""
         parts: List[Relation] = []
         tracer = obs_tracer()
         for split in strategy.splits:
@@ -409,56 +465,31 @@ class DagExecutor:
                 "exec.join.split", lo=split.lo, hi=split.hi,
                 build=split.build_side,
             ):
-                left_rel = self._run_scan(
-                    left_scan,
-                    {node.left_key.column: split.key_range},
-                    total,
+                joined = self._join_range(
+                    node, split.key_range, split.build_side == "left", run
                 )
-                right_rel = self._run_scan(
-                    right_scan,
-                    {node.right_key.column: split.key_range},
-                    total,
-                )
-                build_left = split.build_side == "left"
-                build = left_rel if build_left else right_rel
-                probe = right_rel if build_left else left_rel
-                build_table = (
-                    node.left_key.table if build_left
-                    else node.right_key.table
-                )
-                op = HashJoinOp(spill=self._spill_config(build_table))
-                parts.append(
-                    op.run(
-                        build,
-                        probe,
-                        build_key=left_key_q if build_left else right_key_q,
-                        probe_key=right_key_q if build_left else left_key_q,
-                        stats=op_stats,
-                        build_is_left=build_left,
-                    )
-                )
+                if run.split_op is None:
+                    parts.append(joined)
+                elif joined.n_rows:
+                    parts.append(run.split_op.run(joined, run.ops))
         if not parts:
-            # No split overlapped the pushed range: provably empty join.
-            left_rel = self._empty_scan_relation(left_scan)
-            right_rel = self._empty_scan_relation(right_scan)
-            op = HashJoinOp()
-            return op.run(
-                left_rel, right_rel, left_key_q, right_key_q, op_stats, True
-            )
+            # Nothing to merge (no split overlapped the pushed range, or no
+            # split matched): a join over an empty key range, whose scans
+            # compile to no query at all, still shapes the output columns.
+            parts.append(self._join_range(node, (1.0, 0.0), True, run))
         return Relation.concat(parts)
 
-    # -------------------------------------------------------- projection
-
-    def _project(
-        self, plan: RelationalPlan, relation: Relation
-    ) -> RelationalResult:
-        columns: Dict[str, np.ndarray] = {}
-        for item, name in zip(plan.query.select, plan.output):
-            if isinstance(item, AggSpec):
-                columns[name] = relation.column(name)
-            else:
-                columns[name] = relation.column(item.qualified)
-        return RelationalResult(columns)
+    def _join_range(
+        self,
+        node: JoinNode,
+        key_range: Tuple[float, float],
+        build_left: bool,
+        run: _Run,
+    ) -> Relation:
+        assert isinstance(node.left, ScanNode)
+        left_rel = self._run_scan(node.left, run, {node.left_key.column: key_range})
+        right_rel = self._run_scan(node.right, run, {node.right_key.column: key_range})
+        return self._hash_join(node, left_rel, right_rel, build_left, run)
 
 
 # ------------------------------------------------------------------ explain
@@ -469,56 +500,42 @@ def explain_relational(
     executor: Optional[DagExecutor] = None,
     actual: Optional[Tuple[RelationalResult, ExecutionStats]] = None,
     notes: Optional[List[str]] = None,
+    choice: Optional[PhysicalChoice] = None,
 ) -> str:
     """Text rendering of the DAG, with join-choice reasons per split.
 
     Without ``executor`` the tree shows only logical structure.  With one,
-    each scan⋈scan join shows the priced strategy; with ``actual`` (an
-    executed ``(result, stats)`` pair) the footer adds measured totals.
+    the scan⋈scan join shows the priced strategy and the aggregate its
+    placement (``choice``: what an execution already decided, else priced
+    here); with ``actual`` (an executed ``(result, stats)`` pair) the footer
+    adds measured totals.
     """
-    from .joins import choose_join_strategy
-
+    if choice is None and executor is not None:
+        choice = executor.choose(plan)
     lines: List[str] = [f"RelationalPlan: {', '.join(plan.output)}"]
-    for note in plan.notes:
-        lines.append(f"  note: {note}")
+    lines.extend(f"  note: {note}" for note in plan.notes)
 
     def render(node, depth: int) -> None:
         pad = "  " * depth
         if isinstance(node, GroupAggNode):
             keys = ", ".join(k.qualified for k in node.keys) or "<scalar>"
             aggs = ", ".join(a.name for a in node.aggs)
-            lines.append(f"{pad}GroupAgg keys=[{keys}] aggs=[{aggs}]")
+            placed = f" [{choice.label}]" if choice else ""
+            lines.append(f"{pad}GroupAgg keys=[{keys}] aggs=[{aggs}]{placed}")
             render(node.child, depth + 1)
         elif isinstance(node, JoinNode):
             header = f"{pad}HashJoin {node.left_key} = {node.right_key}"
-            left_scan = node.left if isinstance(node.left, ScanNode) else None
-            if executor is not None and left_scan is not None:
-                key_range = DagExecutor._joint_key_range(
-                    left_scan, node.right, node
-                )
-                strategy = choose_join_strategy(
-                    executor.catalog[left_scan.table],
-                    executor.catalog[node.right.table],
-                    node.left_key.column,
-                    node.right_key.column,
-                    key_range,
-                    left_scan.columns,
-                    node.right.columns,
-                    spill_budget_bytes=executor._strategy_budget(node),
-                    memory_model=executor.memory_model,
-                    force=executor.force_strategy,
-                )
-                header += f" [{strategy.kind}: {strategy.reason}]"
+            if choice is None:
                 lines.append(header)
-                for split in strategy.splits:
-                    lines.append(
-                        f"{pad}  split [{split.lo:g}, {split.hi:g}] "
-                        f"{split.reason}"
-                    )
+            elif isinstance(node.left, ScanNode) and choice.strategy is not None:
+                strategy = choice.strategy
+                lines.append(f"{header} [{strategy.kind}: {strategy.reason}]")
+                lines.extend(
+                    f"{pad}  split [{split.lo:g}, {split.hi:g}] {split.reason}"
+                    for split in strategy.splits
+                )
             else:
-                if executor is not None:
-                    header += " [broadcast: left side is an intermediate]"
-                lines.append(header)
+                lines.append(f"{header} [broadcast: left side is an intermediate]")
             render(node.left, depth + 1)
             render(node.right, depth + 1)
         else:  # ScanNode
@@ -533,17 +550,15 @@ def explain_relational(
                 f"{pad}Scan {node.table} "
                 f"[{', '.join(node.columns)}]{suffix}"
             )
-            for column, source in sorted(node.propagated.items()):
-                lines.append(
-                    f"{pad}  pushed {column!r} via join-key equivalence "
-                    f"({source})"
-                )
+            lines.extend(
+                f"{pad}  pushed {column!r} via join-key equivalence ({source})"
+                for column, source in sorted(node.propagated.items())
+            )
 
     render(plan.root, 1)
     if notes:
         lines.append("execution:")
-        for note in notes:
-            lines.append(f"  {note}")
+        lines.extend(f"  {note}" for note in notes)
     if actual is not None:
         result, stats = actual
         lines.append(

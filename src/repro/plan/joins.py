@@ -153,6 +153,10 @@ class JoinStrategy:
     est_cost: float
     est_partition_wise_cost: float
     est_broadcast_cost: float
+    #: rows on key-bearing partitions the pushed key range cannot refute,
+    #: per side — what aggregate placement prices a partial against.
+    left_rows_est: float = 0.0
+    right_rows_est: float = 0.0
 
 
 def _merge_components(
@@ -335,4 +339,6 @@ def choose_join_strategy(
         est_cost=est,
         est_partition_wise_cost=pw_cost,
         est_broadcast_cost=broadcast_cost,
+        left_rows_est=left_rows,
+        right_rows_est=right_rows,
     )

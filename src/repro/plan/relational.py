@@ -29,7 +29,10 @@ broadcast, per split) lives in :mod:`repro.plan.joins`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Dict, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from ..core.query import Query
 from ..core.schema import TableMeta
@@ -37,6 +40,7 @@ from ..errors import InvalidQueryError
 
 __all__ = [
     "AGG_FUNCTIONS",
+    "AggPlacement",
     "AggSpec",
     "ColumnRef",
     "GroupAggNode",
@@ -46,6 +50,7 @@ __all__ = [
     "RelationalQuery",
     "ScanNode",
     "build_relational_plan",
+    "place_aggregate",
     "single_table_query",
 ]
 
@@ -214,6 +219,23 @@ class JoinNode:
         return left + [self.right]
 
 
+@dataclass(frozen=True, slots=True)
+class AggPlacement:
+    """Where a plan's aggregate may run — the logical half of the rule.
+
+    ``ordered`` is the reason the aggregate must consume rows in canonical
+    order (``""`` when the aggregate list is order-insensitive).
+    ``partial_sides`` names the sides of a scan ⋈ scan top join (the only
+    join the chooser profiles) that own every aggregate input: either may
+    be grouped by its join key plus its own GROUP BY columns *below* the
+    join, the root combining the partials.  Whether that pays is priced
+    against the catalog by the executor.
+    """
+
+    ordered: str = ""
+    partial_sides: Tuple[str, ...] = ()
+
+
 @dataclass(slots=True)
 class GroupAggNode:
     """Grouped (or scalar) aggregation over the subtree's output."""
@@ -221,6 +243,18 @@ class GroupAggNode:
     child: Union[JoinNode, ScanNode]
     keys: Tuple[ColumnRef, ...]
     aggs: Tuple[AggSpec, ...]
+    placement: AggPlacement = AggPlacement()
+
+    def partial_keys(self, table: str) -> Tuple[ColumnRef, ...]:
+        """Group keys of ``table``'s partial: its join key, then its own
+        GROUP BY columns."""
+        assert isinstance(self.child, JoinNode)
+        key = (
+            self.child.right_key if table == self.child.right.table
+            else self.child.left_key
+        )
+        own = tuple(k for k in self.keys if k.table == table and k != key)
+        return (key,) + own
 
 
 @dataclass(slots=True)
@@ -288,6 +322,50 @@ def _validate_ref(
         raise InvalidQueryError(
             f"{context} references unknown column {ref.qualified!r}"
         )
+
+
+#: float64 represents every integer of magnitude below 2**53, so a sum whose
+#: partial results all stay under it is exact in any evaluation order.
+_EXACT_FLOAT_INT = 2.0 ** 53
+
+
+def place_aggregate(
+    query: RelationalQuery,
+    metas: Mapping[str, TableMeta],
+    child: Union[JoinNode, ScanNode],
+) -> AggPlacement:
+    """The one applicability rule for reordering an aggregate's input.
+
+    ``count``/``min``/``max`` never depend on row order; ``sum``/``mean``
+    do not when the input is an integer attribute and ``rows x max|value|``
+    (``rows`` bounded by the product of the joined tables' cardinalities)
+    stays below 2**53.  Only then may the executor drop the canonical sort,
+    aggregate split by split, or group one join side before the join.
+    """
+    rows = prod(metas[name].n_tuples for name in query.tables)
+    for spec in query.aggregates:
+        if spec.func not in ("sum", "mean"):
+            continue
+        assert spec.column is not None
+        meta = metas[spec.column.table]
+        attribute = meta.schema[spec.column.column]
+        if not attribute.integer or np.dtype(attribute.np_dtype).kind not in "iub":
+            return AggPlacement(ordered=f"{spec.name} is not integer-exact")
+        interval = meta.interval(spec.column.column)
+        peak = max(abs(interval.lo), abs(interval.hi))
+        if rows * peak >= _EXACT_FLOAT_INT:
+            return AggPlacement(
+                ordered=f"{spec.name} may exceed 2^53 "
+                f"({rows} rows x |{peak:g}|)"
+            )
+    sides: Tuple[str, ...] = ()
+    if isinstance(child, JoinNode) and isinstance(child.left, ScanNode):
+        inputs = {s.column.table for s in query.aggregates if s.column is not None}
+        sides = tuple(
+            scan.table for scan in (child.left, child.right)
+            if inputs <= {scan.table}
+        )
+    return AggPlacement(partial_sides=sides)
 
 
 def build_relational_plan(
@@ -480,7 +558,10 @@ def build_relational_plan(
     root: Union[GroupAggNode, JoinNode, ScanNode] = node
     if query.is_aggregating:
         root = GroupAggNode(
-            child=node, keys=tuple(query.group_by), aggs=query.aggregates
+            child=node,
+            keys=tuple(query.group_by),
+            aggs=query.aggregates,
+            placement=place_aggregate(query, metas, node),
         )
 
     output: List[str] = []

@@ -17,19 +17,22 @@ columns plus hidden per-table tuple-id columns) and combines them:
   I/O priced by the device's fitted :class:`~repro.core.cost.IOModel`).
 * :class:`GroupAggOp` — sort-based grouped aggregation (lexsort +
   ``reduceat``) over sum/min/max/mean/count and ``count(*)`` — the one
-  aggregation implementation in the repository.
+  aggregation implementation in the repository, in two forms sharing one
+  core: over raw rows, and *combining* partial aggregates
+  (:func:`partial_aggs`) computed per split or below a join.
 
-Join and aggregation outputs are deterministic: every relation carries its
-tables' tuple-id columns and the executor sorts the final output by them
-(FROM order), so partition-wise, broadcast, spilled and in-memory plans all
-produce byte-identical results.
+Join and aggregation outputs are deterministic: where row order is observed
+every relation carries its tables' tuple-id columns and the executor sorts
+the final output by them (FROM order) unless the join already emitted that
+order, so partition-wise, broadcast, spilled and in-memory plans all produce
+byte-identical results.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .relational import AggSpec
 from .result import ResultSet
 from .stats import ExecutionStats
 
-__all__ = ["GroupAggOp", "HashJoinOp", "Relation", "SpillConfig"]
+__all__ = ["GroupAggOp", "HashJoinOp", "Relation", "SpillConfig", "partial_aggs"]
 
 #: hidden column prefix carrying each base table's tuple ids through joins.
 TID_PREFIX = "__tid."
@@ -57,11 +60,14 @@ class Relation:
     rows are aligned across arrays.  Each base table contributing rows adds
     a hidden ``__tid.<table>`` column so downstream operators (and the final
     canonical sort) can trace every output row to its source tuples.
-    ``tid_tables`` lists those tables in FROM order.
+    ``tid_tables`` lists those tables in FROM order — empty when no
+    consumer observes row order.  ``ordered`` records that the rows already
+    are in canonical order (lexicographic by the tid columns).
     """
 
     columns: Dict[str, np.ndarray]
     tid_tables: Tuple[str, ...]
+    ordered: bool = False
 
     @property
     def n_rows(self) -> int:
@@ -77,28 +83,20 @@ class Relation:
         return self.columns[qualified]
 
     @classmethod
-    def from_result(cls, table: str, result: ResultSet) -> "Relation":
-        columns: Dict[str, np.ndarray] = {
-            tid_column(table): np.asarray(result.tuple_ids)
-        }
+    def from_result(
+        cls, table: str, result: ResultSet, tids: bool = True
+    ) -> "Relation":
+        """A scan's output (ascending tuple ids); ``tids`` carries them."""
+        columns: Dict[str, np.ndarray] = {}
+        if tids:
+            columns[tid_column(table)] = np.asarray(result.tuple_ids)
         for name, values in result.columns.items():
             columns[f"{table}.{name}"] = np.asarray(values)
-        return cls(columns=columns, tid_tables=(table,))
-
-    @classmethod
-    def empty_like(cls, template: "Relation") -> "Relation":
-        columns = {
-            name: values[:0] for name, values in template.columns.items()
-        }
-        return cls(columns=columns, tid_tables=template.tid_tables)
+        return cls(columns, (table,) if tids else (), ordered=True)
 
     def take(self, indices: np.ndarray) -> "Relation":
-        return Relation(
-            columns={
-                name: values[indices] for name, values in self.columns.items()
-            },
-            tid_tables=self.tid_tables,
-        )
+        columns = {name: values[indices] for name, values in self.columns.items()}
+        return Relation(columns, self.tid_tables)
 
     @classmethod
     def concat(cls, parts: Sequence["Relation"]) -> "Relation":
@@ -113,26 +111,20 @@ class Relation:
         }
         return cls(columns=columns, tid_tables=head.tid_tables)
 
-    def canonical_order(self) -> np.ndarray:
-        """Row order sorted by the FROM-order tuple-id columns.
+    def sorted_canonical(self) -> "Relation":
+        """Rows sorted by the FROM-order tuple-id columns.
 
         ``np.lexsort`` treats its *last* key as primary, so the key list is
         the tid columns reversed: rows sort by the first table's tuple id,
         ties broken by later tables.  This is the invariant order every
         join strategy and spill mode must reproduce.
         """
-        keys = [self.columns[tid_column(t)] for t in reversed(self.tid_tables)]
-        return np.lexsort(keys)
-
-    def sorted_canonical(self) -> "Relation":
-        if self.n_rows <= 1:
+        if self.ordered or self.n_rows <= 1:
             return self
-        return self.take(self.canonical_order())
-
-
-def merge_relations(left: Relation, right: Relation) -> Tuple[str, ...]:
-    """The combined tid table order for a join of ``left`` and ``right``."""
-    return left.tid_tables + right.tid_tables
+        keys = [self.columns[tid_column(t)] for t in reversed(self.tid_tables)]
+        out = self.take(np.lexsort(keys))
+        out.ordered = True
+        return out
 
 
 # ------------------------------------------------------------------ spill
@@ -232,9 +224,12 @@ class HashJoinOp:
 
         ``build_is_left`` records which input is the logical left so the
         output's tid-table order follows FROM order, not build choice.
+        Rows come out in probe order, ties in build order (``_match_pairs``
+        sorts stably), so an in-memory join whose probe side is the logical
+        left keeps canonically ordered inputs canonically ordered.
         """
         left, right = (build, probe) if build_is_left else (probe, build)
-        tid_tables = merge_relations(left, right)
+        tid_tables = left.tid_tables + right.tid_tables
 
         stats.hash_inserts += build.n_rows
         stats.hash_updates += probe.n_rows
@@ -250,7 +245,12 @@ class HashJoinOp:
         out_columns: Dict[str, np.ndarray] = {}
         for part in joined:
             out_columns.update(part.columns)
-        out = Relation(columns=out_columns, tid_tables=tid_tables)
+        out = Relation(
+            columns=out_columns,
+            tid_tables=tid_tables,
+            ordered=self.last_mode == "memory" and not build_is_left
+            and build.ordered and probe.ordered,
+        )
         stats.materialized_bytes += out.nbytes
         return out
 
@@ -292,25 +292,26 @@ class HashJoinOp:
             probe.column(probe_key).astype(np.int64)
         ) % n_chunks
 
-        # Phase 1: write every build chunk out, releasing the resident side.
-        keys: List[Tuple[str, int]] = []
-        for chunk in range(n_chunks):
-            part = build.take(np.flatnonzero(build_assign == chunk))
-            data = _serialize_relation(part)
-            key = f"{spill.key_prefix}/{build_key}/{id(self)}/{chunk}"
-            spill.store.put(key, data)
-            keys.append((key, len(data)))
-        written = sum(size for _, size in keys)
-        stats.n_spill_chunks += n_chunks
-        stats.spill_bytes_written += written
-        if spill.io_model is not None:
-            stats.io_time_s += spill.io_model.io_time(written)
-
-        # Phase 2: re-read one chunk at a time and probe it.
+        # Phase 1 writes every build chunk out, releasing the resident side;
+        # phase 2 re-reads one chunk at a time and probes it.  Whatever was
+        # written is deleted again, including after a failed put.
+        keys: List[str] = []
         build_parts: List[Relation] = []
         probe_parts: List[Relation] = []
         try:
-            for chunk, (key, size) in enumerate(keys):
+            written = 0
+            for chunk in range(n_chunks):
+                part = build.take(np.flatnonzero(build_assign == chunk))
+                data = _serialize_relation(part)
+                keys.append(f"{spill.key_prefix}/{build_key}/{id(self)}/{chunk}")
+                spill.store.put(keys[-1], data)
+                written += len(data)
+            stats.n_spill_chunks += n_chunks
+            stats.spill_bytes_written += written
+            if spill.io_model is not None:
+                stats.io_time_s += spill.io_model.io_time(written)
+
+            for chunk, key in enumerate(keys):
                 data = spill.store.get(key)
                 stats.spill_bytes_read += len(data)
                 if spill.io_model is not None:
@@ -323,7 +324,7 @@ class HashJoinOp:
                 build_parts.append(b)
                 probe_parts.append(p)
         finally:
-            for key, _ in keys:
+            for key in keys:
                 try:
                     spill.store.delete(key)
                 except Exception:  # pragma: no cover - best-effort cleanup
@@ -332,6 +333,22 @@ class HashJoinOp:
 
 
 # -------------------------------------------------------------- aggregate
+
+_REDUCERS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def partial_aggs(aggs: Sequence[AggSpec]) -> Tuple[AggSpec, ...]:
+    """The mergeable aggregates ``aggs`` decompose into.
+
+    ``sum``/``count``/``min``/``max`` merge with themselves (a count by
+    summing); ``mean`` splits into the sum and the count it divides.
+    """
+    out: List[AggSpec] = []
+    for spec in aggs:
+        funcs = ("sum", "count") if spec.func == "mean" else (spec.func,)
+        parts = [AggSpec(func, spec.column) for func in funcs]
+        out.extend(part for part in parts if part not in out)
+    return tuple(out)
 
 
 class GroupAggOp:
@@ -343,6 +360,13 @@ class GroupAggOp:
     exactly one row; empty input follows the established helper semantics
     (``sum``/``count`` -> 0, ``min``/``max``/``mean`` -> NaN).
 
+    :meth:`combining` builds the second form: its input rows are *partial*
+    groups — the output of a ``GroupAggOp(finer_keys, partial_aggs(aggs))``,
+    possibly joined or concatenated since — and each aggregate merges the
+    partial columns of that name (sums and counts add, ``mean`` divides
+    them, ``min``/``max`` fold).  Partials of empty inputs must not be fed
+    in: their NaN ``min``/``max`` would propagate.
+
     Accounting models a hash aggregation: one hash insert per input row and
     the output charged as materialized bytes.
     """
@@ -350,86 +374,74 @@ class GroupAggOp:
     def __init__(self, keys: Sequence[str], aggs: Sequence[AggSpec]):
         self.keys = tuple(keys)
         self.aggs = tuple(aggs)
+        self._combining = False
+
+    @classmethod
+    def combining(cls, keys: Sequence[str], aggs: Sequence[AggSpec]) -> "GroupAggOp":
+        op = cls(keys, aggs)
+        op._combining = True
+        return op
 
     def run(self, relation: Relation, stats: ExecutionStats) -> Relation:
         n = relation.n_rows
         stats.hash_inserts += n
-        if self.keys:
-            out = self._grouped(relation)
+        key_values = [relation.column(k) for k in self.keys]
+        order: Optional[np.ndarray] = None
+        if n == 0:
+            # Grouped: no rows.  Scalar: the one row of empty-input values.
+            columns = dict(zip(self.keys, key_values))
+            for spec in self.aggs:
+                columns[spec.name] = np.full(
+                    0 if self.keys else 1,
+                    0 if spec.func in ("sum", "count") else np.nan,
+                    dtype=np.int64 if spec.func == "count" else np.float64,
+                )
         else:
-            out = self._scalar(relation)
+            starts = np.zeros(1, dtype=np.intp)
+            if self.keys:
+                order = np.lexsort(key_values[::-1])
+                key_values = [values[order] for values in key_values]
+                changed = np.zeros(n, dtype=bool)
+                changed[0] = True
+                for values in key_values:
+                    changed[1:] |= values[1:] != values[:-1]
+                starts = np.flatnonzero(changed)
+            sizes = np.diff(np.append(starts, n))
+            columns = {
+                name: values[starts]
+                for name, values in zip(self.keys, key_values)
+            }
+
+            def column(name: str) -> np.ndarray:
+                values = relation.column(name)
+                return values if order is None else values[order]
+
+            for spec in self.aggs:
+                columns[spec.name] = self._reduce(spec, column, starts, sizes)
+        out = Relation(columns=columns, tid_tables=())
         stats.materialized_bytes += out.nbytes
         return out
 
-    # -- helpers ---------------------------------------------------------
-
-    def _agg_input(self, relation: Relation, spec: AggSpec) -> np.ndarray:
-        if spec.column is None:  # count(*)
-            return np.ones(relation.n_rows, dtype=np.int64)
-        return relation.column(spec.column.qualified)
-
-    @staticmethod
     def _reduce(
-        spec: AggSpec, values: np.ndarray, starts: np.ndarray, counts: np.ndarray
+        self,
+        spec: AggSpec,
+        column: Callable[[str], np.ndarray],
+        starts: np.ndarray,
+        sizes: np.ndarray,
     ) -> np.ndarray:
-        if spec.func == "count":
-            return counts.astype(np.int64)
-        as_float = values.astype(np.float64, copy=False)
-        if spec.func == "sum":
-            return np.add.reduceat(as_float, starts)
-        if spec.func == "min":
-            return np.minimum.reduceat(as_float, starts)
-        if spec.func == "max":
-            return np.maximum.reduceat(as_float, starts)
-        if spec.func == "mean":
-            return np.add.reduceat(as_float, starts) / counts
-        raise AssertionError(f"unreachable aggregate {spec.func!r}")
+        """One output column; ``column(name)`` is an input in group order."""
 
-    def _grouped(self, relation: Relation) -> Relation:
-        key_values = [relation.column(k) for k in self.keys]
-        n = relation.n_rows
-        if n == 0:
-            columns: Dict[str, np.ndarray] = {
-                name: values[:0] for name, values in zip(self.keys, key_values)
-            }
-            for spec in self.aggs:
-                dtype = np.int64 if spec.func == "count" else np.float64
-                columns[spec.name] = np.empty(0, dtype=dtype)
-            return Relation(columns=columns, tid_tables=())
-        order = np.lexsort(list(reversed(key_values)))
-        sorted_keys = [values[order] for values in key_values]
-        changed = np.zeros(n, dtype=bool)
-        changed[0] = True
-        for values in sorted_keys:
-            changed[1:] |= values[1:] != values[:-1]
-        starts = np.flatnonzero(changed)
-        counts = np.diff(np.append(starts, n))
-        columns = {
-            name: values[starts]
-            for name, values in zip(self.keys, sorted_keys)
-        }
-        for spec in self.aggs:
-            values = self._agg_input(relation, spec)[order]
-            columns[spec.name] = self._reduce(spec, values, starts, counts)
-        return Relation(columns=columns, tid_tables=())
+        def values(func: str) -> np.ndarray:
+            if self._combining:
+                return column(AggSpec(func, spec.column).name)
+            assert spec.column is not None
+            return column(spec.column.qualified).astype(np.float64, copy=False)
 
-    def _scalar(self, relation: Relation) -> Relation:
-        n = relation.n_rows
-        columns: Dict[str, np.ndarray] = {}
-        for spec in self.aggs:
-            if n == 0:
-                if spec.func in ("sum", "count"):
-                    value = (
-                        np.array([0], dtype=np.int64)
-                        if spec.func == "count"
-                        else np.array([0.0])
-                    )
-                else:
-                    value = np.array([np.nan])
-                columns[spec.name] = value
-                continue
-            values = self._agg_input(relation, spec)
-            starts = np.array([0])
-            counts = np.array([n])
-            columns[spec.name] = self._reduce(spec, values, starts, counts)
-        return Relation(columns=columns, tid_tables=())
+        if spec.func in ("count", "mean"):
+            count = sizes
+            if self._combining:
+                count = np.add.reduceat(values("count"), starts)
+            if spec.func == "count":
+                return count.astype(np.int64)
+            return np.add.reduceat(values("sum"), starts) / count
+        return _REDUCERS[spec.func].reduceat(values(spec.func), starts)

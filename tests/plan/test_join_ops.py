@@ -14,9 +14,11 @@ from repro.plan.relops import (
     HashJoinOp,
     Relation,
     SpillConfig,
+    partial_aggs,
     tid_column,
 )
 from repro.plan.stats import ExecutionStats
+from repro.errors import StorageError
 from repro.storage import ColumnTable
 from repro.storage.blob import MemoryBlobStore
 from repro.testing.join_oracle import build_join_catalog, random_join_tables
@@ -26,7 +28,22 @@ def relation(table: str, **columns) -> Relation:
     arrays = {tid_column(table): np.arange(len(next(iter(columns.values()))))}
     for name, values in columns.items():
         arrays[f"{table}.{name}"] = np.asarray(values)
-    return Relation(columns=arrays, tid_tables=(table,))
+    return Relation(columns=arrays, tid_tables=(table,), ordered=True)
+
+
+class FailingPutStore(MemoryBlobStore):
+    """Raises on the ``fail_at``-th put (0-based), like a full store."""
+
+    def __init__(self, fail_at: int):
+        super().__init__()
+        self.fail_at = fail_at
+        self.n_puts = 0
+
+    def put(self, key: str, data: bytes) -> None:
+        self.n_puts += 1
+        if self.n_puts - 1 == self.fail_at:
+            raise StorageError(f"store full at put {self.fail_at}")
+        super().put(key, data)
 
 
 class TestMatchPairs:
@@ -96,6 +113,35 @@ class TestHashJoinOp:
         # Spill chunks are deleted after the join.
         assert list(store.keys()) == []
 
+    def test_failed_spill_put_leaks_no_chunks(self):
+        n_chunks = SpillConfig(MemoryBlobStore(), 32).n_chunks(self.left.nbytes)
+        assert n_chunks >= 3
+        for fail_at in range(n_chunks):
+            store = FailingPutStore(fail_at + 1)
+            store.put("resident/partition", b"x")  # put 0: the table's own blob
+            before = sorted(store.keys())
+            with pytest.raises(StorageError, match="store full"):
+                self.run_join(spill=SpillConfig(store=store, budget_bytes=32))
+            assert store.n_puts == fail_at + 2  # reached the failing chunk
+            assert sorted(store.keys()) == before
+
+    def test_probe_order_is_canonical_only_when_left_probes(self):
+        # Rows leave in probe order, ties in build order: canonical exactly
+        # when the FROM-first input probes an in-memory join.
+        probing_left, _, _ = self.run_join(build_is_left=False)
+        assert probing_left.ordered
+        stats = ExecutionStats()
+        raw = HashJoinOp().run(self.left, self.right, "l.k", "r.k", stats, True)
+        assert not raw.ordered
+        assert not np.array_equal(
+            raw.column(tid_column("l")), raw.sorted_canonical().column(tid_column("l"))
+        )
+        spill = SpillConfig(store=MemoryBlobStore(), budget_bytes=32)
+        spilled = HashJoinOp(spill).run(
+            self.right, self.left, "r.k", "l.k", stats, build_is_left=False
+        )
+        assert not spilled.ordered
+
 
 class TestSpillConfig:
     def test_thresholds(self):
@@ -155,6 +201,65 @@ class TestGroupAggOp:
         out = op.run(rel, ExecutionStats())
         assert out.n_rows == 0
         assert tuple(out.columns) == ("t.g", "sum(t.x)")
+
+
+    ALL_AGGS = (
+        AggSpec("sum", ColumnRef("t", "x")),
+        AggSpec("mean", ColumnRef("t", "x")),
+        AggSpec("min", ColumnRef("t", "x")),
+        AggSpec("max", ColumnRef("t", "x")),
+        AggSpec("count", ColumnRef("t", "x")),
+        AggSpec("count", None),
+    )
+
+    def test_partial_aggs_decompose_mean(self):
+        names = [spec.name for spec in partial_aggs(self.ALL_AGGS)]
+        assert names == [
+            "sum(t.x)", "count(t.x)", "min(t.x)", "max(t.x)", "count(*)",
+        ]
+
+    @pytest.mark.parametrize("keys", [("t.g",), ()])
+    def test_combining_partials_equals_one_pass(self, keys):
+        rng = np.random.default_rng(3)
+        rel = relation(
+            "t",
+            g=rng.integers(0, 5, 200),
+            h=rng.integers(0, 7, 200),
+            x=rng.integers(-50, 50, 200).astype(np.int32),
+        )
+        whole = GroupAggOp(keys, self.ALL_AGGS).run(rel, ExecutionStats())
+        # Finer groups first (as below a join), in two chunks (as per split),
+        # then merged once to partials and once more to the final form.
+        mergeable = partial_aggs(self.ALL_AGGS)
+        finer = GroupAggOp(keys + ("t.h",), mergeable)
+        chunks = [
+            finer.run(rel.take(np.arange(0, 120)), ExecutionStats()),
+            finer.run(rel.take(np.arange(120, 200)), ExecutionStats()),
+        ]
+        merged = [
+            GroupAggOp.combining(keys, mergeable).run(chunk, ExecutionStats())
+            for chunk in chunks
+        ]
+        stats = ExecutionStats()
+        final = GroupAggOp.combining(keys, self.ALL_AGGS).run(
+            Relation.concat(merged), stats
+        )
+        assert stats.hash_inserts == sum(m.n_rows for m in merged)
+        assert tuple(final.columns) == tuple(whole.columns)
+        for name, values in whole.columns.items():
+            assert final.column(name).dtype == values.dtype, name
+            np.testing.assert_array_equal(final.column(name), values)
+
+    def test_combining_nothing_keeps_empty_semantics(self):
+        empty = GroupAggOp(("t.h",), partial_aggs(self.ALL_AGGS)).run(
+            relation("t", h=np.empty(0, dtype=np.int32), x=np.empty(0, dtype=np.int32)),
+            ExecutionStats(),
+        )
+        out = GroupAggOp.combining((), self.ALL_AGGS).run(empty, ExecutionStats())
+        assert out.n_rows == 1
+        assert out.column("sum(t.x)")[0] == 0.0 and out.column("count(*)")[0] == 0
+        for name in ("mean(t.x)", "min(t.x)", "max(t.x)"):
+            assert np.isnan(out.column(name)[0])
 
 
 class TestMergeComponents:

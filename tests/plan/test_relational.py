@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Query, TableSchema
+from repro.core import AttributeSpec, Query, TableMeta, TableSchema
 from repro.errors import InvalidQueryError
 from repro.plan.relational import (
     AggSpec,
@@ -227,6 +227,109 @@ class TestPlanShape:
             compiled.where["f_a"].hi,
         ) == (50.0, 90.0)
         assert scan.compile_query(extra={"f_a": (200, 300)}) is None
+
+
+class TestAggregatePlacement:
+    """The logical half of the placement rule (``place_aggregate``)."""
+
+    @staticmethod
+    def grouped(*aggs, group_by=(ColumnRef("dim", "d_a"),), **overrides):
+        return join_query(
+            select=tuple(group_by) + tuple(aggs), group_by=tuple(group_by),
+            **overrides,
+        )
+
+    def placement(self, query, metas):
+        root = build_relational_plan(query, metas).root
+        assert isinstance(root, GroupAggNode)
+        return root
+
+    def test_benchmark_shape_offers_the_input_side(self, metas):
+        root = self.placement(
+            self.grouped(AggSpec("sum", ColumnRef("fact", "f_a")), AggSpec("count", None)),
+            metas,
+        )
+        assert root.placement.ordered == ""
+        assert root.placement.partial_sides == ("fact",)
+        assert root.partial_keys("fact") == (ColumnRef("fact", "f_key"),)
+
+    def test_side_free_aggregates_offer_both_sides(self, metas):
+        root = self.placement(self.grouped(AggSpec("count", None)), metas)
+        assert root.placement.partial_sides == ("fact", "dim")
+        # A side's partial groups by its join key, then its own GROUP BY columns.
+        assert root.partial_keys("dim") == (
+            ColumnRef("dim", "d_key"), ColumnRef("dim", "d_a"),
+        )
+
+    def test_inputs_on_both_sides_offer_none(self, metas):
+        root = self.placement(
+            self.grouped(
+                AggSpec("sum", ColumnRef("fact", "f_a")),
+                AggSpec("max", ColumnRef("dim", "d_a")),
+            ),
+            metas,
+        )
+        assert root.placement.ordered == ""
+        assert root.placement.partial_sides == ()
+
+    def test_group_by_join_key_is_not_repeated(self, metas):
+        root = self.placement(
+            self.grouped(
+                AggSpec("min", ColumnRef("fact", "f_a")),
+                group_by=(ColumnRef("fact", "f_key"), ColumnRef("fact", "f_b")),
+            ),
+            metas,
+        )
+        assert root.partial_keys("fact") == (
+            ColumnRef("fact", "f_key"), ColumnRef("fact", "f_b"),
+        )
+
+    @pytest.mark.parametrize("func", ["sum", "mean"])
+    def test_float_sum_and_mean_stay_ordered(self, metas, func):
+        schema = TableSchema(
+            [AttributeSpec("p_key"), AttributeSpec("p_price", 8, "float64", integer=False)]
+        )
+        price = TableMeta.from_bounds(
+            "price", schema, 50, {"p_key": (0, 399), "p_price": (0.0, 9.5)}
+        )
+        query = RelationalQuery(
+            tables=("fact", "price"),
+            joins=(JoinCondition(ColumnRef("fact", "f_key"), ColumnRef("price", "p_key")),),
+            where={},
+            select=(AggSpec(func, ColumnRef("price", "p_price")),),
+        )
+        root = self.placement(query, {**metas, "price": price})
+        assert root.placement.ordered == f"{func}(price.p_price) is not integer-exact"
+        assert root.placement.partial_sides == ()
+
+    def test_min_max_count_of_a_float_are_order_insensitive(self, metas):
+        schema = TableSchema([AttributeSpec("x", 8, "float64", integer=False)])
+        meta = TableMeta.from_bounds("t", schema, 10, {"x": (0.0, 1.0)})
+        query = RelationalQuery(
+            tables=("t",), joins=(), where={},
+            select=(
+                AggSpec("min", ColumnRef("t", "x")),
+                AggSpec("max", ColumnRef("t", "x")),
+                AggSpec("count", ColumnRef("t", "x")),
+            ),
+        )
+        assert self.placement(query, {"t": meta}).placement.ordered == ""
+
+    def test_sum_that_may_leave_float64_integers_stays_ordered(self):
+        schema = TableSchema([AttributeSpec("x", 8, "int64")])
+
+        def ordered(n_tuples, peak):
+            meta = TableMeta.from_bounds("t", schema, n_tuples, {"x": (-peak, 7)})
+            query = RelationalQuery(
+                tables=("t",), joins=(), where={},
+                select=(AggSpec("sum", ColumnRef("t", "x")),),
+            )
+            return self.placement(query, {"t": meta}).placement.ordered
+
+        assert ordered(2**13, 2**40 - 1) == ""
+        assert "may exceed 2^53" in ordered(2**13, 2**40)
+        # The row bound is the join's: the product of the table cardinalities.
+        assert ordered(1, 2**53 - 1) == ""
 
 
 class TestSingleTableReduction:
