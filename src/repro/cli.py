@@ -415,7 +415,8 @@ def _run_write(args) -> int:
         f"{args.layout!r}, WAL {args.wal}"
     )
     print(
-        f"-- head delta state: {len(state.segments)} segments, "
+        f"-- head delta state: {len(state.segments)} unfolded commit "
+        f"partitions, "
         f"{len(state.tombstones)} tombstones"
         + (
             f"; WAL: {txn.wal.stats.n_commits} group commits, "
@@ -464,7 +465,7 @@ def _run_write(args) -> int:
     result, stats = txn.execute(query, as_of=as_of)
     print(
         f"-- AS OF {as_of}: {result.n_tuples} tuples "
-        f"({stats.n_partition_reads} partition/delta reads, "
+        f"({stats.n_partition_reads} partition reads, "
         f"{stats.bytes_read} simulated bytes)"
     )
     if args.metrics:

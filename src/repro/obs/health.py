@@ -294,14 +294,14 @@ def default_rules(
             MetricValue("jigsaw_txn_delta_segments", agg="max"),
             warn=16,
             crit=64,
-            description="Live delta segments at head (compaction debt)",
+            description="Unfolded commit partitions at head (compaction debt)",
         ),
         HealthRule(
             "delta_bytes",
             MetricValue("jigsaw_txn_delta_bytes", agg="max"),
             warn=8 * 1024 * 1024,
             crit=128 * 1024 * 1024,
-            description="Accounted bytes across head delta segments",
+            description="Accounted bytes across unfolded commit partitions",
         ),
         HealthRule(
             "snapshot_refcount",

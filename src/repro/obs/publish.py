@@ -355,7 +355,8 @@ def publish_wal(wal) -> None:
 
 
 def publish_txn(table) -> None:
-    """Snapshot a transactional table's MVCC and delta-state gauges."""
+    """Snapshot a transactional table's MVCC and delta-state gauges (a
+    *segment* is a commit partition no compaction pass has taken yet)."""
     from . import get_registry, metrics_enabled
 
     if not metrics_enabled() or table is None:
@@ -374,12 +375,12 @@ def publish_txn(table) -> None:
     ).set(manager.floor_version())
     state = table.delta_state()
     registry.gauge(
-        "jigsaw_txn_delta_segments", "Live delta segments at head"
+        "jigsaw_txn_delta_segments", "Unfolded commit partitions at head"
     ).set(len(state.segments))
     registry.gauge(
         "jigsaw_txn_tombstones", "Live tombstoned tids at head"
     ).set(len(state.tombstones))
     registry.gauge(
         "jigsaw_txn_delta_bytes",
-        "Accounted bytes across head delta segments",
+        "Accounted bytes across unfolded commit partitions",
     ).set(sum(segment.n_bytes for segment in state.segments))

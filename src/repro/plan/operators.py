@@ -610,18 +610,18 @@ class ProjectFillOp(_ProjectingOp):
 
 
 def base_invalid_tids(n: int, snapshot=None) -> np.ndarray:
-    """Tids below ``n`` that a base scan under ``snapshot`` must not return.
+    """Tids below ``n`` that a scan under ``snapshot`` must not return.
 
     A pinned snapshot carrying a write-path ``valid_mask`` restricts the
-    scan to tids base partitions actually store at that version: tids folded
-    out by a delta compaction are excluded, and delta-only tids are merged
-    in later by the transactional wrapper, never by the base engine.  It
-    matters with a WHERE clause too: a budgeted compaction drops a deleted
-    tuple's cells from the partitions it rewrites while deferred partitions
-    still hold the rest, so such a tuple can pass the predicates in one
-    partition and have no projected cell in another.  Engines mark these
-    tids INVALID before the selection phase.  Empty without a ``valid_mask``
-    (every read-only execution).
+    scan to the tids visible at that version: deleted tuples stay physically
+    stored until a compaction rewrites every partition holding them, and
+    tids past the mask's end were committed later.  It matters with a WHERE
+    clause too: a budgeted compaction drops a deleted tuple's cells from the
+    partitions it rewrites while deferred partitions still hold the rest,
+    so such a tuple can pass the predicates in one partition and have no
+    projected cell in another.  Engines mark these tids INVALID before the
+    selection phase.  Empty without a ``valid_mask`` (every read-only
+    execution).
     """
     if snapshot is None or snapshot.valid_mask is None:
         return np.empty(0, dtype=np.int64)

@@ -92,7 +92,7 @@ class PhysicalPlan:
         #: pinned :class:`~repro.storage.partition_manager.CatalogSnapshot`
         #: the plan was built against, or None for a live-catalog plan.
         #: Engines route projection-phase index lookups through it and
-        #: consult its ``valid_mask`` on no-WHERE fast paths.
+        #: mark what its ``valid_mask`` hides INVALID before selecting.
         self.snapshot = snapshot
         # Upper bound for a healthy (fault-free) execution: every non-pruned
         # selection access is read; a projection access is only *maybe* read

@@ -26,7 +26,7 @@ class ResultSet:
     def __init__(self, tuple_ids: np.ndarray, columns: Mapping[str, np.ndarray]):
         tuple_ids = np.asarray(tuple_ids, dtype=np.int64)
         # Every engine hands over ascending tids; only unordered producers
-        # (delta merge, relational ops) pay for the stable permutation.
+        # (relational ops) pay for the stable permutation.
         order = None
         if len(tuple_ids) > 1 and np.any(tuple_ids[1:] < tuple_ids[:-1]):
             order = np.argsort(tuple_ids, kind="stable")

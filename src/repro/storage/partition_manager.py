@@ -143,19 +143,39 @@ class _OwnerMap:
     partition landing in the first layer where none of its tids is taken,
     so no home is ever dropped.  Every layer ends in one extra *no owner*
     slot: probing with ``take(mode="clip")`` sends tids past the stored
-    domain (delta-only rows) there instead of raising.
+    domain (cells no partition of this set stores) there instead of raising.
+
+    ``base`` is the map of the same placement minus its trailing
+    ``holders`` — an add-only swap's predecessor — whose layers are carried
+    over instead of scattered again; the result equals a build from scratch.
     """
 
-    __slots__ = ("pids", "layers")
+    __slots__ = ("pids", "layers", "placement")
 
-    def __init__(self, holders: Sequence[Tuple[int, np.ndarray]]):
-        self.pids = tuple(pid for pid, _tids in holders)
-        no_owner = len(holders)
+    def __init__(
+        self,
+        holders: Sequence[Tuple[int, np.ndarray]],
+        placement: Tuple[Tuple[int, int], ...],
+        base: Optional["_OwnerMap"] = None,
+    ):
+        #: the ``(pid, segment)`` pairs the map was built from, in order.
+        self.placement = placement
+        old_pids = base.pids if base is not None else ()
+        self.pids = old_pids + tuple(pid for pid, _tids in holders)
+        no_owner = len(self.pids)
         domain = 1 + max(
             (int(tids.max()) for _pid, tids in holders if len(tids)), default=-1
         )
         self.layers: List[np.ndarray] = []
-        for rank, (_pid, tids) in enumerate(holders):
+        if base is not None and base.layers:
+            domain = max(domain, len(base.layers[0]) - 1)
+            for old in base.layers:
+                layer = np.full(
+                    domain + 1, no_owner, dtype=np.min_scalar_type(no_owner)
+                )
+                np.copyto(layer[:len(old)], old, where=old != len(old_pids))
+                self.layers.append(layer)
+        for rank, (_pid, tids) in enumerate(holders, start=len(old_pids)):
             for layer in self.layers:
                 if not np.any(layer[tids] != no_owner):
                     break
@@ -191,7 +211,9 @@ class CatalogIndex:
     attributes whose primary cells sit in the same segments.
 
     Immutable once published: an owner map is fully built before it becomes
-    reachable, so concurrent probes need no lock.
+    reachable, so concurrent probes need no lock.  An add-only swap (a write
+    commit) derives its index from the predecessor's (:meth:`with_added`),
+    so the owner maps built so far survive it.
     """
 
     def __init__(self, infos: Iterable[PartitionInfo]):
@@ -255,30 +277,68 @@ class CatalogIndex:
             owners = self._owners.get(attribute)
             if owners is not None:
                 return owners
-            holders: List[Tuple[int, np.ndarray]] = []
-            placement: List[Tuple[int, int]] = []
-            for pid in self.attribute_pids[attribute]:
-                info = self._infos[pid]
-                held = [
-                    ordinal
-                    for ordinal, (attrs, replica) in enumerate(
-                        zip(info.segment_attrs, info.segment_replicas)
-                    )
-                    if not replica and attribute in attrs
-                ]
-                placement.extend((pid, ordinal) for ordinal in held)
-                segments = [info.segment_tids[ordinal] for ordinal in held]
-                holders.append((
-                    pid,
-                    segments[0] if len(segments) == 1
-                    else np.concatenate(segments),
-                ))
-            key = tuple(placement)
+            holders, key = _primary_holders(
+                attribute,
+                [self._infos[pid] for pid in self.attribute_pids[attribute]],
+            )
             owners = self._by_placement.get(key)
             if owners is None:
-                owners = self._by_placement[key] = _OwnerMap(holders)
+                owners = self._by_placement[key] = _OwnerMap(holders, key)
             self._owners[attribute] = owners
             return owners
+
+    def with_added(self, infos: Sequence[PartitionInfo]) -> "CatalogIndex":
+        """The index of this partition set plus ``infos`` (fresh pids):
+        what a rebuild over both would hold, with every owner map built so
+        far extended by the new partitions instead of scattered again."""
+        successor = CatalogIndex(infos)
+        successor._infos = {**self._infos, **successor._infos}
+        successor.pids = self.pids | successor.pids
+        for name in ("attribute_pids", "replica_pids"):
+            old, new = getattr(self, name), getattr(successor, name)
+            setattr(successor, name, {
+                **old, **{a: old.get(a, ()) + p for a, p in new.items()}
+            })
+        with self._build_lock:
+            built = dict(self._owners)
+        for attribute, owners in built.items():
+            holders, added = _primary_holders(
+                attribute,
+                [info for info in infos if attribute in info.attributes],
+            )
+            key = owners.placement + added
+            derived = successor._by_placement.get(key)
+            if derived is None:
+                derived = successor._by_placement[key] = (
+                    _OwnerMap(holders, key, base=owners) if holders else owners
+                )
+            successor._owners[attribute] = derived
+        return successor
+
+
+def _primary_holders(
+    attribute: str, infos: Iterable[PartitionInfo]
+) -> Tuple[List[Tuple[int, np.ndarray]], Tuple[Tuple[int, int], ...]]:
+    """``(holders, placement)`` of ``attribute`` over ``infos``: per
+    partition the tids its primary segments store the attribute for, and the
+    ``(pid, segment)`` pairs those came from."""
+    holders: List[Tuple[int, np.ndarray]] = []
+    placement: List[Tuple[int, int]] = []
+    for info in infos:
+        held = [
+            ordinal
+            for ordinal, (attrs, replica) in enumerate(
+                zip(info.segment_attrs, info.segment_replicas)
+            )
+            if not replica and attribute in attrs
+        ]
+        placement.extend((info.pid, ordinal) for ordinal in held)
+        segments = [info.segment_tids[ordinal] for ordinal in held]
+        holders.append((
+            info.pid,
+            segments[0] if len(segments) == 1 else np.concatenate(segments),
+        ))
+    return holders, tuple(placement)
 
 
 class PartitionManager:
@@ -318,9 +378,10 @@ class PartitionManager:
         #: pid -> info for partitions removed by a swap but kept readable so
         #: queries planned against the old catalog can still finish.
         self._retired: Dict[int, PartitionInfo] = {}
-        #: the live partition set's :class:`CatalogIndex`; dropped by every
-        #: swap and rebuilt on the next lookup, so a bulk materialize builds
-        #: it once and :meth:`advance_version` never touches it.
+        #: the live partition set's :class:`CatalogIndex`: derived from its
+        #: predecessor by an add-only swap, dropped by any other and rebuilt
+        #: on the next lookup (a bulk materialize never looks, so it builds
+        #: once); :meth:`advance_version` never touches it.
         self._index: Optional[CatalogIndex] = None
         #: catalog version of the last swap — every version from here on
         #: shares the live partition set, and so the live index.
@@ -540,7 +601,10 @@ class PartitionManager:
                 tuple(sorted(added_pids - pre_live)),
                 tuple(sorted(retired_now)),
             ))
-            self._index = None
+            if self._index is not None and not removals and not overwritten:
+                self._index = self._index.with_added(infos)
+            else:
+                self._index = None
             self._base_version = self.catalog_version
         self._notify_invalidation()
         return infos
@@ -605,12 +669,12 @@ class PartitionManager:
     def advance_version(self) -> int:
         """Commit a version bump with no catalog change.
 
-        The write path calls this when a delta-segment commit changes what a
-        scan must return without touching any base partition: the catalog
+        The write path calls this when a commit changes what a scan must
+        return without adding a partition (a delete-only batch): the catalog
         version is the transaction timeline, so every committed batch of
         writes gets its own pinnable version.  Bumps the pruning version too
-        (delta contents change which tuples a cached pruning verdict may
-        cover) and fires the invalidation hooks.
+        (the visible tuples a cached pruning verdict covers have changed)
+        and fires the invalidation hooks.
         """
         with self._mutex:
             self.catalog_version += 1
@@ -1009,11 +1073,12 @@ class CatalogSnapshot:
     while the -1 slot keeps pinned entries disjoint from live tokens.
 
     ``valid_mask`` is an optional dense boolean array over the tuple-id
-    domain set by the transactional layer: True for tids a *base* scan may
-    return at this version (delta-only tids and compaction-dropped tids are
-    False).  Engines consult it on their no-WHERE fast paths; ``None`` (the
-    default, and always the case outside the write path) preserves the
-    read-only engines' exact seed behavior.
+    domain set by the transactional layer: True for tids visible at this
+    version (deleted tids are False, tids past its end were committed
+    later).  Engines mark the rest INVALID before their selection phase;
+    ``None`` (the default, always the case outside the write path and on a
+    table nothing was ever deleted from) preserves the read-only engines'
+    exact seed behavior.
 
     One-shot visibility note: in-place :meth:`PartitionManager
     .replace_partition` overwrites the old blob's bytes, so snapshots are

@@ -1,23 +1,23 @@
-"""The write path: WAL, delta segments, MVCC snapshots, and compaction.
+"""The write path: WAL, commit partitions, MVCC snapshots, and compaction.
 
 Layering (top to bottom):
 
 * :class:`TransactionalTable` — buffers typed writes, group-commits them
-  through the WAL, serves MVCC snapshot reads (``AS OF`` time travel) by
-  merging per-version delta state over the unmodified base engines.
+  through the WAL, lands each batch's inserted rows as one ordinary catalog
+  partition, and serves MVCC snapshot reads (``AS OF`` time travel) by
+  running the unmodified engines under the version's visibility mask.
 * :class:`WriteAheadLog` — append-only, CRC-framed batches persisted as
   blobs through :mod:`repro.storage.blob` (one blob put per group commit is
   the simulated fsync); deterministic replay that ignores a torn tail.
-* :class:`DeltaSegment` / :class:`DeltaState` / :class:`DeltaStore` —
-  committed inserts as immutable columnar segments with zone maps;
-  per-version tombstone sets; persistence + simulated-device accounting.
-* :class:`DeltaCompactor` — folds deltas back into base partitions through
-  the same verified, versioned swap the adaptive daemon's migrations use,
-  under a bytes-rewritten budget.
+* :class:`DeltaState` — per-version bookkeeping: the commit partitions not
+  yet folded, the tombstones not yet resolved, the visible-tid mask.
+* :class:`DeltaCompactor` — coalesces commit partitions and rewrites
+  tombstone-dirty ones through the same verified, versioned swap the
+  adaptive daemon's migrations use, under a bytes-rewritten budget.
 """
 
 from .compactor import CompactionReport, DeltaCompactor
-from .delta import DeltaSegment, DeltaState, DeltaStore
+from .delta import DeltaState
 from .table import TransactionalTable
 from .wal import (
     KIND_DELETE,
@@ -31,9 +31,7 @@ from .wal import (
 __all__ = [
     "CompactionReport",
     "DeltaCompactor",
-    "DeltaSegment",
     "DeltaState",
-    "DeltaStore",
     "KIND_DELETE",
     "KIND_INSERT",
     "KIND_UPDATE",

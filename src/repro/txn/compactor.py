@@ -1,33 +1,35 @@
-"""Delta compaction: fold committed writes back into base partitions.
+"""Delta compaction: rewrite tombstone-dirty partitions without their dead rows.
 
 The :class:`DeltaCompactor` is the write path's counterpart to the adaptive
-daemon's scoped migrations, and it rides the same machinery: it rebuilds the
-*touched* base partitions (those holding tombstoned tuples) without their
-dead rows, materializes each folded delta segment as a new base partition
-covering the full schema for its live tids, and lands everything through one
-atomic, verified :meth:`~repro.storage.partition_manager.PartitionManager.
-swap_partitions` — so a compaction is abort-safe and versioned exactly like
-a layout migration, and pinned older snapshots keep reading the retired
-files until :meth:`prune_retired`.
+daemon's scoped migrations, and it rides the same machinery.  A commit's
+rows already are the full-schema partition a fold used to rewrite them
+into, so a pass has one kind of work: rebuild the *dirty* partitions (any
+partition holding deleted tuples, commit partitions included) without their
+dead rows and land them through one atomic, verified
+:meth:`~repro.storage.partition_manager.PartitionManager.swap_partitions` —
+abort-safe and versioned exactly like a layout migration; pinned older
+snapshots keep reading the retired files until
+:meth:`~repro.storage.partition_manager.PartitionManager.prune_retired`
+reclaims them.  A commit partition with no dead row is *folded* by leaving
+it where it is.
 
 Work is greedily packed under a bytes-rewritten budget (the same notion as
-the daemon's ``bytes_budget_per_cycle``): delta segments first (each one
-folded removes a per-scan blob read for every future query), then
-tombstone-dirty partitions by dead-row count.  A partial pass leaves the
-unfolded segments and unresolved tombstones in the post-compaction
-:class:`~repro.txn.delta.DeltaState`, to be picked up by the next cycle; a
-tombstone is resolved only once *every* partition holding its tuple has been
-rewritten (on an irregular layout a tuple's cells span several).
+the daemon's ``bytes_budget_per_cycle``), dirtiest partition first.  A
+partial pass leaves the commit partitions it deferred and the unresolved
+tombstones in the post-compaction :class:`~repro.txn.delta.DeltaState`, to
+be picked up by the next cycle; a tombstone is resolved only once *every*
+partition holding its tuple has been rewritten (on an irregular layout a
+tuple's cells span several).  Reads stay exact throughout: visibility is
+the version's tid mask, which a compaction never changes.
 
-Folded segments' blobs are *retained*: older pinned versions and ``AS OF``
-reads still merge them.  The WAL is truncated only when compaction leaves
-the delta state fully empty — that is the one point where the base blobs
-alone reconstruct the table, i.e. a checkpoint.
+The WAL is truncated only when compaction leaves the delta state fully
+empty — the checkpoint rule of
+:meth:`~repro.txn.table.TransactionalTable.record_compaction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,7 +37,7 @@ import numpy as np
 from ..errors import TransactionError
 from ..obs import tracer as obs_tracer
 from ..storage.physical import TID_EXPLICIT, SegmentSpec, build_physical_partition
-from .delta import DeltaSegment, DeltaState
+from .delta import DeltaState
 
 __all__ = ["CompactionReport", "DeltaCompactor"]
 
@@ -75,17 +77,8 @@ class CompactionReport:
         }
 
 
-@dataclass(slots=True)
-class _Plan:
-    fold_segments: List[DeltaSegment] = field(default_factory=list)
-    defer_segments: List[DeltaSegment] = field(default_factory=list)
-    scope_pids: List[int] = field(default_factory=list)
-    defer_pids: List[int] = field(default_factory=list)
-    budget_left: float = float("inf")
-
-
 class DeltaCompactor:
-    """Folds delta segments and tombstones into base partitions."""
+    """Folds tombstones out of the partitions that hold deleted rows."""
 
     def __init__(
         self,
@@ -104,21 +97,9 @@ class DeltaCompactor:
 
     # ------------------------------------------------------------- planning
 
-    def _plan(self, state: DeltaState) -> _Plan:
-        plan = _Plan()
-        if self.bytes_budget is not None:
-            plan.budget_left = float(self.bytes_budget)
-        # Delta segments first: folding one saves a blob read on every
-        # subsequent scan, the best bytes-rewritten-per-benefit ratio.
-        for segment in state.segments:
-            if segment.n_bytes <= plan.budget_left:
-                plan.fold_segments.append(segment)
-                plan.budget_left -= segment.n_bytes
-            else:
-                plan.defer_segments.append(segment)
-        tombs = state.tombstone_array()
-        if not len(tombs):
-            return plan
+    def _plan(self, tombs: np.ndarray) -> Tuple[List[int], List[int]]:
+        """``(scope, deferred)``: the dirty partitions, dirtiest first,
+        split by what fits the budget."""
         dirty: List[Tuple[int, int, int]] = []  # (n_dead, n_bytes, pid)
         for pid in self.manager.pids():
             info = self.manager.info(pid)
@@ -126,13 +107,18 @@ class DeltaCompactor:
             if n_dead:
                 dirty.append((n_dead, info.n_bytes, pid))
         dirty.sort(key=lambda item: (-item[0], item[2]))
-        for n_dead, n_bytes, pid in dirty:
-            if n_bytes <= plan.budget_left:
-                plan.scope_pids.append(pid)
-                plan.budget_left -= n_bytes
+        budget_left = (
+            float("inf") if self.bytes_budget is None else self.bytes_budget
+        )
+        scope: List[int] = []
+        deferred: List[int] = []
+        for _n_dead, n_bytes, pid in dirty:
+            if n_bytes <= budget_left:
+                scope.append(pid)
+                budget_left -= n_bytes
             else:
-                plan.defer_pids.append(pid)
-        return plan
+                deferred.append(pid)
+        return scope, deferred
 
     # ------------------------------------------------------------ execution
 
@@ -153,58 +139,32 @@ class DeltaCompactor:
 
     def _run(self) -> CompactionReport:
         table = self.table
-        with table._lock:
+        with table.write_lock:
             state = table.delta_state()
             if not state.segments and not state.tombstones:
                 return CompactionReport()
-            plan = self._plan(state)
-            if not plan.fold_segments and not plan.scope_pids:
-                return CompactionReport(
-                    n_segments_deferred=len(plan.defer_segments),
-                    n_partitions_deferred=len(plan.defer_pids),
-                )
             tombs = state.tombstone_array()
+            scope, deferred = self._plan(tombs)
+            # A commit partition stays a segment only while it waits for
+            # the rewrite that drops its dead rows.
+            remaining_segments = tuple(
+                segment for segment in state.segments
+                if segment.pid in deferred
+            )
+            if not scope and deferred:
+                return CompactionReport(
+                    n_segments_deferred=len(remaining_segments),
+                    n_partitions_deferred=len(deferred),
+                )
 
             physicals = []
-            folded_tids: List[np.ndarray] = []
-            removed_tombstones: set = set()
             n_dropped = 0
             next_pid = self.manager.next_pid()
-            schema_attrs = tuple(table.schema.attribute_names)
-            # A layout migration run while deltas were outstanding may have
-            # absorbed appended rows into base partitions already; folding
-            # those again would double-place their tids.  They only need the
-            # base-validity event, not a new partition.
-            covered = np.zeros(table.data.n_tuples, dtype=bool)
-            for pid in self.manager.pids():
-                covered[self.manager.info(pid).tuple_ids()] = True
-            for segment in plan.fold_segments:
-                dead = np.isin(segment.tids, tombs)
-                removed_tombstones.update(
-                    int(t) for t in segment.tids[dead]
-                )
-                live = segment.tids[~dead]
-                if not len(live):
-                    continue
-                folded_tids.append(live)
-                fresh = live[~covered[live]]
-                if not len(fresh):
-                    continue
-                physicals.append(build_physical_partition(
-                    next_pid,
-                    [SegmentSpec(attributes=schema_attrs, tuple_ids=fresh)],
-                    table.data,
-                    self.tid_storage,
-                ))
-                next_pid += 1
-            dropped_tids: List[np.ndarray] = []
-            for pid in plan.scope_pids:
+            for pid in scope:
                 info = self.manager.info(pid)
                 dead_here = info.tuple_ids()[
                     np.isin(info.tuple_ids(), tombs)
                 ]
-                removed_tombstones.update(int(t) for t in dead_here)
-                dropped_tids.append(dead_here)
                 n_dropped += len(dead_here)
                 specs = []
                 for attrs, seg_tids, replica in zip(
@@ -226,62 +186,40 @@ class DeltaCompactor:
 
             # A tombstone whose tuple a deferred partition still holds must
             # outlive this pass: it is what marks that partition dirty for
-            # the next one.  Reads stay exact meanwhile — the tuple's
-            # base-validity drop below makes the engines skip it even
-            # though only some of its cells are gone.
-            for pid in plan.defer_pids:
+            # the next one.
+            remaining_tombstones: set = set()
+            for pid in deferred:
                 held = self.manager.info(pid).tuple_ids()
-                removed_tombstones.difference_update(
+                remaining_tombstones.update(
                     held[np.isin(held, tombs)].tolist()
                 )
 
-            infos = self.manager.swap_partitions(
-                physicals, remove=plan.scope_pids, verify=self.verify
-            )
-            version = self.manager.catalog_version
-
-            remaining_segments = tuple(
-                s for s in state.segments if s not in set(plan.fold_segments)
-            )
-            remaining_tombstones = frozenset(
-                state.tombstones - removed_tombstones
-            )
-            new_state = DeltaState(remaining_segments, remaining_tombstones)
-            table.record_compaction(
-                version,
-                new_state,
-                np.concatenate(folded_tids)
-                if folded_tids else np.empty(0, np.int64),
-                np.concatenate(dropped_tids)
-                if dropped_tids else np.empty(0, np.int64),
-            )
-
-            truncated = False
-            if (
-                table.wal is not None
-                and not remaining_segments
-                and not remaining_tombstones
-            ):
-                # Checkpoint: base blobs alone now reconstruct the table.
-                table.wal.truncate_through(table._applied_lsn)
-                truncated = True
-
-            # Refresh the backlog/delta gauges right after the fold, so a
-            # /healthz scrape sees the checkpoint without waiting for the
-            # next commit to republish.
-            table._publish_wal()
-            table._publish_txn()
-
+            if scope:
+                infos = self.manager.swap_partitions(
+                    physicals, remove=scope, verify=self.verify
+                )
+            else:  # only clean commit partitions to fold: nothing to write
+                infos = []
+                self.manager.advance_version()
+            truncated = table.record_compaction(DeltaState(
+                remaining_segments,
+                frozenset(remaining_tombstones),
+                state.visible,
+            ))
             return CompactionReport(
-                version=version,
-                scope_pids=tuple(plan.scope_pids),
+                version=self.manager.catalog_version,
+                scope_pids=tuple(scope),
                 n_new_partitions=len(infos),
-                n_segments_folded=len(plan.fold_segments),
-                n_tombstones_removed=len(removed_tombstones),
+                n_segments_folded=(
+                    len(state.segments) - len(remaining_segments)
+                ),
+                n_tombstones_removed=(
+                    len(state.tombstones) - len(remaining_tombstones)
+                ),
                 n_tuples_dropped=n_dropped,
                 bytes_rewritten=sum(info.n_bytes for info in infos),
-                n_segments_deferred=len(plan.defer_segments),
-                n_partitions_deferred=len(plan.defer_pids),
+                n_segments_deferred=len(remaining_segments),
+                n_partitions_deferred=len(deferred),
                 wal_truncated=truncated,
             )
 

@@ -1,126 +1,56 @@
-"""Columnar delta segments: where committed writes live until compaction.
+"""Per-version write-path state: what is not folded yet, and what is visible.
 
-Each group commit's inserted rows become one immutable, checksummed delta
-segment blob (format-v2-style framing: magic + header CRC, explicit tuple
-ids, row-major full-schema cells).  Deletes never touch segments — they
-accumulate in per-version tombstone tid-sets (see
-:class:`~repro.txn.table.TransactionalTable`); an update is a tombstone on
-the old tid plus inserted rows under fresh tids.
+A commit's inserted rows are an ordinary catalog partition (one full-schema
+segment over the fresh tids, written by
+:meth:`~repro.txn.table.TransactionalTable.commit` through the same
+``swap_partitions`` every other partition takes), so there is nothing to
+store here but bookkeeping.  Each version the write path minted has one
+immutable :class:`DeltaState`:
 
-Scans merge deltas at the transactional wrapper, not inside the engines:
-the base engines stay byte-identical to seed, and the merge is uniformly
-sound across all four of them.  Pruning still works — every segment carries
-a zone map built at commit time, so a delta whose value range is disjoint
-from the predicate is skipped without charging the simulated device, with
-the skip counted in the same ``n_partitions_pruned`` ledger the base
-catalog uses.
-
-Simulated I/O: reading a delta charges
-:meth:`~repro.storage.device.StorageDevice.read_delta` with the segment's
-*accounted* bytes (tids + logical cell widths; framing and CRC bytes charge
-nothing, mirroring base-partition accounting).
+* ``segments`` — the catalog entries of the commit partitions no
+  :class:`~repro.txn.compactor.DeltaCompactor` pass has coalesced yet (the
+  compaction debt the ``jigsaw_txn_delta_*`` gauges report);
+* ``tombstones`` — deleted tids some partition still physically stores;
+* ``visible`` — one boolean per tid below the version's watermark, False for
+  every tid deleted by then.  Tids are never reused (an update is a
+  tombstone plus a fresh tid), so this one mask is the whole visibility
+  rule: the engines receive it as ``snapshot.valid_mask`` and read the
+  commit partitions like any other partition.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from ..core.schema import TableSchema
-from ..errors import ChecksumError, StorageError
-from ..storage.format import segment_row_dtype
-from ..storage.io_stats import IOStats
+from ..storage.partition_manager import PartitionInfo
 
-__all__ = ["DeltaSegment", "DeltaState", "DeltaStore"]
-
-DELTA_MAGIC = b"JGSD"
-DELTA_FORMAT_VERSION = 1
-
-#: magic, format, segment id, n_tuples, header+body CRC.
-_DELTA_HEADER = struct.Struct("<4sHQQI")
-
-
-class DeltaSegment:
-    """One committed batch of inserted rows, persisted and in memory.
-
-    The in-memory arrays are the authoritative copy for merging (deltas are
-    recent and small — exactly what a real system would pin in its memtable
-    shadow); the blob exists for durability and for the simulated device to
-    charge reads against.  ``n_bytes`` is the accounted size: ``8`` bytes of
-    tid plus the schema's logical row width per tuple.
-    """
-
-    __slots__ = ("sid", "key", "tids", "columns", "zone_map", "n_bytes",
-                 "version")
-
-    def __init__(
-        self,
-        sid: int,
-        key: str,
-        tids: np.ndarray,
-        columns: Dict[str, np.ndarray],
-        schema: TableSchema,
-        version: int = 0,
-    ):
-        self.sid = sid
-        self.key = key
-        self.tids = np.asarray(tids, dtype=np.int64)
-        self.columns = columns
-        self.version = version
-        row_width = sum(spec.byte_width for spec in schema)
-        self.n_bytes = len(self.tids) * (8 + row_width)
-        self.zone_map: Dict[str, Tuple[float, float]] = {}
-        if len(self.tids):
-            for name, column in columns.items():
-                self.zone_map[name] = (
-                    float(column.min()), float(column.max())
-                )
-
-    @property
-    def n_tuples(self) -> int:
-        return len(self.tids)
-
-    def zone_disjoint(
-        self, attribute: str, lo: float, hi: float
-    ) -> Optional[bool]:
-        """Same contract as :meth:`PartitionInfo.zone_disjoint`: None when
-        the attribute has no bounds here (cannot prune)."""
-        bounds = self.zone_map.get(attribute)
-        if bounds is None:
-            return None
-        zone_lo, zone_hi = bounds
-        return zone_hi < lo or zone_lo > hi
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DeltaSegment(sid={self.sid}, {self.n_tuples} tuples, "
-            f"v{self.version})"
-        )
+__all__ = ["DeltaState"]
 
 
 class DeltaState:
-    """Immutable per-version view of the write path's merge inputs.
+    """Immutable view of the write path at one version.
 
-    ``segments`` are the delta segments a scan at this version must union
-    in; ``tombstones`` the tids it must mask out (of base *and* delta rows
-    alike — an updated delta row is tombstoned like any other).  States are
-    persistent-data-structure style: each commit derives the next state from
-    the previous one, so older pinned versions keep their exact view.
+    States are persistent-data-structure style: each commit derives the next
+    state from the previous one, so older pinned versions keep their exact
+    view.  A compaction changes what is outstanding, never what is visible.
     """
 
-    __slots__ = ("segments", "tombstones", "_tombstone_array")
+    __slots__ = ("segments", "tombstones", "visible", "_tombstone_array",
+                 "_all_visible")
 
     def __init__(
         self,
-        segments: Tuple[DeltaSegment, ...] = (),
-        tombstones: FrozenSet[int] = frozenset(),
+        segments: Tuple[PartitionInfo, ...],
+        tombstones: FrozenSet[int],
+        visible: np.ndarray,
     ):
         self.segments = segments
         self.tombstones = tombstones
+        self.visible = visible
         self._tombstone_array: Optional[np.ndarray] = None
+        self._all_visible: Optional[bool] = None
 
     def tombstone_array(self) -> np.ndarray:
         if self._tombstone_array is None:
@@ -132,141 +62,35 @@ class DeltaState:
 
     def with_commit(
         self,
-        new_segments: Tuple[DeltaSegment, ...] = (),
-        new_tombstones: FrozenSet[int] = frozenset(),
+        new_segments: Tuple[PartitionInfo, ...],
+        new_tombstones: FrozenSet[int],
+        n_tuples: int,
     ) -> "DeltaState":
+        """The state after a commit that raised the watermark to
+        ``n_tuples`` and deleted ``new_tombstones``."""
+        visible = np.ones(n_tuples, dtype=bool)
+        visible[:len(self.visible)] = self.visible
+        if new_tombstones:
+            visible[list(new_tombstones)] = False
         return DeltaState(
             self.segments + tuple(new_segments),
             self.tombstones | new_tombstones,
+            visible,
         )
+
+    def valid_mask(self, n_tuples: int) -> Optional[np.ndarray]:
+        """What a scan over an ``n_tuples``-row tid domain hands its
+        snapshot: None when nothing in that domain is invisible (the
+        read-only engines' exact path), else ``visible`` — tids past its end
+        were committed later and count as invisible."""
+        if self._all_visible is None:
+            self._all_visible = bool(self.visible.all())
+        if self._all_visible and len(self.visible) == n_tuples:
+            return None
+        return self.visible
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DeltaState({len(self.segments)} segments, "
             f"{len(self.tombstones)} tombstones)"
         )
-
-
-class DeltaStore:
-    """Persists delta segments through the manager's blob store + device."""
-
-    def __init__(self, manager, key_prefix: str = "delta/"):
-        self.manager = manager
-        self.schema = manager.schema
-        self.key_prefix = key_prefix
-        self._row_dtype = segment_row_dtype(
-            self.schema, self.schema.attribute_names
-        )
-
-    def _key(self, sid: int) -> str:
-        return f"{self.key_prefix}d{sid:08d}.jigd"
-
-    # -------------------------------------------------------------- write
-
-    def write_segment(
-        self,
-        sid: int,
-        tids: np.ndarray,
-        columns: Dict[str, np.ndarray],
-        version: int = 0,
-    ) -> DeltaSegment:
-        segment = DeltaSegment(
-            sid, self._key(sid), tids, columns, self.schema, version
-        )
-        self.manager.store.put(segment.key, self.serialize(segment))
-        self.manager.device.invalidate(segment.key)
-        return segment
-
-    def serialize(self, segment: DeltaSegment) -> bytes:
-        body_parts = [np.ascontiguousarray(segment.tids, dtype="<i8").tobytes()]
-        rows = np.zeros(segment.n_tuples, dtype=self._row_dtype)
-        for name in self.schema.attribute_names:
-            rows[name] = segment.columns[name]
-        body_parts.append(rows.tobytes())
-        body = b"".join(body_parts)
-        head = _DELTA_HEADER.pack(
-            DELTA_MAGIC, DELTA_FORMAT_VERSION, segment.sid,
-            segment.n_tuples, 0,
-        )[:-4]
-        crc = zlib.crc32(body, zlib.crc32(head))
-        return head + struct.pack("<I", crc) + body
-
-    # --------------------------------------------------------------- read
-
-    def deserialize(self, data: bytes) -> Tuple[int, np.ndarray, Dict[str, np.ndarray]]:
-        if len(data) < _DELTA_HEADER.size:
-            raise StorageError("delta segment: truncated header")
-        magic, version, sid, n_tuples, stored_crc = (
-            _DELTA_HEADER.unpack_from(data, 0)
-        )
-        if magic != DELTA_MAGIC:
-            raise StorageError(f"delta segment: bad magic {magic!r}")
-        if version != DELTA_FORMAT_VERSION:
-            raise StorageError(f"delta segment: unknown format {version}")
-        body = data[_DELTA_HEADER.size:]
-        head = data[:_DELTA_HEADER.size - 4]
-        if zlib.crc32(body, zlib.crc32(head)) != stored_crc:
-            raise ChecksumError(f"delta segment {sid}: checksum mismatch")
-        expected = n_tuples * (8 + self._row_dtype.itemsize)
-        if len(body) < expected:
-            raise StorageError(f"delta segment {sid}: truncated body")
-        tids = np.frombuffer(body, dtype="<i8", count=n_tuples).copy()
-        rows = np.frombuffer(
-            body, dtype=self._row_dtype, count=n_tuples, offset=8 * n_tuples
-        )
-        columns = {
-            name: np.ascontiguousarray(rows[name])
-            for name in self.schema.attribute_names
-        }
-        return sid, tids, columns
-
-    def charge_read(self, segment: DeltaSegment) -> IOStats:
-        """Account one scan's read of a delta segment.
-
-        Verifies the durable copy end-to-end through the fault path (get +
-        checksum, within the manager's retry budget, backoff charged in
-        simulated seconds like base-partition retries) and charges the
-        device for the accounted bytes.  Raises
-        :class:`~repro.errors.StorageError` if the segment stays unreadable
-        — a delta is the *only* copy of its rows, so there is no degraded
-        substitute.
-        """
-        policy = self.manager.retry_policy
-        delta = IOStats()
-        last_error: Optional[StorageError] = None
-        for attempt in range(policy.max_attempts):
-            if attempt:
-                delta.n_retries += 1
-                delta.io_time_s += policy.delay_s(attempt - 1)
-            try:
-                data = self.manager.store.get(segment.key)
-                self.deserialize(data)
-            except StorageError as exc:
-                last_error = exc
-                continue
-            delta.add(
-                self.manager.device.read_delta(segment.key, segment.n_bytes)
-            )
-            return delta
-        raise StorageError(
-            f"delta segment {segment.sid} ({segment.key!r}) unreadable "
-            f"after {policy.max_attempts} attempts: {last_error}"
-        )
-
-    def load_segment(self, sid: int, version: int = 0) -> DeltaSegment:
-        """Rebuild a segment object from its blob (recovery path)."""
-        data = self.manager.store.get(self._key(sid))
-        stored_sid, tids, columns = self.deserialize(data)
-        return DeltaSegment(
-            stored_sid, self._key(stored_sid), tids, columns, self.schema,
-            version,
-        )
-
-    def drop(self, segments) -> int:
-        """Delete folded segments' blobs after a compaction commit."""
-        dropped = 0
-        for segment in segments:
-            self.manager.store.delete(segment.key)
-            self.manager.device.invalidate(segment.key)
-            dropped += 1
-        return dropped

@@ -217,7 +217,8 @@ class WriteAheadLog:
 
         Returns the batch sequence number, or ``-1`` when nothing was
         pending (no blob is written).  The single ``store.put`` is the
-        simulated fsync; its wall-clock latency is recorded in
+        simulated fsync — if it raises, the batch stays buffered and the
+        commit can be retried; its wall-clock latency is recorded in
         :attr:`WalStats.last_commit_latency_s` and published to the metrics
         registry by the transactional table.
         """
@@ -232,14 +233,24 @@ class WriteAheadLog:
             self._next_batch += 1
         data = self._encode_batch(seq, records)
         tracer = obs_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "wal.commit", batch_seq=seq, n_records=len(records)
-            ) as span:
+        try:
+            if tracer.enabled:
+                with tracer.span(
+                    "wal.commit", batch_seq=seq, n_records=len(records)
+                ) as span:
+                    self.store.put(self._batch_key(seq), data)
+                    span.set(n_bytes=len(data))
+            else:
                 self.store.put(self._batch_key(seq), data)
-                span.set(n_bytes=len(data))
-        else:
-            self.store.put(self._batch_key(seq), data)
+        except StorageError:
+            # Nothing became durable: the batch is buffered again under the
+            # same sequence number (a skipped one would read as a hole that
+            # ends every later replay).
+            with self._lock:
+                self._pending[:0] = records
+                if self._next_batch == seq + 1:
+                    self._next_batch = seq
+            raise
         latency = time.perf_counter() - started
         with self._lock:
             self.stats.n_commits += 1

@@ -21,6 +21,7 @@ from repro.storage import (
     PartitionManager,
     StorageDevice,
 )
+from repro.storage.partition_manager import CatalogIndex
 from repro.storage.physical import PhysicalPartition, PhysicalSegment
 
 N_TUPLES = 24
@@ -72,7 +73,7 @@ def holders(infos, attribute, tids):
 
 
 #: probes: single tids, a run, everything, tids past the stored domain
-#: (delta-only rows), and nothing.
+#: (cells no partition stores), and nothing.
 PROBES = [np.array([t], dtype=np.int64) for t in (0, 7, N_TUPLES - 1)] + [
     np.arange(3, 11, dtype=np.int64),
     np.arange(N_TUPLES, dtype=np.int64),
@@ -208,6 +209,43 @@ class TestIndexEqualsDefinition:
         assert manager.snapshot_refcount() == 0
 
 
+    @given(
+        st.lists(partition_st, min_size=2, max_size=6),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_add_only_swap_derives_what_a_rebuild_builds(self, drawn, data):
+        """A write commit is an add-only swap: its index is derived from
+        the predecessor's, owner maps built so far carried forward.  Derived
+        and rebuilt must be the same index, array for array."""
+        manager = new_manager()
+        every = np.arange(N_TUPLES, dtype=np.int64)
+        for pid, segments in enumerate(drawn):
+            manager.add_partition(physical(pid, segments))
+            # Probing builds the probed attributes' maps; the rest stay
+            # lazy on both sides.
+            for attribute in data.draw(st.sets(st.sampled_from(ATTRS))):
+                manager.partitions_with_missing_cells(attribute, every)
+        live = manager.catalog_index()
+        rebuilt = CatalogIndex(manager.info(pid) for pid in manager.pids())
+        assert live.pids == rebuilt.pids
+        assert live.attribute_pids == rebuilt.attribute_pids
+        assert live.replica_pids == rebuilt.replica_pids
+        for attribute in live.attribute_pids:
+            for tids in PROBES:
+                assert live.partitions_with_cells(
+                    attribute, tids
+                ) == rebuilt.partitions_with_cells(attribute, tids)
+            ours, theirs = live._owners[attribute], rebuilt._owners[attribute]
+            assert ours.pids == theirs.pids
+            assert ours.placement == theirs.placement
+            assert len(ours.layers) == len(theirs.layers)
+            for mine, fresh in zip(ours.layers, theirs.layers):
+                assert mine.dtype == fresh.dtype
+                assert np.array_equal(mine, fresh)
+        assert live.owner_bytes() == rebuilt.owner_bytes()  # sharing kept
+
+
 def stripes(first_pid, n, attrs=ATTRS):
     """One catalog state: ``n`` partitions that together hold ``attrs`` of
     every tid exactly once."""
@@ -276,6 +314,31 @@ class TestLifecycle:
             assert now.index is index and before.index is index
         manager.swap_partitions(halves(2), remove=[0, 1])
         assert manager.catalog_index() is not index
+
+    def test_add_only_swap_carries_the_built_owner_maps_forward(self):
+        manager = new_manager()
+        for part in halves(0):
+            manager.add_partition(part)
+        tids = np.arange(N_TUPLES, dtype=np.int64)
+        manager.partitions_with_missing_cells("a1", tids)
+        index = manager.catalog_index()
+        built = index.owner_bytes()
+        assert built > 0
+        late = np.arange(N_TUPLES, N_TUPLES + 4, dtype=np.int64)
+        manager.add_partition(PhysicalPartition(pid=2, segments=[
+            PhysicalSegment(
+                attributes=ATTRS, tuple_ids=late,
+                columns={name: np.zeros(4, dtype=np.int32) for name in ATTRS},
+            )
+        ]))
+        successor = manager.catalog_index()
+        assert successor is not index and successor.pids == {0, 1, 2}
+        assert successor.owner_bytes() > 0  # a1's map arrived already built
+        assert index.owner_bytes() == built  # the predecessor is untouched
+        assert manager.partitions_with_missing_cells(
+            "a1", np.array([3, N_TUPLES + 1], dtype=np.int64)
+        ) == (0, 2)
+        assert index.partitions_with_cells("a1", late) == ()
 
     def test_last_old_version_pin_frees_its_index(self):
         manager = new_manager()

@@ -21,7 +21,7 @@ from repro.testing import (
 )
 from repro.txn import DeltaCompactor, TransactionalTable
 
-from .conftest import build_txn_table
+from .conftest import build_txn_table, referenced_keys
 
 
 def run_batches(txn, rng, n_batches=4):
@@ -98,6 +98,59 @@ class TestBudget:
         assert reports == []  # first pass is an is_empty no-op report
         state = txn.delta_state()
         assert state.segments or state.tombstones
+
+
+class TestNoOrphanBlobs:
+    """After commits, a fold and ``prune_retired()`` the blob store holds
+    the live partitions (sketches ride in their trailers) and the WAL tail —
+    nothing a fold left behind, however many folds ran."""
+
+    @staticmethod
+    def live_keys(txn):
+        manager = txn.manager
+        keys = {manager.info(pid).key for pid in manager.pids()}
+        return keys | set(txn.wal.batch_keys())
+
+    @pytest.mark.parametrize("budgeted", [False, True],
+                             ids=["unbudgeted", "budgeted"])
+    def test_fold_and_prune_leave_only_live_partitions(self, budgeted):
+        _table, _layout, txn = build_txn_table(seed=51)
+        manager = txn.manager
+        rng = np.random.default_rng(51)
+        for _fold in range(2):
+            run_batches(txn, rng)
+            budget = max(
+                manager.info(pid).n_bytes for pid in manager.pids()
+            ) if budgeted else None
+            reports = DeltaCompactor(
+                txn, bytes_budget=budget, verify=True
+            ).run_until_clean()
+            assert (len(reports) > 1) == budgeted
+            state = txn.delta_state()
+            assert not state.segments and not state.tombstones
+            manager.prune_retired()
+            assert manager.retired_pids() == ()
+            assert set(manager.store.keys()) == self.live_keys(txn)
+
+    def test_pinned_snapshot_keeps_retired_blobs_until_released(self):
+        _table, _layout, txn = build_txn_table(seed=52)
+        manager = txn.manager
+        rng = np.random.default_rng(52)
+        shadow = run_batches(txn, rng)
+        hold = txn.pin()
+        report = DeltaCompactor(txn, verify=True).run()
+        shadow.snapshot(report.version)
+        manager.prune_retired()
+        retired = {manager.info(pid).key for pid in manager.retired_pids()}
+        assert retired  # the pin still reads them
+        assert set(manager.store.keys()) == self.live_keys(txn) | retired
+        assert set(manager.store.keys()) == referenced_keys(txn)
+        assert verify_against_shadow(
+            txn, shadow, rng, versions=(hold.version, report.version)
+        ) == []
+        hold.release()
+        manager.prune_retired()
+        assert set(manager.store.keys()) == self.live_keys(txn)
 
 
 def build_column_group_table(seed, n_tuples, engine=None):

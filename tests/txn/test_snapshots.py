@@ -89,6 +89,42 @@ class TestPinning:
             manager.pin_snapshot(snapshot.version)
 
 
+    def test_nothing_invisible_pins_without_a_mask(self, txn_table):
+        """A version's visibility is one immutable mask; a table nothing
+        was deleted from runs the read-only engines' exact path."""
+        table, _layout, txn = txn_table
+        names = list(table.schema.attribute_names)
+        with txn.pin() as clean:
+            assert clean.valid_mask is None
+        first = txn.current_version
+        txn.insert({name: np.arange(5, dtype=np.int32) for name in names})
+        grown = txn.commit()
+        with txn.pin() as still_clean, txn.pin(first) as older:
+            assert still_clean.valid_mask is None
+            # The older version ends below the grown tid domain.
+            assert older.valid_mask is not None
+            assert len(older.valid_mask) == 300 and older.valid_mask.all()
+        txn.delete(tids=[4])
+        txn.commit()
+        with txn.pin() as dirty, txn.pin() as again, txn.pin(grown) as back:
+            assert dirty.valid_mask is again.valid_mask  # built once
+            assert not dirty.valid_mask[4] and dirty.valid_mask.sum() == 304
+            assert back.valid_mask is None
+
+    def test_states_below_the_floor_are_dropped(self, txn_table):
+        _table, _layout, txn = txn_table
+        for round_ in range(3):
+            txn.delete(tids=[2 * round_, 2 * round_ + 1])
+            txn.commit()
+            DeltaCompactor(txn, verify=True).run()
+            txn.manager.prune_retired()
+            floor = txn.manager.floor_version()
+            assert floor == txn.current_version
+            assert txn.versions() == (floor,)
+            # The newest state at or below the floor, and nothing older.
+            assert len(txn._states) <= 3
+
+
 class TestReadStability:
     def test_pinned_reads_identical_through_write_compact_migrate(self):
         """The acceptance bar: a query pinned to version V returns
@@ -145,7 +181,7 @@ class TestReadStability:
 
         # Drift the workload onto attributes the layout was never tuned
         # for and let the adaptive daemon migrate the live catalog while
-        # delta segments and tombstones are still outstanding.
+        # commit partitions and tombstones are still outstanding.
         daemon = AdaptiveDaemon(layout, txn.data, AdaptiveConfig(
             window_size=32,
             advisor=AdvisorConfig(drift_threshold=0.2, drift_reset=0.1,
@@ -166,8 +202,10 @@ class TestReadStability:
         check("after migration")
 
         # Current-version reads stay duplicate-free and complete even
-        # though the migrated boxes absorbed delta-era rows into base
-        # partitions that their segments still serve.
+        # though the migrated boxes absorbed committed rows whose cells
+        # their commit partitions still hold too (the engines key results
+        # by tid, so a cell stored twice is written twice, not returned
+        # twice).
         def check_current(stage):
             visible = txn._visible_mask(txn.current_version)
             full = Query.build(txn.data.meta, names, {}, label="now")
@@ -182,7 +220,7 @@ class TestReadStability:
 
         check_current("current reads after migration")
 
-        # Fold the outstanding deltas into the migrated catalog.
+        # Fold the outstanding tombstones out of the migrated catalog.
         report = DeltaCompactor(txn, verify=True).run()
         assert not report.is_empty
         check("after compaction")
