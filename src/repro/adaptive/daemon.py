@@ -39,7 +39,7 @@ from ..core.partition import Partition, PartitioningPlan
 from ..core.partitioner import PartitionerConfig
 from ..errors import AdaptationError, StorageError
 from ..layouts.base import MaterializedLayout
-from ..obs import publish_adaptation
+from ..obs import publish
 from ..obs import tracer as obs_tracer
 from ..storage.physical import TID_EXPLICIT
 from ..storage.table_data import ColumnTable
@@ -221,26 +221,22 @@ class AdaptiveDaemon:
     def run_cycle(self) -> CycleReport:
         """One monitor → advisor → migrate decision; always returns a report."""
         with self._cycle_lock:
-            tracer = obs_tracer()
-            if not tracer.enabled:
+            with obs_tracer().span("adaptive.cycle") as span:
                 report = self._run_cycle_locked()
-            else:
-                with tracer.span("adaptive.cycle") as span:
-                    report = self._run_cycle_locked()
-                    span.set(
-                        fired=report.fired,
-                        reason=report.reason,
-                        drift=report.drift,
-                        n_scope=len(report.scope_pids),
-                        bytes_rewritten=report.bytes_rewritten,
-                        aborted=report.aborted,
-                        catalog_version=report.catalog_version,
-                    )
+                span.set(
+                    fired=report.fired,
+                    reason=report.reason,
+                    drift=report.drift,
+                    n_scope=len(report.scope_pids),
+                    bytes_rewritten=report.bytes_rewritten,
+                    aborted=report.aborted,
+                    catalog_version=report.catalog_version,
+                )
             outcome = (
                 "migrated" if report.fired
                 else ("aborted" if report.aborted else "skipped")
             )
-            publish_adaptation(self.stats, cycle_outcome=outcome)
+            publish("adaptive", self.stats, outcome=outcome)
             return report
 
     def _run_cycle_locked(self) -> CycleReport:

@@ -200,9 +200,7 @@ def _run_profile(args) -> int:
                     for query in workload.queries:
                         executor.execute(query)
                         n_queries += 1
-                pool = layout.manager.buffer_pool
-                if pool is not None:
-                    obs.publish_buffer_pool(pool, name=layout_name)
+                obs.publish("pool", layout.manager.buffer_pool, pool=layout_name)
         finally:
             if not was_metrics:
                 obs.disable()
@@ -217,7 +215,7 @@ def _run_profile(args) -> int:
     print(obs.hotspot_summary(collector, n=args.top))
     if args.metrics:
         print()
-        print(obs.render_prometheus())
+        print(obs.get_registry().render_prometheus())
     return 0
 
 
@@ -249,7 +247,7 @@ def _scrape_telemetry(telemetry) -> None:
     from urllib.error import HTTPError
     from urllib.request import urlopen
 
-    from .obs import parse_exposition
+    from .testing.promparse import parse_exposition
 
     base = telemetry.url
     with urlopen(base + "/metrics", timeout=10) as resp:
@@ -267,16 +265,9 @@ def _scrape_telemetry(telemetry) -> None:
 
 def _run_serve(args) -> int:
     """Serve a seeded demo layout to N replay clients; verify every result."""
-    import json
-
     import numpy as np
 
     from . import obs
-    from .obs.flight import (
-        FlightRecorder,
-        install_flight_recorder,
-        uninstall_flight_recorder,
-    )
     from .serve import (
         PartitionCache,
         QueryScheduler,
@@ -294,13 +285,13 @@ def _run_serve(args) -> int:
     engines = _serve_engines(layout, cache)
     if args.metrics or args.telemetry_port is not None:
         obs.enable(trace=False, metrics=True)
-    recorder = FlightRecorder(
+    recorder = obs.FlightRecorder(
         capacity=4096,
         slow_query_s=(
             args.slow_query_ms / 1000.0 if args.slow_query_ms > 0 else None
         ),
     )
-    install_flight_recorder(recorder)
+    obs.install_flight_recorder(recorder)
     rng = np.random.default_rng(args.seed + 1)
     mix = build_client_mix(
         rng,
@@ -331,7 +322,7 @@ def _run_serve(args) -> int:
             if args.telemetry_port is not None:
                 _scrape_telemetry(telemetry)
     finally:
-        uninstall_flight_recorder(close=False)
+        obs.uninstall_flight_recorder(close=False)
     flight = recorder.summary()
     print(
         f"-- flight recorder: {flight['n_recorded']} queries recorded "
@@ -341,13 +332,10 @@ def _run_serve(args) -> int:
         f"{flight['latency_p99_s']*1e3:.1f} ms"
     )
     if args.flight_out:
-        with open(args.flight_out, "w", encoding="utf-8") as fh:
-            for record in recorder.records():
-                fh.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-        print(
-            f"-- wrote {recorder.n_recorded} flight records to "
-            f"{args.flight_out}"
+        n_written = obs.write_jsonl(
+            obs.record_rows(recorder.records()), args.flight_out
         )
+        print(f"-- wrote {n_written} flight records to {args.flight_out}")
     recorder.close()
     print(
         f"-- demo table {table.meta.name!r}: {table.n_tuples} tuples x "
@@ -361,7 +349,7 @@ def _run_serve(args) -> int:
     )
     print(report.summary())
     if cache is not None:
-        obs.publish_partition_cache(cache)
+        obs.publish("partition_cache", cache, cache="main")
         stats = cache.stats
         print(
             f"partition cache: {stats.n_hits} hits / {stats.n_misses} misses "
@@ -370,7 +358,7 @@ def _run_serve(args) -> int:
         )
     if args.metrics:
         print()
-        print(obs.render_prometheus())
+        print(obs.get_registry().render_prometheus())
     for failure in report.failures:
         print(f"FAILURE: {failure}", file=sys.stderr)
     return 0 if report.ok else 1
@@ -470,7 +458,7 @@ def _run_write(args) -> int:
     )
     if args.metrics:
         print()
-        print(obs.render_prometheus())
+        print(obs.get_registry().render_prometheus())
     return 1 if mismatches else 0
 
 
@@ -483,6 +471,8 @@ def _run_health(args) -> int:
     resulting metrics registry.
     """
     import json
+
+    from .obs import format_health
 
     if args.telemetry_url:
         from urllib.error import HTTPError, URLError
@@ -498,17 +488,12 @@ def _run_health(args) -> int:
         except (URLError, OSError) as exc:
             print(f"health: cannot reach {url}: {exc}", file=sys.stderr)
             return 2
-        print(f"health ({url}): {payload['status'].upper()}")
-        for rule in payload.get("results", []):
-            observed = rule.get("observed")
-            shown = "n/a" if observed is None else f"{observed:.6g}"
-            print(f"  [{rule['status'].upper():4s}] {rule['name']} = {shown}")
+        print(format_health(payload, title=f"health ({url})"))
         return {"ok": 0, "warn": 1, "crit": 2}.get(payload["status"], 2)
 
     import numpy as np
 
     from . import obs
-    from .obs.health import HealthMonitor
     from .testing import ShadowTable, WriteWorkloadConfig, apply_random_batch
     from .txn import DeltaCompactor, TransactionalTable
 
@@ -523,8 +508,8 @@ def _run_health(args) -> int:
         apply_random_batch(txn, shadow, rng, config)
         shadow.snapshot(txn.commit())
     DeltaCompactor(txn, verify=True).run_until_clean()
-    report = HealthMonitor().evaluate()
-    print(report.render())
+    report = obs.HealthMonitor().evaluate()
+    print(format_health(report.as_dict()))
     return report.exit_code
 
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 from ..core.query import Query
 from ..core.schema import TableMeta
 from ..errors import PartitionUnreadableError
-from ..obs import record_query
+from ..obs import request_scope
 from ..obs import tracer as obs_tracer
 from ..plan.degrade import FaultContext
 from ..plan.explain import ExplainReport
@@ -57,7 +57,7 @@ class QueryRun(NamedTuple):
 class QueryEngine:
     """Base of every query engine; see the module docstring."""
 
-    #: label ``explain``, the ``exec.query`` span and ``record_query`` carry.
+    #: label ``explain``, the ``exec.query`` span and the request scope carry.
     name: str = ""
     #: the planner's pruning family.
     policy: str = POLICY_PARTITION
@@ -141,11 +141,12 @@ class QueryEngine:
         """The scaffold: where a vectorised query starts and ends."""
         started = time.perf_counter()
         stats = ExecutionStats()
-        tracer = obs_tracer()
         cpu_model = self.cpu_model
-        with tracer.phase(
-            "exec.query", stats, cpu_model=cpu_model, engine=self.name
-        ):
+        # The tracer is resolved inside the scope: a root scope may install
+        # the one that captures this request's spans for the slow-query log.
+        with request_scope(self.name, query) as scope, (
+            tracer := obs_tracer()
+        ).phase("exec.query", stats, cpu_model=cpu_model, engine=self.name):
             plan = make_plan()
             policy = plan.policy
             fctx = FaultContext()
@@ -177,13 +178,14 @@ class QueryEngine:
                     raise
                 result, combined = self._retreat(query, run, exc)
                 finalize_stats(combined, cpu_model, started)
+                scope.complete(combined, plan)
                 return result, combined
             finally:
                 if prefetcher is not None:
                     prefetcher.close()
             result = fill_op.result(stats, fctx.unreadable)
             finalize_stats(stats, cpu_model, started)
-        record_query(self.name, plan, stats, query=query)
+            scope.complete(stats, plan)
         return result, stats
 
     # -------------------------------------------------------- driver hooks

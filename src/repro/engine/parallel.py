@@ -41,7 +41,7 @@ import numpy as np
 from ..core.query import Query
 from ..core.schema import TableMeta
 from ..errors import PartitionUnreadableError
-from ..obs import record_query
+from ..obs import request_scope
 from ..obs import tracer as obs_tracer
 from ..plan.degrade import FaultContext
 from ..plan.operators import (
@@ -114,13 +114,16 @@ class ThreadedPartitionEngine(QueryEngine):
         self, query: Query, snapshot=None
     ) -> Tuple[ResultSet, ExecutionStats]:
         started = time.perf_counter()
-        tracer = obs_tracer()
         coordinator = ExecutionStats()
         self.worker_stats = [ExecutionStats() for _ in range(self.n_threads)]
         # The phase snapshots sum across every ledger of the execution: the
         # coordinator's plus one per worker thread.
         ledgers = [coordinator, *self.worker_stats]
-        with tracer.phase("exec.query", ledgers, engine=self.name):
+        # The tracer is resolved inside the scope: a root scope may install
+        # the one that captures this request's spans for the slow-query log.
+        with request_scope(self.name, query) as scope, (
+            tracer := obs_tracer()
+        ).phase("exec.query", ledgers, engine=self.name):
             plan = self.planner.plan(query, snapshot=snapshot)
             conjunction = plan.logical.conjunction
             projected = plan.logical.projected
@@ -204,7 +207,7 @@ class ThreadedPartitionEngine(QueryEngine):
             }
             totals.n_result_tuples = len(valid)
             finalize_stats(totals, self.cpu_model, started)
-        record_query(self.name, plan, totals, query=query)
+            scope.complete(totals, plan)
         return ResultSet(valid, columns), totals
 
     # --------------------------------------------------------- internals

@@ -130,8 +130,6 @@ class ReplicatedExecutor(QueryEngine):
         # engine, whose tuple-level index can reassemble the lost cells from
         # replicas or overlapping primaries — or prove that nothing can.
         # The aborted local attempt's I/O and CPU events stay on the bill.
-        # The standard engine publishes its own ledger; the scaffold does
-        # not publish the combined one again, which would double count.
         stats = run.stats
         stats.n_unreadable_partitions += 1
         if exc.io_delta is not None:

@@ -1,189 +1,25 @@
-"""Unified observability: tracing spans, metrics, EXPLAIN ANALYZE, exporters.
+"""Unified observability: one request scope, one metric catalogue, one view.
 
-The engine's four instrumented subsystems — storage (``IOStats`` /
-``FaultStats``), execution (``ExecutionStats`` + ``CpuModel``), the planner
-pipeline, and the adaptive daemon (``AdaptationStats``) — each keep exact
-counters but no shared timeline.  This package provides that timeline plus
-the aggregate view, without perturbing a single simulated figure:
-
-* :mod:`repro.obs.trace` — nestable spans with monotonic wall time and
-  simulated io/cpu attribution, collected into a bounded ring buffer;
-* :mod:`repro.obs.metrics` — a labeled counter/gauge/histogram registry the
-  existing stats dataclasses publish into (their APIs are untouched);
-* :mod:`repro.obs.analyze` — EXPLAIN ANALYZE: per-operator actuals as a tree
-  whose simulated io+cpu times sum *exactly* to the query's totals;
-* :mod:`repro.obs.export` — JSONL trace dump, Prometheus text exposition,
-  and top-N hotspot summaries (the ``jigsaw-bench profile`` subcommand);
-* :mod:`repro.obs.publish` — the bridge that copies the stats dataclasses
-  into the registry at query/cycle boundaries.
-
-**Enablement model.**  The module-level tracer defaults to a
-:class:`~repro.obs.trace.NoopTracer`; every instrumentation point in the
-planner, the operators, the storage stack and the daemon costs one attribute
-load and one truth test until :func:`enable` installs a real tracer.
-:func:`scoped_trace` installs a collector for the current logical context
-only (it rides a ``ContextVar``, so it propagates into the threaded engines'
-workers but never leaks across concurrent callers) — EXPLAIN ANALYZE and the
-tests use it to trace one query without flipping any global switch.
+The engine's subsystems keep exact counters (``ExecutionStats``, ``IOStats``,
+``WalStats``, ...); this package *copies* them out, without perturbing a
+single simulated figure.  :mod:`~repro.obs.runtime` holds the process-wide
+switches (a leaf module); :mod:`~repro.obs.trace` the spans;
+:mod:`~repro.obs.scope` the request scope every request root opens, whose
+outermost instance emits one :mod:`~repro.obs.flight` record and one pass
+over the :mod:`~repro.obs.catalog` of metric families
+(:mod:`~repro.obs.metrics` is the registry, :mod:`~repro.obs.health` the
+rules over it); :mod:`~repro.obs.analyze` builds EXPLAIN ANALYZE; and
+:mod:`~repro.obs.view` / :mod:`~repro.obs.server` format the resulting rows
+as text, JSONL and the four HTTP routes.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator, Optional
-
+from .analyze import AnalyzeNode, build_analyze_tree, explain_analyze
+from .catalog import publish
 from .digest import QuantileDigest
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Summary
-from .trace import (
-    NOOP_TRACER,
-    NoopTracer,
-    Span,
-    TraceCollector,
-    Tracer,
-)
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NoopTracer",
-    "QuantileDigest",
-    "Span",
-    "Summary",
-    "TraceCollector",
-    "Tracer",
-    "disable",
-    "enable",
-    "get_registry",
-    "global_trace_collector",
-    "metrics_enabled",
-    "scoped_trace",
-    "scoped_tracing_active",
-    "tracer",
-    "tracing_enabled",
-]
-
-#: Globally installed tracer (None until :func:`enable`).
-_GLOBAL_TRACER: Tracer | NoopTracer = NOOP_TRACER
-#: Context-local override; wins over the global tracer when set.
-_ACTIVE_TRACER: ContextVar[Optional[Tracer]] = ContextVar(
-    "jigsaw_active_tracer", default=None
-)
-#: One process-wide registry; metrics publishing is gated separately from
-#: tracing so a long-running server can scrape without paying for spans.
-_REGISTRY = MetricsRegistry()
-_METRICS_ENABLED = False
-
-
-def tracer() -> Tracer | NoopTracer:
-    """The tracer instrumentation points must use (noop unless enabled)."""
-    active = _ACTIVE_TRACER.get()
-    if active is not None:
-        return active
-    return _GLOBAL_TRACER
-
-
-def tracing_enabled() -> bool:
-    return tracer().enabled
-
-
-def scoped_tracing_active() -> bool:
-    """True when a context-local tracer (``scoped_trace``) is installed.
-
-    The scheduler's slow-query capture checks this before installing its
-    own collector, so it never steals spans from a client that wrapped its
-    submit in a ``scoped_trace`` (the PR-7 contract).
-    """
-    return _ACTIVE_TRACER.get() is not None
-
-
-def metrics_enabled() -> bool:
-    return _METRICS_ENABLED
-
-
-def get_registry() -> MetricsRegistry:
-    return _REGISTRY
-
-
-def global_trace_collector() -> Optional[TraceCollector]:
-    """The globally enabled tracer's collector, or None when tracing is
-    off (``/hotspots`` and the profile subcommand read it)."""
-    if isinstance(_GLOBAL_TRACER, Tracer):
-        return _GLOBAL_TRACER.collector
-    return None
-
-
-def enable(
-    trace: bool = True,
-    metrics: bool = True,
-    capacity: int = 65536,
-    collector: Optional[TraceCollector] = None,
-) -> Optional[TraceCollector]:
-    """Turn observability on globally; returns the live trace collector.
-
-    ``trace`` installs a real tracer over a bounded ring buffer of
-    ``capacity`` spans (or the given ``collector``); ``metrics`` opens the
-    publication gate for the shared registry.  Returns the collector when
-    tracing was enabled, else None.
-    """
-    global _GLOBAL_TRACER, _METRICS_ENABLED
-    result: Optional[TraceCollector] = None
-    if trace:
-        _GLOBAL_TRACER = Tracer(
-            collector if collector is not None else TraceCollector(capacity)
-        )
-        result = _GLOBAL_TRACER.collector
-    if metrics:
-        _METRICS_ENABLED = True
-    return result
-
-
-def disable() -> None:
-    """Back to the zero-cost default: noop tracer, publication gate shut."""
-    global _GLOBAL_TRACER, _METRICS_ENABLED
-    _GLOBAL_TRACER = NOOP_TRACER
-    _METRICS_ENABLED = False
-
-
-@contextmanager
-def scoped_trace(
-    capacity: int = 65536, collector: Optional[TraceCollector] = None
-) -> Iterator[TraceCollector]:
-    """Trace the current logical context only.
-
-    The installed tracer overrides the global one for code running in this
-    context (including worker threads the threaded engines spawn through
-    ``contextvars.copy_context``) and is removed on exit.  Yields the
-    collector the spans land in.
-    """
-    if collector is None:
-        collector = TraceCollector(capacity)
-    token = _ACTIVE_TRACER.set(Tracer(collector))
-    try:
-        yield collector
-    finally:
-        _ACTIVE_TRACER.reset(token)
-
-
-# Imported late: publish/analyze/export need tracer()/get_registry() above.
-from .analyze import AnalyzeNode, build_analyze_tree, explain_analyze  # noqa: E402
-from .export import (  # noqa: E402
-    dump_jsonl,
-    hotspot_summary,
-    render_prometheus,
-    top_hotspots,
-)
-from .flight import (  # noqa: E402
-    FlightRecord,
-    FlightRecorder,
-    flight_recorder,
-    install_flight_recorder,
-    load_flight_history,
-    uninstall_flight_recorder,
-)
-from .health import (  # noqa: E402
+from .flight import FlightRecord, FlightRecorder, load_flight_history
+from .health import (
     HealthMonitor,
     HealthReport,
     HealthRule,
@@ -191,49 +27,75 @@ from .health import (  # noqa: E402
     Ratio,
     default_rules,
 )
-from .promparse import ExpositionError, MetricFamily, parse_exposition  # noqa: E402
-from .publish import (  # noqa: E402
-    publish_adaptation,
-    publish_buffer_pool,
-    publish_fault_stats,
-    publish_partition_cache,
-    publish_serve,
-    publish_txn,
-    publish_wal,
-    record_query,
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Summary
+from .runtime import (
+    disable,
+    enable,
+    flight_recorder,
+    get_registry,
+    global_trace_collector,
+    install_flight_recorder,
+    metrics_enabled,
+    scoped_trace,
+    scoped_tracing_active,
+    tracer,
+    tracing_enabled,
+    uninstall_flight_recorder,
 )
-from .server import TelemetryServer  # noqa: E402
+from .scope import request_scope
+from .server import TelemetryServer
+from .trace import NoopTracer, Span, TraceCollector, Tracer
+from .view import (
+    dump_jsonl,
+    format_health,
+    hotspot_rows,
+    hotspot_summary,
+    record_rows,
+    write_jsonl,
+)
 
-__all__ += [
+__all__ = [
     "AnalyzeNode",
-    "ExpositionError",
+    "Counter",
     "FlightRecord",
     "FlightRecorder",
+    "Gauge",
     "HealthMonitor",
     "HealthReport",
     "HealthRule",
-    "MetricFamily",
+    "Histogram",
     "MetricValue",
+    "MetricsRegistry",
+    "NoopTracer",
+    "QuantileDigest",
     "Ratio",
+    "Span",
+    "Summary",
     "TelemetryServer",
+    "TraceCollector",
+    "Tracer",
     "build_analyze_tree",
     "default_rules",
+    "disable",
     "dump_jsonl",
+    "enable",
     "explain_analyze",
     "flight_recorder",
+    "format_health",
+    "get_registry",
+    "global_trace_collector",
+    "hotspot_rows",
     "hotspot_summary",
     "install_flight_recorder",
     "load_flight_history",
-    "parse_exposition",
-    "publish_adaptation",
-    "publish_buffer_pool",
-    "publish_fault_stats",
-    "publish_partition_cache",
-    "publish_serve",
-    "publish_txn",
-    "publish_wal",
-    "record_query",
-    "render_prometheus",
-    "top_hotspots",
+    "metrics_enabled",
+    "publish",
+    "record_rows",
+    "request_scope",
+    "scoped_trace",
+    "scoped_tracing_active",
+    "tracer",
+    "tracing_enabled",
     "uninstall_flight_recorder",
+    "write_jsonl",
 ]

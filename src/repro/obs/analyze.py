@@ -23,9 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .runtime import scoped_trace
 from .trace import STATS_COUNTER_FIELDS, Span
 
-__all__ = ["AnalyzeNode", "build_analyze_tree", "explain_analyze"]
+__all__ = [
+    "AnalyzeNode",
+    "build_analyze_tree",
+    "exact_residual",
+    "explain_analyze",
+]
 
 #: Root span name every engine opens around one execution.
 ROOT_SPAN = "exec.query"
@@ -129,7 +135,7 @@ def _node_from_span(span: Span, children_of) -> AnalyzeNode:
     return node
 
 
-def _exact_residual(total: float, parts: Sequence[float]) -> float:
+def exact_residual(total: float, parts: Sequence[float]) -> float:
     """A residual such that ``sum([*parts, residual])`` (left-to-right
     float addition, exactly how a caller iterating the rows accumulates)
     equals ``total`` bit for bit.  Iterative fix-up converges in one or two
@@ -203,10 +209,10 @@ def build_analyze_tree(
     }
     residual = AnalyzeNode(
         name="(unattributed)",
-        sim_io_s=_exact_residual(
+        sim_io_s=exact_residual(
             stats.io_time_s, [c.sim_io_s for c in root_children]
         ),
-        sim_cpu_s=_exact_residual(
+        sim_cpu_s=exact_residual(
             stats.cpu_time_s, [c.sim_cpu_s for c in root_children]
         ),
         counters={k: v for k, v in residual_counters.items() if v},
@@ -222,8 +228,6 @@ def explain_analyze(executor, query, engine: str = ""):
     .ExplainReport` with actuals recorded *and* ``report.analyze`` set to
     the per-operator :class:`AnalyzeNode` tree.  Works with every engine.
     """
-    from . import scoped_trace
-
     report = executor.explain(query)
     with scoped_trace() as collector:
         result, stats = executor.execute(query)

@@ -1,32 +1,25 @@
-"""The query flight recorder: a persistable ring of per-query records.
+"""The flight recorder: a persistable ring of one record per request.
 
 Spans answer "where did *this* query spend its time"; metrics answer "how
 is the system doing *now*".  Neither answers the operator question that
-drives reclustering and capacity decisions in production engines — *what
-were the slowest queries in the last hour, and why* — once the process has
-moved on.  The flight recorder closes that gap: a bounded, thread-safe
-ring of :class:`FlightRecord` entries, one per completed query, fed from
-the **single hook** every engine driver already passes through
-(:func:`repro.obs.publish.record_query`) and finalized by the
-:class:`~repro.serve.QueryScheduler` with the serving-tier facts the
-engine cannot know (priority, queue wait, admission outcome, WAL LSN at
-submit).
-
-Design points:
+drives reclustering and capacity decisions — *what were the slowest
+requests in the last hour, and why* — once the process has moved on.  The
+flight recorder keeps that: a bounded, thread-safe ring of
+:class:`FlightRecord` entries, one per **user request**, built in one place
+(:func:`build_record`) from the outermost
+:class:`~repro.obs.scope.RequestScope` when it closes.  A join is one record
+with its table scans as ``leaves``; a served query is one record carrying
+queue wait and priority; a commit, a fold and an admission rejection are one
+record each.  ``wall_time_s`` splits exactly into the leaves' walls plus
+``unattributed_s``.
 
 * **Zero perturbation.** The recorder only *reads* finished
-  ``ExecutionStats``; nothing in the hot path changes, and a recorder-on
-  run is bit-identical to a recorder-off run on the simulated accounting
-  (a tier-1 test sweeps the 768-entry stats snapshot both ways).
-* **Two-phase capture.** Inside a scheduler worker a ``ContextVar`` holds
-  the in-flight request's context; ``record_query`` *stages* the record
-  there and the scheduler finalizes it with latency/outcome before the
-  ticket is released.  Outside any scheduler (direct ``engine.execute``
-  calls) the record finalizes immediately with the engine's own wall time.
+  ``ExecutionStats``; a recorder-on run is bit-identical to a recorder-off
+  run on the simulated accounting (a tier-1 test sweeps the 768-entry stats
+  snapshot both ways).
 * **Slow-query log.** Records whose latency crosses ``slow_query_s`` are
-  flagged and — when the scheduler captured spans for the request — carry
-  the rendered EXPLAIN ANALYZE tree, so the "why" survives alongside the
-  "how long".
+  flagged and — when the scope captured spans for the request — carry the
+  rendered EXPLAIN ANALYZE tree, so the "why" survives beside the "how long".
 * **Persistence.** Records spill as JSONL blobs through the ordinary
   :class:`~repro.storage.blob.BlobStore` interface (rotation bounded by
   ``max_spill_blobs``), so history survives restarts and rides whatever
@@ -35,50 +28,24 @@ Design points:
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import threading
 import time
 from collections import deque
-from contextvars import ContextVar
-from dataclasses import dataclass, field, fields, replace
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-)
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence
 
-__all__ = [
-    "FLIGHT_CONTEXT",
-    "FlightRecord",
-    "FlightRecorder",
-    "flight_recorder",
-    "install_flight_recorder",
-    "load_flight_history",
-    "note_query",
-    "uninstall_flight_recorder",
-]
+from .analyze import ROOT_SPAN, build_analyze_tree, exact_residual
+from .view import record_rows, write_jsonl
 
-#: Per-request staging area.  The scheduler sets a fresh dict before running
-#: a request in the submitter's copied context; ``note_query`` stages the
-#: engine-side record here; the scheduler finalizes it.  None outside a
-#: scheduler worker.
-FLIGHT_CONTEXT: ContextVar[Optional[Dict[str, Any]]] = ContextVar(
-    "jigsaw_flight_context", default=None
-)
-
-#: The process-wide recorder (None until installed).
-_RECORDER: Optional["FlightRecorder"] = None
+__all__ = ["FlightRecord", "FlightRecorder", "build_record", "load_flight_history"]
 
 
 @dataclass(slots=True)
 class FlightRecord:
-    """One completed (or rejected) query, flattened for JSONL."""
+    """One completed (or failed, or rejected) request, flattened for JSONL."""
 
     seq: int
     ts_unix_s: float
@@ -91,9 +58,12 @@ class FlightRecord:
     latency_s: float = 0.0
     queue_wait_s: float = 0.0
     wall_time_s: float = 0.0
+    #: ``wall_time_s`` not covered by any leaf (exact: see ``exact_residual``).
+    unattributed_s: float = 0.0
     sim_io_s: float = 0.0
     sim_cpu_s: float = 0.0
     bytes_read: int = 0
+    cells_scanned: int = 0
     n_partition_reads: int = 0
     n_partitions_skipped: int = 0
     n_partitions_pruned: int = 0
@@ -112,12 +82,12 @@ class FlightRecord:
     slow: bool = False
     error: str = ""
     explain: str = ""
-    labels: Dict[str, str] = field(default_factory=dict)
+    #: the request's direct children (nested scopes and named steps), each
+    #: ``{"engine", "wall_s", ...counters, "leaves"}``.
+    leaves: List[Dict[str, Any]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(FlightRecord)}
-        out["labels"] = dict(self.labels)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FlightRecord":
@@ -125,43 +95,65 @@ class FlightRecord:
         return cls(**{k: v for k, v in payload.items() if k in known})
 
 
-def _record_from_stats(
-    seq: int, engine: str, plan, stats, query, labels: Dict[str, str]
+#: FlightRecord field <- ExecutionStats attribute.
+_STATS_FIELDS = (
+    ("sim_io_s", "io_time_s"),
+    ("sim_cpu_s", "cpu_time_s"),
+    *((name, name) for name in (
+        "bytes_read", "cells_scanned", "n_partition_reads",
+        "n_partitions_skipped", "n_partitions_pruned",
+        "n_partitions_sketch_pruned", "n_partitions_cache_pruned",
+        "n_cache_hits", "n_pool_hits", "n_retries", "n_degraded_reads",
+        "n_unreadable_partitions", "n_result_tuples",
+    )),
+)
+
+
+def build_record(
+    scope, stats, plan, recorder: Optional["FlightRecorder"] = None
 ) -> FlightRecord:
-    """Flatten one finished execution into a record (pure reads)."""
-    pruned = getattr(stats, "n_partitions_pruned", 0)
-    sketch = getattr(stats, "n_partitions_sketch_pruned", 0)
-    cache = getattr(stats, "n_partitions_cache_pruned", 0)
+    """Flatten one finished root scope into its record (pure reads) — the
+    only place a :class:`FlightRecord` is made.
+
+    ``stats`` and ``plan`` are the scope's resolved ones: its own or, for a
+    pass-through root (the scheduler, a transactional read), those of the
+    one scope it wrapped; explicit ``scope.facts`` win over both.
+    """
+    query = scope.query
+    counters = {name: getattr(stats, attr, 0) for name, attr in _STATS_FIELDS}
+    leaves = scope.leaves
     record = FlightRecord(
-        seq=seq,
+        seq=recorder.next_seq() if recorder is not None else -1,
         ts_unix_s=time.time(),
-        engine=engine,
+        engine=scope.engine,
         query=repr(query) if query is not None else "",
         label=getattr(query, "label", "") or "",
-        wall_time_s=getattr(stats, "wall_time_s", 0.0),
-        sim_io_s=getattr(stats, "io_time_s", 0.0),
-        sim_cpu_s=getattr(stats, "cpu_time_s", 0.0),
-        bytes_read=getattr(stats, "bytes_read", 0),
-        n_partition_reads=getattr(stats, "n_partition_reads", 0),
-        n_partitions_skipped=getattr(stats, "n_partitions_skipped", 0),
-        n_partitions_pruned=pruned,
-        n_partitions_zonemap_pruned=max(0, pruned - sketch - cache),
-        n_partitions_sketch_pruned=sketch,
-        n_partitions_cache_pruned=cache,
-        n_cache_hits=getattr(stats, "n_cache_hits", 0),
-        n_pool_hits=getattr(stats, "n_pool_hits", 0),
-        n_retries=getattr(stats, "n_retries", 0),
-        n_degraded_reads=getattr(stats, "n_degraded_reads", 0),
-        n_unreadable_partitions=getattr(stats, "n_unreadable_partitions", 0),
-        n_result_tuples=getattr(stats, "n_result_tuples", 0),
-        labels=labels,
+        priority=scope.priority,
+        outcome=scope.outcome,
+        error=scope.error,
+        latency_s=scope.queue_wait_s + scope.wall_s,
+        queue_wait_s=scope.queue_wait_s,
+        wall_time_s=scope.wall_s,
+        unattributed_s=exact_residual(
+            scope.wall_s, [leaf["wall_s"] for leaf in leaves]
+        ) if leaves else scope.wall_s,
+        n_partitions_zonemap_pruned=max(
+            0,
+            counters["n_partitions_pruned"]
+            - counters["n_partitions_sketch_pruned"]
+            - counters["n_partitions_cache_pruned"],
+        ),
+        wal_lsn=scope.wal_lsn,
+        leaves=leaves,
+        **counters,
     )
     if plan is not None:
         record.estimated_bytes = int(getattr(plan, "estimated_bytes", 0))
+        record.catalog_version = getattr(plan, "catalog_version", -1)
         manager = getattr(plan, "manager", None)
-        if manager is not None:
-            record.catalog_version = getattr(manager, "catalog_version", -1)
-            record.table = getattr(manager, "key_prefix", "") or ""
+        record.table = getattr(manager, "key_prefix", "") or ""
+    for name, value in scope.facts.items():
+        setattr(record, name, value)
     return record
 
 
@@ -171,10 +163,8 @@ class FlightRecorder:
     ``slow_query_s`` flags records at or above the threshold and keeps
     their EXPLAIN ANALYZE (when spans were captured); ``store`` enables
     JSONL spill through any blob store, one blob per ``spill_every``
-    records, rotated down to ``max_spill_blobs``; ``flush_interval_s``
-    starts a (non-daemon, joined-on-close) background flusher for
-    long-running servers; ``lsn_provider`` supplies the WAL LSN stamped
-    onto each submit.
+    records, rotated down to ``max_spill_blobs``; ``lsn_provider`` supplies
+    the WAL LSN stamped onto each request.
     """
 
     def __init__(
@@ -186,9 +176,7 @@ class FlightRecorder:
         key_prefix: str = "flight/",
         spill_every: int = 512,
         max_spill_blobs: int = 16,
-        flush_interval_s: Optional[float] = None,
         lsn_provider: Optional[Callable[[], int]] = None,
-        default_labels: Optional[Mapping[str, str]] = None,
     ):
         if capacity <= 0:
             raise ValueError("flight recorder capacity must be positive")
@@ -202,7 +190,6 @@ class FlightRecorder:
         self.spill_every = int(spill_every)
         self.max_spill_blobs = int(max_spill_blobs)
         self.lsn_provider = lsn_provider
-        self.default_labels = dict(default_labels or {})
         self._lock = threading.Lock()
         self._ring: Deque[FlightRecord] = deque(maxlen=self.capacity)
         self._slow: Deque[FlightRecord] = deque(maxlen=max(64, capacity // 8))
@@ -216,18 +203,6 @@ class FlightRecorder:
         self.n_errors = 0
         self.n_rejections = 0
         self.n_spilled = 0
-        self._flusher: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        if flush_interval_s is not None:
-            if store is None:
-                raise ValueError("flush_interval_s needs a store to flush to")
-            self._flusher = threading.Thread(
-                target=self._flush_loop,
-                args=(float(flush_interval_s),),
-                name="jigsaw-flight-flusher",
-                daemon=False,
-            )
-            self._flusher.start()
 
     # ------------------------------------------------------------- capture
 
@@ -240,132 +215,18 @@ class FlightRecorder:
         except Exception:
             return -1
 
-    def note(self, engine: str, plan, stats, query=None) -> None:
-        """Stage or finalize one finished execution (the engine-side hook).
-
-        Inside a scheduler request (``FLIGHT_CONTEXT`` set) the record is
-        *staged* for the scheduler to finalize with serving-tier facts; a
-        previously staged record (a multi-scan relational plan records once
-        per table scan) finalizes first, so nothing is lost.  Outside a
-        scheduler the record finalizes immediately with the engine's own
-        wall time.
-        """
-        if self._closed or stats is None:
-            return
+    def next_seq(self) -> int:
         with self._lock:
             seq = self._next_seq
             self._next_seq += 1
-        record = _record_from_stats(
-            seq, engine, plan, stats, query, dict(self.default_labels)
-        )
-        context = FLIGHT_CONTEXT.get()
-        if context is not None:
-            staged = context.pop("record", None)
-            if staged is not None:
-                self._finish(
-                    staged,
-                    latency_s=staged.wall_time_s,
-                    queue_wait_s=0.0,
-                    priority=context.get("priority", ""),
-                    wal_lsn=context.get("wal_lsn", -1),
-                )
-            context["record"] = record
-            context["stats"] = stats
-        else:
-            self._finish(
-                record, latency_s=record.wall_time_s, queue_wait_s=0.0
-            )
+        return seq
 
-    def finalize_context(
-        self,
-        context: Dict[str, Any],
-        latency_s: float,
-        queue_wait_s: float,
-        priority: str,
-        engine: str,
-        query=None,
-        outcome: str = "ok",
-        error: Optional[BaseException] = None,
-        spans: Sequence[Any] = (),
-    ) -> Optional[FlightRecord]:
-        """Finalize the staged record with the scheduler-side facts.
-
-        When the engine never reached ``record_query`` (an error mid-plan,
-        or a stub engine) a bare record is synthesized so the flight log
-        still shows the request.
-        """
-        if self._closed:
-            return None
-        record = context.pop("record", None)
-        stats = context.pop("stats", None)
-        if record is None:
-            with self._lock:
-                seq = self._next_seq
-                self._next_seq += 1
-            record = FlightRecord(
-                seq=seq,
-                ts_unix_s=time.time(),
-                engine=engine,
-                query=repr(query) if query is not None else "",
-                label=getattr(query, "label", "") or "",
-                labels=dict(self.default_labels),
-            )
-        if error is not None:
-            outcome = "error"
-            record.error = f"{type(error).__name__}: {error}"
-        return self._finish(
-            record,
-            latency_s=latency_s,
-            queue_wait_s=queue_wait_s,
-            priority=priority,
-            wal_lsn=context.get("wal_lsn", -1),
-            outcome=outcome,
-            stats=stats,
-            spans=spans,
-        )
-
-    def record_rejection(
-        self, engine: str, priority: str, reason: str, query=None
-    ) -> None:
-        """An admission-control rejection: no execution, still history."""
-        if self._closed:
-            return
-        with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
-        record = FlightRecord(
-            seq=seq,
-            ts_unix_s=time.time(),
-            engine=engine,
-            priority=priority,
-            outcome="rejected",
-            error=reason,
-            query=repr(query) if query is not None else "",
-            label=getattr(query, "label", "") or "",
-            wal_lsn=self.current_lsn(),
-            labels=dict(self.default_labels),
-        )
-        with self._lock:
-            self.n_rejections += 1
-        self._append(record)
-
-    def _finish(
-        self,
-        record: FlightRecord,
-        latency_s: float,
-        queue_wait_s: float,
-        priority: str = "",
-        wal_lsn: int = -1,
-        outcome: str = "ok",
-        stats=None,
-        spans: Sequence[Any] = (),
+    def add(
+        self, record: FlightRecord, stats=None, spans: Sequence[Any] = ()
     ) -> FlightRecord:
-        record.latency_s = float(latency_s)
-        record.queue_wait_s = float(queue_wait_s)
-        record.priority = priority
-        record.outcome = outcome
-        if record.wal_lsn < 0:
-            record.wal_lsn = wal_lsn if wal_lsn >= 0 else self.current_lsn()
+        """Retain one finished record: flag it slow (rendering its EXPLAIN
+        ANALYZE from the request's ``stats`` and captured ``spans``), then
+        ring and spill it.  A closed recorder drops it."""
         if (
             self.slow_query_s is not None
             and record.latency_s >= self.slow_query_s
@@ -373,7 +234,25 @@ class FlightRecorder:
             record.slow = True
             if self.capture_explain and spans and stats is not None:
                 record.explain = self._render_explain(record, stats, spans)
-        self._append(record)
+        spill: Optional[List[FlightRecord]] = None
+        with self._lock:
+            if self._closed:
+                return record
+            self._ring.append(record)
+            self.n_recorded += 1
+            if record.slow:
+                self._slow.append(record)
+                self.n_slow += 1
+            if record.outcome == "error":
+                self.n_errors += 1
+            elif record.outcome == "rejected":
+                self.n_rejections += 1
+            if self.store is not None:
+                self._spill_buffer.append(record)
+                if len(self._spill_buffer) >= self.spill_every:
+                    spill, self._spill_buffer = self._spill_buffer, []
+        if spill:
+            self._spill(spill)
         return record
 
     def _render_explain(self, record: FlightRecord, stats, spans) -> str:
@@ -385,8 +264,6 @@ class FlightRecorder:
         render problem break serving.
         """
         try:
-            from .analyze import ROOT_SPAN, build_analyze_tree
-
             span_ids = {s.span_id for s in spans}
             normalized = [
                 replace(s, parent_id=None)
@@ -402,25 +279,6 @@ class FlightRecorder:
         except Exception:  # pragma: no cover - defensive
             return ""
 
-    def _append(self, record: FlightRecord) -> None:
-        spill: Optional[List[FlightRecord]] = None
-        with self._lock:
-            if self._closed:
-                return
-            self._ring.append(record)
-            self.n_recorded += 1
-            if record.slow:
-                self._slow.append(record)
-                self.n_slow += 1
-            if record.outcome == "error":
-                self.n_errors += 1
-            if self.store is not None:
-                self._spill_buffer.append(record)
-                if len(self._spill_buffer) >= self.spill_every:
-                    spill, self._spill_buffer = self._spill_buffer, []
-        if spill:
-            self._spill(spill)
-
     # --------------------------------------------------------------- spill
 
     def _blob_key(self, index: int) -> str:
@@ -429,25 +287,22 @@ class FlightRecorder:
     def _spill(self, records: List[FlightRecord]) -> None:
         if self.store is None or not records:
             return
-        payload = "\n".join(
-            json.dumps(r.as_dict(), sort_keys=True) for r in records
-        ) + "\n"
+        payload = io.StringIO()
+        write_jsonl(record_rows(records), payload)
         with self._lock:
             index = self._next_blob
             self._next_blob += 1
             self.n_spilled += len(records)
-        self.store.put(self._blob_key(index), payload.encode("utf-8"))
+        self.store.put(
+            self._blob_key(index), payload.getvalue().encode("utf-8")
+        )
         self._rotate()
 
     def _rotate(self) -> None:
         """Drop the oldest spill blobs beyond ``max_spill_blobs``."""
         if self.store is None or self.max_spill_blobs <= 0:
             return
-        mine = sorted(
-            key
-            for key in self.store.keys()
-            if key.startswith(self.key_prefix) and key.endswith(".jsonl")
-        )
+        mine = _spill_keys(self.store, self.key_prefix)
         for key in mine[: max(0, len(mine) - self.max_spill_blobs)]:
             self.store.delete(key)
 
@@ -458,12 +313,8 @@ class FlightRecorder:
         self._spill(pending)
         return len(pending)
 
-    def _flush_loop(self, interval_s: float) -> None:
-        while not self._stop.wait(interval_s):
-            self.flush()
-
     def close(self) -> None:
-        """Stop the flusher, spill the tail, refuse further records.
+        """Spill the tail, refuse further records.
 
         Idempotent and safe to call from scheduler teardown paths that may
         run more than once.
@@ -471,10 +322,6 @@ class FlightRecorder:
         with self._lock:
             if self._closed:
                 return
-        self._stop.set()
-        if self._flusher is not None:
-            self._flusher.join()
-            self._flusher = None
         self.flush()
         with self._lock:
             self._closed = True
@@ -578,40 +425,12 @@ class FlightRecorder:
         )
 
 
-# ------------------------------------------------------------ module hooks
-
-
-def note_query(engine: str, plan, stats, query=None) -> None:
-    """The engine-side hook: forwards to the installed recorder, if any.
-
-    Called from :func:`repro.obs.publish.record_query` *before* the
-    metrics gate, so the flight log works with metrics off.
-    """
-    recorder = _RECORDER
-    if recorder is not None:
-        recorder.note(engine, plan, stats, query=query)
-
-
-def install_flight_recorder(recorder: FlightRecorder) -> FlightRecorder:
-    """Make ``recorder`` the process-wide recorder (closing any previous)."""
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = recorder
-    if previous is not None and previous is not recorder:
-        previous.close()
-    return recorder
-
-
-def flight_recorder() -> Optional[FlightRecorder]:
-    return _RECORDER
-
-
-def uninstall_flight_recorder(close: bool = True) -> None:
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = None
-    if previous is not None and close:
-        previous.close()
+def _spill_keys(store, key_prefix: str) -> List[str]:
+    return sorted(
+        key
+        for key in store.keys()
+        if key.startswith(key_prefix) and key.endswith(".jsonl")
+    )
 
 
 def load_flight_history(
@@ -619,11 +438,7 @@ def load_flight_history(
 ) -> List[FlightRecord]:
     """Replayed JSONL spill blobs, oldest first (restart recovery)."""
     out: List[FlightRecord] = []
-    for key in sorted(
-        k
-        for k in store.keys()
-        if k.startswith(key_prefix) and k.endswith(".jsonl")
-    ):
+    for key in _spill_keys(store, key_prefix):
         for line in store.get(key).decode("utf-8").splitlines():
             if line.strip():
                 out.append(FlightRecord.from_dict(json.loads(line)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from . import catalog, runtime
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Summary
 
 __all__ = [
@@ -39,6 +40,7 @@ WARN = "warn"
 CRIT = "crit"
 #: Severity order for worst-of aggregation.
 _SEVERITY = {OK: 0, WARN: 1, CRIT: 2}
+_AGGREGATIONS = {"sum": sum, "max": max, "min": min}
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class MetricValue:
     """One number out of the registry: a metric aggregated across series.
 
     ``agg`` is ``"sum"``/``"max"``/``"min"`` over series values, or
-    ``"pNN"``/``"quantile:q"`` against a summary's merged digest.
+    ``"pNN"`` against a summary's merged digest.
     Evaluates to None when the metric does not exist yet (a rule over an
     absent metric is *unknown*, not violated).
     """
@@ -64,25 +66,19 @@ class MetricValue:
         values = self._series_values(metric)
         if not values:
             return None
-        if self.agg == "sum":
-            return float(sum(values))
-        if self.agg == "max":
-            return float(max(values))
-        if self.agg == "min":
-            return float(min(values))
-        raise ValueError(
-            f"aggregation {self.agg!r} not supported for {metric.kind}"
-        )
+        if self.agg not in _AGGREGATIONS:
+            raise ValueError(
+                f"aggregation {self.agg!r} not supported for {metric.kind}"
+            )
+        return float(_AGGREGATIONS[self.agg](values))
 
     def _quantile(self) -> float:
-        if self.agg.startswith("quantile:"):
-            return float(self.agg.split(":", 1)[1])
-        if self.agg.startswith("p"):
-            return float(self.agg[1:]) / 100.0
-        raise ValueError(
-            f"aggregation {self.agg!r} not supported for summaries "
-            "(use 'pNN' or 'quantile:q')"
-        )
+        if not self.agg.startswith("p"):
+            raise ValueError(
+                f"aggregation {self.agg!r} not supported for summaries "
+                "(use 'pNN')"
+            )
+        return float(self.agg[1:]) / 100.0
 
     def _read_summary(self, metric: Summary) -> Optional[float]:
         q = self._quantile()
@@ -177,18 +173,12 @@ class HealthRule:
         observed = self.value.read(registry)
         if observed is None:
             return RuleResult(self.name, OK, None, self)
-        if self.op == ">=":
-            status = (
-                CRIT if observed >= self.crit
-                else WARN if observed >= self.warn
-                else OK
-            )
-        else:
-            status = (
-                CRIT if observed <= self.crit
-                else WARN if observed <= self.warn
-                else OK
-            )
+        sign = 1 if self.op == ">=" else -1
+        status = (
+            CRIT if sign * observed >= sign * self.crit
+            else WARN if sign * observed >= sign * self.warn
+            else OK
+        )
         return RuleResult(self.name, status, observed, self)
 
 
@@ -230,17 +220,6 @@ class HealthReport:
             "results": [r.as_dict() for r in self.results],
         }
 
-    def render(self) -> str:
-        lines = [f"health: {self.status.upper()}"]
-        for r in self.results:
-            shown = "n/a" if r.observed is None else f"{r.observed:.6g}"
-            lines.append(
-                f"  [{r.status.upper():<4s}] {r.name:<28s} "
-                f"observed={shown} warn{r.rule.op}{r.rule.warn:g} "
-                f"crit{r.rule.op}{r.rule.crit:g}"
-            )
-        return "\n".join(lines)
-
 
 class HealthMonitor:
     """Evaluates a rule set against a registry; worst rule wins."""
@@ -250,135 +229,75 @@ class HealthMonitor:
         registry: Optional[MetricsRegistry] = None,
         rules: Optional[Sequence[HealthRule]] = None,
     ):
-        if registry is None:
-            from . import get_registry
-
-            registry = get_registry()
-        self.registry = registry
+        self.registry = (
+            registry if registry is not None else runtime.get_registry()
+        )
         self.rules: List[HealthRule] = list(
             rules if rules is not None else default_rules()
         )
 
-    def add_rule(self, rule: HealthRule) -> "HealthMonitor":
-        self.rules.append(rule)
-        return self
-
     def evaluate(self) -> HealthReport:
         results = [rule.evaluate(self.registry) for rule in self.rules]
-        worst = OK
-        for result in results:
-            if _SEVERITY[result.status] > _SEVERITY[worst]:
-                worst = result.status
+        worst = max(
+            (r.status for r in results), key=_SEVERITY.__getitem__, default=OK
+        )
         return HealthReport(status=worst, results=results)
+
+
+def _rate(hits: str, misses: str, min_den: float) -> Ratio:
+    return Ratio(
+        MetricValue(hits), (MetricValue(hits), MetricValue(misses)), min_den
+    )
+
+
+_MIB = 1024 * 1024
+
+#: The stock rules: (name, value source, warn, crit, op, description), over
+#: families named by the catalogue.
+_DEFAULT_RULES = (
+    ("wal_backlog_bytes", MetricValue(catalog.WAL_BACKLOG_BYTES, agg="max"),
+     4 * _MIB, 64 * _MIB, ">=",
+     "WAL bytes not yet folded by a compaction checkpoint"),
+    ("delta_segments", MetricValue(catalog.TXN_DELTA_SEGMENTS, agg="max"),
+     16, 64, ">=", "Unfolded commit partitions at head (compaction debt)"),
+    ("delta_bytes", MetricValue(catalog.TXN_DELTA_BYTES, agg="max"),
+     8 * _MIB, 128 * _MIB, ">=",
+     "Accounted bytes across unfolded commit partitions"),
+    ("snapshot_refcount",
+     MetricValue(catalog.TXN_SNAPSHOT_REFCOUNT, agg="max"),
+     32, 256, ">=", "Pinned MVCC snapshots (leak detector)"),
+    ("pool_hit_rate", _rate(catalog.POOL_HITS, catalog.POOL_MISSES, 256),
+     0.5, 0.1, "<=", "Buffer-pool lifetime hit rate under real traffic"),
+    ("partition_cache_hit_rate",
+     _rate(catalog.PARTITION_CACHE_HITS, catalog.PARTITION_CACHE_MISSES, 256),
+     0.3, 0.05, "<=", "Semantic partition-cache hit rate under traffic"),
+    ("admission_rejection_rate",
+     Ratio(MetricValue(catalog.SERVE_REJECTED),
+           MetricValue(catalog.SERVE_SUBMITTED), min_den=64),
+     0.05, 0.25, ">=", "Requests refused by admission control / submitted"),
+    ("degraded_read_rate",
+     Ratio(MetricValue(catalog.QUERY_DEGRADED_READS),
+           MetricValue(catalog.QUERY_PARTITION_READS), min_den=256),
+     0.01, 0.10, ">=", "Partition reads served degraded / total reads"),
+    ("serve_p99_latency_s",
+     MetricValue(catalog.SERVE_LATENCY_QUANTILES, agg="p99"),
+     1.0, 5.0, ">=", "p99 submit-to-done latency across engines"),
+)
 
 
 def default_rules(
     overrides: Optional[Mapping[str, Tuple[float, float]]] = None,
 ) -> List[HealthRule]:
-    """The stock rule set over the gauges the publish hooks maintain.
+    """The stock rule set over the gauges the catalogue maintains.
 
     ``overrides`` remaps ``{rule_name: (warn, crit)}`` so tests and
     deployments tighten or relax individual rules without restating the
     whole list.
     """
-    rules = [
+    overrides = overrides or {}
+    return [
         HealthRule(
-            "wal_backlog_bytes",
-            MetricValue("jigsaw_wal_backlog_bytes", agg="max"),
-            warn=4 * 1024 * 1024,
-            crit=64 * 1024 * 1024,
-            description="WAL bytes not yet folded by a compaction checkpoint",
-        ),
-        HealthRule(
-            "delta_segments",
-            MetricValue("jigsaw_txn_delta_segments", agg="max"),
-            warn=16,
-            crit=64,
-            description="Unfolded commit partitions at head (compaction debt)",
-        ),
-        HealthRule(
-            "delta_bytes",
-            MetricValue("jigsaw_txn_delta_bytes", agg="max"),
-            warn=8 * 1024 * 1024,
-            crit=128 * 1024 * 1024,
-            description="Accounted bytes across unfolded commit partitions",
-        ),
-        HealthRule(
-            "snapshot_refcount",
-            MetricValue("jigsaw_txn_snapshot_refcount", agg="max"),
-            warn=32,
-            crit=256,
-            description="Pinned MVCC snapshots (leak detector)",
-        ),
-        HealthRule(
-            "pool_hit_rate",
-            Ratio(
-                MetricValue("jigsaw_pool_n_hits"),
-                (
-                    MetricValue("jigsaw_pool_n_hits"),
-                    MetricValue("jigsaw_pool_n_misses"),
-                ),
-                min_den=256,
-            ),
-            warn=0.5,
-            crit=0.1,
-            op="<=",
-            description="Buffer-pool lifetime hit rate under real traffic",
-        ),
-        HealthRule(
-            "partition_cache_hit_rate",
-            Ratio(
-                MetricValue("jigsaw_partition_cache_n_hits"),
-                (
-                    MetricValue("jigsaw_partition_cache_n_hits"),
-                    MetricValue("jigsaw_partition_cache_n_misses"),
-                ),
-                min_den=256,
-            ),
-            warn=0.3,
-            crit=0.05,
-            op="<=",
-            description="Semantic partition-cache hit rate under traffic",
-        ),
-        HealthRule(
-            "admission_rejection_rate",
-            Ratio(
-                MetricValue("jigsaw_serve_rejected_total"),
-                MetricValue("jigsaw_serve_submitted_total"),
-                min_den=64,
-            ),
-            warn=0.05,
-            crit=0.25,
-            description="Requests refused by admission control / submitted",
-        ),
-        HealthRule(
-            "degraded_read_rate",
-            Ratio(
-                MetricValue("jigsaw_query_degraded_reads_total"),
-                MetricValue("jigsaw_query_partition_reads_total"),
-                min_den=256,
-            ),
-            warn=0.01,
-            crit=0.10,
-            description="Partition reads served degraded / total reads",
-        ),
-        HealthRule(
-            "serve_p99_latency_s",
-            MetricValue("jigsaw_serve_latency_quantiles", agg="p99"),
-            warn=1.0,
-            crit=5.0,
-            description="p99 submit-to-done latency across engines",
-        ),
+            name, value, *overrides.get(name, (warn, crit)), op, description
+        )
+        for name, value, warn, crit, op, description in _DEFAULT_RULES
     ]
-    if overrides:
-        remapped = []
-        for rule in rules:
-            if rule.name in overrides:
-                warn, crit = overrides[rule.name]
-                rule = HealthRule(
-                    rule.name, rule.value, warn, crit, rule.op,
-                    rule.description,
-                )
-            remapped.append(rule)
-        rules = remapped
-    return rules

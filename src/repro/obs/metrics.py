@@ -86,7 +86,11 @@ def _format_labels(
 
 
 class _Metric:
-    """Shared machinery: name, help text, label names, per-series storage."""
+    """Shared machinery: name, help text, label names, per-series storage.
+
+    Every kind has ``record(key, value)`` — add, set or observe at an already
+    resolved label-value tuple — under its labelled ``inc``/``set``/``observe``.
+    """
 
     kind = "untyped"
 
@@ -98,85 +102,110 @@ class _Metric:
         self._series: Dict[LabelValues, object] = {}
 
     def _values_for(self, labels: Mapping[str, str]) -> LabelValues:
-        if set(labels) != set(self.label_names):
+        names = self.label_names
+        try:
+            values = tuple([str(labels[name]) for name in names])
+        except KeyError:
+            values = None
+        if values is None or len(labels) != len(names):
             raise ValueError(
-                f"metric {self.name!r} expects labels {self.label_names}, "
+                f"metric {self.name!r} expects labels {names}, "
                 f"got {tuple(sorted(labels))}"
             )
-        return tuple(str(labels[name]) for name in self.label_names)
+        return values
 
     def series(self) -> Dict[LabelValues, object]:
         with self._lock:
             return dict(self._series)
 
 
-class Counter(_Metric):
+class _Scalar(_Metric):
+    """One float per label set: the storage counters and gauges share."""
+
+    def _add(self, key: LabelValues, amount: float) -> None:
+        with self._lock:
+            self._series[key] = self._series.get(key, 0.0) + amount
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        self._add(self._values_for(labels), amount)
+
+    def value(self, **labels: str) -> float:
+        key = self._values_for(labels)
+        with self._lock:
+            return float(self._series.get(key, 0.0))
+
+    def render(self) -> List[str]:
+        return [
+            f"{self.name}{_format_labels(self.label_names, values)} "
+            f"{_format_value(current)}"
+            for values, current in sorted(self.series().items())
+        ]
+
+
+class Counter(_Scalar):
     """Monotonically increasing value per label set."""
 
     kind = "counter"
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
+    def record(self, key: LabelValues, amount: float) -> None:
         if amount < 0:
             raise ValueError("counters can only increase")
-        key = self._values_for(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._add(key, amount)
 
-    def value(self, **labels: str) -> float:
-        key = self._values_for(labels)
-        with self._lock:
-            return float(self._series.get(key, 0.0))
-
-    def render(self) -> List[str]:
-        lines = []
-        for values, total in sorted(self.series().items()):
-            lines.append(
-                f"{self.name}{_format_labels(self.label_names, values)} "
-                f"{_format_value(total)}"
-            )
-        return lines
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        self.record(self._values_for(labels), amount)
 
 
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """Last-written value per label set (can move either way)."""
 
     kind = "gauge"
 
-    def set(self, value: float, **labels: str) -> None:
-        key = self._values_for(labels)
+    def record(self, key: LabelValues, value: float) -> None:
         with self._lock:
             self._series[key] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = self._values_for(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        key = self._values_for(labels)
-        with self._lock:
-            return float(self._series.get(key, 0.0))
-
-    def render(self) -> List[str]:
-        lines = []
-        for values, current in sorted(self.series().items()):
-            lines.append(
-                f"{self.name}{_format_labels(self.label_names, values)} "
-                f"{_format_value(current)}"
-            )
-        return lines
+    def set(self, value: float, **labels: str) -> None:
+        self.record(self._values_for(labels), value)
 
 
 class _HistogramSeries:
-    __slots__ = ("bucket_counts", "total", "count")
+    __slots__ = ("bucket_counts", "sum", "count")
 
     def __init__(self, n_buckets: int):
         self.bucket_counts = [0] * n_buckets
-        self.total = 0.0
+        self.sum = 0.0
         self.count = 0
 
 
-class Histogram(_Metric):
+class _Distribution(_Metric):
+    """Per label set, a series object with ``count`` and ``sum``: what
+    histograms and summaries share."""
+
+    def _peek(self, labels: Mapping[str, str], read, empty):
+        key = self._values_for(labels)
+        with self._lock:
+            series = self._series.get(key)
+            return read(series) if series is not None else empty
+
+    def observe(self, value: float, **labels: str) -> None:
+        self.record(self._values_for(labels), value)
+
+    def count(self, **labels: str) -> int:
+        return self._peek(labels, lambda series: series.count, 0)
+
+    def sum(self, **labels: str) -> float:
+        return self._peek(labels, lambda series: series.sum, 0.0)
+
+    def _render_totals(self, values: LabelValues, series) -> List[str]:
+        plain = _format_labels(self.label_names, values)
+        return [
+            f"{self.name}_sum{plain} {_format_value(series.sum)}",
+            f"{self.name}_count{plain} {series.count}",
+        ]
+
+
+class Histogram(_Distribution):
     """Cumulative-bucket histogram per label set."""
 
     kind = "histogram"
@@ -193,8 +222,7 @@ class Histogram(_Metric):
         if not self.buckets:
             raise ValueError("histogram needs at least one bucket bound")
 
-    def observe(self, value: float, **labels: str) -> None:
-        key = self._values_for(labels)
+    def record(self, key: LabelValues, value: float) -> None:
         with self._lock:
             series = self._series.get(key)
             if series is None:
@@ -203,44 +231,27 @@ class Histogram(_Metric):
             for i, bound in enumerate(self.buckets):
                 if value <= bound:
                     series.bucket_counts[i] += 1
-            series.total += value
+            series.sum += value
             series.count += 1
-
-    def count(self, **labels: str) -> int:
-        key = self._values_for(labels)
-        with self._lock:
-            series = self._series.get(key)
-            return series.count if series is not None else 0
-
-    def sum(self, **labels: str) -> float:
-        key = self._values_for(labels)
-        with self._lock:
-            series = self._series.get(key)
-            return series.total if series is not None else 0.0
 
     def render(self) -> List[str]:
         lines = []
-        for values, series in sorted(
-            self.series().items(), key=lambda item: item[0]
-        ):
+        for values, series in sorted(self.series().items()):
             # ``observe`` increments every bucket the value fits, so the
             # stored counts are already cumulative as the format requires.
-            for bound, cumulative in zip(self.buckets, series.bucket_counts):
+            for bound, cumulative in zip(
+                (*(f"{b:g}" for b in self.buckets), "+Inf"),
+                (*series.bucket_counts, series.count),
+            ):
                 labels = _format_labels(
-                    self.label_names, values, extra=f'le="{bound:g}"'
+                    self.label_names, values, extra=f'le="{bound}"'
                 )
                 lines.append(f"{self.name}_bucket{labels} {cumulative}")
-            inf_labels = _format_labels(
-                self.label_names, values, extra='le="+Inf"'
-            )
-            lines.append(f"{self.name}_bucket{inf_labels} {series.count}")
-            plain = _format_labels(self.label_names, values)
-            lines.append(f"{self.name}_sum{plain} {_format_value(series.total)}")
-            lines.append(f"{self.name}_count{plain} {series.count}")
+            lines += self._render_totals(values, series)
         return lines
 
 
-class Summary(_Metric):
+class Summary(_Distribution):
     """Streaming quantiles per label set, backed by a mergeable
     :class:`~repro.obs.digest.QuantileDigest`.
 
@@ -252,56 +263,21 @@ class Summary(_Metric):
 
     kind = "summary"
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        label_names: Sequence[str],
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        lo: float = 1e-6,
-        hi: float = 1e5,
-        bins_per_decade: int = 32,
-    ):
-        super().__init__(name, help_text, label_names)
-        self.quantiles = tuple(quantiles)
-        if not self.quantiles:
-            raise ValueError("summary needs at least one quantile")
-        self._digest_args = (float(lo), float(hi), int(bins_per_decade))
-
-    def observe(self, value: float, **labels: str) -> None:
-        key = self._values_for(labels)
+    def record(self, key: LabelValues, value: float) -> None:
         with self._lock:
             digest = self._series.get(key)
             if digest is None:
-                digest = QuantileDigest(*self._digest_args)
-                self._series[key] = digest
+                digest = self._series[key] = QuantileDigest()
             digest.observe(value)
 
     def quantile(self, q: float, **labels: str) -> float:
-        key = self._values_for(labels)
-        with self._lock:
-            digest = self._series.get(key)
-            return digest.quantile(q) if digest is not None else 0.0
-
-    def count(self, **labels: str) -> int:
-        key = self._values_for(labels)
-        with self._lock:
-            digest = self._series.get(key)
-            return digest.count if digest is not None else 0
-
-    def sum(self, **labels: str) -> float:
-        key = self._values_for(labels)
-        with self._lock:
-            digest = self._series.get(key)
-            return digest.sum if digest is not None else 0.0
+        return self._peek(labels, lambda digest: digest.quantile(q), 0.0)
 
     def merged_digest(self) -> QuantileDigest:
         """All label sets folded into one digest (for cross-series SLOs)."""
         with self._lock:
             digests = [d.copy() for d in self._series.values()]
-        if not digests:
-            return QuantileDigest(*self._digest_args)
-        return QuantileDigest.merged(digests)
+        return QuantileDigest.merged(digests) if digests else QuantileDigest()
 
     def render(self) -> List[str]:
         # Copy digests under the lock: quantile() iterates bucket counts,
@@ -309,19 +285,15 @@ class Summary(_Metric):
         with self._lock:
             snapshot = {k: d.copy() for k, d in self._series.items()}
         lines = []
-        for values, digest in sorted(
-            snapshot.items(), key=lambda item: item[0]
-        ):
-            for q in self.quantiles:
+        for values, digest in sorted(snapshot.items()):
+            for q in DEFAULT_QUANTILES:
                 labels = _format_labels(
                     self.label_names, values, extra=f'quantile="{q:g}"'
                 )
                 lines.append(
                     f"{self.name}{labels} {_format_value(digest.quantile(q))}"
                 )
-            plain = _format_labels(self.label_names, values)
-            lines.append(f"{self.name}_sum{plain} {_format_value(digest.sum)}")
-            lines.append(f"{self.name}_count{plain} {digest.count}")
+            lines += self._render_totals(values, digest)
         return lines
 
 
@@ -337,6 +309,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
+        #: memo for callers that resolve their metric objects once (the
+        #: catalogue's ``publish``); emptied with the metrics it points at.
+        self.bound: Dict[str, object] = {}
 
     def _get_or_create(self, cls, name, help_text, label_names, **kwargs):
         with self._lock:
@@ -379,25 +354,9 @@ class MetricsRegistry:
         )
 
     def summary(
-        self,
-        name: str,
-        help_text: str = "",
-        label_names: Sequence[str] = (),
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        lo: float = 1e-6,
-        hi: float = 1e5,
-        bins_per_decade: int = 32,
+        self, name: str, help_text: str = "", label_names: Sequence[str] = ()
     ) -> Summary:
-        return self._get_or_create(
-            Summary,
-            name,
-            help_text,
-            label_names,
-            quantiles=quantiles,
-            lo=lo,
-            hi=hi,
-            bins_per_decade=bins_per_decade,
-        )
+        return self._get_or_create(Summary, name, help_text, label_names)
 
     def get(self, name: str) -> Optional[_Metric]:
         with self._lock:
@@ -411,6 +370,7 @@ class MetricsRegistry:
         """Drop every metric (tests and profile-run isolation)."""
         with self._lock:
             self._metrics.clear()
+            self.bound = {}
 
     # -------------------------------------------------------------- render
 

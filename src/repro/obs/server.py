@@ -27,10 +27,22 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
+from . import runtime
+from .health import HealthMonitor
+from .view import hotspot_rows, queries_view
+
 __all__ = ["TelemetryServer"]
+
+_ROUTES = ("/metrics", "/healthz", "/queries", "/hotspots")
 
 #: Content type mandated for the text exposition format.
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+def _given(explicit, process_wide):
+    """An explicitly passed source, else the process-wide one *now* (a
+    recorder may be installed after the server started)."""
+    return explicit if explicit is not None else process_wide()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -45,26 +57,22 @@ class _Handler(BaseHTTPRequestHandler):
         return None
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        owner = self.server.owner
         parsed = urlparse(self.path)
         try:
-            if parsed.path == "/metrics":
-                self._send(200, owner.render_metrics(), _METRICS_CONTENT_TYPE)
-            elif parsed.path == "/healthz":
-                payload, status = owner.render_healthz()
-                self._send_json(status, payload)
-            elif parsed.path == "/queries":
-                params = parse_qs(parsed.query)
-                self._send_json(200, owner.render_queries(params))
-            elif parsed.path == "/hotspots":
-                params = parse_qs(parsed.query)
-                self._send_json(200, owner.render_hotspots(params))
-            elif parsed.path == "/":
-                self._send_json(200, owner.render_index())
-            else:
-                self._send_json(404, {"error": f"no route {parsed.path}"})
+            status, body = self.server.owner.respond(
+                parsed.path, parse_qs(parsed.query)
+            )
         except Exception as error:  # pragma: no cover - defensive
-            self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
+            status = 500
+            body = {"error": f"{type(error).__name__}: {error}"}
+        if isinstance(body, str):
+            self._send(status, body, _METRICS_CONTENT_TYPE)
+        else:
+            self._send(
+                status,
+                json.dumps(body, sort_keys=True, default=str),
+                "application/json",
+            )
 
     def _send(self, status: int, body: str, content_type: str) -> None:
         data = body.encode("utf-8")
@@ -73,13 +81,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
-
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        self._send(
-            status,
-            json.dumps(payload, sort_keys=True, default=str),
-            "application/json",
-        )
 
 
 class _OwnedHTTPServer(ThreadingHTTPServer):
@@ -163,84 +164,36 @@ class TelemetryServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    # ------------------------------------------------------------- sources
-
-    def _get_registry(self):
-        if self._registry is not None:
-            return self._registry
-        from . import get_registry
-
-        return get_registry()
-
-    def _get_recorder(self):
-        if self._recorder is not None:
-            return self._recorder
-        from .flight import flight_recorder
-
-        return flight_recorder()
-
-    def _get_monitor(self):
-        if self._monitor is None:
-            from .health import HealthMonitor
-
-            self._monitor = HealthMonitor(registry=self._get_registry())
-        return self._monitor
-
-    def _get_collector(self):
-        if self._collector is not None:
-            return self._collector
-        from . import global_trace_collector
-
-        return global_trace_collector()
-
     # -------------------------------------------------------------- routes
 
-    def render_metrics(self) -> str:
-        return self._get_registry().render_prometheus()
-
-    def render_healthz(self):
-        report = self._get_monitor().evaluate()
-        status = 503 if report.status == "crit" else 200
-        return report.as_dict(), status
-
-    def render_queries(self, params: Dict[str, list]) -> Dict[str, Any]:
-        recorder = self._get_recorder()
-        if recorder is None:
-            return {"error": "no flight recorder installed", "records": []}
-        n = int(params.get("n", ["50"])[0])
-        engine = params.get("engine", [None])[0]
-        slow = {"1": True, "0": False}.get(params.get("slow", [""])[0])
-        records = recorder.records(engine=engine, slow=slow, n=n)
-        return {
-            "summary": recorder.summary(),
-            "records": [r.as_dict() for r in records],
-        }
-
-    def render_hotspots(self, params: Dict[str, list]) -> Dict[str, Any]:
-        collector = self._get_collector()
-        if collector is None:
-            return {"error": "tracing not enabled", "hotspots": []}
-        from .export import top_hotspots
-
-        n = int(params.get("n", ["15"])[0])
-        return {
-            "hotspots": [
-                {
-                    "name": h.name,
-                    "count": h.count,
-                    "wall_s": h.wall_s,
-                    "sim_io_s": h.sim_io_s,
-                    "sim_cpu_s": h.sim_cpu_s,
-                }
-                for h in top_hotspots(collector, n=n)
-            ]
-        }
-
-    def render_index(self) -> Dict[str, Any]:
-        return {
-            "service": "jigsaw-telemetry",
-            "routes": ["/metrics", "/healthz", "/queries", "/hotspots"],
-        }
+    def respond(self, path: str, params: Dict[str, list]):
+        """``(status, body)`` for one GET; a str body is the exposition
+        text, a dict is sent as JSON.  Each route formats the rows
+        :mod:`repro.obs.view` (or the health monitor) produces."""
+        registry = _given(self._registry, runtime.get_registry)
+        if path == "/metrics":
+            return 200, registry.render_prometheus()
+        if path == "/healthz":
+            if self._monitor is None:
+                self._monitor = HealthMonitor(registry=registry)
+            report = self._monitor.evaluate()
+            return (503 if report.status == "crit" else 200), report.as_dict()
+        if path == "/queries":
+            return 200, queries_view(
+                _given(self._recorder, runtime.flight_recorder),
+                engine=params.get("engine", [None])[0],
+                slow={"1": True, "0": False}.get(params.get("slow", [""])[0]),
+                n=int(params.get("n", ["50"])[0]),
+            )
+        if path == "/hotspots":
+            collector = _given(self._collector, runtime.global_trace_collector)
+            if collector is None:
+                return 200, {"error": "tracing not enabled", "hotspots": []}
+            n = int(params.get("n", ["15"])[0])
+            return 200, {"hotspots": hotspot_rows(collector, n=n)}
+        if path == "/":
+            return 200, {"service": "jigsaw-telemetry", "routes": list(_ROUTES)}
+        return 404, {"error": f"no route {path}"}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self._httpd is not None else "stopped"

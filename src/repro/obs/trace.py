@@ -106,10 +106,6 @@ class Span:
     def wall_s(self) -> float:
         return max(0.0, self.end_s - self.start_s)
 
-    @property
-    def sim_total_s(self) -> float:
-        return self.sim_io_s + self.sim_cpu_s
-
     def set(self, **attrs: Any) -> "Span":
         """Attach attributes (chainable)."""
         self.attrs.update(attrs)
@@ -182,7 +178,7 @@ class TraceCollector:
 #: in the threaded engines carries it into worker threads, which is what
 #: makes per-partition worker spans nest under the coordinator's phase span.
 _CURRENT_SPAN: ContextVar[Optional[Span]] = ContextVar(
-    "jigsaw_current_span", default=None
+    "obs.current_span", default=None
 )
 
 

@@ -37,6 +37,7 @@ from ..core.cost import MemoryModel
 from ..core.query import Query
 from ..core.schema import TableMeta
 from ..errors import InvalidQueryError
+from ..obs import request_scope
 from ..obs import tracer as obs_tracer
 from .joins import JoinStrategy, choose_join_strategy
 from .relational import (
@@ -292,6 +293,14 @@ class DagExecutor:
     # ------------------------------------------------------- node running
 
     def _execute(
+        self, plan: RelationalPlan
+    ) -> Tuple[RelationalResult, ExecutionStats, _Run]:
+        with request_scope("dag", plan.query) as scope:
+            result, stats, run = self._execute_plan(plan)
+            scope.complete(stats, table=",".join(plan.query.tables))
+        return result, stats, run
+
+    def _execute_plan(
         self, plan: RelationalPlan
     ) -> Tuple[RelationalResult, ExecutionStats, _Run]:
         started = time.perf_counter()

@@ -72,7 +72,7 @@ class PhysicalPlan:
     __slots__ = (
         "manager", "logical", "policy", "selection", "projection",
         "estimated_partition_reads", "estimated_bytes", "estimated_io_time_s",
-        "snapshot",
+        "snapshot", "catalog_version",
     )
 
     def __init__(
@@ -94,6 +94,12 @@ class PhysicalPlan:
         #: Engines route projection-phase index lookups through it and
         #: mark what its ``valid_mask`` hides INVALID before selecting.
         self.snapshot = snapshot
+        #: the catalog version the plan reads: the pinned snapshot's, else
+        #: the live version it was built against.
+        self.catalog_version = (
+            snapshot.version if snapshot is not None
+            else manager.catalog_version
+        )
         # Upper bound for a healthy (fault-free) execution: every non-pruned
         # selection access is read; a projection access is only *maybe* read
         # (phase-2 skips partitions with no missing cell / no selected

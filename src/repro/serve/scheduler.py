@@ -40,10 +40,8 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Mapping, Optional, Tuple
 
 from ..core.query import Query
-from ..obs import scoped_trace, scoped_tracing_active
+from ..obs import TelemetryServer, publish, request_scope
 from ..obs import tracer as obs_tracer
-from ..obs.flight import FLIGHT_CONTEXT, flight_recorder
-from ..obs.publish import publish_serve
 from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
 
@@ -120,6 +118,9 @@ class QueryTicket:
 @dataclass
 class _Pending:
     ticket: QueryTicket
+    #: the request's telemetry scope: created at submit, entered by the
+    #: worker, so its queue wait is the time between the two.
+    scope: object
     context: contextvars.Context = field(
         default_factory=contextvars.copy_context
     )
@@ -236,8 +237,6 @@ class QueryScheduler:
         server's ``.port``.  Closed automatically by :meth:`close`.
         """
         if self._telemetry is None:
-            from ..obs.server import TelemetryServer
-
             self._telemetry = TelemetryServer(
                 host=host, port=port, monitor=monitor
             ).start()
@@ -267,17 +266,12 @@ class QueryScheduler:
         """
         if priority not in _PRIORITIES:
             raise ValueError(f"unknown priority {priority!r}")
-        recorder = flight_recorder()
-        if engine not in self._engines:
-            if recorder is not None:
-                recorder.record_rejection(
-                    engine, priority, f"unknown engine {engine!r}", query
-                )
-            raise AdmissionRejected(f"unknown engine {engine!r}")
+        scope = request_scope(engine, query, priority)
         ticket = QueryTicket(engine, query, priority)
-        if recorder is not None:
-            ticket.wal_lsn = recorder.current_lsn()
+        ticket.wal_lsn = scope.wal_lsn
         try:
+            if engine not in self._engines:
+                raise AdmissionRejected(f"unknown engine {engine!r}")
             with self._cond:
                 if self._closing or self._closed:
                     self.n_rejected += 1
@@ -290,17 +284,14 @@ class QueryScheduler:
                         f"queue full ({self._n_pending}/{self.queue_depth} "
                         "pending)"
                     )
-                self._queues[priority].append(_Pending(ticket))
+                self._queues[priority].append(_Pending(ticket, scope))
                 self._n_pending += 1
                 self.n_submitted += 1
                 self._cond.notify()
         except AdmissionRejected as rejection:
-            if recorder is not None:
-                recorder.record_rejection(
-                    engine, priority, str(rejection), query
-                )
+            scope.reject(str(rejection))
             raise
-        publish_serve(self)
+        publish("serve", self)
         return ticket
 
     def execute(
@@ -336,7 +327,9 @@ class QueryScheduler:
                     self._cond.wait()
                     pending = self._claim()
             try:
-                pending.context.run(self._run_one, pending.ticket)
+                pending.context.run(
+                    self._run_one, pending.ticket, pending.scope
+                )
             finally:
                 with self._cond:
                     self._engines[pending.ticket.engine].inflight -= 1
@@ -348,63 +341,26 @@ class QueryScheduler:
                     # a freed cap slot or an emptied queue may unblock
                     # other workers and drain() waiters alike
                     self._cond.notify_all()
-                publish_serve(self, ticket=pending.ticket)
+                publish("serve", self)
 
-    def _run_one(self, ticket: QueryTicket) -> None:
+    def _run_one(self, ticket: QueryTicket, scope) -> None:
         started = time.perf_counter()
         ticket.queue_wait_s = started - ticket._submitted
         binding = self._engines[ticket.engine]
-        tracer = obs_tracer()
-        recorder = flight_recorder()
-        flight_ctx = None
-        flight_token = None
-        capture = None
-        if recorder is not None:
-            # Stage the per-request flight context so the engine-side hook
-            # (record_query -> note_query) parks its record here for this
-            # request only.
-            flight_ctx = {
-                "priority": ticket.priority,
-                "wal_lsn": ticket.wal_lsn,
-            }
-            flight_token = FLIGHT_CONTEXT.set(flight_ctx)
         try:
-            with tracer.span(
+            with obs_tracer().span(
                 "serve.request",
                 engine=ticket.engine,
                 priority=ticket.priority,
                 queue_wait_s=ticket.queue_wait_s,
-            ):
-                if (
-                    recorder is not None
-                    and recorder.slow_query_s is not None
-                    and recorder.capture_explain
-                    and not scoped_tracing_active()
-                ):
-                    # Capture spans for the slow-query EXPLAIN ANALYZE —
-                    # but never steal them from a client that wrapped its
-                    # submit in a scoped_trace of its own.
-                    with scoped_trace(capacity=4096) as capture:
-                        outcome = binding.executor.execute(ticket.query)
-                else:
-                    outcome = binding.executor.execute(ticket.query)
-            ticket.result, ticket.stats = outcome
+            ), scope:
+                ticket.result, ticket.stats = binding.executor.execute(
+                    ticket.query
+                )
         except BaseException as error:  # noqa: BLE001 - re-raised in wait()
             ticket.error = error
         finally:
             ticket.latency_s = time.perf_counter() - ticket._submitted
-            if recorder is not None and flight_ctx is not None:
-                recorder.finalize_context(
-                    flight_ctx,
-                    latency_s=ticket.latency_s,
-                    queue_wait_s=ticket.queue_wait_s,
-                    priority=ticket.priority,
-                    engine=ticket.engine,
-                    query=ticket.query,
-                    error=ticket.error,
-                    spans=capture.spans() if capture is not None else (),
-                )
-                FLIGHT_CONTEXT.reset(flight_token)
             ticket._done.set()
 
     # ----------------------------------------------------------- inspection

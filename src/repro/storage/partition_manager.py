@@ -825,6 +825,11 @@ class PartitionManager:
         tracer = obs_tracer()
         if not tracer.enabled:
             return self._load(pid, chunk_size, columns)
+        enclosing = tracer.current_span()
+        if enclosing is not None and enclosing.attrs.get("pid") == pid:
+            # The caller's span already describes this partition access (a
+            # plan reader's ``exec.partition``): one span per access.
+            return self._load(pid, chunk_size, columns)
         with tracer.span("storage.load", pid=pid) as span:
             partition, delta = self._load(pid, chunk_size, columns)
             span.sim_io_s = delta.io_time_s

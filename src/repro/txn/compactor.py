@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import TransactionError
+from ..obs import request_scope
 from ..obs import tracer as obs_tracer
 from ..storage.physical import TID_EXPLICIT, SegmentSpec, build_physical_partition
 from .delta import DeltaState
@@ -124,16 +125,19 @@ class DeltaCompactor:
 
     def run(self) -> CompactionReport:
         """One compaction pass over the current committed delta state."""
-        tracer = obs_tracer()
-        if not tracer.enabled:
-            return self._run()
-        with tracer.span("txn.compaction") as span:
+        with request_scope("txn.compaction") as scope, obs_tracer().span(
+            "txn.compaction"
+        ) as span:
             report = self._run()
             if not report.is_empty:
                 span.set(
                     version=report.version,
                     bytes_rewritten=report.bytes_rewritten,
                     n_segments_folded=report.n_segments_folded,
+                )
+                scope.complete(
+                    table=self.manager.key_prefix,
+                    catalog_version=report.version,
                 )
             return report
 

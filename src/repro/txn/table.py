@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.query import Query
 from ..errors import TransactionError
-from ..obs import publish_txn, publish_wal
+from ..obs import publish, request_scope
 from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
 from ..storage.partition_manager import CatalogSnapshot
@@ -306,10 +306,18 @@ class TransactionalTable:
         with self.write_lock:
             if not self._pending:
                 return self.manager.catalog_version
-            if self.wal is not None:
-                self.wal.commit()
-                publish_wal(self.wal)
-            version = self._apply(self._pending)
+            with request_scope("txn.commit") as scope:
+                # -1: a retried commit whose batch the log already holds.
+                if self.wal is not None and self.wal.commit() >= 0:
+                    scope.add_leaf(
+                        "wal.commit", self.wal.stats.last_commit_latency_s
+                    )
+                    publish("wal_commit", self.wal)
+                    publish("wal", self.wal)
+                version = self._apply(self._pending)
+                scope.complete(
+                    table=self.manager.key_prefix, catalog_version=version
+                )
             self._pending.clear()
             self._pending_doomed.clear()
             return version
@@ -401,7 +409,7 @@ class TransactionalTable:
         self._applied_lsn = max(self._applied_lsn,
                                 max(r.lsn for r in records))
         self._lsn = max(self._lsn, self._applied_lsn)
-        publish_txn(self)
+        publish("txn", self)
         return version
 
     def _register_state(self, version: int, state: DeltaState) -> None:
@@ -437,8 +445,8 @@ class TransactionalTable:
             # Refresh the backlog/debt gauges right after the fold, so a
             # /healthz scrape sees the checkpoint without waiting for the
             # next commit to republish.
-            publish_wal(self.wal)
-            publish_txn(self)
+            publish("wal", self.wal)
+            publish("txn", self)
             return truncated
 
     def _rebind_meta(self) -> None:
@@ -473,28 +481,29 @@ class TransactionalTable:
         layout's engine scans the snapshot's partition set, commit
         partitions included, under the version's visibility mask.
         """
-        snapshot = self.manager.pin_snapshot(as_of)
-        try:
-            # Resolve the frozen state BEFORE counting as a reader:
-            # _state_at takes the write lock, and a committing writer holds
-            # it while draining readers — acquiring it from inside the
-            # readers section would deadlock.  The state for a pinned
-            # version is immutable, so resolving early is race-free.
-            state = self._state_at(snapshot.version)
-            with self._readers_cv:
-                self._readers += 1
+        with request_scope(self.layout.executor.name, query):
+            snapshot = self.manager.pin_snapshot(as_of)
             try:
-                # The tuple domain cannot grow while this thread counts as
-                # a reader, so the mask is sized against what the engine
-                # will see.
-                snapshot.valid_mask = state.valid_mask(self.data.n_tuples)
-                return self.layout.executor.execute(query, snapshot=snapshot)
-            finally:
+                # Resolve the frozen state BEFORE counting as a reader:
+                # _state_at takes the write lock, and a committing writer holds
+                # it while draining readers — acquiring it from inside the
+                # readers section would deadlock.  The state for a pinned
+                # version is immutable, so resolving early is race-free.
+                state = self._state_at(snapshot.version)
                 with self._readers_cv:
-                    self._readers -= 1
-                    self._readers_cv.notify_all()
-        finally:
-            snapshot.release()
+                    self._readers += 1
+                try:
+                    # The tuple domain cannot grow while this thread counts as
+                    # a reader, so the mask is sized against what the engine
+                    # will see.
+                    snapshot.valid_mask = state.valid_mask(self.data.n_tuples)
+                    return self.layout.executor.execute(query, snapshot=snapshot)
+                finally:
+                    with self._readers_cv:
+                        self._readers -= 1
+                        self._readers_cv.notify_all()
+            finally:
+                snapshot.release()
 
     # ------------------------------------------------------- introspection
 

@@ -33,7 +33,7 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -110,10 +110,9 @@ class WalStats:
     n_truncated_tails: int = 0
     #: successful :meth:`WriteAheadLog.truncate_through` checkpoints.
     n_checkpoints: int = 0
-    #: wall-clock seconds of the most recent group commit (the simulated
-    #: fsync: one blob put per batch).
+    #: wall-clock seconds of the most recent group commit (encode + the
+    #: one batch put that is the simulated fsync).
     last_commit_latency_s: float = 0.0
-    commit_latencies_s: List[float] = field(default_factory=list)
 
 
 def _encode_tids(tids: np.ndarray) -> bytes:
@@ -219,8 +218,8 @@ class WriteAheadLog:
         pending (no blob is written).  The single ``store.put`` is the
         simulated fsync — if it raises, the batch stays buffered and the
         commit can be retried; its wall-clock latency is recorded in
-        :attr:`WalStats.last_commit_latency_s` and published to the metrics
-        registry by the transactional table.
+        :attr:`WalStats.last_commit_latency_s`, which the transactional table
+        hands to its commit's request scope and to the metrics registry.
         """
         started = time.perf_counter()
         with self._lock:
@@ -232,16 +231,12 @@ class WriteAheadLog:
             seq = self._next_batch
             self._next_batch += 1
         data = self._encode_batch(seq, records)
-        tracer = obs_tracer()
         try:
-            if tracer.enabled:
-                with tracer.span(
-                    "wal.commit", batch_seq=seq, n_records=len(records)
-                ) as span:
-                    self.store.put(self._batch_key(seq), data)
-                    span.set(n_bytes=len(data))
-            else:
+            with obs_tracer().span(
+                "wal.commit", batch_seq=seq, n_records=len(records)
+            ) as span:
                 self.store.put(self._batch_key(seq), data)
+                span.set(n_bytes=len(data))
         except StorageError:
             # Nothing became durable: the batch is buffered again under the
             # same sequence number (a skipped one would read as a hole that
@@ -257,7 +252,6 @@ class WriteAheadLog:
             self.stats.n_records_committed += len(records)
             self.stats.bytes_written += len(data)
             self.stats.last_commit_latency_s = latency
-            self.stats.commit_latencies_s.append(latency)
         return seq
 
     # ------------------------------------------------------------- replay

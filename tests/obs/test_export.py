@@ -1,4 +1,5 @@
-"""Exporters: JSONL dumps, hotspot summaries, Prometheus snapshots."""
+"""The view's formatters: JSONL dumps, hotspot rows and summaries,
+Prometheus snapshots."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import io
 import json
 
 from repro import obs
-from repro.obs.export import dump_jsonl, hotspot_summary, top_hotspots
+from repro.obs.view import dump_jsonl, hotspot_rows, hotspot_summary
 from repro.obs.trace import TraceCollector, Tracer
 
 
@@ -19,6 +20,9 @@ def _collector_with_spans() -> TraceCollector:
     with tracer.span("exec.query") as span:
         span.sim_io_s = 0.060
         span.sim_cpu_s = 0.001
+    # Hotspots rank by wall time: pin it, so the order is not a race.
+    for span in collector.spans():
+        span.end_s = span.start_s + (4.0 if span.name == "exec.query" else 1.0)
     return collector
 
 
@@ -52,15 +56,22 @@ class TestJsonl:
 class TestHotspots:
     def test_grouped_and_ranked(self):
         collector = _collector_with_spans()
-        spots = top_hotspots(collector, n=10)
-        assert [s.name for s in spots] == ["exec.query", "storage.load"]
-        assert spots[0].count == 1
-        assert spots[1].count == 3
-        assert spots[1].sim_io_s == 0.010 + 0.020 + 0.030
+        spots = hotspot_rows(collector, n=10)
+        assert [s["name"] for s in spots] == ["exec.query", "storage.load"]
+        assert spots[0]["count"] == 1
+        assert spots[1]["count"] == 3
+        assert spots[1]["sim_io_s"] == 0.010 + 0.020 + 0.030
+
+    def test_ranked_by_wall_not_simulated_time(self):
+        collector = _collector_with_spans()
+        for span in collector.spans():
+            if span.name == "storage.load":
+                span.end_s = span.start_s + 9.0  # slower, though sim-cheaper
+        assert hotspot_rows(collector)[0]["name"] == "storage.load"
 
     def test_top_n_truncates(self):
         collector = _collector_with_spans()
-        assert len(top_hotspots(collector, n=1)) == 1
+        assert len(hotspot_rows(collector, n=1)) == 1
 
     def test_summary_renders_table(self):
         collector = _collector_with_spans()
@@ -73,7 +84,7 @@ class TestHotspots:
 class TestPrometheusSnapshot:
     def test_render_uses_shared_registry(self):
         obs.get_registry().counter("jigsaw_test_total", "t").inc(2)
-        text = obs.render_prometheus()
+        text = obs.get_registry().render_prometheus()
         assert "jigsaw_test_total 2" in text
 
     def test_explicit_registry(self):
@@ -81,4 +92,4 @@ class TestPrometheusSnapshot:
 
         registry = MetricsRegistry()
         registry.gauge("g", "h").set(1)
-        assert "g 1" in obs.render_prometheus(registry)
+        assert "g 1" in registry.render_prometheus()

@@ -11,8 +11,8 @@ import pytest
 
 from repro import obs
 from repro.engine import ThreadedPartitionEngine
-from repro.obs.flight import (
-    FLIGHT_CONTEXT,
+from repro.errors import PartitionUnreadableError
+from repro.obs import (
     FlightRecord,
     FlightRecorder,
     flight_recorder,
@@ -20,6 +20,7 @@ from repro.obs.flight import (
     load_flight_history,
     uninstall_flight_recorder,
 )
+from repro.obs.scope import _CURRENT
 from repro.serve import AdmissionRejected, QueryScheduler
 from repro.storage.blob import MemoryBlobStore
 from repro.testing.snapshot import (
@@ -36,10 +37,9 @@ def _no_leftover_recorder():
 
 
 def make_record(seq: int, **overrides) -> FlightRecord:
-    record = FlightRecord(seq=seq, ts_unix_s=float(seq), engine="scan")
-    for key, value in overrides.items():
-        setattr(record, key, value)
-    return record
+    return FlightRecord(
+        **{"seq": seq, "ts_unix_s": float(seq), "engine": "scan", **overrides}
+    )
 
 
 class TestCapture:
@@ -55,8 +55,12 @@ class TestCapture:
         assert record.label == query.label
         assert record.outcome == "ok"
         assert record.table == layout.manager.key_prefix
-        assert record.wall_time_s == stats.wall_time_s
-        assert record.latency_s == stats.wall_time_s  # no scheduler
+        # the scope's clock, over the same interval as the engine's own;
+        # no scheduler, so no wait
+        assert record.latency_s == record.wall_time_s > 0.0
+        assert record.wall_time_s == pytest.approx(stats.wall_time_s, abs=0.05)
+        assert record.queue_wait_s == 0.0
+        assert record.leaves == [] and record.unattributed_s == record.wall_time_s
         assert record.bytes_read == stats.bytes_read
         assert record.n_partition_reads == stats.n_partition_reads
         assert record.catalog_version == layout.manager.catalog_version
@@ -75,7 +79,23 @@ class TestCapture:
         (record,) = recorder.records()
         assert record.engine == engine
         assert stats.wall_time_s > 0.0
-        assert record.latency_s == record.wall_time_s == stats.wall_time_s
+        assert record.latency_s == record.wall_time_s > 0.0
+        assert record.wall_time_s == pytest.approx(stats.wall_time_s, abs=0.05)
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_direct_slow_query_keeps_its_explain(self, demo, threaded):
+        """A request need not cross the scheduler to enter the slow log."""
+        table, workload, layouts = demo
+        recorder = install_flight_recorder(FlightRecorder(slow_query_s=0.0))
+        executor = layouts["irregular"].executor
+        if threaded:
+            executor = ThreadedPartitionEngine(
+                layouts["irregular"].manager, table.meta, n_threads=2
+            )
+        executor.execute(workload.queries[0])
+        (record,) = recorder.slow_queries()
+        for name in ("exec.query", "exec.selection", "exec.partition"):
+            assert name in record.explain
 
     def test_records_without_metrics_enabled(self, demo):
         """The flight log is independent of the metrics gate."""
@@ -97,6 +117,40 @@ class TestCapture:
         # the ring keeps the newest records
         assert [r.seq for r in recorder.records()] == list(range(12, 20))
 
+    def test_engine_error_is_one_error_record(self, demo):
+        _table, workload, layouts = demo
+        recorder = install_flight_recorder(FlightRecorder())
+        layout = layouts["irregular"]
+
+        def unreadable(*args, **kwargs):
+            raise PartitionUnreadableError("injected")
+
+        executor = layout.executor.clone()
+        executor._select = unreadable
+        with pytest.raises(PartitionUnreadableError):
+            executor.execute(workload.queries[0])
+        (record,) = recorder.records()
+        assert record.outcome == "error"
+        assert record.error == "PartitionUnreadableError: injected"
+        assert record.engine == executor.name and record.wall_time_s > 0.0
+        assert recorder.n_errors == 1
+
+    def test_disabled_path_constructs_nothing(self, demo, monkeypatch):
+        """Nothing enabled: ``execute`` builds no record, span or scope."""
+        from repro.obs import scope, trace
+
+        assert flight_recorder() is None and not obs.metrics_enabled()
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} constructed")
+
+        for cls in (FlightRecord, trace.Span, scope.RequestScope):
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        _table, workload, layouts = demo
+        for layout in layouts.values():
+            _result, stats = layout.executor.execute(workload.queries[0])
+            assert stats.wall_time_s > 0.0
+
     def test_install_replaces_and_closes_previous(self):
         first = install_flight_recorder(FlightRecorder())
         second = install_flight_recorder(FlightRecorder())
@@ -117,11 +171,10 @@ class TestQueryApi:
         for i, (latency, engine, outcome) in enumerate(
             zip(latencies, engines, outcomes)
         ):
-            recorder._finish(
-                make_record(i, engine=engine),
-                latency_s=latency,
-                queue_wait_s=0.0,
-                outcome=outcome,
+            recorder.add(
+                make_record(
+                    i, engine=engine, latency_s=latency, outcome=outcome
+                )
             )
         return recorder
 
@@ -171,9 +224,7 @@ class TestSpill:
             max_spill_blobs=3,
         ) as recorder:
             for i in range(22):
-                recorder._finish(
-                    make_record(i), latency_s=0.01 * i, queue_wait_s=0.0
-                )
+                recorder.add(make_record(i, latency_s=0.01 * i))
         # 5 full blocks of 4 spilled, the tail of 2 flushed on close,
         # rotation keeps only the newest 3 blobs.
         assert recorder.n_spilled == 22
@@ -186,7 +237,7 @@ class TestSpill:
     def test_flush_is_idempotent(self):
         store = MemoryBlobStore()
         recorder = FlightRecorder(store=store, spill_every=100)
-        recorder._finish(make_record(0), latency_s=0.0, queue_wait_s=0.0)
+        recorder.add(make_record(0))
         recorder.flush()
         recorder.flush()
         recorder.close()
@@ -225,7 +276,7 @@ class TestSchedulerIntegration:
             assert "exec.query" in record.explain
             assert "sim" in record.explain
         assert recorder.n_slow == len(workload.queries)
-        assert FLIGHT_CONTEXT.get() is None
+        assert _CURRENT.get() is None
 
     def test_scheduler_does_not_steal_client_scoped_trace(self, demo):
         """A client running its own scoped_trace must keep its spans even

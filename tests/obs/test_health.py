@@ -145,7 +145,7 @@ class TestMonitor:
         assert report.status == CRIT
         assert report.exit_code == 2
         assert [r.name for r in report.failing()] == ["b"]
-        assert "CRIT" in report.render()
+        assert "CRIT" in obs.format_health(report.as_dict())
         payload = report.as_dict()
         assert payload["status"] == CRIT
         assert len(payload["results"]) == 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import ExpositionError, parse_exposition
+from repro.testing.promparse import ExpositionError, parse_exposition
 from repro.obs.metrics import MetricsRegistry
 
 

@@ -16,11 +16,11 @@ from urllib.request import urlopen
 
 import pytest
 
-from repro.obs import parse_exposition
 from repro.obs.flight import FlightRecorder
 from repro.obs.health import HealthMonitor, HealthRule, MetricValue
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import TelemetryServer
+from repro.testing.promparse import parse_exposition
 
 
 def get_json(url: str):
@@ -41,11 +41,9 @@ def registry() -> MetricsRegistry:
 @pytest.fixture()
 def server(registry):
     recorder = FlightRecorder(slow_query_s=1.0)
-    recorder._finish(
-        _record(0, engine="scan"), latency_s=0.2, queue_wait_s=0.0
-    )
-    recorder._finish(
-        _record(1, engine="jigsaw-l"), latency_s=2.0, queue_wait_s=0.1
+    recorder.add(_record(0, engine="scan", latency_s=0.2))
+    recorder.add(
+        _record(1, engine="jigsaw-l", latency_s=2.0, queue_wait_s=0.1)
     )
     with TelemetryServer(
         registry=registry, recorder=recorder, port=0
@@ -54,10 +52,10 @@ def server(registry):
     recorder.close()
 
 
-def _record(seq: int, engine: str):
+def _record(seq: int, **fields):
     from repro.obs.flight import FlightRecord
 
-    return FlightRecord(seq=seq, ts_unix_s=float(seq), engine=engine)
+    return FlightRecord(seq=seq, ts_unix_s=float(seq), **fields)
 
 
 class TestRoutes:

@@ -120,7 +120,12 @@ class TestSchedulerServesJoins:
             assert result.equals(expected)
             assert stats.n_result_tuples == expected.n_rows
         if recorder is not None:
-            # At least one record per request, stamped by the scheduler.
-            served = [r for r in recorder.records() if r.priority]
-            assert len(served) >= len(tickets)
-            assert all(r.outcome == "ok" for r in served)
+            # Exactly one record per request: the DAG is its one leaf and
+            # the DAG's table scans are that leaf's leaves.
+            served = recorder.records()
+            assert len(served) == len(tickets)
+            for record in served:
+                assert record.outcome == "ok" and record.priority == "normal"
+                assert record.n_result_tuples == expected.n_rows
+                (dag,) = record.leaves
+                assert dag["engine"] == "dag" and len(dag["leaves"]) >= 2

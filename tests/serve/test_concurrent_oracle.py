@@ -186,7 +186,13 @@ class TestSwapMidReplay:
 
         replayer = threading.Thread(target=replay, name="replay-driver")
         replayer.start()
-        time.sleep(0.05)  # let clients get in flight before the swap
+        # Let clients get in flight before the swap — and, on a loaded
+        # machine, wait until one has planned, or the swap would find
+        # nothing in the cache to invalidate.
+        deadline = time.monotonic() + 30.0
+        while len(cache) == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.05)
         cycle = daemon.run_cycle()
         replayer.join(120.0)
         assert not replayer.is_alive()

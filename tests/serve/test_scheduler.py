@@ -259,3 +259,65 @@ class TestErrors:
             ticket = scheduler.submit("stub", FakeQuery("q"))
             ticket.wait(5.0)
         assert ticket.latency_s >= ticket.queue_wait_s >= 0.0
+
+
+class TestOneFlightRecordPerRequest:
+    """With a recorder installed every scheduler request — served, failed or
+    refused — is exactly one flight record, built when the request's scope
+    closes (no engine-side record staged and finalized later)."""
+
+    @pytest.fixture()
+    def recorder(self):
+        from repro import obs
+
+        recorder = obs.install_flight_recorder(obs.FlightRecorder())
+        yield recorder
+        obs.uninstall_flight_recorder()
+
+    def test_served_request_carries_queue_wait_and_priority(self, recorder):
+        gate = threading.Event()
+        engine = StubEngine(gate=gate)
+        with QueryScheduler({"stub": engine}, workers=1) as scheduler:
+            first = scheduler.submit("stub", FakeQuery("first"))
+            assert engine.started.wait(5.0)
+            queued = scheduler.submit("stub", FakeQuery("queued"), PRIORITY_HIGH)
+            time.sleep(0.02)  # "queued" waits behind the gated request
+            gate.set()
+            first.wait(5.0), queued.wait(5.0)
+        by_label = {r.label: r for r in recorder.records()}
+        assert sorted(by_label) == ["first", "queued"]
+        record = by_label["queued"]
+        assert record.engine == "stub" and record.outcome == "ok"
+        assert record.priority == PRIORITY_HIGH
+        assert record.queue_wait_s >= 0.02
+        assert record.latency_s == record.queue_wait_s + record.wall_time_s
+        assert by_label["first"].priority == PRIORITY_NORMAL
+
+    def test_engine_error_is_one_error_record(self, recorder):
+        with QueryScheduler(
+            {"bad": StubEngine(fail=True)}, workers=1
+        ) as scheduler:
+            with pytest.raises(RuntimeError):
+                scheduler.execute("bad", FakeQuery("boom"))
+        (record,) = recorder.records()
+        assert record.outcome == "error"
+        assert record.error == "RuntimeError: engine failure on boom"
+        assert recorder.n_errors == 1
+
+    def test_each_rejection_is_one_record(self, recorder):
+        gate = threading.Event()
+        engine = StubEngine(gate=gate)
+        with QueryScheduler(
+            {"stub": engine}, workers=1, queue_depth=1
+        ) as scheduler:
+            scheduler.submit("stub", FakeQuery("inflight"))
+            assert engine.started.wait(5.0)
+            _wait_for(lambda: scheduler.pending()["normal"] == 0)
+            scheduler.submit("stub", FakeQuery("queued"))
+            with pytest.raises(AdmissionRejected, match="queue full"):
+                scheduler.submit("stub", FakeQuery("refused"))
+            gate.set()
+        (rejected,) = recorder.records(outcome="rejected")
+        assert rejected.label == "refused" and "queue full" in rejected.error
+        assert rejected.latency_s == 0.0
+        assert recorder.n_rejections == 1 and recorder.n_recorded == 3

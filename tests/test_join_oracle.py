@@ -377,6 +377,35 @@ class TestPlacementDecision:
             assert stats.materialized_bytes < join_rows * 32
             assert result.n_rows == 16
 
+    def test_partition_wise_join_is_one_flight_record(self, bench_shape):
+        """One user request, one record: the split scans are its leaves (not
+        records of their own) and their walls plus the residual are its
+        latency."""
+        from repro import obs
+
+        catalog, _tables = bench_shape
+        query = agg_query(BENCH_AGGS, (D_A,), {})  # every key: four splits
+        executor = DagExecutor(catalog, force_strategy="partition-wise")
+        n_splits = len(executor.choose(executor.plan(query)).strategy.splits)
+        recorder = obs.install_flight_recorder(obs.FlightRecorder())
+        try:
+            _result, stats = executor.execute(query)
+        finally:
+            obs.uninstall_flight_recorder()
+        (record,) = recorder.records()
+        assert record.engine == "dag" and record.table == "fact,dim"
+        assert record.bytes_read == stats.bytes_read
+        assert record.n_result_tuples == stats.n_result_tuples > 0
+        assert n_splits > 1 and len(record.leaves) == 2 * n_splits
+        assert {leaf["engine"] for leaf in record.leaves} == {
+            catalog["fact"].executor.name
+        }
+        total = 0.0
+        for wall in [leaf["wall_s"] for leaf in record.leaves]:
+            total += wall
+        assert total + record.unattributed_s == record.wall_time_s
+        assert record.latency_s == record.wall_time_s and record.unattributed_s > 0
+
     def test_float_sum_takes_the_ordered_pipeline_bit_for_bit(self):
         catalog, tables = _bench_shape_catalog(4_000, 400, 200, float_val=True)
         query = agg_query(

@@ -266,7 +266,7 @@ class TestReadStability:
         try:
             s1 = txn.pin()
             s2 = txn.pin()
-            obs.publish_txn(txn)
+            obs.publish("txn", txn)
             registry = obs.get_registry()
             gauge = registry.gauge(
                 "jigsaw_txn_snapshot_refcount",
@@ -275,7 +275,7 @@ class TestReadStability:
             assert gauge.value() == 2
             s1.release()
             s2.release()
-            obs.publish_txn(txn)
+            obs.publish("txn", txn)
             assert gauge.value() == 0
         finally:
             obs.disable()

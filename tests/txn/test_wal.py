@@ -72,6 +72,28 @@ class TestWalBasics:
         assert list(wal.store.keys()) == []
         assert wal.stats.n_empty_commits == 1
 
+    def test_stats_stay_bounded_with_metrics_off(self):
+        """Nothing drains a per-commit list when metrics are off (the
+        default), so the stats object must not keep one."""
+        import sys
+
+        def footprint(stats):
+            return sum(
+                sys.getsizeof(value) for value in vars(stats).values()
+            )
+
+        rng = np.random.default_rng(1)
+        wal = make_wal()
+        payload = rows(rng, 1)
+        wal.append(KIND_INSERT, np.arange(1), payload)
+        wal.commit()
+        before = footprint(wal.stats)
+        for i in range(5_000):
+            wal.append(KIND_INSERT, np.arange(i, i + 1), payload)
+            wal.commit()
+        assert wal.stats.n_commits == 5_001
+        assert footprint(wal.stats) == before
+
     def test_lsn_is_monotonic_across_batches(self):
         rng = np.random.default_rng(1)
         wal = make_wal()

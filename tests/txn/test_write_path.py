@@ -309,6 +309,67 @@ def test_as_of_exact_across_commits_a_migration_and_a_fold(strategy):
     hold.release()
 
 
+class TestOneFlightRecordPerRequest:
+    """With a recorder installed, each user request on the write path — a
+    dirty read, a commit, a fold — is exactly one record."""
+
+    @pytest.fixture()
+    def recorder(self):
+        from repro import obs
+
+        recorder = obs.install_flight_recorder(obs.FlightRecorder())
+        yield recorder
+        obs.uninstall_flight_recorder()
+
+    @staticmethod
+    def dirty_table():
+        rng, table, layout, txn = build(31)
+        shadow = ShadowTable(txn.data)
+        apply_random_batch(txn, shadow, rng, CONFIG)
+        return rng, shadow, table, layout, txn
+
+    def test_commit_dirty_read_and_fold(self, recorder):
+        _rng, _shadow, table, layout, txn = self.dirty_table()
+        version = txn.commit()
+        (commit,) = recorder.records()
+        assert commit.engine == "txn.commit" and commit.outcome == "ok"
+        assert commit.catalog_version == version
+        assert commit.table == layout.manager.key_prefix
+        # the WAL's group commit is the commit's one leaf; applying the
+        # batch is the residual
+        (leaf,) = commit.leaves
+        assert leaf["engine"] == "wal.commit"
+        assert leaf["wall_s"] == txn.wal.stats.last_commit_latency_s
+        assert leaf["wall_s"] + commit.unattributed_s == commit.wall_time_s
+
+        assert txn.delta_state().segments  # dirty
+        names = list(table.schema.attribute_names)
+        _result, stats = txn.execute(Query.build(txn.data.meta, names, {}))
+        (_, read) = recorder.records()
+        assert read.engine == layout.executor.name
+        assert read.bytes_read == stats.bytes_read
+        assert read.catalog_version == version
+        assert [leaf["engine"] for leaf in read.leaves] == [read.engine]
+
+        report = DeltaCompactor(txn, verify=True).run()
+        (_, _, fold) = recorder.records()
+        assert fold.engine == "txn.compaction"
+        assert fold.catalog_version == report.version
+
+    def test_record_carries_the_version_it_read(self, recorder):
+        """``AS OF v`` is stamped v — not whatever the catalog reached by the
+        time the read completed."""
+        rng, shadow, table, _layout, txn = self.dirty_table()
+        first = txn.commit()
+        for _ in range(2):
+            apply_random_batch(txn, shadow, rng, CONFIG)
+            txn.commit()
+        assert txn.current_version == first + 2
+        names = list(table.schema.attribute_names)
+        txn.execute(Query.build(txn.data.meta, names, {}), as_of=first)
+        assert recorder.records()[-1].catalog_version == first
+
+
 class TestCrashReplay:
     def _copy_wal(self, source, target):
         for key in source.wal.batch_keys():
