@@ -62,7 +62,7 @@ class AttributeSpec:
 class TableSchema:
     """An ordered, immutable collection of :class:`AttributeSpec`."""
 
-    __slots__ = ("_attributes", "_by_name", "_positions")
+    __slots__ = ("_attributes", "_by_name", "_positions", "_names", "_hash")
 
     def __init__(self, attributes: Sequence[AttributeSpec]):
         names = [spec.name for spec in attributes]
@@ -74,6 +74,10 @@ class TableSchema:
         self._attributes: Tuple[AttributeSpec, ...] = tuple(attributes)
         self._by_name: Dict[str, AttributeSpec] = {spec.name: spec for spec in attributes}
         self._positions: Dict[str, int] = {spec.name: i for i, spec in enumerate(attributes)}
+        # Both are read on every partition decode (dtype-cache key, bitmap
+        # decoding); the schema is immutable, so compute them once.
+        self._names: Tuple[str, ...] = tuple(names)
+        self._hash = hash(self._attributes)
 
     @classmethod
     def uniform(
@@ -84,7 +88,7 @@ class TableSchema:
 
     @property
     def attribute_names(self) -> Tuple[str, ...]:
-        return tuple(spec.name for spec in self._attributes)
+        return self._names
 
     @property
     def attributes(self) -> Tuple[AttributeSpec, ...]:
@@ -136,7 +140,7 @@ class TableSchema:
         return self._attributes == other._attributes
 
     def __hash__(self) -> int:
-        return hash(self._attributes)
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TableSchema({', '.join(self.attribute_names)})"

@@ -1,7 +1,13 @@
 """Storage substrate: devices, blob stores, the partition file format and the
 partition manager."""
 
-from .blob import BlobStore, DelayedBlobStore, DirectoryBlobStore, MemoryBlobStore
+from .blob import (
+    BlobStore,
+    DelayedBlobStore,
+    DirectoryBlobStore,
+    MemoryBlobStore,
+    StoredBlob,
+)
 from .buffer_pool import BufferPool, BufferPoolStats
 from .device import (
     BALOS_HDD,
@@ -76,6 +82,7 @@ __all__ = [
     "SegmentSpec",
     "SketchSet",
     "StorageDevice",
+    "StoredBlob",
     "TID_CATALOG",
     "TID_EXPLICIT",
     "TID_IMPLICIT",

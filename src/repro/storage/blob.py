@@ -8,6 +8,7 @@ format).  Both stores expose the same minimal byte-oriented interface.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator
@@ -19,7 +20,30 @@ __all__ = [
     "DelayedBlobStore",
     "MemoryBlobStore",
     "DirectoryBlobStore",
+    "StoredBlob",
 ]
+
+
+class StoredBlob(bytes):
+    """Immutable blob bytes that can carry their own checksum verdict.
+
+    ``bytes`` never change, so a CRC verdict reached on one *object* holds
+    for as long as that object lives: :func:`~repro.storage.format
+    .deserialize_partition` sets ``crc_verified`` after a full check and
+    skips the CRC passes when handed the same object again.  The verdict is
+    a property of the object, never of a key or ``(pid, version)``: slicing
+    or copying yields plain ``bytes``, every ``put`` stores a fresh
+    unverified object, and a pickled copy drops the flag — so a corrupted,
+    truncated or rewritten blob is always verified in full.  A store that
+    hands out the object it keeps (:class:`MemoryBlobStore`) therefore pays
+    for verification once per stored blob; a store that copies on ``get``
+    (:class:`DirectoryBlobStore`) returns plain ``bytes`` and pays each time.
+    """
+
+    crc_verified = False
+
+    def __reduce__(self):
+        return (type(self), (bytes(self),))
 
 
 class BlobStore(ABC):
@@ -60,10 +84,11 @@ class MemoryBlobStore(BlobStore):
     """Blobs in a plain dict; the default for simulations and tests."""
 
     def __init__(self) -> None:
-        self._blobs: Dict[str, bytes] = {}
+        self._blobs: Dict[str, StoredBlob] = {}
 
     def put(self, key: str, data: bytes) -> None:
-        self._blobs[key] = bytes(data)
+        # Always a new object: a rewrite must never inherit a verdict.
+        self._blobs[key] = StoredBlob(data)
 
     def get(self, key: str) -> bytes:
         try:
@@ -132,7 +157,15 @@ class DelayedBlobStore(BlobStore):
 
 
 class DirectoryBlobStore(BlobStore):
-    """Blobs as real files under a directory (keys may contain ``/``)."""
+    """Blobs as real files under a directory (keys may contain ``/``).
+
+    ``put`` is atomic against a crash mid-write: the bytes go to a temporary
+    file beside the target, which then replaces it in one ``os.replace`` — a
+    live key holds either its old blob or the whole new one, never a torn
+    file.  Temporary files (one can outlive a killed process) are not keys.
+    """
+
+    _TEMP_PREFIX = ".put-"
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
@@ -146,9 +179,24 @@ class DirectoryBlobStore(BlobStore):
 
     def put(self, key: str, data: bytes) -> None:
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(data)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        # Unique per writer: one thread of one process writes one blob at a time.
+        temp = os.path.join(
+            directory,
+            f"{self._TEMP_PREFIX}{os.getpid()}-{threading.get_ident()}-"
+            f"{os.path.basename(path)}",
+        )
+        try:
+            with open(temp, "wb") as handle:
+                handle.write(data)
+            os.replace(temp, path)
+        except BaseException:
+            try:
+                os.unlink(temp)
+            except FileNotFoundError:
+                pass
+            raise
 
     def get(self, key: str) -> bytes:
         # Mirror MemoryBlobStore's error contract exactly: any absent or
@@ -169,6 +217,8 @@ class DirectoryBlobStore(BlobStore):
     def keys(self) -> Iterator[str]:
         for dirpath, _dirnames, filenames in os.walk(self.root):
             for filename in filenames:
+                if filename.startswith(self._TEMP_PREFIX):
+                    continue
                 full = os.path.join(dirpath, filename)
                 yield os.path.relpath(full, self.root).replace(os.sep, "/")
 

@@ -110,8 +110,9 @@ class FaultInjectingBlobStore(BlobStore):
     ``overrides`` maps specific keys to their own :class:`FaultConfig` —
     e.g. a single always-failing partition (``transient_error_rate=1.0``)
     while the rest of the store behaves.  Faults never touch the stored
-    bytes: corruption and truncation are applied to the returned copy, so a
-    later successful attempt sees the pristine blob.
+    bytes: corruption and truncation are applied to the returned copy (plain
+    ``bytes``, which never carry the pristine object's checksum verdict), so
+    a later successful attempt sees the pristine blob.
     """
 
     def __init__(
@@ -174,10 +175,12 @@ class FaultInjectingBlobStore(BlobStore):
             )
         data = self.inner.get(key)
         if u_trunc < cfg.truncation_rate and len(data):
-            self.stats.n_truncations += 1
+            with self._lock:
+                self.stats.n_truncations += 1
             data = data[: int(len(data) * u_pos)]
         elif u_flip < cfg.corruption_rate and len(data):
-            self.stats.n_bit_flips += 1
+            with self._lock:
+                self.stats.n_bit_flips += 1
             position = int(u_pos * len(data) * 8)
             corrupted = bytearray(data)
             corrupted[position // 8] ^= 1 << (position % 8)

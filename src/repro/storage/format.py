@@ -25,9 +25,28 @@ Layout (little endian)::
 Version 2 adds CRC32 checksums so that corruption is *detected* instead of
 silently decoded: ``header_crc`` covers the file header, and each segment's
 ``segment_crc`` covers its segment header plus every byte of its bitmap,
-tuple IDs and cells.  Checksums are verified eagerly on deserialization —
-even when cell decoding is lazy — so a partition that parses is known good
-end to end.  Version-1 files (no checksums) remain readable.
+tuple IDs and cells.  Version-1 files (no checksums) remain readable.
+
+What is verified, when and where:
+
+* **Checksums — once per bytes object.**  :func:`deserialize_partition`
+  verifies every CRC of the object it is handed (over ``memoryview`` slices,
+  even when cell decoding is lazy) before any cell can reach a caller, and
+  records the verdict *on that object* when it can carry one
+  (:class:`~repro.storage.blob.StoredBlob`, what ``MemoryBlobStore`` keeps).
+  Bytes are immutable, so the same object is not re-hashed on a later decode;
+  any other object — a corrupted or truncated copy, a file re-read from disk,
+  a blob rewritten by ``put`` — has no verdict and is verified in full.
+* **Framing — every decode, O(segments).**  Magic, version, attribute count,
+  truncation of every header / tuple-ID / cell area, and — when the catalog
+  entry is passed as ``frame`` — each segment header's mode, replica flag,
+  bitmap, ``n_tuples`` and ``first_tid`` against it.
+* **Tuple-ID structure — at write time.**  The partition manager validates
+  a partition's tuple-ID arrays when it adds the partition to the catalog
+  (and ``PhysicalSegment`` validates every segment built from arrays); a
+  framed decode hands out those catalog arrays instead of rebuilding and
+  re-validating them per read.  A catalog-less decode builds its segments
+  through the validating constructor as before.
 
 Checksum bytes are a durability artifact, not data: simulated I/O accounting
 charges the *version-1-equivalent* size (see :func:`checksum_overhead`), so
@@ -40,12 +59,13 @@ import struct
 import zlib
 from collections.abc import Mapping
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from ..core.schema import TableSchema
 from ..errors import ChecksumError, StorageError
+from .blob import StoredBlob
 from .physical import PhysicalPartition, PhysicalSegment, TID_CATALOG, TID_EXPLICIT, TID_IMPLICIT
 
 __all__ = [
@@ -53,6 +73,7 @@ __all__ = [
     "deserialize_partition",
     "segment_row_dtype",
     "checksum_overhead",
+    "PartitionFrame",
     "append_trailer",
     "read_trailer",
     "strip_trailer",
@@ -178,13 +199,32 @@ def _attribute_bitmap(schema: TableSchema, attributes: Sequence[str]) -> bytes:
     return bytes(bitmap)
 
 
-def _attributes_from_bitmap(schema: TableSchema, bitmap: bytes) -> Tuple[str, ...]:
-    names = []
-    all_names = schema.attribute_names
-    for position, name in enumerate(all_names):
-        if bitmap[position // 8] & (1 << (position % 8)):
-            names.append(name)
-    return tuple(names)
+@lru_cache(maxsize=4096)
+def _segment_shape(schema: TableSchema, bitmap: bytes) -> Tuple[Tuple[str, ...], np.dtype]:
+    """``(attributes, row dtype)`` a segment's attribute bitmap stands for."""
+    attributes = tuple(
+        name
+        for position, name in enumerate(schema.attribute_names)
+        if bitmap[position // 8] & (1 << (position % 8))
+    )
+    return attributes, _segment_row_dtype_cached(schema, attributes)
+
+
+class PartitionFrame(Protocol):
+    """What the catalog knows of a partition file's structure, per segment
+    (:class:`~repro.storage.partition_manager.PartitionInfo` is one)."""
+
+    @property
+    def segment_attrs(self) -> Sequence[Tuple[str, ...]]: ...
+
+    @property
+    def segment_tids(self) -> Sequence[np.ndarray]: ...
+
+    @property
+    def segment_tid_modes(self) -> Sequence[str]: ...
+
+    @property
+    def segment_replicas(self) -> Sequence[bool]: ...
 
 
 def checksum_overhead(n_segments: int) -> int:
@@ -283,12 +323,20 @@ def deserialize_partition(
     schema: TableSchema,
     catalog_tids: Dict[int, np.ndarray] | None = None,
     columns: Iterable[str] | None = None,
+    frame: PartitionFrame | None = None,
 ) -> PhysicalPartition:
     """Parse a partition file back into a :class:`PhysicalPartition`.
 
-    ``catalog_tids`` supplies the tuple-ID arrays (indexed by segment
-    ordinal) for segments whose mapping is kept in the partition manager's
-    catalog instead of the file.
+    ``frame`` is the partition's catalog entry.  With it a decode costs
+    O(segments): each segment header is cross-checked against the frame
+    (mode, replica flag, attributes, ``n_tuples``, ``first_tid``) and the
+    segment takes the catalog's tuple-ID array as is — for every tid mode —
+    instead of building, copying or re-validating one.
+
+    Without a frame the tuple IDs come from the file (explicit), from the
+    header (implicit) or from ``catalog_tids`` — arrays indexed by segment
+    ordinal, for segments whose mapping the file does not hold — and every
+    segment is validated by the :class:`PhysicalSegment` constructor.
 
     ``columns`` switches cell decoding to *lazy* mode: every segment's
     ``columns`` becomes a :class:`LazyColumnBlock` over the file bytes, and
@@ -298,8 +346,12 @@ def deserialize_partition(
     partition's structure — segments, attributes, tuple IDs — is always
     complete; only cell decoding is deferred.  With ``columns=None`` the
     historical eager behaviour (contiguous per-column copies) is preserved.
+
+    Checksums are verified unless this very ``data`` object already carries
+    a verdict (see the module docstring); a successful decode records one.
     """
-    if len(data) < _HEADER.size:
+    size = len(data)
+    if size < _HEADER.size:
         raise StorageError("partition file truncated: missing header")
     magic, version, pid, n_segments, n_attrs = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
@@ -307,26 +359,33 @@ def deserialize_partition(
     if version not in (1, 2):
         raise StorageError(f"unsupported partition format version {version}")
     checksummed = version >= 2
+    verify = checksummed and not (isinstance(data, StoredBlob) and data.crc_verified)
+    view = memoryview(data)
     offset = _HEADER.size
     if checksummed:
-        if len(data) < offset + _CRC.size:
+        if size < offset + _CRC.size:
             raise StorageError("partition file truncated: missing header checksum")
         (stored_crc,) = _CRC.unpack_from(data, offset)
-        if zlib.crc32(data[:_HEADER.size]) != stored_crc:
+        if verify and zlib.crc32(view[:_HEADER.size]) != stored_crc:
             raise ChecksumError(f"partition {pid}: header checksum mismatch")
         offset += _CRC.size
     if n_attrs != len(schema):
         raise StorageError(
             f"partition file written for {n_attrs} attributes, schema has {len(schema)}"
         )
+    if frame is not None and len(frame.segment_tids) != n_segments:
+        raise StorageError(
+            f"partition {pid}: file holds {n_segments} segments, "
+            f"catalog says {len(frame.segment_tids)}"
+        )
     bitmap_bytes = (n_attrs + 7) // 8
+    header_budget = _SEGMENT_HEADER.size + (_CRC.size if checksummed else 0)
     wanted = None if columns is None else frozenset(columns)
     segments: List[PhysicalSegment] = []
     for ordinal in range(n_segments):
         seg_start = offset
         seg_crc_stored = 0
-        header_budget = _SEGMENT_HEADER.size + (_CRC.size if checksummed else 0)
-        if offset + header_budget + bitmap_bytes > len(data):
+        if offset + header_budget + bitmap_bytes > size:
             raise StorageError(f"partition {pid}: truncated segment header #{ordinal}")
         mode_code, n_tuples, first_tid = _SEGMENT_HEADER.unpack_from(data, offset)
         offset += _SEGMENT_HEADER.size
@@ -339,14 +398,39 @@ def deserialize_partition(
             tid_storage = _TID_MODES_REVERSE[mode_code & ~_REPLICA_FLAG]
         except KeyError:
             raise StorageError(f"partition {pid}: unknown tid mode {mode_code}") from None
-        attributes = _attributes_from_bitmap(schema, data[offset:offset + bitmap_bytes])
+        attributes, row_dtype = _segment_shape(schema, data[offset:offset + bitmap_bytes])
         offset += bitmap_bytes
+        tids_offset = offset
         if tid_storage == TID_EXPLICIT:
-            tid_bytes = 8 * n_tuples
-            if offset + tid_bytes > len(data):
+            offset += 8 * n_tuples
+            if offset > size:
                 raise StorageError(f"partition {pid}: truncated tuple IDs in segment #{ordinal}")
-            tuple_ids = np.frombuffer(data, dtype="<i8", count=n_tuples, offset=offset).copy()
-            offset += tid_bytes
+        cell_bytes = row_dtype.itemsize * n_tuples
+        if offset + cell_bytes > size:
+            raise StorageError(f"partition {pid}: truncated cells in segment #{ordinal}")
+        if verify:
+            crc = zlib.crc32(view[seg_start:seg_start + _SEGMENT_HEADER.size])
+            crc = zlib.crc32(view[body_start:offset + cell_bytes], crc)
+            if crc != seg_crc_stored:
+                raise ChecksumError(
+                    f"partition {pid}: checksum mismatch in segment #{ordinal}"
+                )
+        if frame is not None:
+            tuple_ids = frame.segment_tids[ordinal]
+            if (
+                tid_storage != frame.segment_tid_modes[ordinal]
+                or replica != frame.segment_replicas[ordinal]
+                or attributes != frame.segment_attrs[ordinal]
+                or n_tuples != len(tuple_ids)
+                or first_tid != (int(tuple_ids[0]) if n_tuples else 0)
+            ):
+                raise StorageError(
+                    f"partition {pid}: segment #{ordinal} header disagrees with the catalog"
+                )
+        elif tid_storage == TID_EXPLICIT:
+            tuple_ids = np.frombuffer(
+                data, dtype="<i8", count=n_tuples, offset=tids_offset
+            ).copy()
         elif tid_storage == TID_IMPLICIT:
             tuple_ids = np.arange(first_tid, first_tid + n_tuples, dtype=np.int64)
         else:  # catalog
@@ -354,40 +438,27 @@ def deserialize_partition(
                 raise StorageError(
                     f"partition {pid}: segment #{ordinal} needs catalog tuple IDs"
                 )
-            tuple_ids = catalog_tids[ordinal]
+            tuple_ids = np.asarray(catalog_tids[ordinal], dtype=np.int64)
             if len(tuple_ids) != n_tuples:
                 raise StorageError(
                     f"partition {pid}: catalog holds {len(tuple_ids)} tuple IDs, "
                     f"file says {n_tuples}"
                 )
-        row_dtype = segment_row_dtype(schema, attributes)
-        cell_bytes = row_dtype.itemsize * n_tuples
-        if offset + cell_bytes > len(data):
-            raise StorageError(f"partition {pid}: truncated cells in segment #{ordinal}")
-        if checksummed:
-            crc = zlib.crc32(data[seg_start:seg_start + _SEGMENT_HEADER.size])
-            crc = zlib.crc32(data[body_start:offset + cell_bytes], crc)
-            if crc != seg_crc_stored:
-                raise ChecksumError(
-                    f"partition {pid}: checksum mismatch in segment #{ordinal}"
-                )
+        cells: Mapping[str, np.ndarray]
         if wanted is None:
             rows = np.frombuffer(data, dtype=row_dtype, count=n_tuples, offset=offset)
             cells = {name: np.ascontiguousarray(rows[name]) for name in attributes}
         else:
-            block = LazyColumnBlock(data, offset, row_dtype, attributes, n_tuples)
+            cells = block = LazyColumnBlock(data, offset, row_dtype, attributes, n_tuples)
             for name in attributes:
                 if name in wanted:
                     block[name]  # materialize the requested view up front
-            cells = block
         offset += cell_bytes
-        segments.append(
-            PhysicalSegment(
-                attributes=attributes,
-                tuple_ids=np.asarray(tuple_ids, dtype=np.int64),
-                columns=cells,
-                tid_storage=tid_storage,
-                replica=replica,
-            )
-        )
+        if frame is None:
+            segment = PhysicalSegment(attributes, tuple_ids, cells, tid_storage, replica)
+        else:
+            segment = PhysicalSegment.framed(attributes, tuple_ids, cells, tid_storage, replica)
+        segments.append(segment)
+    if verify and isinstance(data, StoredBlob):
+        data.crc_verified = True
     return PhysicalPartition(pid=pid, segments=segments)

@@ -46,6 +46,7 @@ from .physical import (
     TID_CATALOG,
     TID_EXPLICIT,
     PhysicalPartition,
+    PhysicalSegment,
     SegmentSpec,
     build_physical_partition,
     physical_from_logical,
@@ -65,6 +66,13 @@ class PartitionInfo:
     ``full_coverage_attrs`` lists the attributes — primary or replica — for
     which the partition stores a cell for *every* one of its tuples, which is
     the precondition for evaluating a predicate entirely partition-locally.
+
+    The ``segment_*`` lists are the partition file's *frame*
+    (:class:`~repro.storage.format.PartitionFrame`): one entry per physical
+    segment, in file order.  ``segment_tids`` holds read-only arrays equal to
+    the file's row order, validated when the partition was added; a read
+    cross-checks the file's segment headers against the frame and shares
+    these arrays with the decoded segments instead of rebuilding them.
     """
 
     pid: int
@@ -453,8 +461,7 @@ class PartitionManager:
             n_tuples=physical.n_tuples,
             zone_map=physical.zone_map(),
             segment_attrs=[tuple(s.attributes) for s in physical.segments],
-            segment_tids=[np.sort(np.asarray(s.tuple_ids, dtype=np.int64))
-                          for s in physical.segments],
+            segment_tids=[self._frame_tids(s) for s in physical.segments],
             segment_tid_modes=[s.tid_storage for s in physical.segments],
             segment_replicas=[s.replica for s in physical.segments],
             replica_attributes=replica_attrs,
@@ -462,21 +469,33 @@ class PartitionManager:
         info.full_coverage_attrs = _full_coverage(info)
         return info
 
+    def _frame_tids(self, segment: PhysicalSegment) -> np.ndarray:
+        """The catalog's tuple-ID array of one segment: a private, read-only
+        copy, validated here — once, at write time — so that a read can hand
+        it to the decoded segment as is.  The array must equal the file's
+        row order, hence strictly ascending tids and schema-ordered
+        attributes (what the format's attribute bitmap can express)."""
+        tids = np.array(segment.tuple_ids, dtype=np.int64)
+        if not (tids[1:] > tids[:-1]).all():
+            raise InvalidPartitioningError(
+                "a stored segment's tuple IDs must be strictly ascending"
+            )
+        positions = [self.schema.position(name) for name in segment.attributes]
+        if any(b <= a for a, b in zip(positions, positions[1:])):
+            raise InvalidPartitioningError(
+                f"segment attributes {segment.attributes!r} are not in schema order"
+            )
+        tids.flags.writeable = False
+        return tids
+
     def _verify_readable(self, info: PartitionInfo) -> StorageError | None:
         """Read a just-staged blob back through the fault path; None when a
         decode succeeds within the retry budget, else the last error."""
         last_error: StorageError | None = None
-        catalog_tids = {
-            ordinal: tids
-            for ordinal, (tids, mode) in enumerate(
-                zip(info.segment_tids, info.segment_tid_modes)
-            )
-            if mode == TID_CATALOG
-        }
         for _attempt in range(self.retry_policy.max_attempts):
             try:
                 data = self.store.get(info.key)
-                deserialize_partition(data, self.schema, catalog_tids or None)
+                deserialize_partition(data, self.schema, frame=info)
                 return None
             except StorageError as exc:
                 last_error = exc
@@ -873,13 +892,6 @@ class PartitionManager:
             delta.add(self.device.read_delta(info.key, info.n_bytes, chunk_size=chunk_size))
             if drain_latency is not None:
                 delta.io_time_s += drain_latency(info.key)
-            catalog_tids = {
-                ordinal: tids
-                for ordinal, (tids, mode) in enumerate(
-                    zip(info.segment_tids, info.segment_tid_modes)
-                )
-                if mode == TID_CATALOG
-            }
             decode_columns = columns
             if pool is not None and decode_columns is None:
                 # A pooled partition must be able to serve *any* later
@@ -887,7 +899,7 @@ class PartitionManager:
                 decode_columns = frozenset()
             try:
                 partition = deserialize_partition(
-                    data, self.schema, catalog_tids or None, columns=decode_columns
+                    data, self.schema, columns=decode_columns, frame=info
                 )
             except StorageError as exc:
                 # Corrupt on the wire or at rest: never cache, maybe retry.

@@ -22,7 +22,7 @@ Tuple-ID storage comes in three modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -96,6 +96,32 @@ class PhysicalSegment:
                 raise InvalidPartitioningError(
                     "implicit tid storage requires a contiguous natural-order run"
                 )
+
+    @classmethod
+    def framed(
+        cls,
+        attributes: Tuple[str, ...],
+        tuple_ids: np.ndarray,
+        columns: Mapping[str, np.ndarray],
+        tid_storage: str,
+        replica: bool,
+    ) -> "PhysicalSegment":
+        """A segment decoded under its catalog entry's frame.
+
+        ``tuple_ids`` is the catalog's own (read-only) array, validated when
+        the partition was added, and the decoder has already matched the
+        segment header against the frame and sized ``columns`` from it — so
+        ``__post_init__``'s O(tuples) checks would only re-derive what the
+        write path established.  Every segment built from caller-supplied
+        arrays goes through the ordinary constructor and is validated.
+        """
+        segment = object.__new__(cls)
+        segment.attributes = attributes
+        segment.tuple_ids = tuple_ids
+        segment.columns = columns
+        segment.tid_storage = tid_storage
+        segment.replica = replica
+        return segment
 
     @property
     def n_tuples(self) -> int:

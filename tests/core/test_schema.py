@@ -65,6 +65,14 @@ class TestTableSchema:
         )
         assert schema.units() == {"i": 1.0, "f": 0.0}
 
+    def test_names_and_hash_are_computed_once(self):
+        schema = TableSchema.uniform(["x", "y", "z"])
+        assert schema.attribute_names == ("x", "y", "z")
+        assert schema.attribute_names is schema.attribute_names
+        twin = TableSchema.uniform(["x", "y", "z"])
+        assert schema == twin and hash(schema) == hash(twin)
+        assert hash(schema) != hash(TableSchema.uniform(["x", "y"]))
+
 
 class TestTableMeta:
     def test_requires_range_for_every_attribute(self):

@@ -1,9 +1,12 @@
 """Unit tests for blob stores."""
 
+import builtins
+import os
+
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import DirectoryBlobStore, MemoryBlobStore
+from repro.storage import DirectoryBlobStore, MemoryBlobStore, StoredBlob
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -70,3 +73,73 @@ class TestDirectoryStore:
         store = DirectoryBlobStore(str(tmp_path / "root"))
         with pytest.raises(StorageError):
             store.put("../escape", b"x")
+
+    def test_failed_write_leaves_the_live_blob_whole(self, tmp_path, monkeypatch):
+        """``put`` goes through a temp file + ``os.replace``: a writer dying
+        mid-stream neither tears the live key nor leaves a listed file."""
+        store = DirectoryBlobStore(str(tmp_path / "root"))
+        store.put("dir/p1.jig", b"old-bytes")
+        real_open = builtins.open
+
+        class DyingWriter:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                raise OSError("disk full")
+
+        def dying_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            return DyingWriter(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(builtins, "open", dying_open)
+        with pytest.raises(OSError, match="disk full"):
+            store.put("dir/p1.jig", b"new-bytes-that-never-land")
+        with pytest.raises(OSError, match="disk full"):
+            store.put("dir/p2.jig", b"never-visible")
+        monkeypatch.undo()
+        assert store.get("dir/p1.jig") == b"old-bytes"
+        assert "dir/p2.jig" not in store
+        assert sorted(store.keys()) == ["dir/p1.jig"]
+        assert os.listdir(tmp_path / "root" / "dir") == ["p1.jig"]
+
+    def test_temp_file_of_a_killed_writer_is_not_a_key(self, tmp_path):
+        store = DirectoryBlobStore(str(tmp_path / "root"))
+        store.put("dir/p1.jig", b"abc")
+        orphan = tmp_path / "root" / "dir" / f"{store._TEMP_PREFIX}123-456-p2.jig"
+        orphan.write_bytes(b"torn")
+        assert sorted(store.keys()) == ["dir/p1.jig"]
+        assert store.total_bytes() == 3
+
+
+class TestStoredBlob:
+    def test_memory_store_hands_out_the_object_it_keeps(self):
+        store = MemoryBlobStore()
+        payload = b"payload"
+        store.put("k", payload)
+        blob = store.get("k")
+        assert isinstance(blob, StoredBlob) and blob == payload
+        assert store.get("k") is blob
+        assert not blob.crc_verified
+
+    def test_every_put_stores_a_fresh_unverified_object(self):
+        store = MemoryBlobStore()
+        store.put("k", b"payload")
+        first = store.get("k")
+        first.crc_verified = True
+        store.put("k", first)  # e.g. a rewrite that changed nothing
+        assert store.get("k") is not first
+        assert not store.get("k").crc_verified
+
+    def test_directory_store_reads_carry_no_verdict(self, tmp_path):
+        store = DirectoryBlobStore(str(tmp_path / "root"))
+        store.put("k", b"payload")
+        assert type(store.get("k")) is bytes

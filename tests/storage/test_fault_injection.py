@@ -1,5 +1,9 @@
 """Fault-injecting store, checksum verification, and the retry read path."""
 
+import sys
+import threading
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -312,3 +316,125 @@ class TestChecksumDetection:
                 bytes(corrupted), schema,
                 catalog_tids={0: physical.segments[0].tuple_ids},
             )
+
+
+def load_with_fault(manager, store, pid, fault):
+    """One ``manager.load(pid)`` whose first ``get`` suffers ``fault``
+    (``None``: a clean read); any retry sees the pristine blob."""
+    key = manager.info(pid).key
+    if fault is not None:
+        store.overrides[key] = fault
+    injected_get = store.get
+
+    def get_once(k):
+        try:
+            return injected_get(k)
+        finally:
+            store.overrides.pop(key, None)
+
+    store.get = get_once
+    try:
+        return manager.load(pid)
+    finally:
+        del store.get
+
+
+FLIP = FaultConfig(corruption_rate=1.0)
+TRUNCATE = FaultConfig(truncation_rate=1.0)
+
+
+@pytest.mark.parametrize("fault", [FLIP, TRUNCATE], ids=["bit_flip", "truncation"])
+class TestRepeatedReads:
+    """The checksum verdict rides on the bytes object a clean read returned;
+    a fault on a later read of the same pid is a different object and gets
+    the full check — the 2nd and 5th read fail and recover like the 1st."""
+
+    def test_fault_on_a_verified_pid_is_retried_like_the_first(
+        self, small_table, fault
+    ):
+        reference_manager, reference_store = faulty_manager(small_table)
+        _partition, first = load_with_fault(reference_manager, reference_store, 0, fault)
+        assert first.n_retries == 1
+
+        manager, store = faulty_manager(small_table)
+        key = manager.info(0).key
+        for read in range(1, 7):
+            injected = fault if read in (2, 5) else None
+            partition, delta = load_with_fault(manager, store, 0, injected)
+            assert store.inner.get(key).crc_verified
+            if injected is None:
+                assert delta.n_retries == 0
+            else:
+                assert astuple(delta) == astuple(first)
+            segment = partition.segments[0]
+            assert np.array_equal(
+                segment.columns["a2"], small_table.column("a2")[segment.tuple_ids]
+            )
+        assert store.stats.n_bit_flips + store.stats.n_truncations == 2
+        assert store.stats.n_gets == 8
+
+    def test_fault_on_a_verified_pid_degrades_like_the_first(
+        self, small_table, fault
+    ):
+        policy = RetryPolicy(max_attempts=1)
+        reference_manager, reference_store = faulty_manager(small_table, policy=policy)
+        with pytest.raises(PartitionUnreadableError) as first:
+            load_with_fault(reference_manager, reference_store, 0, fault)
+
+        manager, store = faulty_manager(small_table, policy=policy)
+        for read in range(1, 7):
+            if read not in (2, 5):
+                _partition, delta = load_with_fault(manager, store, 0, None)
+                assert delta.n_retries == 0
+                continue
+            with pytest.raises(PartitionUnreadableError) as excinfo:
+                load_with_fault(manager, store, 0, fault)
+            assert str(excinfo.value) == str(first.value)
+            assert type(excinfo.value.__cause__) is type(first.value.__cause__)
+            assert astuple(excinfo.value.io_delta) == astuple(first.value.io_delta)
+
+
+class TestStatsUnderThreads:
+    def test_every_get_is_counted_exactly_once(self, seeded_store):
+        """All counters move under the store's lock: two threads hammering
+        one key lose no update, so the outcome classes partition ``n_gets``."""
+        store = FaultInjectingBlobStore(
+            seeded_store,
+            FaultConfig(
+                transient_error_rate=0.25, truncation_rate=0.35, corruption_rate=0.5
+            ),
+        )
+        pristine = seeded_store.get("p1")
+        n_threads, n_reads = 2, 3000
+        clean = [0] * n_threads
+
+        def reader(slot):
+            for _ in range(n_reads):
+                try:
+                    if store.get("p1") is pristine:
+                        clean[slot] += 1
+                except TransientStorageError:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(slot,)) for slot in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = store.stats
+        assert stats.n_gets == n_threads * n_reads
+        assert min(stats.n_transient_errors, stats.n_truncations, stats.n_bit_flips) > 0
+        assert stats.n_gets == (
+            stats.n_transient_errors
+            + stats.n_truncations
+            + stats.n_bit_flips
+            + sum(clean)
+        )

@@ -1,13 +1,17 @@
 """Unit tests for the binary partition file format (Figure 4)."""
 
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import AttributeSpec, TableSchema
-from repro.errors import StorageError
+from repro.errors import ChecksumError, InvalidPartitioningError, StorageError
 from repro.storage import (
     PhysicalPartition,
     PhysicalSegment,
+    StoredBlob,
     TID_CATALOG,
     TID_EXPLICIT,
     TID_IMPLICIT,
@@ -139,3 +143,199 @@ class TestCorruption:
         other = TableSchema.uniform(["a", "b"])
         with pytest.raises(StorageError):
             deserialize_partition(data, other)
+
+
+def frame_of(partition):
+    """The catalog frame of a partition, as ``PartitionManager`` builds it."""
+    tids = [np.array(s.tuple_ids, dtype=np.int64) for s in partition.segments]
+    for array in tids:
+        array.flags.writeable = False
+    return SimpleNamespace(
+        segment_attrs=[tuple(s.attributes) for s in partition.segments],
+        segment_tids=tids,
+        segment_tid_modes=[s.tid_storage for s in partition.segments],
+        segment_replicas=[s.replica for s in partition.segments],
+    )
+
+
+@pytest.fixture()
+def mixed_partition(schema):
+    """One segment of each tuple-ID mode."""
+    return PhysicalPartition(
+        4,
+        [
+            make_segment(schema, ["k", "x"], [5, 9, 17], TID_EXPLICIT),
+            make_segment(schema, ["v"], [100, 101, 102, 103], TID_IMPLICIT, seed=1),
+            make_segment(schema, ["v", "comment"], [2, 3, 8], TID_CATALOG, seed=2),
+        ],
+    )
+
+
+class TestFramedDecode:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_tuple_ids_are_the_frame_arrays(self, schema, mixed_partition, version):
+        frame = frame_of(mixed_partition)
+        data = serialize_partition(mixed_partition, schema, version=version)
+        restored = deserialize_partition(data, schema, frame=frame)
+        for original, decoded, tids in zip(
+            mixed_partition.segments, restored.segments, frame.segment_tids
+        ):
+            assert decoded.tuple_ids is tids
+            assert not decoded.tuple_ids.flags.writeable
+            assert decoded.attributes == original.attributes
+            assert decoded.tid_storage == original.tid_storage
+            for name in original.attributes:
+                assert np.array_equal(decoded.columns[name], original.columns[name])
+
+    def test_framed_and_catalogless_decodes_agree(self, schema, mixed_partition):
+        frame = frame_of(mixed_partition)
+        data = serialize_partition(mixed_partition, schema)
+        framed = deserialize_partition(data, schema, frame=frame, columns=frozenset())
+        bare = deserialize_partition(
+            data, schema, catalog_tids={2: frame.segment_tids[2]}
+        )
+        for a, b in zip(framed.segments, bare.segments):
+            assert np.array_equal(a.tuple_ids, b.tuple_ids)
+            assert (a.attributes, a.tid_storage, a.replica) == (
+                b.attributes, b.tid_storage, b.replica
+            )
+            for name in a.attributes:
+                assert np.array_equal(a.columns[name], b.columns[name])
+
+    @pytest.mark.parametrize(
+        "field,ordinal,value",
+        [
+            ("segment_tid_modes", 0, TID_CATALOG),  # mode
+            ("segment_tid_modes", 1, TID_EXPLICIT),
+            ("segment_replicas", 2, True),  # replica flag of the mode byte
+            ("segment_attrs", 0, ("k",)),  # bitmap
+            ("segment_attrs", 2, ("comment", "v")),
+            ("segment_tids", 0, np.array([5, 9], np.int64)),  # n_tuples
+            ("segment_tids", 1, np.arange(100, 105)),
+            ("segment_tids", 1, np.arange(101, 105)),  # first_tid
+            ("segment_tids", 2, np.array([1, 3, 8], np.int64)),
+        ],
+    )
+    def test_header_disagreeing_with_frame_raises(
+        self, schema, mixed_partition, field, ordinal, value
+    ):
+        frame = frame_of(mixed_partition)
+        data = serialize_partition(mixed_partition, schema)
+        getattr(frame, field)[ordinal] = value
+        with pytest.raises(StorageError, match="disagrees with the catalog"):
+            deserialize_partition(data, schema, frame=frame)
+
+    def test_segment_count_disagreeing_with_frame_raises(self, schema, mixed_partition):
+        frame = frame_of(mixed_partition)
+        for values in vars(frame).values():
+            values.pop()
+        data = serialize_partition(mixed_partition, schema)
+        with pytest.raises(StorageError, match="segments"):
+            deserialize_partition(data, schema, frame=frame)
+
+    def test_framed_decode_still_detects_truncation(self, schema, mixed_partition):
+        frame = frame_of(mixed_partition)
+        data = serialize_partition(mixed_partition, schema)
+        for cut in (3, 20, 40, len(data) // 2, len(data) - 1):
+            with pytest.raises(StorageError):
+                deserialize_partition(data[:cut], schema, frame=frame)
+
+
+class TestCatalogLessDecode:
+    """Without a frame nothing is trusted: tuple IDs are rebuilt from the
+    file and every segment passes the validating constructor."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_decodes_fresh_writable_tuple_ids(self, schema, version):
+        partition = PhysicalPartition(
+            0,
+            [
+                make_segment(schema, ["k"], [4, 6], TID_EXPLICIT),
+                make_segment(schema, ["v"], [10, 11, 12], TID_IMPLICIT),
+            ],
+        )
+        data = serialize_partition(partition, schema, version=version)
+        restored = deserialize_partition(data, schema)
+        assert np.array_equal(restored.segments[0].tuple_ids, [4, 6])
+        assert np.array_equal(restored.segments[1].tuple_ids, [10, 11, 12])
+        assert all(s.tuple_ids.flags.writeable for s in restored.segments)
+
+    def test_caller_supplied_tids_are_validated(self, schema, monkeypatch):
+        segment = make_segment(schema, ["v"], [7, 8, 99], TID_CATALOG)
+        data = serialize_partition(PhysicalPartition(0, [segment]), schema)
+        with pytest.raises(StorageError, match="catalog holds 2"):
+            deserialize_partition(data, schema, catalog_tids={0: np.array([7, 8])})
+        # A version-1 file cannot vouch for its own header: an implicit
+        # segment is still built through the validating constructor.
+        run = make_segment(schema, ["v"], [3, 4, 5], TID_IMPLICIT)
+        v1 = serialize_partition(PhysicalPartition(0, [run]), schema, version=1)
+        validated = []
+        original = PhysicalSegment.__post_init__
+
+        def recording_post_init(segment):
+            validated.append(segment.tid_storage)
+            original(segment)
+
+        monkeypatch.setattr(PhysicalSegment, "__post_init__", recording_post_init)
+        deserialize_partition(v1, schema)
+        assert validated == [TID_IMPLICIT]
+        deserialize_partition(v1, schema, frame=frame_of(PhysicalPartition(0, [run])))
+        assert validated == [TID_IMPLICIT]  # a framed decode does not repeat it
+
+    def test_constructor_still_rejects_a_broken_implicit_run(self, schema):
+        with pytest.raises(InvalidPartitioningError):
+            make_segment(schema, ["v"], [3, 5, 4], TID_IMPLICIT)
+
+
+class TestChecksumVerdict:
+    """A CRC verdict belongs to one immutable bytes object, nothing else."""
+
+    def test_stored_blob_is_verified_once(self, schema, mixed_partition, crc_calls):
+        blob = StoredBlob(serialize_partition(mixed_partition, schema))
+        assert not blob.crc_verified
+        crc_calls.clear()  # the writer hashes too
+        deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+        assert blob.crc_verified
+        # header + (segment header, segment body) per segment
+        assert len(crc_calls) == 1 + 2 * len(mixed_partition.segments)
+        assert sum(crc_calls) == len(blob) - 4 * (1 + len(mixed_partition.segments))
+        crc_calls.clear()
+        restored = deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+        assert crc_calls == []
+        assert np.array_equal(
+            restored.segments[0].columns["k"], mixed_partition.segments[0].columns["k"]
+        )
+
+    def test_plain_bytes_are_verified_every_time(self, schema, mixed_partition, crc_calls):
+        data = serialize_partition(mixed_partition, schema)
+        crc_calls.clear()
+        deserialize_partition(data, schema, frame=frame_of(mixed_partition))
+        first = len(crc_calls)
+        deserialize_partition(data, schema, frame=frame_of(mixed_partition))
+        assert first > 0 and len(crc_calls) == 2 * first
+
+    def test_verdict_does_not_travel_to_another_object(self, schema, mixed_partition):
+        blob = StoredBlob(serialize_partition(mixed_partition, schema))
+        deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+        assert blob.crc_verified
+        assert not StoredBlob(blob).crc_verified
+        assert type(blob[:]) is bytes and type(blob[: len(blob) - 1]) is bytes
+        assert type(bytes(bytearray(blob))) is bytes
+        assert not pickle.loads(pickle.dumps(blob)).crc_verified
+        assert pickle.loads(pickle.dumps(blob)) == blob
+
+    def test_failed_decode_records_no_verdict(self, schema, mixed_partition):
+        corrupted = bytearray(serialize_partition(mixed_partition, schema))
+        corrupted[-1] ^= 0x01
+        blob = StoredBlob(bytes(corrupted))
+        for _ in range(2):
+            with pytest.raises(ChecksumError):
+                deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+            assert not blob.crc_verified
+
+    def test_verified_blob_still_checks_framing(self, schema, mixed_partition):
+        blob = StoredBlob(serialize_partition(mixed_partition, schema))
+        deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+        other = TableSchema.uniform(["a", "b"])
+        with pytest.raises(StorageError):
+            deserialize_partition(blob, other, frame=frame_of(mixed_partition))

@@ -1,16 +1,38 @@
 """Unit tests for the partition manager and its two indexes."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import CostModel, IOModel, JigsawPartitioner, PartitionerConfig
-from repro.errors import PartitionNotFoundError, StorageError
+from repro.core import (
+    CostModel,
+    IOModel,
+    JigsawPartitioner,
+    PartitionerConfig,
+    TableSchema,
+)
+from repro.errors import (
+    InvalidPartitioningError,
+    PartitionNotFoundError,
+    StorageError,
+)
 from repro.storage import (
     BALOS_HDD,
+    BufferPool,
+    ColumnTable,
+    DictSketch,
     PartitionManager,
+    PhysicalPartition,
+    PhysicalSegment,
     SegmentSpec,
+    SketchSet,
     StorageDevice,
     TID_CATALOG,
+    TID_EXPLICIT,
+    TID_IMPLICIT,
+    build_physical_partition,
     checksum_overhead,
 )
 
@@ -117,8 +139,6 @@ class TestIndexes:
 
 
 def _physical_halves(small_table, pids=(0, 1)):
-    from repro.storage import TID_EXPLICIT, build_physical_partition
-
     n = small_table.n_tuples
     first = np.arange(n // 2, dtype=np.int64)
     second = np.arange(n // 2, n, dtype=np.int64)
@@ -158,8 +178,6 @@ class TestSwapPartitions:
         assert manager.partitions_for_attribute("a2") == (2,)
 
     def test_swap_rejects_duplicate_added_pids(self, manager, small_table):
-        from repro.errors import InvalidPartitioningError
-
         left, _right = _physical_halves(small_table)
         with pytest.raises(InvalidPartitioningError):
             manager.swap_partitions([left, left])
@@ -257,8 +275,6 @@ class TestSwapPartitions:
         assert key not in set(inner.keys())
 
     def test_swap_invalidates_buffer_pool(self, small_table):
-        from repro.storage import BufferPool
-
         device = StorageDevice(BALOS_HDD)
         manager = PartitionManager(
             small_table.schema, device, buffer_pool=BufferPool(1 << 20)
@@ -269,3 +285,171 @@ class TestSwapPartitions:
         assert manager.buffer_pool.get(0) is not None
         manager.replace_partition(left)
         assert manager.buffer_pool.get(0) is None
+
+
+def _three_mode_partition(small_table, pid=0):
+    """One partition with an explicit, an implicit and a catalog segment."""
+    parts = [
+        build_physical_partition(
+            pid, [SegmentSpec(attrs, np.asarray(tids, dtype=np.int64))], small_table, mode
+        ).segments[0]
+        for attrs, tids, mode in (
+            (("a1", "a2"), [3, 4, 9, 40], TID_EXPLICIT),
+            (("a3",), range(100, 160), TID_IMPLICIT),
+            (("a4", "a6"), [7, 8, 4000], TID_CATALOG),
+        )
+    ]
+    return PhysicalPartition(pid, parts)
+
+
+class TestCatalogFrame:
+    """The catalog entry frames the file: its tuple-ID arrays are validated
+    and frozen at write time and shared with every decoded segment."""
+
+    def test_decoded_tuple_ids_are_the_read_only_catalog_arrays(
+        self, manager, small_table
+    ):
+        physical = _three_mode_partition(small_table)
+        info = manager.add_partition(physical)
+        assert info.segment_tid_modes == [TID_EXPLICIT, TID_IMPLICIT, TID_CATALOG]
+        partition, _delta = manager.load(0, columns=frozenset({"a3"}))
+        for segment, source, tids in zip(
+            partition.segments, physical.segments, info.segment_tids
+        ):
+            assert segment.tuple_ids is tids
+            assert not tids.flags.writeable
+            with pytest.raises(ValueError):
+                tids[0] = -1
+            assert np.array_equal(tids, source.tuple_ids)
+            for name in segment.attributes:
+                assert np.array_equal(
+                    segment.columns[name], small_table.column(name)[tids]
+                )
+
+    def test_catalog_does_not_alias_the_writer_arrays(self, manager, small_table):
+        physical = _three_mode_partition(small_table)
+        info = manager.add_partition(physical)
+        for segment, tids in zip(physical.segments, info.segment_tids):
+            assert not np.shares_memory(segment.tuple_ids, tids)
+            assert segment.tuple_ids.flags.writeable
+
+    def test_unordered_tuple_ids_are_rejected_at_write_time(self, manager, small_table):
+        for tids in ([5, 3, 9], [3, 3, 9]):
+            tids = np.asarray(tids, dtype=np.int64)
+            segment = PhysicalSegment(
+                ("a1",), tids, small_table.gather(("a1",), tids), TID_EXPLICIT
+            )
+            with pytest.raises(InvalidPartitioningError, match="ascending"):
+                manager.add_partition(PhysicalPartition(0, [segment]))
+        assert len(manager) == 0
+
+    def test_attributes_out_of_schema_order_are_rejected_at_write_time(
+        self, manager, small_table
+    ):
+        tids = np.arange(4, dtype=np.int64)
+        segment = PhysicalSegment(
+            ("a2", "a1"), tids, small_table.gather(("a2", "a1"), tids), TID_EXPLICIT
+        )
+        with pytest.raises(InvalidPartitioningError, match="schema order"):
+            manager.add_partition(PhysicalPartition(0, [segment]))
+
+    def test_blob_disagreeing_with_the_catalog_is_unreadable(self, manager, small_table):
+        """A well-formed file of another shape under the key is refused."""
+        left, right = _physical_halves(small_table)
+        manager.swap_partitions([left, right])
+        store = manager.store
+        store.put(manager.info(0).key, store.get(manager.info(1).key))
+        with pytest.raises(StorageError, match="disagrees with the catalog"):
+            manager.load(0)
+
+
+class TestVerifyOnce:
+    """One full CRC pass per stored bytes object; every rewrite is a new
+    object and is verified again."""
+
+    @staticmethod
+    def n_hashed(manager, crc_calls, pid):
+        """Bytes CRC-ed by one pool-less load of ``pid``."""
+        crc_calls.clear()
+        manager.load(pid)
+        return sum(crc_calls)
+
+    def test_second_read_of_a_stored_blob_skips_the_crc(
+        self, manager, small_table, crc_calls
+    ):
+        manager.swap_partitions(_physical_halves(small_table))
+        stored = manager.store.size(manager.info(0).key)
+        assert self.n_hashed(manager, crc_calls, 0) == stored - checksum_overhead(1)
+        assert self.n_hashed(manager, crc_calls, 0) == 0
+        assert self.n_hashed(manager, crc_calls, 1) > 0  # per object, not per store
+
+    def test_rewrites_are_verified_again(self, manager, small_table, crc_calls):
+        left, right = _physical_halves(small_table)
+        manager.swap_partitions([left, right])
+        full = self.n_hashed(manager, crc_calls, 0)
+        assert full > 0 and self.n_hashed(manager, crc_calls, 0) == 0
+
+        manager.replace_partition(left)
+        assert self.n_hashed(manager, crc_calls, 0) == full
+        assert self.n_hashed(manager, crc_calls, 0) == 0
+
+        manager.attach_sketches(
+            0, SketchSet(by_attr={"a1": DictSketch("a1", np.array([1.0]))})
+        )
+        assert self.n_hashed(manager, crc_calls, 0) == full
+        assert self.n_hashed(manager, crc_calls, 0) == 0
+
+        (moved,) = _physical_halves(small_table, pids=(2, 3))[:1]
+        manager.swap_partitions([moved], remove=[0])
+        assert self.n_hashed(manager, crc_calls, 2) == full
+        assert self.n_hashed(manager, crc_calls, 2) == 0
+        assert self.n_hashed(manager, crc_calls, 1) > 0  # untouched, never read
+
+    def test_verified_read_back_counts_as_the_verification(
+        self, manager, small_table, crc_calls
+    ):
+        manager.swap_partitions(_physical_halves(small_table), verify=True)
+        assert self.n_hashed(manager, crc_calls, 0) == 0
+
+
+def test_pool_miss_load_allocates_a_frame_not_the_partition():
+    """A pool-miss read of a 60 000-row implicit partition (a 240 KB column
+    file) builds a frame over the blob and the catalog's tuple IDs: no
+    table-length array, no copy of the bytes."""
+    n = 60_000
+    schema = TableSchema.uniform([f"a{i}" for i in range(1, 25)])
+    rng = np.random.default_rng(0)
+    table = ColumnTable.build(
+        "T",
+        schema,
+        {name: rng.integers(0, 100_000, n).astype(np.int32) for name in schema.attribute_names},
+    )
+    manager = PartitionManager(
+        schema, StorageDevice(BALOS_HDD), buffer_pool=BufferPool(1 << 20)
+    )
+    manager.materialize_specs(
+        [[SegmentSpec(("a5",), np.arange(n, dtype=np.int64))]], table, TID_IMPLICIT
+    )
+    info = manager.info(0)
+    assert info.segment_tid_modes == [TID_IMPLICIT] and info.n_bytes >= 4 * n
+
+    def miss():
+        manager.buffer_pool.invalidate(0)
+        partition, delta = manager.load(0, columns=frozenset({"a5"}))
+        assert delta.n_pool_hits == 0 and delta.bytes_read == info.n_bytes
+        return partition
+
+    miss()  # verify the blob, warm the dtype cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        partition = miss()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 64 * 1024
+    column = partition.segments[0].columns["a5"]
+    assert np.array_equal(column, table.column("a5"))
+    assert partition.segments[0].tuple_ids is info.segment_tids[0]
