@@ -41,7 +41,6 @@ from ..errors import AdaptationError, StorageError
 from ..layouts.base import MaterializedLayout
 from ..obs import publish
 from ..obs import tracer as obs_tracer
-from ..storage.physical import TID_EXPLICIT
 from ..storage.table_data import ColumnTable
 from .advisor import AdvisorConfig, AdvisorVerdict, RepartitionAdvisor
 from .monitor import WorkloadMonitor
@@ -159,7 +158,7 @@ class AdaptiveDaemon:
         )
         self.advisor = RepartitionAdvisor(self.cost_model, self.config.advisor)
         self.repartitioner = IncrementalRepartitioner(
-            self.cost_model, tuner_config, tid_storage=TID_EXPLICIT
+            self.cost_model, tuner_config
         )
         self.stats = AdaptationStats()
         #: live logical plan, pid -> partition, kept in sync with the catalog.
@@ -314,7 +313,7 @@ class AdaptiveDaemon:
         # so drift measures future movement, not the shift just absorbed.
         self.monitor.rebaseline(window, self.planner)
         if self.config.auto_prune:
-            self.manager.prune_retired(before_version=self.manager.catalog_version)
+            self.manager.prune_retired()
         return CycleReport(
             fired=True,
             reason=verdict.reason,

@@ -72,11 +72,9 @@ class IncrementalRepartitioner:
         self,
         cost_model: CostModel,
         config: PartitionerConfig | None = None,
-        tid_storage: str = TID_EXPLICIT,
     ):
         self.cost_model = cost_model
         self.config = config or PartitionerConfig()
-        self.tid_storage = tid_storage
 
     # ------------------------------------------------------------ propose
 
@@ -143,7 +141,7 @@ class IncrementalRepartitioner:
         if plan.is_empty:
             return []
         physicals = [
-            physical_from_logical(partition, table, self.tid_storage)
+            physical_from_logical(partition, table, TID_EXPLICIT)
             for partition in plan.new_partitions
         ]
         return manager.swap_partitions(

@@ -7,18 +7,20 @@ It owns **construction** (a driver declares its keyword options in
 :class:`~repro.plan.physical.QueryPlanner`), the **contract** (``name``,
 ``planner``, ``pruning``, ``cpu_model``, ``clone(**overrides)``,
 ``rebind(meta)``, ``plan``/``explain``) and, for the three vectorised
-drivers, the **execute scaffold**: plan → read pipeline (fault context,
-prefetcher, reader, degrade op) *configured from* ``plan.policy`` → the
-driver's :meth:`_select` and :meth:`_project` phases → close → complete
-result or error → price → publish.  Fault and chunking policy is stated
-once, in the plan; a driver never hands it to a collaborator itself.  The
-threaded protocols replace ``execute`` whole.
+drivers, the **execute scaffold**: pin a catalog view (unless the caller
+handed one) → plan against it → read pipeline (fault context, prefetcher,
+reader, degrade op) *configured from* ``plan.policy`` → the driver's
+:meth:`_select` and :meth:`_project` phases → close → complete result or
+error → price → publish → release the pin.  The view is the request's whole
+catalog: nothing below the root asks the live manager for metadata.  Fault
+and chunking policy is stated once, in the plan; a driver never hands it to
+a collaborator itself.  The threaded protocols replace ``execute`` whole.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from ..core.query import Query
 from ..core.schema import TableMeta
@@ -38,7 +40,7 @@ from ..plan.operators import (
 from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
 from ..plan.stats import CpuModel, ExecutionStats
-from ..storage.partition_manager import PartitionManager
+from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 from ..storage.prefetch import Prefetcher
 
 __all__ = ["QueryEngine", "QueryRun"]
@@ -128,17 +130,23 @@ class QueryEngine:
     # ------------------------------------------------------------ execute
 
     def execute(
-        self, query: Query, snapshot=None
+        self, query: Query, snapshot: Optional[CatalogSnapshot] = None
     ) -> Tuple[ResultSet, ExecutionStats]:
-        """Evaluate ``query`` (against ``snapshot``, when one is pinned)."""
-        return self._run(
-            query, lambda: self.planner.plan(query, snapshot=snapshot)
-        )
+        """Evaluate ``query`` against ``snapshot`` — the caller's pinned
+        view (``AS OF``) — or the catalog as it stands."""
+        return self._run(query, snapshot)
 
     def _run(
-        self, query: Query, make_plan: Callable[[], PhysicalPlan]
+        self,
+        query: Query,
+        snapshot: Optional[CatalogSnapshot],
+        plan: Optional[PhysicalPlan] = None,
     ) -> Tuple[ResultSet, ExecutionStats]:
-        """The scaffold: where a vectorised query starts and ends."""
+        """The scaffold: where a vectorised query starts and ends.  A driver
+        that had to plan before choosing this path hands its ``plan``."""
+        if snapshot is None:
+            with self.manager.pin_snapshot() as snapshot:
+                return self._run(query, snapshot, plan)
         started = time.perf_counter()
         stats = ExecutionStats()
         cpu_model = self.cpu_model
@@ -147,7 +155,8 @@ class QueryEngine:
         with request_scope(self.name, query) as scope, (
             tracer := obs_tracer()
         ).phase("exec.query", stats, cpu_model=cpu_model, engine=self.name):
-            plan = make_plan()
+            if plan is None:
+                plan = self.planner.plan(query, snapshot=snapshot)
             policy = plan.policy
             fctx = FaultContext()
             prefetcher = None
@@ -162,7 +171,7 @@ class QueryEngine:
                 prefetcher=prefetcher,
             )
             degrade = DegradeOp(
-                self.manager, stats, fctx, enabled=policy.degrade_enabled
+                snapshot.index, stats, fctx, enabled=policy.degrade_enabled
             )
             run = QueryRun(plan, reader, degrade, stats)
             try:

@@ -34,7 +34,7 @@ import contextvars
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from ..plan.operators import (
 from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
 from ..storage.device import DeviceProfile
-from ..storage.partition_manager import PartitionManager
+from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 from ..storage.prefetch import Prefetcher
 from .base import QueryEngine
 
@@ -111,8 +111,11 @@ class ThreadedPartitionEngine(QueryEngine):
     # ------------------------------------------------------------ public
 
     def execute(
-        self, query: Query, snapshot=None
+        self, query: Query, snapshot: Optional[CatalogSnapshot] = None
     ) -> Tuple[ResultSet, ExecutionStats]:
+        if snapshot is None:
+            with self.manager.pin_snapshot() as snapshot:
+                return self.execute(query, snapshot)
         started = time.perf_counter()
         coordinator = ExecutionStats()
         self.worker_stats = [ExecutionStats() for _ in range(self.n_threads)]
@@ -128,7 +131,9 @@ class ThreadedPartitionEngine(QueryEngine):
             conjunction = plan.logical.conjunction
             projected = plan.logical.projected
             status = [_NOT_CHECKED] * self.table.n_tuples
-            for tid in base_invalid_tids(len(status), plan.snapshot).tolist():
+            for tid in base_invalid_tids(
+                len(status), snapshot.valid_mask
+            ).tolist():
                 status[tid] = _INVALID
             ret: Dict[int, Dict[str, object]] = {}
             load_lock = threading.Lock()
@@ -327,7 +332,7 @@ class ThreadedPartitionEngine(QueryEngine):
         conjunction = plan.logical.conjunction
         wanted = plan.logical.selection_columns
         reader = PlanReader(self.manager, stats, fctx)
-        degrade = DegradeOp(self.manager, stats, fctx)
+        degrade = DegradeOp(plan.snapshot.index, stats, fctx)
         loop = AccessLoop(reader, degrade, conjunction.attributes, wanted)
         # Mark every known failure first so the earliest substitution plan
         # already excludes all of them.
@@ -355,7 +360,6 @@ class ThreadedPartitionEngine(QueryEngine):
         preloaded partitions' tuples by bucket range.
         """
         projected = plan.logical.projected
-        index = plan.snapshot if plan.snapshot is not None else self.manager
         missing_tids: Dict[str, List[int]] = {name: [] for name in projected}
         for tid, row in ret.items():
             if status[tid] != _VALID:
@@ -367,7 +371,7 @@ class ThreadedPartitionEngine(QueryEngine):
         for name, tids in missing_tids.items():
             if tids:
                 missing_pids.update(
-                    index.partitions_with_missing_cells(
+                    plan.snapshot.partitions_with_missing_cells(
                         name, np.array(tids, dtype=np.int64)
                     )
                 )
@@ -390,7 +394,7 @@ class ThreadedPartitionEngine(QueryEngine):
 
         partitions: List = []
         reader = PlanReader(self.manager, stats, fctx, prefetcher=prefetcher)
-        degrade = DegradeOp(self.manager, stats, fctx)
+        degrade = DegradeOp(plan.snapshot.index, stats, fctx)
         loop = AccessLoop(
             reader,
             degrade,

@@ -82,7 +82,7 @@ class PartitionAtATimeExecutor(QueryEngine):
         plan, reader, degrade, stats = run
         select_op = SelectOp(
             plan.logical.conjunction, plan.logical.projected,
-            self.table.n_tuples, plan.snapshot,
+            self.table.n_tuples, plan.snapshot.valid_mask,
         )
         if not plan.logical.conjunction:
             stats.hash_inserts += select_op.select_all()
@@ -107,7 +107,7 @@ class PartitionAtATimeExecutor(QueryEngine):
         plan, reader, degrade, stats = run
         if not len(fill_op.valid):
             return
-        index = plan.snapshot if plan.snapshot is not None else self.manager
+        view = plan.snapshot
         proj_pids: Set[int] = set()
         missing_by_attr: Dict[str, np.ndarray] = {}
         for name in plan.logical.projected:
@@ -115,7 +115,7 @@ class PartitionAtATimeExecutor(QueryEngine):
             if len(missing):
                 missing_by_attr[name] = missing
                 proj_pids.update(
-                    index.partitions_with_missing_cells(name, missing)
+                    view.partitions_with_missing_cells(name, missing)
                 )
         # Only the still-missing projected attributes need decoding here;
         # everything else in these partitions is dead weight for this phase.

@@ -21,7 +21,7 @@ each home partition's own tuples, then emit their projected cells.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.query import Query
 from ..core.schema import TableMeta
@@ -37,7 +37,7 @@ from ..plan.operators import (
 from ..plan.physical import PhysicalPlan
 from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
-from ..storage.partition_manager import PartitionManager
+from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 from .base import QueryEngine, QueryRun
 from .partition_at_a_time import PartitionAtATimeExecutor
 
@@ -68,12 +68,15 @@ class ReplicatedExecutor(QueryEngine):
     def local_plan(self, query: Query) -> Tuple[int, ...] | None:
         """The partitions a local evaluation would read, or None if the
         query cannot be evaluated partition-locally."""
-        return self.planner.plan_local(query)
+        with self.manager.pin_snapshot() as view:
+            return self.planner.plan_local(query, view)
 
     def plan(self, query: Query) -> PhysicalPlan:
         """The physical plan ``execute`` would drive (no I/O): the local
         plan when the query localizes, the standard engine's otherwise."""
-        return self.planner.plan_replica_local(query) or self.standard.plan(query)
+        with self.manager.pin_snapshot() as view:
+            local = self.planner.plan_replica_local(query, view)
+            return local or self.standard.planner.plan(query, snapshot=view)
 
     def explain(self, query: Query) -> ExplainReport:
         """Snapshot of the plan's pruning and access decisions."""
@@ -85,12 +88,15 @@ class ReplicatedExecutor(QueryEngine):
     # ------------------------------------------------------------ execute
 
     def execute(
-        self, query: Query, snapshot=None
+        self, query: Query, snapshot: Optional[CatalogSnapshot] = None
     ) -> Tuple[ResultSet, ExecutionStats]:
-        plan = self.planner.plan_replica_local(query, snapshot=snapshot)
+        if snapshot is None:
+            with self.manager.pin_snapshot() as snapshot:
+                return self.execute(query, snapshot)
+        plan = self.planner.plan_replica_local(query, snapshot)
         if plan is None:
             return self.standard.execute(query, snapshot=snapshot)
-        return self._run(query, lambda: plan)
+        return self._run(query, snapshot, plan)
 
     def _select(self, run: QueryRun) -> SelectOp:
         plan, reader, degrade, stats = run
@@ -104,7 +110,7 @@ class ReplicatedExecutor(QueryEngine):
         select_op = SelectOp(
             plan.logical.conjunction,
             n_tuples=self.table.n_tuples,
-            snapshot=plan.snapshot,
+            valid_mask=plan.snapshot.valid_mask,
         )
 
         def process(pid: int, partition) -> None:

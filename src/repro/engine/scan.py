@@ -74,7 +74,8 @@ class ScanExecutor(QueryEngine):
         # Predicates only: the gather phase revisits partitions for their
         # projected cells, so nothing is stashed.
         select_op = SelectOp(
-            conjunction, n_tuples=self.table.n_tuples, snapshot=plan.snapshot
+            conjunction, n_tuples=self.table.n_tuples,
+            valid_mask=plan.snapshot.valid_mask,
         )
         if not conjunction:
             select_op.select_all()
@@ -114,7 +115,7 @@ class ScanExecutor(QueryEngine):
 
         def idle(pid: int) -> bool:
             # No selected tuple lives here: nothing to gather.
-            return not fill_op.touches(self.manager.info(pid))
+            return not fill_op.touches(plan.snapshot.info(pid))
 
         loop = AccessLoop(
             reader,

@@ -146,7 +146,7 @@ CATALOG: Dict[str, Tuple[Family, ...]] = {
     ),
     "partition_cache": (
         *_each("partition_cache", GAUGE, "Partition cache lifetime", (
-            "n_hits", "n_misses", "n_records", "n_stale_drops", "n_invalidated", "n_evicted",
+            "n_hits", "n_misses", "n_records", "n_invalidated", "n_evicted",
         ), ("cache",), "stats."),
         Family("jigsaw_partition_cache_hit_rate", GAUGE, "Partition cache lifetime hit rate",
                ("cache",), "stats.hit_rate"),

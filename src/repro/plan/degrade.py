@@ -1,13 +1,17 @@
 """Degraded reads: substituting partitions for unreadable ones.
 
-When :meth:`PartitionManager.load` exhausts its retries, the partition's
-*catalog* entry is still intact — the catalog lives in memory, not in the
-failed file.  That entry says exactly which ``(attribute, tuple)`` cells the
-dead partition held, and the attribute/replica indexes say who else might
-hold copies: replica segments (the limited-replication extension) or
-overlapping primaries (baseline layouts materialized with overlapping
-specs).  :func:`plan_alternates` turns that into a substitute read set, or
-proves none exists.
+When a partition load exhausts its retries, the partition's *catalog* entry
+is still intact — the catalog lives in memory, not in the failed file.  That
+entry says exactly which ``(attribute, tuple)`` cells the dead partition
+held, and the attribute/replica indexes say who else might hold copies:
+replica segments (the limited-replication extension) or overlapping
+primaries (baseline layouts materialized with overlapping specs).
+:func:`plan_alternates` turns that into a substitute read set, or proves
+none exists.  Both are read from the plan's own pinned
+:class:`~repro.storage.partition_manager.CatalogIndex`, so a substitute is
+always a partition of the version the query reads — a holder a later swap
+retired still serves an ``AS OF`` read, and a partition committed since is
+never enlisted.
 
 The guarantee engines get from this module: a query either returns the same
 result it would have produced with healthy storage, or raises
@@ -24,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from ..errors import PartitionUnreadableError
-from ..storage.partition_manager import PartitionManager
+from ..storage.partition_manager import CatalogIndex
 
 __all__ = ["FaultContext", "handle_unreadable", "plan_alternates"]
 
@@ -45,7 +49,7 @@ class FaultContext:
 
 
 def plan_alternates(
-    manager: PartitionManager,
+    index: CatalogIndex,
     failed_pid: int,
     attributes: Iterable[str],
     fctx: FaultContext,
@@ -67,12 +71,12 @@ def plan_alternates(
     chosen: List[int] = []
     seen: Set[int] = set()
     for attribute in attributes:
-        tids = manager.attribute_tids(failed_pid, attribute)
+        tids = index.attribute_tids(failed_pid, attribute)
         if tids_by_attribute is not None and attribute in tids_by_attribute:
             tids = np.intersect1d(tids, tids_by_attribute[attribute])
         if not len(tids):
             continue
-        pids, missing = manager.cover_attribute(
+        pids, missing = index.cover_attribute(
             attribute, tids, exclude=fctx.unreadable
         )
         if len(missing):
@@ -91,7 +95,7 @@ def plan_alternates(
 
 
 def handle_unreadable(
-    manager: PartitionManager,
+    index: CatalogIndex,
     pid: int,
     attributes: Iterable[str],
     fctx: FaultContext,
@@ -115,12 +119,12 @@ def handle_unreadable(
         stats.n_unreadable_partitions += 1
     if exc is not None and exc.io_delta is not None:
         stats.accrue_io(exc.io_delta)
-    info = manager.info(pid)
+    info = index.info(pid)
     relevant = [
         a
         for a in attributes
         if a in info.attributes or a in info.replica_attributes
     ]
-    for alternate in plan_alternates(manager, pid, relevant, fctx, tids_by_attribute):
+    for alternate in plan_alternates(index, pid, relevant, fctx, tids_by_attribute):
         if alternate not in done and alternate not in pending:
             pending.append(alternate)

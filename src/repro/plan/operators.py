@@ -47,7 +47,11 @@ import numpy as np
 
 from ..errors import PartitionUnreadableError, StorageError
 from ..obs import tracer as obs_tracer
-from ..storage.partition_manager import PartitionInfo, PartitionManager
+from ..storage.partition_manager import (
+    CatalogIndex,
+    PartitionInfo,
+    PartitionManager,
+)
 from ..storage.physical import TID_IMPLICIT, PhysicalPartition
 from .degrade import FaultContext, handle_unreadable
 from .predicates import Conjunction
@@ -186,23 +190,25 @@ class PlanReader:
 class DegradeOp:
     """Substitute reads for unreadable partitions, per the plan's policy.
 
-    Holds the execution's :class:`FaultContext` so every phase shares one
-    exclusion set; ``enabled`` is the plan's ``policy.degrade_enabled`` —
+    Holds the plan's catalog index — substitutes come from the version the
+    query reads — and the execution's :class:`FaultContext`, so every phase
+    shares one exclusion set; ``enabled`` is the plan's
+    ``policy.degrade_enabled`` —
     off, a discovered failure re-raises instead of re-planning (the
     replica-local plan: it retreats to the standard engine rather than
     degrade in place).
     """
 
-    __slots__ = ("manager", "stats", "fctx", "enabled")
+    __slots__ = ("index", "stats", "fctx", "enabled")
 
     def __init__(
         self,
-        manager: PartitionManager,
+        index: CatalogIndex,
         stats: ExecutionStats,
         fctx: Optional[FaultContext] = None,
         enabled: bool = True,
     ):
-        self.manager = manager
+        self.index = index
         self.stats = stats
         self.fctx = fctx if fctx is not None else FaultContext()
         self.enabled = enabled
@@ -221,7 +227,7 @@ class DegradeOp:
         tracer = obs_tracer()
         if not tracer.enabled:
             handle_unreadable(
-                self.manager, pid, attributes, self.fctx, self.stats,
+                self.index, pid, attributes, self.fctx, self.stats,
                 pending, done, exc, tids_by_attribute,
             )
             return
@@ -230,7 +236,7 @@ class DegradeOp:
         ) as span:
             n_pending_before = len(pending)
             handle_unreadable(
-                self.manager, pid, attributes, self.fctx, self.stats,
+                self.index, pid, attributes, self.fctx, self.stats,
                 pending, done, exc, tids_by_attribute,
             )
             span.set(n_substitutes=len(pending) - n_pending_before)
@@ -367,12 +373,12 @@ class SelectOp(_ProjectingOp):
         conjunction: Conjunction,
         projected: Tuple[str, ...] = (),
         n_tuples: int = 0,
-        snapshot=None,
+        valid_mask: Optional[np.ndarray] = None,
     ):
         super().__init__(projected)
         self.conjunction = conjunction
         self.status = np.zeros(n_tuples, dtype=np.uint8)
-        self.status[base_invalid_tids(n_tuples, snapshot)] = STATUS_INVALID
+        self.status[base_invalid_tids(n_tuples, valid_mask)] = STATUS_INVALID
         #: wanted attributes -> ``(tids, their cells)`` of every segment of
         #: that schema that stashed anything.
         self.stash: Dict[
@@ -609,11 +615,12 @@ class ProjectFillOp(_ProjectingOp):
                 row[name] = cells[name]
 
 
-def base_invalid_tids(n: int, snapshot=None) -> np.ndarray:
-    """Tids below ``n`` that a scan under ``snapshot`` must not return.
+def base_invalid_tids(n: int, valid_mask: Optional[np.ndarray]) -> np.ndarray:
+    """Tids below ``n`` that a scan under a view's ``valid_mask`` must not
+    return.
 
-    A pinned snapshot carrying a write-path ``valid_mask`` restricts the
-    scan to the tids visible at that version: deleted tuples stay physically
+    A write-path ``valid_mask`` restricts the scan to the tids visible at
+    the view's version: deleted tuples stay physically
     stored until a compaction rewrites every partition holding them, and
     tids past the mask's end were committed later.  It matters with a WHERE
     clause too: a budgeted compaction drops a deleted tuple's cells from the
@@ -623,10 +630,10 @@ def base_invalid_tids(n: int, snapshot=None) -> np.ndarray:
     selection phase.  Empty without a ``valid_mask`` (every read-only
     execution).
     """
-    if snapshot is None or snapshot.valid_mask is None:
+    if valid_mask is None:
         return np.empty(0, dtype=np.int64)
     valid = np.zeros(n, dtype=bool)
-    mask = np.asarray(snapshot.valid_mask, dtype=bool)[:n]
+    mask = np.asarray(valid_mask, dtype=bool)[:n]
     valid[: len(mask)] = mask
     return np.flatnonzero(~valid)
 
@@ -681,7 +688,7 @@ def run_selection(
         # policy one refuted predicate excludes every tuple with a predicate
         # cell here, whatever its other cells say.
         evictions += select_op.invalidate(
-            plan.manager.info(pid),
+            plan.snapshot.info(pid),
             decision.pruned_attributes or logical.predicate_attributes,
         )
         count_prune(decision, stats)

@@ -30,7 +30,11 @@ from ..core.cost import estimate_access_io
 from ..core.query import Query
 from ..core.schema import TableMeta
 from ..obs import tracer as obs_tracer
-from ..storage.partition_manager import PartitionManager
+from ..storage.partition_manager import (
+    CatalogSnapshot,
+    PartitionInfo,
+    PartitionManager,
+)
 from .explain import AccessExplain, ExplainReport
 from .logical import (
     POLICY_PARTITION,
@@ -70,36 +74,31 @@ class PhysicalPlan:
     """Ordered accesses + policy for one query on one materialized table."""
 
     __slots__ = (
-        "manager", "logical", "policy", "selection", "projection",
+        "logical", "policy", "selection", "projection",
         "estimated_partition_reads", "estimated_bytes", "estimated_io_time_s",
         "snapshot", "catalog_version",
     )
 
     def __init__(
         self,
-        manager: PartitionManager,
         logical: LogicalPlan,
         policy: AccessPolicy,
         selection: Tuple[PartitionAccess, ...],
         projection: Tuple[PartitionAccess, ...],
-        snapshot=None,
+        snapshot: CatalogSnapshot,
     ):
-        self.manager = manager
         self.logical = logical
         self.policy = policy
         self.selection = selection
         self.projection = projection
-        #: pinned :class:`~repro.storage.partition_manager.CatalogSnapshot`
-        #: the plan was built against, or None for a live-catalog plan.
-        #: Engines route projection-phase index lookups through it and
-        #: mark what its ``valid_mask`` hides INVALID before selecting.
+        #: the pinned catalog view the plan was built against.  Everything
+        #: an execution asks the catalog — partition entries, tuple-level
+        #: probes, degraded-read substitutes — it asks this view, and it
+        #: marks what the view's ``valid_mask`` hides INVALID before
+        #: selecting.
         self.snapshot = snapshot
-        #: the catalog version the plan reads: the pinned snapshot's, else
-        #: the live version it was built against.
-        self.catalog_version = (
-            snapshot.version if snapshot is not None
-            else manager.catalog_version
-        )
+        #: the catalog version the plan reads.
+        self.catalog_version = snapshot.version
         # Upper bound for a healthy (fault-free) execution: every non-pruned
         # selection access is read; a projection access is only *maybe* read
         # (phase-2 skips partitions with no missing cell / no selected
@@ -113,7 +112,8 @@ class PhysicalPlan:
         self.estimated_partition_reads = len(read)
         self.estimated_bytes = sum(a.n_bytes for a in read)
         self.estimated_io_time_s = estimate_access_io(
-            manager.device.profile.io_model, (a.n_bytes for a in read)
+            snapshot.manager.device.profile.io_model,
+            (a.n_bytes for a in read),
         )
 
     # ------------------------------------------------------------- queries
@@ -121,7 +121,7 @@ class PhysicalPlan:
     def decision_for(self, pid: int) -> PartitionDecision:
         """Classification for any pid — including substitutes enlisted at
         runtime, which were not on the initial access lists."""
-        return self.logical.classify(self.manager.info(pid))
+        return self.logical.classify(self.snapshot.info(pid))
 
     def selection_pids(self) -> Tuple[int, ...]:
         return tuple(access.pid for access in self.selection)
@@ -145,7 +145,7 @@ class PhysicalPlan:
             ),
             selection_columns=tuple(sorted(logical.selection_columns)),
             projection_columns=tuple(sorted(logical.projection_columns)),
-            max_attempts=self.manager.retry_policy.max_attempts,
+            max_attempts=self.snapshot.manager.retry_policy.max_attempts,
             degrade_enabled=self.policy.degrade_enabled,
             replica_fallback=self.policy.replica_fallback,
             selection=tuple(_access_explain(a) for a in self.selection),
@@ -170,8 +170,8 @@ class QueryPlanner:
     """Builds logical + physical plans against one partition manager.
 
     One planner per executor: the executor's pruning knob and scheduling
-    family pick the policy, the manager supplies catalog metadata.
-    Planning itself performs no I/O.
+    family pick the policy, a pinned view of the manager's catalog supplies
+    the metadata.  Planning itself performs no I/O.
 
     ``observer`` is the adaptive-monitoring hook: a callable invoked with
     every ``(query, physical_plan)`` the planner emits.  All four engines
@@ -182,12 +182,10 @@ class QueryPlanner:
     ``partition_cache`` is the serving tier's semantic cache
     (:class:`repro.serve.PartitionCache`, duck-typed to avoid a layering
     cycle).  When set, the planner consults it before classification —
-    ``lookup(logical)`` returns replayed per-partition verdicts for an equal
-    normalized-predicate signature under the *current* catalog token, which
+    ``lookup(logical, view)`` returns replayed per-partition verdicts for an
+    equal normalized-predicate signature under the view's token, which
     :meth:`LogicalPlan.use_cached` short-circuits into — and records fresh
-    decisions back on a miss (``record`` drops the entry if the catalog
-    changed mid-plan, so a concurrent ``swap_partitions`` can never poison
-    the cache).
+    decisions back on a miss.
     """
 
     def __init__(
@@ -218,19 +216,22 @@ class QueryPlanner:
         return LogicalPlan(query, policy=self.policy, pruning=self.pruning)
 
     def plan(
-        self, query: Query, notify: bool = True, snapshot=None
+        self,
+        query: Query,
+        notify: bool = True,
+        snapshot: Optional[CatalogSnapshot] = None,
     ) -> PhysicalPlan:
-        """Build the physical plan; ``notify=False`` suppresses the observer
-        (used when re-planning for estimation, e.g. drift baselines, so the
-        monitor never records its own bookkeeping queries).
-
-        ``snapshot`` pins the plan to a
-        :class:`~repro.storage.partition_manager.CatalogSnapshot`: partition
-        candidates come from the snapshot's frozen pid set (which may include
-        retired-but-unpruned partitions absent from the live indexes), and
-        the semantic partition cache keys on the snapshot's token instead of
-        the live catalog token.
+        """Build the physical plan against ``snapshot``, the caller's pinned
+        catalog view: partition candidates, classifications and sizes come
+        from its frozen partition set, and the semantic partition cache keys
+        on its token.  A plan-only caller (``explain``, a drift baseline, a
+        cost estimate) hands none, and one is pinned for the duration of
+        planning.  ``notify=False`` suppresses the observer (re-planning for
+        estimation must not feed the monitor its own bookkeeping queries).
         """
+        if snapshot is None:
+            with self.manager.pin_snapshot() as snapshot:
+                return self.plan(query, notify, snapshot)
         tracer = obs_tracer()
         if not tracer.enabled:
             return self._plan(query, notify, snapshot)
@@ -246,61 +247,48 @@ class QueryPlanner:
             )
         return plan
 
-    def _plan(self, query: Query, notify: bool, snapshot=None) -> PhysicalPlan:
+    def _plan(
+        self, query: Query, notify: bool, view: CatalogSnapshot
+    ) -> PhysicalPlan:
         logical = self.logical_plan(query)
-        manager = self.manager
-        # The snapshot mirrors the manager's index API over its frozen pid
-        # set, so the candidate lookups below are shape-identical either way.
-        index = snapshot if snapshot is not None else manager
         cache = self.partition_cache
-        cache_hit = cache_token = None
+        cache_hit = None
         if cache is not None:
-            if snapshot is not None:
-                cache_hit, cache_token = cache.lookup(
-                    logical, token=snapshot.token
-                )
-            else:
-                cache_hit, cache_token = cache.lookup(logical)
+            cache_hit = cache.lookup(logical, view)
             if cache_hit is not None:
                 logical.use_cached(cache_hit)
         if logical.conjunction:
-            pred_pids = index.partitions_for_attributes(
+            pred_pids = view.partitions_for_attributes(
                 logical.predicate_attributes
             )
         else:
             # No WHERE clause: every tuple qualifies without reading a
             # single predicate cell; the plan is projection-only.
             pred_pids = ()
-        proj_pids: set = set()
-        for name in logical.projected:
-            proj_pids.update(index.partitions_for_attribute(name))
+        proj_pids = view.partitions_for_attributes(logical.projected)
         selection = tuple(
-            self._access(pid, logical, logical.selection_columns)
-            for pid in sorted(pred_pids)
+            self._access(view.info(pid), logical, logical.selection_columns)
+            for pid in pred_pids
         )
         projection = tuple(
-            self._access(pid, logical, logical.projection_columns)
-            for pid in sorted(proj_pids)
+            self._access(view.info(pid), logical, logical.projection_columns)
+            for pid in proj_pids
         )
         plan = PhysicalPlan(
-            manager, logical, self.access_policy, selection, projection,
-            snapshot=snapshot,
+            logical, self.access_policy, selection, projection, view
         )
         if cache is not None and cache_hit is None:
-            if snapshot is not None:
-                cache.record(logical, cache_token, pinned=True)
-            else:
-                cache.record(logical, cache_token)
+            cache.record(logical, view)
         if notify and self.observer is not None:
             self.observer(query, plan)
         return plan
 
+    @staticmethod
     def _access(
-        self, pid: int, logical: LogicalPlan, columns: Optional[frozenset]
+        info: PartitionInfo, logical: LogicalPlan, columns: Optional[frozenset]
     ) -> PartitionAccess:
-        info = self.manager.info(pid)
         return PartitionAccess(
-            pid=pid,
+            pid=info.pid,
             decision=logical.classify(info),
             n_bytes=info.n_bytes,
             columns=columns,
@@ -309,7 +297,7 @@ class QueryPlanner:
     # ------------------------------------------------------ replica-local
 
     def plan_local(
-        self, query: Query, snapshot=None
+        self, query: Query, view: CatalogSnapshot
     ) -> Optional[Tuple[int, ...]]:
         """The partitions a replica-local evaluation would read, or None.
 
@@ -320,23 +308,22 @@ class QueryPlanner:
         """
         if not query.where:
             return None
-        index = snapshot if snapshot is not None else self.manager
-        proj_pids = index.partitions_for_attributes(query.pi_attributes)
+        proj_pids = view.partitions_for_attributes(query.pi_attributes)
         if not proj_pids:
             return None
         sigma = query.sigma_attributes
         non_empty = []
         for pid in proj_pids:
-            info = self.manager.info(pid)
+            info = view.info(pid)
             if info.n_tuples == 0:
                 continue  # empty placeholder: nothing to evaluate or emit
             if not sigma <= info.full_coverage_attrs:
                 return None
             non_empty.append(pid)
-        return tuple(sorted(non_empty))
+        return tuple(non_empty)
 
     def plan_replica_local(
-        self, query: Query, snapshot=None
+        self, query: Query, view: CatalogSnapshot
     ) -> Optional[PhysicalPlan]:
         """Physical plan for a partition-local evaluation, or None.
 
@@ -346,21 +333,12 @@ class QueryPlanner:
         every tuple's predicate cells are covered by the partition's zone,
         so one refuted predicate excludes all local tuples.
         """
-        pids = self.plan_local(query, snapshot=snapshot)
+        pids = self.plan_local(query, view)
         if pids is None:
             return None
         logical = LogicalPlan(query, policy=POLICY_SCAN, pruning=True)
         columns = logical.selection_columns | logical.projection_columns
         selection = tuple(
-            PartitionAccess(
-                pid=pid,
-                decision=logical.classify(self.manager.info(pid)),
-                n_bytes=self.manager.info(pid).n_bytes,
-                columns=columns,
-            )
-            for pid in pids
+            self._access(view.info(pid), logical, columns) for pid in pids
         )
-        return PhysicalPlan(
-            self.manager, logical, self.access_policy, selection, (),
-            snapshot=snapshot,
-        )
+        return PhysicalPlan(logical, self.access_policy, selection, (), view)

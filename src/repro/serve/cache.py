@@ -10,12 +10,13 @@ memoizes the planner's per-partition verdicts keyed by
   lo, hi)`` triples with min/max-normalized bounds plus the pruning policy,
   so two queries spelled differently (reordered conjuncts, flipped bounds)
   share an entry while queries under different soundness rules never do; and
-* the manager's **cache token** ``(catalog_version, pruning_version)`` —
-  any :meth:`~repro.storage.partition_manager.PartitionManager
-  .swap_partitions` or sketch-catalog rebuild bumps the token, so entries
-  computed against the old catalog can never be replayed against the new
-  one.  (This is the cached-provenance idea of arXiv:2504.19252 applied at
-  serving time: reuse *which partitions survived*, not the data itself.)
+* the **token** of the plan's pinned catalog view, ``(catalog_version,
+  pruning_version)`` as :meth:`~repro.storage.partition_manager
+  .PartitionManager.pin_snapshot` stamped it — any commit or sketch attach
+  moves the token of later views on, so entries computed against one
+  catalog state can never be replayed against another.  (This is the
+  cached-provenance idea of arXiv:2504.19252 applied at serving time:
+  reuse *which partitions survived*, not the data itself.)
 
 A hit hands the stored verdicts to :meth:`~repro.plan.logical.LogicalPlan
 .use_cached`; pids the entry does not cover fall back to a full
@@ -24,12 +25,14 @@ for another.  Projection never affects a verdict (REQUIRED vs
 PROJECTION-ONLY depends on predicate attributes only), which is what makes
 the predicate-only key sound.
 
-Coherence protocol: the cache registers an invalidation hook with the
-manager; a version bump drops every stale entry.  Even without the hook the
-cache stays correct — lookups key on the *current* token, so stale entries
-are unreachable — the hook only reclaims their memory promptly.  Recording
-re-reads the token and drops the entry if it changed mid-plan, so a
-concurrent swap can never publish verdicts computed against a torn view.
+Coherence: a view is frozen, so the verdicts a plan computes against it are
+exact under its token whatever commits meanwhile, and entries under another
+token are unreachable from it.  The one exception is a sketch attach, which
+writes ``info.sketches`` in place under every view holding that entry;
+:meth:`PartitionCache.record` therefore files nothing once the manager's
+``pruning_version`` has moved past the view's.  The invalidation hook only
+reclaims memory: a version bump drops the entries no live or pinned version
+can reach.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from collections import OrderedDict
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..plan.logical import LogicalPlan, PartitionDecision
-from ..storage.partition_manager import PartitionManager
+from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 
 __all__ = [
     "CacheStats",
@@ -50,7 +53,7 @@ __all__ = [
 #: ``(policy, pruning, ((attribute, lo, hi), ...))`` — hashable,
 #: order-free.  One cache per manager, so the key needs no table scope.
 Signature = Tuple[str, bool, Tuple[Tuple[str, float, float], ...]]
-#: ``(catalog_version, pruning_version)`` from the manager.
+#: ``(catalog_version, pruning_version)``, a pinned view's ``token``.
 Token = Tuple[int, int]
 
 
@@ -80,16 +83,14 @@ class CacheStats:
     """Lifetime counters; reads are approximate under concurrency, which is
     fine for metrics (the cache itself is exact)."""
 
-    __slots__ = ("n_hits", "n_misses", "n_records", "n_stale_drops",
-                 "n_invalidated", "n_evicted")
+    __slots__ = ("n_hits", "n_misses", "n_records", "n_invalidated",
+                 "n_evicted")
 
     def __init__(self) -> None:
         self.n_hits = 0
         self.n_misses = 0
         #: entries successfully recorded after a miss
         self.n_records = 0
-        #: record() calls dropped because the catalog changed mid-plan
-        self.n_stale_drops = 0
         #: entries purged by a version-bump invalidation
         self.n_invalidated = 0
         #: entries evicted by the LRU capacity bound
@@ -124,9 +125,6 @@ class PartitionCache:
 
     # ------------------------------------------------------------- keying
 
-    def token(self) -> Token:
-        return self.manager.cache_token()
-
     def signature(self, logical: LogicalPlan) -> Signature:
         return predicate_signature(
             logical.conjunction.ranges(), logical.policy, logical.pruning
@@ -135,61 +133,33 @@ class PartitionCache:
     # ---------------------------------------------------- planner protocol
 
     def lookup(
-        self, logical: LogicalPlan, token: Optional[Token] = None
-    ) -> Tuple[Optional[Dict[int, PartitionDecision]], Token]:
-        """Verdicts for this plan's signature under the current token.
-
-        Returns ``(decisions or None, token_at_lookup)``; the planner passes
-        the token back to :meth:`record` so a mid-plan catalog change is
-        detected.
-
-        ``token`` keys the lookup explicitly — the snapshot path: a plan
-        pinned to a :class:`~repro.storage.partition_manager.CatalogSnapshot`
-        passes the snapshot's frozen ``(version, -1)`` token, so
-        ``AS OF`` replays share verdicts with each other but never with live
-        plans (and a compaction that bumps the live catalog mid-replay can
-        never serve a pinned plan a verdict from the *new* catalog, nor the
-        reverse).
-        """
-        if token is None:
-            token = self.manager.cache_token()
-        key = (self.signature(logical), token)
+        self, logical: LogicalPlan, view: CatalogSnapshot
+    ) -> Optional[Dict[int, PartitionDecision]]:
+        """Verdicts recorded for this plan's signature under ``view``'s
+        token, or None."""
+        key = (self.signature(logical), view.token)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.stats.n_hits += 1
-                return dict(entry), token
+                return dict(entry)
             self.stats.n_misses += 1
-        return None, token
+        return None
 
-    def record(
-        self,
-        logical: LogicalPlan,
-        token: Optional[Token],
-        pinned: bool = False,
-    ) -> bool:
-        """Store a missed plan's verdicts, unless the catalog moved on.
-
-        ``token`` is the value :meth:`lookup` returned when the plan began;
-        if the manager's token differs now, some verdicts may have been
-        computed against the pre-swap catalog and the entry is dropped
-        (sound: a dropped record only costs a future miss).
-
-        ``pinned`` marks verdicts computed against a pinned snapshot: the
-        catalog they classified cannot have moved (the snapshot froze it),
-        so the live-token staleness check does not apply and the entry is
-        stored under the snapshot's own token.
-        """
-        if token is None or (not pinned and self.manager.cache_token() != token):
-            self.stats.n_stale_drops += 1
+    def record(self, logical: LogicalPlan, view: CatalogSnapshot) -> bool:
+        """Store a missed plan's verdicts under ``view``'s token — unless a
+        sketch attach since the pin may have changed, under the plan, what
+        some of them were computed from (sound: a dropped record only costs
+        a future miss)."""
+        if self.manager.pruning_version != view.token[1]:
             return False
         decisions = {
             pid: d for pid, d in logical.decision_map().items() if not d.via_cache
         }
         if not decisions:
             return False
-        key = (self.signature(logical), token)
+        key = (self.signature(logical), view.token)
         with self._lock:
             self._entries[key] = decisions
             self._entries.move_to_end(key)
@@ -203,10 +173,9 @@ class PartitionCache:
 
     def _on_invalidate(self, catalog_version: int, pruning_version: int) -> None:
         live = (catalog_version, pruning_version)
-        # Entries keyed to a still-pinned snapshot version stay: their
-        # verdicts were computed against a frozen catalog, so no commit can
-        # stale them while the pin (and thus the retired partitions they
-        # classify) is held.
+        # Entries of a still-pinned version stay reachable (an ``AS OF``
+        # replay, a query in flight): no commit can stale them while the
+        # pin, and thus the partitions they classify, is held.
         pinned = set(self.manager.pinned_versions())
         with self._lock:
             stale = [

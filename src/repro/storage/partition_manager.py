@@ -240,6 +240,13 @@ class CatalogIndex:
         self._by_placement: Dict[Tuple[Tuple[int, int], ...], _OwnerMap] = {}
         self._build_lock = threading.Lock()
 
+    def info(self, pid: int) -> PartitionInfo:
+        """Catalog entry of a pid of this partition set."""
+        try:
+            return self._infos[pid]
+        except KeyError:
+            raise PartitionNotFoundError(f"no partition with id {pid}") from None
+
     def pids_for_attributes(self, attributes: Iterable[str]) -> Tuple[int, ...]:
         """Ascending pids storing a primary cell of any of ``attributes``."""
         pids: set = set()
@@ -294,6 +301,54 @@ class CatalogIndex:
                 owners = self._by_placement[key] = _OwnerMap(holders, key)
             self._owners[attribute] = owners
             return owners
+
+    def attribute_tids(self, pid: int, attribute: str) -> np.ndarray:
+        """Sorted unique tuple IDs for which ``pid`` stores a cell of
+        ``attribute`` — in *any* segment, primary or replica.
+
+        Catalog metadata only; usable even when the partition file itself is
+        unreadable, which is exactly when degraded reads need it.
+        """
+        info = self.info(pid)
+        holding = [
+            tids
+            for attrs, tids in zip(info.segment_attrs, info.segment_tids)
+            if attribute in attrs and len(tids)
+        ]
+        if not holding:
+            return np.empty(0, dtype=np.int64)
+        if len(holding) == 1:
+            return holding[0]
+        return np.unique(np.concatenate(holding))
+
+    def cover_attribute(
+        self, attribute: str, tids: np.ndarray, exclude: Iterable[int] = ()
+    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """Greedy cover of ``(attribute, tids)`` cells from other partitions.
+
+        Candidates are every partition of this set holding ``attribute``
+        primarily or as replicas, minus ``exclude`` (typically the
+        unreadable partition).  Returns ``(chosen_pids,
+        still_missing_tids)``; an empty second item means full coverage.
+        """
+        excluded = frozenset(exclude)
+        remaining = np.unique(np.asarray(tids, dtype=np.int64))
+        chosen: List[int] = []
+        candidates = (
+            self.attribute_pids.get(attribute, ())
+            + self.replica_pids.get(attribute, ())
+        )
+        for pid in candidates:
+            if pid in excluded or not len(remaining):
+                continue
+            held = self.attribute_tids(pid, attribute)
+            if not len(held):
+                continue
+            hit = np.isin(remaining, held, assume_unique=True)
+            if hit.any():
+                chosen.append(pid)
+                remaining = remaining[~hit]
+        return tuple(chosen), remaining
 
     def with_added(self, infos: Sequence[PartitionInfo]) -> "CatalogIndex":
         """The index of this partition set plus ``infos`` (fresh pids):
@@ -369,11 +424,11 @@ class PartitionManager:
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         #: bumped once per successful :meth:`swap_partitions` commit.
         self.catalog_version = 0
-        #: bumped whenever anything that can change a *pruning* verdict
-        #: changes — every catalog swap, plus sketch attach/recover (which
-        #: alter prunability without a catalog commit).  Consumers that
-        #: memoize pruning decisions (the semantic partition cache) key on
-        #: :meth:`cache_token`, which folds both versions in.
+        #: bumped by sketch attach/recover — the one change to a pruning
+        #: verdict that no catalog version records (``info.sketches`` is
+        #: written in place).  :meth:`pin_snapshot` stamps both versions on
+        #: the view as its ``token``, which is what memoized pruning
+        #: decisions (the semantic partition cache) key on.
         self.pruning_version = 0
         #: callbacks invoked (outside the catalog mutex) after any commit
         #: that invalidates memoized pruning state; each receives the new
@@ -421,17 +476,6 @@ class PartitionManager:
         """
         with self._mutex:
             self._invalidation_hooks.append(hook)
-
-    def cache_token(self) -> Tuple[int, int]:
-        """The version stamp pruning memoization must key on.
-
-        Any difference in the token between memoize time and consult time
-        means a swap or a sketch rebuild may have changed a verdict; equal
-        tokens guarantee every catalog-derived pruning decision is still
-        exact.
-        """
-        with self._mutex:
-            return (self.catalog_version, self.pruning_version)
 
     def _notify_invalidation(self) -> None:
         with self._mutex:
@@ -521,12 +565,12 @@ class PartitionManager:
 
         The commit itself is pure in-memory bookkeeping: the catalog version
         is bumped once, removed pids move to the *retired* set (still served
-        by :meth:`info`/:meth:`load` so in-flight queries planned against the
-        old catalog can finish, but absent from every index so new plans
-        never see them), added partitions are indexed, and the buffer-pool
-        entries of every touched pid are invalidated.  Call
-        :meth:`prune_retired` to reclaim retired blobs once no old-version
-        reader remains.
+        by :meth:`info`/:meth:`load`, and still in the index of every view
+        pinned before the commit, but absent from the live index so new
+        views never see them), added partitions are indexed, and the
+        buffer-pool entries of every touched pid are invalidated.
+        :meth:`prune_retired` reclaims the retired blobs no pinned view
+        still needs.
         """
         additions = list(add)
         removals = set(remove)
@@ -592,16 +636,14 @@ class PartitionManager:
             pre_live = set(self._catalog)
             retired_now: List[int] = []
             self.catalog_version += 1
-            self.pruning_version += 1
             for pid in sorted(removals | (added_pids & set(self._catalog))):
                 old = self._catalog.pop(pid, None)
                 if old is None:
                     continue
                 if pid in removals and pid not in added_pids:
-                    # Stamp the *retirement* version: a pruning pass with
-                    # ``before_version=catalog_version`` then spares partitions
-                    # retired by the current swap, so plans built just before
-                    # the commit can still finish against them.
+                    # Stamp the *retirement* version: the partition was
+                    # live at every version below it, so a view pinned there
+                    # keeps :meth:`prune_retired` away from it.
                     old.version = self.catalog_version
                     self._retired[pid] = old
                     retired_now.append(pid)
@@ -636,22 +678,17 @@ class PartitionManager:
         """Rewrite an existing partition (e.g. after adding replica segments)."""
         return self.swap_partitions([physical], remove=[physical.pid])[0]
 
-    def prune_retired(self, before_version: int | None = None) -> int:
+    def prune_retired(self) -> int:
         """Drop retired partitions (catalog entries + blobs); returns count.
 
-        A retired entry's ``version`` records the catalog version that
-        retired it; ``before_version`` prunes only entries retired *before*
-        that version (``info.version < before_version``), so passing the
-        current catalog version spares the most recent swap's retirees.
-        Defaults to everything retired.
-
-        Pinned snapshots clamp the prune: an entry retired at version ``r``
-        was still live at every version ``< r``, so while any snapshot pins
-        a version ``< r`` the entry is spared regardless of
-        ``before_version``.  Pruning an entry raises the manager's *floor* —
-        versions below the floor can no longer be pinned (their blobs are
-        gone), which is what :class:`~repro.errors.SnapshotUnavailableError`
-        reports.
+        Pinned views clamp the prune: a retired entry's ``version`` records
+        the catalog version that retired it, so it was still live at every
+        version below that, and while any view pins such a version the
+        entry is spared — every query pins its view for its whole
+        execution, so a prune never takes a partition from under a reader.
+        Pruning an entry raises the manager's *floor* — versions below the
+        floor can no longer be pinned (their blobs are gone), which is what
+        :class:`~repro.errors.SnapshotUnavailableError` reports.
         """
         pruned = 0
         with self._mutex:
@@ -659,8 +696,6 @@ class PartitionManager:
             doomed = []
             for pid in sorted(self._retired):
                 retired_at = self._retired[pid].version
-                if before_version is not None and retired_at >= before_version:
-                    continue
                 if min_pinned is not None and retired_at > min_pinned:
                     continue
                 doomed.append(self._retired.pop(pid))
@@ -691,13 +726,10 @@ class PartitionManager:
         The write path calls this when a commit changes what a scan must
         return without adding a partition (a delete-only batch): the catalog
         version is the transaction timeline, so every committed batch of
-        writes gets its own pinnable version.  Bumps the pruning version too
-        (the visible tuples a cached pruning verdict covers have changed)
-        and fires the invalidation hooks.
+        writes gets its own pinnable version.  Fires the invalidation hooks.
         """
         with self._mutex:
             self.catalog_version += 1
-            self.pruning_version += 1
             self._history.append((self.catalog_version, (), ()))
         self._notify_invalidation()
         return self.catalog_version
@@ -713,7 +745,9 @@ class PartitionManager:
         dropped with the last of them).  While pinned,
         :meth:`prune_retired` spares every retired partition the snapshot
         still needs.  Release with :meth:`CatalogSnapshot.release` (or use
-        it as a context manager).
+        it as a context manager).  The view's ``token`` — ``(version,
+        pruning_version)``, read here, once — is the only version stamp
+        memoized pruning verdicts are keyed on.
 
         Raises :class:`~repro.errors.SnapshotUnavailableError` for future
         versions and for versions below the prune floor.
@@ -748,23 +782,25 @@ class PartitionManager:
                     self.info(pid) for pid in sorted(live)
                 )
             self._pins[version] = self._pins.get(version, 0) + 1
-            # The pinned token's second slot is -1, not the live pruning
-            # version: a pinned version's pid set and data are frozen, so a
-            # verdict computed against it stays valid forever — every pin of
-            # the same version must share one cache key, and -1 keeps pinned
-            # entries from ever colliding with live ``cache_token()`` keys.
-            return CatalogSnapshot(self, version, index, (version, -1))
+            return CatalogSnapshot(
+                self, version, index, (version, self.pruning_version)
+            )
 
     def release_snapshot(self, snapshot: "CatalogSnapshot") -> None:
         """Drop one pin on ``snapshot``'s version (idempotence is the
         snapshot's job — :meth:`CatalogSnapshot.release` only calls once)."""
         with self._mutex:
             count = self._pins.get(snapshot.version, 0)
-            if count <= 1:
-                self._pins.pop(snapshot.version, None)
-                self._pinned_indexes.pop(snapshot.version, None)
-            else:
+            if count > 1:
                 self._pins[snapshot.version] = count - 1
+                return
+            self._pins.pop(snapshot.version, None)
+            self._pinned_indexes.pop(snapshot.version, None)
+            superseded = snapshot.version != self.catalog_version
+        if superseded:
+            # The last reader of a superseded version is gone, and with it
+            # the reason to keep what was memoized for that version.
+            self._notify_invalidation()
 
     def snapshot_refcount(self) -> int:
         """Total outstanding snapshot pins across all versions."""
@@ -934,8 +970,10 @@ class PartitionManager:
         """
         info = self.info(pid)
         with self._mutex:
-            info.sketches = sketches
+            # Version first: whoever classifies against the new sketches
+            # then reads a ``pruning_version`` past its view's token.
             self.pruning_version += 1
+            info.sketches = sketches
         if persist:
             data = strip_trailer(self.store.get(info.key))
             if sketches is not None:
@@ -950,10 +988,10 @@ class PartitionManager:
         info = self.info(pid)
         payload = read_trailer(self.store.get(info.key))
         with self._mutex:
+            self.pruning_version += 1
             info.sketches = (
                 SketchSet.from_bytes(payload) if payload is not None else None
             )
-            self.pruning_version += 1
         self._notify_invalidation()
         return info.sketches
 
@@ -1007,55 +1045,6 @@ class PartitionManager:
         """
         return self.catalog_index().partitions_with_cells(attribute, tids)
 
-    def attribute_tids(self, pid: int, attribute: str) -> np.ndarray:
-        """Sorted unique tuple IDs for which ``pid`` stores a cell of
-        ``attribute`` — in *any* segment, primary or replica.
-
-        Catalog metadata only; usable even when the partition file itself is
-        unreadable, which is exactly when degraded reads need it.
-        """
-        info = self.info(pid)
-        holding = [
-            tids
-            for attrs, tids in zip(info.segment_attrs, info.segment_tids)
-            if attribute in attrs and len(tids)
-        ]
-        if not holding:
-            return np.empty(0, dtype=np.int64)
-        if len(holding) == 1:
-            return holding[0]
-        return np.unique(np.concatenate(holding))
-
-    def cover_attribute(
-        self, attribute: str, tids: np.ndarray, exclude: Iterable[int] = ()
-    ) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """Greedy cover of ``(attribute, tids)`` cells from other partitions.
-
-        Candidates are every partition holding ``attribute`` primarily or as
-        replicas, minus ``exclude`` (typically the unreadable partition).
-        Returns ``(chosen_pids, still_missing_tids)``; an empty second item
-        means full coverage.
-        """
-        excluded = frozenset(exclude)
-        remaining = np.unique(np.asarray(tids, dtype=np.int64))
-        chosen: List[int] = []
-        index = self.catalog_index()
-        candidates = (
-            index.attribute_pids.get(attribute, ())
-            + index.replica_pids.get(attribute, ())
-        )
-        for pid in candidates:
-            if pid in excluded or not len(remaining):
-                continue
-            held = self.attribute_tids(pid, attribute)
-            if not len(held):
-                continue
-            hit = np.isin(remaining, held, assume_unique=True)
-            if hit.any():
-                chosen.append(pid)
-                remaining = remaining[~hit]
-        return tuple(chosen), remaining
-
     def total_bytes(self) -> int:
         """Total stored bytes across all partitions (storage footprint)."""
         with self._mutex:
@@ -1073,21 +1062,23 @@ class PartitionManager:
 
 
 class CatalogSnapshot:
-    """A pinned, immutable view of the catalog at one version.
+    """A pinned, immutable view of the catalog at one version — the only way
+    catalog metadata reaches a query.
 
-    Mirrors the manager's index API (:meth:`partitions_for_attribute`,
-    :meth:`partitions_for_attributes`, :meth:`partitions_with_missing_cells`,
-    :meth:`info`) over the frozen pid set, so the planner and the engines'
-    projection phase can substitute a snapshot for the live manager
-    wholesale.  Retired partitions the snapshot still references remain
-    loadable — pinning clamps :meth:`PartitionManager.prune_retired`.
+    A request root (an engine's ``execute``, or the planner for a plan-only
+    caller) pins one view before planning and releases it on every exit;
+    the plan, the index probes of the projection phase and a degraded
+    read's substitutes all read ``index`` — the frozen partition set's
+    :class:`CatalogIndex` — and never the live manager, so a concurrent
+    swap cannot tear a plan, and the retired partitions the view still
+    names stay loadable (a pin clamps
+    :meth:`PartitionManager.prune_retired`).
 
-    ``token`` is ``(version, -1)`` — the cache key the semantic partition
-    cache uses for pinned plans instead of the live
-    :meth:`PartitionManager.cache_token`.  The pinned version's pid set and
-    partition data are frozen, so every pin of the same version shares the
-    key (``AS OF`` replays reuse each other's verdicts across later churn),
-    while the -1 slot keeps pinned entries disjoint from live tokens.
+    ``token`` is ``(version, pruning_version)`` as of the pin: the key the
+    semantic partition cache files this view's pruning verdicts under.
+    Every pin of a version shares it (``AS OF`` replays reuse each other's
+    verdicts across later churn) until a sketch attach — the one in-place
+    change a frozen index cannot see — moves ``pruning_version`` on.
 
     ``valid_mask`` is an optional dense boolean array over the tuple-id
     domain set by the transactional layer: True for tids visible at this
@@ -1140,12 +1131,10 @@ class CatalogSnapshot:
     def __exit__(self, *exc) -> None:
         self.release()
 
-    # ----------------------------------------------- manager-shaped index
+    # ------------------------------------ index lookups, ascending pid order
 
     def info(self, pid: int) -> PartitionInfo:
-        return self.manager.info(pid)
-
-    # Ascending pid order throughout (the manager answers in catalog order).
+        return self.index.info(pid)
 
     def partitions_for_attribute(self, attribute: str) -> Tuple[int, ...]:
         return tuple(sorted(self.index.attribute_pids.get(attribute, ())))

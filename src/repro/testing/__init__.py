@@ -9,6 +9,7 @@ from .oracle import (
     OracleCase,
     OracleReport,
     inject_faults,
+    no_leaked_pins,
     oracle_check,
     pruning_check,
     pruning_executors,
@@ -30,6 +31,7 @@ __all__ = [
     "OracleCase",
     "OracleReport",
     "inject_faults",
+    "no_leaked_pins",
     "oracle_check",
     "pruning_check",
     "pruning_executors",

@@ -16,8 +16,9 @@ exactly what the oracle exists to catch.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,12 +35,14 @@ from ..layouts import (
 )
 from ..plan.result import ResultSet
 from ..storage.faults import FaultConfig, FaultInjectingBlobStore
+from ..storage.partition_manager import PartitionManager
 from ..storage.table_data import ColumnTable
 
 __all__ = [
     "OracleCase",
     "OracleReport",
     "inject_faults",
+    "no_leaked_pins",
     "oracle_check",
     "pruning_check",
     "pruning_executors",
@@ -61,6 +64,31 @@ ORACLE_LAYOUTS: Tuple[Tuple[str, Callable[[], object]], ...] = (
     ("irregular", lambda: IrregularLayout(selection_enabled=False)),
     ("replicated", lambda: ReplicatedIrregularLayout(selection_enabled=False)),
 )
+
+
+# ---------------------------------------------------------- resource census
+
+
+@contextmanager
+def no_leaked_pins() -> Iterator[None]:
+    """Fail if a manager that pinned a catalog snapshot inside the block
+    still holds one when the block ends — on any exit path, a request must
+    hand back the view it pinned (a leaked pin keeps retired partitions
+    from ever being pruned)."""
+    pinned: Dict[int, PartitionManager] = {}
+    pin_snapshot = PartitionManager.pin_snapshot
+
+    def recording(manager, version=None):
+        pinned[id(manager)] = manager
+        return pin_snapshot(manager, version)
+
+    PartitionManager.pin_snapshot = recording  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        PartitionManager.pin_snapshot = pin_snapshot  # type: ignore[method-assign]
+    leaked = [m for m in pinned.values() if m.snapshot_refcount()]
+    assert not leaked, f"catalog snapshot pins leaked: {leaked}"
 
 
 # ------------------------------------------------------------- the reference

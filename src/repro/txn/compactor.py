@@ -85,7 +85,6 @@ class DeltaCompactor:
         self,
         table,
         bytes_budget: Optional[int] = None,
-        tid_storage: str = TID_EXPLICIT,
         verify: bool = True,
     ):
         if bytes_budget is not None and bytes_budget <= 0:
@@ -93,7 +92,6 @@ class DeltaCompactor:
         self.table = table
         self.manager = table.manager
         self.bytes_budget = bytes_budget
-        self.tid_storage = tid_storage
         self.verify = verify
 
     # ------------------------------------------------------------- planning
@@ -184,7 +182,7 @@ class DeltaCompactor:
                         ))
                 if specs:
                     physicals.append(build_physical_partition(
-                        next_pid, specs, table.data, self.tid_storage,
+                        next_pid, specs, table.data, TID_EXPLICIT,
                     ))
                     next_pid += 1
 

@@ -457,12 +457,21 @@ class TransactionalTable:
 
     # ------------------------------------------------------------ pinning
 
+    def _pin_state(
+        self, version: Optional[int]
+    ) -> Tuple[CatalogSnapshot, DeltaState]:
+        """Pin ``version`` and resolve its write-path state.  The state is
+        immutable, but resolving it takes the write lock, which a committing
+        writer holds while it drains readers: it is resolved here, before
+        the caller may count as a reader, never from inside the readers
+        section."""
+        snapshot = self.manager.pin_snapshot(version)
+        return snapshot, self._state_at(snapshot.version)
+
     def pin(self, version: Optional[int] = None) -> CatalogSnapshot:
         """Pin a snapshot and attach the version's visibility mask."""
-        snapshot = self.manager.pin_snapshot(version)
-        snapshot.valid_mask = self._state_at(snapshot.version).valid_mask(
-            self.data.n_tuples
-        )
+        snapshot, state = self._pin_state(version)
+        snapshot.valid_mask = state.valid_mask(self.data.n_tuples)
         return snapshot
 
     def _visible_mask(self, version: int) -> np.ndarray:
@@ -482,28 +491,20 @@ class TransactionalTable:
         partitions included, under the version's visibility mask.
         """
         with request_scope(self.layout.executor.name, query):
-            snapshot = self.manager.pin_snapshot(as_of)
-            try:
-                # Resolve the frozen state BEFORE counting as a reader:
-                # _state_at takes the write lock, and a committing writer holds
-                # it while draining readers — acquiring it from inside the
-                # readers section would deadlock.  The state for a pinned
-                # version is immutable, so resolving early is race-free.
-                state = self._state_at(snapshot.version)
+            snapshot, state = self._pin_state(as_of)
+            with snapshot:
                 with self._readers_cv:
                     self._readers += 1
                 try:
-                    # The tuple domain cannot grow while this thread counts as
-                    # a reader, so the mask is sized against what the engine
-                    # will see.
+                    # The tuple domain cannot grow while this thread counts
+                    # as a reader, so the mask is sized against what the
+                    # engine will see.
                     snapshot.valid_mask = state.valid_mask(self.data.n_tuples)
                     return self.layout.executor.execute(query, snapshot=snapshot)
                 finally:
                     with self._readers_cv:
                         self._readers -= 1
                         self._readers_cv.notify_all()
-            finally:
-                snapshot.release()
 
     # ------------------------------------------------------- introspection
 

@@ -103,8 +103,9 @@ class TestReplicaLocal:
         self, zoned_manager, zoned_table, q_one_pred
     ):
         planner = QueryPlanner(zoned_manager, zoned_table.meta)
-        assert planner.plan_local(q_one_pred) is None
-        assert planner.plan_replica_local(q_one_pred) is None
+        with zoned_manager.pin_snapshot() as view:
+            assert planner.plan_local(q_one_pred, view) is None
+            assert planner.plan_replica_local(q_one_pred, view) is None
 
     def test_covering_layout_plans_locally(
         self, covering_manager, zoned_table, q_one_pred
@@ -112,8 +113,9 @@ class TestReplicaLocal:
         planner = QueryPlanner(
             covering_manager, zoned_table.meta, replica_fallback=True
         )
-        assert planner.plan_local(q_one_pred) == (0,)
-        plan = planner.plan_replica_local(q_one_pred)
+        with covering_manager.pin_snapshot() as view:
+            assert planner.plan_local(q_one_pred, view) == (0,)
+            plan = planner.plan_replica_local(q_one_pred, view)
         assert plan is not None
         assert plan.selection_pids() == (0,)
         assert plan.projection_pids() == ()
@@ -127,4 +129,5 @@ class TestReplicaLocal:
     def test_no_where_is_not_localizable(self, covering_manager, zoned_table):
         query = Query.build(zoned_table.meta, ["a3"], {})
         planner = QueryPlanner(covering_manager, zoned_table.meta)
-        assert planner.plan_local(query) is None
+        with covering_manager.pin_snapshot() as view:
+            assert planner.plan_local(query, view) is None

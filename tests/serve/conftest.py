@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from repro.layouts import BuildContext, IrregularLayout
-from repro.testing.oracle import random_table, random_workload
+from repro.testing.oracle import no_leaked_pins, random_table, random_workload
+
+
+@pytest.fixture(autouse=True)
+def pin_census():
+    """Whatever path a served query left by, its catalog view was released."""
+    with no_leaked_pins():
+        yield
 
 
 @pytest.fixture()

@@ -81,6 +81,12 @@ class TestSignatureNormalization:
         assert a == b and hash(a) == hash(b)
 
 
+def _token(manager) -> tuple:
+    """The token a view pinned now is stamped with."""
+    with manager.pin_snapshot() as view:
+        return view.token
+
+
 class TestCoherence:
     def test_catalog_version_bump_makes_entries_miss(
         self, irregular_layout, serve_table
@@ -107,9 +113,9 @@ class TestCoherence:
         # cached verdict must become unreachable.
         pid = manager.pids()[0]
         partition, _ = manager.load(pid)
-        token_before = manager.cache_token()
+        token_before = _token(manager)
         manager.swap_partitions([partition])
-        assert manager.cache_token() != token_before
+        assert _token(manager) != token_before
         assert len(cache) == 0  # the invalidation hook reclaimed the entry
         assert cache.stats.n_invalidated >= 1
 
@@ -119,10 +125,10 @@ class TestCoherence:
 
     def test_sketch_rebuild_bumps_the_token(self, irregular_layout):
         manager = irregular_layout.manager
-        before = manager.cache_token()
+        before = _token(manager)
         manager.pruning_version += 1
         manager._notify_invalidation()
-        assert manager.cache_token() != before
+        assert _token(manager) != before
 
     def test_reordered_conjuncts_share_one_entry(
         self, irregular_layout, serve_table

@@ -204,7 +204,7 @@ class TestSwapMidReplay:
         assert report.ok, report.failures[:3]
         assert report.n_completed == N_CLIENTS * 20
         # The swap's version bump reached the cache's invalidation hook.
-        assert cache.stats.n_invalidated > 0 or cache.stats.n_stale_drops > 0
+        assert cache.stats.n_invalidated > 0
         # Post-swap serving still agrees with the reference and re-warms.
         hits_before = cache.stats.n_hits
         for query in queries:

@@ -261,6 +261,50 @@ class TestErrors:
         assert ticket.latency_s >= ticket.queue_wait_s >= 0.0
 
 
+class TestServedQueriesReleaseTheirPin:
+    """A served query pins its catalog view on the worker that runs it; the
+    pin goes back however the request ends (the autouse census checks every
+    test here — these two name the serve tier's own exits)."""
+
+    def test_engine_exception_on_a_worker(self, irregular_layout, serve_workload):
+        engine = irregular_layout.executor
+        manager = irregular_layout.manager
+
+        def explode(run, fill_op):
+            assert manager.snapshot_refcount() == 1  # mid-flight: pinned
+            raise RuntimeError("projection blew up")
+
+        engine._project = explode
+        with QueryScheduler({"real": engine}, workers=1) as scheduler:
+            ticket = scheduler.submit("real", serve_workload.queries[0])
+            with pytest.raises(RuntimeError, match="projection blew up"):
+                ticket.wait(10.0)
+        assert scheduler.n_errors == 1
+        assert manager.snapshot_refcount() == 0
+
+    def test_admission_rejected(self, irregular_layout, serve_workload):
+        gate = threading.Event()
+        stub = StubEngine(gate=gate)
+        manager = irregular_layout.manager
+        query = serve_workload.queries[0]
+        with QueryScheduler(
+            {"stub": stub, "real": irregular_layout.executor},
+            workers=1, queue_depth=1,
+        ) as scheduler:
+            scheduler.submit("stub", FakeQuery("inflight"))
+            assert stub.started.wait(5.0)
+            _wait_for(lambda: scheduler.pending() == {"high": 0, "normal": 0})
+            queued = scheduler.submit("real", query)
+            with pytest.raises(AdmissionRejected, match="queue full"):
+                scheduler.submit("real", query)
+            # Neither the queued request nor the rejected one holds a view:
+            # a pin is taken when a query starts to run, not when it waits.
+            assert manager.snapshot_refcount() == 0
+            gate.set()
+            queued.wait(10.0)
+        assert manager.snapshot_refcount() == 0
+
+
 class TestOneFlightRecordPerRequest:
     """With a recorder installed every scheduler request — served, failed or
     refused — is exactly one flight record, built when the request's scope

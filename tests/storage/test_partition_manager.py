@@ -210,12 +210,14 @@ class TestSwapPartitions:
         manager.swap_partitions([fresh0], remove=[0])    # version 2, retires 0
         fresh1, _ = _physical_halves(small_table, pids=(3, 4))
         manager.swap_partitions([fresh1], remove=[1])    # version 3, retires 1
+        reader = manager.pin_snapshot(2)
         # Retired entries are stamped with the version that retired them:
-        # pruning below the current version spares the latest swap's retiree
-        # (pid 1, retired at v3) so in-flight v2 readers can finish.
+        # while a reader pins v2, a prune spares the partition v3 retired
+        # (pid 1, still live at v2) and takes the one v2 itself retired.
         assert manager.info(0).version == 2 and manager.info(1).version == 3
-        assert manager.prune_retired(before_version=3) == 1
+        assert manager.prune_retired() == 1
         assert manager.retired_pids() == (1,)
+        reader.release()
         assert manager.prune_retired() == 1
         assert manager.retired_pids() == ()
 

@@ -8,8 +8,15 @@ import pytest
 from repro.errors import StorageError
 from repro.layouts import BuildContext, IrregularLayout
 from repro.storage import MemoryBlobStore
-from repro.testing import random_table, random_workload
+from repro.testing import no_leaked_pins, random_table, random_workload
 from repro.txn import TransactionalTable
+
+
+@pytest.fixture(autouse=True)
+def pin_census():
+    """Whatever path a read or a fold left by, its catalog view was released."""
+    with no_leaked_pins():
+        yield
 
 
 class ScriptedStore(MemoryBlobStore):
