@@ -79,7 +79,11 @@ def _build_table(cfg: BenchConfig) -> ColumnTable:
     return ColumnTable.build("T", schema, columns)
 
 
-def _build_manager(table: ColumnTable, cfg: BenchConfig, delayed: bool):
+def _build_manager(
+    table: ColumnTable, cfg: BenchConfig, delayed: bool, sketch_for=None
+):
+    """``sketch_for``: a training workload — each partition is then stored
+    with the sketches ``cfg.sketch_budget_bytes`` affords it."""
     store: object = MemoryBlobStore()
     if delayed:
         store = DelayedBlobStore(store, delay_s=cfg.delay_s)
@@ -88,6 +92,16 @@ def _build_manager(table: ColumnTable, cfg: BenchConfig, delayed: bool):
     )
     bounds = np.linspace(0, table.n_tuples, cfg.n_partitions + 1, dtype=np.int64)
     attrs = table.schema.attribute_names
+    sketcher = None
+    if sketch_for is not None:
+        profile = profile_workload(sketch_for)
+        columns = {name: table.column(name) for name in attrs}
+
+        def sketcher(info):
+            return select_sketches(
+                info, columns, profile, 0.010, cfg.sketch_budget_bytes
+            )
+
     manager.materialize_specs(
         [
             [SegmentSpec(attrs, np.arange(lo, hi, dtype=np.int64))]
@@ -95,22 +109,9 @@ def _build_manager(table: ColumnTable, cfg: BenchConfig, delayed: bool):
         ],
         table,
         tid_storage=TID_CATALOG,
+        sketcher=sketcher,
     )
     return manager
-
-
-def _attach_sketches(manager, table, train, cfg: BenchConfig) -> int:
-    profile = profile_workload(train)
-    columns = {name: table.column(name) for name in table.schema.attribute_names}
-    n_sketched = 0
-    for pid in manager.pids():
-        chosen = select_sketches(
-            manager.info(pid), columns, profile, 0.010, cfg.sketch_budget_bytes
-        )
-        if chosen is not None:
-            manager.attach_sketches(pid, chosen)
-            n_sketched += 1
-    return n_sketched
 
 
 def _timed_cold_repeats(executor, manager, query, n_repeats):
@@ -186,9 +187,13 @@ def run(cfg: BenchConfig | None = None) -> ExperimentResult:
 
     # --- data skipping: zones vs zones + sketches (no artificial delay) --
     for name, budget in (("zones", 0), ("zones+sketches", cfg.sketch_budget_bytes)):
-        manager = _build_manager(table, cfg, delayed=False)
+        manager = _build_manager(
+            table, cfg, delayed=False, sketch_for=[eq_query] if budget else None
+        )
         if budget:
-            n_sketched = _attach_sketches(manager, table, [eq_query], cfg)
+            n_sketched = sum(
+                manager.info(pid).sketches is not None for pid in manager.pids()
+            )
             result.notes.append(f"sketched partitions: {n_sketched}")
         executor = PartitionAtATimeExecutor(
             manager, table.meta, zone_maps=True,

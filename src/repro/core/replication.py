@@ -96,7 +96,7 @@ class ReplicationAdvisor:
         :class:`~repro.storage.table_data.ColumnTable` it was built from
         (needed to compute the post-replication zone maps that let the local
         plan keep Jigsaw's range pruning).  Returns the chosen replica map;
-        apply it with :meth:`apply`.
+        :meth:`apply` adds it to the partitions before they are stored.
         """
         report = ReplicationReport()
         report.budget_bytes = int(
@@ -182,27 +182,26 @@ class ReplicationAdvisor:
 
     # ------------------------------------------------------------ applying
 
-    def apply(self, manager, table, report: ReplicationReport) -> None:
-        """Materialize the chosen replicas: rewrite each target partition
-        with one appended replica segment holding the predicate cells for
-        all of the partition's tuples."""
+    def apply(self, partitions, table, report: ReplicationReport) -> None:
+        """Add the chosen replicas to the not-yet-stored physical partitions
+        (``partitions[pid]``): each target gets one appended replica segment
+        holding the predicate cells for all of the partition's tuples, and
+        is then written once, replicas included."""
         from ..storage.physical import TID_CATALOG, PhysicalSegment
 
         for pid, attributes in sorted(report.replicas.items()):
-            partition, _io = manager.load(pid)
-            tids = manager.info(pid).tuple_ids()
+            partition = partitions[pid]
+            tids = partition.all_tuple_ids()
             ordered = tuple(
                 a for a in table.schema.attribute_names if a in attributes
             )
-            replica = PhysicalSegment(
+            partition.segments.append(PhysicalSegment(
                 attributes=ordered,
                 tuple_ids=tids,
                 columns=table.gather(ordered, tids),
                 tid_storage=TID_CATALOG,
                 replica=True,
-            )
-            partition.segments.append(replica)
-            manager.replace_partition(partition)
+            ))
 
     # ----------------------------------------------------------- internals
 

@@ -27,7 +27,7 @@ from ..plan.stats import CpuModel, ExecutionStats
 from ..storage.blob import BlobStore, MemoryBlobStore
 from ..storage.buffer_pool import BufferPool
 from ..storage.device import BALOS_HDD, DeviceProfile, StorageDevice
-from ..storage.partition_manager import PartitionManager
+from ..storage.partition_manager import PartitionManager, Sketcher
 from ..storage.sketches import profile_workload, select_sketches
 from ..storage.table_data import ColumnTable
 
@@ -35,7 +35,6 @@ __all__ = [
     "BuildContext",
     "MaterializedLayout",
     "LayoutBuilder",
-    "build_sketch_catalog",
 ]
 
 
@@ -87,44 +86,32 @@ class BuildContext:
         )
         return manager, device
 
+    def sketcher(self, table: ColumnTable, train: Workload) -> Sketcher | None:
+        """What picks each partition's data-skipping sketches while a layout
+        is materialized (``None`` on a zero budget).
 
-def build_sketch_catalog(
-    manager: PartitionManager,
-    table: ColumnTable,
-    train: Workload,
-    ctx: BuildContext,
-) -> int:
-    """Build and attach per-partition data-skipping sketches.
-
-    For every partition, candidate sketches over the training workload's
-    predicate shapes are scored ``frequency x read-cost-saved / bytes``
-    through the existing :class:`~repro.core.cost.CostModel` and admitted
-    greedily under ``ctx.sketch_budget_bytes`` per partition (see
-    :func:`~repro.storage.sketches.select_sketches`).  Selected sketches are
-    persisted into each blob's format-v2 trailer.  Returns the number of
-    partitions that received at least one sketch; a zero budget is a no-op.
-    """
-    if ctx.sketch_budget_bytes <= 0:
-        return 0
-    cost_model = CostModel(
-        table.meta,
-        ctx.device_profile.io_model,
-        memory_model=ctx.memory_model,
-        page_size=ctx.file_segment_bytes,
-    )
-    profile = profile_workload(train)
-    columns = {name: table.column(name) for name in table.meta.schema.attribute_names}
-    n_sketched = 0
-    for pid in manager.pids():
-        info = manager.info(pid)
-        sketches = select_sketches(
-            info, columns, profile, cost_model.io(info.n_bytes),
-            ctx.sketch_budget_bytes,
+        Candidate sketches over the training workload's predicate shapes
+        are scored ``frequency x read-cost-saved / bytes`` through the
+        existing :class:`~repro.core.cost.CostModel` and admitted greedily
+        under ``sketch_budget_bytes`` per partition (see
+        :func:`~repro.storage.sketches.select_sketches`); the partition
+        manager stores the chosen set in the file's trailer at the
+        partition's one put.
+        """
+        if self.sketch_budget_bytes <= 0:
+            return None
+        cost_model = CostModel(
+            table.meta,
+            self.device_profile.io_model,
+            memory_model=self.memory_model,
+            page_size=self.file_segment_bytes,
         )
-        if sketches is not None:
-            manager.attach_sketches(pid, sketches)
-            n_sketched += 1
-    return n_sketched
+        profile = profile_workload(train)
+        columns = {name: table.column(name) for name in table.schema.attribute_names}
+        return lambda info: select_sketches(
+            info, columns, profile, cost_model.io(info.n_bytes),
+            self.sketch_budget_bytes,
+        )
 
 
 class MaterializedLayout:

@@ -9,13 +9,17 @@ is the "Jigsaw mark" behaviour of Figure 6.
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 from ..core.cost import CostModel
+from ..core.partition import PartitioningPlan
 from ..core.partitioner import JigsawPartitioner, PartitionerConfig
 from ..core.query import Workload
 from ..engine.partition_at_a_time import PartitionAtATimeExecutor
+from ..storage.partition_manager import PartitionManager
 from ..storage.physical import TID_EXPLICIT
 from ..storage.table_data import ColumnTable
-from .base import BuildContext, LayoutBuilder, MaterializedLayout, build_sketch_catalog
+from .base import BuildContext, LayoutBuilder, MaterializedLayout
 from .natural import ColumnLayout
 
 __all__ = ["IrregularLayout"]
@@ -82,21 +86,39 @@ class IrregularLayout(LayoutBuilder):
             return layout
 
         manager, _device = ctx.make_manager(table.meta)
-        manager.materialize_plan(plan, table, tid_storage=TID_EXPLICIT)
-        build_sketch_catalog(manager, table, train, ctx)
-        executor = PartitionAtATimeExecutor(
-            manager, table.meta, cpu_model=ctx.cpu_model,
-            zone_maps=self.zone_maps, prefetch_depth=ctx.prefetch_depth,
-        )
+        extra_info = self._materialize(manager, plan, table, train, ctx)
         return MaterializedLayout(
             self.name,
             table.meta,
             manager,
-            executor,
+            self._executor(manager, table, ctx),
             plan=plan,
             build_info={
                 "tuner": partitioner.stats,
                 "n_irregular_partitions": plan.n_irregular_partitions(),
+                **extra_info,
             },
             train=train,
+        )
+
+    def _materialize(
+        self,
+        manager: PartitionManager,
+        plan: PartitioningPlan,
+        table: ColumnTable,
+        train: Workload,
+        ctx: BuildContext,
+    ) -> Dict[str, Any]:
+        """Store the tuned plan's partitions; returns extra ``build_info``."""
+        manager.materialize_plan(
+            plan, table, TID_EXPLICIT, sketcher=ctx.sketcher(table, train)
+        )
+        return {}
+
+    def _executor(
+        self, manager: PartitionManager, table: ColumnTable, ctx: BuildContext
+    ):
+        return PartitionAtATimeExecutor(
+            manager, table.meta, cpu_model=ctx.cpu_model,
+            zone_maps=self.zone_maps, prefetch_depth=ctx.prefetch_depth,
         )

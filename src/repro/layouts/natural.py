@@ -14,7 +14,7 @@ from ..core.query import Workload
 from ..engine.scan import ScanExecutor
 from ..storage.physical import TID_IMPLICIT, SegmentSpec
 from ..storage.table_data import ColumnTable
-from .base import BuildContext, LayoutBuilder, MaterializedLayout, build_sketch_catalog
+from .base import BuildContext, LayoutBuilder, MaterializedLayout
 
 __all__ = ["RowLayout", "ColumnLayout"]
 
@@ -36,8 +36,9 @@ class RowLayout(LayoutBuilder):
             for start in range(0, n, rows_per_segment)
         ] or [[SegmentSpec(attrs, np.arange(0))]]
         manager, _device = ctx.make_manager(table.meta)
-        manager.materialize_specs(spec_groups, table, tid_storage=TID_IMPLICIT)
-        build_sketch_catalog(manager, table, train, ctx)
+        manager.materialize_specs(
+            spec_groups, table, TID_IMPLICIT, sketcher=ctx.sketcher(table, train)
+        )
         executor = ScanExecutor(
             manager,
             table.meta,
@@ -75,8 +76,9 @@ class ColumnLayout(LayoutBuilder):
             [SegmentSpec((attr,), all_tids)] for attr in table.schema.attribute_names
         ]
         manager, _device = ctx.make_manager(table.meta)
-        manager.materialize_specs(spec_groups, table, tid_storage=TID_IMPLICIT)
-        build_sketch_catalog(manager, table, train, ctx)
+        manager.materialize_specs(
+            spec_groups, table, TID_IMPLICIT, sketcher=ctx.sketcher(table, train)
+        )
         executor = ScanExecutor(
             manager,
             table.meta,

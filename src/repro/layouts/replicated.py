@@ -1,28 +1,38 @@
 """Irregular layout with limited cell replication ("Irregular+R").
 
-Builds the standard Jigsaw irregular layout, then runs the
+Tunes the standard Jigsaw irregular plan, runs the
 :class:`~repro.core.replication.ReplicationAdvisor` over the training
-workload and materializes the chosen replica segments.  Queries the advisor
-managed to localize are evaluated partition-locally (no predicate-only
-partitions, no reconstruction hash table); everything else falls back to the
-standard partition-at-a-time engine.
+workload against a staging catalog of that plan, and stores each partition
+— chosen replica segments included — once.  Queries the advisor managed to
+localize are evaluated partition-locally (no predicate-only partitions, no
+reconstruction hash table); everything else falls back to the standard
+partition-at-a-time engine.
 """
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 from ..core.cost import CostModel
+from ..core.partition import PartitioningPlan
 from ..core.query import Workload
 from ..core.replication import ReplicationAdvisor, ReplicationConfig
 from ..engine.replicated import ReplicatedExecutor
+from ..storage.partition_manager import PartitionManager
+from ..storage.physical import TID_EXPLICIT, physical_from_logical
 from ..storage.table_data import ColumnTable
-from .base import BuildContext, LayoutBuilder, MaterializedLayout, build_sketch_catalog
+from .base import BuildContext
 from .irregular import IrregularLayout
 
 __all__ = ["ReplicatedIrregularLayout"]
 
 
-class ReplicatedIrregularLayout(LayoutBuilder):
-    """Jigsaw + the paper's limited-replication future-work extension."""
+class ReplicatedIrregularLayout(IrregularLayout):
+    """Jigsaw + the paper's limited-replication future-work extension.
+
+    On a columnar fallback there is nothing to replicate; the fallback
+    layout is returned under this builder's name.
+    """
 
     name = "Irregular+R"
 
@@ -32,21 +42,26 @@ class ReplicatedIrregularLayout(LayoutBuilder):
         selection_enabled: bool = True,
         zone_maps: bool = False,
     ):
+        super().__init__(selection_enabled=selection_enabled, zone_maps=zone_maps)
         self.replication = replication or ReplicationConfig()
-        self.selection_enabled = selection_enabled
-        self.zone_maps = zone_maps
 
-    def build(
-        self, table: ColumnTable, train: Workload, ctx: BuildContext
-    ) -> MaterializedLayout:
-        base = IrregularLayout(
-            selection_enabled=self.selection_enabled, zone_maps=self.zone_maps
-        ).build(table, train, ctx)
-        if base.build_info.get("fallback") == "columnar":
-            # Nothing to replicate on a columnar layout; keep the fallback.
-            base.name = self.name
-            return base
-
+    def _materialize(
+        self,
+        manager: PartitionManager,
+        plan: PartitioningPlan,
+        table: ColumnTable,
+        train: Workload,
+        ctx: BuildContext,
+    ) -> Dict[str, Any]:
+        physicals = [
+            physical_from_logical(partition, table, TID_EXPLICIT)
+            for partition in plan
+        ]
+        # The advisor prices replicas against the catalog of the
+        # unreplicated plan; a throw-away manager provides it, so the real
+        # one stores every partition once, replicas and sketches included.
+        staging, _device = ctx.make_manager(table.meta)
+        staging.materialize(physicals)
         cost_model = CostModel(
             table.meta,
             ctx.device_profile.io_model,
@@ -54,23 +69,15 @@ class ReplicatedIrregularLayout(LayoutBuilder):
             page_size=ctx.file_segment_bytes,
         )
         advisor = ReplicationAdvisor(cost_model, self.replication)
-        report = advisor.plan(base.manager, table, train)
-        if report.replicas:
-            advisor.apply(base.manager, table, report)
-            # Replication rewrote the target partitions (fresh catalog
-            # entries, no trailer), so rebuild the sketch catalog against
-            # the post-replication stored cells.
-            build_sketch_catalog(base.manager, table, train, ctx)
-        executor = ReplicatedExecutor(
-            base.manager, table.meta, cpu_model=ctx.cpu_model,
+        report = advisor.plan(staging, table, train)
+        advisor.apply({p.pid: p for p in physicals}, table, report)
+        manager.materialize(physicals, ctx.sketcher(table, train))
+        return {"replication": report}
+
+    def _executor(
+        self, manager: PartitionManager, table: ColumnTable, ctx: BuildContext
+    ):
+        return ReplicatedExecutor(
+            manager, table.meta, cpu_model=ctx.cpu_model,
             zone_maps=self.zone_maps, prefetch_depth=ctx.prefetch_depth,
-        )
-        return MaterializedLayout(
-            self.name,
-            table.meta,
-            base.manager,
-            executor,
-            plan=base.plan,
-            build_info={**base.build_info, "replication": report},
-            train=train,
         )

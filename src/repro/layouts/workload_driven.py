@@ -25,7 +25,7 @@ from ..partitioning.schism import SchismPartitioner
 from ..plan.predicates import Conjunction
 from ..storage.physical import TID_CATALOG, TID_IMPLICIT, SegmentSpec
 from ..storage.table_data import ColumnTable
-from .base import BuildContext, LayoutBuilder, MaterializedLayout, build_sketch_catalog
+from .base import BuildContext, LayoutBuilder, MaterializedLayout
 
 __all__ = ["RowHLayout", "ColumnHLayout", "RowVLayout", "HierarchicalLayout"]
 
@@ -64,8 +64,9 @@ class RowHLayout(LayoutBuilder):
         )
         spec_groups = [[SegmentSpec(attrs, tids)] for tids in groups]
         manager, _device = ctx.make_manager(table.meta)
-        manager.materialize_specs(spec_groups, table, tid_storage=TID_CATALOG)
-        build_sketch_catalog(manager, table, train, ctx)
+        manager.materialize_specs(
+            spec_groups, table, TID_CATALOG, sketcher=ctx.sketcher(table, train)
+        )
         executor = ScanExecutor(
             manager, table.meta, cpu_model=ctx.cpu_model, zone_maps=True,
             row_major=True, prefetch_depth=ctx.prefetch_depth,
@@ -97,8 +98,9 @@ class ColumnHLayout(LayoutBuilder):
             for attr in schema.attribute_names
         ]
         manager, _device = ctx.make_manager(table.meta)
-        manager.materialize_specs(spec_groups, table, tid_storage=TID_CATALOG)
-        build_sketch_catalog(manager, table, train, ctx)
+        manager.materialize_specs(
+            spec_groups, table, TID_CATALOG, sketcher=ctx.sketcher(table, train)
+        )
         executor = ScanExecutor(
             manager, table.meta, cpu_model=ctx.cpu_model, zone_maps=True,
             row_major=False, prefetch_depth=ctx.prefetch_depth,
@@ -122,8 +124,9 @@ class RowVLayout(LayoutBuilder):
         all_tids = np.arange(table.n_tuples)
         spec_groups = [[SegmentSpec(group, all_tids)] for group in column_groups]
         manager, _device = ctx.make_manager(table.meta)
-        manager.materialize_specs(spec_groups, table, tid_storage=TID_IMPLICIT)
-        build_sketch_catalog(manager, table, train, ctx)
+        manager.materialize_specs(
+            spec_groups, table, TID_IMPLICIT, sketcher=ctx.sketcher(table, train)
+        )
         executor = ScanExecutor(
             manager,
             table.meta,
@@ -170,8 +173,9 @@ class HierarchicalLayout(LayoutBuilder):
             for column_group in column_groups:
                 spec_groups.append([SegmentSpec(column_group, tids)])
         manager, _device = ctx.make_manager(table.meta)
-        manager.materialize_specs(spec_groups, table, tid_storage=TID_CATALOG)
-        build_sketch_catalog(manager, table, train, ctx)
+        manager.materialize_specs(
+            spec_groups, table, TID_CATALOG, sketcher=ctx.sketcher(table, train)
+        )
         executor = ScanExecutor(
             manager, table.meta, cpu_model=ctx.cpu_model, zone_maps=True,
             row_major=True, prefetch_depth=ctx.prefetch_depth,

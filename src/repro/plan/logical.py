@@ -142,7 +142,7 @@ class LogicalPlan:
         :meth:`_classify`; it is sound only when the cache key guaranteed the
         catalog state (zones *and* sketches) is the one the verdict was
         computed against — :class:`repro.serve.PartitionCache` keys entries
-        by the token of the plan's pinned view for exactly that reason.  Pids
+        by the version of the plan's pinned view for exactly that reason.  Pids
         absent from the seed fall back to a full classification, so a cached
         entry never has to cover the current query's whole access list.
         """

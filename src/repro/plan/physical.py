@@ -183,7 +183,7 @@ class QueryPlanner:
     (:class:`repro.serve.PartitionCache`, duck-typed to avoid a layering
     cycle).  When set, the planner consults it before classification —
     ``lookup(logical, view)`` returns replayed per-partition verdicts for an
-    equal normalized-predicate signature under the view's token, which
+    equal normalized-predicate signature under the view's version, which
     :meth:`LogicalPlan.use_cached` short-circuits into — and records fresh
     decisions back on a miss.
     """
@@ -224,7 +224,7 @@ class QueryPlanner:
         """Build the physical plan against ``snapshot``, the caller's pinned
         catalog view: partition candidates, classifications and sizes come
         from its frozen partition set, and the semantic partition cache keys
-        on its token.  A plan-only caller (``explain``, a drift baseline, a
+        on its version.  A plan-only caller (``explain``, a drift baseline, a
         cost estimate) hands none, and one is pinned for the duration of
         planning.  ``notify=False`` suppresses the observer (re-planning for
         estimation must not feed the monitor its own bookkeeping queries).

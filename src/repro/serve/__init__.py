@@ -8,10 +8,9 @@ Two components turn the one-query-at-a-time engines into a server:
   queue raises :class:`AdmissionRejected` instead of queueing into
   unbounded latency);
 * :class:`PartitionCache` (:mod:`repro.serve.cache`) — memoized pruning
-  verdicts keyed by normalized-predicate signature + the catalog's version
-  token, replayed into new plans so overlapping queries skip zone/sketch
-  classification, invalidated on every ``swap_partitions`` and sketch
-  rebuild.
+  verdicts keyed by normalized-predicate signature + the pinned view's
+  catalog version, replayed into new plans so overlapping queries skip
+  zone/sketch classification, invalidated on every catalog commit.
 
 Both are engine-agnostic: the scheduler duck-types ``execute`` and the
 cache plugs into :class:`~repro.plan.physical.QueryPlanner` via the

@@ -10,13 +10,11 @@ memoizes the planner's per-partition verdicts keyed by
   lo, hi)`` triples with min/max-normalized bounds plus the pruning policy,
   so two queries spelled differently (reordered conjuncts, flipped bounds)
   share an entry while queries under different soundness rules never do; and
-* the **token** of the plan's pinned catalog view, ``(catalog_version,
-  pruning_version)`` as :meth:`~repro.storage.partition_manager
-  .PartitionManager.pin_snapshot` stamped it — any commit or sketch attach
-  moves the token of later views on, so entries computed against one
-  catalog state can never be replayed against another.  (This is the
-  cached-provenance idea of arXiv:2504.19252 applied at serving time:
-  reuse *which partitions survived*, not the data itself.)
+* the **version** of the plan's pinned catalog view — any commit moves
+  later views on, so entries computed against one catalog state can never
+  be replayed against another.  (This is the cached-provenance idea of
+  arXiv:2504.19252 applied at serving time: reuse *which partitions
+  survived*, not the data itself.)
 
 A hit hands the stored verdicts to :meth:`~repro.plan.logical.LogicalPlan
 .use_cached`; pids the entry does not cover fall back to a full
@@ -25,14 +23,12 @@ for another.  Projection never affects a verdict (REQUIRED vs
 PROJECTION-ONLY depends on predicate attributes only), which is what makes
 the predicate-only key sound.
 
-Coherence: a view is frozen, so the verdicts a plan computes against it are
-exact under its token whatever commits meanwhile, and entries under another
-token are unreachable from it.  The one exception is a sketch attach, which
-writes ``info.sketches`` in place under every view holding that entry;
-:meth:`PartitionCache.record` therefore files nothing once the manager's
-``pruning_version`` has moved past the view's.  The invalidation hook only
-reclaims memory: a version bump drops the entries no live or pinned version
-can reach.
+Coherence: a view is frozen and so is every entry in it (zones and
+sketches included), so the verdicts a plan computes against it are exact
+under its version whatever commits meanwhile, and entries under another
+version are unreachable from it.  The invalidation hook only reclaims
+memory: a version bump drops the entries no live or pinned version can
+reach.
 """
 
 from __future__ import annotations
@@ -53,8 +49,6 @@ __all__ = [
 #: ``(policy, pruning, ((attribute, lo, hi), ...))`` — hashable,
 #: order-free.  One cache per manager, so the key needs no table scope.
 Signature = Tuple[str, bool, Tuple[Tuple[str, float, float], ...]]
-#: ``(catalog_version, pruning_version)``, a pinned view's ``token``.
-Token = Tuple[int, int]
 
 
 def predicate_signature(
@@ -103,7 +97,7 @@ class CacheStats:
 
 
 class PartitionCache:
-    """LRU map ``(signature, token) -> {pid: PartitionDecision}``.
+    """LRU map ``(signature, version) -> {pid: PartitionDecision}``.
 
     Bound to one :class:`PartitionManager`; ``capacity`` bounds the number
     of distinct predicate signatures retained.  Thread-safe: the serving
@@ -117,7 +111,7 @@ class PartitionCache:
         self.manager = manager
         self.capacity = capacity
         self.stats = CacheStats()
-        self._entries: "OrderedDict[Tuple[Signature, Token], Dict[int, PartitionDecision]]" = (
+        self._entries: "OrderedDict[Tuple[Signature, int], Dict[int, PartitionDecision]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -136,8 +130,8 @@ class PartitionCache:
         self, logical: LogicalPlan, view: CatalogSnapshot
     ) -> Optional[Dict[int, PartitionDecision]]:
         """Verdicts recorded for this plan's signature under ``view``'s
-        token, or None."""
-        key = (self.signature(logical), view.token)
+        version, or None."""
+        key = (self.signature(logical), view.version)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -148,18 +142,13 @@ class PartitionCache:
         return None
 
     def record(self, logical: LogicalPlan, view: CatalogSnapshot) -> bool:
-        """Store a missed plan's verdicts under ``view``'s token — unless a
-        sketch attach since the pin may have changed, under the plan, what
-        some of them were computed from (sound: a dropped record only costs
-        a future miss)."""
-        if self.manager.pruning_version != view.token[1]:
-            return False
+        """Store a missed plan's verdicts under ``view``'s version."""
         decisions = {
             pid: d for pid, d in logical.decision_map().items() if not d.via_cache
         }
         if not decisions:
             return False
-        key = (self.signature(logical), view.token)
+        key = (self.signature(logical), view.version)
         with self._lock:
             self._entries[key] = decisions
             self._entries.move_to_end(key)
@@ -171,8 +160,7 @@ class PartitionCache:
 
     # ------------------------------------------------------- invalidation
 
-    def _on_invalidate(self, catalog_version: int, pruning_version: int) -> None:
-        live = (catalog_version, pruning_version)
+    def _on_invalidate(self, catalog_version: int) -> None:
         # Entries of a still-pinned version stay reachable (an ``AS OF``
         # replay, a query in flight): no commit can stale them while the
         # pin, and thus the partitions they classify, is held.
@@ -180,7 +168,7 @@ class PartitionCache:
         with self._lock:
             stale = [
                 key for key in self._entries
-                if key[1] != live and key[1][0] not in pinned
+                if key[1] != catalog_version and key[1] not in pinned
             ]
             for key in stale:
                 del self._entries[key]

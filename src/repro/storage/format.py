@@ -76,7 +76,6 @@ __all__ = [
     "PartitionFrame",
     "append_trailer",
     "read_trailer",
-    "strip_trailer",
     "LazyColumnBlock",
     "FORMAT_VERSION",
     "MAGIC",
@@ -248,7 +247,7 @@ def append_trailer(data: bytes, payload: bytes) -> bytes:
     overhead, trailer bytes are excluded from the accounted partition size.
     """
     footer = _TRAILER_FOOTER.pack(zlib.crc32(payload), len(payload), TRAILER_MAGIC)
-    return strip_trailer(data) + payload + footer
+    return data + payload + footer
 
 
 def read_trailer(data: bytes) -> bytes | None:
@@ -270,14 +269,6 @@ def read_trailer(data: bytes) -> bytes | None:
     if zlib.crc32(payload) != crc:
         return None
     return payload
-
-
-def strip_trailer(data: bytes) -> bytes:
-    """The partition file without its trailer (idempotent)."""
-    payload = read_trailer(data)
-    if payload is None:
-        return data
-    return data[: len(data) - _TRAILER_FOOTER.size - len(payload)]
 
 
 def serialize_partition(

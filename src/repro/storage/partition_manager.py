@@ -37,9 +37,7 @@ from .format import (
     append_trailer,
     checksum_overhead,
     deserialize_partition,
-    read_trailer,
     serialize_partition,
-    strip_trailer,
 )
 from .sketches import SketchSet
 from .physical import (
@@ -73,6 +71,9 @@ class PartitionInfo:
     the file's row order, validated when the partition was added; a read
     cross-checks the file's segment headers against the frame and shares
     these arrays with the decoded segments instead of rebuilding them.
+
+    An entry describes one immutable file and is itself never edited once
+    its swap has committed: every view that names it sees the same fields.
     """
 
     pid: int
@@ -90,7 +91,8 @@ class PartitionInfo:
     #: catalog version at which this partition became visible.
     version: int = 0
     #: optional per-partition data-skipping sketches (see
-    #: :mod:`repro.storage.sketches`); ``None`` when none were built.
+    #: :mod:`repro.storage.sketches`), chosen when the entry was built and
+    #: stored in the file's trailer; ``None`` when none were built.
     sketches: Optional[SketchSet] = None
     _tuple_ids_cache: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -126,6 +128,11 @@ class PartitionInfo:
             return None
         zone_lo, zone_hi = bounds
         return zone_hi < lo or zone_lo > hi
+
+
+#: Picks the sketch set stored with a partition from its just-built catalog
+#: entry (``None`` for none); see :meth:`PartitionManager.materialize`.
+Sketcher = Callable[[PartitionInfo], Optional[SketchSet]]
 
 
 def _full_coverage(info: PartitionInfo) -> frozenset:
@@ -422,25 +429,22 @@ class PartitionManager:
         self.key_prefix = key_prefix
         self.buffer_pool = buffer_pool
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        #: bumped once per successful :meth:`swap_partitions` commit.
+        #: bumped once per successful :meth:`swap_partitions` commit — the
+        #: only thing a pruning verdict can go stale against.
         self.catalog_version = 0
-        #: bumped by sketch attach/recover — the one change to a pruning
-        #: verdict that no catalog version records (``info.sketches`` is
-        #: written in place).  :meth:`pin_snapshot` stamps both versions on
-        #: the view as its ``token``, which is what memoized pruning
-        #: decisions (the semantic partition cache) key on.
-        self.pruning_version = 0
         #: callbacks invoked (outside the catalog mutex) after any commit
         #: that invalidates memoized pruning state; each receives the new
-        #: ``(catalog_version, pruning_version)`` stamp.
-        self._invalidation_hooks: List[Callable[[int, int], None]] = []
+        #: ``catalog_version``.
+        self._invalidation_hooks: List[Callable[[int], None]] = []
         #: serializes catalog/index mutation against concurrent readers —
         #: the serving tier plans queries while the adaptive daemon swaps.
         self._mutex = threading.RLock()
         self._catalog: Dict[int, PartitionInfo] = {}
-        #: pid -> info for partitions removed by a swap but kept readable so
-        #: queries planned against the old catalog can still finish.
-        self._retired: Dict[int, PartitionInfo] = {}
+        #: pid -> ``(retiring version, info)`` for partitions removed by a
+        #: swap but kept readable so queries planned against the old catalog
+        #: can still finish.  The partition was live at every version below
+        #: the retiring one, which is what :meth:`prune_retired` reads.
+        self._retired: Dict[int, Tuple[int, PartitionInfo]] = {}
         #: the live partition set's :class:`CatalogIndex`: derived from its
         #: predecessor by an add-only swap, dropped by any other and rebuilt
         #: on the next lookup (a bulk materialize never looks, so it builds
@@ -452,9 +456,8 @@ class PartitionManager:
         #: version -> index of an *older* base state, kept while pinned.
         self._pinned_indexes: Dict[int, CatalogIndex] = {}
         #: commit log: ``(version, pids_added, pids_retired)`` per catalog
-        #: commit, in version order.  ``pids_added`` holds only pids that
-        #: were *not* live before the commit, so walking the log backwards
-        #: reconstructs the live pid set at any retained version.
+        #: commit, in version order; walking it backwards reconstructs the
+        #: live pid set at any retained version.
         self._history: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
         #: version -> number of :class:`CatalogSnapshot` pins holding it.
         self._pins: Dict[int, int] = {}
@@ -464,15 +467,13 @@ class PartitionManager:
 
     # ------------------------------------------------------- invalidation
 
-    def add_invalidation_hook(
-        self, hook: Callable[[int, int], None]
-    ) -> None:
-        """Register a callback fired after every pruning-relevant commit.
+    def add_invalidation_hook(self, hook: Callable[[int], None]) -> None:
+        """Register a callback fired after every catalog commit.
 
-        Hooks receive the new ``(catalog_version, pruning_version)`` stamp
-        and run outside the catalog mutex (they may take their own locks but
-        must not re-enter the manager's write path).  The semantic partition
-        cache registers here to drop entries memoized against older stamps.
+        Hooks receive the new ``catalog_version`` and run outside the
+        catalog mutex (they may take their own locks but must not re-enter
+        the manager's write path).  The semantic partition cache registers
+        here to drop entries memoized against versions nothing can reach.
         """
         with self._mutex:
             self._invalidation_hooks.append(hook)
@@ -480,23 +481,26 @@ class PartitionManager:
     def _notify_invalidation(self) -> None:
         with self._mutex:
             hooks = tuple(self._invalidation_hooks)
-            stamp = (self.catalog_version, self.pruning_version)
+            version = self.catalog_version
         for hook in hooks:
-            hook(*stamp)
+            hook(version)
 
     # -------------------------------------------------------- materialize
 
     def _key(self, pid: int) -> str:
         return f"{self.key_prefix}p{pid:06d}.jig"
 
-    def _build_info(self, physical: PhysicalPartition, data: bytes) -> PartitionInfo:
+    def _build_info(
+        self, physical: PhysicalPartition, data: bytes, sketcher: Optional[Sketcher]
+    ) -> PartitionInfo:
         replica_attrs: frozenset = frozenset()
         for segment in physical.segments:
             if segment.replica:
                 replica_attrs |= frozenset(segment.attributes)
         # ``n_bytes`` is the *accounted* size — the version-1-equivalent byte
         # count every simulated-I/O and footprint figure is calibrated to.
-        # Checksum bytes exist in the file but charge nothing.
+        # Checksum bytes exist in the file but charge nothing, and neither
+        # does the sketch trailer.
         info = PartitionInfo(
             pid=physical.pid,
             key=self._key(physical.pid),
@@ -511,6 +515,8 @@ class PartitionManager:
             replica_attributes=replica_attrs,
         )
         info.full_coverage_attrs = _full_coverage(info)
+        if sketcher is not None:
+            info.sketches = sketcher(info)
         return info
 
     def _frame_tids(self, segment: PhysicalSegment) -> np.ndarray:
@@ -553,68 +559,107 @@ class PartitionManager:
     ) -> List[PartitionInfo]:
         """Atomically make ``add`` visible and retire ``remove``.
 
-        The one write path of the catalog: plain partition adds, in-place
-        replaces (an added pid that already exists) and layout migrations are
-        all expressed as one swap.  Every new partition file is *staged* —
-        serialized and written to the blob store — before the catalog is
-        touched; with ``verify`` each staged file is also read back and
-        decoded (through the fault-injection path, within the retry budget).
-        A staging failure rolls back every staged blob that did not overwrite
-        a live partition and raises, leaving the old catalog fully intact —
+        The one way the catalog or a partition file ever changes: plain
+        partition adds, write commits, folds and layout migrations are all
+        one swap of *fresh* pids.  A pid names one immutable file for as
+        long as the catalog knows it, so an ``add`` whose pid is live or
+        retired is refused (:class:`~repro.errors.InvalidPartitioningError`)
+        before anything is written.  Every new partition file is then
+        *staged* — serialized and put, once, under its own key — before the
+        catalog is touched; with ``verify`` each staged file is also read
+        back and decoded (through the fault-injection path, within the retry
+        budget).  A staging failure deletes every staged blob and raises,
+        leaving the old catalog, and every file it names, fully intact —
         this is what makes migrations abort-safe.
 
         The commit itself is pure in-memory bookkeeping: the catalog version
         is bumped once, removed pids move to the *retired* set (still served
         by :meth:`info`/:meth:`load`, and still in the index of every view
         pinned before the commit, but absent from the live index so new
-        views never see them), added partitions are indexed, and the
-        buffer-pool entries of every touched pid are invalidated.
-        :meth:`prune_retired` reclaims the retired blobs no pinned view
-        still needs.
+        views never see them) and give up their buffer-pool slots, and the
+        added partitions are indexed.  :meth:`prune_retired` reclaims the
+        retired blobs no pinned view still needs.
         """
-        additions = list(add)
-        removals = set(remove)
-        tracer = obs_tracer()
-        if not tracer.enabled:
-            return self._swap_partitions(additions, removals, verify)
-        with tracer.span(
+        return self._swap_partitions(list(add), set(remove), verify)
+
+    def _swap_partitions(
+        self,
+        additions: List[PhysicalPartition],
+        removals: Set[int],
+        verify: bool = False,
+        sketcher: Optional[Sketcher] = None,
+    ) -> List[PartitionInfo]:
+        with obs_tracer().span(
             "storage.swap",
             n_add=len(additions),
             n_remove=len(removals),
             verify=verify,
         ) as span:
-            infos = self._swap_partitions(additions, removals, verify)
+            staged = self._stage(additions, verify, sketcher)
+            with self._mutex:
+                self.catalog_version += 1
+                retired_now: List[int] = []
+                for pid in sorted(removals):
+                    old = self._catalog.pop(pid, None)
+                    if old is None:
+                        continue
+                    self._retired[pid] = (self.catalog_version, old)
+                    retired_now.append(pid)
+                    if self.buffer_pool is not None:
+                        self.buffer_pool.invalidate(pid)
+                for info in staged:
+                    info.version = self.catalog_version
+                    self._catalog[info.pid] = info
+                self._history.append((
+                    self.catalog_version,
+                    tuple(sorted(info.pid for info in staged)),
+                    tuple(retired_now),
+                ))
+                if self._index is not None and not removals:
+                    self._index = self._index.with_added(staged)
+                else:
+                    self._index = None
+                self._base_version = self.catalog_version
+            self._notify_invalidation()
             span.set(
                 catalog_version=self.catalog_version,
-                bytes_written=sum(info.n_bytes for info in infos),
+                bytes_written=sum(info.n_bytes for info in staged),
             )
-        return infos
+        return staged
 
-    def _swap_partitions(
+    def _stage(
         self,
-        add: Sequence[PhysicalPartition],
-        remove: Iterable[int] = (),
-        verify: bool = False,
+        additions: List[PhysicalPartition],
+        verify: bool,
+        sketcher: Optional[Sketcher],
     ) -> List[PartitionInfo]:
-        additions = list(add)
-        removals = set(remove)
+        """Write each added partition's file — body plus, when ``sketcher``
+        picks a sketch set for the entry just built, its trailer — with one
+        put; on any failure delete what was put and re-raise."""
         added_pids = {physical.pid for physical in additions}
         if len(added_pids) != len(additions):
             raise InvalidPartitioningError("swap adds the same pid twice")
-        staged: List[Tuple[PhysicalPartition, PartitionInfo]] = []
-        overwritten = {
-            physical.pid for physical in additions
-            if physical.pid in self._catalog or physical.pid in self._retired
-        }
+        with self._mutex:
+            taken = sorted(
+                pid for pid in added_pids
+                if pid in self._catalog or pid in self._retired
+            )
+        if taken:
+            raise InvalidPartitioningError(
+                f"swap adds pids the catalog already holds {taken}: a "
+                f"partition file is written once, use a fresh pid"
+            )
+        staged: List[PartitionInfo] = []
         try:
             for physical in additions:
                 data = serialize_partition(physical, self.schema)
-                info = self._build_info(physical, data)
+                info = self._build_info(physical, data, sketcher)
+                if info.sketches is not None:
+                    data = append_trailer(data, info.sketches.to_bytes())
                 self.store.put(info.key, data)
-                self.device.invalidate(info.key)
-                staged.append((physical, info))
+                staged.append(info)
             if verify:
-                for _physical, info in staged:
+                for info in staged:
                     error = self._verify_readable(info)
                     if error is not None:
                         raise StorageError(
@@ -622,87 +667,38 @@ class PartitionManager:
                             f"read-back verification: {error}"
                         )
         except Exception:
-            # Roll back: delete staged blobs unless they overwrote a live
-            # key (an in-place replace destroyed the old bytes on put —
-            # deleting would only lose the readable copy we still have).
-            for _physical, info in staged:
-                if info.pid not in overwritten:
-                    self.store.delete(info.key)
-                    self.device.invalidate(info.key)
+            for info in staged:
+                self.store.delete(info.key)
             raise
-
-        # ------------------------------------------------------------ commit
-        with self._mutex:
-            pre_live = set(self._catalog)
-            retired_now: List[int] = []
-            self.catalog_version += 1
-            for pid in sorted(removals | (added_pids & set(self._catalog))):
-                old = self._catalog.pop(pid, None)
-                if old is None:
-                    continue
-                if pid in removals and pid not in added_pids:
-                    # Stamp the *retirement* version: the partition was
-                    # live at every version below it, so a view pinned there
-                    # keeps :meth:`prune_retired` away from it.
-                    old.version = self.catalog_version
-                    self._retired[pid] = old
-                    retired_now.append(pid)
-                if self.buffer_pool is not None:
-                    self.buffer_pool.invalidate(pid)
-            infos = []
-            for _physical, info in staged:
-                info.version = self.catalog_version
-                self._retired.pop(info.pid, None)
-                self._catalog[info.pid] = info
-                if self.buffer_pool is not None:
-                    self.buffer_pool.invalidate(info.pid)
-                infos.append(info)
-            self._history.append((
-                self.catalog_version,
-                tuple(sorted(added_pids - pre_live)),
-                tuple(sorted(retired_now)),
-            ))
-            if self._index is not None and not removals and not overwritten:
-                self._index = self._index.with_added(infos)
-            else:
-                self._index = None
-            self._base_version = self.catalog_version
-        self._notify_invalidation()
-        return infos
+        return staged
 
     def add_partition(self, physical: PhysicalPartition) -> PartitionInfo:
         """Serialize one partition, write it, and index it."""
         return self.swap_partitions([physical])[0]
 
-    def replace_partition(self, physical: PhysicalPartition) -> PartitionInfo:
-        """Rewrite an existing partition (e.g. after adding replica segments)."""
-        return self.swap_partitions([physical], remove=[physical.pid])[0]
-
     def prune_retired(self) -> int:
         """Drop retired partitions (catalog entries + blobs); returns count.
 
-        Pinned views clamp the prune: a retired entry's ``version`` records
-        the catalog version that retired it, so it was still live at every
-        version below that, and while any view pins such a version the
-        entry is spared — every query pins its view for its whole
-        execution, so a prune never takes a partition from under a reader.
-        Pruning an entry raises the manager's *floor* — versions below the
-        floor can no longer be pinned (their blobs are gone), which is what
-        :class:`~repro.errors.SnapshotUnavailableError` reports.
+        Pinned views clamp the prune: a partition retired by version ``v``
+        was still live at every version below ``v``, and while any view pins
+        such a version the entry is spared — every query pins its view for
+        its whole execution, so a prune never takes a partition from under a
+        reader.  Pruning an entry raises the manager's *floor* — versions
+        below the floor can no longer be pinned (their blobs are gone),
+        which is what :class:`~repro.errors.SnapshotUnavailableError`
+        reports.
         """
-        pruned = 0
         with self._mutex:
             min_pinned = min(self._pins) if self._pins else None
-            doomed = []
-            for pid in sorted(self._retired):
-                retired_at = self._retired[pid].version
-                if min_pinned is not None and retired_at > min_pinned:
-                    continue
-                doomed.append(self._retired.pop(pid))
-            if doomed:
+            doomed = sorted(
+                pid for pid, (retired_at, _info) in self._retired.items()
+                if min_pinned is None or retired_at <= min_pinned
+            )
+            entries = [self._retired.pop(pid) for pid in doomed]
+            if entries:
                 self._floor_version = max(
                     self._floor_version,
-                    max(info.version for info in doomed),
+                    max(retired_at for retired_at, _info in entries),
                 )
                 # Commits at or below the floor can no longer be replayed
                 # (their retirees' blobs are gone) — trim the log.
@@ -710,13 +706,12 @@ class PartitionManager:
                     entry for entry in self._history
                     if entry[0] > self._floor_version
                 ]
-        for info in doomed:
+        for _retired_at, info in entries:
             self.store.delete(info.key)
             self.device.invalidate(info.key)
             if self.buffer_pool is not None:
                 self.buffer_pool.invalidate(info.pid)
-            pruned += 1
-        return pruned
+        return len(entries)
 
     # ---------------------------------------------------------- snapshots
 
@@ -745,9 +740,7 @@ class PartitionManager:
         dropped with the last of them).  While pinned,
         :meth:`prune_retired` spares every retired partition the snapshot
         still needs.  Release with :meth:`CatalogSnapshot.release` (or use
-        it as a context manager).  The view's ``token`` — ``(version,
-        pruning_version)``, read here, once — is the only version stamp
-        memoized pruning verdicts are keyed on.
+        it as a context manager).
 
         Raises :class:`~repro.errors.SnapshotUnavailableError` for future
         versions and for versions below the prune floor.
@@ -782,9 +775,7 @@ class PartitionManager:
                     self.info(pid) for pid in sorted(live)
                 )
             self._pins[version] = self._pins.get(version, 0) + 1
-            return CatalogSnapshot(
-                self, version, index, (version, self.pruning_version)
-            )
+            return CatalogSnapshot(self, version, index)
 
     def release_snapshot(self, snapshot: "CatalogSnapshot") -> None:
         """Drop one pin on ``snapshot``'s version (idempotence is the
@@ -822,30 +813,51 @@ class PartitionManager:
             used = set(self._catalog) | set(self._retired)
         return max(used, default=-1) + 1
 
+    def materialize(
+        self,
+        physicals: Iterable[PhysicalPartition],
+        sketcher: Optional[Sketcher] = None,
+    ) -> List[PartitionInfo]:
+        """Store a layout's partitions, one swap (and version) each.
+
+        ``sketcher`` picks each partition's data-skipping sketches from its
+        just-built catalog entry; they become part of the entry and of the
+        file (its trailer) at the partition's one put.  Like checksum
+        overhead, trailer bytes charge nothing: ``n_bytes`` is the same
+        with or without them.
+        """
+        return [
+            self._swap_partitions([physical], set(), sketcher=sketcher)[0]
+            for physical in physicals
+        ]
+
     def materialize_plan(
         self,
         plan: PartitioningPlan,
         table: ColumnTable,
         tid_storage: str = TID_EXPLICIT,
+        sketcher: Optional[Sketcher] = None,
     ) -> List[PartitionInfo]:
         """Resolve every logical partition against the data and store it."""
-        return [
-            self.add_partition(physical_from_logical(partition, table, tid_storage))
-            for partition in plan
-        ]
+        return self.materialize(
+            (physical_from_logical(partition, table, tid_storage)
+             for partition in plan),
+            sketcher,
+        )
 
     def materialize_specs(
         self,
         spec_groups: Sequence[Sequence[SegmentSpec]],
         table: ColumnTable,
         tid_storage: str = TID_CATALOG,
+        sketcher: Optional[Sketcher] = None,
     ) -> List[PartitionInfo]:
         """Materialize explicit tuple-assignment partitions (baselines)."""
-        infos = []
-        for pid, specs in enumerate(spec_groups):
-            physical = build_physical_partition(pid, specs, table, tid_storage)
-            infos.append(self.add_partition(physical))
-        return infos
+        return self.materialize(
+            (build_physical_partition(pid, specs, table, tid_storage)
+             for pid, specs in enumerate(spec_groups)),
+            sketcher,
+        )
 
     # -------------------------------------------------------------- reads
 
@@ -954,55 +966,14 @@ class PartitionManager:
             io_delta=delta,
         ) from last_error
 
-    # ----------------------------------------------------------- sketches
-
-    def attach_sketches(
-        self, pid: int, sketches: Optional[SketchSet], persist: bool = True
-    ) -> None:
-        """Attach (or clear, with ``None``) a partition's sketch set.
-
-        With ``persist`` the sketches are also written into the blob's
-        format-v2 trailer, replacing any previous one, so a rebuilt catalog
-        can recover them via :meth:`load_sketches`.  The accounted
-        ``n_bytes`` is untouched: like checksum overhead, the trailer exists
-        in the file but charges nothing — attaching sketches must not
-        perturb simulated I/O accounting.
-        """
-        info = self.info(pid)
-        with self._mutex:
-            # Version first: whoever classifies against the new sketches
-            # then reads a ``pruning_version`` past its view's token.
-            self.pruning_version += 1
-            info.sketches = sketches
-        if persist:
-            data = strip_trailer(self.store.get(info.key))
-            if sketches is not None:
-                data = append_trailer(data, sketches.to_bytes())
-            self.store.put(info.key, data)
-            self.device.invalidate(info.key)
-        self._notify_invalidation()
-
-    def load_sketches(self, pid: int) -> Optional[SketchSet]:
-        """Recover a partition's sketches from its blob trailer (catalog
-        metadata path: reads raw bytes, charges no simulated I/O)."""
-        info = self.info(pid)
-        payload = read_trailer(self.store.get(info.key))
-        with self._mutex:
-            self.pruning_version += 1
-            info.sketches = (
-                SketchSet.from_bytes(payload) if payload is not None else None
-            )
-        self._notify_invalidation()
-        return info.sketches
-
     # ------------------------------------------------------------ indexes
 
     def info(self, pid: int) -> PartitionInfo:
         """Catalog entry for an active — or retired but unpruned — pid."""
         with self._mutex:
             entry = self._catalog.get(pid)
-            if entry is None:
-                entry = self._retired.get(pid)
+            if entry is None and pid in self._retired:
+                entry = self._retired[pid][1]
         if entry is None:
             raise PartitionNotFoundError(f"no partition with id {pid}")
         return entry
@@ -1074,11 +1045,13 @@ class CatalogSnapshot:
     names stay loadable (a pin clamps
     :meth:`PartitionManager.prune_retired`).
 
-    ``token`` is ``(version, pruning_version)`` as of the pin: the key the
-    semantic partition cache files this view's pruning verdicts under.
-    Every pin of a version shares it (``AS OF`` replays reuse each other's
-    verdicts across later churn) until a sketch attach — the one in-place
-    change a frozen index cannot see — moves ``pruning_version`` on.
+    A view is frozen and so is every entry in it: a partition file is
+    written once, a catalog entry is never edited after its swap commits,
+    so whatever a plan derives from the view — a pruning verdict included
+    — holds for as long as the view is pinned.  ``version`` is therefore
+    the whole key the semantic partition cache files this view's verdicts
+    under, and every pin of a version shares it (``AS OF`` replays reuse
+    each other's verdicts across later churn).
 
     ``valid_mask`` is an optional dense boolean array over the tuple-id
     domain set by the transactional layer: True for tids visible at this
@@ -1087,29 +1060,18 @@ class CatalogSnapshot:
     ``None`` (the default, always the case outside the write path and on a
     table nothing was ever deleted from) preserves the read-only engines'
     exact seed behavior.
-
-    One-shot visibility note: in-place :meth:`PartitionManager
-    .replace_partition` overwrites the old blob's bytes, so snapshots are
-    only guaranteed across fresh-pid swaps — which is what the adaptive
-    repartitioner and the delta compactor emit.
     """
 
-    __slots__ = ("manager", "version", "index", "token", "valid_mask",
-                 "_released")
+    __slots__ = ("manager", "version", "index", "valid_mask", "_released")
 
     def __init__(
-        self,
-        manager: PartitionManager,
-        version: int,
-        index: CatalogIndex,
-        token: Tuple[int, int],
+        self, manager: PartitionManager, version: int, index: CatalogIndex
     ):
         self.manager = manager
         self.version = version
         #: the frozen partition set's index — the live manager's own object
         #: when no swap separates the pinned version from the current one.
         self.index = index
-        self.token = token
         self.valid_mask: Optional[np.ndarray] = None
         self._released = False
 

@@ -23,9 +23,9 @@ a load changes, only *when* it runs:
 ``depth`` bounds staged-but-unconsumed plus in-flight loads, so read-ahead
 never runs more than ``depth`` partitions past the evaluator.  An entry the
 consumer turns out not to need (a queued pid claimed before any worker
-started it) is discarded without a load; a staged entry whose catalog
-version moved (an adaptive swap landed mid-query) is dropped and the caller
-falls back to an inline load of the fresh file.
+started it) is discarded without a load.  A staged read never goes stale:
+a pid names one immutable file, and the query's pinned view keeps it
+loadable whatever commits meanwhile.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class PrefetchStats:
 class _Entry:
     __slots__ = (
         "pid", "columns", "ctx", "state", "claimed", "event",
-        "partition", "io_delta", "error", "version",
+        "partition", "io_delta", "error",
     )
 
     def __init__(self, pid: int, columns, ctx: contextvars.Context):
@@ -73,7 +73,6 @@ class _Entry:
         self.partition: Optional[PhysicalPartition] = None
         self.io_delta: Optional[IOStats] = None
         self.error: Optional[BaseException] = None
-        self.version = -1
 
 
 class Prefetcher:
@@ -147,8 +146,8 @@ class Prefetcher:
 
         Returns ``(partition, io_delta)`` exactly as ``manager.load`` would
         have, re-raises the load's exception, or returns None when the pid
-        was never queued, was claimed before a worker started it, or went
-        stale against the catalog.  Blocks only while the load is in flight.
+        was never queued or was claimed before a worker started it.  Blocks
+        only while the load is in flight.
         """
         with self._cond:
             entry = self._entries.get(pid)
@@ -170,10 +169,6 @@ class Prefetcher:
             self._cond.notify_all()
         if entry.error is not None:
             raise entry.error
-        if entry.version != self.manager.catalog_version:
-            # The catalog moved under the staged file; reload fresh.
-            self.stats.n_discarded += 1
-            return None
         assert entry.partition is not None and entry.io_delta is not None
         return entry.partition, entry.io_delta
 
@@ -229,7 +224,6 @@ class Prefetcher:
                 entry.event.set()
 
     def _load_entry(self, entry: _Entry) -> None:
-        entry.version = self.manager.catalog_version
         try:
             entry.partition, entry.io_delta = self.manager.load(
                 entry.pid, chunk_size=self.chunk_size, columns=entry.columns

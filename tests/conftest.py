@@ -1,5 +1,5 @@
 """Shared fixtures: small tables, workloads and build contexts — plus the
-suite-wide thread-leak check."""
+suite-wide thread-leak check and the write-once guard on partition files."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from repro.core import (
     Workload,
 )
 from repro.layouts import BuildContext
-from repro.storage import ColumnTable
+from repro.storage import ColumnTable, DirectoryBlobStore, MemoryBlobStore
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +47,35 @@ def no_thread_leaks():
         "test leaked non-daemon threads: "
         + ", ".join(thread.name for thread in remaining)
     )
+
+
+@pytest.fixture(autouse=True)
+def write_once_partition_files(request, monkeypatch):
+    """Fail any test in which a ``*.jig`` key that already holds a blob is
+    put again.
+
+    A pid names one immutable partition file: every change to the catalog
+    is a swap of fresh pids, so nothing in ``src/`` may overwrite a
+    partition blob — a reader holding the old catalog entry, or a crash
+    between the put and the catalog commit, would be left with a file that
+    no entry describes.  The offending put raises, and the test fails at
+    teardown even if something swallowed that.  Tests that damage a stored
+    blob on purpose opt out with ``@pytest.mark.overwrites_blobs``.
+    """
+    if request.node.get_closest_marker("overwrites_blobs"):
+        yield
+        return
+    rewritten = []
+    for store_cls in (MemoryBlobStore, DirectoryBlobStore):
+        def guarded_put(self, key, data, _put=store_cls.put):
+            if key.endswith(".jig") and key in self:
+                rewritten.append(key)
+                raise AssertionError(f"partition file {key!r} was put twice")
+            _put(self, key, data)
+
+        monkeypatch.setattr(store_cls, "put", guarded_put)
+    yield
+    assert not rewritten, f"partition files put twice: {rewritten}"
 
 
 @pytest.fixture()

@@ -35,6 +35,7 @@ from repro.storage import (
     SegmentSpec,
     StorageDevice,
     TID_CATALOG,
+    build_physical_partition,
 )
 from repro.testing import (
     no_leaked_pins,
@@ -139,15 +140,11 @@ def replicated_manager(small_table):
         small_table.schema, StorageDevice(BALOS_HDD), store
     )
     everyone = np.arange(small_table.n_tuples, dtype=np.int64)
-    manager.materialize_specs(
-        [
-            [SegmentSpec(("a1",), everyone)],
-            [SegmentSpec(("a2", "a3"), everyone)],
-        ],
-        small_table,
-        tid_storage=TID_CATALOG,
+    primary, holder = (
+        build_physical_partition(pid, [SegmentSpec(attrs, everyone)],
+                                 small_table, TID_CATALOG)
+        for pid, attrs in enumerate([("a1",), ("a2", "a3")])
     )
-    holder, _delta = manager.load(1)
     holder.segments.append(PhysicalSegment(
         attributes=("a1",),
         tuple_ids=everyone,
@@ -155,7 +152,7 @@ def replicated_manager(small_table):
         tid_storage=TID_CATALOG,
         replica=True,
     ))
-    manager.replace_partition(holder)
+    manager.materialize([primary, holder])
     return manager, store
 
 

@@ -14,6 +14,7 @@ from repro.storage import (
     StorageDevice,
     TID_CATALOG,
     TID_EXPLICIT,
+    build_physical_partition,
 )
 
 
@@ -31,18 +32,16 @@ def manual_replicated(small_table):
         np.nonzero(a1 <= 4999)[0].astype(np.int64),
         np.nonzero(a1 > 4999)[0].astype(np.int64),
     ]
-    manager.materialize_specs(
-        [
-            [SegmentSpec(("a1",), everyone)],
-            [SegmentSpec(("a2", "a3"), halves[0])],
-            [SegmentSpec(("a2", "a3"), halves[1])],
-        ],
-        small_table,
-        tid_storage=TID_EXPLICIT,
-    )
-    # Append a1 replicas into the two projection partitions.
-    for pid, tids in ((1, halves[0]), (2, halves[1])):
-        partition, _io = manager.load(pid)
+    partitions = [
+        build_physical_partition(pid, [SegmentSpec(attrs, tids)], small_table, TID_EXPLICIT)
+        for pid, (attrs, tids) in enumerate([
+            (("a1",), everyone),
+            (("a2", "a3"), halves[0]),
+            (("a2", "a3"), halves[1]),
+        ])
+    ]
+    # a1 replicas ride in the two projection partitions.
+    for partition, tids in zip(partitions[1:], halves):
         partition.segments.append(
             PhysicalSegment(
                 attributes=("a1",),
@@ -52,7 +51,7 @@ def manual_replicated(small_table):
                 replica=True,
             )
         )
-        manager.replace_partition(partition)
+    manager.materialize(partitions)
     return manager
 
 

@@ -30,6 +30,7 @@ from repro.storage import (
     PhysicalSegment,
     SegmentSpec,
     StorageDevice,
+    build_physical_partition,
 )
 from repro.testing.oracle import run_reference_query
 
@@ -284,20 +285,22 @@ class TestScanAndLocalDrivers:
         carrying an a1 replica for their own tuples, a1's primary home being
         partition 0: replica cells are scanned for the verdict but never
         emitted (a1 is emitted once, from its home), overlap emits twice."""
-        manager = build(table, [
-            [SegmentSpec(("a1",), tids())],
-            [SegmentSpec(("a2", "a3"), tids(0, 250))],
-            [SegmentSpec(("a2", "a3"), tids(150, N))],
-        ])
         homes = {0: tids(), 1: tids(0, 250), 2: tids(150, N)}
-        for pid in (1, 2):
-            partition, _io = manager.load(pid)
+        partitions = [
+            build_physical_partition(
+                pid, [SegmentSpec(attrs, homes[pid])], table, TID_EXPLICIT
+            )
+            for pid, attrs in enumerate([("a1",), ("a2", "a3"), ("a2", "a3")])
+        ]
+        for partition in partitions[1:]:
+            own = homes[partition.pid]
             partition.segments.append(PhysicalSegment(
-                attributes=("a1",), tuple_ids=homes[pid],
-                columns={"a1": table.column("a1")[homes[pid]]},
+                attributes=("a1",), tuple_ids=own,
+                columns={"a1": table.column("a1")[own]},
                 tid_storage=TID_CATALOG, replica=True,
             ))
-            manager.replace_partition(partition)
+        manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
+        manager.materialize(partitions)
         executor = ReplicatedExecutor(manager, table.meta)
         query = Query.build(table.meta, ["a1", "a2"], {"a1": (0, 599)})
         assert executor.local_plan(query) == (0, 1, 2)

@@ -46,7 +46,9 @@ def interleaved_table():
     return ColumnTable.build("T", schema, columns)
 
 
-def materialize(table):
+def materialize(table, train=None):
+    """Four equal row ranges; with ``train``, each partition is stored with
+    the sketches a 4 KiB budget affords it for that workload."""
     manager = PartitionManager(
         table.schema, StorageDevice(BALOS_HDD), MemoryBlobStore()
     )
@@ -61,24 +63,19 @@ def materialize(table):
         ]
         for i in range(N_PARTITIONS)
     ]
-    manager.materialize_specs(specs, table, tid_storage=TID_CATALOG)
-    return manager
-
-
-def attach_sketch_catalog(manager, table, train):
-    profile = profile_workload(train)
-    columns = {
-        name: table.column(name) for name in table.schema.attribute_names
-    }
-    n_sketched = 0
-    for pid in manager.pids():
-        chosen = select_sketches(
-            manager.info(pid), columns, profile, 0.010, 4096
+    sketcher = None
+    if train is not None:
+        profile = profile_workload(train)
+        columns = {
+            name: table.column(name) for name in table.schema.attribute_names
+        }
+        sketcher = lambda info: select_sketches(  # noqa: E731
+            info, columns, profile, 0.010, 4096
         )
-        if chosen is not None:
-            manager.attach_sketches(pid, chosen)
-            n_sketched += 1
-    return n_sketched
+    manager.materialize_specs(
+        specs, table, tid_storage=TID_CATALOG, sketcher=sketcher
+    )
+    return manager
 
 
 @pytest.fixture()
@@ -92,8 +89,8 @@ def sketch_setup():
         ),
     ]
     zone_only = materialize(table)
-    sketched = materialize(table)
-    assert attach_sketch_catalog(sketched, table, train) == N_PARTITIONS
+    sketched = materialize(table, train)
+    assert all(sketched.info(pid).sketches is not None for pid in sketched.pids())
     return table, zone_only, sketched
 
 

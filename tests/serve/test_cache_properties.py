@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.engine import PartitionAtATimeExecutor
 from repro.layouts import BuildContext, IrregularLayout
 from repro.serve import PartitionCache, predicate_signature
+from repro.storage import PhysicalPartition
 from repro.testing.oracle import (
     random_query,
     random_table,
@@ -81,12 +82,6 @@ class TestSignatureNormalization:
         assert a == b and hash(a) == hash(b)
 
 
-def _token(manager) -> tuple:
-    """The token a view pinned now is stamped with."""
-    with manager.pin_snapshot() as view:
-        return view.token
-
-
 class TestCoherence:
     def test_catalog_version_bump_makes_entries_miss(
         self, irregular_layout, serve_table
@@ -108,27 +103,23 @@ class TestCoherence:
         assert result.equals(expected)
         assert cache.stats.n_hits == 1
 
-        # An identity-preserving swap: rewrite one partition with its own
-        # bytes.  Data is unchanged, but the catalog version moved — every
-        # cached verdict must become unreachable.
+        # An identity-preserving swap: move one partition's cells to a
+        # fresh pid.  Data is unchanged, but the catalog version moved —
+        # every cached verdict must become unreachable.
         pid = manager.pids()[0]
         partition, _ = manager.load(pid)
-        token_before = _token(manager)
-        manager.swap_partitions([partition])
-        assert _token(manager) != token_before
+        version_before = manager.catalog_version
+        manager.swap_partitions(
+            [PhysicalPartition(manager.next_pid(), partition.segments)],
+            remove=[pid],
+        )
+        assert manager.catalog_version != version_before
         assert len(cache) == 0  # the invalidation hook reclaimed the entry
         assert cache.stats.n_invalidated >= 1
 
         result, _ = engine.execute(query)
         assert result.equals(expected)
-        assert cache.stats.n_misses == 2  # new token: a miss, not a replay
-
-    def test_sketch_rebuild_bumps_the_token(self, irregular_layout):
-        manager = irregular_layout.manager
-        before = _token(manager)
-        manager.pruning_version += 1
-        manager._notify_invalidation()
-        assert _token(manager) != before
+        assert cache.stats.n_misses == 2  # new version: a miss, not a replay
 
     def test_reordered_conjuncts_share_one_entry(
         self, irregular_layout, serve_table

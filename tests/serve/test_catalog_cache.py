@@ -16,6 +16,7 @@ from repro.obs import (
 from repro.plan.dag import DagExecutor
 from repro.serve import PartitionCache, QueryScheduler
 from repro.sql import parse_relational_query
+from repro.storage import PhysicalPartition
 from repro.testing.join_oracle import (
     build_join_catalog,
     join_oracle_check,
@@ -70,7 +71,10 @@ class TestCatalogPartitionCache:
         manager = catalog["fact"].manager
         pid = manager.pids()[0]
         partition, _ = manager.load(pid)
-        manager.swap_partitions([partition])
+        manager.swap_partitions(
+            [PhysicalPartition(manager.next_pid(), partition.segments)],
+            remove=[pid],
+        )
 
         # fact's entries died with its catalog version; dim's survive.
         assert len(caches["fact"]) == 0

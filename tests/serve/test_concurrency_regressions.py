@@ -4,7 +4,7 @@ The serving tier made ``swap_partitions`` a *concurrent* event: worker
 threads hold buffer-pool pins and prefetcher stagings while the adaptive
 daemon rewrites the catalog under them.  These tests race the two sides
 directly — readers pin/release and prefetchers stage while a swapper
-continuously overwrites partitions — and assert the only acceptable
+continuously moves partitions to fresh pids — and assert the only acceptable
 outcome: every partition object any thread ever observes carries pristine
 cell data, and nothing deadlocks or leaks a thread.
 
@@ -23,6 +23,7 @@ from repro.storage import (
     BufferPool,
     MemoryBlobStore,
     PartitionManager,
+    PhysicalPartition,
     Prefetcher,
     SegmentSpec,
     StorageDevice,
@@ -66,15 +67,19 @@ def _make_verifier(table, errors):
 
 
 def _swapper(manager, stop, errors, n_swaps=N_SWAPS):
-    """Continuously rewrite partitions in place: same cells, new catalog
-    version — the shape of every adaptive migration commit."""
+    """Continuously move partitions to fresh pids: same cells, new catalog
+    version — the shape of every adaptive migration commit.  Nothing is
+    pruned, so a reader holding a just-retired pid can still load it."""
     try:
         for i in range(n_swaps):
             if stop.is_set():
                 return
-            pid = i % N_PARTITIONS
+            pid = manager.pids()[i % N_PARTITIONS]
             partition, _delta = manager.load(pid)
-            manager.swap_partitions([partition])
+            manager.swap_partitions(
+                [PhysicalPartition(manager.next_pid(), partition.segments)],
+                remove=[pid],
+            )
     except Exception as exc:  # noqa: BLE001 - fail the test, not the thread
         errors.append(f"swapper: {exc!r}")
 
@@ -95,7 +100,7 @@ class TestBufferPoolVsSwap:
             try:
                 barrier.wait()
                 for _ in range(N_ITERATIONS):
-                    pid = int(rng.integers(0, N_PARTITIONS))
+                    pid = int(rng.choice(manager.pids()))
                     # Pin-or-load: exactly what a serving worker does.  A
                     # concurrent swap may invalidate the entry mid-pin; the
                     # object already in hand must still be pristine.
@@ -165,16 +170,19 @@ class TestPrefetcherVsSwap:
                 pids = list(manager.pids())
                 prefetcher.start(pids)
                 for pid in pids:
-                    # A staging that raced a swap may come back None (stale
-                    # against the catalog) — then the inline path answers,
-                    # exactly as the engines fall back.
+                    # A pid claimed before a worker started it comes back
+                    # None — then the inline path answers, exactly as the
+                    # engines fall back.  A swap racing the staging never
+                    # stales it: either way the read is billed the same.
                     staged = prefetcher.take(pid)
                     if staged is not None:
-                        partition, _delta = staged
+                        partition, delta = staged
                         n_staged += 1
                     else:
-                        partition, _delta = manager.load(pid)
+                        partition, delta = manager.load(pid)
                     verify(partition)
+                    assert delta.bytes_read == manager.info(pid).n_bytes
+                    assert delta.n_retries == 0
         finally:
             stop.set()
             swapper.join(120.0)

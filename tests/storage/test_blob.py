@@ -74,6 +74,7 @@ class TestDirectoryStore:
         with pytest.raises(StorageError):
             store.put("../escape", b"x")
 
+    @pytest.mark.overwrites_blobs  # the store API itself permits a re-put
     def test_failed_write_leaves_the_live_blob_whole(self, tmp_path, monkeypatch):
         """``put`` goes through a temp file + ``os.replace``: a writer dying
         mid-stream neither tears the live key nor leaves a listed file."""

@@ -10,8 +10,6 @@ from repro.storage import (
     SegmentSpec,
     StorageDevice,
     TID_CATALOG,
-    TID_EXPLICIT,
-    build_physical_partition,
 )
 
 
@@ -147,23 +145,6 @@ class TestManagerComposition:
             np.asarray(segment.columns["a2"]),
             small_table.column("a2")[segment.tuple_ids],
         )
-
-    def test_replace_partition_invalidates_pool(self, pooled_manager, small_table):
-        manager = pooled_manager
-        manager.load(0)
-        assert 0 in manager.buffer_pool
-        n = small_table.n_tuples
-        rebuilt = build_physical_partition(
-            0,
-            [SegmentSpec(("a1", "a2", "a4"), np.arange(n // 2, dtype=np.int64))],
-            small_table,
-            TID_EXPLICIT,
-        )
-        manager.replace_partition(rebuilt)
-        assert 0 not in manager.buffer_pool
-        partition, delta = manager.load(0)
-        assert delta.n_pool_hits == 0  # stale object must not be served
-        assert "a4" in partition.segments[0].attributes
 
     def test_simulated_os_cache_still_applies_on_pool_miss(self, small_table):
         device = StorageDevice(BALOS_HDD, cache_bytes=1 << 24)

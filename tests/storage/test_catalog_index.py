@@ -10,11 +10,13 @@ import time
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import TableSchema
+from repro.errors import InvalidPartitioningError
 from repro.storage import (
     BALOS_HDD,
     ColumnTable,
@@ -157,19 +159,18 @@ class TestIndexEqualsDefinition:
                 order.append(part.pid)
                 committed()
             elif op == "replace":
-                # An in-place replace overwrites the blob older snapshots
-                # read, so they are only guaranteed across fresh-pid swaps.
-                for snapshot, _infos in held:
-                    snapshot.release()
-                held.clear()
-                frozen.clear()
-                pid = data.draw(st.sampled_from(order))
-                manager.replace_partition(
-                    physical(pid, data.draw(partition_st))
-                )
-                order.remove(pid)
-                order.append(pid)
-                committed()
+                # A pid names one immutable file: re-adding a live or a
+                # retired pid is refused and changes nothing — every held
+                # snapshot keeps answering from the blobs it pinned.
+                pid = data.draw(st.sampled_from(
+                    sorted(set(order) | set(manager.retired_pids()))
+                ))
+                version = manager.catalog_version
+                with pytest.raises(InvalidPartitioningError):
+                    manager.swap_partitions(
+                        [physical(pid, data.draw(partition_st))], remove=[pid]
+                    )
+                assert manager.catalog_version == version
             elif op == "swap":
                 gone = data.draw(st.sets(st.sampled_from(order)))
                 parts = fresh(data.draw(st.integers(0, 3)))
@@ -291,9 +292,8 @@ class TestPlacementCases:
 
     def test_answer_order_is_catalog_order_on_the_manager(self):
         manager = new_manager()
-        for part in halves(0):
+        for part in reversed(halves(0)):  # pid 1 is catalogued first
             manager.add_partition(part)
-        manager.replace_partition(halves(0)[0])  # pid 0 moves to the back
         tids = np.arange(N_TUPLES, dtype=np.int64)
         assert manager.partitions_with_missing_cells("a1", tids) == (1, 0)
         with manager.pin_snapshot() as snapshot:

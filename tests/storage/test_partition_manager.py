@@ -22,12 +22,10 @@ from repro.storage import (
     BALOS_HDD,
     BufferPool,
     ColumnTable,
-    DictSketch,
     PartitionManager,
     PhysicalPartition,
     PhysicalSegment,
     SegmentSpec,
-    SketchSet,
     StorageDevice,
     TID_CATALOG,
     TID_EXPLICIT,
@@ -183,12 +181,15 @@ class TestSwapPartitions:
             manager.swap_partitions([left, left])
 
     def test_in_place_replace_is_not_retired(self, manager, small_table):
+        """...it is refused: a pid names one immutable file."""
         left, right = _physical_halves(small_table)
         manager.swap_partitions([left, right])
-        manager.replace_partition(left)
+        with pytest.raises(InvalidPartitioningError, match="written once"):
+            manager.swap_partitions([left], remove=[0])
         assert manager.retired_pids() == ()
-        assert manager.catalog_version == 2
-        assert manager.info(0).version == 2
+        assert manager.pids() == (0, 1)
+        assert manager.catalog_version == 1
+        assert manager.info(0).version == 1
 
     def test_prune_retired_reclaims_blobs(self, manager, small_table):
         left, right = _physical_halves(small_table)
@@ -211,10 +212,11 @@ class TestSwapPartitions:
         fresh1, _ = _physical_halves(small_table, pids=(3, 4))
         manager.swap_partitions([fresh1], remove=[1])    # version 3, retires 1
         reader = manager.pin_snapshot(2)
-        # Retired entries are stamped with the version that retired them:
-        # while a reader pins v2, a prune spares the partition v3 retired
-        # (pid 1, still live at v2) and takes the one v2 itself retired.
-        assert manager.info(0).version == 2 and manager.info(1).version == 3
+        # The manager remembers which version retired each pid: while a
+        # reader pins v2, a prune spares the partition v3 retired (pid 1,
+        # still live at v2) and takes the one v2 itself retired.  The
+        # entries keep the version they became visible at.
+        assert manager.info(0).version == 1 and manager.info(1).version == 1
         assert manager.prune_retired() == 1
         assert manager.retired_pids() == (1,)
         reader.release()
@@ -284,9 +286,13 @@ class TestSwapPartitions:
         left, right = _physical_halves(small_table)
         manager.swap_partitions([left, right])
         manager.load(0)
+        manager.load(1)
         assert manager.buffer_pool.get(0) is not None
-        manager.replace_partition(left)
+        (moved,) = _physical_halves(small_table, pids=(2, 3))[:1]
+        manager.swap_partitions([moved], remove=[0])
+        # The retired pid gives up its slot; an untouched one keeps it.
         assert manager.buffer_pool.get(0) is None
+        assert manager.buffer_pool.get(1) is not None
 
 
 def _three_mode_partition(small_table, pid=0):
@@ -355,6 +361,7 @@ class TestCatalogFrame:
         with pytest.raises(InvalidPartitioningError, match="schema order"):
             manager.add_partition(PhysicalPartition(0, [segment]))
 
+    @pytest.mark.overwrites_blobs
     def test_blob_disagreeing_with_the_catalog_is_unreadable(self, manager, small_table):
         """A well-formed file of another shape under the key is refused."""
         left, right = _physical_halves(small_table)
@@ -366,8 +373,8 @@ class TestCatalogFrame:
 
 
 class TestVerifyOnce:
-    """One full CRC pass per stored bytes object; every rewrite is a new
-    object and is verified again."""
+    """One full CRC pass per stored bytes object; every put stores a new
+    object, which is verified again."""
 
     @staticmethod
     def n_hashed(manager, crc_calls, pid):
@@ -385,19 +392,17 @@ class TestVerifyOnce:
         assert self.n_hashed(manager, crc_calls, 0) == 0
         assert self.n_hashed(manager, crc_calls, 1) > 0  # per object, not per store
 
+    @pytest.mark.overwrites_blobs
     def test_rewrites_are_verified_again(self, manager, small_table, crc_calls):
         left, right = _physical_halves(small_table)
         manager.swap_partitions([left, right])
         full = self.n_hashed(manager, crc_calls, 0)
         assert full > 0 and self.n_hashed(manager, crc_calls, 0) == 0
 
-        manager.replace_partition(left)
-        assert self.n_hashed(manager, crc_calls, 0) == full
-        assert self.n_hashed(manager, crc_calls, 0) == 0
-
-        manager.attach_sketches(
-            0, SketchSet(by_attr={"a1": DictSketch("a1", np.array([1.0]))})
-        )
+        # The manager never rewrites a key; a store that is handed the same
+        # bytes again (a restore, a repair) still holds an unverified object.
+        key = manager.info(0).key
+        manager.store.put(key, bytes(manager.store.get(key)))
         assert self.n_hashed(manager, crc_calls, 0) == full
         assert self.n_hashed(manager, crc_calls, 0) == 0
 

@@ -13,6 +13,7 @@ from repro.storage import (
     FaultInjectingBlobStore,
     MemoryBlobStore,
     PartitionManager,
+    PhysicalPartition,
     Prefetcher,
     RetryPolicy,
     SegmentSpec,
@@ -116,23 +117,41 @@ class TestPrefetcher:
             <= prefetcher.stats.n_submitted
         )
 
-    def test_stale_catalog_version_discards_staged_entry(self, small_table):
+    def test_staged_read_survives_an_unrelated_commit(self, small_table):
+        """A pid names one immutable file, so a commit landing between the
+        background load and its consumption cannot stale the staged read —
+        not even a swap that retires the very partition (a pinned view
+        keeps it loadable)."""
         manager = build_manager(small_table)
+        inline = build_manager(small_table)
         prefetcher = Prefetcher(manager, depth=2)
         try:
-            prefetcher.start([0])
-            # Force the staged entry stale: replace a *different* partition,
-            # which bumps the catalog version.
-            partition, _ = manager.load(1)
-            manager.replace_partition(partition)
-            outcome = prefetcher.take(0)
-            # Either the worker had not started (discard) or the staged file
-            # went stale (discard); both fall back to an inline load.
-            assert outcome is None
+            with manager.pin_snapshot():
+                prefetcher.start([0])
+                for _ in range(500):
+                    if prefetcher.stats.n_loaded:
+                        break
+                    threading.Event().wait(0.01)
+                assert prefetcher.stats.n_loaded == 1  # staged
+                moved, _ = manager.load(1)
+                manager.swap_partitions(
+                    [PhysicalPartition(manager.next_pid(), moved.segments)],
+                    remove=[0, 1],
+                )
+                outcome = prefetcher.take(0)
         finally:
             prefetcher.close()
-        fresh, _delta = manager.load(0)
-        assert fresh.pid == 0
+        assert outcome is not None
+        partition, delta = outcome
+        expected_partition, expected_delta = inline.load(0)
+        assert partition.pid == 0
+        assert delta == expected_delta
+        assert np.array_equal(
+            partition.segments[0].columns["a1"],
+            expected_partition.segments[0].columns["a1"],
+        )
+        assert prefetcher.stats.n_consumed == 1
+        assert prefetcher.stats.n_discarded == 0
 
     def test_staged_error_reraised_with_io_delta(self, small_table):
         store = FaultInjectingBlobStore(MemoryBlobStore())

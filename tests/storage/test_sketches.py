@@ -19,7 +19,7 @@ from repro.storage import (
     profile_workload,
     select_sketches,
 )
-from repro.storage.format import append_trailer, read_trailer, strip_trailer
+from repro.storage.format import append_trailer, read_trailer
 
 
 class TestDictSketch:
@@ -151,11 +151,9 @@ class TestTrailer:
         payload = b"sketch-bytes"
         with_trailer = append_trailer(data, payload)
         assert read_trailer(with_trailer) == payload
-        assert strip_trailer(with_trailer) == data
-        # Re-appending replaces rather than stacks.
-        again = append_trailer(with_trailer, b"other")
-        assert read_trailer(again) == b"other"
-        assert strip_trailer(again) == data
+        # The body is untouched: the trailer only ever rides behind it.
+        assert with_trailer.startswith(data)
+        assert with_trailer[len(data):len(data) + len(payload)] == payload
 
     def test_corrupt_trailer_reads_as_absent(self):
         data = append_trailer(b"\x01" * 128, b"payload")
@@ -167,7 +165,11 @@ class TestTrailer:
 
 
 class TestManagerSketchPersistence:
-    def make_manager(self, table):
+    """Sketches are part of a partition at its one put: chosen from the
+    just-built catalog entry, stored in the file's trailer."""
+
+    def make_manager(self, table, sketches=None):
+        """Two row halves; ``sketches`` maps pid -> the set it is stored with."""
         manager = PartitionManager(
             table.schema, StorageDevice(BALOS_HDD), MemoryBlobStore()
         )
@@ -179,63 +181,60 @@ class TestManagerSketchPersistence:
             ],
             table,
             tid_storage=TID_CATALOG,
+            sketcher=(lambda info: sketches.get(info.pid)) if sketches else None,
         )
         return manager
 
     def test_attach_persist_and_reload(self, small_table):
-        manager = self.make_manager(small_table)
         sketches = SketchSet(by_attr={"a1": DictSketch("a1", np.array([1.0, 2.0]))})
-        n_bytes_before = manager.info(0).n_bytes
-        manager.attach_sketches(0, sketches)
+        bare = self.make_manager(small_table)
+        manager = self.make_manager(small_table, {0: sketches})
+        assert manager.info(0).sketches is sketches
         # Accounting invariant: the trailer never inflates the charged size.
-        assert manager.info(0).n_bytes == n_bytes_before
+        assert manager.info(0).n_bytes == bare.info(0).n_bytes
+        # One put per partition, trailer included.
+        assert manager.catalog_version == bare.catalog_version == 2
 
-        manager.info(0).sketches = None  # drop the in-memory copy
-        restored = manager.load_sketches(0)
-        assert restored is not None and "a1" in restored.by_attr
-        assert manager.info(0).sketches is restored
+        # What a rebuilt catalog would recover from the blob alone.
+        payload = read_trailer(manager.store.get(manager.info(0).key))
+        restored = SketchSet.from_bytes(payload)
+        assert restored.to_bytes() == sketches.to_bytes()
         # The sibling partition never got a trailer.
-        assert manager.load_sketches(1) is None
+        assert manager.info(1).sketches is None
+        assert read_trailer(manager.store.get(manager.info(1).key)) is None
 
     def test_trailer_invisible_to_partition_reads(self, small_table):
-        manager = self.make_manager(small_table)
-        manager.attach_sketches(
-            0, SketchSet(by_attr={"a2": DictSketch("a2", np.array([5.0]))})
+        bare = self.make_manager(small_table)
+        manager = self.make_manager(
+            small_table,
+            {0: SketchSet(by_attr={"a2": DictSketch("a2", np.array([5.0]))})},
         )
         partition, _delta = manager.load(0)
         segment = partition.segments[0]
         tids = segment.tuple_ids
         assert np.array_equal(segment.columns["a1"], small_table.column("a1")[tids])
         data = manager.store.get(manager.info(0).key)
-        bare = deserialize_partition(
-            strip_trailer(data), small_table.schema, {0: tids}
-        )
+        body = bare.store.get(bare.info(0).key)
+        assert data.startswith(body) and len(data) > len(body)
+        trailerless = deserialize_partition(body, small_table.schema, {0: tids})
         assert np.array_equal(
-            bare.segments[0].columns["a1"], segment.columns["a1"]
+            trailerless.segments[0].columns["a1"], segment.columns["a1"]
         )
 
+    @pytest.mark.overwrites_blobs
     def test_corrupt_trailer_degrades_to_no_sketches(self, small_table):
-        manager = self.make_manager(small_table)
-        manager.attach_sketches(
-            0, SketchSet(by_attr={"a1": DictSketch("a1", np.array([3.0]))})
+        manager = self.make_manager(
+            small_table,
+            {0: SketchSet(by_attr={"a1": DictSketch("a1", np.array([3.0]))})},
         )
         info = manager.info(0)
         data = bytearray(manager.store.get(info.key))
         data[-1] ^= 0xFF  # wreck the trailer magic
         manager.store.put(info.key, bytes(data))
-        assert manager.load_sketches(0) is None
+        assert read_trailer(manager.store.get(info.key)) is None
         # The partition body itself still reads fine.
         partition, _delta = manager.load(0)
         assert partition.pid == 0
-
-    def test_detach_removes_trailer(self, small_table):
-        manager = self.make_manager(small_table)
-        manager.attach_sketches(
-            0, SketchSet(by_attr={"a1": DictSketch("a1", np.array([3.0]))})
-        )
-        manager.attach_sketches(0, None)
-        assert read_trailer(manager.store.get(manager.info(0).key)) is None
-        assert manager.load_sketches(0) is None
 
 
 class TestSelection:

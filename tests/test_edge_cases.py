@@ -104,26 +104,6 @@ class TestManagerPrefix:
         assert "tables/hap/p000000.jig" in manager.store
 
 
-class TestCacheOverwriteInterplay:
-    def test_replace_partition_invalidates_cache(self, small_table):
-        device = StorageDevice(BALOS_HDD, cache_bytes=10**7)
-        manager = PartitionManager(small_table.schema, device)
-        everyone = np.arange(small_table.n_tuples, dtype=np.int64)
-        manager.materialize_specs(
-            [[SegmentSpec(("a1", "a2"), everyone)]], small_table, TID_EXPLICIT
-        )
-        _p, first = manager.load(0)
-        assert first.io_time_s > 0
-        _p, second = manager.load(0)
-        assert second.n_cache_hits == 1
-        # Rewriting the partition must drop the stale cached copy.
-        partition, _io = manager.load(0)
-        manager.replace_partition(partition)
-        _p, third = manager.load(0)
-        assert third.n_cache_hits == 0
-        assert third.io_time_s > 0
-
-
 class TestEngineEmptiness:
     def test_scan_with_no_selected_tuples(self, small_table, small_workload, ctx):
         layout = ColumnLayout().build(small_table, small_workload, ctx)

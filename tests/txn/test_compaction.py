@@ -244,7 +244,7 @@ class TestWalCheckpoint:
 class TestCacheCoherence:
     def test_mid_replay_compaction_never_serves_stale_verdict(self):
         """The regression from the issue: an ``AS OF`` replay pinned before
-        a compaction must keep hitting its snapshot-token entries, while
+        a compaction must keep hitting its snapshot-version entries, while
         live plans after the swap can never reuse pre-swap verdicts."""
         table, layout, txn = build_txn_table(seed=47)
         planner = layout.executor.planner
@@ -261,7 +261,7 @@ class TestCacheCoherence:
 
         rng = np.random.default_rng(47)
         shadow = run_batches(txn, rng, n_batches=1)
-        live_before, _ = txn.execute(query)  # records under the v1 token
+        live_before, _ = txn.execute(query)  # records under version v1
 
         # More writes, then the compaction swap bumps the catalog.
         run_batches(txn, rng, n_batches=1)
@@ -276,7 +276,7 @@ class TestCacheCoherence:
         expected = np.nonzero(visible & (a1 >= 200) & (a1 <= 800))[0]
         assert np.array_equal(live_after.tuple_ids, expected)
 
-        # Pinned replay still hits its own token and is byte-identical.
+        # Pinned replay still hits its own version and is byte-identical.
         hits_before = cache.stats.n_hits
         pinned_again, _ = txn.execute(query, as_of=v0)
         assert cache.stats.n_hits > hits_before

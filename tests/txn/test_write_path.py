@@ -214,6 +214,7 @@ class TestDirtyReadsAreOrdinaryReads:
         for result in (first, second):
             assert np.array_equal(result.tuple_ids, expected.tuple_ids)
 
+    @pytest.mark.overwrites_blobs  # repairs the damaged blob by hand
     def test_corrupt_commit_partition_is_retried_then_raises(self, driver):
         txn, shadow, layout, names, segment = self.dirty(
             driver, 73, scripted=True
