@@ -82,7 +82,7 @@ class PartitionAtATimeExecutor(QueryEngine):
         plan, reader, degrade, stats = run
         select_op = SelectOp(
             plan.logical.conjunction, plan.logical.projected,
-            self.table.n_tuples, plan.snapshot.valid_mask,
+            self.table.n_tuples, plan.snapshot.valid_mask, plan.visits_once,
         )
         if not plan.logical.conjunction:
             stats.hash_inserts += select_op.select_all()

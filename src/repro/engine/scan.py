@@ -75,7 +75,7 @@ class ScanExecutor(QueryEngine):
         # projected cells, so nothing is stashed.
         select_op = SelectOp(
             conjunction, n_tuples=self.table.n_tuples,
-            valid_mask=plan.snapshot.valid_mask,
+            valid_mask=plan.snapshot.valid_mask, hit_only=plan.visits_once,
         )
         if not conjunction:
             select_op.select_all()

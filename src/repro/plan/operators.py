@@ -33,6 +33,11 @@ computed from segment lengths and mask sums, and each driver prices them by
 its own algorithm's rule, partition by partition — never by redoing dense
 work.  The differential oracle holds the pipeline to byte-identical results
 *and* simulated accounting.
+
+**Hit-only selection.**  An INVALID mark is written only where a later
+visit in this query can read it, so under the plan's visit-once verdict
+(``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone — until
+the first degraded substitute read, which :meth:`SelectOp.flush` prepares.
 """
 
 from __future__ import annotations
@@ -329,9 +334,14 @@ class SelectOp(_ProjectingOp):
     (:class:`ProjectFillOp`) — a tuple some later partition invalidates
     just never gets one.  The tuple-at-a-time drivers keep their own status
     list and hash table and use :meth:`process_tuple` alone.
-    """
 
-    __slots__ = ("conjunction", "status", "stash")
+    An INVALID mark is written only where a later visit in this query can
+    read it.  ``hit_only`` is the catalog's verdict that no tuple is reached
+    twice (every selection segment is primary and stores every predicate
+    attribute, each with one primary home): failing tuples stay NOT_CHECKED
+    until a degraded substitute read needs :meth:`flush`."""
+
+    __slots__ = ("conjunction", "status", "stash", "hit_only", "_unflushed")
 
     def __init__(
         self,
@@ -339,6 +349,7 @@ class SelectOp(_ProjectingOp):
         projected: Tuple[str, ...] = (),
         n_tuples: int = 0,
         valid_mask: Optional[np.ndarray] = None,
+        hit_only: bool = False,
     ):
         super().__init__(projected)
         self.conjunction = conjunction
@@ -349,6 +360,8 @@ class SelectOp(_ProjectingOp):
         self.stash: Dict[
             Tuple[str, ...], List[Tuple[np.ndarray, List[np.ndarray]]]
         ] = {}
+        self.hit_only = hit_only
+        self._unflushed: List[object] = []  # where hit-only segments wrote
 
     def select_all(self) -> int:
         """No WHERE clause: every tuple a base scan may return turns VALID
@@ -370,19 +383,27 @@ class SelectOp(_ProjectingOp):
             if not len(tids):
                 continue
             where = _address(tids, segment.tid_storage)
-            before = status[where]
             passing, _ = self.conjunction.evaluate_available(
                 segment.columns, len(tids)
             )
-            if before.any():  # some tuple here already carries a verdict
-                passing &= before != STATUS_INVALID
-                was_valid = before == STATUS_VALID
-                still_valid = int(np.count_nonzero(was_valid & passing))
-                evictions += int(np.count_nonzero(was_valid)) - still_valid
-                inserts -= still_valid
-            hits = passing.nonzero()[0]
+            if self.hit_only:
+                hits = passing.nonzero()[0]
+                if where is tids:
+                    status[tids[hits]] = STATUS_VALID
+                else:  # a run: one contiguous write
+                    status[where] = passing.view(np.uint8)
+                self._unflushed.append(where)
+            else:
+                before = status[where]
+                if before.any():  # some tuple here already carries a verdict
+                    passing &= before != STATUS_INVALID
+                    was_valid = before == STATUS_VALID
+                    still_valid = int(np.count_nonzero(was_valid & passing))
+                    evictions += int(np.count_nonzero(was_valid)) - still_valid
+                    inserts -= still_valid
+                hits = passing.nonzero()[0]
+                status[where] = STATUS_INVALID - passing.view(np.uint8)
             inserts += len(hits)
-            status[where] = STATUS_INVALID - passing.view(np.uint8)
             wanted = self.wanted(segment.attributes)
             if not wanted or not len(hits):
                 continue
@@ -391,6 +412,16 @@ class SelectOp(_ProjectingOp):
             )
             stashed += len(hits) * len(wanted)
         return inserts, evictions, stashed
+
+    def flush(self) -> None:
+        """Leave the hit-only form before a degraded substitute (which may
+        reach those tuples again) is read: each failed, still NOT_CHECKED
+        tuple of the hit-only segments so far turns INVALID."""
+        status = self.status
+        for where in self._unflushed:
+            status[where] = STATUS_INVALID - (status[where] == STATUS_VALID).view(np.uint8)
+        self._unflushed.clear()
+        self.hit_only = False
 
     def invalidate(self, info: PartitionInfo, attributes: frozenset) -> int:
         """Apply a prune's verdict without the read: every tuple owning a
@@ -635,9 +666,13 @@ def run_selection(
     )
     loop.enqueue(plan.selection_pids())
     evictions = 0
+    # Under the visit-once verdict a substitute is never a selection pid.
+    substitutes = degrade.fctx.degraded
 
     def skip(pid: int) -> bool:
         nonlocal evictions
+        if select_op.hit_only and pid in substitutes:
+            select_op.flush()
         decision = plan.decision_for(pid)
         if not decision.is_pruned:
             return False

@@ -15,6 +15,9 @@ executor-local code:
   its reader and degrade op from ``plan.policy`` and nothing
   else.  (The retry budget is the manager's
   :class:`~repro.storage.faults.RetryPolicy`, enforced and reported there.)
+* the **visit-once verdict** (``visits_once``): the catalog proves the
+  selection phase reaches each tuple in one segment, so Algorithm 5 may
+  write a status for the passing tuples only.
 
 The plan also carries the planner's *estimates* (partitions to read, bytes,
 predicted I/O seconds from the fitted ``io(x)`` model) so ``explain()`` can
@@ -76,7 +79,7 @@ class PhysicalPlan:
     __slots__ = (
         "logical", "policy", "selection", "projection",
         "estimated_partition_reads", "estimated_bytes", "estimated_io_time_s",
-        "snapshot", "catalog_version",
+        "snapshot", "catalog_version", "visits_once",
     )
 
     def __init__(
@@ -86,11 +89,16 @@ class PhysicalPlan:
         selection: Tuple[PartitionAccess, ...],
         projection: Tuple[PartitionAccess, ...],
         snapshot: CatalogSnapshot,
+        visits_once: bool = False,
     ):
         self.logical = logical
         self.policy = policy
         self.selection = selection
         self.projection = projection
+        #: the catalog's proof that the selection phase reaches every tuple
+        #: once (:meth:`CatalogIndex.visits_once`), taken only for a view
+        #: with no ``valid_mask``: the selection may run hit-only.
+        self.visits_once = visits_once
         #: the pinned catalog view the plan was built against.  Everything
         #: an execution asks the catalog — partition entries, tuple-level
         #: probes, degraded-read substitutes — it asks this view, and it
@@ -274,8 +282,12 @@ class QueryPlanner:
             self._access(view.info(pid), logical, logical.projection_columns)
             for pid in proj_pids
         )
+        visits_once = bool(pred_pids) and view.valid_mask is None and (
+            view.index.visits_once(logical.predicate_attributes)
+        )
         plan = PhysicalPlan(
-            logical, self.access_policy, selection, projection, view
+            logical, self.access_policy, selection, projection, view,
+            visits_once,
         )
         if cache is not None and cache_hit is None:
             cache.record(logical, view)

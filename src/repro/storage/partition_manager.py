@@ -228,7 +228,8 @@ class CatalogIndex:
     Immutable once published: an owner map is fully built before it becomes
     reachable, so concurrent probes need no lock.  An add-only swap (a write
     commit) derives its index from the predecessor's (:meth:`with_added`),
-    so the owner maps built so far survive it.
+    so the owner maps built so far survive it; the :meth:`visits_once`
+    verdicts do not (O(partitions) to recompute).
     """
 
     def __init__(self, infos: Iterable[PartitionInfo]):
@@ -245,6 +246,7 @@ class CatalogIndex:
         self.replica_pids = {a: tuple(p) for a, p in replica_pids.items()}
         self._owners: Dict[str, _OwnerMap] = {}
         self._by_placement: Dict[Tuple[Tuple[int, int], ...], _OwnerMap] = {}
+        self._visits_once: Dict[frozenset, bool] = {}
         self._build_lock = threading.Lock()
 
     def info(self, pid: int) -> PartitionInfo:
@@ -293,6 +295,31 @@ class CatalogIndex:
         if owners is None:
             owners = self._build_owners(attribute)
         return owners.probe(tids)
+
+    def visits_once(self, attributes: frozenset) -> bool:
+        """Whether a selection over ``attributes`` reaches each tuple in one
+        segment at most (Algorithm 5's hit-only form): every segment of
+        every partition storing one of them is primary, stores all of them
+        and shares no tuple with its siblings, and each has a single primary
+        home (a one-layer owner map).  Metadata only, memoised."""
+        verdict = self._visits_once.get(attributes)
+        if verdict is None:
+            infos = [self._infos[p] for p in self.pids_for_attributes(attributes)]
+            verdict = all(
+                not replica and attributes.issubset(attrs)
+                for info in infos
+                for attrs, replica in zip(info.segment_attrs, info.segment_replicas)
+            ) and all(
+                len(info.segment_tids) < 2
+                or len(info.tuple_ids()) == sum(map(len, info.segment_tids))
+                for info in infos
+            ) and all(
+                len(self._build_owners(a).layers) <= 1
+                for a in attributes if a in self.attribute_pids
+            )
+            with self._build_lock:
+                self._visits_once[attributes] = verdict
+        return verdict
 
     def _build_owners(self, attribute: str) -> _OwnerMap:
         with self._build_lock:
