@@ -1,9 +1,16 @@
 """Dump the 768-entry stats snapshot as JSON, to diff two trees.
 
 One entry per case of ``repro.testing.snapshot.iter_snapshot_cases()``, in
-its deterministic order: ``[label, stats_signature, sha1 of the result]``.
-The script touches nothing of ``repro`` but those two functions, so it runs
-unchanged against an older tree — the parent of a change, or a merge base::
+its deterministic order: ``[label, stats_signature, sha1 of the result,
+sha1 of the EXPLAIN text, buffer-pool counters]``, the last two taken after
+the execution (the pool counters are the case manager's lifetime
+``n_hits``, ``n_misses``, ``n_evictions`` and ``hit_bytes``).  The 768
+cases run twice: as the snapshot builds them (no buffer pool: the counters
+are None), then labelled ``pool/...`` under a 4 KiB pool, where hits,
+misses and evictions all occur.  Beyond those two functions the script
+uses only ``BuildContext``, ``executor.explain(query).render()`` and
+``executor.manager.buffer_pool``, so it runs unchanged against an older
+tree — the parent of a change, or a merge base::
 
     PYTHONPATH=/path/to/base/src python scripts/snapshot_dump.py base.json
     PYTHONPATH=src               python scripts/snapshot_dump.py head.json
@@ -31,17 +38,36 @@ def result_sha1(result) -> str:
     return digest.hexdigest()
 
 
+def pool_counters(manager):
+    pool = manager.buffer_pool
+    if pool is None:
+        return None
+    stats = pool.stats
+    return [stats.n_hits, stats.n_misses, stats.n_evictions, stats.hit_bytes]
+
+
 def dump() -> list:
     import repro
+    from repro.layouts import BuildContext
     from repro.testing.snapshot import iter_snapshot_cases, stats_signature
 
     print(f"dumping the snapshot of {repro.__file__}", file=sys.stderr)
+    pooled = BuildContext(
+        file_segment_bytes=2048, schism_sample_size=100, buffer_pool_bytes=4096
+    )
     entries = []
-    for case in iter_snapshot_cases():
-        result, stats = case.executor.execute(case.query)
-        entries.append(
-            [case.label, list(stats_signature(stats)), result_sha1(result)]
-        )
+    for prefix, ctx in (("", None), ("pool/", pooled)):
+        for case in iter_snapshot_cases(ctx=ctx):
+            executor = case.executor
+            result, stats = executor.execute(case.query)
+            explain = executor.explain(case.query).render()
+            entries.append([
+                prefix + case.label,
+                list(stats_signature(stats)),
+                result_sha1(result),
+                hashlib.sha1(explain.encode()).hexdigest(),
+                pool_counters(executor.manager),
+            ])
     return entries
 
 

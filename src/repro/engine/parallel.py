@@ -379,7 +379,7 @@ class ThreadedPartitionEngine(QueryEngine):
             replan_known_dead=True,
             tids_by_attribute=still_missing,
         )
-        loop.enqueue(sorted(missing_pids))
+        loop.pending.extend(sorted(missing_pids))
         loop.run(lambda pid, partition: partitions.append(partition))
 
         def worker(thread_id: int) -> None:

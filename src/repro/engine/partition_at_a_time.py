@@ -83,6 +83,7 @@ class PartitionAtATimeExecutor(QueryEngine):
         select_op = SelectOp(
             plan.logical.conjunction, plan.logical.projected,
             self.table.n_tuples, plan.snapshot.valid_mask, plan.visits_once,
+            plan.zone_refuted,
         )
         if not plan.logical.conjunction:
             stats.hash_inserts += select_op.select_all()
@@ -127,7 +128,7 @@ class PartitionAtATimeExecutor(QueryEngine):
             replan_known_dead=True,
             tids_by_attribute=missing_by_attr,
         )
-        loop.enqueue(sorted(proj_pids))
+        loop.pending.extend(sorted(proj_pids))
 
         def process(pid: int, partition) -> None:
             stats.cells_scanned += stored_cells(partition)

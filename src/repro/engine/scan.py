@@ -76,6 +76,7 @@ class ScanExecutor(QueryEngine):
         select_op = SelectOp(
             conjunction, n_tuples=self.table.n_tuples,
             valid_mask=plan.snapshot.valid_mask, hit_only=plan.visits_once,
+            refuted=plan.zone_refuted,
         )
         if not conjunction:
             select_op.select_all()
@@ -121,11 +122,11 @@ class ScanExecutor(QueryEngine):
             reader,
             degrade,
             projected,
-            plan.logical.projection_columns,
+            plan.projection_columns,
             replan_known_dead=True,
             tids_by_attribute=still_missing,
         )
-        loop.enqueue(plan.projection_pids())
+        loop.pending.extend(plan.projection_pids())
 
         def skip(pid: int) -> bool:
             if pid in loaded:
@@ -133,8 +134,8 @@ class ScanExecutor(QueryEngine):
                 # survived it, re-scanning would gather nothing.  Not
                 # counted as a skip — no read was avoided.
                 return idle(pid)
-            decision = plan.decision_for(pid)
-            if decision.is_pruned:
+            decision = plan.pruned(pid)
+            if decision is not None:
                 count_prune(decision, stats)
                 return True
             if idle(pid):

@@ -7,10 +7,11 @@ engines that evaluate it:
    — predicate normalization, projection-pushdown column sets, and
    metadata-based partition pruning (REQUIRED / PRUNED / PROJECTION-ONLY)
    from catalog zone maps, before any I/O.
-2. **Physical plan** (:mod:`repro.plan.physical`) — the ordered partition
-   access list with the degrade/replica-fallback/chunking policy baked in
-   as plan properties the engine scaffold enforces, plus cost estimates for
-   ``explain()`` (:mod:`repro.plan.explain`).
+2. **Physical plan** (:mod:`repro.plan.physical`) — the ascending
+   selection and projection pid lists with the degrade/replica-fallback/
+   chunking policy baked in as plan properties the engine scaffold
+   enforces; verdicts and cost estimates for ``explain()``
+   (:mod:`repro.plan.explain`) are made on demand.
 3. **Operators** (:mod:`repro.plan.operators`, :mod:`repro.plan.degrade`,
    :mod:`repro.plan.result`, :mod:`repro.plan.stats`) — the shared
    selection / projection-fill / degrade pipeline the four engines drive

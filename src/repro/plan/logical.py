@@ -9,10 +9,11 @@ metadata — built from the query and the catalog only, before any I/O:
   (``selection_columns`` / ``projection_columns``), threaded through
   :meth:`~repro.storage.partition_manager.PartitionManager.load` so lazy
   deserialization touches nothing else;
-* **partition classification** — every candidate partition is classified as
+* **partition classification** — a candidate partition is classified as
   REQUIRED, PRUNED, or PROJECTION_ONLY from segment range metadata (the
   catalog zone maps), so executors can skip reads the metadata already
-  refutes.
+  refutes.  Verdicts are made on demand, where the physical plan's
+  consumers ask for them, and memoised per pid.
 
 Two pruning policies exist because the engines' correctness arguments
 differ.  The *scan* policy (rectangular layouts) may prune a partition as

@@ -36,8 +36,9 @@ work.  The differential oracle holds the pipeline to byte-identical results
 
 **Hit-only selection.**  An INVALID mark is written only where a later
 visit in this query can read it, so under the plan's visit-once verdict
-(``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone — until
-the first degraded substitute read, which :meth:`SelectOp.flush` prepares.
+(``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone, and in
+a zone-refuted partition evaluates nothing (it has no hit) — until the
+first degraded substitute read, which :meth:`SelectOp.flush` prepares.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class PlanReader:
         self.fctx = fctx
         self.chunk_size = chunk_size
         self.cache = cache
-        self.lock = lock
+        self.lock = lock if lock is not None else nullcontext()
         # Resolved once per execution (readers are per-query objects), so a
         # scoped trace installed before execute() is honoured and a disabled
         # call site pays one attribute load + truth test per partition.
@@ -142,12 +143,15 @@ class PlanReader:
         return partition
 
     def _load_accounted(self, pid: int, columns: Optional[frozenset]):
-        """The load + accounting body (verbatim from the seed engines)."""
-        with self.lock if self.lock is not None else nullcontext():
+        """The load + accounting body."""
+        with self.lock:
             partition, io_delta = self.manager.load(
                 pid, chunk_size=self.chunk_size, columns=columns
             )
-        self.stats.accrue_io(io_delta)
+        if io_delta.n_pool_hits:  # a pool hit charges nothing else
+            self.stats.n_pool_hits += 1
+        else:
+            self.stats.accrue_io(io_delta)
         self.stats.n_partition_reads += 1
         degraded = self.fctx is not None and pid in self.fctx.degraded
         if degraded:
@@ -163,10 +167,9 @@ class DegradeOp:
     Holds the plan's catalog index — substitutes come from the version the
     query reads — and the execution's :class:`FaultContext`, so every phase
     shares one exclusion set; ``enabled`` is the plan's
-    ``policy.degrade_enabled`` —
-    off, a discovered failure re-raises instead of re-planning (the
-    replica-local plan: it retreats to the standard engine rather than
-    degrade in place).
+    ``policy.degrade_enabled`` — off, a discovered failure re-raises instead
+    of re-planning (the replica-local plan: it retreats to the standard
+    engine rather than degrade in place).
     """
 
     __slots__ = ("index", "stats", "fctx", "enabled")
@@ -194,14 +197,7 @@ class DegradeOp:
     ) -> None:
         if not self.enabled and exc is not None:
             raise exc
-        tracer = obs_tracer()
-        if not tracer.enabled:
-            handle_unreadable(
-                self.index, pid, attributes, self.fctx, self.stats,
-                pending, done, exc, tids_by_attribute,
-            )
-            return
-        with tracer.span(
+        with obs_tracer().span(
             "exec.degrade", pid=pid, discovered=exc is not None
         ) as span:
             n_pending_before = len(pending)
@@ -248,9 +244,6 @@ class AccessLoop:
         self.tids_by_attribute = tids_by_attribute
         self.pending: deque = deque()
         self.done: Set[int] = set()
-
-    def enqueue(self, pids: Iterable[int]) -> None:
-        self.pending.extend(pids)
 
     def fail(self, pid: int, exc: Optional[PartitionUnreadableError] = None) -> None:
         """Record one dead access and enqueue its substitutes."""
@@ -339,9 +332,11 @@ class SelectOp(_ProjectingOp):
     read it.  ``hit_only`` is the catalog's verdict that no tuple is reached
     twice (every selection segment is primary and stores every predicate
     attribute, each with one primary home): failing tuples stay NOT_CHECKED
-    until a degraded substitute read needs :meth:`flush`."""
+    until a degraded substitute read needs :meth:`flush`.  So a ``refuted``
+    partition (the plan's ``zone_refuted``) is read but not evaluated."""
 
-    __slots__ = ("conjunction", "status", "stash", "hit_only", "_unflushed")
+    __slots__ = ("conjunction", "status", "stash", "hit_only", "refuted",
+                 "_unflushed")
 
     def __init__(
         self,
@@ -350,6 +345,7 @@ class SelectOp(_ProjectingOp):
         n_tuples: int = 0,
         valid_mask: Optional[np.ndarray] = None,
         hit_only: bool = False,
+        refuted: frozenset = frozenset(),
     ):
         super().__init__(projected)
         self.conjunction = conjunction
@@ -361,6 +357,7 @@ class SelectOp(_ProjectingOp):
             Tuple[str, ...], List[Tuple[np.ndarray, List[np.ndarray]]]
         ] = {}
         self.hit_only = hit_only
+        self.refuted = refuted
         self._unflushed: List[object] = []  # where hit-only segments wrote
 
     def select_all(self) -> int:
@@ -376,6 +373,10 @@ class SelectOp(_ProjectingOp):
         or INVALID.  Returns the hash-table events in closed form,
         ``(inserts, evictions, stashed)``: NOT_CHECKED tuples that passed,
         VALID tuples that failed, projected cells stashed."""
+        if self.hit_only and partition.pid in self.refuted:
+            self._unflushed += [_address(s.tuple_ids, s.tid_storage)
+                                for s in partition.segments if len(s.tuple_ids)]
+            return 0, 0, 0
         status = self.status
         inserts = evictions = stashed = 0
         for segment in partition.segments:
@@ -616,15 +617,14 @@ def base_invalid_tids(n: int, valid_mask: Optional[np.ndarray]) -> np.ndarray:
     return.
 
     A write-path ``valid_mask`` restricts the scan to the tids visible at
-    the view's version: deleted tuples stay physically
-    stored until a compaction rewrites every partition holding them, and
-    tids past the mask's end were committed later.  It matters with a WHERE
-    clause too: a budgeted compaction drops a deleted tuple's cells from the
-    partitions it rewrites while deferred partitions still hold the rest,
-    so such a tuple can pass the predicates in one partition and have no
-    projected cell in another.  Engines mark these tids INVALID before the
-    selection phase.  Empty without a ``valid_mask`` (every read-only
-    execution).
+    the view's version: deleted tuples stay physically stored until a
+    compaction rewrites every partition holding them, and tids past the
+    mask's end were committed later.  It matters with a WHERE clause too: a
+    budgeted compaction drops a deleted tuple's cells from the partitions it
+    rewrites while deferred partitions still hold the rest, so such a tuple
+    can pass the predicates in one partition and have no projected cell in
+    another.  Engines mark these tids INVALID before the selection phase.
+    Empty without a ``valid_mask`` (every read-only execution).
     """
     if valid_mask is None:
         return np.empty(0, dtype=np.int64)
@@ -662,9 +662,9 @@ def run_selection(
     the catalog alone.  Returns the VALID tuples those verdicts evicted."""
     logical = plan.logical
     loop = AccessLoop(
-        reader, degrade, logical.predicate_attributes, logical.selection_columns
+        reader, degrade, logical.predicate_attributes, plan.selection_columns
     )
-    loop.enqueue(plan.selection_pids())
+    loop.pending.extend(plan.selection_pids())
     evictions = 0
     # Under the visit-once verdict a substitute is never a selection pid.
     substitutes = degrade.fctx.degraded
@@ -673,8 +673,8 @@ def run_selection(
         nonlocal evictions
         if select_op.hit_only and pid in substitutes:
             select_op.flush()
-        decision = plan.decision_for(pid)
-        if not decision.is_pruned:
+        decision = plan.pruned(pid)
+        if decision is None:
             return False
         # The partition policy names the refuted attributes; under the scan
         # policy one refuted predicate excludes every tuple with a predicate

@@ -1,13 +1,11 @@
-"""The physical plan: ordered accesses and the access policy.
+"""The physical plan: pid lists, pushdown column sets and the access policy.
 
-The second planning layer.  A :class:`PhysicalPlan` turns the logical
-plan's classifications into an ordered partition access list with
-everything an executor needs baked in as *plan properties* rather than
-executor-local code:
+The second planning layer.  A :class:`PhysicalPlan` is plain data:
 
-* the **access order** (ascending pid — deterministic, and the order the
-  simulated OS cache accounting is calibrated to);
-* the per-access **projection pushdown** column set and catalog size;
+* the ascending **selection** and **projection pid lists** (the partitions
+  storing a predicate / a projected attribute; ascending pid is
+  deterministic, and the order the simulated OS cache accounting is
+  calibrated to) and the two **projection-pushdown column sets**;
 * the **access policy** (:class:`AccessPolicy`): whether degraded
   substitute reads are allowed, whether the executor retreats to the
   standard engine instead (the replica-local path), and the read chunk
@@ -17,11 +15,17 @@ executor-local code:
   :class:`~repro.storage.faults.RetryPolicy`, enforced and reported there.)
 * the **visit-once verdict** (``visits_once``): the catalog proves the
   selection phase reaches each tuple in one segment, so Algorithm 5 may
-  write a status for the passing tuples only.
+  write a status for the passing tuples only; under it, ``zone_refuted``
+  names the selection pids whose zone refutes a predicate every segment
+  there stores — read, but no tuple of theirs can pass.
 
-The plan also carries the planner's *estimates* (partitions to read, bytes,
-predicted I/O seconds from the fitted ``io(x)`` model) so ``explain()`` can
-report estimated vs. actual after execution.
+Decisions are made on demand and memoised per pid: a partition's verdict
+only where something consumes it (the prune check of a plan that can
+prune, the scan engine's projection skip, ``explain()``, the adaptive
+monitor, the partition cache's record), and so are the classified
+:class:`PartitionAccess` rows and the *estimates* (partitions, bytes,
+predicted I/O seconds from the fitted ``io(x)`` model) that ``explain()``
+reports against the actuals.
 """
 
 from __future__ import annotations
@@ -33,11 +37,7 @@ from ..core.cost import estimate_access_io
 from ..core.query import Query
 from ..core.schema import TableMeta
 from ..obs import tracer as obs_tracer
-from ..storage.partition_manager import (
-    CatalogSnapshot,
-    PartitionInfo,
-    PartitionManager,
-)
+from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 from .explain import AccessExplain, ExplainReport
 from .logical import (
     POLICY_PARTITION,
@@ -45,6 +45,7 @@ from .logical import (
     LogicalPlan,
     PartitionDecision,
 )
+from .predicates import Conjunction
 
 __all__ = ["AccessPolicy", "PartitionAccess", "PhysicalPlan", "QueryPlanner"]
 
@@ -65,7 +66,7 @@ class AccessPolicy:
 
 @dataclass(frozen=True, slots=True)
 class PartitionAccess:
-    """One planned partition read."""
+    """One candidate partition read, classified (built on demand)."""
 
     pid: int
     decision: PartitionDecision
@@ -74,31 +75,36 @@ class PartitionAccess:
 
 
 class PhysicalPlan:
-    """Ordered accesses + policy for one query on one materialized table."""
+    """Pid lists + pushdown + policy for one query on one pinned view."""
 
     __slots__ = (
-        "logical", "policy", "selection", "projection",
-        "estimated_partition_reads", "estimated_bytes", "estimated_io_time_s",
-        "snapshot", "catalog_version", "visits_once",
+        "logical", "policy", "selection_columns", "projection_columns",
+        "snapshot", "catalog_version", "visits_once", "zone_refuted",
+        "_selection_pids", "_projection_pids", "_estimates",
     )
 
     def __init__(
         self,
         logical: LogicalPlan,
         policy: AccessPolicy,
-        selection: Tuple[PartitionAccess, ...],
-        projection: Tuple[PartitionAccess, ...],
+        selection_pids: Tuple[int, ...],
+        projection_pids: Tuple[int, ...],
         snapshot: CatalogSnapshot,
         visits_once: bool = False,
+        zone_refuted: frozenset = frozenset(),
+        selection_columns: Optional[frozenset] = None,
     ):
         self.logical = logical
         self.policy = policy
-        self.selection = selection
-        self.projection = projection
+        self._selection_pids = selection_pids
+        self._projection_pids = projection_pids
+        self.selection_columns = selection_columns or logical.selection_columns
+        self.projection_columns = logical.projection_columns
         #: the catalog's proof that the selection phase reaches every tuple
         #: once (:meth:`CatalogIndex.visits_once`), taken only for a view
         #: with no ``valid_mask``: the selection may run hit-only.
         self.visits_once = visits_once
+        self.zone_refuted = zone_refuted
         #: the pinned catalog view the plan was built against.  Everything
         #: an execution asks the catalog — partition entries, tuple-level
         #: probes, degraded-read substitutes — it asks this view, and it
@@ -107,22 +113,7 @@ class PhysicalPlan:
         self.snapshot = snapshot
         #: the catalog version the plan reads.
         self.catalog_version = snapshot.version
-        # Upper bound for a healthy (fault-free) execution: every non-pruned
-        # selection access is read; a projection access is only *maybe* read
-        # (phase-2 skips partitions with no missing cell / no selected
-        # tuple), so the bound counts those not already read by selection.
-        selection_pids = {a.pid for a in self.selection if not a.decision.is_pruned}
-        extra = [
-            a for a in self.projection
-            if not a.decision.is_pruned and a.pid not in selection_pids
-        ]
-        read = [a for a in self.selection if not a.decision.is_pruned] + extra
-        self.estimated_partition_reads = len(read)
-        self.estimated_bytes = sum(a.n_bytes for a in read)
-        self.estimated_io_time_s = estimate_access_io(
-            snapshot.manager.device.profile.io_model,
-            (a.n_bytes for a in read),
-        )
+        self._estimates: Optional[Tuple[int, int, float]] = None
 
     # ------------------------------------------------------------- queries
 
@@ -131,11 +122,65 @@ class PhysicalPlan:
         runtime, which were not on the initial access lists."""
         return self.logical.classify(self.snapshot.info(pid))
 
+    def pruned(self, pid: int) -> Optional[PartitionDecision]:
+        """``pid``'s PRUNED verdict, or None; a plan that cannot prune
+        (pruning off, or no WHERE clause) classifies nothing."""
+        logical = self.logical
+        if not (logical.pruning and logical.conjunction):
+            return None
+        decision = self.decision_for(pid)
+        return decision if decision.is_pruned else None
+
     def selection_pids(self) -> Tuple[int, ...]:
-        return tuple(access.pid for access in self.selection)
+        return self._selection_pids
 
     def projection_pids(self) -> Tuple[int, ...]:
-        return tuple(access.pid for access in self.projection)
+        return self._projection_pids
+
+    @property
+    def selection(self) -> Tuple[PartitionAccess, ...]:
+        return self._accesses(self._selection_pids, self.selection_columns)
+
+    @property
+    def projection(self) -> Tuple[PartitionAccess, ...]:
+        return self._accesses(self._projection_pids, self.projection_columns)
+
+    def _accesses(self, pids, columns) -> Tuple[PartitionAccess, ...]:
+        return tuple(
+            PartitionAccess(
+                pid, self.decision_for(pid), self.snapshot.info(pid).n_bytes,
+                columns,
+            )
+            for pid in pids
+        )
+
+    # ----------------------------------------------------------- estimates
+
+    estimated_partition_reads = property(lambda self: self._estimate()[0])
+    estimated_bytes = property(lambda self: self._estimate()[1])
+    estimated_io_time_s = property(lambda self: self._estimate()[2])
+
+    def _estimate(self) -> Tuple[int, int, float]:
+        # Upper bound for a healthy (fault-free) execution: every non-pruned
+        # selection access is read; a projection access is only *maybe* read
+        # (phase-2 skips partitions with no missing cell / no selected
+        # tuple), so the bound counts those not already read by selection.
+        if self._estimates is None:
+            read = [a for a in self.selection if not a.decision.is_pruned]
+            selected = {a.pid for a in read}
+            read += [
+                a for a in self.projection
+                if not a.decision.is_pruned and a.pid not in selected
+            ]
+            self._estimates = (
+                len(read),
+                sum(a.n_bytes for a in read),
+                estimate_access_io(
+                    self.snapshot.manager.device.profile.io_model,
+                    (a.n_bytes for a in read),
+                ),
+            )
+        return self._estimates
 
     # ------------------------------------------------------------- explain
 
@@ -174,6 +219,17 @@ def _access_explain(access: PartitionAccess) -> AccessExplain:
     )
 
 
+def _zone_refuted(
+    view: CatalogSnapshot, conjunction: Conjunction, pids: Tuple[int, ...]
+) -> frozenset:
+    """The ``pids`` whose catalog zone refutes one of the predicates."""
+    predicates = conjunction.predicates
+    return frozenset(
+        info.pid for info in map(view.info, pids)
+        if any(info.zone_disjoint(p.attribute, p.lo, p.hi) for p in predicates)
+    )
+
+
 class QueryPlanner:
     """Builds logical + physical plans against one partition manager.
 
@@ -192,8 +248,8 @@ class QueryPlanner:
     cycle).  When set, the planner consults it before classification —
     ``lookup(logical, view)`` returns replayed per-partition verdicts for an
     equal normalized-predicate signature under the view's version, which
-    :meth:`LogicalPlan.use_cached` short-circuits into — and records fresh
-    decisions back on a miss.
+    :meth:`LogicalPlan.use_cached` short-circuits into — and on a miss
+    classifies every candidate and records the verdicts back.
     """
 
     def __init__(
@@ -247,8 +303,8 @@ class QueryPlanner:
             plan = self._plan(query, notify, snapshot)
             span.set(
                 pruning=self.pruning,
-                n_selection_accesses=len(plan.selection),
-                n_projection_accesses=len(plan.projection),
+                n_selection_accesses=len(plan.selection_pids()),
+                n_projection_accesses=len(plan.projection_pids()),
                 estimated_partition_reads=plan.estimated_partition_reads,
                 estimated_bytes=plan.estimated_bytes,
                 estimated_io_time_s=plan.estimated_io_time_s,
@@ -274,37 +330,23 @@ class QueryPlanner:
             # single predicate cell; the plan is projection-only.
             pred_pids = ()
         proj_pids = view.partitions_for_attributes(logical.projected)
-        selection = tuple(
-            self._access(view.info(pid), logical, logical.selection_columns)
-            for pid in pred_pids
-        )
-        projection = tuple(
-            self._access(view.info(pid), logical, logical.projection_columns)
-            for pid in proj_pids
-        )
         visits_once = bool(pred_pids) and view.valid_mask is None and (
             view.index.visits_once(logical.predicate_attributes)
         )
         plan = PhysicalPlan(
-            logical, self.access_policy, selection, projection, view,
+            logical, self.access_policy, pred_pids, proj_pids, view,
             visits_once,
+            _zone_refuted(view, logical.conjunction, pred_pids)
+            if visits_once else frozenset(),
         )
         if cache is not None and cache_hit is None:
+            # The entry replays a verdict for every candidate.
+            for pid in pred_pids + proj_pids:
+                plan.decision_for(pid)
             cache.record(logical, view)
         if notify and self.observer is not None:
             self.observer(query, plan)
         return plan
-
-    @staticmethod
-    def _access(
-        info: PartitionInfo, logical: LogicalPlan, columns: Optional[frozenset]
-    ) -> PartitionAccess:
-        return PartitionAccess(
-            pid=info.pid,
-            decision=logical.classify(info),
-            n_bytes=info.n_bytes,
-            columns=columns,
-        )
 
     # ------------------------------------------------------ replica-local
 
@@ -349,8 +391,8 @@ class QueryPlanner:
         if pids is None:
             return None
         logical = LogicalPlan(query, policy=POLICY_SCAN, pruning=True)
-        columns = logical.selection_columns | logical.projection_columns
-        selection = tuple(
-            self._access(view.info(pid), logical, columns) for pid in pids
+        return PhysicalPlan(
+            logical, self.access_policy, pids, (), view,
+            selection_columns=logical.selection_columns
+            | logical.projection_columns,
         )
-        return PhysicalPlan(logical, self.access_policy, selection, (), view)

@@ -31,9 +31,10 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from ..obs import tracer as obs_tracer
+from .io_stats import IOStats
 from .physical import PhysicalPartition
 
 __all__ = ["BufferPool", "BufferPoolStats"]
@@ -58,10 +59,11 @@ class BufferPoolStats:
 
 
 class _Entry:
-    __slots__ = ("partition", "n_bytes", "pins")
+    __slots__ = ("hit", "n_bytes", "pins")
 
     def __init__(self, partition: PhysicalPartition, n_bytes: int):
-        self.partition = partition
+        #: what every hit returns: the partition and its (read-only) delta.
+        self.hit = (partition, IOStats(n_pool_hits=1, pool_hit_bytes=n_bytes))
         self.n_bytes = n_bytes
         self.pins = 0
 
@@ -86,6 +88,15 @@ class BufferPool:
         With ``pin=True`` a hit also pins the entry; the caller must
         :meth:`unpin` it (or use :meth:`pinned`) when done scanning.
         """
+        hit = self.hit(pid, pin)
+        return None if hit is None else hit[0]
+
+    def hit(
+        self, pid: int, pin: bool = False
+    ) -> Optional[Tuple[PhysicalPartition, IOStats]]:
+        """:meth:`get`, returning ``(partition, delta)`` on a hit: the delta
+        a read served by the pool charges (one pool hit of the entry's
+        bytes), built once per entry and shared — never mutate it."""
         with self._lock:
             entry = self._entries.get(pid)
             if entry is None:
@@ -96,7 +107,7 @@ class BufferPool:
             self.stats.hit_bytes += entry.n_bytes
             if pin:
                 entry.pins += 1
-            return entry.partition
+            return entry.hit
 
     def put(
         self, pid: int, partition: PhysicalPartition, n_bytes: int, pin: bool = False

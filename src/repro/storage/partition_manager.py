@@ -941,12 +941,15 @@ class PartitionManager:
         chunk_size: int | None = None,
         columns: Set[str] | frozenset | None = None,
     ) -> Tuple[PhysicalPartition, "IOStats"]:
-        info = self.info(pid)
         pool = self.buffer_pool
         if pool is not None:
-            partition = pool.get(pid)
-            if partition is not None:
-                return partition, IOStats(n_pool_hits=1, pool_hit_bytes=info.n_bytes)
+            # One lookup: a resident partition returns before the catalog
+            # and the retry/CRC scaffold (a swap or prune that drops a pid's
+            # entry drops it from the pool too).
+            hit = pool.hit(pid)
+            if hit is not None:
+                return hit
+        info = self.info(pid)
         policy = self.retry_policy
         delta = IOStats()
         drain_latency = getattr(self.store, "consume_injected_latency", None)

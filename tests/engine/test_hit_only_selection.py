@@ -3,8 +3,10 @@ selection segment at most, Algorithm 5 writes a status for the hits only.
 
 Three things are pinned here: the verdict itself (catalog metadata only,
 true and false in the layouts that decide it), the form's equivalence with
-the full status write on every snapshot case that takes it, and the flush
-that keeps a degraded read exact once failing tuples were left NOT_CHECKED.
+the full status write on every snapshot case that takes it and on every
+range-split case that reads a zone-refuted partition without evaluating
+it, and the flush that keeps a degraded read exact once failing tuples were
+left NOT_CHECKED — in evaluated and in zone-refuted partitions alike.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from repro.core import Query, TableSchema, Workload
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
-from repro.layouts import BuildContext, ColumnLayout
+from repro.layouts import BuildContext, ColumnLayout, IrregularLayout, RowLayout
 from repro.storage import (
     BALOS_HDD,
     TID_EXPLICIT,
@@ -25,7 +27,7 @@ from repro.storage import (
     StorageDevice,
 )
 from repro.storage.physical import PhysicalPartition
-from repro.testing.oracle import run_reference_query
+from repro.testing.oracle import pruning_executors, run_reference_query
 from repro.testing.snapshot import iter_snapshot_cases, stats_signature
 
 N = 400
@@ -183,6 +185,56 @@ def test_snapshot_cases_equal_the_full_form():
     assert taken == {PartitionAtATimeExecutor, ScanExecutor}
 
 
+def range_split_cases(seed):
+    """``(table, executor, query)`` over layouts whose ``a1`` partitions
+    have disjoint zones: ``a1`` grows with the tid, so the Row layout's
+    tid-ordered files and the irregular layout's splits range-split it, and
+    narrow ``a1`` ranges refute all but a few of them.  (No snapshot case reads a
+    zone-refuted partition: its random ranges are wide.)"""
+    rng = np.random.default_rng(seed)
+    columns = {name: rng.integers(0, 1_000, 3 * N).astype(np.int32) for name in NAMES}
+    columns["a1"].sort()
+    table = ColumnTable.build("T", TableSchema.uniform(list(NAMES)), columns)
+
+    def narrow():
+        lo = int(rng.integers(0, 950))
+        return lo, lo + int(rng.integers(0, 50))
+
+    queries = [Query.build(table.meta, ["a2", "a3"], {"a1": narrow()}) for _ in range(6)]
+    queries += [
+        Query.build(table.meta, ["a4"], {"a1": narrow(), "a2": (0, 499)})
+        for _ in range(2)
+    ]
+    ctx = BuildContext(file_segment_bytes=512, schism_sample_size=100)
+    for make in (RowLayout, lambda: IrregularLayout(selection_enabled=False)):
+        layout = make().build(table, Workload(table.meta, queries[:3]), ctx)
+        for executor in (layout.executor, *pruning_executors(layout)):
+            for query in queries:
+                yield table, executor, query
+
+
+def test_zone_refuted_cases_equal_the_full_form():
+    """Every range-split case that reads a zone-refuted partition, run
+    again on a second build under an all-True ``valid_mask``: byte-equal
+    result, identical accounting, the oracle's rows."""
+    first = [
+        (executor.plan(query), executor.execute(query))
+        for _table, executor, query in range_split_cases(0)
+    ]
+    taken = set()
+    for (table, executor, query), (plan, (result, stats)) in zip(
+        range_split_cases(0), first
+    ):
+        if not (plan.visits_once and plan.zone_refuted):
+            continue
+        taken.add(type(executor))
+        full, full_stats = run_full_form(executor, query)
+        assert same_result(result, full)
+        assert stats_signature(stats) == stats_signature(full_stats)
+        assert same_result(result, run_reference_query(table, query))
+    assert taken == {PartitionAtATimeExecutor, ScanExecutor}
+
+
 KILL = FaultConfig(transient_error_rate=1.0)
 
 
@@ -216,6 +268,46 @@ def test_substitute_read_after_hit_only_segments_is_exact(table, engine):
     query = Query.build(table.meta, ["a2"], {"a1": (0, 499)})
     executor = build()
     assert executor.plan(query).visits_once
+    result, stats = executor.execute(query)
+    assert stats.n_unreadable_partitions == 1 and stats.n_degraded_reads == 1
+    assert same_result(result, run_reference_query(table, query))
+    full, full_stats = run_full_form(build(), query)
+    assert same_result(result, full)
+    assert stats_signature(stats) == stats_signature(full_stats)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [PartitionAtATimeExecutor, lambda m, meta: ScanExecutor(m, meta, zone_maps=False)],
+    ids=["pat", "scan"],
+)
+def test_substitute_read_after_a_zone_refuted_partition_is_exact(table, engine):
+    """As above, with ``a1`` range-split: partition 0 holds the tuples
+    whose ``a1`` is 500 or more, so the query's range refutes its zone and
+    it is read but not evaluated; partition 1 (the rest) dies, and
+    partition 2 is read as its substitute and reaches partition 0's tuples
+    again through ``a2``.  Unless partition 0's segments were registered
+    for the flush, those tuples are NOT_CHECKED there, pass vacuously and
+    join the result."""
+    a1 = table.column("a1")
+    high, low = np.flatnonzero(a1 >= 500), np.flatnonzero(a1 < 500)
+
+    def build():
+        store = FaultInjectingBlobStore(
+            MemoryBlobStore(), overrides={"p000001.jig": KILL}
+        )
+        manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
+        manager.materialize([
+            partition(table, 0, [(("a1",), high, False)]),
+            partition(table, 1, [(("a1",), low, False)]),
+            partition(table, 2, [(("a2",), tids(), False), (("a1",), low, True)]),
+        ])
+        return engine(manager, table.meta)
+
+    query = Query.build(table.meta, ["a2"], {"a1": (0, 499)})
+    executor = build()
+    plan = executor.plan(query)
+    assert plan.visits_once and plan.zone_refuted == {0}
     result, stats = executor.execute(query)
     assert stats.n_unreadable_partitions == 1 and stats.n_degraded_reads == 1
     assert same_result(result, run_reference_query(table, query))

@@ -1,8 +1,15 @@
 """Buffer pool: LRU byte budget, pinning, invalidation, manager composition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.errors import (
+    PartitionNotFoundError,
+    PartitionUnreadableError,
+    StorageError,
+)
 from repro.storage import (
     BALOS_HDD,
     BufferPool,
@@ -162,6 +169,54 @@ class TestManagerComposition:
         assert delta.n_pool_hits == 0
         assert delta.n_cache_hits == 1  # simulated cache hit, not a device read
         assert delta.io_time_s == 0.0
+
+
+class TestLoadPoolAccounting:
+    """What one ``PartitionManager.load`` adds to its pool's counters."""
+
+    def test_resident_pid_is_one_hit(self, pooled_manager):
+        manager = pooled_manager
+        pool = manager.buffer_pool
+        manager.load(0)
+        manager.load(1)
+        before = dataclasses.replace(pool.stats)
+        _partition, delta = manager.load(0)
+        assert pool.stats.n_hits == before.n_hits + 1
+        assert pool.stats.n_misses == before.n_misses
+        assert pool.stats.hit_bytes == before.hit_bytes + manager.info(0).n_bytes
+        assert (delta.n_pool_hits, delta.pool_hit_bytes, delta.bytes_read) == (
+            1, manager.info(0).n_bytes, 0
+        )
+        assert pool.pids() == (1, 0)  # the hit refreshed LRU order
+
+    def test_non_resident_pid_is_one_miss(self, pooled_manager):
+        pool = pooled_manager.buffer_pool
+        _partition, delta = pooled_manager.load(0)
+        assert (pool.stats.n_hits, pool.stats.n_misses) == (0, 1)
+        assert delta.n_pool_hits == 0 and delta.bytes_read > 0
+
+    def test_unknown_pid_raises(self, pooled_manager):
+        with pytest.raises(PartitionNotFoundError):
+            pooled_manager.load(99)
+
+    def test_failed_refresh_is_never_served(self, pooled_manager, monkeypatch):
+        """A copy pooled while a refresh of the pid fails (a racing load's
+        put) is dropped with the failure; the next read goes to the store."""
+        manager = pooled_manager
+        pool = manager.buffer_pool
+        stale = ("stale", 0)
+
+        def failing_get(key):
+            pool.put(0, stale, 1)
+            raise StorageError(f"injected failure reading {key}")
+
+        monkeypatch.setattr(manager.store, "get", failing_get)
+        with pytest.raises(PartitionUnreadableError):
+            manager.load(0)
+        assert 0 not in pool
+        monkeypatch.undo()
+        partition, delta = manager.load(0)
+        assert partition is not stale and delta.n_pool_hits == 0
 
 
 class TestLoadWithoutPool:
