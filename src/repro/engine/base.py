@@ -20,7 +20,7 @@ a collaborator itself.  The threaded protocols replace ``execute`` whole.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from ..core.query import Query
 from ..core.schema import TableMeta
@@ -31,6 +31,7 @@ from ..plan.degrade import FaultContext
 from ..plan.explain import ExplainReport
 from ..plan.logical import POLICY_PARTITION
 from ..plan.operators import (
+    AccessLoop,
     DegradeOp,
     PlanReader,
     ProjectFillOp,
@@ -41,8 +42,9 @@ from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
 from ..plan.stats import CpuModel, ExecutionStats
 from ..storage.partition_manager import CatalogSnapshot, PartitionManager
+from ..storage.physical import PhysicalPartition
 
-__all__ = ["QueryEngine", "QueryRun"]
+__all__ = ["QueryEngine", "QueryRun", "count_prune", "run_selection"]
 
 
 class QueryRun(NamedTuple):
@@ -202,3 +204,59 @@ class QueryEngine:
         policy is ``replica_fallback`` (only such a plan's driver has one);
         the returned ledger includes the aborted attempt's."""
         raise NotImplementedError
+
+
+def count_prune(decision, stats: ExecutionStats) -> None:
+    """Count one planner-pruned partition, attributing sketch-won skips.
+
+    A verdict replayed from the partition cache keeps its original
+    ``source`` (so sketch attribution is identical cache-on vs cache-off)
+    and additionally counts in ``n_partitions_cache_pruned``.
+    """
+    stats.n_partitions_skipped += 1
+    stats.n_partitions_pruned += 1
+    if decision.source == "sketch":
+        stats.n_partitions_sketch_pruned += 1
+    if decision.via_cache:
+        stats.n_partitions_cache_pruned += 1
+
+
+def run_selection(
+    plan,
+    reader: PlanReader,
+    degrade: DegradeOp,
+    select_op: SelectOp,
+    stats: ExecutionStats,
+    process: Callable[[int, PhysicalPartition], None],
+) -> int:
+    """Drive a selection phase: every predicate partition in plan order,
+    ``process`` on each one read, and a pruned one's verdict applied from
+    the catalog alone.  Returns the VALID tuples those verdicts evicted."""
+    logical = plan.logical
+    loop = AccessLoop(
+        reader, degrade, logical.predicate_attributes, plan.selection_columns
+    )
+    loop.pending.extend(plan.selection_pids())
+    evictions = 0
+    # Under the visit-once verdict a substitute is never a selection pid.
+    substitutes = degrade.fctx.degraded
+
+    def skip(pid: int) -> bool:
+        nonlocal evictions
+        if select_op.hit_only and pid in substitutes:
+            select_op.flush()
+        decision = plan.pruned(pid)
+        if decision is None:
+            return False
+        # The partition policy names the refuted attributes; under the scan
+        # policy one refuted predicate excludes every tuple with a predicate
+        # cell here, whatever its other cells say.
+        evictions += select_op.invalidate(
+            plan.snapshot.info(pid),
+            decision.pruned_attributes or logical.predicate_attributes,
+        )
+        count_prune(decision, stats)
+        return True
+
+    loop.run(process, skip)
+    return evictions

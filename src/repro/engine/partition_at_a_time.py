@@ -11,7 +11,8 @@ partition is never read twice:
   need not be revisited.
 * **Projection phase** — for VALID tuples, find the projected attributes
   still missing, locate the partitions holding them through the tuple-level
-  index, and fill the gaps partition by partition.
+  index — one probe per owner map, whose rows also address the fill — and
+  fill the gaps partition by partition.
 
 The result hash table is held at its true size: the selection phase keeps
 one status byte per tuple plus |hits|-sized stashed chunks, and once it is
@@ -33,7 +34,7 @@ read pipeline, the completeness check, pricing and publishing — is the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Set
+from typing import Any, Dict, List, Set
 
 import numpy as np
 
@@ -44,11 +45,10 @@ from ..plan.operators import (
     AccessLoop,
     ProjectFillOp,
     SelectOp,
-    run_selection,
     stored_cells,
 )
 from ..plan.stats import CpuModel
-from .base import QueryEngine, QueryRun
+from .base import QueryEngine, QueryRun, run_selection
 
 __all__ = [
     "STATUS_NOT_CHECKED",
@@ -106,18 +106,27 @@ class PartitionAtATimeExecutor(QueryEngine):
 
     def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
         plan, reader, degrade, stats = run
-        if not len(fill_op.valid):
-            return
         view = plan.snapshot
-        proj_pids: Set[int] = set()
         missing_by_attr: Dict[str, np.ndarray] = {}
+        groups: Dict[Any, List[str]] = {}  # owner map -> its missing attributes
         for name in plan.logical.projected:
             missing = fill_op.missing(name)
             if len(missing):
                 missing_by_attr[name] = missing
-                proj_pids.update(
-                    view.partitions_with_missing_cells(name, missing)
-                )
+                groups.setdefault(view.index.owners(name), []).append(name)
+        groups.pop(None, None)  # stored primarily nowhere: no partition to read
+        # One probe per owner map, over the union of its attributes' missing
+        # tids (a probe distributes over a union); the same map then names
+        # every owning pid's result rows.
+        proj_pids: Set[int] = set()
+        for owners, names in groups.items():
+            tids = missing_by_attr[names[0]]
+            if len(tids) < len(fill_op.valid) and len(names) > 1:
+                filled = np.logical_and.reduce([fill_op.filled[n] for n in names])
+                tids = fill_op.valid[~filled]
+            proj_pids.update(view.partitions_with_missing_cells(names[0], tids))
+            if fill_op.owned is not None:
+                fill_op.owned.update(dict.fromkeys(names, owners.rows(fill_op.valid)))
         # Only the still-missing projected attributes need decoding here;
         # everything else in these partitions is dead weight for this phase.
         loop = AccessLoop(

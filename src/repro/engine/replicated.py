@@ -28,17 +28,12 @@ from ..core.schema import TableMeta
 from ..errors import PartitionUnreadableError
 from ..plan.explain import ExplainReport
 from ..plan.logical import POLICY_SCAN
-from ..plan.operators import (
-    ProjectFillOp,
-    SelectOp,
-    run_selection,
-    stored_cells,
-)
+from ..plan.operators import ProjectFillOp, SelectOp, stored_cells
 from ..plan.physical import PhysicalPlan
 from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
 from ..storage.partition_manager import CatalogSnapshot, PartitionManager
-from .base import QueryEngine, QueryRun
+from .base import QueryEngine, QueryRun, run_selection
 from .partition_at_a_time import PartitionAtATimeExecutor
 
 __all__ = ["ReplicatedExecutor"]

@@ -32,15 +32,9 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..plan.logical import POLICY_SCAN
-from ..plan.operators import (
-    AccessLoop,
-    ProjectFillOp,
-    SelectOp,
-    count_prune,
-    run_selection,
-)
+from ..plan.operators import AccessLoop, ProjectFillOp, SelectOp
 from ..plan.stats import CpuModel
-from .base import QueryEngine, QueryRun
+from .base import QueryEngine, QueryRun, count_prune, run_selection
 
 __all__ = ["ScanExecutor"]
 

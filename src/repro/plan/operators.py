@@ -22,10 +22,10 @@ partition-locally) without re-implementing them:
   a segment's passing mask becomes positions once; co-located projected
   cells are stashed as |hits|-sized chunks; and once selection is final the
   ascending VALID tids *are* the ``tid -> output row`` map, so stash and
-  projection write straight into |result|-sized columns.  Both ops also
-  carry the tuple-at-a-time form the threaded protocols use.
-* :func:`count_prune` / :meth:`SelectOp.invalidate` — a planner-pruned
-  partition's accounting and its catalog-only verdict.
+  projection write into |result|-sized columns.  Both ops also carry the
+  tuple-at-a-time form the threaded protocols use.
+* :meth:`SelectOp.invalidate` — a planner-pruned partition's catalog-only
+  verdict.
 
 **Closed-form counter rule.**  The simulated accounting prices the paper's
 tuple-at-a-time loop, not the numpy calls: the ops return event counts
@@ -39,6 +39,12 @@ visit in this query can read it, so under the plan's visit-once verdict
 (``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone, and in
 a zone-refuted partition evaluates nothing (it has no hit) — until the
 first degraded substitute read, which :meth:`SelectOp.flush` prepares.
+
+**Owner-addressed fill.**  The owner map that finds a projection partition
+also names its result rows, ``VALID ∩ tids(pid)``: for a primary segment
+holding the attribute that is ``VALID ∩ tids(segment)``, the status pass's
+rows, so a binary search gives the positions and no status pass runs.
+Beyond a schema's fourth segment, one writer places fills per attribute.
 """
 
 from __future__ import annotations
@@ -74,8 +80,6 @@ __all__ = [
     "SelectOp",
     "ProjectFillOp",
     "base_invalid_tids",
-    "count_prune",
-    "run_selection",
     "stored_cells",
     "finalize_stats",
 ]
@@ -475,15 +479,18 @@ class ProjectFillOp(_ProjectingOp):
     """Algorithm 5's result hash table at its true size.
 
     Built once the selection is final: ``valid`` (the ascending VALID tids)
-    *is* the ``tid -> output row`` map — a run segment's rows are a slice of
-    it, any other segment's one lookup of its hits (:meth:`_rows`) — so
-    stash and projection write straight into |result|-sized columns, one
-    gather per (segment, wanted attribute); ``filled`` flags of the same
-    size say which cells are still missing.  The tuple-at-a-time drivers
-    pass no selection and use :meth:`fill_tuple` alone.
+    *is* the ``tid -> output row`` map, so stash and projection write into
+    |result|-sized columns; ``filled`` flags of the same size say which
+    cells are still missing.  A segment's rows (:meth:`_hits`) are a slice
+    of ``valid`` for a run, its pid's rows in an owner map (``owned``) for a
+    primary segment of an addressed attribute, else one status pass.
+    :meth:`fill` writes a schema's first segments as gathered and leaves the
+    rest to one writer (:meth:`_absorb`) before anything reads ``filled``.  The
+    tuple-at-a-time drivers pass no selection and use :meth:`fill_tuple`.
     """
 
-    __slots__ = ("status", "valid", "columns", "filled", "_row_of", "_touched")
+    __slots__ = ("status", "valid", "columns", "filled", "owned", "_row_of",
+                 "_touched", "_pending", "_held", "_seen")
 
     def __init__(
         self,
@@ -505,6 +512,11 @@ class ProjectFillOp(_ProjectingOp):
             name: np.zeros(n_rows, dtype=bool) for name in projected
         }
         self._touched: Dict[int, bool] = {}
+        #: wanted attributes -> pending ``(rows, chunks)`` per segment (their
+        #: cells stay under half the table's tuple count), and segments seen.
+        self._pending: Dict[Tuple[str, ...], list] = {}
+        self._held = 0
+        self._seen: Dict[Tuple[str, ...], int] = {}
         # From a quarter of the table up, rows come from a dense map, not
         # a binary search (n log n on a full-table result); the map's 4 B
         # per tuple are then at most 16 B per result row.
@@ -512,25 +524,36 @@ class ProjectFillOp(_ProjectingOp):
         if 4 * n_rows >= len(status):
             self._row_of = np.empty(len(status), dtype=np.int32)
             self._row_of[self.valid] = np.arange(n_rows, dtype=np.int32)
+        #: attribute -> its owner map's ``rows(valid)``; None with the dense
+        #: map (a status pass is then one gather; owner rows cost 8 B a row).
+        self.owned = {} if self._row_of is None else None
         # Per stashed schema, not per segment: drop the tuples a later
         # partition invalidated, place the survivors.
         for wanted, entries in select.stash.items():
-            tids = np.concatenate([tids for tids, _chunks in entries])
+            tids, chunks = zip(*entries)
+            tids = np.concatenate(tids)
             keep = status[tids] == STATUS_VALID
-            self._write(
-                self._rows(tids[keep]),
-                wanted,
-                [
-                    np.concatenate([chunks[i] for _tids, chunks in entries])[keep]
-                    for i in range(len(wanted))
-                ],
-            )
+            keep = None if keep.all() else keep
+            rows = self._rows(tids if keep is None else tids[keep])
+            self._write(wanted, rows, zip(*chunks), keep)
 
-    def _write(self, rows, wanted: Tuple[str, ...], chunks) -> None:
-        """Store one segment's gathered cells at their output rows."""
-        for name, chunk in zip(wanted, chunks):
-            self.columns[name][rows] = chunk
+    def _write(self, wanted: Tuple[str, ...], rows, chunks, keep=None) -> None:
+        """The one writer: per attribute, one concat of its chunks (in row
+        order), one scatter and one flag write — so at most one extra result
+        column is alive.  ``keep`` drops stashed tuples a later partition
+        invalidated."""
+        for name, parts in zip(wanted, chunks):
+            chunk = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            self.columns[name][rows] = chunk if keep is None else chunk[keep]
             self.filled[name][rows] = True
+
+    def _absorb(self) -> None:
+        """Write the pending fills, a schema's segments at once."""
+        pending, self._pending, self._held = self._pending, {}, 0
+        for wanted, entries in pending.items():
+            rows, chunks = zip(*entries)
+            rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+            self._write(wanted, rows, zip(*chunks))
 
     def _rows(self, tids: np.ndarray) -> np.ndarray:
         """Output rows of result tids."""
@@ -538,13 +561,21 @@ class ProjectFillOp(_ProjectingOp):
             return self._row_of[tids]
         return np.searchsorted(self.valid, tids)
 
-    def _hits(self, tids: np.ndarray, tid_storage: str):
+    def _hits(self, tids: np.ndarray, tid_storage: str, owned=None, shared=False):
         """``(output rows, positions in the segment)`` of the result tuples
-        one segment stores."""
+        one segment stores.  ``owned``, its pid's rows in an owner map, are
+        this segment's unless it has siblings (``shared``)."""
         where = _address(tids, tid_storage)
         if where is not tids:
             first, last = np.searchsorted(self.valid, (where.start, where.stop))
             return slice(first, last), self.valid[first:last] - where.start
+        if owned is not None:
+            found = self.valid[owned]
+            hits = np.searchsorted(tids, found)
+            if shared:
+                stored = tids.take(hits, mode="clip") == found
+                owned, hits = owned[stored], hits[stored]
+            return owned, hits
         hits = (self.status[tids] == STATUS_VALID).nonzero()[0]
         return self._rows(tids[hits]), hits
 
@@ -561,29 +592,51 @@ class ProjectFillOp(_ProjectingOp):
 
     def missing(self, name: str) -> np.ndarray:
         """Result tids whose ``name`` cell no partition has supplied yet."""
+        if self._pending:
+            self._absorb()
         return self.valid[~self.filled[name]]
 
     def fill(
         self, partition: PhysicalPartition, skip_replicas: bool = False
     ) -> int:
-        """Write the partition's projected cells of result tuples; returns
-        the cells written (hits x wanted attributes, per segment).
-        ``skip_replicas`` is the replica-local emit: a replica's cells
-        belong to some other partition's tuples and would double-emit."""
+        """Write the partition's projected cells of result tuples (beyond a
+        schema's fourth segment: gather them for the writer); returns the
+        cells (hits x wanted attributes, per segment).  ``skip_replicas`` is
+        the replica-local emit: a replica's cells belong to some other
+        partition's tuples and would double-emit."""
         written = 0
         for segment in partition.segments:
             if skip_replicas and segment.replica:
                 continue
             wanted = self.wanted(segment.attributes)
-            if not wanted or not len(segment.tuple_ids):
+            tids = segment.tuple_ids
+            if not wanted or not len(tids):
                 continue
-            rows, hits = self._hits(segment.tuple_ids, segment.tid_storage)
+            owned = None
+            for name in wanted if self.owned and not segment.replica else ():
+                if name in self.owned:
+                    owned = self.owned[name](partition.pid)
+                    break
+            rows, hits = self._hits(
+                tids, segment.tid_storage, owned, len(partition.segments) > 1
+            )
             if not len(hits):
                 continue
-            self._write(
-                rows, wanted, [segment.columns[name][hits] for name in wanted]
-            )
+            # A run, and a schema's first four segments (all a point query
+            # has), are written as gathered: a concat only pays beyond.
+            seen = self._seen[wanted] = self._seen.get(wanted, 0) + 1
+            if type(rows) is slice or seen <= 4:
+                for name in wanted:
+                    self.columns[name][rows] = segment.columns[name][hits]
+                    self.filled[name][rows] = True
+            else:
+                self._pending.setdefault(wanted, []).append(
+                    (rows, [segment.columns[name][hits] for name in wanted])
+                )
+                self._held += len(hits) * len(wanted)
             written += len(hits) * len(wanted)
+        if 2 * self._held > len(self.status):
+            self._absorb()
         return written
 
     def result(self, stats: ExecutionStats, lost=()) -> ResultSet:
@@ -632,62 +685,6 @@ def base_invalid_tids(n: int, valid_mask: Optional[np.ndarray]) -> np.ndarray:
     mask = np.asarray(valid_mask, dtype=bool)[:n]
     valid[: len(mask)] = mask
     return np.flatnonzero(~valid)
-
-
-def count_prune(decision, stats: ExecutionStats) -> None:
-    """Count one planner-pruned partition, attributing sketch-won skips.
-
-    A verdict replayed from the partition cache keeps its original
-    ``source`` (so sketch attribution is identical cache-on vs cache-off)
-    and additionally counts in ``n_partitions_cache_pruned``.
-    """
-    stats.n_partitions_skipped += 1
-    stats.n_partitions_pruned += 1
-    if decision.source == "sketch":
-        stats.n_partitions_sketch_pruned += 1
-    if decision.via_cache:
-        stats.n_partitions_cache_pruned += 1
-
-
-def run_selection(
-    plan,
-    reader: PlanReader,
-    degrade: DegradeOp,
-    select_op: SelectOp,
-    stats: ExecutionStats,
-    process: Callable[[int, PhysicalPartition], None],
-) -> int:
-    """Drive a selection phase: every predicate partition in plan order,
-    ``process`` on each one read, and a pruned one's verdict applied from
-    the catalog alone.  Returns the VALID tuples those verdicts evicted."""
-    logical = plan.logical
-    loop = AccessLoop(
-        reader, degrade, logical.predicate_attributes, plan.selection_columns
-    )
-    loop.pending.extend(plan.selection_pids())
-    evictions = 0
-    # Under the visit-once verdict a substitute is never a selection pid.
-    substitutes = degrade.fctx.degraded
-
-    def skip(pid: int) -> bool:
-        nonlocal evictions
-        if select_op.hit_only and pid in substitutes:
-            select_op.flush()
-        decision = plan.pruned(pid)
-        if decision is None:
-            return False
-        # The partition policy names the refuted attributes; under the scan
-        # policy one refuted predicate excludes every tuple with a predicate
-        # cell here, whatever its other cells say.
-        evictions += select_op.invalidate(
-            plan.snapshot.info(pid),
-            decision.pruned_attributes or logical.predicate_attributes,
-        )
-        count_prune(decision, stats)
-        return True
-
-    loop.run(process, skip)
-    return evictions
 
 
 def finalize_stats(

@@ -165,7 +165,7 @@ class _OwnerMap:
     over instead of scattered again; the result equals a build from scratch.
     """
 
-    __slots__ = ("pids", "layers", "placement")
+    __slots__ = ("pids", "layers", "placement", "ranks")
 
     def __init__(
         self,
@@ -177,6 +177,7 @@ class _OwnerMap:
         self.placement = placement
         old_pids = base.pids if base is not None else ()
         self.pids = old_pids + tuple(pid for pid, _tids in holders)
+        self.ranks = {pid: rank for rank, pid in enumerate(self.pids)}
         no_owner = len(self.pids)
         domain = 1 + max(
             (int(tids.max()) for _pid, tids in holders if len(tids)), default=-1
@@ -210,6 +211,28 @@ class _OwnerMap:
         return tuple(
             self.pids[rank] for rank in np.flatnonzero(seen[:no_owner]).tolist()
         )
+
+    def rows(self, tids: np.ndarray) -> Callable[[int], Optional[np.ndarray]]:
+        """``rows(tids)(pid)``: the ascending positions in ``tids`` of those
+        ``pid`` owns (None outside the map) — per layer one ``take`` and one
+        stable sort, then a slice per pid, found in the one layer holding it
+        (so each of overlapping primaries gets its own)."""
+        by_layer = []
+        for layer in self.layers:
+            ranks = layer.take(tids, mode="clip")
+            ends = np.bincount(ranks, minlength=len(self.pids)).cumsum()
+            by_layer.append((ranks.argsort(kind="stable"), [0] + ends.tolist()))
+
+        def of(pid: int) -> Optional[np.ndarray]:
+            rank = self.ranks.get(pid)
+            if rank is None:
+                return None
+            for order, ends in by_layer:
+                if ends[rank + 1] > ends[rank]:
+                    break
+            return order[ends[rank]:ends[rank + 1]]
+
+        return of
 
 
 class CatalogIndex:
@@ -289,12 +312,15 @@ class CatalogIndex:
         return hits
 
     def _probe(self, attribute: str, tids: np.ndarray) -> Tuple[int, ...]:
-        if not len(tids) or attribute not in self.attribute_pids:
-            return ()
-        owners = self._owners.get(attribute)
-        if owners is None:
-            owners = self._build_owners(attribute)
-        return owners.probe(tids)
+        owners = self.owners(attribute) if len(tids) else None
+        return owners.probe(tids) if owners is not None else ()
+
+    def owners(self, attribute: str) -> Optional[_OwnerMap]:
+        """``attribute``'s owner map (shared by the attributes of one primary
+        placement; built on first use), or None if none stores it primarily."""
+        if attribute not in self.attribute_pids:
+            return None
+        return self._owners.get(attribute) or self._build_owners(attribute)
 
     def visits_once(self, attributes: frozenset) -> bool:
         """Whether a selection over ``attributes`` reaches each tuple in one

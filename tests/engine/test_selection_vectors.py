@@ -5,7 +5,10 @@ against a plain Python loop that runs Algorithm 5 one tuple at a time over
 the same partitions, with a real hash table: the closed-form counters must
 price exactly the loop the paper describes, on the paths where result-sized
 scratch is easiest to get wrong (dropped stashes, catalog-only prunes,
-snapshot masks, degraded reads, replicas, empty and full results).
+snapshot masks, degraded reads, replicas, empty and full results), and on
+the shapes the owner-addressed projection must get right: an attribute in
+two primary segments of one pid, overlapping primaries, replica segments,
+stashed partitions revisited, and substitutes of a faulting partition.
 """
 
 import tracemalloc
@@ -13,9 +16,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core import Query, TableSchema
+from repro.core import Query, TableSchema, Workload
 from repro.engine import PartitionAtATimeExecutor, ReplicatedExecutor, ScanExecutor
+from repro.layouts import BuildContext, IrregularLayout
 from repro.storage import (
     BALOS_HDD,
     TID_CATALOG,
@@ -29,9 +35,12 @@ from repro.storage import (
     PartitionManager,
     PhysicalSegment,
     SegmentSpec,
+    DeviceProfile,
     StorageDevice,
     build_physical_partition,
 )
+from repro.storage.partition_manager import CatalogSnapshot
+from repro.storage.physical import PhysicalPartition
 from repro.testing.oracle import run_reference_query
 
 N = 400
@@ -62,8 +71,26 @@ def tids(lo=0, hi=N):
     return np.arange(lo, hi, dtype=np.int64)
 
 
-def algorithm5(manager, query, zone_maps=False, valid_mask=None, absent=()):
-    """Algorithm 5, one tuple at a time; ``absent`` pids are never read.
+def build_segments(table, groups, store=None):
+    """One partition per group of ``(attributes, tids, replica)`` segments."""
+    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
+    manager.materialize([
+        PhysicalPartition(pid=pid, segments=[
+            PhysicalSegment(
+                attributes=attrs, tuple_ids=own, columns=table.gather(attrs, own),
+                tid_storage=TID_EXPLICIT, replica=replica,
+            )
+            for attrs, own, replica in group
+        ])
+        for pid, group in enumerate(groups)
+    ])
+    return manager
+
+
+def algorithm5(manager, query, zone_maps=False, valid_mask=None, absent=(),
+               substitutes=()):
+    """Algorithm 5, one tuple at a time; ``absent`` pids are never read,
+    ``substitutes`` are read in the projection phase whatever they store.
     Returns ``({tid: {attribute: cell}}, Counter of events)``."""
     preds = {a: (iv.lo, iv.hi) for a, iv in query.where.items()}
     ok = [True] * N if valid_mask is None else list(valid_mask)
@@ -113,7 +140,7 @@ def algorithm5(manager, query, zone_maps=False, valid_mask=None, absent=()):
     # Projection phase: the partitions holding a still-missing cell.
     missing = {(a, t) for t, row in ret.items() for a in query.select if a not in row}
     for info in infos:
-        if not any(
+        if info.pid not in substitutes and not any(
             (a, t) in missing
             for attrs, seg_tids, replica in zip(
                 info.segment_attrs, info.segment_tids, info.segment_replicas
@@ -260,6 +287,164 @@ class TestAlgorithm5Counters:
         check(result, stats, ret, events, table, query)
 
 
+class TestOwnerAddressedProjection:
+    """The projection phase reads rows and positions from the owner map for
+    primary segments and keeps the status pass for everything else; result
+    and every counter must still be the tuple-at-a-time loop's."""
+
+    def run(self, table, groups, select, where=None, **reference):
+        """``where`` defaults to a result under a quarter of the table: the
+        owner rows are used below that, the status pass (and a dense row
+        map) from there up."""
+        manager = build_segments(table, groups, reference.pop("store", None))
+        query = Query.build(table.meta, select, where or {"a1": (0, 199)})
+        result, stats = run_pat(manager, table, query)
+        ret, events = algorithm5(manager, query, **reference)
+        check(result, stats, ret, events, table, query)
+        assert where or 0 < 4 * result.n_tuples < N
+        return stats
+
+    def test_one_attribute_in_two_primary_segments_of_a_pid(self, table):
+        """(i) a2 sits in two interleaved primary segments of partition 1:
+        its owner rows cover both, an equality test splits them."""
+        even, odd = tids()[::2], tids()[1::2]
+        self.run(table, [
+            [(("a1",), tids(), False)],
+            [(("a2", "a3"), even, False), (("a2", "a4"), odd, False)],
+            [(("a3",), odd, False), (("a4",), even, False)],
+        ], ["a2", "a3", "a4"])
+
+    def test_overlapping_primaries_in_the_projection_phase(self, table):
+        """(ii) tids 150-249 have two a2 homes: a two-layer owner map, each
+        home filled (and counted) from its own layer."""
+        stats = self.run(table, [
+            [(("a1",), tids(), False)],
+            [(("a2",), tids(0, 250), False)],
+            [(("a2",), tids(150, N), False)],
+        ], ["a2"])
+        assert stats.n_partition_reads == 3
+
+    def test_visited_partition_with_a_replica_segment(self, table):
+        """(iii) replica segments are filled through the status pass beside
+        owner-addressed primaries — also partition 3's a2 replica, which
+        the pid's own a2 owner rows do not describe."""
+        self.run(table, [
+            [(("a1",), tids(), False)],
+            [(("a2", "a3"), tids(0, 200), False), (("a4",), tids(0, 200), True)],
+            [(("a4",), tids(), False)],
+            [(("a2", "a3"), tids(200, N), False), (("a2",), tids(0, 200), True)],
+        ], ["a2", "a4"])
+
+    def test_stashed_cells_met_again_in_a_projection_partition(self, table):
+        """(iv) a2 is stashed in the selection phase; partition 1, read for
+        a3, holds a2 again (an overlapping primary): that segment's wanted
+        attribute had no missing cell, so no owner map addresses it — the
+        status pass finds its result tuples, and their cells count again.
+        (A selection partition itself is never revisited: every tuple it
+        stores gets its verdict, and its cells their stash, there.)"""
+        stats = self.run(table, [
+            [(("a1", "a2"), tids(), False)],
+            [(("a2",), tids(), False), (("a3",), tids(), False)],
+        ], ["a2", "a3"])
+        assert stats.n_partition_reads == 2
+
+    def test_faulting_projection_partition_substitute(self, table):
+        """(v) partition 1 (a2's only primary) is dead; partition 2 holds a2
+        as a replica beside its own a3: the substitute's replica segment is
+        filled through the status pass, its a3 from the owner map."""
+        store = FaultInjectingBlobStore(
+            MemoryBlobStore(),
+            overrides={"p000001.jig": FaultConfig(transient_error_rate=1.0)},
+        )
+        stats = self.run(table, [
+            [(("a1",), tids(), False)],
+            [(("a2",), tids(), False)],
+            [(("a3",), tids(), False), (("a2",), tids(), True)],
+        ], ["a2", "a3"], store=store, absent={1},
+            substitutes={2})
+        assert stats.n_unreadable_partitions == 1
+
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_random_spec_groups(self, table, data):
+        """Every cell gets a primary home (attribute groups x tid runs); then
+        some partitions merge (one pid, several segments), an overlapping
+        primary and a replica segment may join."""
+        draw = data.draw
+        cuts = sorted(draw(st.sets(st.integers(1, len(NAMES) - 1), max_size=2)))
+        attr_groups = [
+            NAMES[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(NAMES)])
+        ]
+        groups = []
+        for attrs in attr_groups:
+            runs = sorted(draw(st.sets(st.integers(1, N - 1), max_size=2)))
+            groups += [
+                [(attrs, tids(lo, hi), False)]
+                for lo, hi in zip([0] + runs, runs + [N])
+            ]
+        if len(groups) > 1 and draw(st.booleans()):
+            first = draw(st.integers(0, len(groups) - 2))
+            groups[first] += groups.pop(draw(st.integers(first + 1, len(groups) - 1)))
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, N - 1))
+            own = tids(lo, draw(st.integers(lo + 1, N)))
+            groups.append([(draw(st.sampled_from(attr_groups)), own, False)])
+        if len(attr_groups) > 1 and draw(st.booleans()):
+            group = draw(st.sampled_from(groups))
+            attrs, own, _replica = group[0]
+            others = [g for g in attr_groups if g != attrs]
+            group.append((draw(st.sampled_from(others)), own, True))
+        select = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
+                               unique=True))
+        lo = draw(st.integers(20, 900))  # inside every column's range
+        self.run(table, groups, select, {
+            draw(st.sampled_from(NAMES)): (lo, lo + draw(st.integers(0, 600)))
+        })
+
+
+def test_one_probe_per_owner_map(monkeypatch):
+    """A trained-template query projecting eight attributes that share one
+    owner map probes the tuple-level index once, over the union of their
+    missing tids, and visits exactly what the eight per-attribute probes
+    would."""
+    rng = np.random.default_rng(5)
+    names = [f"a{i}" for i in range(1, 25)]
+    table = ColumnTable.build("T", TableSchema.uniform(names), {
+        name: rng.integers(0, 100_000, 6_000).astype(np.int32) for name in names
+    })
+    wide = ["a2", "a3", "a4", "a5", "a6", "a7", "a9", "a10"]
+    train = Workload(table.meta, [
+        Query.build(table.meta, wide, {"a1": (0, 9_999)}),
+        Query.build(table.meta, wide, {"a8": (90_000, 99_999)}),
+        Query.build(table.meta, ["a15", "a16", "a17", "a18"], {"a20": (40_000, 44_999)}),
+    ])
+    layout = IrregularLayout().build(table, train, BuildContext(
+        device_profile=DeviceProfile.from_throughput("hdd", 75.0, 0.000001),
+        file_segment_bytes=4096,
+    ))
+    query = Query.build(table.meta, wide, {"a1": (20_000, 29_999)})
+    probes = []
+    probe = CatalogSnapshot.partitions_with_missing_cells
+
+    def traced(self, attribute, missing):
+        probes.append(probe(self, attribute, missing))
+        return probes[-1]
+
+    monkeypatch.setattr(CatalogSnapshot, "partitions_with_missing_cells", traced)
+    result, _stats = layout.execute(query)
+    assert result.equals(run_reference_query(table, query))
+    manager = layout.manager
+    per_attribute = {
+        pid for name in wide
+        for pid in manager.partitions_with_missing_cells(name, result.tuple_ids)
+    }
+    assert len(per_attribute) > 1
+    assert len(probes) == 1 and set(probes[0]) == per_attribute
+
+
 class TestScanAndLocalDrivers:
     """The same two ops under the other drivers' counter rules."""
 
@@ -320,19 +505,21 @@ class TestScanAndLocalDrivers:
         assert stats.n_partition_reads == 3
 
 
-def test_execute_scratch_is_result_sized_not_table_sized():
-    """A ~20-row query projecting 16 attributes of a 200k-row table peaks
-    under 3 bytes per table row inside ``execute``: one status byte per
-    tuple plus transients — not a value and a presence array per attribute
-    (>= (1 + 5 * 16) bytes per row before)."""
+def traced_execute(n_names, group, where):
+    """Execute over a 200k-row table of ``n_names`` attributes laid out in
+    ``group``-wide partitions of 10k rows, projecting all but ``c0``: the
+    result, the table, the query and the tracemalloc peak inside
+    ``execute`` (after a warm-up, so the pool and the lazy views are in)."""
     n, chunk = 200_000, 10_000
-    names = [f"c{i}" for i in range(17)]
+    names = [f"c{i}" for i in range(n_names)]
     rng = np.random.default_rng(3)
     columns = {
         name: rng.integers(0, 1_000_000, n).astype(np.int32) for name in names
     }
     table = ColumnTable.build("W", TableSchema.uniform(names), columns)
-    groups = [names[0:5], names[5:9], names[9:13], names[13:17]]
+    groups = [names[:5]] + [
+        names[lo:lo + group] for lo in range(5, n_names, group)
+    ]
     manager = PartitionManager(
         table.schema, StorageDevice(BALOS_HDD),
         buffer_pool=BufferPool(64 << 20),
@@ -345,14 +532,34 @@ def test_execute_scratch_is_result_sized_not_table_sized():
         table, tid_storage=TID_EXPLICIT,
     )
     executor = PartitionAtATimeExecutor(manager, table.meta)
-    query = Query.build(table.meta, names[1:], {"c0": (0, 99)})
-    executor.execute(query)  # warm the pool and the lazy column views
+    query = Query.build(table.meta, names[1:], where)
+    executor.execute(query)
     tracemalloc.start()
     try:
         result, _stats = executor.execute(query)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 5 <= result.n_tuples <= 60
     assert result.equals(run_reference_query(table, query))
-    assert peak < 3 * n
+    return result, peak
+
+
+def test_execute_scratch_is_result_sized_not_table_sized():
+    """A ~20-row query projecting 16 attributes of a 200k-row table peaks
+    under 3 bytes per table row inside ``execute``: one status byte per
+    tuple plus transients — not a value and a presence array per attribute
+    (>= (1 + 5 * 16) bytes per row before)."""
+    result, peak = traced_execute(17, 4, {"c0": (0, 99)})
+    assert 5 <= result.n_tuples <= 60
+    assert peak < 3 * 200_000
+
+
+def test_large_result_holds_at_most_one_extra_column():
+    """90 % of the table, 24 attributes (four co-located with the predicate,
+    twenty in four other owner maps): result-sized arrays set the peak.
+    Before pending fills this execution peaked at 3.33x the result's column
+    bytes; they may add one result column (1/24 of those bytes) at most."""
+    result, peak = traced_execute(25, 5, {"c0": (0, 899_999)})
+    column = 4 * result.n_tuples
+    assert result.n_tuples > 170_000
+    assert peak <= (3.34 + 1 / 24) * 24 * column
