@@ -16,11 +16,16 @@ on the quickstart's three templates, built as ``IrregularLayout`` (46
 partitions) and as ``ReplicatedIrregularLayout`` (a primary and a replica
 segment in many partitions), each answering 12 seeded queries through the
 partition-at-a-time engine (pruning off and on), the scan engine and the
-replicated executor under one 16 KiB pool per build.
+replicated executor under one 16 KiB pool per build.  A last pass, labelled
+``sql/...``, puts the SQL front end under the same invariant: each of those
+12 queries is rendered by ``to_sql``, parsed twice through
+``parse_statement`` (the first parse builds the statement's template, the
+second binds into it) and executed on the irregular build.
 
 Beyond those two functions the script uses only public constructors
 (``BuildContext``, the layouts, the engines, ``Query``, ``ColumnTable``),
-``executor.explain(query).render()`` and ``executor.manager.buffer_pool``,
+``to_sql`` / ``parse_statement``, ``executor.explain(query).render()`` and
+``executor.manager.buffer_pool``,
 so it runs unchanged against an older tree — the parent of a change, or a
 merge base::
 
@@ -144,6 +149,23 @@ def irregular_pass() -> list:
                     f"irregular/{layout_name}/{engine_name}/q{index}",
                     executor, query,
                 ))
+        if layout_name == "irregular":
+            entries += sql_pass(PartitionAtATimeExecutor(manager, meta), queries)
+    return entries
+
+
+def sql_pass(executor, queries) -> list:
+    """Each query through the SQL front end: rendered, parsed once to build
+    its template and again to bind into it, then executed."""
+    from repro.sql import parse_statement, to_sql
+
+    meta = executor.table
+    entries = []
+    for index, query in enumerate(queries):
+        sql = to_sql(query, meta.name)
+        parse_statement(meta, sql)
+        bound = parse_statement(meta, sql).query
+        entries.append(entry(f"sql/q{index}", executor, bound))
     return entries
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from ..errors import InvalidQueryError
@@ -34,14 +35,13 @@ class Query:
     where:
         Mapping of predicate attribute -> closed interval; its key set is
         ``A_sigma``.
-    ranges:
-        Whole-table box (predicate bounds on ``A_sigma``, table bounds
-        elsewhere).  Built by :meth:`build`.
+    table:
+        The table built against; :attr:`ranges` derives from it.
     """
 
     select: Tuple[str, ...]
     where: Mapping[str, Interval]
-    ranges: RangeMap = field(repr=False)
+    table: TableMeta = field(repr=False)
     label: str = ""
     #: monotonically increasing creation ordinal; gives query sets a
     #: deterministic iteration order (queries hash by identity, and relying
@@ -57,7 +57,7 @@ class Query:
         # consults them millions of times during tuning.
         object.__setattr__(self, "_sigma", frozenset(self.where))
         object.__setattr__(self, "_pi", frozenset(self.select))
-        object.__setattr__(self, "_accessed", frozenset(self.where) | frozenset(self.select))
+        object.__setattr__(self, "_accessed", self._sigma | self._pi)
 
     @classmethod
     def build(
@@ -82,22 +82,31 @@ class Query:
             for name, bounds in where.items():
                 interval = bounds if isinstance(bounds, Interval) else Interval(*map(float, bounds))
                 table_interval = table.interval(name)
-                clipped = interval.intersect(table_interval)
+                # Inside the table range the intersection is the interval itself.
+                clipped = interval if table_interval.covers(interval) else (
+                    interval.intersect(table_interval))
                 if clipped is None:
                     raise InvalidQueryError(
                         f"predicate on {name!r} ({interval}) lies outside the table "
                         f"range {table_interval}"
                     )
                 predicates[name] = clipped
-        bounds_map: Dict[str, Interval] = {}
-        for name in table.attribute_names:
-            bounds_map[name] = predicates.get(name, table.interval(name))
         return cls(
             select=tuple(dict.fromkeys(select)),
-            where=dict(predicates),
-            ranges=RangeMap(bounds_map),
+            where=predicates,
+            table=table,
             label=label,
         )
+
+    @cached_property
+    def ranges(self) -> RangeMap:
+        """Whole-table box (predicate bounds on ``A_sigma``, table bounds
+        elsewhere), derived on first read: the partitioner's, not the engines'."""
+        where, table = self.where, self.table
+        return RangeMap({
+            name: where[name] if name in where else table.interval(name)
+            for name in table.attribute_names
+        })
 
     @property
     def sigma_attributes(self) -> frozenset:

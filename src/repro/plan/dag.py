@@ -28,8 +28,9 @@ aggregate input is grouped below the join when that is priced to pay.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from ..core.schema import TableMeta
 from ..errors import InvalidQueryError
 from ..obs import request_scope
 from ..obs import tracer as obs_tracer
-from .joins import JoinStrategy, choose_join_strategy
+from .joins import JoinStrategy, choose_join_strategy, pinned
 from .relational import (
     GroupAggNode,
     JoinNode,
@@ -60,8 +61,9 @@ class Catalog:
 
     A binding is anything shaped like a
     :class:`~repro.layouts.base.MaterializedLayout`: ``.table``
-    (:class:`TableMeta`), ``.manager``, and ``.execute(query)`` returning
-    ``(ResultSet, ExecutionStats)``.
+    (:class:`TableMeta`), ``.manager``, and ``.executor``, whose
+    ``execute(query, snapshot=)`` returns ``(ResultSet, ExecutionStats)``
+    read from the catalog view the DAG pinned for the table.
     """
 
     def __init__(self, bindings: Optional[Mapping[str, Any]] = None):
@@ -163,6 +165,9 @@ class _Run:
     """One execution's state, threaded through the node runners."""
 
     choice: PhysicalChoice
+    #: table -> the catalog view pinned before planning: the join priced
+    #: it, and every leaf scan of the table reads it.
+    views: Dict[str, Any]
     total: ExecutionStats = field(default_factory=ExecutionStats)
     ops: ExecutionStats = field(default_factory=ExecutionStats)
     notes: List[str] = field(default_factory=list)
@@ -218,8 +223,14 @@ class DagExecutor:
         result, stats, run = self._execute(plan)
         return explain_relational(plan, self, (result, stats), run.notes, run.choice)
 
-    def choose(self, plan: RelationalPlan) -> PhysicalChoice:
+    def choose(
+        self, plan: RelationalPlan, views: Optional[Mapping[str, Any]] = None
+    ) -> PhysicalChoice:
         """Price the join strategy and place the aggregate — the one decision.
+
+        The join is priced from ``views`` (table -> pinned catalog view, the
+        versions the leaf scans read); a plan-only caller passes none and
+        the current versions are pinned for the pricing.
 
         An order-insensitive aggregate (:func:`place_aggregate`) drops the
         tid columns and the canonical sort; a side owning every aggregate
@@ -227,6 +238,9 @@ class DagExecutor:
         seconds its smaller join and root input save exceed the pre-group's
         hash inserts.
         """
+        if views is None:
+            with self._pinned(plan) as views:
+                return self.choose(plan, views)
         strategy = None
         if plan.join_nodes:
             node = plan.join_nodes[0]
@@ -249,6 +263,7 @@ class DagExecutor:
                 spill_budget_bytes=min(budgets, default=None),
                 memory_model=self.memory_model,
                 force=self.force_strategy,
+                views=[views[table] for table in tables],
             )
         root = plan.root
         if not isinstance(root, GroupAggNode):
@@ -292,19 +307,26 @@ class DagExecutor:
 
     # ------------------------------------------------------- node running
 
+    @contextmanager
+    def _pinned(self, plan: RelationalPlan) -> Iterator[Dict[str, Any]]:
+        """Pin each table's catalog view: table -> view."""
+        tables = plan.query.tables
+        with pinned([self.catalog[table] for table in tables]) as views:
+            yield dict(zip(tables, views))
+
     def _execute(
         self, plan: RelationalPlan
     ) -> Tuple[RelationalResult, ExecutionStats, _Run]:
-        with request_scope("dag", plan.query) as scope:
-            result, stats, run = self._execute_plan(plan)
+        with request_scope("dag", plan.query) as scope, self._pinned(plan) as views:
+            result, stats, run = self._execute_plan(plan, views)
             scope.complete(stats, table=",".join(plan.query.tables))
         return result, stats, run
 
     def _execute_plan(
-        self, plan: RelationalPlan
+        self, plan: RelationalPlan, views: Dict[str, Any]
     ) -> Tuple[RelationalResult, ExecutionStats, _Run]:
         started = time.perf_counter()
-        run = _Run(self.choose(plan))
+        run = _Run(self.choose(plan, views), views)
         choice, root = run.choice, plan.root
         node = root.child if isinstance(root, GroupAggNode) else root
         root_op: Optional[GroupAggOp] = None
@@ -373,7 +395,8 @@ class DagExecutor:
                 for name in scan.columns
             })
         else:
-            result, stats = self.catalog[scan.table].execute(query)
+            engine = self.catalog[scan.table].executor
+            result, stats = engine.execute(query, snapshot=run.views[scan.table])
             run.total.add(stats)
         tids = bool(run.choice.ordered)
         relation = Relation.from_result(scan.table, result, tids)

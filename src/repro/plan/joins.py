@@ -23,23 +23,26 @@ budget:
   spill I/O when that build side exceeds the budget.
 
 Each decision carries a human-readable reason that EXPLAIN ANALYZE renders
-per split.
+per split.  Both sides are priced from pinned catalog views — the ones the
+DAG executor's leaf scans then read — never from the live catalog.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.cost import IOModel, MemoryModel
 from ..core.schema import TableMeta
-from ..storage.partition_manager import PartitionManager
+from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 
 __all__ = [
     "JoinSplit",
     "JoinStrategy",
     "SideProfile",
     "choose_join_strategy",
+    "pinned",
     "profile_side",
 ]
 
@@ -86,22 +89,30 @@ def binding_prunes(binding: TableBinding) -> bool:
     return binding.executor.pruning
 
 
+@contextmanager
+def pinned(bindings: Sequence[TableBinding]) -> Iterator[List[CatalogSnapshot]]:
+    """One pinned catalog view per binding, released together."""
+    with ExitStack() as stack:
+        yield [stack.enter_context(b.manager.pin_snapshot()) for b in bindings]
+
+
 def profile_side(
     binding: TableBinding,
+    view: CatalogSnapshot,
     key: str,
     key_range: Tuple[float, float],
     columns: Sequence[str],
 ) -> SideProfile:
-    """Scan the catalog once and bucket partitions by key-zone knowledge."""
-    manager = binding.manager
+    """Scan the pinned ``view`` once and bucket partitions by key-zone
+    knowledge."""
     meta = binding.table
     profile = SideProfile(table=meta.name, key=key, n_tuples=meta.n_tuples)
     lo, hi = key_range
     needed = set(columns) | {key}
     tuple_bytes = max(1, meta.schema.row_width())
     prunes = binding_prunes(binding)
-    for pid in manager.pids():
-        info = manager.info(pid)
+    for pid in sorted(view.pids):
+        info = view.info(pid)
         if not (set(info.attributes) & needed):
             continue  # irrelevant to this scan under projection pushdown
         profile.total_bytes += info.n_bytes
@@ -208,20 +219,26 @@ def choose_join_strategy(
     spill_budget_bytes: Optional[int] = None,
     memory_model: Optional[MemoryModel] = None,
     force: Optional[str] = None,
+    views: Optional[Sequence[CatalogSnapshot]] = None,
 ) -> JoinStrategy:
     """Pick partition-wise vs broadcast for one join, priced per split.
 
     ``key_range`` is the pushed-down bound on the join key (after
     equivalence propagation) — the chooser only considers partitions it
     cannot refute.  ``force`` overrides the decision ("partition-wise",
-    "broadcast", or "naive") for benchmarking.
+    "broadcast", or "naive") for benchmarking.  ``views`` are the left and
+    right catalog views the scans will read; a plan-only caller passes none
+    and the current versions are pinned for the pricing.
     """
     memory = memory_model or MemoryModel()
     io_left = left.manager.device.profile.io_model
     io_right = right.manager.device.profile.io_model
 
-    lp = profile_side(left, left_key, key_range, left_columns)
-    rp = profile_side(right, right_key, key_range, right_columns)
+    with ExitStack() as stack:
+        if views is None:  # a plan-only caller: price the current versions
+            views = stack.enter_context(pinned((left, right)))
+        lp = profile_side(left, views[0], left_key, key_range, left_columns)
+        rp = profile_side(right, views[1], right_key, key_range, right_columns)
 
     # ---- broadcast pricing: one scan each, build the smaller side -------
     # The engines read partition-at-a-time, so a scan is one I/O request

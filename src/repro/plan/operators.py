@@ -35,10 +35,10 @@ work.  The differential oracle holds the pipeline to byte-identical results
 *and* simulated accounting.
 
 **Hit-only selection.**  An INVALID mark is written only where a later
-visit in this query can read it, so under the plan's visit-once verdict
-(``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone, and in
-a zone-refuted partition evaluates nothing (it has no hit) — until the
-first degraded substitute read, which :meth:`SelectOp.flush` prepares.
+visit in this query can read it: under the plan's visit-once verdict
+(``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone (none
+in a zone-refuted partition: it evaluates nothing) and keeps their tids, up
+to 1/16 of the table, as the VALID set — until :meth:`SelectOp.flush`.
 
 **Owner-addressed fill.**  The owner map that finds a projection partition
 also names its result rows, ``VALID ∩ tids(pid)``: for a primary segment
@@ -340,7 +340,7 @@ class SelectOp(_ProjectingOp):
     partition (the plan's ``zone_refuted``) is read but not evaluated."""
 
     __slots__ = ("conjunction", "status", "stash", "hit_only", "refuted",
-                 "_unflushed")
+                 "hits", "_n_hits", "_unflushed")
 
     def __init__(
         self,
@@ -362,6 +362,9 @@ class SelectOp(_ProjectingOp):
         ] = {}
         self.hit_only = hit_only
         self.refuted = refuted
+        #: hit tids while they are the VALID set (not past 1/16, no flush)
+        self.hits: Optional[List[np.ndarray]] = [np.empty(0, np.intp)] if hit_only else None
+        self._n_hits = 0
         self._unflushed: List[object] = []  # where hit-only segments wrote
 
     def select_all(self) -> int:
@@ -369,6 +372,7 @@ class SelectOp(_ProjectingOp):
         (lines 3-16 degenerate to one hash-table row per tuple)."""
         fresh = self.status == STATUS_NOT_CHECKED
         self.status[fresh] = STATUS_VALID
+        self.hits = None
         return int(np.count_nonzero(fresh))
 
     def select(self, partition: PhysicalPartition) -> Tuple[int, int, int]:
@@ -393,11 +397,17 @@ class SelectOp(_ProjectingOp):
             )
             if self.hit_only:
                 hits = passing.nonzero()[0]
+                found = tids[hits]
                 if where is tids:
-                    status[tids[hits]] = STATUS_VALID
+                    status[found] = STATUS_VALID
                 else:  # a run: one contiguous write
                     status[where] = passing.view(np.uint8)
                 self._unflushed.append(where)
+                if self.hits is not None:
+                    self.hits.append(found)
+                    self._n_hits += len(found)
+                    if 16 * self._n_hits > len(status):
+                        self.hits = None
             else:
                 before = status[where]
                 if before.any():  # some tuple here already carries a verdict
@@ -427,6 +437,7 @@ class SelectOp(_ProjectingOp):
             status[where] = STATUS_INVALID - (status[where] == STATUS_VALID).view(np.uint8)
         self._unflushed.clear()
         self.hit_only = False
+        self.hits = None
 
     def invalidate(self, info: PartitionInfo, attributes: frozenset) -> int:
         """Apply a prune's verdict without the read: every tuple owning a
@@ -502,7 +513,9 @@ class ProjectFillOp(_ProjectingOp):
         if select is None:
             return
         status = self.status = select.status
-        self.valid = np.flatnonzero(status == STATUS_VALID)
+        self.valid = (  # the hit-only form's hit tids are the VALID set
+            np.flatnonzero(status == STATUS_VALID) if select.hits is None
+            else np.sort(np.concatenate(select.hits)).astype(np.intp, copy=False))
         n_rows = len(self.valid)
         self.columns: Dict[str, np.ndarray] = {
             name: np.empty(n_rows, dtype=schema[name].np_dtype)

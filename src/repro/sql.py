@@ -33,13 +33,19 @@ continuous column it is the nearest representable float below 5).  Anything
 outside the grammar — OR, arithmetic, subqueries, outer joins — raises
 :class:`~repro.errors.InvalidQueryError` with a pointed message naming the
 nearest supported syntax.
+
+Parsing is paid per statement shape: the text less its number literals (and
+each table's name and schema) keys a template one full parse builds; a
+repeat binds its literals by the parser's rules, and what a bind cannot take
+runs the full parse, so every error is the full parse's.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 from typing import Dict, Generic, List, Mapping, Optional, Tuple, TypeVar, Union
 
 from .core.query import Query
@@ -62,10 +68,11 @@ __all__ = [
     "to_sql",
 ]
 
+_NUMBER = r"-?\d+(?:\.\d+)?"
 _TOKEN = re.compile(
-    r"""
+    rf"""
     \s*(?:
-        (?P<number>-?\d+(?:\.\d+)?)
+        (?P<number>{_NUMBER})
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op><=|>=|=|<|>)
       | (?P<comma>,)
@@ -126,6 +133,10 @@ class _Parser:
         self.from_tables: List[str] = []
         #: catalog version from a ``FROM t AS OF <version>`` clause.
         self.as_of: Optional[int] = None
+        #: for a template: the number literals as consumed (AS OF's first),
+        #: and each predicate's column, form and literal slots.
+        self.literals: List[str] = []
+        self.predicates: List[Tuple[ColumnRef, str, Tuple[int, ...]]] = []
 
     # -------------------------------------------------------- token stream
 
@@ -154,6 +165,8 @@ class _Parser:
         token_kind, value = self._next()
         if token_kind != kind:
             raise InvalidQueryError(f"expected {kind}, found {value!r}")
+        if kind == "number":
+            self.literals.append(value)
         return value
 
     # ------------------------------------------------------------- parsing
@@ -211,14 +224,7 @@ class _Parser:
         if self._peek() == ("keyword", "AS"):
             self._next()
             self._expect_keyword("OF")
-            literal = self._expect("number")
-            version = float(literal)
-            if version != int(version) or version < 0:
-                raise InvalidQueryError(
-                    f"AS OF takes a non-negative integer catalog version, "
-                    f"got {literal!r}"
-                )
-            self.as_of = int(version)
+            self.as_of = _version(self._expect("number"))
         joins: List[JoinCondition] = []
         while True:
             token = self._peek()
@@ -380,14 +386,7 @@ class _Parser:
         bounds: Dict[ColumnRef, Tuple[float, float]] = {}
         while True:
             ref, (lo, hi) = self._parse_predicate()
-            if ref in bounds:
-                old_lo, old_hi = bounds[ref]
-                lo, hi = max(lo, old_lo), min(hi, old_hi)
-                if hi < lo:
-                    raise InvalidQueryError(
-                        f"predicates on {ref.qualified!r} are contradictory"
-                    )
-            bounds[ref] = (lo, hi)
+            _conjoin(bounds, ref, lo, hi)
             token = self._peek()
             if token is None or token == ("keyword", "GROUP"):
                 return bounds
@@ -404,37 +403,74 @@ class _Parser:
 
     def _parse_predicate(self) -> Tuple[ColumnRef, Tuple[float, float]]:
         ref = self._parse_column_ref()
-        meta = self.metas[ref.table]
-        unit = meta.schema[ref.column].unit
         token = self._next()
+        first = len(self.literals)
         if token == ("keyword", "BETWEEN"):
-            lo = float(self._expect("number"))
+            op = "BETWEEN"
+            self._expect("number")
             self._expect_keyword("AND")
-            hi = float(self._expect("number"))
-            if hi < lo:
+            self._expect("number")
+        else:
+            kind, op = token
+            if kind != "op":
                 raise InvalidQueryError(
-                    f"BETWEEN bounds on {ref.qualified!r} are inverted"
+                    f"expected a comparison after {ref.qualified!r}, found {op!r}"
                 )
-            return ref, (lo, hi)
-        kind, op = token
-        if kind != "op":
+            self._expect("number")
+        slots = tuple(range(first, len(self.literals)))
+        self.predicates.append((ref, op, slots))
+        return ref, _bounds(self.metas[ref.table], ref, op, [*map(float, self.literals[first:])])
+
+
+def _version(literal: str) -> int:
+    """The catalog version an ``AS OF`` literal names."""
+    version = float(literal)
+    if version != int(version) or version < 0:
+        raise InvalidQueryError(
+            f"AS OF takes a non-negative integer catalog version, "
+            f"got {literal!r}"
+        )
+    return int(version)
+
+
+def _bounds(meta: TableMeta, ref: ColumnRef, op: str, values: List[float]) -> Tuple[float, float]:
+    """One predicate's closed bounds: a strict bound steps one unit (or float),
+    a one-sided bound takes the open end from the table's interval."""
+    if op == "BETWEEN":
+        lo, hi = values
+        if hi < lo:
             raise InvalidQueryError(
-                f"expected a comparison after {ref.qualified!r}, found {op!r}"
+                f"BETWEEN bounds on {ref.qualified!r} are inverted"
             )
-        value = float(self._expect("number"))
-        interval = meta.interval(ref.column)
-        if op == "=":
-            return ref, (value, value)
-        if op == "<=":
-            return ref, (interval.lo, value)
-        if op == ">=":
-            return ref, (value, interval.hi)
-        if op == "<":
-            upper = value - unit if unit else math.nextafter(value, -math.inf)
-            return ref, (interval.lo, upper)
-        # op == ">"
-        lower = value + unit if unit else math.nextafter(value, math.inf)
-        return ref, (lower, interval.hi)
+        return lo, hi
+    (value,) = values
+    if op == "=":
+        return value, value
+    interval = meta.interval(ref.column)
+    if op == "<=":
+        return interval.lo, value
+    if op == ">=":
+        return value, interval.hi
+    unit = meta.schema[ref.column].unit
+    if op == "<":
+        return interval.lo, (value - unit if unit else math.nextafter(value, -math.inf))
+    # op == ">"
+    return (value + unit if unit else math.nextafter(value, math.inf)), interval.hi
+
+
+def _conjoin(
+    bounds: Dict[ColumnRef, Tuple[float, float]], ref: ColumnRef, lo: float, hi: float
+) -> None:
+    """AND one predicate into the WHERE clause: a repeated column's bounds
+    intersect."""
+    if ref in bounds:
+        old_lo, old_hi = bounds[ref]
+        lo, hi = max(lo, old_lo), min(hi, old_hi)
+        if hi < lo:
+            raise InvalidQueryError(
+                f"predicates on {ref.qualified!r} are contradictory"
+            )
+    bounds[ref] = (lo, hi)
 
 
 # ---------------------------------------------------------------- rendering
@@ -561,6 +597,11 @@ def parse_statement(table: TableMeta, sql: str) -> Statement[Query]:
     caller runs the query through :func:`repro.obs.explain_analyze` and
     the report gains the per-operator actuals tree.
     """
+    return _parse(_parse_single, {table.name: table}, sql)
+
+
+def _parse_single(metas: Mapping[str, TableMeta], sql: str):
+    (table,) = metas.values()
     tokens, explain, analyze = _strip_explain(_tokenize(sql))
     for keyword, construct, example in _RELATIONAL_ONLY:
         if ("keyword", keyword) in tokens:
@@ -568,7 +609,7 @@ def parse_statement(table: TableMeta, sql: str) -> Statement[Query]:
                 f"{construct} is not supported in single-table queries: "
                 f"parse it with parse_relational_statement() ({example})"
             )
-    parser = _Parser(tokens, {table.name: table})
+    parser = _Parser(tokens, metas)
     relational = parser.parse()
     if relational.aggregates:
         raise InvalidQueryError(
@@ -582,9 +623,7 @@ def parse_statement(table: TableMeta, sql: str) -> Statement[Query]:
         {ref.column: bounds for ref, bounds in relational.where.items()},
         label="sql",
     )
-    return Statement(
-        query=query, explain=explain, analyze=analyze, as_of=parser.as_of
-    )
+    return Statement(query, explain=explain, analyze=analyze, as_of=parser.as_of), parser
 
 
 def parse_query(table: TableMeta, sql: str) -> Query:
@@ -611,6 +650,10 @@ def parse_relational_statement(
     :func:`repro.plan.dag.explain_relational` rendering, mirroring the
     single-table convention.
     """
+    return _parse(_parse_relational, metas, sql)
+
+
+def _parse_relational(metas: Mapping[str, TableMeta], sql: str):
     tokens, explain, analyze = _strip_explain(_tokenize(sql))
     parser = _Parser(tokens, metas)
     query = parser.parse()
@@ -620,7 +663,7 @@ def parse_relational_statement(
             "reads one table — parse it with parse_statement() and run "
             "TransactionalTable.execute(query, as_of=version)"
         )
-    return Statement(query=query, explain=explain, analyze=analyze)
+    return Statement(query=query, explain=explain, analyze=analyze), parser
 
 
 def parse_relational_query(
@@ -634,3 +677,57 @@ def parse_relational_query(
             "parse_relational_statement() and render the DAG explain report"
         )
     return statement.query
+
+
+# ---------------------------------------------------------------- templates
+
+#: A number literal as the tokenizer reads one: no name or dot runs into it.
+_LITERAL = re.compile(rf"(?<![\w.])({_NUMBER})")
+
+#: Templates kept, oldest dropped first; a fixed bound, not an option.
+_TEMPLATE_LIMIT = 256
+
+#: ``(entry, text between literals, (table, schema) pairs)`` -> the shape's
+#: ``(first statement, predicates)``, or None for a shape only
+#: the full parse answers.  Shared by both entries; written under the lock.
+_templates: Dict[tuple, Optional[tuple]] = {}
+_templates_lock = threading.Lock()
+
+
+def _parse(full, metas: Mapping[str, TableMeta], sql: str) -> Statement:
+    """Bind ``sql``'s literals into its shape's template by the parser's own
+    rules against the current ``metas``; on a first-seen shape, or a bind
+    that raises, run the ``full`` parse — so every error is the full
+    parse's — and template the shape it parsed."""
+    parts = _LITERAL.split(sql)
+    literals = parts[1::2]
+    key = (full, tuple(parts[::2]), tuple((n, m.schema) for n, m in metas.items()))
+    template = _templates.get(key)
+    if template is not None:
+        first, predicates = template
+        try:
+            where: Dict[ColumnRef, Tuple[float, float]] = {}
+            for ref, op, slots in predicates:
+                lo, hi = _bounds(metas[ref.table], ref, op, [float(literals[i]) for i in slots])
+                _conjoin(where, ref, lo, hi)
+            if isinstance(first.query, RelationalQuery):
+                query = replace(first.query, where=where)
+            else:
+                (table,) = metas.values()
+                query = Query.build(table, first.query.select, {
+                    ref.column: bounds for ref, bounds in where.items()
+                }, label="sql")
+            as_of = None if first.as_of is None else _version(literals[0])
+            return Statement(query, first.explain, first.analyze, as_of)
+        except (InvalidQueryError, ValueError, ArithmeticError):
+            pass  # the full parse raises this statement's own error
+    statement, parser = full(metas, sql)
+    template = (statement, tuple(parser.predicates))
+    with _templates_lock:
+        if key not in _templates:
+            if len(_templates) >= _TEMPLATE_LIMIT:
+                del _templates[next(iter(_templates))]
+            # Lifted literals that are not the parser's number tokens, one
+            # for one, leave the shape to the full parse.
+            _templates[key] = template if parser.literals == literals else None
+    return statement

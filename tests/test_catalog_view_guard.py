@@ -3,8 +3,8 @@ handed a catalog view; everything below reads the view it is given.
 
 So below the roots nothing may ask "is there a snapshot?" (the fork this
 guard keeps from growing back: ``snapshot if snapshot is not None else
-manager``), and the degraded-read planner may not reach for the live
-catalog at all.
+manager``), and neither the degraded-read planner nor the join planner and
+DAG executor may reach for the live catalog at all.
 """
 
 from __future__ import annotations
@@ -18,19 +18,28 @@ GUARDED = [
     *sorted((SRC / "engine").glob("*.py")),
     SRC / "serve" / "cache.py",
 ]
-#: where ``snapshot is None`` is the decision itself: the three request
-#: roots, and the planner's pin for a plan-only caller.
+#: where ``snapshot is None`` (or ``views is None``) is the decision itself:
+#: the three request roots, and the pins for a plan-only caller — the
+#: planner's, the DAG's and the join chooser's.
 ROOTS = {
     ("engine/base.py", "QueryEngine._run"),
     ("engine/parallel.py", "ThreadedPartitionEngine.execute"),
     ("engine/replicated.py", "ReplicatedExecutor.execute"),
     ("plan/physical.py", "QueryPlanner.plan"),
+    ("plan/dag.py", "DagExecutor.choose"),
+    ("plan/joins.py", "choose_join_strategy"),
+}
+#: what a :class:`PartitionManager` answers from its live catalog.
+LIVE_CATALOG_READS = {
+    "pids", "info", "catalog_index", "catalog_version", "retired_pids",
+    "partitions_for_attribute", "partitions_for_attributes",
+    "partitions_with_missing_cells",
 }
 
 
 def _names_snapshot(node: ast.expr) -> bool:
     name = getattr(node, "id", None) or getattr(node, "attr", None)
-    return name is not None and name.endswith("snapshot")
+    return name is not None and name.endswith(("snapshot", "views"))
 
 
 def _is_none(node: ast.expr) -> bool:
@@ -74,3 +83,17 @@ def test_degraded_reads_never_consult_the_live_catalog():
         assert getattr(node, "id", None) != "manager"
         assert getattr(node, "attr", None) != "manager"
         assert getattr(node, "arg", None) != "manager"
+
+
+def test_joins_and_the_dag_never_read_the_live_catalog():
+    """A join is priced from the views its leaf scans read: nothing in the
+    chooser or the DAG executor asks a manager for its current catalog."""
+    for relative in ("plan/joins.py", "plan/dag.py"):
+        tree = ast.parse((SRC / relative).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in LIVE_CATALOG_READS:
+                owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+                assert owner != "manager", (
+                    f"{relative}:{node.lineno} reads the live catalog "
+                    f"(manager.{node.attr})"
+                )

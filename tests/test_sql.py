@@ -1,8 +1,14 @@
 """Tests for the SQL front end."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import sql
+from repro.core import AttributeSpec, Query, TableMeta, TableSchema
 from repro.errors import InvalidQueryError
 from repro.sql import parse_query, parse_relational_statement, parse_statement
 
@@ -277,3 +283,157 @@ class TestSqlProperty:
             assert {n: (i.lo, i.hi) for n, i in rebuilt.where.items()} == {
                 n: (i.lo, i.hi) for n, i in original.where.items()
             }
+
+
+# ------------------------------------------------------------------ templates
+
+#: integer columns a1..a3 and a continuous column x (strict bounds step by
+#: the next float, not by one).
+TEMPLATE_TABLE = TableMeta.from_bounds(
+    "T",
+    TableSchema([AttributeSpec("a1"), AttributeSpec("a2"), AttributeSpec("a3"),
+                 AttributeSpec("x", 8, "float64", integer=False)]),
+    100,
+    {"a1": (0, 100), "a2": (-50, 50), "a3": (0, 9), "x": (-1.0, 1.0)},
+)
+FORMS = ("BETWEEN", "=", "<=", ">=", "<", ">")
+#: well-formed literals, and the spellings the tokenizer reads otherwise.
+LITERALS = st.one_of(
+    st.integers(-60, 120).map(str),
+    st.builds("{}.{}".format, st.integers(-2, 99), st.integers(0, 99)),
+    st.sampled_from(["-0", "-0.25", "0.5", "007", "\u0663", ".5", "3-5", "1.5.3", "?"]),
+)
+
+
+def statement_shapes(tables, columns, as_of):
+    """SQL text with ``{}`` literal slots: every predicate form, duplicate
+    predicates, EXPLAIN [ANALYZE], AS OF, odd whitespace and numbers that
+    touch identifiers (``a1>-5``)."""
+    gap = st.sampled_from([" ", "  ", "\t", " \n "])
+    tight = st.sampled_from(["", " ", "  "])
+
+    @st.composite
+    def shape(draw):
+        prefix = draw(st.sampled_from(["", "EXPLAIN ", "explain analyze ", "EXPLAIN ANALYZE\t"]))
+        select = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=3))
+        text = f"{prefix}SELECT{draw(gap)}{', '.join(select)}{draw(gap)}FROM {tables}"
+        if as_of and draw(st.booleans()):
+            text += f"{draw(gap)}AS OF{draw(gap)}{{}}"
+        predicates = draw(st.lists(
+            st.tuples(st.sampled_from(columns), st.sampled_from(FORMS)), max_size=3
+        ))
+        for index, (column, form) in enumerate(predicates):
+            text += draw(gap) + ("WHERE" if index == 0 else "AND") + draw(gap) + column
+            if form == "BETWEEN":
+                text += f"{draw(gap)}BETWEEN{draw(gap)}{{}}{draw(gap)}AND{draw(gap)}{{}}"
+            else:
+                text += f"{draw(tight)}{form}{draw(tight)}{{}}"
+        return text + draw(tight)
+
+    return shape()
+
+
+def float_bits(value):
+    return float(value).hex()
+
+
+def outcome(parse):
+    """What a parse returns, bit-exact, or the error it raises."""
+    try:
+        statement = parse()
+    except Exception as exc:  # the error itself is the outcome
+        return ("error", type(exc), str(exc))
+    query = statement.query
+    if isinstance(query, Query):
+        boxes = [
+            [(name, float_bits(iv.lo), float_bits(iv.hi)) for name, iv in box.items()]
+            for box in (query.where, query.ranges)
+        ]
+        body = (query.select, boxes, query.label)
+    else:
+        body = (query.tables, query.joins, query.select, query.group_by, query.label,
+                [(ref, float_bits(lo), float_bits(hi)) for ref, (lo, hi) in query.where.items()])
+    return ("ok", body, statement.as_of, statement.explain, statement.analyze)
+
+
+def check_fresh_literals(data, shape, parse, full):
+    """Parse ``shape`` once, then again with fresh literals: the second
+    parse equals a fresh full parse, or raises the same error."""
+    slots = shape.count("{}")
+    first = shape.format(*data.draw(st.lists(LITERALS, min_size=slots, max_size=slots)))
+    second = shape.format(*data.draw(st.lists(LITERALS, min_size=slots, max_size=slots)))
+    warm = outcome(lambda: parse(first))
+    assert warm == outcome(lambda: full(first))
+    assert outcome(lambda: parse(second)) == outcome(lambda: full(second))
+    if warm[0] == "ok":
+        again, other = parse(first), parse(first)
+        assert again.query is not other.query
+        if isinstance(again.query, Query):
+            assert again.query.sequence != other.query.sequence
+
+
+class TestTemplates:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), shape=statement_shapes("T", ["a1", "a2", "a3", "x", "T.a1"], True))
+    def test_fresh_literals_parse_like_a_full_parse(self, data, shape):
+        metas = {"T": TEMPLATE_TABLE}
+        check_fresh_literals(
+            data, shape,
+            lambda text: sql.parse_statement(TEMPLATE_TABLE, text),
+            lambda text: sql._parse_single(metas, text)[0],
+        )
+
+    def test_a_literal_set_never_seen_is_served_from_the_template(self, monkeypatch):
+        first = sql.parse_statement(
+            TEMPLATE_TABLE, "SELECT a2, x FROM T AS OF 3 WHERE a1 BETWEEN 10 AND 20 AND x < 0.5"
+        )
+
+        def refuse(text):
+            raise AssertionError(f"tokenized {text!r}")
+
+        monkeypatch.setattr(sql, "_tokenize", refuse)
+        bound = sql.parse_statement(
+            TEMPLATE_TABLE, "SELECT a2, x FROM T AS OF 7 WHERE a1 BETWEEN 31 AND 47 AND x < -0.25"
+        )
+        assert bound.as_of == 7 and first.as_of == 3
+        assert bound.query.select == ("a2", "x")
+        assert (bound.query.where["a1"].lo, bound.query.where["a1"].hi) == (31, 47)
+        assert bound.query.where["x"].hi == math.nextafter(-0.25, -math.inf)
+        assert bound.query.ranges["a3"] == TEMPLATE_TABLE.interval("a3")
+        # A bind that would raise re-runs the full parse, whose error it is.
+        with pytest.raises(AssertionError, match="tokenized"):
+            sql.parse_statement(
+                TEMPLATE_TABLE, "SELECT a2, x FROM T AS OF 7 WHERE a1 BETWEEN 47 AND 31 AND x < 0"
+            )
+
+    @pytest.mark.parametrize("literal", ["?", ".5", "3-5", "1.5.3"])
+    def test_a_statement_that_fails_to_parse_is_not_kept(self, literal):
+        sql.parse_statement(TEMPLATE_TABLE, "SELECT a2 FROM T WHERE a1 = 5")
+        before = dict(sql._templates)
+        with pytest.raises(InvalidQueryError):
+            sql.parse_statement(TEMPLATE_TABLE, f"SELECT a2 FROM T WHERE a1 = {literal}")
+        assert sql._templates == before
+
+    def test_a_shape_the_tokenizer_reads_otherwise_is_left_to_the_full_parse(self):
+        # The name token stops before an Arabic-Indic digit, which the
+        # tokenizer then reads as a number; the lifted literals do not.
+        text = "SELECT a2 FROM T WHERE a1 BETWEEN\u0663 AND {}"
+        for hi in (5, 7):
+            interval = sql.parse_statement(TEMPLATE_TABLE, text.format(hi)).query.where["a1"]
+            assert (interval.lo, interval.hi) == (3, hi)
+
+    def test_bound_one_sided_predicates_follow_the_current_meta(self):
+        text = "SELECT a2 FROM T WHERE a1 >= {}"
+        sql.parse_statement(TEMPLATE_TABLE, text.format(5))
+        grown = TableMeta.from_bounds(
+            "T", TEMPLATE_TABLE.schema, 200,
+            {"a1": (0, 300), "a2": (-50, 50), "a3": (0, 9), "x": (-1.0, 1.0)},
+        )
+        query = sql.parse_statement(grown, text.format(6)).query
+        assert (query.where["a1"].lo, query.where["a1"].hi) == (6, 300)
+        assert query.ranges["a1"].hi == 300
+
+    def test_the_memo_is_bounded(self):
+        for value in range(sql._TEMPLATE_LIMIT + 20):
+            sql.parse_statement(TEMPLATE_TABLE, f"SELECT a2 FROM T WHERE a1 = 1{' ' * value}")
+        assert len(sql._templates) == sql._TEMPLATE_LIMIT

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import sql
 from repro.core import TableSchema
 from repro.errors import InvalidQueryError
 from repro.plan.relational import AggSpec, ColumnRef, JoinCondition
@@ -21,6 +22,7 @@ from repro.sql import (
 )
 from repro.storage import ColumnTable
 from repro.testing.join_oracle import random_join_query
+from tests.test_sql import check_fresh_literals, statement_shapes
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +246,38 @@ class TestRoundTrip:
         rendered = relational_to_sql(query)
         parsed = parse_relational_query(metas, rendered)
         assert parsed == dataclasses.replace(query, label="sql")
+
+
+class TestTemplates:
+    COLUMNS = ["f_a", "fact.f_key", "dim.d_a", "d_key", "SUM(f_b)", "COUNT(*)"]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        data=st.data(),
+        shape=statement_shapes("fact JOIN dim ON f_key = d_key", COLUMNS, True),
+        group_by=st.sampled_from(["", " GROUP BY dim.d_a", " GROUP BY f_a, d_key"]),
+    )
+    def test_fresh_literals_parse_like_a_full_parse(self, data, shape, group_by, metas):
+        check_fresh_literals(
+            data, shape + group_by,
+            lambda text: parse_relational_statement(metas, text),
+            lambda text: sql._parse_relational(metas, text)[0],
+        )
+
+    def test_a_literal_set_never_seen_is_served_from_the_template(self, metas, monkeypatch):
+        text = (
+            "SELECT dim.d_a, SUM(f_a) FROM fact JOIN dim ON f_key = d_key "
+            "WHERE f_key BETWEEN {} AND {} AND d_a < {} GROUP BY dim.d_a"
+        )
+        parse_relational_query(metas, text.format(10, 90, 50))
+
+        def refuse(text):
+            raise AssertionError(f"tokenized {text!r}")
+
+        monkeypatch.setattr(sql, "_tokenize", refuse)
+        query = parse_relational_query(metas, text.format(-7, 300, 12))
+        assert query.where == {
+            ColumnRef("fact", "f_key"): (-7.0, 300.0),
+            ColumnRef("dim", "d_a"): (metas["dim"].interval("d_a").lo, 11.0),
+        }
+        assert query.group_by == (ColumnRef("dim", "d_a"),)
