@@ -65,7 +65,7 @@ def run(cfg: Fig05Config | None = None) -> ExperimentResult:
         seed=cfg.seed + 1, templates=templates,
     )
     pred_attrs = query[0].sigma_attributes
-    pred_pids = layout.manager.partitions_for_attributes(pred_attrs)
+    pred_pids = layout.manager.catalog_index().pids_for_attributes(pred_attrs)
     sizes = [layout.manager.info(pid).n_bytes for pid in pred_pids]
     tuples = [layout.manager.info(pid).n_tuples for pid in pred_pids]
     result.parameters["n_pred_partitions"] = len(sizes)

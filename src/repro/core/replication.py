@@ -242,8 +242,9 @@ class ReplicationAdvisor:
         ``local_s`` is None when the query cannot be localized.
         """
         pred_attrs = sorted(query.sigma_attributes)
-        proj_pids = set(manager.partitions_for_attributes(query.pi_attributes))
-        pred_pids = set(manager.partitions_for_attributes(pred_attrs))
+        index = manager.catalog_index()
+        proj_pids = set(index.pids_for_attributes(query.pi_attributes))
+        pred_pids = set(index.pids_for_attributes(pred_attrs))
         if not pred_attrs or not proj_pids:
             standard = self._standard_only_cost(manager, query, already, proj_pids, pred_pids)
             return self._QueryCosts(standard, None, 0, {})

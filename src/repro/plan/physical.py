@@ -322,14 +322,14 @@ class QueryPlanner:
             if cache_hit is not None:
                 logical.use_cached(cache_hit)
         if logical.conjunction:
-            pred_pids = view.partitions_for_attributes(
+            pred_pids = view.index.pids_for_attributes(
                 logical.predicate_attributes
             )
         else:
             # No WHERE clause: every tuple qualifies without reading a
             # single predicate cell; the plan is projection-only.
             pred_pids = ()
-        proj_pids = view.partitions_for_attributes(logical.projected)
+        proj_pids = view.index.pids_for_attributes(logical.projected)
         visits_once = bool(pred_pids) and view.valid_mask is None and (
             view.index.visits_once(logical.predicate_attributes)
         )
@@ -362,7 +362,7 @@ class QueryPlanner:
         """
         if not query.where:
             return None
-        proj_pids = view.partitions_for_attributes(query.pi_attributes)
+        proj_pids = view.index.pids_for_attributes(query.pi_attributes)
         if not proj_pids:
             return None
         sigma = query.sigma_attributes

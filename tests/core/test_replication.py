@@ -125,9 +125,10 @@ class TestExecution:
         replicated = ReplicatedIrregularLayout().build(table, train, ctx)
         report = replicated.build_info["replication"]
         pid = next(iter(report.replicas))
+        index = replicated.manager.catalog_index()
         for attribute in report.replicas[pid]:
-            assert pid not in replicated.manager.partitions_for_attribute(attribute)
-            assert pid in replicated.manager.replica_partitions_for_attribute(attribute)
+            assert pid not in index.attribute_pids.get(attribute, ())
+            assert pid in index.replica_pids[attribute]
 
     def test_cells_stored_once_excluding_replicas(self, favorable_setup):
         table, train, _eval_wl, ctx = favorable_setup

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import TableSchema
-from repro.errors import InvalidPartitioningError
+from repro.errors import InvalidPartitioningError, SnapshotUnavailableError
 from repro.storage import (
     BALOS_HDD,
     ColumnTable,
     PartitionManager,
     StorageDevice,
 )
-from repro.storage.partition_manager import CatalogIndex
+from repro.storage.catalog import Catalog, CatalogIndex, PartitionInfo
 from repro.storage.physical import PhysicalPartition, PhysicalSegment
 
 N_TUPLES = 24
@@ -86,13 +86,14 @@ PROBES = [np.array([t], dtype=np.int64) for t in (0, 7, N_TUPLES - 1)] + [
 
 
 def check_manager(manager, order):
-    infos = [manager.info(pid) for pid in order]
+    infos = [manager.info(pid) for pid in sorted(order)]
+    index = manager.catalog_index()
     for attribute in ATTRS + ("nope",):
         for tids in PROBES:
-            assert manager.partitions_with_missing_cells(
+            assert index.partitions_with_cells(
                 attribute, tids
             ) == holders(infos, attribute, tids)
-        assert manager.partitions_for_attribute(attribute) == tuple(
+        assert index.attribute_pids.get(attribute, ()) == tuple(
             info.pid for info in infos if attribute in info.attributes
         )
 
@@ -105,10 +106,10 @@ def check_snapshot(snapshot, infos):
             assert snapshot.partitions_with_missing_cells(
                 attribute, tids
             ) == holders(infos, attribute, tids)
-        assert snapshot.partitions_for_attribute(attribute) == tuple(
+        assert snapshot.index.attribute_pids.get(attribute, ()) == tuple(
             info.pid for info in infos if attribute in info.attributes
         )
-    assert snapshot.partitions_for_attributes(ATTRS[:2]) == tuple(
+    assert snapshot.index.pids_for_attributes(ATTRS[:2]) == tuple(
         info.pid for info in infos if set(ATTRS[:2]) & info.attributes
     )
 
@@ -119,7 +120,10 @@ segment_st = st.tuples(
     st.booleans(),
 )
 partition_st = st.lists(segment_st, min_size=1, max_size=3)
-OPS = ("add", "replace", "swap", "advance", "prune", "pin", "pin_old", "release")
+OPS = (
+    "add", "replace", "swap", "remove", "advance", "prune", "pin", "pin_old",
+    "prune_pin_old", "release",
+)
 
 
 class TestIndexEqualsDefinition:
@@ -127,24 +131,55 @@ class TestIndexEqualsDefinition:
     @settings(max_examples=60, deadline=None)
     def test_through_swaps_prunes_and_pins(self, data):
         manager = new_manager()
-        order = []  # live pids in catalog order — the model
+        order = []  # live pids — the model
         frozen = {}  # version -> infos live at that version
         held = []  # (snapshot, infos it must answer from)
-        next_pid = 0
+        seen = set()  # every pid ever handed out
 
         def fresh(n):
-            nonlocal next_pid
-            parts = [
-                physical(next_pid + i, data.draw(partition_st))
-                for i in range(n)
-            ]
-            next_pid += n
-            return parts
+            first = manager.next_pid()
+            assert first not in seen  # a pid is never handed out twice
+            seen.update(range(first, first + n))
+            return [physical(first + i, data.draw(partition_st)) for i in range(n)]
 
         def committed():
             frozen[manager.catalog_version] = [
                 manager.info(pid) for pid in order
             ]
+
+        def retire(gone, parts=()):
+            manager.swap_partitions(parts, remove=gone)
+            order[:] = [pid for pid in order if pid not in gone]
+            order.extend(part.pid for part in parts)
+            committed()
+            if not order:
+                (part,) = fresh(1)
+                manager.add_partition(part)
+                order.append(part.pid)
+                committed()
+
+        def pin_old():
+            version = data.draw(st.sampled_from(sorted(frozen)))
+            if version < manager.floor_version():
+                with pytest.raises(SnapshotUnavailableError):
+                    manager.pin_snapshot(version)
+            else:
+                held.append((manager.pin_snapshot(version), frozen[version]))
+
+        def check_keys():
+            """The stored partition files are exactly those a retained
+            version names: the live set plus the unpruned retired entries."""
+            floor = manager.floor_version()
+            named = {
+                info.key
+                for version, infos in frozen.items() if version >= floor
+                for info in infos
+            }
+            assert named == {
+                manager.info(pid).key
+                for pid in manager.pids() + manager.retired_pids()
+            }
+            assert {k for k in manager.store.keys() if k.endswith(".jig")} == named
 
         for part in fresh(data.draw(st.integers(1, 4))):
             manager.add_partition(part)
@@ -173,16 +208,9 @@ class TestIndexEqualsDefinition:
                 assert manager.catalog_version == version
             elif op == "swap":
                 gone = data.draw(st.sets(st.sampled_from(order)))
-                parts = fresh(data.draw(st.integers(0, 3)))
-                manager.swap_partitions(parts, remove=gone)
-                order[:] = [pid for pid in order if pid not in gone]
-                order.extend(part.pid for part in parts)
-                committed()
-                if not order:
-                    (part,) = fresh(1)
-                    manager.add_partition(part)
-                    order.append(part.pid)
-                    committed()
+                retire(gone, fresh(data.draw(st.integers(0, 3))))
+            elif op == "remove":
+                retire(data.draw(st.sets(st.sampled_from(order), min_size=1)))
             elif op == "advance":
                 manager.advance_version()
                 committed()
@@ -191,11 +219,10 @@ class TestIndexEqualsDefinition:
             elif op == "pin":
                 held.append((manager.pin_snapshot(), frozen[manager.catalog_version]))
             elif op == "pin_old":
-                pinnable = [
-                    v for v in frozen if v >= manager.floor_version()
-                ]
-                version = data.draw(st.sampled_from(sorted(pinnable)))
-                held.append((manager.pin_snapshot(version), frozen[version]))
+                pin_old()
+            elif op == "prune_pin_old":
+                manager.prune_retired()
+                pin_old()
             elif held:
                 snapshot, _infos = held.pop(
                     data.draw(st.integers(0, len(held) - 1))
@@ -204,6 +231,8 @@ class TestIndexEqualsDefinition:
             check_manager(manager, order)
             for snapshot, infos in held:
                 check_snapshot(snapshot, infos)
+            check_keys()
+            assert manager.next_pid() not in seen
 
         for snapshot, _infos in held:
             snapshot.release()
@@ -288,14 +317,17 @@ class TestPlacementCases:
         ))
         tids = np.arange(N_TUPLES, dtype=np.int64)
         assert manager.partitions_with_missing_cells("a1", tids) == (0,)
-        assert manager.replica_partitions_for_attribute("a1") == (1,)
+        assert manager.catalog_index().replica_pids["a1"] == (1,)
 
-    def test_answer_order_is_catalog_order_on_the_manager(self):
+    def test_answers_are_in_ascending_pid_order(self):
         manager = new_manager()
         for part in reversed(halves(0)):  # pid 1 is catalogued first
             manager.add_partition(part)
         tids = np.arange(N_TUPLES, dtype=np.int64)
-        assert manager.partitions_with_missing_cells("a1", tids) == (1, 0)
+        index = manager.catalog_index()
+        assert index.attribute_pids["a1"] == (0, 1)
+        assert index.partitions_with_cells("a1", tids) == (0, 1)
+        assert manager.partitions_with_missing_cells("a1", tids) == (0, 1)
         with manager.pin_snapshot() as snapshot:
             assert snapshot.partitions_with_missing_cells("a1", tids) == (0, 1)
 
@@ -366,7 +398,7 @@ class TestLifecycle:
         for part in halves(0, attrs=("a1", "a2")) + halves(2, attrs=("a3",)):
             manager.add_partition(part)
         index = manager.catalog_index()
-        manager.partitions_for_attribute("a1")
+        index.pids_for_attributes(["a1"])
         assert index.owner_bytes() == 0  # planning alone builds nothing
         tids = np.arange(N_TUPLES, dtype=np.int64)
         manager.partitions_with_missing_cells("a1", tids)
@@ -450,3 +482,78 @@ class TestConcurrentProbes:
         assert not any(thread.is_alive() for thread in threads)
         assert problems == []
         assert manager.snapshot_refcount() == 0
+
+
+def entry(pid, attributes=("a1",)):
+    """A bare catalog entry (one segment holding tid ``pid``): the value
+    reads frames, pids and versions only, so no blob and no manager is
+    needed."""
+    return PartitionInfo(
+        pid=pid, key=f"p{pid}", n_bytes=1, attributes=frozenset(attributes),
+        n_tuples=1, zone_map={}, segment_attrs=[tuple(attributes)],
+        segment_tids=[np.array([pid], dtype=np.int64)],
+        segment_tid_modes=["explicit"], segment_replicas=[False],
+    )
+
+
+def pids_at(catalog, version):
+    return sorted(info.pid for info in catalog.live_at(version))
+
+
+class TestCatalogValue:
+    """``apply``, ``prune`` and ``live_at`` on values built by hand."""
+
+    def test_apply_returns_a_new_value_and_leaves_the_old_one(self):
+        empty = Catalog()
+        first = empty.apply([entry(1), entry(0)], ())
+        assert (first.version, first.since, first.next_pid) == (1, 1, 2)
+        assert first.index.pids == {0, 1} and first.index.attribute_pids["a1"] == (0, 1)
+        assert [first.info(pid).version for pid in (0, 1)] == [1, 1]
+        assert (empty.version, empty.index.pids) == (0, frozenset())
+
+    def test_a_version_bump_shares_the_index_and_an_add_derives_it(self):
+        first = Catalog().apply([entry(0), entry(1)], ())
+        first.index.partitions_with_cells("a1", np.arange(1, dtype=np.int64))
+        bumped = first.apply((), ())
+        assert (bumped.version, bumped.since) == (2, 1)
+        assert bumped.index is first.index
+        grown = bumped.apply([entry(2, ("a1", "a2"))], ())
+        assert (grown.version, grown.since) == (3, 3)
+        assert grown.index.pids == {0, 1, 2} and first.index.pids == {0, 1}
+        assert grown.index.attribute_pids == {"a1": (0, 1, 2), "a2": (2,)}
+        assert grown.index._owners["a1"].pids == (0, 1, 2)  # carried, extended
+
+    def test_a_retiring_commit_builds_the_index_fresh(self):
+        first = Catalog().apply([entry(0), entry(1)], ())
+        second = first.apply([entry(2)], [0, 99])  # 99 is not live: ignored
+        assert second.index.pids == {1, 2}
+        assert second.retired == {0: (2, first.info(0))}
+        assert second.info(0) is first.info(0)  # a retired entry still resolves
+        assert not second.holds(99) and second.holds(0)
+        assert first.retired == {} and first.index.pids == {0, 1}
+
+    def test_live_at_is_the_interval_filter(self):
+        catalog = Catalog().apply([entry(0), entry(1)], ())  # v1
+        catalog = catalog.apply((), ())                       # v2
+        catalog = catalog.apply([entry(2)], ())               # v3
+        catalog = catalog.apply((), [1])                      # v4, remove-only
+        catalog = catalog.apply([entry(3)], [0])              # v5
+        assert [pids_at(catalog, v) for v in range(6)] == [
+            [], [0, 1], [0, 1], [0, 1, 2], [0, 2], [2, 3],
+        ]
+
+    def test_prune_drops_what_no_version_from_the_oldest_pin_names(self):
+        catalog = Catalog().apply([entry(0), entry(1)], ())  # v1
+        catalog = catalog.apply([entry(2)], [0])              # v2 retires 0
+        catalog = catalog.apply((), [2])                      # v3 retires 2
+        same, doomed = catalog.prune(1)
+        assert same is catalog and doomed == []
+        pruned, doomed = catalog.prune(2)
+        assert [info.pid for info in doomed] == [0]
+        assert pruned.floor == 2 and set(pruned.retired) == {2}
+        assert [pids_at(pruned, v) for v in (2, 3)] == [[1, 2], [1]]
+        assert set(catalog.retired) == {0, 2} and catalog.floor == 0
+        final, doomed = pruned.prune(pruned.version)
+        assert [info.pid for info in doomed] == [2] and final.floor == 3
+        # The highest pid was retired and pruned; it is still never reused.
+        assert final.next_pid == 3 and final.index.pids == {1}

@@ -105,14 +105,15 @@ class TestMaterializeAndLoad:
 class TestIndexes:
     def test_attribute_level_index(self, manager, small_table):
         materialize_two_partitions(manager, small_table)
-        assert set(manager.partitions_for_attribute("a1")) == {0, 1}
-        assert manager.partitions_for_attribute("a2") == (0,)
-        assert manager.partitions_for_attribute("a3") == (1,)
-        assert manager.partitions_for_attribute("a6") == ()
+        index = manager.catalog_index()
+        assert index.attribute_pids["a1"] == (0, 1)
+        assert index.attribute_pids["a2"] == (0,)
+        assert index.attribute_pids["a3"] == (1,)
+        assert index.attribute_pids.get("a6", ()) == ()
 
     def test_partitions_for_attributes_union(self, manager, small_table):
         materialize_two_partitions(manager, small_table)
-        assert manager.partitions_for_attributes(["a2", "a3"]) == (0, 1)
+        assert manager.catalog_index().pids_for_attributes(["a2", "a3"]) == (0, 1)
 
     def test_tuple_level_index(self, manager, small_table):
         materialize_two_partitions(manager, small_table)
@@ -172,8 +173,7 @@ class TestSwapPartitions:
         partition, _delta = manager.load(0)
         assert partition.pid == 0
         # ...but vanish from every index new plans consult.
-        assert 0 not in manager.partitions_for_attribute("a2")
-        assert manager.partitions_for_attribute("a2") == (2,)
+        assert manager.catalog_index().attribute_pids["a2"] == (2,)
 
     def test_swap_rejects_duplicate_added_pids(self, manager, small_table):
         left, _right = _physical_halves(small_table)
@@ -256,6 +256,27 @@ class TestSwapPartitions:
         assert len(list(manager.store.keys())) == n_keys_before
         partition, _delta = manager.load(0)
         assert partition.pid == 0
+
+    def test_failed_build_rolls_back_every_put(self, manager, small_table):
+        """A layout build is one commit: a put failing mid-build leaves no
+        blob, no version and no claimed pid behind."""
+        put = manager.store.put
+        calls = {"n": 0}
+
+        def failing_put(key, data):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise StorageError("disk full")
+            put(key, data)
+
+        manager.store.put = failing_put
+        with pytest.raises(StorageError):
+            materialize_two_partitions(manager, small_table)
+        manager.store.put = put
+        assert list(manager.store.keys()) == []
+        assert manager.catalog_version == 0 and manager.next_pid() == 0
+        materialize_two_partitions(manager, small_table)
+        assert manager.pids() == (0, 1) and manager.catalog_version == 1
 
     def test_verify_failure_aborts_and_keeps_old_layout(self, small_table):
         from repro.storage import FaultConfig, FaultInjectingBlobStore, MemoryBlobStore

@@ -192,8 +192,8 @@ class TestManagerSketchPersistence:
         assert manager.info(0).sketches is sketches
         # Accounting invariant: the trailer never inflates the charged size.
         assert manager.info(0).n_bytes == bare.info(0).n_bytes
-        # One put per partition, trailer included.
-        assert manager.catalog_version == bare.catalog_version == 2
+        # One put per partition, trailer included, and one commit per build.
+        assert manager.catalog_version == bare.catalog_version == 1
 
         # What a rebuilt catalog would recover from the blob alone.
         payload = read_trailer(manager.store.get(manager.info(0).key))

@@ -13,6 +13,7 @@ and a catalog entry is never edited after its swap commits.
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -181,3 +182,66 @@ def test_pinned_entries_are_not_edited_by_retire_or_prune(manager, small_table):
     # pin gone a prune takes both and raises the floor to the later one.
     assert manager.prune_retired() == 2
     assert manager.floor_version() == 3
+
+
+class BlockingStore(FlakyStore):
+    """Once armed, the next put signals ``entered`` and then waits for
+    ``release`` before it writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def put(self, key, data):
+        if self.armed:
+            self.armed = False
+            self.entered.set()
+            self.release.wait(timeout=10)
+        super().put(key, data)
+
+
+class TestAPidIsHandedOutOnce:
+    """``next_pid`` never returns a pid the catalog ever held, and two
+    stages never write the same pid's file."""
+
+    def test_a_pruned_pid_is_not_handed_out_again(self, manager, small_table):
+        manager.swap_partitions([], remove=[1])
+        assert manager.prune_retired() == 1
+        assert manager.next_pid() == 2
+        manager.swap_partitions(halves(small_table, (manager.next_pid(), 3))[:1])
+        assert manager.pids() == (0, 2)
+        assert "p000001.jig" not in manager.store
+
+    def test_a_pid_staged_by_a_concurrent_swap_is_refused(self, small_table):
+        store = BlockingStore()
+        manager = PartitionManager(
+            small_table.schema, StorageDevice(BALOS_HDD), store
+        )
+        manager.swap_partitions(halves(small_table, (0, 1)))
+        pid = manager.next_pid()
+        first, second = halves(small_table, (pid, pid))
+        version = manager.catalog_version
+        committed = []
+        store.armed = True
+        writer = threading.Thread(
+            target=lambda: committed.extend(manager.swap_partitions([first]))
+        )
+        writer.start()
+        try:
+            assert store.entered.wait(timeout=10)  # first's put is in flight
+            puts = store.n_puts
+            with pytest.raises(InvalidPartitioningError, match="written once"):
+                manager.swap_partitions([second])
+            assert store.n_puts == puts
+        finally:
+            store.release.set()
+            writer.join(timeout=10)
+        assert manager.catalog_version == version + 1
+        assert [info.pid for info in committed] == [pid]
+        assert manager.info(pid) is committed[0]
+        partition, _delta = manager.load(pid)
+        assert np.array_equal(
+            partition.segments[0].tuple_ids, first.segments[0].tuple_ids
+        )

@@ -32,7 +32,6 @@ ROOTS = {
 #: what a :class:`PartitionManager` answers from its live catalog.
 LIVE_CATALOG_READS = {
     "pids", "info", "catalog_index", "catalog_version", "retired_pids",
-    "partitions_for_attribute", "partitions_for_attributes",
     "partitions_with_missing_cells",
 }
 
