@@ -6,19 +6,8 @@ times the regeneration.  Full-scale runs with readable tables are available
 through the CLI: ``jigsaw-bench fig06`` etc.
 """
 
-import pytest
-
 
 def emit(result) -> None:
-    """Print a reproduced table (shown with ``pytest -s`` or on failure)
-    and append one summary row to ``BENCH_HISTORY.jsonl`` (path overridable
-    via ``BENCH_HISTORY_PATH``) so ``jigsaw-bench regress`` can compare
-    runs across commits."""
+    """Print a reproduced table (shown with ``pytest -s`` or on failure)."""
     print()
     print(result.to_text())
-    try:
-        from repro.bench.history import append_history
-
-        append_history(result)
-    except Exception as exc:  # history is best-effort, never fails a bench
-        print(f"(history append skipped: {exc})")

@@ -54,12 +54,6 @@ and exits 0/1/2 for ok/warn/crit::
 
     jigsaw-bench health
     jigsaw-bench health --telemetry-url http://127.0.0.1:9464
-
-The ``regress`` command compares the latest ``BENCH_HISTORY.jsonl`` row
-per experiment against the previous one and fails past a configurable
-slowdown ratio::
-
-    jigsaw-bench regress --max-slowdown 1.5
 """
 
 from __future__ import annotations
@@ -138,8 +132,6 @@ def _run_explain(args) -> int:
     from .engine.parallel import ThreadedPartitionEngine
     from .sql import parse_statement
 
-    if args.sql is None:
-        raise SystemExit("explain requires a SQL statement argument")
     table, _workload, layout = _demo_layout(args, args.layout)
     statement = parse_statement(table.meta, args.sql)
 
@@ -512,268 +504,250 @@ def _run_health(args) -> int:
     return report.exit_code
 
 
-def _run_regress(args) -> int:
-    """Compare the latest benchmark-history rows against the previous run."""
-    from .bench.history import run_regress
-
+def _run_experiments(args) -> int:
+    """Run each named experiment and print its table."""
     try:
-        report = run_regress(
-            path=args.history, max_slowdown=args.max_slowdown
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    print(report.render())
-    return 0 if report.ok else 1
-
-
-def main(argv: List[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="jigsaw-bench",
-        description="Reproduce the Jigsaw (SIGMOD'21) evaluation figures.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS)
-        + ["all", "explain", "profile", "serve", "write", "health", "regress"],
-        help="which figure to reproduce ('all' runs every one; 'explain' "
-        "plans a SQL statement against a demo table; 'profile' traces a "
-        "demo workload across every engine; 'serve' replays a many-client "
-        "workload through the concurrent serving tier; 'write' drives the "
-        "WAL/MVCC write path with shadow-oracle verification and an "
-        "AS OF read; 'health' evaluates the declarative health rules and "
-        "exits 0/1/2 for ok/warn/crit; 'regress' compares the latest "
-        "BENCH_HISTORY.jsonl rows against the previous run)",
-    )
-    parser.add_argument(
-        "sql",
-        nargs="?",
-        default=None,
-        help="SQL statement for the explain command",
-    )
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config field (repeatable)",
-    )
-    parser.add_argument(
-        "--layout",
-        default="irregular",
-        help="explain: layout family to plan against "
-        "(natural, workload-driven, irregular, replicated)",
-    )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=["jigsaw-l", "jigsaw-s"],
-        help="explain: plan for a threaded protocol instead of the "
-        "layout's own executor",
-    )
-    parser.add_argument(
-        "--run",
-        action="store_true",
-        help="explain: also execute the plan and report actual counters",
-    )
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help="explain: run the query traced and append the per-operator "
-        "breakdown (same as writing EXPLAIN ANALYZE in the statement)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default="jigsaw-trace.jsonl",
-        help="profile: path for the JSONL span dump",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="profile: number of hotspot rows to print",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="profile: also print the Prometheus text exposition",
-    )
-    parser.add_argument(
-        "--sketch-budget",
-        type=int,
-        default=0,
-        metavar="BYTES",
-        help="explain/profile: per-partition byte budget for data-skipping "
-        "sketches (0 = zone maps only)",
-    )
-    parser.add_argument(
-        "--serve-workers",
-        type=int,
-        default=4,
-        help="serve: scheduler worker threads",
-    )
-    parser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=16,
-        metavar="N",
-        help="serve: admission-control bound on pending requests "
-        "(beyond it submits are rejected and clients back off)",
-    )
-    parser.add_argument(
-        "--partition-cache",
-        choices=["on", "off"],
-        default="on",
-        help="serve: semantic partition cache replaying pruning verdicts "
-        "across overlapping queries",
-    )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        help="serve: concurrent replay client threads",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=25,
-        help="serve: requests each client replays",
-    )
-    parser.add_argument(
-        "--telemetry-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve: start the live telemetry HTTP endpoint on this port "
-        "(0 picks an ephemeral port); serves /metrics, /healthz, /queries "
-        "and /hotspots while the replay runs",
-    )
-    parser.add_argument(
-        "--telemetry-host",
-        default="127.0.0.1",
-        metavar="HOST",
-        help="serve: bind address for the telemetry endpoint",
-    )
-    parser.add_argument(
-        "--slow-query-ms",
-        type=float,
-        default=250.0,
-        metavar="MS",
-        help="serve: flight-recorder slow-query threshold; queries above "
-        "it keep their full EXPLAIN ANALYZE tree (0 disables the slow log)",
-    )
-    parser.add_argument(
-        "--flight-out",
-        default=None,
-        metavar="PATH",
-        help="serve: dump the per-query flight records as JSONL",
-    )
-    parser.add_argument(
-        "--telemetry-url",
-        default=None,
-        metavar="URL",
-        help="health: scrape a running telemetry endpoint's /healthz "
-        "instead of evaluating a local demo workload",
-    )
-    parser.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="regress: benchmark history file (default BENCH_HISTORY.jsonl, "
-        "or the BENCH_HISTORY_PATH environment variable)",
-    )
-    parser.add_argument(
-        "--max-slowdown",
-        type=float,
-        default=1.5,
-        metavar="RATIO",
-        help="regress: fail when a direction-classified metric moves past "
-        "this ratio in the worse direction",
-    )
-    parser.add_argument(
-        "--wal",
-        choices=["on", "off"],
-        default="on",
-        help="write: group-commit batches through the write-ahead log "
-        "(off skips durability, e.g. for read-path A/B runs)",
-    )
-    parser.add_argument(
-        "--as-of",
-        type=int,
-        default=None,
-        metavar="VERSION",
-        help="write: catalog version for the time-travel read (also "
-        "settable inside the statement: SELECT ... FROM t AS OF <v>)",
-    )
-    parser.add_argument(
-        "--compaction-budget",
-        type=int,
-        default=0,
-        metavar="BYTES",
-        help="write: bytes-rewritten budget for the compaction pass "
-        "(0 = unbounded)",
-    )
-    parser.add_argument(
-        "--write-batches",
-        type=int,
-        default=6,
-        help="write: number of group-committed write batches",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="explain: demo table seed"
-    )
-    parser.add_argument(
-        "--n-tuples", type=int, default=400, help="explain: demo table rows"
-    )
-    parser.add_argument(
-        "--n-attrs", type=int, default=4, help="explain: demo table columns"
-    )
-    # intermixed: allows `explain --layout X "SELECT ..."` — the optional
-    # trailing SQL positional after option flags.
-    args = parser.parse_intermixed_args(argv)
-
-    if args.experiment == "explain":
-        return _run_explain(args)
-    if args.experiment == "profile":
-        if args.sql is not None:
-            raise SystemExit(
-                "a SQL argument is only valid with the explain command"
-            )
-        return _run_profile(args)
-    if args.experiment == "serve":
-        if args.sql is not None:
-            raise SystemExit(
-                "a SQL argument is only valid with the explain command"
-            )
-        return _run_serve(args)
-    if args.experiment == "write":
-        return _run_write(args)
-    if args.experiment in ("health", "regress"):
-        if args.sql is not None:
-            raise SystemExit(
-                "a SQL argument is only valid with the explain command"
-            )
-        return (
-            _run_health(args)
-            if args.experiment == "health"
-            else _run_regress(args)
-        )
-    if args.sql is not None:
-        raise SystemExit(
-            "a SQL argument is only valid with the explain or write commands"
-        )
-
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    try:
-        for name in names:
+        for name in args.names:
             module = EXPERIMENTS[name]
-            config = _config_for(module, args.overrides if args.experiment != "all" else [])
-            result = module.run(config)
+            result = module.run(_config_for(module, args.overrides))
             print(result.to_text())
             print()
     except BrokenPipeError:  # e.g. piped into `head`
         return 0
     return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    """One sub-parser per command: a flag the command never reads is a
+    usage error, not silently ignored."""
+    parser = argparse.ArgumentParser(
+        prog="jigsaw-bench",
+        description="Reproduce the Jigsaw (SIGMOD'21) evaluation figures.",
+    )
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="command"
+    )
+    for name in sorted(EXPERIMENTS):
+        summary = (EXPERIMENTS[name].__doc__ or "").split("\n\n")[0]
+        figure = commands.add_parser(name, help=" ".join(summary.split()))
+        figure.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help="override a config field (repeatable)",
+        )
+        figure.set_defaults(handler=_run_experiments, names=[name])
+    commands.add_parser(
+        "all", help="run every experiment with its default config"
+    ).set_defaults(handler=_run_experiments, names=sorted(EXPERIMENTS), overrides=[])
+
+    # The seeded demo table every non-figure command builds.
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--seed", type=int, default=0, help="demo table seed")
+    table.add_argument(
+        "--n-tuples", type=int, default=400, help="demo table rows"
+    )
+    table.add_argument(
+        "--n-attrs", type=int, default=4, help="demo table columns"
+    )
+    table.add_argument(
+        "--sketch-budget",
+        type=int,
+        default=0,
+        metavar="BYTES",
+        help="per-partition byte budget for data-skipping sketches "
+        "(0 = zone maps only)",
+    )
+
+    explain = commands.add_parser(
+        "explain",
+        parents=[table],
+        help="plan a SQL statement against the demo table",
+    )
+    explain.add_argument("sql", help="the SQL statement to plan")
+    explain.add_argument(
+        "--engine",
+        default=None,
+        choices=["jigsaw-l", "jigsaw-s"],
+        help="plan for a threaded protocol instead of the layout's own "
+        "executor",
+    )
+    explain.add_argument(
+        "--run",
+        action="store_true",
+        help="also execute the plan and report actual counters",
+    )
+    explain.add_argument(
+        "--analyze",
+        action="store_true",
+        help="run the query traced and append the per-operator breakdown "
+        "(same as writing EXPLAIN ANALYZE in the statement)",
+    )
+    explain.set_defaults(handler=_run_explain)
+
+    profile = commands.add_parser(
+        "profile",
+        parents=[table],
+        help="trace the demo workload across every engine",
+    )
+    profile.add_argument(
+        "--trace-out",
+        default="jigsaw-trace.jsonl",
+        help="path for the JSONL span dump",
+    )
+    profile.add_argument(
+        "--top", type=int, default=10, help="number of hotspot rows to print"
+    )
+    profile.set_defaults(handler=_run_profile)
+
+    serve = commands.add_parser(
+        "serve",
+        parents=[table],
+        help="replay a many-client workload through the serving tier",
+    )
+    serve.add_argument(
+        "--serve-workers",
+        type=int,
+        default=4,
+        help="scheduler worker threads",
+    )
+    serve.add_argument(
+        "--queue-depth",
+        type=int,
+        default=16,
+        metavar="N",
+        help="admission-control bound on pending requests (beyond it "
+        "submits are rejected and clients back off)",
+    )
+    serve.add_argument(
+        "--partition-cache",
+        choices=["on", "off"],
+        default="on",
+        help="semantic partition cache replaying pruning verdicts across "
+        "overlapping queries",
+    )
+    serve.add_argument(
+        "--clients",
+        type=int,
+        default=8,
+        help="concurrent replay client threads",
+    )
+    serve.add_argument(
+        "--requests",
+        type=int,
+        default=25,
+        help="requests each client replays",
+    )
+    serve.add_argument(
+        "--telemetry-port",
+        type=int,
+        default=None,
+        metavar="PORT",
+        help="start the live telemetry HTTP endpoint on this port (0 picks "
+        "an ephemeral port); serves /metrics, /healthz, /queries and "
+        "/hotspots while the replay runs",
+    )
+    serve.add_argument(
+        "--telemetry-host",
+        default="127.0.0.1",
+        metavar="HOST",
+        help="bind address for the telemetry endpoint",
+    )
+    serve.add_argument(
+        "--slow-query-ms",
+        type=float,
+        default=250.0,
+        metavar="MS",
+        help="flight-recorder slow-query threshold; queries above it keep "
+        "their full EXPLAIN ANALYZE tree (0 disables the slow log)",
+    )
+    serve.add_argument(
+        "--flight-out",
+        default=None,
+        metavar="PATH",
+        help="dump the per-query flight records as JSONL",
+    )
+    serve.set_defaults(handler=_run_serve)
+
+    write = commands.add_parser(
+        "write",
+        parents=[table],
+        help="drive the WAL/MVCC write path with shadow-oracle verification "
+        "and an AS OF read",
+    )
+    write.add_argument(
+        "sql",
+        nargs="?",
+        default=None,
+        help="statement for the time-travel read (default: every column)",
+    )
+    write.add_argument(
+        "--wal",
+        choices=["on", "off"],
+        default="on",
+        help="group-commit batches through the write-ahead log (off skips "
+        "durability, e.g. for read-path A/B runs)",
+    )
+    write.add_argument(
+        "--as-of",
+        type=int,
+        default=None,
+        metavar="VERSION",
+        help="catalog version for the time-travel read (also settable "
+        "inside the statement: SELECT ... FROM t AS OF <v>)",
+    )
+    write.add_argument(
+        "--compaction-budget",
+        type=int,
+        default=0,
+        metavar="BYTES",
+        help="bytes-rewritten budget for the compaction pass (0 = unbounded)",
+    )
+    write.add_argument(
+        "--write-batches",
+        type=int,
+        default=6,
+        help="number of group-committed write batches",
+    )
+    write.set_defaults(handler=_run_write)
+
+    health = commands.add_parser(
+        "health",
+        parents=[table],
+        help="evaluate the declarative health rules; exit 0/1/2 for "
+        "ok/warn/crit",
+    )
+    health.add_argument(
+        "--telemetry-url",
+        default=None,
+        metavar="URL",
+        help="scrape a running telemetry endpoint's /healthz instead of "
+        "evaluating a local demo workload",
+    )
+    health.set_defaults(handler=_run_health)
+
+    # Every command but profile (which walks every layout) builds one.
+    for command in (explain, serve, write, health):
+        command.add_argument(
+            "--layout",
+            default="irregular",
+            help="layout family of the demo table "
+            "(natural, workload-driven, irregular, replicated)",
+        )
+    for command in (profile, serve, write):
+        command.add_argument(
+            "--metrics",
+            action="store_true",
+            help="also print the Prometheus text exposition",
+        )
+    return parser
+
+
+def main(argv: List[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -1,16 +1,15 @@
 """Seeded multi-client replay: the serving tier's load generator.
 
-One driver shared by ``jigsaw-bench serve``, ``benchmarks/bench_serve.py``
-and the concurrent stress tests: N client threads each play a fixed
-per-client request list (engine, query, priority) through a running
-:class:`~repro.serve.QueryScheduler`, closed-loop (submit, wait, verify,
-next).  :func:`build_client_mix` derives the lists from a seed, so cold and
-warm benchmark passes — and a failing CI run being reproduced locally —
-replay the *identical* traffic.
+One driver shared by ``jigsaw-bench serve`` and the concurrent stress
+tests: N client threads each play a fixed per-client request list (engine,
+query, priority) through a running :class:`~repro.serve.QueryScheduler`,
+closed-loop (submit, wait, verify, next).  :func:`build_client_mix` derives
+the lists from a seed, so a failing CI run reproduced locally replays the
+*identical* traffic.
 
 Admission rejections are part of the contract, not failures: a rejected
-submit counts, backs off a moment, and retries — queue-based load leveling
-as the client experiences it.  ``verify`` (typically a closure over
+submit counts, backs off ``BACKOFF_S``, and retries — queue-based load
+leveling as the client experiences it.  ``verify`` (typically a closure over
 :func:`repro.testing.oracle.run_reference_query`) runs in the client
 thread; any mismatch string lands in ``ReplayReport.failures``.
 """
@@ -37,6 +36,13 @@ __all__ = ["ReplayReport", "build_client_mix", "run_replay"]
 #: One request: (engine name, query, priority).
 Request = Tuple[str, Query, str]
 
+#: share of requests that ride the high-priority queue
+HIGH_PRIORITY_FRACTION = 0.1
+#: real seconds a client sleeps before retrying a rejected submit
+BACKOFF_S = 0.001
+#: bound on each wait: a wedged request is a failure, not a hung replay
+TIMEOUT_S = 120.0
+
 
 @dataclass
 class ReplayReport:
@@ -49,7 +55,6 @@ class ReplayReport:
     n_rejected: int = 0
     wall_s: float = 0.0
     latencies_s: List[float] = field(default_factory=list)
-    queue_waits_s: List[float] = field(default_factory=list)
     failures: List[str] = field(default_factory=list)
 
     @property
@@ -83,13 +88,12 @@ def build_client_mix(
     queries: Sequence[Query],
     n_clients: int = 8,
     requests_per_client: int = 25,
-    high_priority_fraction: float = 0.1,
 ) -> List[List[Request]]:
     """Seeded per-client request lists over a shared query pool.
 
     Queries are drawn with replacement from a small pool, so many clients
     repeat the same predicates — the overlap the partition cache exists to
-    exploit.  A ``high_priority_fraction`` of requests ride the high queue.
+    exploit.  A ``HIGH_PRIORITY_FRACTION`` of requests ride the high queue.
     """
     if not engine_names or not queries:
         raise ValueError("need at least one engine and one query")
@@ -101,7 +105,7 @@ def build_client_mix(
             query = queries[int(rng.integers(0, len(queries)))]
             priority = (
                 PRIORITY_HIGH
-                if rng.random() < high_priority_fraction
+                if rng.random() < HIGH_PRIORITY_FRACTION
                 else PRIORITY_NORMAL
             )
             plan.append((engine, query, priority))
@@ -113,16 +117,12 @@ def run_replay(
     scheduler: QueryScheduler,
     client_plans: Sequence[Sequence[Request]],
     verify: Optional[Callable[[str, Query, object, object], Optional[str]]] = None,
-    backoff_s: float = 0.001,
-    timeout_s: float = 120.0,
 ) -> ReplayReport:
     """Play every client plan concurrently; returns the aggregate report.
 
     ``verify(engine, query, result, stats)`` returns None or a mismatch
-    description.  Clients retry rejected submissions after ``backoff_s``
-    real seconds; ``timeout_s`` bounds each individual wait (a timeout is
-    reported as a failure, not raised, so one wedged request cannot hang
-    the whole replay driver).
+    description.  A wait past ``TIMEOUT_S`` is reported as a failure, not
+    raised.
     """
     report = ReplayReport(n_requests=sum(len(plan) for plan in client_plans))
     lock = threading.Lock()
@@ -138,9 +138,9 @@ def run_replay(
                 except AdmissionRejected:
                     with lock:
                         report.n_rejected += 1
-                    time.sleep(backoff_s)
+                    time.sleep(BACKOFF_S)
             try:
-                result, stats = ticket.wait(timeout_s)
+                result, stats = ticket.wait(TIMEOUT_S)
             except TimeoutError:
                 with lock:
                     report.n_errors += 1
@@ -159,7 +159,6 @@ def run_replay(
             with lock:
                 report.n_completed += 1
                 report.latencies_s.append(ticket.latency_s)
-                report.queue_waits_s.append(ticket.queue_wait_s)
                 if problem is not None:
                     report.failures.append(problem)
 

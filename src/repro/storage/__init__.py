@@ -3,7 +3,6 @@ partition manager."""
 
 from .blob import (
     BlobStore,
-    DelayedBlobStore,
     DirectoryBlobStore,
     MemoryBlobStore,
     StoredBlob,
@@ -52,7 +51,6 @@ from .table_data import ColumnTable
 __all__ = [
     "BALOS_HDD",
     "BlobStore",
-    "DelayedBlobStore",
     "BloomSketch",
     "BufferPool",
     "BufferPoolStats",

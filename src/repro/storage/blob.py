@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator
 
@@ -17,7 +16,6 @@ from ..errors import StorageError
 
 __all__ = [
     "BlobStore",
-    "DelayedBlobStore",
     "MemoryBlobStore",
     "DirectoryBlobStore",
     "StoredBlob",
@@ -107,40 +105,6 @@ class MemoryBlobStore(BlobStore):
 
     def delete(self, key: str) -> None:
         self._blobs.pop(key, None)
-
-
-class DelayedBlobStore(BlobStore):
-    """Wraps a store and sleeps ``delay_s`` of *real* time on every ``get``.
-
-    The simulated :class:`~repro.storage.device.StorageDevice` charges I/O
-    seconds without ever sleeping.  The serving-tier benchmark
-    (``benchmarks/bench_serve.py``) interposes this wrapper to stand in for
-    a cloud block store, so a cold partition read costs wall clock and a
-    warm buffer pool visibly saves it.  Accounting is untouched — the
-    wrapper only burns wall clock.
-    """
-
-    def __init__(self, inner: BlobStore, delay_s: float = 0.002):
-        self.inner = inner
-        self.delay_s = float(delay_s)
-
-    def get(self, key: str) -> bytes:
-        data = self.inner.get(key)
-        if self.delay_s > 0:
-            time.sleep(self.delay_s)
-        return data
-
-    def put(self, key: str, data: bytes) -> None:
-        self.inner.put(key, data)
-
-    def size(self, key: str) -> int:
-        return self.inner.size(key)
-
-    def keys(self) -> Iterator[str]:
-        return self.inner.keys()
-
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
 
 
 class DirectoryBlobStore(BlobStore):

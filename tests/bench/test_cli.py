@@ -42,6 +42,14 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_flag_of_another_command_is_a_usage_error(self):
+        # `serve` never reads --as-of and `all` runs default configs:
+        # neither flag may be silently dropped.
+        for argv in (["serve", "--as-of", "3"], ["all", "--set", "n_train=5"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+
 
 class TestExplainCommand:
     SQL = "SELECT a1, a2 FROM oracle WHERE a1 BETWEEN 100 AND 400"

@@ -248,6 +248,8 @@ class TestAdapt:
         shifted = {r["layout"]: r for r in result.filtered(phase="shifted")}
         # The stale static layout's cost is unchanged by the shift-side
         # measurements; the adaptive copy's simulated I/O drops strictly
-        # below it after the migration.
+        # below it, and below its own pre-migration cost, after the
+        # migration.
         assert adapted["static"]["io_s"] == shifted["static"]["io_s"]
         assert adapted["adaptive"]["io_s"] < adapted["static"]["io_s"]
+        assert adapted["adaptive"]["io_s"] < shifted["adaptive"]["io_s"]

@@ -3,7 +3,9 @@
 Three layers of assurance:
 
 * the seeded sweep (:func:`run_join_differential_oracle`) — every layout
-  family x strategy x spill mode x fault injection x the threaded engine;
+  family x strategy x spill mode x fault injection x the threaded engine —
+  and the benchmark shape, where partition-wise must beat naive by 1.5x
+  in simulated time;
 * hypothesis properties — random (tables, query) pairs must be
   oracle-exact under the default strategy, byte-identical between a tiny
   spill budget and no budget, and exact under injected storage faults;
@@ -65,6 +67,28 @@ class TestSweep:
     def test_full_sweep(self):
         report = run_join_differential_oracle(n_cases=24, seed=0)
         assert report.ok, report.summary
+
+    def test_partition_wise_beats_naive_on_the_bench_shape(self):
+        """20 000 x 4 000 rows co-partitioned on 8 key windows, a quarter of
+        the key domain joined: every strategy is exact with spill on and
+        off, the 2 KiB budget really spills, and partition-wise costs at
+        most 1 / 1.5 of naive's simulated time (4.0x at this shape)."""
+        catalog, tables = _bench_shape_catalog(n_fact=20_000)
+        query = agg_query(BENCH_AGGS, (D_A,), {F_KEY: (750, 999)})
+        expected = run_reference_join(tables, query)
+        times, spill_chunks = {}, 0
+        for force in (None, "partition-wise", "broadcast", "naive"):
+            for budget in (None, 2048):
+                result, stats = DagExecutor(
+                    catalog, spill_budget_bytes=budget, force_strategy=force
+                ).execute(query)
+                assert_same_cells(result, expected)
+                if budget is None:
+                    times[force] = stats.simulated_time_s
+                else:
+                    spill_chunks += stats.n_spill_chunks
+        assert spill_chunks > 0
+        assert times["partition-wise"] <= times["naive"] / 1.5
 
 
 class TestJoinProperties:
@@ -270,7 +294,8 @@ class TestAggregatePlacementProperties:
 
 
 def _bench_shape_catalog(n_fact=40_000, n_dim=4_000, key_range=1_000, float_val=False):
-    """``bench_join``'s shape: fact x dim co-partitioned on 8 key windows."""
+    """The join benchmark shape: fact x dim co-partitioned on 8 key windows
+    (``join_groupby`` in ``benchmarks/layers`` runs it at 40 000 fact rows)."""
     rng = np.random.default_rng(17)
     val = rng.integers(0, 10_000, n_fact)
     fact = ColumnTable.build(
