@@ -16,15 +16,19 @@ on the quickstart's three templates, built as ``IrregularLayout`` (46
 partitions) and as ``ReplicatedIrregularLayout`` (a primary and a replica
 segment in many partitions), each answering 12 seeded queries through the
 partition-at-a-time engine (pruning off and on), the scan engine and the
-replicated executor under one 16 KiB pool per build.  A last pass, labelled
+replicated executor under one 16 KiB pool per build.  A fourth pass, labelled
 ``sql/...``, puts the SQL front end under the same invariant: each of those
 12 queries is rendered by ``to_sql``, parsed twice through
 ``parse_statement`` (the first parse builds the statement's template, the
-second binds into it) and executed on the irregular build.
+second binds into it) and executed on the irregular build.  A ``txn/...``
+pass puts the write path under it too (:func:`txn_pass`): commits and a
+budgeted fold under a ``TransactionalTable``, read at the head and ``AS OF``
+every earlier version.
 
 Beyond those two functions the script uses only public constructors
-(``BuildContext``, the layouts, the engines, ``Query``, ``ColumnTable``),
-``to_sql`` / ``parse_statement``, ``executor.explain(query).render()`` and
+(``BuildContext``, the layouts, the engines, ``Query``, ``ColumnTable``,
+``TransactionalTable``, ``DeltaCompactor``), ``to_sql`` /
+``parse_statement``, ``executor.explain(query).render()`` and
 ``executor.manager.buffer_pool``,
 so it runs unchanged against an older tree — the parent of a change, or a
 merge base::
@@ -77,24 +81,13 @@ def entry(label: str, executor, query) -> list:
     ]
 
 
-def irregular_pass() -> list:
-    """Several partitions per projection, multi-segment partitions and
-    replica segments, which the snapshot tables do not produce."""
+def seeded_table():
+    """The seeded 3 000 x 24 table, the quickstart's three templates it is
+    trained on, and 12 seeded queries, as ``(select, where)`` pairs."""
     import numpy as np
 
     from repro import Query, TableSchema, Workload
-    from repro.core.replication import ReplicationConfig
-    from repro.engine import (
-        PartitionAtATimeExecutor,
-        ReplicatedExecutor,
-        ScanExecutor,
-    )
-    from repro.layouts import (
-        BuildContext,
-        IrregularLayout,
-        ReplicatedIrregularLayout,
-    )
-    from repro.storage import ColumnTable, DeviceProfile
+    from repro.storage import ColumnTable
 
     rng = np.random.default_rng(0)
     names = [f"a{i}" for i in range(1, 25)]
@@ -108,14 +101,42 @@ def irregular_pass() -> list:
         Query.build(meta, wide, {"a8": (90_000, 99_999)}),
         Query.build(meta, ["a15", "a16", "a17", "a18"], {"a20": (40_000, 44_999)}),
     ])
-    queries = []
+    specs = []
     for _ in range(12):
         where = {}
         for name in rng.choice(names, int(rng.integers(1, 3)), replace=False):
             lo = int(rng.integers(0, 90_000))
             where[str(name)] = (lo, lo + int(rng.integers(1_000, 30_000)))
         select = rng.choice(names, int(rng.integers(2, 11)), replace=False)
-        queries.append(Query.build(meta, [str(n) for n in select], where))
+        specs.append(([str(n) for n in select], where))
+    return table, train, specs
+
+
+def build_context():
+    from repro.layouts import BuildContext
+    from repro.storage import DeviceProfile
+
+    return BuildContext(
+        device_profile=DeviceProfile.from_throughput("hdd", 75.0, 0.000001),
+        file_segment_bytes=2048, buffer_pool_bytes=16 * 1024,
+    )
+
+
+def irregular_pass() -> list:
+    """Several partitions per projection, multi-segment partitions and
+    replica segments, which the snapshot tables do not produce."""
+    from repro import Query
+    from repro.core.replication import ReplicationConfig
+    from repro.engine import (
+        PartitionAtATimeExecutor,
+        ReplicatedExecutor,
+        ScanExecutor,
+    )
+    from repro.layouts import IrregularLayout, ReplicatedIrregularLayout
+
+    table, train, specs = seeded_table()
+    meta = table.meta
+    queries = [Query.build(meta, select, where) for select, where in specs]
     builders = (
         ("irregular", IrregularLayout()),
         ("replicated", ReplicatedIrregularLayout(
@@ -127,10 +148,7 @@ def irregular_pass() -> list:
     )
     entries = []
     for layout_name, builder in builders:
-        layout = builder.build(table, train, BuildContext(
-            device_profile=DeviceProfile.from_throughput("hdd", 75.0, 0.000001),
-            file_segment_bytes=2048, buffer_pool_bytes=16 * 1024,
-        ))
+        layout = builder.build(table, train, build_context())
         manager = layout.manager
         if layout_name == "replicated":
             infos = [manager.info(pid) for pid in manager.pids()]
@@ -151,6 +169,69 @@ def irregular_pass() -> list:
                 ))
         if layout_name == "irregular":
             entries += sql_pass(PartitionAtATimeExecutor(manager, meta), queries)
+    return entries
+
+
+def txn_pass() -> list:
+    """The write path: the seeded table built as ``IrregularLayout`` and as
+    ``ColumnLayout`` under a ``TransactionalTable``; six commits of inserts,
+    updates and deletes, then one budgeted fold (the script asserts it
+    deferred a partition); then the 12 queries at the head and ``AS OF``
+    each earlier version through pat (pruning off and on) and scan.  Each
+    entry is ``[label, stats_signature, sha1 of the result, buffer-pool
+    counters]``."""
+    import numpy as np
+
+    from repro import Query
+    from repro.engine import PartitionAtATimeExecutor, ScanExecutor
+    from repro.layouts import ColumnLayout, IrregularLayout
+    from repro.testing.snapshot import stats_signature
+    from repro.txn import DeltaCompactor, TransactionalTable
+
+    entries = []
+    for layout_name, builder in (
+        ("irregular", IrregularLayout()), ("column", ColumnLayout()),
+    ):
+        table, train, specs = seeded_table()
+        txn = TransactionalTable(builder.build(table, train, build_context()), table)
+        names = list(table.schema.attribute_names)
+        rng = np.random.default_rng(1)
+        versions = [txn.current_version]
+        for _ in range(6):
+            txn.insert({
+                name: rng.integers(0, 100_000, 40).astype(np.int32) for name in names
+            })
+            committed = txn.data.n_tuples
+            txn.update(
+                {str(rng.choice(names)): int(rng.integers(0, 100_000))},
+                tids=rng.choice(committed, 10, replace=False),
+            )
+            txn.delete(tids=rng.choice(committed, 15, replace=False))
+            lo = int(rng.integers(0, 99_000))
+            txn.delete(where={str(rng.choice(names)): (lo, lo + 500)})
+            versions.append(txn.commit())
+        report = DeltaCompactor(txn, bytes_budget=8 * 1024).run()
+        assert report.n_partitions_deferred, "the fold deferred no partition"
+        for engine_name, engine in (
+            ("pat", lambda m, meta: PartitionAtATimeExecutor(m, meta)),
+            ("pat-pruned",
+             lambda m, meta: PartitionAtATimeExecutor(m, meta, zone_maps=True)),
+            ("scan", lambda m, meta: ScanExecutor(m, meta)),
+        ):
+            meta = txn.data.meta
+            txn.layout.executor = engine(txn.manager, meta)
+            for at, version in [("head", None)] + [
+                (f"v{version}", version) for version in versions
+            ]:
+                for index, (select, where) in enumerate(specs):
+                    query = Query.build(meta, select, where)
+                    result, stats = txn.execute(query, as_of=version)
+                    entries.append([
+                        f"txn/{layout_name}/{engine_name}/{at}/q{index}",
+                        list(stats_signature(stats)),
+                        result_sha1(result),
+                        pool_counters(txn.manager),
+                    ])
     return entries
 
 
@@ -182,7 +263,7 @@ def dump() -> list:
     for prefix, ctx in (("", None), ("pool/", pooled)):
         for case in iter_snapshot_cases(ctx=ctx):
             entries.append(entry(prefix + case.label, case.executor, case.query))
-    return entries + irregular_pass()
+    return entries + irregular_pass() + txn_pass()
 
 
 def diff(base_path: str, head_path: str) -> int:

@@ -53,7 +53,6 @@ from ..plan.operators import (
     PlanReader,
     ProjectFillOp,
     SelectOp,
-    base_invalid_tids,
     finalize_stats,
 )
 from ..plan.result import ResultSet
@@ -130,10 +129,9 @@ class ThreadedPartitionEngine(QueryEngine):
             conjunction = plan.logical.conjunction
             projected = plan.logical.projected
             status = [_NOT_CHECKED] * self.table.n_tuples
-            for tid in base_invalid_tids(
-                len(status), snapshot.valid_mask
-            ).tolist():
-                status[tid] = _INVALID
+            if snapshot.hidden is not None:
+                for tid in snapshot.hidden.tolist():
+                    status[tid] = _INVALID
             ret: Dict[int, Dict[str, object]] = {}
             load_lock = threading.Lock()
             fctx = FaultContext()

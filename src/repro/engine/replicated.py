@@ -105,7 +105,7 @@ class ReplicatedExecutor(QueryEngine):
         select_op = SelectOp(
             plan.logical.conjunction,
             n_tuples=self.table.n_tuples,
-            valid_mask=plan.snapshot.valid_mask,
+            hidden=plan.snapshot.hidden,
         )
 
         def process(pid: int, partition) -> None:

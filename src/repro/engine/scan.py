@@ -69,7 +69,7 @@ class ScanExecutor(QueryEngine):
         # projected cells, so nothing is stashed.
         select_op = SelectOp(
             conjunction, n_tuples=self.table.n_tuples,
-            valid_mask=plan.snapshot.valid_mask, hit_only=plan.visits_once,
+            hidden=plan.snapshot.hidden, hit_only=plan.visits_once,
             refuted=plan.zone_refuted,
         )
         if not conjunction:

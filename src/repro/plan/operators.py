@@ -38,7 +38,9 @@ work.  The differential oracle holds the pipeline to byte-identical results
 visit in this query can read it: under the plan's visit-once verdict
 (``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone (none
 in a zone-refuted partition: it evaluates nothing) and keeps their tids, up
-to 1/16 of the table, as the VALID set — until :meth:`SelectOp.flush`.
+to 1/16 of the table, as the VALID set — until :meth:`SelectOp.flush`.  A
+view's hidden tids are INVALID before the first read, so under a view that
+hides any a hit counts only where its status is not INVALID.
 
 **Owner-addressed fill.**  The owner map that finds a projection partition
 also names its result rows, ``VALID ∩ tids(pid)``: for a primary segment
@@ -79,7 +81,6 @@ __all__ = [
     "AccessLoop",
     "SelectOp",
     "ProjectFillOp",
-    "base_invalid_tids",
     "stored_cells",
     "finalize_stats",
 ]
@@ -337,24 +338,32 @@ class SelectOp(_ProjectingOp):
     twice (every selection segment is primary and stores every predicate
     attribute, each with one primary home): failing tuples stay NOT_CHECKED
     until a degraded substitute read needs :meth:`flush`.  So a ``refuted``
-    partition (the plan's ``zone_refuted``) is read but not evaluated."""
+    partition (the plan's ``zone_refuted``) is read but not evaluated.
+
+    The view's ``hidden`` tids start INVALID: those a write-path version
+    does not show, whose cells may still be stored — a budgeted fold drops
+    a deleted tuple's cells from the partitions it rewrites while deferred
+    ones keep the rest, so such a tuple can pass here and have no projected
+    cell elsewhere."""
 
     __slots__ = ("conjunction", "status", "stash", "hit_only", "refuted",
-                 "hits", "_n_hits", "_unflushed")
+                 "hides", "hits", "_n_hits", "_unflushed")
 
     def __init__(
         self,
         conjunction: Conjunction,
         projected: Tuple[str, ...] = (),
         n_tuples: int = 0,
-        valid_mask: Optional[np.ndarray] = None,
+        hidden: Optional[np.ndarray] = None,
         hit_only: bool = False,
         refuted: frozenset = frozenset(),
     ):
         super().__init__(projected)
         self.conjunction = conjunction
         self.status = np.zeros(n_tuples, dtype=np.uint8)
-        self.status[base_invalid_tids(n_tuples, valid_mask)] = STATUS_INVALID
+        self.hides = hidden is not None
+        if self.hides:
+            self.status[hidden] = STATUS_INVALID
         #: wanted attributes -> ``(tids, their cells)`` of every segment of
         #: that schema that stashed anything.
         self.stash: Dict[
@@ -398,9 +407,12 @@ class SelectOp(_ProjectingOp):
             if self.hit_only:
                 hits = passing.nonzero()[0]
                 found = tids[hits]
-                if where is tids:
+                if self.hides:  # a hidden tuple stays INVALID
+                    kept = status[found] != STATUS_INVALID
+                    hits, found = hits[kept], found[kept]
+                if where is tids or self.hides:
                     status[found] = STATUS_VALID
-                else:  # a run: one contiguous write
+                else:  # a run the view hides nothing of: one contiguous write
                     status[where] = passing.view(np.uint8)
                 self._unflushed.append(where)
                 if self.hits is not None:
@@ -676,28 +688,6 @@ class ProjectFillOp(_ProjectingOp):
         for name in self.projected:
             if name in cells and name not in row:
                 row[name] = cells[name]
-
-
-def base_invalid_tids(n: int, valid_mask: Optional[np.ndarray]) -> np.ndarray:
-    """Tids below ``n`` that a scan under a view's ``valid_mask`` must not
-    return.
-
-    A write-path ``valid_mask`` restricts the scan to the tids visible at
-    the view's version: deleted tuples stay physically stored until a
-    compaction rewrites every partition holding them, and tids past the
-    mask's end were committed later.  It matters with a WHERE clause too: a
-    budgeted compaction drops a deleted tuple's cells from the partitions it
-    rewrites while deferred partitions still hold the rest, so such a tuple
-    can pass the predicates in one partition and have no projected cell in
-    another.  Engines mark these tids INVALID before the selection phase.
-    Empty without a ``valid_mask`` (every read-only execution).
-    """
-    if valid_mask is None:
-        return np.empty(0, dtype=np.int64)
-    valid = np.zeros(n, dtype=bool)
-    mask = np.asarray(valid_mask, dtype=bool)[:n]
-    valid[: len(mask)] = mask
-    return np.flatnonzero(~valid)
 
 
 def finalize_stats(

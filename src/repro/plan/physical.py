@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+import numpy as np
+
 from ..core.cost import estimate_access_io
 from ..core.query import Query
 from ..core.schema import TableMeta
@@ -101,15 +103,14 @@ class PhysicalPlan:
         self.selection_columns = selection_columns or logical.selection_columns
         self.projection_columns = logical.projection_columns
         #: the catalog's proof that the selection phase reaches every tuple
-        #: once (:meth:`CatalogIndex.visits_once`), taken only for a view
-        #: with no ``valid_mask``: the selection may run hit-only.
+        #: once (:meth:`CatalogIndex.visits_once`), under a view that hides
+        #: tids too: the selection may run hit-only.
         self.visits_once = visits_once
         self.zone_refuted = zone_refuted
         #: the pinned catalog view the plan was built against.  Everything
         #: an execution asks the catalog — partition entries, tuple-level
         #: probes, degraded-read substitutes — it asks this view, and it
-        #: marks what the view's ``valid_mask`` hides INVALID before
-        #: selecting.
+        #: marks the view's ``hidden`` tids INVALID before selecting.
         self.snapshot = snapshot
         #: the catalog version the plan reads.
         self.catalog_version = snapshot.version
@@ -222,12 +223,18 @@ def _access_explain(access: PartitionAccess) -> AccessExplain:
 def _zone_refuted(
     view: CatalogSnapshot, conjunction: Conjunction, pids: Tuple[int, ...]
 ) -> frozenset:
-    """The ``pids`` whose catalog zone refutes one of the predicates."""
-    predicates = conjunction.predicates
-    return frozenset(
-        info.pid for info in map(view.info, pids)
-        if any(info.zone_disjoint(p.attribute, p.lo, p.hi) for p in predicates)
-    )
+    """The ``pids`` whose catalog zone refutes one of the predicates.  Under
+    the visit-once verdict every one stores every predicate attribute, so
+    each attribute's zone arrays (:meth:`CatalogIndex.zones`) are aligned
+    with ``pids`` — the union of those attributes' ascending pid lists,
+    which one list of the same length must equal."""
+    refuted = np.zeros(len(pids), dtype=bool)
+    for p in conjunction.predicates:
+        zone_pids, lo, hi = view.index.zones(p.attribute)
+        assert len(zone_pids) == len(pids), "zones not aligned with the pids"
+        refuted |= hi < p.lo
+        refuted |= lo > p.hi
+    return frozenset(zone_pids[refuted].tolist())
 
 
 class QueryPlanner:
@@ -330,8 +337,8 @@ class QueryPlanner:
             # single predicate cell; the plan is projection-only.
             pred_pids = ()
         proj_pids = view.index.pids_for_attributes(logical.projected)
-        visits_once = bool(pred_pids) and view.valid_mask is None and (
-            view.index.visits_once(logical.predicate_attributes)
+        visits_once = bool(pred_pids) and view.index.visits_once(
+            logical.predicate_attributes
         )
         plan = PhysicalPlan(
             logical, self.access_policy, pred_pids, proj_pids, view,

@@ -214,11 +214,17 @@ class CatalogIndex:
     is never probed (a column scan) allocates nothing — and shared between
     attributes whose primary cells sit in the same segments.
 
+    Per attribute it also memoises the zones of ``attribute_pids`` as
+    aligned ``(pids, lo, hi)`` arrays (:meth:`zones`), so a plan refutes a
+    predicate against every partition in two comparisons.
+
     Immutable once published: an owner map is fully built before it becomes
     reachable, so concurrent probes need no lock.  An add-only commit (a
     write commit) derives its index from the predecessor's
-    (:meth:`with_added`), so the owner maps built so far survive it; the
-    :meth:`visits_once` verdicts do not (O(partitions) to recompute).
+    (:meth:`with_added`), so what was built so far survives it: owner maps
+    and zone arrays are extended by the new partitions, and a
+    :meth:`visits_once` verdict is carried by testing the new partitions
+    alone.
     """
 
     def __init__(self, infos: Iterable[PartitionInfo]):
@@ -238,6 +244,7 @@ class CatalogIndex:
         self._owners: Dict[str, _OwnerMap] = {}
         self._by_placement: Dict[Tuple[Tuple[int, int], ...], _OwnerMap] = {}
         self._visits_once: Dict[frozenset, bool] = {}
+        self._zones: Dict[str, Tuple[np.ndarray, ...]] = {}
         self._build_lock = threading.Lock()
 
     def info(self, pid: int) -> PartitionInfo:
@@ -296,21 +303,15 @@ class CatalogIndex:
 
     def visits_once(self, attributes: frozenset) -> bool:
         """Whether a selection over ``attributes`` reaches each tuple in one
-        segment at most (Algorithm 5's hit-only form): every segment of
-        every partition storing one of them is primary, stores all of them
-        and shares no tuple with its siblings, and each has a single primary
-        home (a one-layer owner map).  Metadata only, memoised."""
+        segment at most (Algorithm 5's hit-only form): every partition
+        storing one of them passes :func:`_reached_once`, and each has a
+        single primary home (a one-layer owner map).  Metadata only,
+        memoised."""
         verdict = self._visits_once.get(attributes)
         if verdict is None:
-            infos = [self._infos[p] for p in self.pids_for_attributes(attributes)]
             verdict = all(
-                not replica and attributes.issubset(attrs)
-                for info in infos
-                for attrs, replica in zip(info.segment_attrs, info.segment_replicas)
-            ) and all(
-                len(info.segment_tids) < 2
-                or len(info.tuple_ids()) == sum(map(len, info.segment_tids))
-                for info in infos
+                _reached_once(self._infos[pid], attributes)
+                for pid in self.pids_for_attributes(attributes)
             ) and all(
                 len(self._build_owners(a).layers) <= 1
                 for a in attributes if a in self.attribute_pids
@@ -318,6 +319,19 @@ class CatalogIndex:
             with self._build_lock:
                 self._visits_once[attributes] = verdict
         return verdict
+
+    def zones(self, attribute: str) -> Tuple[np.ndarray, ...]:
+        """``(pids, lo, hi)``: ``attribute_pids[attribute]`` as an array and
+        their zones for it, aligned; a partition with no bounds for the
+        attribute holds ``(-inf, +inf)``, which refutes nothing.  Memoised."""
+        zones = self._zones.get(attribute)
+        if zones is None:
+            zones = _zone_arrays(attribute, [
+                self._infos[pid] for pid in self.attribute_pids.get(attribute, ())
+            ])
+            with self._build_lock:
+                zones = self._zones.setdefault(attribute, zones)
+        return zones
 
     def _build_owners(self, attribute: str) -> _OwnerMap:
         with self._build_lock:
@@ -385,10 +399,15 @@ class CatalogIndex:
     def with_added(self, infos: Sequence[PartitionInfo]) -> "CatalogIndex":
         """The index of this partition set plus ``infos`` (pids above every
         pid of this set, so the order stays ascending): what a rebuild over
-        both would hold, with every owner map built so far extended by the
-        new partitions instead of scattered again."""
+        both would hold, with every owner map and zone array built so far
+        extended by the new partitions instead of built again, and every
+        memoised :meth:`visits_once` verdict carried — a False one stays
+        False; a True one holds while the new partitions pass
+        :func:`_reached_once` and each carried owner map keeps one layer
+        (where no map was carried it is left to a fresh computation)."""
         successor = CatalogIndex(infos)
         fresh = list(successor.infos())
+        added = successor.attribute_pids
         successor._infos = {**self._infos, **successor._infos}
         successor.pids = self.pids | successor.pids
         for name in ("attribute_pids", "replica_pids"):
@@ -398,19 +417,65 @@ class CatalogIndex:
             })
         with self._build_lock:
             built = dict(self._owners)
+            zones = dict(self._zones)
+            verdicts = dict(self._visits_once)
         for attribute, owners in built.items():
-            holders, added = _primary_holders(
+            holders, placement = _primary_holders(
                 attribute,
                 [info for info in fresh if attribute in info.attributes],
             )
-            key = owners.placement + added
+            key = owners.placement + placement
             derived = successor._by_placement.get(key)
             if derived is None:
                 derived = successor._by_placement[key] = (
                     _OwnerMap(holders, key, base=owners) if holders else owners
                 )
             successor._owners[attribute] = derived
+        for attribute, old_zones in zones.items():
+            new_zones = _zone_arrays(attribute, [
+                successor._infos[pid] for pid in added.get(attribute, ())
+            ])
+            successor._zones[attribute] = tuple(
+                np.concatenate(pair) for pair in zip(old_zones, new_zones)
+            )
+        for attributes, verdict in verdicts.items():
+            if verdict:
+                stored = [a for a in attributes if a in successor.attribute_pids]
+                if not all(a in successor._owners for a in stored):
+                    continue
+                verdict = all(
+                    _reached_once(info, attributes) for info in fresh
+                    if not attributes.isdisjoint(info.attributes)
+                ) and all(len(successor._owners[a].layers) <= 1 for a in stored)
+            successor._visits_once[attributes] = verdict
         return successor
+
+
+def _reached_once(info: PartitionInfo, attributes: frozenset) -> bool:
+    """The per-partition half of the visit-once verdict: every segment of
+    ``info`` is primary and stores all of ``attributes``, and no two of its
+    segments share a tuple."""
+    return all(
+        not replica and attributes.issubset(attrs)
+        for attrs, replica in zip(info.segment_attrs, info.segment_replicas)
+    ) and (
+        len(info.segment_tids) < 2
+        or len(info.tuple_ids()) == sum(map(len, info.segment_tids))
+    )
+
+
+def _zone_arrays(
+    attribute: str, infos: Sequence[PartitionInfo]
+) -> Tuple[np.ndarray, ...]:
+    """``(pids, lo, hi)`` of ``infos`` for ``attribute``; no bounds is
+    ``(-inf, +inf)``."""
+    unbounded = (-np.inf, np.inf)
+    bounds = [info.zone_map.get(attribute, unbounded) for info in infos]
+    return (
+        np.array([info.pid for info in infos], dtype=np.int64),
+        np.array([lo for lo, _hi in bounds], dtype=np.float64),
+        np.array([hi for _lo, hi in bounds], dtype=np.float64),
+    )
 
 
 def _primary_holders(
@@ -563,16 +628,15 @@ class CatalogSnapshot:
     under, and every pin of a version shares it (``AS OF`` replays reuse
     each other's verdicts across later churn).
 
-    ``valid_mask`` is an optional dense boolean array over the tuple-id
-    domain set by the transactional layer: True for tids visible at this
-    version (deleted tids are False, tids past its end were committed
-    later).  Engines mark the rest INVALID before their selection phase;
-    ``None`` (the default, always the case outside the write path and on a
-    table nothing was ever deleted from) preserves the read-only engines'
-    exact seed behavior.
+    ``hidden`` is the transactional layer's visibility rule for this
+    version: the ascending tids of the scanned domain a read must not
+    return (deleted by then, or committed later), which engines mark
+    INVALID before their selection phase.  ``None`` — nothing hidden, always
+    the case outside the write path — is the read-only engines' exact
+    path.
     """
 
-    __slots__ = ("manager", "version", "index", "valid_mask", "_released")
+    __slots__ = ("manager", "version", "index", "hidden", "_released")
 
     def __init__(
         self, manager: PartitionManager, version: int, index: CatalogIndex
@@ -582,7 +646,7 @@ class CatalogSnapshot:
         #: the frozen partition set's index — the live manager's own object
         #: when no swap separates the pinned version from the current one.
         self.index = index
-        self.valid_mask: Optional[np.ndarray] = None
+        self.hidden: Optional[np.ndarray] = None
         self._released = False
 
     @property

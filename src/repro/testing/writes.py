@@ -12,7 +12,7 @@ exactly: same tids, same projected values, same dtypes.
 and its :class:`ShadowTable` in lockstep from one seeded RNG;
 :func:`verify_against_shadow` diffs every retained version under a handful
 of random queries (plus the full scan, which exercises the snapshot
-valid-mask path that predicates never touch).
+hidden-tid path that predicates never touch).
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def verify_against_shadow(
 ) -> List[str]:
     """Diff the table against the shadow at every recorded version.
 
-    For each version: the full scan (no WHERE — the valid-mask path) plus
+    For each version: the full scan (no WHERE — the hidden-tid path) plus
     ``n_queries`` random range queries.  Returns human-readable mismatch
     strings; empty means oracle-exact.
     """

@@ -14,8 +14,9 @@ immutable :class:`DeltaState`:
 * ``visible`` — one boolean per tid below the version's watermark, False for
   every tid deleted by then.  Tids are never reused (an update is a
   tombstone plus a fresh tid), so this one mask is the whole visibility
-  rule: the engines receive it as ``snapshot.valid_mask`` and read the
-  commit partitions like any other partition.
+  rule: the engines receive what it hides as ``snapshot.hidden``
+  (:meth:`DeltaState.hidden`, derived once per state and domain) and read
+  the commit partitions like any other partition.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class DeltaState:
     """
 
     __slots__ = ("segments", "tombstones", "visible", "_tombstone_array",
-                 "_all_visible")
+                 "_hidden")
 
     def __init__(
         self,
@@ -50,7 +51,8 @@ class DeltaState:
         self.tombstones = tombstones
         self.visible = visible
         self._tombstone_array: Optional[np.ndarray] = None
-        self._all_visible: Optional[bool] = None
+        #: ``(n_tuples, hidden(n_tuples))`` of the last domain asked for.
+        self._hidden: Optional[Tuple[int, Optional[np.ndarray]]] = None
 
     def tombstone_array(self) -> np.ndarray:
         if self._tombstone_array is None:
@@ -78,16 +80,21 @@ class DeltaState:
             visible,
         )
 
-    def valid_mask(self, n_tuples: int) -> Optional[np.ndarray]:
-        """What a scan over an ``n_tuples``-row tid domain hands its
-        snapshot: None when nothing in that domain is invisible (the
-        read-only engines' exact path), else ``visible`` — tids past its end
-        were committed later and count as invisible."""
-        if self._all_visible is None:
-            self._all_visible = bool(self.visible.all())
-        if self._all_visible and len(self.visible) == n_tuples:
-            return None
-        return self.visible
+    def hidden(self, n_tuples: int) -> Optional[np.ndarray]:
+        """What a scan over an ``n_tuples``-row tid domain must not return:
+        the ascending tids deleted by this version, then those past
+        ``visible``'s end (committed later) — None when that is nothing (the
+        read-only engines' exact path).  Memoised per domain size."""
+        memo = self._hidden
+        if memo is None or memo[0] != n_tuples:
+            visible = self.visible[:n_tuples]
+            hidden = np.concatenate((
+                np.flatnonzero(~visible),
+                np.arange(len(visible), n_tuples, dtype=np.int64),
+            ))
+            hidden.setflags(write=False)  # shared by every read of the state
+            memo = self._hidden = (n_tuples, hidden if len(hidden) else None)
+        return memo[1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -18,8 +18,8 @@ older version — ``AS OF``) and runs the layout's engine against it.  The
 snapshot's frozen partition set already holds that version's commit
 partitions, so committed rows take the one read path every partition takes
 (planner access lists, zone maps, the manager's retry/CRC/buffer-pool load,
-degraded reads); the only thing the write path adds is the version's
-visibility mask, ``snapshot.valid_mask`` (see :mod:`repro.txn.delta`).
+degraded reads); the only thing the write path adds is what the version's
+visibility mask hides, ``snapshot.hidden`` (see :mod:`repro.txn.delta`).
 
 Tuple-id discipline: inserts take fresh tids at the high-water mark;
 updates are delete + insert *under new tids* (a tid's cells are immutable
@@ -469,9 +469,9 @@ class TransactionalTable:
         return snapshot, self._state_at(snapshot.version)
 
     def pin(self, version: Optional[int] = None) -> CatalogSnapshot:
-        """Pin a snapshot and attach the version's visibility mask."""
+        """Pin a snapshot and attach what the version hides."""
         snapshot, state = self._pin_state(version)
-        snapshot.valid_mask = state.valid_mask(self.data.n_tuples)
+        snapshot.hidden = state.hidden(self.data.n_tuples)
         return snapshot
 
     def _visible_mask(self, version: int) -> np.ndarray:
@@ -497,9 +497,9 @@ class TransactionalTable:
                     self._readers += 1
                 try:
                     # The tuple domain cannot grow while this thread counts
-                    # as a reader, so the mask is sized against what the
-                    # engine will see.
-                    snapshot.valid_mask = state.valid_mask(self.data.n_tuples)
+                    # as a reader, so the hidden tids are taken over the
+                    # domain the engine will see.
+                    snapshot.hidden = state.hidden(self.data.n_tuples)
                     return self.layout.executor.execute(query, snapshot=snapshot)
                 finally:
                     with self._readers_cv:

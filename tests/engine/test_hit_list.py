@@ -6,6 +6,8 @@ once the kept hits pass 1/16 of the table; each way gives the status pass's
 result.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.layouts import BuildContext, IrregularLayout
 from repro.plan.operators import STATUS_VALID, ProjectFillOp, SelectOp
 from repro.plan.predicates import Conjunction
 from repro.storage import TID_EXPLICIT, ColumnTable, PhysicalSegment
+from repro.storage.catalog import CatalogIndex
 from repro.storage.physical import PhysicalPartition
 from repro.testing.oracle import run_reference_query
 
@@ -88,7 +91,7 @@ def test_a_full_scan_drops_the_hits(table):
 @pytest.mark.parametrize("hi", [20, 400], ids=["kept", "above-the-bound"])
 def test_executions_equal_the_status_pass(table, engine, hi):
     """End to end, on each side of the bound: the oracle's rows, and the
-    full form's (an all-True ``valid_mask`` never takes the verdict)."""
+    full form's (the verdict withheld)."""
     train = Workload(table.meta, [Query.build(table.meta, ["a2", "a3"], {"a1": (0, 99)})])
     layout = IrregularLayout(selection_enabled=False).build(
         table, train, BuildContext(file_segment_bytes=1024, schism_sample_size=100)
@@ -98,7 +101,7 @@ def test_executions_equal_the_status_pass(table, engine, hi):
     assert executor.plan(query).visits_once
     result, _stats = executor.execute(query)
     assert result.equals(run_reference_query(table, query))
-    with executor.manager.pin_snapshot() as view:
-        view.valid_mask = np.ones(N, dtype=bool)
-        full, _stats = executor.execute(query, snapshot=view)
+    with mock.patch.object(CatalogIndex, "visits_once", lambda self, attributes: False):
+        assert not executor.plan(query).visits_once
+        full, _stats = executor.execute(query)
     assert result.equals(full) and result.tuple_ids.dtype == full.tuple_ids.dtype

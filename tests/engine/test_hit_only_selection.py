@@ -9,6 +9,8 @@ it, and the flush that keeps a degraded read exact once failing tuples were
 left NOT_CHECKED — in evaluated and in zone-refuted partitions alike.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,10 @@ from repro.storage import (
     PhysicalSegment,
     StorageDevice,
 )
-from repro.storage.physical import PhysicalPartition
+from repro.plan.operators import STATUS_INVALID, STATUS_VALID, ProjectFillOp, SelectOp
+from repro.plan.predicates import Conjunction
+from repro.storage.catalog import CatalogIndex
+from repro.storage.physical import TID_IMPLICIT, PhysicalPartition
 from repro.testing.oracle import pruning_executors, run_reference_query
 from repro.testing.snapshot import iter_snapshot_cases, stats_signature
 
@@ -65,12 +70,15 @@ def index_of(table, groups, store=None):
     return manager, manager.catalog_index()
 
 
+def full_form():
+    """The full status write, forced with no option: the catalog never
+    grants the visit-once verdict while this is entered."""
+    return mock.patch.object(CatalogIndex, "visits_once", lambda self, attributes: False)
+
+
 def run_full_form(executor, query):
-    """Today's path, forced with no option: any ``valid_mask`` (all True
-    here, so nothing is hidden) means the verdict is never taken."""
-    with executor.manager.pin_snapshot() as view:
-        view.valid_mask = np.ones(executor.table.n_tuples, dtype=bool)
-        return executor.execute(query, snapshot=view)
+    with full_form():
+        return executor.execute(query)
 
 
 def same_result(a, b) -> bool:
@@ -145,26 +153,86 @@ class TestVerdict:
         assert index.visits_once(A1)
         manager.add_partition(partition(table, 1, [(("a1",), tids(200, N), False)]))
         grown = manager.catalog_index()
-        assert grown is not index and grown.visits_once(A1)
+        assert grown is not index and grown._visits_once == {A1: True}  # carried
+        assert grown.visits_once(A1)
         manager.add_partition(partition(table, 2, [(("a1",), tids(100, 300), False)]))
         overlapped = manager.catalog_index()
+        assert overlapped._visits_once == {A1: False}  # a second owner layer
         assert not overlapped.visits_once(A1)
         assert index.visits_once(A1) and grown.visits_once(A1)  # frozen views
 
-    def test_not_computed_under_a_valid_mask(self, table):
-        manager, index = index_of(table, [[(("a1", "a2"), tids(), False)]])
+    @pytest.mark.parametrize("segments, attributes", [
+        ([(("a1",), tids(200, N), False), (("a2",), tids(0, 200), True)], A1),
+        ([(("a1",), tids(200, N), False)], frozenset({"a1", "a2"})),
+        ([(("a1", "a2"), tids(200, 300), False), (("a3",), tids(300, N), False)], A1),
+    ], ids=["replica-segment", "lacks-a-predicate", "segment-without-it"])
+    def test_carried_false_when_an_added_partition_fails(self, table, segments, attributes):
+        """Each added partition that turns the verdict False, carried as a
+        fresh index computes it, with the zone arrays extended to match."""
+        manager, index = index_of(table, [[(("a1", "a2"), tids(0, 200), False)]])
+        assert index.visits_once(attributes)
+        index.zones("a1")
+        manager.add_partition(partition(table, 1, segments))
+        grown = manager.catalog_index()
+        fresh = CatalogIndex(grown.infos())
+        assert grown._visits_once == {attributes: False}
+        assert not fresh.visits_once(attributes)
+        for carried, built in zip(grown._zones["a1"], fresh.zones("a1")):
+            assert np.array_equal(carried, built)
+
+    def test_left_to_a_fresh_computation_without_a_carried_owner_map(self, table):
+        """A verdict over attributes nothing stored is vacuously True and
+        built no owner map, so the next index cannot check the new
+        partitions' layers: it computes the verdict afresh."""
+        manager, index = index_of(table, [[(("a3",), tids(), False)]])
+        assert index.visits_once(A1)
+        manager.add_partition(partition(table, 1, [(("a1",), tids(0, 250), False)]))
+        assert manager.catalog_index()._visits_once == {}
+        assert manager.catalog_index().visits_once(A1)
+        manager.add_partition(partition(table, 2, [(("a1",), tids(150, N), False)]))
+        assert not manager.catalog_index().visits_once(A1)
+
+    def test_taken_under_a_hiding_view(self, table):
+        """A view that hides tids (a write-path version) takes the verdict
+        too, and a hidden tuple is never VALID: not in an explicit-tid
+        segment, not in a run (whose one-slice status write would clear
+        the INVALID mark), not in the result."""
+        manager, _index = index_of(table, [[(("a1", "a2"), tids(), False)]])
         executor = PartitionAtATimeExecutor(manager, table.meta)
         query = Query.build(table.meta, ["a2"], {"a1": (0, 499)})
-        result, _stats = run_full_form(executor, query)
-        assert result.equals(run_reference_query(table, query))
-        assert index._visits_once == {}
-        assert executor.plan(query).visits_once
-        assert index._visits_once == {A1: True}
+        hidden = tids()[::3]
+        with manager.pin_snapshot() as view:
+            view.hidden = hidden
+            assert executor.planner.plan(query, snapshot=view).visits_once
+            result, stats = executor.execute(query, snapshot=view)
+        expected = run_reference_query(table, query)
+        keep = ~np.isin(expected.tuple_ids, hidden)
+        assert np.array_equal(result.tuple_ids, expected.tuple_ids[keep])
+        assert stats.hash_inserts == len(result.tuple_ids)
+
+        half = N // 2
+        runs = PhysicalPartition(pid=1, segments=[PhysicalSegment(
+            attributes=("a1", "a2"), tuple_ids=tids(half, N),
+            columns=table.gather(("a1", "a2"), tids(half, N)),
+            tid_storage=TID_IMPLICIT,
+        )])
+        op = SelectOp(
+            Conjunction.from_query(query), ("a2",), N, hidden=hidden, hit_only=True
+        )
+        inserts = sum(
+            op.select(part)[0]
+            for part in (partition(table, 0, [(("a1", "a2"), tids(0, half), False)]), runs)
+        )
+        assert (op.status[hidden] == STATUS_INVALID).all()
+        valid = ProjectFillOp(("a2",), op, table.schema).valid
+        assert np.array_equal(valid, np.flatnonzero(op.status == STATUS_VALID))
+        assert np.array_equal(valid, expected.tuple_ids[keep])
+        assert inserts == len(valid)
 
 
 def test_snapshot_cases_equal_the_full_form():
     """Every snapshot case that takes the hit-only form, run again in a
-    second sweep under an all-True ``valid_mask``: byte-equal result,
+    second sweep with the verdict withheld: byte-equal result,
     identical accounting.  (Two sweeps, because cases share each layout's
     buffer pool: a rerun in the same sweep would find it warmer.)"""
     hit_only, first = [], []
@@ -215,7 +283,7 @@ def range_split_cases(seed):
 
 def test_zone_refuted_cases_equal_the_full_form():
     """Every range-split case that reads a zone-refuted partition, run
-    again on a second build under an all-True ``valid_mask``: byte-equal
+    again on a second build with the verdict withheld: byte-equal
     result, identical accounting, the oracle's rows."""
     first = [
         (executor.plan(query), executor.execute(query))

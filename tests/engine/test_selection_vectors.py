@@ -170,12 +170,12 @@ def check(result, stats, ret, events, table, query):
     assert {c: getattr(stats, c) for c in COUNTERS} == {c: events[c] for c in COUNTERS}
 
 
-def run_pat(manager, table, query, zone_maps=False, valid_mask=None):
+def run_pat(manager, table, query, zone_maps=False, hidden=None):
     executor = PartitionAtATimeExecutor(manager, table.meta, zone_maps=zone_maps)
-    if valid_mask is None:
+    if hidden is None:
         return executor.execute(query)
     with manager.pin_snapshot() as snapshot:
-        snapshot.valid_mask = valid_mask
+        snapshot.hidden = hidden
         return executor.execute(query, snapshot=snapshot)
 
 
@@ -223,8 +223,8 @@ class TestAlgorithm5Counters:
 
     @pytest.mark.parametrize("where", [{"a1": (0, 599)}, {}], ids=["where", "no-where"])
     def test_snapshot_valid_mask(self, table, where):
-        """(c) a pinned snapshot's base-validity mask (the budgeted-fold
-        case): masked tids never qualify, with or without a WHERE clause."""
+        """(c) a pinned snapshot's hidden tids (the budgeted-fold case):
+        masked tids never qualify, with or without a WHERE clause."""
         manager = build(table, [
             [SegmentSpec(("a1", "a2"), tids(0, 200))],
             [SegmentSpec(("a1", "a2"), tids(200, N))],
@@ -233,7 +233,8 @@ class TestAlgorithm5Counters:
         valid_mask = np.ones(N + 25, dtype=bool)  # longer than the base table
         valid_mask[::7] = False
         query = Query.build(table.meta, ["a2", "a3"], where)
-        result, stats = run_pat(manager, table, query, valid_mask=valid_mask)
+        hidden = np.flatnonzero(~valid_mask[:N])
+        result, stats = run_pat(manager, table, query, hidden=hidden)
         ret, events = algorithm5(manager, query, valid_mask=valid_mask[:N])
         assert not set(ret) & set(range(0, N, 7))
         expected = run_reference_query(table, query)

@@ -275,6 +275,80 @@ class TestIndexEqualsDefinition:
                 assert np.array_equal(mine, fresh)
         assert live.owner_bytes() == rebuilt.owner_bytes()  # sharing kept
 
+    @given(
+        st.lists(partition_st, min_size=2, max_size=6),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_add_only_swap_carries_verdicts_and_zones(self, drawn, data):
+        """Visit-once verdicts and zone arrays memoised before a write
+        commit are carried into the derived index, not recomputed: they
+        must equal a fresh index's.  The drawn partitions reach every case
+        that turns a verdict False — overlapping tids (a second owner
+        layer), replica segments, a partition lacking a predicate."""
+        manager = new_manager()
+        every = np.arange(N_TUPLES, dtype=np.int64)
+        attribute_sets = st.sets(st.sampled_from(ATTRS), min_size=1).map(frozenset)
+        for pid, segments in enumerate(drawn):
+            manager.add_partition(physical(pid, segments))
+            index = manager.catalog_index()
+            for attributes in data.draw(st.lists(attribute_sets, max_size=3)):
+                index.visits_once(attributes)
+            for attribute in data.draw(st.sets(st.sampled_from(ATTRS))):
+                index.zones(attribute)
+            for attribute in data.draw(st.sets(st.sampled_from(ATTRS))):
+                manager.partitions_with_missing_cells(attribute, every)
+        live = manager.catalog_index()
+        carried = dict(live._visits_once)
+        rebuilt = CatalogIndex(manager.info(pid) for pid in manager.pids())
+        for attributes, verdict in carried.items():
+            assert verdict == rebuilt.visits_once(attributes), attributes
+        for attribute, arrays in dict(live._zones).items():
+            for mine, fresh in zip(arrays, rebuilt.zones(attribute)):
+                assert mine.dtype == fresh.dtype
+                assert np.array_equal(mine, fresh)
+
+    @given(
+        st.sets(st.sampled_from(ATTRS), min_size=1, max_size=3),
+        st.lists(st.tuples(
+            st.booleans(),
+            st.sets(st.sampled_from(ATTRS)),
+            st.sets(st.integers(0, N_TUPLES - 1), max_size=N_TUPLES),
+        ), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(-20, 420), st.integers(0, 200)), min_size=3, max_size=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_vectorised_zone_refutation_equals_the_per_info_loop(
+        self, predicated, drawn, bounds
+    ):
+        """Partitions either store every predicate attribute (the only
+        shape the visit-once verdict admits) or none; tid sets may be empty,
+        so a partition can store an attribute with no zone."""
+        from repro.plan.physical import _zone_refuted
+        from repro.plan.predicates import Conjunction, RangePredicate
+
+        manager = new_manager()
+        for pid, (selection, extra, tids) in enumerate(drawn):
+            attrs = (predicated | extra) if selection else (extra - predicated)
+            if attrs:
+                manager.add_partition(physical(pid, [(attrs, tids, False)]))
+        conjunction = Conjunction([
+            RangePredicate(attribute, lo, lo + width)
+            for attribute, (lo, width) in zip(sorted(predicated), bounds)
+        ])
+        with manager.pin_snapshot() as view:
+            pids = view.index.pids_for_attributes(predicated)
+            if not pids:
+                return
+            expected = frozenset(
+                info.pid for info in map(view.info, pids)
+                if any(
+                    info.zone_disjoint(p.attribute, p.lo, p.hi)
+                    for p in conjunction.predicates
+                )
+            )
+            assert _zone_refuted(view, conjunction, pids) == expected
+
 
 def stripes(first_pid, n, attrs=ATTRS):
     """One catalog state: ``n`` partitions that together hold ``attrs`` of

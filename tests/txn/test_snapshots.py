@@ -95,21 +95,21 @@ class TestPinning:
         table, _layout, txn = txn_table
         names = list(table.schema.attribute_names)
         with txn.pin() as clean:
-            assert clean.valid_mask is None
+            assert clean.hidden is None
         first = txn.current_version
         txn.insert({name: np.arange(5, dtype=np.int32) for name in names})
         grown = txn.commit()
         with txn.pin() as still_clean, txn.pin(first) as older:
-            assert still_clean.valid_mask is None
+            assert still_clean.hidden is None
             # The older version ends below the grown tid domain.
-            assert older.valid_mask is not None
-            assert len(older.valid_mask) == 300 and older.valid_mask.all()
+            assert older.hidden is not None
+            assert older.hidden.tolist() == list(range(300, 305))
         txn.delete(tids=[4])
         txn.commit()
         with txn.pin() as dirty, txn.pin() as again, txn.pin(grown) as back:
-            assert dirty.valid_mask is again.valid_mask  # built once
-            assert not dirty.valid_mask[4] and dirty.valid_mask.sum() == 304
-            assert back.valid_mask is None
+            assert dirty.hidden is again.hidden  # built once
+            assert dirty.hidden.tolist() == [4]
+            assert back.hidden is None
 
     def test_states_below_the_floor_are_dropped(self, txn_table):
         _table, _layout, txn = txn_table
