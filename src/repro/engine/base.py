@@ -233,9 +233,7 @@ def run_selection(
     ``process`` on each one read, and a pruned one's verdict applied from
     the catalog alone.  Returns the VALID tuples those verdicts evicted."""
     logical = plan.logical
-    loop = AccessLoop(
-        reader, degrade, logical.predicate_attributes, plan.selection_columns
-    )
+    loop = AccessLoop(reader, degrade, logical.predicate_attributes)
     loop.pending.extend(plan.selection_pids())
     evictions = 0
     # Under the visit-once verdict a substitute is never a selection pid.

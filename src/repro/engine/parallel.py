@@ -100,9 +100,11 @@ class ThreadedPartitionEngine(QueryEngine):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         self.n_threads = max(1, self.n_threads)
         self.name = "jigsaw-l" if self.strategy == "locking" else "jigsaw-s"
-        #: audit ledgers of the most recent execute(): one ``ExecutionStats``
-        #: per worker thread and the coordinator's (serial drain + projection
-        #: loads); their exact sum is the stats ``execute`` returned.
+        #: audit ledgers of the execute() that finished last: one
+        #: ``ExecutionStats`` per worker thread and the coordinator's (serial
+        #: drain + projection loads); their exact sum is the stats that
+        #: execute returned.  Each call fills its own and assigns them here
+        #: once, at the end, so concurrent calls never share a ledger.
         self.worker_stats: List[ExecutionStats] = []
         self.coordinator_stats = ExecutionStats()
 
@@ -116,10 +118,10 @@ class ThreadedPartitionEngine(QueryEngine):
                 return self.execute(query, snapshot)
         started = time.perf_counter()
         coordinator = ExecutionStats()
-        self.worker_stats = [ExecutionStats() for _ in range(self.n_threads)]
+        workers = [ExecutionStats() for _ in range(self.n_threads)]
         # The phase snapshots sum across every ledger of the execution: the
         # coordinator's plus one per worker thread.
-        ledgers = [coordinator, *self.worker_stats]
+        ledgers = [coordinator, *workers]
         # The tracer is resolved inside the scope: a root scope may install
         # the one that captures this request's spans for the slow-query log.
         with request_scope(self.name, query) as scope, (
@@ -149,12 +151,12 @@ class ThreadedPartitionEngine(QueryEngine):
                 elif self.strategy == "locking":
                     self._selection_locking(
                         plan, pred_pids, select_op, status, ret, load_lock,
-                        fctx, failed,
+                        fctx, failed, workers,
                     )
                 else:
                     self._selection_shared(
                         plan, pred_pids, select_op, status, ret, load_lock,
-                        fctx, failed,
+                        fctx, failed, workers,
                     )
             if failed:
                 with tracer.phase("exec.drain", ledgers, n_failed=len(failed)):
@@ -166,11 +168,9 @@ class ThreadedPartitionEngine(QueryEngine):
             with tracer.phase("exec.projection", ledgers):
                 self._projection(plan, fill_op, status, ret, fctx, coordinator)
 
-            self.coordinator_stats = coordinator
             totals = ExecutionStats()
-            totals.add(coordinator)
-            for worker in self.worker_stats:
-                totals.add(worker)
+            for ledger in ledgers:
+                totals.add(ledger)
             valid = np.array(
                 sorted(tid for tid, s in enumerate(status) if s == _VALID)
             )
@@ -196,23 +196,18 @@ class ThreadedPartitionEngine(QueryEngine):
             totals.n_result_tuples = len(valid)
             finalize_stats(totals, self.cpu_model, started)
             scope.complete(totals, plan)
+        self.worker_stats, self.coordinator_stats = workers, coordinator
         return ResultSet(valid, columns), totals
 
     # --------------------------------------------------------- internals
 
-    def _worker_load(
-        self,
-        reader: PlanReader,
-        pid: int,
-        columns: frozenset,
-        failed: List[int],
-    ):
+    def _worker_load(self, reader: PlanReader, pid: int, failed: List[int]):
         """Load through the worker's reader; an unreadable partition is
         recorded in ``failed`` (its I/O cost accrued to this worker) and
         None returned instead of raising, so worker threads never die
         mid-phase."""
         try:
-            return reader.load(pid, columns=columns)
+            return reader.load(pid)
         except PartitionUnreadableError as exc:
             if exc.io_delta is not None:
                 reader.stats.accrue_io(exc.io_delta)
@@ -224,7 +219,7 @@ class ThreadedPartitionEngine(QueryEngine):
 
         ``wanted`` restricts the per-tuple cell dict to the attributes the
         caller will actually read (predicates + projection); other columns
-        stay undecoded when the partition was loaded lazily.
+        stay undecoded.
         """
         for segment in partition.segments:
             attrs = segment.attributes
@@ -235,7 +230,8 @@ class ThreadedPartitionEngine(QueryEngine):
                 yield int(tid), {name: columns[name][row] for name in attrs}
 
     def _selection_locking(
-        self, plan, pred_pids, select_op, status, ret, load_lock, fctx, failed
+        self, plan, pred_pids, select_op, status, ret, load_lock, fctx, failed,
+        workers,
     ):
         """Algorithm 6: threads pop partitions; bucket locks serialize tuples."""
         queue = list(pred_pids)
@@ -244,15 +240,13 @@ class ThreadedPartitionEngine(QueryEngine):
         wanted = plan.logical.selection_columns
 
         def worker(thread_id: int) -> None:
-            reader = PlanReader(
-                self.manager, self.worker_stats[thread_id], fctx, lock=load_lock
-            )
+            reader = PlanReader(self.manager, workers[thread_id], fctx, lock=load_lock)
             while True:
                 with queue_lock:
                     if not queue:
                         return
                     pid = queue.pop(0)
-                partition = self._worker_load(reader, pid, wanted, failed)
+                partition = self._worker_load(reader, pid, failed)
                 if partition is None:
                     continue
                 for tid, cells in self._tuple_rows(partition, wanted):
@@ -262,7 +256,8 @@ class ThreadedPartitionEngine(QueryEngine):
         self._run_threads(worker)
 
     def _selection_shared(
-        self, plan, pred_pids, select_op, status, ret, load_lock, fctx, failed
+        self, plan, pred_pids, select_op, status, ret, load_lock, fctx, failed,
+        workers,
     ):
         """Algorithm 7: barrier after loading; threads own bucket ranges."""
         partitions: List = [None] * len(pred_pids)
@@ -272,15 +267,13 @@ class ThreadedPartitionEngine(QueryEngine):
         wanted = plan.logical.selection_columns
 
         def worker(thread_id: int) -> None:
-            reader = PlanReader(
-                self.manager, self.worker_stats[thread_id], fctx, lock=load_lock
-            )
+            reader = PlanReader(self.manager, workers[thread_id], fctx, lock=load_lock)
             while True:
                 with queue_lock:
                     if not load_queue:
                         break
                     index, pid = load_queue.pop(0)
-                partitions[index] = self._worker_load(reader, pid, wanted, failed)
+                partitions[index] = self._worker_load(reader, pid, failed)
             barrier.wait()
             for partition in partitions:
                 if partition is None:
@@ -308,7 +301,7 @@ class ThreadedPartitionEngine(QueryEngine):
         wanted = plan.logical.selection_columns
         reader = PlanReader(self.manager, stats, fctx)
         degrade = DegradeOp(plan.snapshot.index, stats, fctx)
-        loop = AccessLoop(reader, degrade, conjunction.attributes, wanted)
+        loop = AccessLoop(reader, degrade, conjunction.attributes)
         # Mark every known failure first so the earliest substitution plan
         # already excludes all of them.
         loop.done.update(failed)
@@ -373,7 +366,6 @@ class ThreadedPartitionEngine(QueryEngine):
             reader,
             degrade,
             projected,
-            wanted,
             replan_known_dead=True,
             tids_by_attribute=still_missing,
         )

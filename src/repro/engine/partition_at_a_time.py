@@ -127,13 +127,10 @@ class PartitionAtATimeExecutor(QueryEngine):
             proj_pids.update(view.partitions_with_missing_cells(names[0], tids))
             if fill_op.owned is not None:
                 fill_op.owned.update(dict.fromkeys(names, owners.rows(fill_op.valid)))
-        # Only the still-missing projected attributes need decoding here;
-        # everything else in these partitions is dead weight for this phase.
         loop = AccessLoop(
             reader,
             degrade,
             missing_by_attr,
-            frozenset(missing_by_attr),
             replan_known_dead=True,
             tids_by_attribute=missing_by_attr,
         )

@@ -116,7 +116,6 @@ class ScanExecutor(QueryEngine):
             reader,
             degrade,
             projected,
-            plan.projection_columns,
             replan_known_dead=True,
             tids_by_attribute=still_missing,
         )

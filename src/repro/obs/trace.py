@@ -277,9 +277,6 @@ class Tracer:
         span.end_s = span.start_s
         self.collector.collect(span)
 
-    def current_span(self) -> Optional[Span]:
-        return _CURRENT_SPAN.get()
-
     def _make_span(self, name: str, attrs: Dict[str, Any]) -> Span:
         parent = _CURRENT_SPAN.get()
         return Span(
@@ -322,9 +319,6 @@ class NoopTracer:
         return _NOOP_CONTEXT
 
     def event(self, name: str, **attrs: Any) -> None:
-        return None
-
-    def current_span(self) -> Optional[Span]:
         return None
 
 

@@ -5,10 +5,10 @@ metadata — built from the query and the catalog only, before any I/O:
 
 * **normalized predicates** — the query's WHERE clause as a canonical
   attribute-sorted :class:`~repro.plan.predicates.Conjunction`;
-* **projection-pushdown column sets** — which columns each phase must decode
-  (``selection_columns`` / ``projection_columns``), threaded through
-  :meth:`~repro.storage.partition_manager.PartitionManager.load` so lazy
-  deserialization touches nothing else;
+* **projection-pushdown column sets** — which columns each phase reads
+  (``selection_columns`` / ``projection_columns``), as ``explain()``
+  reports them; a load decodes a cell on first access, so a phase decodes
+  nothing else;
 * **partition classification** — a candidate partition is classified as
   REQUIRED, PRUNED, or PROJECTION_ONLY from segment range metadata (the
   catalog zone maps), so executors can skip reads the metadata already
@@ -118,7 +118,7 @@ class LogicalPlan:
         self.projected: Tuple[str, ...] = tuple(query.select)
         self.predicate_attributes: frozenset = self.conjunction.attributes
         self.projected_attributes: frozenset = frozenset(self.projected)
-        # Projection pushdown: the scan engine's selection phase touches
+        # Projection pushdown: the scan engine's selection phase reads
         # predicate cells only; the partition-at-a-time family also stashes
         # any co-located projected cell (Algorithm 5 line 16) so a partition
         # is never revisited.

@@ -126,17 +126,15 @@ class PlanReader:
         # call site pays one attribute load + truth test per partition.
         self.tracer = obs_tracer()
 
-    def load(
-        self, pid: int, columns: Optional[frozenset] = None
-    ) -> PhysicalPartition:
+    def load(self, pid: int) -> PhysicalPartition:
         """Load one partition, charging this execution's counters."""
         if self.cache is not None and pid in self.cache:
             return self.cache[pid]
         tracer = self.tracer
         if not tracer.enabled:
-            return self._load_accounted(pid, columns)[0]
+            return self._load_accounted(pid)[0]
         with tracer.span("exec.partition", pid=pid) as span:
-            partition, io_delta, degraded = self._load_accounted(pid, columns)
+            partition, io_delta, degraded = self._load_accounted(pid)
             span.sim_io_s = io_delta.io_time_s
             span.set(
                 bytes_read=io_delta.bytes_read,
@@ -147,12 +145,10 @@ class PlanReader:
             )
         return partition
 
-    def _load_accounted(self, pid: int, columns: Optional[frozenset]):
+    def _load_accounted(self, pid: int):
         """The load + accounting body."""
         with self.lock:
-            partition, io_delta = self.manager.load(
-                pid, chunk_size=self.chunk_size, columns=columns
-            )
+            partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
         if io_delta.n_pool_hits:  # a pool hit charges nothing else
             self.stats.n_pool_hits += 1
         else:
@@ -228,7 +224,7 @@ class AccessLoop:
     """
 
     __slots__ = (
-        "reader", "degrade", "attributes", "columns", "replan_known_dead",
+        "reader", "degrade", "attributes", "replan_known_dead",
         "tids_by_attribute", "pending", "done",
     )
 
@@ -237,14 +233,12 @@ class AccessLoop:
         reader: PlanReader,
         degrade: DegradeOp,
         attributes: Iterable[str],
-        columns: Optional[frozenset],
         replan_known_dead: bool = False,
         tids_by_attribute=None,
     ):
         self.reader = reader
         self.degrade = degrade
         self.attributes = tuple(attributes)
-        self.columns = columns
         self.replan_known_dead = replan_known_dead
         self.tids_by_attribute = tids_by_attribute
         self.pending: deque = deque()
@@ -281,7 +275,7 @@ class AccessLoop:
             if skip is not None and skip(pid):
                 continue
             try:
-                partition = self.reader.load(pid, columns=self.columns)
+                partition = self.reader.load(pid)
             except PartitionUnreadableError as exc:
                 self.fail(pid, exc)
                 continue

@@ -17,21 +17,19 @@ Accounting composes with the device model as follows:
   reported through ``IOStats.n_pool_hits`` / ``pool_hit_bytes`` so engines
   can surface it in ``ExecutionStats``.
 
-Entries can be *pinned* while an engine is actively scanning them; pinned
-entries are never evicted, so a concurrent query cannot push a partition out
-from under another thread mid-scan.  Eviction is LRU over the unpinned
-entries, bounded by ``capacity_bytes`` of *file* bytes (the serialized size
-is the natural budget unit: it is what the catalog already tracks and a good
-proxy for the decoded footprint).
+Eviction is LRU, bounded by ``capacity_bytes`` of *file* bytes (the
+serialized size is the natural budget unit: it is what the catalog already
+tracks and a good proxy for the decoded footprint).  Evicting an entry only
+drops the pool's reference: a query that holds the partition keeps reading
+it, so no entry needs protecting from eviction while it is scanned.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..obs import tracer as obs_tracer
 from .io_stats import IOStats
@@ -59,13 +57,12 @@ class BufferPoolStats:
 
 
 class _Entry:
-    __slots__ = ("hit", "n_bytes", "pins")
+    __slots__ = ("hit", "n_bytes")
 
     def __init__(self, partition: PhysicalPartition, n_bytes: int):
         #: what every hit returns: the partition and its (read-only) delta.
         self.hit = (partition, IOStats(n_pool_hits=1, pool_hit_bytes=n_bytes))
         self.n_bytes = n_bytes
-        self.pins = 0
 
 
 class BufferPool:
@@ -82,18 +79,12 @@ class BufferPool:
 
     # ------------------------------------------------------------- lookups
 
-    def get(self, pid: int, pin: bool = False) -> Optional[PhysicalPartition]:
-        """Return the cached partition (refreshing LRU order) or ``None``.
-
-        With ``pin=True`` a hit also pins the entry; the caller must
-        :meth:`unpin` it (or use :meth:`pinned`) when done scanning.
-        """
-        hit = self.hit(pid, pin)
+    def get(self, pid: int) -> Optional[PhysicalPartition]:
+        """Return the cached partition (refreshing LRU order) or ``None``."""
+        hit = self.hit(pid)
         return None if hit is None else hit[0]
 
-    def hit(
-        self, pid: int, pin: bool = False
-    ) -> Optional[Tuple[PhysicalPartition, IOStats]]:
+    def hit(self, pid: int) -> Optional[Tuple[PhysicalPartition, IOStats]]:
         """:meth:`get`, returning ``(partition, delta)`` on a hit: the delta
         a read served by the pool charges (one pool hit of the entry's
         bytes), built once per entry and shared — never mutate it."""
@@ -105,14 +96,10 @@ class BufferPool:
             self._entries.move_to_end(pid)
             self.stats.n_hits += 1
             self.stats.hit_bytes += entry.n_bytes
-            if pin:
-                entry.pins += 1
             return entry.hit
 
-    def put(
-        self, pid: int, partition: PhysicalPartition, n_bytes: int, pin: bool = False
-    ) -> None:
-        """Insert (or refresh) an entry, evicting LRU unpinned entries.
+    def put(self, pid: int, partition: PhysicalPartition, n_bytes: int) -> None:
+        """Insert (or refresh) an entry, evicting LRU entries.
 
         A partition larger than the whole budget is not admitted — callers
         still hold the object they passed in, so nothing breaks; the pool
@@ -125,69 +112,30 @@ class BufferPool:
                 self._current_bytes -= old.n_bytes
             if n_bytes > self.capacity_bytes:
                 return
-            entry = _Entry(partition, n_bytes)
-            if pin:
-                entry.pins += 1
-            self._entries[pid] = entry
+            self._entries[pid] = _Entry(partition, n_bytes)
             self._current_bytes += n_bytes
             self.stats.n_insertions += 1
             self._evict_over_budget()
 
     def _evict_over_budget(self) -> None:
-        """Drop unpinned entries oldest-first until back under budget."""
-        if self._current_bytes <= self.capacity_bytes:
-            return
-        tracer = obs_tracer()
-        for pid in list(self._entries):
-            if self._current_bytes <= self.capacity_bytes:
-                break
-            entry = self._entries[pid]
-            if entry.pins > 0:
-                continue
-            del self._entries[pid]
+        """Drop entries oldest-first until back under budget."""
+        while self._current_bytes > self.capacity_bytes:
+            pid, entry = self._entries.popitem(last=False)
             self._current_bytes -= entry.n_bytes
             self.stats.n_evictions += 1
             self.stats.evicted_bytes += entry.n_bytes
+            tracer = obs_tracer()
             if tracer.enabled:
                 tracer.event(
                     "pool.evict", pid=pid, n_bytes=entry.n_bytes,
                     current_bytes=self._current_bytes,
                 )
 
-    # ------------------------------------------------------------- pinning
-
-    def pin(self, pid: int) -> bool:
-        """Pin a resident entry; returns False when the pid is not cached."""
-        with self._lock:
-            entry = self._entries.get(pid)
-            if entry is None:
-                return False
-            entry.pins += 1
-            return True
-
-    def unpin(self, pid: int) -> None:
-        with self._lock:
-            entry = self._entries.get(pid)
-            if entry is None:
-                return
-            entry.pins = max(0, entry.pins - 1)
-            self._evict_over_budget()
-
-    @contextmanager
-    def pinned(self, pid: int) -> Iterator[Optional[PhysicalPartition]]:
-        """``with pool.pinned(pid) as partition:`` — pin for the block."""
-        partition = self.get(pid, pin=True)
-        try:
-            yield partition
-        finally:
-            if partition is not None:
-                self.unpin(pid)
-
     # -------------------------------------------------------- invalidation
 
     def invalidate(self, pid: int) -> None:
-        """Drop one pid (partition file rewritten); pins do not protect it —
-        a rewrite means the cached object is stale and must not be served."""
+        """Drop one pid (its partition retired or unreadable): the cached
+        object must not be served again."""
         with self._lock:
             entry = self._entries.pop(pid, None)
             if entry is not None:

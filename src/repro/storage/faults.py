@@ -138,20 +138,12 @@ class FaultInjectingBlobStore(BlobStore):
     def config_for(self, key: str) -> FaultConfig:
         return self.overrides.get(key, self.config)
 
-    def consume_injected_latency(self, key: Optional[str] = None) -> float:
-        """Return and reset simulated seconds injected since the last call.
-
-        With ``key`` the drain covers only spikes injected for that key —
-        the form concurrent readers must use so one reader cannot swallow
-        another's pending latency.  Without it, everything pending is
-        drained (single-threaded legacy callers).
-        """
+    def consume_injected_latency(self, key: str) -> float:
+        """Return and reset the simulated seconds injected into reads of
+        ``key`` since its last drain — per key, so one reader cannot swallow
+        another's pending latency."""
         with self._lock:
-            if key is not None:
-                return self._pending_latency_s.pop(key, 0.0)
-            pending = sum(self._pending_latency_s.values())
-            self._pending_latency_s.clear()
-            return pending
+            return self._pending_latency_s.pop(key, 0.0)
 
     def get(self, key: str) -> bytes:
         cfg = self.config_for(key)

@@ -14,42 +14,44 @@ the paper's accounting.
 Layout (little endian)::
 
     magic 'JGSW' | version u16 | pid u32 | n_segments u32 | n_attrs u16
-    [header_crc u32]                      -- version >= 2 only
+    header_crc u32
     per segment:
       tid_mode u8 | n_tuples u64 | first_tid u64
-      [segment_crc u32]                   -- version >= 2 only
+      segment_crc u32
       bitmap ceil(n_attrs/8)B
       [tuple ids int64 * n_tuples]        -- tid_mode == explicit only
       row-major cells (padded widths)
 
-Version 2 adds CRC32 checksums so that corruption is *detected* instead of
-silently decoded: ``header_crc`` covers the file header, and each segment's
-``segment_crc`` covers its segment header plus every byte of its bitmap,
-tuple IDs and cells.  Version-1 files (no checksums) remain readable.
+CRC32 checksums make corruption *detected* instead of silently decoded:
+``header_crc`` covers the file header, and each segment's ``segment_crc``
+covers its segment header plus every byte of its bitmap, tuple IDs and
+cells.  A file whose version is not :data:`FORMAT_VERSION` is refused.
 
-What is verified, when and where:
+A file is read only under its *frame* — the partition's catalog entry,
+which holds each segment's attributes, tuple IDs, tid mode and replica
+flag — so ``(bytes, schema, frame)`` is all a read needs.  What is
+verified, when and where:
 
 * **Checksums — once per bytes object.**  :func:`deserialize_partition`
-  verifies every CRC of the object it is handed (over ``memoryview`` slices,
-  even when cell decoding is lazy) before any cell can reach a caller, and
+  verifies every CRC of the object it is handed (over ``memoryview`` slices;
+  cells decode lazily) before any cell can reach a caller, and
   records the verdict *on that object* when it can carry one
   (:class:`~repro.storage.blob.StoredBlob`, what ``MemoryBlobStore`` keeps).
   Bytes are immutable, so the same object is not re-hashed on a later decode;
   any other object — a corrupted or truncated copy, a file re-read from disk,
   a blob rewritten by ``put`` — has no verdict and is verified in full.
 * **Framing — every decode, O(segments).**  Magic, version, attribute count,
-  truncation of every header / tuple-ID / cell area, and — when the catalog
-  entry is passed as ``frame`` — each segment header's mode, replica flag,
-  bitmap, ``n_tuples`` and ``first_tid`` against it.
+  truncation of every header / tuple-ID / cell area, and each segment
+  header's mode, replica flag, bitmap, ``n_tuples`` and ``first_tid``
+  against the frame.
 * **Tuple-ID structure — at write time.**  The partition manager validates
   a partition's tuple-ID arrays when it adds the partition to the catalog
   (and ``PhysicalSegment`` validates every segment built from arrays); a
-  framed decode hands out those catalog arrays instead of rebuilding and
-  re-validating them per read.  A catalog-less decode builds its segments
-  through the validating constructor as before.
+  decode hands out those catalog arrays instead of rebuilding and
+  re-validating them per read.
 
 Checksum bytes are a durability artifact, not data: simulated I/O accounting
-charges the *version-1-equivalent* size (see :func:`checksum_overhead`), so
+charges the file's size without them (see :func:`checksum_overhead`), so
 figure reproductions are byte-identical with or without them.
 """
 
@@ -59,7 +61,7 @@ import struct
 import zlib
 from collections.abc import Mapping
 from functools import lru_cache
-from typing import Dict, Iterable, List, Protocol, Sequence, Tuple
+from typing import Dict, List, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -83,7 +85,7 @@ __all__ = [
 ]
 
 MAGIC = b"JGSW"
-#: current write version; version 1 (pre-checksum) files remain readable.
+#: the one version written and read.
 FORMAT_VERSION = 2
 _HEADER = struct.Struct("<4sHIIH")
 _SEGMENT_HEADER = struct.Struct("<BQQ")
@@ -125,7 +127,7 @@ def segment_row_dtype(schema: TableSchema, attributes: Sequence[str]) -> np.dtyp
 class LazyColumnBlock(Mapping):
     """Column mapping of one segment, decoded from file bytes on first access.
 
-    Behaves like the eager ``{name: ndarray}`` dict (same keys, same lookup
+    Behaves like a ``{name: ndarray}`` dict (same keys, same lookup
     semantics) but a column's bytes are only touched when the column is
     actually read: ``__getitem__`` returns a strided ``np.frombuffer`` view
     into the row-major cell area, memoized per attribute.  Holding the view
@@ -151,10 +153,6 @@ class LazyColumnBlock(Mapping):
         self._n_rows = n_rows
         self._rows: np.ndarray | None = None
         self._columns: Dict[str, np.ndarray] = {}
-
-    @property
-    def n_rows(self) -> int:
-        return self._n_rows
 
     @property
     def materialized(self) -> frozenset:
@@ -227,7 +225,7 @@ class PartitionFrame(Protocol):
 
 
 def checksum_overhead(n_segments: int) -> int:
-    """Bytes a version-2 file spends on checksums beyond the version-1 layout.
+    """Bytes a file spends on checksums (one per header and per segment).
 
     The partition manager subtracts this from the physical file size when
     charging simulated I/O, so checksums never perturb the paper's byte
@@ -240,8 +238,7 @@ def append_trailer(data: bytes, payload: bytes) -> bytes:
     """Append an optional metadata trailer to a serialized partition.
 
     The trailer rides *after* the last segment — ``deserialize_partition``
-    stops at ``n_segments`` and never sees it, so version-1 and version-2
-    readers are both unaffected.  Its fixed-size footer (payload CRC32,
+    stops at ``n_segments`` and never sees it.  Its fixed-size footer (payload CRC32,
     payload length, ``JGSK`` magic) sits at the very end of the file so a
     reader can find it without re-parsing the segments.  Like checksum
     overhead, trailer bytes are excluded from the accounted partition size.
@@ -271,20 +268,12 @@ def read_trailer(data: bytes) -> bytes | None:
     return payload
 
 
-def serialize_partition(
-    partition: PhysicalPartition, schema: TableSchema, version: int = FORMAT_VERSION
-) -> bytes:
-    """Serialize a physical partition into the Figure-4 byte layout.
-
-    ``version=1`` writes the legacy pre-checksum layout (used by tests to
-    assert backward readability); the default writes checksummed version 2.
-    """
-    if version not in (1, 2):
-        raise StorageError(f"cannot write partition format version {version}")
-    header = _HEADER.pack(MAGIC, version, partition.pid, len(partition.segments), len(schema))
-    chunks: List[bytes] = [header]
-    if version >= 2:
-        chunks.append(_CRC.pack(zlib.crc32(header)))
+def serialize_partition(partition: PhysicalPartition, schema: TableSchema) -> bytes:
+    """Serialize a physical partition into the Figure-4 byte layout."""
+    header = _HEADER.pack(
+        MAGIC, FORMAT_VERSION, partition.pid, len(partition.segments), len(schema)
+    )
+    chunks: List[bytes] = [header, _CRC.pack(zlib.crc32(header))]
     for segment in partition.segments:
         mode = _TID_MODES[segment.tid_storage]
         if segment.replica:
@@ -299,44 +288,25 @@ def serialize_partition(
         for name in segment.attributes:
             rows[name] = segment.columns[name]
         body.append(rows.tobytes())
-        chunks.append(seg_header)
-        if version >= 2:
-            crc = zlib.crc32(seg_header)
-            for piece in body:
-                crc = zlib.crc32(piece, crc)
-            chunks.append(_CRC.pack(crc))
-        chunks.extend(body)
+        crc = zlib.crc32(seg_header)
+        for piece in body:
+            crc = zlib.crc32(piece, crc)
+        chunks.extend([seg_header, _CRC.pack(crc), *body])
     return b"".join(chunks)
 
 
 def deserialize_partition(
-    data: bytes,
-    schema: TableSchema,
-    catalog_tids: Dict[int, np.ndarray] | None = None,
-    columns: Iterable[str] | None = None,
-    frame: PartitionFrame | None = None,
+    data: bytes, schema: TableSchema, frame: PartitionFrame
 ) -> PhysicalPartition:
     """Parse a partition file back into a :class:`PhysicalPartition`.
 
-    ``frame`` is the partition's catalog entry.  With it a decode costs
+    ``frame`` is the partition's catalog entry.  A decode costs
     O(segments): each segment header is cross-checked against the frame
     (mode, replica flag, attributes, ``n_tuples``, ``first_tid``) and the
     segment takes the catalog's tuple-ID array as is — for every tid mode —
-    instead of building, copying or re-validating one.
-
-    Without a frame the tuple IDs come from the file (explicit), from the
-    header (implicit) or from ``catalog_tids`` — arrays indexed by segment
-    ordinal, for segments whose mapping the file does not hold — and every
-    segment is validated by the :class:`PhysicalSegment` constructor.
-
-    ``columns`` switches cell decoding to *lazy* mode: every segment's
-    ``columns`` becomes a :class:`LazyColumnBlock` over the file bytes, and
-    only the attributes in ``columns`` that the segment actually stores are
-    materialized eagerly (pass an empty set to defer everything).  Byte
-    parsing of headers and tuple IDs is identical either way, so the
-    partition's structure — segments, attributes, tuple IDs — is always
-    complete; only cell decoding is deferred.  With ``columns=None`` the
-    historical eager behaviour (contiguous per-column copies) is preserved.
+    instead of building, copying or re-validating one.  Every segment's
+    ``columns`` is a :class:`LazyColumnBlock` over the file bytes: a cell
+    decodes on first access.
 
     Checksums are verified unless this very ``data`` object already carries
     a verdict (see the module docstring); a successful decode records one.
@@ -347,42 +317,37 @@ def deserialize_partition(
     magic, version, pid, n_segments, n_attrs = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise StorageError(f"bad magic {magic!r}; not a partition file")
-    if version not in (1, 2):
+    if version != FORMAT_VERSION:
         raise StorageError(f"unsupported partition format version {version}")
-    checksummed = version >= 2
-    verify = checksummed and not (isinstance(data, StoredBlob) and data.crc_verified)
+    verify = not (isinstance(data, StoredBlob) and data.crc_verified)
     view = memoryview(data)
     offset = _HEADER.size
-    if checksummed:
-        if size < offset + _CRC.size:
-            raise StorageError("partition file truncated: missing header checksum")
-        (stored_crc,) = _CRC.unpack_from(data, offset)
-        if verify and zlib.crc32(view[:_HEADER.size]) != stored_crc:
-            raise ChecksumError(f"partition {pid}: header checksum mismatch")
-        offset += _CRC.size
+    if size < offset + _CRC.size:
+        raise StorageError("partition file truncated: missing header checksum")
+    (stored_crc,) = _CRC.unpack_from(data, offset)
+    if verify and zlib.crc32(view[:_HEADER.size]) != stored_crc:
+        raise ChecksumError(f"partition {pid}: header checksum mismatch")
+    offset += _CRC.size
     if n_attrs != len(schema):
         raise StorageError(
             f"partition file written for {n_attrs} attributes, schema has {len(schema)}"
         )
-    if frame is not None and len(frame.segment_tids) != n_segments:
+    if len(frame.segment_tids) != n_segments:
         raise StorageError(
             f"partition {pid}: file holds {n_segments} segments, "
             f"catalog says {len(frame.segment_tids)}"
         )
     bitmap_bytes = (n_attrs + 7) // 8
-    header_budget = _SEGMENT_HEADER.size + (_CRC.size if checksummed else 0)
-    wanted = None if columns is None else frozenset(columns)
+    header_budget = _SEGMENT_HEADER.size + _CRC.size
     segments: List[PhysicalSegment] = []
     for ordinal in range(n_segments):
         seg_start = offset
-        seg_crc_stored = 0
         if offset + header_budget + bitmap_bytes > size:
             raise StorageError(f"partition {pid}: truncated segment header #{ordinal}")
         mode_code, n_tuples, first_tid = _SEGMENT_HEADER.unpack_from(data, offset)
         offset += _SEGMENT_HEADER.size
-        if checksummed:
-            (seg_crc_stored,) = _CRC.unpack_from(data, offset)
-            offset += _CRC.size
+        (seg_crc_stored,) = _CRC.unpack_from(data, offset)
+        offset += _CRC.size
         body_start = offset
         replica = bool(mode_code & _REPLICA_FLAG)
         try:
@@ -391,7 +356,6 @@ def deserialize_partition(
             raise StorageError(f"partition {pid}: unknown tid mode {mode_code}") from None
         attributes, row_dtype = _segment_shape(schema, data[offset:offset + bitmap_bytes])
         offset += bitmap_bytes
-        tids_offset = offset
         if tid_storage == TID_EXPLICIT:
             offset += 8 * n_tuples
             if offset > size:
@@ -406,50 +370,22 @@ def deserialize_partition(
                 raise ChecksumError(
                     f"partition {pid}: checksum mismatch in segment #{ordinal}"
                 )
-        if frame is not None:
-            tuple_ids = frame.segment_tids[ordinal]
-            if (
-                tid_storage != frame.segment_tid_modes[ordinal]
-                or replica != frame.segment_replicas[ordinal]
-                or attributes != frame.segment_attrs[ordinal]
-                or n_tuples != len(tuple_ids)
-                or first_tid != (int(tuple_ids[0]) if n_tuples else 0)
-            ):
-                raise StorageError(
-                    f"partition {pid}: segment #{ordinal} header disagrees with the catalog"
-                )
-        elif tid_storage == TID_EXPLICIT:
-            tuple_ids = np.frombuffer(
-                data, dtype="<i8", count=n_tuples, offset=tids_offset
-            ).copy()
-        elif tid_storage == TID_IMPLICIT:
-            tuple_ids = np.arange(first_tid, first_tid + n_tuples, dtype=np.int64)
-        else:  # catalog
-            if catalog_tids is None or ordinal not in catalog_tids:
-                raise StorageError(
-                    f"partition {pid}: segment #{ordinal} needs catalog tuple IDs"
-                )
-            tuple_ids = np.asarray(catalog_tids[ordinal], dtype=np.int64)
-            if len(tuple_ids) != n_tuples:
-                raise StorageError(
-                    f"partition {pid}: catalog holds {len(tuple_ids)} tuple IDs, "
-                    f"file says {n_tuples}"
-                )
-        cells: Mapping[str, np.ndarray]
-        if wanted is None:
-            rows = np.frombuffer(data, dtype=row_dtype, count=n_tuples, offset=offset)
-            cells = {name: np.ascontiguousarray(rows[name]) for name in attributes}
-        else:
-            cells = block = LazyColumnBlock(data, offset, row_dtype, attributes, n_tuples)
-            for name in attributes:
-                if name in wanted:
-                    block[name]  # materialize the requested view up front
+        tuple_ids = frame.segment_tids[ordinal]
+        if (
+            tid_storage != frame.segment_tid_modes[ordinal]
+            or replica != frame.segment_replicas[ordinal]
+            or attributes != frame.segment_attrs[ordinal]
+            or n_tuples != len(tuple_ids)
+            or first_tid != (int(tuple_ids[0]) if n_tuples else 0)
+        ):
+            raise StorageError(
+                f"partition {pid}: segment #{ordinal} header disagrees with the catalog"
+            )
+        cells = LazyColumnBlock(data, offset, row_dtype, attributes, n_tuples)
         offset += cell_bytes
-        if frame is None:
-            segment = PhysicalSegment(attributes, tuple_ids, cells, tid_storage, replica)
-        else:
-            segment = PhysicalSegment.framed(attributes, tuple_ids, cells, tid_storage, replica)
-        segments.append(segment)
+        segments.append(
+            PhysicalSegment.framed(attributes, tuple_ids, cells, tid_storage, replica)
+        )
     if verify and isinstance(data, StoredBlob):
         data.crc_verified = True
     return PhysicalPartition(pid=pid, segments=segments)

@@ -139,10 +139,10 @@ class PartitionManager:
         for segment in physical.segments:
             if segment.replica:
                 replica_attrs |= frozenset(segment.attributes)
-        # ``n_bytes`` is the *accounted* size — the version-1-equivalent byte
-        # count every simulated-I/O and footprint figure is calibrated to.
-        # Checksum bytes exist in the file but charge nothing, and neither
-        # does the sketch trailer.
+        # ``n_bytes`` is the *accounted* size — the file's bytes less its
+        # checksums, the count every simulated-I/O and footprint figure is
+        # calibrated to.  Checksum bytes exist in the file but charge
+        # nothing, and neither does the sketch trailer.
         info = PartitionInfo(
             pid=physical.pid,
             key=self._key(physical.pid),
@@ -182,15 +182,20 @@ class PartitionManager:
 
     def _verify_readable(self, info: PartitionInfo) -> StorageError | None:
         """Read a just-staged blob back through the fault path; None when a
-        decode succeeds within the retry budget, else the last error."""
+        decode succeeds within the retry budget, else the last error.  A
+        verify read charges no query, so the latency a fault-injecting store
+        pends for it is drained after every attempt."""
+        drain_latency = getattr(self.store, "consume_injected_latency", None)
         last_error: StorageError | None = None
         for _attempt in range(self.retry_policy.max_attempts):
             try:
-                data = self.store.get(info.key)
-                deserialize_partition(data, self.schema, frame=info)
+                deserialize_partition(self.store.get(info.key), self.schema, info)
                 return None
             except StorageError as exc:
                 last_error = exc
+            finally:
+                if drain_latency is not None:
+                    drain_latency(info.key)
         return last_error
 
     def swap_partitions(
@@ -460,10 +465,7 @@ class PartitionManager:
     # -------------------------------------------------------------- reads
 
     def load(
-        self,
-        pid: int,
-        chunk_size: int | None = None,
-        columns: Set[str] | frozenset | None = None,
+        self, pid: int, chunk_size: int | None = None
     ) -> Tuple[PhysicalPartition, "IOStats"]:
         """Read a partition file, charging simulated device time.
 
@@ -471,13 +473,10 @@ class PartitionManager:
         what this read cost: bytes and simulated seconds when it reached the
         device, a cache hit when the simulated OS buffer cache served it, or
         a pool hit when the buffer pool held the deserialized partition (no
-        device charge, no decode work).
-
-        ``columns`` is the projection pushdown: when given, cell decoding is
-        lazy and only the named attributes are materialized eagerly; any
-        other column still decodes transparently on first access.  Simulated
-        byte/time accounting is unaffected — the whole file is still charged
-        on a device read, as the row-major format offers no byte-level skip.
+        device charge, no decode work).  The file is decoded under its
+        catalog entry, and a cell decodes on first access — so a pooled
+        partition serves any later projection.  The whole file is charged on
+        a device read: the row-major format offers no byte-level skip.
 
         Reads are fault tolerant: a failed fetch or a corrupt file (bad
         magic, truncation, checksum mismatch) is retried up to
@@ -487,31 +486,6 @@ class PartitionManager:
         accumulated ``io_delta``, and any pooled copy is invalidated so a
         stale object can never be served after a failed refresh.
         """
-        tracer = obs_tracer()
-        if not tracer.enabled:
-            return self._load(pid, chunk_size, columns)
-        enclosing = tracer.current_span()
-        if enclosing is not None and enclosing.attrs.get("pid") == pid:
-            # The caller's span already describes this partition access (a
-            # plan reader's ``exec.partition``): one span per access.
-            return self._load(pid, chunk_size, columns)
-        with tracer.span("storage.load", pid=pid) as span:
-            partition, delta = self._load(pid, chunk_size, columns)
-            span.sim_io_s = delta.io_time_s
-            span.set(
-                bytes_read=delta.bytes_read,
-                pool_hit=delta.n_pool_hits > 0,
-                cache_hit=delta.n_cache_hits > 0,
-                n_retries=delta.n_retries,
-            )
-        return partition, delta
-
-    def _load(
-        self,
-        pid: int,
-        chunk_size: int | None = None,
-        columns: Set[str] | frozenset | None = None,
-    ) -> Tuple[PhysicalPartition, "IOStats"]:
         pool = self.buffer_pool
         if pool is not None:
             # One lookup: a resident partition returns before the catalog
@@ -537,19 +511,12 @@ class PartitionManager:
                 last_error = exc
                 continue
             # Bytes flowed, so the device charge applies even if the payload
-            # turns out corrupt; the accounted size is the v1-equivalent one.
+            # turns out corrupt; the accounted size excludes the checksums.
             delta.add(self.device.read_delta(info.key, info.n_bytes, chunk_size=chunk_size))
             if drain_latency is not None:
                 delta.io_time_s += drain_latency(info.key)
-            decode_columns = columns
-            if pool is not None and decode_columns is None:
-                # A pooled partition must be able to serve *any* later
-                # projection, so decode lazily even for full loads.
-                decode_columns = frozenset()
             try:
-                partition = deserialize_partition(
-                    data, self.schema, columns=decode_columns, frame=info
-                )
+                partition = deserialize_partition(data, self.schema, info)
             except StorageError as exc:
                 # Corrupt on the wire or at rest: never cache, maybe retry.
                 self.device.invalidate(info.key)

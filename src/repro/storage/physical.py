@@ -60,7 +60,8 @@ class PhysicalSegment:
 
     attributes: Tuple[str, ...]
     tuple_ids: np.ndarray
-    #: eager dict or a lazily decoded mapping (``format.LazyColumnBlock``).
+    #: a dict of arrays, or — decoded from a file — a
+    #: ``format.LazyColumnBlock`` built by :meth:`framed`.
     columns: Mapping[str, np.ndarray]
     tid_storage: str = TID_EXPLICIT
     replica: bool = False
@@ -69,27 +70,13 @@ class PhysicalSegment:
         if self.tid_storage not in _TID_MODES:
             raise InvalidPartitioningError(f"unknown tid storage mode {self.tid_storage!r}")
         n = len(self.tuple_ids)
-        lazy_rows = getattr(self.columns, "n_rows", None)
-        if lazy_rows is not None:
-            # Lazily decoded block: validate length once, without forcing
-            # every column view into existence.
-            if lazy_rows != n:
+        for name in self.attributes:
+            if name not in self.columns:
+                raise InvalidPartitioningError(f"physical segment missing column {name!r}")
+            if len(self.columns[name]) != n:
                 raise InvalidPartitioningError(
-                    f"column block length {lazy_rows} != {n} tuples"
+                    f"column {name!r} length {len(self.columns[name])} != {n} tuples"
                 )
-            missing = [name for name in self.attributes if name not in self.columns]
-            if missing:
-                raise InvalidPartitioningError(
-                    f"physical segment missing columns {missing!r}"
-                )
-        else:
-            for name in self.attributes:
-                if name not in self.columns:
-                    raise InvalidPartitioningError(f"physical segment missing column {name!r}")
-                if len(self.columns[name]) != n:
-                    raise InvalidPartitioningError(
-                        f"column {name!r} length {len(self.columns[name])} != {n} tuples"
-                    )
         if self.tid_storage == TID_IMPLICIT and n:
             expected = np.arange(self.tuple_ids[0], self.tuple_ids[0] + n)
             if not np.array_equal(self.tuple_ids, expected):

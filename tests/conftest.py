@@ -1,10 +1,12 @@
-"""Shared fixtures: small tables, workloads and build contexts — plus the
-suite-wide thread-leak check and the write-once guard on partition files."""
+"""Shared fixtures: small tables, workloads, build contexts and catalog
+frames — plus the suite-wide thread-leak check and the write-once guard on
+partition files."""
 
 from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +78,28 @@ def write_once_partition_files(request, monkeypatch):
         monkeypatch.setattr(store_cls, "put", guarded_put)
     yield
     assert not rewritten, f"partition files put twice: {rewritten}"
+
+
+def _frame_of(partition) -> SimpleNamespace:
+    """The catalog frame of a partition, as ``PartitionManager`` builds it:
+    per segment its attributes, read-only tuple IDs, tid mode and replica
+    flag — what ``deserialize_partition`` reads a file under."""
+    tids = [np.array(s.tuple_ids, dtype=np.int64) for s in partition.segments]
+    for array in tids:
+        array.flags.writeable = False
+    return SimpleNamespace(
+        segment_attrs=[tuple(s.attributes) for s in partition.segments],
+        segment_tids=tids,
+        segment_tid_modes=[s.tid_storage for s in partition.segments],
+        segment_replicas=[s.replica for s in partition.segments],
+    )
+
+
+@pytest.fixture(scope="session")
+def frame_of():
+    """``frame_of(partition)``: a fresh catalog frame for a physical
+    partition, for decoding its file outside a partition manager."""
+    return _frame_of
 
 
 @pytest.fixture()

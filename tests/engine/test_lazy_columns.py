@@ -1,8 +1,9 @@
 """Lazy column materialization and buffer-pool equivalence across engines.
 
-Every engine must produce bit-identical results whether partitions are
-decoded eagerly (the historical path), lazily with projection pushdown, or
-served warm from the buffer pool.
+A partition file decodes a cell on first access.  Every engine must produce
+bit-identical results whether partitions are read cold or served warm from
+the buffer pool, and a query decodes no column outside its plan's column
+sets.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.storage import (
     StorageDevice,
     TID_EXPLICIT,
     deserialize_partition,
-    serialize_partition,
 )
 
 
@@ -70,38 +70,60 @@ QUERIES = [
 
 
 class TestFormatLevelEquivalence:
-    def test_lazy_decode_matches_eager(self, small_table):
+    def test_lazy_decode_matches_the_table(self, small_table):
         manager = make_manager(small_table)
-        data = manager.store.get(manager.info(0).key)
-        eager = deserialize_partition(data, small_table.schema)
-        lazy = deserialize_partition(data, small_table.schema, columns=frozenset())
-        assert len(eager.segments) == len(lazy.segments)
-        for seg_eager, seg_lazy in zip(eager.segments, lazy.segments):
-            assert isinstance(seg_lazy.columns, LazyColumnBlock)
-            assert seg_lazy.columns.materialized == frozenset()
-            assert np.array_equal(seg_eager.tuple_ids, seg_lazy.tuple_ids)
-            for name in seg_eager.attributes:
+        info = manager.info(0)
+        data = manager.store.get(info.key)
+        partition = deserialize_partition(data, small_table.schema, info)
+        assert len(partition.segments) == len(info.segment_tids)
+        for segment in partition.segments:
+            assert isinstance(segment.columns, LazyColumnBlock)
+            assert segment.columns.materialized == frozenset()
+            for name in segment.attributes:
                 assert np.array_equal(
-                    seg_eager.columns[name], np.asarray(seg_lazy.columns[name])
+                    segment.columns[name],
+                    small_table.column(name)[segment.tuple_ids],
                 )
-
-    def test_requested_columns_materialize_eagerly(self, small_table):
-        manager = make_manager(small_table)
-        data = manager.store.get(manager.info(0).key)
-        lazy = deserialize_partition(
-            data, small_table.schema, columns=frozenset({"a2"})
-        )
-        seg = lazy.segments[1]  # the (a2, a3) segment
-        assert seg.columns.materialized == frozenset({"a2"})
-        seg.columns["a3"]  # on-demand decode of an unrequested column
-        assert seg.columns.materialized == frozenset({"a2", "a3"})
+            assert segment.columns.materialized == frozenset(segment.attributes)
 
     def test_lazy_block_rejects_foreign_attribute(self, small_table):
         manager = make_manager(small_table)
-        data = manager.store.get(manager.info(2).key)
-        lazy = deserialize_partition(data, small_table.schema, columns=frozenset())
+        info = manager.info(2)
+        data = manager.store.get(info.key)
+        lazy = deserialize_partition(data, small_table.schema, info)
         with pytest.raises(KeyError):
             lazy.segments[0].columns["a1"]
+
+
+class TestDecodeOnAccess:
+    """With no pool a load decodes nothing up front: after a query, each
+    segment it read holds views of its plan's column sets only."""
+
+    @pytest.mark.parametrize("engine", [PartitionAtATimeExecutor, ScanExecutor])
+    @pytest.mark.parametrize("select,where", QUERIES)
+    def test_a_query_decodes_only_its_column_sets(
+        self, small_table, monkeypatch, engine, select, where
+    ):
+        manager = make_manager(small_table)
+        decoded = []
+        load = manager.load
+
+        def recording_load(pid, chunk_size=None):
+            partition, delta = load(pid, chunk_size)
+            decoded.append(partition)
+            return partition, delta
+
+        monkeypatch.setattr(manager, "load", recording_load)
+        executor = engine(manager, small_table.meta)
+        query = Query.build(small_table.meta, select, where)
+        plan = executor.plan(query)
+        wanted = plan.selection_columns | plan.projection_columns
+        result, _stats = executor.execute(query)
+        assert_matches_reference(result, small_table, query)
+        assert decoded
+        for partition in decoded:
+            for segment in partition.segments:
+                assert segment.columns.materialized <= wanted
 
 
 @pytest.mark.parametrize("select,where", QUERIES)
@@ -109,28 +131,19 @@ class TestEngineEquivalence:
     def test_jigsaw_engine_lazy_and_pooled(self, small_table, select, where):
         query = Query.build(small_table.meta, select, where)
         pool = BufferPool(1 << 24)
-        eager_manager = make_manager(small_table)
-        load = eager_manager.load
-        # Every load decodes every column, whatever the engine pushes down.
-        eager_manager.load = lambda pid, chunk_size=None, columns=None: load(
-            pid, chunk_size=chunk_size
-        )
-        eager = PartitionAtATimeExecutor(eager_manager, small_table.meta)
         cold = PartitionAtATimeExecutor(make_manager(small_table), small_table.meta)
         pooled = PartitionAtATimeExecutor(
             make_manager(small_table, pool), small_table.meta
         )
-        result_eager, stats_eager = eager.execute(query)
         result_cold, stats_cold = cold.execute(query)
         result_w1, stats_w1 = pooled.execute(query)
         result_w2, stats_w2 = pooled.execute(query)  # warm: pure pool hits
-        for result in (result_eager, result_cold, result_w1, result_w2):
+        for result in (result_cold, result_w1, result_w2):
             assert_matches_reference(result, small_table, query)
-        # Simulated accounting of the eager, the lazy and the first pooled
-        # run is identical; the warm repeat charges no device time at all.
-        for stats in (stats_eager, stats_w1):
-            assert stats.bytes_read == stats_cold.bytes_read
-            assert stats.io_time_s == stats_cold.io_time_s
+        # Simulated accounting of the pool-less and the first pooled run is
+        # identical; the warm repeat charges no device time at all.
+        assert stats_w1.bytes_read == stats_cold.bytes_read
+        assert stats_w1.io_time_s == stats_cold.io_time_s
         assert stats_w2.io_time_s == 0.0
         assert stats_w2.bytes_read == 0
         assert stats_w2.n_pool_hits == stats_w2.n_partition_reads > 0

@@ -184,3 +184,48 @@ class TestPoolMerge:
         assert sum(w.n_pool_hits for w in engine.worker_stats) + (
             engine.coordinator_stats.n_pool_hits
         ) == stats.n_pool_hits
+
+
+class TestConcurrentExecutes:
+    """Each ``execute`` keeps its own ledgers: a second call that runs
+    while the first one is in flight returns its own counters and leaves
+    the first call's intact."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_an_execute_inside_another_keeps_both_counters(
+        self, small_table, query, strategy, monkeypatch
+    ):
+        inner_query = Query.build(small_table.meta, ["a4"], {"a1": (5000, 9999)})
+
+        def engine_over_fresh_manager():
+            return ThreadedPartitionEngine(
+                make_manager(small_table, striped_specs(small_table)),
+                small_table.meta, strategy=strategy, n_threads=3,
+            )
+
+        _, outer_alone = engine_over_fresh_manager().execute(query)
+        _, inner_alone = engine_over_fresh_manager().execute(inner_query)
+
+        engine = engine_over_fresh_manager()
+        plan = engine.planner.plan
+        inner = []
+
+        def plan_running_another_execute(*args, **kwargs):
+            # Deterministic overlap: the second execute runs to completion
+            # between the first one's start and its selection phase.
+            monkeypatch.setattr(engine.planner, "plan", plan)
+            inner.append(engine.execute(inner_query))
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(engine.planner, "plan", plan_running_another_execute)
+        result, outer = engine.execute(query)
+        (_, inner_stats), = inner
+        for stats, alone in ((outer, outer_alone), (inner_stats, inner_alone)):
+            for field in dataclasses.fields(ExecutionStats):
+                if field.name != "wall_time_s":
+                    # Floats to rounding: which worker reads what varies.
+                    expected = pytest.approx(getattr(alone, field.name), rel=1e-12)
+                    assert getattr(stats, field.name) == expected, (
+                        f"{field.name} leaked between concurrent executes"
+                    )
+        assert_exact_merge(engine, result, outer)  # the last call's ledgers

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.engine.parallel import ThreadedPartitionEngine
 from repro.obs.trace import NOOP_TRACER, Span, TraceCollector, Tracer
 from repro.plan.stats import CpuModel, ExecutionStats
@@ -186,3 +187,19 @@ def test_worker_spans_nest_across_threads(demo, strategy):
             ancestors = _ancestor_names(span, by_id)
             if by_id[span.parent_id].name == "exec.worker":
                 assert "exec.query" in ancestors
+
+
+@pytest.mark.parametrize("engine", [PartitionAtATimeExecutor, ScanExecutor])
+def test_one_span_per_partition_access(demo, engine):
+    """A partition access opens exactly one span, the plan reader's
+    ``exec.partition``; the manager's load opens none of its own."""
+    table, workload, layouts = demo
+    layout = layouts["irregular"]
+    executor = engine(layout.manager, table.meta)
+    for query in workload.queries:
+        with obs.scoped_trace() as collector:
+            _result, stats = executor.execute(query)
+            layout.manager.load(layout.manager.pids()[0])
+        names = [span.name for span in collector.spans()]
+        assert names.count("exec.partition") == stats.n_partition_reads > 0
+        assert not [name for name in names if name.startswith("storage.")]

@@ -87,15 +87,15 @@ class TestEstimates:
 
 class TestPinHints:
     def test_default_plan_pins_nothing(self, zoned_manager, zoned_table):
-        # Plan-driven pool pinning is gone: a plan carries no pin hints and
-        # running it leaves no pool entry pinned.
+        # A plan carries no pin hints and the pool has no pin API: eviction
+        # only drops the pool's reference, so nothing needs a pin.
         pool = zoned_manager.buffer_pool = BufferPool(1 << 20)
         query = Query.build(zoned_table.meta, ["a2"], {"a1": (0, 99)})
         engine = PartitionAtATimeExecutor(zoned_manager, zoned_table.meta)
         assert not hasattr(engine.plan(query), "pin_hints")
+        assert not any(hasattr(pool, name) for name in ("pin", "unpin", "pinned"))
         engine.execute(query)
-        assert len(pool._entries) > 0
-        assert all(entry.pins == 0 for entry in pool._entries.values())
+        assert len(pool) > 0
 
 
 class TestReplicaLocal:

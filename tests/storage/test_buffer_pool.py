@@ -1,4 +1,4 @@
-"""Buffer pool: LRU byte budget, pinning, invalidation, manager composition."""
+"""Buffer pool: LRU byte budget, invalidation, manager composition."""
 
 import dataclasses
 
@@ -13,6 +13,7 @@ from repro.errors import (
 from repro.storage import (
     BALOS_HDD,
     BufferPool,
+    LazyColumnBlock,
     PartitionManager,
     SegmentSpec,
     StorageDevice,
@@ -74,36 +75,13 @@ class TestPoolLRU:
         with pytest.raises(ValueError):
             BufferPool(0)
 
-
-class TestPinning:
-    def test_pinned_entry_survives_eviction_pressure(self):
-        pool = BufferPool(capacity_bytes=200)
-        pool.put(0, _dummy_partition(0), 100, pin=True)
-        pool.put(1, _dummy_partition(1), 100)
-        pool.put(2, _dummy_partition(2), 100)  # over budget; 0 pinned → evict 1
-        assert 0 in pool
-        assert 1 not in pool
-        pool.unpin(0)
-        pool.put(3, _dummy_partition(3), 100)  # now 0 is evictable LRU
-        assert 0 not in pool
-        assert pool.current_bytes <= 200
-
-    def test_pinned_context_manager(self):
+    def test_invalidate_drops_the_entry(self):
         pool = BufferPool(capacity_bytes=200)
         pool.put(0, _dummy_partition(0), 100)
-        with pool.pinned(0) as partition:
-            assert partition == ("partition", 0)
-            pool.put(1, _dummy_partition(1), 100)
-            pool.put(2, _dummy_partition(2), 100)
-            assert 0 in pool
-        with pool.pinned(99) as partition:
-            assert partition is None
-
-    def test_invalidate_removes_even_pinned(self):
-        pool = BufferPool(capacity_bytes=200)
-        pool.put(0, _dummy_partition(0), 100, pin=True)
         pool.invalidate(0)
+        pool.invalidate(99)  # not resident: nothing to count
         assert 0 not in pool
+        assert pool.current_bytes == 0
         assert pool.stats.n_invalidations == 1
 
 
@@ -144,14 +122,36 @@ class TestManagerComposition:
 
     def test_pool_hit_serves_any_projection(self, pooled_manager, small_table):
         manager = pooled_manager
-        manager.load(0, columns=frozenset({"a1"}))
-        partition, delta = manager.load(0, columns=frozenset({"a2"}))
+        cold, _delta = manager.load(0)
+        cold.segments[0].columns["a1"]  # the first query reads a1 only
+        partition, delta = manager.load(0)
         assert delta.n_pool_hits == 1
         segment = partition.segments[0]
+        assert segment.columns.materialized == frozenset({"a1"})
         assert np.array_equal(
             np.asarray(segment.columns["a2"]),
             small_table.column("a2")[segment.tuple_ids],
         )
+
+    def test_eviction_leaves_a_held_partition_whole(self, small_table):
+        """Eviction drops the pool's reference only: a query holding the
+        partition keeps reading pristine cells from it."""
+        pool = BufferPool(capacity_bytes=1)
+        manager = PartitionManager(
+            small_table.schema, StorageDevice(BALOS_HDD), buffer_pool=pool
+        )
+        n = small_table.n_tuples
+        manager.materialize_specs(
+            [[SegmentSpec(("a1", "a2"), np.arange(n, dtype=np.int64))]] * 2,
+            small_table,
+            tid_storage=TID_CATALOG,
+        )
+        pool.capacity_bytes = manager.info(0).n_bytes
+        held, _delta = manager.load(0)
+        manager.load(1)  # evicts pid 0
+        assert 0 not in pool and pool.stats.n_evictions == 1
+        segment = held.segments[0]
+        assert np.array_equal(segment.columns["a2"], small_table.column("a2"))
 
     def test_simulated_os_cache_still_applies_on_pool_miss(self, small_table):
         device = StorageDevice(BALOS_HDD, cache_bytes=1 << 24)
@@ -220,7 +220,7 @@ class TestLoadPoolAccounting:
 
 
 class TestLoadWithoutPool:
-    def test_default_load_stays_eager_and_uncached(self, small_table):
+    def test_load_rereads_and_decodes_on_access(self, small_table):
         manager = PartitionManager(small_table.schema, StorageDevice(BALOS_HDD))
         n = small_table.n_tuples
         manager.materialize_specs(
@@ -228,8 +228,12 @@ class TestLoadWithoutPool:
             small_table,
             tid_storage=TID_CATALOG,
         )
-        manager.load(0)
-        _partition, delta = manager.load(0)
+        first, _delta = manager.load(0)
+        partition, delta = manager.load(0)
         assert delta.bytes_read == manager.info(0).n_bytes  # re-read, as before
-        segment = _partition.segments[0]
-        assert isinstance(segment.columns, dict)  # eager decode preserved
+        assert partition is not first
+        columns = partition.segments[0].columns
+        assert isinstance(columns, LazyColumnBlock)
+        assert columns.materialized == frozenset()
+        assert np.array_equal(columns["a2"], small_table.column("a2"))
+        assert columns.materialized == frozenset({"a2"})

@@ -141,9 +141,9 @@ N_READ_ITERATIONS = 40
 
 @pytest.mark.slow
 class TestConcurrentReaders:
-    def test_pin_release_and_eviction_under_concurrent_readers(self, small_table):
+    def test_eviction_under_concurrent_readers(self, small_table):
         """Plain reader threads hammer one manager whose buffer pool holds
-        only a few partitions, each pinning what it scans: every served
+        only a few partitions, each holding what it scans: every served
         partition must carry pristine cells while eviction churns."""
         # A few entries of ~3.3 KB: twelve partitions cannot all stay.
         pool = BufferPool(capacity_bytes=12 * 1024)
@@ -165,18 +165,12 @@ class TestConcurrentReaders:
             try:
                 for _ in range(N_READ_ITERATIONS):
                     for pid in rng.permutation(pids)[:6].tolist():
-                        with pool.pinned(pid) as partition:
-                            if partition is None:
-                                with load_lock:
-                                    partition, _delta = manager.load(pid)
-                            for segment in partition.segments:
-                                tids = segment.tuple_ids
-                                if not np.array_equal(
-                                    segment.columns["a1"], a1[tids]
-                                ):
-                                    errors.append(
-                                        f"pid {pid}: corrupt cells served"
-                                    )
+                        with load_lock:
+                            partition, _delta = manager.load(pid)
+                        for segment in partition.segments:
+                            tids = segment.tuple_ids
+                            if not np.array_equal(segment.columns["a1"], a1[tids]):
+                                errors.append(f"pid {pid}: corrupt cells served")
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(f"thread {thread_id}: {exc!r}")
 

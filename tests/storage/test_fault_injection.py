@@ -15,11 +15,11 @@ from repro.errors import (
 )
 from repro.storage import (
     BALOS_HDD,
-    FORMAT_VERSION,
     FaultConfig,
     FaultInjectingBlobStore,
     MemoryBlobStore,
     PartitionManager,
+    PhysicalPartition,
     RetryPolicy,
     SegmentSpec,
     StorageDevice,
@@ -74,7 +74,7 @@ class TestFaultConfig:
         assert wrapper.get("p1") == seeded_store.get("p1")
         assert wrapper.stats.n_gets == 1
         assert wrapper.stats.n_transient_errors == 0
-        assert wrapper.consume_injected_latency() == 0.0
+        assert wrapper.consume_injected_latency("p1") == 0.0
 
 
 class TestDeterminism:
@@ -125,7 +125,7 @@ class TestInjectedFaults:
             wrapper.get("p1")
         assert isinstance(TransientStorageError("x"), StorageError)
 
-    def test_truncation_fails_checksum(self, schema_partition):
+    def test_truncation_fails_checksum(self, schema_partition, frame_of):
         schema, partition, data = schema_partition
         store = MemoryBlobStore()
         store.put("p", data)
@@ -133,9 +133,9 @@ class TestInjectedFaults:
         truncated = wrapper.get("p")
         assert len(truncated) < len(data)
         with pytest.raises(StorageError):
-            deserialize_partition(truncated, schema)
+            deserialize_partition(truncated, schema, frame_of(partition))
 
-    def test_bit_flip_fails_checksum(self, schema_partition):
+    def test_bit_flip_fails_checksum(self, schema_partition, frame_of):
         schema, partition, data = schema_partition
         store = MemoryBlobStore()
         store.put("p", data)
@@ -144,7 +144,7 @@ class TestInjectedFaults:
         assert corrupted != data
         assert len(corrupted) == len(data)
         with pytest.raises(StorageError):
-            deserialize_partition(corrupted, schema)
+            deserialize_partition(corrupted, schema, frame_of(partition))
 
     def test_faults_never_touch_stored_bytes(self, schema_partition):
         _schema, _partition, data = schema_partition
@@ -162,9 +162,11 @@ class TestInjectedFaults:
             FaultConfig(latency_spike_rate=1.0, latency_spike_s=0.5),
         )
         wrapper.get("p1")
+        wrapper.get("p1")
         wrapper.get("p2")
-        assert wrapper.consume_injected_latency() == pytest.approx(1.0)
-        assert wrapper.consume_injected_latency() == 0.0
+        assert wrapper.consume_injected_latency("p1") == pytest.approx(1.0)
+        assert wrapper.consume_injected_latency("p1") == 0.0
+        assert wrapper.consume_injected_latency("p2") == pytest.approx(0.5)
 
     def test_overrides_scope_faults_to_one_key(self, seeded_store):
         wrapper = FaultInjectingBlobStore(
@@ -263,14 +265,7 @@ class TestRetryPath:
 
 
 class TestAccountingInvariance:
-    """The v2 checksums must not change any simulated figure (Fig 6/11)."""
-
-    def test_accounted_bytes_equal_v1_file_size(self, schema_partition):
-        schema, physical, data = schema_partition
-        v1 = serialize_partition(physical, schema, version=1)
-        overhead = checksum_overhead(len(physical.segments))
-        assert len(data) == len(v1) + overhead
-        assert FORMAT_VERSION == 2
+    """The checksums must not change any simulated figure (Fig 6/11)."""
 
     def test_load_charges_v1_equivalent_bytes(self, small_table):
         manager, store = faulty_manager(small_table)
@@ -282,40 +277,59 @@ class TestAccountingInvariance:
             _partition, delta = manager.load(pid)
             assert delta.bytes_read == info.n_bytes
 
-    def test_v1_files_still_readable(self, schema_partition):
-        schema, physical, _data = schema_partition
-        v1 = serialize_partition(physical, schema, version=1)
-        restored = deserialize_partition(
-            v1, schema, catalog_tids={0: physical.segments[0].tuple_ids}
-        )
-        assert restored.pid == physical.pid
-        seg = restored.segments[0]
-        assert np.array_equal(
-            seg.columns["a1"], physical.segments[0].columns["a1"]
-        )
-
 
 class TestChecksumDetection:
-    def test_every_byte_position_is_protected(self, schema_partition):
+    def test_every_byte_position_is_protected(self, schema_partition, frame_of):
         """Flipping any single bit anywhere in the file must be detected."""
         schema, physical, data = schema_partition
         rng = np.random.default_rng(0)
-        tids = {0: physical.segments[0].tuple_ids}
+        frame = frame_of(physical)
         for position in rng.choice(len(data) * 8, size=64, replace=False):
             corrupted = bytearray(data)
             corrupted[position // 8] ^= 1 << (position % 8)
             with pytest.raises(StorageError):
-                deserialize_partition(bytes(corrupted), schema, catalog_tids=tids)
+                deserialize_partition(bytes(corrupted), schema, frame)
 
-    def test_checksum_error_names_segment(self, schema_partition):
+    def test_checksum_error_names_segment(self, schema_partition, frame_of):
         schema, physical, data = schema_partition
         corrupted = bytearray(data)
         corrupted[-1] ^= 0xFF  # last cell byte: inside segment #0's body
         with pytest.raises(ChecksumError, match="segment #0"):
-            deserialize_partition(
-                bytes(corrupted), schema,
-                catalog_tids={0: physical.segments[0].tuple_ids},
+            deserialize_partition(bytes(corrupted), schema, frame_of(physical))
+
+
+class TestVerifyReadLatency:
+    """A staged blob's read-back charges no query: the latency a faulting
+    store injects into verify reads is drained with them, so the next load
+    of the pid pays only its own."""
+
+    SPIKE = FaultConfig(latency_spike_rate=1.0, latency_spike_s=0.5)
+
+    def test_next_load_pays_only_its_own_latency(self, small_table):
+        manager, store = faulty_manager(small_table, config=self.SPIKE)
+        source, _delta = manager.load(0)
+        pid = manager.next_pid()
+        (info,) = manager.swap_partitions(
+            [PhysicalPartition(pid, source.segments)], remove=[0], verify=True
+        )
+        _partition, delta = manager.load(pid)
+        device = StorageDevice(BALOS_HDD).read_delta(info.key, info.n_bytes)
+        assert delta.io_time_s == pytest.approx(device.io_time_s + 0.5)
+
+    def test_failed_verify_attempts_are_drained(self, small_table):
+        manager, store = faulty_manager(small_table, config=self.SPIKE)
+        source, _delta = manager.load(0)
+        pid = manager.next_pid()
+        key = f"p{pid:06d}.jig"
+        store.overrides[key] = FaultConfig(
+            latency_spike_rate=1.0, latency_spike_s=0.5, corruption_rate=1.0
+        )
+        with pytest.raises(StorageError, match="read-back verification"):
+            manager.swap_partitions(
+                [PhysicalPartition(pid, source.segments)], verify=True
             )
+        assert store.stats.n_bit_flips == manager.retry_policy.max_attempts
+        assert store.consume_injected_latency(key) == 0.0
 
 
 def load_with_fault(manager, store, pid, fault):
@@ -511,4 +525,5 @@ class TestConcurrentFaultDrain:
         assert store.stats.latency_injected_s > 0
         assert total_io == pytest.approx(base_io + store.stats.latency_injected_s)
         # Nothing left pending after all readers finished.
-        assert store.consume_injected_latency() == 0.0
+        for pid in pids:
+            assert store.consume_injected_latency(manager.info(pid).key) == 0.0

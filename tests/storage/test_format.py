@@ -1,14 +1,15 @@
 """Unit tests for the binary partition file format (Figure 4)."""
 
 import pickle
-from types import SimpleNamespace
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core import AttributeSpec, TableSchema
-from repro.errors import ChecksumError, InvalidPartitioningError, StorageError
+from repro.errors import ChecksumError, StorageError
 from repro.storage import (
+    FORMAT_VERSION,
     PhysicalPartition,
     PhysicalSegment,
     StoredBlob,
@@ -63,11 +64,11 @@ class TestRowDtype:
 
 
 class TestRoundtrip:
-    def test_explicit_tids(self, schema):
+    def test_explicit_tids(self, schema, frame_of):
         segment = make_segment(schema, ["k", "x"], [5, 9, 17])
         partition = PhysicalPartition(3, [segment])
         data = serialize_partition(partition, schema)
-        restored = deserialize_partition(data, schema)
+        restored = deserialize_partition(data, schema, frame_of(partition))
         assert restored.pid == 3
         out = restored.segments[0]
         assert out.attributes == ("k", "x")
@@ -75,40 +76,42 @@ class TestRoundtrip:
         assert np.array_equal(out.columns["k"], segment.columns["k"])
         assert np.allclose(out.columns["x"], segment.columns["x"])
 
-    def test_implicit_tids(self, schema):
+    def test_implicit_tids(self, schema, frame_of):
         segment = make_segment(schema, ["v"], [100, 101, 102], TID_IMPLICIT)
-        data = serialize_partition(PhysicalPartition(0, [segment]), schema)
-        restored = deserialize_partition(data, schema)
+        partition = PhysicalPartition(0, [segment])
+        data = serialize_partition(partition, schema)
+        restored = deserialize_partition(data, schema, frame_of(partition))
         assert np.array_equal(restored.segments[0].tuple_ids, [100, 101, 102])
 
-    def test_catalog_tids_come_from_caller(self, schema):
+    def test_catalog_tids_come_from_caller(self, schema, frame_of):
         segment = make_segment(schema, ["v"], [7, 3, 99], TID_CATALOG)
-        data = serialize_partition(PhysicalPartition(0, [segment]), schema)
-        restored = deserialize_partition(
-            data, schema, catalog_tids={0: np.array([7, 3, 99], np.int64)}
-        )
+        partition = PhysicalPartition(0, [segment])
+        data = serialize_partition(partition, schema)
+        restored = deserialize_partition(data, schema, frame_of(partition))
         assert np.array_equal(restored.segments[0].tuple_ids, [7, 3, 99])
 
-    def test_catalog_tids_missing_raises(self, schema):
+    def test_catalog_tids_missing_raises(self, schema, frame_of):
         segment = make_segment(schema, ["v"], [7, 3], TID_CATALOG)
         data = serialize_partition(PhysicalPartition(0, [segment]), schema)
         with pytest.raises(StorageError):
-            deserialize_partition(data, schema)
+            deserialize_partition(data, schema, frame_of(PhysicalPartition(0, [])))
 
-    def test_multiple_segments(self, schema):
+    def test_multiple_segments(self, schema, frame_of):
         segments = [
             make_segment(schema, ["k", "v", "comment", "x"], [0, 1]),
             make_segment(schema, ["v"], [2, 3, 4], seed=1),
         ]
-        data = serialize_partition(PhysicalPartition(1, segments), schema)
-        restored = deserialize_partition(data, schema)
+        partition = PhysicalPartition(1, segments)
+        data = serialize_partition(partition, schema)
+        restored = deserialize_partition(data, schema, frame_of(partition))
         assert len(restored.segments) == 2
         assert restored.segments[1].attributes == ("v",)
 
-    def test_empty_segment(self, schema):
+    def test_empty_segment(self, schema, frame_of):
         segment = make_segment(schema, ["v"], [])
-        data = serialize_partition(PhysicalPartition(0, [segment]), schema)
-        restored = deserialize_partition(data, schema)
+        partition = PhysicalPartition(0, [segment])
+        data = serialize_partition(partition, schema)
+        restored = deserialize_partition(data, schema, frame_of(partition))
         assert restored.segments[0].n_tuples == 0
 
     def test_file_size_includes_padding(self, schema):
@@ -120,42 +123,41 @@ class TestRoundtrip:
         assert wide_size - narrow_size == 3 * (20 - 4)
 
 
+@pytest.fixture()
+def one_segment(schema):
+    return PhysicalPartition(0, [make_segment(schema, ["comment"], [0, 1, 2])])
+
+
 class TestCorruption:
-    def test_bad_magic(self, schema):
-        segment = make_segment(schema, ["v"], [0])
-        data = serialize_partition(PhysicalPartition(0, [segment]), schema)
+    def test_bad_magic(self, schema, one_segment, frame_of):
+        data = serialize_partition(one_segment, schema)
         with pytest.raises(StorageError):
-            deserialize_partition(b"XXXX" + data[4:], schema)
+            deserialize_partition(b"XXXX" + data[4:], schema, frame_of(one_segment))
 
-    def test_truncated_header(self, schema):
+    def test_truncated_header(self, schema, one_segment, frame_of):
         with pytest.raises(StorageError):
-            deserialize_partition(b"JG", schema)
+            deserialize_partition(b"JG", schema, frame_of(one_segment))
 
-    def test_truncated_cells(self, schema):
-        segment = make_segment(schema, ["comment"], [0, 1, 2])
-        data = serialize_partition(PhysicalPartition(0, [segment]), schema)
+    def test_truncated_cells(self, schema, one_segment, frame_of):
+        data = serialize_partition(one_segment, schema)
         with pytest.raises(StorageError):
-            deserialize_partition(data[:-8], schema)
+            deserialize_partition(data[:-8], schema, frame_of(one_segment))
 
-    def test_schema_mismatch(self, schema):
-        segment = make_segment(schema, ["v"], [0])
-        data = serialize_partition(PhysicalPartition(0, [segment]), schema)
+    def test_schema_mismatch(self, schema, one_segment, frame_of):
+        data = serialize_partition(one_segment, schema)
         other = TableSchema.uniform(["a", "b"])
         with pytest.raises(StorageError):
-            deserialize_partition(data, other)
+            deserialize_partition(data, other, frame_of(one_segment))
 
-
-def frame_of(partition):
-    """The catalog frame of a partition, as ``PartitionManager`` builds it."""
-    tids = [np.array(s.tuple_ids, dtype=np.int64) for s in partition.segments]
-    for array in tids:
-        array.flags.writeable = False
-    return SimpleNamespace(
-        segment_attrs=[tuple(s.attributes) for s in partition.segments],
-        segment_tids=tids,
-        segment_tid_modes=[s.tid_storage for s in partition.segments],
-        segment_replicas=[s.replica for s in partition.segments],
-    )
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_format_versions_are_refused(
+        self, schema, one_segment, frame_of, version
+    ):
+        assert FORMAT_VERSION == 2
+        data = bytearray(serialize_partition(one_segment, schema))
+        struct.pack_into("<H", data, 4, version)  # the header's version field
+        with pytest.raises(StorageError, match=f"format version {version}"):
+            deserialize_partition(bytes(data), schema, frame_of(one_segment))
 
 
 @pytest.fixture()
@@ -172,11 +174,10 @@ def mixed_partition(schema):
 
 
 class TestFramedDecode:
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_tuple_ids_are_the_frame_arrays(self, schema, mixed_partition, version):
+    def test_tuple_ids_are_the_frame_arrays(self, schema, mixed_partition, frame_of):
         frame = frame_of(mixed_partition)
-        data = serialize_partition(mixed_partition, schema, version=version)
-        restored = deserialize_partition(data, schema, frame=frame)
+        data = serialize_partition(mixed_partition, schema)
+        restored = deserialize_partition(data, schema, frame)
         for original, decoded, tids in zip(
             mixed_partition.segments, restored.segments, frame.segment_tids
         ):
@@ -186,21 +187,6 @@ class TestFramedDecode:
             assert decoded.tid_storage == original.tid_storage
             for name in original.attributes:
                 assert np.array_equal(decoded.columns[name], original.columns[name])
-
-    def test_framed_and_catalogless_decodes_agree(self, schema, mixed_partition):
-        frame = frame_of(mixed_partition)
-        data = serialize_partition(mixed_partition, schema)
-        framed = deserialize_partition(data, schema, frame=frame, columns=frozenset())
-        bare = deserialize_partition(
-            data, schema, catalog_tids={2: frame.segment_tids[2]}
-        )
-        for a, b in zip(framed.segments, bare.segments):
-            assert np.array_equal(a.tuple_ids, b.tuple_ids)
-            assert (a.attributes, a.tid_storage, a.replica) == (
-                b.attributes, b.tid_storage, b.replica
-            )
-            for name in a.attributes:
-                assert np.array_equal(a.columns[name], b.columns[name])
 
     @pytest.mark.parametrize(
         "field,ordinal,value",
@@ -217,106 +203,68 @@ class TestFramedDecode:
         ],
     )
     def test_header_disagreeing_with_frame_raises(
-        self, schema, mixed_partition, field, ordinal, value
+        self, schema, mixed_partition, frame_of, field, ordinal, value
     ):
         frame = frame_of(mixed_partition)
         data = serialize_partition(mixed_partition, schema)
         getattr(frame, field)[ordinal] = value
         with pytest.raises(StorageError, match="disagrees with the catalog"):
-            deserialize_partition(data, schema, frame=frame)
+            deserialize_partition(data, schema, frame)
 
-    def test_segment_count_disagreeing_with_frame_raises(self, schema, mixed_partition):
+    def test_segment_count_disagreeing_with_frame_raises(
+        self, schema, mixed_partition, frame_of
+    ):
         frame = frame_of(mixed_partition)
         for values in vars(frame).values():
             values.pop()
         data = serialize_partition(mixed_partition, schema)
         with pytest.raises(StorageError, match="segments"):
-            deserialize_partition(data, schema, frame=frame)
+            deserialize_partition(data, schema, frame)
 
-    def test_framed_decode_still_detects_truncation(self, schema, mixed_partition):
+    def test_framed_decode_still_detects_truncation(
+        self, schema, mixed_partition, frame_of
+    ):
         frame = frame_of(mixed_partition)
         data = serialize_partition(mixed_partition, schema)
         for cut in (3, 20, 40, len(data) // 2, len(data) - 1):
             with pytest.raises(StorageError):
-                deserialize_partition(data[:cut], schema, frame=frame)
-
-
-class TestCatalogLessDecode:
-    """Without a frame nothing is trusted: tuple IDs are rebuilt from the
-    file and every segment passes the validating constructor."""
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_decodes_fresh_writable_tuple_ids(self, schema, version):
-        partition = PhysicalPartition(
-            0,
-            [
-                make_segment(schema, ["k"], [4, 6], TID_EXPLICIT),
-                make_segment(schema, ["v"], [10, 11, 12], TID_IMPLICIT),
-            ],
-        )
-        data = serialize_partition(partition, schema, version=version)
-        restored = deserialize_partition(data, schema)
-        assert np.array_equal(restored.segments[0].tuple_ids, [4, 6])
-        assert np.array_equal(restored.segments[1].tuple_ids, [10, 11, 12])
-        assert all(s.tuple_ids.flags.writeable for s in restored.segments)
-
-    def test_caller_supplied_tids_are_validated(self, schema, monkeypatch):
-        segment = make_segment(schema, ["v"], [7, 8, 99], TID_CATALOG)
-        data = serialize_partition(PhysicalPartition(0, [segment]), schema)
-        with pytest.raises(StorageError, match="catalog holds 2"):
-            deserialize_partition(data, schema, catalog_tids={0: np.array([7, 8])})
-        # A version-1 file cannot vouch for its own header: an implicit
-        # segment is still built through the validating constructor.
-        run = make_segment(schema, ["v"], [3, 4, 5], TID_IMPLICIT)
-        v1 = serialize_partition(PhysicalPartition(0, [run]), schema, version=1)
-        validated = []
-        original = PhysicalSegment.__post_init__
-
-        def recording_post_init(segment):
-            validated.append(segment.tid_storage)
-            original(segment)
-
-        monkeypatch.setattr(PhysicalSegment, "__post_init__", recording_post_init)
-        deserialize_partition(v1, schema)
-        assert validated == [TID_IMPLICIT]
-        deserialize_partition(v1, schema, frame=frame_of(PhysicalPartition(0, [run])))
-        assert validated == [TID_IMPLICIT]  # a framed decode does not repeat it
-
-    def test_constructor_still_rejects_a_broken_implicit_run(self, schema):
-        with pytest.raises(InvalidPartitioningError):
-            make_segment(schema, ["v"], [3, 5, 4], TID_IMPLICIT)
+                deserialize_partition(data[:cut], schema, frame)
 
 
 class TestChecksumVerdict:
     """A CRC verdict belongs to one immutable bytes object, nothing else."""
 
-    def test_stored_blob_is_verified_once(self, schema, mixed_partition, crc_calls):
+    def test_stored_blob_is_verified_once(
+        self, schema, mixed_partition, crc_calls, frame_of
+    ):
         blob = StoredBlob(serialize_partition(mixed_partition, schema))
         assert not blob.crc_verified
         crc_calls.clear()  # the writer hashes too
-        deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+        deserialize_partition(blob, schema, frame_of(mixed_partition))
         assert blob.crc_verified
         # header + (segment header, segment body) per segment
         assert len(crc_calls) == 1 + 2 * len(mixed_partition.segments)
         assert sum(crc_calls) == len(blob) - 4 * (1 + len(mixed_partition.segments))
         crc_calls.clear()
-        restored = deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+        restored = deserialize_partition(blob, schema, frame_of(mixed_partition))
         assert crc_calls == []
         assert np.array_equal(
             restored.segments[0].columns["k"], mixed_partition.segments[0].columns["k"]
         )
 
-    def test_plain_bytes_are_verified_every_time(self, schema, mixed_partition, crc_calls):
+    def test_plain_bytes_are_verified_every_time(
+        self, schema, mixed_partition, crc_calls, frame_of
+    ):
         data = serialize_partition(mixed_partition, schema)
         crc_calls.clear()
-        deserialize_partition(data, schema, frame=frame_of(mixed_partition))
+        deserialize_partition(data, schema, frame_of(mixed_partition))
         first = len(crc_calls)
-        deserialize_partition(data, schema, frame=frame_of(mixed_partition))
+        deserialize_partition(data, schema, frame_of(mixed_partition))
         assert first > 0 and len(crc_calls) == 2 * first
 
-    def test_verdict_does_not_travel_to_another_object(self, schema, mixed_partition):
+    def test_verdict_does_not_travel_to_another_object(self, schema, mixed_partition, frame_of):
         blob = StoredBlob(serialize_partition(mixed_partition, schema))
-        deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+        deserialize_partition(blob, schema, frame_of(mixed_partition))
         assert blob.crc_verified
         assert not StoredBlob(blob).crc_verified
         assert type(blob[:]) is bytes and type(blob[: len(blob) - 1]) is bytes
@@ -324,18 +272,18 @@ class TestChecksumVerdict:
         assert not pickle.loads(pickle.dumps(blob)).crc_verified
         assert pickle.loads(pickle.dumps(blob)) == blob
 
-    def test_failed_decode_records_no_verdict(self, schema, mixed_partition):
+    def test_failed_decode_records_no_verdict(self, schema, mixed_partition, frame_of):
         corrupted = bytearray(serialize_partition(mixed_partition, schema))
         corrupted[-1] ^= 0x01
         blob = StoredBlob(bytes(corrupted))
         for _ in range(2):
             with pytest.raises(ChecksumError):
-                deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+                deserialize_partition(blob, schema, frame_of(mixed_partition))
             assert not blob.crc_verified
 
-    def test_verified_blob_still_checks_framing(self, schema, mixed_partition):
+    def test_verified_blob_still_checks_framing(self, schema, mixed_partition, frame_of):
         blob = StoredBlob(serialize_partition(mixed_partition, schema))
-        deserialize_partition(blob, schema, frame=frame_of(mixed_partition))
+        deserialize_partition(blob, schema, frame_of(mixed_partition))
         other = TableSchema.uniform(["a", "b"])
         with pytest.raises(StorageError):
-            deserialize_partition(blob, other, frame=frame_of(mixed_partition))
+            deserialize_partition(blob, other, frame_of(mixed_partition))

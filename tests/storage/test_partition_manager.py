@@ -341,7 +341,7 @@ class TestCatalogFrame:
         physical = _three_mode_partition(small_table)
         info = manager.add_partition(physical)
         assert info.segment_tid_modes == [TID_EXPLICIT, TID_IMPLICIT, TID_CATALOG]
-        partition, _delta = manager.load(0, columns=frozenset({"a3"}))
+        partition, _delta = manager.load(0)
         for segment, source, tids in zip(
             partition.segments, physical.segments, info.segment_tids
         ):
@@ -463,7 +463,7 @@ def test_pool_miss_load_allocates_a_frame_not_the_partition():
 
     def miss():
         manager.buffer_pool.invalidate(0)
-        partition, delta = manager.load(0, columns=frozenset({"a5"}))
+        partition, delta = manager.load(0)
         assert delta.n_pool_hits == 0 and delta.bytes_read == info.n_bytes
         return partition
 

@@ -33,6 +33,9 @@ from repro.storage import (
     PhysicalPartition,
     PhysicalSegment,
     StorageDevice,
+    TID_CATALOG,
+    TID_EXPLICIT,
+    TID_IMPLICIT,
     checksum_overhead,
     deserialize_partition,
     serialize_partition,
@@ -208,10 +211,21 @@ def physical_partitions(draw):
         k = draw(st.integers(1, n_attrs))
         attrs = tuple(names[:k])
         n = draw(st.integers(0, 50))
-        tids = np.sort(rng.choice(10_000, size=n, replace=False)).astype(np.int64)
+        mode = draw(st.sampled_from([TID_EXPLICIT, TID_IMPLICIT, TID_CATALOG]))
+        if mode == TID_IMPLICIT:
+            start = draw(st.integers(0, 10_000))
+            tids = np.arange(start, start + n, dtype=np.int64)
+        else:
+            tids = np.sort(rng.choice(10_000, size=n, replace=False)).astype(np.int64)
         columns = {a: rng.integers(0, 1000, n).astype(np.int32) for a in attrs}
         segments.append(
-            PhysicalSegment(attributes=attrs, tuple_ids=tids, columns=columns)
+            PhysicalSegment(
+                attributes=attrs,
+                tuple_ids=tids,
+                columns=columns,
+                tid_storage=mode,
+                replica=draw(st.booleans()),
+            )
         )
     return schema, PhysicalPartition(pid=draw(st.integers(0, 1000)), segments=segments)
 
@@ -219,14 +233,17 @@ def physical_partitions(draw):
 class TestFormatProperties:
     @given(physical_partitions())
     @settings(max_examples=50, deadline=None)
-    def test_serialize_roundtrip(self, setup):
+    def test_serialize_roundtrip(self, frame_of, setup):
         schema, partition = setup
         data = serialize_partition(partition, schema)
-        restored = deserialize_partition(data, schema)
+        restored = deserialize_partition(data, schema, frame_of(partition))
         assert restored.pid == partition.pid
         assert len(restored.segments) == len(partition.segments)
         for original, copy in zip(partition.segments, restored.segments):
             assert copy.attributes == original.attributes
+            assert (copy.tid_storage, copy.replica) == (
+                original.tid_storage, original.replica
+            )
             assert np.array_equal(copy.tuple_ids, original.tuple_ids)
             for name in original.attributes:
                 assert np.array_equal(copy.columns[name], original.columns[name])
