@@ -29,6 +29,7 @@ import numpy as np
 
 from ..errors import PartitionNotFoundError, SnapshotUnavailableError
 from ..obs import tracer as obs_tracer
+from .physical import sorted_isin, sorted_unique
 from .sketches import SketchSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,8 +83,11 @@ class PartitionInfo:
     def tuple_ids(self) -> np.ndarray:
         """Sorted unique tuple IDs with a primary cell in the partition.
 
-        Memoized: the projection phase and ``_full_coverage`` call this once
-        per attribute pass, and the unique/concatenate is pure recomputation.
+        Memoized: the projection phase, ``_full_coverage`` and the compactor
+        call this once per pass.  Each segment's array is strictly ascending
+        (checked when the partition was added), so the union is a merge of
+        ascending runs — :func:`~repro.storage.physical.sorted_unique`, not a
+        hash.
         """
         if self._tuple_ids_cache is None:
             primary = [
@@ -94,7 +98,7 @@ class PartitionInfo:
             if not primary:
                 self._tuple_ids_cache = np.empty(0, dtype=np.int64)
             else:
-                self._tuple_ids_cache = np.unique(np.concatenate(primary))
+                self._tuple_ids_cache = sorted_unique(np.concatenate(primary))
         return self._tuple_ids_cache
 
     def zone_disjoint(
@@ -365,7 +369,7 @@ class CatalogIndex:
             return np.empty(0, dtype=np.int64)
         if len(holding) == 1:
             return holding[0]
-        return np.unique(np.concatenate(holding))
+        return sorted_unique(np.concatenate(holding))
 
     def cover_attribute(
         self, attribute: str, tids: np.ndarray, exclude: Iterable[int] = ()
@@ -378,7 +382,7 @@ class CatalogIndex:
         still_missing_tids)``; an empty second item means full coverage.
         """
         excluded = frozenset(exclude)
-        remaining = np.unique(np.asarray(tids, dtype=np.int64))
+        remaining = sorted_unique(np.asarray(tids, dtype=np.int64))
         chosen: List[int] = []
         candidates = (
             self.attribute_pids.get(attribute, ())
@@ -390,7 +394,7 @@ class CatalogIndex:
             held = self.attribute_tids(pid, attribute)
             if not len(held):
                 continue
-            hit = np.isin(remaining, held, assume_unique=True)
+            hit = sorted_isin(remaining, held)
             if hit.any():
                 chosen.append(pid)
                 remaining = remaining[~hit]

@@ -11,6 +11,7 @@ every commit.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -56,15 +57,18 @@ Sketcher = Callable[[PartitionInfo], Optional[SketchSet]]
 
 
 def _full_coverage(info: PartitionInfo) -> frozenset:
-    """Attributes (primary or replica) stored for every tuple of the partition."""
+    """Attributes (primary or replica) stored for every tuple of the partition.
+
+    A segment's tuple IDs are strictly ascending (:meth:`PartitionManager.
+    _frame_tids` refuses anything else), so its length is its distinct count.
+    """
     all_tids = info.tuple_ids()
     if not len(all_tids):
         return frozenset()
     coverage: Dict[str, int] = {}
     for attrs, tids in zip(info.segment_attrs, info.segment_tids):
-        unique = len(np.unique(tids))
         for attribute in attrs:
-            coverage[attribute] = coverage.get(attribute, 0) + unique
+            coverage[attribute] = coverage.get(attribute, 0) + len(tids)
     return frozenset(a for a, count in coverage.items() if count >= len(all_tids))
 
 
@@ -86,10 +90,10 @@ class PartitionManager:
         self.key_prefix = key_prefix
         self.buffer_pool = buffer_pool
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        #: callbacks invoked (outside the catalog mutex) after any commit
-        #: that invalidates memoized pruning state; each receives the new
-        #: ``catalog_version``.
-        self._invalidation_hooks: List[Callable[[int], None]] = []
+        #: bound methods, held weakly, invoked (outside the catalog mutex)
+        #: after any commit that invalidates memoized pruning state; each
+        #: receives the new ``catalog_version``.
+        self._invalidation_hooks: List[weakref.WeakMethod] = []
         #: serializes commits, prunes, pins and stage reservations — the
         #: serving tier plans queries while the adaptive daemon swaps.
         #: Readers of the head take no lock: it is one immutable value.
@@ -110,22 +114,27 @@ class PartitionManager:
     # ------------------------------------------------------- invalidation
 
     def add_invalidation_hook(self, hook: Callable[[int], None]) -> None:
-        """Register a callback fired after every catalog commit.
+        """Register a bound method fired after every catalog commit.
 
         Hooks receive the new ``catalog_version`` and run outside the
         catalog mutex (they may take their own locks but must not re-enter
         the manager's write path).  The semantic partition cache registers
         here to drop entries memoized against versions nothing can reach.
+        The manager holds the hook weakly: a cache refers to its manager, so
+        a strong reference back would make the two — and every blob and
+        pooled partition the manager holds — a cycle that outlives its last
+        user until a full garbage collection.
         """
         with self._mutex:
-            self._invalidation_hooks.append(hook)
+            self._invalidation_hooks.append(weakref.WeakMethod(hook))
 
     def _notify_invalidation(self) -> None:
         with self._mutex:
-            hooks = tuple(self._invalidation_hooks)
+            hooks = [ref() for ref in self._invalidation_hooks]
             version = self.catalog_version
         for hook in hooks:
-            hook(version)
+            if hook is not None:
+                hook(version)
 
     # -------------------------------------------------------- materialize
 

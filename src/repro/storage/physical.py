@@ -40,12 +40,43 @@ __all__ = [
     "SegmentSpec",
     "build_physical_partition",
     "physical_from_logical",
+    "sorted_isin",
+    "sorted_unique",
 ]
 
 TID_EXPLICIT = "explicit"
 TID_IMPLICIT = "implicit"
 TID_CATALOG = "catalog"
 _TID_MODES = (TID_EXPLICIT, TID_IMPLICIT, TID_CATALOG)
+
+
+def sorted_unique(tids: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a one-dimensional integer array.
+
+    Tuple IDs arrive as a concatenation of strictly ascending segment
+    arrays, which a stable sort (timsort) merges run by run in linear time;
+    numpy's own ``np.unique`` hashes instead, at many times the cost on
+    such input.
+    """
+    ordered = np.sort(tids, kind="stable")
+    if len(ordered) < 2:
+        return ordered
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def sorted_isin(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """``np.isin(values, members)`` for an ascending ``members`` array: one
+    binary search per value instead of a hash of both."""
+    if not len(members):
+        return np.zeros(len(values), dtype=bool)
+    at = np.searchsorted(members, values)
+    # A value past the largest member lands at len(members); probe the last
+    # member instead, which it cannot equal.
+    np.minimum(at, len(members) - 1, out=at)
+    return members[at] == values
 
 
 @dataclass(slots=True)
@@ -149,7 +180,7 @@ class PhysicalPartition:
         """Sorted unique tuple IDs stored anywhere in the partition."""
         if not self.segments:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([segment.tuple_ids for segment in self.segments]))
+        return sorted_unique(np.concatenate([segment.tuple_ids for segment in self.segments]))
 
     def disk_bytes(self, schema: TableSchema, tuple_id_bytes: int = 8) -> int:
         return sum(segment.disk_bytes(schema, tuple_id_bytes) for segment in self.segments)
@@ -215,7 +246,7 @@ def build_physical_partition(
     segments: List[PhysicalSegment] = []
     for attrs in order:
         tids = np.concatenate(grouped[attrs]) if grouped[attrs] else np.empty(0, np.int64)
-        tids = np.unique(tids)
+        tids = sorted_unique(tids)
         if not len(tids):
             continue
         mode = tid_storage

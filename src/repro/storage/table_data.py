@@ -22,7 +22,7 @@ __all__ = ["ColumnTable"]
 class ColumnTable:
     """Column-oriented in-memory table tied to a :class:`TableMeta`."""
 
-    __slots__ = ("meta", "_columns")
+    __slots__ = ("meta", "_columns", "_buffers")
 
     def __init__(self, meta: TableMeta, columns: Mapping[str, np.ndarray]):
         missing = [a for a in meta.attribute_names if a not in columns]
@@ -38,6 +38,9 @@ class ColumnTable:
                     f"column {name!r} has {len(column)} values, expected {meta.n_tuples}"
                 )
             self._columns[name] = column
+        #: per attribute, the array ``_columns`` holds a prefix view of;
+        #: :meth:`append_rows` writes new rows into its spare tail.
+        self._buffers: Dict[str, np.ndarray] = dict(self._columns)
         self.meta = meta
 
     @classmethod
@@ -94,6 +97,13 @@ class ColumnTable:
         :class:`TableMeta`; holders of the old meta keep a consistent view of
         the pre-append tuple count, which is exactly what snapshot reads of
         older versions want.
+
+        Costs O(batch), not O(table): each column is a prefix view of a
+        buffer whose spare tail takes the new rows, and a full buffer is
+        copied once into one with ⅛ of the grown table spare.  A column
+        handed out earlier never changes — rows are only ever appended past
+        its end — and the bounds come from the new rows joined with the
+        prior meta's.
         """
         missing = [a for a in self.schema.attribute_names if a not in columns]
         if missing:
@@ -109,22 +119,24 @@ class ColumnTable:
         first_tid = self.n_tuples
         if not n_new:
             return first_tid
+        n_total = first_tid + n_new
         bounds = {}
         for spec in self.schema:
-            old = self._columns[spec.name]
-            new = np.asarray(columns[spec.name]).astype(old.dtype, copy=False)
-            merged = np.concatenate([old, new])
-            self._columns[spec.name] = merged
-            lo, hi = float(merged.min()), float(merged.max())
-            if self.n_tuples:
+            buffer = self._buffers[spec.name]
+            new = np.asarray(columns[spec.name]).astype(buffer.dtype, copy=False)
+            if len(buffer) < n_total:
+                grown = np.empty(n_total + n_total // 8, dtype=buffer.dtype)
+                grown[:first_tid] = buffer[:first_tid]
+                self._buffers[spec.name] = buffer = grown
+            buffer[first_tid:n_total] = new
+            self._columns[spec.name] = buffer[:n_total]
+            lo, hi = float(new.min()), float(new.max())
+            if first_tid:
                 prior = self.meta.ranges[spec.name]
                 lo, hi = min(lo, float(prior.lo)), max(hi, float(prior.hi))
             bounds[spec.name] = (lo, hi)
         self.meta = TableMeta(
-            self.meta.name,
-            self.schema,
-            self.n_tuples + n_new,
-            RangeMap.from_bounds(bounds),
+            self.meta.name, self.schema, n_total, RangeMap.from_bounds(bounds)
         )
         return first_tid
 

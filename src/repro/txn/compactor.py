@@ -37,7 +37,12 @@ import numpy as np
 from ..errors import TransactionError
 from ..obs import request_scope
 from ..obs import tracer as obs_tracer
-from ..storage.physical import TID_EXPLICIT, SegmentSpec, build_physical_partition
+from ..storage.physical import (
+    TID_EXPLICIT,
+    SegmentSpec,
+    build_physical_partition,
+    sorted_isin,
+)
 from .delta import DeltaState
 
 __all__ = ["CompactionReport", "DeltaCompactor"]
@@ -96,28 +101,33 @@ class DeltaCompactor:
 
     # ------------------------------------------------------------- planning
 
-    def _plan(self, tombs: np.ndarray) -> Tuple[List[int], List[int]]:
-        """``(scope, deferred)``: the dirty partitions, dirtiest first,
-        split by what fits the budget."""
-        dirty: List[Tuple[int, int, int]] = []  # (n_dead, n_bytes, pid)
+    def _plan(
+        self, tombs: np.ndarray
+    ) -> Tuple[List[int], List[int], Dict[int, np.ndarray]]:
+        """``(scope, deferred, dead)``: the dirty partitions, dirtiest
+        first, split by what fits the budget, and each one's dead tuple IDs
+        (ascending) — the only tombstones the rest of the pass tests.
+        ``tombs`` is the state's ascending tombstone array."""
+        dead: Dict[int, np.ndarray] = {}
         for pid in self.manager.pids():
-            info = self.manager.info(pid)
-            n_dead = int(np.isin(info.tuple_ids(), tombs).sum())
-            if n_dead:
-                dirty.append((n_dead, info.n_bytes, pid))
-        dirty.sort(key=lambda item: (-item[0], item[2]))
+            held = self.manager.info(pid).tuple_ids()
+            dead_here = held[sorted_isin(held, tombs)]
+            if len(dead_here):
+                dead[pid] = dead_here
+        dirty = sorted(dead, key=lambda pid: (-len(dead[pid]), pid))
         budget_left = (
             float("inf") if self.bytes_budget is None else self.bytes_budget
         )
         scope: List[int] = []
         deferred: List[int] = []
-        for _n_dead, n_bytes, pid in dirty:
+        for pid in dirty:
+            n_bytes = self.manager.info(pid).n_bytes
             if n_bytes <= budget_left:
                 scope.append(pid)
                 budget_left -= n_bytes
             else:
                 deferred.append(pid)
-        return scope, deferred
+        return scope, deferred, dead
 
     # ------------------------------------------------------------ execution
 
@@ -146,7 +156,7 @@ class DeltaCompactor:
             if not state.segments and not state.tombstones:
                 return CompactionReport()
             tombs = state.tombstone_array()
-            scope, deferred = self._plan(tombs)
+            scope, deferred, dead = self._plan(tombs)
             # A commit partition stays a segment only while it waits for
             # the rewrite that drops its dead rows.
             remaining_segments = tuple(
@@ -164,9 +174,7 @@ class DeltaCompactor:
             next_pid = self.manager.next_pid()
             for pid in scope:
                 info = self.manager.info(pid)
-                dead_here = info.tuple_ids()[
-                    np.isin(info.tuple_ids(), tombs)
-                ]
+                dead_here = dead[pid]
                 n_dropped += len(dead_here)
                 specs = []
                 for attrs, seg_tids, replica in zip(
@@ -175,7 +183,7 @@ class DeltaCompactor:
                 ):
                     if replica:
                         continue
-                    live = seg_tids[~np.isin(seg_tids, tombs)]
+                    live = seg_tids[~sorted_isin(seg_tids, dead_here)]
                     if len(live):
                         specs.append(SegmentSpec(
                             attributes=tuple(attrs), tuple_ids=live
@@ -191,10 +199,7 @@ class DeltaCompactor:
             # the next one.
             remaining_tombstones: set = set()
             for pid in deferred:
-                held = self.manager.info(pid).tuple_ids()
-                remaining_tombstones.update(
-                    held[np.isin(held, tombs)].tolist()
-                )
+                remaining_tombstones.update(dead[pid].tolist())
 
             if scope:
                 infos = self.manager.swap_partitions(

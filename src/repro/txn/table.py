@@ -42,7 +42,13 @@ from ..obs import publish, request_scope
 from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
 from ..storage.partition_manager import CatalogSnapshot
-from ..storage.physical import TID_IMPLICIT, PhysicalPartition, PhysicalSegment
+from ..storage.physical import (
+    TID_IMPLICIT,
+    PhysicalPartition,
+    PhysicalSegment,
+    sorted_isin,
+    sorted_unique,
+)
 from ..storage.table_data import ColumnTable
 from .delta import DeltaState
 from .wal import (
@@ -213,7 +219,7 @@ class TransactionalTable:
             raise TransactionError("pass exactly one of tids= or where=")
         visible = self._visible_mask(self.manager.catalog_version)
         if tids is not None:
-            doomed = np.unique(np.asarray(tids, dtype=np.int64))
+            doomed = sorted_unique(np.asarray(tids, dtype=np.int64))
         else:
             assert where is not None  # exactly one of the two, checked above
             mask = visible.copy()
@@ -225,15 +231,11 @@ class TransactionalTable:
         # Statement-level visibility: targets resolve against the last
         # committed state, minus anything this batch already doomed.
         if self._pending_doomed:
-            doomed = doomed[
-                ~np.isin(
-                    doomed,
-                    np.fromiter(
-                        self._pending_doomed, dtype=np.int64,
-                        count=len(self._pending_doomed),
-                    ),
-                )
-            ]
+            pending = np.sort(np.fromiter(
+                self._pending_doomed, dtype=np.int64,
+                count=len(self._pending_doomed),
+            ))
+            doomed = doomed[~sorted_isin(doomed, pending)]
         out_of_range = doomed[(doomed < 0) | (doomed >= len(visible))]
         if len(out_of_range):
             raise TransactionError(

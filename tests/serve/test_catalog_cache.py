@@ -4,6 +4,9 @@ through :class:`QueryScheduler`."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,31 @@ class TestCatalogPartitionCache:
             assert len(cache) >= 1
             cache.clear()
             assert len(cache) == 0
+
+    def test_a_dropped_cache_and_manager_need_no_cycle_collection(self):
+        """The manager holds a cache's hook weakly: dropping both frees the
+        manager (and its blobs) by reference counting alone, and a commit
+        after the cache is gone skips its hook."""
+        rng = np.random.default_rng(22)
+        fact, dim, fwl, dwl = random_join_tables(rng, co_partitioned=True)
+        layout = IrregularLayout().build(fact, fwl, CTX)
+        manager = layout.manager
+        cache = PartitionCache(manager)
+        gc.disable()
+        try:
+            del cache
+            pid = manager.pids()[0]
+            partition, _ = manager.load(pid)
+            manager.swap_partitions(
+                [PhysicalPartition(manager.next_pid(), partition.segments)],
+                remove=[pid],
+            )
+            kept = PartitionCache(manager)
+            alive = weakref.ref(manager)
+            del layout, manager, kept, partition
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestSchedulerServesJoins:

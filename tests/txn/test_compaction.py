@@ -17,6 +17,7 @@ from repro.testing import (
     ShadowTable,
     WriteWorkloadConfig,
     apply_random_batch,
+    random_rows,
     random_table,
     random_workload,
     verify_against_shadow,
@@ -255,6 +256,52 @@ class TestBudgetedFoldAcrossColumnGroups:
         state = txn.delta_state()
         assert not state.segments and not state.tombstones
         # Every version, so also the state each later partial pass left.
+        assert verify_against_shadow(txn, shadow, rng) == []
+
+
+class TestSortedSetAlgebra:
+    """The write path's tuple-ID set operations run on the sorted arrays the
+    catalog holds: with numpy's hash-based ``np.unique`` and ``np.isin``
+    made to raise, a commit (insert, update, tid and predicate deletes), a
+    budgeted fold that defers partitions and an unbudgeted fold all land,
+    and every version still matches the shadow."""
+
+    def test_commit_and_folds_never_call_hash_set_operations(self, monkeypatch):
+        rng, txn = build_column_group_table(49, 1_500)
+        shadow = ShadowTable(txn.data)
+        shadow.snapshot(txn.current_version)
+        names = list(txn.schema.attribute_names)
+        committed = txn.data.n_tuples
+        rows = random_rows(rng, shadow, 16, 1_000)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("hash-based set operation on the write path")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        monkeypatch.setattr(np, "isin", refuse)
+
+        assert np.array_equal(txn.insert(rows), shadow.insert(rows))
+        # Duplicate, unsorted targets; the delete after it names one the
+        # update already doomed.
+        assert np.array_equal(
+            txn.update({names[1]: 7}, tids=[20, 3, 11, 3]),
+            shadow.update({names[1]: 7}, np.array([3, 11, 20])),
+        )
+        txn.delete(tids=[41, 3, 40])
+        shadow.delete(np.array([40, 41]))
+        txn.delete(where={names[0]: (0, 60)})
+        shadow.delete_where({names[0]: (0, 60)}, limit=committed)
+        shadow.snapshot(txn.commit())
+
+        partial = DeltaCompactor(txn, bytes_budget=40_000, verify=True).run()
+        assert partial.scope_pids and partial.n_partitions_deferred > 0
+        shadow.snapshot(partial.version)
+        final = DeltaCompactor(txn, verify=True).run()
+        shadow.snapshot(final.version)
+        state = txn.delta_state()
+        assert not state.segments and not state.tombstones
+
+        monkeypatch.undo()
         assert verify_against_shadow(txn, shadow, rng) == []
 
 
