@@ -20,7 +20,17 @@ a collaborator itself.  The threaded protocols replace ``execute`` whole.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.query import Query
 from ..core.schema import TableMeta
@@ -44,7 +54,7 @@ from ..plan.stats import CpuModel, ExecutionStats
 from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 from ..storage.physical import PhysicalPartition
 
-__all__ = ["QueryEngine", "QueryRun", "count_prune", "run_selection"]
+__all__ = ["QueryEngine", "QueryRun", "count_prunes", "run_selection"]
 
 
 class QueryRun(NamedTuple):
@@ -206,54 +216,71 @@ class QueryEngine:
         raise NotImplementedError
 
 
-def count_prune(decision, stats: ExecutionStats) -> None:
-    """Count one planner-pruned partition, attributing sketch-won skips.
+def count_prunes(
+    plan: PhysicalPlan, pids: Sequence[int], stats: ExecutionStats
+) -> None:
+    """Count planner-pruned ``pids`` at once, attributing sketch-won skips.
 
-    A verdict replayed from the partition cache keeps its original
-    ``source`` (so sketch attribution is identical cache-on vs cache-off)
-    and additionally counts in ``n_partitions_cache_pruned``.
+    A prune replayed from the partition cache keeps its sketch attribution
+    (so it is identical cache-on vs cache-off) and additionally counts in
+    ``n_partitions_cache_pruned``.
     """
-    stats.n_partitions_skipped += 1
-    stats.n_partitions_pruned += 1
-    if decision.source == "sketch":
-        stats.n_partitions_sketch_pruned += 1
-    if decision.via_cache:
-        stats.n_partitions_cache_pruned += 1
+    verdict = plan.verdict
+    stats.n_partitions_skipped += len(pids)
+    stats.n_partitions_pruned += len(pids)
+    stats.n_partitions_sketch_pruned += len(verdict.sketched.intersection(pids))
+    stats.n_partitions_cache_pruned += len(verdict.cached.intersection(pids))
 
 
 def run_selection(
-    plan,
+    plan: PhysicalPlan,
     reader: PlanReader,
     degrade: DegradeOp,
     select_op: SelectOp,
     stats: ExecutionStats,
     process: Callable[[int, PhysicalPartition], None],
 ) -> int:
-    """Drive a selection phase: every predicate partition in plan order,
-    ``process`` on each one read, and a pruned one's verdict applied from
-    the catalog alone.  Returns the VALID tuples those verdicts evicted."""
+    """Drive a selection phase: every surviving predicate partition in plan
+    order, ``process`` on each one read, and a pruned one's verdict applied
+    from the catalog alone.  Under the hit-only form no other selection
+    segment reaches a pruned partition's tuples, so its pid never enters the
+    loop: the prunes are counted at once and their invalidation waits for a
+    flush.  Returns the VALID tuples those verdicts evicted."""
     logical = plan.logical
     loop = AccessLoop(reader, degrade, logical.predicate_attributes)
-    loop.pending.extend(plan.selection_pids())
+    pids = plan.selection_pids()
+    pruned = plan.verdict.pruned
+    deferred: List[int] = []
+    if select_op.hit_only and pruned:
+        deferred = [pid for pid in pids if pid in pruned]
+        pids = tuple(pid for pid in pids if pid not in pruned)
+        count_prunes(plan, deferred, stats)
+    loop.pending.extend(pids)
     evictions = 0
     # Under the visit-once verdict a substitute is never a selection pid.
     substitutes = degrade.fctx.degraded
 
+    def invalidate(pid: int) -> int:
+        # The partition policy refutes the predicate attributes stored here;
+        # under the scan policy one refuted predicate excludes every tuple
+        # with a predicate cell here, whatever its other cells say.
+        info = plan.snapshot.info(pid)
+        attributes = logical.predicate_attributes
+        if logical.policy == POLICY_PARTITION:
+            attributes = attributes & info.attributes
+        return select_op.invalidate(info, attributes)
+
     def skip(pid: int) -> bool:
         nonlocal evictions
         if select_op.hit_only and pid in substitutes:
+            # Leaving the hit-only form applies the deferred prunes too (no
+            # tuple of theirs was reached, so they evict nothing).
             select_op.flush()
-        decision = plan.pruned(pid)
-        if decision is None:
+            evictions += sum(map(invalidate, deferred))
+        if pid not in pruned:
             return False
-        # The partition policy names the refuted attributes; under the scan
-        # policy one refuted predicate excludes every tuple with a predicate
-        # cell here, whatever its other cells say.
-        evictions += select_op.invalidate(
-            plan.snapshot.info(pid),
-            decision.pruned_attributes or logical.predicate_attributes,
-        )
-        count_prune(decision, stats)
+        evictions += invalidate(pid)
+        count_prunes(plan, (pid,), stats)
         return True
 
     loop.run(process, skip)

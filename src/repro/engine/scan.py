@@ -34,7 +34,7 @@ import numpy as np
 from ..plan.logical import POLICY_SCAN
 from ..plan.operators import AccessLoop, ProjectFillOp, SelectOp
 from ..plan.stats import CpuModel
-from .base import QueryEngine, QueryRun, count_prune, run_selection
+from .base import QueryEngine, QueryRun, count_prunes, run_selection
 
 __all__ = ["ScanExecutor"]
 
@@ -127,9 +127,8 @@ class ScanExecutor(QueryEngine):
                 # survived it, re-scanning would gather nothing.  Not
                 # counted as a skip — no read was avoided.
                 return idle(pid)
-            decision = plan.pruned(pid)
-            if decision is not None:
-                count_prune(decision, stats)
+            if plan.pruned(pid):
+                count_prunes(plan, (pid,), stats)
                 return True
             if idle(pid):
                 stats.n_partitions_skipped += 1

@@ -5,13 +5,15 @@ engines that evaluate it:
 
 1. **Logical plan** (:mod:`repro.plan.logical`, :mod:`repro.plan.predicates`)
    — predicate normalization, projection-pushdown column sets, and
-   metadata-based partition pruning (REQUIRED / PRUNED / PROJECTION-ONLY)
-   from catalog zone maps, before any I/O.
+   metadata-based partition pruning from catalog zone maps, before any
+   I/O: one zone verdict per plan as array work, and per-partition
+   classifications (REQUIRED / PRUNED / PROJECTION-ONLY) on demand.
 2. **Physical plan** (:mod:`repro.plan.physical`) — the ascending
-   selection and projection pid lists with the degrade/replica-fallback/
-   chunking policy baked in as plan properties the engine scaffold
-   enforces; verdicts and cost estimates for ``explain()``
-   (:mod:`repro.plan.explain`) are made on demand.
+   selection and projection pid lists and the zone verdict, with the
+   degrade/replica-fallback/chunking policy baked in as plan properties
+   the engine scaffold enforces; cost estimates come from the verdict and
+   classified rows for ``explain()`` (:mod:`repro.plan.explain`) are made
+   on demand.
 3. **Operators** (:mod:`repro.plan.operators`, :mod:`repro.plan.degrade`,
    :mod:`repro.plan.result`, :mod:`repro.plan.stats`) — the shared
    selection / projection-fill / degrade pipeline the four engines drive
@@ -47,6 +49,7 @@ from .logical import (
     REQUIRED,
     LogicalPlan,
     PartitionDecision,
+    Verdict,
 )
 from .operators import (
     STATUS_INVALID,
@@ -106,6 +109,7 @@ __all__ = [
     "STATUS_INVALID",
     "STATUS_NOT_CHECKED",
     "STATUS_VALID",
+    "Verdict",
     "build_relational_plan",
     "choose_join_strategy",
     "explain_relational",

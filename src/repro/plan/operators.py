@@ -39,8 +39,11 @@ visit in this query can read it: under the plan's visit-once verdict
 (``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone (none
 in a zone-refuted partition: it evaluates nothing) and keeps their tids, up
 to 1/16 of the table, as the VALID set — until :meth:`SelectOp.flush`.  A
-view's hidden tids are INVALID before the first read, so under a view that
-hides any a hit counts only where its status is not INVALID.
+planner-pruned partition's tuples stay NOT_CHECKED too: the selection
+loop (``engine.base.run_selection``) applies its :meth:`SelectOp.invalidate`
+only at a flush.  A view's hidden tids are INVALID before the first read,
+so under a view that hides any a hit counts only where its status is not
+INVALID.
 
 **Owner-addressed fill.**  The owner map that finds a projection partition
 also names its result rows, ``VALID ∩ tids(pid)``: for a primary segment

@@ -19,21 +19,23 @@ The second planning layer.  A :class:`PhysicalPlan` is plain data:
   names the selection pids whose zone refutes a predicate every segment
   there stores — read, but no tuple of theirs can pass.
 
-Decisions are made on demand and memoised per pid: a partition's verdict
-only where something consumes it (the prune check of a plan that can
-prune, the scan engine's projection skip, ``explain()``, the adaptive
-monitor, the partition cache's record), and so are the classified
-:class:`PartitionAccess` rows and the *estimates* (partitions, bytes,
-predicted I/O seconds from the fitted ``io(x)`` model) that ``explain()``
-reports against the actuals.
+* the **zone verdict** (``verdict``, :class:`~repro.plan.logical.Verdict`):
+  the pids the catalog already refutes, computed once when the plan is
+  built (or replayed from the partition cache), so ``pruned(pid)`` is a set
+  lookup and the *estimates* (partitions, bytes, predicted I/O seconds from
+  the fitted ``io(x)`` model) that ``explain()`` reports against the
+  actuals come from it without a classification.
+
+A partition's classified :class:`~repro.plan.logical.PartitionDecision`,
+with its reason, is made on demand and memoised per pid: only where
+something consumes it — ``explain()``, ``selection`` / ``projection``, the
+adaptive monitor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
-
-import numpy as np
 
 from ..core.cost import estimate_access_io
 from ..core.query import Query
@@ -46,8 +48,9 @@ from .logical import (
     POLICY_SCAN,
     LogicalPlan,
     PartitionDecision,
+    Verdict,
+    refuted_zones,
 )
-from .predicates import Conjunction
 
 __all__ = ["AccessPolicy", "PartitionAccess", "PhysicalPlan", "QueryPlanner"]
 
@@ -82,7 +85,7 @@ class PhysicalPlan:
     __slots__ = (
         "logical", "policy", "selection_columns", "projection_columns",
         "snapshot", "catalog_version", "visits_once", "zone_refuted",
-        "_selection_pids", "_projection_pids", "_estimates",
+        "verdict", "_selection_pids", "_projection_pids", "_estimates",
     )
 
     def __init__(
@@ -95,6 +98,7 @@ class PhysicalPlan:
         visits_once: bool = False,
         zone_refuted: frozenset = frozenset(),
         selection_columns: Optional[frozenset] = None,
+        verdict: Optional[Verdict] = None,
     ):
         self.logical = logical
         self.policy = policy
@@ -107,6 +111,9 @@ class PhysicalPlan:
         #: tids too: the selection may run hit-only.
         self.visits_once = visits_once
         self.zone_refuted = zone_refuted
+        self.verdict = (
+            verdict if verdict is not None else logical.verdict(snapshot.index)
+        )
         #: the pinned catalog view the plan was built against.  Everything
         #: an execution asks the catalog — partition entries, tuple-level
         #: probes, degraded-read substitutes — it asks this view, and it
@@ -123,14 +130,9 @@ class PhysicalPlan:
         runtime, which were not on the initial access lists."""
         return self.logical.classify(self.snapshot.info(pid))
 
-    def pruned(self, pid: int) -> Optional[PartitionDecision]:
-        """``pid``'s PRUNED verdict, or None; a plan that cannot prune
-        (pruning off, or no WHERE clause) classifies nothing."""
-        logical = self.logical
-        if not (logical.pruning and logical.conjunction):
-            return None
-        decision = self.decision_for(pid)
-        return decision if decision.is_pruned else None
+    def pruned(self, pid: int) -> bool:
+        """Whether the zone verdict prunes ``pid`` (any pid of the view)."""
+        return pid in self.verdict.pruned
 
     def selection_pids(self) -> Tuple[int, ...]:
         return self._selection_pids
@@ -167,18 +169,16 @@ class PhysicalPlan:
         # (phase-2 skips partitions with no missing cell / no selected
         # tuple), so the bound counts those not already read by selection.
         if self._estimates is None:
-            read = [a for a in self.selection if not a.decision.is_pruned]
-            selected = {a.pid for a in read}
-            read += [
-                a for a in self.projection
-                if not a.decision.is_pruned and a.pid not in selected
+            n_bytes = [
+                self.snapshot.info(pid).n_bytes
+                for pid in dict.fromkeys(self._selection_pids + self._projection_pids)
+                if pid not in self.verdict.pruned
             ]
             self._estimates = (
-                len(read),
-                sum(a.n_bytes for a in read),
+                len(n_bytes),
+                sum(n_bytes),
                 estimate_access_io(
-                    self.snapshot.manager.device.profile.io_model,
-                    (a.n_bytes for a in read),
+                    self.snapshot.manager.device.profile.io_model, n_bytes
                 ),
             )
         return self._estimates
@@ -220,23 +220,6 @@ def _access_explain(access: PartitionAccess) -> AccessExplain:
     )
 
 
-def _zone_refuted(
-    view: CatalogSnapshot, conjunction: Conjunction, pids: Tuple[int, ...]
-) -> frozenset:
-    """The ``pids`` whose catalog zone refutes one of the predicates.  Under
-    the visit-once verdict every one stores every predicate attribute, so
-    each attribute's zone arrays (:meth:`CatalogIndex.zones`) are aligned
-    with ``pids`` — the union of those attributes' ascending pid lists,
-    which one list of the same length must equal."""
-    refuted = np.zeros(len(pids), dtype=bool)
-    for p in conjunction.predicates:
-        zone_pids, lo, hi = view.index.zones(p.attribute)
-        assert len(zone_pids) == len(pids), "zones not aligned with the pids"
-        refuted |= hi < p.lo
-        refuted |= lo > p.hi
-    return frozenset(zone_pids[refuted].tolist())
-
-
 class QueryPlanner:
     """Builds logical + physical plans against one partition manager.
 
@@ -252,11 +235,11 @@ class QueryPlanner:
 
     ``partition_cache`` is the serving tier's semantic cache
     (:class:`repro.serve.PartitionCache`, duck-typed to avoid a layering
-    cycle).  When set, the planner consults it before classification —
-    ``lookup(logical, view)`` returns replayed per-partition verdicts for an
-    equal normalized-predicate signature under the view's version, which
-    :meth:`LogicalPlan.use_cached` short-circuits into — and on a miss
-    classifies every candidate and records the verdicts back.
+    cycle).  When set, the planner consults it before the zone verdict —
+    ``lookup(logical, view)`` returns the :class:`Verdict` recorded for an
+    equal normalized-predicate signature under the view's version, which the
+    plan replays as it is — and on a miss records the plan's verdict, naming
+    the candidates it covers.
     """
 
     def __init__(
@@ -323,11 +306,9 @@ class QueryPlanner:
     ) -> PhysicalPlan:
         logical = self.logical_plan(query)
         cache = self.partition_cache
-        cache_hit = None
-        if cache is not None:
-            cache_hit = cache.lookup(logical, view)
-            if cache_hit is not None:
-                logical.use_cached(cache_hit)
+        verdict = cache.lookup(logical, view) if cache is not None else None
+        if verdict is not None:
+            logical.use_cached(verdict.cached)
         if logical.conjunction:
             pred_pids = view.index.pids_for_attributes(
                 logical.predicate_attributes
@@ -340,17 +321,20 @@ class QueryPlanner:
         visits_once = bool(pred_pids) and view.index.visits_once(
             logical.predicate_attributes
         )
+        # The zone arrays are built only where something reads them: the
+        # visit-once form's zone-refuted pids and a pruning verdict.
+        zones = refuted_zones(view.index, logical.conjunction) if visits_once else None
+        if verdict is None:
+            verdict = logical.verdict(view.index, zones)
+            if cache is not None:
+                cache.record(logical, view, replace(
+                    verdict, cached=frozenset(pred_pids + proj_pids)
+                ))
         plan = PhysicalPlan(
             logical, self.access_policy, pred_pids, proj_pids, view,
-            visits_once,
-            _zone_refuted(view, logical.conjunction, pred_pids)
-            if visits_once else frozenset(),
+            visits_once, frozenset(zones[0]) if zones else frozenset(),
+            verdict=verdict,
         )
-        if cache is not None and cache_hit is None:
-            # The entry replays a verdict for every candidate.
-            for pid in pred_pids + proj_pids:
-                plan.decision_for(pid)
-            cache.record(logical, view)
         if notify and self.observer is not None:
             self.observer(query, plan)
         return plan

@@ -1,10 +1,10 @@
 """The semantic partition cache: memoized pruning verdicts per predicate.
 
 Overlapping queries from many clients repeat the same WHERE clauses against
-the same catalog.  Classifying a partition — zone probes, then the sketch
+the same catalog.  A plan's zone verdict — zone arrays, then the sketch
 pass — is pure metadata work, but at serving rates it is *hot* metadata
-work, repeated for every partition of every plan.  :class:`PartitionCache`
-memoizes the planner's per-partition verdicts keyed by
+work, repeated for every plan.  :class:`PartitionCache` memoizes the
+planner's :class:`~repro.plan.logical.Verdict` keyed by
 
 * the **normalized-predicate signature** — attribute-sorted ``(attribute,
   lo, hi)`` triples with min/max-normalized bounds plus the pruning policy,
@@ -16,12 +16,11 @@ memoizes the planner's per-partition verdicts keyed by
   arXiv:2504.19252 applied at serving time: reuse *which partitions
   survived*, not the data itself.)
 
-A hit hands the stored verdicts to :meth:`~repro.plan.logical.LogicalPlan
-.use_cached`; pids the entry does not cover fall back to a full
-classification, so an entry recorded for one projection is safely replayed
-for another.  Projection never affects a verdict (REQUIRED vs
-PROJECTION-ONLY depends on predicate attributes only), which is what makes
-the predicate-only key sound.
+A hit hands the stored verdict, immutable and uncopied, to the plan; it
+covers every pid of the view, and its ``cached`` pids — the candidates of
+the plan that recorded it — are the ones a replay marks.  Projection never
+affects a verdict (REQUIRED vs PROJECTION-ONLY depends on predicate
+attributes only), which is what makes the predicate-only key sound.
 
 Coherence: a view is frozen and so is every entry in it (zones and
 sketches included), so the verdicts a plan computes against it are exact
@@ -35,9 +34,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
-from ..plan.logical import LogicalPlan, PartitionDecision
+from ..plan.logical import LogicalPlan, Verdict
 from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 
 __all__ = [
@@ -97,7 +96,7 @@ class CacheStats:
 
 
 class PartitionCache:
-    """LRU map ``(signature, version) -> {pid: PartitionDecision}``.
+    """LRU map ``(signature, version) -> Verdict``.
 
     Bound to one :class:`PartitionManager`; ``capacity`` bounds the number
     of distinct predicate signatures retained.  Thread-safe: the serving
@@ -111,9 +110,7 @@ class PartitionCache:
         self.manager = manager
         self.capacity = capacity
         self.stats = CacheStats()
-        self._entries: "OrderedDict[Tuple[Signature, int], Dict[int, PartitionDecision]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Tuple[Signature, int], Verdict]" = OrderedDict()
         self._lock = threading.Lock()
         manager.add_invalidation_hook(self._on_invalidate)
 
@@ -128,8 +125,8 @@ class PartitionCache:
 
     def lookup(
         self, logical: LogicalPlan, view: CatalogSnapshot
-    ) -> Optional[Dict[int, PartitionDecision]]:
-        """Verdicts recorded for this plan's signature under ``view``'s
+    ) -> Optional[Verdict]:
+        """The verdict recorded for this plan's signature under ``view``'s
         version, or None."""
         key = (self.signature(logical), view.version)
         with self._lock:
@@ -137,20 +134,20 @@ class PartitionCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.stats.n_hits += 1
-                return dict(entry)
+                return entry
             self.stats.n_misses += 1
         return None
 
-    def record(self, logical: LogicalPlan, view: CatalogSnapshot) -> bool:
-        """Store a missed plan's verdicts under ``view``'s version."""
-        decisions = {
-            pid: d for pid, d in logical.decision_map().items() if not d.via_cache
-        }
-        if not decisions:
+    def record(
+        self, logical: LogicalPlan, view: CatalogSnapshot, verdict: Verdict
+    ) -> bool:
+        """Store a missed plan's verdict under ``view``'s version;
+        ``verdict.cached`` names the candidates it covers."""
+        if not verdict.cached:
             return False
         key = (self.signature(logical), view.version)
         with self._lock:
-            self._entries[key] = decisions
+            self._entries[key] = verdict
             self._entries.move_to_end(key)
             self.stats.n_records += 1
             while len(self._entries) > self.capacity:

@@ -382,3 +382,58 @@ def test_substitute_read_after_a_zone_refuted_partition_is_exact(table, engine):
     full, full_stats = run_full_form(build(), query)
     assert same_result(result, full)
     assert stats_signature(stats) == stats_signature(full_stats)
+
+
+PRUNING = [
+    lambda m, meta: PartitionAtATimeExecutor(m, meta, zone_maps=True),
+    lambda m, meta: ScanExecutor(m, meta, zone_maps=True),
+]
+
+
+def range_split_build(table, engine, faults):
+    """Partition 0 holds the tuples whose ``a1`` is 500 or more, partition
+    1 the rest; partition 2 stores ``a2`` of every tuple and a replica of
+    partition 1's ``a1``.  ``faults`` kills partition 1."""
+    a1 = table.column("a1")
+    high, low = np.flatnonzero(a1 >= 500), np.flatnonzero(a1 < 500)
+    store = MemoryBlobStore()
+    if faults:
+        store = FaultInjectingBlobStore(store, overrides={"p000001.jig": KILL})
+    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
+    manager.materialize([
+        partition(table, 0, [(("a1",), high, False)]),
+        partition(table, 1, [(("a1",), low, False)]),
+        partition(table, 2, [(("a2",), tids(), False), (("a1",), low, True)]),
+    ])
+    return engine(manager, table.meta)
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["healthy", "substitute"])
+@pytest.mark.parametrize("engine", PRUNING, ids=["pat", "scan"])
+def test_a_hit_only_prune_is_counted_and_invalidated_at_a_flush(table, engine, faults):
+    """Partition 0's zone refutes the query, so the plan prunes it.  Under
+    the hit-only form it never enters the selection loop: it is counted at
+    once and its tuples are left NOT_CHECKED — until partition 1 dies and
+    partition 2, read as its substitute, reaches partition 0's tuples again
+    through ``a2``.  The flush before that read must apply the deferred
+    invalidation, or those tuples pass vacuously there and join the
+    result.  Either way the accounting is the full form's."""
+    query = Query.build(table.meta, ["a2"], {"a1": (0, 499)})
+    executor = range_split_build(table, engine, faults)
+    plan = executor.plan(query)
+    assert plan.visits_once and plan.verdict.pruned == {0}
+    with mock.patch.object(
+        SelectOp, "invalidate", autospec=True, side_effect=SelectOp.invalidate
+    ) as invalidate:
+        result, stats = executor.execute(query)
+    # Invalidated only once the hit-only form is left, for the substitute.
+    assert invalidate.call_count == int(faults)
+    assert stats.n_degraded_reads == int(faults)
+    assert same_result(result, run_reference_query(table, query))
+    full, full_stats = run_full_form(range_split_build(table, engine, faults), query)
+    assert same_result(result, full)
+    assert stats.n_partitions_pruned == full_stats.n_partitions_pruned == 1
+    assert (stats.hash_inserts, stats.hash_updates) == (
+        full_stats.hash_inserts, full_stats.hash_updates
+    )
+    assert stats_signature(stats) == stats_signature(full_stats)

@@ -78,3 +78,38 @@ def test_execution_without_pruning_classifies_nothing(warm):
     assert plan.visits_once
     assert 0 < len(plan.zone_refuted) < len(plan.selection_pids())
     assert stats.n_partition_reads >= len(plan.selection_pids())
+
+
+def test_a_pruning_plan_classifies_nothing_until_explain(warm):
+    """With zone maps on (and no sketches) the plan prunes from its zone
+    verdict alone: planning, the ``plan.query`` span's estimates and the
+    execution make no per-partition classification; ``explain()`` makes
+    one per candidate."""
+    from unittest import mock
+
+    from repro import obs
+    from repro.plan.logical import LogicalPlan
+
+    table, layout, query = warm
+    executor = layout.executor.clone(zone_maps=True)
+    plans = []
+    executor.planner.observer = lambda _query, plan: plans.append(plan)
+    with mock.patch.object(
+        LogicalPlan, "_classify", autospec=True, side_effect=LogicalPlan._classify
+    ) as classify:
+        result, stats = executor.execute(query)
+        with obs.scoped_trace():
+            traced, _stats = executor.execute(query)
+        assert classify.call_count == 0
+        (plan, _traced_plan) = plans
+        assert stats.n_partitions_pruned == len(plan.verdict.pruned & set(
+            plan.selection_pids()
+        )) > 0
+        report = plan.explain()
+    candidates = set(plan.selection_pids()) | set(plan.projection_pids())
+    assert classify.call_count == len(candidates)
+    assert {a.pid for a in report.selection if a.decision == "PRUNED"} == (
+        plan.verdict.pruned & set(plan.selection_pids())
+    )
+    expected = run_reference_query(table, query)
+    assert result.equals(expected) and traced.equals(expected)

@@ -324,7 +324,7 @@ class TestIndexEqualsDefinition:
         """Partitions either store every predicate attribute (the only
         shape the visit-once verdict admits) or none; tid sets may be empty,
         so a partition can store an attribute with no zone."""
-        from repro.plan.physical import _zone_refuted
+        from repro.plan.logical import refuted_zones
         from repro.plan.predicates import Conjunction, RangePredicate
 
         manager = new_manager()
@@ -347,7 +347,7 @@ class TestIndexEqualsDefinition:
                     for p in conjunction.predicates
                 )
             )
-            assert _zone_refuted(view, conjunction, pids) == expected
+            assert refuted_zones(view.index, conjunction)[0] == expected
 
 
 def stripes(first_pid, n, attrs=ATTRS):
