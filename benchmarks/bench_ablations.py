@@ -1,4 +1,4 @@
-"""Ablation bench: resize window, merge, selection, zone maps, replication,
+"""Ablation bench: resize window, merge, selection, zone maps, histograms,
 template drift."""
 
 from repro.bench.experiments import ablations
@@ -18,6 +18,3 @@ def test_ablations(benchmark):
     )
     # Zone maps reduce I/O for selective queries.
     assert rows[("zone-maps", "on")]["mb_read"] <= rows[("zone-maps", "off")]["mb_read"]
-    # Replication eliminates reconstruction in its favorable regime.
-    assert rows[("replication", "on")]["hash_inserts"] == 0
-    assert rows[("replication", "on")]["mb_read"] < rows[("replication", "off")]["mb_read"]

@@ -1,22 +1,23 @@
 """Dump the stats snapshot (and an irregular pass) as JSON, to diff two trees.
 
-One entry per case of ``repro.testing.snapshot.iter_snapshot_cases()``, in
-its deterministic order: ``[label, stats_signature, sha1 of the result,
-sha1 of the EXPLAIN text, buffer-pool counters]``, the last two taken after
-the execution (the pool counters are the case manager's lifetime
-``n_hits``, ``n_misses``, ``n_evictions`` and ``hit_bytes``).  The 768
-cases run twice: as the snapshot builds them (no buffer pool: the counters
-are None), then labelled ``pool/...`` under a 4 KiB pool, where hits,
-misses and evictions all occur.
+One entry per case of ``repro.testing.snapshot.iter_snapshot_cases()`` on
+the oracle layouts named in :data:`LAYOUTS` (the script fails if one of
+them yields no case), in its deterministic order: ``[label,
+stats_signature, sha1 of the result, sha1 of the EXPLAIN text, buffer-pool
+counters]``, the last two taken after the execution (the pool counters are
+the case manager's lifetime ``n_hits``, ``n_misses``, ``n_evictions`` and
+``hit_bytes``).  The 576 cases run twice: as the snapshot builds them (no
+buffer pool: the counters are None), then labelled ``pool/...`` under a
+4 KiB pool, where hits, misses and evictions all occur.  The EXPLAIN text
+is hashed without the ``, replica fallback off`` clause an older tree
+renders.
 
-The snapshot tables lay out their ``irregular`` and ``replicated`` cases as
-one partition holding one segment, so a third pass, labelled
-``irregular/...``, pins what they cannot: a seeded 3 000 x 24 table trained
-on the quickstart's three templates, built as ``IrregularLayout`` (46
-partitions) and as ``ReplicatedIrregularLayout`` (a primary and a replica
-segment in many partitions), each answering 12 seeded queries through the
-partition-at-a-time engine (pruning off and on), the scan engine and the
-replicated executor under one 16 KiB pool per build.  A fourth pass, labelled
+The snapshot tables lay out their ``irregular`` cases as one partition
+holding one segment, so a third pass, labelled ``irregular/...``, pins what
+they cannot: a seeded 3 000 x 24 table trained on the quickstart's three
+templates, built as ``IrregularLayout`` (46 partitions), answering 12
+seeded queries through the partition-at-a-time engine (pruning off and on)
+and the scan engine under one 16 KiB pool.  A fourth pass, labelled
 ``sql/...``, puts the SQL front end under the same invariant: each of those
 12 queries is rendered by ``to_sql``, parsed twice through
 ``parse_statement`` (the first parse builds the statement's template, the
@@ -47,6 +48,9 @@ import hashlib
 import json
 import sys
 
+#: the oracle layouts the snapshot passes dump.
+LAYOUTS = ("natural", "workload-driven", "irregular")
+
 
 def result_sha1(result) -> str:
     """SHA-1 over the result's tuple IDs and every column (name, dtype,
@@ -71,7 +75,7 @@ def entry(label: str, executor, query) -> list:
     from repro.testing.snapshot import stats_signature
 
     result, stats = executor.execute(query)
-    explain = executor.explain(query).render()
+    explain = executor.explain(query).render().replace(", replica fallback off", "")
     return [
         label,
         list(stats_signature(stats)),
@@ -123,53 +127,28 @@ def build_context():
 
 
 def irregular_pass() -> list:
-    """Several partitions per projection, multi-segment partitions and
-    replica segments, which the snapshot tables do not produce."""
+    """Several partitions per projection and multi-segment partitions,
+    which the snapshot tables do not produce."""
     from repro import Query
-    from repro.core.replication import ReplicationConfig
-    from repro.engine import (
-        PartitionAtATimeExecutor,
-        ReplicatedExecutor,
-        ScanExecutor,
-    )
-    from repro.layouts import IrregularLayout, ReplicatedIrregularLayout
+    from repro.engine import PartitionAtATimeExecutor, ScanExecutor
+    from repro.layouts import IrregularLayout
 
     table, train, specs = seeded_table()
     meta = table.meta
     queries = [Query.build(meta, select, where) for select, where in specs]
-    builders = (
-        ("irregular", IrregularLayout()),
-        ("replicated", ReplicatedIrregularLayout(
-            replication=ReplicationConfig(
-                budget_fraction=1.0, local_cost_safety=1.0
-            ),
-            selection_enabled=False,
-        )),
+    manager = IrregularLayout().build(table, train, build_context()).manager
+    engines = (
+        ("pat", PartitionAtATimeExecutor(manager, meta)),
+        ("pat-pruned", PartitionAtATimeExecutor(manager, meta, zone_maps=True)),
+        ("scan", ScanExecutor(manager, meta)),
     )
     entries = []
-    for layout_name, builder in builders:
-        layout = builder.build(table, train, build_context())
-        manager = layout.manager
-        if layout_name == "replicated":
-            infos = [manager.info(pid) for pid in manager.pids()]
-            assert any(any(info.segment_replicas) for info in infos), (
-                "the replicated build carries no replica segment"
-            )
-        engines = (
-            ("pat", PartitionAtATimeExecutor(manager, meta)),
-            ("pat-pruned", PartitionAtATimeExecutor(manager, meta, zone_maps=True)),
-            ("scan", ScanExecutor(manager, meta)),
-            ("replicated", ReplicatedExecutor(manager, meta)),
-        )
-        for engine_name, executor in engines:
-            for index, query in enumerate(queries):
-                entries.append(entry(
-                    f"irregular/{layout_name}/{engine_name}/q{index}",
-                    executor, query,
-                ))
-        if layout_name == "irregular":
-            entries += sql_pass(PartitionAtATimeExecutor(manager, meta), queries)
-    return entries
+    for engine_name, executor in engines:
+        for index, query in enumerate(queries):
+            entries.append(entry(
+                f"irregular/irregular/{engine_name}/q{index}", executor, query,
+            ))
+    return entries + sql_pass(PartitionAtATimeExecutor(manager, meta), queries)
 
 
 def txn_pass() -> list:
@@ -261,8 +240,14 @@ def dump() -> list:
     )
     entries = []
     for prefix, ctx in (("", None), ("pool/", pooled)):
+        seen = set()
         for case in iter_snapshot_cases(ctx=ctx):
-            entries.append(entry(prefix + case.label, case.executor, case.query))
+            if case.layout in LAYOUTS:
+                seen.add(case.layout)
+                entries.append(entry(prefix + case.label, case.executor, case.query))
+        missing = [name for name in LAYOUTS if name not in seen]
+        if missing:
+            raise SystemExit(f"no snapshot case on layout(s) {missing}")
     return entries + irregular_pass() + txn_pass()
 
 

@@ -20,8 +20,6 @@ from .core import (
     ParallelJigsawPartitioner,
     Query,
     RangeMap,
-    ReplicationAdvisor,
-    ReplicationConfig,
     TableStatistics,
     Segment,
     TableMeta,
@@ -61,8 +59,6 @@ __all__ = [
     "SchemaError",
     "Segment",
     "StorageError",
-    "ReplicationAdvisor",
-    "ReplicationConfig",
     "TableMeta",
     "TableSchema",
     "TableStatistics",

@@ -11,8 +11,8 @@ Six studies, each isolating one mechanism:
   100% selectivity, where the fallback is what saves Jigsaw.
 * ``zone-maps``      — the catalog-metadata predicate short-circuit for the
   partition-at-a-time engine (extension; paper future work "indexing").
-* ``replication``    — limited cell replication + partition-local evaluation
-  (extension; paper future work) in its favorable regime.
+* ``histograms``     — equi-width histograms for the tuner's segment-size
+  estimates on a Zipf-skewed table.
 * ``drift``          — evaluate queries from templates NOT in the training
   workload: MAX_SIZE's robustness bound in action.
 """
@@ -21,14 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...core.partitioner import PartitionerConfig
 from ...engine.partition_at_a_time import PartitionAtATimeExecutor
-from ...layouts import (
-    BuildContext,
-    ColumnLayout,
-    IrregularLayout,
-    ReplicatedIrregularLayout,
-)
+from ...layouts import ColumnLayout, IrregularLayout
 from ...workloads.hap import hap_templates, hap_workload, make_hap_table
 from ..environments import BALOS, scaled_context
 from ..reporting import ExperimentResult
@@ -50,16 +44,14 @@ class AblationConfig:
     seed: int = 41
 
 
-def _setup(cfg: AblationConfig, n_templates: int = 2, predicate_projected: bool = True,
-           selectivity: float | None = None):
+def _setup(cfg: AblationConfig, selectivity: float | None = None):
     table = make_hap_table(cfg.n_tuples, cfg.n_attrs, seed=cfg.seed)
     sel = cfg.selectivity if selectivity is None else selectivity
     train, templates = hap_workload(
-        table.meta, sel, cfg.projectivity, n_templates, cfg.n_train,
-        seed=cfg.seed + 1, predicate_projected=predicate_projected,
+        table.meta, sel, cfg.projectivity, 2, cfg.n_train, seed=cfg.seed + 1,
     )
     eval_wl, _t = hap_workload(
-        table.meta, sel, cfg.projectivity, n_templates, cfg.n_eval,
+        table.meta, sel, cfg.projectivity, 2, cfg.n_eval,
         seed=cfg.seed + 2, templates=templates,
     )
     ctx, _scale = scaled_context(BALOS, table.sizeof(), seed=cfg.seed)
@@ -84,7 +76,7 @@ def run(cfg: AblationConfig | None = None) -> ExperimentResult:
     result = ExperimentResult(
         experiment="ablations",
         title="Design-choice ablations (resize window, merge, selection, "
-        "zone maps, replication, template drift)",
+        "zone maps, template drift)",
         parameters={"n_tuples": cfg.n_tuples, "n_attrs": cfg.n_attrs},
     )
 
@@ -131,23 +123,7 @@ def run(cfg: AblationConfig | None = None) -> ExperimentResult:
         )
         _record(result, "zone-maps", "on" if maps else "off", base, narrow_eval)
 
-    # ------------------------------------------------------ 5. replication
-    rep_table, rep_train, rep_eval, rep_ctx = _setup(
-        cfg, n_templates=1, predicate_projected=False
-    )
-    plain = IrregularLayout().build(rep_table, rep_train, rep_ctx)
-    run_plain = _record(result, "replication", "off", plain, rep_eval, hash_inserts=None)
-    result.rows[-1]["hash_inserts"] = run_plain.total.hash_inserts
-    replicated = ReplicatedIrregularLayout().build(rep_table, rep_train, rep_ctx)
-    run_rep = _record(result, "replication", "on", replicated, rep_eval, hash_inserts=None)
-    result.rows[-1]["hash_inserts"] = run_rep.total.hash_inserts
-    report = replicated.build_info["replication"]
-    result.notes.append(
-        f"replication: {len(report.localized_queries)} queries localized, "
-        f"{report.replica_bytes:,} replica bytes"
-    )
-
-    # ----------------------------------------------------- 6. histograms
+    # ----------------------------------------------------- 5. histograms
     skew_table = make_hap_table(
         cfg.n_tuples, cfg.n_attrs, seed=cfg.seed, distribution="zipf"
     )
@@ -181,7 +157,7 @@ def run(cfg: AblationConfig | None = None) -> ExperimentResult:
             size_est_err=f"{median_error:.0%}",
         )
 
-    # ------------------------------------------------------------ 7. drift
+    # ------------------------------------------------------------ 6. drift
     drift_table, drift_train, _e, drift_ctx = _setup(cfg)
     import numpy as np
 

@@ -37,7 +37,7 @@ percentiles and partition-cache effectiveness::
 
     jigsaw-bench serve --clients 8 --requests 25
     jigsaw-bench serve --serve-workers 8 --queue-depth 32 --partition-cache off
-    jigsaw-bench serve --layout replicated --metrics
+    jigsaw-bench serve --layout workload-driven --metrics
 
 ``serve`` always runs under the query flight recorder; add
 ``--telemetry-port`` to expose the live HTTP endpoint (``/metrics``,
@@ -212,16 +212,14 @@ def _run_profile(args) -> int:
 
 def _serve_engines(layout, cache):
     """The layout's engine — every option it was built with kept — with
-    pruning on and ``cache`` wired, keyed by engine name, plus whatever else
-    can serve the same partitions: its inner engines (the replicated
-    dispatcher's standard engine), and for an engine planned under the
-    partition policy both threaded protocols (the scheduler caps those at
-    one in-flight query each)."""
+    pruning on and ``cache`` wired, keyed by engine name, plus, for an
+    engine planned under the partition policy, both threaded protocols
+    (the scheduler caps those at one in-flight query each)."""
     from .engine.parallel import ThreadedPartitionEngine
     from .plan.logical import POLICY_PARTITION
 
     served = layout.executor.clone(zone_maps=True, partition_cache=cache)
-    engines = {engine.name: engine for engine in (served, *served.inner)}
+    engines = {served.name: served}
     if served.policy == POLICY_PARTITION:
         for strategy in ("locking", "shared"):
             threaded = ThreadedPartitionEngine(
@@ -734,7 +732,7 @@ def _parser() -> argparse.ArgumentParser:
             "--layout",
             default="irregular",
             help="layout family of the demo table "
-            "(natural, workload-driven, irregular, replicated)",
+            "(natural, workload-driven, irregular)",
         )
     for command in (profile, serve, write):
         command.add_argument(

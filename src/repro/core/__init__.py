@@ -18,7 +18,6 @@ from .partitioner import (
     partition_segment,
 )
 from .query import Query, Workload
-from .replication import ReplicationAdvisor, ReplicationConfig, ReplicationReport
 from .ranges import Interval, RangeMap
 from .schema import AttributeSpec, TableMeta, TableSchema
 from .segment import Segment, access, horizontal_split
@@ -41,9 +40,6 @@ __all__ = [
     "PartitioningPlan",
     "Query",
     "RangeMap",
-    "ReplicationAdvisor",
-    "ReplicationConfig",
-    "ReplicationReport",
     "Segment",
     "TableMeta",
     "TableSchema",

@@ -1,11 +1,11 @@
-"""Query engines: one contract, four drivers.
+"""Query engines: one contract, three drivers.
 
-All four executors (serial scan, partition-at-a-time, the threaded
-Jigsaw-L/S protocols, and replica-local) extend
+All three executors (serial scan, partition-at-a-time and the threaded
+Jigsaw-L/S protocols) extend
 :class:`~repro.engine.base.QueryEngine`, which owns construction, the
 contract other layers call (``name``, ``planner``, ``pruning``,
 ``cpu_model``, ``clone``, ``rebind``, ``plan``/``explain``) and the one
-``execute`` scaffold of the three vectorised drivers; each driver module
+``execute`` scaffold of the two vectorised drivers; each driver module
 owns only its scheduling — its two phases and their counter rule — and every
 ``execute`` returns ``(ResultSet, ExecutionStats)``.  Predicates, results,
 statistics, the degraded-read machinery and aggregation (``GroupAggOp``)
@@ -19,13 +19,11 @@ from .partition_at_a_time import (
     PartitionAtATimeExecutor,
 )
 from .parallel import ThreadedPartitionEngine
-from .replicated import ReplicatedExecutor
 from .scan import ScanExecutor
 
 __all__ = [
     "PartitionAtATimeExecutor",
     "QueryEngine",
-    "ReplicatedExecutor",
     "STATUS_INVALID",
     "STATUS_NOT_CHECKED",
     "STATUS_VALID",

@@ -1,20 +1,20 @@
 """The engine contract: one type under every ``layout.executor``.
 
-:class:`QueryEngine` is what the four drivers extend and what every other
+:class:`QueryEngine` is what the three drivers extend and what every other
 layer programs against, so no caller needs to know which driver it holds.
 It owns **construction** (a driver declares its keyword options in
 ``defaults``; the base checks and records them and builds the
 :class:`~repro.plan.physical.QueryPlanner`), the **contract** (``name``,
 ``planner``, ``pruning``, ``cpu_model``, ``clone(**overrides)``,
-``rebind(meta)``, ``plan``/``explain``) and, for the three vectorised
+``rebind(meta)``, ``plan``/``explain``) and, for the two vectorised
 drivers, the **execute scaffold**: pin a catalog view (unless the caller
-handed one) → plan against it → read pipeline (fault context, reader,
-degrade op) *configured from* ``plan.policy`` → the driver's
+handed one) → plan against it → read pipeline (fault context, reader
+*configured from* ``plan.policy``, degrade op) → the driver's
 :meth:`_select` and :meth:`_project` phases → complete result or error →
 price → publish → release the pin.  The view is the request's whole
-catalog: nothing below the root asks the live manager for metadata.  Fault
-and chunking policy is stated once, in the plan; a driver never hands it to
-a collaborator itself.  The threaded protocols replace ``execute`` whole.
+catalog: nothing below the root asks the live manager for metadata.  The
+chunking policy is stated once, in the plan; a driver never hands it to a
+collaborator itself.  The threaded protocols replace ``execute`` whole.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     Mapping,
     NamedTuple,
     Optional,
@@ -34,7 +33,6 @@ from typing import (
 
 from ..core.query import Query
 from ..core.schema import TableMeta
-from ..errors import PartitionUnreadableError
 from ..obs import request_scope
 from ..obs import tracer as obs_tracer
 from ..plan.degrade import FaultContext
@@ -80,8 +78,6 @@ class QueryEngine:
     defaults: Mapping[str, Any] = {"partition_cache": None}
     #: None on an engine that does not price CPU events.
     cpu_model: Optional[CpuModel] = None
-    #: engines this one delegates to (rebound with it).
-    inner: Tuple["QueryEngine", ...] = ()
     partition_cache: Any
 
     def __init__(
@@ -122,12 +118,9 @@ class QueryEngine:
         )
 
     def rebind(self, meta: TableMeta) -> None:
-        """Point the engine, its planner and any inner engine at the grown
-        table meta."""
+        """Point the engine and its planner at the grown table meta."""
         self.table = meta
         self.planner.table = meta
-        for engine in self.inner:
-            engine.rebind(meta)
 
     def plan(self, query: Query) -> PhysicalPlan:
         """The physical plan ``execute`` would drive (no I/O)."""
@@ -147,16 +140,12 @@ class QueryEngine:
         return self._run(query, snapshot)
 
     def _run(
-        self,
-        query: Query,
-        snapshot: Optional[CatalogSnapshot],
-        plan: Optional[PhysicalPlan] = None,
+        self, query: Query, snapshot: Optional[CatalogSnapshot]
     ) -> Tuple[ResultSet, ExecutionStats]:
-        """The scaffold: where a vectorised query starts and ends.  A driver
-        that had to plan before choosing this path hands its ``plan``."""
+        """The scaffold: where a vectorised query starts and ends."""
         if snapshot is None:
             with self.manager.pin_snapshot() as snapshot:
-                return self._run(query, snapshot, plan)
+                return self._run(query, snapshot)
         started = time.perf_counter()
         stats = ExecutionStats()
         cpu_model = self.cpu_model
@@ -165,32 +154,20 @@ class QueryEngine:
         with request_scope(self.name, query) as scope, (
             tracer := obs_tracer()
         ).phase("exec.query", stats, cpu_model=cpu_model, engine=self.name):
-            if plan is None:
-                plan = self.planner.plan(query, snapshot=snapshot)
-            policy = plan.policy
+            plan = self.planner.plan(query, snapshot=snapshot)
             fctx = FaultContext()
             reader = PlanReader(
-                self.manager, stats, fctx, chunk_size=policy.chunk_size
+                self.manager, stats, fctx, chunk_size=plan.policy.chunk_size
             )
-            degrade = DegradeOp(
-                snapshot.index, stats, fctx, enabled=policy.degrade_enabled
-            )
+            degrade = DegradeOp(snapshot.index, stats, fctx)
             run = QueryRun(plan, reader, degrade, stats)
-            try:
-                with tracer.phase("exec.selection", stats, cpu_model=cpu_model):
-                    select_op = self._select(run)
-                with tracer.phase("exec.projection", stats, cpu_model=cpu_model):
-                    fill_op = ProjectFillOp(
-                        plan.logical.projected, select_op, self.table.schema
-                    )
-                    self._project(run, fill_op)
-            except PartitionUnreadableError as exc:
-                if not policy.replica_fallback:
-                    raise
-                result, combined = self._retreat(query, run, exc)
-                finalize_stats(combined, cpu_model, started)
-                scope.complete(combined, plan)
-                return result, combined
+            with tracer.phase("exec.selection", stats, cpu_model=cpu_model):
+                select_op = self._select(run)
+            with tracer.phase("exec.projection", stats, cpu_model=cpu_model):
+                fill_op = ProjectFillOp(
+                    plan.logical.projected, select_op, self.table.schema
+                )
+                self._project(run, fill_op)
             result = fill_op.result(stats, fctx.unreadable)
             finalize_stats(stats, cpu_model, started)
             scope.complete(stats, plan)
@@ -205,14 +182,6 @@ class QueryEngine:
 
     def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
         """Phase 2: fill the selected tuples' projected cells."""
-        raise NotImplementedError
-
-    def _retreat(
-        self, query: Query, run: QueryRun, exc: PartitionUnreadableError
-    ) -> Tuple[ResultSet, ExecutionStats]:
-        """Answer ``query`` another way after ``exc`` aborted a plan whose
-        policy is ``replica_fallback`` (only such a plan's driver has one);
-        the returned ledger includes the aborted attempt's."""
         raise NotImplementedError
 
 
@@ -243,24 +212,24 @@ def run_selection(
     """Drive a selection phase: every surviving predicate partition in plan
     order, ``process`` on each one read, and a pruned one's verdict applied
     from the catalog alone.  Under the hit-only form no other selection
-    segment reaches a pruned partition's tuples, so its pid never enters the
-    loop: the prunes are counted at once and their invalidation waits for a
-    flush.  Returns the VALID tuples those verdicts evicted."""
+    segment reaches a pruned partition's tuples — nor a degraded substitute:
+    every selection tuple has one home — so its pid never enters the loop
+    and the prunes are counted at once.  Returns the VALID tuples the
+    verdicts evicted."""
     logical = plan.logical
     loop = AccessLoop(reader, degrade, logical.predicate_attributes)
     pids = plan.selection_pids()
     pruned = plan.verdict.pruned
-    deferred: List[int] = []
     if select_op.hit_only and pruned:
-        deferred = [pid for pid in pids if pid in pruned]
+        count_prunes(plan, [pid for pid in pids if pid in pruned], stats)
         pids = tuple(pid for pid in pids if pid not in pruned)
-        count_prunes(plan, deferred, stats)
     loop.pending.extend(pids)
     evictions = 0
-    # Under the visit-once verdict a substitute is never a selection pid.
-    substitutes = degrade.fctx.degraded
 
-    def invalidate(pid: int) -> int:
+    def skip(pid: int) -> bool:
+        nonlocal evictions
+        if pid not in pruned:
+            return False
         # The partition policy refutes the predicate attributes stored here;
         # under the scan policy one refuted predicate excludes every tuple
         # with a predicate cell here, whatever its other cells say.
@@ -268,18 +237,7 @@ def run_selection(
         attributes = logical.predicate_attributes
         if logical.policy == POLICY_PARTITION:
             attributes = attributes & info.attributes
-        return select_op.invalidate(info, attributes)
-
-    def skip(pid: int) -> bool:
-        nonlocal evictions
-        if select_op.hit_only and pid in substitutes:
-            # Leaving the hit-only form applies the deferred prunes too (no
-            # tuple of theirs was reached, so they evict nothing).
-            select_op.flush()
-            evictions += sum(map(invalidate, deferred))
-        if pid not in pruned:
-            return False
-        evictions += invalidate(pid)
+        evictions += select_op.invalidate(info, attributes)
         count_prunes(plan, (pid,), stats)
         return True
 

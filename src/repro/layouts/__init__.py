@@ -4,7 +4,6 @@ layout."""
 from .base import BuildContext, LayoutBuilder, MaterializedLayout
 from .irregular import IrregularLayout
 from .natural import ColumnLayout, RowLayout
-from .replicated import ReplicatedIrregularLayout
 from .workload_driven import ColumnHLayout, HierarchicalLayout, RowHLayout, RowVLayout
 
 #: All baselines of Section 6.1.2 plus Jigsaw, in the paper's order.
@@ -27,7 +26,6 @@ __all__ = [
     "IrregularLayout",
     "LayoutBuilder",
     "MaterializedLayout",
-    "ReplicatedIrregularLayout",
     "RowHLayout",
     "RowLayout",
     "RowVLayout",

@@ -15,7 +15,7 @@ absorbs whatever the phase rows do not cover — work outside any phase plus
 float-rounding residue — and its value is fixed up until the left-to-right
 sum reproduces the totals bit for bit.  Real profilers keep the same
 "self/other" bucket; here it also guarantees the acceptance invariant the
-tests sweep across all four engines.
+tests sweep across every engine.
 """
 
 from __future__ import annotations
@@ -174,8 +174,7 @@ def build_analyze_tree(
     roots = [s for s in spans if s.parent_id is None and s.name == ROOT_SPAN]
     root_children: List[AnalyzeNode]
     if roots:
-        # The outermost query span of this collector (replica fallback nests
-        # a second exec.query *under* it; parentless ones are top level).
+        # The last top-level query span of this collector.
         root_span = roots[-1]
         root_children = [
             _node_from_span(child, children_of)

@@ -15,7 +15,7 @@ record each.  ``wall_time_s`` splits exactly into the leaves' walls plus
 
 * **Zero perturbation.** The recorder only *reads* finished
   ``ExecutionStats``; a recorder-on run is bit-identical to a recorder-off
-  run on the simulated accounting (a tier-1 test sweeps the 768-entry stats
+  run on the simulated accounting (a tier-1 test sweeps the 576-entry stats
   snapshot both ways).
 * **Slow-query log.** Records whose latency crosses ``slow_query_s`` are
   flagged and — when the scope captured spans for the request — carry the

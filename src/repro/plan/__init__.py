@@ -10,15 +10,15 @@ engines that evaluate it:
    classifications (REQUIRED / PRUNED / PROJECTION-ONLY) on demand.
 2. **Physical plan** (:mod:`repro.plan.physical`) — the ascending
    selection and projection pid lists and the zone verdict, with the
-   degrade/replica-fallback/chunking policy baked in as plan properties
+   degrade/chunking policy baked in as plan properties
    the engine scaffold enforces; cost estimates come from the verdict and
    classified rows for ``explain()`` (:mod:`repro.plan.explain`) are made
    on demand.
 3. **Operators** (:mod:`repro.plan.operators`, :mod:`repro.plan.degrade`,
    :mod:`repro.plan.result`, :mod:`repro.plan.stats`) — the shared
-   selection / projection-fill / degrade pipeline the four engines drive
+   selection / projection-fill / degrade pipeline the engines drive
    with their own scheduling (serial scan, partition-at-a-time,
-   lock-based and shared-scan threading, replica-local).
+   lock-based and shared-scan threading).
 
 On top of the single-table stack sits the **relational layer**
 (:mod:`repro.plan.relational`, :mod:`repro.plan.joins`,

@@ -4,7 +4,7 @@ The executor walks the logical DAG bottom-up.  Every :class:`ScanNode` leaf
 compiles to an ordinary single-table :class:`~repro.core.query.Query` and
 runs through the table's *bound* engine (whatever
 :class:`~repro.layouts.base.MaterializedLayout` the catalog holds — scan,
-partition-at-a-time, threaded, or replicated), so zone/sketch/cache pruning,
+partition-at-a-time or threaded), so zone/sketch/cache pruning,
 fault degradation, tracing spans and simulated accounting all come
 from the existing machinery.  Join nodes consult
 :func:`~repro.plan.joins.choose_join_strategy`:

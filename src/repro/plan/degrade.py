@@ -3,8 +3,7 @@
 When a partition load exhausts its retries, the partition's *catalog* entry
 is still intact — the catalog lives in memory, not in the failed file.  That
 entry says exactly which ``(attribute, tuple)`` cells the dead partition
-held, and the attribute/replica indexes say who else might hold copies:
-replica segments (the limited-replication extension) or overlapping
+held, and the attribute index says who else might hold copies: overlapping
 primaries (baseline layouts materialized with overlapping specs).
 :func:`plan_alternates` turns that into a substitute read set, or proves
 none exists.  Both are read from the plan's own pinned
@@ -120,11 +119,7 @@ def handle_unreadable(
     if exc is not None and exc.io_delta is not None:
         stats.accrue_io(exc.io_delta)
     info = index.info(pid)
-    relevant = [
-        a
-        for a in attributes
-        if a in info.attributes or a in info.replica_attributes
-    ]
+    relevant = [a for a in attributes if a in info.attributes]
     for alternate in plan_alternates(index, pid, relevant, fctx, tids_by_attribute):
         if alternate not in done and alternate not in pending:
             pending.append(alternate)

@@ -48,8 +48,6 @@ class ExplainReport:
     selection_columns: Tuple[str, ...]
     projection_columns: Tuple[str, ...]
     max_attempts: int
-    degrade_enabled: bool
-    replica_fallback: bool
     selection: Tuple[AccessExplain, ...]
     projection: Tuple[AccessExplain, ...]
     estimated_partition_reads: int
@@ -92,8 +90,7 @@ class ExplainReport:
             f"{', '.join(self.projection_columns)}")
         out("physical plan:")
         out(f"  fault policy: max_attempts={self.max_attempts}, "
-            f"degraded reads {'allowed' if self.degrade_enabled else 'off'}, "
-            f"replica fallback {'on' if self.replica_fallback else 'off'}")
+            "degraded reads allowed")
         self._render_accesses(out, "selection accesses", self.selection)
         self._render_accesses(out, "projection candidates", self.projection)
         out(f"  estimate: <= {self.estimated_partition_reads} partition reads, "

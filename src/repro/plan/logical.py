@@ -197,23 +197,16 @@ class LogicalPlan:
         """Every pid of ``index`` this plan prunes — :meth:`classify`'s
         PRUNED verdicts, as set algebra over :func:`refuted_zones` (``zones``
         when the caller has it): a partition storing no predicate cell is
-        never pruned, the scan policy also tests the zones of a predicate
-        attribute's replica holders, and only a partition whose zones
-        overlap and that carries sketches is classified one by one."""
+        never pruned, and only a partition whose zones overlap and that
+        carries sketches is classified one by one."""
         if not (self.pruning and self.conjunction):
             return Verdict()
         refuting, overlapping = zones or refuted_zones(index, self.conjunction)
-        scan = self.policy == POLICY_SCAN
-        pruned = set(refuting) if scan else refuting - overlapping
-        survivors = overlapping - pruned
-        for p in self.conjunction.predicates if scan else ():
-            for pid in index.replica_pids.get(p.attribute, ()):
-                if index.info(pid).zone_disjoint(p.attribute, p.lo, p.hi):
-                    pruned.add(pid)
-                else:
-                    survivors.add(pid)
+        pruned = (
+            refuting if self.policy == POLICY_SCAN else refuting - overlapping
+        )
         sketched = frozenset(
-            pid for pid in survivors - pruned
+            pid for pid in overlapping - pruned
             if index.info(pid).sketches is not None
             and self.classify(index.info(pid)).is_pruned
         )

@@ -1,23 +1,23 @@
 """Shared operators: the pipeline every executor drives.
 
 The third planning layer.  Each operator owns one piece of the
-selection/projection/degrade loop that used to be copied across the four
+selection/projection/degrade loop that used to be copied across the
 engines; the executors are now thin drivers that schedule these operators
-(serially, under bucket locks, behind a shared-scan barrier, or
-partition-locally) without re-implementing them:
+(serially, under bucket locks, or behind a shared-scan barrier) without
+re-implementing them:
 
 * :class:`PlanReader` — the partition-open/retry/accounting preamble: load
   through the manager, fold the I/O delta into ``ExecutionStats``, count the
   read (and whether it was a degraded substitute read), reuse within-query
   working memory, and serialize loads under a lock for threaded drivers.
-* :class:`DegradeOp` — replica/overlap substitution when a planned access
+* :class:`DegradeOp` — overlap substitution when a planned access
   turns out unreadable, wrapping :func:`~repro.plan.degrade.handle_unreadable`.
 * :class:`AccessLoop` — the ordered work queue over partition accesses that
   every phase runs: dedup, known-dead handling, skip hooks, load, degrade
   re-planning, process.
 * :class:`SelectOp` / :class:`ProjectFillOp` — the vectorized engine core,
-  one implementation under the partition-at-a-time, scan and replica-local
-  drivers, built on **selection vectors and result-sized output**: the only
+  one implementation under the partition-at-a-time and scan drivers, built
+  on **selection vectors and result-sized output**: the only
   table-sized scratch is Algorithm 5's status vector (one byte per tuple);
   a segment's passing mask becomes positions once; co-located projected
   cells are stashed as |hits|-sized chunks; and once selection is final the
@@ -38,16 +38,16 @@ work.  The differential oracle holds the pipeline to byte-identical results
 visit in this query can read it: under the plan's visit-once verdict
 (``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone (none
 in a zone-refuted partition: it evaluates nothing) and keeps their tids, up
-to 1/16 of the table, as the VALID set — until :meth:`SelectOp.flush`.  A
-planner-pruned partition's tuples stay NOT_CHECKED too: the selection
-loop (``engine.base.run_selection``) applies its :meth:`SelectOp.invalidate`
-only at a flush.  A view's hidden tids are INVALID before the first read,
-so under a view that hides any a hit counts only where its status is not
-INVALID.
+to 1/16 of the table, as the VALID set.  A planner-pruned partition's
+tuples stay NOT_CHECKED too: the selection loop
+(``engine.base.run_selection``) counts it without a visit or an
+:meth:`SelectOp.invalidate`.  A view's hidden tids are INVALID before the
+first read, so under a view that hides any a hit counts only where its
+status is not INVALID.
 
 **Owner-addressed fill.**  The owner map that finds a projection partition
-also names its result rows, ``VALID ∩ tids(pid)``: for a primary segment
-holding the attribute that is ``VALID ∩ tids(segment)``, the status pass's
+also names its result rows, ``VALID ∩ tids(pid)``: for a segment holding
+the attribute that is ``VALID ∩ tids(segment)``, the status pass's
 rows, so a binary search gives the positions and no status pass runs.
 Beyond a schema's fourth segment, one writer places fills per attribute.
 """
@@ -166,29 +166,24 @@ class PlanReader:
 
 
 class DegradeOp:
-    """Substitute reads for unreadable partitions, per the plan's policy.
+    """Substitute reads for unreadable partitions.
 
     Holds the plan's catalog index — substitutes come from the version the
     query reads — and the execution's :class:`FaultContext`, so every phase
-    shares one exclusion set; ``enabled`` is the plan's
-    ``policy.degrade_enabled`` — off, a discovered failure re-raises instead
-    of re-planning (the replica-local plan: it retreats to the standard
-    engine rather than degrade in place).
+    shares one exclusion set.
     """
 
-    __slots__ = ("index", "stats", "fctx", "enabled")
+    __slots__ = ("index", "stats", "fctx")
 
     def __init__(
         self,
         index: CatalogIndex,
         stats: ExecutionStats,
         fctx: Optional[FaultContext] = None,
-        enabled: bool = True,
     ):
         self.index = index
         self.stats = stats
         self.fctx = fctx if fctx is not None else FaultContext()
-        self.enabled = enabled
 
     def handle(
         self,
@@ -199,8 +194,6 @@ class DegradeOp:
         exc: Optional[PartitionUnreadableError] = None,
         tids_by_attribute: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
-        if not self.enabled and exc is not None:
-            raise exc
         with obs_tracer().span(
             "exec.degrade", pid=pid, discovered=exc is not None
         ) as span:
@@ -332,10 +325,10 @@ class SelectOp(_ProjectingOp):
 
     An INVALID mark is written only where a later visit in this query can
     read it.  ``hit_only`` is the catalog's verdict that no tuple is reached
-    twice (every selection segment is primary and stores every predicate
-    attribute, each with one primary home): failing tuples stay NOT_CHECKED
-    until a degraded substitute read needs :meth:`flush`.  So a ``refuted``
-    partition (the plan's ``zone_refuted``) is read but not evaluated.
+    twice (every selection segment stores every predicate attribute, each
+    with one home, so no degraded substitute can reach it either): failing
+    tuples stay NOT_CHECKED.  So a ``refuted`` partition (the plan's
+    ``zone_refuted``) is read but not evaluated.
 
     The view's ``hidden`` tids start INVALID: those a write-path version
     does not show, whose cells may still be stored — a budgeted fold drops
@@ -344,7 +337,7 @@ class SelectOp(_ProjectingOp):
     cell elsewhere."""
 
     __slots__ = ("conjunction", "status", "stash", "hit_only", "refuted",
-                 "hides", "hits", "_n_hits", "_unflushed")
+                 "hides", "hits", "_n_hits")
 
     def __init__(
         self,
@@ -368,10 +361,9 @@ class SelectOp(_ProjectingOp):
         ] = {}
         self.hit_only = hit_only
         self.refuted = refuted
-        #: hit tids while they are the VALID set (not past 1/16, no flush)
+        #: hit tids while they are the VALID set (not past 1/16)
         self.hits: Optional[List[np.ndarray]] = [np.empty(0, np.intp)] if hit_only else None
         self._n_hits = 0
-        self._unflushed: List[object] = []  # where hit-only segments wrote
 
     def select_all(self) -> int:
         """No WHERE clause: every tuple a base scan may return turns VALID
@@ -388,8 +380,6 @@ class SelectOp(_ProjectingOp):
         ``(inserts, evictions, stashed)``: NOT_CHECKED tuples that passed,
         VALID tuples that failed, projected cells stashed."""
         if self.hit_only and partition.pid in self.refuted:
-            self._unflushed += [_address(s.tuple_ids, s.tid_storage)
-                                for s in partition.segments if len(s.tuple_ids)]
             return 0, 0, 0
         status = self.status
         inserts = evictions = stashed = 0
@@ -411,7 +401,6 @@ class SelectOp(_ProjectingOp):
                     status[found] = STATUS_VALID
                 else:  # a run the view hides nothing of: one contiguous write
                     status[where] = passing.view(np.uint8)
-                self._unflushed.append(where)
                 if self.hits is not None:
                     self.hits.append(found)
                     self._n_hits += len(found)
@@ -436,17 +425,6 @@ class SelectOp(_ProjectingOp):
             )
             stashed += len(hits) * len(wanted)
         return inserts, evictions, stashed
-
-    def flush(self) -> None:
-        """Leave the hit-only form before a degraded substitute (which may
-        reach those tuples again) is read: each failed, still NOT_CHECKED
-        tuple of the hit-only segments so far turns INVALID."""
-        status = self.status
-        for where in self._unflushed:
-            status[where] = STATUS_INVALID - (status[where] == STATUS_VALID).view(np.uint8)
-        self._unflushed.clear()
-        self.hit_only = False
-        self.hits = None
 
     def invalidate(self, info: PartitionInfo, attributes: frozenset) -> int:
         """Apply a prune's verdict without the read: every tuple owning a
@@ -503,7 +481,7 @@ class ProjectFillOp(_ProjectingOp):
     |result|-sized columns; ``filled`` flags of the same size say which
     cells are still missing.  A segment's rows (:meth:`_hits`) are a slice
     of ``valid`` for a run, its pid's rows in an owner map (``owned``) for a
-    primary segment of an addressed attribute, else one status pass.
+    segment of an addressed attribute, else one status pass.
     :meth:`fill` writes a schema's first segments as gathered and leaves the
     rest to one writer (:meth:`_absorb`) before anything reads ``filled``.  The
     tuple-at-a-time drivers pass no selection and use :meth:`fill_tuple`.
@@ -618,24 +596,18 @@ class ProjectFillOp(_ProjectingOp):
             self._absorb()
         return self.valid[~self.filled[name]]
 
-    def fill(
-        self, partition: PhysicalPartition, skip_replicas: bool = False
-    ) -> int:
+    def fill(self, partition: PhysicalPartition) -> int:
         """Write the partition's projected cells of result tuples (beyond a
         schema's fourth segment: gather them for the writer); returns the
-        cells (hits x wanted attributes, per segment).  ``skip_replicas`` is
-        the replica-local emit: a replica's cells belong to some other
-        partition's tuples and would double-emit."""
+        cells (hits x wanted attributes, per segment)."""
         written = 0
         for segment in partition.segments:
-            if skip_replicas and segment.replica:
-                continue
             wanted = self.wanted(segment.attributes)
             tids = segment.tuple_ids
             if not wanted or not len(tids):
                 continue
             owned = None
-            for name in wanted if self.owned and not segment.replica else ():
+            for name in wanted if self.owned else ():
                 if name in self.owned:
                     owned = self.owned[name](partition.pid)
                     break

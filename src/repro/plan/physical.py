@@ -6,13 +6,11 @@ The second planning layer.  A :class:`PhysicalPlan` is plain data:
   storing a predicate / a projected attribute; ascending pid is
   deterministic, and the order the simulated OS cache accounting is
   calibrated to) and the two **projection-pushdown column sets**;
-* the **access policy** (:class:`AccessPolicy`): whether degraded
-  substitute reads are allowed, whether the executor retreats to the
-  standard engine instead (the replica-local path), and the read chunk
-  size.  The policy is stated once, here: the engine scaffold configures
-  its reader and degrade op from ``plan.policy`` and nothing
-  else.  (The retry budget is the manager's
-  :class:`~repro.storage.faults.RetryPolicy`, enforced and reported there.)
+* the **access policy** (:class:`AccessPolicy`): the read chunk size.  The
+  policy is stated once, here: the engine scaffold configures its reader
+  from ``plan.policy`` and nothing else.  (The retry budget is the
+  manager's :class:`~repro.storage.faults.RetryPolicy`, enforced and
+  reported there.)
 * the **visit-once verdict** (``visits_once``): the catalog proves the
   selection phase reaches each tuple in one segment, so Algorithm 5 may
   write a status for the passing tuples only; under it, ``zone_refuted``
@@ -45,7 +43,6 @@ from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 from .explain import AccessExplain, ExplainReport
 from .logical import (
     POLICY_PARTITION,
-    POLICY_SCAN,
     LogicalPlan,
     PartitionDecision,
     Verdict,
@@ -58,14 +55,9 @@ __all__ = ["AccessPolicy", "PartitionAccess", "PhysicalPlan", "QueryPlanner"]
 @dataclass(frozen=True, slots=True)
 class AccessPolicy:
     """How an execution reads, as plan properties the engine scaffold
-    enforces: ``degrade_enabled`` allows substitute reads from
-    replicas/overlapping primaries; ``replica_fallback`` makes an unreadable
-    partition retreat to the standard engine instead of degrading in place;
-    ``chunk_size`` is the read granularity of loads.
+    enforces: ``chunk_size`` is the read granularity of loads.
     """
 
-    degrade_enabled: bool = True
-    replica_fallback: bool = False
     chunk_size: Optional[int] = None
 
 
@@ -200,8 +192,6 @@ class PhysicalPlan:
             selection_columns=tuple(sorted(logical.selection_columns)),
             projection_columns=tuple(sorted(logical.projection_columns)),
             max_attempts=self.snapshot.manager.retry_policy.max_attempts,
-            degrade_enabled=self.policy.degrade_enabled,
-            replica_fallback=self.policy.replica_fallback,
             selection=tuple(_access_explain(a) for a in self.selection),
             projection=tuple(_access_explain(a) for a in self.projection),
             estimated_partition_reads=self.estimated_partition_reads,
@@ -228,8 +218,8 @@ class QueryPlanner:
     the metadata.  Planning itself performs no I/O.
 
     ``observer`` is the adaptive-monitoring hook: a callable invoked with
-    every ``(query, physical_plan)`` the planner emits.  All four engines
-    plan through this class, so attaching an observer here feeds a
+    every ``(query, physical_plan)`` the planner emits.  Every engine
+    plans through this class, so attaching an observer here feeds a
     :class:`~repro.adaptive.WorkloadMonitor` from every entry point without
     touching the executors.  Observers must not mutate the plan.
 
@@ -248,8 +238,6 @@ class QueryPlanner:
         table: TableMeta,
         policy: str = POLICY_PARTITION,
         pruning: bool = False,
-        degrade_enabled: bool = True,
-        replica_fallback: bool = False,
         chunk_size: Optional[int] = None,
         observer: Optional[Callable[[Query, "PhysicalPlan"], None]] = None,
         partition_cache=None,
@@ -260,11 +248,7 @@ class QueryPlanner:
         self.pruning = pruning
         self.observer = observer
         self.partition_cache = partition_cache
-        self.access_policy = AccessPolicy(
-            degrade_enabled=degrade_enabled,
-            replica_fallback=replica_fallback,
-            chunk_size=chunk_size,
-        )
+        self.access_policy = AccessPolicy(chunk_size=chunk_size)
 
     def logical_plan(self, query: Query) -> LogicalPlan:
         return LogicalPlan(query, policy=self.policy, pruning=self.pruning)
@@ -338,52 +322,3 @@ class QueryPlanner:
         if notify and self.observer is not None:
             self.observer(query, plan)
         return plan
-
-    # ------------------------------------------------------ replica-local
-
-    def plan_local(
-        self, query: Query, view: CatalogSnapshot
-    ) -> Optional[Tuple[int, ...]]:
-        """The partitions a replica-local evaluation would read, or None.
-
-        Localizable iff every (non-empty) partition holding a projected cell
-        also stores — natively or via replicas — *all* predicate attributes
-        for its own tuples; then each partition filters and emits its own
-        tuples with no cross-partition reconstruction.
-        """
-        if not query.where:
-            return None
-        proj_pids = view.index.pids_for_attributes(query.pi_attributes)
-        if not proj_pids:
-            return None
-        sigma = query.sigma_attributes
-        non_empty = []
-        for pid in proj_pids:
-            info = view.info(pid)
-            if info.n_tuples == 0:
-                continue  # empty placeholder: nothing to evaluate or emit
-            if not sigma <= info.full_coverage_attrs:
-                return None
-            non_empty.append(pid)
-        return tuple(non_empty)
-
-    def plan_replica_local(
-        self, query: Query, view: CatalogSnapshot
-    ) -> Optional[PhysicalPlan]:
-        """Physical plan for a partition-local evaluation, or None.
-
-        The access list is the localizable partition set; each access reads
-        predicate *and* projected cells (one pass filters and emits).  Full
-        coverage makes the scan (any-disjoint) pruning rule sound locally:
-        every tuple's predicate cells are covered by the partition's zone,
-        so one refuted predicate excludes all local tuples.
-        """
-        pids = self.plan_local(query, view)
-        if pids is None:
-            return None
-        logical = LogicalPlan(query, policy=POLICY_SCAN, pruning=True)
-        return PhysicalPlan(
-            logical, self.access_policy, pids, (), view,
-            selection_columns=logical.selection_columns
-            | logical.projection_columns,
-        )

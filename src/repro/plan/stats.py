@@ -75,7 +75,7 @@ class ExecutionStats:
     ``n_unreadable_partitions`` counts partitions that stayed unreadable
     after every retry, and ``n_degraded_reads`` counts substitute-partition
     loads that recovered an unreadable partition's cells from another
-    primary or replica home.
+    (overlapping) home.
     """
 
     bytes_read: int = 0
@@ -110,7 +110,7 @@ class ExecutionStats:
     #: hash-join build-side spilling: when a build side exceeds the spill
     #: budget it is hash-partitioned into chunks written to the blob store
     #: and re-read one chunk at a time (hybrid-hash style).  Zero on every
-    #: single-table query, so the 768-entry stats snapshot is unaffected.
+    #: single-table query, so the 576-entry stats snapshot is unaffected.
     n_spill_chunks: int = 0
     spill_bytes_written: int = 0
     spill_bytes_read: int = 0

@@ -11,7 +11,7 @@ load-management mechanisms, all plan-level rather than engine-level:
   interactive traffic overtakes batch replays without preempting anything.
 * **Per-engine concurrency caps** — each registered engine carries a cap on
   simultaneous in-flight queries.  Engines built from the shared pipeline
-  (scan, partition-at-a-time, replicated) are safely concurrent — their
+  (scan, partition-at-a-time) are safely concurrent — their
   ``execute`` state is per-call, and the storage/catalog layers are locked —
   so they default to the pool width.  :class:`~repro.engine.parallel
   .ThreadedPartitionEngine` spawns ``n_threads`` workers of its own per

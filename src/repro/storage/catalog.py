@@ -42,14 +42,8 @@ __all__ = ["Catalog", "CatalogIndex", "CatalogSnapshot", "PartitionInfo"]
 class PartitionInfo:
     """Catalog entry for one materialized partition.
 
-    ``attributes`` holds the *primary* attribute set; replica segments (the
-    limited-replication extension) are catalogued separately so the paper's
-    indexes keep pointing at each cell's single primary home.
-    ``full_coverage_attrs`` lists the attributes — primary or replica — for
-    which the partition stores a cell for *every* one of its tuples, which is
-    the precondition for evaluating a predicate entirely partition-locally.
-
-    The ``segment_*`` lists are the partition file's *frame*
+    ``attributes`` is the set of attributes the partition stores.  The
+    ``segment_*`` lists are the partition file's *frame*
     (:class:`~repro.storage.format.PartitionFrame`): one entry per physical
     segment, in file order.  ``segment_tids`` holds read-only arrays equal to
     the file's row order, validated when the partition was added; a read
@@ -69,9 +63,6 @@ class PartitionInfo:
     segment_attrs: List[Tuple[str, ...]] = field(default_factory=list)
     segment_tids: List[np.ndarray] = field(default_factory=list)
     segment_tid_modes: List[str] = field(default_factory=list)
-    segment_replicas: List[bool] = field(default_factory=list)
-    replica_attributes: frozenset = frozenset()
-    full_coverage_attrs: frozenset = frozenset()
     #: catalog version at which this partition became visible.
     version: int = 0
     #: optional per-partition data-skipping sketches (see
@@ -81,24 +72,21 @@ class PartitionInfo:
     _tuple_ids_cache: Optional[np.ndarray] = field(default=None, repr=False)
 
     def tuple_ids(self) -> np.ndarray:
-        """Sorted unique tuple IDs with a primary cell in the partition.
+        """Sorted unique tuple IDs with a cell in the partition.
 
-        Memoized: the projection phase, ``_full_coverage`` and the compactor
-        call this once per pass.  Each segment's array is strictly ascending
+        Memoized: the projection phase and the compactor call this once per
+        pass.  Each segment's array is strictly ascending
         (checked when the partition was added), so the union is a merge of
         ascending runs — :func:`~repro.storage.physical.sorted_unique`, not a
         hash.
         """
         if self._tuple_ids_cache is None:
-            primary = [
-                tids
-                for tids, replica in zip(self.segment_tids, self.segment_replicas)
-                if not replica
-            ] or self.segment_tids
-            if not primary:
+            if not self.segment_tids:
                 self._tuple_ids_cache = np.empty(0, dtype=np.int64)
             else:
-                self._tuple_ids_cache = sorted_unique(np.concatenate(primary))
+                self._tuple_ids_cache = sorted_unique(
+                    np.concatenate(self.segment_tids)
+                )
         return self._tuple_ids_cache
 
     def zone_disjoint(
@@ -118,12 +106,12 @@ class PartitionInfo:
 
 
 class _OwnerMap:
-    """Dense ``tid -> owning partition`` arrays of one primary placement.
+    """Dense ``tid -> owning partition`` arrays of one placement.
 
     ``layers[k][tid]`` is the rank in ``pids`` of a partition storing the
     cell, or ``len(pids)`` — the *no owner* rank — when layer ``k`` has none.
-    One layer suffices while every cell has a single primary home (every
-    built-in layout); overlapping primaries spill into further layers, each
+    One layer suffices while every cell has a single home (every built-in
+    layout); overlapping primaries spill into further layers, each
     partition landing in the first layer where none of its tids is taken,
     so no home is ever dropped.  Every layer ends in one extra *no owner*
     slot: probing with ``take(mode="clip")`` sends tids past the stored
@@ -212,11 +200,11 @@ class CatalogIndex:
     when a write commit merely advances the version, so every
     :class:`Catalog` value and every :class:`CatalogSnapshot` from one such
     commit to the next share one object.  Entries are kept in ascending pid
-    order, and so is every answer: ``attribute_pids`` / ``replica_pids`` are
-    the attribute-level index; the tuple-level index is one
-    :class:`_OwnerMap` per attribute, built on first probe — a layout that
-    is never probed (a column scan) allocates nothing — and shared between
-    attributes whose primary cells sit in the same segments.
+    order, and so is every answer: ``attribute_pids`` is the
+    attribute-level index; the tuple-level index is one :class:`_OwnerMap`
+    per attribute, built on first probe — a layout that is never probed (a
+    column scan) allocates nothing — and shared between attributes whose
+    cells sit in the same segments.
 
     Per attribute it also memoises the zones of ``attribute_pids`` as
     aligned ``(pids, lo, hi)`` arrays (:meth:`zones`), so a plan refutes a
@@ -237,14 +225,10 @@ class CatalogIndex:
         }
         self.pids = frozenset(self._infos)
         attribute_pids: Dict[str, List[int]] = {}
-        replica_pids: Dict[str, List[int]] = {}
         for pid, info in self._infos.items():
             for attribute in info.attributes:
                 attribute_pids.setdefault(attribute, []).append(pid)
-            for attribute in info.replica_attributes - info.attributes:
-                replica_pids.setdefault(attribute, []).append(pid)
         self.attribute_pids = {a: tuple(p) for a, p in attribute_pids.items()}
-        self.replica_pids = {a: tuple(p) for a, p in replica_pids.items()}
         self._owners: Dict[str, _OwnerMap] = {}
         self._by_placement: Dict[Tuple[Tuple[int, int], ...], _OwnerMap] = {}
         self._visits_once: Dict[frozenset, bool] = {}
@@ -263,7 +247,7 @@ class CatalogIndex:
         return self._infos.values()
 
     def pids_for_attributes(self, attributes: Iterable[str]) -> Tuple[int, ...]:
-        """Ascending pids storing a primary cell of any of ``attributes``."""
+        """Ascending pids storing a cell of any of ``attributes``."""
         pids: set = set()
         for attribute in attributes:
             pids.update(self.attribute_pids.get(attribute, ()))
@@ -281,9 +265,8 @@ class CatalogIndex:
     def partitions_with_cells(
         self, attribute: str, tids: np.ndarray
     ) -> Tuple[int, ...]:
-        """Tuple-level lookup: the ascending pids whose *primary* segments
-        store ``attribute`` for at least one of ``tids``.  Replica copies
-        never count."""
+        """Tuple-level lookup: the ascending pids whose segments store
+        ``attribute`` for at least one of ``tids``."""
         tracer = obs_tracer()
         if not tracer.enabled:
             return self._probe(attribute, tids)
@@ -299,8 +282,8 @@ class CatalogIndex:
         return owners.probe(tids) if owners is not None else ()
 
     def owners(self, attribute: str) -> Optional[_OwnerMap]:
-        """``attribute``'s owner map (shared by the attributes of one primary
-        placement; built on first use), or None if none stores it primarily."""
+        """``attribute``'s owner map (shared by the attributes of one
+        placement; built on first use), or None if no partition stores it."""
         if attribute not in self.attribute_pids:
             return None
         return self._owners.get(attribute) or self._build_owners(attribute)
@@ -309,7 +292,7 @@ class CatalogIndex:
         """Whether a selection over ``attributes`` reaches each tuple in one
         segment at most (Algorithm 5's hit-only form): every partition
         storing one of them passes :func:`_reached_once`, and each has a
-        single primary home (a one-layer owner map).  Metadata only,
+        single home (a one-layer owner map).  Metadata only,
         memoised."""
         verdict = self._visits_once.get(attributes)
         if verdict is None:
@@ -342,7 +325,7 @@ class CatalogIndex:
             owners = self._owners.get(attribute)
             if owners is not None:
                 return owners
-            holders, key = _primary_holders(
+            holders, key = _holders(
                 attribute,
                 [self._infos[pid] for pid in self.attribute_pids[attribute]],
             )
@@ -354,7 +337,7 @@ class CatalogIndex:
 
     def attribute_tids(self, pid: int, attribute: str) -> np.ndarray:
         """Sorted unique tuple IDs for which ``pid`` stores a cell of
-        ``attribute`` — in *any* segment, primary or replica.
+        ``attribute``.
 
         Catalog metadata only; usable even when the partition file itself is
         unreadable, which is exactly when degraded reads need it.
@@ -376,19 +359,15 @@ class CatalogIndex:
     ) -> Tuple[Tuple[int, ...], np.ndarray]:
         """Greedy cover of ``(attribute, tids)`` cells from other partitions.
 
-        Candidates are every partition of this set holding ``attribute``
-        primarily or as replicas, minus ``exclude`` (typically the
-        unreadable partition).  Returns ``(chosen_pids,
-        still_missing_tids)``; an empty second item means full coverage.
+        Candidates are every partition of this set holding ``attribute``,
+        minus ``exclude`` (typically the unreadable partition).  Returns
+        ``(chosen_pids, still_missing_tids)``; an empty second item means
+        full coverage.
         """
         excluded = frozenset(exclude)
         remaining = sorted_unique(np.asarray(tids, dtype=np.int64))
         chosen: List[int] = []
-        candidates = (
-            self.attribute_pids.get(attribute, ())
-            + self.replica_pids.get(attribute, ())
-        )
-        for pid in candidates:
+        for pid in self.attribute_pids.get(attribute, ()):
             if pid in excluded or not len(remaining):
                 continue
             held = self.attribute_tids(pid, attribute)
@@ -414,17 +393,16 @@ class CatalogIndex:
         added = successor.attribute_pids
         successor._infos = {**self._infos, **successor._infos}
         successor.pids = self.pids | successor.pids
-        for name in ("attribute_pids", "replica_pids"):
-            old, new = getattr(self, name), getattr(successor, name)
-            setattr(successor, name, {
-                **old, **{a: old.get(a, ()) + p for a, p in new.items()}
-            })
+        old = self.attribute_pids
+        successor.attribute_pids = {
+            **old, **{a: old.get(a, ()) + p for a, p in added.items()}
+        }
         with self._build_lock:
             built = dict(self._owners)
             zones = dict(self._zones)
             verdicts = dict(self._visits_once)
         for attribute, owners in built.items():
-            holders, placement = _primary_holders(
+            holders, placement = _holders(
                 attribute,
                 [info for info in fresh if attribute in info.attributes],
             )
@@ -457,12 +435,9 @@ class CatalogIndex:
 
 def _reached_once(info: PartitionInfo, attributes: frozenset) -> bool:
     """The per-partition half of the visit-once verdict: every segment of
-    ``info`` is primary and stores all of ``attributes``, and no two of its
-    segments share a tuple."""
-    return all(
-        not replica and attributes.issubset(attrs)
-        for attrs, replica in zip(info.segment_attrs, info.segment_replicas)
-    ) and (
+    ``info`` stores all of ``attributes``, and no two of its segments share
+    a tuple."""
+    return all(attributes.issubset(attrs) for attrs in info.segment_attrs) and (
         len(info.segment_tids) < 2
         or len(info.tuple_ids()) == sum(map(len, info.segment_tids))
     )
@@ -482,21 +457,18 @@ def _zone_arrays(
     )
 
 
-def _primary_holders(
+def _holders(
     attribute: str, infos: Iterable[PartitionInfo]
 ) -> Tuple[List[Tuple[int, np.ndarray]], Tuple[Tuple[int, int], ...]]:
     """``(holders, placement)`` of ``attribute`` over ``infos``: per
-    partition the tids its primary segments store the attribute for, and the
+    partition the tids its segments store the attribute for, and the
     ``(pid, segment)`` pairs those came from."""
     holders: List[Tuple[int, np.ndarray]] = []
     placement: List[Tuple[int, int]] = []
     for info in infos:
         held = [
-            ordinal
-            for ordinal, (attrs, replica) in enumerate(
-                zip(info.segment_attrs, info.segment_replicas)
-            )
-            if not replica and attribute in attrs
+            ordinal for ordinal, attrs in enumerate(info.segment_attrs)
+            if attribute in attrs
         ]
         placement.extend((info.pid, ordinal) for ordinal in held)
         segments = [info.segment_tids[ordinal] for ordinal in held]

@@ -28,9 +28,9 @@ covers its segment header plus every byte of its bitmap, tuple IDs and
 cells.  A file whose version is not :data:`FORMAT_VERSION` is refused.
 
 A file is read only under its *frame* — the partition's catalog entry,
-which holds each segment's attributes, tuple IDs, tid mode and replica
-flag — so ``(bytes, schema, frame)`` is all a read needs.  What is
-verified, when and where:
+which holds each segment's attributes, tuple IDs and tid mode — so
+``(bytes, schema, frame)`` is all a read needs.  What is verified, when and
+where:
 
 * **Checksums — once per bytes object.**  :func:`deserialize_partition`
   verifies every CRC of the object it is handed (over ``memoryview`` slices;
@@ -42,7 +42,7 @@ verified, when and where:
   a blob rewritten by ``put`` — has no verdict and is verified in full.
 * **Framing — every decode, O(segments).**  Magic, version, attribute count,
   truncation of every header / tuple-ID / cell area, and each segment
-  header's mode, replica flag, bitmap, ``n_tuples`` and ``first_tid``
+  header's mode, bitmap, ``n_tuples`` and ``first_tid``
   against the frame.
 * **Tuple-ID structure — at write time.**  The partition manager validates
   a partition's tuple-ID arrays when it adds the partition to the catalog
@@ -95,8 +95,6 @@ TRAILER_MAGIC = b"JGSK"
 _TRAILER_FOOTER = struct.Struct("<II4s")  # payload crc32 | payload length | magic
 _TID_MODES = {TID_EXPLICIT: 0, TID_IMPLICIT: 1, TID_CATALOG: 2}
 _TID_MODES_REVERSE = {code: mode for mode, code in _TID_MODES.items()}
-#: high bit of the mode byte marks a replica segment (limited replication).
-_REPLICA_FLAG = 0x80
 
 
 @lru_cache(maxsize=4096)
@@ -220,9 +218,6 @@ class PartitionFrame(Protocol):
     @property
     def segment_tid_modes(self) -> Sequence[str]: ...
 
-    @property
-    def segment_replicas(self) -> Sequence[bool]: ...
-
 
 def checksum_overhead(n_segments: int) -> int:
     """Bytes a file spends on checksums (one per header and per segment).
@@ -276,8 +271,6 @@ def serialize_partition(partition: PhysicalPartition, schema: TableSchema) -> by
     chunks: List[bytes] = [header, _CRC.pack(zlib.crc32(header))]
     for segment in partition.segments:
         mode = _TID_MODES[segment.tid_storage]
-        if segment.replica:
-            mode |= _REPLICA_FLAG
         first_tid = int(segment.tuple_ids[0]) if segment.n_tuples else 0
         seg_header = _SEGMENT_HEADER.pack(mode, segment.n_tuples, first_tid)
         body: List[bytes] = [_attribute_bitmap(schema, segment.attributes)]
@@ -302,7 +295,7 @@ def deserialize_partition(
 
     ``frame`` is the partition's catalog entry.  A decode costs
     O(segments): each segment header is cross-checked against the frame
-    (mode, replica flag, attributes, ``n_tuples``, ``first_tid``) and the
+    (mode, attributes, ``n_tuples``, ``first_tid``) and the
     segment takes the catalog's tuple-ID array as is — for every tid mode —
     instead of building, copying or re-validating one.  Every segment's
     ``columns`` is a :class:`LazyColumnBlock` over the file bytes: a cell
@@ -349,9 +342,8 @@ def deserialize_partition(
         (seg_crc_stored,) = _CRC.unpack_from(data, offset)
         offset += _CRC.size
         body_start = offset
-        replica = bool(mode_code & _REPLICA_FLAG)
         try:
-            tid_storage = _TID_MODES_REVERSE[mode_code & ~_REPLICA_FLAG]
+            tid_storage = _TID_MODES_REVERSE[mode_code]
         except KeyError:
             raise StorageError(f"partition {pid}: unknown tid mode {mode_code}") from None
         attributes, row_dtype = _segment_shape(schema, data[offset:offset + bitmap_bytes])
@@ -373,7 +365,6 @@ def deserialize_partition(
         tuple_ids = frame.segment_tids[ordinal]
         if (
             tid_storage != frame.segment_tid_modes[ordinal]
-            or replica != frame.segment_replicas[ordinal]
             or attributes != frame.segment_attrs[ordinal]
             or n_tuples != len(tuple_ids)
             or first_tid != (int(tuple_ids[0]) if n_tuples else 0)
@@ -384,7 +375,7 @@ def deserialize_partition(
         cells = LazyColumnBlock(data, offset, row_dtype, attributes, n_tuples)
         offset += cell_bytes
         segments.append(
-            PhysicalSegment.framed(attributes, tuple_ids, cells, tid_storage, replica)
+            PhysicalSegment.framed(attributes, tuple_ids, cells, tid_storage)
         )
     if verify and isinstance(data, StoredBlob):
         data.crc_verified = True

@@ -56,22 +56,6 @@ __all__ = ["CatalogIndex", "CatalogSnapshot", "PartitionInfo", "PartitionManager
 Sketcher = Callable[[PartitionInfo], Optional[SketchSet]]
 
 
-def _full_coverage(info: PartitionInfo) -> frozenset:
-    """Attributes (primary or replica) stored for every tuple of the partition.
-
-    A segment's tuple IDs are strictly ascending (:meth:`PartitionManager.
-    _frame_tids` refuses anything else), so its length is its distinct count.
-    """
-    all_tids = info.tuple_ids()
-    if not len(all_tids):
-        return frozenset()
-    coverage: Dict[str, int] = {}
-    for attrs, tids in zip(info.segment_attrs, info.segment_tids):
-        for attribute in attrs:
-            coverage[attribute] = coverage.get(attribute, 0) + len(tids)
-    return frozenset(a for a, count in coverage.items() if count >= len(all_tids))
-
-
 class PartitionManager:
     """Materializes partitions to a blob store and serves indexed reads."""
 
@@ -144,10 +128,6 @@ class PartitionManager:
     def _build_info(
         self, physical: PhysicalPartition, data: bytes, sketcher: Optional[Sketcher]
     ) -> PartitionInfo:
-        replica_attrs: frozenset = frozenset()
-        for segment in physical.segments:
-            if segment.replica:
-                replica_attrs |= frozenset(segment.attributes)
         # ``n_bytes`` is the *accounted* size — the file's bytes less its
         # checksums, the count every simulated-I/O and footprint figure is
         # calibrated to.  Checksum bytes exist in the file but charge
@@ -162,10 +142,7 @@ class PartitionManager:
             segment_attrs=[tuple(s.attributes) for s in physical.segments],
             segment_tids=[self._frame_tids(s) for s in physical.segments],
             segment_tid_modes=[s.tid_storage for s in physical.segments],
-            segment_replicas=[s.replica for s in physical.segments],
-            replica_attributes=replica_attrs,
         )
-        info.full_coverage_attrs = _full_coverage(info)
         if sketcher is not None:
             info.sketches = sketcher(info)
         return info

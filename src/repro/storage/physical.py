@@ -81,13 +81,7 @@ def sorted_isin(values: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 @dataclass(slots=True)
 class PhysicalSegment:
-    """Same-schema tuples stored contiguously inside one partition.
-
-    ``replica`` marks a segment holding *copies* of cells whose primary home
-    is another partition — the limited-replication extension the paper lists
-    as future work.  Replica segments occupy real file bytes but are excluded
-    from coverage accounting and from the primary indexes.
-    """
+    """Same-schema tuples stored contiguously inside one partition."""
 
     attributes: Tuple[str, ...]
     tuple_ids: np.ndarray
@@ -95,7 +89,6 @@ class PhysicalSegment:
     #: ``format.LazyColumnBlock`` built by :meth:`framed`.
     columns: Mapping[str, np.ndarray]
     tid_storage: str = TID_EXPLICIT
-    replica: bool = False
 
     def __post_init__(self) -> None:
         if self.tid_storage not in _TID_MODES:
@@ -122,7 +115,6 @@ class PhysicalSegment:
         tuple_ids: np.ndarray,
         columns: Mapping[str, np.ndarray],
         tid_storage: str,
-        replica: bool,
     ) -> "PhysicalSegment":
         """A segment decoded under its catalog entry's frame.
 
@@ -138,7 +130,6 @@ class PhysicalSegment:
         segment.tuple_ids = tuple_ids
         segment.columns = columns
         segment.tid_storage = tid_storage
-        segment.replica = replica
         return segment
 
     @property
@@ -169,12 +160,8 @@ class PhysicalPartition:
         return sum(segment.n_tuples for segment in self.segments)
 
     def attribute_set(self) -> frozenset:
-        """Primary attributes (replica segments excluded)."""
-        attrs: frozenset = frozenset()
-        for segment in self.segments:
-            if not segment.replica:
-                attrs |= frozenset(segment.attributes)
-        return attrs
+        """Attributes stored anywhere in the partition."""
+        return frozenset().union(*(s.attributes for s in self.segments))
 
     def all_tuple_ids(self) -> np.ndarray:
         """Sorted unique tuple IDs stored anywhere in the partition."""

@@ -36,7 +36,6 @@ from ..layouts import (
     ColumnLayout,
     IrregularLayout,
     MaterializedLayout,
-    ReplicatedIrregularLayout,
 )
 from ..plan.dag import Catalog, DagExecutor, RelationalResult
 from ..plan.relational import AggSpec, ColumnRef, JoinCondition, RelationalQuery
@@ -55,17 +54,13 @@ __all__ = [
 ]
 
 #: Layout families the join oracle exercises.  Zone maps are enabled on the
-#: irregular families so per-split key pushdown actually prunes; the natural
+#: irregular family so per-split key pushdown actually prunes; the natural
 #: family keeps its paper-faithful zone_maps=False executor, covering the
 #: non-pruning pricing path (as does the threaded binding below).
 JOIN_ORACLE_LAYOUTS: Tuple[Tuple[str, Callable[[], object]], ...] = (
     ("natural", ColumnLayout),
     ("workload-driven", ColumnHLayout),
     ("irregular", lambda: IrregularLayout(zone_maps=True, selection_enabled=False)),
-    (
-        "replicated",
-        lambda: ReplicatedIrregularLayout(zone_maps=True, selection_enabled=False),
-    ),
 )
 
 

@@ -31,7 +31,6 @@ from ..layouts import (
     ColumnLayout,
     IrregularLayout,
     MaterializedLayout,
-    ReplicatedIrregularLayout,
 )
 from ..plan.result import ResultSet
 from ..storage.faults import FaultConfig, FaultInjectingBlobStore
@@ -54,15 +53,14 @@ __all__ = [
 ]
 
 #: Layout families the oracle exercises, one per partitioning philosophy:
-#: natural columnar, workload-driven horizontal, Jigsaw irregular, and
-#: irregular with limited replication.  ``selection_enabled=False`` keeps the
-#: tuner from falling back to columnar on tiny tables, so the
-#: partition-at-a-time engines really run over irregular partitions.
+#: natural columnar, workload-driven horizontal and Jigsaw irregular.
+#: ``selection_enabled=False`` keeps the tuner from falling back to columnar
+#: on tiny tables, so the partition-at-a-time engines really run over
+#: irregular partitions.
 ORACLE_LAYOUTS: Tuple[Tuple[str, Callable[[], object]], ...] = (
     ("natural", ColumnLayout),
     ("workload-driven", ColumnHLayout),
     ("irregular", lambda: IrregularLayout(selection_enabled=False)),
-    ("replicated", lambda: ReplicatedIrregularLayout(selection_enabled=False)),
 )
 
 
@@ -308,7 +306,7 @@ def run_differential_oracle(
     A *case* is one (table, workload, query) triple; each case is checked
     under every layout family in :data:`ORACLE_LAYOUTS`, and (when
     ``threaded``) through both ThreadedPartitionEngine strategies over the
-    irregular layout — all four engines see every case.  Tables are reused
+    irregular layout — every engine sees every case.  Tables are reused
     across ``queries_per_table`` cases so 200 cases cost ~40 layout builds,
     not 200.
 

@@ -2,9 +2,9 @@
 
 The observability layer promises to *read* the simulated accounting without
 ever writing it.  That promise is checked against a deterministic sweep: 8
-seeded tables x 8 queries each, every query executed 12 ways — once through
-each of the four oracle layouts' own executors, plus each layout's
-(pruning-off, pruning-on) twin pair — for **768 executions** total, each
+seeded tables x 8 queries each, every query executed 9 ways — once through
+each of the three oracle layouts' own executors, plus each layout's
+(pruning-off, pruning-on) twin pair — for **576 executions** total, each
 reduced to a :func:`stats_signature` (every ``ExecutionStats`` field except
 the wall clock, which real time perturbs by definition).
 
@@ -59,10 +59,10 @@ STATS_SIGNATURE_FIELDS: Tuple[str, ...] = tuple(
     if f.name != "wall_time_s"
 )
 
-#: 8 tables x 8 queries x (4 oracle executors + 4 layouts x 2 pruning twins).
+#: 8 tables x 8 queries x (3 oracle executors + 3 layouts x 2 pruning twins).
 SNAPSHOT_N_TABLES = 8
 SNAPSHOT_QUERIES_PER_TABLE = 8
-SNAPSHOT_EXECUTIONS_PER_QUERY = 12
+SNAPSHOT_EXECUTIONS_PER_QUERY = 9
 SNAPSHOT_N_ENTRIES = (
     SNAPSHOT_N_TABLES
     * SNAPSHOT_QUERIES_PER_TABLE
@@ -111,7 +111,7 @@ def iter_snapshot_cases(
 ) -> Iterator[SnapshotCase]:
     """Yield the sweep's cases in their one deterministic order.
 
-    Cases sharing a table also share its four built layouts (and their
+    Cases sharing a table also share its three built layouts (and their
     buffer pools); consumers must execute cases in yield order for
     signatures to be comparable across sweeps.
     """

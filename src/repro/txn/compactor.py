@@ -177,12 +177,7 @@ class DeltaCompactor:
                 dead_here = dead[pid]
                 n_dropped += len(dead_here)
                 specs = []
-                for attrs, seg_tids, replica in zip(
-                    info.segment_attrs, info.segment_tids,
-                    info.segment_replicas,
-                ):
-                    if replica:
-                        continue
+                for attrs, seg_tids in zip(info.segment_attrs, info.segment_tids):
                     live = seg_tids[~sorted_isin(seg_tids, dead_here)]
                     if len(live):
                         specs.append(SegmentSpec(

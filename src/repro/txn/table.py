@@ -23,7 +23,7 @@ visibility mask hides, ``snapshot.hidden`` (see :mod:`repro.txn.delta`).
 
 Tuple-id discipline: inserts take fresh tids at the high-water mark;
 updates are delete + insert *under new tids* (a tid's cells are immutable
-once written, which is what keeps partitions, replicas, and zone maps sound
+once written, which is what keeps partitions and zone maps sound
 without rewrites).  Deleted tids stay physically present until a
 :class:`~repro.txn.compactor.DeltaCompactor` pass folds them out.
 """

@@ -99,34 +99,19 @@ def hap_templates(
     projectivity: int,
     n_templates: int,
     rng: np.random.Generator,
-    predicate_projected: bool = True,
 ) -> List[HAPTemplate]:
-    """Draw random templates: ``projectivity`` attributes each.
-
-    With ``predicate_projected=True`` (the paper's construction) the
-    predicate attribute is one of the projected attributes; with False it is
-    drawn from outside the projected set (the TPC-H Q6/Q10 shape, where
-    filter columns are pure I/O overhead — the regime the replication
-    extension targets).
-    """
+    """Draw random templates: ``projectivity`` attributes each, the
+    predicate attribute one of them (the paper's construction)."""
     names = table.attribute_names
     if projectivity < 1 or projectivity > len(names):
         raise InvalidQueryError(
             f"projectivity must be in [1, {len(names)}], got {projectivity}"
         )
-    if not predicate_projected and projectivity >= len(names):
-        raise InvalidQueryError(
-            "predicate_projected=False needs at least one unprojected attribute"
-        )
     templates = []
     for _ in range(n_templates):
         chosen = rng.choice(len(names), size=projectivity, replace=False)
         projected = tuple(names[i] for i in sorted(chosen))
-        if predicate_projected:
-            predicate = projected[int(rng.integers(0, len(projected)))]
-        else:
-            outside = [name for name in names if name not in projected]
-            predicate = outside[int(rng.integers(0, len(outside)))]
+        predicate = projected[int(rng.integers(0, len(projected)))]
         templates.append(HAPTemplate(projected, predicate))
     return templates
 
@@ -139,7 +124,6 @@ def hap_workload(
     n_queries: int,
     seed: int = 0,
     templates: List[HAPTemplate] | None = None,
-    predicate_projected: bool = True,
 ) -> Tuple[Workload, List[HAPTemplate]]:
     """Build a HAP workload: queries drawn uniformly from random templates.
 
@@ -150,9 +134,7 @@ def hap_workload(
         raise InvalidQueryError(f"selectivity must be in (0, 1], got {selectivity}")
     rng = np.random.default_rng(seed)
     if templates is None:
-        templates = hap_templates(
-            table, projectivity, n_templates, rng, predicate_projected
-        )
+        templates = hap_templates(table, projectivity, n_templates, rng)
     queries = []
     for index in range(n_queries):
         template = templates[int(rng.integers(0, len(templates)))]

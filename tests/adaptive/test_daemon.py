@@ -135,8 +135,8 @@ class TestCycle:
     ):
         # Faulty-but-recoverable storage for the whole scenario: queries
         # before, during and after the migration all stay oracle-exact.  The
-        # layout has no replicas to degrade onto, so give the retry loop
-        # enough budget that every read eventually lands.
+        # layout has no overlapping copies to degrade onto, so give the
+        # retry loop enough budget that every read eventually lands.
         from repro.storage import RetryPolicy
 
         manager = drift_layout.manager

@@ -126,8 +126,9 @@ class TestInterleavedMigrations:
     @SLOW
     def test_oracle_exact_across_migrations_under_faults(self, seed):
         rng, table, train, layout = build_irregular(seed)
-        # No replicas to degrade onto, so the retry budget must outlast any
-        # plausible run of injected faults for every seed hypothesis picks.
+        # No overlapping copies to degrade onto, so the retry budget must
+        # outlast any plausible run of injected faults for every seed
+        # hypothesis picks.
         layout.manager.retry_policy = RetryPolicy(max_attempts=10)
         layout.manager.store = FaultInjectingBlobStore(
             layout.manager.store,

@@ -82,7 +82,7 @@ class TestExplainCommand:
         assert "EXPLAIN SELECT" in capsys.readouterr().out
 
     def test_explain_other_layouts(self, capsys):
-        for layout in ("natural", "replicated"):
+        for layout in ("natural", "workload-driven"):
             assert main(["explain", "--layout", layout, self.SQL]) == 0
             assert f"layout {layout!r}" in capsys.readouterr().out
 

@@ -82,8 +82,8 @@ def write_once_partition_files(request, monkeypatch):
 
 def _frame_of(partition) -> SimpleNamespace:
     """The catalog frame of a partition, as ``PartitionManager`` builds it:
-    per segment its attributes, read-only tuple IDs, tid mode and replica
-    flag — what ``deserialize_partition`` reads a file under."""
+    per segment its attributes, read-only tuple IDs and tid mode — what
+    ``deserialize_partition`` reads a file under."""
     tids = [np.array(s.tuple_ids, dtype=np.int64) for s in partition.segments]
     for array in tids:
         array.flags.writeable = False
@@ -91,7 +91,6 @@ def _frame_of(partition) -> SimpleNamespace:
         segment_attrs=[tuple(s.attributes) for s in partition.segments],
         segment_tids=tids,
         segment_tid_modes=[s.tid_storage for s in partition.segments],
-        segment_replicas=[s.replica for s in partition.segments],
     )
 
 

@@ -3,7 +3,7 @@
 The contract under test (the acceptance bar of the fault-tolerance work):
 when a partition is unreadable after every retry, an engine either returns
 the exact result healthy storage would have produced — reassembling the lost
-cells from replicas or overlapping primaries, with ``n_degraded_reads``
+cells from overlapping primaries, with ``n_degraded_reads``
 surfaced — or raises :class:`PartitionUnreadableError`.  Never a silently
 wrong answer.
 """
@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import Query
-from repro.engine import (
-    PartitionAtATimeExecutor,
-    ReplicatedExecutor,
-    ScanExecutor,
-)
+from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.engine.parallel import ThreadedPartitionEngine
 from repro.errors import PartitionUnreadableError
 from repro.storage import (
@@ -204,34 +200,3 @@ class TestThreadedDegradation:
         engine = ThreadedPartitionEngine(manager, small_table.meta, n_threads=2)
         with pytest.raises(PartitionUnreadableError):
             engine.execute(query)
-
-
-class TestReplicatedFallback:
-    def test_unreadable_local_partition_falls_back(self, small_table):
-        """A localized plan losing its partition retreats to the standard
-        engine, which reassembles from the overlapping coverage."""
-        n = small_table.n_tuples
-        all_tids = np.arange(n, dtype=np.int64)
-        manager = make_manager(
-            small_table,
-            [
-                # Full-coverage partition: localized plans read only this.
-                [SegmentSpec(("a1", "a2", "a3"), all_tids)],
-                # Overlapping copy the standard engine can fall back on.
-                [SegmentSpec(("a1", "a2", "a3"), all_tids)],
-                [SegmentSpec(("a4", "a5", "a6"), all_tids)],
-            ],
-            overrides={"p000000.jig": KILL},
-        )
-        executor = ReplicatedExecutor(manager, small_table.meta)
-        query = Query.build(small_table.meta, ["a2", "a3"], {"a1": (0, 4999)})
-        # Both full-coverage partitions enter the local plan.
-        assert executor.local_plan(query) is not None
-        result, stats = executor.execute(query)
-        expected = reference(small_table, query)
-        assert np.array_equal(result.tuple_ids, expected)
-        assert np.array_equal(
-            result.column("a3"), small_table.column("a3")[expected]
-        )
-        assert stats.n_unreadable_partitions >= 1
-        assert stats.n_degraded_reads > 0

@@ -1,9 +1,8 @@
 """The hit list: under the visit-once verdict a hit-only selection keeps its
 hit tids, and their sorted concatenation is the VALID set — no table-sized
 status pass.  The list is dropped, and the status pass comes back, at a
-flush (a degraded substitute may reach a tuple again), at a full scan, and
-once the kept hits pass 1/16 of the table; each way gives the status pass's
-result.
+full scan and once the kept hits pass 1/16 of the table; each way gives the
+status pass's result.
 """
 
 from unittest import mock
@@ -45,13 +44,11 @@ def partitions(table):
     ]
 
 
-def select(table, hi, flush_after=None):
+def select(table, hi):
     query = Query.build(table.meta, ["a2"], {"a1": (0, hi)})
     op = SelectOp(Conjunction.from_query(query), ("a2",), N, hit_only=True)
-    for index, partition in enumerate(partitions(table)):
+    for partition in partitions(table):
         op.select(partition)
-        if index == flush_after:
-            op.flush()
     return op, ProjectFillOp(("a2",), op, table.schema)
 
 
@@ -65,12 +62,6 @@ def assert_status_pass(table, op, fill, hi):
 def test_kept_hits_are_the_valid_set(table):
     op, fill = select(table, 40)
     assert op.hits is not None and 0 < len(fill.valid) <= N // 16
-    assert_status_pass(table, op, fill, 40)
-
-
-def test_a_mid_selection_flush_drops_the_hits(table):
-    op, fill = select(table, 40, flush_after=1)
-    assert op.hits is None and not op.hit_only
     assert_status_pass(table, op, fill, 40)
 
 

@@ -3,10 +3,11 @@ selection segment at most, Algorithm 5 writes a status for the hits only.
 
 Three things are pinned here: the verdict itself (catalog metadata only,
 true and false in the layouts that decide it), the form's equivalence with
-the full status write on every snapshot case that takes it and on every
-range-split case that reads a zone-refuted partition without evaluating
-it, and the flush that keeps a degraded read exact once failing tuples were
-left NOT_CHECKED — in evaluated and in zone-refuted partitions alike.
+the full status write on every snapshot case that takes it, on every
+range-split case that reads a zone-refuted partition without evaluating it
+and on a plan that prunes a selection partition without visiting it, and
+that a lost selection partition is never degraded: each selection tuple
+has one home, so nothing can stand in for it.
 """
 
 from unittest import mock
@@ -16,23 +17,28 @@ import pytest
 
 from repro.core import Query, TableSchema, Workload
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
+from repro.errors import PartitionUnreadableError
 from repro.layouts import BuildContext, ColumnLayout, IrregularLayout, RowLayout
 from repro.storage import (
     BALOS_HDD,
     TID_EXPLICIT,
     ColumnTable,
     FaultConfig,
-    FaultInjectingBlobStore,
-    MemoryBlobStore,
     PartitionManager,
     PhysicalSegment,
     StorageDevice,
 )
-from repro.plan.operators import STATUS_INVALID, STATUS_VALID, ProjectFillOp, SelectOp
+from repro.plan.operators import (
+    STATUS_INVALID,
+    STATUS_VALID,
+    PlanReader,
+    ProjectFillOp,
+    SelectOp,
+)
 from repro.plan.predicates import Conjunction
 from repro.storage.catalog import CatalogIndex
 from repro.storage.physical import TID_IMPLICIT, PhysicalPartition
-from repro.testing.oracle import pruning_executors, run_reference_query
+from repro.testing.oracle import inject_faults, pruning_executors, run_reference_query
 from repro.testing.snapshot import iter_snapshot_cases, stats_signature
 
 N = 400
@@ -52,18 +58,18 @@ def tids(lo=0, hi=N):
 
 
 def partition(table, pid, segments):
-    """``segments``: ``(attributes, tids, replica)`` triples."""
+    """``segments``: ``(attributes, tids)`` pairs."""
     return PhysicalPartition(pid=pid, segments=[
         PhysicalSegment(
             attributes=attrs, tuple_ids=own, columns=table.gather(attrs, own),
-            tid_storage=TID_EXPLICIT, replica=replica,
+            tid_storage=TID_EXPLICIT,
         )
-        for attrs, own, replica in segments
+        for attrs, own in segments
     ])
 
 
-def index_of(table, groups, store=None):
-    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
+def index_of(table, groups):
+    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
     manager.materialize(
         partition(table, pid, segments) for pid, segments in enumerate(groups)
     )
@@ -90,10 +96,10 @@ def same_result(a, b) -> bool:
 class TestVerdict:
     def test_single_segment_irregular_partitions(self, table):
         _manager, index = index_of(table, [
-            [(("a1", "a2"), tids(0, 150), False)],
-            [(("a1", "a2", "a3"), tids(150, N), False)],
-            [(("a3",), tids(0, 150), False)],
-            [(("a4",), tids(), False)],
+            [(("a1", "a2"), tids(0, 150))],
+            [(("a1", "a2", "a3"), tids(150, N))],
+            [(("a3",), tids(0, 150))],
+            [(("a4",), tids())],
         ])
         assert index.visits_once(A1)
         assert index.visits_once(frozenset({"a1", "a2"}))
@@ -110,66 +116,58 @@ class TestVerdict:
         query = Query.build(table.meta, ["a2"], {"a1": (0, 499), "a3": (0, 9)})
         assert not layout.executor.plan(query).visits_once
 
-    def test_false_with_a_replica_segment_in_a_selection_partition(self, table):
-        _manager, index = index_of(table, [
-            [(("a1",), tids(0, 200), False), (("a2",), tids(200, N), True)],
-            [(("a1", "a2"), tids(200, N), False)],
-        ])
-        assert not index.visits_once(A1)
-
     def test_false_when_a_selection_segment_lacks_a_predicate(self, table):
         _manager, index = index_of(table, [
-            [(("a1", "a2"), tids(0, 200), False), (("a3",), tids(0, 200), False)],
-            [(("a1", "a2"), tids(200, N), False)],
+            [(("a1", "a2"), tids(0, 200)), (("a3",), tids(0, 200))],
+            [(("a1", "a2"), tids(200, N))],
         ])
         assert not index.visits_once(A1)
         assert not index.visits_once(frozenset({"a1", "a2"}))
 
     def test_false_with_overlapping_primaries(self, table):
         _manager, index = index_of(table, [
-            [(("a1",), tids(0, 250), False)],
-            [(("a1",), tids(150, N), False)],
+            [(("a1",), tids(0, 250))],
+            [(("a1",), tids(150, N))],
         ])
         assert len(index._build_owners("a1").layers) == 2
         assert not index.visits_once(A1)
 
     def test_false_when_segments_of_one_partition_share_a_tuple(self, table):
         _manager, index = index_of(table, [
-            [(("a1", "a2"), tids(0, 250), False), (("a1", "a3"), tids(200, N), False)],
+            [(("a1", "a2"), tids(0, 250)), (("a1", "a3"), tids(200, N))],
         ])
         assert len(index._build_owners("a1").layers) == 1
         assert not index.visits_once(A1)
 
     def test_false_for_predicates_in_different_partitions(self, table):
         _manager, index = index_of(table, [
-            [(("a1", "a2"), tids(), False)],
-            [(("a3", "a4"), tids(), False)],
+            [(("a1", "a2"), tids())],
+            [(("a3", "a4"), tids())],
         ])
         assert index.visits_once(A1) and index.visits_once(frozenset({"a3"}))
         assert not index.visits_once(frozenset({"a1", "a3"}))
 
     def test_recomputed_on_a_with_added_index(self, table):
-        manager, index = index_of(table, [[(("a1", "a2"), tids(0, 200), False)]])
+        manager, index = index_of(table, [[(("a1", "a2"), tids(0, 200))]])
         assert index.visits_once(A1)
-        manager.add_partition(partition(table, 1, [(("a1",), tids(200, N), False)]))
+        manager.add_partition(partition(table, 1, [(("a1",), tids(200, N))]))
         grown = manager.catalog_index()
         assert grown is not index and grown._visits_once == {A1: True}  # carried
         assert grown.visits_once(A1)
-        manager.add_partition(partition(table, 2, [(("a1",), tids(100, 300), False)]))
+        manager.add_partition(partition(table, 2, [(("a1",), tids(100, 300))]))
         overlapped = manager.catalog_index()
         assert overlapped._visits_once == {A1: False}  # a second owner layer
         assert not overlapped.visits_once(A1)
         assert index.visits_once(A1) and grown.visits_once(A1)  # frozen views
 
     @pytest.mark.parametrize("segments, attributes", [
-        ([(("a1",), tids(200, N), False), (("a2",), tids(0, 200), True)], A1),
-        ([(("a1",), tids(200, N), False)], frozenset({"a1", "a2"})),
-        ([(("a1", "a2"), tids(200, 300), False), (("a3",), tids(300, N), False)], A1),
-    ], ids=["replica-segment", "lacks-a-predicate", "segment-without-it"])
+        ([(("a1",), tids(200, N))], frozenset({"a1", "a2"})),
+        ([(("a1", "a2"), tids(200, 300)), (("a3",), tids(300, N))], A1),
+    ], ids=["lacks-a-predicate", "segment-without-it"])
     def test_carried_false_when_an_added_partition_fails(self, table, segments, attributes):
         """Each added partition that turns the verdict False, carried as a
         fresh index computes it, with the zone arrays extended to match."""
-        manager, index = index_of(table, [[(("a1", "a2"), tids(0, 200), False)]])
+        manager, index = index_of(table, [[(("a1", "a2"), tids(0, 200))]])
         assert index.visits_once(attributes)
         index.zones("a1")
         manager.add_partition(partition(table, 1, segments))
@@ -184,12 +182,12 @@ class TestVerdict:
         """A verdict over attributes nothing stored is vacuously True and
         built no owner map, so the next index cannot check the new
         partitions' layers: it computes the verdict afresh."""
-        manager, index = index_of(table, [[(("a3",), tids(), False)]])
+        manager, index = index_of(table, [[(("a3",), tids())]])
         assert index.visits_once(A1)
-        manager.add_partition(partition(table, 1, [(("a1",), tids(0, 250), False)]))
+        manager.add_partition(partition(table, 1, [(("a1",), tids(0, 250))]))
         assert manager.catalog_index()._visits_once == {}
         assert manager.catalog_index().visits_once(A1)
-        manager.add_partition(partition(table, 2, [(("a1",), tids(150, N), False)]))
+        manager.add_partition(partition(table, 2, [(("a1",), tids(150, N))]))
         assert not manager.catalog_index().visits_once(A1)
 
     def test_taken_under_a_hiding_view(self, table):
@@ -197,7 +195,7 @@ class TestVerdict:
         too, and a hidden tuple is never VALID: not in an explicit-tid
         segment, not in a run (whose one-slice status write would clear
         the INVALID mark), not in the result."""
-        manager, _index = index_of(table, [[(("a1", "a2"), tids(), False)]])
+        manager, _index = index_of(table, [[(("a1", "a2"), tids())]])
         executor = PartitionAtATimeExecutor(manager, table.meta)
         query = Query.build(table.meta, ["a2"], {"a1": (0, 499)})
         hidden = tids()[::3]
@@ -221,7 +219,7 @@ class TestVerdict:
         )
         inserts = sum(
             op.select(part)[0]
-            for part in (partition(table, 0, [(("a1", "a2"), tids(0, half), False)]), runs)
+            for part in (partition(table, 0, [(("a1", "a2"), tids(0, half))]), runs)
         )
         assert (op.status[hidden] == STATUS_INVALID).all()
         valid = ProjectFillOp(("a2",), op, table.schema).valid
@@ -307,81 +305,34 @@ KILL = FaultConfig(transient_error_rate=1.0)
 
 
 @pytest.mark.parametrize(
-    "engine",
-    [PartitionAtATimeExecutor, lambda m, meta: ScanExecutor(m, meta, zone_maps=False)],
-    ids=["pat", "scan"],
+    "make", [lambda: IrregularLayout(selection_enabled=False), ColumnLayout],
+    ids=["irregular", "column"],
 )
-def test_substitute_read_after_hit_only_segments_is_exact(table, engine):
-    """a1's primary homes are partitions 0 and 1 (the verdict holds); its
-    only other copy is a replica in partition 2, which also holds a2 — no
-    predicate — for every tuple.  Partition 1 dies after partition 0 was
-    selected hit-only, so partition 2 is read as its substitute and reaches
-    partition 0's failed tuples again: without the flush they are
-    NOT_CHECKED, pass vacuously there and join the result."""
-
-    def build():
-        store = FaultInjectingBlobStore(
-            MemoryBlobStore(), overrides={"p000001.jig": KILL}
-        )
-        manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
-        manager.materialize([
-            partition(table, 0, [(("a1",), tids(0, 200), False)]),
-            partition(table, 1, [(("a1",), tids(200, N), False)]),
-            partition(table, 2, [
-                (("a2",), tids(), False), (("a1",), tids(200, N), True),
-            ]),
-        ])
-        return engine(manager, table.meta)
-
+def test_a_lost_selection_partition_is_never_degraded(table, make):
+    """Under the hit-only form every selection tuple has one home, so no
+    other partition can stand in for a selection partition that exhausts
+    its retries: the query raises, and no substitute is read."""
     query = Query.build(table.meta, ["a2"], {"a1": (0, 499)})
-    executor = build()
-    assert executor.plan(query).visits_once
-    result, stats = executor.execute(query)
-    assert stats.n_unreadable_partitions == 1 and stats.n_degraded_reads == 1
-    assert same_result(result, run_reference_query(table, query))
-    full, full_stats = run_full_form(build(), query)
-    assert same_result(result, full)
-    assert stats_signature(stats) == stats_signature(full_stats)
+    layout = make().build(
+        table, Workload(table.meta, [query]), BuildContext(file_segment_bytes=512)
+    )
+    plan = layout.executor.plan(query)
+    assert plan.visits_once
+    lost = layout.manager.info(plan.selection_pids()[0]).key
+    inject_faults(layout, overrides={lost: KILL})
+    readers = []
+    init = PlanReader.__init__
 
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        readers.append(self)
 
-@pytest.mark.parametrize(
-    "engine",
-    [PartitionAtATimeExecutor, lambda m, meta: ScanExecutor(m, meta, zone_maps=False)],
-    ids=["pat", "scan"],
-)
-def test_substitute_read_after_a_zone_refuted_partition_is_exact(table, engine):
-    """As above, with ``a1`` range-split: partition 0 holds the tuples
-    whose ``a1`` is 500 or more, so the query's range refutes its zone and
-    it is read but not evaluated; partition 1 (the rest) dies, and
-    partition 2 is read as its substitute and reaches partition 0's tuples
-    again through ``a2``.  Unless partition 0's segments were registered
-    for the flush, those tuples are NOT_CHECKED there, pass vacuously and
-    join the result."""
-    a1 = table.column("a1")
-    high, low = np.flatnonzero(a1 >= 500), np.flatnonzero(a1 < 500)
-
-    def build():
-        store = FaultInjectingBlobStore(
-            MemoryBlobStore(), overrides={"p000001.jig": KILL}
-        )
-        manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
-        manager.materialize([
-            partition(table, 0, [(("a1",), high, False)]),
-            partition(table, 1, [(("a1",), low, False)]),
-            partition(table, 2, [(("a2",), tids(), False), (("a1",), low, True)]),
-        ])
-        return engine(manager, table.meta)
-
-    query = Query.build(table.meta, ["a2"], {"a1": (0, 499)})
-    executor = build()
-    plan = executor.plan(query)
-    assert plan.visits_once and plan.zone_refuted == {0}
-    result, stats = executor.execute(query)
-    assert stats.n_unreadable_partitions == 1 and stats.n_degraded_reads == 1
-    assert same_result(result, run_reference_query(table, query))
-    full, full_stats = run_full_form(build(), query)
-    assert same_result(result, full)
-    assert stats_signature(stats) == stats_signature(full_stats)
+    with mock.patch.object(PlanReader, "__init__", recording):
+        with pytest.raises(PartitionUnreadableError):
+            layout.executor.execute(query)
+    (reader,) = readers
+    assert reader.stats.n_unreadable_partitions == 1
+    assert reader.stats.n_degraded_reads == 0 and not reader.fctx.degraded
 
 
 PRUNING = [
@@ -390,47 +341,37 @@ PRUNING = [
 ]
 
 
-def range_split_build(table, engine, faults):
+def range_split_build(table, engine):
     """Partition 0 holds the tuples whose ``a1`` is 500 or more, partition
-    1 the rest; partition 2 stores ``a2`` of every tuple and a replica of
-    partition 1's ``a1``.  ``faults`` kills partition 1."""
+    1 the rest; partition 2 stores ``a2`` of every tuple."""
     a1 = table.column("a1")
     high, low = np.flatnonzero(a1 >= 500), np.flatnonzero(a1 < 500)
-    store = MemoryBlobStore()
-    if faults:
-        store = FaultInjectingBlobStore(store, overrides={"p000001.jig": KILL})
-    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
+    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
     manager.materialize([
-        partition(table, 0, [(("a1",), high, False)]),
-        partition(table, 1, [(("a1",), low, False)]),
-        partition(table, 2, [(("a2",), tids(), False), (("a1",), low, True)]),
+        partition(table, 0, [(("a1",), high)]),
+        partition(table, 1, [(("a1",), low)]),
+        partition(table, 2, [(("a2",), tids())]),
     ])
     return engine(manager, table.meta)
 
 
-@pytest.mark.parametrize("faults", [False, True], ids=["healthy", "substitute"])
 @pytest.mark.parametrize("engine", PRUNING, ids=["pat", "scan"])
-def test_a_hit_only_prune_is_counted_and_invalidated_at_a_flush(table, engine, faults):
+def test_a_hit_only_prune_is_counted_not_invalidated(table, engine):
     """Partition 0's zone refutes the query, so the plan prunes it.  Under
     the hit-only form it never enters the selection loop: it is counted at
-    once and its tuples are left NOT_CHECKED — until partition 1 dies and
-    partition 2, read as its substitute, reaches partition 0's tuples again
-    through ``a2``.  The flush before that read must apply the deferred
-    invalidation, or those tuples pass vacuously there and join the
-    result.  Either way the accounting is the full form's."""
+    once and its tuples are left NOT_CHECKED, with the full form's
+    accounting."""
     query = Query.build(table.meta, ["a2"], {"a1": (0, 499)})
-    executor = range_split_build(table, engine, faults)
+    executor = range_split_build(table, engine)
     plan = executor.plan(query)
     assert plan.visits_once and plan.verdict.pruned == {0}
     with mock.patch.object(
         SelectOp, "invalidate", autospec=True, side_effect=SelectOp.invalidate
     ) as invalidate:
         result, stats = executor.execute(query)
-    # Invalidated only once the hit-only form is left, for the substitute.
-    assert invalidate.call_count == int(faults)
-    assert stats.n_degraded_reads == int(faults)
+    assert invalidate.call_count == 0
     assert same_result(result, run_reference_query(table, query))
-    full, full_stats = run_full_form(range_split_build(table, engine, faults), query)
+    full, full_stats = run_full_form(range_split_build(table, engine), query)
     assert same_result(result, full)
     assert stats.n_partitions_pruned == full_stats.n_partitions_pruned == 1
     assert (stats.hash_inserts, stats.hash_updates) == (

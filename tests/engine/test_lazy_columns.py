@@ -12,7 +12,6 @@ import pytest
 from repro.core import Query
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.engine.parallel import ThreadedPartitionEngine
-from repro.engine.replicated import ReplicatedExecutor
 from repro.storage import (
     BALOS_HDD,
     BufferPool,
@@ -196,15 +195,6 @@ class TestEngineEquivalence:
                     assert np.array_equal(
                         result.column(name), serial_result.column(name)
                     )
-
-    def test_replicated_executor_fallback_path(self, small_table, select, where):
-        query = Query.build(small_table.meta, select, where)
-        executor = ReplicatedExecutor(
-            make_manager(small_table, BufferPool(1 << 24)), small_table.meta
-        )
-        for _ in range(2):
-            result, _stats = executor.execute(query)
-            assert_matches_reference(result, small_table, query)
 
 
 class TestEvictionDoesNotCorruptResults:

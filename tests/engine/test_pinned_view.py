@@ -5,8 +5,8 @@ at its root, plans against it and reads nothing else, so
 
 * a query in flight survives any number of swaps and prunes committed
   under it (its view keeps the retired partitions loadable);
-* a degraded read picks its substitutes from the version it reads — a
-  replica holder a later swap retired still serves an ``AS OF`` read;
+* a degraded read picks its substitutes from the version it reads — an
+  overlapping holder a later swap retired still serves an ``AS OF`` read;
 * the pin is released on every way out of the root.
 """
 
@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import Query
-from repro.engine import (
-    PartitionAtATimeExecutor,
-    ReplicatedExecutor,
-    ScanExecutor,
-)
+from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.engine.parallel import ThreadedPartitionEngine
 from repro.errors import InvalidQueryError, PartitionUnreadableError
 from repro.layouts import BuildContext, ColumnLayout, IrregularLayout
@@ -99,12 +95,6 @@ ENGINES = {
         build(IrregularLayout(selection_enabled=False), table).executor
     ),
     "scan": lambda table: build(ColumnLayout(), table).executor,
-    # Over column partitions no query localizes: it runs on the standard
-    # engine, under the view the replicated root pinned, and that engine's
-    # planner is the one an observer can reach (a local plan notifies nobody).
-    "replicated": lambda table: ReplicatedExecutor(
-        build(ColumnLayout(), table).manager, table.meta
-    ),
     "threaded": lambda table: ThreadedPartitionEngine(
         build(IrregularLayout(selection_enabled=False), table).manager,
         table.meta, n_threads=2,
@@ -116,7 +106,7 @@ class TestInFlightQuerySurvivesSwapsAndPrunes:
     @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_oracle_result_under_two_swaps_and_prunes(self, name, table, query):
         executor = ENGINES[name](table)
-        planner = getattr(executor, "standard", executor).planner
+        planner = executor.planner
         version = executor.manager.catalog_version
         moved = churn_once(planner)
         result, _stats = executor.execute(query)
@@ -133,8 +123,9 @@ class TestInFlightQuerySurvivesSwapsAndPrunes:
 # --------------------------------------------------------- degraded AS OF
 
 
-def replicated_manager(small_table):
-    """p0 holds a1 alone; p1 holds a2, a3 and a replica of a1."""
+def overlapping_holder_manager(small_table):
+    """p0 holds a1 alone; p1 holds a2, a3 and, in a second segment, a1
+    again."""
     store = FaultInjectingBlobStore(MemoryBlobStore())
     manager = PartitionManager(
         small_table.schema, StorageDevice(BALOS_HDD), store
@@ -150,32 +141,31 @@ def replicated_manager(small_table):
         tuple_ids=everyone,
         columns={"a1": small_table.column("a1")},
         tid_storage=TID_CATALOG,
-        replica=True,
     ))
     manager.materialize([primary, holder])
     return manager, store
 
 
 class TestDegradedReadSubstitutesFromItsOwnVersion:
-    def test_retired_replica_holder_serves_the_pinned_read(self, small_table):
-        manager, store = replicated_manager(small_table)
+    def test_retired_overlapping_holder_serves_the_pinned_read(self, small_table):
+        manager, store = overlapping_holder_manager(small_table)
         executor = PartitionAtATimeExecutor(manager, small_table.meta)
         query = Query.build(small_table.meta, ["a2"], {"a1": (0, 4999)})
         expected = run_reference_query(small_table, query)
         with manager.pin_snapshot() as v0:
-            # A later swap drops the replica: p1's cells move to a fresh pid
+            # A later swap drops the overlap: p1's cells move to a fresh pid
             # without the a1 copy.
             holder, _delta = manager.load(1)
             manager.swap_partitions(
                 [PhysicalPartition(
                     manager.next_pid(),
-                    [s for s in holder.segments if not s.replica],
+                    [s for s in holder.segments if "a1" not in s.attributes],
                 )],
                 remove=[1],
             )
             store.overrides[manager.info(0).key] = KILL
             # At v0 the retired holder is still part of the catalog: the
-            # read degrades onto its replica and is exact.
+            # read degrades onto its copy and is exact.
             result, stats = executor.execute(query, snapshot=v0)
             assert result.equals(expected)
             assert stats.n_unreadable_partitions == 1
@@ -185,8 +175,8 @@ class TestDegradedReadSubstitutesFromItsOwnVersion:
                 executor.execute(query)
 
     def test_pinned_read_never_enlists_a_later_partition(self, small_table):
-        """The mirror image: a replica committed after the pin is not part
-        of the pinned version, so the pinned read has no substitute."""
+        """The mirror image: a copy committed after the pin is not part of
+        the pinned version, so the pinned read has no substitute."""
         store = FaultInjectingBlobStore(MemoryBlobStore())
         manager = PartitionManager(
             small_table.schema, StorageDevice(BALOS_HDD), store
@@ -243,7 +233,6 @@ def overlapping_manager(small_table, kill=()):
 ROOTS = [
     PartitionAtATimeExecutor,
     ScanExecutor,
-    ReplicatedExecutor,
     ThreadedPartitionEngine,
 ]
 
@@ -268,30 +257,17 @@ class TestRootPinIsReleasedOnEveryExit:
             engine(manager, small_table.meta).execute(covered)
         assert manager.snapshot_refcount() == 0
 
-    def test_replica_local_retreat(self, small_table, covered):
-        manager = overlapping_manager(small_table, kill=(0,))
-        executor = ReplicatedExecutor(manager, small_table.meta)
-        assert executor.local_plan(covered) is not None
-        with no_leaked_pins():
-            result, stats = executor.execute(covered)
-        assert result.equals(run_reference_query(small_table, covered))
-        assert stats.n_unreadable_partitions >= 1  # it did retreat
-        assert manager.snapshot_refcount() == 0
-
     @pytest.mark.parametrize("engine", ROOTS)
     def test_invalid_query_raised_while_planning(
         self, engine, small_table, covered
     ):
         manager = overlapping_manager(small_table)
         executor = engine(manager, small_table.meta)
-        planner = getattr(executor, "standard", executor).planner
 
         def reject(query, plan):
             raise InvalidQueryError("rejected at plan time")
 
-        planner.observer = reject
-        # a4 is stored nowhere near a1: the replicated engine cannot
-        # localize this one, so every root reaches the observed planner.
+        executor.planner.observer = reject
         query = Query.build(
             small_table.meta, ["a2"], {"a1": (0, 4999), "a4": (0, 4999)}
         )

@@ -5,10 +5,10 @@ against a plain Python loop that runs Algorithm 5 one tuple at a time over
 the same partitions, with a real hash table: the closed-form counters must
 price exactly the loop the paper describes, on the paths where result-sized
 scratch is easiest to get wrong (dropped stashes, catalog-only prunes,
-snapshot masks, degraded reads, replicas, empty and full results), and on
-the shapes the owner-addressed projection must get right: an attribute in
-two primary segments of one pid, overlapping primaries, replica segments,
-stashed partitions revisited, and substitutes of a faulting partition.
+snapshot masks, degraded reads, empty and full results), and on the shapes
+the owner-addressed projection must get right: an attribute in two
+segments of one pid, overlapping primaries, stashed partitions revisited,
+and substitutes of a faulting partition.
 """
 
 import tracemalloc
@@ -20,11 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Query, TableSchema, Workload
-from repro.engine import PartitionAtATimeExecutor, ReplicatedExecutor, ScanExecutor
+from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.layouts import BuildContext, IrregularLayout
 from repro.storage import (
     BALOS_HDD,
-    TID_CATALOG,
     TID_EXPLICIT,
     TID_IMPLICIT,
     BufferPool,
@@ -37,7 +36,6 @@ from repro.storage import (
     SegmentSpec,
     DeviceProfile,
     StorageDevice,
-    build_physical_partition,
 )
 from repro.storage.partition_manager import CatalogSnapshot
 from repro.storage.physical import PhysicalPartition
@@ -72,15 +70,15 @@ def tids(lo=0, hi=N):
 
 
 def build_segments(table, groups, store=None):
-    """One partition per group of ``(attributes, tids, replica)`` segments."""
+    """One partition per group of ``(attributes, tids)`` segments."""
     manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
     manager.materialize([
         PhysicalPartition(pid=pid, segments=[
             PhysicalSegment(
                 attributes=attrs, tuple_ids=own, columns=table.gather(attrs, own),
-                tid_storage=TID_EXPLICIT, replica=replica,
+                tid_storage=TID_EXPLICIT,
             )
-            for attrs, own, replica in group
+            for attrs, own in group
         ])
         for pid, group in enumerate(groups)
     ])
@@ -142,10 +140,7 @@ def algorithm5(manager, query, zone_maps=False, valid_mask=None, absent=(),
     for info in infos:
         if info.pid not in substitutes and not any(
             (a, t) in missing
-            for attrs, seg_tids, replica in zip(
-                info.segment_attrs, info.segment_tids, info.segment_replicas
-            )
-            if not replica
+            for attrs, seg_tids in zip(info.segment_attrs, info.segment_tids)
             for a in attrs for t in seg_tids.tolist()
         ):
             continue
@@ -290,8 +285,9 @@ class TestAlgorithm5Counters:
 
 class TestOwnerAddressedProjection:
     """The projection phase reads rows and positions from the owner map for
-    primary segments and keeps the status pass for everything else; result
-    and every counter must still be the tuple-at-a-time loop's."""
+    the segments of a missing attribute and keeps the status pass for
+    everything else; result and every counter must still be the
+    tuple-at-a-time loop's."""
 
     def run(self, table, groups, select, where=None, **reference):
         """``where`` defaults to a result under a quarter of the table: the
@@ -306,35 +302,37 @@ class TestOwnerAddressedProjection:
         return stats
 
     def test_one_attribute_in_two_primary_segments_of_a_pid(self, table):
-        """(i) a2 sits in two interleaved primary segments of partition 1:
+        """(i) a2 sits in two interleaved segments of partition 1:
         its owner rows cover both, an equality test splits them."""
         even, odd = tids()[::2], tids()[1::2]
         self.run(table, [
-            [(("a1",), tids(), False)],
-            [(("a2", "a3"), even, False), (("a2", "a4"), odd, False)],
-            [(("a3",), odd, False), (("a4",), even, False)],
+            [(("a1",), tids())],
+            [(("a2", "a3"), even), (("a2", "a4"), odd)],
+            [(("a3",), odd), (("a4",), even)],
         ], ["a2", "a3", "a4"])
 
     def test_overlapping_primaries_in_the_projection_phase(self, table):
         """(ii) tids 150-249 have two a2 homes: a two-layer owner map, each
         home filled (and counted) from its own layer."""
         stats = self.run(table, [
-            [(("a1",), tids(), False)],
-            [(("a2",), tids(0, 250), False)],
-            [(("a2",), tids(150, N), False)],
+            [(("a1",), tids())],
+            [(("a2",), tids(0, 250))],
+            [(("a2",), tids(150, N))],
         ], ["a2"])
         assert stats.n_partition_reads == 3
 
-    def test_visited_partition_with_a_replica_segment(self, table):
-        """(iii) replica segments are filled through the status pass beside
-        owner-addressed primaries — also partition 3's a2 replica, which
-        the pid's own a2 owner rows do not describe."""
-        self.run(table, [
-            [(("a1",), tids(), False)],
-            [(("a2", "a3"), tids(0, 200), False), (("a4",), tids(0, 200), True)],
-            [(("a4",), tids(), False)],
-            [(("a2", "a3"), tids(200, N), False), (("a2",), tids(0, 200), True)],
+    def test_visited_partition_with_an_overlapping_segment(self, table):
+        """(iii) partitions 1 and 3 each hold a second segment whose cells
+        another partition also holds (a4 of tids 0-199, a2 of tids 0-199):
+        two-layer owner maps, and partition 3's a2 owner rows span both of
+        its a2 segments, which an equality test splits."""
+        stats = self.run(table, [
+            [(("a1",), tids())],
+            [(("a2", "a3"), tids(0, 200)), (("a4",), tids(0, 200))],
+            [(("a4",), tids())],
+            [(("a2", "a3"), tids(200, N)), (("a2",), tids(0, 200))],
         ], ["a2", "a4"])
+        assert stats.n_partition_reads == 4
 
     def test_stashed_cells_met_again_in_a_projection_partition(self, table):
         """(iv) a2 is stashed in the selection phase; partition 1, read for
@@ -344,23 +342,23 @@ class TestOwnerAddressedProjection:
         (A selection partition itself is never revisited: every tuple it
         stores gets its verdict, and its cells their stash, there.)"""
         stats = self.run(table, [
-            [(("a1", "a2"), tids(), False)],
-            [(("a2",), tids(), False), (("a3",), tids(), False)],
+            [(("a1", "a2"), tids())],
+            [(("a2",), tids()), (("a3",), tids())],
         ], ["a2", "a3"])
         assert stats.n_partition_reads == 2
 
     def test_faulting_projection_partition_substitute(self, table):
-        """(v) partition 1 (a2's only primary) is dead; partition 2 holds a2
-        as a replica beside its own a3: the substitute's replica segment is
-        filled through the status pass, its a3 from the owner map."""
+        """(v) partition 1 (a2 for every tuple) is dead; partition 2 holds
+        a2 again, an overlapping primary beside its own a3: the substitute
+        is read for both, its a2 and a3 filled from their owner maps."""
         store = FaultInjectingBlobStore(
             MemoryBlobStore(),
             overrides={"p000001.jig": FaultConfig(transient_error_rate=1.0)},
         )
         stats = self.run(table, [
-            [(("a1",), tids(), False)],
-            [(("a2",), tids(), False)],
-            [(("a3",), tids(), False), (("a2",), tids(), True)],
+            [(("a1",), tids())],
+            [(("a2",), tids())],
+            [(("a3",), tids()), (("a2",), tids())],
         ], ["a2", "a3"], store=store, absent={1},
             substitutes={2})
         assert stats.n_unreadable_partitions == 1
@@ -371,9 +369,10 @@ class TestOwnerAddressedProjection:
     )
     @given(data=st.data())
     def test_random_spec_groups(self, table, data):
-        """Every cell gets a primary home (attribute groups x tid runs); then
-        some partitions merge (one pid, several segments), an overlapping
-        primary and a replica segment may join."""
+        """Every cell gets a home (attribute groups x tid runs); then some
+        partitions merge (one pid, several segments), an overlapping
+        primary may join, and a partition may gain a segment of another
+        attribute group over its own tids (overlapping too)."""
         draw = data.draw
         cuts = sorted(draw(st.sets(st.integers(1, len(NAMES) - 1), max_size=2)))
         attr_groups = [
@@ -383,7 +382,7 @@ class TestOwnerAddressedProjection:
         for attrs in attr_groups:
             runs = sorted(draw(st.sets(st.integers(1, N - 1), max_size=2)))
             groups += [
-                [(attrs, tids(lo, hi), False)]
+                [(attrs, tids(lo, hi))]
                 for lo, hi in zip([0] + runs, runs + [N])
             ]
         if len(groups) > 1 and draw(st.booleans()):
@@ -392,12 +391,12 @@ class TestOwnerAddressedProjection:
         if draw(st.booleans()):
             lo = draw(st.integers(0, N - 1))
             own = tids(lo, draw(st.integers(lo + 1, N)))
-            groups.append([(draw(st.sampled_from(attr_groups)), own, False)])
+            groups.append([(draw(st.sampled_from(attr_groups)), own)])
         if len(attr_groups) > 1 and draw(st.booleans()):
             group = draw(st.sampled_from(groups))
-            attrs, own, _replica = group[0]
+            attrs, own = group[0]
             others = [g for g in attr_groups if g != attrs]
-            group.append((draw(st.sampled_from(others)), own, True))
+            group.append((draw(st.sampled_from(others)), own))
         select = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
                                unique=True))
         lo = draw(st.integers(20, 900))  # inside every column's range
@@ -446,8 +445,8 @@ def test_one_probe_per_owner_map(monkeypatch):
     assert len(probes) == 1 and set(probes[0]) == per_attribute
 
 
-class TestScanAndLocalDrivers:
-    """The same two ops under the other drivers' counter rules."""
+class TestScanDriver:
+    """The same two ops under the scan driver's counter rule."""
 
     def test_scan_over_runs_counts_like_the_operator_at_a_time_loop(self, table):
         manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
@@ -465,45 +464,6 @@ class TestScanAndLocalDrivers:
         assert stats.cells_gathered == 2 * expected.n_tuples
         assert stats.materialized_bytes == 3 * ((N + 7) // 8)
         assert stats.hash_inserts == stats.hash_updates == stats.tuples_iterated == 0
-
-    def test_local_path_skips_replicas_and_tolerates_overlap(self, table):
-        """(e) two overlapping primaries (tids 150-249 live in both) each
-        carrying an a1 replica for their own tuples, a1's primary home being
-        partition 0: replica cells are scanned for the verdict but never
-        emitted (a1 is emitted once, from its home), overlap emits twice."""
-        homes = {0: tids(), 1: tids(0, 250), 2: tids(150, N)}
-        partitions = [
-            build_physical_partition(
-                pid, [SegmentSpec(attrs, homes[pid])], table, TID_EXPLICIT
-            )
-            for pid, attrs in enumerate([("a1",), ("a2", "a3"), ("a2", "a3")])
-        ]
-        for partition in partitions[1:]:
-            own = homes[partition.pid]
-            partition.segments.append(PhysicalSegment(
-                attributes=("a1",), tuple_ids=own,
-                columns={"a1": table.column("a1")[own]},
-                tid_storage=TID_CATALOG, replica=True,
-            ))
-        manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
-        manager.materialize(partitions)
-        executor = ReplicatedExecutor(manager, table.meta)
-        query = Query.build(table.meta, ["a1", "a2"], {"a1": (0, 599)})
-        assert executor.local_plan(query) == (0, 1, 2)
-        result, stats = executor.execute(query)
-        assert result.equals(run_reference_query(table, query))
-        # Tuple-at-a-time local rule: every stored cell is scanned; a
-        # matching tuple emits its projected cells from primary segments
-        # only — one cell per partition here (a1 at home, a2 elsewhere).
-        a1 = table.column("a1")
-        scanned = N * 1 + sum(len(homes[pid]) * (2 + 1) for pid in (1, 2))
-        gathered = sum(
-            1 for own in homes.values() for t in own.tolist() if a1[t] <= 599
-        )
-        assert stats.cells_scanned == scanned
-        assert stats.cells_gathered == gathered
-        assert stats.hash_inserts == stats.hash_updates == 0
-        assert stats.n_partition_reads == 3
 
 
 def traced_execute(n_names, group, where):

@@ -2,7 +2,7 @@
 
 Two regressions:
 
-* the full 768-entry stats-snapshot sweep collected with observability off
+* the full 576-entry stats-snapshot sweep collected with observability off
   equals, entry for entry and field for field, the sweep collected with
   tracing **and** metrics fully enabled;
 * the differential oracle (engine-vs-reference result identity) passes

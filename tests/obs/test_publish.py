@@ -158,8 +158,7 @@ class TestEndToEnd:
         registry = obs.get_registry()
         queries = registry.get("jigsaw_queries_total")
         assert queries is not None
-        # One request per layout, however many engines served it inside
-        # (the replicated dispatcher may retreat to the standard engine).
+        # One request per layout.
         assert sum(queries.series().values()) == len(layouts)
         assert registry.get("jigsaw_query_sim_seconds") is not None
 

@@ -51,17 +51,6 @@ def zoned_manager(zoned_table) -> PartitionManager:
 
 
 @pytest.fixture()
-def covering_manager(zoned_table) -> PartitionManager:
-    """One partition storing every attribute of every tuple (localizable)."""
-    specs = [[SegmentSpec(("a1", "a2", "a3"), np.arange(N, dtype=np.int64))]]
-    manager = PartitionManager(
-        zoned_table.schema, StorageDevice(BALOS_HDD), MemoryBlobStore()
-    )
-    manager.materialize_specs(specs, zoned_table, tid_storage=TID_CATALOG)
-    return manager
-
-
-@pytest.fixture()
 def q_one_pred(zoned_table) -> Query:
     """SELECT a3 WHERE a1 IN [0, 20] — p1's a1 zone is disjoint."""
     return Query.build(zoned_table.meta, ["a3"], {"a1": (0, 20)})

@@ -1,11 +1,7 @@
 """explain(): every executor's plan is inspectable, estimates meet actuals."""
 
 from repro.core import Query
-from repro.engine import (
-    PartitionAtATimeExecutor,
-    ReplicatedExecutor,
-    ScanExecutor,
-)
+from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.engine.parallel import ThreadedPartitionEngine
 
 
@@ -65,19 +61,6 @@ class TestEveryEngineExplains:
             report = executor.explain(q_one_pred)
             assert report.engine == engine
             assert report.policy_name == "partition"
-
-    def test_replicated_local_and_fallback(
-        self, zoned_manager, covering_manager, zoned_table, q_one_pred
-    ):
-        local = ReplicatedExecutor(covering_manager, zoned_table.meta)
-        report = local.explain(q_one_pred)
-        assert report.engine == "replicated-local"
-        assert report.replica_fallback is True
-        assert report.pruning is True  # always sound under full coverage
-
-        fallback = ReplicatedExecutor(zoned_manager, zoned_table.meta)
-        report = fallback.explain(q_one_pred)
-        assert report.engine == "replicated (fallback: partition-at-a-time)"
 
     def test_no_where_explain(self, zoned_manager, zoned_table):
         query = Query.build(zoned_table.meta, ["a3"], {})

@@ -1,4 +1,4 @@
-"""Physical-plan layer: access order, estimates, no pinning, replica-local."""
+"""Physical-plan layer: access order, estimates, no pinning."""
 
 import pytest
 
@@ -96,38 +96,3 @@ class TestPinHints:
         assert not any(hasattr(pool, name) for name in ("pin", "unpin", "pinned"))
         engine.execute(query)
         assert len(pool) > 0
-
-
-class TestReplicaLocal:
-    def test_non_covering_layout_is_not_localizable(
-        self, zoned_manager, zoned_table, q_one_pred
-    ):
-        planner = QueryPlanner(zoned_manager, zoned_table.meta)
-        with zoned_manager.pin_snapshot() as view:
-            assert planner.plan_local(q_one_pred, view) is None
-            assert planner.plan_replica_local(q_one_pred, view) is None
-
-    def test_covering_layout_plans_locally(
-        self, covering_manager, zoned_table, q_one_pred
-    ):
-        planner = QueryPlanner(
-            covering_manager, zoned_table.meta, replica_fallback=True
-        )
-        with covering_manager.pin_snapshot() as view:
-            assert planner.plan_local(q_one_pred, view) == (0,)
-            plan = planner.plan_replica_local(q_one_pred, view)
-        assert plan is not None
-        assert plan.selection_pids() == (0,)
-        assert plan.projection_pids() == ()
-        # Local evaluation reads predicate and projected cells in one pass,
-        # under the (locally sound) scan pruning policy.
-        assert plan.logical.policy == POLICY_SCAN
-        assert plan.logical.pruning is True
-        assert plan.selection[0].columns == frozenset({"a1", "a3"})
-        assert plan.policy.replica_fallback is True
-
-    def test_no_where_is_not_localizable(self, covering_manager, zoned_table):
-        query = Query.build(zoned_table.meta, ["a3"], {})
-        planner = QueryPlanner(covering_manager, zoned_table.meta)
-        with covering_manager.pin_snapshot() as view:
-            assert planner.plan_local(query, view) is None

@@ -3,11 +3,10 @@
 A plan's pruned pids are computed once, as set algebra over the catalog's
 zone arrays (:meth:`LogicalPlan.verdict`); ``classify`` is the per-pid
 definition the EXPLAIN reasons come from.  The two must agree on every pid
-of every view: both policies, replica holders (whose zones only the scan
-policy may use), sketched partitions, partitions storing an attribute with
-no cells (a ``(-inf, +inf)`` zone row), indexes derived by ``with_added`` and
-by a fold, the replica-local plan and a plan replayed from the partition
-cache.
+of every view: both policies, overlapping primaries, sketched partitions,
+partitions storing an attribute with no cells (a ``(-inf, +inf)`` zone
+row), indexes derived by ``with_added`` and by a fold, and a plan replayed
+from the partition cache.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from hypothesis import strategies as st
 from repro.core import Query, TableSchema, Workload
 from repro.core.ranges import Interval
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
-from repro.engine.replicated import ReplicatedExecutor
 from repro.layouts import BuildContext, IrregularLayout
-from repro.layouts.replicated import ReplicatedIrregularLayout
 from repro.plan.logical import (
     POLICY_PARTITION,
     POLICY_SCAN,
@@ -74,16 +71,15 @@ def check_view(query: Query, view) -> int:
 
 
 def physical(pid, segments) -> PhysicalPartition:
-    """``segments``: ``(attributes, tids, replica)``; tids may be empty (an
+    """``segments``: ``(attributes, tids)``; tids may be empty (an
     attribute stored with no cells has no zone) and may repeat across
     partitions (overlapping primaries)."""
     built = []
-    for attributes, tids, replica in segments:
+    for attributes, tids in segments:
         attrs = tuple(a for a in ATTRS if a in attributes)
         tids = np.asarray(sorted(tids), dtype=np.int64)
         built.append(PhysicalSegment(
-            attributes=attrs, tuple_ids=tids,
-            columns=TABLE.gather(attrs, tids), replica=replica,
+            attributes=attrs, tuple_ids=tids, columns=TABLE.gather(attrs, tids),
         ))
     return PhysicalPartition(pid=pid, segments=built)
 
@@ -92,7 +88,6 @@ segments = st.lists(
     st.tuples(
         st.sets(st.sampled_from(ATTRS), min_size=1),
         st.sets(st.integers(0, N_TUPLES - 1), max_size=8),
-        st.booleans(),
     ),
     min_size=1,
     max_size=3,
@@ -128,23 +123,6 @@ def test_hand_drawn_catalogs_through_add_only_swaps(drawn, wheres):
                 check_view(query, view)
 
 
-def test_a_replica_zone_prunes_under_the_scan_policy_only():
-    """Partition 1 holds ``a1`` as a replica only: its zone refutes the
-    query, which the scan policy uses and the partition policy may not."""
-    manager = PartitionManager(TABLE.schema, StorageDevice(BALOS_HDD))
-    manager.add_partition(physical(0, [({"a1"}, range(0, 12), False)]))
-    manager.add_partition(physical(1, [
-        ({"a2"}, range(12, 24), False), ({"a1"}, range(0, 3), True),
-    ]))
-    manager.add_partition(physical(2, [({"a1", "a3"}, (), False)]))
-    query = Query.build(TABLE.meta, ["a2"], {"a1": (5, 11)})
-    with manager.pin_snapshot() as view:
-        scan = LogicalPlan(query, POLICY_SCAN, pruning=True).verdict(view.index)
-        part = LogicalPlan(query, POLICY_PARTITION, pruning=True).verdict(view.index)
-        assert scan.pruned == {1} and part.pruned == frozenset()
-        check_view(query, view)
-
-
 # ---------------------------------------------------------------- layouts
 
 
@@ -158,34 +136,24 @@ def sketched_build(builder, table, train):
     max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(seed=st.integers(0, 2**31 - 1))
-def test_irregular_and_replicated_builds_with_sketches(seed):
-    """Random tables built irregular and replicated, with sketches: the
-    planners' own verdicts (pat: partition policy, scan, the replica-local
-    plan) and the standalone one, for the workload and off-workload
-    queries."""
+def test_irregular_builds_with_sketches(seed):
+    """Random tables built irregular, with sketches: the planners' own
+    verdicts (pat: partition policy, scan) and the standalone one, for the
+    workload and off-workload queries."""
     rng = np.random.default_rng(seed)
     table = random_table(rng, n_attrs=5, n_tuples=int(rng.integers(300, 700)))
     train = random_workload(rng, table, n_queries=4)
     queries = list(train) + [random_query(rng, table) for _ in range(4)]
-    for builder in (
-        IrregularLayout(selection_enabled=False),
-        ReplicatedIrregularLayout(selection_enabled=False),
-    ):
-        manager = sketched_build(builder, table, train).manager
-        pat = PartitionAtATimeExecutor(manager, table.meta, zone_maps=True)
-        scan = ScanExecutor(manager, table.meta, zone_maps=True)
-        local = ReplicatedExecutor(manager, table.meta)
-        with manager.pin_snapshot() as view:
-            for query in queries:
-                check_view(query, view)
-                for policy, engine in ((POLICY_PARTITION, pat), (POLICY_SCAN, scan)):
-                    plan = engine.planner.plan(query, snapshot=view)
-                    assert_verdict_is_classify(plan.verdict, query, policy, view.index)
-                plan = local.planner.plan_replica_local(query, view)
-                if plan is not None:
-                    assert_verdict_is_classify(
-                        plan.verdict, query, POLICY_SCAN, view.index
-                    )
+    builder = IrregularLayout(selection_enabled=False)
+    manager = sketched_build(builder, table, train).manager
+    pat = PartitionAtATimeExecutor(manager, table.meta, zone_maps=True)
+    scan = ScanExecutor(manager, table.meta, zone_maps=True)
+    with manager.pin_snapshot() as view:
+        for query in queries:
+            check_view(query, view)
+            for policy, engine in ((POLICY_PARTITION, pat), (POLICY_SCAN, scan)):
+                plan = engine.planner.plan(query, snapshot=view)
+                assert_verdict_is_classify(plan.verdict, query, policy, view.index)
 
 
 def interleaved_table() -> ColumnTable:

@@ -44,32 +44,29 @@ def new_manager() -> PartitionManager:
 
 
 def physical(pid, segments) -> PhysicalPartition:
-    """``segments``: ``(attributes, tids, replica)`` triples, tids may be
-    empty and may repeat across partitions (overlapping primaries)."""
+    """``segments``: ``(attributes, tids)`` pairs, tids may be empty and
+    may repeat across partitions (overlapping primaries)."""
     built = []
-    for attributes, tids, replica in segments:
+    for attributes, tids in segments:
         attrs = tuple(a for a in ATTRS if a in attributes)
         tids = np.asarray(sorted(tids), dtype=np.int64)
         built.append(PhysicalSegment(
             attributes=attrs,
             tuple_ids=tids,
             columns=TABLE.gather(attrs, tids),
-            replica=replica,
         ))
     return PhysicalPartition(pid=pid, segments=built)
 
 
 def holders(infos, attribute, tids):
-    """The definition: partitions with a *primary* segment storing
-    ``attribute`` for at least one of ``tids``, in the order given."""
+    """The definition: partitions with a segment storing ``attribute`` for
+    at least one of ``tids``, in the order given."""
     return tuple(
         info.pid
         for info in infos
         if any(
-            not replica and attribute in attrs and np.isin(tids, seg_tids).any()
-            for attrs, seg_tids, replica in zip(
-                info.segment_attrs, info.segment_tids, info.segment_replicas
-            )
+            attribute in attrs and np.isin(tids, seg_tids).any()
+            for attrs, seg_tids in zip(info.segment_attrs, info.segment_tids)
         )
     )
 
@@ -117,7 +114,6 @@ def check_snapshot(snapshot, infos):
 segment_st = st.tuples(
     st.sets(st.sampled_from(ATTRS), min_size=1),
     st.sets(st.integers(0, N_TUPLES - 1), max_size=N_TUPLES),
-    st.booleans(),
 )
 partition_st = st.lists(segment_st, min_size=1, max_size=3)
 OPS = (
@@ -260,7 +256,6 @@ class TestIndexEqualsDefinition:
         rebuilt = CatalogIndex(manager.info(pid) for pid in manager.pids())
         assert live.pids == rebuilt.pids
         assert live.attribute_pids == rebuilt.attribute_pids
-        assert live.replica_pids == rebuilt.replica_pids
         for attribute in live.attribute_pids:
             for tids in PROBES:
                 assert live.partitions_with_cells(
@@ -285,7 +280,7 @@ class TestIndexEqualsDefinition:
         commit are carried into the derived index, not recomputed: they
         must equal a fresh index's.  The drawn partitions reach every case
         that turns a verdict False — overlapping tids (a second owner
-        layer), replica segments, a partition lacking a predicate."""
+        layer), a partition lacking a predicate."""
         manager = new_manager()
         every = np.arange(N_TUPLES, dtype=np.int64)
         attribute_sets = st.sets(st.sampled_from(ATTRS), min_size=1).map(frozenset)
@@ -331,7 +326,7 @@ class TestIndexEqualsDefinition:
         for pid, (selection, extra, tids) in enumerate(drawn):
             attrs = (predicated | extra) if selection else (extra - predicated)
             if attrs:
-                manager.add_partition(physical(pid, [(attrs, tids, False)]))
+                manager.add_partition(physical(pid, [(attrs, tids)]))
         conjunction = Conjunction([
             RangePredicate(attribute, lo, lo + width)
             for attribute, (lo, width) in zip(sorted(predicated), bounds)
@@ -357,7 +352,7 @@ def stripes(first_pid, n, attrs=ATTRS):
     return [
         physical(
             first_pid + i,
-            [(set(attrs), range(i * width, (i + 1) * width), False)],
+            [(set(attrs), range(i * width, (i + 1) * width))],
         )
         for i in range(n)
     ]
@@ -369,29 +364,18 @@ def halves(first_pid, attrs=ATTRS):
 
 class TestPlacementCases:
     def test_overlapping_primaries_are_all_returned(self):
-        """Two non-replica partitions hold ``a3`` for every tid: a single
+        """Two partitions hold ``a3`` for every tid: a single
         owner per cell would silently drop one of them."""
         manager = new_manager()
         everything = range(N_TUPLES)
-        manager.add_partition(physical(0, [({"a1", "a3"}, everything, False)]))
-        manager.add_partition(physical(1, [({"a2", "a3"}, everything, False)]))
-        manager.add_partition(physical(2, [({"a3"}, range(4), False)]))
+        manager.add_partition(physical(0, [({"a1", "a3"}, everything)]))
+        manager.add_partition(physical(1, [({"a2", "a3"}, everything)]))
+        manager.add_partition(physical(2, [({"a3"}, range(4))]))
         one = np.array([2], dtype=np.int64)
         assert manager.partitions_with_missing_cells("a3", one) == (0, 1, 2)
         late = np.array([9], dtype=np.int64)
         assert manager.partitions_with_missing_cells("a3", late) == (0, 1)
         assert manager.partitions_with_missing_cells("a1", one) == (0,)
-
-    def test_replica_segments_stay_out(self):
-        manager = new_manager()
-        everything = range(N_TUPLES)
-        manager.add_partition(physical(0, [({"a1"}, everything, False)]))
-        manager.add_partition(physical(
-            1, [({"a2"}, everything, False), ({"a1"}, everything, True)]
-        ))
-        tids = np.arange(N_TUPLES, dtype=np.int64)
-        assert manager.partitions_with_missing_cells("a1", tids) == (0,)
-        assert manager.catalog_index().replica_pids["a1"] == (1,)
 
     def test_answers_are_in_ascending_pid_order(self):
         manager = new_manager()
@@ -566,7 +550,7 @@ def entry(pid, attributes=("a1",)):
         pid=pid, key=f"p{pid}", n_bytes=1, attributes=frozenset(attributes),
         n_tuples=1, zone_map={}, segment_attrs=[tuple(attributes)],
         segment_tids=[np.array([pid], dtype=np.int64)],
-        segment_tid_modes=["explicit"], segment_replicas=[False],
+        segment_tid_modes=["explicit"],
     )
 
 

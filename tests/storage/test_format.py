@@ -2,6 +2,7 @@
 
 import pickle
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ class TestCorruption:
         with pytest.raises(StorageError, match=f"format version {version}"):
             deserialize_partition(bytes(data), schema, frame_of(one_segment))
 
+    def test_a_mode_byte_with_the_high_bit_is_refused(
+        self, schema, one_segment, frame_of
+    ):
+        """The mode byte's high bit once flagged a replica segment; no
+        segment sets it any more, and a file that does is refused — with
+        its checksum recomputed, so the bit alone is what is wrong."""
+        data = bytearray(serialize_partition(one_segment, schema))
+        mode_at = 4 + 2 + 4 + 4 + 2 + 4  # file header, then its checksum
+        crc_at = mode_at + 1 + 8 + 8  # after the segment header
+        data[mode_at] |= 0x80
+        crc = zlib.crc32(data[mode_at:crc_at])
+        crc = zlib.crc32(data[crc_at + 4:], crc)
+        struct.pack_into("<I", data, crc_at, crc)
+        with pytest.raises(StorageError, match="unknown tid mode"):
+            deserialize_partition(bytes(data), schema, frame_of(one_segment))
+
 
 @pytest.fixture()
 def mixed_partition(schema):
@@ -193,7 +210,6 @@ class TestFramedDecode:
         [
             ("segment_tid_modes", 0, TID_CATALOG),  # mode
             ("segment_tid_modes", 1, TID_EXPLICIT),
-            ("segment_replicas", 2, True),  # replica flag of the mode byte
             ("segment_attrs", 0, ("k",)),  # bitmap
             ("segment_attrs", 2, ("comment", "v")),
             ("segment_tids", 0, np.array([5, 9], np.int64)),  # n_tuples

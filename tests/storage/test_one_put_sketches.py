@@ -11,14 +11,11 @@ the partition's one put, so a build reads nothing back.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.bench.environments import BALOS, scaled_context
 from repro.core import Query, TableSchema, Workload
-from repro.layouts import BuildContext, IrregularLayout, ReplicatedIrregularLayout
+from repro.layouts import BuildContext, IrregularLayout
 from repro.storage import (
     ColumnTable,
     FaultConfig,
@@ -28,7 +25,6 @@ from repro.storage import (
     deserialize_partition,
 )
 from repro.storage.format import read_trailer
-from repro.workloads.hap import hap_workload, make_hap_table
 
 FAULTS = FaultConfig(corruption_rate=0.3, truncation_rate=0.1)
 
@@ -59,25 +55,7 @@ def interleaved():
     return IrregularLayout(selection_enabled=False, zone_maps=True), table, train, ctx
 
 
-def replicated():
-    """Replica targets that also carry Bloom sketches (equality probes on a
-    projected attribute): the builder that used to rewrite them twice."""
-    table = make_hap_table(8000, 48, seed=21)
-    train, _templates = hap_workload(
-        table.meta, 0.05, 6, 1, 40, seed=22, predicate_projected=False
-    )
-    select = sorted(list(train)[0].pi_attributes)
-    first = int(table.column(select[0])[0])
-    probes = [
-        Query.build(table.meta, select, {select[0]: (first + i, first + i)}, label=f"eq{i}")
-        for i in range(10)
-    ]
-    ctx, _scale = scaled_context(BALOS, table.sizeof(), seed=24)
-    ctx = dataclasses.replace(ctx, sketch_budget_bytes=1 << 16)
-    return ReplicatedIrregularLayout(), table, Workload(table.meta, [*train, *probes]), ctx
-
-
-@pytest.mark.parametrize("scenario", [interleaved, replicated])
+@pytest.mark.parametrize("scenario", [interleaved])
 def test_build_over_faulting_reads_leaves_every_blob_whole(scenario, monkeypatch):
     builder, table, train, ctx = scenario()
     clean = builder.build(table, train, ctx)
@@ -115,9 +93,6 @@ def test_build_over_faulting_reads_leaves_every_blob_whole(scenario, monkeypatch
             assert SketchSet.from_bytes(payload).to_bytes() == info.sketches.to_bytes()
     assert n_sketched > 0
     assert faulty.stats.n_gets == 0  # nothing was read back to be rewritten
-    if isinstance(builder, ReplicatedIrregularLayout):
-        replicas = layout.build_info["replication"].replicas
-        assert any(manager.info(pid).sketches is not None for pid in replicas)
 
     # With the fault layer gone the layout answers — and prunes — exactly
     # like the clean-store build.

@@ -70,16 +70,16 @@ def halves(table, pids):
     ]
 
 
-def with_replica(partition: PhysicalPartition, table) -> PhysicalPartition:
-    """``partition`` plus an ``a3`` replica segment — what an in-place
-    replace used to write over the pid's file."""
+def with_a3(partition: PhysicalPartition, table) -> PhysicalPartition:
+    """``partition`` plus an ``a3`` segment — what an in-place replace used
+    to write over the pid's file."""
     tids = partition.all_tuple_ids()
     return PhysicalPartition(partition.pid, [
         *partition.segments,
         PhysicalSegment(
             attributes=("a3",), tuple_ids=tids,
             columns={"a3": table.column("a3")[tids]},
-            tid_storage=TID_CATALOG, replica=True,
+            tid_storage=TID_CATALOG,
         ),
     ])
 
@@ -107,7 +107,7 @@ class TestReaddingAPidIsRefusedBeforeAnyPut:
         store.flip_next_get = True  # would fail the read-back verification
         with pytest.raises(InvalidPartitioningError, match="written once"):
             manager.swap_partitions(
-                [with_replica(original, small_table)], remove=[pid], verify=True
+                [with_a3(original, small_table)], remove=[pid], verify=True
             )
         store.flip_next_get = False
         assert store.n_puts == puts

@@ -19,12 +19,11 @@ GUARDED = [
     SRC / "serve" / "cache.py",
 ]
 #: where ``snapshot is None`` (or ``views is None``) is the decision itself:
-#: the three request roots, and the pins for a plan-only caller — the
+#: the two request roots, and the pins for a plan-only caller — the
 #: planner's, the DAG's and the join chooser's.
 ROOTS = {
     ("engine/base.py", "QueryEngine._run"),
     ("engine/parallel.py", "ThreadedPartitionEngine.execute"),
-    ("engine/replicated.py", "ReplicatedExecutor.execute"),
     ("plan/physical.py", "QueryPlanner.plan"),
     ("plan/dag.py", "DagExecutor.choose"),
     ("plan/joins.py", "choose_join_strategy"),

@@ -15,7 +15,6 @@ from repro.core import Query
 from repro.engine import (
     PartitionAtATimeExecutor,
     QueryEngine,
-    ReplicatedExecutor,
     ScanExecutor,
     ThreadedPartitionEngine,
 )
@@ -25,7 +24,6 @@ from repro.layouts import (
     ColumnLayout,
     HierarchicalLayout,
     IrregularLayout,
-    ReplicatedIrregularLayout,
     RowHLayout,
     RowLayout,
     RowVLayout,
@@ -57,14 +55,6 @@ def _scan(table, workload, ctx, query):
 def _partition_at_a_time(table, workload, ctx, query):
     layout = _irregular(table, workload, ctx)
     return PartitionAtATimeExecutor(layout.manager, table.meta).execute(query)
-
-
-def _replicated(table, workload, ctx, query):
-    layout = ReplicatedIrregularLayout(selection_enabled=False).build(
-        table, workload, ctx
-    )
-    assert isinstance(layout.executor, ReplicatedExecutor)
-    return layout.executor.execute(query)
 
 
 def _threaded(strategy):
@@ -108,7 +98,6 @@ def _ticket(table, workload, ctx, query):
 PATHS = {
     "scan": _scan,
     "partition-at-a-time": _partition_at_a_time,
-    "replicated": _replicated,
     "threaded-locking": _threaded("locking"),
     "threaded-shared": _threaded("shared"),
     "MaterializedLayout.execute": _layout,
@@ -155,13 +144,12 @@ def _layout_engine(builder):
 ENGINES = {
     "scan": _layout_engine(ColumnLayout()),
     "partition-at-a-time": _layout_engine(IrregularLayout(selection_enabled=False)),
-    "replicated": _layout_engine(ReplicatedIrregularLayout(selection_enabled=False)),
     "threaded-locking": _threaded_engine("locking"),
     "threaded-shared": _threaded_engine("shared"),
 }
 
 
-@pytest.mark.parametrize("kind", ["scan", "partition-at-a-time", "replicated"])
+@pytest.mark.parametrize("kind", ["scan", "partition-at-a-time"])
 def test_vectorised_execute_starts_no_thread(kind, small_table, small_workload):
     """A vectorised engine loads every partition inline on the querying
     thread — with the buffer pool on and faults injected too."""
@@ -195,7 +183,6 @@ LAYOUTS = {
     "Column-H": ColumnHLayout(),
     "Hierarchical": HierarchicalLayout(),
     "Irregular": IrregularLayout(selection_enabled=False),
-    "Replicated": ReplicatedIrregularLayout(selection_enabled=False),
 }
 
 
@@ -294,10 +281,8 @@ def test_clone_override_equals_full_hand_build(
             )
 
 
-def test_rebind_reaches_the_inner_engine(small_table, small_workload, ctx):
-    layout = ReplicatedIrregularLayout(selection_enabled=False).build(
-        small_table, small_workload, ctx
-    )
+def test_rebind_reaches_the_planner(small_table, small_workload, ctx):
+    layout = _irregular(small_table, small_workload, ctx)
     engine = layout.executor
     before = engine.table
     txn = TransactionalTable(layout, small_table)
@@ -308,24 +293,17 @@ def test_rebind_reaches_the_inner_engine(small_table, small_workload, ctx):
     txn.commit()
     grown = txn.data.meta
     assert grown is not before and grown.n_tuples == before.n_tuples + 3
-    for bound in (layout, engine, engine.planner, engine.standard,
-                  engine.standard.planner):
+    for bound in (layout, engine, engine.planner):
         assert bound.table is grown
 
 
 def test_execute_can_be_wrapped_per_driver(small_table, small_workload, ctx):
     """What ``benchmarks/layers/tracing.installed`` relies on: ``execute``
     of each driver class can be replaced with ``setattr`` and restored, and
-    a wrapper sees its own driver's calls only — the replicated dispatcher's
-    fallback to its inner standard engine included."""
+    a wrapper sees its own driver's calls only, once per query."""
     query = small_workload.queries[0]
-    unlocalizable = Query.build(small_table.meta, ["a2", "a3"], {})
     column = ColumnLayout().build(small_table, small_workload, ctx)
     irregular = _irregular(small_table, small_workload, ctx)
-    replicated = ReplicatedIrregularLayout(selection_enabled=False).build(
-        small_table, small_workload, ctx
-    )
-    assert replicated.executor.local_plan(unlocalizable) is None
     calls = []
 
     def counting(owner, original):
@@ -342,13 +320,11 @@ def test_execute_can_be_wrapped_per_driver(small_table, small_workload, ctx):
             setattr(owner, "execute", counting(owner, original))
         column.execute(query)
         irregular.execute(query)
-        replicated.execute(unlocalizable)
     finally:
         for owner, original in reversed(originals):
             setattr(owner, "execute", original)
     assert calls == [
         ("ScanExecutor", "ScanExecutor"),
-        ("PartitionAtATimeExecutor", "PartitionAtATimeExecutor"),
         ("PartitionAtATimeExecutor", "PartitionAtATimeExecutor"),
     ]
     calls.clear()

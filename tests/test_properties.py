@@ -224,7 +224,6 @@ def physical_partitions(draw):
                 tuple_ids=tids,
                 columns=columns,
                 tid_storage=mode,
-                replica=draw(st.booleans()),
             )
         )
     return schema, PhysicalPartition(pid=draw(st.integers(0, 1000)), segments=segments)
@@ -241,9 +240,7 @@ class TestFormatProperties:
         assert len(restored.segments) == len(partition.segments)
         for original, copy in zip(partition.segments, restored.segments):
             assert copy.attributes == original.attributes
-            assert (copy.tid_storage, copy.replica) == (
-                original.tid_storage, original.replica
-            )
+            assert copy.tid_storage == original.tid_storage
             assert np.array_equal(copy.tuple_ids, original.tuple_ids)
             for name in original.attributes:
                 assert np.array_equal(copy.columns[name], original.columns[name])

@@ -8,7 +8,7 @@ and every read must give the byte-equal result with identical accounting,
 and the shadow oracle's rows.  The scenarios: reads after commits that
 leave tombstones, ``AS OF`` reads of versions whose visibility ends below
 the grown tid domain, reads after a budgeted fold that dropped part of a
-deleted tuple's cells, and a degraded read under a hiding view (the flush).
+deleted tuple's cells, and a degraded projection read under a hiding view.
 """
 
 from __future__ import annotations
@@ -215,11 +215,11 @@ KILL = FaultConfig(transient_error_rate=1.0)
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_degraded_read_under_a_hiding_view(engine):
-    """``a1``'s primary homes are partitions 0 and 1 (the verdict holds);
-    its only other copy is a replica in partition 2.  Partition 1 is dead,
-    so a read evaluates partition 0 hit-only, then flushes and reads
-    partition 2 as the substitute — under a version that hides tids of
-    both homes."""
+    """``a1``'s homes are partitions 0 and 1 (the verdict holds); ``a2``
+    lives in partition 2 and again in partition 4.  Partition 2 is dead,
+    so a read selects hit-only, then reads partition 4 as the substitute
+    for the projected ``a2`` cells — under a version that hides tids of
+    every home."""
     n = 400
 
     def scenario(read):
@@ -228,23 +228,21 @@ def test_degraded_read_under_a_hiding_view(engine):
         table = ColumnTable.build("T", TableSchema.uniform(names), {
             name: rng.integers(0, 1_000, n).astype(np.int32) for name in names
         })
-        store = FaultInjectingBlobStore(MemoryBlobStore(), overrides={"p000001.jig": KILL})
+        store = FaultInjectingBlobStore(MemoryBlobStore(), overrides={"p000002.jig": KILL})
         manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
 
-        def segment(attrs, tids, replica=False):
+        def segment(attrs, tids):
             return PhysicalSegment(
                 attributes=attrs, tuple_ids=tids, columns=table.gather(attrs, tids),
-                replica=replica,
             )
 
         every, low, high = np.arange(n), np.arange(200), np.arange(200, n)
         manager.materialize([
             PhysicalPartition(pid=0, segments=[segment(("a1",), low)]),
             PhysicalPartition(pid=1, segments=[segment(("a1",), high)]),
-            PhysicalPartition(pid=2, segments=[
-                segment(("a2",), every), segment(("a1",), high, replica=True),
-            ]),
+            PhysicalPartition(pid=2, segments=[segment(("a2",), every)]),
             PhysicalPartition(pid=3, segments=[segment(("a3", "a4"), every)]),
+            PhysicalPartition(pid=4, segments=[segment(("a2",), every)]),
         ])
         executor = ENGINES[engine](manager, table.meta)
         txn = TransactionalTable(

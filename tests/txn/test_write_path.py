@@ -12,12 +12,7 @@ from repro.engine.parallel import ThreadedPartitionEngine
 from repro.adaptive import AdaptiveConfig, AdaptiveDaemon, AdvisorConfig
 from repro.core import TableSchema, Workload
 from repro.errors import PartitionUnreadableError, TransactionError
-from repro.layouts import (
-    BuildContext,
-    ColumnLayout,
-    IrregularLayout,
-    ReplicatedIrregularLayout,
-)
+from repro.layouts import BuildContext, ColumnLayout, IrregularLayout
 from repro.storage import ColumnTable, FaultConfig
 from repro.testing import (
     ShadowTable,
@@ -37,7 +32,6 @@ CONFIG = WriteWorkloadConfig(n_batches=5)
 LAYOUTS = [
     ("irregular", lambda: IrregularLayout(selection_enabled=False)),
     ("column", ColumnLayout),
-    ("replicated", lambda: ReplicatedIrregularLayout(selection_enabled=False)),
 ]
 
 
@@ -46,7 +40,6 @@ BUILDERS = dict(LAYOUTS)
 DRIVERS = {
     "partition_at_a_time": (BUILDERS["irregular"], None),
     "scan": (BUILDERS["column"], None),
-    "replicated": (BUILDERS["replicated"], None),
     "jigsaw-l": (BUILDERS["irregular"], "locking"),
     "jigsaw-s": (BUILDERS["irregular"], "shared"),
 }
