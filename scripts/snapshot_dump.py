@@ -8,9 +8,7 @@ counters]``, the last two taken after the execution (the pool counters are
 the case manager's lifetime ``n_hits``, ``n_misses``, ``n_evictions`` and
 ``hit_bytes``).  The 576 cases run twice: as the snapshot builds them (no
 buffer pool: the counters are None), then labelled ``pool/...`` under a
-4 KiB pool, where hits, misses and evictions all occur.  The EXPLAIN text
-is hashed without the ``, replica fallback off`` clause an older tree
-renders.
+4 KiB pool, where hits, misses and evictions all occur.
 
 The snapshot tables lay out their ``irregular`` cases as one partition
 holding one segment, so a third pass, labelled ``irregular/...``, pins what
@@ -75,7 +73,7 @@ def entry(label: str, executor, query) -> list:
     from repro.testing.snapshot import stats_signature
 
     result, stats = executor.execute(query)
-    explain = executor.explain(query).render().replace(", replica fallback off", "")
+    explain = executor.explain(query).render()
     return [
         label,
         list(stats_signature(stats)),

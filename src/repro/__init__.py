@@ -17,7 +17,6 @@ from .core import (
     Partition,
     PartitionerConfig,
     PartitioningPlan,
-    ParallelJigsawPartitioner,
     Query,
     RangeMap,
     TableStatistics,
@@ -50,7 +49,6 @@ __all__ = [
     "JigsawPartitioner",
     "MemoryModel",
     "Partition",
-    "ParallelJigsawPartitioner",
     "PartitionNotFoundError",
     "PartitionerConfig",
     "PartitioningPlan",

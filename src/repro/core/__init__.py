@@ -9,7 +9,6 @@ from .cost import (
     fit_io_model,
 )
 from .partition import Partition, PartitioningPlan, segments_disjoint
-from .parallel_tuner import ParallelJigsawPartitioner
 from .partitioner import (
     JigsawPartitioner,
     PartitionerConfig,
@@ -33,7 +32,6 @@ __all__ = [
     "Interval",
     "JigsawPartitioner",
     "MemoryModel",
-    "ParallelJigsawPartitioner",
     "Partition",
     "PartitionerConfig",
     "PartitionerStats",

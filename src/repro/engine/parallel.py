@@ -395,8 +395,8 @@ class ThreadedPartitionEngine(QueryEngine):
 
         # Each thread runs inside a copy of the spawning context, so the
         # active span (and any scoped trace collector) propagates into the
-        # workers — their partition spans nest under the phase span that
-        # started them, tagged with the worker's real thread id.
+        # workers — their spans nest under the phase span that started
+        # them, tagged with the worker's real thread id.
         threads = [
             threading.Thread(target=contextvars.copy_context().run, args=(run, i))
             for i in range(self.n_threads)

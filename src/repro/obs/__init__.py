@@ -3,14 +3,15 @@
 The engine's subsystems keep exact counters (``ExecutionStats``, ``IOStats``,
 ``WalStats``, ...); this package *copies* them out, without perturbing a
 single simulated figure.  :mod:`~repro.obs.runtime` holds the process-wide
-switches (a leaf module); :mod:`~repro.obs.trace` the spans;
-:mod:`~repro.obs.scope` the request scope every request root opens, whose
-outermost instance emits one :mod:`~repro.obs.flight` record and one pass
-over the :mod:`~repro.obs.catalog` of metric families
+switches (a leaf module); :mod:`~repro.obs.trace` the spans, one per request
+step (an engine phase, a worker, a swap, a commit) and never one per
+partition read; :mod:`~repro.obs.scope` the request scope every request root
+opens, whose outermost instance emits one :mod:`~repro.obs.flight` record
+and one pass over the :mod:`~repro.obs.catalog` of metric families
 (:mod:`~repro.obs.metrics` is the registry, :mod:`~repro.obs.health` the
-rules over it); :mod:`~repro.obs.analyze` builds EXPLAIN ANALYZE; and
-:mod:`~repro.obs.view` / :mod:`~repro.obs.server` format the resulting rows
-as text, JSONL and the four HTTP routes.
+rules over it); :mod:`~repro.obs.analyze` builds EXPLAIN ANALYZE, one row per
+engine phase; and :mod:`~repro.obs.view` / :mod:`~repro.obs.server` format
+the resulting rows as text, JSONL and the four HTTP routes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from .analyze import AnalyzeNode, build_analyze_tree, explain_analyze
 from .catalog import publish
 from .digest import QuantileDigest
-from .flight import FlightRecord, FlightRecorder, load_flight_history
+from .flight import FlightRecord, FlightRecorder
 from .health import (
     HealthMonitor,
     HealthReport,
@@ -87,7 +88,6 @@ __all__ = [
     "hotspot_rows",
     "hotspot_summary",
     "install_flight_recorder",
-    "load_flight_history",
     "metrics_enabled",
     "publish",
     "record_rows",

@@ -2,10 +2,13 @@
 
 ``explain_analyze`` runs a query under a *scoped* trace collector (no global
 switch is flipped; concurrent queries are unaffected), then folds the span
-tree into :class:`AnalyzeNode` rows: one row per operator — the engine's
-phases, each partition access under them, degrade re-plans — each carrying
-partitions visited/pruned, cells scanned, bytes read, cache/pool hits,
-retries, degraded reads, and simulated io/cpu seconds.
+tree into :class:`AnalyzeNode` rows: one row per step of the engine
+(``plan.query``, then the phases ``exec.selection`` / ``exec.projection`` /
+``exec.drain``), with the threaded engines' ``exec.worker`` rows and any
+degrade re-plan beneath it, each carrying partitions read/pruned, cells
+scanned, bytes read, cache/pool hits, retries, degraded reads, and simulated
+io/cpu seconds.  No row is opened per partition: a phase row's counters are
+the sum over every partition it loaded.
 
 **Exactness contract.**  The per-operator rows under the root sum *exactly*
 (``==`` on floats, not approximately) to the query's ``ExecutionStats``
@@ -104,21 +107,8 @@ def _span_counters(span: Span) -> Dict[str, Any]:
 
 
 def _span_detail(span: Span) -> str:
-    attrs = span.attrs
-    if "pid" in attrs:
-        parts = [f"p{attrs['pid']}"]
-        if attrs.get("pool_hit"):
-            parts.append("pool-hit")
-        elif attrs.get("cache_hit"):
-            parts.append("os-cache")
-        if attrs.get("degraded"):
-            parts.append("degraded")
-        return " ".join(parts)
-    if "engine" in attrs:
-        return f"[{attrs['engine']}]"
-    if "phase" in attrs:
-        return f"[{attrs['phase']}]"
-    return ""
+    engine = span.attrs.get("engine")
+    return f"[{engine}]" if engine is not None else ""
 
 
 def _node_from_span(span: Span, children_of) -> AnalyzeNode:

@@ -1,9 +1,9 @@
-"""The flight recorder: a persistable ring of one record per request.
+"""The flight recorder: a bounded ring of one record per request.
 
 Spans answer "where did *this* query spend its time"; metrics answer "how
 is the system doing *now*".  Neither answers the operator question that
 drives reclustering and capacity decisions — *what were the slowest
-requests in the last hour, and why* — once the process has moved on.  The
+requests in the last hour, and why* — after the requests have returned.  The
 flight recorder keeps that: a bounded, thread-safe ring of
 :class:`FlightRecord` entries, one per **user request**, built in one place
 (:func:`build_record`) from the outermost
@@ -18,29 +18,26 @@ record each.  ``wall_time_s`` splits exactly into the leaves' walls plus
   run on the simulated accounting (a tier-1 test sweeps the 576-entry stats
   snapshot both ways).
 * **Slow-query log.** Records whose latency crosses ``slow_query_s`` are
-  flagged and — when the scope captured spans for the request — carry the
-  rendered EXPLAIN ANALYZE tree, so the "why" survives beside the "how long".
-* **Persistence.** Records spill as JSONL blobs through the ordinary
-  :class:`~repro.storage.blob.BlobStore` interface (rotation bounded by
-  ``max_spill_blobs``), so history survives restarts and rides whatever
-  store the deployment already uses.
+  flagged and carry the rendered EXPLAIN ANALYZE tree of the spans the
+  scope captured for the request (one row per engine phase), so the "why"
+  survives beside the "how long".
+* **Export.** The ring is in-process; :func:`~repro.obs.view.record_rows`
+  plus :func:`~repro.obs.view.write_jsonl` dump it as JSONL (the CLI's
+  ``--flight-out``).
 """
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
 
 from .analyze import ROOT_SPAN, build_analyze_tree, exact_residual
-from .view import record_rows, write_jsonl
 
-__all__ = ["FlightRecord", "FlightRecorder", "build_record", "load_flight_history"]
+__all__ = ["FlightRecord", "FlightRecorder", "build_record"]
 
 
 @dataclass(slots=True)
@@ -78,7 +75,6 @@ class FlightRecord:
     n_result_tuples: int = 0
     estimated_bytes: int = 0
     catalog_version: int = -1
-    wal_lsn: int = -1
     slow: bool = False
     error: str = ""
     explain: str = ""
@@ -143,7 +139,6 @@ def build_record(
             - counters["n_partitions_sketch_pruned"]
             - counters["n_partitions_cache_pruned"],
         ),
-        wal_lsn=scope.wal_lsn,
         leaves=leaves,
         **counters,
     )
@@ -158,62 +153,31 @@ def build_record(
 
 
 class FlightRecorder:
-    """Bounded thread-safe ring of per-query records with JSONL spill.
+    """Bounded thread-safe ring of per-query records.
 
     ``slow_query_s`` flags records at or above the threshold and keeps
-    their EXPLAIN ANALYZE (when spans were captured); ``store`` enables
-    JSONL spill through any blob store, one blob per ``spill_every``
-    records, rotated down to ``max_spill_blobs``; ``lsn_provider`` supplies
-    the WAL LSN stamped onto each request.
+    their EXPLAIN ANALYZE (from the spans the request scope captured).
     """
 
     def __init__(
-        self,
-        capacity: int = 2048,
-        slow_query_s: Optional[float] = None,
-        capture_explain: bool = True,
-        store=None,
-        key_prefix: str = "flight/",
-        spill_every: int = 512,
-        max_spill_blobs: int = 16,
-        lsn_provider: Optional[Callable[[], int]] = None,
+        self, capacity: int = 2048, slow_query_s: Optional[float] = None
     ):
         if capacity <= 0:
             raise ValueError("flight recorder capacity must be positive")
-        if spill_every <= 0:
-            raise ValueError("spill_every must be positive")
         self.capacity = int(capacity)
         self.slow_query_s = slow_query_s
-        self.capture_explain = capture_explain
-        self.store = store
-        self.key_prefix = key_prefix
-        self.spill_every = int(spill_every)
-        self.max_spill_blobs = int(max_spill_blobs)
-        self.lsn_provider = lsn_provider
         self._lock = threading.Lock()
         self._ring: Deque[FlightRecord] = deque(maxlen=self.capacity)
         self._slow: Deque[FlightRecord] = deque(maxlen=max(64, capacity // 8))
-        self._spill_buffer: List[FlightRecord] = []
         self._next_seq = 0
-        self._next_blob = 0
         self._closed = False
         # lifetime accounting
         self.n_recorded = 0
         self.n_slow = 0
         self.n_errors = 0
         self.n_rejections = 0
-        self.n_spilled = 0
 
     # ------------------------------------------------------------- capture
-
-    def current_lsn(self) -> int:
-        """LSN to stamp on a submit (-1 when no WAL is wired in)."""
-        if self.lsn_provider is None:
-            return -1
-        try:
-            return int(self.lsn_provider())
-        except Exception:
-            return -1
 
     def next_seq(self) -> int:
         with self._lock:
@@ -226,15 +190,14 @@ class FlightRecorder:
     ) -> FlightRecord:
         """Retain one finished record: flag it slow (rendering its EXPLAIN
         ANALYZE from the request's ``stats`` and captured ``spans``), then
-        ring and spill it.  A closed recorder drops it."""
+        ring it.  A closed recorder drops it."""
         if (
             self.slow_query_s is not None
             and record.latency_s >= self.slow_query_s
         ):
             record.slow = True
-            if self.capture_explain and spans and stats is not None:
+            if spans and stats is not None:
                 record.explain = self._render_explain(record, stats, spans)
-        spill: Optional[List[FlightRecord]] = None
         with self._lock:
             if self._closed:
                 return record
@@ -247,12 +210,6 @@ class FlightRecorder:
                 self.n_errors += 1
             elif record.outcome == "rejected":
                 self.n_rejections += 1
-            if self.store is not None:
-                self._spill_buffer.append(record)
-                if len(self._spill_buffer) >= self.spill_every:
-                    spill, self._spill_buffer = self._spill_buffer, []
-        if spill:
-            self._spill(spill)
         return record
 
     def _render_explain(self, record: FlightRecord, stats, spans) -> str:
@@ -279,62 +236,15 @@ class FlightRecorder:
         except Exception:  # pragma: no cover - defensive
             return ""
 
-    # --------------------------------------------------------------- spill
-
-    def _blob_key(self, index: int) -> str:
-        return f"{self.key_prefix}{index:08d}.jsonl"
-
-    def _spill(self, records: List[FlightRecord]) -> None:
-        if self.store is None or not records:
-            return
-        payload = io.StringIO()
-        write_jsonl(record_rows(records), payload)
-        with self._lock:
-            index = self._next_blob
-            self._next_blob += 1
-            self.n_spilled += len(records)
-        self.store.put(
-            self._blob_key(index), payload.getvalue().encode("utf-8")
-        )
-        self._rotate()
-
-    def _rotate(self) -> None:
-        """Drop the oldest spill blobs beyond ``max_spill_blobs``."""
-        if self.store is None or self.max_spill_blobs <= 0:
-            return
-        mine = _spill_keys(self.store, self.key_prefix)
-        for key in mine[: max(0, len(mine) - self.max_spill_blobs)]:
-            self.store.delete(key)
-
-    def flush(self) -> int:
-        """Spill everything buffered; returns how many records went out."""
-        with self._lock:
-            pending, self._spill_buffer = self._spill_buffer, []
-        self._spill(pending)
-        return len(pending)
-
     def close(self) -> None:
-        """Spill the tail, refuse further records.
-
-        Idempotent and safe to call from scheduler teardown paths that may
-        run more than once.
-        """
-        with self._lock:
-            if self._closed:
-                return
-        self.flush()
+        """Refuse further records (idempotent: scheduler teardown paths may
+        run it more than once)."""
         with self._lock:
             self._closed = True
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def __enter__(self) -> "FlightRecorder":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ----------------------------------------------------------- query API
 
@@ -405,7 +315,6 @@ class FlightRecorder:
             "n_slow": self.n_slow,
             "n_errors": self.n_errors,
             "n_rejections": self.n_rejections,
-            "n_spilled": self.n_spilled,
             "by_engine": by_engine,
             "by_outcome": by_outcome,
             "latency_p50_s": self.percentile(0.50),
@@ -420,26 +329,6 @@ class FlightRecorder:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FlightRecorder({len(self)}/{self.capacity} retained, "
-            f"recorded={self.n_recorded}, slow={self.n_slow}, "
-            f"spilled={self.n_spilled})"
+            f"recorded={self.n_recorded}, slow={self.n_slow})"
         )
 
-
-def _spill_keys(store, key_prefix: str) -> List[str]:
-    return sorted(
-        key
-        for key in store.keys()
-        if key.startswith(key_prefix) and key.endswith(".jsonl")
-    )
-
-
-def load_flight_history(
-    store, key_prefix: str = "flight/"
-) -> List[FlightRecord]:
-    """Replayed JSONL spill blobs, oldest first (restart recovery)."""
-    out: List[FlightRecord] = []
-    for key in _spill_keys(store, key_prefix):
-        for line in store.get(key).decode("utf-8").splitlines():
-            if line.strip():
-                out.append(FlightRecord.from_dict(json.loads(line)))
-    return out

@@ -5,9 +5,11 @@ A leaf module — it imports only :mod:`~repro.obs.trace` and
 every instrumented call site, reaches the globals without an import cycle.
 
 **Enablement model.**  The module-level tracer defaults to a
-:class:`~repro.obs.trace.NoopTracer`; every instrumentation point in the
-planner, the operators, the storage stack and the daemon costs one attribute
-load and one truth test until :func:`enable` installs a real tracer.
+:class:`~repro.obs.trace.NoopTracer`; every instrumentation point — the
+engines' phases, the planner, the catalog swap, the write path and the
+daemon, each opened once per request step and never once per partition —
+costs one attribute load and one truth test until :func:`enable` installs a
+real tracer.
 :func:`scoped_trace` installs a collector for the current logical context
 only (it rides a ``ContextVar``, so it propagates into the threaded engines'
 workers but never leaks across concurrent callers) — EXPLAIN ANALYZE and the
@@ -91,25 +93,17 @@ def global_trace_collector() -> Optional[TraceCollector]:
     return None
 
 
-def enable(
-    trace: bool = True,
-    metrics: bool = True,
-    capacity: int = 65536,
-    collector: Optional[TraceCollector] = None,
-) -> Optional[TraceCollector]:
+def enable(trace: bool = True, metrics: bool = True) -> Optional[TraceCollector]:
     """Turn observability on globally; returns the live trace collector.
 
-    ``trace`` installs a real tracer over a bounded ring buffer of
-    ``capacity`` spans (or the given ``collector``); ``metrics`` opens the
-    publication gate for the shared registry.  Returns the collector when
-    tracing was enabled, else None.
+    ``trace`` installs a real tracer over a bounded ring buffer of spans;
+    ``metrics`` opens the publication gate for the shared registry.  Returns
+    the collector when tracing was enabled, else None.
     """
     global _GLOBAL_TRACER, _METRICS_ENABLED
     result: Optional[TraceCollector] = None
     if trace:
-        _GLOBAL_TRACER = Tracer(
-            collector if collector is not None else TraceCollector(capacity)
-        )
+        _GLOBAL_TRACER = Tracer(TraceCollector())
         result = _GLOBAL_TRACER.collector
     if metrics:
         _METRICS_ENABLED = True

@@ -47,7 +47,7 @@ class RequestScope:
 
     __slots__ = (
         "engine", "query", "priority", "stats", "plan", "facts", "leaves",
-        "outcome", "error", "wal_lsn", "queue_wait_s", "wall_s",
+        "outcome", "error", "queue_wait_s", "wall_s",
         "_submitted_s", "_started_s", "_parent", "_inner", "_token",
         "_capture", "_capture_token",
     )
@@ -63,7 +63,6 @@ class RequestScope:
         self.leaves: List[Dict[str, Any]] = []
         self.outcome = "ok"
         self.error = ""
-        self.wal_lsn = -1
         self.queue_wait_s = 0.0
         self.wall_s = 0.0
         #: a request with a priority crosses the scheduler's queue: its wait
@@ -111,7 +110,6 @@ class RequestScope:
             self._parent is None
             and recorder is not None
             and recorder.slow_query_s is not None
-            and recorder.capture_explain
             and not runtime.scoped_tracing_active()
         ):
             # Capture spans for the slow-query EXPLAIN ANALYZE — but never
@@ -161,7 +159,6 @@ class _NoScope:
     """The shared scope of an unobserved request: every call is a no-op."""
 
     __slots__ = ()
-    wal_lsn = -1
 
     def __enter__(self) -> "_NoScope":
         return self
@@ -184,19 +181,10 @@ _NO_SCOPE = _NoScope()
 
 def request_scope(engine: str, query=None, priority: str = ""):
     """A scope for one request under ``engine`` (the shared no-op scope
-    unless a recorder is installed or metrics are on).
-
-    A request with no scope open around it is a user request: it is stamped
-    with the WAL LSN current at this moment, so the flight log ties it to
-    the write history it saw.
-    """
-    recorder = runtime._RECORDER
-    if recorder is None and not runtime._METRICS_ENABLED:
+    unless a recorder is installed or metrics are on)."""
+    if runtime._RECORDER is None and not runtime._METRICS_ENABLED:
         return _NO_SCOPE
-    scope = RequestScope(engine, query, priority)
-    if recorder is not None and _CURRENT.get() is None:
-        scope.wal_lsn = recorder.current_lsn()
-    return scope
+    return RequestScope(engine, query, priority)
 
 
 def _emit(root: RequestScope, spans=()) -> None:

@@ -1,9 +1,14 @@
 """Tracing spans: lightweight, nestable, thread-aware, zero-cost when off.
 
 A :class:`Span` is one timed region of work — a query execution, an engine
-phase, a single partition load, an adaptive-daemon cycle — with monotonic
-wall-clock timing plus *simulated* io/cpu-time attribution stored in its
-attribute dict.  Spans nest: the active span is tracked in a
+phase, a worker thread's share of a phase, an adaptive-daemon cycle — with
+monotonic wall-clock timing plus *simulated* io/cpu-time attribution stored
+in its attribute dict.  Spans follow the request, not the layout: no span
+is opened per partition read, so a trace's size does not grow with the
+number of partitions a query touches; a phase span's ``ExecutionStats``
+delta carries the reads, bytes and pool hits of every partition it loaded.
+
+Spans nest: the active span is tracked in a
 :class:`contextvars.ContextVar`, so nesting follows the call stack, survives
 generators, and — crucially for the Jigsaw-L/S protocols — propagates into
 worker threads spawned through :func:`contextvars.copy_context`.
@@ -89,7 +94,7 @@ class Span:
     ``sim_io_s`` / ``sim_cpu_s`` are *simulated* seconds attributed to this
     span (device model + CPU event model); ``start_s`` / ``end_s`` are real
     monotonic ``perf_counter`` readings.  ``attrs`` carries everything else —
-    pids, byte counts, stats deltas, cache-hit flags.
+    stats deltas, byte counts, the engine or worker a span belongs to.
     """
 
     span_id: int
@@ -176,7 +181,7 @@ class TraceCollector:
 
 #: The active span of the current logical context.  ``copy_context().run``
 #: in the threaded engines carries it into worker threads, which is what
-#: makes per-partition worker spans nest under the coordinator's phase span.
+#: makes worker spans nest under the coordinator's phase span.
 _CURRENT_SPAN: ContextVar[Optional[Span]] = ContextVar(
     "obs.current_span", default=None
 )
@@ -271,12 +276,6 @@ class Tracer:
             self, self._make_span(name, attrs), stats_objs, cpu_model
         )
 
-    def event(self, name: str, **attrs: Any) -> None:
-        """Record an instant (zero-duration) span."""
-        span = self._make_span(name, attrs)
-        span.end_s = span.start_s
-        self.collector.collect(span)
-
     def _make_span(self, name: str, attrs: Dict[str, Any]) -> Span:
         parent = _CURRENT_SPAN.get()
         return Span(
@@ -317,9 +316,6 @@ class NoopTracer:
 
     def phase(self, name: str, stats_objs, cpu_model=None, **attrs: Any):
         return _NOOP_CONTEXT
-
-    def event(self, name: str, **attrs: Any) -> None:
-        return None
 
 
 class _DeadSpan(Span):

@@ -5,7 +5,7 @@ plain dicts — :func:`record_rows`, :func:`hotspot_rows`,
 ``HealthReport.as_dict`` — and every surface is a thin formatter over those
 rows: the HTTP routes serialize them as JSON, ``jigsaw-bench profile | serve
 | health`` print the text tables below, and the JSONL dumps (trace files,
-``--flight-out``, the recorder's spill blobs) go through :func:`write_jsonl`.
+``--flight-out``) go through :func:`write_jsonl`.
 """
 
 from __future__ import annotations

@@ -105,9 +105,7 @@ class PlanReader:
     the partition.
     """
 
-    __slots__ = (
-        "manager", "stats", "fctx", "chunk_size", "cache", "lock", "tracer",
-    )
+    __slots__ = ("manager", "stats", "fctx", "chunk_size", "cache", "lock")
 
     def __init__(
         self,
@@ -124,32 +122,11 @@ class PlanReader:
         self.chunk_size = chunk_size
         self.cache = cache
         self.lock = lock if lock is not None else nullcontext()
-        # Resolved once per execution (readers are per-query objects), so a
-        # scoped trace installed before execute() is honoured and a disabled
-        # call site pays one attribute load + truth test per partition.
-        self.tracer = obs_tracer()
 
     def load(self, pid: int) -> PhysicalPartition:
         """Load one partition, charging this execution's counters."""
         if self.cache is not None and pid in self.cache:
             return self.cache[pid]
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._load_accounted(pid)[0]
-        with tracer.span("exec.partition", pid=pid) as span:
-            partition, io_delta, degraded = self._load_accounted(pid)
-            span.sim_io_s = io_delta.io_time_s
-            span.set(
-                bytes_read=io_delta.bytes_read,
-                pool_hit=io_delta.n_pool_hits > 0,
-                cache_hit=io_delta.n_cache_hits > 0,
-                n_retries=io_delta.n_retries,
-                degraded=degraded,
-            )
-        return partition
-
-    def _load_accounted(self, pid: int):
-        """The load + accounting body."""
         with self.lock:
             partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
         if io_delta.n_pool_hits:  # a pool hit charges nothing else
@@ -157,12 +134,11 @@ class PlanReader:
         else:
             self.stats.accrue_io(io_delta)
         self.stats.n_partition_reads += 1
-        degraded = self.fctx is not None and pid in self.fctx.degraded
-        if degraded:
+        if self.fctx is not None and pid in self.fctx.degraded:
             self.stats.n_degraded_reads += 1
         if self.cache is not None:
             self.cache[pid] = partition
-        return partition, io_delta, degraded
+        return partition
 
 
 class DegradeOp:

@@ -80,7 +80,7 @@ class QueryTicket:
 
     __slots__ = (
         "engine", "query", "priority", "result", "stats", "error",
-        "queue_wait_s", "latency_s", "wal_lsn", "_submitted", "_done",
+        "queue_wait_s", "latency_s", "_submitted", "_done",
     )
 
     def __init__(self, engine: str, query: Query, priority: str):
@@ -92,9 +92,6 @@ class QueryTicket:
         self.error: Optional[BaseException] = None
         self.queue_wait_s: float = 0.0
         self.latency_s: float = 0.0
-        #: WAL LSN at submit time (-1 when no WAL/recorder is wired in);
-        #: ties a query in the flight log to the write history it saw.
-        self.wal_lsn: int = -1
         self._submitted = time.perf_counter()
         self._done = threading.Event()
 
@@ -268,7 +265,6 @@ class QueryScheduler:
             raise ValueError(f"unknown priority {priority!r}")
         scope = request_scope(engine, query, priority)
         ticket = QueryTicket(engine, query, priority)
-        ticket.wal_lsn = scope.wal_lsn
         try:
             if engine not in self._engines:
                 raise AdmissionRejected(f"unknown engine {engine!r}")

@@ -31,7 +31,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..obs import tracer as obs_tracer
 from .io_stats import IOStats
 from .physical import PhysicalPartition
 
@@ -120,16 +119,10 @@ class BufferPool:
     def _evict_over_budget(self) -> None:
         """Drop entries oldest-first until back under budget."""
         while self._current_bytes > self.capacity_bytes:
-            pid, entry = self._entries.popitem(last=False)
+            _pid, entry = self._entries.popitem(last=False)
             self._current_bytes -= entry.n_bytes
             self.stats.n_evictions += 1
             self.stats.evicted_bytes += entry.n_bytes
-            tracer = obs_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "pool.evict", pid=pid, n_bytes=entry.n_bytes,
-                    current_bytes=self._current_bytes,
-                )
 
     # -------------------------------------------------------- invalidation
 

@@ -28,7 +28,6 @@ from typing import (
 import numpy as np
 
 from ..errors import PartitionNotFoundError, SnapshotUnavailableError
-from ..obs import tracer as obs_tracer
 from .physical import sorted_isin, sorted_unique
 from .sketches import SketchSet
 
@@ -267,17 +266,6 @@ class CatalogIndex:
     ) -> Tuple[int, ...]:
         """Tuple-level lookup: the ascending pids whose segments store
         ``attribute`` for at least one of ``tids``."""
-        tracer = obs_tracer()
-        if not tracer.enabled:
-            return self._probe(attribute, tids)
-        with tracer.span(
-            "storage.catalog_probe", attribute=attribute, n_tids=len(tids)
-        ) as span:
-            hits = self._probe(attribute, tids)
-            span.set(n_hits=len(hits))
-        return hits
-
-    def _probe(self, attribute: str, tids: np.ndarray) -> Tuple[int, ...]:
         owners = self.owners(attribute) if len(tids) else None
         return owners.probe(tids) if owners is not None else ()
 

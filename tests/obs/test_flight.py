@@ -1,6 +1,6 @@
-"""The query flight recorder: capture fidelity, the query API, JSONL
-spill/rotation, scheduler integration — and the acceptance bar that
-recording perturbs *nothing* in the simulated accounting.
+"""The query flight recorder: capture fidelity, the query API, scheduler
+integration — and the acceptance bar that recording perturbs *nothing* in
+the simulated accounting.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from repro.obs import (
     FlightRecorder,
     flight_recorder,
     install_flight_recorder,
-    load_flight_history,
     uninstall_flight_recorder,
 )
 from repro.obs.scope import _CURRENT
 from repro.serve import AdmissionRejected, QueryScheduler
-from repro.storage.blob import MemoryBlobStore
 from repro.testing.snapshot import (
     SNAPSHOT_N_ENTRIES,
     collect_stats_snapshot,
@@ -94,7 +92,7 @@ class TestCapture:
             )
         executor.execute(workload.queries[0])
         (record,) = recorder.slow_queries()
-        for name in ("exec.query", "exec.selection", "exec.partition"):
+        for name in ("exec.query", "exec.selection", "exec.projection"):
             assert name in record.explain
 
     def test_records_without_metrics_enabled(self, demo):
@@ -164,7 +162,7 @@ class TestCapture:
 class TestQueryApi:
     @pytest.fixture()
     def recorder(self) -> FlightRecorder:
-        recorder = FlightRecorder(slow_query_s=0.5, capture_explain=False)
+        recorder = FlightRecorder(slow_query_s=0.5)
         latencies = [0.1, 0.2, 0.9, 0.4, 1.5, 0.3]
         engines = ["scan", "scan", "jigsaw-l", "jigsaw-l", "scan", "scan"]
         outcomes = ["ok", "ok", "ok", "error", "ok", "ok"]
@@ -213,38 +211,6 @@ class TestQueryApi:
             assert clone == record
 
 
-class TestSpill:
-    def test_spill_rotation_and_reload(self):
-        store = MemoryBlobStore()
-        with FlightRecorder(
-            capacity=64,
-            store=store,
-            key_prefix="flight/",
-            spill_every=4,
-            max_spill_blobs=3,
-        ) as recorder:
-            for i in range(22):
-                recorder.add(make_record(i, latency_s=0.01 * i))
-        # 5 full blocks of 4 spilled, the tail of 2 flushed on close,
-        # rotation keeps only the newest 3 blobs.
-        assert recorder.n_spilled == 22
-        keys = [k for k in store.keys() if k.startswith("flight/")]
-        assert len(keys) == 3
-        history = load_flight_history(store)
-        assert [r.seq for r in history] == list(range(12, 22))
-        assert history[-1].latency_s == pytest.approx(0.21)
-
-    def test_flush_is_idempotent(self):
-        store = MemoryBlobStore()
-        recorder = FlightRecorder(store=store, spill_every=100)
-        recorder.add(make_record(0))
-        recorder.flush()
-        recorder.flush()
-        recorder.close()
-        recorder.close()
-        assert len(load_flight_history(store)) == 1
-
-
 class TestSchedulerIntegration:
     def test_serving_facts_and_slow_explain(self, demo):
         _table, workload, layouts = demo
@@ -271,7 +237,6 @@ class TestSchedulerIntegration:
             # the scheduler's wall clock, not the engine's
             assert record.latency_s >= record.wall_time_s
             assert record.queue_wait_s >= 0.0
-            assert record.wal_lsn == -1  # no WAL wired in
             # the slow-query log kept the full EXPLAIN ANALYZE tree
             assert "exec.query" in record.explain
             assert "sim" in record.explain
@@ -308,20 +273,6 @@ class TestSchedulerIntegration:
         assert record.engine == "nonexistent"
         assert "unknown engine" in record.error
         assert record.latency_s == 0.0
-
-    def test_wal_lsn_stamped_via_provider(self, demo):
-        _table, workload, layouts = demo
-        recorder = install_flight_recorder(
-            FlightRecorder(lsn_provider=lambda: 41)
-        )
-        scheduler = QueryScheduler(
-            {"natural": layouts["natural"].executor}, workers=1
-        )
-        with scheduler:
-            scheduler.execute("natural", workload.queries[0])
-        (record,) = recorder.records()
-        assert record.wal_lsn == 41
-        assert recorder.current_lsn() == 41
 
 
 class TestDigestAgainstExactRecords:

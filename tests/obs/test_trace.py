@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro import obs
+from repro import Query, TableSchema, Workload, obs
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.engine.parallel import ThreadedPartitionEngine
+from repro.layouts import BuildContext, IrregularLayout
 from repro.obs.trace import NOOP_TRACER, Span, TraceCollector, Tracer
 from repro.plan.stats import CpuModel, ExecutionStats
+from repro.storage import ColumnTable
 
 
 class TestCollector:
@@ -44,14 +47,6 @@ class TestCollector:
             pass
         collector.clear()
         assert len(collector) == 0
-
-    def test_event_is_zero_duration(self):
-        collector = TraceCollector(capacity=4)
-        tracer = Tracer(collector)
-        tracer.event("pool.evict", pid=3)
-        (span,) = collector.spans()
-        assert span.wall_s == 0.0
-        assert span.attrs["pid"] == 3
 
     def test_error_annotated(self):
         collector = TraceCollector(capacity=4)
@@ -105,7 +100,6 @@ class TestNoop:
             span.set(b=2)
         with tracer.phase("p", ExecutionStats()):
             pass
-        tracer.event("e")
         # The shared noop span never accumulates attributes.
         with tracer.span("t") as span:
             assert not getattr(span, "attrs", None)
@@ -181,25 +175,69 @@ def test_worker_spans_nest_across_threads(demo, strategy):
             name in ("exec.selection", "exec.projection", "exec.drain")
             for name in ancestors
         )
-    # Partition reads inside workers nest under the worker span.
-    for span in spans:
-        if span.name == "exec.partition":
-            ancestors = _ancestor_names(span, by_id)
-            if by_id[span.parent_id].name == "exec.worker":
-                assert "exec.query" in ancestors
 
 
-@pytest.mark.parametrize("engine", [PartitionAtATimeExecutor, ScanExecutor])
-def test_one_span_per_partition_access(demo, engine):
-    """A partition access opens exactly one span, the plan reader's
-    ``exec.partition``; the manager's load opens none of its own."""
-    table, workload, layouts = demo
-    layout = layouts["irregular"]
-    executor = engine(layout.manager, table.meta)
-    for query in workload.queries:
+#: The spans one engine execution may open: one per request step.
+_REQUEST_SPANS = {
+    "exec.query", "plan.query", "exec.selection", "exec.projection",
+    "exec.drain", "exec.worker",
+}
+_PHASES = ("exec.selection", "exec.projection", "exec.drain")
+#: At most: the root, the plan, three phases and two workers under each.
+_MAX_SPANS = 2 + len(_PHASES) * 3
+
+
+@pytest.fixture(scope="module")
+def fragmented():
+    """A 3 000 x 24 table trained on three narrow templates: its irregular
+    layout has 46 partitions and each query below reads 32 of them, under a
+    pool that holds them all."""
+    rng = np.random.default_rng(0)
+    names = [f"a{i}" for i in range(1, 25)]
+    table = ColumnTable.build("T", TableSchema.uniform(names), {
+        name: rng.integers(0, 100_000, 3_000).astype(np.int32) for name in names
+    })
+    meta = table.meta
+    wide = ["a2", "a3", "a4", "a5", "a6", "a7", "a9", "a10"]
+    train = Workload(meta, [
+        Query.build(meta, wide, {"a1": (0, 9_999)}),
+        Query.build(meta, wide, {"a8": (90_000, 99_999)}),
+        Query.build(meta, ["a15", "a16", "a17", "a18"], {"a20": (40_000, 44_999)}),
+    ])
+    ctx = BuildContext(file_segment_bytes=2048, buffer_pool_bytes=1 << 20)
+    layout = IrregularLayout().build(table, train, ctx)
+    queries = [
+        Query.build(meta, ["a2", "a5", "a16", "a23"], {"a12": (0, 30_000)}),
+        Query.build(meta, names[:12], {"a8": (50_000, 99_999), "a3": (0, 60_000)}),
+    ]
+    return meta, layout.manager, queries
+
+
+@pytest.mark.parametrize("engine", ["pat", "scan", "jigsaw-s"])
+def test_a_trace_is_sized_by_the_request_not_the_layout(fragmented, engine):
+    """A traced execution opens spans per request step, never per partition
+    read or catalog probe; its phase spans carry the reads between them."""
+    meta, manager, queries = fragmented
+    executor = {
+        "pat": lambda: PartitionAtATimeExecutor(manager, meta),
+        "scan": lambda: ScanExecutor(manager, meta),
+        "jigsaw-s": lambda: ThreadedPartitionEngine(
+            manager, meta, strategy="shared", n_threads=2
+        ),
+    }[engine]()
+    tids = np.arange(meta.n_tuples, dtype=np.int64)
+    n_pool_hits = 0
+    for query in queries * 2:  # the second round hits the pool
         with obs.scoped_trace() as collector:
             _result, stats = executor.execute(query)
-            layout.manager.load(layout.manager.pids()[0])
-        names = [span.name for span in collector.spans()]
-        assert names.count("exec.partition") == stats.n_partition_reads > 0
-        assert not [name for name in names if name.startswith("storage.")]
+            assert manager.partitions_with_missing_cells("a1", tids)
+        spans = collector.spans()
+        assert {span.name for span in spans} <= _REQUEST_SPANS
+        assert len(spans) <= _MAX_SPANS < stats.n_partition_reads
+        phases = [span for span in spans if span.name in _PHASES]
+        for field in ("n_partition_reads", "n_pool_hits", "bytes_read"):
+            assert sum(span.attrs[field] for span in phases) == getattr(
+                stats, field
+            )
+        n_pool_hits += stats.n_pool_hits
+    assert n_pool_hits > 0
