@@ -14,8 +14,8 @@ def test_fig09_join(benchmark):
     rows = {r["strategy"]: r for r in result.rows}
     for row in result.rows:
         # The DAG join must reproduce the denormalized single-table totals
-        # exactly (each lineitem joins exactly one order).
-        assert row["denorm_max_abs_err"] < 1e-6, row
+        # bit for bit (each lineitem joins exactly one order).
+        assert row["denorm_max_abs_err"] == 0.0, row
         assert row["denorm_count_mismatches"] == 0, row
         assert row["groups"] == 3, row
     # The post-filter baseline cannot prune on the pushed order-key range.

@@ -32,17 +32,18 @@ class IOStats:
     bytes_written: int = 0
 
     def add(self, other: "IOStats") -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
+        for name in _FIELD_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def diff(self, earlier: "IOStats") -> "IOStats":
         """Counters accumulated since a snapshot ``earlier``."""
         return IOStats(
-            **{
-                spec.name: getattr(self, spec.name) - getattr(earlier, spec.name)
-                for spec in fields(self)
-            }
+            *[getattr(self, name) - getattr(earlier, name) for name in _FIELD_NAMES]
         )
 
     def copy(self) -> "IOStats":
-        return IOStats(**{spec.name: getattr(self, spec.name) for spec in fields(self)})
+        return IOStats(*[getattr(self, name) for name in _FIELD_NAMES])
+
+
+#: the counters in declaration order, looked up once instead of per merge.
+_FIELD_NAMES = tuple(spec.name for spec in fields(IOStats))
