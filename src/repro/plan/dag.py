@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from math import prod
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -54,6 +55,9 @@ from .result import ResultSet
 from .stats import CpuModel, ExecutionStats
 
 __all__ = ["Catalog", "DagExecutor", "RelationalResult", "explain_relational"]
+
+#: The join shapes ``DagExecutor(force_strategy=...)`` may pin.
+FORCED_STRATEGIES = ("partition-wise", "broadcast", "naive")
 
 
 class Catalog:
@@ -195,6 +199,11 @@ class DagExecutor:
         memory_model: Optional[MemoryModel] = None,
         force_strategy: Optional[str] = None,
     ):
+        if force_strategy not in (None, *FORCED_STRATEGIES):
+            raise ValueError(
+                f"unknown force_strategy {force_strategy!r}; choose from "
+                f"{', '.join(FORCED_STRATEGIES)} or None"
+            )
         self.catalog = catalog
         self.spill_budget_bytes = spill_budget_bytes
         self.cpu_model = cpu_model or CpuModel()
@@ -207,6 +216,8 @@ class DagExecutor:
     # ------------------------------------------------------------ public
 
     def plan(self, query: RelationalQuery) -> RelationalPlan:
+        """The logical DAG of ``query``: its shape's prepared plan (see
+        :func:`build_relational_plan`) bound to its literals."""
         return build_relational_plan(query, self.catalog.metas())
 
     def execute(
@@ -289,7 +300,7 @@ class DagExecutor:
                     domain = scan.meta.interval(k.column)
                     lo, hi = scan.pushed.get(k.column, (domain.lo, domain.hi))
                     widths.append(hi - lo + 1)
-                groups = min(rows, float(np.prod(widths)))
+                groups = min(rows, float(prod(widths)))
             # Each row the pre-group removes saves at least its probe and its
             # root hash insert; the pre-group costs mem(rows) inserts.
             cpu = self.cpu_model

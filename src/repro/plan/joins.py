@@ -24,13 +24,15 @@ budget:
 
 Each decision carries a human-readable reason that EXPLAIN ANALYZE renders
 per split.  Both sides are priced from pinned catalog views — the ones the
-DAG executor's leaf scans then read — never from the live catalog.
+DAG executor's leaf scans then read — never from the live catalog, each from
+the key zones and sizes memoised on the view's index, so a request visits
+only the partitions the pushed key range cannot refute.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.cost import IOModel, MemoryModel
@@ -40,10 +42,8 @@ from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 __all__ = [
     "JoinSplit",
     "JoinStrategy",
-    "SideProfile",
     "choose_join_strategy",
     "pinned",
-    "profile_side",
 ]
 
 
@@ -56,39 +56,6 @@ class TableBinding(Protocol):
     executor: Any
 
 
-@dataclass(slots=True)
-class SideProfile:
-    """One join side's zone-map view of the key column.
-
-    ``keyed`` holds ``(lo, hi, n_bytes, n_tuples_est)`` for partitions whose
-    zone map bounds the key and overlaps the pushed key range; ``unkeyed``
-    lists byte sizes of partitions the key range cannot refute (no key
-    cells, or no zone entry) — those are re-read by every split.
-    """
-
-    table: str
-    key: str
-    keyed: List[Tuple[float, float, int, float]] = field(default_factory=list)
-    unkeyed: List[int] = field(default_factory=list)
-    total_bytes: int = 0
-    n_tuples: int = 0
-
-    @property
-    def unkeyed_bytes(self) -> int:
-        return sum(self.unkeyed)
-
-
-def binding_prunes(binding: TableBinding) -> bool:
-    """Whether the bound engine's planner zone-prunes pushed predicates.
-
-    Per-split key bounds only narrow reads when the leaf engine prunes
-    refuted partitions; engines built with ``zone_maps=False`` (and the
-    threaded engine) re-read every relevant partition in every split, and
-    the chooser must price them that way.
-    """
-    return binding.executor.pruning
-
-
 @contextmanager
 def pinned(bindings: Sequence[TableBinding]) -> Iterator[List[CatalogSnapshot]]:
     """One pinned catalog view per binding, released together."""
@@ -96,43 +63,42 @@ def pinned(bindings: Sequence[TableBinding]) -> Iterator[List[CatalogSnapshot]]:
         yield [stack.enter_context(b.manager.pin_snapshot()) for b in bindings]
 
 
-def profile_side(
-    binding: TableBinding,
-    view: CatalogSnapshot,
-    key: str,
-    key_range: Tuple[float, float],
-    columns: Sequence[str],
-) -> SideProfile:
-    """Scan the pinned ``view`` once and bucket partitions by key-zone
-    knowledge."""
-    meta = binding.table
-    profile = SideProfile(table=meta.name, key=key, n_tuples=meta.n_tuples)
-    lo, hi = key_range
-    needed = set(columns) | {key}
-    tuple_bytes = max(1, meta.schema.row_width())
-    prunes = binding_prunes(binding)
-    for pid in sorted(view.pids):
-        info = view.info(pid)
-        if not (set(info.attributes) & needed):
-            continue  # irrelevant to this scan under projection pushdown
-        profile.total_bytes += info.n_bytes
-        zone = info.zone_map.get(key) if key in info.attributes else None
-        if zone is None:
-            profile.unkeyed.append(info.n_bytes)
-            continue
-        zlo, zhi = zone
-        if prunes and (zhi < lo or zlo > hi):
-            continue  # zone-pruned by the pushed key range in every shape
-        rows_est = info.n_bytes / tuple_bytes
-        if prunes:
-            profile.keyed.append((zlo, zhi, info.n_bytes, rows_est))
-        else:
-            # The engine will read this partition regardless of the pushed
-            # key bound — cost-wise it behaves like an unkeyed partition,
-            # though its zone still contributes to split derivation.
-            profile.keyed.append((zlo, zhi, 0, rows_est))
-            profile.unkeyed.append(info.n_bytes)
-    return profile
+#: One join side as priced: ``(lo, hi, n_bytes, rows_est, io_s)`` per keyed
+#: partition the pushed key range meets, in pid order; then the bytes and
+#: per-partition I/O seconds of those every split re-reads.
+_Entry = Tuple[float, float, int, float, float]
+_Side = Tuple[List[_Entry], int, List[float]]
+
+
+def _side(binding: TableBinding, view: CatalogSnapshot, key: str,
+          key_range: Tuple[float, float], columns: Sequence[str]) -> _Side:
+    """One side, from the pinned ``view``'s memoised key zones
+    (:meth:`CatalogIndex.key_zones`) of the partitions projection pushdown
+    keeps: the ones the pushed key range cannot refute."""
+    keyed, unkeyed, sizes = view.index.key_zones(key, frozenset((key, *columns)))
+    io = binding.manager.device.profile.io_model.io_time
+    width = max(1, binding.table.schema.row_width())
+    # Per-split key bounds only narrow reads when the leaf engine prunes
+    # refuted partitions (``zone_maps=False`` and the threaded engine do not).
+    if binding.executor.pruning:
+        klo, khi = key_range
+        kept = [(lo, hi, n, n / width, io(n)) for lo, hi, n in keyed if not (hi < klo or lo > khi)]
+    else:
+        # Every partition is read whatever the key bound: each costs as an
+        # unkeyed one, though its zone still shapes the splits.
+        kept, unkeyed = [(lo, hi, 0, n / width, 0.0) for lo, hi, n in keyed], sizes
+    return kept, sum(unkeyed), [io(n) for n in unkeyed]
+
+
+def _price(side: _Side, keyed: List[_Entry]) -> Tuple[int, float, float]:
+    """``(bytes, rows, io seconds)`` of reading the ``keyed`` partitions and
+    every unkeyed one of ``side``: keyed first, each a left-to-right sum."""
+    _kept, unkeyed_bytes, unkeyed_io = side
+    return (
+        sum([entry[2] for entry in keyed]) + unkeyed_bytes,
+        sum([entry[3] for entry in keyed]),
+        sum([entry[4] for entry in keyed] + unkeyed_io),
+    )
 
 
 @dataclass(slots=True)
@@ -234,40 +200,33 @@ def choose_join_strategy(
     io_left = left.manager.device.profile.io_model
     io_right = right.manager.device.profile.io_model
 
-    with ExitStack() as stack:
-        if views is None:  # a plan-only caller: price the current versions
-            views = stack.enter_context(pinned((left, right)))
-        lp = profile_side(left, views[0], left_key, key_range, left_columns)
-        rp = profile_side(right, views[1], right_key, key_range, right_columns)
+    if views is None:  # a plan-only caller: price the current versions
+        with pinned((left, right)) as views:
+            return choose_join_strategy(
+                left, right, left_key, right_key, key_range, left_columns,
+                right_columns, spill_budget_bytes, memory_model, force, views,
+            )
+    lp = _side(left, views[0], left_key, key_range, left_columns)
+    rp = _side(right, views[1], right_key, key_range, right_columns)
 
     # ---- broadcast pricing: one scan each, build the smaller side -------
     # The engines read partition-at-a-time, so a scan is one I/O request
     # per non-pruned partition (per-request ``beta`` included) — the same
     # accounting :func:`~repro.core.cost.estimate_access_io` uses.
-    def scan_io(io_model: IOModel, sizes: Sequence[int]) -> float:
-        return sum(io_model.io_time(size) for size in sizes)
-
-    left_sizes = [b for _, _, b, _ in lp.keyed] + lp.unkeyed
-    right_sizes = [b for _, _, b, _ in rp.keyed] + rp.unkeyed
-    left_in_bytes = sum(left_sizes)
-    right_in_bytes = sum(right_sizes)
-    left_rows = sum(r for _, _, _, r in lp.keyed)
-    right_rows = sum(r for _, _, _, r in rp.keyed)
+    left_total = left_in_bytes, left_rows, left_io = _price(lp, lp[0])
+    right_total = right_in_bytes, right_rows, right_io = _price(rp, rp[0])
     build_side = "left" if left_in_bytes <= right_in_bytes else "right"
     build_bytes = left_in_bytes if build_side == "left" else right_in_bytes
     build_rows = left_rows if build_side == "left" else right_rows
     build_io = io_left if build_side == "left" else io_right
     broadcast_cost = (
-        scan_io(io_left, left_sizes)
-        + scan_io(io_right, right_sizes)
+        left_io + right_io
         + memory.mem(build_rows)
         + _spill_penalty(build_io, build_bytes, spill_budget_bytes)
     )
 
     # ---- split derivation ----------------------------------------------
-    all_zones = [(lo_, hi_) for lo_, hi_, _, _ in lp.keyed]
-    all_zones += [(lo_, hi_) for lo_, hi_, _, _ in rp.keyed]
-    components = _merge_components(all_zones)
+    components = _merge_components([entry[:2] for entry in lp[0] + rp[0]])
     components = [
         (max(lo_, key_range[0]), min(hi_, key_range[1]))
         for lo_, hi_ in components
@@ -277,20 +236,12 @@ def choose_join_strategy(
     splits: List[JoinSplit] = []
     pw_cost = 0.0
     for lo_, hi_ in components:
-        split_range = (lo_, hi_)
-        lsizes = [
-            b for zlo, zhi, b, _ in lp.keyed if _overlap((zlo, zhi), split_range)
-        ] + lp.unkeyed
-        rsizes = [
-            b for zlo, zhi, b, _ in rp.keyed if _overlap((zlo, zhi), split_range)
-        ] + rp.unkeyed
-        lbytes, rbytes = sum(lsizes), sum(rsizes)
-        lrows = sum(
-            r for zlo, zhi, _, r in lp.keyed if _overlap((zlo, zhi), split_range)
-        )
-        rrows = sum(
-            r for zlo, zhi, _, r in rp.keyed if _overlap((zlo, zhi), split_range)
-        )
+        # A split meeting every keyed partition of a side costs what a
+        # broadcast scan of it does.
+        lin = [entry for entry in lp[0] if entry[0] <= hi_ and lo_ <= entry[1]]
+        rin = [entry for entry in rp[0] if entry[0] <= hi_ and lo_ <= entry[1]]
+        lbytes, lrows, lio = left_total if len(lin) == len(lp[0]) else _price(lp, lin)
+        rbytes, rrows, rio = right_total if len(rin) == len(rp[0]) else _price(rp, rin)
         if lbytes <= rbytes:
             split_build, sb_bytes, sb_rows, sb_io = "left", lbytes, lrows, io_left
         else:
@@ -312,8 +263,7 @@ def choose_join_strategy(
             )
         )
         pw_cost += (
-            scan_io(io_left, lsizes)
-            + scan_io(io_right, rsizes)
+            lio + rio
             + memory.mem(sb_rows)
             + _spill_penalty(sb_io, sb_bytes, spill_budget_bytes)
         )
@@ -321,9 +271,6 @@ def choose_join_strategy(
     # ---- decide ---------------------------------------------------------
     if force is not None:
         kind = force
-        if force == "partition-wise" and len(splits) < 2:
-            # A single split degenerates to broadcast; keep it honest.
-            kind = "partition-wise"
         reason = f"forced {force}"
     elif not splits:
         kind = "broadcast"

@@ -301,7 +301,7 @@ class QueryPlanner:
             # No WHERE clause: every tuple qualifies without reading a
             # single predicate cell; the plan is projection-only.
             pred_pids = ()
-        proj_pids = view.index.pids_for_attributes(logical.projected)
+        proj_pids = view.index.pids_for_attributes(logical.projected_attributes)
         visits_once = bool(pred_pids) and view.index.visits_once(
             logical.predicate_attributes
         )

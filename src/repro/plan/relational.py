@@ -18,6 +18,8 @@ pipeline underneath it:
   class is intersected into every member, so both sides of a join prune with
   the tightest bounds either side knows), a left-deep chain of
   :class:`JoinNode`, and an optional :class:`GroupAggNode` root.
+* :class:`PreparedPlan` — the plan's literal-free half, prepared once per
+  query shape and table metas; binding a query's WHERE bounds builds it.
 
 Each scan node compiles to an ordinary single-table
 :class:`~repro.core.query.Query`, so the whole existing stack — zone/sketch
@@ -35,6 +37,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..core.query import Query
+from ..core.ranges import Interval
 from ..core.schema import TableMeta
 from ..errors import InvalidQueryError
 
@@ -46,6 +49,7 @@ __all__ = [
     "GroupAggNode",
     "JoinCondition",
     "JoinNode",
+    "PreparedPlan",
     "RelationalPlan",
     "RelationalQuery",
     "ScanNode",
@@ -131,6 +135,8 @@ class RelationalQuery:
     select: Tuple[SelectItem, ...]
     group_by: Tuple[ColumnRef, ...] = ()
     label: str = ""
+    #: the shape's :class:`PreparedPlan`, attached by the SQL statement memo.
+    prepared: Optional["PreparedPlan"] = field(default=None, compare=False, repr=False)
 
     @property
     def aggregates(self) -> Tuple[AggSpec, ...]:
@@ -180,7 +186,8 @@ class ScanNode:
 
         ``extra`` intersects additional bounds in (the physical layer's
         per-split key ranges).  Returns None when the intersected box is
-        empty — the caller skips the read entirely.
+        empty — the caller skips the read entirely.  Bind validated the
+        columns and clipped the bounds, so nothing is checked again here.
         """
         where: Dict[str, Tuple[float, float]] = dict(self.pushed)
         if extra:
@@ -193,8 +200,8 @@ class ScanNode:
                 if hi < lo:
                     return None
                 where[name] = (lo, hi)
-        return Query.build(self.meta, list(self.columns), where,
-                           label=label or f"scan:{self.table}")
+        intervals = {name: Interval(float(lo), float(hi)) for name, (lo, hi) in where.items()}
+        return Query(self.columns, intervals, self.meta, label or f"scan:{self.table}")
 
 
 @dataclass(slots=True)
@@ -211,12 +218,6 @@ class JoinNode:
     right: ScanNode
     left_key: ColumnRef
     right_key: ColumnRef
-
-    def scans(self) -> List[ScanNode]:
-        left = (
-            self.left.scans() if isinstance(self.left, JoinNode) else [self.left]
-        )
-        return left + [self.right]
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,9 +331,7 @@ _EXACT_FLOAT_INT = 2.0 ** 53
 
 
 def place_aggregate(
-    query: RelationalQuery,
-    metas: Mapping[str, TableMeta],
-    child: Union[JoinNode, ScanNode],
+    query: RelationalQuery, metas: Mapping[str, TableMeta]
 ) -> AggPlacement:
     """The one applicability rule for reordering an aggregate's input.
 
@@ -359,12 +358,9 @@ def place_aggregate(
                 f"({rows} rows x |{peak:g}|)"
             )
     sides: Tuple[str, ...] = ()
-    if isinstance(child, JoinNode) and isinstance(child.left, ScanNode):
+    if len(query.tables) == 2:  # one scan ⋈ scan join
         inputs = {s.column.table for s in query.aggregates if s.column is not None}
-        sides = tuple(
-            scan.table for scan in (child.left, child.right)
-            if inputs <= {scan.table}
-        )
+        sides = tuple(table for table in query.tables if inputs <= {table})
     return AggPlacement(partial_sides=sides)
 
 
@@ -374,206 +370,235 @@ def build_relational_plan(
     """Build the logical DAG: validate, push down, propagate, chain joins.
 
     ``metas`` maps table name -> :class:`TableMeta` (the catalog's logical
-    side; no storage needed at this layer).
+    side; no storage needed at this layer): the query's
+    :class:`PreparedPlan` if it fits them, else a fresh one, bound.
     """
-    if not query.tables:
-        raise InvalidQueryError("a relational query must name at least one table")
-    if len(set(query.tables)) != len(query.tables):
-        raise InvalidQueryError(
-            "self-joins are not supported: each table may appear once in FROM"
-        )
-    for name in query.tables:
-        if name not in metas:
-            raise InvalidQueryError(f"unknown table {name!r} in FROM")
-    if len(query.joins) != len(query.tables) - 1:
-        raise InvalidQueryError(
-            f"{len(query.tables)} tables need {len(query.tables) - 1} "
-            f"JOIN ... ON conditions, got {len(query.joins)}"
-        )
+    prepared = query.prepared
+    if prepared is None or not prepared.fits(query, metas):
+        prepared = PreparedPlan(query, metas)
+    return prepared.bind(query)
 
-    # --- validate references -------------------------------------------
-    for condition in query.joins:
-        _validate_ref(condition.left, metas, "JOIN condition")
-        _validate_ref(condition.right, metas, "JOIN condition")
-    for ref in query.where:
-        _validate_ref(ref, metas, "WHERE predicate")
-    for item in query.select:
-        if isinstance(item, ColumnRef):
-            _validate_ref(item, metas, "select list")
-        elif item.column is not None:
-            _validate_ref(item.column, metas, "aggregate")
-    for ref in query.group_by:
-        _validate_ref(ref, metas, "GROUP BY")
 
-    # --- aggregate shape rules -----------------------------------------
-    if query.aggregates and not query.group_by:
-        if query.plain_columns:
+class PreparedPlan:
+    """The literal-free half of a relational plan, for one query shape (the
+    query less its WHERE values) and the :class:`TableMeta` of its tables:
+    validation, join chain, join-key classes, scan columns, aggregate
+    placement and output names.  :meth:`bind` builds fresh nodes for one
+    query's WHERE bounds (a :class:`ScanNode` is mutable, so never shared).
+    """
+
+    __slots__ = ("shape", "metas", "bound", "classes", "scans", "chain", "aggregate", "output")
+
+    def __init__(self, query: RelationalQuery, metas: Mapping[str, TableMeta]):
+        if not query.tables:
+            raise InvalidQueryError("a relational query must name at least one table")
+        if len(set(query.tables)) != len(query.tables):
             raise InvalidQueryError(
-                "plain columns and aggregates mix only under GROUP BY: "
-                "add GROUP BY "
-                + ", ".join(c.qualified for c in query.plain_columns)
+                "self-joins are not supported: each table may appear once in FROM"
             )
-    if query.group_by:
-        keys = set(query.group_by)
-        for column in query.plain_columns:
-            if column not in keys:
+        for name in query.tables:
+            if name not in metas:
+                raise InvalidQueryError(f"unknown table {name!r} in FROM")
+        if len(query.joins) != len(query.tables) - 1:
+            raise InvalidQueryError(
+                f"{len(query.tables)} tables need {len(query.tables) - 1} "
+                f"JOIN ... ON conditions, got {len(query.joins)}"
+            )
+
+        # --- validate references ---------------------------------------
+        for condition in query.joins:
+            _validate_ref(condition.left, metas, "JOIN condition")
+            _validate_ref(condition.right, metas, "JOIN condition")
+        for ref in query.where:
+            _validate_ref(ref, metas, "WHERE predicate")
+        for item in query.select:
+            if isinstance(item, ColumnRef):
+                _validate_ref(item, metas, "select list")
+            elif item.column is not None:
+                _validate_ref(item.column, metas, "aggregate")
+        for ref in query.group_by:
+            _validate_ref(ref, metas, "GROUP BY")
+
+        # --- aggregate shape rules -------------------------------------
+        if query.aggregates and not query.group_by:
+            if query.plain_columns:
                 raise InvalidQueryError(
-                    f"column {column.qualified!r} must appear in GROUP BY "
-                    "or inside an aggregate"
+                    "plain columns and aggregates mix only under GROUP BY: "
+                    "add GROUP BY "
+                    + ", ".join(c.qualified for c in query.plain_columns)
                 )
-        if not query.aggregates:
-            raise InvalidQueryError(
-                "GROUP BY without aggregates is not supported: add an "
-                "aggregate (e.g. count(*)) to the select list"
-            )
-
-    # --- join connectivity: left-deep over the FROM order ---------------
-    joined = {query.tables[0]}
-    chain: List[JoinCondition] = []
-    pending = list(query.joins)
-    for next_table in query.tables[1:]:
-        found = None
-        for condition in pending:
-            left, right = condition.left, condition.right
-            if right.table == next_table and left.table in joined:
-                found = condition
-            elif left.table == next_table and right.table in joined:
-                found = JoinCondition(left=right, right=left)
-            if found is not None:
-                pending.remove(condition)
-                break
-        if found is None:
-            raise InvalidQueryError(
-                f"table {next_table!r} is not connected to the preceding "
-                "tables by any JOIN ... ON condition"
-            )
-        joined.add(next_table)
-        chain.append(found)
-
-    # --- predicate pushdown + join-key equivalence propagation ----------
-    equiv = _EquivClasses()
-    for condition in chain:
-        equiv.union(condition.left, condition.right)
-    bounds: Dict[ColumnRef, Tuple[float, float]] = {}
-    for ref, (lo, hi) in query.where.items():
-        lo, hi = float(lo), float(hi)
-        if hi < lo:
-            raise InvalidQueryError(
-                f"predicate bounds on {ref.qualified!r} are inverted"
-            )
-        bounds[ref] = (lo, hi)
-    notes: List[str] = []
-    propagated: Dict[ColumnRef, str] = {}
-    for _root, members in equiv.classes().items():
-        # Intersect every member's predicate *and* table range: a join key
-        # can only match inside the intersection of both tables' domains.
-        lo, hi = float("-inf"), float("inf")
-        origin: List[str] = []
-        for member in members:
-            interval = metas[member.table].interval(member.column)
-            lo, hi = max(lo, interval.lo), min(hi, interval.hi)
-            member_bounds = bounds.get(member)
-            if member_bounds is not None:
-                lo, hi = max(lo, member_bounds[0]), min(hi, member_bounds[1])
-                origin.append(member.qualified)
-        for member in members:
-            had = bounds.get(member)
-            if had is None or (lo, hi) != had:
-                source = (
-                    " ∩ ".join(origin) if origin else "join-key domain overlap"
+        if query.group_by:
+            keys = set(query.group_by)
+            for column in query.plain_columns:
+                if column not in keys:
+                    raise InvalidQueryError(
+                        f"column {column.qualified!r} must appear in GROUP BY "
+                        "or inside an aggregate"
+                    )
+            if not query.aggregates:
+                raise InvalidQueryError(
+                    "GROUP BY without aggregates is not supported: add an "
+                    "aggregate (e.g. count(*)) to the select list"
                 )
-                propagated[member] = source
-                notes.append(
-                    f"propagated [{lo:g}, {hi:g}] to {member.qualified} "
-                    f"(from {source})"
+
+        # --- join connectivity: left-deep over the FROM order -----------
+        joined = {query.tables[0]}
+        chain: List[JoinCondition] = []
+        pending = list(query.joins)
+        for next_table in query.tables[1:]:
+            found = None
+            for condition in pending:
+                left, right = condition.left, condition.right
+                if right.table == next_table and left.table in joined:
+                    found = condition
+                elif left.table == next_table and right.table in joined:
+                    found = JoinCondition(left=right, right=left)
+                if found is not None:
+                    pending.remove(condition)
+                    break
+            if found is None:
+                raise InvalidQueryError(
+                    f"table {next_table!r} is not connected to the preceding "
+                    "tables by any JOIN ... ON condition"
                 )
-            bounds[member] = (lo, hi)
+            joined.add(next_table)
+            chain.append(found)
 
-    # --- per-scan column sets ------------------------------------------
-    needed: Dict[str, List[str]] = {name: [] for name in query.tables}
+        # --- bound columns by position: WHERE's, then the join-key classes' -
+        equiv = _EquivClasses()
+        for condition in chain:
+            equiv.union(condition.left, condition.right)
+        classes = list(equiv.classes().values())
+        self.bound = tuple(dict.fromkeys([*query.where, *(m for c in classes for m in c)]))
+        position = {ref: i for i, ref in enumerate(self.bound)}
 
-    def need(ref: ColumnRef) -> None:
-        if ref.column not in needed[ref.table]:
-            needed[ref.table].append(ref.column)
+        def domain(ref: ColumnRef) -> Tuple[int, float, float, ColumnRef]:
+            interval = metas[ref.table].interval(ref.column)
+            return position[ref], interval.lo, interval.hi, ref
 
-    for condition in chain:
-        need(condition.left)
-        need(condition.right)
-    for item in query.select:
-        if isinstance(item, ColumnRef):
-            need(item)
-        elif item.column is not None:
-            need(item.column)
-    for ref in query.group_by:
-        need(ref)
-    for name in query.tables:
-        if not needed[name]:
-            # A table must project at least one column for the engines; use
-            # the first schema attribute (count(*) over a single table).
-            needed[name].append(metas[name].schema.attribute_names[0])
+        # Each class with the source its notes name: its members WHERE bounds.
+        self.classes = [
+            ([domain(member) for member in members], " ∩ ".join(
+                member.qualified for member in members if member in query.where
+            ) or "join-key domain overlap")
+            for members in classes
+        ]
 
-    scans: Dict[str, ScanNode] = {}
-    for name in query.tables:
-        meta = metas[name]
-        pushed: Dict[str, Tuple[float, float]] = {}
-        prop: Dict[str, str] = {}
-        empty = False
-        for ref, (lo, hi) in bounds.items():
-            if ref.table != name:
-                continue
-            interval = meta.interval(ref.column)
-            clo, chi = max(lo, interval.lo), min(hi, interval.hi)
-            if chi < clo:
-                empty = True
-                notes.append(
-                    f"scan of {name} is provably empty: bounds on "
-                    f"{ref.column!r} are contradictory after propagation"
-                )
-                continue
-            pushed[ref.column] = (clo, chi)
-            if ref in propagated:
-                prop[ref.column] = propagated[ref]
-        scans[name] = ScanNode(
-            table=name,
-            meta=meta,
-            columns=tuple(needed[name]),
-            pushed=pushed,
-            propagated=prop,
-            empty=empty,
+        # --- per-scan column sets --------------------------------------
+        needed: Dict[str, List[str]] = {name: [] for name in query.tables}
+
+        def need(ref: ColumnRef) -> None:
+            if ref.column not in needed[ref.table]:
+                needed[ref.table].append(ref.column)
+
+        for condition in chain:
+            need(condition.left)
+            need(condition.right)
+        for item in query.select:
+            if isinstance(item, ColumnRef):
+                need(item)
+            elif item.column is not None:
+                need(item.column)
+        for ref in query.group_by:
+            need(ref)
+        for name in query.tables:
+            if not needed[name]:
+                # A table must project at least one column for the engines;
+                # use the first schema attribute (count(*) over one table).
+                needed[name].append(metas[name].schema.attribute_names[0])
+
+        self.shape = _shape(query)
+        self.metas = tuple((name, metas[name]) for name in query.tables)
+        self.scans = [
+            (name, metas[name], tuple(needed[name]),
+             [domain(ref) for ref in self.bound if ref.table == name])
+            for name in query.tables
+        ]
+        self.chain = tuple(chain)
+        self.aggregate = (
+            (tuple(query.group_by), query.aggregates, place_aggregate(query, metas))
+            if query.is_aggregating else None
         )
-    # An empty scan empties every inner join it participates in.
-    if any(scan.empty for scan in scans.values()) and len(query.tables) > 1:
-        for scan in scans.values():
-            scan.empty = True
-
-    # --- assemble the DAG ----------------------------------------------
-    node: Union[JoinNode, ScanNode] = scans[query.tables[0]]
-    for condition in chain:
-        node = JoinNode(
-            left=node,
-            right=scans[condition.right.table],
-            left_key=condition.left,
-            right_key=condition.right,
-        )
-    root: Union[GroupAggNode, JoinNode, ScanNode] = node
-    if query.is_aggregating:
-        root = GroupAggNode(
-            child=node,
-            keys=tuple(query.group_by),
-            aggs=query.aggregates,
-            placement=place_aggregate(query, metas, node),
+        self.output = tuple(
+            item.qualified if isinstance(item, ColumnRef) else item.name
+            for item in query.select
         )
 
-    output: List[str] = []
-    for item in query.select:
-        output.append(item.qualified if isinstance(item, ColumnRef) else item.name)
-    return RelationalPlan(
-        query=query,
-        root=root,
-        scans=scans,
-        output=tuple(output),
-        notes=tuple(notes),
-    )
+    def fits(self, query: RelationalQuery, metas: Mapping[str, TableMeta]) -> bool:
+        """Whether ``query`` has this shape and ``metas`` are the ones it fits."""
+        return _shape(query) == self.shape and all(
+            metas.get(name) is meta for name, meta in self.metas
+        )
+
+    def bind(self, query: RelationalQuery) -> RelationalPlan:
+        """The plan of ``query`` (of this shape): its WHERE ranges pushed
+        down and propagated through the join-key classes."""
+        # Every bound column's (lo, hi) and propagation source, by position.
+        bounds: Dict[int, Tuple[float, float]] = {}
+        sources: Dict[int, str] = {}
+        for i, (lo, hi) in enumerate(query.where.values()):
+            lo, hi = float(lo), float(hi)
+            if hi < lo:
+                raise InvalidQueryError(
+                    f"predicate bounds on {self.bound[i].qualified!r} are inverted"
+                )
+            bounds[i] = (lo, hi)
+        notes: List[str] = []
+        for members, source in self.classes:
+            # Intersect every member's predicate *and* table range: a join
+            # key can only match inside the intersection of both domains.
+            lo, hi = float("-inf"), float("inf")
+            for i, domain_lo, domain_hi, _ref in members:
+                lo, hi = max(lo, domain_lo), min(hi, domain_hi)
+                member_bounds = bounds.get(i)
+                if member_bounds is not None:
+                    lo, hi = max(lo, member_bounds[0]), min(hi, member_bounds[1])
+            for i, _lo, _hi, member in members:
+                had = bounds.get(i)
+                if had is None or (lo, hi) != had:
+                    sources[i] = source
+                    notes.append(
+                        f"propagated [{lo:g}, {hi:g}] to {member.qualified} "
+                        f"(from {source})"
+                    )
+                bounds[i] = (lo, hi)
+
+        scans: Dict[str, ScanNode] = {}
+        for name, meta, columns, refs in self.scans:
+            pushed: Dict[str, Tuple[float, float]] = {}
+            prop: Dict[str, str] = {}
+            empty = False
+            for i, domain_lo, domain_hi, ref in refs:
+                lo, hi = bounds[i]
+                lo, hi = max(lo, domain_lo), min(hi, domain_hi)
+                if hi < lo:
+                    empty = True
+                    notes.append(
+                        f"scan of {name} is provably empty: bounds on "
+                        f"{ref.column!r} are contradictory after propagation"
+                    )
+                    continue
+                pushed[ref.column] = (lo, hi)
+                if i in sources:
+                    prop[ref.column] = sources[i]
+            scans[name] = ScanNode(name, meta, columns, pushed, prop, empty)
+        # An empty scan empties every inner join it participates in.
+        if len(scans) > 1 and any(scan.empty for scan in scans.values()):
+            for scan in scans.values():
+                scan.empty = True
+
+        node: Union[JoinNode, ScanNode] = scans[self.metas[0][0]]
+        for condition in self.chain:
+            node = JoinNode(node, scans[condition.right.table], condition.left, condition.right)
+        root: Union[GroupAggNode, JoinNode, ScanNode] = node
+        if self.aggregate is not None:
+            root = GroupAggNode(node, *self.aggregate)
+        return RelationalPlan(query, root, scans, self.output, tuple(notes))
+
+
+def _shape(query: RelationalQuery) -> tuple:
+    """A query less its WHERE values: what a :class:`PreparedPlan` holds."""
+    return (query.tables, query.joins, query.select, query.group_by, tuple(query.where))
 
 
 def single_table_query(

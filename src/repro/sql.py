@@ -35,9 +35,10 @@ outside the grammar — OR, arithmetic, subqueries, outer joins — raises
 nearest supported syntax.
 
 Parsing is paid per statement shape: the text less its number literals (and
-each table's name and schema) keys a template one full parse builds; a
-repeat binds its literals by the parser's rules, and what a bind cannot take
-runs the full parse, so every error is the full parse's.
+each table's name and schema; for a relational statement, each table's meta)
+keys a template one full parse builds, a relational one with its prepared
+plan skeleton; a repeat binds its literals by the parser's rules, and what a
+bind cannot take runs the full parse, so every error is the full parse's.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .plan.relational import (
     AggSpec,
     ColumnRef,
     JoinCondition,
+    PreparedPlan,
     RelationalQuery,
 )
 
@@ -663,6 +665,10 @@ def _parse_relational(metas: Mapping[str, TableMeta], sql: str):
             "reads one table — parse it with parse_statement() and run "
             "TransactionalTable.execute(query, as_of=version)"
         )
+    try:  # the shape's plan skeleton, bound to by every repeat of it
+        query = replace(query, prepared=PreparedPlan(query, metas))
+    except InvalidQueryError:
+        pass  # planning raises it again, for this statement
     return Statement(query=query, explain=explain, analyze=analyze), parser
 
 
@@ -679,30 +685,34 @@ def parse_relational_query(
     return statement.query
 
 
-# ---------------------------------------------------------------- templates
+# --------------------------------------------------------------- statements
 
 #: A number literal as the tokenizer reads one: no name or dot runs into it.
 _LITERAL = re.compile(rf"(?<![\w.])({_NUMBER})")
 
-#: Templates kept, oldest dropped first; a fixed bound, not an option.
-_TEMPLATE_LIMIT = 256
+#: Statement shapes kept, oldest dropped first; a fixed bound, not an option.
+_STATEMENT_LIMIT = 256
 
 #: ``(entry, text between literals, (table, schema) pairs)`` -> the shape's
-#: ``(first statement, predicates)``, or None for a shape only
-#: the full parse answers.  Shared by both entries; written under the lock.
-_templates: Dict[tuple, Optional[tuple]] = {}
-_templates_lock = threading.Lock()
+#: ``(first statement, predicates)``, or None for a shape only the full
+#: parse answers.  A relational key also holds each meta's identity, and the
+#: first statement's query carries the shape's prepared plan.  Shared by
+#: both entries; written under the lock.
+_statements: Dict[tuple, Optional[tuple]] = {}
+_statements_lock = threading.Lock()
 
 
 def _parse(full, metas: Mapping[str, TableMeta], sql: str) -> Statement:
     """Bind ``sql``'s literals into its shape's template by the parser's own
     rules against the current ``metas``; on a first-seen shape, or a bind
     that raises, run the ``full`` parse — so every error is the full
-    parse's — and template the shape it parsed."""
+    parse's — and keep the shape it parsed (a relational one prepared)."""
     parts = _LITERAL.split(sql)
     literals = parts[1::2]
-    key = (full, tuple(parts[::2]), tuple((n, m.schema) for n, m in metas.items()))
-    template = _templates.get(key)
+    key: tuple = (full, tuple(parts[::2]), tuple((n, m.schema) for n, m in metas.items()))
+    if full is _parse_relational:
+        key += tuple(map(id, metas.values()))
+    template = _statements.get(key)
     if template is not None:
         first, predicates = template
         try:
@@ -710,11 +720,13 @@ def _parse(full, metas: Mapping[str, TableMeta], sql: str) -> Statement:
             for ref, op, slots in predicates:
                 lo, hi = _bounds(metas[ref.table], ref, op, [float(literals[i]) for i in slots])
                 _conjoin(where, ref, lo, hi)
-            if isinstance(first.query, RelationalQuery):
-                query = replace(first.query, where=where)
+            shape = first.query
+            if isinstance(shape, RelationalQuery):
+                query = RelationalQuery(shape.tables, shape.joins, where, shape.select,
+                                        shape.group_by, shape.label, shape.prepared)
             else:
                 (table,) = metas.values()
-                query = Query.build(table, first.query.select, {
+                query = Query.build(table, shape.select, {
                     ref.column: bounds for ref, bounds in where.items()
                 }, label="sql")
             as_of = None if first.as_of is None else _version(literals[0])
@@ -722,12 +734,12 @@ def _parse(full, metas: Mapping[str, TableMeta], sql: str) -> Statement:
         except (InvalidQueryError, ValueError, ArithmeticError):
             pass  # the full parse raises this statement's own error
     statement, parser = full(metas, sql)
-    template = (statement, tuple(parser.predicates))
-    with _templates_lock:
-        if key not in _templates:
-            if len(_templates) >= _TEMPLATE_LIMIT:
-                del _templates[next(iter(_templates))]
+    with _statements_lock:
+        if key not in _statements:
+            if len(_statements) >= _STATEMENT_LIMIT:
+                del _statements[next(iter(_statements))]
             # Lifted literals that are not the parser's number tokens, one
             # for one, leave the shape to the full parse.
-            _templates[key] = template if parser.literals == literals else None
+            ok = parser.literals == literals
+            _statements[key] = (statement, tuple(parser.predicates)) if ok else None
     return statement

@@ -207,13 +207,16 @@ class CatalogIndex:
 
     Per attribute it also memoises the zones of ``attribute_pids`` as
     aligned ``(pids, lo, hi)`` arrays (:meth:`zones`), so a plan refutes a
-    predicate against every partition in two comparisons.
+    predicate against every partition in two comparisons; per attribute set
+    the pids storing one of them (:meth:`pids_for_attributes`); and per
+    join key and attribute set the zones and sizes a join is priced from
+    (:meth:`key_zones`).
 
     Immutable once published: an owner map is fully built before it becomes
     reachable, so concurrent probes need no lock.  An add-only commit (a
     write commit) derives its index from the predecessor's
-    (:meth:`with_added`), so what was built so far survives it: owner maps
-    and zone arrays are extended by the new partitions, and a
+    (:meth:`with_added`), so what was built so far survives it: owner maps,
+    zone arrays and pid lists are extended by the new partitions, and a
     :meth:`visits_once` verdict is carried by testing the new partitions
     alone.
     """
@@ -232,6 +235,8 @@ class CatalogIndex:
         self._by_placement: Dict[Tuple[Tuple[int, int], ...], _OwnerMap] = {}
         self._visits_once: Dict[frozenset, bool] = {}
         self._zones: Dict[str, Tuple[np.ndarray, ...]] = {}
+        self._pids_for: Dict[frozenset, Tuple[int, ...]] = {}
+        self._key_zones: Dict[Tuple[str, frozenset], tuple] = {}
         self._build_lock = threading.Lock()
 
     def info(self, pid: int) -> PartitionInfo:
@@ -246,11 +251,41 @@ class CatalogIndex:
         return self._infos.values()
 
     def pids_for_attributes(self, attributes: Iterable[str]) -> Tuple[int, ...]:
-        """Ascending pids storing a cell of any of ``attributes``."""
-        pids: set = set()
-        for attribute in attributes:
-            pids.update(self.attribute_pids.get(attribute, ()))
-        return tuple(sorted(pids))
+        """Ascending pids storing a cell of any of ``attributes``.  Memoised
+        per attribute set."""
+        key = attributes if isinstance(attributes, frozenset) else frozenset(attributes)
+        found = self._pids_for.get(key)
+        if found is None:
+            pids: set = set()
+            for attribute in key:
+                pids.update(self.attribute_pids.get(attribute, ()))
+            with self._build_lock:
+                found = self._pids_for.setdefault(key, tuple(sorted(pids)))
+        return found
+
+    def key_zones(self, key: str, attributes: frozenset) -> tuple:
+        """``(keyed, unkeyed, sizes)`` over the partitions storing one of
+        ``attributes`` (``key`` among them), each in ascending pid order:
+        ``(lo, hi, n_bytes)`` of those whose zone bounds ``key``, the sizes
+        of those whose zone does not (no bounds is :meth:`zones`' ``(-inf,
+        +inf)``), and every size — what a join side is priced from.
+        Memoised."""
+        zones = self._key_zones.get((key, attributes))
+        if zones is None:
+            pids, lo, hi = self.zones(key)
+            bounded = (lo != -np.inf) | (hi != np.inf)
+            keyed = dict(zip(pids[bounded].tolist(), zip(
+                lo[bounded].tolist(), hi[bounded].tolist()
+            )))
+            relevant = [self._infos[pid] for pid in self.pids_for_attributes(attributes)]
+            zones = (
+                [(*keyed[info.pid], info.n_bytes) for info in relevant if info.pid in keyed],
+                [info.n_bytes for info in relevant if info.pid not in keyed],
+                [info.n_bytes for info in relevant],
+            )
+            with self._build_lock:
+                zones = self._key_zones.setdefault((key, attributes), zones)
+        return zones
 
     def owner_bytes(self) -> int:
         """Bytes held by the owner arrays built so far (shared ones once)."""
@@ -371,7 +406,8 @@ class CatalogIndex:
         """The index of this partition set plus ``infos`` (pids above every
         pid of this set, so the order stays ascending): what a rebuild over
         both would hold, with every owner map and zone array built so far
-        extended by the new partitions instead of built again, and every
+        extended by the new partitions instead of built again, every
+        memoised pid list extended, and every
         memoised :meth:`visits_once` verdict carried — a False one stays
         False; a True one holds while the new partitions pass
         :func:`_reached_once` and each carried owner map keeps one layer
@@ -388,6 +424,7 @@ class CatalogIndex:
         with self._build_lock:
             built = dict(self._owners)
             zones = dict(self._zones)
+            pid_lists = dict(self._pids_for)
             verdicts = dict(self._visits_once)
         for attribute, owners in built.items():
             holders, placement = _holders(
@@ -407,6 +444,10 @@ class CatalogIndex:
             ])
             successor._zones[attribute] = tuple(
                 np.concatenate(pair) for pair in zip(old_zones, new_zones)
+            )
+        for attributes, pids in pid_lists.items():
+            successor._pids_for[attributes] = pids + tuple(
+                info.pid for info in fresh if not attributes.isdisjoint(info.attributes)
             )
         for attributes, verdict in verdicts.items():
             if verdict:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import AttributeSpec, Query, TableMeta, TableSchema
 from repro.errors import InvalidQueryError
+from repro.plan.dag import Catalog, DagExecutor
 from repro.plan.relational import (
     AggSpec,
     ColumnRef,
@@ -366,3 +367,17 @@ class TestSingleTableReduction:
             label="agg",
         )
         assert single_table_query(build_relational_plan(query, metas)) is None
+
+
+class TestForcedStrategy:
+    """``force_strategy`` names one of the join shapes or nothing: a typo is
+    refused instead of running the priced shape under a forced label."""
+
+    @pytest.mark.parametrize("force", ["partition_wise", "Broadcast", "hash", ""])
+    def test_an_unknown_strategy_is_refused(self, force):
+        with pytest.raises(ValueError, match="unknown force_strategy"):
+            DagExecutor(Catalog(), force_strategy=force)
+
+    @pytest.mark.parametrize("force", [None, "partition-wise", "broadcast", "naive"])
+    def test_each_known_strategy_is_accepted(self, force):
+        assert DagExecutor(Catalog(), force_strategy=force).force_strategy == force

@@ -65,7 +65,7 @@ def test_two_clients_bind_fresh_literals(serve_table, irregular_layout):
             statement = text.format(*literals) + blanks
             try:
                 parsed, error = outcome(lambda: sql.parse_statement(meta, statement))
-                peak[0] = max(peak[0], len(sql._templates))
+                peak[0] = max(peak[0], len(sql._statements))
                 full, full_error = outcome(
                     lambda: sql._parse_single({meta.name: meta}, statement)[0]
                 )
@@ -93,5 +93,5 @@ def test_two_clients_bind_fresh_literals(serve_table, irregular_layout):
     finally:
         sys.setswitchinterval(interval)
     assert not failures, failures[:3]
-    assert 0 < peak[0] <= sql._TEMPLATE_LIMIT
-    assert len(sql._templates) <= sql._TEMPLATE_LIMIT
+    assert 0 < peak[0] <= sql._STATEMENT_LIMIT
+    assert len(sql._statements) <= sql._STATEMENT_LIMIT

@@ -409,10 +409,10 @@ class TestTemplates:
     @pytest.mark.parametrize("literal", ["?", ".5", "3-5", "1.5.3"])
     def test_a_statement_that_fails_to_parse_is_not_kept(self, literal):
         sql.parse_statement(TEMPLATE_TABLE, "SELECT a2 FROM T WHERE a1 = 5")
-        before = dict(sql._templates)
+        before = dict(sql._statements)
         with pytest.raises(InvalidQueryError):
             sql.parse_statement(TEMPLATE_TABLE, f"SELECT a2 FROM T WHERE a1 = {literal}")
-        assert sql._templates == before
+        assert sql._statements == before
 
     def test_a_shape_the_tokenizer_reads_otherwise_is_left_to_the_full_parse(self):
         # The name token stops before an Arabic-Indic digit, which the
@@ -434,6 +434,6 @@ class TestTemplates:
         assert query.ranges["a1"].hi == 300
 
     def test_the_memo_is_bounded(self):
-        for value in range(sql._TEMPLATE_LIMIT + 20):
+        for value in range(sql._STATEMENT_LIMIT + 20):
             sql.parse_statement(TEMPLATE_TABLE, f"SELECT a2 FROM T WHERE a1 = 1{' ' * value}")
-        assert len(sql._templates) == sql._TEMPLATE_LIMIT
+        assert len(sql._statements) == sql._STATEMENT_LIMIT
