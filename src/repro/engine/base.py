@@ -181,7 +181,8 @@ class QueryEngine:
         raise NotImplementedError
 
     def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
-        """Phase 2: fill the selected tuples' projected cells."""
+        """Phase 2: fill the selected tuples' projected cells
+        (``fill_op.select`` is what phase 1 returned)."""
         raise NotImplementedError
 
 

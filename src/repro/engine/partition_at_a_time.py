@@ -7,29 +7,32 @@ partition is never read twice:
   attribute.  Each tuple carries a status (NOT_CHECKED / VALID / INVALID);
   tuples failing the locally evaluable predicates turn INVALID, passing ones
   turn VALID, and any of their projected cells stored in the current
-  partition are added to the result hash table immediately so the partition
-  need not be revisited.
+  partition count as added to the result hash table, so the partition need
+  not be revisited.
 * **Projection phase** — for VALID tuples, find the projected attributes
   still missing, locate the partitions holding them through the tuple-level
-  index — one probe per owner map, whose rows also address the fill — and
-  fill the gaps partition by partition.
+  index (one probe per owner map), read them and fill the gaps.
 
-The result hash table is held at its true size: the selection phase keeps
-one status byte per tuple plus |hits|-sized stashed chunks, and once it is
-final the projection phase writes into |result|-sized columns (see
-:mod:`repro.plan.operators`).  Hash-table insert/update events are counted
-in closed form from lengths and mask sums — as if the paper's
-tuple-at-a-time loop had run — and priced by the CPU model, matching the
-paper's ``mem()`` accounting.
+Reads stay per partition and in plan order, through the shared read
+pipeline, so every charge, pool hit, degraded substitute and visibility
+mask is what the paper's loop would meet.  Evaluation does not: Jigsaw's
+partitions share a handful of segment schemas, and the engine evaluates
+over the schema-group image (:mod:`repro.storage.image`) — under the
+visit-once verdict one predicate mask per schema group over the slots this
+query loaded, and in the projection one position gather per (group,
+attribute) into |result|-sized columns (see
+:class:`~repro.plan.operators.GroupSelectOp`).  Hash-table insert/update
+events are counted in closed form from slot lengths and hit counts — as if
+the tuple-at-a-time loop had run — and priced by the CPU model, matching
+the paper's ``mem()`` accounting.
 
-The driver owns exactly Algorithm 5: the stash-and-probe projection and the
-hash-table counter rule of its two phases.  Everything around them —
-construction, planning (:class:`~repro.plan.physical.QueryPlanner` under the
-partition pruning policy: Algorithm 5's status semantics require the
+The driver owns exactly Algorithm 5: the two phases and the hash-table
+counter rule.  Everything around them — construction, planning
+(:class:`~repro.plan.physical.QueryPlanner` under the partition pruning
+policy: Algorithm 5's status semantics require the
 all-stored-attributes-disjoint rule plus explicit tuple invalidation), the
 read pipeline, the completeness check, pricing and publishing — is the
-:class:`~repro.engine.base.QueryEngine` scaffold, and
-:mod:`repro.plan.operators` supplies the selection / fill / degrade loop.
+:class:`~repro.engine.base.QueryEngine` scaffold.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from ..plan.operators import (
     STATUS_NOT_CHECKED,
     STATUS_VALID,
     AccessLoop,
+    GroupSelectOp,
     ProjectFillOp,
-    SelectOp,
     stored_cells,
 )
 from ..plan.stats import CpuModel
@@ -78,12 +81,12 @@ class PartitionAtATimeExecutor(QueryEngine):
 
     # ------------------------------------------------------------ phase 1
 
-    def _select(self, run: QueryRun) -> SelectOp:
+    def _select(self, run: QueryRun) -> GroupSelectOp:
         plan, reader, degrade, stats = run
-        select_op = SelectOp(
+        select_op = GroupSelectOp(
             plan.logical.conjunction, plan.logical.projected,
             self.table.n_tuples, plan.snapshot.hidden, plan.visits_once,
-            plan.zone_refuted,
+            plan.zone_refuted, self.manager.buffer_pool, plan.snapshot.index,
         )
         if not plan.logical.conjunction:
             stats.hash_inserts += select_op.select_all()
@@ -91,21 +94,32 @@ class PartitionAtATimeExecutor(QueryEngine):
 
         def process(pid: int, partition) -> None:
             stats.cells_scanned += stored_cells(partition)
-            inserts, evictions, stashed = select_op.select(partition)
-            stats.hash_inserts += inserts
-            stats.hash_updates += evictions + stashed
+            select_op.add(pid, partition, selection=True)
+            if not select_op.hit_only:
+                inserts, evictions, stashed = select_op.select(partition)
+                stats.hash_inserts += inserts
+                stats.hash_updates += evictions + stashed
 
         # A pruned partition's verdict evicts hash-table rows as the read
         # would have.  (``+= run_selection(...)`` would read the counter
         # before ``process`` advances it.)
         evicted = run_selection(plan, reader, degrade, select_op, stats, process)
         stats.hash_updates += evicted
+        if select_op.hit_only:  # no order to keep: one mask per group
+            inserts, stashed = select_op.select_groups()
+            stats.hash_inserts += inserts
+            stats.hash_updates += stashed
         return select_op
 
     # ------------------------------------------------------------ phase 2
 
     def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
         plan, reader, degrade, stats = run
+        select_op = fill_op.select
+        assert isinstance(select_op, GroupSelectOp)
+        # Line 16: the evaluated selection slots supply their result
+        # tuples' cells (counted when they were selected).
+        select_op.fill(fill_op, select_op.evaluated)
         view = plan.snapshot
         missing_by_attr: Dict[str, np.ndarray] = {}
         groups: Dict[Any, List[str]] = {}  # owner map -> its missing attributes
@@ -116,8 +130,7 @@ class PartitionAtATimeExecutor(QueryEngine):
                 groups.setdefault(view.index.owners(name), []).append(name)
         groups.pop(None, None)  # stored primarily nowhere: no partition to read
         # One probe per owner map, over the union of its attributes' missing
-        # tids (a probe distributes over a union); the same map then names
-        # every owning pid's result rows.
+        # tids (a probe distributes over a union).
         proj_pids: Set[int] = set()
         for owners, names in groups.items():
             tids = missing_by_attr[names[0]]
@@ -125,8 +138,6 @@ class PartitionAtATimeExecutor(QueryEngine):
                 filled = np.logical_and.reduce([fill_op.filled[n] for n in names])
                 tids = fill_op.valid[~filled]
             proj_pids.update(view.partitions_with_missing_cells(names[0], tids))
-            if fill_op.owned is not None:
-                fill_op.owned.update(dict.fromkeys(names, owners.rows(fill_op.valid)))
         loop = AccessLoop(
             reader,
             degrade,
@@ -135,9 +146,12 @@ class PartitionAtATimeExecutor(QueryEngine):
             tids_by_attribute=missing_by_attr,
         )
         loop.pending.extend(sorted(proj_pids))
+        read: List[int] = []
 
         def process(pid: int, partition) -> None:
             stats.cells_scanned += stored_cells(partition)
-            stats.hash_updates += fill_op.fill(partition)
+            select_op.add(pid, partition, selection=False)
+            read.append(pid)
 
         loop.run(process)
+        stats.hash_updates += select_op.fill(fill_op, read)

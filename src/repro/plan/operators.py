@@ -16,40 +16,43 @@ re-implementing them:
   every phase runs: dedup, known-dead handling, skip hooks, load, degrade
   re-planning, process.
 * :class:`SelectOp` / :class:`ProjectFillOp` — the vectorized engine core,
-  one implementation under the partition-at-a-time and scan drivers, built
-  on **selection vectors and result-sized output**: the only
+  built on **selection vectors and result-sized output**: the only
   table-sized scratch is Algorithm 5's status vector (one byte per tuple);
-  a segment's passing mask becomes positions once; co-located projected
-  cells are stashed as |hits|-sized chunks; and once selection is final the
-  ascending VALID tids *are* the ``tid -> output row`` map, so stash and
-  projection write into |result|-sized columns.  Both ops also carry the
+  a segment's passing mask becomes hit tids once; and once selection is
+  final the ascending VALID tids *are* the ``tid -> output row`` map, so
+  every fill writes into |result|-sized columns.  The scan driver selects
+  and fills partition by partition; both ops also carry the
   tuple-at-a-time form the threaded protocols use.
+* :class:`GroupSelectOp` — the partition-at-a-time driver's core: loads
+  stay per partition, evaluation runs per schema group over the
+  schema-group image (:mod:`repro.storage.image`) — one predicate mask per
+  group under the visit-once verdict, one position gather per (group,
+  attribute) for the projection.
 * :meth:`SelectOp.invalidate` — a planner-pruned partition's catalog-only
   verdict.
 
 **Closed-form counter rule.**  The simulated accounting prices the paper's
 tuple-at-a-time loop, not the numpy calls: the ops return event counts
-computed from segment lengths and mask sums, and each driver prices them by
-its own algorithm's rule, partition by partition — never by redoing dense
-work.  The differential oracle holds the pipeline to byte-identical results
-*and* simulated accounting.
+computed from segment (slot) lengths and hit counts, and each driver prices
+them by its own algorithm's rule, as if it had visited partition by
+partition — never by redoing dense work.  Line 16's stash is such a count:
+a hit's co-located projected cells stay where they are stored and are
+gathered once the selection is final.  The differential oracle holds the
+pipeline to byte-identical results *and* simulated accounting.
 
 **Hit-only selection.**  An INVALID mark is written only where a later
 visit in this query can read it: under the plan's visit-once verdict
-(``plan.visits_once``) :meth:`SelectOp.select` marks the hits alone (none
-in a zone-refuted partition: it evaluates nothing) and keeps their tids, up
-to 1/16 of the table, as the VALID set.  A planner-pruned partition's
-tuples stay NOT_CHECKED too: the selection loop
-(``engine.base.run_selection``) counts it without a visit or an
-:meth:`SelectOp.invalidate`.  A view's hidden tids are INVALID before the
-first read, so under a view that hides any a hit counts only where its
-status is not INVALID.
-
-**Owner-addressed fill.**  The owner map that finds a projection partition
-also names its result rows, ``VALID ∩ tids(pid)``: for a segment holding
-the attribute that is ``VALID ∩ tids(segment)``, the status pass's
-rows, so a binary search gives the positions and no status pass runs.
-Beyond a schema's fourth segment, one writer places fills per attribute.
+(``plan.visits_once``) the selection marks the hits alone (none in a
+zone-refuted partition: it evaluates nothing) and keeps their tids, up to
+1/16 of the table, as the VALID set.  No tuple is reached twice, so the
+order of evaluation is free: the partition-at-a-time driver evaluates
+after the loads, per schema group.  A planner-pruned partition's tuples
+stay NOT_CHECKED too: the selection loop (``engine.base.run_selection``)
+counts it without a visit or an :meth:`SelectOp.invalidate`.  A view's
+hidden tids are INVALID before the first read, so under a view that hides
+any a hit counts only where its status is not INVALID.  Other plans select
+partition by partition in plan order (:meth:`SelectOp.select`), whose
+status transitions the counters price.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ import numpy as np
 
 from ..errors import PartitionUnreadableError, StorageError
 from ..obs import tracer as obs_tracer
+from ..storage.buffer_pool import BufferPool
+from ..storage.image import ImageGroup, ImageSlot, SchemaImage
 from ..storage.partition_manager import (
     CatalogIndex,
     PartitionInfo,
@@ -84,6 +89,7 @@ __all__ = [
     "AccessLoop",
     "SelectOp",
     "ProjectFillOp",
+    "GroupSelectOp",
     "stored_cells",
     "finalize_stats",
 ]
@@ -266,7 +272,10 @@ def _address(tids: np.ndarray, tid_storage: str):
 def stored_cells(partition: PhysicalPartition) -> int:
     """Cells a row-major read of the partition passes over: every stored
     attribute of every stored tuple (Algorithm 5's ``cells_scanned``)."""
-    return sum(len(s.tuple_ids) * len(s.attributes) for s in partition.segments)
+    cells = 0
+    for segment in partition.segments:
+        cells += len(segment.tuple_ids) * len(segment.attributes)
+    return cells
 
 
 class _ProjectingOp:
@@ -292,12 +301,12 @@ class SelectOp(_ProjectingOp):
     """Algorithm 5's selection state: one status byte per tuple, nothing
     else table-sized.
 
-    :meth:`select` turns each segment's passing mask into positions once
-    and stashes the co-located projected cells (line 16) as |hits|-sized
-    chunks, which reach their output rows only once the selection is final
-    (:class:`ProjectFillOp`) — a tuple some later partition invalidates
-    just never gets one.  The tuple-at-a-time drivers keep their own status
-    list and hash table and use :meth:`process_tuple` alone.
+    :meth:`select` evaluates one partition's segments into the status
+    vector and counts the co-located projected cells its hits carry
+    (line 16's stash, in closed form: the cells stay where they are stored
+    and reach their output rows once the selection is final).  The
+    tuple-at-a-time drivers keep their own status list and hash table and
+    use :meth:`process_tuple` alone.
 
     An INVALID mark is written only where a later visit in this query can
     read it.  ``hit_only`` is the catalog's verdict that no tuple is reached
@@ -312,8 +321,8 @@ class SelectOp(_ProjectingOp):
     ones keep the rest, so such a tuple can pass here and have no projected
     cell elsewhere."""
 
-    __slots__ = ("conjunction", "status", "stash", "hit_only", "refuted",
-                 "hides", "hits", "_n_hits")
+    __slots__ = ("conjunction", "status", "hit_only", "refuted", "hides",
+                 "hits", "_n_hits")
 
     def __init__(
         self,
@@ -330,11 +339,6 @@ class SelectOp(_ProjectingOp):
         self.hides = hidden is not None
         if self.hides:
             self.status[hidden] = STATUS_INVALID
-        #: wanted attributes -> ``(tids, their cells)`` of every segment of
-        #: that schema that stashed anything.
-        self.stash: Dict[
-            Tuple[str, ...], List[Tuple[np.ndarray, List[np.ndarray]]]
-        ] = {}
         self.hit_only = hit_only
         self.refuted = refuted
         #: hit tids while they are the VALID set (not past 1/16)
@@ -354,7 +358,7 @@ class SelectOp(_ProjectingOp):
         segment ends VALID (passed what is evaluable here, was not INVALID)
         or INVALID.  Returns the hash-table events in closed form,
         ``(inserts, evictions, stashed)``: NOT_CHECKED tuples that passed,
-        VALID tuples that failed, projected cells stashed."""
+        VALID tuples that failed, projected cells the hits carry."""
         if self.hit_only and partition.pid in self.refuted:
             return 0, 0, 0
         status = self.status
@@ -368,20 +372,11 @@ class SelectOp(_ProjectingOp):
                 segment.columns, len(tids)
             )
             if self.hit_only:
-                hits = passing.nonzero()[0]
-                found = tids[hits]
-                if self.hides:  # a hidden tuple stays INVALID
-                    kept = status[found] != STATUS_INVALID
-                    hits, found = hits[kept], found[kept]
                 if where is tids or self.hides:
-                    status[found] = STATUS_VALID
+                    n_hits = self.hit(tids[passing])
                 else:  # a run the view hides nothing of: one contiguous write
                     status[where] = passing.view(np.uint8)
-                if self.hits is not None:
-                    self.hits.append(found)
-                    self._n_hits += len(found)
-                    if 16 * self._n_hits > len(status):
-                        self.hits = None
+                    n_hits = self._keep(tids[passing])
             else:
                 before = status[where]
                 if before.any():  # some tuple here already carries a verdict
@@ -390,17 +385,27 @@ class SelectOp(_ProjectingOp):
                     still_valid = int(np.count_nonzero(was_valid & passing))
                     evictions += int(np.count_nonzero(was_valid)) - still_valid
                     inserts -= still_valid
-                hits = passing.nonzero()[0]
+                n_hits = int(np.count_nonzero(passing))
                 status[where] = STATUS_INVALID - passing.view(np.uint8)
-            inserts += len(hits)
-            wanted = self.wanted(segment.attributes)
-            if not wanted or not len(hits):
-                continue
-            self.stash.setdefault(wanted, []).append(
-                (tids[hits], [segment.columns[name][hits] for name in wanted])
-            )
-            stashed += len(hits) * len(wanted)
+            inserts += n_hits
+            stashed += n_hits * len(self.wanted(segment.attributes))
         return inserts, evictions, stashed
+
+    def hit(self, found: np.ndarray) -> int:
+        """The hit-only form's verdict on tuples that passed: VALID, unless
+        the view hides them.  Returns how many turned VALID."""
+        if self.hides:  # a hidden tuple stays INVALID
+            found = found[self.status[found] != STATUS_INVALID]
+        self.status[found] = STATUS_VALID
+        return self._keep(found)
+
+    def _keep(self, found: np.ndarray) -> int:
+        if self.hits is not None:
+            self.hits.append(found)
+            self._n_hits += len(found)
+            if 16 * self._n_hits > len(self.status):
+                self.hits = None
+        return len(found)
 
     def invalidate(self, info: PartitionInfo, attributes: frozenset) -> int:
         """Apply a prune's verdict without the read: every tuple owning a
@@ -453,17 +458,18 @@ class ProjectFillOp(_ProjectingOp):
     """Algorithm 5's result hash table at its true size.
 
     Built once the selection is final: ``valid`` (the ascending VALID tids)
-    *is* the ``tid -> output row`` map, so stash and projection write into
+    *is* the ``tid -> output row`` map, so every fill writes into
     |result|-sized columns; ``filled`` flags of the same size say which
-    cells are still missing.  A segment's rows (:meth:`_hits`) are a slice
-    of ``valid`` for a run, its pid's rows in an owner map (``owned``) for a
-    segment of an addressed attribute, else one status pass.
-    :meth:`fill` writes a schema's first segments as gathered and leaves the
-    rest to one writer (:meth:`_absorb`) before anything reads ``filled``.  The
-    tuple-at-a-time drivers pass no selection and use :meth:`fill_tuple`.
+    cells are still missing.  The partition-at-a-time driver writes them
+    from the schema-group image (:meth:`GroupSelectOp.fill`).  The scan
+    driver's :meth:`fill` finds a segment's rows (:meth:`_hits`) as a slice
+    of ``valid`` for a run, else by one status pass, writes a schema's first
+    segments as gathered and leaves the rest to one writer (:meth:`_absorb`)
+    before anything reads ``filled``.  The tuple-at-a-time drivers pass no
+    selection and use :meth:`fill_tuple`.
     """
 
-    __slots__ = ("status", "valid", "columns", "filled", "owned", "_row_of",
+    __slots__ = ("select", "status", "valid", "columns", "filled", "_row_of",
                  "_touched", "_pending", "_held", "_seen")
 
     def __init__(
@@ -473,6 +479,8 @@ class ProjectFillOp(_ProjectingOp):
         schema=None,
     ):
         super().__init__(projected)
+        #: the selection this table was built from (None: tuple-at-a-time).
+        self.select = select
         if select is None:
             return
         status = self.status = select.status
@@ -493,34 +501,16 @@ class ProjectFillOp(_ProjectingOp):
         self._pending: Dict[Tuple[str, ...], list] = {}
         self._held = 0
         self._seen: Dict[Tuple[str, ...], int] = {}
-        # From a quarter of the table up, rows come from a dense map, not
-        # a binary search (n log n on a full-table result); the map's 4 B
-        # per tuple are then at most 16 B per result row.
-        self._row_of = None
-        if 4 * n_rows >= len(status):
-            self._row_of = np.empty(len(status), dtype=np.int32)
-            self._row_of[self.valid] = np.arange(n_rows, dtype=np.int32)
-        #: attribute -> its owner map's ``rows(valid)``; None with the dense
-        #: map (a status pass is then one gather; owner rows cost 8 B a row).
-        self.owned = {} if self._row_of is None else None
-        # Per stashed schema, not per segment: drop the tuples a later
-        # partition invalidated, place the survivors.
-        for wanted, entries in select.stash.items():
-            tids, chunks = zip(*entries)
-            tids = np.concatenate(tids)
-            keep = status[tids] == STATUS_VALID
-            keep = None if keep.all() else keep
-            rows = self._rows(tids if keep is None else tids[keep])
-            self._write(wanted, rows, zip(*chunks), keep)
+        self._row_of: Optional[np.ndarray] = None
 
-    def _write(self, wanted: Tuple[str, ...], rows, chunks, keep=None) -> None:
+    def _write(self, wanted: Tuple[str, ...], rows, chunks) -> None:
         """The one writer: per attribute, one concat of its chunks (in row
         order), one scatter and one flag write — so at most one extra result
-        column is alive.  ``keep`` drops stashed tuples a later partition
-        invalidated."""
+        column is alive."""
         for name, parts in zip(wanted, chunks):
-            chunk = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            self.columns[name][rows] = chunk if keep is None else chunk[keep]
+            self.columns[name][rows] = (
+                parts[0] if len(parts) == 1 else np.concatenate(parts)
+            )
             self.filled[name][rows] = True
 
     def _absorb(self) -> None:
@@ -532,26 +522,24 @@ class ProjectFillOp(_ProjectingOp):
             self._write(wanted, rows, zip(*chunks))
 
     def _rows(self, tids: np.ndarray) -> np.ndarray:
-        """Output rows of result tids."""
+        """Output rows of result tids.  From a quarter of the table up, from
+        a dense map, not a binary search (n log n on a full-table result);
+        the map's 4 B per tuple are then at most 16 B per result row."""
+        n_rows = len(self.valid)
+        if self._row_of is None and 4 * n_rows >= len(self.status):
+            self._row_of = np.empty(len(self.status), dtype=np.int32)
+            self._row_of[self.valid] = np.arange(n_rows, dtype=np.int32)
         if self._row_of is not None:
             return self._row_of[tids]
         return np.searchsorted(self.valid, tids)
 
-    def _hits(self, tids: np.ndarray, tid_storage: str, owned=None, shared=False):
+    def _hits(self, tids: np.ndarray, tid_storage: str):
         """``(output rows, positions in the segment)`` of the result tuples
-        one segment stores.  ``owned``, its pid's rows in an owner map, are
-        this segment's unless it has siblings (``shared``)."""
+        one segment stores."""
         where = _address(tids, tid_storage)
         if where is not tids:
             first, last = np.searchsorted(self.valid, (where.start, where.stop))
             return slice(first, last), self.valid[first:last] - where.start
-        if owned is not None:
-            found = self.valid[owned]
-            hits = np.searchsorted(tids, found)
-            if shared:
-                stored = tids.take(hits, mode="clip") == found
-                owned, hits = owned[stored], hits[stored]
-            return owned, hits
         hits = (self.status[tids] == STATUS_VALID).nonzero()[0]
         return self._rows(tids[hits]), hits
 
@@ -582,14 +570,7 @@ class ProjectFillOp(_ProjectingOp):
             tids = segment.tuple_ids
             if not wanted or not len(tids):
                 continue
-            owned = None
-            for name in wanted if self.owned else ():
-                if name in self.owned:
-                    owned = self.owned[name](partition.pid)
-                    break
-            rows, hits = self._hits(
-                tids, segment.tid_storage, owned, len(partition.segments) > 1
-            )
+            rows, hits = self._hits(tids, segment.tid_storage)
             if not len(hits):
                 continue
             # A run, and a schema's first four segments (all a point query
@@ -633,6 +614,193 @@ class ProjectFillOp(_ProjectingOp):
         for name in self.projected:
             if name in cells and name not in row:
                 row[name] = cells[name]
+
+
+class GroupSelectOp(SelectOp):
+    """Algorithm 5 per schema group: the partition-at-a-time driver's
+    selection state plus the slots of every partition it loaded.
+
+    Loads stay per partition, in plan order (:class:`AccessLoop`,
+    :class:`PlanReader`); :meth:`add` files each loaded partition's
+    segments as slots of the schema-group image — the pool's
+    (:meth:`~repro.storage.buffer_pool.BufferPool.image_slots`) while the
+    pool holds the partition, else a private one over every partition this
+    query loaded, dropped with the query.  Evaluation then runs once per
+    group, over this query's slots only:
+
+    * :meth:`select_groups` — the visit-once form: one predicate mask over
+      each group's loaded, unrefuted slots (contiguous runs of rows, in
+      blocks of at most ``_BLOCK``);
+    * :meth:`fill` — one position gather per (group, attribute) into the
+      result columns.
+
+    Other plans select partition by partition, in plan order
+    (:meth:`SelectOp.select`), so their counters see the same status
+    transitions.  Every counter comes in closed form from slot lengths and
+    hit counts, as the paper's loop would have counted them."""
+
+    __slots__ = ("pool", "image", "index", "loaded", "slots", "evaluated", "_epoch")
+
+    def __init__(self, conjunction: Conjunction, projected: Tuple[str, ...],
+                 n_tuples: int, hidden: Optional[np.ndarray], hit_only: bool,
+                 refuted: frozenset, pool: Optional[BufferPool],
+                 index: CatalogIndex):
+        super().__init__(conjunction, projected, n_tuples, hidden, hit_only, refuted)
+        self.pool = pool
+        #: the catalog view the loads read: its extent sizes new groups.
+        self.index = index
+        self.image = pool.image if pool is not None else SchemaImage()
+        #: an epoch no later than every admission of this query's slots
+        self._epoch = self.image.epoch
+        self.loaded: Dict[int, PhysicalPartition] = {}
+        self.slots: Dict[int, Tuple[ImageSlot, ...]] = {}
+        #: selection pids whose segments were evaluated, in load order.
+        self.evaluated: List[int] = []
+
+    def add(self, pid: int, partition: PhysicalPartition, selection: bool) -> None:
+        """File one loaded partition's segments as slots (a refuted
+        selection partition is read, never evaluated: it needs none)."""
+        if selection:
+            if self.hit_only and pid in self.refuted:
+                return
+            self.evaluated.append(pid)
+        self.loaded[pid] = partition
+        slots = self.image.slots(pid)
+        if slots is None:
+            extent = self.index.extent()
+            slots = (
+                self.pool.image_slots(pid, partition, extent) if self.pool is not None
+                else self.image.attach(partition, extent)
+            )
+            if slots is None:
+                self._private()
+                return
+        self.slots[pid] = slots
+
+    def _private(self) -> None:
+        """Move to a private image over every partition loaded so far."""
+        self.pool, self.image = None, SchemaImage()
+        extent = self.index.extent()
+        self.slots = {
+            pid: self.image.attach(partition, extent)
+            for pid, partition in self.loaded.items()
+        }
+
+    def _locked(self):
+        """Acquire an image lock under which every slot of this query is
+        live (else move to a private image first); returns the lock."""
+        lock = self.image.lock
+        lock.acquire()
+        if self.pool is not None and self.image.epoch != self._epoch:
+            if all(slot.live for slots in self.slots.values() for slot in slots):
+                self._epoch = self.image.epoch
+            else:
+                lock.release()
+                self._private()
+                lock = self.image.lock
+                lock.acquire()
+        return lock
+
+    def _by_group(self, pids: Iterable[int]) -> Dict[ImageGroup, List[ImageSlot]]:
+        groups: Dict[ImageGroup, List[ImageSlot]] = {}
+        for pid in dict.fromkeys(pids):
+            for slot in self.slots[pid]:
+                if slot.stop > slot.start:
+                    groups.setdefault(slot.group, []).append(slot)
+        return groups
+
+    def select_groups(self) -> Tuple[int, int]:
+        """The visit-once selection of every evaluated slot, one mask per
+        group (per block of its rows).  Returns ``(inserts, stashed)`` as
+        :meth:`select` counts them."""
+        conjunction = self.conjunction
+        found = []
+        lock = self._locked()
+        try:
+            for group, slots in self._by_group(self.evaluated).items():
+                columns = {
+                    p.attribute: group.column(p.attribute)
+                    for p in conjunction.predicates if p.attribute in group.attributes
+                }
+                hits = []
+                for block in _blocks(slots):
+                    start, stop = block[0].start, block[-1].stop
+                    passing, _ = conjunction.evaluate_available(
+                        {name: column[start:stop] for name, column in columns.items()},
+                        stop - start,
+                    )
+                    for slot in block:
+                        hits.append(slot.tids[passing[slot.start - start:slot.stop - start]])
+                found.append((
+                    hits[0] if len(hits) == 1 else np.concatenate(hits),
+                    len(self.wanted(group.attributes)),
+                ))
+        finally:
+            lock.release()
+        inserts = stashed = 0
+        for hits, n_wanted in found:
+            n_hits = self.hit(hits)
+            inserts += n_hits
+            stashed += n_hits * n_wanted
+        return inserts, stashed
+
+    def fill(self, fill_op: ProjectFillOp, pids: List[int]) -> int:
+        """Write the projected cells the slots of ``pids`` hold for result
+        tuples: per group one ``tid -> row`` gather, then one gather per
+        wanted attribute.  Returns the cells per slot (hits x wanted
+        attributes), as the per-partition fill counted them."""
+        valid = fill_op.valid
+        if not len(valid) or not pids:
+            return 0
+        written = 0
+        lock = self._locked()
+        try:
+            for group, slots in self._by_group(pids).items():
+                wanted = self.wanted(group.attributes)
+                if not wanted:
+                    continue
+                rows = group.rows(valid)
+                held = rows >= 0
+                if len(slots) < group.n_live:  # some live slot is not ours
+                    ours = np.zeros(group.n_rows, dtype=bool)
+                    for slot in slots:
+                        ours[slot.start:slot.stop] = True
+                    held &= ours[rows]  # (row -1 reads the last: not held)
+                n_held = int(np.count_nonzero(held))
+                if not n_held:
+                    continue
+                written += n_held * len(wanted)
+                if n_held < len(valid):
+                    out = held.nonzero()[0]
+                    rows = rows[out]
+                    for name in wanted:
+                        fill_op.columns[name][out] = group.column(name)[rows]
+                        fill_op.filled[name][out] = True
+                else:
+                    for name in wanted:
+                        np.take(group.column(name), rows, out=fill_op.columns[name])
+                        fill_op.filled[name].fill(True)
+        finally:
+            lock.release()
+        return written
+
+
+#: most rows one predicate mask spans, unless one slot is longer (its
+#: temporaries stay block-sized).
+_BLOCK = 1 << 16
+
+
+def _blocks(slots: List[ImageSlot]) -> List[List[ImageSlot]]:
+    """The slots in row order, cut into runs of adjacent rows of at most
+    ``_BLOCK`` rows (or one slot)."""
+    blocks: List[List[ImageSlot]] = []
+    for slot in sorted(slots, key=lambda slot: slot.start):
+        if (blocks and blocks[-1][-1].stop == slot.start
+                and slot.stop - blocks[-1][0].start <= _BLOCK):
+            blocks[-1].append(slot)
+        else:
+            blocks.append([slot])
+    return blocks
 
 
 def finalize_stats(

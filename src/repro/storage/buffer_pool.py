@@ -22,6 +22,14 @@ serialized size is the natural budget unit: it is what the catalog already
 tracks and a good proxy for the decoded footprint).  Evicting an entry only
 drops the pool's reference: a query that holds the partition keeps reading
 it, so no entry needs protecting from eviction while it is scanned.
+
+The pool also holds the :class:`~repro.storage.image.SchemaImage` of its
+resident partitions: :meth:`BufferPool.image_slots` admits a resident
+partition on an engine's first read, and every way an entry leaves the pool
+(LRU eviction, a refresh, :meth:`~BufferPool.invalidate`,
+:meth:`~BufferPool.clear`) kills its slots.  The image's bytes are not
+charged to ``capacity_bytes``: charging them would move evictions, and with
+them every counter above.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .image import Extent, ImageSlot, SchemaImage
 from .io_stats import IOStats
 from .physical import PhysicalPartition
 
@@ -75,6 +84,7 @@ class BufferPool:
         self._lock = threading.RLock()
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         self._current_bytes = 0
+        self.image = SchemaImage()
 
     # ------------------------------------------------------------- lookups
 
@@ -109,6 +119,7 @@ class BufferPool:
             old = self._entries.pop(pid, None)
             if old is not None:
                 self._current_bytes -= old.n_bytes
+                self.image.drop(pid)
             if n_bytes > self.capacity_bytes:
                 return
             self._entries[pid] = _Entry(partition, n_bytes)
@@ -119,7 +130,8 @@ class BufferPool:
     def _evict_over_budget(self) -> None:
         """Drop entries oldest-first until back under budget."""
         while self._current_bytes > self.capacity_bytes:
-            _pid, entry = self._entries.popitem(last=False)
+            pid, entry = self._entries.popitem(last=False)
+            self.image.drop(pid)
             self._current_bytes -= entry.n_bytes
             self.stats.n_evictions += 1
             self.stats.evicted_bytes += entry.n_bytes
@@ -134,18 +146,37 @@ class BufferPool:
             if entry is not None:
                 self._current_bytes -= entry.n_bytes
                 self.stats.n_invalidations += 1
+                self.image.drop(pid)
 
     def clear(self) -> None:
         """Drop everything (e.g. between cold benchmark repetitions)."""
         with self._lock:
             self._entries.clear()
             self._current_bytes = 0
+            self.image.clear()
+
+    def image_slots(
+        self, pid: int, partition: PhysicalPartition, extent: Extent = (0, {})
+    ) -> Optional[Tuple[ImageSlot, ...]]:
+        """``partition``'s image slots, admitting it on first use, or None
+        unless it is the object the pool holds for ``pid`` (an entry the
+        pool refused, evicted or replaced has no slots to keep)."""
+        with self._lock:
+            entry = self._entries.get(pid)
+            if entry is None or entry.hit[0] is not partition:
+                return None
+            return self.image.attach(partition, extent)
 
     # ----------------------------------------------------------- inspection
 
     @property
     def current_bytes(self) -> int:
         return self._current_bytes
+
+    @property
+    def image_bytes(self) -> int:
+        """Bytes the schema-group image holds (outside ``capacity_bytes``)."""
+        return self.image.nbytes()
 
     def pids(self) -> tuple:
         """Resident pids in LRU → MRU order."""

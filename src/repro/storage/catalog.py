@@ -237,6 +237,7 @@ class CatalogIndex:
         self._zones: Dict[str, Tuple[np.ndarray, ...]] = {}
         self._pids_for: Dict[frozenset, Tuple[int, ...]] = {}
         self._key_zones: Dict[Tuple[str, frozenset], tuple] = {}
+        self._extent: Optional[Tuple[int, Dict[Tuple[str, ...], int]]] = None
         self._build_lock = threading.Lock()
 
     def info(self, pid: int) -> PartitionInfo:
@@ -262,6 +263,14 @@ class CatalogIndex:
             with self._build_lock:
                 found = self._pids_for.setdefault(key, tuple(sorted(pids)))
         return found
+
+    def extent(self) -> Tuple[int, Dict[Tuple[str, ...], int]]:
+        """``(tid domain, stored rows per segment schema)``: what sizes a
+        schema-group image (:mod:`repro.storage.image`) of this partition
+        set.  Memoised."""
+        if self._extent is None:
+            self._extent = _extent(self._infos.values())
+        return self._extent
 
     def key_zones(self, key: str, attributes: frozenset) -> tuple:
         """``(keyed, unkeyed, sizes)`` over the partitions storing one of
@@ -449,6 +458,8 @@ class CatalogIndex:
             successor._pids_for[attributes] = pids + tuple(
                 info.pid for info in fresh if not attributes.isdisjoint(info.attributes)
             )
+        if self._extent is not None:
+            successor._extent = _extent(fresh, self._extent)
         for attributes, verdict in verdicts.items():
             if verdict:
                 stored = [a for a in attributes if a in successor.attribute_pids]
@@ -460,6 +471,17 @@ class CatalogIndex:
                 ) and all(len(successor._owners[a].layers) <= 1 for a in stored)
             successor._visits_once[attributes] = verdict
         return successor
+
+
+def _extent(infos: Iterable[PartitionInfo], base=(0, {})):
+    """:meth:`CatalogIndex.extent` of ``infos``, added to ``base``'s."""
+    domain, rows = base[0], dict(base[1])
+    for info in infos:
+        for attributes, tids in zip(info.segment_attrs, info.segment_tids):
+            if len(tids):
+                rows[attributes] = rows.get(attributes, 0) + len(tids)
+                domain = max(domain, int(tids[-1]) + 1)
+    return domain, rows
 
 
 def _reached_once(info: PartitionInfo, attributes: frozenset) -> bool:

@@ -1,0 +1,227 @@
+"""The partition-at-a-time engine's schema-group form against the oracle.
+
+The engine reads partition by partition, then evaluates over the
+schema-group image (:mod:`repro.storage.image`): the pool's, or a private
+one built over what the query loaded.  Every configuration below must
+answer oracle-exactly, and no counter may depend on which image answered:
+
+* a warm pool: every pid of the query is imaged before it runs;
+* a 4 KiB pool that evicts while the query runs, so the query's slots die
+  under it and it evaluates on a private image;
+* no pool: a private image per query;
+* a fault-injecting store that makes an imaged pid unreadable once the pool
+  dropped it: the image must not serve it, and a substitute answers.
+
+Plans that are not visit-once (predicates split across the segments of a
+partition) select partition by partition in plan order; they are run too.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro.core import Query
+from repro.engine import PartitionAtATimeExecutor
+from repro.layouts import BuildContext, IrregularLayout
+from repro.plan.operators import GroupSelectOp
+from repro.storage import (
+    BALOS_HDD,
+    TID_EXPLICIT,
+    BufferPool,
+    FaultConfig,
+    FaultInjectingBlobStore,
+    MemoryBlobStore,
+    PartitionManager,
+    PhysicalSegment,
+    StorageDevice,
+)
+from repro.storage.physical import PhysicalPartition
+from repro.testing.oracle import (
+    random_query,
+    random_table,
+    random_workload,
+    run_reference_query,
+)
+from repro.testing.snapshot import stats_signature
+
+#: pool bytes per configuration (0: no pool).
+POOLS = {"warm": 64 << 20, "evicting": 4 << 10, "none": 0}
+#: the counters a warm repeat shares with a cold read (it charges no I/O).
+EVENTS = (
+    "n_partition_reads", "n_partitions_skipped", "n_partitions_pruned",
+    "cells_scanned", "hash_inserts", "hash_updates", "n_result_tuples",
+    "cpu_time_s",
+)
+
+
+def events(stats):
+    return tuple(getattr(stats, name) for name in EVENTS)
+
+
+def run_configurations(managers, meta, query, zone_maps=False):
+    """``query`` on each manager: the warm one cold (its pool cleared),
+    then again warm.  Returns ``{configuration: (result, stats)}``."""
+    engines = {
+        name: PartitionAtATimeExecutor(manager, meta, zone_maps=zone_maps)
+        for name, manager in managers.items()
+    }
+    managers["warm"].buffer_pool.clear()
+    runs = {"cold": engines["warm"].execute(query)}
+    runs["warm"] = engines["warm"].execute(query)
+    runs["evicting"] = engines["evicting"].execute(query)
+    runs["none"] = engines["none"].execute(query)
+    return runs
+
+
+def assert_one_answer(runs, table, query):
+    expected = run_reference_query(table, query)
+    for name, (result, _stats) in runs.items():
+        assert result.equals(expected), name
+    # Every counter of a cold pooled read is the pool-less read's; a warm
+    # repeat counts the same events, its loads pool hits.
+    assert stats_signature(runs["cold"][1]) == stats_signature(runs["none"][1])
+    assert events(runs["warm"][1]) == events(runs["none"][1])
+    assert events(runs["evicting"][1]) == events(runs["none"][1])
+    warm = runs["warm"][1]
+    assert warm.bytes_read == 0 and warm.n_pool_hits == warm.n_partition_reads
+
+
+def test_random_layouts_in_every_configuration():
+    visit_once = evictions = 0
+    private = mock.patch.object(
+        GroupSelectOp, "_private", autospec=True, side_effect=GroupSelectOp._private
+    )
+    with private as moved:
+        for seed in range(4):
+            once, evicted = sweep_seed(seed)
+            visit_once += once
+            evictions += evicted
+    assert visit_once  # the grouped selection ran
+    assert evictions  # slots died under queries,
+    assert moved.call_count  # which then evaluated on a private image
+
+
+def sweep_seed(seed):
+    """One random table in every configuration; returns ``(visit-once plans,
+    evictions of the small pool)``."""
+    visit_once = 0
+    rng = np.random.default_rng(100 + seed)
+    table = random_table(rng, n_tuples=int(rng.integers(150, 401)))
+    workload = random_workload(rng, table, n_queries=5)
+    queries = list(workload) + [
+        random_query(rng, table, label=f"x{i}") for i in range(5)
+    ]
+    managers = {
+        name: IrregularLayout(selection_enabled=False).build(
+            table, workload, BuildContext(
+                file_segment_bytes=512, schism_sample_size=100,
+                buffer_pool_bytes=size,
+            ),
+        ).manager
+        for name, size in POOLS.items()
+    }
+    for zone_maps in (False, True):
+        for query in queries:
+            runs = run_configurations(managers, table.meta, query, zone_maps)
+            assert_one_answer(runs, table, query)
+            engine = PartitionAtATimeExecutor(managers["none"], table.meta)
+            visit_once += engine.plan(query).visits_once
+    assert managers["warm"].buffer_pool.image.pids()
+    return visit_once, managers["evicting"].buffer_pool.stats.n_evictions
+
+
+N = 400
+
+
+@pytest.fixture(scope="module")
+def table():
+    return random_table(np.random.default_rng(5), n_attrs=4, n_tuples=N)
+
+
+def tids(lo=0, hi=N):
+    return np.arange(lo, hi, dtype=np.int64)
+
+
+def manager_of(table, groups, pool_bytes=0, store=None):
+    """One partition per group of ``(attributes, tids)`` segments."""
+    manager = PartitionManager(
+        table.schema, StorageDevice(BALOS_HDD), store,
+        buffer_pool=BufferPool(pool_bytes) if pool_bytes else None,
+    )
+    manager.materialize([
+        PhysicalPartition(pid=pid, segments=[
+            PhysicalSegment(
+                attributes=attrs, tuple_ids=own,
+                columns=table.gather(attrs, own), tid_storage=TID_EXPLICIT,
+            )
+            for attrs, own in group
+        ])
+        for pid, group in enumerate(groups)
+    ])
+    return manager
+
+
+#: a1 and a2 sit in different segments of partitions 0 and 1, so no
+#: segment evaluates the whole conjunction: not a visit-once plan.
+SPLIT = [
+    [(("a1", "a3"), tids(0, 200)), (("a2",), tids(0, 200))],
+    [(("a1",), tids(200, N)), (("a2", "a3"), tids(200, N))],
+    [(("a4",), tids())],
+]
+
+
+@pytest.mark.parametrize("zone_maps", [False, True], ids=["plain", "pruning"])
+def test_predicates_split_across_segments(table, zone_maps):
+    managers = {name: manager_of(table, SPLIT, size) for name, size in POOLS.items()}
+    for bounds in [(0, 499), (100, 900), (0, 999), (990, 999)]:
+        query = Query.build(
+            table.meta, ["a3", "a4"], {"a1": bounds, "a2": (200, 799)}
+        )
+        plan = PartitionAtATimeExecutor(managers["none"], table.meta).plan(query)
+        assert not plan.visits_once
+        runs = run_configurations(managers, table.meta, query, zone_maps)
+        assert_one_answer(runs, table, query)
+
+
+def test_an_imaged_pid_made_unreadable_is_not_served(table):
+    """Partition 1 and 2 both hold a3 for every tuple.  After a warm run
+    every pid is imaged; then the pool drops partition 1 (as a failed
+    refresh does) and the store refuses it: the query reads partition 2 in
+    its place, and the image never holds partition 1 again."""
+    store = FaultInjectingBlobStore(MemoryBlobStore())
+    manager = manager_of(table, [
+        [(("a1", "a2"), tids())],
+        [(("a3",), tids())],
+        [(("a3",), tids()), (("a4",), tids())],
+    ], 64 << 20, store)
+    engine = PartitionAtATimeExecutor(manager, table.meta)
+    query = Query.build(table.meta, ["a2", "a3", "a4"], {"a1": (0, 499)})
+    expected = run_reference_query(table, query)
+    assert engine.execute(query)[0].equals(expected)
+    image = manager.buffer_pool.image
+    assert set(image.pids()) == {0, 1, 2}
+
+    store.overrides[manager.info(1).key] = FaultConfig(transient_error_rate=1.0)
+    manager.buffer_pool.invalidate(1)
+    assert 1 not in image.pids()
+    result, stats = engine.execute(query)
+    assert result.equals(expected)
+    assert stats.n_unreadable_partitions == 1
+    assert stats.n_degraded_reads == 1
+    assert 1 not in image.pids()
+    # The same faults pool-less: the same answer and counters.
+    bare = PartitionAtATimeExecutor(
+        manager_of(table, [
+            [(("a1", "a2"), tids())],
+            [(("a3",), tids())],
+            [(("a3",), tids()), (("a4",), tids())],
+        ], 0, FaultInjectingBlobStore(
+            MemoryBlobStore(),
+            overrides={manager.info(1).key: FaultConfig(transient_error_rate=1.0)},
+        )),
+        table.meta,
+    )
+    result_bare, stats_bare = bare.execute(query)
+    assert result_bare.equals(expected)
+    assert events(stats_bare) == events(stats)
