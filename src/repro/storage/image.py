@@ -13,9 +13,10 @@ group, not once per partition:
   one column per attribute, materialized from the segments when a query
   first reads that attribute (a group of one segment reads the segment's
   own), plus — once it has a second segment — a dense ``tid -> row``
-  position array (int32, ``-1`` where no live slot of the group holds the
-  tuple; its last entry is always ``-1``, so a clipped ``take`` answers tids
-  past the domain; one segment answers by binary search).  A tuple has
+  position array (the row plus one, 0 where no live slot of the group
+  holds the tuple, as uint16 while the group has under 65 535 rows and
+  uint32 after; its last entry is always 0, so a clipped ``take`` answers
+  tids past the domain; one segment answers by binary search).  A tuple has
   at most one live row per group: a segment whose tuples a live slot
   already holds opens the schema's next layer, as overlapping primaries
   spill into further layers of the catalog's owner map;
@@ -45,12 +46,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..errors import StorageError
 from .physical import PhysicalPartition
 
-__all__ = ["ImageGroup", "ImageSlot", "SchemaImage"]
-
-_MAX_TID = np.iinfo(np.int32).max - 1
+__all__ = ["Extent", "ImageGroup", "ImageSlot", "SchemaImage"]
 
 #: ``(tid domain, stored rows per segment schema)`` of the catalog view a
 #: partition was read under (:meth:`~repro.storage.catalog.CatalogIndex.extent`):
@@ -58,10 +56,17 @@ _MAX_TID = np.iinfo(np.int32).max - 1
 Extent = Tuple[int, Mapping[Tuple[str, ...], int]]
 
 
+def _row_dtype(n_rows: int) -> np.dtype:
+    """The narrowest position dtype for rows up to ``n_rows`` (a position
+    is its row plus one: 0 means no row)."""
+    return np.dtype(np.uint16 if n_rows < np.iinfo(np.uint16).max else np.uint32)
+
+
 class ImageSlot:
     """One segment in its group: rows ``[start, stop)``; ``source`` is the
-    segment's column mapping, None once the slot died.  The slot refers to its group weakly, so a dropped
-    image is freed at once, not at the next cycle collection."""
+    segment's column mapping, None once the slot died.  The slot refers to
+    its group weakly, so a dropped image is freed at once, not at the next
+    cycle collection."""
 
     __slots__ = ("pid", "_group", "start", "stop", "tids", "source")
 
@@ -103,7 +108,7 @@ class ImageGroup:
     def rows(self, tids: np.ndarray) -> np.ndarray:
         """The rows of ascending ``tids`` (-1 where no live slot holds one)."""
         if self.positions is not None:
-            return self.positions.take(tids, mode="clip")
+            return np.subtract(self.positions.take(tids, mode="clip"), 1, dtype=np.int64)
         own = self.slots[0].tids  # the group is this one segment
         at = np.minimum(np.searchsorted(own, tids), max(len(own) - 1, 0))
         return np.where(own.take(at, mode="clip") == tids, at, -1)
@@ -122,10 +127,16 @@ class ImageGroup:
         for slot in self.slots:
             if slot.live and len(slot.tids):
                 domain = max(domain, int(slot.tids[-1]) + 1)
-        self.positions = np.full(domain + 1, -1, dtype=np.int32)
+        self.positions = np.zeros(domain + 1, dtype=_row_dtype(self.capacity))
         for slot in self.slots:
             if slot.live:
-                self.positions[slot.tids] = np.arange(slot.start, slot.stop, dtype=np.int32)
+                self._place(slot)
+
+    def _place(self, slot: ImageSlot) -> None:
+        assert self.positions is not None
+        self.positions[slot.tids] = np.arange(
+            slot.start + 1, slot.stop + 1, dtype=self.positions.dtype
+        )
 
     def column(self, name: str) -> np.ndarray:
         """``name``'s column over every row, materialized from the live
@@ -147,8 +158,6 @@ class ImageGroup:
               source: Mapping[str, np.ndarray], extent: Extent) -> ImageSlot:
         """Append one segment (ascending ``tids``, none held by a live slot)
         read under a catalog view of ``extent``."""
-        if len(tids) and tids[-1] > _MAX_TID:
-            raise StorageError(f"tuple ID {int(tids[-1])} is past the image's int32 rows")
         n = self.n_rows
         slot = ImageSlot(pid, self, n, tids, source)
         if slot.stop > self.capacity:
@@ -162,10 +171,12 @@ class ImageGroup:
             if domain >= len(self.positions):
                 # The sentinel past the domain, and an eighth to spare: a
                 # table grows by commits.
-                positions = np.full(domain + 1 + domain // 8, -1, dtype=np.int32)
+                positions = np.zeros(domain + 1 + domain // 8, self.positions.dtype)
                 positions[:len(self.positions) - 1] = self.positions[:-1]
                 self.positions = positions
-            self.positions[tids] = np.arange(n, slot.stop, dtype=np.int32)
+            if slot.stop >= np.iinfo(self.positions.dtype).max:
+                self.positions = self.positions.astype(np.uint32)
+            self._place(slot)
         for name, column in self.columns.items():
             column[n:slot.stop] = source[name]
         self.slots.append(slot)
@@ -185,7 +196,7 @@ class ImageGroup:
     def kill(self, slot: ImageSlot) -> bool:
         """One slot died; returns whether the group has no live row left."""
         if self.positions is not None:
-            self.positions[slot.tids] = -1
+            self.positions[slot.tids] = 0
         slot.source = None
         self.n_dead += slot.stop - slot.start
         self.n_live -= 1
@@ -208,9 +219,9 @@ class ImageGroup:
             stop = row + slot.stop - slot.start
             for name, old in self.columns.items():
                 columns[name][row:stop] = old[slot.start:slot.stop]
-            if self.positions is not None:
-                self.positions[slot.tids] = np.arange(row, stop, dtype=np.int32)
             slot.start, slot.stop = row, stop
+            if self.positions is not None:
+                self._place(slot)
             row = stop
         self.columns, self.slots = columns, live
         self.n_rows, self.n_dead = row, 0
@@ -250,8 +261,8 @@ class SchemaImage:
             return slots
 
     def slots(self, pid: int) -> Optional[Tuple[ImageSlot, ...]]:
-        """``pid``'s slots if it is admitted: one lookup, no lock (a slot
-        that dies after it is checked under the lock before any read)."""
+        """``pid``'s slots if it is admitted: one lookup, no lock (whether
+        they are still live is checked under the lock before any read)."""
         return self._slots.get(pid)
 
     def _admit(self, pid: int, segment, extent: Extent) -> ImageSlot:

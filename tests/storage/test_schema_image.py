@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core import Query
 from repro.layouts import BuildContext, IrregularLayout
+from repro.storage.image import SchemaImage
 from repro.storage.physical import PhysicalPartition, PhysicalSegment
 from repro.testing import (
     ShadowTable,
@@ -47,10 +48,11 @@ def assert_consistent(pool, dropped=()):
         for slot in live:
             assert slot.pid in resident and slot.pid not in dropped
             assert np.array_equal(
-                group.positions[slot.tids], np.arange(slot.start, slot.stop)
+                group.rows(slot.tids), np.arange(slot.start, slot.stop)
             )
             held[slot.start:slot.stop] = True
-        rows = group.positions[group.positions >= 0]
+        rows = group.rows(np.arange(len(group.positions)))
+        rows = rows[rows >= 0]
         assert len(rows) == np.count_nonzero(held) and held[rows].all()
 
 
@@ -226,3 +228,59 @@ def test_four_threads_query_through_a_fold():
     assert not errors
     assert pool.stats.n_invalidations > invalidated  # imaged pids retired
     assert_consistent(pool)
+
+
+def segment_partition(pid, attributes, tids):
+    tids = np.asarray(tids, dtype=np.int64)
+    return PhysicalPartition(pid, [PhysicalSegment(
+        attributes, tids, {name: (tids * 3).astype(np.int32) for name in attributes},
+    )])
+
+
+def test_positions_widen_and_overlaps_open_a_layer():
+    """A group's positions are uint16 until its rows pass 65 534, then
+    uint32; a tid past the domain has no row; a segment whose tuples a live
+    slot holds opens a second layer, and dropping it leaves the first."""
+    image = SchemaImage()
+    first = image.attach(segment_partition(0, ("a",), np.arange(40_000)))
+    group = first[0].group
+    assert group.positions is None  # one segment: found by binary search
+    assert np.array_equal(group.rows(np.array([5, 39_999, 40_000])), [5, 39_999, -1])
+    image.attach(segment_partition(1, ("a",), np.arange(40_000, 80_000)))
+    assert group.positions.dtype == np.uint32 and group.n_rows == 80_000
+    tids = np.array([0, 39_999, 40_000, 79_999, 80_000, 10 ** 6])
+    assert np.array_equal(group.rows(tids), [0, 39_999, 40_000, 79_999, -1, -1])
+    assert np.array_equal(group.column("a")[group.rows(tids[:4])], tids[:4] * 3)
+
+    again = image.attach(segment_partition(2, ("a",), np.arange(100, 200)))
+    assert again[0].group is not group and len(image.groups()) == 2
+    image.drop(2)
+    assert image.groups() == [group]
+    image.drop(0)  # half the rows dead: not yet rebuilt
+    assert group.n_rows == 80_000 and group.n_dead == 40_000
+    assert np.array_equal(group.rows(tids), [-1, -1, 40_000, 79_999, -1, -1])
+    image.drop(1)
+    assert not image.groups() and image.nbytes() == 0
+
+
+def test_a_small_group_keeps_two_byte_positions():
+    """Three segments of one schema in 600 rows: uint16 positions.  Once
+    dead rows outnumber live ones the group is rebuilt from its live slot."""
+    image = SchemaImage()
+    for pid, first in enumerate(range(3)):
+        slots = image.attach(
+            segment_partition(pid, ("a", "b"), np.arange(first, 600, 3))
+        )
+    group = slots[0].group
+    assert group.positions.dtype == np.uint16 and group.n_rows == 600
+    tids = np.arange(600)
+    assert np.array_equal(group.rows(tids), 200 * (tids % 3) + tids // 3)
+    image.drop(0)
+    assert group.n_rows == 600 and group.n_dead == 200  # not outnumbered yet
+    image.drop(2)
+    assert group.n_rows == 200 and group.n_dead == 0  # rebuilt
+    live = np.arange(1, 600, 3)
+    assert np.array_equal(group.rows(live), np.arange(200))
+    assert (group.rows(np.arange(0, 600, 3)) == -1).all()
+    assert np.array_equal(group.column("b")[:200], live * 3)
+    assert image.nbytes() == image.nbytes(live=True)
