@@ -60,7 +60,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -127,14 +126,17 @@ class PlanReader:
         self.fctx = fctx
         self.chunk_size = chunk_size
         self.cache = cache
-        self.lock = lock if lock is not None else nullcontext()
+        self.lock = lock
 
     def load(self, pid: int) -> PhysicalPartition:
         """Load one partition, charging this execution's counters."""
         if self.cache is not None and pid in self.cache:
             return self.cache[pid]
-        with self.lock:
+        if self.lock is None:
             partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
+        else:
+            with self.lock:
+                partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
         if io_delta.n_pool_hits:  # a pool hit charges nothing else
             self.stats.n_pool_hits += 1
         else:
@@ -701,9 +703,11 @@ class GroupSelectOp(SelectOp):
                 lock.acquire()
         return lock
 
-    def _by_group(self, pids: Iterable[int]) -> Dict[ImageGroup, List[ImageSlot]]:
+    def _by_group(self, pids: List[int]) -> Dict[ImageGroup, List[ImageSlot]]:
+        """The slots of ``pids`` (distinct: each phase reads a pid once)
+        with rows, per group."""
         groups: Dict[ImageGroup, List[ImageSlot]] = {}
-        for pid in dict.fromkeys(pids):
+        for pid in pids:
             for slot in self.slots[pid]:
                 if slot.stop > slot.start:
                     groups.setdefault(slot.group, []).append(slot)

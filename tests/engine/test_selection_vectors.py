@@ -6,9 +6,9 @@ the same partitions, with a real hash table: the closed-form counters must
 price exactly the loop the paper describes, on the paths where result-sized
 scratch is easiest to get wrong (dropped stashes, catalog-only prunes,
 snapshot masks, degraded reads, empty and full results), and on the shapes
-the owner-addressed projection must get right: an attribute in two
-segments of one pid, overlapping primaries, stashed partitions revisited,
-and substitutes of a faulting partition.
+the projection must get right: an attribute in two segments of one pid,
+overlapping primaries (two layers of one schema group), stashed partitions
+revisited, and substitutes of a faulting partition.
 """
 
 import tracemalloc
@@ -284,15 +284,12 @@ class TestAlgorithm5Counters:
 
 
 class TestOwnerAddressedProjection:
-    """The projection phase reads rows and positions from the owner map for
-    the segments of a missing attribute and keeps the status pass for
-    everything else; result and every counter must still be the
-    tuple-at-a-time loop's."""
+    """The owner map finds the projection partitions; their cells reach the
+    result by the schema group's ``tid -> row`` gather.  Result and every
+    counter must still be the tuple-at-a-time loop's."""
 
     def run(self, table, groups, select, where=None, **reference):
-        """``where`` defaults to a result under a quarter of the table: the
-        owner rows are used below that, the status pass (and a dense row
-        map) from there up."""
+        """``where`` defaults to a result under a quarter of the table."""
         manager = build_segments(table, groups, reference.pop("store", None))
         query = Query.build(table.meta, select, where or {"a1": (0, 199)})
         result, stats = run_pat(manager, table, query)
