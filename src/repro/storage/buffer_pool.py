@@ -156,11 +156,12 @@ class BufferPool:
             self.image.clear()
 
     def image_slots(
-        self, pid: int, partition: PhysicalPartition, extent: Extent = (0, {})
+        self, pid: int, partition: PhysicalPartition, extent: Extent
     ) -> Optional[Tuple[ImageSlot, ...]]:
-        """``partition``'s image slots, admitting it on first use, or None
-        unless it is the object the pool holds for ``pid`` (an entry the
-        pool refused, evicted or replaced has no slots to keep)."""
+        """``partition``'s image slots, admitting it on first use (read
+        under a catalog view of ``extent``), or None unless it is the object
+        the pool holds for ``pid`` (an entry the pool refused, evicted or
+        replaced has no slots to keep)."""
         with self._lock:
             entry = self._entries.get(pid)
             if entry is None or entry.hit[0] is not partition:
