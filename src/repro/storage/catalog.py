@@ -268,9 +268,10 @@ class CatalogIndex:
         """``(tid domain, stored rows per segment schema)``: what sizes a
         schema-group image (:mod:`repro.storage.image`) of this partition
         set.  Memoised."""
-        if self._extent is None:
-            self._extent = _extent(self._infos.values())
-        return self._extent
+        extent = self._extent
+        if extent is None:
+            extent = self._extent = _extent(self._infos.values())
+        return extent
 
     def key_zones(self, key: str, attributes: frozenset) -> tuple:
         """``(keyed, unkeyed, sizes)`` over the partitions storing one of

@@ -32,7 +32,7 @@ invalidates it.  Without a pool, or when one of a query's pids was evicted
 while the query ran, the engine builds a private image over the partitions
 it loaded and drops it with the query.
 
-Every mutation and every read that relies on slots being live hold
+Every mutation, and every read that relies on its slots being live, holds
 :attr:`SchemaImage.lock`.  The image charges nothing to the simulated
 accounting: loads are charged by the partition manager before a segment
 is admitted, and the image's bytes are outside the pool's budget.
