@@ -242,5 +242,7 @@ def run_selection(
         count_prunes(plan, (pid,), stats)
         return True
 
-    loop.run(process, skip)
+    # Only a pruned pid of the full form is ever skipped (the hit-only form
+    # dropped its pruned pids above, and it degrades no selection read).
+    loop.run(process, skip if pruned and not select_op.hit_only else None)
     return evictions

@@ -133,17 +133,18 @@ class PlanReader:
         if self.cache is not None and pid in self.cache:
             return self.cache[pid]
         if self.lock is None:
-            partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
+            partition, io_delta = self.manager.load(pid, self.chunk_size)
         else:
             with self.lock:
-                partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
+                partition, io_delta = self.manager.load(pid, self.chunk_size)
+        stats = self.stats
         if io_delta.n_pool_hits:  # a pool hit charges nothing else
-            self.stats.n_pool_hits += 1
+            stats.n_pool_hits += 1
         else:
-            self.stats.accrue_io(io_delta)
-        self.stats.n_partition_reads += 1
+            stats.accrue_io(io_delta)
+        stats.n_partition_reads += 1
         if self.fctx is not None and pid in self.fctx.degraded:
-            self.stats.n_degraded_reads += 1
+            stats.n_degraded_reads += 1
         if self.cache is not None:
             self.cache[pid] = partition
         return partition
@@ -238,24 +239,25 @@ class AccessLoop:
         process: Callable[[int, PhysicalPartition], None],
         skip: Optional[Callable[[int], bool]] = None,
     ) -> None:
-        fctx = self.degrade.fctx
-        while self.pending:
-            pid = self.pending.popleft()
+        unreadable = self.degrade.fctx.unreadable
+        pending, done, load = self.pending, self.done, self.reader.load
+        while pending:
+            pid = pending.popleft()
             if self.replan_known_dead:
-                if pid in self.done:
+                if pid in done:
                     continue
-                self.done.add(pid)
-                if pid in fctx.unreadable:
+                done.add(pid)
+                if pid in unreadable:
                     self.fail(pid, None)
                     continue
             else:
-                if pid in self.done or pid in fctx.unreadable:
+                if pid in done or pid in unreadable:
                     continue
-                self.done.add(pid)
+                done.add(pid)
             if skip is not None and skip(pid):
                 continue
             try:
-                partition = self.reader.load(pid)
+                partition = load(pid)
             except PartitionUnreadableError as exc:
                 self.fail(pid, exc)
                 continue
