@@ -242,7 +242,5 @@ def run_selection(
         count_prunes(plan, (pid,), stats)
         return True
 
-    # Only a pruned pid of the full form is ever skipped (the hit-only form
-    # dropped its pruned pids above, and it degrades no selection read).
-    loop.run(process, skip if pruned and not select_op.hit_only else None)
+    loop.run(process, skip)
     return evictions

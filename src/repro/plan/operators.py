@@ -133,18 +133,17 @@ class PlanReader:
         if self.cache is not None and pid in self.cache:
             return self.cache[pid]
         if self.lock is None:
-            partition, io_delta = self.manager.load(pid, self.chunk_size)
+            partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
         else:
             with self.lock:
-                partition, io_delta = self.manager.load(pid, self.chunk_size)
-        stats = self.stats
+                partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
         if io_delta.n_pool_hits:  # a pool hit charges nothing else
-            stats.n_pool_hits += 1
+            self.stats.n_pool_hits += 1
         else:
-            stats.accrue_io(io_delta)
-        stats.n_partition_reads += 1
+            self.stats.accrue_io(io_delta)
+        self.stats.n_partition_reads += 1
         if self.fctx is not None and pid in self.fctx.degraded:
-            stats.n_degraded_reads += 1
+            self.stats.n_degraded_reads += 1
         if self.cache is not None:
             self.cache[pid] = partition
         return partition
@@ -239,25 +238,24 @@ class AccessLoop:
         process: Callable[[int, PhysicalPartition], None],
         skip: Optional[Callable[[int], bool]] = None,
     ) -> None:
-        unreadable = self.degrade.fctx.unreadable
-        pending, done, load = self.pending, self.done, self.reader.load
-        while pending:
-            pid = pending.popleft()
+        fctx = self.degrade.fctx
+        while self.pending:
+            pid = self.pending.popleft()
             if self.replan_known_dead:
-                if pid in done:
+                if pid in self.done:
                     continue
-                done.add(pid)
-                if pid in unreadable:
+                self.done.add(pid)
+                if pid in fctx.unreadable:
                     self.fail(pid, None)
                     continue
             else:
-                if pid in done or pid in unreadable:
+                if pid in self.done or pid in fctx.unreadable:
                     continue
-                done.add(pid)
+                self.done.add(pid)
             if skip is not None and skip(pid):
                 continue
             try:
-                partition = load(pid)
+                partition = self.reader.load(pid)
             except PartitionUnreadableError as exc:
                 self.fail(pid, exc)
                 continue
