@@ -8,8 +8,8 @@ It owns **construction** (a driver declares its keyword options in
 ``planner``, ``pruning``, ``cpu_model``, ``clone(**overrides)``,
 ``rebind(meta)``, ``plan``/``explain``) and, for the two vectorised
 drivers, the **execute scaffold**: pin a catalog view (unless the caller
-handed one) → plan against it → read pipeline (fault context, reader
-*configured from* ``plan.policy``, degrade op) → the driver's
+handed one) → plan against it → read pipeline (a reader *configured from*
+``plan.policy``, with the execution's fault context) → the driver's
 :meth:`_select` and :meth:`_project` phases → complete result or error →
 price → publish → release the pin.  The view is the request's whole
 catalog: nothing below the root asks the live manager for metadata.  The
@@ -40,7 +40,6 @@ from ..plan.explain import ExplainReport
 from ..plan.logical import POLICY_PARTITION
 from ..plan.operators import (
     AccessLoop,
-    DegradeOp,
     PlanReader,
     ProjectFillOp,
     SelectOp,
@@ -61,7 +60,6 @@ class QueryRun(NamedTuple):
 
     plan: PhysicalPlan
     reader: PlanReader
-    degrade: DegradeOp
     stats: ExecutionStats
 
 
@@ -159,8 +157,7 @@ class QueryEngine:
             reader = PlanReader(
                 self.manager, stats, fctx, chunk_size=plan.policy.chunk_size
             )
-            degrade = DegradeOp(snapshot.index, stats, fctx)
-            run = QueryRun(plan, reader, degrade, stats)
+            run = QueryRun(plan, reader, stats)
             with tracer.phase("exec.selection", stats, cpu_model=cpu_model):
                 select_op = self._select(run)
             with tracer.phase("exec.projection", stats, cpu_model=cpu_model):
@@ -205,7 +202,6 @@ def count_prunes(
 def run_selection(
     plan: PhysicalPlan,
     reader: PlanReader,
-    degrade: DegradeOp,
     select_op: SelectOp,
     stats: ExecutionStats,
     process: Callable[[int, PhysicalPartition], None],
@@ -218,7 +214,7 @@ def run_selection(
     and the prunes are counted at once.  Returns the VALID tuples the
     verdicts evicted."""
     logical = plan.logical
-    loop = AccessLoop(reader, degrade, logical.predicate_attributes)
+    loop = AccessLoop(reader, plan.snapshot.index, logical.predicate_attributes)
     pids = plan.selection_pids()
     pruned = plan.verdict.pruned
     if select_op.hit_only and pruned:

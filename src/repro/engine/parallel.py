@@ -10,8 +10,10 @@ Two deliverables live here:
    produce bit-identical results to the serial engine.  Both strategies are
    drivers over the shared plan layer: the
    :class:`~repro.plan.physical.QueryPlanner` supplies the access lists and
-   pushdown sets, :class:`~repro.plan.operators.SelectOp` the per-tuple
-   Algorithm 5 transition, and each worker thread accounts its reads in its
+   pushdown sets, :class:`~repro.plan.operators.AccessLoop` the loads and
+   degraded substitutes, this module the per-tuple Algorithm 5 transition
+   (:func:`_process_tuple`, :func:`_fill_tuple`), and each worker thread
+   accounts its reads in its
    own :class:`~repro.plan.stats.ExecutionStats` (summed into the stats
    ``execute`` returns — per-worker counters must add up exactly to the
    reported totals).  From :class:`~repro.engine.base.QueryEngine` the
@@ -49,12 +51,10 @@ from ..plan.operators import (
     STATUS_NOT_CHECKED,
     STATUS_VALID,
     AccessLoop,
-    DegradeOp,
     PlanReader,
-    ProjectFillOp,
-    SelectOp,
     finalize_stats,
 )
+from ..plan.predicates import Conjunction
 from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
 from ..storage.device import DeviceProfile
@@ -138,8 +138,6 @@ class ThreadedPartitionEngine(QueryEngine):
             load_lock = threading.Lock()
             fctx = FaultContext()
             failed: List[int] = []  # appended by workers (atomic)
-            select_op = SelectOp(conjunction, projected)
-            fill_op = ProjectFillOp(projected)
 
             pred_pids = plan.selection_pids()
             with tracer.phase("exec.selection", ledgers, strategy=self.strategy):
@@ -150,23 +148,22 @@ class ThreadedPartitionEngine(QueryEngine):
                             ret[tid] = {}
                 elif self.strategy == "locking":
                     self._selection_locking(
-                        plan, pred_pids, select_op, status, ret, load_lock,
-                        fctx, failed, workers,
+                        plan, pred_pids, status, ret, load_lock, fctx, failed,
+                        workers,
                     )
                 else:
                     self._selection_shared(
-                        plan, pred_pids, select_op, status, ret, load_lock,
-                        fctx, failed, workers,
+                        plan, pred_pids, status, ret, load_lock, fctx, failed,
+                        workers,
                     )
             if failed:
                 with tracer.phase("exec.drain", ledgers, n_failed=len(failed)):
                     self._drain_selection_failures(
-                        plan, failed, select_op, status, ret, fctx,
-                        coordinator,
+                        plan, failed, status, ret, fctx, coordinator,
                     )
 
             with tracer.phase("exec.projection", ledgers):
-                self._projection(plan, fill_op, status, ret, fctx, coordinator)
+                self._projection(plan, status, ret, fctx, coordinator)
 
             totals = ExecutionStats()
             for ledger in ledgers:
@@ -230,13 +227,13 @@ class ThreadedPartitionEngine(QueryEngine):
                 yield int(tid), {name: columns[name][row] for name in attrs}
 
     def _selection_locking(
-        self, plan, pred_pids, select_op, status, ret, load_lock, fctx, failed,
-        workers,
+        self, plan, pred_pids, status, ret, load_lock, fctx, failed, workers,
     ):
         """Algorithm 6: threads pop partitions; bucket locks serialize tuples."""
         queue = list(pred_pids)
         queue_lock = threading.Lock()
         bucket_locks = [threading.Lock() for _ in range(N_BUCKETS)]
+        conjunction, projected = plan.logical.conjunction, plan.logical.projected
         wanted = plan.logical.selection_columns
 
         def worker(thread_id: int) -> None:
@@ -251,19 +248,19 @@ class ThreadedPartitionEngine(QueryEngine):
                     continue
                 for tid, cells in self._tuple_rows(partition, wanted):
                     with bucket_locks[tid % N_BUCKETS]:
-                        select_op.process_tuple(tid, cells, status, ret)
+                        _process_tuple(conjunction, projected, tid, cells, status, ret)
 
         self._run_threads(worker)
 
     def _selection_shared(
-        self, plan, pred_pids, select_op, status, ret, load_lock, fctx, failed,
-        workers,
+        self, plan, pred_pids, status, ret, load_lock, fctx, failed, workers,
     ):
         """Algorithm 7: barrier after loading; threads own bucket ranges."""
         partitions: List = [None] * len(pred_pids)
         load_queue = list(enumerate(pred_pids))
         queue_lock = threading.Lock()
         barrier = threading.Barrier(self.n_threads)
+        conjunction, projected = plan.logical.conjunction, plan.logical.projected
         wanted = plan.logical.selection_columns
 
         def worker(thread_id: int) -> None:
@@ -281,12 +278,12 @@ class ThreadedPartitionEngine(QueryEngine):
                 for tid, cells in self._tuple_rows(partition, wanted):
                     if tid % self.n_threads != thread_id:
                         continue
-                    select_op.process_tuple(tid, cells, status, ret)
+                    _process_tuple(conjunction, projected, tid, cells, status, ret)
 
         self._run_threads(worker)
 
     def _drain_selection_failures(
-        self, plan, failed, select_op, status, ret, fctx, stats
+        self, plan, failed, status, ret, fctx, stats
     ) -> None:
         """Serially re-cover the predicate cells of partitions the worker
         threads could not read.
@@ -297,11 +294,10 @@ class ThreadedPartitionEngine(QueryEngine):
         cells are healed later by :meth:`_projection` through the tuple-level
         index.
         """
-        conjunction = plan.logical.conjunction
+        conjunction, projected = plan.logical.conjunction, plan.logical.projected
         wanted = plan.logical.selection_columns
         reader = PlanReader(self.manager, stats, fctx)
-        degrade = DegradeOp(plan.snapshot.index, stats, fctx)
-        loop = AccessLoop(reader, degrade, conjunction.attributes)
+        loop = AccessLoop(reader, plan.snapshot.index, conjunction.attributes)
         # Mark every known failure first so the earliest substitution plan
         # already excludes all of them.
         loop.done.update(failed)
@@ -314,11 +310,11 @@ class ThreadedPartitionEngine(QueryEngine):
 
         def process(pid: int, partition) -> None:
             for tid, cells in self._tuple_rows(partition, wanted):
-                select_op.process_tuple(tid, cells, status, ret)
+                _process_tuple(conjunction, projected, tid, cells, status, ret)
 
         loop.run(process)
 
-    def _projection(self, plan, fill_op, status, ret, fctx, stats):
+    def _projection(self, plan, status, ret, fctx, stats):
         """Fill missing projected cells; safe without locks (Section 5.2.1).
 
         Partitions are loaded once, serially by the coordinator (the load
@@ -361,10 +357,9 @@ class ThreadedPartitionEngine(QueryEngine):
 
         partitions: List = []
         reader = PlanReader(self.manager, stats, fctx)
-        degrade = DegradeOp(plan.snapshot.index, stats, fctx)
         loop = AccessLoop(
             reader,
-            degrade,
+            plan.snapshot.index,
             projected,
             replan_known_dead=True,
             tids_by_attribute=still_missing,
@@ -379,7 +374,7 @@ class ThreadedPartitionEngine(QueryEngine):
                         continue
                     if status[tid] != _VALID:
                         continue
-                    fill_op.fill_tuple(tid, cells, ret[tid])
+                    _fill_tuple(projected, cells, ret[tid])
 
         self._run_threads(worker)
 
@@ -405,6 +400,46 @@ class ThreadedPartitionEngine(QueryEngine):
             thread.start()
         for thread in threads:
             thread.join()
+
+
+def _process_tuple(
+    conjunction: Conjunction,
+    projected: Tuple[str, ...],
+    tid: int,
+    cells: Dict[str, object],
+    status: List[int],
+    ret: Dict[int, Dict[str, object]],
+) -> None:
+    """Algorithm 5 lines 6-16 for one tuple (the caller holds the tuple's
+    bucket lock or owns its bucket range)."""
+    if status[tid] == _INVALID:
+        return
+    for predicate in conjunction.predicates:
+        if predicate.attribute in cells:
+            value = cells[predicate.attribute]
+            if not (predicate.lo <= value <= predicate.hi):
+                if status[tid] == _VALID:
+                    ret.pop(tid, None)
+                status[tid] = _INVALID
+                return
+    if status[tid] == _NOT_CHECKED:
+        ret[tid] = {}
+        status[tid] = _VALID
+    row = ret.get(tid)
+    if row is not None:
+        for name in projected:
+            if name in cells:
+                row[name] = cells[name]
+
+
+def _fill_tuple(
+    projected: Tuple[str, ...], cells: Dict[str, object], row: Dict[str, object]
+) -> None:
+    """Tuple-at-a-time fill of one hash-table row: the projected cells it
+    still misses."""
+    for name in projected:
+        if name in cells and name not in row:
+            row[name] = cells[name]
 
 
 # ---------------------------------------------------------------------------

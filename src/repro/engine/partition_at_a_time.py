@@ -82,11 +82,11 @@ class PartitionAtATimeExecutor(QueryEngine):
     # ------------------------------------------------------------ phase 1
 
     def _select(self, run: QueryRun) -> GroupSelectOp:
-        plan, reader, degrade, stats = run
+        plan, reader, stats = run
         select_op = GroupSelectOp(
             plan.logical.conjunction, plan.logical.projected,
             self.table.n_tuples, plan.snapshot.hidden, plan.visits_once,
-            plan.zone_refuted, self.manager.buffer_pool, plan.snapshot.index,
+            plan.zone_refuted, self.manager.buffer_pool,
         )
         if not plan.logical.conjunction:
             stats.hash_inserts += select_op.select_all()
@@ -103,7 +103,7 @@ class PartitionAtATimeExecutor(QueryEngine):
         # A pruned partition's verdict evicts hash-table rows as the read
         # would have.  (``+= run_selection(...)`` would read the counter
         # before ``process`` advances it.)
-        evicted = run_selection(plan, reader, degrade, select_op, stats, process)
+        evicted = run_selection(plan, reader, select_op, stats, process)
         stats.hash_updates += evicted
         if select_op.hit_only:  # no order to keep: one mask per group
             inserts, stashed = select_op.select_groups()
@@ -114,7 +114,7 @@ class PartitionAtATimeExecutor(QueryEngine):
     # ------------------------------------------------------------ phase 2
 
     def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
-        plan, reader, degrade, stats = run
+        plan, reader, stats = run
         select_op = fill_op.select
         assert isinstance(select_op, GroupSelectOp)
         # Line 16: the evaluated selection slots supply their result
@@ -140,7 +140,7 @@ class PartitionAtATimeExecutor(QueryEngine):
             proj_pids.update(view.partitions_with_missing_cells(names[0], tids))
         loop = AccessLoop(
             reader,
-            degrade,
+            view.index,
             missing_by_attr,
             replan_known_dead=True,
             tids_by_attribute=missing_by_attr,

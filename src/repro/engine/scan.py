@@ -58,7 +58,7 @@ class ScanExecutor(QueryEngine):
     def _select(self, run: QueryRun) -> SelectOp:
         """Evaluate the predicates partition by partition into the status
         vector: VALID = passed every predicate cell read, none refuted."""
-        plan, reader, degrade, stats = run
+        plan, reader, stats = run
         # Within-query working memory: a partition first loaded for the
         # selection phase decodes further columns on demand when the
         # gather phase revisits it, so the reuse stays sound under lazy
@@ -87,7 +87,7 @@ class ScanExecutor(QueryEngine):
                 )
             select_op.select(partition)
 
-        run_selection(plan, reader, degrade, select_op, stats, process)
+        run_selection(plan, reader, select_op, stats, process)
         if not self.row_major:
             # Operator-at-a-time materializes one selection vector per
             # predicate plus the conjunction.
@@ -98,7 +98,7 @@ class ScanExecutor(QueryEngine):
 
     def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
         """Gather the projected cells of the selected tuples."""
-        plan, reader, degrade, stats = run
+        plan, reader, stats = run
         projected = plan.logical.projected
         loaded = reader.cache
         assert loaded is not None
@@ -114,7 +114,7 @@ class ScanExecutor(QueryEngine):
 
         loop = AccessLoop(
             reader,
-            degrade,
+            plan.snapshot.index,
             projected,
             replan_known_dead=True,
             tids_by_attribute=still_missing,

@@ -56,7 +56,6 @@ from .operators import (
     STATUS_NOT_CHECKED,
     STATUS_VALID,
     AccessLoop,
-    DegradeOp,
     PlanReader,
     ProjectFillOp,
     SelectOp,
@@ -77,7 +76,6 @@ __all__ = [
     "Conjunction",
     "CpuModel",
     "DagExecutor",
-    "DegradeOp",
     "ExecutionStats",
     "ExplainReport",
     "FaultContext",

@@ -10,19 +10,19 @@ re-implementing them:
   through the manager, fold the I/O delta into ``ExecutionStats``, count the
   read (and whether it was a degraded substitute read), reuse within-query
   working memory, and serialize loads under a lock for threaded drivers.
-* :class:`DegradeOp` — overlap substitution when a planned access
-  turns out unreadable, wrapping :func:`~repro.plan.degrade.handle_unreadable`.
 * :class:`AccessLoop` — the ordered work queue over partition accesses that
-  every phase runs: dedup, known-dead handling, skip hooks, load, degrade
-  re-planning, process.
+  every phase runs: dedup, known-dead handling, skip hooks, load, process;
+  a planned access that turns out unreadable is re-planned onto overlapping
+  substitutes (:func:`~repro.plan.degrade.handle_unreadable`, inside one
+  ``exec.degrade`` span).
 * :class:`SelectOp` / :class:`ProjectFillOp` — the vectorized engine core,
   built on **selection vectors and result-sized output**: the only
   table-sized scratch is Algorithm 5's status vector (one byte per tuple);
   a segment's passing mask becomes hit tids once; and once selection is
   final the ascending VALID tids *are* the ``tid -> output row`` map, so
   every fill writes into |result|-sized columns.  The scan driver selects
-  and fills partition by partition; both ops also carry the
-  tuple-at-a-time form the threaded protocols use.
+  and fills partition by partition.  (The threaded protocols keep the
+  tuple-at-a-time form, in :mod:`repro.engine.parallel`.)
 * :class:`GroupSelectOp` — the partition-at-a-time driver's core: loads
   stay per partition, evaluation runs per schema group over the
   schema-group image (:mod:`repro.storage.image`) — one predicate mask per
@@ -84,7 +84,6 @@ __all__ = [
     "STATUS_VALID",
     "STATUS_INVALID",
     "PlanReader",
-    "DegradeOp",
     "AccessLoop",
     "SelectOp",
     "ProjectFillOp",
@@ -102,6 +101,8 @@ STATUS_INVALID = np.uint8(2)
 class PlanReader:
     """The partition-open/accounting preamble, shared by every call site.
 
+    ``fctx`` is the execution's fault context, shared by every reader and
+    access loop of the execution so every phase sees one exclusion set;
     ``cache`` is optional within-query working memory (the scan engine's
     selection phase loads may be revisited by its gather phase; a driver
     whose later phase revisits partitions sets it); ``lock`` serializes
@@ -116,7 +117,7 @@ class PlanReader:
         self,
         manager: PartitionManager,
         stats: ExecutionStats,
-        fctx: Optional[FaultContext] = None,
+        fctx: FaultContext,
         chunk_size: Optional[int] = None,
         cache: Optional[Dict[int, PhysicalPartition]] = None,
         lock: Optional[threading.Lock] = None,
@@ -142,51 +143,11 @@ class PlanReader:
         else:
             self.stats.accrue_io(io_delta)
         self.stats.n_partition_reads += 1
-        if self.fctx is not None and pid in self.fctx.degraded:
+        if pid in self.fctx.degraded:
             self.stats.n_degraded_reads += 1
         if self.cache is not None:
             self.cache[pid] = partition
         return partition
-
-
-class DegradeOp:
-    """Substitute reads for unreadable partitions.
-
-    Holds the plan's catalog index — substitutes come from the version the
-    query reads — and the execution's :class:`FaultContext`, so every phase
-    shares one exclusion set.
-    """
-
-    __slots__ = ("index", "stats", "fctx")
-
-    def __init__(
-        self,
-        index: CatalogIndex,
-        stats: ExecutionStats,
-        fctx: Optional[FaultContext] = None,
-    ):
-        self.index = index
-        self.stats = stats
-        self.fctx = fctx if fctx is not None else FaultContext()
-
-    def handle(
-        self,
-        pid: int,
-        attributes: Iterable[str],
-        pending: deque,
-        done: Set[int],
-        exc: Optional[PartitionUnreadableError] = None,
-        tids_by_attribute: Optional[Dict[str, np.ndarray]] = None,
-    ) -> None:
-        with obs_tracer().span(
-            "exec.degrade", pid=pid, discovered=exc is not None
-        ) as span:
-            n_pending_before = len(pending)
-            handle_unreadable(
-                self.index, pid, attributes, self.fctx, self.stats,
-                pending, done, exc, tids_by_attribute,
-            )
-            span.set(n_substitutes=len(pending) - n_pending_before)
 
 
 class AccessLoop:
@@ -197,6 +158,8 @@ class AccessLoop:
     discovered.  Projection phases (``replan_known_dead=True``) re-plan a
     known-dead pid's cells instead: the dead partition's projected cells
     still need substitute homes, without burning another retry cycle.
+    Substitutes come from ``index``, the catalog version the query reads;
+    the reader's fault context and stats record the death.
 
     ``tids_by_attribute`` narrows a rescue to specific tuples; passing a
     callable defers the computation to failure time (e.g. "the projected
@@ -204,20 +167,20 @@ class AccessLoop:
     """
 
     __slots__ = (
-        "reader", "degrade", "attributes", "replan_known_dead",
+        "reader", "index", "attributes", "replan_known_dead",
         "tids_by_attribute", "pending", "done",
     )
 
     def __init__(
         self,
         reader: PlanReader,
-        degrade: DegradeOp,
+        index: CatalogIndex,
         attributes: Iterable[str],
         replan_known_dead: bool = False,
         tids_by_attribute=None,
     ):
         self.reader = reader
-        self.degrade = degrade
+        self.index = index
         self.attributes = tuple(attributes)
         self.replan_known_dead = replan_known_dead
         self.tids_by_attribute = tids_by_attribute
@@ -229,16 +192,22 @@ class AccessLoop:
         tids = self.tids_by_attribute
         if callable(tids):
             tids = tids()
-        self.degrade.handle(
-            pid, self.attributes, self.pending, self.done, exc, tids
-        )
+        with obs_tracer().span(
+            "exec.degrade", pid=pid, discovered=exc is not None
+        ) as span:
+            n_pending_before = len(self.pending)
+            handle_unreadable(
+                self.index, pid, self.attributes, self.reader.fctx,
+                self.reader.stats, self.pending, self.done, exc, tids,
+            )
+            span.set(n_substitutes=len(self.pending) - n_pending_before)
 
     def run(
         self,
         process: Callable[[int, PhysicalPartition], None],
         skip: Optional[Callable[[int], bool]] = None,
     ) -> None:
-        fctx = self.degrade.fctx
+        fctx = self.reader.fctx
         while self.pending:
             pid = self.pending.popleft()
             if self.replan_known_dead:
@@ -306,9 +275,7 @@ class SelectOp(_ProjectingOp):
     :meth:`select` evaluates one partition's segments into the status
     vector and counts the co-located projected cells its hits carry
     (line 16's stash, in closed form: the cells stay where they are stored
-    and reach their output rows once the selection is final).  The
-    tuple-at-a-time drivers keep their own status list and hash table and
-    use :meth:`process_tuple` alone.
+    and reach their output rows once the selection is final).
 
     An INVALID mark is written only where a later visit in this query can
     read it.  ``hit_only`` is the catalog's verdict that no tuple is reached
@@ -427,34 +394,6 @@ class SelectOp(_ProjectingOp):
             status[where] = STATUS_INVALID
         return evictions
 
-    def process_tuple(
-        self,
-        tid: int,
-        cells: Dict[str, object],
-        status: List[int],
-        ret: Dict[int, Dict[str, object]],
-    ) -> None:
-        """Algorithm 5 lines 6-16 for one tuple (threaded drivers; the
-        caller holds the tuple's bucket lock or owns its bucket range)."""
-        if status[tid] == STATUS_INVALID:
-            return
-        for predicate in self.conjunction.predicates:
-            if predicate.attribute in cells:
-                value = cells[predicate.attribute]
-                if not (predicate.lo <= value <= predicate.hi):
-                    if status[tid] == STATUS_VALID:
-                        ret.pop(tid, None)
-                    status[tid] = STATUS_INVALID
-                    return
-        if status[tid] == STATUS_NOT_CHECKED:
-            ret[tid] = {}
-            status[tid] = STATUS_VALID
-        row = ret.get(tid)
-        if row is not None:
-            for name in self.projected:
-                if name in cells:
-                    row[name] = cells[name]
-
 
 class ProjectFillOp(_ProjectingOp):
     """Algorithm 5's result hash table at its true size.
@@ -463,28 +402,18 @@ class ProjectFillOp(_ProjectingOp):
     *is* the ``tid -> output row`` map, so every fill writes into
     |result|-sized columns; ``filled`` flags of the same size say which
     cells are still missing.  The partition-at-a-time driver writes them
-    from the schema-group image (:meth:`GroupSelectOp.fill`).  The scan
-    driver's :meth:`fill` finds a segment's rows (:meth:`_hits`) as a slice
-    of ``valid`` for a run, else by one status pass, writes a schema's first
-    segments as gathered and leaves the rest to one writer (:meth:`_absorb`)
-    before anything reads ``filled``.  The tuple-at-a-time drivers pass no
-    selection and use :meth:`fill_tuple`.
+    from the schema-group image (:meth:`GroupSelectOp.fill`); the scan
+    driver's :meth:`fill` writes a segment's cells as it reads them, its
+    rows (:meth:`_hits`) a slice of ``valid`` for a run, else found by one
+    status pass.
     """
 
-    __slots__ = ("select", "status", "valid", "columns", "filled", "_row_of",
-                 "_touched", "_pending", "_held", "_seen")
+    __slots__ = ("select", "status", "valid", "columns", "filled", "_row_of")
 
-    def __init__(
-        self,
-        projected: Tuple[str, ...],
-        select: Optional[SelectOp] = None,
-        schema=None,
-    ):
+    def __init__(self, projected: Tuple[str, ...], select: SelectOp, schema):
         super().__init__(projected)
-        #: the selection this table was built from (None: tuple-at-a-time).
+        #: the selection this table was built from.
         self.select = select
-        if select is None:
-            return
         status = self.status = select.status
         self.valid = (  # the hit-only form's hit tids are the VALID set
             np.flatnonzero(status == STATUS_VALID) if select.hits is None
@@ -497,31 +426,7 @@ class ProjectFillOp(_ProjectingOp):
         self.filled: Dict[str, np.ndarray] = {
             name: np.zeros(n_rows, dtype=bool) for name in projected
         }
-        self._touched: Dict[int, bool] = {}
-        #: wanted attributes -> pending ``(rows, chunks)`` per segment (their
-        #: cells stay under half the table's tuple count), and segments seen.
-        self._pending: Dict[Tuple[str, ...], list] = {}
-        self._held = 0
-        self._seen: Dict[Tuple[str, ...], int] = {}
         self._row_of: Optional[np.ndarray] = None
-
-    def _write(self, wanted: Tuple[str, ...], rows, chunks) -> None:
-        """The one writer: per attribute, one concat of its chunks (in row
-        order), one scatter and one flag write — so at most one extra result
-        column is alive."""
-        for name, parts in zip(wanted, chunks):
-            self.columns[name][rows] = (
-                parts[0] if len(parts) == 1 else np.concatenate(parts)
-            )
-            self.filled[name][rows] = True
-
-    def _absorb(self) -> None:
-        """Write the pending fills, a schema's segments at once."""
-        pending, self._pending, self._held = self._pending, {}, 0
-        for wanted, entries in pending.items():
-            rows, chunks = zip(*entries)
-            rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
-            self._write(wanted, rows, zip(*chunks))
 
     def _rows(self, tids: np.ndarray) -> np.ndarray:
         """Output rows of result tids.  From a quarter of the table up, from
@@ -547,25 +452,19 @@ class ProjectFillOp(_ProjectingOp):
 
     def touches(self, info: PartitionInfo) -> bool:
         """Whether any result tuple lives in the partition (the catalog's
-        verdict, reached once per plan and reused by every caller)."""
-        touched = self._touched.get(info.pid)
-        if touched is None:
-            touched = self._touched[info.pid] = bool(len(self.valid)) and any(
-                len(tids) and len(self._hits(tids, mode)[1])
-                for tids, mode in zip(info.segment_tids, info.segment_tid_modes)
-            )
-        return touched
+        verdict; an access loop asks once per pid)."""
+        return bool(len(self.valid)) and any(
+            len(tids) and len(self._hits(tids, mode)[1])
+            for tids, mode in zip(info.segment_tids, info.segment_tid_modes)
+        )
 
     def missing(self, name: str) -> np.ndarray:
         """Result tids whose ``name`` cell no partition has supplied yet."""
-        if self._pending:
-            self._absorb()
         return self.valid[~self.filled[name]]
 
     def fill(self, partition: PhysicalPartition) -> int:
-        """Write the partition's projected cells of result tuples (beyond a
-        schema's fourth segment: gather them for the writer); returns the
-        cells (hits x wanted attributes, per segment)."""
+        """Write the partition's projected cells of result tuples; returns
+        the cells (hits x wanted attributes, per segment)."""
         written = 0
         for segment in partition.segments:
             wanted = self.wanted(segment.attributes)
@@ -575,21 +474,10 @@ class ProjectFillOp(_ProjectingOp):
             rows, hits = self._hits(tids, segment.tid_storage)
             if not len(hits):
                 continue
-            # A run, and a schema's first four segments (all a point query
-            # has), are written as gathered: a concat only pays beyond.
-            seen = self._seen[wanted] = self._seen.get(wanted, 0) + 1
-            if type(rows) is slice or seen <= 4:
-                for name in wanted:
-                    self.columns[name][rows] = segment.columns[name][hits]
-                    self.filled[name][rows] = True
-            else:
-                self._pending.setdefault(wanted, []).append(
-                    (rows, [segment.columns[name][hits] for name in wanted])
-                )
-                self._held += len(hits) * len(wanted)
+            for name in wanted:
+                self.columns[name][rows] = segment.columns[name][hits]
+                self.filled[name][rows] = True
             written += len(hits) * len(wanted)
-        if 2 * self._held > len(self.status):
-            self._absorb()
         return written
 
     def result(self, stats: ExecutionStats, lost=()) -> ResultSet:
@@ -609,13 +497,6 @@ class ProjectFillOp(_ProjectingOp):
                 )
         stats.n_result_tuples = len(self.valid)
         return ResultSet(self.valid, self.columns)
-
-    def fill_tuple(self, tid: int, cells: Dict[str, object],
-                   row: Dict[str, object]) -> None:
-        """Tuple-at-a-time fill of one hash-table row (threaded drivers)."""
-        for name in self.projected:
-            if name in cells and name not in row:
-                row[name] = cells[name]
 
 
 class GroupSelectOp(SelectOp):
@@ -641,16 +522,13 @@ class GroupSelectOp(SelectOp):
     transitions.  Every counter comes in closed form from slot lengths and
     hit counts, as the paper's loop would have counted them."""
 
-    __slots__ = ("pool", "image", "index", "loaded", "slots", "evaluated", "_epoch")
+    __slots__ = ("pool", "image", "loaded", "slots", "evaluated", "_epoch")
 
     def __init__(self, conjunction: Conjunction, projected: Tuple[str, ...],
                  n_tuples: int, hidden: Optional[np.ndarray], hit_only: bool,
-                 refuted: frozenset, pool: Optional[BufferPool],
-                 index: CatalogIndex):
+                 refuted: frozenset, pool: Optional[BufferPool]):
         super().__init__(conjunction, projected, n_tuples, hidden, hit_only, refuted)
         self.pool = pool
-        #: the catalog view the loads read: its extent sizes new groups.
-        self.index = index
         self.image = pool.image if pool is not None else SchemaImage()
         #: an epoch no later than every admission of this query's slots
         self._epoch = self.image.epoch
@@ -669,10 +547,9 @@ class GroupSelectOp(SelectOp):
         self.loaded[pid] = partition
         slots = self.image.slots(pid)
         if slots is None:
-            extent = self.index.extent()
             slots = (
-                self.pool.image_slots(pid, partition, extent) if self.pool is not None
-                else self.image.attach(partition, extent)
+                self.pool.image_slots(pid, partition) if self.pool is not None
+                else self.image.attach(partition)
             )
             if slots is None:
                 self._private()
@@ -682,9 +559,8 @@ class GroupSelectOp(SelectOp):
     def _private(self) -> None:
         """Move to a private image over every partition loaded so far."""
         self.pool, self.image = None, SchemaImage()
-        extent = self.index.extent()
         self.slots = {
-            pid: self.image.attach(partition, extent)
+            pid: self.image.attach(partition)
             for pid, partition in self.loaded.items()
         }
 

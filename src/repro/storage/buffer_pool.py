@@ -39,7 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .image import Extent, ImageSlot, SchemaImage
+from .image import ImageSlot, SchemaImage
 from .io_stats import IOStats
 from .physical import PhysicalPartition
 
@@ -156,17 +156,16 @@ class BufferPool:
             self.image.clear()
 
     def image_slots(
-        self, pid: int, partition: PhysicalPartition, extent: Extent
+        self, pid: int, partition: PhysicalPartition
     ) -> Optional[Tuple[ImageSlot, ...]]:
-        """``partition``'s image slots, admitting it on first use (read
-        under a catalog view of ``extent``), or None unless it is the object
-        the pool holds for ``pid`` (an entry the pool refused, evicted or
-        replaced has no slots to keep)."""
+        """``partition``'s image slots, admitting it on first use, or None
+        unless it is the object the pool holds for ``pid`` (an entry the
+        pool refused, evicted or replaced has no slots to keep)."""
         with self._lock:
             entry = self._entries.get(pid)
             if entry is None or entry.hit[0] is not partition:
                 return None
-            return self.image.attach(partition, extent)
+            return self.image.attach(partition)
 
     # ----------------------------------------------------------- inspection
 

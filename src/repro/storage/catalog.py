@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -122,7 +122,7 @@ class _OwnerMap:
     scratch.
     """
 
-    __slots__ = ("pids", "layers", "placement", "ranks")
+    __slots__ = ("pids", "layers", "placement")
 
     def __init__(
         self,
@@ -134,7 +134,6 @@ class _OwnerMap:
         self.placement = placement
         old_pids = base.pids if base is not None else ()
         self.pids = old_pids + tuple(pid for pid, _tids in holders)
-        self.ranks = {pid: rank for rank, pid in enumerate(self.pids)}
         no_owner = len(self.pids)
         domain = 1 + max(
             (int(tids.max()) for _pid, tids in holders if len(tids)), default=-1
@@ -168,28 +167,6 @@ class _OwnerMap:
         return tuple(
             self.pids[rank] for rank in np.flatnonzero(seen[:no_owner]).tolist()
         )
-
-    def rows(self, tids: np.ndarray) -> Callable[[int], Optional[np.ndarray]]:
-        """``rows(tids)(pid)``: the ascending positions in ``tids`` of those
-        ``pid`` owns (None outside the map) — per layer one ``take`` and one
-        stable sort, then a slice per pid, found in the one layer holding it
-        (so each of overlapping primaries gets its own)."""
-        by_layer = []
-        for layer in self.layers:
-            ranks = layer.take(tids, mode="clip")
-            ends = np.bincount(ranks, minlength=len(self.pids)).cumsum()
-            by_layer.append((ranks.argsort(kind="stable"), [0] + ends.tolist()))
-
-        def of(pid: int) -> Optional[np.ndarray]:
-            rank = self.ranks.get(pid)
-            if rank is None:
-                return None
-            for order, ends in by_layer:
-                if ends[rank + 1] > ends[rank]:
-                    break
-            return order[ends[rank]:ends[rank + 1]]
-
-        return of
 
 
 class CatalogIndex:
@@ -237,7 +214,6 @@ class CatalogIndex:
         self._zones: Dict[str, Tuple[np.ndarray, ...]] = {}
         self._pids_for: Dict[frozenset, Tuple[int, ...]] = {}
         self._key_zones: Dict[Tuple[str, frozenset], tuple] = {}
-        self._extent: Optional[Tuple[int, Dict[Tuple[str, ...], int]]] = None
         self._build_lock = threading.Lock()
 
     def info(self, pid: int) -> PartitionInfo:
@@ -263,15 +239,6 @@ class CatalogIndex:
             with self._build_lock:
                 found = self._pids_for.setdefault(key, tuple(sorted(pids)))
         return found
-
-    def extent(self) -> Tuple[int, Dict[Tuple[str, ...], int]]:
-        """``(tid domain, stored rows per segment schema)``: what sizes a
-        schema-group image (:mod:`repro.storage.image`) of this partition
-        set.  Memoised."""
-        extent = self._extent
-        if extent is None:
-            extent = self._extent = _extent(self._infos.values())
-        return extent
 
     def key_zones(self, key: str, attributes: frozenset) -> tuple:
         """``(keyed, unkeyed, sizes)`` over the partitions storing one of
@@ -459,8 +426,6 @@ class CatalogIndex:
             successor._pids_for[attributes] = pids + tuple(
                 info.pid for info in fresh if not attributes.isdisjoint(info.attributes)
             )
-        if self._extent is not None:
-            successor._extent = _extent(fresh, self._extent)
         for attributes, verdict in verdicts.items():
             if verdict:
                 stored = [a for a in attributes if a in successor.attribute_pids]
@@ -472,17 +437,6 @@ class CatalogIndex:
                 ) and all(len(successor._owners[a].layers) <= 1 for a in stored)
             successor._visits_once[attributes] = verdict
         return successor
-
-
-def _extent(infos: Iterable[PartitionInfo], base=(0, {})):
-    """:meth:`CatalogIndex.extent` of ``infos``, added to ``base``'s."""
-    domain, rows = base[0], dict(base[1])
-    for info in infos:
-        for attributes, tids in zip(info.segment_attrs, info.segment_tids):
-            if len(tids):
-                rows[attributes] = rows.get(attributes, 0) + len(tids)
-                domain = max(domain, int(tids[-1]) + 1)
-    return domain, rows
 
 
 def _reached_once(info: PartitionInfo, attributes: frozenset) -> bool:

@@ -23,7 +23,10 @@ group, not once per partition:
 * a slot **dies** when its pid is dropped (:meth:`SchemaImage.drop`): its
   positions are cleared and its segment released.  Its rows stay until the
   group's dead rows outnumber its live ones; then the group is rebuilt from
-  its live slots, in place.  A group with no live row is dropped.
+  its live slots, in place.  A group with no live row is dropped;
+* the image **sizes itself**: a group's columns grow by half again when an
+  admission outruns them, its positions by an eighth past the largest tid
+  admitted.  It reserves nothing and asks the catalog nothing.
 
 Two lifetimes, one form.  The :class:`~repro.storage.buffer_pool.BufferPool`
 holds one image over its resident partitions: a pid is admitted when an
@@ -46,14 +49,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .physical import PhysicalPartition
+from .physical import PhysicalPartition, PhysicalSegment
 
-__all__ = ["Extent", "ImageGroup", "ImageSlot", "SchemaImage"]
-
-#: ``(tid domain, stored rows per segment schema)`` of the catalog view a
-#: partition was read under (:meth:`~repro.storage.catalog.CatalogIndex.extent`):
-#: what a new group reserves.
-Extent = Tuple[int, Mapping[Tuple[str, ...], int]]
+__all__ = ["ImageGroup", "ImageSlot", "SchemaImage"]
 
 
 def _row_dtype(n_rows: int) -> np.dtype:
@@ -113,17 +111,18 @@ class ImageGroup:
         at = np.minimum(np.searchsorted(own, tids), max(len(own) - 1, 0))
         return np.where(own.take(at, mode="clip") == tids, at, -1)
 
-    def holds_any(self, tids: np.ndarray, extent: Extent) -> bool:
+    def holds_any(self, tids: np.ndarray) -> bool:
         """Whether a live slot holds one of ``tids``."""
         if not len(tids) or not self.n_live:
             return False
         if self.positions is None:
-            self._position(extent[0])
+            self._position()
         return bool((self.rows(tids) >= 0).any())
 
-    def _position(self, domain: int) -> None:
+    def _position(self) -> None:
         """Index the live slots' tuples; from the second segment on, every
         admission keeps the index."""
+        domain = 0
         for slot in self.slots:
             if slot.live and len(slot.tids):
                 domain = max(domain, int(slot.tids[-1]) + 1)
@@ -155,17 +154,14 @@ class ImageGroup:
         return column
 
     def admit(self, pid: int, tids: np.ndarray,
-              source: Mapping[str, np.ndarray], extent: Extent) -> ImageSlot:
-        """Append one segment (ascending ``tids``, none held by a live slot)
-        read under a catalog view of ``extent``."""
+              source: Mapping[str, np.ndarray]) -> ImageSlot:
+        """Append one segment (ascending ``tids``, none held by a live slot)."""
         n = self.n_rows
         slot = ImageSlot(pid, self, n, tids, source)
-        if slot.stop > self.capacity:
-            # The view's rows of this schema, or half as many again.
-            self._grow(max(slot.stop, extent[1].get(self.attributes, 0)
-                           if not self.capacity else self.capacity + self.capacity // 2))
+        if slot.stop > self.capacity:  # half as many rows again
+            self._grow(max(slot.stop, self.capacity + self.capacity // 2))
         if self.slots and self.positions is None:
-            self._position(extent[0])
+            self._position()
         if self.positions is not None and len(tids):
             domain = int(tids[-1]) + 1
             if domain >= len(self.positions):
@@ -246,16 +242,13 @@ class SchemaImage:
         self._groups: Dict[Tuple[str, ...], List[ImageGroup]] = {}
         self._slots: Dict[int, Tuple[ImageSlot, ...]] = {}
 
-    def attach(
-        self, partition: PhysicalPartition, extent: Extent = (0, {})
-    ) -> Tuple[ImageSlot, ...]:
-        """The partition's slots, one per segment, admitting it on first use
-        (read under a catalog view of ``extent``)."""
+    def attach(self, partition: PhysicalPartition) -> Tuple[ImageSlot, ...]:
+        """The partition's slots, one per segment, admitting it on first use."""
         with self.lock:
             slots = self._slots.get(partition.pid)
             if slots is None:
                 slots = self._slots[partition.pid] = tuple(
-                    self._admit(partition.pid, segment, extent)
+                    self._admit(partition.pid, segment)
                     for segment in partition.segments
                 )
             return slots
@@ -265,15 +258,15 @@ class SchemaImage:
         they are still live is checked under the lock before any read)."""
         return self._slots.get(pid)
 
-    def _admit(self, pid: int, segment, extent: Extent) -> ImageSlot:
+    def _admit(self, pid: int, segment: PhysicalSegment) -> ImageSlot:
         layers = self._groups.setdefault(segment.attributes, [])
         for group in layers:
-            if not group.holds_any(segment.tuple_ids, extent):
+            if not group.holds_any(segment.tuple_ids):
                 break
         else:
             group = ImageGroup(segment.attributes)
             layers.append(group)
-        return group.admit(pid, segment.tuple_ids, segment.columns, extent)
+        return group.admit(pid, segment.tuple_ids, segment.columns)
 
     def drop(self, pid: int) -> None:
         """Kill ``pid``'s slots (the pool no longer holds it)."""

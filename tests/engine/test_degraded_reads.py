@@ -11,6 +11,7 @@ wrong answer.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import Query
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.engine.parallel import ThreadedPartitionEngine
@@ -25,6 +26,7 @@ from repro.storage import (
     StorageDevice,
     TID_CATALOG,
 )
+from repro.testing.oracle import run_reference_query
 
 KILL = FaultConfig(transient_error_rate=1.0)
 
@@ -200,3 +202,54 @@ class TestThreadedDegradation:
         engine = ThreadedPartitionEngine(manager, small_table.meta, n_threads=2)
         with pytest.raises(PartitionUnreadableError):
             engine.execute(query)
+
+
+ENGINES = {
+    "partition-at-a-time": lambda m, meta: PartitionAtATimeExecutor(m, meta),
+    "scan": lambda m, meta: ScanExecutor(m, meta),
+    "jigsaw-l": lambda m, meta: ThreadedPartitionEngine(m, meta, n_threads=2),
+    "jigsaw-s": lambda m, meta: ThreadedPartitionEngine(
+        m, meta, n_threads=2, strategy="shared"
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_lost_selection_partition_opens_one_degrade_span(
+    small_table, query, engine
+):
+    """Partition 0 stores only the predicate attribute, and partition 1
+    holds every one of its cells again.  Losing partition 0 opens exactly
+    one ``exec.degrade`` span, for pid 0.  Its ``n_substitutes`` is the
+    reads the rescue added to the healthy plan, less the lost one.  The
+    serial engines' selection already plans every home of a predicate
+    cell, so they add none.  The threaded drain re-reads partition 1 and
+    adds one.  A serial read discovers the death (``discovered``).  The
+    threaded drain handles a death a worker found, so its span says
+    False.  Either way one degraded read, and the oracle's result."""
+    n = small_table.n_tuples
+    every = np.arange(n, dtype=np.int64)
+    specs = [
+        [SegmentSpec(("a1",), every)],
+        [SegmentSpec(("a1", "a2"), every)],
+        [SegmentSpec(("a3", "a4", "a5", "a6"), every)],
+    ]
+    make = ENGINES[engine]
+    _result, healthy = make(
+        make_manager(small_table, specs), small_table.meta
+    ).execute(query)
+    executor = make(
+        make_manager(small_table, specs, overrides={"p000000.jig": KILL}),
+        small_table.meta,
+    )
+    with obs.scoped_trace() as collector:
+        result, stats = executor.execute(query)
+    assert result.equals(run_reference_query(small_table, query))
+    (span,) = [s for s in collector.spans() if s.name == "exec.degrade"]
+    threaded = engine.startswith("jigsaw")
+    assert span.attrs == {
+        "pid": 0, "discovered": not threaded, "n_substitutes": int(threaded),
+    }
+    added = stats.n_partition_reads - (healthy.n_partition_reads - 1)
+    assert span.attrs["n_substitutes"] == added
+    assert stats.n_unreadable_partitions == 1 and stats.n_degraded_reads == 1

@@ -463,11 +463,15 @@ class TestScanDriver:
         assert stats.hash_inserts == stats.hash_updates == stats.tuples_iterated == 0
 
 
-def traced_execute(n_names, group, where):
-    """Execute over a 200k-row table of ``n_names`` attributes laid out in
-    ``group``-wide partitions of 10k rows, projecting all but ``c0``: the
-    result, the table, the query and the tracemalloc peak inside
-    ``execute`` (after a warm-up, so the pool and the lazy views are in)."""
+ENGINES = [PartitionAtATimeExecutor, ScanExecutor]
+
+
+def traced_execute(engine, n_names, group, where):
+    """Execute ``engine`` over a 200k-row table of ``n_names`` attributes
+    laid out in ``group``-wide partitions of 10k rows (explicit tids: 20
+    same-schema segments per group), projecting all but ``c0``: the result
+    and the tracemalloc peak inside ``execute`` (after a warm-up, so the
+    pool and the lazy views are in)."""
     n, chunk = 200_000, 10_000
     names = [f"c{i}" for i in range(n_names)]
     rng = np.random.default_rng(3)
@@ -489,7 +493,7 @@ def traced_execute(n_names, group, where):
         ],
         table, tid_storage=TID_EXPLICIT,
     )
-    executor = PartitionAtATimeExecutor(manager, table.meta)
+    executor = engine(manager, table.meta)
     query = Query.build(table.meta, names[1:], where)
     executor.execute(query)
     tracemalloc.start()
@@ -504,20 +508,25 @@ def traced_execute(n_names, group, where):
 
 def test_execute_scratch_is_result_sized_not_table_sized():
     """A ~20-row query projecting 16 attributes of a 200k-row table peaks
-    under 3 bytes per table row inside ``execute``: one status byte per
-    tuple plus transients — not a value and a presence array per attribute
-    (>= (1 + 5 * 16) bytes per row before)."""
-    result, peak = traced_execute(17, 4, {"c0": (0, 99)})
-    assert 5 <= result.n_tuples <= 60
-    assert peak < 3 * 200_000
+    under 3 bytes per table row inside ``execute``, on both vectorised
+    engines: one status byte per tuple plus transients — not a value and a
+    presence array per attribute (>= (1 + 5 * 16) bytes per row before)."""
+    for engine in ENGINES:
+        result, peak = traced_execute(engine, 17, 4, {"c0": (0, 99)})
+        assert 5 <= result.n_tuples <= 60
+        assert peak < 3 * 200_000, engine.name
 
 
 def test_large_result_holds_at_most_one_extra_column():
     """90 % of the table, 24 attributes (four co-located with the predicate,
-    twenty in four other owner maps): result-sized arrays set the peak.
-    Before pending fills this execution peaked at 3.33x the result's column
-    bytes; they may add one result column (1/24 of those bytes) at most."""
-    result, peak = traced_execute(25, 5, {"c0": (0, 899_999)})
-    column = 4 * result.n_tuples
-    assert result.n_tuples > 170_000
-    assert peak <= (3.34 + 1 / 24) * 24 * column
+    twenty in four other schemas): result-sized arrays set the peak, on
+    both vectorised engines.  The bound is 3.34x the result's column bytes
+    plus one result column (1/24 of those bytes).  The partition-at-a-time
+    engine gathers each attribute once per schema group; the scan engine
+    writes each segment's cells as it reads them, through a dense
+    ``tid -> row`` map (4 B per table row)."""
+    for engine in ENGINES:
+        result, peak = traced_execute(engine, 25, 5, {"c0": (0, 899_999)})
+        column = 4 * result.n_tuples
+        assert result.n_tuples > 170_000
+        assert peak <= (3.34 + 1 / 24) * 24 * column, engine.name
