@@ -22,11 +22,16 @@ and the scan engine under one 16 KiB pool.  A fourth pass, labelled
 second binds into it) and executed on the irregular build.  A ``txn/...``
 pass puts the write path under it too (:func:`txn_pass`): commits and a
 budgeted fold under a ``TransactionalTable``, read at the head and ``AS OF``
-every earlier version.
+every earlier version.  A last pass, labelled ``threaded/...``
+(:func:`threaded_pass`), runs the 12 queries through Jigsaw-L and Jigsaw-S
+on a second irregular build: at one thread with the full signature, at
+three with the partition reads only, as under the 16 KiB pool which loads
+hit depends on how the threads interleave.
 
 Beyond those two functions the script uses only public constructors
 (``BuildContext``, the layouts, the engines, ``Query``, ``ColumnTable``,
-``TransactionalTable``, ``DeltaCompactor``), ``to_sql`` /
+``TransactionalTable``, ``DeltaCompactor``, ``ThreadedPartitionEngine``),
+``to_sql`` /
 ``parse_statement``, ``executor.explain(query).render()`` and
 ``executor.manager.buffer_pool``,
 so it runs unchanged against an older tree — the parent of a change, or a
@@ -212,6 +217,38 @@ def txn_pass() -> list:
     return entries
 
 
+def threaded_pass() -> list:
+    """The 12 queries through both threaded strategies on a fresh irregular
+    build: ``[label, stats_signature, sha1 of the result]`` at one thread,
+    ``[label, n_partition_reads, sha1 of the result]`` at three."""
+    from repro import Query
+    from repro.engine.parallel import ThreadedPartitionEngine
+    from repro.layouts import IrregularLayout
+    from repro.testing.snapshot import stats_signature
+
+    table, train, specs = seeded_table()
+    meta = table.meta
+    manager = IrregularLayout().build(table, train, build_context()).manager
+    entries = []
+    for strategy in ("locking", "shared"):
+        for n_threads in (1, 3):
+            executor = ThreadedPartitionEngine(
+                manager, meta, strategy=strategy, n_threads=n_threads
+            )
+            for index, (select, where) in enumerate(specs):
+                result, stats = executor.execute(Query.build(meta, select, where))
+                signature = (
+                    list(stats_signature(stats)) if n_threads == 1
+                    else stats.n_partition_reads
+                )
+                entries.append([
+                    f"threaded/{strategy}/{n_threads}/q{index}",
+                    signature,
+                    result_sha1(result),
+                ])
+    return entries
+
+
 def sql_pass(executor, queries) -> list:
     """Each query through the SQL front end: rendered, parsed once to build
     its template and again to bind into it, then executed."""
@@ -246,7 +283,7 @@ def dump() -> list:
         missing = [name for name in LAYOUTS if name not in seen]
         if missing:
             raise SystemExit(f"no snapshot case on layout(s) {missing}")
-    return entries + irregular_pass() + txn_pass()
+    return entries + irregular_pass() + txn_pass() + threaded_pass()
 
 
 def diff(base_path: str, head_path: str) -> int:

@@ -6,15 +6,21 @@ It owns **construction** (a driver declares its keyword options in
 ``defaults``; the base checks and records them and builds the
 :class:`~repro.plan.physical.QueryPlanner`), the **contract** (``name``,
 ``planner``, ``pruning``, ``cpu_model``, ``clone(**overrides)``,
-``rebind(meta)``, ``plan``/``explain``) and, for the two vectorised
-drivers, the **execute scaffold**: pin a catalog view (unless the caller
-handed one) → plan against it → read pipeline (a reader *configured from*
+``rebind(meta)``, ``plan``/``explain``) and, for every driver, the
+**execute scaffold**: pin a catalog view (unless the caller handed one) →
+plan against it → read pipeline (a reader *configured from*
 ``plan.policy``, with the execution's fault context) → the driver's
 :meth:`_select` and :meth:`_project` phases → complete result or error →
 price → publish → release the pin.  The view is the request's whole
 catalog: nothing below the root asks the live manager for metadata.  The
 chunking policy is stated once, in the plan; a driver never hands it to a
-collaborator itself.  The threaded protocols replace ``execute`` whole.
+collaborator itself.  The threaded drivers schedule their phases' work on
+threads; the phases, the result and the stats shape are this one.
+
+Two phase bodies are shared by drivers: :func:`run_selection`, the
+selection loop over the predicate partitions, and :func:`projection_loop`,
+Algorithm 5's projection probe (the partitions holding the selected
+tuples' missing cells, one tuple-level probe per owner map).
 """
 
 from __future__ import annotations
@@ -24,12 +30,16 @@ from typing import (
     Any,
     Callable,
     Dict,
+    List,
     Mapping,
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
+
+import numpy as np
 
 from ..core.query import Query
 from ..core.schema import TableMeta
@@ -51,7 +61,9 @@ from ..plan.stats import CpuModel, ExecutionStats
 from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 from ..storage.physical import PhysicalPartition
 
-__all__ = ["QueryEngine", "QueryRun", "count_prunes", "run_selection"]
+__all__ = [
+    "QueryEngine", "QueryRun", "count_prunes", "projection_loop", "run_selection",
+]
 
 
 class QueryRun(NamedTuple):
@@ -240,3 +252,38 @@ def run_selection(
 
     loop.run(process, skip)
     return evictions
+
+
+def projection_loop(
+    plan: PhysicalPlan, reader: PlanReader, fill_op: ProjectFillOp
+) -> AccessLoop:
+    """The projection's reads, queued: every partition holding a projected
+    cell the result still misses, found through the tuple-level index — one
+    probe per owner map, over the union of its attributes' missing tids (a
+    probe distributes over a union).  A lost one is re-planned onto the
+    tuples still missing.  The driver runs the returned loop."""
+    view = plan.snapshot
+    missing_by_attr: Dict[str, np.ndarray] = {}
+    groups: Dict[Any, List[str]] = {}  # owner map -> its missing attributes
+    for name in plan.logical.projected:
+        missing = fill_op.missing(name)
+        if len(missing):
+            missing_by_attr[name] = missing
+            groups.setdefault(view.index.owners(name), []).append(name)
+    groups.pop(None, None)  # stored primarily nowhere: no partition to read
+    pids: Set[int] = set()
+    for names in groups.values():
+        tids = missing_by_attr[names[0]]
+        if len(tids) < len(fill_op.valid) and len(names) > 1:
+            filled = np.logical_and.reduce([fill_op.filled[n] for n in names])
+            tids = fill_op.valid[~filled]
+        pids.update(view.partitions_with_missing_cells(names[0], tids))
+    loop = AccessLoop(
+        reader,
+        view.index,
+        missing_by_attr,
+        replan_known_dead=True,
+        tids_by_attribute=missing_by_attr,
+    )
+    loop.pending.extend(sorted(pids))
+    return loop

@@ -5,21 +5,20 @@ Two deliverables live here:
 1. **Real threaded implementations** of the lock-based (Jigsaw-L) and
    shared-scan (Jigsaw-S) strategies, using ``threading`` primitives exactly
    as the algorithms prescribe (bucket locks for L; a load barrier and
-   disjoint bucket ranges for S).  The GIL makes them useless for measuring
+   disjoint tid ranges for S).  The GIL makes them useless for measuring
    speedups, but they demonstrate and test protocol correctness: both must
-   produce bit-identical results to the serial engine.  Both strategies are
-   drivers over the shared plan layer: the
-   :class:`~repro.plan.physical.QueryPlanner` supplies the access lists and
-   pushdown sets, :class:`~repro.plan.operators.AccessLoop` the loads and
-   degraded substitutes, this module the per-tuple Algorithm 5 transition
-   (:func:`_process_tuple`, :func:`_fill_tuple`), and each worker thread
-   accounts its reads in its
-   own :class:`~repro.plan.stats.ExecutionStats` (summed into the stats
-   ``execute`` returns — per-worker counters must add up exactly to the
-   reported totals).  From :class:`~repro.engine.base.QueryEngine` the
-   engine takes construction and the contract (``name``, ``planner``,
-   ``clone``, ``rebind``, ``plan``/``explain``); its whole ``execute`` —
-   thread scheduling, the serial drain, the ledgers — is its own.
+   produce bit-identical results to the serial engine.  Both are drivers on
+   the :class:`~repro.engine.base.QueryEngine` scaffold over the vectorised
+   core of :mod:`repro.plan.operators`: selection workers apply
+   :meth:`~repro.plan.operators.SelectOp.transition` to one segment mask a
+   bucket (L) or their own tid range (S) at a time, a serial drain re-plans
+   the partitions they could not read, and projection threads fill
+   disjoint shares of the scaffold's ``ProjectFillOp`` — from the
+   partitions the selection loaded, then from those
+   :func:`~repro.engine.base.projection_loop` names.  Each worker accounts
+   its reads in its own ``ExecutionStats``, the coordinator (drain,
+   projection loads) in another; the stats ``execute`` returns are their
+   exact sum.
 
 2. **A deterministic execution simulator** that produces the Figure-5 cycle
    breakdown (I/O / computation / waiting per active thread).  The model
@@ -34,32 +33,22 @@ from __future__ import annotations
 
 import contextvars
 import threading
-import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.query import Query
 from ..core.schema import TableMeta
 from ..errors import PartitionUnreadableError
-from ..obs import request_scope
 from ..obs import tracer as obs_tracer
-from ..plan.degrade import FaultContext
-from ..plan.operators import (
-    STATUS_INVALID,
-    STATUS_NOT_CHECKED,
-    STATUS_VALID,
-    AccessLoop,
-    PlanReader,
-    finalize_stats,
-)
+from ..plan.operators import AccessLoop, PlanReader, ProjectFillOp, SelectOp
 from ..plan.predicates import Conjunction
-from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
 from ..storage.device import DeviceProfile
-from ..storage.partition_manager import CatalogSnapshot, PartitionManager
-from .base import QueryEngine
+from ..storage.partition_manager import PartitionManager
+from ..storage.physical import PhysicalPartition
+from .base import QueryEngine, QueryRun, projection_loop
 
 __all__ = [
     "ThreadedPartitionEngine",
@@ -69,23 +58,53 @@ __all__ = [
     "simulate_shared_scan",
 ]
 
-_NOT_CHECKED, _VALID, _INVALID = (
-    int(STATUS_NOT_CHECKED),
-    int(STATUS_VALID),
-    int(STATUS_INVALID),
-)
-
-#: bucket locks guarding the hash table under the locking strategy.
+#: bucket locks guarding the status vector under the locking strategy.
 N_BUCKETS = 64
+
+
+class _Selection(SelectOp):
+    """One execution's selection state plus what its projection reuses:
+    the partitions the selection loaded (line 16's stash) and the call's
+    ledgers."""
+
+    __slots__ = ("loaded", "workers", "coordinator")
+
+    def __init__(self, conjunction: Conjunction, projected: Tuple[str, ...],
+                 n_tuples: int, hidden: Optional[np.ndarray], n_threads: int):
+        super().__init__(conjunction, projected, n_tuples, hidden)
+        self.loaded: Dict[int, PhysicalPartition] = {}
+        self.workers = [ExecutionStats() for _ in range(n_threads)]
+        self.coordinator = ExecutionStats()
+
+    def tally(self, stats: ExecutionStats) -> None:
+        """Make ``stats`` the ledgers' sum so far, re-added from zero in one
+        order (workers, then coordinator): what an audit adding them gets."""
+        ledgers = (*self.workers, self.coordinator)
+        for name in _FIELD_NAMES:
+            setattr(stats, name, sum(getattr(ledger, name) for ledger in ledgers))
+
+
+_FIELD_NAMES = tuple(spec.name for spec in fields(ExecutionStats))
+
+
+def _masks(
+    conjunction: Conjunction, partition: PhysicalPartition
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(tids, passing)`` per non-empty segment: one mask over what the
+    segment lets the conjunction evaluate."""
+    for segment in partition.segments:
+        tids = segment.tuple_ids
+        if len(tids):
+            yield tids, conjunction.evaluate_available(segment.columns, len(tids))[0]
 
 
 class ThreadedPartitionEngine(QueryEngine):
     """Reference multi-threaded partition-at-a-time evaluation.
 
     ``strategy`` is ``"locking"`` (Algorithm 6) or ``"shared"`` (Algorithm 7).
-    The hash table is a plain dict guarded by ``N_BUCKETS`` bucket locks in
-    the locking strategy, or range-partitioned by ``hash(tid) % n_threads``
-    in the shared-scan strategy.
+    The status vector is guarded by ``N_BUCKETS`` bucket locks (``tid %
+    N_BUCKETS``) in the locking strategy, or range-partitioned by ``tid %
+    n_threads`` in the shared-scan strategy.
     """
 
     defaults = {**QueryEngine.defaults, "n_threads": 4, "strategy": "locking"}
@@ -100,109 +119,46 @@ class ThreadedPartitionEngine(QueryEngine):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         self.n_threads = max(1, self.n_threads)
         self.name = "jigsaw-l" if self.strategy == "locking" else "jigsaw-s"
-        #: audit ledgers of the execute() that finished last: one
-        #: ``ExecutionStats`` per worker thread and the coordinator's (serial
-        #: drain + projection loads); their exact sum is the stats that
-        #: execute returned.  Each call fills its own and assigns them here
-        #: once, at the end, so concurrent calls never share a ledger.
+        #: the ledgers of the execute() that finished last, workers' and
+        #: coordinator's (their exact sum is the stats it returned).  Each
+        #: call fills its own and assigns them here at its end.
         self.worker_stats: List[ExecutionStats] = []
         self.coordinator_stats = ExecutionStats()
 
-    # ------------------------------------------------------------ public
+    # ------------------------------------------------------------ phase 1
 
-    def execute(
-        self, query: Query, snapshot: Optional[CatalogSnapshot] = None
-    ) -> Tuple[ResultSet, ExecutionStats]:
-        if snapshot is None:
-            with self.manager.pin_snapshot() as snapshot:
-                return self.execute(query, snapshot)
-        started = time.perf_counter()
-        coordinator = ExecutionStats()
-        workers = [ExecutionStats() for _ in range(self.n_threads)]
-        # The phase snapshots sum across every ledger of the execution: the
-        # coordinator's plus one per worker thread.
-        ledgers = [coordinator, *workers]
-        # The tracer is resolved inside the scope: a root scope may install
-        # the one that captures this request's spans for the slow-query log.
-        with request_scope(self.name, query) as scope, (
-            tracer := obs_tracer()
-        ).phase("exec.query", ledgers, engine=self.name):
-            plan = self.planner.plan(query, snapshot=snapshot)
-            conjunction = plan.logical.conjunction
-            projected = plan.logical.projected
-            status = [_NOT_CHECKED] * self.table.n_tuples
-            if snapshot.hidden is not None:
-                for tid in snapshot.hidden.tolist():
-                    status[tid] = _INVALID
-            ret: Dict[int, Dict[str, object]] = {}
-            load_lock = threading.Lock()
-            fctx = FaultContext()
-            failed: List[int] = []  # appended by workers (atomic)
-
-            pred_pids = plan.selection_pids()
-            with tracer.phase("exec.selection", ledgers, strategy=self.strategy):
-                if not conjunction:
-                    for tid in range(self.table.n_tuples):
-                        if status[tid] == _NOT_CHECKED:
-                            status[tid] = _VALID
-                            ret[tid] = {}
-                elif self.strategy == "locking":
-                    self._selection_locking(
-                        plan, pred_pids, status, ret, load_lock, fctx, failed,
-                        workers,
-                    )
-                else:
-                    self._selection_shared(
-                        plan, pred_pids, status, ret, load_lock, fctx, failed,
-                        workers,
-                    )
-            if failed:
-                with tracer.phase("exec.drain", ledgers, n_failed=len(failed)):
-                    self._drain_selection_failures(
-                        plan, failed, status, ret, fctx, coordinator,
-                    )
-
-            with tracer.phase("exec.projection", ledgers):
-                self._projection(plan, status, ret, fctx, coordinator)
-
-            totals = ExecutionStats()
-            for ledger in ledgers:
-                totals.add(ledger)
-            valid = np.array(
-                sorted(tid for tid, s in enumerate(status) if s == _VALID)
-            )
-            valid = valid.astype(np.int64) if len(valid) else np.empty(0, np.int64)
-            if fctx.unreadable:
-                # Degradation either reassembled every needed cell or must
-                # abort: a partially filled row would be a silently wrong
-                # answer.
-                for t in valid:
-                    row = ret[int(t)]
-                    for name in projected:
-                        if name not in row:
-                            raise PartitionUnreadableError(
-                                f"attribute {name!r} of tuple {int(t)} was "
-                                f"lost with partitions "
-                                f"{sorted(fctx.unreadable)}"
-                            )
-            columns = {
-                name: np.array([ret[int(t)][name] for t in valid],
-                               dtype=self.table.schema[name].np_dtype)
-                for name in projected
-            }
-            totals.n_result_tuples = len(valid)
-            finalize_stats(totals, self.cpu_model, started)
-            scope.complete(totals, plan)
-        self.worker_stats, self.coordinator_stats = workers, coordinator
-        return ResultSet(valid, columns), totals
-
-    # --------------------------------------------------------- internals
+    def _select(self, run: QueryRun) -> _Selection:
+        plan, reader, stats = run
+        conjunction = plan.logical.conjunction
+        select_op = _Selection(
+            conjunction, plan.logical.projected, self.table.n_tuples,
+            plan.snapshot.hidden, self.n_threads,
+        )
+        if not conjunction:
+            select_op.select_all()
+            return select_op
+        load_lock = threading.Lock()
+        readers = [
+            PlanReader(self.manager, ledger, reader.fctx, lock=load_lock)
+            for ledger in select_op.workers
+        ]
+        failed: List[int] = []  # appended by workers (atomic)
+        if self.strategy == "locking":
+            self._selection_locking(plan.selection_pids(), select_op, readers, failed)
+        else:
+            self._selection_shared(plan.selection_pids(), select_op, readers, failed)
+        if failed:
+            with obs_tracer().phase(
+                "exec.drain", select_op.coordinator, n_failed=len(failed)
+            ):
+                self._drain(run, select_op, failed)
+        select_op.tally(stats)
+        return select_op
 
     def _worker_load(self, reader: PlanReader, pid: int, failed: List[int]):
-        """Load through the worker's reader; an unreadable partition is
-        recorded in ``failed`` (its I/O cost accrued to this worker) and
-        None returned instead of raising, so worker threads never die
-        mid-phase."""
+        """Load through the worker's reader; an unreadable partition goes
+        to ``failed`` (its I/O accrued to this worker) and None is returned,
+        so worker threads never die mid-phase."""
         try:
             return reader.load(pid)
         except PartitionUnreadableError as exc:
@@ -211,170 +167,120 @@ class ThreadedPartitionEngine(QueryEngine):
             failed.append(pid)
             return None
 
-    def _tuple_rows(self, partition, wanted: frozenset | None = None):
-        """Yield (tid, {attr: value}) for every tuple of the partition.
-
-        ``wanted`` restricts the per-tuple cell dict to the attributes the
-        caller will actually read (predicates + projection); other columns
-        stay undecoded.
-        """
-        for segment in partition.segments:
-            attrs = segment.attributes
-            if wanted is not None:
-                attrs = tuple(a for a in attrs if a in wanted)
-            columns = {name: segment.columns[name] for name in attrs}
-            for row, tid in enumerate(segment.tuple_ids):
-                yield int(tid), {name: columns[name][row] for name in attrs}
-
-    def _selection_locking(
-        self, plan, pred_pids, status, ret, load_lock, fctx, failed, workers,
-    ):
-        """Algorithm 6: threads pop partitions; bucket locks serialize tuples."""
-        queue = list(pred_pids)
+    def _selection_locking(self, pids, select_op, readers, failed) -> None:
+        """Algorithm 6: threads pop partitions; a segment's transitions run
+        one bucket at a time, under that bucket's lock."""
+        queue = deque(pids)
         queue_lock = threading.Lock()
         bucket_locks = [threading.Lock() for _ in range(N_BUCKETS)]
-        conjunction, projected = plan.logical.conjunction, plan.logical.projected
-        wanted = plan.logical.selection_columns
+        conjunction = select_op.conjunction
 
         def worker(thread_id: int) -> None:
-            reader = PlanReader(self.manager, workers[thread_id], fctx, lock=load_lock)
             while True:
                 with queue_lock:
                     if not queue:
                         return
-                    pid = queue.pop(0)
-                partition = self._worker_load(reader, pid, failed)
+                    pid = queue.popleft()
+                partition = self._worker_load(readers[thread_id], pid, failed)
                 if partition is None:
                     continue
-                for tid, cells in self._tuple_rows(partition, wanted):
-                    with bucket_locks[tid % N_BUCKETS]:
-                        _process_tuple(conjunction, projected, tid, cells, status, ret)
+                select_op.loaded[pid] = partition
+                for tids, passing in _masks(conjunction, partition):
+                    buckets = tids % N_BUCKETS
+                    for bucket in np.unique(buckets).tolist():
+                        mine = buckets == bucket
+                        with bucket_locks[bucket]:
+                            select_op.transition(tids[mine], passing[mine])
 
         self._run_threads(worker)
 
-    def _selection_shared(
-        self, plan, pred_pids, status, ret, load_lock, fctx, failed, workers,
-    ):
-        """Algorithm 7: barrier after loading; threads own bucket ranges."""
-        partitions: List = [None] * len(pred_pids)
-        load_queue = list(enumerate(pred_pids))
+    def _selection_shared(self, pids, select_op, readers, failed) -> None:
+        """Algorithm 7: barrier after loading; every thread scans every
+        partition and transitions its own ``tid % n_threads`` range."""
+        partitions: List[Optional[PhysicalPartition]] = [None] * len(pids)
+        load_queue = deque(enumerate(pids))
         queue_lock = threading.Lock()
         barrier = threading.Barrier(self.n_threads)
-        conjunction, projected = plan.logical.conjunction, plan.logical.projected
-        wanted = plan.logical.selection_columns
+        conjunction, n_threads = select_op.conjunction, self.n_threads
 
         def worker(thread_id: int) -> None:
-            reader = PlanReader(self.manager, workers[thread_id], fctx, lock=load_lock)
             while True:
                 with queue_lock:
                     if not load_queue:
                         break
-                    index, pid = load_queue.pop(0)
-                partitions[index] = self._worker_load(reader, pid, failed)
+                    index, pid = load_queue.popleft()
+                partitions[index] = self._worker_load(readers[thread_id], pid, failed)
             barrier.wait()
             for partition in partitions:
                 if partition is None:
                     continue
-                for tid, cells in self._tuple_rows(partition, wanted):
-                    if tid % self.n_threads != thread_id:
-                        continue
-                    _process_tuple(conjunction, projected, tid, cells, status, ret)
+                for tids, passing in _masks(conjunction, partition):
+                    mine = tids % n_threads == thread_id
+                    select_op.transition(tids[mine], passing[mine])
 
         self._run_threads(worker)
-
-    def _drain_selection_failures(
-        self, plan, failed, status, ret, fctx, stats
-    ) -> None:
-        """Serially re-cover the predicate cells of partitions the worker
-        threads could not read.
-
-        Runs after the threads joined, so no locks are needed; Algorithm 5's
-        per-tuple processing is idempotent, so replaying a substitute
-        partition over already-processed tuples is harmless.  Lost projected
-        cells are healed later by :meth:`_projection` through the tuple-level
-        index.
-        """
-        conjunction, projected = plan.logical.conjunction, plan.logical.projected
-        wanted = plan.logical.selection_columns
-        reader = PlanReader(self.manager, stats, fctx)
-        loop = AccessLoop(reader, plan.snapshot.index, conjunction.attributes)
-        # Mark every known failure first so the earliest substitution plan
-        # already excludes all of them.
-        loop.done.update(failed)
-        for pid in failed:
-            if pid not in fctx.unreadable:
-                fctx.unreadable.add(pid)
-                stats.n_unreadable_partitions += 1
-        for pid in dict.fromkeys(failed):
-            loop.fail(pid)
-
-        def process(pid: int, partition) -> None:
-            for tid, cells in self._tuple_rows(partition, wanted):
-                _process_tuple(conjunction, projected, tid, cells, status, ret)
-
-        loop.run(process)
-
-    def _projection(self, plan, status, ret, fctx, stats):
-        """Fill missing projected cells; safe without locks (Section 5.2.1).
-
-        Partitions are loaded once, serially by the coordinator (the load
-        path is not thread-safe anyway), which is also where unreadable
-        partitions are swapped for substitutes; the threads then split the
-        preloaded partitions' tuples by bucket range.
-        """
-        projected = plan.logical.projected
-        missing_tids: Dict[str, List[int]] = {name: [] for name in projected}
-        for tid, row in ret.items():
-            if status[tid] != _VALID:
-                continue
-            for name in projected:
-                if name not in row:
-                    missing_tids[name].append(tid)
-        missing_pids: set = set()
-        for name, tids in missing_tids.items():
-            if tids:
-                missing_pids.update(
-                    plan.snapshot.partitions_with_missing_cells(
-                        name, np.array(tids, dtype=np.int64)
-                    )
-                )
-        if not missing_pids:
-            return
-        wanted = plan.logical.projection_columns
-
-        def still_missing() -> Dict[str, np.ndarray]:
-            return {
-                name: np.array(
-                    sorted(
-                        tid
-                        for tid, row in ret.items()
-                        if status[tid] == _VALID and name not in row
-                    ),
-                    dtype=np.int64,
-                )
-                for name in projected
-            }
-
-        partitions: List = []
-        reader = PlanReader(self.manager, stats, fctx)
-        loop = AccessLoop(
-            reader,
-            plan.snapshot.index,
-            projected,
-            replan_known_dead=True,
-            tids_by_attribute=still_missing,
+        select_op.loaded.update(
+            (pid, partition) for pid, partition in zip(pids, partitions)
+            if partition is not None
         )
-        loop.pending.extend(sorted(missing_pids))
-        loop.run(lambda pid, partition: partitions.append(partition))
+
+    def _drain(self, run: QueryRun, select_op: _Selection, failed: List[int]) -> None:
+        """Serially re-plan the predicate cells of partitions the worker
+        threads could not read (they joined: no locks needed).
+
+        Every home of a predicate cell is a selection partition, which a
+        worker read or lost, so no substitute is read again: one a worker
+        read and evaluated counts as the degraded read it stands for.  Lost
+        projected cells are healed by the projection probe."""
+        plan, reader, _stats = run
+        fctx, stats = reader.fctx, select_op.coordinator
+        loop = AccessLoop(
+            PlanReader(self.manager, stats, fctx),
+            plan.snapshot.index,
+            select_op.conjunction.attributes,
+        )
+        loop.done.update(failed)
+        loop.done.update(select_op.loaded)
+        # Mark every failure (each pid was loaded once) first so the earliest
+        # substitution plan already excludes all of them.
+        fctx.unreadable.update(failed)
+        stats.n_unreadable_partitions += len(failed)
+        for pid in failed:
+            loop.fail(pid)
+        assert not loop.pending, "a predicate cell's home was not a selection pid"
+        stats.n_degraded_reads += len(fctx.degraded & select_op.loaded.keys())
+
+    # ------------------------------------------------------------ phase 2
+
+    def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
+        """Fill the projected cells; safe without locks (Section 5.2.1).
+
+        Threads fill disjoint tid shares: first from the partitions the
+        selection loaded, then from those the projection probe names,
+        which the coordinator loads serially (where unreadable ones are
+        swapped for substitutes)."""
+        plan, reader, stats = run
+        select_op = fill_op.select
+        assert isinstance(select_op, _Selection)
+        self._fill(fill_op, list(select_op.loaded.values()))
+        partitions: List[PhysicalPartition] = []
+        projection_loop(
+            plan, PlanReader(self.manager, select_op.coordinator, reader.fctx),
+            fill_op,
+        ).run(lambda pid, partition: partitions.append(partition))
+        self._fill(fill_op, partitions)
+        select_op.tally(stats)
+        self.worker_stats = select_op.workers
+        self.coordinator_stats = select_op.coordinator
+
+    def _fill(self, fill_op: ProjectFillOp, partitions: List[PhysicalPartition]) -> None:
+        if not partitions or not len(fill_op.valid):
+            return
+        n_threads = self.n_threads
 
         def worker(thread_id: int) -> None:
             for partition in partitions:
-                for tid, cells in self._tuple_rows(partition, wanted):
-                    if tid % self.n_threads != thread_id:
-                        continue
-                    if status[tid] != _VALID:
-                        continue
-                    _fill_tuple(projected, cells, ret[tid])
+                fill_op.fill(partition, share=(thread_id, n_threads))
 
         self._run_threads(worker)
 
@@ -400,46 +306,6 @@ class ThreadedPartitionEngine(QueryEngine):
             thread.start()
         for thread in threads:
             thread.join()
-
-
-def _process_tuple(
-    conjunction: Conjunction,
-    projected: Tuple[str, ...],
-    tid: int,
-    cells: Dict[str, object],
-    status: List[int],
-    ret: Dict[int, Dict[str, object]],
-) -> None:
-    """Algorithm 5 lines 6-16 for one tuple (the caller holds the tuple's
-    bucket lock or owns its bucket range)."""
-    if status[tid] == _INVALID:
-        return
-    for predicate in conjunction.predicates:
-        if predicate.attribute in cells:
-            value = cells[predicate.attribute]
-            if not (predicate.lo <= value <= predicate.hi):
-                if status[tid] == _VALID:
-                    ret.pop(tid, None)
-                status[tid] = _INVALID
-                return
-    if status[tid] == _NOT_CHECKED:
-        ret[tid] = {}
-        status[tid] = _VALID
-    row = ret.get(tid)
-    if row is not None:
-        for name in projected:
-            if name in cells:
-                row[name] = cells[name]
-
-
-def _fill_tuple(
-    projected: Tuple[str, ...], cells: Dict[str, object], row: Dict[str, object]
-) -> None:
-    """Tuple-at-a-time fill of one hash-table row: the projected cells it
-    still misses."""
-    for name in projected:
-        if name in cells and name not in row:
-            row[name] = cells[name]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ partition is never read twice:
   not be revisited.
 * **Projection phase** — for VALID tuples, find the projected attributes
   still missing, locate the partitions holding them through the tuple-level
-  index (one probe per owner map), read them and fill the gaps.
+  index (one probe per owner map,
+  :func:`~repro.engine.base.projection_loop`), read them and fill the gaps.
 
 Reads stay per partition and in plan order, through the shared read
 pipeline, so every charge, pool hit, degraded substitute and visibility
@@ -37,21 +38,18 @@ read pipeline, the completeness check, pricing and publishing — is the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set
-
-import numpy as np
+from typing import Any, Dict, List
 
 from ..plan.operators import (
     STATUS_INVALID,
     STATUS_NOT_CHECKED,
     STATUS_VALID,
-    AccessLoop,
     GroupSelectOp,
     ProjectFillOp,
     stored_cells,
 )
 from ..plan.stats import CpuModel
-from .base import QueryEngine, QueryRun, run_selection
+from .base import QueryEngine, QueryRun, projection_loop, run_selection
 
 __all__ = [
     "STATUS_NOT_CHECKED",
@@ -120,32 +118,6 @@ class PartitionAtATimeExecutor(QueryEngine):
         # Line 16: the evaluated selection slots supply their result
         # tuples' cells (counted when they were selected).
         select_op.fill(fill_op, select_op.evaluated)
-        view = plan.snapshot
-        missing_by_attr: Dict[str, np.ndarray] = {}
-        groups: Dict[Any, List[str]] = {}  # owner map -> its missing attributes
-        for name in plan.logical.projected:
-            missing = fill_op.missing(name)
-            if len(missing):
-                missing_by_attr[name] = missing
-                groups.setdefault(view.index.owners(name), []).append(name)
-        groups.pop(None, None)  # stored primarily nowhere: no partition to read
-        # One probe per owner map, over the union of its attributes' missing
-        # tids (a probe distributes over a union).
-        proj_pids: Set[int] = set()
-        for owners, names in groups.items():
-            tids = missing_by_attr[names[0]]
-            if len(tids) < len(fill_op.valid) and len(names) > 1:
-                filled = np.logical_and.reduce([fill_op.filled[n] for n in names])
-                tids = fill_op.valid[~filled]
-            proj_pids.update(view.partitions_with_missing_cells(names[0], tids))
-        loop = AccessLoop(
-            reader,
-            view.index,
-            missing_by_attr,
-            replan_known_dead=True,
-            tids_by_attribute=missing_by_attr,
-        )
-        loop.pending.extend(sorted(proj_pids))
         read: List[int] = []
 
         def process(pid: int, partition) -> None:
@@ -153,5 +125,5 @@ class PartitionAtATimeExecutor(QueryEngine):
             select_op.add(pid, partition, selection=False)
             read.append(pid)
 
-        loop.run(process)
+        projection_loop(plan, reader, fill_op).run(process)
         stats.hash_updates += select_op.fill(fill_op, read)

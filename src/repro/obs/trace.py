@@ -30,7 +30,8 @@ import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter, sub
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -39,8 +40,6 @@ __all__ = [
     "NoopTracer",
     "NOOP_TRACER",
     "STATS_COUNTER_FIELDS",
-    "snapshot_stats",
-    "stats_delta_attrs",
 ]
 
 #: ``ExecutionStats`` fields a phase span snapshots at entry/exit.  Everything
@@ -67,24 +66,8 @@ STATS_COUNTER_FIELDS: Tuple[str, ...] = (
     "tuples_iterated",
 )
 
-
-def snapshot_stats(stats_objs: Iterable[Any]) -> Tuple[Any, ...]:
-    """Sum the counter fields across one or more ``ExecutionStats``."""
-    totals = [0] * len(STATS_COUNTER_FIELDS)
-    for stats in stats_objs:
-        for i, name in enumerate(STATS_COUNTER_FIELDS):
-            totals[i] += getattr(stats, name)
-    return tuple(totals)
-
-
-def stats_delta_attrs(
-    before: Tuple[Any, ...], after: Tuple[Any, ...]
-) -> Dict[str, Any]:
-    """Attribute dict for the counters accrued between two snapshots."""
-    return {
-        name: after[i] - before[i]
-        for i, name in enumerate(STATS_COUNTER_FIELDS)
-    }
+#: one ``ExecutionStats``'s counter fields, as a tuple.
+_snapshot = attrgetter(*STATS_COUNTER_FIELDS)
 
 
 @dataclass(slots=True)
@@ -211,31 +194,30 @@ class _SpanContext:
 
 
 class _PhaseContext(_SpanContext):
-    """A span that also captures an ``ExecutionStats`` counter delta.
+    """A span that also captures one ``ExecutionStats`` ledger's counter
+    delta.
 
-    ``stats_objs`` may hold several ledgers (the threaded engines keep one
-    per worker plus the coordinator's); the snapshot sums across them.  The
-    delta lands in the span's attrs, its ``io_time_s`` component becomes
+    The delta lands in the span's attrs, its ``io_time_s`` component becomes
     ``sim_io_s``, and — when a ``cpu_model`` is given — the event counters
     are priced into ``sim_cpu_s`` exactly as ``ExecutionStats.charge_cpu``
     would price them.
     """
 
-    __slots__ = ("stats_objs", "cpu_model", "_before")
+    __slots__ = ("stats", "cpu_model", "_before")
 
-    def __init__(self, tracer: "Tracer", span: Span, stats_objs, cpu_model):
+    def __init__(self, tracer: "Tracer", span: Span, stats, cpu_model):
         super().__init__(tracer, span)
-        self.stats_objs = tuple(stats_objs)
+        self.stats = stats
         self.cpu_model = cpu_model
         self._before: Tuple[Any, ...] = ()
 
     def __enter__(self) -> Span:
-        self._before = snapshot_stats(self.stats_objs)
+        self._before = _snapshot(self.stats)
         return super().__enter__()
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        after = snapshot_stats(self.stats_objs)
-        delta = stats_delta_attrs(self._before, after)
+        after = _snapshot(self.stats)
+        delta = dict(zip(STATS_COUNTER_FIELDS, map(sub, after, self._before)))
         span = self.span
         span.attrs.update(delta)
         span.sim_io_s = delta["io_time_s"]
@@ -265,16 +247,10 @@ class Tracer:
         """Open a nested span; use as ``with tracer.span("x", pid=3):``."""
         return _SpanContext(self, self._make_span(name, attrs))
 
-    def phase(self, name: str, stats_objs, cpu_model=None, **attrs: Any):
-        """A span that records the stats counters the region accrues.
-
-        ``stats_objs`` is one ``ExecutionStats`` or an iterable of them.
-        """
-        if not isinstance(stats_objs, (tuple, list)):
-            stats_objs = (stats_objs,)
-        return _PhaseContext(
-            self, self._make_span(name, attrs), stats_objs, cpu_model
-        )
+    def phase(self, name: str, stats, cpu_model=None, **attrs: Any):
+        """A span that records the counters the region accrues to the
+        ``ExecutionStats`` ledger ``stats``."""
+        return _PhaseContext(self, self._make_span(name, attrs), stats, cpu_model)
 
     def _make_span(self, name: str, attrs: Dict[str, Any]) -> Span:
         parent = _CURRENT_SPAN.get()
@@ -314,7 +290,7 @@ class NoopTracer:
     def span(self, name: str, **attrs: Any) -> _NoopContext:
         return _NOOP_CONTEXT
 
-    def phase(self, name: str, stats_objs, cpu_model=None, **attrs: Any):
+    def phase(self, name: str, stats, cpu_model=None, **attrs: Any):
         return _NOOP_CONTEXT
 
 

@@ -21,8 +21,9 @@ re-implementing them:
   a segment's passing mask becomes hit tids once; and once selection is
   final the ascending VALID tids *are* the ``tid -> output row`` map, so
   every fill writes into |result|-sized columns.  The scan driver selects
-  and fills partition by partition.  (The threaded protocols keep the
-  tuple-at-a-time form, in :mod:`repro.engine.parallel`.)
+  and fills partition by partition; the threaded drivers apply one
+  segment's status transitions (:meth:`SelectOp.transition`) a bucket or a
+  tid range at a time, and fill disjoint tid shares.
 * :class:`GroupSelectOp` — the partition-at-a-time driver's core: loads
   stay per partition, evaluation runs per schema group over the
   schema-group image (:mod:`repro.storage.image`) — one predicate mask per
@@ -346,19 +347,33 @@ class SelectOp(_ProjectingOp):
                 else:  # a run the view hides nothing of: one contiguous write
                     status[where] = passing.view(np.uint8)
                     n_hits = self._keep(tids[passing])
+                inserts += n_hits
             else:
-                before = status[where]
-                if before.any():  # some tuple here already carries a verdict
-                    passing &= before != STATUS_INVALID
-                    was_valid = before == STATUS_VALID
-                    still_valid = int(np.count_nonzero(was_valid & passing))
-                    evictions += int(np.count_nonzero(was_valid)) - still_valid
-                    inserts -= still_valid
-                n_hits = int(np.count_nonzero(passing))
-                status[where] = STATUS_INVALID - passing.view(np.uint8)
-            inserts += n_hits
+                added, evicted, n_hits = self.transition(where, passing)
+                inserts += added
+                evictions += evicted
             stashed += n_hits * len(self.wanted(segment.attributes))
         return inserts, evictions, stashed
+
+    def transition(self, where, passing: np.ndarray) -> Tuple[int, int, int]:
+        """The full form's status transitions for one segment's tuples,
+        ``where`` in the status vector: a tuple ends VALID if it passed
+        what is evaluable here (``passing``, narrowed in place) and was not
+        INVALID, else INVALID.  Returns ``(inserts, evictions, hits)``:
+        NOT_CHECKED tuples that passed, VALID tuples that failed, tuples
+        now VALID."""
+        status = self.status
+        before = status[where]
+        inserts = evictions = 0
+        if before.any():  # some tuple here already carries a verdict
+            passing &= before != STATUS_INVALID
+            was_valid = before == STATUS_VALID
+            still_valid = int(np.count_nonzero(was_valid & passing))
+            evictions = int(np.count_nonzero(was_valid)) - still_valid
+            inserts = -still_valid
+        n_hits = int(np.count_nonzero(passing))
+        status[where] = STATUS_INVALID - passing.view(np.uint8)
+        return inserts + n_hits, evictions, n_hits
 
     def hit(self, found: np.ndarray) -> int:
         """The hit-only form's verdict on tuples that passed: VALID, unless
@@ -433,11 +448,14 @@ class ProjectFillOp(_ProjectingOp):
         a dense map, not a binary search (n log n on a full-table result);
         the map's 4 B per tuple are then at most 16 B per result row."""
         n_rows = len(self.valid)
-        if self._row_of is None and 4 * n_rows >= len(self.status):
-            self._row_of = np.empty(len(self.status), dtype=np.int32)
-            self._row_of[self.valid] = np.arange(n_rows, dtype=np.int32)
-        if self._row_of is not None:
-            return self._row_of[tids]
+        row_of = self._row_of
+        if row_of is None and 4 * n_rows >= len(self.status):
+            # Published only once built: threads filling shares share it.
+            row_of = np.empty(len(self.status), dtype=np.int32)
+            row_of[self.valid] = np.arange(n_rows, dtype=np.int32)
+            self._row_of = row_of
+        if row_of is not None:
+            return row_of[tids]
         return np.searchsorted(self.valid, tids)
 
     def _hits(self, tids: np.ndarray, tid_storage: str):
@@ -462,9 +480,13 @@ class ProjectFillOp(_ProjectingOp):
         """Result tids whose ``name`` cell no partition has supplied yet."""
         return self.valid[~self.filled[name]]
 
-    def fill(self, partition: PhysicalPartition) -> int:
+    def fill(
+        self, partition: PhysicalPartition, share: Optional[Tuple[int, int]] = None
+    ) -> int:
         """Write the partition's projected cells of result tuples; returns
-        the cells (hits x wanted attributes, per segment)."""
+        the cells (hits x wanted attributes, per segment).  ``share=(k, n)``
+        writes only those of tuples with ``tid % n == k``: threads that fill
+        disjoint shares need no lock."""
         written = 0
         for segment in partition.segments:
             wanted = self.wanted(segment.attributes)
@@ -472,6 +494,11 @@ class ProjectFillOp(_ProjectingOp):
             if not wanted or not len(tids):
                 continue
             rows, hits = self._hits(tids, segment.tid_storage)
+            if share is not None:
+                mine = tids[hits] % share[1] == share[0]
+                if isinstance(rows, slice):
+                    rows = np.arange(rows.start, rows.stop)
+                rows, hits = rows[mine], hits[mine]
             if not len(hits):
                 continue
             for name in wanted:

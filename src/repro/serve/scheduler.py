@@ -10,12 +10,12 @@ load-management mechanisms, all plan-level rather than engine-level:
   (``"high"`` and ``"normal"``); workers always prefer the high queue, so
   interactive traffic overtakes batch replays without preempting anything.
 * **Per-engine concurrency caps** — each registered engine carries a cap on
-  simultaneous in-flight queries.  Engines built from the shared pipeline
-  (scan, partition-at-a-time) are safely concurrent — their
-  ``execute`` state is per-call, and the storage/catalog layers are locked —
-  so they default to the pool width.  :class:`~repro.engine.parallel
-  .ThreadedPartitionEngine` spawns ``n_threads`` workers of its own per
-  call, so it is capped at 1 unless the caller overrides.  Workers skip
+  simultaneous in-flight queries.  Every engine is safely concurrent —
+  its ``execute`` state is per-call, and the storage/catalog layers are
+  locked — and scan and partition-at-a-time default to the pool width.
+  :class:`~repro.engine.parallel.ThreadedPartitionEngine` spawns
+  ``n_threads`` workers of its own per threaded step, so it is capped at 1
+  unless the caller overrides.  Workers skip
   over queue entries whose engine is saturated (no head-of-line blocking
   across engines).
 * **Admission control** — the queue holds at most ``queue_depth`` pending

@@ -193,6 +193,32 @@ class TestThreadedDegradation:
         assert stats.n_unreadable_partitions == 1
         assert stats.n_degraded_reads > 0
 
+    @pytest.mark.parametrize("strategy", ["locking", "shared"])
+    def test_the_drain_is_part_of_the_selection_row(
+        self, small_table, query, strategy
+    ):
+        """EXPLAIN ANALYZE puts the drain's counters (the lost partition,
+        the degraded read it stands for) in the selection row, with the
+        ``exec.drain`` row beneath it; the projection row has none."""
+        manager = make_manager(
+            small_table,
+            overlapping_specs(small_table),
+            overrides={"p000000.jig": KILL},
+        )
+        engine = ThreadedPartitionEngine(
+            manager, small_table.meta, n_threads=2, strategy=strategy
+        )
+        _result, stats, report = obs.explain_analyze(engine, query)
+        rows = {row.name: row for row in report.analyze.children}
+        selection, projection = rows["exec.selection"], rows["exec.projection"]
+        lost = ("n_unreadable_partitions", "n_degraded_reads")
+        for name in lost:
+            assert selection.counters[name] == getattr(stats, name) == 1
+            assert projection.counters[name] == 0
+        (drain,) = [c for c in selection.children if c.name == "exec.drain"]
+        assert [drain.counters[name] for name in lost] == [1, 1]
+        assert drain.counters["n_partition_reads"] == 0
+
     def test_no_alternative_raises(self, small_table, query):
         manager = make_manager(
             small_table,
@@ -221,12 +247,13 @@ def test_a_lost_selection_partition_opens_one_degrade_span(
     """Partition 0 stores only the predicate attribute, and partition 1
     holds every one of its cells again.  Losing partition 0 opens exactly
     one ``exec.degrade`` span, for pid 0.  Its ``n_substitutes`` is the
-    reads the rescue added to the healthy plan, less the lost one.  The
-    serial engines' selection already plans every home of a predicate
-    cell, so they add none.  The threaded drain re-reads partition 1 and
-    adds one.  A serial read discovers the death (``discovered``).  The
-    threaded drain handles a death a worker found, so its span says
-    False.  Either way one degraded read, and the oracle's result."""
+    reads the rescue added to the healthy plan, less the lost one.  Every
+    engine's selection already plans every home of a predicate cell, so
+    none adds one: the threaded drain does not re-read partition 1, which
+    a worker read and evaluated.  A serial read discovers the death
+    (``discovered``).  The threaded drain handles a death a worker found,
+    so its span says False.  Either way one degraded read, and the
+    oracle's result."""
     n = small_table.n_tuples
     every = np.arange(n, dtype=np.int64)
     specs = [
@@ -248,7 +275,7 @@ def test_a_lost_selection_partition_opens_one_degrade_span(
     (span,) = [s for s in collector.spans() if s.name == "exec.degrade"]
     threaded = engine.startswith("jigsaw")
     assert span.attrs == {
-        "pid": 0, "discovered": not threaded, "n_substitutes": int(threaded),
+        "pid": 0, "discovered": not threaded, "n_substitutes": 0,
     }
     added = stats.n_partition_reads - (healthy.n_partition_reads - 1)
     assert span.attrs["n_substitutes"] == added

@@ -78,11 +78,11 @@ def query(small_table):
 
 
 def summed(engine):
-    """Recompute coordinator + workers in the engine's own merge order."""
+    """Recompute workers + coordinator in the engine's own merge order."""
     total = ExecutionStats()
-    total.add(engine.coordinator_stats)
     for worker in engine.worker_stats:
         total.add(worker)
+    total.add(engine.coordinator_stats)
     return total
 
 

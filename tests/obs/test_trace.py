@@ -77,13 +77,13 @@ class TestPhase:
             hash_updates=0, materialized_bytes=0, tuples_iterated=0,
         )
 
-    def test_phase_sums_multiple_ledgers(self):
+    def test_phase_without_a_cpu_model_prices_no_cpu(self):
         collector = TraceCollector(capacity=4)
         tracer = Tracer(collector)
-        a, b = ExecutionStats(), ExecutionStats()
-        with tracer.phase("p", [a, b]):
-            a.bytes_read += 5
-            b.bytes_read += 7
+        stats = ExecutionStats()
+        with tracer.phase("p", stats):
+            stats.bytes_read += 12
+            stats.cells_scanned += 7
         (span,) = collector.spans()
         assert span.attrs["bytes_read"] == 12
         assert span.sim_cpu_s == 0.0  # no cpu model given
