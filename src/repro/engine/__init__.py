@@ -7,9 +7,10 @@ contract other layers call (``name``, ``planner``, ``pruning``,
 ``cpu_model``, ``clone``, ``rebind``, ``plan``/``explain``) and the one
 ``execute`` scaffold of the two vectorised drivers; each driver module
 owns only its scheduling — its two phases and their counter rule — and every
-``execute`` returns ``(ResultSet, ExecutionStats)``.  Predicates, results,
-statistics, the degraded-read machinery and aggregation (``GroupAggOp``)
-live in :mod:`repro.plan`."""
+``execute`` returns ``(ResultSet, ExecutionStats)`` or raises — a
+partition that stays unreadable raises
+:class:`~repro.errors.PartitionUnreadableError`.  Predicates, results,
+statistics and aggregation (``GroupAggOp``) live in :mod:`repro.plan`."""
 
 from .base import QueryEngine
 from .partition_at_a_time import (

@@ -9,13 +9,16 @@ It owns **construction** (a driver declares its keyword options in
 ``rebind(meta)``, ``plan``/``explain``) and, for every driver, the
 **execute scaffold**: pin a catalog view (unless the caller handed one) →
 plan against it → read pipeline (a reader *configured from*
-``plan.policy``, with the execution's fault context) → the driver's
-:meth:`_select` and :meth:`_project` phases → complete result or error →
-price → publish → release the pin.  The view is the request's whole
-catalog: nothing below the root asks the live manager for metadata.  The
-chunking policy is stated once, in the plan; a driver never hands it to a
-collaborator itself.  The threaded drivers schedule their phases' work on
-threads; the phases, the result and the stats shape are this one.
+``plan.policy``) → the driver's :meth:`_select` and :meth:`_project`
+phases → complete result or error → price → publish → release the pin.
+A partition that stays unreadable after the manager's retries fails the
+query: its :class:`~repro.errors.PartitionUnreadableError` (``pid``,
+``io_delta``) leaves ``execute`` as raised, with the pin released.  The
+view is the request's whole catalog: nothing below the root asks the live
+manager for metadata.  The chunking policy is stated once, in the plan; a
+driver never hands it to a collaborator itself.  The threaded drivers
+schedule their phases' work on threads; the phases, the result and the
+stats shape are this one.
 
 Two phase bodies are shared by drivers: :func:`run_selection`, the
 selection loop over the predicate partitions, and :func:`projection_loop`,
@@ -45,16 +48,9 @@ from ..core.query import Query
 from ..core.schema import TableMeta
 from ..obs import request_scope
 from ..obs import tracer as obs_tracer
-from ..plan.degrade import FaultContext
 from ..plan.explain import ExplainReport
 from ..plan.logical import POLICY_PARTITION
-from ..plan.operators import (
-    AccessLoop,
-    PlanReader,
-    ProjectFillOp,
-    SelectOp,
-    finalize_stats,
-)
+from ..plan.operators import PlanReader, ProjectFillOp, SelectOp, finalize_stats
 from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
 from ..plan.stats import CpuModel, ExecutionStats
@@ -165,9 +161,8 @@ class QueryEngine:
             tracer := obs_tracer()
         ).phase("exec.query", stats, cpu_model=cpu_model, engine=self.name):
             plan = self.planner.plan(query, snapshot=snapshot)
-            fctx = FaultContext()
             reader = PlanReader(
-                self.manager, stats, fctx, chunk_size=plan.policy.chunk_size
+                self.manager, stats, chunk_size=plan.policy.chunk_size
             )
             run = QueryRun(plan, reader, stats)
             with tracer.phase("exec.selection", stats, cpu_model=cpu_model):
@@ -177,7 +172,7 @@ class QueryEngine:
                     plan.logical.projected, select_op, self.table.schema
                 )
                 self._project(run, fill_op)
-            result = fill_op.result(stats, fctx.unreadable)
+            result = fill_op.result(stats)
             finalize_stats(stats, cpu_model, started)
             scope.complete(stats, plan)
         return result, stats
@@ -221,47 +216,39 @@ def run_selection(
     """Drive a selection phase: every surviving predicate partition in plan
     order, ``process`` on each one read, and a pruned one's verdict applied
     from the catalog alone.  Under the hit-only form no other selection
-    segment reaches a pruned partition's tuples — nor a degraded substitute:
-    every selection tuple has one home — so its pid never enters the loop
-    and the prunes are counted at once.  Returns the VALID tuples the
-    verdicts evicted."""
+    segment reaches a pruned partition's tuples, so its pid never enters
+    the loop and the prunes are counted at once.  Returns the VALID tuples
+    the verdicts evicted."""
     logical = plan.logical
-    loop = AccessLoop(reader, plan.snapshot.index, logical.predicate_attributes)
     pids = plan.selection_pids()
     pruned = plan.verdict.pruned
     if select_op.hit_only and pruned:
         count_prunes(plan, [pid for pid in pids if pid in pruned], stats)
         pids = tuple(pid for pid in pids if pid not in pruned)
-    loop.pending.extend(pids)
     evictions = 0
-
-    def skip(pid: int) -> bool:
-        nonlocal evictions
-        if pid not in pruned:
-            return False
-        # The partition policy refutes the predicate attributes stored here;
-        # under the scan policy one refuted predicate excludes every tuple
-        # with a predicate cell here, whatever its other cells say.
-        info = plan.snapshot.info(pid)
-        attributes = logical.predicate_attributes
-        if logical.policy == POLICY_PARTITION:
-            attributes = attributes & info.attributes
-        evictions += select_op.invalidate(info, attributes)
-        count_prunes(plan, (pid,), stats)
-        return True
-
-    loop.run(process, skip)
+    for pid in pids:
+        if pid in pruned:
+            # The partition policy refutes the predicate attributes stored
+            # here; under the scan policy one refuted predicate excludes
+            # every tuple with a predicate cell here, whatever its other
+            # cells say.
+            info = plan.snapshot.info(pid)
+            attributes = logical.predicate_attributes
+            if logical.policy == POLICY_PARTITION:
+                attributes = attributes & info.attributes
+            evictions += select_op.invalidate(info, attributes)
+            count_prunes(plan, (pid,), stats)
+            continue
+        process(pid, reader.load(pid))
     return evictions
 
 
-def projection_loop(
-    plan: PhysicalPlan, reader: PlanReader, fill_op: ProjectFillOp
-) -> AccessLoop:
-    """The projection's reads, queued: every partition holding a projected
-    cell the result still misses, found through the tuple-level index — one
-    probe per owner map, over the union of its attributes' missing tids (a
-    probe distributes over a union).  A lost one is re-planned onto the
-    tuples still missing.  The driver runs the returned loop."""
+def projection_loop(plan: PhysicalPlan, fill_op: ProjectFillOp) -> List[int]:
+    """The projection's reads, ascending: every partition holding a
+    projected cell the result still misses, found through the tuple-level
+    index — one probe per owner map, over the union of its attributes'
+    missing tids (a probe distributes over a union).  The driver loads
+    them."""
     view = plan.snapshot
     missing_by_attr: Dict[str, np.ndarray] = {}
     groups: Dict[Any, List[str]] = {}  # owner map -> its missing attributes
@@ -278,12 +265,4 @@ def projection_loop(
             filled = np.logical_and.reduce([fill_op.filled[n] for n in names])
             tids = fill_op.valid[~filled]
         pids.update(view.partitions_with_missing_cells(names[0], tids))
-    loop = AccessLoop(
-        reader,
-        view.index,
-        missing_by_attr,
-        replan_known_dead=True,
-        tids_by_attribute=missing_by_attr,
-    )
-    loop.pending.extend(sorted(pids))
-    return loop
+    return sorted(pids)

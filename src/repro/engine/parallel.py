@@ -11,14 +11,16 @@ Two deliverables live here:
    the :class:`~repro.engine.base.QueryEngine` scaffold over the vectorised
    core of :mod:`repro.plan.operators`: selection workers apply
    :meth:`~repro.plan.operators.SelectOp.transition` to one segment mask a
-   bucket (L) or their own tid range (S) at a time, a serial drain re-plans
-   the partitions they could not read, and projection threads fill
-   disjoint shares of the scaffold's ``ProjectFillOp`` — from the
+   bucket (L) or their own tid range (S) at a time, and projection threads
+   fill disjoint shares of the scaffold's ``ProjectFillOp`` — from the
    partitions the selection loaded, then from those
    :func:`~repro.engine.base.projection_loop` names.  Each worker accounts
-   its reads in its own ``ExecutionStats``, the coordinator (drain,
-   projection loads) in another; the stats ``execute`` returns are their
-   exact sum.
+   its reads in its own ``ExecutionStats``, the coordinator (projection
+   loads) in another; the stats ``execute`` returns are their exact sum.
+   An exception a worker raises — a partition that stays unreadable, say
+   — ends the phase: its peers finish (a shared-scan barrier is broken
+   so none waits for ever), and once every thread has ended the first
+   exception leaves ``execute``.
 
 2. **A deterministic execution simulator** that produces the Figure-5 cycle
    breakdown (I/O / computation / waiting per active thread).  The model
@@ -40,9 +42,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.schema import TableMeta
-from ..errors import PartitionUnreadableError
 from ..obs import tracer as obs_tracer
-from ..plan.operators import AccessLoop, PlanReader, ProjectFillOp, SelectOp
+from ..plan.operators import PlanReader, ProjectFillOp, SelectOp
 from ..plan.predicates import Conjunction
 from ..plan.stats import ExecutionStats
 from ..storage.device import DeviceProfile
@@ -128,7 +129,7 @@ class ThreadedPartitionEngine(QueryEngine):
     # ------------------------------------------------------------ phase 1
 
     def _select(self, run: QueryRun) -> _Selection:
-        plan, reader, stats = run
+        plan, _reader, stats = run
         conjunction = plan.logical.conjunction
         select_op = _Selection(
             conjunction, plan.logical.projected, self.table.n_tuples,
@@ -139,35 +140,17 @@ class ThreadedPartitionEngine(QueryEngine):
             return select_op
         load_lock = threading.Lock()
         readers = [
-            PlanReader(self.manager, ledger, reader.fctx, lock=load_lock)
+            PlanReader(self.manager, ledger, lock=load_lock)
             for ledger in select_op.workers
         ]
-        failed: List[int] = []  # appended by workers (atomic)
         if self.strategy == "locking":
-            self._selection_locking(plan.selection_pids(), select_op, readers, failed)
+            self._selection_locking(plan.selection_pids(), select_op, readers)
         else:
-            self._selection_shared(plan.selection_pids(), select_op, readers, failed)
-        if failed:
-            with obs_tracer().phase(
-                "exec.drain", select_op.coordinator, n_failed=len(failed)
-            ):
-                self._drain(run, select_op, failed)
+            self._selection_shared(plan.selection_pids(), select_op, readers)
         select_op.tally(stats)
         return select_op
 
-    def _worker_load(self, reader: PlanReader, pid: int, failed: List[int]):
-        """Load through the worker's reader; an unreadable partition goes
-        to ``failed`` (its I/O accrued to this worker) and None is returned,
-        so worker threads never die mid-phase."""
-        try:
-            return reader.load(pid)
-        except PartitionUnreadableError as exc:
-            if exc.io_delta is not None:
-                reader.stats.accrue_io(exc.io_delta)
-            failed.append(pid)
-            return None
-
-    def _selection_locking(self, pids, select_op, readers, failed) -> None:
+    def _selection_locking(self, pids, select_op, readers) -> None:
         """Algorithm 6: threads pop partitions; a segment's transitions run
         one bucket at a time, under that bucket's lock."""
         queue = deque(pids)
@@ -181,9 +164,7 @@ class ThreadedPartitionEngine(QueryEngine):
                     if not queue:
                         return
                     pid = queue.popleft()
-                partition = self._worker_load(readers[thread_id], pid, failed)
-                if partition is None:
-                    continue
+                partition = readers[thread_id].load(pid)
                 select_op.loaded[pid] = partition
                 for tids, passing in _masks(conjunction, partition):
                     buckets = tids % N_BUCKETS
@@ -194,7 +175,7 @@ class ThreadedPartitionEngine(QueryEngine):
 
         self._run_threads(worker)
 
-    def _selection_shared(self, pids, select_op, readers, failed) -> None:
+    def _selection_shared(self, pids, select_op, readers) -> None:
         """Algorithm 7: barrier after loading; every thread scans every
         partition and transitions its own ``tid % n_threads`` range."""
         partitions: List[Optional[PhysicalPartition]] = [None] * len(pids)
@@ -209,46 +190,15 @@ class ThreadedPartitionEngine(QueryEngine):
                     if not load_queue:
                         break
                     index, pid = load_queue.popleft()
-                partitions[index] = self._worker_load(readers[thread_id], pid, failed)
+                partitions[index] = readers[thread_id].load(pid)
             barrier.wait()
             for partition in partitions:
-                if partition is None:
-                    continue
                 for tids, passing in _masks(conjunction, partition):
                     mine = tids % n_threads == thread_id
                     select_op.transition(tids[mine], passing[mine])
 
-        self._run_threads(worker)
-        select_op.loaded.update(
-            (pid, partition) for pid, partition in zip(pids, partitions)
-            if partition is not None
-        )
-
-    def _drain(self, run: QueryRun, select_op: _Selection, failed: List[int]) -> None:
-        """Serially re-plan the predicate cells of partitions the worker
-        threads could not read (they joined: no locks needed).
-
-        Every home of a predicate cell is a selection partition, which a
-        worker read or lost, so no substitute is read again: one a worker
-        read and evaluated counts as the degraded read it stands for.  Lost
-        projected cells are healed by the projection probe."""
-        plan, reader, _stats = run
-        fctx, stats = reader.fctx, select_op.coordinator
-        loop = AccessLoop(
-            PlanReader(self.manager, stats, fctx),
-            plan.snapshot.index,
-            select_op.conjunction.attributes,
-        )
-        loop.done.update(failed)
-        loop.done.update(select_op.loaded)
-        # Mark every failure (each pid was loaded once) first so the earliest
-        # substitution plan already excludes all of them.
-        fctx.unreadable.update(failed)
-        stats.n_unreadable_partitions += len(failed)
-        for pid in failed:
-            loop.fail(pid)
-        assert not loop.pending, "a predicate cell's home was not a selection pid"
-        stats.n_degraded_reads += len(fctx.degraded & select_op.loaded.keys())
+        self._run_threads(worker, barrier)
+        select_op.loaded.update(zip(pids, partitions))
 
     # ------------------------------------------------------------ phase 2
 
@@ -257,18 +207,15 @@ class ThreadedPartitionEngine(QueryEngine):
 
         Threads fill disjoint tid shares: first from the partitions the
         selection loaded, then from those the projection probe names,
-        which the coordinator loads serially (where unreadable ones are
-        swapped for substitutes)."""
-        plan, reader, stats = run
+        which the coordinator loads serially."""
+        plan, _reader, stats = run
         select_op = fill_op.select
         assert isinstance(select_op, _Selection)
         self._fill(fill_op, list(select_op.loaded.values()))
-        partitions: List[PhysicalPartition] = []
-        projection_loop(
-            plan, PlanReader(self.manager, select_op.coordinator, reader.fctx),
-            fill_op,
-        ).run(lambda pid, partition: partitions.append(partition))
-        self._fill(fill_op, partitions)
+        reader = PlanReader(self.manager, select_op.coordinator)
+        self._fill(fill_op, [
+            reader.load(pid) for pid in projection_loop(plan, fill_op)
+        ])
         select_op.tally(stats)
         self.worker_stats = select_op.workers
         self.coordinator_stats = select_op.coordinator
@@ -284,15 +231,25 @@ class ThreadedPartitionEngine(QueryEngine):
 
         self._run_threads(worker)
 
-    def _run_threads(self, worker) -> None:
+    def _run_threads(self, worker, barrier: Optional[threading.Barrier] = None) -> None:
+        """Run ``worker(i)`` on ``n_threads`` threads and join them all;
+        then re-raise the first exception a worker raised.  A failing
+        worker records its exception before it breaks ``barrier``, so a
+        peer's ``BrokenBarrierError`` never stands in for it."""
         tracer = obs_tracer()
+        errors: List[BaseException] = []  # appended by workers (atomic)
 
         def run(thread_index: int) -> None:
-            if tracer.enabled:
-                with tracer.span("exec.worker", worker=thread_index):
+            try:
+                if tracer.enabled:
+                    with tracer.span("exec.worker", worker=thread_index):
+                        worker(thread_index)
+                else:
                     worker(thread_index)
-            else:
-                worker(thread_index)
+            except BaseException as exc:
+                errors.append(exc)
+                if barrier is not None:
+                    barrier.abort()
 
         # Each thread runs inside a copy of the spawning context, so the
         # active span (and any scoped trace collector) propagates into the
@@ -306,6 +263,8 @@ class ThreadedPartitionEngine(QueryEngine):
             thread.start()
         for thread in threads:
             thread.join()
+        if errors:
+            raise errors[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ partition is never read twice:
   :func:`~repro.engine.base.projection_loop`), read them and fill the gaps.
 
 Reads stay per partition and in plan order, through the shared read
-pipeline, so every charge, pool hit, degraded substitute and visibility
-mask is what the paper's loop would meet.  Evaluation does not: Jigsaw's
-partitions share a handful of segment schemas, and the engine evaluates
+pipeline, so every charge, pool hit and visibility mask is what the
+paper's loop would meet; a partition that stays unreadable fails the
+query.  Evaluation does not: Jigsaw's partitions share a handful of
+segment schemas, and the engine evaluates
 over the schema-group image (:mod:`repro.storage.image`) — under the
 visit-once verdict one predicate mask per schema group over the slots this
 query loaded, and in the projection one position gather per (group,
@@ -38,7 +39,7 @@ read pipeline, the completeness check, pricing and publishing — is the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..plan.operators import (
     STATUS_INVALID,
@@ -118,12 +119,9 @@ class PartitionAtATimeExecutor(QueryEngine):
         # Line 16: the evaluated selection slots supply their result
         # tuples' cells (counted when they were selected).
         select_op.fill(fill_op, select_op.evaluated)
-        read: List[int] = []
-
-        def process(pid: int, partition) -> None:
+        pids = projection_loop(plan, fill_op)
+        for pid in pids:
+            partition = reader.load(pid)
             stats.cells_scanned += stored_cells(partition)
             select_op.add(pid, partition, selection=False)
-            read.append(pid)
-
-        projection_loop(plan, reader, fill_op).run(process)
-        stats.hash_updates += select_op.fill(fill_op, read)
+        stats.hash_updates += select_op.fill(fill_op, pids)

@@ -16,8 +16,9 @@ within-query working memory, and its counter rule (``row_major`` iterator
 overhead vs ``materialized_bytes`` selection vectors).  Everything around
 that — construction, planning (:class:`~repro.plan.physical.QueryPlanner`
 under the scan pruning policy: a partition whose zone refutes *any*
-predicate cannot contribute a qualifying tuple), the read pipeline, the
-completeness check, pricing and publishing — is the
+predicate cannot contribute a qualifying tuple), the read pipeline (where
+a partition that stays unreadable fails the query), the completeness
+check, pricing and publishing — is the
 :class:`~repro.engine.base.QueryEngine` scaffold, and the
 :mod:`~repro.plan.operators` core — the same selection-vector ops the
 partition-at-a-time engine drives — evaluates the phases.  Zone pruning is
@@ -29,10 +30,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from ..plan.logical import POLICY_SCAN
-from ..plan.operators import AccessLoop, ProjectFillOp, SelectOp
+from ..plan.operators import ProjectFillOp, SelectOp
 from ..plan.stats import CpuModel
 from .base import QueryEngine, QueryRun, count_prunes, run_selection
 
@@ -99,43 +98,20 @@ class ScanExecutor(QueryEngine):
     def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
         """Gather the projected cells of the selected tuples."""
         plan, reader, stats = run
-        projected = plan.logical.projected
         loaded = reader.cache
         assert loaded is not None
-
-        def still_missing() -> Dict[str, np.ndarray]:
-            # Restrict a rescue to projected cells of selected tuples that
-            # no readable partition has supplied yet.
-            return {name: fill_op.missing(name) for name in projected}
-
-        def idle(pid: int) -> bool:
-            # No selected tuple lives here: nothing to gather.
-            return not fill_op.touches(plan.snapshot.info(pid))
-
-        loop = AccessLoop(
-            reader,
-            plan.snapshot.index,
-            projected,
-            replan_known_dead=True,
-            tids_by_attribute=still_missing,
-        )
-        loop.pending.extend(plan.projection_pids())
-
-        def skip(pid: int) -> bool:
+        for pid in plan.projection_pids():
             if pid in loaded:
                 # Loaded for the selection phase; when no tuple here
                 # survived it, re-scanning would gather nothing.  Not
                 # counted as a skip — no read was avoided.
-                return idle(pid)
-            if plan.pruned(pid):
+                if not fill_op.touches(plan.snapshot.info(pid)):
+                    continue
+            elif plan.pruned(pid):
                 count_prunes(plan, (pid,), stats)
-                return True
-            if idle(pid):
+                continue
+            elif not fill_op.touches(plan.snapshot.info(pid)):
+                # No selected tuple lives here: nothing to gather.
                 stats.n_partitions_skipped += 1
-                return True
-            return False
-
-        def process(pid: int, partition) -> None:
-            stats.cells_gathered += fill_op.fill(partition)
-
-        loop.run(process, skip)
+                continue
+            stats.cells_gathered += fill_op.fill(reader.load(pid))

@@ -37,12 +37,13 @@ class TransientStorageError(StorageError):
 
 
 class PartitionUnreadableError(StorageError):
-    """A partition stayed unreadable after every retry.
+    """A partition stayed unreadable after every retry; the query reading
+    it fails with this error.
 
     Carries ``pid`` (the partition id) and, when raised by
     :meth:`~repro.storage.partition_manager.PartitionManager.load`, an
     ``io_delta`` :class:`~repro.storage.io_stats.IOStats` with whatever the
-    failed attempts cost, so engines can keep their accounting exact.
+    failed attempts cost.
     """
 
     def __init__(self, message: str, pid: int | None = None, io_delta=None):

@@ -3,12 +3,11 @@
 ``explain_analyze`` runs a query under a *scoped* trace collector (no global
 switch is flipped; concurrent queries are unaffected), then folds the span
 tree into :class:`AnalyzeNode` rows: one row per step of the engine
-(``plan.query``, then the phases ``exec.selection`` / ``exec.projection`` /
-``exec.drain``), with the threaded engines' ``exec.worker`` rows and any
-degrade re-plan beneath it, each carrying partitions read/pruned, cells
-scanned, bytes read, cache/pool hits, retries, degraded reads, and simulated
-io/cpu seconds.  No row is opened per partition: a phase row's counters are
-the sum over every partition it loaded.
+(``plan.query``, then the phases ``exec.selection`` / ``exec.projection``),
+with the threaded engines' ``exec.worker`` rows beneath them, each carrying
+partitions read/pruned, cells scanned, bytes read, cache/pool hits,
+retries, and simulated io/cpu seconds.  No row is opened per partition: a
+phase row's counters are the sum over every partition it loaded.
 
 **Exactness contract.**  The per-operator rows under the root sum *exactly*
 (``==`` on floats, not approximately) to the query's ``ExecutionStats``
@@ -48,7 +47,6 @@ _ROW_COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("n_cache_hits", "cache_hits"),
     ("n_pool_hits", "pool_hits"),
     ("n_retries", "retries"),
-    ("n_degraded_reads", "degraded"),
 )
 _COUNTER_NAMES = tuple(
     name for name in STATS_COUNTER_FIELDS if name != "io_time_s"

@@ -41,8 +41,6 @@ PARTITION_CACHE_HITS = "jigsaw_partition_cache_n_hits"
 PARTITION_CACHE_MISSES = "jigsaw_partition_cache_n_misses"
 SERVE_REJECTED = "jigsaw_serve_rejected_total"
 SERVE_SUBMITTED = "jigsaw_serve_submitted_total"
-QUERY_DEGRADED_READS = "jigsaw_query_degraded_reads_total"
-QUERY_PARTITION_READS = "jigsaw_query_partition_reads_total"
 SERVE_LATENCY_QUANTILES = "jigsaw_serve_latency_quantiles"
 
 
@@ -75,7 +73,7 @@ _QUERY_COUNTERS = (  # (family suffix, FlightRecord field)
     ("partition_reads", "n_partition_reads"), ("partitions_pruned", "n_partitions_pruned"),
     ("partitions_skipped", "n_partitions_skipped"), ("cells_scanned", "cells_scanned"),
     ("bytes_read", "bytes_read"), ("cache_hits", "n_cache_hits"), ("pool_hits", "n_pool_hits"),
-    ("retries", "n_retries"), ("degraded_reads", "n_degraded_reads"),
+    ("retries", "n_retries"),
     ("result_tuples", "n_result_tuples"), ("sim_io_seconds", "sim_io_s"),
     ("sim_cpu_seconds", "sim_cpu_s"),
 )

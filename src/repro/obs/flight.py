@@ -70,8 +70,6 @@ class FlightRecord:
     n_cache_hits: int = 0
     n_pool_hits: int = 0
     n_retries: int = 0
-    n_degraded_reads: int = 0
-    n_unreadable_partitions: int = 0
     n_result_tuples: int = 0
     estimated_bytes: int = 0
     catalog_version: int = -1
@@ -99,8 +97,7 @@ _STATS_FIELDS = (
         "bytes_read", "cells_scanned", "n_partition_reads",
         "n_partitions_skipped", "n_partitions_pruned",
         "n_partitions_sketch_pruned", "n_partitions_cache_pruned",
-        "n_cache_hits", "n_pool_hits", "n_retries", "n_degraded_reads",
-        "n_unreadable_partitions", "n_result_tuples",
+        "n_cache_hits", "n_pool_hits", "n_retries", "n_result_tuples",
     )),
 )
 

@@ -275,10 +275,6 @@ _DEFAULT_RULES = (
      Ratio(MetricValue(catalog.SERVE_REJECTED),
            MetricValue(catalog.SERVE_SUBMITTED), min_den=64),
      0.05, 0.25, ">=", "Requests refused by admission control / submitted"),
-    ("degraded_read_rate",
-     Ratio(MetricValue(catalog.QUERY_DEGRADED_READS),
-           MetricValue(catalog.QUERY_PARTITION_READS), min_den=256),
-     0.01, 0.10, ">=", "Partition reads served degraded / total reads"),
     ("serve_p99_latency_s",
      MetricValue(catalog.SERVE_LATENCY_QUANTILES, agg="p99"),
      1.0, 5.0, ">=", "p99 submit-to-done latency across engines"),

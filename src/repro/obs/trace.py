@@ -56,8 +56,6 @@ STATS_COUNTER_FIELDS: Tuple[str, ...] = (
     "n_cache_hits",
     "n_pool_hits",
     "n_retries",
-    "n_degraded_reads",
-    "n_unreadable_partitions",
     "cells_scanned",
     "cells_gathered",
     "hash_inserts",

@@ -10,15 +10,14 @@ engines that evaluate it:
    classifications (REQUIRED / PRUNED / PROJECTION-ONLY) on demand.
 2. **Physical plan** (:mod:`repro.plan.physical`) — the ascending
    selection and projection pid lists and the zone verdict, with the
-   degrade/chunking policy baked in as plan properties
-   the engine scaffold enforces; cost estimates come from the verdict and
+   chunking policy baked in as a plan property the engine scaffold
+   enforces; cost estimates come from the verdict and
    classified rows for ``explain()`` (:mod:`repro.plan.explain`) are made
    on demand.
-3. **Operators** (:mod:`repro.plan.operators`, :mod:`repro.plan.degrade`,
-   :mod:`repro.plan.result`, :mod:`repro.plan.stats`) — the shared
-   selection / projection-fill / degrade pipeline the engines drive
-   with their own scheduling (serial scan, partition-at-a-time,
-   lock-based and shared-scan threading).
+3. **Operators** (:mod:`repro.plan.operators`, :mod:`repro.plan.result`,
+   :mod:`repro.plan.stats`) — the shared selection / projection-fill
+   pipeline the engines drive with their own scheduling (serial scan,
+   partition-at-a-time, lock-based and shared-scan threading).
 
 On top of the single-table stack sits the **relational layer**
 (:mod:`repro.plan.relational`, :mod:`repro.plan.joins`,
@@ -29,7 +28,6 @@ strategy (partition-wise vs broadcast) from zone maps and the cost model.
 """
 
 from .dag import Catalog, DagExecutor, RelationalResult, explain_relational
-from .degrade import FaultContext, handle_unreadable, plan_alternates
 from .explain import AccessExplain, ExplainReport
 from .joins import JoinSplit, JoinStrategy, choose_join_strategy
 from .relational import (
@@ -55,7 +53,6 @@ from .operators import (
     STATUS_INVALID,
     STATUS_NOT_CHECKED,
     STATUS_VALID,
-    AccessLoop,
     PlanReader,
     ProjectFillOp,
     SelectOp,
@@ -68,7 +65,6 @@ from .stats import CpuModel, ExecutionStats
 
 __all__ = [
     "AccessExplain",
-    "AccessLoop",
     "AccessPolicy",
     "AggSpec",
     "Catalog",
@@ -78,7 +74,6 @@ __all__ = [
     "DagExecutor",
     "ExecutionStats",
     "ExplainReport",
-    "FaultContext",
     "GroupAggOp",
     "HashJoinOp",
     "JoinCondition",
@@ -112,6 +107,4 @@ __all__ = [
     "choose_join_strategy",
     "explain_relational",
     "finalize_stats",
-    "handle_unreadable",
-    "plan_alternates",
 ]

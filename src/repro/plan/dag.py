@@ -5,8 +5,8 @@ compiles to an ordinary single-table :class:`~repro.core.query.Query` and
 runs through the table's *bound* engine (whatever
 :class:`~repro.layouts.base.MaterializedLayout` the catalog holds — scan,
 partition-at-a-time or threaded), so zone/sketch/cache pruning,
-fault degradation, tracing spans and simulated accounting all come
-from the existing machinery.  Join nodes consult
+retries, tracing spans and simulated accounting all come from the
+existing machinery.  Join nodes consult
 :func:`~repro.plan.joins.choose_join_strategy`:
 
 * **partition-wise** — the scan pair is re-run once per disjoint key split

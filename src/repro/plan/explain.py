@@ -90,7 +90,7 @@ class ExplainReport:
             f"{', '.join(self.projection_columns)}")
         out("physical plan:")
         out(f"  fault policy: max_attempts={self.max_attempts}, "
-            "degraded reads allowed")
+            "an unreadable partition fails the query")
         self._render_accesses(out, "selection accesses", self.selection)
         self._render_accesses(out, "projection candidates", self.projection)
         out(f"  estimate: <= {self.estimated_partition_reads} partition reads, "
@@ -114,11 +114,8 @@ class ExplainReport:
                 f"gathered {actual.cells_gathered}, "
                 f"hash inserts {actual.hash_inserts}, "
                 f"updates {actual.hash_updates}")
-            if (actual.n_retries or actual.n_degraded_reads
-                    or actual.n_unreadable_partitions):
-                out(f"  faults: {actual.n_retries} retries, "
-                    f"{actual.n_degraded_reads} degraded reads, "
-                    f"{actual.n_unreadable_partitions} unreadable partitions")
+            if actual.n_retries:
+                out(f"  faults: {actual.n_retries} retries")
         if self.analyze is not None:
             out("analyze (per-operator actuals, simulated io+cpu sums "
                 "exactly to the totals):")

@@ -1,20 +1,18 @@
 """Shared operators: the pipeline every executor drives.
 
 The third planning layer.  Each operator owns one piece of the
-selection/projection/degrade loop that used to be copied across the
-engines; the executors are now thin drivers that schedule these operators
-(serially, under bucket locks, or behind a shared-scan barrier) without
+selection/projection loop that used to be copied across the engines; the
+executors are now thin drivers that schedule these operators (serially,
+under bucket locks, or behind a shared-scan barrier) without
 re-implementing them:
 
-* :class:`PlanReader` — the partition-open/retry/accounting preamble: load
+* :class:`PlanReader` — the partition-open/accounting preamble: load
   through the manager, fold the I/O delta into ``ExecutionStats``, count the
-  read (and whether it was a degraded substitute read), reuse within-query
-  working memory, and serialize loads under a lock for threaded drivers.
-* :class:`AccessLoop` — the ordered work queue over partition accesses that
-  every phase runs: dedup, known-dead handling, skip hooks, load, process;
-  a planned access that turns out unreadable is re-planned onto overlapping
-  substitutes (:func:`~repro.plan.degrade.handle_unreadable`, inside one
-  ``exec.degrade`` span).
+  read, reuse within-query working memory, and serialize loads under a
+  lock for threaded drivers.  A partition that stays unreadable after the
+  manager's retries raises :class:`~repro.errors.PartitionUnreadableError`
+  out of the load, and so out of the query: no other partition is read in
+  its place.
 * :class:`SelectOp` / :class:`ProjectFillOp` — the vectorized engine core,
   built on **selection vectors and result-sized output**: the only
   table-sized scratch is Algorithm 5's status vector (one byte per tuple);
@@ -60,22 +58,15 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import PartitionUnreadableError, StorageError
-from ..obs import tracer as obs_tracer
+from ..errors import StorageError
 from ..storage.buffer_pool import BufferPool
 from ..storage.image import ImageGroup, ImageSlot, SchemaImage
-from ..storage.partition_manager import (
-    CatalogIndex,
-    PartitionInfo,
-    PartitionManager,
-)
+from ..storage.partition_manager import PartitionInfo, PartitionManager
 from ..storage.physical import TID_IMPLICIT, PhysicalPartition
-from .degrade import FaultContext, handle_unreadable
 from .predicates import Conjunction
 from .result import ResultSet
 from .stats import CpuModel, ExecutionStats
@@ -85,7 +76,6 @@ __all__ = [
     "STATUS_VALID",
     "STATUS_INVALID",
     "PlanReader",
-    "AccessLoop",
     "SelectOp",
     "ProjectFillOp",
     "GroupSelectOp",
@@ -102,8 +92,6 @@ STATUS_INVALID = np.uint8(2)
 class PlanReader:
     """The partition-open/accounting preamble, shared by every call site.
 
-    ``fctx`` is the execution's fault context, shared by every reader and
-    access loop of the execution so every phase sees one exclusion set;
     ``cache`` is optional within-query working memory (the scan engine's
     selection phase loads may be revisited by its gather phase; a driver
     whose later phase revisits partitions sets it); ``lock`` serializes
@@ -112,20 +100,18 @@ class PlanReader:
     the partition.
     """
 
-    __slots__ = ("manager", "stats", "fctx", "chunk_size", "cache", "lock")
+    __slots__ = ("manager", "stats", "chunk_size", "cache", "lock")
 
     def __init__(
         self,
         manager: PartitionManager,
         stats: ExecutionStats,
-        fctx: FaultContext,
         chunk_size: Optional[int] = None,
         cache: Optional[Dict[int, PhysicalPartition]] = None,
         lock: Optional[threading.Lock] = None,
     ):
         self.manager = manager
         self.stats = stats
-        self.fctx = fctx
         self.chunk_size = chunk_size
         self.cache = cache
         self.lock = lock
@@ -144,92 +130,9 @@ class PlanReader:
         else:
             self.stats.accrue_io(io_delta)
         self.stats.n_partition_reads += 1
-        if pid in self.fctx.degraded:
-            self.stats.n_degraded_reads += 1
         if self.cache is not None:
             self.cache[pid] = partition
         return partition
-
-
-class AccessLoop:
-    """The ordered partition work queue every engine phase runs.
-
-    Selection phases (``replan_known_dead=False``) silently skip pids that
-    already died — their predicate cells were re-planned when the death was
-    discovered.  Projection phases (``replan_known_dead=True``) re-plan a
-    known-dead pid's cells instead: the dead partition's projected cells
-    still need substitute homes, without burning another retry cycle.
-    Substitutes come from ``index``, the catalog version the query reads;
-    the reader's fault context and stats record the death.
-
-    ``tids_by_attribute`` narrows a rescue to specific tuples; passing a
-    callable defers the computation to failure time (e.g. "the projected
-    cells of selected tuples no readable partition has supplied *yet*").
-    """
-
-    __slots__ = (
-        "reader", "index", "attributes", "replan_known_dead",
-        "tids_by_attribute", "pending", "done",
-    )
-
-    def __init__(
-        self,
-        reader: PlanReader,
-        index: CatalogIndex,
-        attributes: Iterable[str],
-        replan_known_dead: bool = False,
-        tids_by_attribute=None,
-    ):
-        self.reader = reader
-        self.index = index
-        self.attributes = tuple(attributes)
-        self.replan_known_dead = replan_known_dead
-        self.tids_by_attribute = tids_by_attribute
-        self.pending: deque = deque()
-        self.done: Set[int] = set()
-
-    def fail(self, pid: int, exc: Optional[PartitionUnreadableError] = None) -> None:
-        """Record one dead access and enqueue its substitutes."""
-        tids = self.tids_by_attribute
-        if callable(tids):
-            tids = tids()
-        with obs_tracer().span(
-            "exec.degrade", pid=pid, discovered=exc is not None
-        ) as span:
-            n_pending_before = len(self.pending)
-            handle_unreadable(
-                self.index, pid, self.attributes, self.reader.fctx,
-                self.reader.stats, self.pending, self.done, exc, tids,
-            )
-            span.set(n_substitutes=len(self.pending) - n_pending_before)
-
-    def run(
-        self,
-        process: Callable[[int, PhysicalPartition], None],
-        skip: Optional[Callable[[int], bool]] = None,
-    ) -> None:
-        fctx = self.reader.fctx
-        while self.pending:
-            pid = self.pending.popleft()
-            if self.replan_known_dead:
-                if pid in self.done:
-                    continue
-                self.done.add(pid)
-                if pid in fctx.unreadable:
-                    self.fail(pid, None)
-                    continue
-            else:
-                if pid in self.done or pid in fctx.unreadable:
-                    continue
-                self.done.add(pid)
-            if skip is not None and skip(pid):
-                continue
-            try:
-                partition = self.reader.load(pid)
-            except PartitionUnreadableError as exc:
-                self.fail(pid, exc)
-                continue
-            process(pid, partition)
 
 
 def _address(tids: np.ndarray, tid_storage: str):
@@ -281,8 +184,7 @@ class SelectOp(_ProjectingOp):
     An INVALID mark is written only where a later visit in this query can
     read it.  ``hit_only`` is the catalog's verdict that no tuple is reached
     twice (every selection segment stores every predicate attribute, each
-    with one home, so no degraded substitute can reach it either): failing
-    tuples stay NOT_CHECKED.  So a ``refuted`` partition (the plan's
+    with one home): failing tuples stay NOT_CHECKED.  So a ``refuted`` partition (the plan's
     ``zone_refuted``) is read but not evaluated.
 
     The view's ``hidden`` tids start INVALID: those a write-path version
@@ -507,20 +409,18 @@ class ProjectFillOp(_ProjectingOp):
             written += len(hits) * len(wanted)
         return written
 
-    def result(self, stats: ExecutionStats, lost=()) -> ResultSet:
+    def result(self, stats: ExecutionStats) -> ResultSet:
         """The normalized result every engine ends on — complete, or an
         error, never a silently partial answer: a projected cell no read
-        supplied was taken by the ``lost`` (unreadable) partitions, a
-        legitimate outcome of faults, or the layout does not cover the
-        table."""
+        supplied means the layout does not cover the table (a lost
+        partition has already failed the query)."""
         for name in self.projected:
             missing = self.missing(name)
             if len(missing):
-                error = PartitionUnreadableError if lost else StorageError
-                raise error(
+                raise StorageError(
                     f"attribute {name!r} is missing for {len(missing)} "
                     f"selected tuples (first: {missing[:5].tolist()}); "
-                    f"unreadable partitions: {sorted(lost)}"
+                    "the layout does not cover the table"
                 )
         stats.n_result_tuples = len(self.valid)
         return ResultSet(self.valid, self.columns)
@@ -530,9 +430,9 @@ class GroupSelectOp(SelectOp):
     """Algorithm 5 per schema group: the partition-at-a-time driver's
     selection state plus the slots of every partition it loaded.
 
-    Loads stay per partition, in plan order (:class:`AccessLoop`,
-    :class:`PlanReader`); :meth:`add` files each loaded partition's
-    segments as slots of the schema-group image — the pool's
+    Loads stay per partition, in plan order (:class:`PlanReader`);
+    :meth:`add` files each loaded partition's segments as slots of the
+    schema-group image — the pool's
     (:meth:`~repro.storage.buffer_pool.BufferPool.image_slots`) while the
     pool holds the partition, else a private one over every partition this
     query loaded, dropped with the query.  Evaluation then runs once per

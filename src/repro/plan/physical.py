@@ -108,7 +108,7 @@ class PhysicalPlan:
         )
         #: the pinned catalog view the plan was built against.  Everything
         #: an execution asks the catalog — partition entries, tuple-level
-        #: probes, degraded-read substitutes — it asks this view, and it
+        #: probes — it asks this view, and it
         #: marks the view's ``hidden`` tids INVALID before selecting.
         self.snapshot = snapshot
         #: the catalog version the plan reads.
@@ -118,8 +118,7 @@ class PhysicalPlan:
     # ------------------------------------------------------------- queries
 
     def decision_for(self, pid: int) -> PartitionDecision:
-        """Classification for any pid — including substitutes enlisted at
-        runtime, which were not on the initial access lists."""
+        """Classification for any pid of the view."""
         return self.logical.classify(self.snapshot.info(pid))
 
     def pruned(self, pid: int) -> bool:

@@ -23,7 +23,7 @@ pipeline underneath it:
 
 Each scan node compiles to an ordinary single-table
 :class:`~repro.core.query.Query`, so the whole existing stack — zone/sketch
-pruning, degraded reads, tracing — executes the DAG's leaves
+pruning, retries, tracing — executes the DAG's leaves
 unchanged.  Physical join strategy (partition-wise vs
 broadcast, per split) lives in :mod:`repro.plan.joins`.
 """

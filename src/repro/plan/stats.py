@@ -70,12 +70,10 @@ class CpuModel:
 class ExecutionStats:
     """Everything one query execution did, with simulated timings.
 
-    The fault counters mirror the storage layer's read path: ``n_retries``
-    are extra per-read attempts after transient faults or corruption,
-    ``n_unreadable_partitions`` counts partitions that stayed unreadable
-    after every retry, and ``n_degraded_reads`` counts substitute-partition
-    loads that recovered an unreadable partition's cells from another
-    (overlapping) home.
+    ``n_retries`` mirrors the storage layer's read path: extra per-read
+    attempts after transient faults or corruption.  A partition that stays
+    unreadable after every retry fails the query, so no ledger of a
+    finished execution counts one.
     """
 
     bytes_read: int = 0
@@ -99,8 +97,6 @@ class ExecutionStats:
     n_cache_hits: int = 0
     n_pool_hits: int = 0
     n_retries: int = 0
-    n_degraded_reads: int = 0
-    n_unreadable_partitions: int = 0
     cells_scanned: int = 0
     cells_gathered: int = 0
     hash_inserts: int = 0

@@ -28,7 +28,7 @@ from typing import (
 import numpy as np
 
 from ..errors import PartitionNotFoundError, SnapshotUnavailableError
-from .physical import sorted_isin, sorted_unique
+from .physical import sorted_unique
 from .sketches import SketchSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -335,50 +335,6 @@ class CatalogIndex:
             self._owners[attribute] = owners
             return owners
 
-    def attribute_tids(self, pid: int, attribute: str) -> np.ndarray:
-        """Sorted unique tuple IDs for which ``pid`` stores a cell of
-        ``attribute``.
-
-        Catalog metadata only; usable even when the partition file itself is
-        unreadable, which is exactly when degraded reads need it.
-        """
-        info = self.info(pid)
-        holding = [
-            tids
-            for attrs, tids in zip(info.segment_attrs, info.segment_tids)
-            if attribute in attrs and len(tids)
-        ]
-        if not holding:
-            return np.empty(0, dtype=np.int64)
-        if len(holding) == 1:
-            return holding[0]
-        return sorted_unique(np.concatenate(holding))
-
-    def cover_attribute(
-        self, attribute: str, tids: np.ndarray, exclude: Iterable[int] = ()
-    ) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """Greedy cover of ``(attribute, tids)`` cells from other partitions.
-
-        Candidates are every partition of this set holding ``attribute``,
-        minus ``exclude`` (typically the unreadable partition).  Returns
-        ``(chosen_pids, still_missing_tids)``; an empty second item means
-        full coverage.
-        """
-        excluded = frozenset(exclude)
-        remaining = sorted_unique(np.asarray(tids, dtype=np.int64))
-        chosen: List[int] = []
-        for pid in self.attribute_pids.get(attribute, ()):
-            if pid in excluded or not len(remaining):
-                continue
-            held = self.attribute_tids(pid, attribute)
-            if not len(held):
-                continue
-            hit = sorted_isin(remaining, held)
-            if hit.any():
-                chosen.append(pid)
-                remaining = remaining[~hit]
-        return tuple(chosen), remaining
-
     def with_added(self, infos: Sequence[PartitionInfo]) -> "CatalogIndex":
         """The index of this partition set plus ``infos`` (pids above every
         pid of this set, so the order stays ascending): what a rebuild over
@@ -595,11 +551,10 @@ class CatalogSnapshot:
 
     A request root (an engine's ``execute``, or the planner for a plan-only
     caller) pins one view before planning and releases it on every exit;
-    the plan, the index probes of the projection phase and a degraded
-    read's substitutes all read ``index`` — the frozen partition set's
-    :class:`CatalogIndex` — and never the live manager, so a concurrent
-    swap cannot tear a plan, and the retired partitions the view still
-    names stay loadable (a pin clamps
+    the plan and the index probes of the projection phase read ``index`` —
+    the frozen partition set's :class:`CatalogIndex` — and never the live
+    manager, so a concurrent swap cannot tear a plan, and the retired
+    partitions the view still names stay loadable (a pin clamps
     :meth:`PartitionManager.prune_retired`).
 
     A view is frozen and so is every entry in it: a partition file is

@@ -17,9 +17,10 @@ Reads are MVCC: :meth:`execute` pins a
 older version — ``AS OF``) and runs the layout's engine against it.  The
 snapshot's frozen partition set already holds that version's commit
 partitions, so committed rows take the one read path every partition takes
-(planner access lists, zone maps, the manager's retry/CRC/buffer-pool load,
-degraded reads); the only thing the write path adds is what the version's
-visibility mask hides, ``snapshot.hidden`` (see :mod:`repro.txn.delta`).
+(planner access lists, zone maps, the manager's retry/CRC/buffer-pool load;
+a partition that stays unreadable fails the read); the only thing the
+write path adds is what the version's visibility mask hides,
+``snapshot.hidden`` (see :mod:`repro.txn.delta`).
 
 Tuple-id discipline: inserts take fresh tids at the high-water mark;
 updates are delete + insert *under new tids* (a tid's cells are immutable

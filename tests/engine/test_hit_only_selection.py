@@ -6,8 +6,8 @@ true and false in the layouts that decide it), the form's equivalence with
 the full status write on every snapshot case that takes it, on every
 range-split case that reads a zone-refuted partition without evaluating it
 and on a plan that prunes a selection partition without visiting it, and
-that a lost selection partition is never degraded: each selection tuple
-has one home, so nothing can stand in for it.
+that a lost selection partition is never degraded: it fails the query, and
+nothing is read in its place.
 """
 
 from unittest import mock
@@ -309,17 +309,16 @@ KILL = FaultConfig(transient_error_rate=1.0)
     ids=["irregular", "column"],
 )
 def test_a_lost_selection_partition_is_never_degraded(table, make):
-    """Under the hit-only form every selection tuple has one home, so no
-    other partition can stand in for a selection partition that exhausts
-    its retries: the query raises, and no substitute is read."""
+    """A selection partition that exhausts its retries fails the query:
+    the error names its pid, and no other partition is read after it."""
     query = Query.build(table.meta, ["a2"], {"a1": (0, 499)})
     layout = make().build(
         table, Workload(table.meta, [query]), BuildContext(file_segment_bytes=512)
     )
     plan = layout.executor.plan(query)
     assert plan.visits_once
-    lost = layout.manager.info(plan.selection_pids()[0]).key
-    inject_faults(layout, overrides={lost: KILL})
+    lost = plan.selection_pids()[0]
+    inject_faults(layout, overrides={layout.manager.info(lost).key: KILL})
     readers = []
     init = PlanReader.__init__
 
@@ -328,11 +327,11 @@ def test_a_lost_selection_partition_is_never_degraded(table, make):
         readers.append(self)
 
     with mock.patch.object(PlanReader, "__init__", recording):
-        with pytest.raises(PartitionUnreadableError):
+        with pytest.raises(PartitionUnreadableError) as raised:
             layout.executor.execute(query)
+    assert raised.value.pid == lost
     (reader,) = readers
-    assert reader.stats.n_unreadable_partitions == 1
-    assert reader.stats.n_degraded_reads == 0 and not reader.fctx.degraded
+    assert reader.stats.n_partition_reads == 0
 
 
 PRUNING = [

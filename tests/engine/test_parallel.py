@@ -1,6 +1,7 @@
 """Tests for the parallel engines: threaded correctness + simulator shapes."""
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.engine.parallel import (
     simulate_shared_scan,
 )
 from repro.layouts import BuildContext, IrregularLayout
+from repro.plan.operators import PlanReader
 from repro.storage import BALOS_HDD, EBS_IO1, ColumnTable, DeviceProfile
 from repro.testing.snapshot import iter_snapshot_cases
 
@@ -62,6 +64,57 @@ class TestThreadedEngines:
         table, layout, _queries = tiny_layout
         with pytest.raises(ValueError):
             ThreadedPartitionEngine(layout.manager, table.meta, strategy="magic")
+
+    @pytest.mark.parametrize("strategy", ["locking", "shared"])
+    def test_a_worker_exception_reaches_the_caller(
+        self, tiny_layout, strategy, monkeypatch
+    ):
+        """A worker that raises while loading its first partition (for the
+        shared scan: before the barrier its peers wait at) ends ``execute``
+        with that exception, every thread joined.  ``execute`` runs on a
+        helper thread, so a hang fails the test instead of stalling it."""
+        table, layout, queries = tiny_layout
+        engine = ThreadedPartitionEngine(
+            layout.manager, table.meta, n_threads=3, strategy=strategy
+        )
+        query = queries[0]
+        victim = engine.plan(query).selection_pids()[0]
+        load = PlanReader.load
+
+        def failing(reader, pid):
+            if pid == victim:
+                raise RuntimeError(f"worker step failed on p{pid}")
+            return load(reader, pid)
+
+        barriers = []
+
+        class Recorded(threading.Barrier):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                barriers.append(self)
+
+        monkeypatch.setattr(PlanReader, "load", failing)
+        monkeypatch.setattr(threading, "Barrier", Recorded)
+        raised = []
+
+        def call():
+            try:
+                engine.execute(query)
+            except Exception as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, name="execute-caller")
+        caller.start()
+        caller.join(30.0)
+        hung = caller.is_alive()
+        for barrier in barriers:  # free a peer a hang left waiting
+            barrier.abort()
+        caller.join(30.0)
+        assert not hung, "execute hung on a failed worker"
+        (error,) = raised
+        assert type(error) is RuntimeError
+        assert str(error) == f"worker step failed on p{victim}"
+        assert len(barriers) == (1 if strategy == "shared" else 0)
 
 
 @pytest.fixture(scope="module")

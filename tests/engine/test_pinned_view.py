@@ -5,9 +5,8 @@ at its root, plans against it and reads nothing else, so
 
 * a query in flight survives any number of swaps and prunes committed
   under it (its view keeps the retired partitions loadable);
-* a degraded read picks its substitutes from the version it reads — an
-  overlapping holder a later swap retired still serves an ``AS OF`` read;
-* the pin is released on every way out of the root.
+* the pin is released on every way out of the root, an unreadable
+  partition included.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ from repro.storage import (
     MemoryBlobStore,
     PartitionManager,
     PhysicalPartition,
-    PhysicalSegment,
     SegmentSpec,
     StorageDevice,
     TID_CATALOG,
-    build_physical_partition,
 )
 from repro.testing import (
     no_leaked_pins,
@@ -120,92 +117,6 @@ class TestInFlightQuerySurvivesSwapsAndPrunes:
         assert again.equals(run_reference_query(table, query))
 
 
-# --------------------------------------------------------- degraded AS OF
-
-
-def overlapping_holder_manager(small_table):
-    """p0 holds a1 alone; p1 holds a2, a3 and, in a second segment, a1
-    again."""
-    store = FaultInjectingBlobStore(MemoryBlobStore())
-    manager = PartitionManager(
-        small_table.schema, StorageDevice(BALOS_HDD), store
-    )
-    everyone = np.arange(small_table.n_tuples, dtype=np.int64)
-    primary, holder = (
-        build_physical_partition(pid, [SegmentSpec(attrs, everyone)],
-                                 small_table, TID_CATALOG)
-        for pid, attrs in enumerate([("a1",), ("a2", "a3")])
-    )
-    holder.segments.append(PhysicalSegment(
-        attributes=("a1",),
-        tuple_ids=everyone,
-        columns={"a1": small_table.column("a1")},
-        tid_storage=TID_CATALOG,
-    ))
-    manager.materialize([primary, holder])
-    return manager, store
-
-
-class TestDegradedReadSubstitutesFromItsOwnVersion:
-    def test_retired_overlapping_holder_serves_the_pinned_read(self, small_table):
-        manager, store = overlapping_holder_manager(small_table)
-        executor = PartitionAtATimeExecutor(manager, small_table.meta)
-        query = Query.build(small_table.meta, ["a2"], {"a1": (0, 4999)})
-        expected = run_reference_query(small_table, query)
-        with manager.pin_snapshot() as v0:
-            # A later swap drops the overlap: p1's cells move to a fresh pid
-            # without the a1 copy.
-            holder, _delta = manager.load(1)
-            manager.swap_partitions(
-                [PhysicalPartition(
-                    manager.next_pid(),
-                    [s for s in holder.segments if "a1" not in s.attributes],
-                )],
-                remove=[1],
-            )
-            store.overrides[manager.info(0).key] = KILL
-            # At v0 the retired holder is still part of the catalog: the
-            # read degrades onto its copy and is exact.
-            result, stats = executor.execute(query, snapshot=v0)
-            assert result.equals(expected)
-            assert stats.n_unreadable_partitions == 1
-            assert stats.n_degraded_reads >= 1
-            # The live version has no copy of a1 left.
-            with pytest.raises(PartitionUnreadableError):
-                executor.execute(query)
-
-    def test_pinned_read_never_enlists_a_later_partition(self, small_table):
-        """The mirror image: a copy committed after the pin is not part of
-        the pinned version, so the pinned read has no substitute."""
-        store = FaultInjectingBlobStore(MemoryBlobStore())
-        manager = PartitionManager(
-            small_table.schema, StorageDevice(BALOS_HDD), store
-        )
-        everyone = np.arange(small_table.n_tuples, dtype=np.int64)
-        manager.materialize_specs(
-            [
-                [SegmentSpec(("a1",), everyone)],
-                [SegmentSpec(("a2", "a3"), everyone)],
-            ],
-            small_table,
-            tid_storage=TID_CATALOG,
-        )
-        executor = PartitionAtATimeExecutor(manager, small_table.meta)
-        query = Query.build(small_table.meta, ["a2"], {"a1": (0, 4999)})
-        with manager.pin_snapshot() as v0:
-            primary, _delta = manager.load(0)
-            manager.swap_partitions(
-                [PhysicalPartition(manager.next_pid(), primary.segments)]
-            )
-            store.overrides[manager.info(0).key] = KILL
-            with pytest.raises(PartitionUnreadableError):
-                executor.execute(query, snapshot=v0)
-            # Live, the overlapping copy rescues the read.
-            result, stats = executor.execute(query)
-            assert result.equals(run_reference_query(small_table, query))
-            assert stats.n_degraded_reads >= 1
-
-
 # ------------------------------------------------------------- pin leaks
 
 
@@ -252,9 +163,11 @@ class TestRootPinIsReleasedOnEveryExit:
 
     @pytest.mark.parametrize("engine", ROOTS)
     def test_partition_unreadable(self, engine, small_table, covered):
-        manager = overlapping_manager(small_table, kill=(0, 1))
-        with no_leaked_pins(), pytest.raises(PartitionUnreadableError):
+        """p1 holds every cell of p0 too, yet losing p0 fails the query."""
+        manager = overlapping_manager(small_table, kill=(0,))
+        with no_leaked_pins(), pytest.raises(PartitionUnreadableError) as raised:
             engine(manager, small_table.meta).execute(covered)
+        assert raised.value.pid == 0
         assert manager.snapshot_refcount() == 0
 
     @pytest.mark.parametrize("engine", ROOTS)

@@ -10,7 +10,7 @@ answer oracle-exactly, and no counter may depend on which image answered:
   under it and it evaluates on a private image;
 * no pool: a private image per query;
 * a fault-injecting store that makes an imaged pid unreadable once the pool
-  dropped it: the image must not serve it, and a substitute answers.
+  dropped it: the image must not serve it, and the query fails.
 
 Plans that are not visit-once (predicates split across the segments of a
 partition) select partition by partition in plan order; they are run too.
@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import Query
 from repro.engine import PartitionAtATimeExecutor
+from repro.errors import PartitionUnreadableError
 from repro.layouts import BuildContext, IrregularLayout
 from repro.plan.operators import GroupSelectOp
 from repro.storage import (
@@ -187,41 +188,37 @@ def test_predicates_split_across_segments(table, zone_maps):
 def test_an_imaged_pid_made_unreadable_is_not_served(table):
     """Partition 1 and 2 both hold a3 for every tuple.  After a warm run
     every pid is imaged; then the pool drops partition 1 (as a failed
-    refresh does) and the store refuses it: the query reads partition 2 in
-    its place, and the image never holds partition 1 again."""
-    store = FaultInjectingBlobStore(MemoryBlobStore())
-    manager = manager_of(table, [
+    refresh does) and the store refuses it: the query fails on partition 1
+    rather than serve a cell of it from the image, which never holds
+    partition 1 again."""
+    specs = [
         [(("a1", "a2"), tids())],
         [(("a3",), tids())],
         [(("a3",), tids()), (("a4",), tids())],
-    ], 64 << 20, store)
+    ]
+    store = FaultInjectingBlobStore(MemoryBlobStore())
+    manager = manager_of(table, specs, 64 << 20, store)
     engine = PartitionAtATimeExecutor(manager, table.meta)
     query = Query.build(table.meta, ["a2", "a3", "a4"], {"a1": (0, 499)})
-    expected = run_reference_query(table, query)
-    assert engine.execute(query)[0].equals(expected)
+    assert engine.execute(query)[0].equals(run_reference_query(table, query))
     image = manager.buffer_pool.image
     assert set(image.pids()) == {0, 1, 2}
 
-    store.overrides[manager.info(1).key] = FaultConfig(transient_error_rate=1.0)
+    kill = {manager.info(1).key: FaultConfig(transient_error_rate=1.0)}
+    store.overrides.update(kill)
     manager.buffer_pool.invalidate(1)
     assert 1 not in image.pids()
-    result, stats = engine.execute(query)
-    assert result.equals(expected)
-    assert stats.n_unreadable_partitions == 1
-    assert stats.n_degraded_reads == 1
+    with pytest.raises(PartitionUnreadableError) as raised:
+        engine.execute(query)
+    assert raised.value.pid == 1
     assert 1 not in image.pids()
-    # The same faults pool-less: the same answer and counters.
+    # The same faults pool-less: the same failure.
     bare = PartitionAtATimeExecutor(
-        manager_of(table, [
-            [(("a1", "a2"), tids())],
-            [(("a3",), tids())],
-            [(("a3",), tids()), (("a4",), tids())],
-        ], 0, FaultInjectingBlobStore(
-            MemoryBlobStore(),
-            overrides={manager.info(1).key: FaultConfig(transient_error_rate=1.0)},
+        manager_of(table, specs, 0, FaultInjectingBlobStore(
+            MemoryBlobStore(), overrides=kill,
         )),
         table.meta,
     )
-    result_bare, stats_bare = bare.execute(query)
-    assert result_bare.equals(expected)
-    assert events(stats_bare) == events(stats)
+    with pytest.raises(PartitionUnreadableError) as raised:
+        bare.execute(query)
+    assert raised.value.pid == 1

@@ -5,10 +5,10 @@ against a plain Python loop that runs Algorithm 5 one tuple at a time over
 the same partitions, with a real hash table: the closed-form counters must
 price exactly the loop the paper describes, on the paths where result-sized
 scratch is easiest to get wrong (dropped stashes, catalog-only prunes,
-snapshot masks, degraded reads, empty and full results), and on the shapes
-the projection must get right: an attribute in two segments of one pid,
-overlapping primaries (two layers of one schema group), stashed partitions
-revisited, and substitutes of a faulting partition.
+snapshot masks, empty and full results), and on the shapes the projection
+must get right: an attribute in two segments of one pid, overlapping
+primaries (two layers of one schema group) and stashed partitions
+revisited.
 """
 
 import tracemalloc
@@ -28,9 +28,6 @@ from repro.storage import (
     TID_IMPLICIT,
     BufferPool,
     ColumnTable,
-    FaultConfig,
-    FaultInjectingBlobStore,
-    MemoryBlobStore,
     PartitionManager,
     PhysicalSegment,
     SegmentSpec,
@@ -59,8 +56,8 @@ def table() -> ColumnTable:
     return ColumnTable.build("T", TableSchema.uniform(list(NAMES)), columns)
 
 
-def build(table, spec_groups, store=None):
-    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
+def build(table, spec_groups):
+    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
     manager.materialize_specs(spec_groups, table, tid_storage=TID_EXPLICIT)
     return manager
 
@@ -69,9 +66,9 @@ def tids(lo=0, hi=N):
     return np.arange(lo, hi, dtype=np.int64)
 
 
-def build_segments(table, groups, store=None):
+def build_segments(table, groups):
     """One partition per group of ``(attributes, tids)`` segments."""
-    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
+    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
     manager.materialize([
         PhysicalPartition(pid=pid, segments=[
             PhysicalSegment(
@@ -85,16 +82,14 @@ def build_segments(table, groups, store=None):
     return manager
 
 
-def algorithm5(manager, query, zone_maps=False, valid_mask=None, absent=(),
-               substitutes=()):
-    """Algorithm 5, one tuple at a time; ``absent`` pids are never read,
-    ``substitutes`` are read in the projection phase whatever they store.
-    Returns ``({tid: {attribute: cell}}, Counter of events)``."""
+def algorithm5(manager, query, zone_maps=False, valid_mask=None):
+    """Algorithm 5, one tuple at a time.  Returns ``({tid: {attribute:
+    cell}}, Counter of events)``."""
     preds = {a: (iv.lo, iv.hi) for a, iv in query.where.items()}
     ok = [True] * N if valid_mask is None else list(valid_mask)
     status = [NOT_CHECKED if ok[t] or not preds else INVALID for t in range(N)]
     ret, events = {}, Counter()
-    infos = [manager.info(pid) for pid in manager.pids() if pid not in absent]
+    infos = [manager.info(pid) for pid in manager.pids()]
 
     def drop(tid):
         if status[tid] == VALID:
@@ -138,7 +133,7 @@ def algorithm5(manager, query, zone_maps=False, valid_mask=None, absent=(),
     # Projection phase: the partitions holding a still-missing cell.
     missing = {(a, t) for t, row in ret.items() for a in query.select if a not in row}
     for info in infos:
-        if info.pid not in substitutes and not any(
+        if not any(
             (a, t) in missing
             for attrs, seg_tids in zip(info.segment_attrs, info.segment_tids)
             for a in attrs for t in seg_tids.tolist()
@@ -239,33 +234,6 @@ class TestAlgorithm5Counters:
             assert result.column(name).tolist() == [ret[t][name] for t in sorted(ret)]
         assert {c: getattr(stats, c) for c in COUNTERS} == {c: events[c] for c in COUNTERS}
 
-    def test_degraded_read_rescues_exactly_the_missing_tids(self, table):
-        """(d) partition 1 (a3 for every tuple) is dead; its cells also live
-        in partitions 2 (lower half) and 3 (upper half).  Only lower-half
-        tuples qualify, so a rescue narrowed to the still-missing tids reads
-        partition 2 alone."""
-        store = FaultInjectingBlobStore(
-            MemoryBlobStore(),
-            overrides={"p000001.jig": FaultConfig(transient_error_rate=1.0)},
-        )
-        a1 = np.asarray(table.column("a1")).copy()
-        a1[200:] = 999  # nothing in the upper half passes a1 <= 500
-        shaped = ColumnTable.build(
-            "T", table.schema, {**{n: table.column(n) for n in NAMES}, "a1": a1}
-        )
-        manager = build(shaped, [
-            [SegmentSpec(("a1", "a2"), tids())],
-            [SegmentSpec(("a3",), tids())],
-            [SegmentSpec(("a3",), tids(0, 200))],
-            [SegmentSpec(("a3",), tids(200, N))],
-        ], store=store)
-        query = Query.build(shaped.meta, ["a2", "a3"], {"a1": (0, 500)})
-        result, stats = run_pat(manager, shaped, query)
-        assert stats.n_unreadable_partitions == 1
-        assert stats.n_degraded_reads == 1 and stats.n_partition_reads == 2
-        ret, events = algorithm5(manager, query, absent={1, 3})
-        check(result, stats, ret, events, shaped, query)
-
     @pytest.mark.parametrize("expect", [0, N], ids=["empty", "full"])
     def test_empty_and_full_results(self, table, expect):
         """(f) no tuple qualifies / every tuple qualifies."""
@@ -288,12 +256,12 @@ class TestOwnerAddressedProjection:
     result by the schema group's ``tid -> row`` gather.  Result and every
     counter must still be the tuple-at-a-time loop's."""
 
-    def run(self, table, groups, select, where=None, **reference):
+    def run(self, table, groups, select, where=None):
         """``where`` defaults to a result under a quarter of the table."""
-        manager = build_segments(table, groups, reference.pop("store", None))
+        manager = build_segments(table, groups)
         query = Query.build(table.meta, select, where or {"a1": (0, 199)})
         result, stats = run_pat(manager, table, query)
-        ret, events = algorithm5(manager, query, **reference)
+        ret, events = algorithm5(manager, query)
         check(result, stats, ret, events, table, query)
         assert where or 0 < 4 * result.n_tuples < N
         return stats
@@ -343,22 +311,6 @@ class TestOwnerAddressedProjection:
             [(("a2",), tids()), (("a3",), tids())],
         ], ["a2", "a3"])
         assert stats.n_partition_reads == 2
-
-    def test_faulting_projection_partition_substitute(self, table):
-        """(v) partition 1 (a2 for every tuple) is dead; partition 2 holds
-        a2 again, an overlapping primary beside its own a3: the substitute
-        is read for both, its a2 and a3 filled from their owner maps."""
-        store = FaultInjectingBlobStore(
-            MemoryBlobStore(),
-            overrides={"p000001.jig": FaultConfig(transient_error_rate=1.0)},
-        )
-        stats = self.run(table, [
-            [(("a1",), tids())],
-            [(("a2",), tids())],
-            [(("a3",), tids()), (("a2",), tids())],
-        ], ["a2", "a3"], store=store, absent={1},
-            substitutes={2})
-        assert stats.n_unreadable_partitions == 1
 
     @settings(
         max_examples=30, deadline=None,

@@ -1,11 +1,11 @@
 """Audit of ExecutionStats merging in the threaded engines.
 
 The threaded engines accrue I/O into per-worker ``ExecutionStats`` plus a
-coordinator ledger (serial failure drain and projection loads), then sum
-them into the stats ``execute`` returns.  The contract audited here: every
-counter in the returned totals is *exactly* the sum of the per-worker
-counters and the coordinator's — nothing double-counted, nothing
-dropped — healthy or under injected faults, with or without a buffer pool.
+coordinator ledger (projection loads), then sum them into the stats
+``execute`` returns.  The contract audited here: every counter in the
+returned totals is *exactly* the sum of the per-worker counters and the
+coordinator's — nothing double-counted, nothing dropped — healthy or under
+retried faults, with or without a buffer pool.
 """
 
 import dataclasses
@@ -28,18 +28,13 @@ from repro.storage import (
     TID_CATALOG,
 )
 
-KILL = FaultConfig(transient_error_rate=1.0)
 FLAKY = FaultConfig(transient_error_rate=0.4)
 
 STRATEGIES = ["locking", "shared"]
 
 
-def make_manager(
-    small_table, spec_groups, overrides=None, buffer_pool=None, config=None
-):
-    store = FaultInjectingBlobStore(
-        MemoryBlobStore(), config=config, seed=7, overrides=overrides or {}
-    )
+def make_manager(small_table, spec_groups, buffer_pool=None, config=None):
+    store = FaultInjectingBlobStore(MemoryBlobStore(), config=config, seed=7)
     manager = PartitionManager(
         small_table.schema,
         StorageDevice(BALOS_HDD),
@@ -48,17 +43,6 @@ def make_manager(
     )
     manager.materialize_specs(spec_groups, small_table, tid_storage=TID_CATALOG)
     return manager
-
-
-def overlapping_specs(small_table):
-    """Partition 0 fully overlapped by partition 1 (loss is recoverable)."""
-    n = small_table.n_tuples
-    all_tids = np.arange(n, dtype=np.int64)
-    return [
-        [SegmentSpec(("a1", "a2"), all_tids)],
-        [SegmentSpec(("a1", "a2"), all_tids)],
-        [SegmentSpec(("a3", "a4", "a5", "a6"), all_tids)],
-    ]
 
 
 def striped_specs(small_table):
@@ -108,16 +92,14 @@ class TestHealthyMerge:
         result, stats = engine.execute(query)
         assert_exact_merge(engine, result, stats)
         assert len(engine.worker_stats) == n_threads
-        # Healthy run: every load happened on a worker, none on the
-        # coordinator's selection drain; projection loads are coordinated.
+        # Selection loads happen on the workers, projection loads on the
+        # coordinator.
         assert stats.n_partition_reads > 0
         assert (
             sum(w.n_partition_reads for w in engine.worker_stats)
             + engine.coordinator_stats.n_partition_reads
             == stats.n_partition_reads
         )
-        assert stats.n_unreadable_partitions == 0
-        assert stats.n_degraded_reads == 0
         assert stats.bytes_read > 0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -136,26 +118,6 @@ class TestHealthyMerge:
 
 
 class TestFaultMerge:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_unreadable_partition_counters_sum(self, small_table, query, strategy):
-        manager = make_manager(
-            small_table,
-            overlapping_specs(small_table),
-            overrides={"p000000.jig": KILL},
-        )
-        engine = ThreadedPartitionEngine(
-            manager, small_table.meta, strategy=strategy, n_threads=2
-        )
-        result, stats = engine.execute(query)
-        assert_exact_merge(engine, result, stats)
-        assert stats.n_unreadable_partitions == 1
-        assert stats.n_degraded_reads >= 1
-        # The failed worker attempt still burned retries and I/O time; the
-        # merge must carry them into the totals.
-        assert stats.n_retries > 0
-        total = summed(engine)
-        assert total.n_retries == stats.n_retries
-
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_flaky_store_retries_sum(self, small_table, query, strategy):
         manager = make_manager(

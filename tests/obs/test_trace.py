@@ -172,19 +172,19 @@ def test_worker_spans_nest_across_threads(demo, strategy):
         ancestors = _ancestor_names(worker, by_id)
         assert "exec.query" in ancestors
         assert any(
-            name in ("exec.selection", "exec.projection", "exec.drain")
-            for name in ancestors
+            name in ("exec.selection", "exec.projection") for name in ancestors
         )
 
 
 #: The spans one engine execution may open: one per request step.
 _REQUEST_SPANS = {
     "exec.query", "plan.query", "exec.selection", "exec.projection",
-    "exec.drain", "exec.worker",
+    "exec.worker",
 }
-_PHASES = ("exec.selection", "exec.projection", "exec.drain")
-#: At most: the root, the plan, three phases and two workers under each.
-_MAX_SPANS = 2 + len(_PHASES) * 3
+_PHASES = ("exec.selection", "exec.projection")
+#: At most: the root, the plan, the two phases, two workers under the
+#: selection and two under each of the projection's two fills.
+_MAX_SPANS = 2 + len(_PHASES) + 2 + 2 * 2
 
 
 @pytest.fixture(scope="module")

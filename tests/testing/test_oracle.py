@@ -138,7 +138,7 @@ class TestOracleUnderFaults:
     def test_correct_or_abort_under_transient_storms(self):
         """End to end self-healing: with faults injected under every layout,
         each query either returns the exact reference result (possibly via
-        retries/degraded reads) or raises PartitionUnreadableError.  Silence
+        retries) or raises PartitionUnreadableError.  Silence
         and wrong answers are both failures."""
         rng = np.random.default_rng(123)
         table = random_table(rng, n_attrs=4, n_tuples=300)

@@ -7,8 +7,8 @@ as is, and with the verdict withheld, which forces the full status write —
 and every read must give the byte-equal result with identical accounting,
 and the shadow oracle's rows.  The scenarios: reads after commits that
 leave tombstones, ``AS OF`` reads of versions whose visibility ends below
-the grown tid domain, reads after a budgeted fold that dropped part of a
-deleted tuple's cells, and a degraded projection read under a hiding view.
+the grown tid domain, and reads after a budgeted fold that dropped part of
+a deleted tuple's cells.
 """
 
 from __future__ import annotations
@@ -18,22 +18,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core import Query, TableSchema, Workload
+from repro.core import Query, Workload
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.layouts import BuildContext, ColumnLayout, IrregularLayout
-from repro.layouts.base import MaterializedLayout
-from repro.storage import (
-    BALOS_HDD,
-    ColumnTable,
-    FaultConfig,
-    FaultInjectingBlobStore,
-    MemoryBlobStore,
-    PartitionManager,
-    PhysicalSegment,
-    StorageDevice,
-)
 from repro.storage.catalog import CatalogIndex
-from repro.storage.physical import PhysicalPartition
 from repro.testing import (
     ShadowTable,
     WriteWorkloadConfig,
@@ -208,52 +196,3 @@ def test_reads_after_a_budgeted_fold(engine):
     entries = differential(scenario)
     assert state["deferred"] > 0 and state["partly"]
     assert any(entry[3] for entry in entries)
-
-
-KILL = FaultConfig(transient_error_rate=1.0)
-
-
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_degraded_read_under_a_hiding_view(engine):
-    """``a1``'s homes are partitions 0 and 1 (the verdict holds); ``a2``
-    lives in partition 2 and again in partition 4.  Partition 2 is dead,
-    so a read selects hit-only, then reads partition 4 as the substitute
-    for the projected ``a2`` cells — under a version that hides tids of
-    every home."""
-    n = 400
-
-    def scenario(read):
-        rng = np.random.default_rng(5)
-        names = ["a1", "a2", "a3", "a4"]
-        table = ColumnTable.build("T", TableSchema.uniform(names), {
-            name: rng.integers(0, 1_000, n).astype(np.int32) for name in names
-        })
-        store = FaultInjectingBlobStore(MemoryBlobStore(), overrides={"p000002.jig": KILL})
-        manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD), store)
-
-        def segment(attrs, tids):
-            return PhysicalSegment(
-                attributes=attrs, tuple_ids=tids, columns=table.gather(attrs, tids),
-            )
-
-        every, low, high = np.arange(n), np.arange(200), np.arange(200, n)
-        manager.materialize([
-            PhysicalPartition(pid=0, segments=[segment(("a1",), low)]),
-            PhysicalPartition(pid=1, segments=[segment(("a1",), high)]),
-            PhysicalPartition(pid=2, segments=[segment(("a2",), every)]),
-            PhysicalPartition(pid=3, segments=[segment(("a3", "a4"), every)]),
-            PhysicalPartition(pid=4, segments=[segment(("a2",), every)]),
-        ])
-        executor = ENGINES[engine](manager, table.meta)
-        txn = TransactionalTable(
-            MaterializedLayout("hand", table.meta, manager, executor), table
-        )
-        shadow, versions = commit_batches(txn, rng, 3)
-        for version in versions[1:]:
-            for hi in (499, 49):
-                query = Query.build(txn.data.meta, ["a2", "a3"], {"a1": (0, hi)})
-                read(txn, shadow, query, version)
-
-    entries = differential(scenario)
-    assert all(entry[3] for entry in entries)
-    assert all(entry[2].n_degraded_reads >= 1 for entry in entries)
