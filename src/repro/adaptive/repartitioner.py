@@ -6,9 +6,12 @@ of drifted partitions: the union of their logical segments becomes the input
 region seeded into :meth:`~repro.core.partitioner.JigsawPartitioner.refine`.
 Because the tuner's splits partition cells and its merges only regroup them,
 the proposed partitions cover **exactly** the cells of the input region — no
-gaps, no overlaps — so swapping them for the scope partitions preserves
-Formula 4's validity constraints for the whole table.  (The hypothesis
-property suite in ``tests/adaptive`` checks this cell-exactness directly.)
+gaps, no overlaps.  Execution resolves their boxes over the rows the scope
+partitions store (a transactional table also holds committed rows, which
+live in their commit partitions), so swapping them for the scope
+partitions preserves Formula 4's validity constraints for the whole table.
+(The hypothesis property suite in ``tests/adaptive`` checks this
+cell-exactness directly.)
 
 Execution goes through :meth:`PartitionManager.swap_partitions` with fresh
 pids and read-back verification: new files are staged and verified before
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from ..core.cost import CostModel
 from ..core.partition import Partition
@@ -135,13 +140,16 @@ class IncrementalRepartitioner:
         """Materialize and atomically swap in the migration's partitions.
 
         Raises :class:`~repro.errors.StorageError` (catalog untouched) when
-        staging or verification fails; returns the new catalog entries on
-        success.
+        staging or verification fails, or when the swap would give a cell a
+        second home; returns the new catalog entries on success.
         """
         if plan.is_empty:
             return []
+        stored = np.zeros(table.n_tuples, dtype=bool)
+        for pid in plan.scope_pids:
+            stored[manager.info(pid).tuple_ids()] = True
         physicals = [
-            physical_from_logical(partition, table, TID_EXPLICIT)
+            physical_from_logical(partition, table, TID_EXPLICIT, rows=stored)
             for partition in plan.new_partitions
         ]
         return manager.swap_partitions(

@@ -157,11 +157,12 @@ class ThreadedPartitionEngine(QueryEngine):
         queue_lock = threading.Lock()
         bucket_locks = [threading.Lock() for _ in range(N_BUCKETS)]
         conjunction = select_op.conjunction
+        stop = threading.Event()
 
         def worker(thread_id: int) -> None:
             while True:
                 with queue_lock:
-                    if not queue:
+                    if not queue or stop.is_set():
                         return
                     pid = queue.popleft()
                 partition = readers[thread_id].load(pid)
@@ -173,7 +174,7 @@ class ThreadedPartitionEngine(QueryEngine):
                         with bucket_locks[bucket]:
                             select_op.transition(tids[mine], passing[mine])
 
-        self._run_threads(worker)
+        self._run_threads(worker, stop=stop)
 
     def _selection_shared(self, pids, select_op, readers) -> None:
         """Algorithm 7: barrier after loading; every thread scans every
@@ -183,11 +184,12 @@ class ThreadedPartitionEngine(QueryEngine):
         queue_lock = threading.Lock()
         barrier = threading.Barrier(self.n_threads)
         conjunction, n_threads = select_op.conjunction, self.n_threads
+        stop = threading.Event()
 
         def worker(thread_id: int) -> None:
             while True:
                 with queue_lock:
-                    if not load_queue:
+                    if not load_queue or stop.is_set():
                         break
                     index, pid = load_queue.popleft()
                 partitions[index] = readers[thread_id].load(pid)
@@ -197,7 +199,7 @@ class ThreadedPartitionEngine(QueryEngine):
                     mine = tids % n_threads == thread_id
                     select_op.transition(tids[mine], passing[mine])
 
-        self._run_threads(worker, barrier)
+        self._run_threads(worker, barrier, stop)
         select_op.loaded.update(zip(pids, partitions))
 
     # ------------------------------------------------------------ phase 2
@@ -231,11 +233,18 @@ class ThreadedPartitionEngine(QueryEngine):
 
         self._run_threads(worker)
 
-    def _run_threads(self, worker, barrier: Optional[threading.Barrier] = None) -> None:
+    def _run_threads(
+        self,
+        worker,
+        barrier: Optional[threading.Barrier] = None,
+        stop: Optional[threading.Event] = None,
+    ) -> None:
         """Run ``worker(i)`` on ``n_threads`` threads and join them all;
         then re-raise the first exception a worker raised.  A failing
-        worker records its exception before it breaks ``barrier``, so a
-        peer's ``BrokenBarrierError`` never stands in for it."""
+        worker records its exception, then sets ``stop`` (the workers check
+        it before each pop, so the query stops loading) and breaks
+        ``barrier``, so a peer's ``BrokenBarrierError`` never stands in for
+        it."""
         tracer = obs_tracer()
         errors: List[BaseException] = []  # appended by workers (atomic)
 
@@ -248,6 +257,8 @@ class ThreadedPartitionEngine(QueryEngine):
                     worker(thread_index)
             except BaseException as exc:
                 errors.append(exc)
+                if stop is not None:
+                    stop.set()
                 if barrier is not None:
                     barrier.abort()
 

@@ -27,7 +27,7 @@ from typing import (
 
 import numpy as np
 
-from ..errors import PartitionNotFoundError, SnapshotUnavailableError
+from ..errors import PartitionNotFoundError, SnapshotUnavailableError, StorageError
 from .physical import sorted_unique
 from .sketches import SketchSet
 
@@ -73,8 +73,8 @@ class PartitionInfo:
     def tuple_ids(self) -> np.ndarray:
         """Sorted unique tuple IDs with a cell in the partition.
 
-        Memoized: the projection phase and the compactor call this once per
-        pass.  Each segment's array is strictly ascending
+        Memoized: the compactor and a migration call this once per pass
+        over a partition.  Each segment's array is strictly ascending
         (checked when the partition was added), so the union is a merge of
         ascending runs — :func:`~repro.storage.physical.sorted_unique`, not a
         hash.
@@ -105,65 +105,62 @@ class PartitionInfo:
 
 
 class _OwnerMap:
-    """Dense ``tid -> owning partition`` arrays of one placement.
+    """Dense ``tid -> owning partition`` array of one placement.
 
-    ``layers[k][tid]`` is the rank in ``pids`` of a partition storing the
-    cell, or ``len(pids)`` — the *no owner* rank — when layer ``k`` has none.
-    One layer suffices while every cell has a single home (every built-in
-    layout); overlapping primaries spill into further layers, each
-    partition landing in the first layer where none of its tids is taken,
-    so no home is ever dropped.  Every layer ends in one extra *no owner*
-    slot: probing with ``take(mode="clip")`` sends tids past the stored
-    domain (cells no partition of this set stores) there instead of raising.
+    ``owner[tid]`` is the rank in ``pids`` of the partition storing the
+    cell, or ``len(pids)`` — the *no owner* rank — when none does.  A
+    segment storing a cell an earlier one stores raises
+    :class:`~repro.errors.StorageError`: a cell has one home.  The array
+    ends in one extra *no owner* slot: probing with ``take(mode="clip")``
+    sends tids past the stored domain there instead of raising.
 
-    ``base`` is the map of the same placement minus its trailing
-    ``holders`` — an add-only commit's predecessor — whose layers are
-    carried over instead of scattered again; the result equals a build from
-    scratch.
+    ``base`` is the map of ``placement`` less its trailing pairs — an
+    add-only commit's predecessor — whose array is carried over instead of
+    scattered again; the result equals a build from scratch.
     """
 
-    __slots__ = ("pids", "layers", "placement")
+    __slots__ = ("pids", "owner", "placement")
 
     def __init__(
         self,
-        holders: Sequence[Tuple[int, np.ndarray]],
+        attribute: str,
+        infos: Mapping[int, PartitionInfo],
         placement: Tuple[Tuple[int, int], ...],
         base: Optional["_OwnerMap"] = None,
     ):
         #: the ``(pid, segment)`` pairs the map was built from, in order.
         self.placement = placement
         old_pids = base.pids if base is not None else ()
-        self.pids = old_pids + tuple(pid for pid, _tids in holders)
+        added = [
+            (pid, infos[pid].segment_tids[ordinal])
+            for pid, ordinal in placement[len(base.placement) if base is not None else 0:]
+        ]
+        new_pids = tuple(dict.fromkeys(pid for pid, _tids in added))
+        self.pids = old_pids + new_pids
         no_owner = len(self.pids)
-        domain = 1 + max(
-            (int(tids.max()) for _pid, tids in holders if len(tids)), default=-1
-        )
-        self.layers: List[np.ndarray] = []
-        if base is not None and base.layers:
-            domain = max(domain, len(base.layers[0]) - 1)
-            for old in base.layers:
-                layer = np.full(
-                    domain + 1, no_owner, dtype=np.min_scalar_type(no_owner)
+        ends = [int(tids[-1]) + 1 for _pid, tids in added if len(tids)]
+        if base is not None:
+            ends.append(len(base.owner) - 1)
+        self.owner = np.full(max(ends, default=0) + 1, no_owner, np.min_scalar_type(no_owner))
+        if base is not None:
+            np.copyto(self.owner[:len(base.owner)], base.owner, where=base.owner != len(old_pids))
+        ranks = {pid: rank for rank, pid in enumerate(new_pids, start=len(old_pids))}
+        for pid, tids in added:
+            taken = np.flatnonzero(self.owner[tids] != no_owner)
+            if len(taken):
+                tid = int(tids[taken[0]])
+                raise StorageError(
+                    f"partition {pid} would store attribute {attribute!r} of tuple "
+                    f"{tid}, which partition {self.pids[self.owner[tid]]} already "
+                    f"stores: a cell has one home"
                 )
-                np.copyto(layer[:len(old)], old, where=old != len(old_pids))
-                self.layers.append(layer)
-        for rank, (_pid, tids) in enumerate(holders, start=len(old_pids)):
-            for layer in self.layers:
-                if not np.any(layer[tids] != no_owner):
-                    break
-            else:
-                layer = np.full(
-                    domain + 1, no_owner, dtype=np.min_scalar_type(no_owner)
-                )
-                self.layers.append(layer)
-            layer[tids] = rank
+            self.owner[tids] = ranks[pid]
 
     def probe(self, tids: np.ndarray) -> Tuple[int, ...]:
         """Partitions owning a cell of any of ``tids``, in ``pids`` order."""
         no_owner = len(self.pids)
         seen = np.zeros(no_owner + 1, dtype=bool)
-        for layer in self.layers:
-            seen[layer.take(tids, mode="clip")] = True
+        seen[self.owner.take(tids, mode="clip")] = True
         return tuple(
             self.pids[rank] for rank in np.flatnonzero(seen[:no_owner]).tolist()
         )
@@ -267,11 +264,7 @@ class CatalogIndex:
     def owner_bytes(self) -> int:
         """Bytes held by the owner arrays built so far (shared ones once)."""
         with self._build_lock:
-            return sum(
-                layer.nbytes
-                for owners in self._by_placement.values()
-                for layer in owners.layers
-            )
+            return sum(owners.owner.nbytes for owners in self._by_placement.values())
 
     def partitions_with_cells(
         self, attribute: str, tids: np.ndarray
@@ -290,18 +283,16 @@ class CatalogIndex:
 
     def visits_once(self, attributes: frozenset) -> bool:
         """Whether a selection over ``attributes`` reaches each tuple in one
-        segment at most (Algorithm 5's hit-only form): every partition
-        storing one of them passes :func:`_reached_once`, and each has a
-        single home (a one-layer owner map).  Metadata only,
+        segment at most (Algorithm 5's hit-only form): every segment of every
+        partition storing one of them stores all of them.  A cell has one
+        home, so no two of those segments share a tuple.  Metadata only,
         memoised."""
         verdict = self._visits_once.get(attributes)
         if verdict is None:
             verdict = all(
-                _reached_once(self._infos[pid], attributes)
+                attributes.issubset(attrs)
                 for pid in self.pids_for_attributes(attributes)
-            ) and all(
-                len(self._build_owners(a).layers) <= 1
-                for a in attributes if a in self.attribute_pids
+                for attrs in self._infos[pid].segment_attrs
             )
             with self._build_lock:
                 self._visits_once[attributes] = verdict
@@ -325,13 +316,12 @@ class CatalogIndex:
             owners = self._owners.get(attribute)
             if owners is not None:
                 return owners
-            holders, key = _holders(
-                attribute,
-                [self._infos[pid] for pid in self.attribute_pids[attribute]],
+            key = _placement(
+                attribute, [self._infos[pid] for pid in self.attribute_pids[attribute]]
             )
             owners = self._by_placement.get(key)
             if owners is None:
-                owners = self._by_placement[key] = _OwnerMap(holders, key)
+                owners = self._by_placement[key] = _OwnerMap(attribute, self._infos, key)
             self._owners[attribute] = owners
             return owners
 
@@ -342,9 +332,8 @@ class CatalogIndex:
         extended by the new partitions instead of built again, every
         memoised pid list extended, and every
         memoised :meth:`visits_once` verdict carried — a False one stays
-        False; a True one holds while the new partitions pass
-        :func:`_reached_once` and each carried owner map keeps one layer
-        (where no map was carried it is left to a fresh computation)."""
+        False; a True one holds while the new partitions' segments pass
+        the same test."""
         successor = CatalogIndex(infos)
         fresh = list(successor.infos())
         added = successor.attribute_pids
@@ -360,15 +349,13 @@ class CatalogIndex:
             pid_lists = dict(self._pids_for)
             verdicts = dict(self._visits_once)
         for attribute, owners in built.items():
-            holders, placement = _holders(
-                attribute,
-                [info for info in fresh if attribute in info.attributes],
-            )
+            placement = _placement(attribute, fresh)
             key = owners.placement + placement
             derived = successor._by_placement.get(key)
             if derived is None:
                 derived = successor._by_placement[key] = (
-                    _OwnerMap(holders, key, base=owners) if holders else owners
+                    _OwnerMap(attribute, successor._infos, key, base=owners)
+                    if placement else owners
                 )
             successor._owners[attribute] = derived
         for attribute, old_zones in zones.items():
@@ -383,26 +370,12 @@ class CatalogIndex:
                 info.pid for info in fresh if not attributes.isdisjoint(info.attributes)
             )
         for attributes, verdict in verdicts.items():
-            if verdict:
-                stored = [a for a in attributes if a in successor.attribute_pids]
-                if not all(a in successor._owners for a in stored):
-                    continue
-                verdict = all(
-                    _reached_once(info, attributes) for info in fresh
-                    if not attributes.isdisjoint(info.attributes)
-                ) and all(len(successor._owners[a].layers) <= 1 for a in stored)
-            successor._visits_once[attributes] = verdict
+            successor._visits_once[attributes] = verdict and all(
+                attributes.issubset(attrs) for info in fresh
+                if not attributes.isdisjoint(info.attributes)
+                for attrs in info.segment_attrs
+            )
         return successor
-
-
-def _reached_once(info: PartitionInfo, attributes: frozenset) -> bool:
-    """The per-partition half of the visit-once verdict: every segment of
-    ``info`` stores all of ``attributes``, and no two of its segments share
-    a tuple."""
-    return all(attributes.issubset(attrs) for attrs in info.segment_attrs) and (
-        len(info.segment_tids) < 2
-        or len(info.tuple_ids()) == sum(map(len, info.segment_tids))
-    )
 
 
 def _zone_arrays(
@@ -419,26 +392,43 @@ def _zone_arrays(
     )
 
 
-def _holders(
+def _placement(
     attribute: str, infos: Iterable[PartitionInfo]
-) -> Tuple[List[Tuple[int, np.ndarray]], Tuple[Tuple[int, int], ...]]:
-    """``(holders, placement)`` of ``attribute`` over ``infos``: per
-    partition the tids its segments store the attribute for, and the
-    ``(pid, segment)`` pairs those came from."""
-    holders: List[Tuple[int, np.ndarray]] = []
-    placement: List[Tuple[int, int]] = []
-    for info in infos:
-        held = [
-            ordinal for ordinal, attrs in enumerate(info.segment_attrs)
-            if attribute in attrs
-        ]
-        placement.extend((info.pid, ordinal) for ordinal in held)
-        segments = [info.segment_tids[ordinal] for ordinal in held]
-        holders.append((
-            info.pid,
-            segments[0] if len(segments) == 1 else np.concatenate(segments),
-        ))
-    return holders, tuple(placement)
+) -> Tuple[Tuple[int, int], ...]:
+    """The ``(pid, segment)`` pairs of ``infos`` storing ``attribute``."""
+    return tuple(
+        (info.pid, ordinal) for info in infos
+        for ordinal, attrs in enumerate(info.segment_attrs) if attribute in attrs
+    )
+
+
+def _span(info: PartitionInfo) -> Tuple[int, int]:
+    """First and last tid of ``info``'s frame; ``(0, -1)`` when it is empty."""
+    ends = [(int(t[0]), int(t[-1])) for t in info.segment_tids if len(t)]
+    return (min(e[0] for e in ends), max(e[1] for e in ends)) if ends else (0, -1)
+
+
+def _refuse_second_homes(
+    kept: Sequence[PartitionInfo], added: Sequence[PartitionInfo], spans: np.ndarray
+) -> None:
+    """Build, and so check, the owner map of each placement an added
+    partition stores an attribute in, over the added partitions (tid
+    ``spans``: first and last) and the kept ones whose span meets theirs.
+    Attributes of one placement share one check."""
+    kept_spans = np.array([_span(info) for info in kept]).reshape(-1, 2)
+    meets = (kept_spans[:, :1].T <= spans[:, 1:]) & (kept_spans[:, 1:].T >= spans[:, :1])
+    candidates = {info.pid: info for info, hit in zip(kept, meets.any(axis=0)) if hit}
+    candidates.update((info.pid, info) for info in added)
+    homed = frozenset().union(*(info.attributes for info in added))
+    placements: Dict[str, List[Tuple[int, int]]] = {}
+    for info in candidates.values():
+        for ordinal, attrs in enumerate(info.segment_attrs):
+            for attribute in homed.intersection(attrs):
+                placements.setdefault(attribute, []).append((info.pid, ordinal))
+    by_placement = {tuple(placement): name for name, placement in sorted(placements.items())}
+    for placement, attribute in by_placement.items():
+        if len(placement) > 1:
+            _OwnerMap(attribute, candidates, placement)
 
 
 @dataclass(frozen=True)
@@ -454,7 +444,9 @@ class Catalog:
     * ``floor`` — the oldest version whose partition set this value can
       still name (raised by :meth:`prune`);
     * ``next_pid`` — one past the highest pid ever committed; a prune never
-      lowers it, so a pid is never handed out twice.
+      lowers it, so a pid is never handed out twice;
+    * ``tid_end`` — one past the highest tid ever committed: a write
+      commit's fresh tids start there, so no kept partition shares a cell.
 
     :meth:`apply` (a commit) and :meth:`prune` return new values; the
     version history is the interval filter :meth:`live_at`, not a log.
@@ -466,6 +458,7 @@ class Catalog:
     retired: Mapping[int, Tuple[int, PartitionInfo]] = field(default_factory=dict)
     floor: int = 0
     next_pid: int = 0
+    tid_end: int = 0
 
     def apply(
         self, added: Sequence[PartitionInfo], retired_pids: Iterable[int]
@@ -476,24 +469,30 @@ class Catalog:
         With nothing to add or retire it is a version bump sharing this
         value's index.  An add-only commit whose pids all follow the live
         ones derives its index from this one (:meth:`CatalogIndex.with_added`);
-        any other builds it fresh.
+        any other builds it fresh.  A commit that would give a cell of the
+        live set a second home (Formula 4) raises
+        :class:`~repro.errors.StorageError` and changes nothing.
         """
         version = self.version + 1
         gone = set(retired_pids) & self.index.pids
         if not added and not gone:
             return replace(self, version=version)
+        kept = [info for info in self.index.infos() if info.pid not in gone]
+        spans = np.array([_span(info) for info in added]).reshape(-1, 2)
+        fresh = spans[:, 0].min(initial=self.tid_end) >= self.tid_end
+        _refuse_second_homes([] if fresh else kept, added, spans)
         for info in added:
             info.version = version
         pids = [info.pid for info in added]
         if not gone and min(pids) > max(self.index.pids, default=-1):
             index = self.index.with_added(added)
         else:
-            kept = [info for info in self.index.infos() if info.pid not in gone]
             index = CatalogIndex(kept + list(added))
         retired = {pid: (version, self.index.info(pid)) for pid in sorted(gone)}
         return Catalog(
             version, version, index, {**self.retired, **retired}, self.floor,
             max([self.next_pid, *(pid + 1 for pid in pids)]),
+            max(self.tid_end, int(spans[:, 1].max(initial=-1)) + 1),
         )
 
     def prune(self, min_pinned: int) -> Tuple["Catalog", List[PartitionInfo]]:

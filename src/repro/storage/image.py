@@ -18,8 +18,9 @@ group, not once per partition:
   uint32 after; its last entry is always 0, so a clipped ``take`` answers
   tids past the domain; one segment answers by binary search).  A tuple has
   at most one live row per group: a segment whose tuples a live slot
-  already holds opens the schema's next layer, as overlapping primaries
-  spill into further layers of the catalog's owner map;
+  already holds opens the schema's next layer.  The catalog's live set
+  gives each cell one home, but the pool serves every pinned version, and
+  an ``AS OF`` read can admit a retired partition beside its rewrite;
 * a slot **dies** when its pid is dropped (:meth:`SchemaImage.drop`): its
   positions are cleared and its segment released.  Its rows stay until the
   group's dead rows outnumber its live ones; then the group is rebuilt from

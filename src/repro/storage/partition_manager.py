@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -207,7 +210,10 @@ class PartitionManager:
         migrations abort-safe.
 
         The commit itself is one :meth:`Catalog.apply
-        <repro.storage.catalog.Catalog.apply>`, swapped in under the mutex:
+        <repro.storage.catalog.Catalog.apply>`, swapped in under the mutex.
+        It refuses an ``add`` that would give a cell a second home
+        (:class:`~repro.errors.StorageError`), and the refusal rolls back
+        like a staging failure.  Otherwise
         the catalog version is bumped once, removed pids become *retired*
         (still served by :meth:`info`/:meth:`load`, and still in the index
         of every view pinned before the commit, but absent from the live
@@ -228,14 +234,13 @@ class PartitionManager:
         with obs_tracer().span(
             "storage.swap", n_remove=len(removals), verify=verify
         ) as span:
-            staged = self._stage(batches, verify, sketcher)
-            with self._mutex:
+            with self._stage(batches, verify, sketcher) as staged, self._mutex:
                 retiring = removals & self._head.index.pids
                 self._head = self._head.apply(staged, retiring)
                 self._staging.difference_update(info.pid for info in staged)
-                if self.buffer_pool is not None:
-                    for pid in retiring:
-                        self.buffer_pool.invalidate(pid)
+            if self.buffer_pool is not None:
+                for pid in retiring:
+                    self.buffer_pool.invalidate(pid)
             self._notify_invalidation()
             span.set(
                 n_add=len(staged),
@@ -244,16 +249,19 @@ class PartitionManager:
             )
         return staged
 
+    @contextmanager
     def _stage(
         self,
         batches: Iterable[Sequence[PhysicalPartition]],
         verify: bool,
         sketcher: Optional[Sketcher],
-    ) -> List[PartitionInfo]:
+    ) -> Iterator[List[PartitionInfo]]:
         """Write each added partition's file — body plus, when ``sketcher``
         picks a sketch set for the entry just built, its trailer — with one
-        put.  Each batch's pids are reserved before its first put; on any
-        failure delete what was put, release the reservations and re-raise."""
+        put, and yield the entries to the commit.  Each batch's pids are
+        reserved before its first put; on any failure, the commit's own
+        included (a refused second home), delete what was put, release the
+        reservations and re-raise."""
         staged: List[PartitionInfo] = []
         reserved: List[int] = []
         try:
@@ -274,13 +282,13 @@ class PartitionManager:
                             f"staged partition {info.pid} ({info.key!r}) failed "
                             f"read-back verification: {error}"
                         )
+            yield staged
         except Exception:
             for info in staged:
                 self.store.delete(info.key)
             with self._mutex:
                 self._staging.difference_update(reserved)
             raise
-        return staged
 
     def _reserve(self, pids: List[int]) -> List[int]:
         """Claim ``pids`` for one stage, refusing any the catalog holds or

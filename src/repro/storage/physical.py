@@ -22,7 +22,7 @@ Tuple-ID storage comes in three modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -256,11 +256,16 @@ def physical_from_logical(
     partition: Partition,
     table: ColumnTable,
     tid_storage: str = TID_EXPLICIT,
+    rows: Optional[np.ndarray] = None,
 ) -> PhysicalPartition:
-    """Resolve a logical partition's range boxes into a physical partition."""
+    """Resolve a logical partition's range boxes into a physical partition:
+    over every tuple of ``table``, or over the tuples a boolean ``rows``
+    mask marks (what a migration rewrites: the rows its scope stores)."""
     specs = []
     for segment in partition.segments:
         mask = table.mask_for_box(segment.ranges, segment.tight)
+        if rows is not None:
+            mask &= rows
         tids = np.nonzero(mask)[0].astype(np.int64)
         if len(tids):
             specs.append(SegmentSpec(attributes=segment.attributes, tuple_ids=tids))

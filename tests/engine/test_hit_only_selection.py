@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import Query, TableSchema, Workload
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
-from repro.errors import PartitionUnreadableError
+from repro.errors import PartitionUnreadableError, StorageError
 from repro.layouts import BuildContext, ColumnLayout, IrregularLayout, RowLayout
 from repro.storage import (
     BALOS_HDD,
@@ -124,20 +124,15 @@ class TestVerdict:
         assert not index.visits_once(A1)
         assert not index.visits_once(frozenset({"a1", "a2"}))
 
-    def test_false_with_overlapping_primaries(self, table):
-        _manager, index = index_of(table, [
-            [(("a1",), tids(0, 250))],
-            [(("a1",), tids(150, N))],
-        ])
-        assert len(index._build_owners("a1").layers) == 2
-        assert not index.visits_once(A1)
-
-    def test_false_when_segments_of_one_partition_share_a_tuple(self, table):
-        _manager, index = index_of(table, [
-            [(("a1", "a2"), tids(0, 250)), (("a1", "a3"), tids(200, N))],
-        ])
-        assert len(index._build_owners("a1").layers) == 1
-        assert not index.visits_once(A1)
+    @pytest.mark.parametrize("groups, pid", [
+        ([[(("a1",), tids(0, 250))], [(("a1",), tids(150, N))]], 1),
+        ([[(("a1", "a2"), tids(0, 250)), (("a1", "a3"), tids(200, N))]], 0),
+    ], ids=["two-partitions", "two-segments-of-one"])
+    def test_a_second_home_is_refused(self, table, groups, pid):
+        """A cell stored twice — by two partitions, or by two segments of
+        one — never reaches a verdict: the materialize is refused."""
+        with pytest.raises(StorageError, match=f"partition {pid} .*'a1'"):
+            index_of(table, groups)
 
     def test_false_for_predicates_in_different_partitions(self, table):
         _manager, index = index_of(table, [
@@ -154,10 +149,9 @@ class TestVerdict:
         grown = manager.catalog_index()
         assert grown is not index and grown._visits_once == {A1: True}  # carried
         assert grown.visits_once(A1)
-        manager.add_partition(partition(table, 2, [(("a1",), tids(100, 300))]))
-        overlapped = manager.catalog_index()
-        assert overlapped._visits_once == {A1: False}  # a second owner layer
-        assert not overlapped.visits_once(A1)
+        with pytest.raises(StorageError, match="partition 2 .*'a1'"):
+            manager.add_partition(partition(table, 2, [(("a1",), tids(100, 300))]))
+        assert manager.catalog_index() is grown  # a second home changes nothing
         assert index.visits_once(A1) and grown.visits_once(A1)  # frozen views
 
     @pytest.mark.parametrize("segments, attributes", [
@@ -177,18 +171,6 @@ class TestVerdict:
         assert not fresh.visits_once(attributes)
         for carried, built in zip(grown._zones["a1"], fresh.zones("a1")):
             assert np.array_equal(carried, built)
-
-    def test_left_to_a_fresh_computation_without_a_carried_owner_map(self, table):
-        """A verdict over attributes nothing stored is vacuously True and
-        built no owner map, so the next index cannot check the new
-        partitions' layers: it computes the verdict afresh."""
-        manager, index = index_of(table, [[(("a3",), tids())]])
-        assert index.visits_once(A1)
-        manager.add_partition(partition(table, 1, [(("a1",), tids(0, 250))]))
-        assert manager.catalog_index()._visits_once == {}
-        assert manager.catalog_index().visits_once(A1)
-        manager.add_partition(partition(table, 2, [(("a1",), tids(150, N))]))
-        assert not manager.catalog_index().visits_once(A1)
 
     def test_taken_under_a_hiding_view(self, table):
         """A view that hides tids (a write-path version) takes the verdict

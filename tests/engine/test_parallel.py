@@ -182,6 +182,44 @@ def test_threaded_engines_read_what_the_serial_engine_reads(fragmented):
     assert n_cases == 2 * (3 * 8 * 8 + 12)
 
 
+@pytest.mark.parametrize("strategy", ["locking", "shared"])
+def test_a_failed_load_stops_the_selection_queue(fragmented, strategy, monkeypatch):
+    """When a worker's load raises, its peers stop popping the selection
+    queue: at most ``n_threads`` loads follow the failing one (those in
+    flight), not every pid left.  A long switch interval keeps the failing
+    thread from being preempted between its raise and the stop flag, so
+    the bound is exact rather than likely."""
+    manager, meta, _queries = fragmented
+    n_threads = 3
+    engine = ThreadedPartitionEngine(
+        manager, meta, n_threads=n_threads, strategy=strategy
+    )
+    query = Query.build(meta, ["a3"], {
+        name: (0, 99_999) for name in ("a2", "a11", "a15")
+    })
+    pids = engine.plan(query).selection_pids()
+    assert len(pids) > 4 * n_threads
+    victim = pids[2]
+    load = PlanReader.load
+    calls = []
+
+    def failing(reader, pid):
+        calls.append(pid)
+        if pid == victim:
+            raise RuntimeError(f"load failed on p{pid}")
+        return load(reader, pid)
+
+    monkeypatch.setattr(PlanReader, "load", failing)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        with pytest.raises(RuntimeError, match=f"load failed on p{victim}"):
+            engine.execute(query)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) - calls.index(victim) - 1 <= n_threads
+
+
 def test_eight_threads_share_one_status_vector_and_fill_op(fragmented):
     """Eight threads on two cores under a 1 us switch interval: every
     status transition and every fill share lands, so each strategy equals

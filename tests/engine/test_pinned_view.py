@@ -120,8 +120,9 @@ class TestInFlightQuerySurvivesSwapsAndPrunes:
 # ------------------------------------------------------------- pin leaks
 
 
-def overlapping_manager(small_table, kill=()):
-    """p0 and p1 both hold (a1, a2, a3) for everyone; p2 holds the rest."""
+def halved_manager(small_table, kill=()):
+    """p0 and p1 hold (a1, a2, a3) for one half of the tuples each; p2
+    holds the rest for everyone."""
     store = FaultInjectingBlobStore(
         MemoryBlobStore(), overrides={f"p{pid:06d}.jig": KILL for pid in kill}
     )
@@ -129,10 +130,11 @@ def overlapping_manager(small_table, kill=()):
         small_table.schema, StorageDevice(BALOS_HDD), store
     )
     everyone = np.arange(small_table.n_tuples, dtype=np.int64)
+    half = len(everyone) // 2
     manager.materialize_specs(
         [
-            [SegmentSpec(("a1", "a2", "a3"), everyone)],
-            [SegmentSpec(("a1", "a2", "a3"), everyone)],
+            [SegmentSpec(("a1", "a2", "a3"), everyone[:half])],
+            [SegmentSpec(("a1", "a2", "a3"), everyone[half:])],
             [SegmentSpec(("a4", "a5", "a6"), everyone)],
         ],
         small_table,
@@ -155,7 +157,7 @@ class TestRootPinIsReleasedOnEveryExit:
 
     @pytest.mark.parametrize("engine", ROOTS)
     def test_success(self, engine, small_table, covered):
-        manager = overlapping_manager(small_table)
+        manager = halved_manager(small_table)
         with no_leaked_pins():
             result, _stats = engine(manager, small_table.meta).execute(covered)
         assert result.equals(run_reference_query(small_table, covered))
@@ -163,8 +165,8 @@ class TestRootPinIsReleasedOnEveryExit:
 
     @pytest.mark.parametrize("engine", ROOTS)
     def test_partition_unreadable(self, engine, small_table, covered):
-        """p1 holds every cell of p0 too, yet losing p0 fails the query."""
-        manager = overlapping_manager(small_table, kill=(0,))
+        """Losing p0 fails the query: no other partition holds its cells."""
+        manager = halved_manager(small_table, kill=(0,))
         with no_leaked_pins(), pytest.raises(PartitionUnreadableError) as raised:
             engine(manager, small_table.meta).execute(covered)
         assert raised.value.pid == 0
@@ -174,7 +176,7 @@ class TestRootPinIsReleasedOnEveryExit:
     def test_invalid_query_raised_while_planning(
         self, engine, small_table, covered
     ):
-        manager = overlapping_manager(small_table)
+        manager = halved_manager(small_table)
         executor = engine(manager, small_table.meta)
 
         def reject(query, plan):
@@ -189,7 +191,7 @@ class TestRootPinIsReleasedOnEveryExit:
         assert manager.snapshot_refcount() == 0
 
     def test_plan_only_callers_hold_no_pin(self, small_table, covered):
-        manager = overlapping_manager(small_table)
+        manager = halved_manager(small_table)
         for engine in ROOTS:
             executor = engine(manager, small_table.meta)
             plan = executor.plan(covered)
@@ -199,7 +201,7 @@ class TestRootPinIsReleasedOnEveryExit:
         assert manager.snapshot_refcount() == 0
 
     def test_a_callers_pin_stays_the_callers(self, small_table, covered):
-        manager = overlapping_manager(small_table)
+        manager = halved_manager(small_table)
         with manager.pin_snapshot() as view:
             for engine in ROOTS:
                 engine(manager, small_table.meta).execute(covered, snapshot=view)

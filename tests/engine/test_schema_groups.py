@@ -186,15 +186,15 @@ def test_predicates_split_across_segments(table, zone_maps):
 
 
 def test_an_imaged_pid_made_unreadable_is_not_served(table):
-    """Partition 1 and 2 both hold a3 for every tuple.  After a warm run
-    every pid is imaged; then the pool drops partition 1 (as a failed
+    """Partitions 1 and 2 hold a3 for one half of the tuples each.  After
+    a warm run every pid is imaged; then the pool drops partition 1 (as a failed
     refresh does) and the store refuses it: the query fails on partition 1
     rather than serve a cell of it from the image, which never holds
     partition 1 again."""
     specs = [
         [(("a1", "a2"), tids())],
-        [(("a3",), tids())],
-        [(("a3",), tids()), (("a4",), tids())],
+        [(("a3",), tids(0, N // 2))],
+        [(("a3",), tids(N // 2, N)), (("a4",), tids())],
     ]
     store = FaultInjectingBlobStore(MemoryBlobStore())
     manager = manager_of(table, specs, 64 << 20, store)

@@ -6,9 +6,9 @@ the same partitions, with a real hash table: the closed-form counters must
 price exactly the loop the paper describes, on the paths where result-sized
 scratch is easiest to get wrong (dropped stashes, catalog-only prunes,
 snapshot masks, empty and full results), and on the shapes the projection
-must get right: an attribute in two segments of one pid, overlapping
-primaries (two layers of one schema group) and stashed partitions
-revisited.
+must get right: an attribute in two segments of one pid and a partition
+holding segments of two attribute groups.  Layouts that would give a cell
+a second home are refused where they are materialized.
 """
 
 import tracemalloc
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import Query, TableSchema, Workload
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
+from repro.errors import StorageError
 from repro.layouts import BuildContext, IrregularLayout
 from repro.storage import (
     BALOS_HDD,
@@ -251,6 +252,30 @@ class TestAlgorithm5Counters:
         check(result, stats, ret, events, table, query)
 
 
+def assert_refused(manager, message, attempt):
+    """``attempt`` would give a cell a second home: it raises with
+    ``message`` (a pattern naming the pid and the attribute) and leaves the
+    catalog version, the pids and the stored files as they were."""
+    before = manager.catalog_version, manager.pids(), set(manager.store.keys())
+    with pytest.raises(StorageError, match=message):
+        attempt()
+    assert (manager.catalog_version, manager.pids(), set(manager.store.keys())) == before
+
+
+def move_cells(groups, attrs, own):
+    """``groups`` with the cells of ``attrs`` for tids ``own`` taken out of
+    the segments storing them (each segment stores one attribute group);
+    emptied segments go, emptied partitions stay (as empty lists)."""
+    moved = [
+        [
+            (seg_attrs, np.setdiff1d(seg_tids, own) if seg_attrs == attrs else seg_tids)
+            for seg_attrs, seg_tids in group
+        ]
+        for group in groups
+    ]
+    return [[(a, t) for a, t in group if len(t)] for group in moved]
+
+
 class TestOwnerAddressedProjection:
     """The owner map finds the projection partitions; their cells reach the
     result by the schema group's ``tid -> row`` gather.  Result and every
@@ -277,40 +302,41 @@ class TestOwnerAddressedProjection:
         ], ["a2", "a3", "a4"])
 
     def test_overlapping_primaries_in_the_projection_phase(self, table):
-        """(ii) tids 150-249 have two a2 homes: a two-layer owner map, each
-        home filled (and counted) from its own layer."""
-        stats = self.run(table, [
-            [(("a1",), tids())],
-            [(("a2",), tids(0, 250))],
-            [(("a2",), tids(150, N))],
-        ], ["a2"])
-        assert stats.n_partition_reads == 3
+        """(ii) tids 150-249 would have two a2 homes: the materialize is
+        refused."""
+        manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
+        assert_refused(manager, "partition 2 .*'a2'", lambda: manager.materialize_specs([
+            [SegmentSpec(("a1",), tids())],
+            [SegmentSpec(("a2",), tids(0, 250))],
+            [SegmentSpec(("a2",), tids(150, N))],
+        ], table))
 
     def test_visited_partition_with_an_overlapping_segment(self, table):
-        """(iii) partitions 1 and 3 each hold a second segment whose cells
-        another partition also holds (a4 of tids 0-199, a2 of tids 0-199):
-        two-layer owner maps, and partition 3's a2 owner rows span both of
-        its a2 segments, which an equality test splits."""
-        stats = self.run(table, [
+        """(iii) partition 3 would hold a second segment whose cells
+        partition 1 holds (a2 of tids 0-199): adding it is refused."""
+        manager = build_segments(table, [
             [(("a1",), tids())],
             [(("a2", "a3"), tids(0, 200)), (("a4",), tids(0, 200))],
-            [(("a4",), tids())],
-            [(("a2", "a3"), tids(200, N)), (("a2",), tids(0, 200))],
-        ], ["a2", "a4"])
-        assert stats.n_partition_reads == 4
+            [(("a4",), tids(200, N))],
+        ])
+        late = PhysicalPartition(pid=3, segments=[
+            PhysicalSegment(attrs, own, table.gather(attrs, own))
+            for attrs, own in [(("a2", "a3"), tids(200, N)), (("a2",), tids(0, 200))]
+        ])
+        assert_refused(
+            manager, "partition 3 .*'a2' of tuple 0, which partition 1",
+            lambda: manager.add_partition(late),
+        )
 
     def test_stashed_cells_met_again_in_a_projection_partition(self, table):
-        """(iv) a2 is stashed in the selection phase; partition 1, read for
-        a3, holds a2 again (an overlapping primary): that segment's wanted
-        attribute had no missing cell, so no owner map addresses it — the
-        status pass finds its result tuples, and their cells count again.
-        (A selection partition itself is never revisited: every tuple it
-        stores gets its verdict, and its cells their stash, there.)"""
-        stats = self.run(table, [
-            [(("a1", "a2"), tids())],
-            [(("a2",), tids()), (("a3",), tids())],
-        ], ["a2", "a3"])
-        assert stats.n_partition_reads == 2
+        """(iv) partition 1, read for a3, would hold a2 again: the
+        materialize is refused, so a stashed cell never has a second home
+        to be met in."""
+        manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
+        assert_refused(manager, "partition 1 .*'a2'", lambda: manager.materialize_specs([
+            [SegmentSpec(("a1", "a2"), tids())],
+            [SegmentSpec(("a2",), tids()), SegmentSpec(("a3",), tids())],
+        ], table))
 
     @settings(
         max_examples=30, deadline=None,
@@ -319,9 +345,10 @@ class TestOwnerAddressedProjection:
     @given(data=st.data())
     def test_random_spec_groups(self, table, data):
         """Every cell gets a home (attribute groups x tid runs); then some
-        partitions merge (one pid, several segments), an overlapping
-        primary may join, and a partition may gain a segment of another
-        attribute group over its own tids (overlapping too)."""
+        partitions merge (one pid, several segments), a run of one
+        attribute group's cells may move to a partition of its own, and a
+        partition may take over another attribute group's cells of its own
+        tids.  A moved cell leaves its old home, so each keeps one."""
         draw = data.draw
         cuts = sorted(draw(st.sets(st.integers(1, len(NAMES) - 1), max_size=2)))
         attr_groups = [
@@ -340,12 +367,15 @@ class TestOwnerAddressedProjection:
         if draw(st.booleans()):
             lo = draw(st.integers(0, N - 1))
             own = tids(lo, draw(st.integers(lo + 1, N)))
-            groups.append([(draw(st.sampled_from(attr_groups)), own)])
+            attrs = draw(st.sampled_from(attr_groups))
+            groups = move_cells(groups, attrs, own) + [[(attrs, own)]]
         if len(attr_groups) > 1 and draw(st.booleans()):
-            group = draw(st.sampled_from(groups))
-            attrs, own = group[0]
-            others = [g for g in attr_groups if g != attrs]
-            group.append((draw(st.sampled_from(others)), own))
+            index = draw(st.sampled_from([i for i, group in enumerate(groups) if group]))
+            attrs, own = groups[index][0]
+            other = draw(st.sampled_from([g for g in attr_groups if g != attrs]))
+            groups = move_cells(groups, other, own)
+            groups[index] = groups[index] + [(other, own)]
+        groups = [group for group in groups if group]
         select = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
                                unique=True))
         lo = draw(st.integers(20, 900))  # inside every column's range

@@ -4,8 +4,9 @@ The contract under test: a partition that stays unreadable after every
 retry raises :class:`PartitionUnreadableError` carrying its ``pid`` out of
 ``execute``, on every engine — nothing is read in its place and no partial
 answer is returned.  The pin the query took is released, and the failed pid
-is in neither the buffer pool nor its schema-group image.  Overlapping
-primaries (a multi-layer owner map) are still read exactly while healthy.
+is in neither the buffer pool nor its schema-group image.  No other
+partition can stand in: a cell has one home, and a layout that would give
+it a second is refused when it is materialized.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from repro.core import Query, TableSchema, Workload
 from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.engine.parallel import ThreadedPartitionEngine
-from repro.errors import PartitionUnreadableError
+from repro.errors import PartitionUnreadableError, StorageError
 from repro.layouts import BuildContext, ColumnLayout, IrregularLayout
 from repro.storage import (
     BALOS_HDD,
@@ -122,23 +123,19 @@ def test_a_lost_partition_fails_the_query(table, layout, engine, case):
     assert lost not in pool and lost not in pool.image.pids()
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_overlapping_primaries_read_exactly_while_healthy(table, engine):
-    """a2 and a3 each have a second home for part of the table, so their
-    owner maps have two layers; every engine still returns the oracle's
-    rows."""
+def test_overlapping_primaries_are_refused_at_materialize(table):
+    """a2 and a3 would each have a second home for part of the table: the
+    commit is refused, naming the partition and the attribute, and leaves
+    no catalog version, no partition and no stored file behind."""
     every, low, high = np.arange(N), np.arange(N // 2), np.arange(N // 3, N)
     manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
-    manager.materialize_specs([
-        [SegmentSpec(("a1", "a2"), every)],
-        [SegmentSpec(("a2",), low)],
-        [SegmentSpec(("a3", "a4"), every)],
-        [SegmentSpec(("a3",), high)],
-    ], table, tid_storage=TID_CATALOG)
-    index = manager.catalog_index()
-    assert [len(index.owners(name).layers) for name in NAMES] == [1, 2, 2, 1]
-    for where in ({"a1": (0, 299)}, {"a1": (200, 999)}, {"a3": (0, 499)}):
-        query = Query.build(table.meta, ["a2", "a3", "a4"], where)
-        result, stats = ENGINES[engine](manager, table.meta).execute(query)
-        assert result.equals(run_reference_query(table, query))
-        assert stats.n_retries == 0
+    with pytest.raises(StorageError, match="partition 1 .*'a2'"):
+        manager.materialize_specs([
+            [SegmentSpec(("a1", "a2"), every)],
+            [SegmentSpec(("a2",), low)],
+            [SegmentSpec(("a3", "a4"), every)],
+            [SegmentSpec(("a3",), high)],
+        ], table, tid_storage=TID_CATALOG)
+    assert manager.catalog_version == 0 and manager.pids() == ()
+    assert list(manager.store.keys()) == []
+    assert manager.next_pid() == 0

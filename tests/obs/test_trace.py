@@ -190,7 +190,7 @@ _MAX_SPANS = 2 + len(_PHASES) + 2 + 2 * 2
 @pytest.fixture(scope="module")
 def fragmented():
     """A 3 000 x 24 table trained on three narrow templates: its irregular
-    layout has 46 partitions and each query below reads 32 of them, under a
+    layout has 32 partitions and each query below reads all 32, under a
     pool that holds them all."""
     rng = np.random.default_rng(0)
     names = [f"a{i}" for i in range(1, 25)]

@@ -3,7 +3,7 @@
 A plan's pruned pids are computed once, as set algebra over the catalog's
 zone arrays (:meth:`LogicalPlan.verdict`); ``classify`` is the per-pid
 definition the EXPLAIN reasons come from.  The two must agree on every pid
-of every view: both policies, overlapping primaries, sketched partitions,
+of every view: both policies, multi-segment partitions, sketched partitions,
 partitions storing an attribute with no cells (a ``(-inf, +inf)`` zone
 row), indexes derived by ``with_added`` and by a fold, and a plan replayed
 from the partition cache.
@@ -31,6 +31,7 @@ from repro.storage import BALOS_HDD, ColumnTable, PartitionManager, StorageDevic
 from repro.storage.physical import PhysicalPartition, PhysicalSegment
 from repro.testing.oracle import random_query, random_table, random_workload
 from repro.txn import DeltaCompactor, TransactionalTable
+from tests.storage.test_catalog_index import one_home
 
 POLICIES = (POLICY_SCAN, POLICY_PARTITION)
 N_TUPLES = 24
@@ -72,8 +73,7 @@ def check_view(query: Query, view) -> int:
 
 def physical(pid, segments) -> PhysicalPartition:
     """``segments``: ``(attributes, tids)``; tids may be empty (an
-    attribute stored with no cells has no zone) and may repeat across
-    partitions (overlapping primaries)."""
+    attribute stored with no cells has no zone)."""
     built = []
     for attributes, tids in segments:
         attrs = tuple(a for a in ATTRS if a in attributes)
@@ -108,7 +108,8 @@ predicates = st.dictionaries(
 def test_hand_drawn_catalogs_through_add_only_swaps(drawn, wheres):
     """One partition is added at a time, so every index after the first is
     derived by ``with_added`` from one whose zone arrays the previous
-    verdicts memoised; each is checked for every query and both policies."""
+    verdicts memoised; each is checked for every query and both policies.
+    Each drawn segment keeps only cells no earlier one holds."""
     manager = PartitionManager(TABLE.schema, StorageDevice(BALOS_HDD))
     queries = [  # unclipped: a range may miss the whole table
         Query(("a1",), {
@@ -116,8 +117,9 @@ def test_hand_drawn_catalogs_through_add_only_swaps(drawn, wheres):
         }, TABLE.meta)
         for where in wheres
     ]
+    homed = {}
     for pid, drawn_segments in enumerate(drawn):
-        manager.add_partition(physical(pid, drawn_segments))
+        manager.add_partition(physical(pid, one_home(drawn_segments, homed)))
         with manager.pin_snapshot() as view:
             for query in queries:
                 check_view(query, view)

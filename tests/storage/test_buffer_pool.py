@@ -140,12 +140,13 @@ class TestManagerComposition:
         manager = PartitionManager(
             small_table.schema, StorageDevice(BALOS_HDD), buffer_pool=pool
         )
-        n = small_table.n_tuples
+        everyone = np.arange(small_table.n_tuples, dtype=np.int64)
         manager.materialize_specs(
-            [[SegmentSpec(("a1", "a2"), np.arange(n, dtype=np.int64))]] * 2,
+            [[SegmentSpec(("a1", "a2"), everyone)], [SegmentSpec(("a3", "a4"), everyone)]],
             small_table,
             tid_storage=TID_CATALOG,
         )
+        assert manager.info(0).n_bytes == manager.info(1).n_bytes
         pool.capacity_bytes = manager.info(0).n_bytes
         held, _delta = manager.load(0)
         manager.load(1)  # evicts pid 0

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import TableSchema
-from repro.errors import InvalidPartitioningError, SnapshotUnavailableError
+from repro.errors import (
+    InvalidPartitioningError, SnapshotUnavailableError, StorageError,
+)
 from repro.storage import (
     BALOS_HDD,
     ColumnTable,
@@ -44,8 +46,7 @@ def new_manager() -> PartitionManager:
 
 
 def physical(pid, segments) -> PhysicalPartition:
-    """``segments``: ``(attributes, tids)`` pairs, tids may be empty and
-    may repeat across partitions (overlapping primaries)."""
+    """``segments``: ``(attributes, tids)`` pairs, tids may be empty."""
     built = []
     for attributes, tids in segments:
         attrs = tuple(a for a in ATTRS if a in attributes)
@@ -56,6 +57,20 @@ def physical(pid, segments) -> PhysicalPartition:
             columns=TABLE.gather(attrs, tids),
         ))
     return PhysicalPartition(pid=pid, segments=built)
+
+
+def one_home(segments, homed):
+    """``segments`` less the cells already homed: each ``(attributes,
+    tids)`` keeps the tids ``homed`` (attribute -> tids) holds for none of
+    its attributes, and those cells are homed from then on.  Drawn
+    partitions passed through it in turn give every cell one home."""
+    kept = []
+    for attributes, tids in segments:
+        free = set(tids).difference(*(homed.get(a, ()) for a in attributes))
+        for attribute in attributes:
+            homed.setdefault(attribute, set()).update(free)
+        kept.append((attributes, free))
+    return kept
 
 
 def holders(infos, attribute, tids):
@@ -117,8 +132,8 @@ segment_st = st.tuples(
 )
 partition_st = st.lists(segment_st, min_size=1, max_size=3)
 OPS = (
-    "add", "replace", "swap", "remove", "advance", "prune", "pin", "pin_old",
-    "prune_pin_old", "release",
+    "add", "replace", "collide", "swap", "remove", "advance", "prune", "pin",
+    "pin_old", "prune_pin_old", "release",
 )
 
 
@@ -132,11 +147,27 @@ class TestIndexEqualsDefinition:
         held = []  # (snapshot, infos it must answer from)
         seen = set()  # every pid ever handed out
 
-        def fresh(n):
+        def homes(pids):
+            """attribute -> tids the partitions ``pids`` store it for."""
+            homed = {}
+            for info in map(manager.info, pids):
+                for attrs, tids in zip(info.segment_attrs, info.segment_tids):
+                    for attribute in attrs:
+                        homed.setdefault(attribute, set()).update(tids.tolist())
+            return homed
+
+        def fresh(n, kept=None):
+            """``n`` partitions of fresh pids, storing no cell that the
+            ``kept`` partitions (default: the live set) or each other
+            store."""
             first = manager.next_pid()
             assert first not in seen  # a pid is never handed out twice
             seen.update(range(first, first + n))
-            return [physical(first + i, data.draw(partition_st)) for i in range(n)]
+            homed = homes(order if kept is None else kept)
+            return [
+                physical(first + i, one_home(data.draw(partition_st), homed))
+                for i in range(n)
+            ]
 
         def committed():
             frozen[manager.catalog_version] = [
@@ -202,9 +233,34 @@ class TestIndexEqualsDefinition:
                         [physical(pid, data.draw(partition_st))], remove=[pid]
                     )
                 assert manager.catalog_version == version
+            elif op == "collide":
+                # A second home is refused where it is made: the swap
+                # changes no version, no pid and no stored file, and its
+                # pid is free again.
+                stored = [
+                    (attribute, int(tid))
+                    for attribute, tids in homes(order).items() for tid in tids
+                ]
+                if stored:
+                    cell = data.draw(st.sampled_from(sorted(stored)))
+                    pid = manager.next_pid()
+                    part = physical(pid, data.draw(st.lists(segment_st, max_size=2))
+                                    + [({cell[0]}, {cell[1]})])
+                    gone = data.draw(st.sets(st.sampled_from(order)))
+                    gone -= set(holders(  # the cell's home stays live
+                        map(manager.info, order), cell[0], np.array([cell[1]])
+                    ))
+                    version, pids = manager.catalog_version, manager.pids()
+                    with pytest.raises(StorageError, match="a cell has one home"):
+                        manager.swap_partitions([part], remove=gone)
+                    assert (manager.catalog_version, manager.pids()) == (version, pids)
+                    assert manager.next_pid() == pid
             elif op == "swap":
                 gone = data.draw(st.sets(st.sampled_from(order)))
-                retire(gone, fresh(data.draw(st.integers(0, 3))))
+                retire(gone, fresh(
+                    data.draw(st.integers(0, 3)),
+                    [pid for pid in order if pid not in gone],
+                ))
             elif op == "remove":
                 retire(data.draw(st.sets(st.sampled_from(order), min_size=1)))
             elif op == "advance":
@@ -246,8 +302,9 @@ class TestIndexEqualsDefinition:
         and rebuilt must be the same index, array for array."""
         manager = new_manager()
         every = np.arange(N_TUPLES, dtype=np.int64)
+        homed = {}
         for pid, segments in enumerate(drawn):
-            manager.add_partition(physical(pid, segments))
+            manager.add_partition(physical(pid, one_home(segments, homed)))
             # Probing builds the probed attributes' maps; the rest stay
             # lazy on both sides.
             for attribute in data.draw(st.sets(st.sampled_from(ATTRS))):
@@ -264,10 +321,8 @@ class TestIndexEqualsDefinition:
             ours, theirs = live._owners[attribute], rebuilt._owners[attribute]
             assert ours.pids == theirs.pids
             assert ours.placement == theirs.placement
-            assert len(ours.layers) == len(theirs.layers)
-            for mine, fresh in zip(ours.layers, theirs.layers):
-                assert mine.dtype == fresh.dtype
-                assert np.array_equal(mine, fresh)
+            assert ours.owner.dtype == theirs.owner.dtype
+            assert np.array_equal(ours.owner, theirs.owner)
         assert live.owner_bytes() == rebuilt.owner_bytes()  # sharing kept
 
     @given(
@@ -278,14 +333,14 @@ class TestIndexEqualsDefinition:
     def test_add_only_swap_carries_verdicts_and_zones(self, drawn, data):
         """Visit-once verdicts and zone arrays memoised before a write
         commit are carried into the derived index, not recomputed: they
-        must equal a fresh index's.  The drawn partitions reach every case
-        that turns a verdict False — overlapping tids (a second owner
-        layer), a partition lacking a predicate."""
+        must equal a fresh index's.  The drawn partitions reach the case
+        that turns a verdict False: a segment lacking a predicate."""
         manager = new_manager()
         every = np.arange(N_TUPLES, dtype=np.int64)
         attribute_sets = st.sets(st.sampled_from(ATTRS), min_size=1).map(frozenset)
+        homed = {}
         for pid, segments in enumerate(drawn):
-            manager.add_partition(physical(pid, segments))
+            manager.add_partition(physical(pid, one_home(segments, homed)))
             index = manager.catalog_index()
             for attributes in data.draw(st.lists(attribute_sets, max_size=3)):
                 index.visits_once(attributes)
@@ -323,10 +378,11 @@ class TestIndexEqualsDefinition:
         from repro.plan.predicates import Conjunction, RangePredicate
 
         manager = new_manager()
+        homed = {}
         for pid, (selection, extra, tids) in enumerate(drawn):
             attrs = (predicated | extra) if selection else (extra - predicated)
             if attrs:
-                manager.add_partition(physical(pid, [(attrs, tids)]))
+                manager.add_partition(physical(pid, one_home([(attrs, tids)], homed)))
         conjunction = Conjunction([
             RangePredicate(attribute, lo, lo + width)
             for attribute, (lo, width) in zip(sorted(predicated), bounds)
@@ -363,19 +419,24 @@ def halves(first_pid, attrs=ATTRS):
 
 
 class TestPlacementCases:
-    def test_overlapping_primaries_are_all_returned(self):
-        """Two partitions hold ``a3`` for every tid: a single
-        owner per cell would silently drop one of them."""
+    def test_overlapping_primaries_are_refused(self):
+        """A partition that would hold ``a3`` for tids another partition
+        already holds it for is refused, naming itself and the attribute;
+        the catalog, its answers and its stored files are as they were."""
         manager = new_manager()
         everything = range(N_TUPLES)
         manager.add_partition(physical(0, [({"a1", "a3"}, everything)]))
-        manager.add_partition(physical(1, [({"a2", "a3"}, everything)]))
-        manager.add_partition(physical(2, [({"a3"}, range(4))]))
+        index, keys = manager.catalog_index(), set(manager.store.keys())
+        for pid, segments in [
+            (1, [({"a2", "a3"}, everything)]),
+            (1, [({"a2"}, everything), ({"a3"}, range(4))]),
+        ]:
+            with pytest.raises(StorageError, match="partition 1 .*'a3' of tuple 0"):
+                manager.add_partition(physical(pid, segments))
+            assert manager.catalog_index() is index and manager.catalog_version == 1
+            assert set(manager.store.keys()) == keys
         one = np.array([2], dtype=np.int64)
-        assert manager.partitions_with_missing_cells("a3", one) == (0, 1, 2)
-        late = np.array([9], dtype=np.int64)
-        assert manager.partitions_with_missing_cells("a3", late) == (0, 1)
-        assert manager.partitions_with_missing_cells("a1", one) == (0,)
+        assert manager.partitions_with_missing_cells("a3", one) == (0,)
 
     def test_answers_are_in_ascending_pid_order(self):
         manager = new_manager()

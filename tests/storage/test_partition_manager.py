@@ -209,7 +209,7 @@ class TestSwapPartitions:
         manager.swap_partitions([left, right])           # version 1
         fresh0, _ = _physical_halves(small_table, pids=(2, 3))
         manager.swap_partitions([fresh0], remove=[0])    # version 2, retires 0
-        fresh1, _ = _physical_halves(small_table, pids=(3, 4))
+        _, fresh1 = _physical_halves(small_table, pids=(4, 3))
         manager.swap_partitions([fresh1], remove=[1])    # version 3, retires 1
         reader = manager.pin_snapshot(2)
         # The manager remembers which version retired each pid: while a

@@ -210,7 +210,7 @@ class TestAPidIsHandedOutOnce:
         manager.swap_partitions([], remove=[1])
         assert manager.prune_retired() == 1
         assert manager.next_pid() == 2
-        manager.swap_partitions(halves(small_table, (manager.next_pid(), 3))[:1])
+        manager.swap_partitions(halves(small_table, (3, manager.next_pid()))[1:])
         assert manager.pids() == (0, 2)
         assert "p000001.jig" not in manager.store
 
@@ -219,9 +219,9 @@ class TestAPidIsHandedOutOnce:
         manager = PartitionManager(
             small_table.schema, StorageDevice(BALOS_HDD), store
         )
-        manager.swap_partitions(halves(small_table, (0, 1)))
+        manager.swap_partitions(halves(small_table, (0, 1))[:1])
         pid = manager.next_pid()
-        first, second = halves(small_table, (pid, pid))
+        second, first = halves(small_table, (pid, pid))  # first: the free half
         version = manager.catalog_version
         committed = []
         store.armed = True

@@ -237,10 +237,11 @@ class TestDirtyReadsAreOrdinaryReads:
     ids=["partition_at_a_time", "jigsaw-l", "jigsaw-s"],
 )
 def test_as_of_exact_across_commits_a_migration_and_a_fold(strategy):
-    """Commit partitions, an ``AdaptiveDaemon`` migration (its boxes absorb
-    committed rows, so their cells then live in two partitions) and a fold
-    all move catalog partitions with ``swap_partitions``; every version any
-    of them minted stays oracle-exact ``AS OF``."""
+    """Commit partitions, an ``AdaptiveDaemon`` migration (its boxes
+    resolved over the rows its scope stores, so committed rows stay in
+    their commit partitions) and a fold all move catalog partitions with
+    ``swap_partitions``; every version any of them minted stays
+    oracle-exact ``AS OF``."""
     rng = np.random.default_rng(81)
     schema = TableSchema.uniform([f"a{i}" for i in range(1, 9)])
     names = list(schema.attribute_names)
