@@ -6,7 +6,9 @@ retry raises :class:`PartitionUnreadableError` carrying its ``pid`` out of
 answer is returned.  The pin the query took is released, and the failed pid
 is in neither the buffer pool nor its schema-group image.  No other
 partition can stand in: a cell has one home, and a layout that would give
-it a second is refused when it is materialized.
+it a second is refused when it is materialized.  Primaries whose attribute
+sets overlap, each cell still in one of them, are read exactly while
+healthy.
 """
 
 import numpy as np
@@ -121,6 +123,32 @@ def test_a_lost_partition_fails_the_query(table, layout, engine, case):
     assert raised.value.pid == lost
     assert manager.snapshot_refcount() == 0
     assert lost not in pool and lost not in pool.image.pids()
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_overlapping_primaries_read_exactly_while_healthy(table, engine):
+    """Primaries whose attributes overlap — a1, a2, a3 and a4 each live in
+    two partitions, one per half of the table, beside different
+    co-attributes — give each cell one home; every engine returns the
+    oracle's rows."""
+    low, high = np.arange(N // 2), np.arange(N // 2, N)
+    manager = PartitionManager(table.schema, StorageDevice(BALOS_HDD))
+    manager.materialize_specs([
+        [SegmentSpec(("a1", "a2"), low)],
+        [SegmentSpec(("a1",), high)],
+        [SegmentSpec(("a2", "a3"), high)],
+        [SegmentSpec(("a3", "a4"), low)],
+        [SegmentSpec(("a4",), high)],
+    ], table, tid_storage=TID_CATALOG)
+    index = manager.catalog_index()
+    assert [index.owners(name).pids for name in NAMES] == [
+        (0, 1), (0, 2), (2, 3), (3, 4),
+    ]
+    for where in ({"a1": (0, 299)}, {"a1": (200, 999)}, {"a3": (0, 499)}):
+        query = Query.build(table.meta, ["a2", "a3", "a4"], where)
+        result, stats = ENGINES[engine](manager, table.meta).execute(query)
+        assert result.equals(run_reference_query(table, query))
+        assert stats.n_retries == 0
 
 
 def test_overlapping_primaries_are_refused_at_materialize(table):
