@@ -59,6 +59,7 @@ from ..storage.physical import PhysicalPartition
 
 __all__ = [
     "QueryEngine", "QueryRun", "count_prunes", "projection_loop", "run_selection",
+    "selection_reads",
 ]
 
 
@@ -206,6 +207,21 @@ def count_prunes(
     stats.n_partitions_cache_pruned += len(verdict.cached.intersection(pids))
 
 
+def selection_reads(
+    plan: PhysicalPlan, select_op: SelectOp, stats: ExecutionStats
+) -> Tuple[int, ...]:
+    """The selection pids a selection loop visits, in plan order.  Under
+    the hit-only form no other selection segment reaches a pruned
+    partition's tuples, so its pid never enters the loop: the prunes are
+    counted here, at once."""
+    pids = plan.selection_pids()
+    pruned = plan.verdict.pruned
+    if select_op.hit_only and pruned:
+        count_prunes(plan, [pid for pid in pids if pid in pruned], stats)
+        pids = tuple(pid for pid in pids if pid not in pruned)
+    return pids
+
+
 def run_selection(
     plan: PhysicalPlan,
     reader: PlanReader,
@@ -214,19 +230,13 @@ def run_selection(
     process: Callable[[int, PhysicalPartition], None],
 ) -> int:
     """Drive a selection phase: every surviving predicate partition in plan
-    order, ``process`` on each one read, and a pruned one's verdict applied
-    from the catalog alone.  Under the hit-only form no other selection
-    segment reaches a pruned partition's tuples, so its pid never enters
-    the loop and the prunes are counted at once.  Returns the VALID tuples
-    the verdicts evicted."""
+    order (:func:`selection_reads`), ``process`` on each one read, and a
+    pruned one's verdict applied from the catalog alone.  Returns the VALID
+    tuples the verdicts evicted."""
     logical = plan.logical
-    pids = plan.selection_pids()
     pruned = plan.verdict.pruned
-    if select_op.hit_only and pruned:
-        count_prunes(plan, [pid for pid in pids if pid in pruned], stats)
-        pids = tuple(pid for pid in pids if pid not in pruned)
     evictions = 0
-    for pid in pids:
+    for pid in selection_reads(plan, select_op, stats):
         if pid in pruned:
             # The partition policy refutes the predicate attributes stored
             # here; under the scan policy one refuted predicate excludes

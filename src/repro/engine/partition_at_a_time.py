@@ -14,14 +14,16 @@ partition is never read twice:
   index (one probe per owner map,
   :func:`~repro.engine.base.projection_loop`), read them and fill the gaps.
 
-Reads stay per partition and in plan order, through the shared read
-pipeline, so every charge, pool hit and visibility mask is what the
-paper's loop would meet; a partition that stays unreadable fails the
-query.  Evaluation does not: Jigsaw's partitions share a handful of
-segment schemas, and the engine evaluates
-over the schema-group image (:mod:`repro.storage.image`) — under the
-visit-once verdict one predicate mask per schema group over the slots this
-query loaded, and in the projection one position gather per (group,
+Reads are charged per partition, in plan order, answered as a run
+(:meth:`~repro.plan.operators.PlanReader.load_run`: one pool call per run
+of resident pids, each miss through the shared read pipeline), so every
+charge, pool hit, LRU move and visibility mask is what the paper's loop
+would meet; a partition that stays unreadable fails the query.
+Evaluation is not per partition either: Jigsaw's partitions share a
+handful of segment schemas, and the engine evaluates over the
+schema-group image (:mod:`repro.storage.image`) — under the visit-once
+verdict one predicate mask per block of a schema group's slots this query
+evaluated, and in the projection one position gather per (group,
 attribute) into |result|-sized columns (see
 :class:`~repro.plan.operators.GroupSelectOp`).  Hash-table insert/update
 events are counted in closed form from slot lengths and hit counts — as if
@@ -47,10 +49,11 @@ from ..plan.operators import (
     STATUS_VALID,
     GroupSelectOp,
     ProjectFillOp,
-    stored_cells,
 )
 from ..plan.stats import CpuModel
-from .base import QueryEngine, QueryRun, projection_loop, run_selection
+from .base import (
+    QueryEngine, QueryRun, projection_loop, run_selection, selection_reads,
+)
 
 __all__ = [
     "STATUS_NOT_CHECKED",
@@ -90,24 +93,26 @@ class PartitionAtATimeExecutor(QueryEngine):
         if not plan.logical.conjunction:
             stats.hash_inserts += select_op.select_all()
             return select_op
+        if select_op.hit_only:  # no order to keep: one mask per group
+            pids = selection_reads(plan, select_op, stats)
+            for run_pids, partitions in reader.load_run(pids):
+                stats.cells_scanned += select_op.add_run(run_pids, partitions, True)
+            inserts, stashed = select_op.select_groups()
+            stats.hash_inserts += inserts
+            stats.hash_updates += stashed
+            return select_op
 
         def process(pid: int, partition) -> None:
-            stats.cells_scanned += stored_cells(partition)
-            select_op.add(pid, partition, selection=True)
-            if not select_op.hit_only:
-                inserts, evictions, stashed = select_op.select(partition)
-                stats.hash_inserts += inserts
-                stats.hash_updates += evictions + stashed
+            stats.cells_scanned += select_op.add_run((pid,), [partition], True)
+            inserts, evictions, stashed = select_op.select(partition)
+            stats.hash_inserts += inserts
+            stats.hash_updates += evictions + stashed
 
         # A pruned partition's verdict evicts hash-table rows as the read
         # would have.  (``+= run_selection(...)`` would read the counter
         # before ``process`` advances it.)
         evicted = run_selection(plan, reader, select_op, stats, process)
         stats.hash_updates += evicted
-        if select_op.hit_only:  # no order to keep: one mask per group
-            inserts, stashed = select_op.select_groups()
-            stats.hash_inserts += inserts
-            stats.hash_updates += stashed
         return select_op
 
     # ------------------------------------------------------------ phase 2
@@ -120,8 +125,6 @@ class PartitionAtATimeExecutor(QueryEngine):
         # tuples' cells (counted when they were selected).
         select_op.fill(fill_op, select_op.evaluated)
         pids = projection_loop(plan, fill_op)
-        for pid in pids:
-            partition = reader.load(pid)
-            stats.cells_scanned += stored_cells(partition)
-            select_op.add(pid, partition, selection=False)
+        for run_pids, partitions in reader.load_run(pids):
+            stats.cells_scanned += select_op.add_run(run_pids, partitions, False)
         stats.hash_updates += select_op.fill(fill_op, pids)

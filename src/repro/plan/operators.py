@@ -9,10 +9,11 @@ re-implementing them:
 * :class:`PlanReader` — the partition-open/accounting preamble: load
   through the manager, fold the I/O delta into ``ExecutionStats``, count the
   read, reuse within-query working memory, and serialize loads under a
-  lock for threaded drivers.  A partition that stays unreadable after the
-  manager's retries raises :class:`~repro.errors.PartitionUnreadableError`
-  out of the load, and so out of the query: no other partition is read in
-  its place.
+  lock for threaded drivers; or (:meth:`PlanReader.load_run`) answer a run
+  of resident pids with one pool call, charged as that many reads.  A
+  partition that stays unreadable after the manager's retries raises
+  :class:`~repro.errors.PartitionUnreadableError` out of the load, and so
+  out of the query: no other partition is read in its place.
 * :class:`SelectOp` / :class:`ProjectFillOp` — the vectorized engine core,
   built on **selection vectors and result-sized output**: the only
   table-sized scratch is Algorithm 5's status vector (one byte per tuple);
@@ -23,10 +24,10 @@ re-implementing them:
   segment's status transitions (:meth:`SelectOp.transition`) a bucket or a
   tid range at a time, and fill disjoint tid shares.
 * :class:`GroupSelectOp` — the partition-at-a-time driver's core: loads
-  stay per partition, evaluation runs per schema group over the
-  schema-group image (:mod:`repro.storage.image`) — one predicate mask per
-  group under the visit-once verdict, one position gather per (group,
-  attribute) for the projection.
+  are charged per partition and filed per run, evaluation runs per schema
+  group over the schema-group image (:mod:`repro.storage.image`) — one
+  predicate mask per block of a group under the visit-once verdict, one
+  position gather per (group, attribute) for the projection.
 * :meth:`SelectOp.invalidate` — a planner-pruned partition's catalog-only
   verdict.
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +80,6 @@ __all__ = [
     "SelectOp",
     "ProjectFillOp",
     "GroupSelectOp",
-    "stored_cells",
     "finalize_stats",
 ]
 
@@ -134,6 +134,34 @@ class PlanReader:
             self.cache[pid] = partition
         return partition
 
+    def load_run(
+        self, pids: Sequence[int]
+    ) -> Iterator[Tuple[Sequence[int], List[PhysicalPartition]]]:
+        """Load ``pids`` in order, yielding ``(run, partitions)``: the
+        longest stretch the pool holds, answered by one
+        :meth:`~repro.storage.buffer_pool.BufferPool.hit_run` and charged as
+        that many pool hits, or one pid through :meth:`load` (a miss, or any
+        pid of a reader with a lock or a cache).  Each run is charged before
+        the next miss is read, so a load that raises leaves every counter as
+        the per-pid loop would."""
+        pool = self.manager.buffer_pool
+        if pool is None or self.lock is not None or self.cache is not None:
+            for index, pid in enumerate(pids):
+                yield pids[index:index + 1], [self.load(pid)]
+            return
+        stats = self.stats
+        index = 0
+        while index < len(pids):
+            run = pool.hit_run(pids, index)
+            if run:
+                stats.n_pool_hits += len(run)
+                stats.n_partition_reads += len(run)
+                yield pids[index:index + len(run)], run
+                index += len(run)
+            if index < len(pids):
+                yield pids[index:index + 1], [self.load(pids[index])]
+                index += 1
+
 
 def _address(tids: np.ndarray, tid_storage: str):
     """How a per-tuple vector is indexed by one segment's tuples: a segment
@@ -142,15 +170,6 @@ def _address(tids: np.ndarray, tid_storage: str):
     if tid_storage == TID_IMPLICIT:
         return slice(int(tids[0]), int(tids[0]) + len(tids))
     return tids
-
-
-def stored_cells(partition: PhysicalPartition) -> int:
-    """Cells a row-major read of the partition passes over: every stored
-    attribute of every stored tuple (Algorithm 5's ``cells_scanned``)."""
-    cells = 0
-    for segment in partition.segments:
-        cells += len(segment.tuple_ids) * len(segment.attributes)
-    return cells
 
 
 class _ProjectingOp:
@@ -430,17 +449,19 @@ class GroupSelectOp(SelectOp):
     """Algorithm 5 per schema group: the partition-at-a-time driver's
     selection state plus the slots of every partition it loaded.
 
-    Loads stay per partition, in plan order (:class:`PlanReader`);
-    :meth:`add` files each loaded partition's segments as slots of the
-    schema-group image — the pool's
+    Loads are charged per partition, in plan order, and answered as runs
+    (:meth:`PlanReader.load_run`); :meth:`add_run` files each run's
+    segments as slots of the schema-group image — the pool's
     (:meth:`~repro.storage.buffer_pool.BufferPool.image_slots`) while the
     pool holds the partition, else a private one over every partition this
     query loaded, dropped with the query.  Evaluation then runs once per
     group, over this query's slots only:
 
-    * :meth:`select_groups` — the visit-once form: one predicate mask over
-      each group's loaded, unrefuted slots (contiguous runs of rows, in
-      blocks of at most ``_BLOCK``);
+    * :meth:`select_groups` — the visit-once form: one predicate mask per
+      block of each group's evaluated (loaded, unrefuted) slots — at most
+      ``_BLOCK`` rows, bridging gaps of at most ``_GAP`` rows whose rows it
+      masks out — and one gather of the group's ``row -> tid`` array for
+      the block's hits;
     * :meth:`fill` — one position gather per (group, attribute) into the
       result columns.
 
@@ -464,24 +485,32 @@ class GroupSelectOp(SelectOp):
         #: selection pids whose segments were evaluated, in load order.
         self.evaluated: List[int] = []
 
-    def add(self, pid: int, partition: PhysicalPartition, selection: bool) -> None:
-        """File one loaded partition's segments as slots (a refuted
-        selection partition is read, never evaluated: it needs none)."""
-        if selection:
-            if self.hit_only and pid in self.refuted:
-                return
-            self.evaluated.append(pid)
-        self.loaded[pid] = partition
-        slots = self.image.slots(pid)
-        if slots is None:
-            slots = (
-                self.pool.image_slots(pid, partition) if self.pool is not None
-                else self.image.attach(partition)
-            )
+    def add_run(self, pids: Sequence[int], partitions: List[PhysicalPartition],
+                selection: bool) -> int:
+        """File a run of loaded partitions' segments as slots (a refuted
+        selection partition is read, never evaluated: it needs none).
+        Returns the cells the run stores, as the per-partition loop counts
+        them (refuted partitions included)."""
+        refuted = self.refuted if selection and self.hit_only else ()
+        cells = 0
+        for pid, partition in zip(pids, partitions):
+            cells += partition.n_cells
+            if pid in refuted:
+                continue
+            if selection:
+                self.evaluated.append(pid)
+            self.loaded[pid] = partition
+            slots = self.image.slots(pid)
             if slots is None:
-                self._private()
-                return
-        self.slots[pid] = slots
+                slots = (
+                    self.pool.image_slots(pid, partition) if self.pool is not None
+                    else self.image.attach(partition)
+                )
+                if slots is None:
+                    self._private()
+                    continue
+            self.slots[pid] = slots
+        return cells
 
     def _private(self) -> None:
         """Move to a private image over every partition loaded so far."""
@@ -529,6 +558,7 @@ class GroupSelectOp(SelectOp):
                     p.attribute: group.column(p.attribute)
                     for p in conjunction.predicates if p.attribute in group.attributes
                 }
+                row_tids = group.row_tids()
                 hits = []
                 for block in _blocks(slots):
                     start, stop = block[0].start, block[-1].stop
@@ -536,8 +566,14 @@ class GroupSelectOp(SelectOp):
                         {name: column[start:stop] for name, column in columns.items()},
                         stop - start,
                     )
-                    for slot in block:
-                        hits.append(slot.tids[passing[slot.start - start:slot.stop - start]])
+                    if any(a.stop != b.start for a, b in zip(block, block[1:])):
+                        # Rows between the slots are dead or not this
+                        # query's: never hits.
+                        ours = np.zeros(stop - start, dtype=bool)
+                        for slot in block:
+                            ours[slot.start - start:slot.stop - start] = True
+                        passing &= ours
+                    hits.append(row_tids[start:stop][passing])
                 found.append((
                     hits[0] if len(hits) == 1 else np.concatenate(hits),
                     len(self.wanted(group.attributes)),
@@ -595,14 +631,17 @@ class GroupSelectOp(SelectOp):
 #: most rows one predicate mask spans, unless one slot is longer (its
 #: temporaries stay block-sized).
 _BLOCK = 1 << 16
+#: most rows a block bridges between two of its slots: the mask evaluates
+#: them and drops their hits.
+_GAP = 1 << 12
 
 
 def _blocks(slots: List[ImageSlot]) -> List[List[ImageSlot]]:
-    """The slots in row order, cut into runs of adjacent rows of at most
-    ``_BLOCK`` rows (or one slot)."""
+    """The slots in row order, cut into blocks of at most ``_BLOCK`` rows
+    (or one slot) with gaps of at most ``_GAP`` rows."""
     blocks: List[List[ImageSlot]] = []
     for slot in sorted(slots, key=lambda slot: slot.start):
-        if (blocks and blocks[-1][-1].stop == slot.start
+        if (blocks and slot.start - blocks[-1][-1].stop <= _GAP
                 and slot.stop - blocks[-1][0].start <= _BLOCK):
             blocks[-1].append(slot)
         else:

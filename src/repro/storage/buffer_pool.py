@@ -15,7 +15,9 @@ Accounting composes with the device model as follows:
   decoded, and the result is inserted into the pool.
 * **pool hit** — neither simulated I/O nor decode work happens; the hit is
   reported through ``IOStats.n_pool_hits`` / ``pool_hit_bytes`` so engines
-  can surface it in ``ExecutionStats``.
+  can surface it in ``ExecutionStats``.  :meth:`BufferPool.hit_run`
+  answers a run of resident pids under one lock acquisition, refreshed and
+  counted as one :meth:`~BufferPool.hit` each.
 
 Eviction is LRU, bounded by ``capacity_bytes`` of *file* bytes (the
 serialized size is the natural budget unit: it is what the catalog already
@@ -37,7 +39,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .image import ImageSlot, SchemaImage
 from .io_stats import IOStats
@@ -106,6 +108,24 @@ class BufferPool:
             self.stats.n_hits += 1
             self.stats.hit_bytes += entry.n_bytes
             return entry.hit
+
+    def hit_run(self, pids: Sequence[int], start: int = 0) -> List[PhysicalPartition]:
+        """The partitions of the longest run of resident pids from
+        ``pids[start]`` on, under one lock acquisition: each refreshed and
+        counted as :meth:`hit` would, in order.  The first pid not resident
+        ends the run uncounted (its load counts the miss)."""
+        run: List[PhysicalPartition] = []
+        with self._lock:
+            entries, stats = self._entries, self.stats
+            for index in range(start, len(pids)):
+                entry = entries.get(pids[index])
+                if entry is None:
+                    break
+                entries.move_to_end(pids[index])
+                stats.hit_bytes += entry.n_bytes
+                run.append(entry.hit[0])
+            stats.n_hits += len(run)
+        return run
 
     def put(self, pid: int, partition: PhysicalPartition, n_bytes: int) -> None:
         """Insert (or refresh) an entry, evicting LRU entries.

@@ -16,18 +16,23 @@ group, not once per partition:
   position array (the row plus one, 0 where no live slot of the group
   holds the tuple, as uint16 while the group has under 65 535 rows and
   uint32 after; its last entry is always 0, so a clipped ``take`` answers
-  tids past the domain; one segment answers by binary search).  A tuple has
-  at most one live row per group: a segment whose tuples a live slot
-  already holds opens the schema's next layer.  The catalog's live set
-  gives each cell one home, but the pool serves every pinned version, and
-  an ``AS OF`` read can admit a retired partition beside its rewrite;
+  tids past the domain; one segment answers by binary search) and, once a
+  selection first asks, the inverse ``row -> tid`` array, in the narrowest
+  dtype that holds its largest tid (a group of one segment answers with
+  the segment's own tids), so a block of rows turns its hits into tids
+  with one gather.  A tuple has at most one live row per group: a segment
+  whose tuples a live slot already holds opens the schema's next layer.
+  The catalog's live set gives each cell one home, but the pool serves
+  every pinned version, and an ``AS OF`` read can admit a retired
+  partition beside its rewrite;
 * a slot **dies** when its pid is dropped (:meth:`SchemaImage.drop`): its
   positions are cleared and its segment released.  Its rows stay until the
   group's dead rows outnumber its live ones; then the group is rebuilt from
   its live slots, in place.  A group with no live row is dropped;
-* the image **sizes itself**: a group's columns grow by half again when an
-  admission outruns them, its positions by an eighth past the largest tid
-  admitted.  It reserves nothing and asks the catalog nothing.
+* the image **sizes itself**: a group's columns and row tids grow by half
+  again when an admission outruns them, its positions by an eighth past
+  the largest tid admitted.  It reserves nothing and asks the catalog
+  nothing.
 
 Two lifetimes, one form.  The :class:`~repro.storage.buffer_pool.BufferPool`
 holds one image over its resident partitions: a pid is admitted when an
@@ -53,6 +58,15 @@ import numpy as np
 from .physical import PhysicalPartition, PhysicalSegment
 
 __all__ = ["ImageGroup", "ImageSlot", "SchemaImage"]
+
+
+def _tid_dtype(tid: int) -> np.dtype:
+    """The narrowest dtype for tuple IDs up to ``tid``: unsigned up to 32
+    bits, int64 past them (it mixes with int64 tids without a float)."""
+    for dtype in (np.uint16, np.uint32):
+        if tid <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _row_dtype(n_rows: int) -> np.dtype:
@@ -93,7 +107,7 @@ class ImageGroup:
     """One layer of one segment schema; see the module docstring."""
 
     __slots__ = ("attributes", "slots", "n_rows", "n_dead", "n_live",
-                 "positions", "columns", "capacity", "__weakref__")
+                 "positions", "columns", "tids", "capacity", "__weakref__")
 
     def __init__(self, attributes: Tuple[str, ...]):
         self.attributes = attributes
@@ -102,6 +116,8 @@ class ImageGroup:
         #: None while the group is its first segment alone.
         self.positions: Optional[np.ndarray] = None
         self.columns: Dict[str, np.ndarray] = {}
+        #: the ``row -> tid`` array, None until a selection first asks.
+        self.tids: Optional[np.ndarray] = None
         self.capacity = 0
 
     def rows(self, tids: np.ndarray) -> np.ndarray:
@@ -154,6 +170,21 @@ class ImageGroup:
             self.columns[name] = column
         return column
 
+    def row_tids(self) -> np.ndarray:
+        """Every row's tuple ID (dead rows' undefined), materialized from
+        the live slots on first use in the narrowest dtype that holds the
+        largest.  A group that is one segment answers with that segment's
+        own tids: nothing to copy."""
+        if self.tids is None:
+            live = [s for s in self.slots if s.live]
+            if len(live) == 1 == len(self.slots):
+                return live[0].tids
+            top = max((int(s.tids[-1]) for s in live if len(s.tids)), default=0)
+            self.tids = np.empty(self.capacity, dtype=_tid_dtype(top))
+            for slot in live:
+                self.tids[slot.start:slot.stop] = slot.tids
+        return self.tids
+
     def admit(self, pid: int, tids: np.ndarray,
               source: Mapping[str, np.ndarray]) -> ImageSlot:
         """Append one segment (ascending ``tids``, none held by a live slot)."""
@@ -176,6 +207,11 @@ class ImageGroup:
             self._place(slot)
         for name, column in self.columns.items():
             column[n:slot.stop] = source[name]
+        if self.tids is not None and len(tids):
+            dtype = _tid_dtype(int(tids[-1]))
+            if dtype.itemsize > self.tids.itemsize:
+                self.tids = self.tids.astype(dtype)
+            self.tids[n:slot.stop] = tids
         self.slots.append(slot)
         self.n_rows = slot.stop
         self.n_live += 1
@@ -186,9 +222,15 @@ class ImageGroup:
         resident)."""
         self.capacity = capacity
         for name, old in self.columns.items():
-            column = np.empty(capacity, dtype=old.dtype)
-            column[:self.n_rows] = old[:self.n_rows]
-            self.columns[name] = column
+            self.columns[name] = self._resized(old)
+        if self.tids is not None:
+            self.tids = self._resized(self.tids)
+
+    def _resized(self, old: np.ndarray) -> np.ndarray:
+        """``old``'s rows in an array of ``capacity`` rows."""
+        array = np.empty(self.capacity, dtype=old.dtype)
+        array[:self.n_rows] = old[:self.n_rows]
+        return array
 
     def kill(self, slot: ImageSlot) -> bool:
         """One slot died; returns whether the group has no live row left."""
@@ -220,6 +262,10 @@ class ImageGroup:
             if self.positions is not None:
                 self._place(slot)
             row = stop
+        if self.tids is not None:
+            self.tids = np.empty(self.capacity, dtype=self.tids.dtype)
+            for slot in live:
+                self.tids[slot.start:slot.stop] = slot.tids
         self.columns, self.slots = columns, live
         self.n_rows, self.n_dead = row, 0
 
@@ -228,6 +274,8 @@ class ImageGroup:
         positions."""
         rows = self.n_rows - self.n_dead if live else self.n_rows
         width = sum(column.itemsize for column in self.columns.values())
+        if self.tids is not None:
+            width += self.tids.itemsize
         positions = 0 if self.positions is None else self.positions.nbytes
         return rows * width + positions
 

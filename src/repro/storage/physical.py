@@ -154,10 +154,24 @@ class PhysicalPartition:
 
     pid: int
     segments: List[PhysicalSegment] = field(default_factory=list)
+    _n_cells: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_tuples(self) -> int:
         return sum(segment.n_tuples for segment in self.segments)
+
+    @property
+    def n_cells(self) -> int:
+        """Cells a row-major read of the partition passes over: every
+        stored attribute of every stored tuple (Algorithm 5's
+        ``cells_scanned``), counted on first use (a read partition's
+        segments never change)."""
+        if self._n_cells is None:
+            self._n_cells = sum(
+                len(segment.tuple_ids) * len(segment.attributes)
+                for segment in self.segments
+            )
+        return self._n_cells
 
     def attribute_set(self) -> frozenset:
         """Attributes stored anywhere in the partition."""

@@ -10,7 +10,10 @@ answer oracle-exactly, and no counter may depend on which image answered:
   under it and it evaluates on a private image;
 * no pool: a private image per query;
 * a fault-injecting store that makes an imaged pid unreadable once the pool
-  dropped it: the image must not serve it, and the query fails.
+  dropped it: the image must not serve it, and the query fails;
+* a block of the grouped selection that bridges dead rows and a live slot
+  the query's view does not hold: equal to the per-slot form, under a view
+  that hides tids too.
 
 Plans that are not visit-once (predicates split across the segments of a
 partition) select partition by partition in plan order; they are run too.
@@ -21,15 +24,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core import Query
+from repro.core import Query, TableSchema
 from repro.engine import PartitionAtATimeExecutor
 from repro.errors import PartitionUnreadableError
 from repro.layouts import BuildContext, IrregularLayout
+from repro.plan import operators
 from repro.plan.operators import GroupSelectOp
 from repro.storage import (
     BALOS_HDD,
     TID_EXPLICIT,
     BufferPool,
+    ColumnTable,
     FaultConfig,
     FaultInjectingBlobStore,
     MemoryBlobStore,
@@ -222,3 +227,126 @@ def test_an_imaged_pid_made_unreadable_is_not_served(table):
     with pytest.raises(PartitionUnreadableError) as raised:
         bare.execute(query)
     assert raised.value.pid == 1
+
+
+def gapped_table():
+    """a1 ascends by tid within each quarter of 100 tuples, the second
+    quarter in [500, 600) and the others in [0, 300)."""
+    tid = np.arange(N)
+    quarter, offset = tid // 100, tid % 100
+    a1 = np.choose(quarter, [offset, 500 + offset, 100 + offset, 200 + offset])
+    rng = np.random.default_rng(8)
+    columns = {
+        "a1": a1.astype(np.int32),
+        "a2": rng.integers(0, 1000, N).astype(np.int32),
+        "a3": rng.integers(0, 1000, N).astype(np.int32),
+    }
+    return ColumnTable.build("gapped", TableSchema.uniform(list(columns)), columns)
+
+
+#: one (a1, a2) partition per quarter, a3 apart.
+GAPPED = [[(("a1", "a2"), tids(100 * k, 100 * (k + 1)))] for k in range(4)] + [
+    [(("a3",), tids())]
+]
+
+
+def gapped(table):
+    """A warm pool over ``GAPPED`` whose (a1, a2) group reads, by row,
+    pid 0 | pid 1 | pid 2 (dead) | pid 3: the pool has dropped pid 2."""
+    manager = manager_of(table, GAPPED, 64 << 20)
+    warm = Query.build(table.meta, ["a2", "a3"], {"a1": (0, 999)})
+    PartitionAtATimeExecutor(manager, table.meta).execute(warm)
+    manager.buffer_pool.invalidate(2)
+    return manager
+
+
+def recorded(owner, name):
+    """Patch ``owner.name`` to record what each call returns."""
+    real, returned = getattr(owner, name), []
+
+    def recording(*args):
+        returned.append(real(*args))
+        return returned[-1]
+    return mock.patch.object(owner, name, recording), returned
+
+
+def bridged(table):
+    """A warm pool whose (a1, a2) group reads, by row, pid 0 | pid 5 |
+    pid 2 (dead) | pid 3, and a view pinned before pid 5 replaced pid 1.
+    Read through the view, the query below evaluates pids 0, 3 and 2 (back
+    in rows 400-500; pid 1 holds pid 5's tuples, so it opens a second
+    layer): one block whose 200 rows between them are pid 5's (live, all
+    passing, not the view's) and pid 2's dead ones.  Returns ``(manager,
+    view)``; the caller releases the view."""
+    manager = manager_of(table, GAPPED, 64 << 20)
+    engine = PartitionAtATimeExecutor(manager, table.meta, zone_maps=True)
+
+    def admit(lo, hi):  # zone maps prune every other (a1, a2) pid
+        engine.execute(Query.build(table.meta, ["a2", "a3"], {"a1": (lo, hi)}))
+
+    admit(0, 99)
+    view = manager.pin_snapshot()
+    segment = manager.load(1)[0].segments[0]
+    manager.swap_partitions([PhysicalPartition(manager.next_pid(), [PhysicalSegment(
+        segment.attributes, np.array(segment.tuple_ids),
+        {name: np.array(segment.columns[name]) for name in segment.attributes},
+        tid_storage=TID_EXPLICIT,
+    )])], remove=[1])
+    admit(500, 599)
+    admit(100, 199)
+    manager.buffer_pool.invalidate(2)
+    admit(200, 299)
+    return manager, view
+
+
+def test_a_block_bridging_dead_rows_and_a_slot_the_query_did_not_load():
+    table = gapped_table()
+    query = Query.build(table.meta, ["a2", "a3"], {"a1": (0, 999)})
+    hidden = np.r_[50:60, 250:260, 350:360]  # in pids 0, 2 and 3
+    expected = run_reference_query(table, query)
+    visible = ~np.isin(expected.tuple_ids, hidden)
+    for hides in (False, True):
+        answers = []
+        for gap in (operators._GAP, -1):  # -1: every slot its own block
+            manager, view = bridged(table)
+            engine = PartitionAtATimeExecutor(manager, table.meta)
+            patch, blocks = recorded(operators, "_blocks")
+            try:
+                if hides:
+                    view.hidden = hidden
+                with patch, mock.patch.object(operators, "_GAP", gap):
+                    answers.append(engine.execute(query, snapshot=view))
+            finally:
+                view.release()
+            spans = [(b[0].start, b[-1].stop, [s.pid for s in b]) for b in blocks[0]]
+            if gap >= 0:
+                assert (0, 500, [0, 3, 2]) in spans
+            else:
+                assert all(len(pids) == 1 for _start, _stop, pids in spans)
+        (result, stats), (per_slot, per_slot_stats) = answers
+        assert result.equals(per_slot)
+        assert stats_signature(stats) == stats_signature(per_slot_stats)
+        if hides:
+            assert np.array_equal(result.tuple_ids, expected.tuple_ids[visible])
+            for name in ("a2", "a3"):
+                assert np.array_equal(result.column(name), expected.column(name)[visible])
+        else:
+            assert result.equals(expected)
+
+
+def test_a_zone_refuted_pid_is_charged_and_refreshed_never_evaluated():
+    table = gapped_table()
+    manager = gapped(table)
+    pool = manager.buffer_pool
+    assert pool.pids() == (0, 1, 3, 4)
+    hits = pool.stats.n_hits
+    query = Query.build(table.meta, ["a2", "a3"], {"a1": (0, 299)})
+    patch, ops = recorded(PartitionAtATimeExecutor, "_select")
+    with patch:
+        result, stats = PartitionAtATimeExecutor(manager, table.meta).execute(query)
+    assert result.equals(run_reference_query(table, query))
+    # Pids 0, 1 (refuted), 3 and 4 hit; 2 misses.
+    assert (stats.n_partition_reads, stats.n_pool_hits) == (5, 4)
+    assert pool.stats.n_hits == hits + 4
+    assert pool.pids() == (0, 1, 2, 3, 4)  # 1 refreshed after 0
+    assert ops[0].evaluated == [0, 2, 3] and 1 not in ops[0].slots

@@ -5,20 +5,30 @@ import dataclasses
 import numpy as np
 import pytest
 
+from unittest import mock
+
+from repro.core import Query
+from repro.engine import PartitionAtATimeExecutor
 from repro.errors import (
     PartitionNotFoundError,
     PartitionUnreadableError,
     StorageError,
 )
+from repro.plan.operators import PlanReader
+from repro.plan.stats import ExecutionStats
 from repro.storage import (
     BALOS_HDD,
     BufferPool,
+    FaultConfig,
+    FaultInjectingBlobStore,
     LazyColumnBlock,
+    MemoryBlobStore,
     PartitionManager,
     SegmentSpec,
     StorageDevice,
     TID_CATALOG,
 )
+from repro.testing.oracle import no_leaked_pins
 
 
 def _dummy_partition(pid: int) -> object:
@@ -238,3 +248,101 @@ class TestLoadWithoutPool:
         assert columns.materialized == frozenset()
         assert np.array_equal(columns["a2"], small_table.column("a2"))
         assert columns.materialized == frozenset({"a2"})
+
+
+class TestHitRun:
+    def test_answers_the_resident_run_and_stops_uncounted(self):
+        pool = BufferPool(capacity_bytes=1000)
+        for pid in range(4):
+            pool.put(pid, _dummy_partition(pid), 100)
+        assert pool.hit_run((9, 2, 0, 7, 1), 1) == [("partition", 2), ("partition", 0)]
+        assert (pool.stats.n_hits, pool.stats.n_misses) == (2, 0)
+        assert pool.stats.hit_bytes == 200
+        assert pool.pids() == (1, 3, 2, 0)  # refreshed in run order
+        assert pool.hit_run((7, 1), 0) == []
+        assert pool.stats.n_misses == 0
+
+
+def _run_load_manager(table):
+    """Six equal partitions of a1, a2 under a four-partition pool holding
+    (LRU first) 4, 0, 1, 3; partition 5 is unreadable.  Read in pid order:
+    hits 0, 1; miss 2 (evicts 4); hit 3; miss 4 (evicted during the run;
+    evicts 0); 5 raises."""
+    store = FaultInjectingBlobStore(MemoryBlobStore())
+    manager = PartitionManager(
+        table.schema, StorageDevice(BALOS_HDD), store, buffer_pool=BufferPool(1)
+    )
+    n = table.n_tuples // 6
+    manager.materialize_specs(
+        [[SegmentSpec(("a1", "a2"), np.arange(k * n, (k + 1) * n, dtype=np.int64))]
+         for k in range(6)],
+        table,
+        tid_storage=TID_CATALOG,
+    )
+    sizes = {manager.info(pid).n_bytes for pid in range(6)}
+    assert len(sizes) == 1
+    manager.buffer_pool.capacity_bytes = 4 * sizes.pop()
+    for pid in (4, 0, 1, 3):
+        manager.load(pid)
+    store.overrides[manager.info(5).key] = FaultConfig(transient_error_rate=1.0)
+    return manager
+
+
+def _per_pid(reader, pids):
+    for pid in pids:
+        reader.load(pid)
+
+
+def _as_runs(reader, pids):
+    for _run, _partitions in reader.load_run(pids):
+        pass
+
+
+class TestLoadRun:
+    """``PlanReader.load_run`` charges, refreshes and fails exactly as the
+    per-pid loop, with evictions, a miss inside a run and an unreadable
+    pid."""
+
+    def outcome(self, table, form):
+        manager = _run_load_manager(table)
+        pool = manager.buffer_pool
+        stats = ExecutionStats()
+        with pytest.raises(PartitionUnreadableError) as raised:
+            form(PlanReader(manager, stats), tuple(range(6)))
+        return (
+            dataclasses.astuple(pool.stats), pool.pids(), dataclasses.astuple(stats),
+            raised.value.pid, raised.value.io_delta,
+        )
+
+    def test_reader_counters_match_the_per_pid_loop(self, small_table):
+        per_pid = self.outcome(small_table, _per_pid)
+        assert self.outcome(small_table, _as_runs) == per_pid
+        pool_stats, lru, _stats, pid, io_delta = per_pid
+        assert lru == (1, 2, 3, 4) and pid == 5 and io_delta.n_retries
+        n_hits, n_misses, _ins, n_evictions = pool_stats[:4]
+        assert (n_hits, n_misses, n_evictions) == (3, 4 + 3, 2)  # warm-up: 4
+
+    def test_a_query_fails_alike_and_releases_its_pin(self, small_table):
+        """The engine's selection loads as runs; with ``hit_run`` answering
+        nothing every pid goes through ``PartitionManager.load`` alone —
+        the per-pid form."""
+        query = Query.build(small_table.meta, ["a2"], {"a1": (0, 4999)})
+        outcomes = []
+        for per_pid in (True, False):
+            manager = _run_load_manager(small_table)
+            engine = PartitionAtATimeExecutor(manager, small_table.meta)
+            assert engine.plan(query).visits_once
+            nothing = mock.patch.object(BufferPool, "hit_run", return_value=[])
+            with no_leaked_pins(), pytest.raises(PartitionUnreadableError) as raised:
+                if per_pid:
+                    with nothing:
+                        engine.execute(query)
+                else:
+                    engine.execute(query)
+            pool = manager.buffer_pool
+            outcomes.append((
+                dataclasses.astuple(pool.stats), pool.pids(), raised.value.pid,
+                raised.value.io_delta, manager.pinned_versions(),
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == 5 and outcomes[0][4] == ()

@@ -284,3 +284,39 @@ def test_a_small_group_keeps_two_byte_positions():
     assert (group.rows(np.arange(0, 600, 3)) == -1).all()
     assert np.array_equal(group.column("b")[:200], live * 3)
     assert image.nbytes() == image.nbytes(live=True)
+
+
+def assert_row_tids(image):
+    """Each live slot's rows of its group's ``row -> tid`` array are the
+    slot's tids."""
+    for group in image.groups():
+        row_tids = group.row_tids()
+        for slot in group.slots:
+            if slot.live:
+                assert np.array_equal(row_tids[slot.start:slot.stop], slot.tids)
+
+
+def test_row_tids_follow_admit_grow_kill_rebuild_and_drop():
+    image = SchemaImage()
+    first = image.attach(segment_partition(0, ("a",), np.arange(0, 3000, 3)))
+    group = first[0].group
+    assert group.row_tids() is first[0].tids  # one segment: its own array
+    assert group.tids is None
+    image.attach(segment_partition(1, ("a",), np.arange(1, 3000, 3)))  # grows
+    assert group.row_tids().dtype == np.uint16 and group.capacity == 2000
+    assert_row_tids(image)
+    image.attach(segment_partition(2, ("a",), np.arange(2, 1500, 3)))  # grows
+    assert group.capacity == 3000 and group.tids.dtype == np.uint16
+    assert_row_tids(image)
+    image.attach(segment_partition(3, ("a",), np.arange(70_000, 70_400)))  # widens
+    assert group.tids.dtype == np.uint32
+    assert_row_tids(image)
+    image.drop(1)  # a slot dies; its rows stay
+    assert group.n_dead == 1000
+    assert_row_tids(image)
+    image.drop(0)  # dead rows outnumber live ones: rebuilt
+    assert group.n_dead == 0 and group.n_rows == 900
+    assert_row_tids(image)
+    image.drop(2)
+    image.drop(3)
+    assert not image.groups() and image.nbytes() == 0
