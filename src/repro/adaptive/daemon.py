@@ -8,7 +8,8 @@ planner, and each :meth:`run_cycle` —
 2. asks the :class:`~repro.adaptive.advisor.RepartitionAdvisor` whether a
    migration may even be considered (hysteresis + cooldown),
 3. selects a migration **scope**: the hottest partitions of the window,
-   greedily packed under the ``bytes_budget_per_cycle`` rewrite budget,
+   greedily packed under the ``bytes_budget_per_cycle`` rewrite budget
+   (at most :data:`MAX_SCOPE_PARTITIONS` of them),
 4. re-tunes the scope with the
    :class:`~repro.adaptive.repartitioner.IncrementalRepartitioner`,
 5. prices old vs. new layout on the window and, if the candidate clears the
@@ -48,6 +49,9 @@ from .repartitioner import IncrementalRepartitioner, MigrationPlan
 
 __all__ = ["AdaptiveConfig", "AdaptationStats", "CycleReport", "AdaptiveDaemon"]
 
+#: at most this many partitions enter one migration scope.
+MAX_SCOPE_PARTITIONS = 8
+
 
 @dataclass(frozen=True, slots=True)
 class AdaptiveConfig:
@@ -59,10 +63,6 @@ class AdaptiveConfig:
     advisor: AdvisorConfig = field(default_factory=AdvisorConfig)
     #: hard ceiling on bytes rewritten per migration cycle.
     bytes_budget_per_cycle: int = 64 * 1024 * 1024
-    #: at most this many partitions enter one migration scope.
-    max_scope_partitions: int = 8
-    #: read-back-verify staged partitions before committing a swap.
-    verify_swaps: bool = True
     #: drop retired partitions after a successful migration.
     auto_prune: bool = True
     #: run a cycle automatically every N observed queries (0 = manual only).
@@ -75,8 +75,6 @@ class AdaptiveConfig:
             raise ValueError("window_size must be positive")
         if self.bytes_budget_per_cycle <= 0:
             raise ValueError("bytes_budget_per_cycle must be positive")
-        if self.max_scope_partitions <= 0:
-            raise ValueError("max_scope_partitions must be positive")
         if self.cycle_every < 0:
             raise ValueError("cycle_every must be non-negative")
 
@@ -206,7 +204,7 @@ class AdaptiveDaemon:
         scope: List[int] = []
         total = 0
         for pid in ranked:
-            if len(scope) >= self.config.max_scope_partitions:
+            if len(scope) >= MAX_SCOPE_PARTITIONS:
                 break
             n_bytes = self.manager.info(pid).n_bytes
             if total + n_bytes > self.config.bytes_budget_per_cycle:
@@ -214,6 +212,20 @@ class AdaptiveDaemon:
             scope.append(pid)
             total += n_bytes
         return tuple(sorted(scope)), total
+
+    def _why_no_scope(self) -> str:
+        """Why :meth:`_select_scope` found nothing to migrate."""
+        observed = self.monitor.observed_partition_counts()
+        if self._current.keys().isdisjoint(observed):
+            # E.g. a fold rewrote every partition of the plan under fresh pids.
+            return (
+                f"the window observed {len(observed)} partitions and none "
+                "of them is in the daemon's plan"
+            )
+        return (
+            "no observed partition fits the "
+            f"{self.config.bytes_budget_per_cycle}-byte cycle budget"
+        )
 
     # -------------------------------------------------------------- cycle
 
@@ -257,12 +269,7 @@ class AdaptiveDaemon:
         if not scope:
             self.stats.n_skipped += 1
             return CycleReport(
-                fired=False,
-                reason=(
-                    "no observed partition fits the "
-                    f"{self.config.bytes_budget_per_cycle}-byte cycle budget"
-                ),
-                drift=drift,
+                fired=False, reason=self._why_no_scope(), drift=drift,
                 catalog_version=version,
             )
 
@@ -326,9 +333,8 @@ class AdaptiveDaemon:
         )
 
     def _execute(self, plan: MigrationPlan) -> None:
-        self.repartitioner.execute(
-            plan, self.manager, self.data, verify=self.config.verify_swaps
-        )
+        # Staged partitions are read back and verified before the commit.
+        self.repartitioner.execute(plan, self.manager, self.data)
         for pid in plan.scope_pids:
             del self._current[pid]
         for partition in plan.new_partitions:

@@ -9,26 +9,32 @@ It owns **construction** (a driver declares its keyword options in
 ``rebind(meta)``, ``plan``/``explain``) and, for every driver, the
 **execute scaffold**: pin a catalog view (unless the caller handed one) →
 plan against it → read pipeline (a reader *configured from*
-``plan.policy``) → the driver's :meth:`_select` and :meth:`_project`
+``plan.chunk_size``) → the driver's :meth:`_select` and :meth:`_project`
 phases → complete result or error → price → publish → release the pin.
 A partition that stays unreadable after the manager's retries fails the
 query: its :class:`~repro.errors.PartitionUnreadableError` (``pid``,
 ``io_delta``) leaves ``execute`` as raised, with the pin released.  The
 view is the request's whole catalog: nothing below the root asks the live
-manager for metadata.  The chunking policy is stated once, in the plan; a
+manager for metadata.  The chunk size is stated once, in the plan; a
 driver never hands it to a collaborator itself.  The threaded drivers
 schedule their phases' work on threads; the phases, the result and the
 stats shape are this one.
 
-Two phase bodies are shared by drivers: :func:`run_selection`, the
-selection loop over the predicate partitions, and :func:`projection_loop`,
-Algorithm 5's projection probe (the partitions holding the selected
-tuples' missing cells, one tuple-level probe per owner map).
+Every engine reads a partition one way,
+:meth:`PlanReader.load_run <repro.plan.operators.PlanReader.load_run>`:
+in runs of plan order, a pool hit answered there and nowhere else.  Two
+phase bodies are shared by drivers: :func:`run_selection`, the selection
+loop over the predicate partitions, handing each stretch of plan order
+between pruned pids to the reader and the driver's ``process`` one run at
+a time, and :func:`projection_loop`, Algorithm 5's projection probe (the
+partitions holding the selected tuples' missing cells, one tuple-level
+probe per owner map).
 """
 
 from __future__ import annotations
 
 import time
+from itertools import groupby
 from typing import (
     Any,
     Callable,
@@ -59,7 +65,6 @@ from ..storage.physical import PhysicalPartition
 
 __all__ = [
     "QueryEngine", "QueryRun", "count_prunes", "projection_loop", "run_selection",
-    "selection_reads",
 ]
 
 
@@ -102,7 +107,7 @@ class QueryEngine:
         }
         vars(self).update(self.options)
         self.planner = QueryPlanner(
-            manager, table, policy=self.policy,
+            manager, policy=self.policy,
             partition_cache=self.partition_cache, **self._planning(),
         )
 
@@ -125,9 +130,8 @@ class QueryEngine:
         )
 
     def rebind(self, meta: TableMeta) -> None:
-        """Point the engine and its planner at the grown table meta."""
+        """Point the engine at the grown table meta."""
         self.table = meta
-        self.planner.table = meta
 
     def plan(self, query: Query) -> PhysicalPlan:
         """The physical plan ``execute`` would drive (no I/O)."""
@@ -162,9 +166,7 @@ class QueryEngine:
             tracer := obs_tracer()
         ).phase("exec.query", stats, cpu_model=cpu_model, engine=self.name):
             plan = self.planner.plan(query, snapshot=snapshot)
-            reader = PlanReader(
-                self.manager, stats, chunk_size=plan.policy.chunk_size
-            )
+            reader = PlanReader(self.manager, stats, plan.chunk_size)
             run = QueryRun(plan, reader, stats)
             with tracer.phase("exec.selection", stats, cpu_model=cpu_model):
                 select_op = self._select(run)
@@ -207,49 +209,44 @@ def count_prunes(
     stats.n_partitions_cache_pruned += len(verdict.cached.intersection(pids))
 
 
-def selection_reads(
-    plan: PhysicalPlan, select_op: SelectOp, stats: ExecutionStats
-) -> Tuple[int, ...]:
-    """The selection pids a selection loop visits, in plan order.  Under
-    the hit-only form no other selection segment reaches a pruned
-    partition's tuples, so its pid never enters the loop: the prunes are
-    counted here, at once."""
-    pids = plan.selection_pids()
-    pruned = plan.verdict.pruned
-    if select_op.hit_only and pruned:
-        count_prunes(plan, [pid for pid in pids if pid in pruned], stats)
-        pids = tuple(pid for pid in pids if pid not in pruned)
-    return pids
-
-
 def run_selection(
     plan: PhysicalPlan,
     reader: PlanReader,
     select_op: SelectOp,
     stats: ExecutionStats,
-    process: Callable[[int, PhysicalPartition], None],
+    process: Callable[[Sequence[int], List[PhysicalPartition]], None],
 ) -> int:
-    """Drive a selection phase: every surviving predicate partition in plan
-    order (:func:`selection_reads`), ``process`` on each one read, and a
-    pruned one's verdict applied from the catalog alone.  Returns the VALID
-    tuples the verdicts evicted."""
+    """Drive a selection phase over the predicate partitions, in plan
+    order: each stretch between pruned pids goes to
+    :meth:`PlanReader.load_run`, and ``process(pids, partitions)`` runs once
+    per run it loads; a pruned partition's verdict is applied from the
+    catalog alone.  Under the hit-only form no other selection segment
+    reaches a pruned partition's tuples, so its pid never enters the loop:
+    those prunes are counted at once.  Returns the VALID tuples the
+    verdicts evicted."""
     logical = plan.logical
     pruned = plan.verdict.pruned
+    pids = plan.selection_pids()
+    if select_op.hit_only and pruned:
+        count_prunes(plan, [pid for pid in pids if pid in pruned], stats)
+        pids = tuple(pid for pid in pids if pid not in pruned)
     evictions = 0
-    for pid in selection_reads(plan, select_op, stats):
-        if pid in pruned:
-            # The partition policy refutes the predicate attributes stored
-            # here; under the scan policy one refuted predicate excludes
-            # every tuple with a predicate cell here, whatever its other
-            # cells say.
+    for is_pruned, group in groupby(pids, pruned.__contains__):
+        stretch = tuple(group)
+        if not is_pruned:
+            for run, partitions in reader.load_run(stretch):
+                process(run, partitions)
+            continue
+        # The partition policy refutes the predicate attributes stored
+        # here; under the scan policy one refuted predicate excludes every
+        # tuple with a predicate cell here, whatever its other cells say.
+        for pid in stretch:
             info = plan.snapshot.info(pid)
             attributes = logical.predicate_attributes
             if logical.policy == POLICY_PARTITION:
                 attributes = attributes & info.attributes
             evictions += select_op.invalidate(info, attributes)
-            count_prunes(plan, (pid,), stats)
-            continue
-        process(pid, reader.load(pid))
+        count_prunes(plan, stretch, stats)
     return evictions
 
 

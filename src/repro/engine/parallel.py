@@ -14,9 +14,13 @@ Two deliverables live here:
    bucket (L) or their own tid range (S) at a time, and projection threads
    fill disjoint shares of the scaffold's ``ProjectFillOp`` — from the
    partitions the selection loaded, then from those
-   :func:`~repro.engine.base.projection_loop` names.  Each worker accounts
-   its reads in its own ``ExecutionStats``, the coordinator (projection
-   loads) in another; the stats ``execute`` returns are their exact sum.
+   :func:`~repro.engine.base.projection_loop` names.  A worker loads each
+   pid it pops as a one-pid run
+   (:meth:`~repro.plan.operators.PlanReader.load_run`) and the coordinator
+   the projection's pids as runs, with no load lock: the device, pool,
+   fault store and catalog each hold their own.  Each worker accounts its
+   reads in its own ``ExecutionStats``, the coordinator (projection loads)
+   in another; the stats ``execute`` returns are their exact sum.
    An exception a worker raises — a partition that stays unreadable, say
    — ends the phase: its peers finish (a shared-scan barrier is broken
    so none waits for ever), and once every thread has ended the first
@@ -37,7 +41,7 @@ import contextvars
 import threading
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,16 +68,15 @@ N_BUCKETS = 64
 
 
 class _Selection(SelectOp):
-    """One execution's selection state plus what its projection reuses:
-    the partitions the selection loaded (line 16's stash) and the call's
+    """One execution's selection state — its ``loaded`` partitions are
+    line 16's stash, which the projection reuses — plus the call's
     ledgers."""
 
-    __slots__ = ("loaded", "workers", "coordinator")
+    __slots__ = ("workers", "coordinator")
 
     def __init__(self, conjunction: Conjunction, projected: Tuple[str, ...],
                  n_tuples: int, hidden: Optional[np.ndarray], n_threads: int):
         super().__init__(conjunction, projected, n_tuples, hidden)
-        self.loaded: Dict[int, PhysicalPartition] = {}
         self.workers = [ExecutionStats() for _ in range(n_threads)]
         self.coordinator = ExecutionStats()
 
@@ -86,6 +89,12 @@ class _Selection(SelectOp):
 
 
 _FIELD_NAMES = tuple(spec.name for spec in fields(ExecutionStats))
+
+
+def _load_one(reader: PlanReader, pid: int) -> PhysicalPartition:
+    """Load the pid a worker popped, as a one-pid run."""
+    [(_run, [partition])] = reader.load_run((pid,))
+    return partition
 
 
 def _masks(
@@ -138,9 +147,8 @@ class ThreadedPartitionEngine(QueryEngine):
         if not conjunction:
             select_op.select_all()
             return select_op
-        load_lock = threading.Lock()
         readers = [
-            PlanReader(self.manager, ledger, lock=load_lock)
+            PlanReader(self.manager, ledger, plan.chunk_size)
             for ledger in select_op.workers
         ]
         if self.strategy == "locking":
@@ -165,7 +173,7 @@ class ThreadedPartitionEngine(QueryEngine):
                     if not queue or stop.is_set():
                         return
                     pid = queue.popleft()
-                partition = readers[thread_id].load(pid)
+                partition = _load_one(readers[thread_id], pid)
                 select_op.loaded[pid] = partition
                 for tids, passing in _masks(conjunction, partition):
                     buckets = tids % N_BUCKETS
@@ -192,7 +200,7 @@ class ThreadedPartitionEngine(QueryEngine):
                     if not load_queue or stop.is_set():
                         break
                     index, pid = load_queue.popleft()
-                partitions[index] = readers[thread_id].load(pid)
+                partitions[index] = _load_one(readers[thread_id], pid)
             barrier.wait()
             for partition in partitions:
                 for tids, passing in _masks(conjunction, partition):
@@ -214,9 +222,11 @@ class ThreadedPartitionEngine(QueryEngine):
         select_op = fill_op.select
         assert isinstance(select_op, _Selection)
         self._fill(fill_op, list(select_op.loaded.values()))
-        reader = PlanReader(self.manager, select_op.coordinator)
+        reader = PlanReader(self.manager, select_op.coordinator, plan.chunk_size)
         self._fill(fill_op, [
-            reader.load(pid) for pid in projection_loop(plan, fill_op)
+            partition
+            for _run, partitions in reader.load_run(projection_loop(plan, fill_op))
+            for partition in partitions
         ])
         select_op.tally(stats)
         self.worker_stats = select_op.workers

@@ -18,7 +18,11 @@ Reads are charged per partition, in plan order, answered as a run
 (:meth:`~repro.plan.operators.PlanReader.load_run`: one pool call per run
 of resident pids, each miss through the shared read pipeline), so every
 charge, pool hit, LRU move and visibility mask is what the paper's loop
-would meet; a partition that stays unreadable fails the query.
+would meet; a partition that stays unreadable fails the query.  Both
+forms of the selection share one loop
+(:func:`~repro.engine.base.run_selection`): each run is filed as it
+loads, and the full form evaluates it partition by partition, in plan
+order, while the visit-once form evaluates once every run is in.
 Evaluation is not per partition either: Jigsaw's partitions share a
 handful of segment schemas, and the engine evaluates over the
 schema-group image (:mod:`repro.storage.image`) — under the visit-once
@@ -51,9 +55,7 @@ from ..plan.operators import (
     ProjectFillOp,
 )
 from ..plan.stats import CpuModel
-from .base import (
-    QueryEngine, QueryRun, projection_loop, run_selection, selection_reads,
-)
+from .base import QueryEngine, QueryRun, projection_loop, run_selection
 
 __all__ = [
     "STATUS_NOT_CHECKED",
@@ -93,26 +95,25 @@ class PartitionAtATimeExecutor(QueryEngine):
         if not plan.logical.conjunction:
             stats.hash_inserts += select_op.select_all()
             return select_op
-        if select_op.hit_only:  # no order to keep: one mask per group
-            pids = selection_reads(plan, select_op, stats)
-            for run_pids, partitions in reader.load_run(pids):
-                stats.cells_scanned += select_op.add_run(run_pids, partitions, True)
-            inserts, stashed = select_op.select_groups()
-            stats.hash_inserts += inserts
-            stats.hash_updates += stashed
-            return select_op
 
-        def process(pid: int, partition) -> None:
-            stats.cells_scanned += select_op.add_run((pid,), [partition], True)
-            inserts, evictions, stashed = select_op.select(partition)
-            stats.hash_inserts += inserts
-            stats.hash_updates += evictions + stashed
+        def process(pids, partitions) -> None:
+            stats.cells_scanned += select_op.add_run(pids, partitions, True)
+            if select_op.hit_only:  # no order to keep: one mask per group
+                return
+            for partition in partitions:
+                inserts, evictions, stashed = select_op.select(partition)
+                stats.hash_inserts += inserts
+                stats.hash_updates += evictions + stashed
 
         # A pruned partition's verdict evicts hash-table rows as the read
         # would have.  (``+= run_selection(...)`` would read the counter
         # before ``process`` advances it.)
         evicted = run_selection(plan, reader, select_op, stats, process)
         stats.hash_updates += evicted
+        if select_op.hit_only:
+            inserts, stashed = select_op.select_groups()
+            stats.hash_inserts += inserts
+            stats.hash_updates += stashed
         return select_op
 
     # ------------------------------------------------------------ phase 2

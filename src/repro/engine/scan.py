@@ -11,9 +11,11 @@ table was materialized, not in how a conjunctive scan query must be answered:
   projected columns; ``row_major=False`` charges materialized selection
   vectors instead.
 
-The driver owns what is the scan engine's own: the list-driven gather over
-within-query working memory, and its counter rule (``row_major`` iterator
-overhead vs ``materialized_bytes`` selection vectors).  Everything around
+The driver owns what is the scan engine's own: the list-driven gather —
+from the partitions its selection loaded, kept by pid in within-query
+working memory, then from the rest, read as runs — and its counter rule
+(``row_major`` iterator overhead vs ``materialized_bytes`` selection
+vectors).  Everything around
 that — construction, planning (:class:`~repro.plan.physical.QueryPlanner`
 under the scan pruning policy: a partition whose zone refutes *any*
 predicate cannot contribute a qualifying tuple), the read pipeline (where
@@ -28,7 +30,7 @@ reason that advantage decays as query templates multiply.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..plan.logical import POLICY_SCAN
 from ..plan.operators import ProjectFillOp, SelectOp
@@ -58,11 +60,6 @@ class ScanExecutor(QueryEngine):
         """Evaluate the predicates partition by partition into the status
         vector: VALID = passed every predicate cell read, none refuted."""
         plan, reader, stats = run
-        # Within-query working memory: a partition first loaded for the
-        # selection phase decodes further columns on demand when the
-        # gather phase revisits it, so the reuse stays sound under lazy
-        # loads.
-        reader.cache = {}
         conjunction = plan.logical.conjunction
         # Predicates only: the gather phase revisits partitions for their
         # projected cells, so nothing is stashed.
@@ -76,15 +73,21 @@ class ScanExecutor(QueryEngine):
             return select_op
         predicate_attributes = conjunction.attributes
 
-        def process(pid: int, partition) -> None:
-            for segment in partition.segments:
-                n_tuples = len(segment.tuple_ids)
-                if self.row_major:
-                    stats.tuples_iterated += n_tuples
-                stats.cells_scanned += n_tuples * sum(
-                    name in predicate_attributes for name in segment.attributes
-                )
-            select_op.select(partition)
+        def process(pids, partitions) -> None:
+            for pid, partition in zip(pids, partitions):
+                # Within-query working memory: a partition first loaded for
+                # the selection phase decodes further columns on demand when
+                # the gather phase revisits it, so the reuse stays sound
+                # under lazy loads.
+                select_op.loaded[pid] = partition
+                for segment in partition.segments:
+                    n_tuples = len(segment.tuple_ids)
+                    if self.row_major:
+                        stats.tuples_iterated += n_tuples
+                    stats.cells_scanned += n_tuples * sum(
+                        name in predicate_attributes for name in segment.attributes
+                    )
+                select_op.select(partition)
 
         run_selection(plan, reader, select_op, stats, process)
         if not self.row_major:
@@ -96,22 +99,26 @@ class ScanExecutor(QueryEngine):
         return select_op
 
     def _project(self, run: QueryRun, fill_op: ProjectFillOp) -> None:
-        """Gather the projected cells of the selected tuples."""
+        """Gather the projected cells of the selected tuples: from the
+        partitions the selection loaded, then from the rest, read as runs."""
         plan, reader, stats = run
-        loaded = reader.cache
-        assert loaded is not None
+        loaded = fill_op.select.loaded
+        unread: List[int] = []
         for pid in plan.projection_pids():
-            if pid in loaded:
+            partition = loaded.get(pid)
+            if partition is not None:
                 # Loaded for the selection phase; when no tuple here
                 # survived it, re-scanning would gather nothing.  Not
                 # counted as a skip — no read was avoided.
-                if not fill_op.touches(plan.snapshot.info(pid)):
-                    continue
+                if fill_op.touches(plan.snapshot.info(pid)):
+                    stats.cells_gathered += fill_op.fill(partition)
             elif plan.pruned(pid):
                 count_prunes(plan, (pid,), stats)
-                continue
             elif not fill_op.touches(plan.snapshot.info(pid)):
                 # No selected tuple lives here: nothing to gather.
                 stats.n_partitions_skipped += 1
-                continue
-            stats.cells_gathered += fill_op.fill(reader.load(pid))
+            else:
+                unread.append(pid)
+        for _run, partitions in reader.load_run(unread):
+            for partition in partitions:
+                stats.cells_gathered += fill_op.fill(partition)

@@ -58,14 +58,13 @@ from .operators import (
     SelectOp,
     finalize_stats,
 )
-from .physical import AccessPolicy, PartitionAccess, PhysicalPlan, QueryPlanner
+from .physical import PartitionAccess, PhysicalPlan, QueryPlanner
 from .predicates import Conjunction, RangePredicate
 from .result import ResultSet
 from .stats import CpuModel, ExecutionStats
 
 __all__ = [
     "AccessExplain",
-    "AccessPolicy",
     "AggSpec",
     "Catalog",
     "ColumnRef",

@@ -6,12 +6,12 @@ executors are now thin drivers that schedule these operators (serially,
 under bucket locks, or behind a shared-scan barrier) without
 re-implementing them:
 
-* :class:`PlanReader` — the partition-open/accounting preamble: load
-  through the manager, fold the I/O delta into ``ExecutionStats``, count the
-  read, reuse within-query working memory, and serialize loads under a
-  lock for threaded drivers; or (:meth:`PlanReader.load_run`) answer a run
-  of resident pids with one pool call, charged as that many reads.  A
-  partition that stays unreadable after the manager's retries raises
+* :class:`PlanReader` — the partition-open/accounting preamble and the
+  one way an engine reads a partition (:meth:`PlanReader.load_run`): a run
+  of plan order, the stretch the pool holds answered by one pool call and
+  charged as that many pool hits, each miss read through the manager and
+  its I/O delta folded into ``ExecutionStats``.  A partition that stays
+  unreadable after the manager's retries raises
   :class:`~repro.errors.PartitionUnreadableError` out of the load, and so
   out of the query: no other partition is read in its place.
 * :class:`SelectOp` / :class:`ProjectFillOp` — the vectorized engine core,
@@ -57,7 +57,6 @@ status transitions the counters price.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -90,49 +89,21 @@ STATUS_INVALID = np.uint8(2)
 
 
 class PlanReader:
-    """The partition-open/accounting preamble, shared by every call site.
+    """The partition-open/accounting preamble, shared by every call site:
+    one execution's (or one thread's) reads, charged to ``stats``.  Every
+    load runs inline, on the thread that evaluates the partition."""
 
-    ``cache`` is optional within-query working memory (the scan engine's
-    selection phase loads may be revisited by its gather phase; a driver
-    whose later phase revisits partitions sets it); ``lock`` serializes
-    loads for threaded drivers (the manager's counters are not
-    thread-safe).  Every load runs inline, on the thread that evaluates
-    the partition.
-    """
-
-    __slots__ = ("manager", "stats", "chunk_size", "cache", "lock")
+    __slots__ = ("manager", "stats", "chunk_size")
 
     def __init__(
         self,
         manager: PartitionManager,
         stats: ExecutionStats,
         chunk_size: Optional[int] = None,
-        cache: Optional[Dict[int, PhysicalPartition]] = None,
-        lock: Optional[threading.Lock] = None,
     ):
         self.manager = manager
         self.stats = stats
         self.chunk_size = chunk_size
-        self.cache = cache
-        self.lock = lock
-
-    def load(self, pid: int) -> PhysicalPartition:
-        """Load one partition, charging this execution's counters."""
-        if self.cache is not None and pid in self.cache:
-            return self.cache[pid]
-        if self.lock is None:
-            partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
-        else:
-            with self.lock:
-                partition, io_delta = self.manager.load(pid, chunk_size=self.chunk_size)
-        if io_delta.n_pool_hits:  # a pool hit charges nothing else
-            self.stats.n_pool_hits += 1
-        else:
-            self.stats.accrue_io(io_delta)
-        self.stats.n_partition_reads += 1
-        if self.cache is not None:
-            self.cache[pid] = partition
-        return partition
 
     def load_run(
         self, pids: Sequence[int]
@@ -140,26 +111,28 @@ class PlanReader:
         """Load ``pids`` in order, yielding ``(run, partitions)``: the
         longest stretch the pool holds, answered by one
         :meth:`~repro.storage.buffer_pool.BufferPool.hit_run` and charged as
-        that many pool hits, or one pid through :meth:`load` (a miss, or any
-        pid of a reader with a lock or a cache).  Each run is charged before
-        the next miss is read, so a load that raises leaves every counter as
-        the per-pid loop would."""
+        that many pool hits, or the one pid that ended it, read through
+        :meth:`PartitionManager.load
+        <repro.storage.partition_manager.PartitionManager.load>`.  Each run
+        is charged before the next miss is read, so a load that raises
+        leaves every counter as a pid-by-pid loop would."""
         pool = self.manager.buffer_pool
-        if pool is None or self.lock is not None or self.cache is not None:
-            for index, pid in enumerate(pids):
-                yield pids[index:index + 1], [self.load(pid)]
-            return
         stats = self.stats
         index = 0
         while index < len(pids):
-            run = pool.hit_run(pids, index)
+            run = pool.hit_run(pids, index) if pool is not None else []
             if run:
                 stats.n_pool_hits += len(run)
                 stats.n_partition_reads += len(run)
                 yield pids[index:index + len(run)], run
                 index += len(run)
             if index < len(pids):
-                yield pids[index:index + 1], [self.load(pids[index])]
+                partition, io_delta = self.manager.load(
+                    pids[index], chunk_size=self.chunk_size
+                )
+                stats.accrue_io(io_delta)
+                stats.n_partition_reads += 1
+                yield pids[index:index + 1], [partition]
                 index += 1
 
 
@@ -213,7 +186,7 @@ class SelectOp(_ProjectingOp):
     cell elsewhere."""
 
     __slots__ = ("conjunction", "status", "hit_only", "refuted", "hides",
-                 "hits", "_n_hits")
+                 "hits", "_n_hits", "loaded")
 
     def __init__(
         self,
@@ -235,6 +208,9 @@ class SelectOp(_ProjectingOp):
         #: hit tids while they are the VALID set (not past 1/16)
         self.hits: Optional[List[np.ndarray]] = [np.empty(0, np.intp)] if hit_only else None
         self._n_hits = 0
+        #: partitions this query loaded, by pid, that a later phase reuses
+        #: (the driver files them).
+        self.loaded: Dict[int, PhysicalPartition] = {}
 
     def select_all(self) -> int:
         """No WHERE clause: every tuple a base scan may return turns VALID
@@ -470,7 +446,7 @@ class GroupSelectOp(SelectOp):
     transitions.  Every counter comes in closed form from slot lengths and
     hit counts, as the paper's loop would have counted them."""
 
-    __slots__ = ("pool", "image", "loaded", "slots", "evaluated", "_epoch")
+    __slots__ = ("pool", "image", "slots", "evaluated", "_epoch")
 
     def __init__(self, conjunction: Conjunction, projected: Tuple[str, ...],
                  n_tuples: int, hidden: Optional[np.ndarray], hit_only: bool,
@@ -480,7 +456,6 @@ class GroupSelectOp(SelectOp):
         self.image = pool.image if pool is not None else SchemaImage()
         #: an epoch no later than every admission of this query's slots
         self._epoch = self.image.epoch
-        self.loaded: Dict[int, PhysicalPartition] = {}
         self.slots: Dict[int, Tuple[ImageSlot, ...]] = {}
         #: selection pids whose segments were evaluated, in load order.
         self.evaluated: List[int] = []

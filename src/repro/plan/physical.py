@@ -1,4 +1,4 @@
-"""The physical plan: pid lists, pushdown column sets and the access policy.
+"""The physical plan: pid lists, pushdown column sets and the read chunk size.
 
 The second planning layer.  A :class:`PhysicalPlan` is plain data:
 
@@ -6,11 +6,11 @@ The second planning layer.  A :class:`PhysicalPlan` is plain data:
   storing a predicate / a projected attribute; ascending pid is
   deterministic, and the order the simulated OS cache accounting is
   calibrated to) and the two **projection-pushdown column sets**;
-* the **access policy** (:class:`AccessPolicy`): the read chunk size.  The
-  policy is stated once, here: the engine scaffold configures its reader
-  from ``plan.policy`` and nothing else.  (The retry budget is the
-  manager's :class:`~repro.storage.faults.RetryPolicy`, enforced and
-  reported there.)
+* the **read chunk size** (``chunk_size``), stated once, here: the engine
+  scaffold configures its reader from ``plan.chunk_size`` and nothing
+  else.  (The retry budget is the manager's
+  :class:`~repro.storage.faults.RetryPolicy`, enforced and reported
+  there.)
 * the **visit-once verdict** (``visits_once``): the catalog proves the
   selection phase reaches each tuple in one segment, so Algorithm 5 may
   write a status for the passing tuples only; under it, ``zone_refuted``
@@ -37,7 +37,6 @@ from typing import Callable, Optional, Tuple
 
 from ..core.cost import estimate_access_io
 from ..core.query import Query
-from ..core.schema import TableMeta
 from ..obs import tracer as obs_tracer
 from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 from .explain import AccessExplain, ExplainReport
@@ -49,16 +48,7 @@ from .logical import (
     refuted_zones,
 )
 
-__all__ = ["AccessPolicy", "PartitionAccess", "PhysicalPlan", "QueryPlanner"]
-
-
-@dataclass(frozen=True, slots=True)
-class AccessPolicy:
-    """How an execution reads, as plan properties the engine scaffold
-    enforces: ``chunk_size`` is the read granularity of loads.
-    """
-
-    chunk_size: Optional[int] = None
+__all__ = ["PartitionAccess", "PhysicalPlan", "QueryPlanner"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +62,10 @@ class PartitionAccess:
 
 
 class PhysicalPlan:
-    """Pid lists + pushdown + policy for one query on one pinned view."""
+    """Pid lists + pushdown + chunk size for one query on one pinned view."""
 
     __slots__ = (
-        "logical", "policy", "selection_columns", "projection_columns",
+        "logical", "chunk_size", "selection_columns", "projection_columns",
         "snapshot", "catalog_version", "visits_once", "zone_refuted",
         "verdict", "_selection_pids", "_projection_pids", "_estimates",
     )
@@ -83,7 +73,7 @@ class PhysicalPlan:
     def __init__(
         self,
         logical: LogicalPlan,
-        policy: AccessPolicy,
+        chunk_size: Optional[int],
         selection_pids: Tuple[int, ...],
         projection_pids: Tuple[int, ...],
         snapshot: CatalogSnapshot,
@@ -93,7 +83,8 @@ class PhysicalPlan:
         verdict: Optional[Verdict] = None,
     ):
         self.logical = logical
-        self.policy = policy
+        #: the read granularity of this execution's loads.
+        self.chunk_size = chunk_size
         self._selection_pids = selection_pids
         self._projection_pids = projection_pids
         self.selection_columns = selection_columns or logical.selection_columns
@@ -234,7 +225,6 @@ class QueryPlanner:
     def __init__(
         self,
         manager: PartitionManager,
-        table: TableMeta,
         policy: str = POLICY_PARTITION,
         pruning: bool = False,
         chunk_size: Optional[int] = None,
@@ -242,12 +232,11 @@ class QueryPlanner:
         partition_cache=None,
     ):
         self.manager = manager
-        self.table = table
         self.policy = policy
         self.pruning = pruning
         self.observer = observer
         self.partition_cache = partition_cache
-        self.access_policy = AccessPolicy(chunk_size=chunk_size)
+        self.chunk_size = chunk_size
 
     def logical_plan(self, query: Query) -> LogicalPlan:
         return LogicalPlan(query, policy=self.policy, pruning=self.pruning)
@@ -314,7 +303,7 @@ class QueryPlanner:
                     verdict, cached=frozenset(pred_pids + proj_pids)
                 ))
         plan = PhysicalPlan(
-            logical, self.access_policy, pred_pids, proj_pids, view,
+            logical, self.chunk_size, pred_pids, proj_pids, view,
             visits_once, frozenset(zones[0]) if zones else frozenset(),
             verdict=verdict,
         )

@@ -125,7 +125,6 @@ class ExecutionStats:
         self.io_time_s += delta.io_time_s
         self.bytes_read += delta.bytes_read
         self.n_cache_hits += delta.n_cache_hits
-        self.n_pool_hits += delta.n_pool_hits
         self.n_retries += delta.n_retries
 
     def charge_cpu(self, model: CpuModel) -> None:

@@ -12,12 +12,14 @@ Accounting composes with the device model as follows:
 
 * **pool miss** — the read is charged through the simulated device exactly as
   without a pool (the simulated OS cache still applies), the partition is
-  decoded, and the result is inserted into the pool.
-* **pool hit** — neither simulated I/O nor decode work happens; the hit is
-  reported through ``IOStats.n_pool_hits`` / ``pool_hit_bytes`` so engines
-  can surface it in ``ExecutionStats``.  :meth:`BufferPool.hit_run`
-  answers a run of resident pids under one lock acquisition, refreshed and
-  counted as one :meth:`~BufferPool.hit` each.
+  decoded, and :meth:`PartitionManager.load
+  <repro.storage.partition_manager.PartitionManager.load>` admits the result.
+* **pool hit** — neither simulated I/O nor decode work happens.  Hits are
+  answered in one place, :meth:`BufferPool.hit_run`: a run of resident pids
+  under one lock acquisition, each refreshed and counted, and the pid that
+  ends the run counted as the miss its load is.  The engine's reader
+  (:meth:`PlanReader.load_run <repro.plan.operators.PlanReader.load_run>`)
+  counts the hits in ``ExecutionStats.n_pool_hits``.
 
 Eviction is LRU, bounded by ``capacity_bytes`` of *file* bytes (the
 serialized size is the natural budget unit: it is what the catalog already
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .image import ImageSlot, SchemaImage
-from .io_stats import IOStats
 from .physical import PhysicalPartition
 
 __all__ = ["BufferPool", "BufferPoolStats"]
@@ -67,11 +68,10 @@ class BufferPoolStats:
 
 
 class _Entry:
-    __slots__ = ("hit", "n_bytes")
+    __slots__ = ("partition", "n_bytes")
 
     def __init__(self, partition: PhysicalPartition, n_bytes: int):
-        #: what every hit returns: the partition and its (read-only) delta.
-        self.hit = (partition, IOStats(n_pool_hits=1, pool_hit_bytes=n_bytes))
+        self.partition = partition
         self.n_bytes = n_bytes
 
 
@@ -90,40 +90,22 @@ class BufferPool:
 
     # ------------------------------------------------------------- lookups
 
-    def get(self, pid: int) -> Optional[PhysicalPartition]:
-        """Return the cached partition (refreshing LRU order) or ``None``."""
-        hit = self.hit(pid)
-        return None if hit is None else hit[0]
-
-    def hit(self, pid: int) -> Optional[Tuple[PhysicalPartition, IOStats]]:
-        """:meth:`get`, returning ``(partition, delta)`` on a hit: the delta
-        a read served by the pool charges (one pool hit of the entry's
-        bytes), built once per entry and shared — never mutate it."""
-        with self._lock:
-            entry = self._entries.get(pid)
-            if entry is None:
-                self.stats.n_misses += 1
-                return None
-            self._entries.move_to_end(pid)
-            self.stats.n_hits += 1
-            self.stats.hit_bytes += entry.n_bytes
-            return entry.hit
-
     def hit_run(self, pids: Sequence[int], start: int = 0) -> List[PhysicalPartition]:
         """The partitions of the longest run of resident pids from
-        ``pids[start]`` on, under one lock acquisition: each refreshed and
-        counted as :meth:`hit` would, in order.  The first pid not resident
-        ends the run uncounted (its load counts the miss)."""
+        ``pids[start]`` on, under one lock acquisition: each refreshed (moved
+        to the MRU end) and counted as a hit of its bytes, in order.  The
+        first pid not resident ends the run and counts as a miss."""
         run: List[PhysicalPartition] = []
         with self._lock:
             entries, stats = self._entries, self.stats
             for index in range(start, len(pids)):
                 entry = entries.get(pids[index])
                 if entry is None:
+                    stats.n_misses += 1
                     break
                 entries.move_to_end(pids[index])
                 stats.hit_bytes += entry.n_bytes
-                run.append(entry.hit[0])
+                run.append(entry.partition)
             stats.n_hits += len(run)
         return run
 
@@ -183,7 +165,7 @@ class BufferPool:
         pool refused, evicted or replaced has no slots to keep)."""
         with self._lock:
             entry = self._entries.get(pid)
-            if entry is None or entry.hit[0] is not partition:
+            if entry is None or entry.partition is not partition:
                 return None
             return self.image.attach(partition)
 

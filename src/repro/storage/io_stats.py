@@ -13,11 +13,10 @@ class IOStats:
 
     ``bytes_read`` / ``io_time_s`` only count reads that actually hit the
     (simulated) device; cache hits are tracked separately so the warm-data
-    experiment can distinguish the two.  ``n_pool_hits`` / ``pool_hit_bytes``
-    count reads served entirely from the deserialized-partition buffer pool —
-    those charge neither simulated device time nor (real) decode work.
-    ``n_retries`` counts extra read attempts after storage faults; their
-    simulated backoff is folded into ``io_time_s``.
+    experiment can distinguish the two.  A read the buffer pool serves never
+    reaches the device: its hits are the pool's own counters.  ``n_retries``
+    counts extra read attempts after storage faults; their simulated backoff
+    is folded into ``io_time_s``.
     """
 
     n_reads: int = 0
@@ -25,8 +24,6 @@ class IOStats:
     io_time_s: float = 0.0
     n_cache_hits: int = 0
     cache_hit_bytes: int = 0
-    n_pool_hits: int = 0
-    pool_hit_bytes: int = 0
     n_retries: int = 0
     n_writes: int = 0
     bytes_written: int = 0

@@ -461,16 +461,19 @@ class PartitionManager:
     def load(
         self, pid: int, chunk_size: int | None = None
     ) -> Tuple[PhysicalPartition, "IOStats"]:
-        """Read a partition file, charging simulated device time.
+        """Read a partition file from the store, charging simulated device
+        time, and admit it to the buffer pool.
 
-        Returns ``(partition, io_delta)`` where ``io_delta`` holds exactly
-        what this read cost: bytes and simulated seconds when it reached the
-        device, a cache hit when the simulated OS buffer cache served it, or
-        a pool hit when the buffer pool held the deserialized partition (no
-        device charge, no decode work).  The file is decoded under its
-        catalog entry, and a cell decodes on first access — so a pooled
-        partition serves any later projection.  The whole file is charged on
-        a device read: the row-major format offers no byte-level skip.
+        The store read only: a pool hit is answered before this is called
+        (:meth:`PlanReader.load_run
+        <repro.plan.operators.PlanReader.load_run>`).  Returns ``(partition,
+        io_delta)`` where ``io_delta`` holds exactly what this read cost:
+        bytes and simulated seconds when it reached the device, or a cache
+        hit when the simulated OS buffer cache served it.  The file is
+        decoded under its catalog entry, and a cell decodes on first access
+        — so a pooled partition serves any later projection.  The whole file
+        is charged on a device read: the row-major format offers no
+        byte-level skip.
 
         Reads are fault tolerant: a failed fetch or a corrupt file (bad
         magic, truncation, checksum mismatch) is retried up to
@@ -481,13 +484,6 @@ class PartitionManager:
         stale object can never be served after a failed refresh.
         """
         pool = self.buffer_pool
-        if pool is not None:
-            # One lookup: a resident partition returns before the catalog
-            # and the retry/CRC scaffold (a swap or prune that drops a pid's
-            # entry drops it from the pool too).
-            hit = pool.hit(pid)
-            if hit is not None:
-                return hit
         info = self.info(pid)
         policy = self.retry_policy
         delta = IOStats()

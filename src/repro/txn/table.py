@@ -71,7 +71,6 @@ class TransactionalTable:
         layout,
         data: ColumnTable,
         wal_enabled: bool = True,
-        wal_prefix: str = "wal/",
     ):
         self.layout = layout
         self.manager = layout.manager
@@ -80,7 +79,6 @@ class TransactionalTable:
             WriteAheadLog(
                 self.manager.store,
                 data.schema,
-                key_prefix=wal_prefix,
                 retry_policy=self.manager.retry_policy,
             )
             if wal_enabled else None

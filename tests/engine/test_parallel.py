@@ -16,7 +16,16 @@ from repro.engine.parallel import (
 )
 from repro.layouts import BuildContext, IrregularLayout
 from repro.plan.operators import PlanReader
-from repro.storage import BALOS_HDD, EBS_IO1, ColumnTable, DeviceProfile
+from repro.storage import (
+    BALOS_HDD,
+    EBS_IO1,
+    BufferPool,
+    ColumnTable,
+    DeviceProfile,
+    FaultConfig,
+    FaultInjectingBlobStore,
+    RetryPolicy,
+)
 from repro.testing.snapshot import iter_snapshot_cases
 
 
@@ -79,12 +88,12 @@ class TestThreadedEngines:
         )
         query = queries[0]
         victim = engine.plan(query).selection_pids()[0]
-        load = PlanReader.load
+        load_run = PlanReader.load_run
 
-        def failing(reader, pid):
-            if pid == victim:
-                raise RuntimeError(f"worker step failed on p{pid}")
-            return load(reader, pid)
+        def failing(reader, pids):
+            if victim in pids:
+                raise RuntimeError(f"worker step failed on p{victim}")
+            return load_run(reader, pids)
 
         barriers = []
 
@@ -93,7 +102,7 @@ class TestThreadedEngines:
                 super().__init__(*args, **kwargs)
                 barriers.append(self)
 
-        monkeypatch.setattr(PlanReader, "load", failing)
+        monkeypatch.setattr(PlanReader, "load_run", failing)
         monkeypatch.setattr(threading, "Barrier", Recorded)
         raised = []
 
@@ -123,6 +132,10 @@ def fragmented():
     trained on three narrow templates, built as ``IrregularLayout`` under a
     16 KiB pool (46 partitions, multi-segment ones among them), and 12
     seeded queries over it."""
+    return _fragmented_build()
+
+
+def _fragmented_build():
     rng = np.random.default_rng(0)
     names = [f"a{i}" for i in range(1, 25)]
     table = ColumnTable.build("T", TableSchema.uniform(names), {
@@ -200,16 +213,16 @@ def test_a_failed_load_stops_the_selection_queue(fragmented, strategy, monkeypat
     pids = engine.plan(query).selection_pids()
     assert len(pids) > 4 * n_threads
     victim = pids[2]
-    load = PlanReader.load
+    load_run = PlanReader.load_run
     calls = []
 
-    def failing(reader, pid):
-        calls.append(pid)
-        if pid == victim:
-            raise RuntimeError(f"load failed on p{pid}")
-        return load(reader, pid)
+    def failing(reader, run):  # a worker loads the pid it pops as a run
+        calls.extend(run)
+        if victim in run:
+            raise RuntimeError(f"load failed on p{victim}")
+        return load_run(reader, run)
 
-    monkeypatch.setattr(PlanReader, "load", failing)
+    monkeypatch.setattr(PlanReader, "load_run", failing)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1.0)
     try:
@@ -218,6 +231,43 @@ def test_a_failed_load_stops_the_selection_queue(fragmented, strategy, monkeypat
     finally:
         sys.setswitchinterval(interval)
     assert len(calls) - calls.index(victim) - 1 <= n_threads
+
+
+def _flaky(manager):
+    """``manager`` reading through a store whose transient errors are a
+    pure function of (key, attempt), under a pool that holds every
+    partition and a retry budget no read of this table exhausts."""
+    manager.store = FaultInjectingBlobStore(
+        manager.store, FaultConfig(transient_error_rate=0.3), seed=3
+    )
+    manager.buffer_pool = BufferPool(1 << 24)
+    manager.retry_policy = RetryPolicy(max_attempts=12)
+    return manager
+
+
+@pytest.mark.parametrize("strategy", ["locking", "shared"])
+def test_eight_threads_over_a_flaky_pool_read_as_the_serial_engine(strategy):
+    """Jigsaw-L/S at eight threads load with no load lock, each popped pid
+    a one-pid run: over a pooled manager whose store injects transient
+    errors, every query returns the serial engine's result, and the
+    threads' summed reads and retries equal the serial engine's on an
+    identical build."""
+    serial_manager, meta, queries = _fragmented_build()
+    threaded_manager, _meta, _queries = _fragmented_build()
+    serial = PartitionAtATimeExecutor(_flaky(serial_manager), meta)
+    threaded = ThreadedPartitionEngine(
+        _flaky(threaded_manager), meta, strategy=strategy, n_threads=8
+    )
+    n_retries = 0
+    for query in queries:
+        expected, want = serial.execute(query)
+        result, got = threaded.execute(query)
+        assert result.equals(expected)
+        assert (got.n_partition_reads, got.n_retries) == (
+            want.n_partition_reads, want.n_retries
+        )
+        n_retries += got.n_retries
+    assert n_retries > 0
 
 
 def test_eight_threads_share_one_status_vector_and_fill_op(fragmented):

@@ -11,23 +11,21 @@ from repro.storage import BufferPool
 
 class TestAccessList:
     def test_accesses_ordered_by_pid(self, zoned_manager, zoned_table, q_two_pred):
-        planner = QueryPlanner(zoned_manager, zoned_table.meta)
+        planner = QueryPlanner(zoned_manager)
         plan = planner.plan(q_two_pred)
         assert plan.selection_pids() == (0, 1)
         assert plan.projection_pids() == (2,)
 
     def test_no_where_plans_projection_only(self, zoned_manager, zoned_table):
         query = Query.build(zoned_table.meta, ["a3"], {})
-        plan = QueryPlanner(zoned_manager, zoned_table.meta).plan(query)
+        plan = QueryPlanner(zoned_manager).plan(query)
         assert plan.selection_pids() == ()
         assert plan.projection_pids() == (2,)
 
     def test_pushdown_columns_attached_to_accesses(
         self, zoned_manager, zoned_table, q_one_pred
     ):
-        planner = QueryPlanner(
-            zoned_manager, zoned_table.meta, policy=POLICY_SCAN
-        )
+        planner = QueryPlanner(zoned_manager, policy=POLICY_SCAN)
         plan = planner.plan(q_one_pred)
         assert all(a.columns == frozenset({"a1"}) for a in plan.selection)
         assert all(a.columns == frozenset({"a3"}) for a in plan.projection)
@@ -37,7 +35,7 @@ class TestAccessList:
     ):
         # Substitute partitions enlisted at runtime are not on the access
         # lists; the plan must still classify them.
-        plan = QueryPlanner(zoned_manager, zoned_table.meta).plan(q_one_pred)
+        plan = QueryPlanner(zoned_manager).plan(q_one_pred)
         assert plan.decision_for(2).decision == PROJECTION_ONLY
 
 
@@ -45,9 +43,7 @@ class TestEstimates:
     def test_healthy_execution_matches_the_bound(
         self, zoned_manager, zoned_table, q_one_pred
     ):
-        planner = QueryPlanner(
-            zoned_manager, zoned_table.meta, policy=POLICY_PARTITION
-        )
+        planner = QueryPlanner(zoned_manager, policy=POLICY_PARTITION)
         plan = planner.plan(q_one_pred)
         # No pruning: both predicate partitions plus the projection-only one.
         assert plan.estimated_partition_reads == 3
@@ -63,9 +59,7 @@ class TestEstimates:
     def test_pruned_accesses_drop_out_of_the_estimate(
         self, zoned_manager, zoned_table, q_one_pred
     ):
-        planner = QueryPlanner(
-            zoned_manager, zoned_table.meta, policy=POLICY_SCAN, pruning=True
-        )
+        planner = QueryPlanner(zoned_manager, policy=POLICY_SCAN, pruning=True)
         plan = planner.plan(q_one_pred)
         # p1 is pruned; p0 (selection) and p2 (projection) remain.
         assert plan.estimated_partition_reads == 2
@@ -79,7 +73,7 @@ class TestEstimates:
         # Projection of a predicate attribute: p0/p1 appear on both lists
         # but the bound counts each partition once.
         query = Query.build(zoned_table.meta, ["a2"], {"a1": (0, 99)})
-        plan = QueryPlanner(zoned_manager, zoned_table.meta).plan(query)
+        plan = QueryPlanner(zoned_manager).plan(query)
         assert plan.selection_pids() == (0, 1)
         assert plan.projection_pids() == (0, 1)
         assert plan.estimated_partition_reads == 2

@@ -5,10 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from unittest import mock
 
 from repro.core import Query
-from repro.engine import PartitionAtATimeExecutor
+from repro.engine import PartitionAtATimeExecutor, ScanExecutor
 from repro.errors import (
     PartitionNotFoundError,
     PartitionUnreadableError,
@@ -36,12 +35,18 @@ def _dummy_partition(pid: int) -> object:
     return ("partition", pid)
 
 
+def _hit(pool, pid):
+    """The partition a one-pid run of the pool returns, or None."""
+    run = pool.hit_run((pid,))
+    return run[0] if run else None
+
+
 class TestPoolLRU:
     def test_hit_and_miss_counters(self):
         pool = BufferPool(capacity_bytes=1000)
-        assert pool.get(0) is None
+        assert _hit(pool, 0) is None
         pool.put(0, _dummy_partition(0), 100)
-        assert pool.get(0) == ("partition", 0)
+        assert _hit(pool, 0) == ("partition", 0)
         assert pool.stats.n_misses == 1
         assert pool.stats.n_hits == 1
         assert pool.stats.hit_bytes == 100
@@ -50,7 +55,7 @@ class TestPoolLRU:
         pool = BufferPool(capacity_bytes=300)
         for pid in range(3):
             pool.put(pid, _dummy_partition(pid), 100)
-        pool.get(0)  # 0 becomes MRU; LRU order is now 1, 2, 0
+        _hit(pool, 0)  # 0 becomes MRU; LRU order is now 1, 2, 0
         pool.put(3, _dummy_partition(3), 100)
         assert 1 not in pool
         assert pool.pids() == (2, 0, 3)
@@ -78,7 +83,7 @@ class TestPoolLRU:
         pool = BufferPool(capacity_bytes=300)
         pool.put(0, _dummy_partition(0), 100)
         pool.put(0, "replacement", 200)
-        assert pool.get(0) == "replacement"
+        assert _hit(pool, 0) == "replacement"
         assert pool.current_bytes == 200
 
     def test_invalid_capacity_rejected(self):
@@ -112,17 +117,27 @@ def pooled_manager(small_table):
     return manager
 
 
+def _read(manager, pid):
+    """One pid read as an engine reads it — a one-pid run of
+    ``PlanReader.load_run`` — returning the partition and the reader's
+    stats."""
+    stats = ExecutionStats()
+    [(_run, [partition])] = PlanReader(manager, stats).load_run((pid,))
+    return partition, stats
+
+
 class TestManagerComposition:
     def test_pool_miss_charges_device_hit_charges_nothing(self, pooled_manager):
         manager = pooled_manager
-        _partition, cold = manager.load(0)
+        pool = manager.buffer_pool
+        _partition, cold = _read(manager, 0)
         assert cold.io_time_s > 0 and cold.bytes_read == manager.info(0).n_bytes
         assert cold.n_pool_hits == 0
-        warm_partition, warm = manager.load(0)
+        warm_partition, warm = _read(manager, 0)
         assert warm.io_time_s == 0.0
         assert warm.bytes_read == 0
         assert warm.n_pool_hits == 1
-        assert warm.pool_hit_bytes == manager.info(0).n_bytes
+        assert pool.stats.hit_bytes == manager.info(0).n_bytes
         # The device never saw the second read at all.
         assert manager.device.stats.n_reads == 1
         assert np.array_equal(
@@ -134,8 +149,8 @@ class TestManagerComposition:
         manager = pooled_manager
         cold, _delta = manager.load(0)
         cold.segments[0].columns["a1"]  # the first query reads a1 only
-        partition, delta = manager.load(0)
-        assert delta.n_pool_hits == 1
+        partition, stats = _read(manager, 0)
+        assert stats.n_pool_hits == 1
         segment = partition.segments[0]
         assert segment.columns.materialized == frozenset({"a1"})
         assert np.array_equal(
@@ -176,35 +191,37 @@ class TestManagerComposition:
         )
         manager.load(0)  # cold: device read, populates both caches
         pool.clear()  # drop the pool but keep the simulated OS cache warm
-        _partition, delta = manager.load(0)
-        assert delta.n_pool_hits == 0
-        assert delta.n_cache_hits == 1  # simulated cache hit, not a device read
-        assert delta.io_time_s == 0.0
+        _partition, stats = _read(manager, 0)
+        assert stats.n_pool_hits == 0
+        assert stats.n_cache_hits == 1  # simulated cache hit, not a device read
+        assert stats.io_time_s == 0.0
 
 
 class TestLoadPoolAccounting:
-    """What one ``PartitionManager.load`` adds to its pool's counters."""
+    """What one read adds to its pool's counters: a one-pid run of
+    ``PlanReader.load_run`` (``PartitionManager.load`` itself is the store
+    read, and admits what it read)."""
 
     def test_resident_pid_is_one_hit(self, pooled_manager):
         manager = pooled_manager
         pool = manager.buffer_pool
         manager.load(0)
         manager.load(1)
+        assert (pool.stats.n_hits, pool.stats.n_misses) == (0, 0)
         before = dataclasses.replace(pool.stats)
-        _partition, delta = manager.load(0)
+        _partition, stats = _read(manager, 0)
         assert pool.stats.n_hits == before.n_hits + 1
         assert pool.stats.n_misses == before.n_misses
         assert pool.stats.hit_bytes == before.hit_bytes + manager.info(0).n_bytes
-        assert (delta.n_pool_hits, delta.pool_hit_bytes, delta.bytes_read) == (
-            1, manager.info(0).n_bytes, 0
-        )
+        assert (stats.n_pool_hits, stats.n_partition_reads, stats.bytes_read) == (1, 1, 0)
         assert pool.pids() == (1, 0)  # the hit refreshed LRU order
 
     def test_non_resident_pid_is_one_miss(self, pooled_manager):
         pool = pooled_manager.buffer_pool
-        _partition, delta = pooled_manager.load(0)
+        _partition, stats = _read(pooled_manager, 0)
         assert (pool.stats.n_hits, pool.stats.n_misses) == (0, 1)
-        assert delta.n_pool_hits == 0 and delta.bytes_read > 0
+        assert stats.n_pool_hits == 0 and stats.bytes_read > 0
+        assert 0 in pool  # the store read admitted it
 
     def test_unknown_pid_raises(self, pooled_manager):
         with pytest.raises(PartitionNotFoundError):
@@ -226,8 +243,8 @@ class TestLoadPoolAccounting:
             manager.load(0)
         assert 0 not in pool
         monkeypatch.undo()
-        partition, delta = manager.load(0)
-        assert partition is not stale and delta.n_pool_hits == 0
+        partition, stats = _read(manager, 0)
+        assert partition is not stale and stats.n_pool_hits == 0
 
 
 class TestLoadWithoutPool:
@@ -251,16 +268,18 @@ class TestLoadWithoutPool:
 
 
 class TestHitRun:
-    def test_answers_the_resident_run_and_stops_uncounted(self):
+    def test_answers_the_resident_run_and_counts_its_ending_miss(self):
         pool = BufferPool(capacity_bytes=1000)
         for pid in range(4):
             pool.put(pid, _dummy_partition(pid), 100)
         assert pool.hit_run((9, 2, 0, 7, 1), 1) == [("partition", 2), ("partition", 0)]
-        assert (pool.stats.n_hits, pool.stats.n_misses) == (2, 0)
+        assert (pool.stats.n_hits, pool.stats.n_misses) == (2, 1)  # 7 ended it
         assert pool.stats.hit_bytes == 200
         assert pool.pids() == (1, 3, 2, 0)  # refreshed in run order
         assert pool.hit_run((7, 1), 0) == []
-        assert pool.stats.n_misses == 0
+        assert (pool.stats.n_hits, pool.stats.n_misses) == (2, 2)
+        assert pool.hit_run((3, 1), 0) == [("partition", 3), ("partition", 1)]
+        assert (pool.stats.n_hits, pool.stats.n_misses) == (4, 2)  # ran to the end
 
 
 def _run_load_manager(table):
@@ -289,8 +308,10 @@ def _run_load_manager(table):
 
 
 def _per_pid(reader, pids):
+    """The reference: each pid read as its own one-pid run."""
     for pid in pids:
-        reader.load(pid)
+        for _run, _partitions in reader.load_run((pid,)):
+            pass
 
 
 def _as_runs(reader, pids):
@@ -299,9 +320,9 @@ def _as_runs(reader, pids):
 
 
 class TestLoadRun:
-    """``PlanReader.load_run`` charges, refreshes and fails exactly as the
-    per-pid loop, with evictions, a miss inside a run and an unreadable
-    pid."""
+    """``PlanReader.load_run`` charges, refreshes and fails exactly as
+    one-pid runs do, with evictions, a miss inside a run and an unreadable
+    pid — and so do the engines' loops over it."""
 
     def outcome(self, table, form):
         manager = _run_load_manager(table)
@@ -320,29 +341,88 @@ class TestLoadRun:
         pool_stats, lru, _stats, pid, io_delta = per_pid
         assert lru == (1, 2, 3, 4) and pid == 5 and io_delta.n_retries
         n_hits, n_misses, _ins, n_evictions = pool_stats[:4]
-        assert (n_hits, n_misses, n_evictions) == (3, 4 + 3, 2)  # warm-up: 4
+        assert (n_hits, n_misses, n_evictions) == (3, 3, 2)
+
+    def engine_outcome(self, table, engine_type, **options):
+        """:meth:`outcome` but for the stats, of one query through an
+        engine's loops (the query fails: its stats never leave
+        ``execute``)."""
+        query = Query.build(table.meta, ["a2"], {"a1": (0, 4999)})
+        manager = _run_load_manager(table)
+        engine = engine_type(manager, table.meta, **options)
+        assert engine.plan(query).selection_pids() == tuple(range(6))
+        with no_leaked_pins(), pytest.raises(PartitionUnreadableError) as raised:
+            engine.execute(query)
+        assert manager.pinned_versions() == ()
+        pool = manager.buffer_pool
+        return (
+            dataclasses.astuple(pool.stats), pool.pids(),
+            raised.value.pid, raised.value.io_delta,
+        )
 
     def test_a_query_fails_alike_and_releases_its_pin(self, small_table):
-        """The engine's selection loads as runs; with ``hit_run`` answering
-        nothing every pid goes through ``PartitionManager.load`` alone —
-        the per-pid form."""
-        query = Query.build(small_table.meta, ["a2"], {"a1": (0, 4999)})
-        outcomes = []
-        for per_pid in (True, False):
-            manager = _run_load_manager(small_table)
-            engine = PartitionAtATimeExecutor(manager, small_table.meta)
-            assert engine.plan(query).visits_once
-            nothing = mock.patch.object(BufferPool, "hit_run", return_value=[])
-            with no_leaked_pins(), pytest.raises(PartitionUnreadableError) as raised:
-                if per_pid:
-                    with nothing:
-                        engine.execute(query)
-                else:
-                    engine.execute(query)
-            pool = manager.buffer_pool
-            outcomes.append((
-                dataclasses.astuple(pool.stats), pool.pids(), raised.value.pid,
-                raised.value.io_delta, manager.pinned_versions(),
-            ))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][2] == 5 and outcomes[0][4] == ()
+        """The partition-at-a-time engine's selection loads as runs, and
+        charges and fails as one-pid runs over its selection pids."""
+        reference = self.outcome(small_table, _per_pid)
+        outcome = self.engine_outcome(small_table, PartitionAtATimeExecutor)
+        assert outcome == reference[:2] + reference[3:]
+        assert outcome[2] == 5
+
+    def test_the_scan_driver_fails_alike(self, small_table):
+        """So does the scan engine's selection: hits 0, 1, 3, misses 2 and
+        4 inside the runs, and the unreadable pid 5."""
+        reference = self.outcome(small_table, _per_pid)
+        outcome = self.engine_outcome(small_table, ScanExecutor, zone_maps=False)
+        assert outcome == reference[:2] + reference[3:]
+
+
+def _split_manager(table):
+    """a1 in partitions 0-2 and a2 in 3-5 (a third of the tuples each),
+    every one resident in a pool that holds them all."""
+    manager = PartitionManager(
+        table.schema, StorageDevice(BALOS_HDD), buffer_pool=BufferPool(1 << 24)
+    )
+    n = table.n_tuples
+    thirds = [np.arange(k * n // 3, (k + 1) * n // 3, dtype=np.int64) for k in range(3)]
+    manager.materialize_specs(
+        [[SegmentSpec((name,), tids)] for name in ("a1", "a2") for tids in thirds],
+        table,
+        tid_storage=TID_CATALOG,
+    )
+    for pid in range(6):
+        manager.load(pid)
+    return manager
+
+
+class TestScanGather:
+    """The scan engine fills from the partitions its selection loaded and
+    reads the rest of its projection as runs."""
+
+    query_bounds = {"a1": (0, 4999)}
+
+    def run(self, table, manager):
+        query = Query.build(table.meta, ["a2"], self.query_bounds)
+        result, stats = ScanExecutor(manager, table.meta, zone_maps=False).execute(query)
+        expected, _ = PartitionAtATimeExecutor(
+            _split_manager(table), table.meta
+        ).execute(query)
+        assert result.equals(expected) and result.n_tuples
+        return stats
+
+    def test_a_warm_pool_reads_two_runs_of_hits(self, small_table):
+        manager = _split_manager(small_table)
+        pool = manager.buffer_pool
+        stats = self.run(small_table, manager)
+        assert (stats.n_partition_reads, stats.n_pool_hits, stats.bytes_read) == (6, 6, 0)
+        assert (pool.stats.n_hits, pool.stats.n_misses) == (6, 0)
+        assert pool.pids() == tuple(range(6))
+
+    def test_a_miss_mid_run_of_the_gather(self, small_table):
+        manager = _split_manager(small_table)
+        pool = manager.buffer_pool
+        pool.invalidate(4)
+        stats = self.run(small_table, manager)
+        assert (stats.n_partition_reads, stats.n_pool_hits) == (6, 5)
+        assert stats.bytes_read == manager.info(4).n_bytes
+        assert (pool.stats.n_hits, pool.stats.n_misses) == (5, 1)
+        assert pool.pids() == tuple(range(6))  # 4 read and admitted in order

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitionUnreadableError
+from repro.plan.operators import PlanReader
+from repro.plan.stats import ExecutionStats
 from repro.storage import (
     BALOS_HDD,
     BufferPool,
@@ -66,7 +68,6 @@ class TestBufferPoolStress:
         _materialize_stripes(manager, small_table, N_PARTITIONS)
 
         a1, a2 = small_table.column("a1"), small_table.column("a2")
-        load_lock = threading.Lock()  # device counters are not thread-safe
         stop = threading.Event()
         errors: list = []
         n_unreadable = [0]
@@ -81,19 +82,17 @@ class TestBufferPoolStress:
 
         def reader(thread_id: int) -> None:
             rng = np.random.default_rng(thread_id)
+            plan_reader = PlanReader(manager, ExecutionStats())
             try:
                 for _ in range(N_ITERATIONS):
                     pid = int(rng.integers(0, N_PARTITIONS))
-                    # The pool hit path runs lock-free on purpose: it must be
-                    # safe to race against concurrent put/invalidate.
-                    partition = pool.get(pid)
-                    if partition is None:
-                        with load_lock:
-                            try:
-                                partition, _delta = manager.load(pid)
-                            except PartitionUnreadableError:
-                                n_unreadable[0] += 1
-                                continue
+                    # One-pid runs with no load lock, as the threaded engines
+                    # read: hits and loads race concurrent put/invalidate.
+                    try:
+                        [(_run, [partition])] = plan_reader.load_run((pid,))
+                    except PartitionUnreadableError:
+                        n_unreadable[0] += 1
+                        continue
                     verify(partition)
                     if pool.current_bytes > pool.capacity_bytes:
                         errors.append("pool over budget")
@@ -157,16 +156,15 @@ class TestConcurrentReaders:
         pids = list(manager.pids())
         a1 = small_table.column("a1")
 
-        load_lock = threading.Lock()
         errors: list = []
 
         def reader(thread_id: int) -> None:
             rng = np.random.default_rng(thread_id)
+            plan_reader = PlanReader(manager, ExecutionStats())
             try:
                 for _ in range(N_READ_ITERATIONS):
                     for pid in rng.permutation(pids)[:6].tolist():
-                        with load_lock:
-                            partition, _delta = manager.load(pid)
+                        [(_run, [partition])] = plan_reader.load_run((pid,))
                         for segment in partition.segments:
                             tids = segment.tuple_ids
                             if not np.array_equal(segment.columns["a1"], a1[tids]):

@@ -308,12 +308,12 @@ class TestSwapPartitions:
         manager.swap_partitions([left, right])
         manager.load(0)
         manager.load(1)
-        assert manager.buffer_pool.get(0) is not None
+        assert 0 in manager.buffer_pool
         (moved,) = _physical_halves(small_table, pids=(2, 3))[:1]
         manager.swap_partitions([moved], remove=[0])
         # The retired pid gives up its slot; an untouched one keeps it.
-        assert manager.buffer_pool.get(0) is None
-        assert manager.buffer_pool.get(1) is not None
+        assert 0 not in manager.buffer_pool
+        assert 1 in manager.buffer_pool
 
 
 def _three_mode_partition(small_table, pid=0):
@@ -464,7 +464,7 @@ def test_pool_miss_load_allocates_a_frame_not_the_partition():
     def miss():
         manager.buffer_pool.invalidate(0)
         partition, delta = manager.load(0)
-        assert delta.n_pool_hits == 0 and delta.bytes_read == info.n_bytes
+        assert delta.bytes_read == info.n_bytes
         return partition
 
     miss()  # verify the blob, warm the dtype cache

@@ -281,7 +281,7 @@ def test_clone_override_equals_full_hand_build(
             )
 
 
-def test_rebind_reaches_the_planner(small_table, small_workload, ctx):
+def test_rebind_reaches_the_engine(small_table, small_workload, ctx):
     layout = _irregular(small_table, small_workload, ctx)
     engine = layout.executor
     before = engine.table
@@ -293,7 +293,7 @@ def test_rebind_reaches_the_planner(small_table, small_workload, ctx):
     txn.commit()
     grown = txn.data.meta
     assert grown is not before and grown.n_tuples == before.n_tuples + 3
-    for bound in (layout, engine, engine.planner):
+    for bound in (layout, engine):
         assert bound.table is grown
 
 

@@ -22,7 +22,7 @@ from repro.testing import (
     apply_random_batch,
     verify_against_shadow,
 )
-from repro.txn import TransactionalTable
+from repro.txn import DeltaCompactor, TransactionalTable
 
 
 def cells(manager, pids):
@@ -35,7 +35,9 @@ def cells(manager, pids):
     return stored
 
 
-def test_a_migration_over_unfolded_commits_stores_exactly_its_scope():
+def _committed(n_commits):
+    """Seed 81: a 1 500 x 8 irregular layout under a transactional table
+    with ``n_commits`` random batches committed and unfolded."""
     rng = np.random.default_rng(81)
     schema = TableSchema.uniform([f"a{i}" for i in range(1, 9)])
     table = ColumnTable.build("T", schema, {
@@ -52,15 +54,16 @@ def test_a_migration_over_unfolded_commits_stores_exactly_its_scope():
         table, train, BuildContext(file_segment_bytes=2 * 1024)
     )
     txn = TransactionalTable(layout, table)
-    n_built = txn.data.n_tuples
     shadow = ShadowTable(txn.data)
-    for _ in range(2):  # committed, never folded
+    for _ in range(n_commits):
         apply_random_batch(txn, shadow, rng, WriteWorkloadConfig())
         shadow.snapshot(txn.commit())
-    manager = txn.manager
-    assert txn.data.n_tuples > n_built
-    before = {pid: cells(manager, [pid]) for pid in manager.pids()}
+    return rng, train, layout, txn, shadow
 
+
+def _drifted_cycle(layout, txn, train):
+    """The window of a workload shifted to a7/a8, then one daemon cycle."""
+    meta = txn.data.meta
     daemon = AdaptiveDaemon(layout, txn.data, AdaptiveConfig(
         window_size=32,
         advisor=AdvisorConfig(drift_threshold=0.2, drift_reset=0.1,
@@ -73,9 +76,18 @@ def test_a_migration_over_unfolded_commits_stores_exactly_its_scope():
         for _ in range(16):
             layout.execute(Query.build(meta, ["a7", "a8"], {"a7": (0, 299)}))
             layout.execute(Query.build(meta, ["a7", "a8"], {"a8": (700, 999)}))
-        cycle = daemon.run_cycle()
+        return daemon.run_cycle()
     finally:
         daemon.detach()
+
+
+def test_a_migration_over_unfolded_commits_stores_exactly_its_scope():
+    rng, train, layout, txn, shadow = _committed(2)
+    manager = txn.manager
+    assert txn.data.n_tuples > 1_500  # the commits grew the table
+    before = {pid: cells(manager, [pid]) for pid in manager.pids()}
+
+    cycle = _drifted_cycle(layout, txn, train)
     assert cycle.fired, cycle.reason
 
     after = set(manager.pids())
@@ -90,10 +102,27 @@ def test_a_migration_over_unfolded_commits_stores_exactly_its_scope():
     live = cells(manager, after)
     assert len(live) == len(set(live))
     index = manager.catalog_index()
-    for name in schema.attribute_names:
+    for name in txn.data.schema.attribute_names:
         owners = index.owners(name)
         n_stored = sum(1 for _tid, attribute in live if attribute == name)
         assert int((owners.owner != len(owners.pids)).sum()) == n_stored
 
     shadow.snapshot(txn.current_version)
     assert verify_against_shadow(txn, shadow, rng) == []
+
+
+def test_a_cycle_after_a_fold_of_the_whole_plan_says_why_it_skips():
+    """A fold that rewrites every partition of the daemon's plan under
+    fresh pids leaves no observed partition in the plan: the cycle skips
+    and names that, not the rewrite budget."""
+    _rng, train, layout, txn, _shadow = _committed(3)
+    plan_pids = {partition.pid for partition in layout.plan}
+    DeltaCompactor(txn).run()
+    live = set(txn.manager.pids())
+    assert not plan_pids & live
+    cycle = _drifted_cycle(layout, txn, train)
+    assert not cycle.fired and not cycle.aborted
+    assert cycle.reason == (
+        f"the window observed {len(live)} partitions and none of them is in "
+        "the daemon's plan"
+    )
