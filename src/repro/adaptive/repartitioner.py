@@ -135,9 +135,9 @@ class IncrementalRepartitioner:
         plan: MigrationPlan,
         manager: PartitionManager,
         table: ColumnTable,
-        verify: bool = True,
     ) -> List[PartitionInfo]:
-        """Materialize and atomically swap in the migration's partitions.
+        """Materialize and atomically swap in the migration's partitions,
+        each read back before the commit.
 
         Raises :class:`~repro.errors.StorageError` (catalog untouched) when
         staging or verification fails, or when the swap would give a cell a
@@ -153,5 +153,5 @@ class IncrementalRepartitioner:
             for partition in plan.new_partitions
         ]
         return manager.swap_partitions(
-            physicals, remove=plan.scope_pids, verify=verify
+            physicals, remove=plan.scope_pids, verify=True
         )

@@ -403,7 +403,7 @@ def _run_write(args) -> int:
     )
 
     report = DeltaCompactor(
-        txn, bytes_budget=args.compaction_budget or None, verify=True
+        txn, bytes_budget=args.compaction_budget or None
     ).run()
     if not report.is_empty:
         shadow.snapshot(report.version)
@@ -496,7 +496,7 @@ def _run_health(args) -> int:
     for _batch in range(config.n_batches):
         apply_random_batch(txn, shadow, rng, config)
         shadow.snapshot(txn.commit())
-    DeltaCompactor(txn, verify=True).run_until_clean()
+    DeltaCompactor(txn).run_until_clean()
     report = obs.HealthMonitor().evaluate()
     print(format_health(report.as_dict()))
     return report.exit_code

@@ -141,7 +141,7 @@ class ThreadedPartitionEngine(QueryEngine):
         plan, _reader, stats = run
         conjunction = plan.logical.conjunction
         select_op = _Selection(
-            conjunction, plan.logical.projected, self.table.n_tuples,
+            conjunction, plan.logical.projected, plan.snapshot.index.tid_domain(),
             plan.snapshot.hidden, self.n_threads,
         )
         if not conjunction:

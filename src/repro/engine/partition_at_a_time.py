@@ -89,7 +89,7 @@ class PartitionAtATimeExecutor(QueryEngine):
         plan, reader, stats = run
         select_op = GroupSelectOp(
             plan.logical.conjunction, plan.logical.projected,
-            self.table.n_tuples, plan.snapshot.hidden, plan.visits_once,
+            plan.snapshot.index.tid_domain(), plan.snapshot.hidden, plan.visits_once,
             plan.zone_refuted, self.manager.buffer_pool,
         )
         if not plan.logical.conjunction:

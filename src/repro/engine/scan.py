@@ -64,7 +64,7 @@ class ScanExecutor(QueryEngine):
         # Predicates only: the gather phase revisits partitions for their
         # projected cells, so nothing is stashed.
         select_op = SelectOp(
-            conjunction, n_tuples=self.table.n_tuples,
+            conjunction, n_tuples=plan.snapshot.index.tid_domain(),
             hidden=plan.snapshot.hidden, hit_only=plan.visits_once,
             refuted=plan.zone_refuted,
         )

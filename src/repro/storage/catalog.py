@@ -9,12 +9,13 @@ containing attribute ``a`` of tuples ``T``" lookup costs O(|T|) whatever
 the partition count.
 
 A committed catalog state is a :class:`Catalog` value: the version, the
-live set's index, the retired entries still on disk and the prune floor.
-A commit (:meth:`Catalog.apply`) and a prune (:meth:`Catalog.prune`) each
-return a new value, and an old version's partition set is an interval
-filter over the one value (:meth:`Catalog.live_at`).  The partition
-manager holds one reference to the current value; a reader holds a
-:class:`CatalogSnapshot`.
+live set's index, the retired entries still on disk, the prune floor and
+the version that deleted each deleted tuple.  A commit
+(:meth:`Catalog.apply`) and a prune (:meth:`Catalog.prune`) each return a
+new value, and an old version's partition set and deleted tuples are
+interval filters over the one value (:meth:`Catalog.live_at`,
+:meth:`Catalog.hidden_at`).  The partition manager holds one reference to
+the current value; a reader holds a :class:`CatalogSnapshot`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .partition_manager import PartitionManager
 
 __all__ = ["Catalog", "CatalogIndex", "CatalogSnapshot", "PartitionInfo"]
+
+#: ``Catalog.deleted_at`` of a tuple no commit has deleted.
+NOT_DELETED = np.iinfo(np.int64).max
 
 
 @dataclass(slots=True)
@@ -211,6 +215,7 @@ class CatalogIndex:
         self._zones: Dict[str, Tuple[np.ndarray, ...]] = {}
         self._pids_for: Dict[frozenset, Tuple[int, ...]] = {}
         self._key_zones: Dict[Tuple[str, frozenset], tuple] = {}
+        self._tid_domain: Optional[int] = None
         self._build_lock = threading.Lock()
 
     def info(self, pid: int) -> PartitionInfo:
@@ -223,6 +228,13 @@ class CatalogIndex:
     def infos(self) -> Iterable[PartitionInfo]:
         """Every entry of this partition set, in ascending pid order."""
         return self._infos.values()
+
+    def tid_domain(self) -> int:
+        """One past the highest tid a partition of this set stores: the
+        domain a read's status vector spans.  Memoised."""
+        if self._tid_domain is None:
+            self._tid_domain = _tid_end(self._infos.values())
+        return self._tid_domain
 
     def pids_for_attributes(self, attributes: Iterable[str]) -> Tuple[int, ...]:
         """Ascending pids storing a cell of any of ``attributes``.  Memoised
@@ -336,6 +348,8 @@ class CatalogIndex:
         the same test."""
         successor = CatalogIndex(infos)
         fresh = list(successor.infos())
+        if self._tid_domain is not None:
+            successor._tid_domain = max(self._tid_domain, _tid_end(fresh))
         added = successor.attribute_pids
         successor._infos = {**self._infos, **successor._infos}
         successor.pids = self.pids | successor.pids
@@ -408,6 +422,11 @@ def _span(info: PartitionInfo) -> Tuple[int, int]:
     return (min(e[0] for e in ends), max(e[1] for e in ends)) if ends else (0, -1)
 
 
+def _tid_end(infos: Iterable[PartitionInfo]) -> int:
+    """One past the highest tid ``infos`` store; 0 when they store none."""
+    return max((_span(info)[1] + 1 for info in infos), default=0)
+
+
 def _refuse_second_homes(
     kept: Sequence[PartitionInfo], added: Sequence[PartitionInfo], spans: np.ndarray
 ) -> None:
@@ -446,10 +465,16 @@ class Catalog:
     * ``next_pid`` — one past the highest pid ever committed; a prune never
       lowers it, so a pid is never handed out twice;
     * ``tid_end`` — one past the highest tid ever committed: a write
-      commit's fresh tids start there, so no kept partition shares a cell.
+      commit's fresh tids start there, so no kept partition shares a cell;
+    * ``deleted_at`` — per tid, the version of the commit that deleted it
+      (``NOT_DELETED`` for none), read-only; it ends past the highest
+      deleted tid.  Tids are never reused, so a tuple is visible at ``v``
+      iff the view of ``v`` stores it and ``deleted_at[tid] > v`` — the
+      partitions' interval rule, applied to tuples.
 
     :meth:`apply` (a commit) and :meth:`prune` return new values; the
-    version history is the interval filter :meth:`live_at`, not a log.
+    version history is the interval filters :meth:`live_at` and
+    :meth:`hidden_at`, not a log.
     """
 
     version: int = 0
@@ -459,12 +484,19 @@ class Catalog:
     floor: int = 0
     next_pid: int = 0
     tid_end: int = 0
+    deleted_at: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64), compare=False
+    )
 
     def apply(
-        self, added: Sequence[PartitionInfo], retired_pids: Iterable[int]
+        self,
+        added: Sequence[PartitionInfo],
+        retired_pids: Iterable[int],
+        deleted: Sequence[int] = (),
     ) -> "Catalog":
         """One commit: the fresh entries ``added`` (stamped here with the new
-        version) become live and the live ones among ``retired_pids`` retire.
+        version) become live, the live ones among ``retired_pids`` retire and
+        the tuples ``deleted`` are deleted by the new version.
 
         With nothing to add or retire it is a version bump sharing this
         value's index.  An add-only commit whose pids all follow the live
@@ -474,9 +506,10 @@ class Catalog:
         :class:`~repro.errors.StorageError` and changes nothing.
         """
         version = self.version + 1
+        deleted_at = self._stamp(deleted, version)
         gone = set(retired_pids) & self.index.pids
         if not added and not gone:
-            return replace(self, version=version)
+            return replace(self, version=version, deleted_at=deleted_at)
         kept = [info for info in self.index.infos() if info.pid not in gone]
         spans = np.array([_span(info) for info in added]).reshape(-1, 2)
         fresh = spans[:, 0].min(initial=self.tid_end) >= self.tid_end
@@ -493,7 +526,41 @@ class Catalog:
             version, version, index, {**self.retired, **retired}, self.floor,
             max([self.next_pid, *(pid + 1 for pid in pids)]),
             max(self.tid_end, int(spans[:, 1].max(initial=-1)) + 1),
+            deleted_at,
         )
+
+    def _stamp(self, deleted: Sequence[int], version: int) -> np.ndarray:
+        """``deleted_at`` with ``version`` stamped on the tuples ``deleted``
+        (live ones: the write path deletes a tuple once)."""
+        tids = np.asarray(deleted, dtype=np.int64)
+        if not len(tids):
+            return self.deleted_at
+        grown = max(0, int(tids.max()) + 1 - len(self.deleted_at))
+        stamps = np.concatenate((self.deleted_at, np.full(grown, NOT_DELETED, np.int64)))
+        stamps[tids] = version
+        stamps.flags.writeable = False
+        return stamps
+
+    def hidden_at(self, version: int, index: CatalogIndex) -> Optional[np.ndarray]:
+        """What a read at ``version`` over ``index`` (that version's
+        partition set) must not return: the ascending tids of its
+        :meth:`~CatalogIndex.tid_domain` deleted by then, read-only — None
+        when there are none."""
+        if not len(self.deleted_at):
+            return None
+        hidden = np.flatnonzero(self.deleted_at[:index.tid_domain()] <= version)
+        if not len(hidden):
+            return None
+        hidden.flags.writeable = False
+        return hidden
+
+    def deleted(self, tids: np.ndarray) -> np.ndarray:
+        """Per tid of ``tids``: whether a commit up to this version deleted
+        it."""
+        inside = tids < len(self.deleted_at)
+        gone = np.zeros(len(tids), dtype=bool)
+        gone[inside] = self.deleted_at[tids[inside]] != NOT_DELETED
+        return gone
 
     def prune(self, min_pinned: int) -> Tuple["Catalog", List[PartitionInfo]]:
         """Drop the retired entries no version from ``min_pinned`` on names
@@ -564,25 +631,29 @@ class CatalogSnapshot:
     under, and every pin of a version shares it (``AS OF`` replays reuse
     each other's verdicts across later churn).
 
-    ``hidden`` is the transactional layer's visibility rule for this
-    version: the ascending tids of the scanned domain a read must not
-    return (deleted by then, or committed later), which engines mark
-    INVALID before their selection phase.  ``None`` — nothing hidden, always
-    the case outside the write path — is the read-only engines' exact
-    path.
+    ``hidden`` is the version's visibility: the ascending tids of the
+    view's tid domain (:meth:`CatalogIndex.tid_domain`) deleted by then
+    (:meth:`Catalog.hidden_at`), which engines mark INVALID before their
+    selection phase.  ``None`` — nothing deleted by this version — is the
+    read-only engines' exact path.  Every pin of a version carries the
+    same ``hidden``, whoever pinned it.
     """
 
     __slots__ = ("manager", "version", "index", "hidden", "_released")
 
     def __init__(
-        self, manager: PartitionManager, version: int, index: CatalogIndex
+        self,
+        manager: PartitionManager,
+        version: int,
+        index: CatalogIndex,
+        hidden: Optional[np.ndarray] = None,
     ):
         self.manager = manager
         self.version = version
         #: the frozen partition set's index — the live manager's own object
         #: when no swap separates the pinned version from the current one.
         self.index = index
-        self.hidden: Optional[np.ndarray] = None
+        self.hidden = hidden
         self._released = False
 
     @property

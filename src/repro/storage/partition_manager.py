@@ -87,8 +87,12 @@ class PartitionManager:
         self._mutex = threading.RLock()
         #: the committed catalog, replaced by one assignment per commit.
         self._head = Catalog()
-        #: version -> ``(pins, that version's index)`` while it is pinned.
-        self._pins: Dict[int, Tuple[int, CatalogIndex]] = {}
+        #: version -> ``(pins, that version's index, its hidden tids)`` while
+        #: it is pinned.
+        self._pins: Dict[int, Tuple[int, CatalogIndex, Optional[np.ndarray]]] = {}
+        #: ``(version, hidden)`` of the head when it was last pinned, so
+        #: successive reads at the head share one array.
+        self._head_hidden: Tuple[int, Optional[np.ndarray]] = (-1, None)
         #: pids claimed by a stage in flight, refused to every other stage.
         self._staging: Set[int] = set()
 
@@ -192,8 +196,10 @@ class PartitionManager:
         add: Sequence[PhysicalPartition],
         remove: Iterable[int] = (),
         verify: bool = False,
+        deleted: Sequence[int] = (),
     ) -> List[PartitionInfo]:
-        """Atomically make ``add`` visible and retire ``remove``.
+        """Atomically make ``add`` visible, retire ``remove`` and delete the
+        tuples ``deleted`` (a write commit's tombstones).
 
         The one way the catalog or a partition file ever changes: plain
         partition adds, write commits, folds and layout migrations are all
@@ -222,7 +228,7 @@ class PartitionManager:
         :meth:`prune_retired` reclaims the retired blobs no pinned view
         still needs.
         """
-        return self._swap_partitions([list(add)], set(remove), verify)
+        return self._swap_partitions([list(add)], set(remove), verify, deleted=deleted)
 
     def _swap_partitions(
         self,
@@ -230,13 +236,14 @@ class PartitionManager:
         removals: Set[int],
         verify: bool = False,
         sketcher: Optional[Sketcher] = None,
+        deleted: Sequence[int] = (),
     ) -> List[PartitionInfo]:
         with obs_tracer().span(
             "storage.swap", n_remove=len(removals), verify=verify
         ) as span:
             with self._stage(batches, verify, sketcher) as staged, self._mutex:
                 retiring = removals & self._head.index.pids
-                self._head = self._head.apply(staged, retiring)
+                self._head = self._head.apply(staged, retiring, deleted)
                 self._staging.difference_update(info.pid for info in staged)
             if self.buffer_pool is not None:
                 for pid in retiring:
@@ -338,8 +345,9 @@ class PartitionManager:
 
     # ---------------------------------------------------------- snapshots
 
-    def advance_version(self) -> int:
-        """Commit a version bump with no catalog change.
+    def advance_version(self, deleted: Sequence[int] = ()) -> int:
+        """Commit a version bump that changes no partition, deleting the
+        tuples ``deleted``.
 
         The write path calls this when a commit changes what a scan must
         return without adding a partition (a delete-only batch): the catalog
@@ -347,7 +355,7 @@ class PartitionManager:
         writes gets its own pinnable version.  Fires the invalidation hooks.
         """
         with self._mutex:
-            self._head = self._head.apply((), ())
+            self._head = self._head.apply((), (), deleted)
         self._notify_invalidation()
         return self.catalog_version
 
@@ -360,7 +368,11 @@ class PartitionManager:
         since, else one built from :meth:`Catalog.live_at
         <repro.storage.catalog.Catalog.live_at>` (:meth:`Catalog.index_at
         <repro.storage.catalog.Catalog.index_at>`; shared by every pin of
-        that version and dropped with the last of them).  While pinned,
+        that version and dropped with the last of them) — and what the
+        version hides, the tids deleted by then (:meth:`Catalog.hidden_at
+        <repro.storage.catalog.Catalog.hidden_at>`; shared likewise, and
+        kept for the head version, so a read at the head after another
+        computes nothing over the table).  While pinned,
         :meth:`prune_retired` spares every retired partition the snapshot
         still needs.  Release with :meth:`CatalogSnapshot.release` (or use
         it as a context manager).
@@ -372,9 +384,17 @@ class PartitionManager:
             head = self._head
             version = head.version if version is None else int(version)
             pin = self._pins.get(version)
-            count, index = pin if pin is not None else (0, head.index_at(version))
-            self._pins[version] = (count + 1, index)
-            return CatalogSnapshot(self, version, index)
+            if pin is None:
+                index = head.index_at(version)
+                memo_version, hidden = self._head_hidden
+                if memo_version != version:
+                    hidden = head.hidden_at(version, index)
+                    if version == head.version:
+                        self._head_hidden = (version, hidden)
+                pin = (0, index, hidden)
+            count, index, hidden = pin
+            self._pins[version] = (count + 1, index, hidden)
+            return CatalogSnapshot(self, version, index, hidden)
 
     def release_snapshot(self, snapshot: CatalogSnapshot) -> None:
         """Drop one pin on ``snapshot``'s version (idempotence is the
@@ -382,7 +402,7 @@ class PartitionManager:
         with self._mutex:
             pin = self._pins.pop(snapshot.version, None)
             if pin is not None and pin[0] > 1:
-                self._pins[snapshot.version] = (pin[0] - 1, pin[1])
+                self._pins[snapshot.version] = (pin[0] - 1, *pin[1:])
                 return
             superseded = snapshot.version != self.catalog_version
         if superseded:
@@ -393,7 +413,7 @@ class PartitionManager:
     def snapshot_refcount(self) -> int:
         """Total outstanding snapshot pins across all versions."""
         with self._mutex:
-            return sum(count for count, _index in self._pins.values())
+            return sum(pin[0] for pin in self._pins.values())
 
     def pinned_versions(self) -> Tuple[int, ...]:
         with self._mutex:
@@ -535,6 +555,10 @@ class PartitionManager:
 
     def retired_pids(self) -> Tuple[int, ...]:
         return tuple(sorted(self._head.retired))
+
+    def deleted(self, tids: np.ndarray) -> np.ndarray:
+        """Per tid of ``tids``: whether a committed version deleted it."""
+        return self._head.deleted(tids)
 
     def catalog_index(self) -> CatalogIndex:
         """The live partition set's index (shared with every snapshot pinned

@@ -4,13 +4,14 @@ Layering (top to bottom):
 
 * :class:`TransactionalTable` — buffers typed writes, group-commits them
   through the WAL, lands each batch's inserted rows as one ordinary catalog
-  partition, and serves MVCC snapshot reads (``AS OF`` time travel) by
-  running the unmodified engines under the version's visibility mask.
+  partition, stamps each batch's deletes on the catalog, and serves MVCC
+  snapshot reads (``AS OF`` time travel) by running the unmodified engines
+  on a pinned catalog view, which hides what its version deleted.
 * :class:`WriteAheadLog` — append-only, CRC-framed batches persisted as
   blobs through :mod:`repro.storage.blob` (one blob put per group commit is
   the simulated fsync); deterministic replay that ignores a torn tail.
-* :class:`DeltaState` — per-version bookkeeping: the commit partitions not
-  yet folded, the tombstones not yet resolved, the visible-tid mask.
+* :class:`DeltaState` — the head's fold debt: the commit partitions not
+  yet folded and the tombstones not yet resolved.
 * :class:`DeltaCompactor` — coalesces commit partitions and rewrites
   tombstone-dirty ones through the same verified, versioned swap the
   adaptive daemon's migrations use, under a bytes-rewritten budget.

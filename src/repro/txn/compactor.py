@@ -20,7 +20,7 @@ tombstones in the post-compaction :class:`~repro.txn.delta.DeltaState`, to
 be picked up by the next cycle; a tombstone is resolved only once *every*
 partition holding its tuple has been rewritten (on an irregular layout a
 tuple's cells span several).  Reads stay exact throughout: visibility is
-the version's tid mask, which a compaction never changes.
+the catalog's per-tid deletion versions, which a compaction never changes.
 
 The WAL is truncated only when compaction leaves the delta state fully
 empty — the checkpoint rule of
@@ -86,18 +86,12 @@ class CompactionReport:
 class DeltaCompactor:
     """Folds tombstones out of the partitions that hold deleted rows."""
 
-    def __init__(
-        self,
-        table,
-        bytes_budget: Optional[int] = None,
-        verify: bool = True,
-    ):
+    def __init__(self, table, bytes_budget: Optional[int] = None):
         if bytes_budget is not None and bytes_budget <= 0:
             raise TransactionError("compaction bytes_budget must be positive")
         self.table = table
         self.manager = table.manager
         self.bytes_budget = bytes_budget
-        self.verify = verify
 
     # ------------------------------------------------------------- planning
 
@@ -198,15 +192,13 @@ class DeltaCompactor:
 
             if scope:
                 infos = self.manager.swap_partitions(
-                    physicals, remove=scope, verify=self.verify
+                    physicals, remove=scope, verify=True
                 )
             else:  # only clean commit partitions to fold: nothing to write
                 infos = []
                 self.manager.advance_version()
             truncated = table.record_compaction(DeltaState(
-                remaining_segments,
-                frozenset(remaining_tombstones),
-                state.visible,
+                remaining_segments, frozenset(remaining_tombstones)
             ))
             return CompactionReport(
                 version=self.manager.catalog_version,

@@ -6,21 +6,23 @@ durable (one group-commit blob), writes the batch's inserted rows once, as
 one ordinary partition (a single full-schema segment over the fresh tids)
 landed through an add-only
 :meth:`~repro.storage.partition_manager.PartitionManager.swap_partitions` —
-which is the commit's version bump; a delete-only batch calls
+which is the commit's version bump and stamps the batch's deletes on the
+catalog (``deleted=``); a delete-only batch calls
 :meth:`~repro.storage.partition_manager.PartitionManager.advance_version`
-instead — and folds deletes into the version's tombstone set.  The catalog
-version is the one transaction timeline shared by writes, adaptive swaps,
-and compaction.
+with them instead.  The catalog version is the one transaction timeline
+shared by writes, adaptive swaps, and compaction, and the catalog is the one
+home of what a version shows.
 
 Reads are MVCC: :meth:`execute` pins a
 :class:`~repro.storage.partition_manager.CatalogSnapshot` (optionally at an
 older version — ``AS OF``) and runs the layout's engine against it.  The
 snapshot's frozen partition set already holds that version's commit
-partitions, so committed rows take the one read path every partition takes
-(planner access lists, zone maps, the manager's retry/CRC/buffer-pool load;
-a partition that stays unreadable fails the read); the only thing the
-write path adds is what the version's visibility mask hides,
-``snapshot.hidden`` (see :mod:`repro.txn.delta`).
+partitions, and its ``hidden`` the tids deleted by then, so committed rows
+take the one read path every partition takes (planner access lists, zone
+maps, the manager's retry/CRC/buffer-pool load; a partition that stays
+unreadable fails the read) — and so does every other way in: an engine
+that pins its own view of the table's manager, a served engine and a DAG
+leaf read what :meth:`execute` reads.
 
 Tuple-id discipline: inserts take fresh tids at the high-water mark;
 updates are delete + insert *under new tids* (a tid's cells are immutable
@@ -32,7 +34,6 @@ without rewrites).  Deleted tids stay physically present until a
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +43,6 @@ from ..errors import TransactionError
 from ..obs import publish, request_scope
 from ..plan.result import ResultSet
 from ..plan.stats import ExecutionStats
-from ..storage.partition_manager import CatalogSnapshot
 from ..storage.physical import (
     TID_IMPLICIT,
     PhysicalPartition,
@@ -88,23 +88,11 @@ class TransactionalTable:
         self._applied_lsn = 0
         self._pending: List[WalRecord] = []
         self._pending_doomed: set = set()
-        #: version -> DeltaState; reads resolve the greatest key <= V, so
-        #: versions minted by layout migrations between commits inherit the
-        #: preceding state.  States wholly below the manager's floor version
-        #: are dropped as new ones register.
-        self._states: Dict[int, DeltaState] = {
-            self.manager.catalog_version: DeltaState(
-                (), frozenset(), np.ones(data.n_tuples, dtype=bool)
-            )
-        }
-        self._state_versions: List[int] = [self.manager.catalog_version]
+        #: the head's fold debt (see :mod:`repro.txn.delta`).
+        self._state = DeltaState((), frozenset())
         #: serializes commits and compaction passes (a compactor holds it
         #: from reading the state to :meth:`record_compaction`).
         self.write_lock = threading.RLock()
-        # Commit's meta rebind + column growth wait out in-flight reads so a
-        # mid-scan engine never sees the tuple domain move under it.
-        self._readers = 0
-        self._readers_cv = threading.Condition()
 
     # ---------------------------------------------------------- properties
 
@@ -116,27 +104,9 @@ class TransactionalTable:
     def current_version(self) -> int:
         return self.manager.catalog_version
 
-    def versions(self) -> Tuple[int, ...]:
-        """Pinnable versions with an explicit write/compaction state,
-        oldest first.
-
-        Any version in ``[manager.floor_version(), current_version]`` is
-        pinnable; these are the ones where the visible row set changed
-        through the write path.
-        """
-        floor = self.manager.floor_version()
-        with self.write_lock:
-            return tuple(v for v in self._state_versions if v >= floor)
-
-    def delta_state(self, version: Optional[int] = None) -> DeltaState:
-        if version is None:
-            version = self.manager.catalog_version
-        return self._state_at(version)
-
-    def _state_at(self, version: int) -> DeltaState:
-        with self.write_lock:
-            index = bisect_right(self._state_versions, version) - 1
-            return self._states[self._state_versions[max(index, 0)]]
+    def delta_state(self) -> DeltaState:
+        """What the head version leaves for a fold."""
+        return self._state
 
     # -------------------------------------------------------------- writes
 
@@ -216,15 +186,15 @@ class TransactionalTable:
     ) -> np.ndarray:
         if (tids is None) == (where is None):
             raise TransactionError("pass exactly one of tids= or where=")
-        visible = self._visible_mask(self.manager.catalog_version)
+        n_committed = self.data.n_tuples
         if tids is not None:
             doomed = sorted_unique(np.asarray(tids, dtype=np.int64))
         else:
             assert where is not None  # exactly one of the two, checked above
-            mask = visible.copy()
+            mask = np.ones(n_committed, dtype=bool)
             for name, bounds in where.items():
                 lo, hi = self._bounds(bounds)
-                column = self.data.column(name)[:len(mask)]
+                column = self.data.column(name)[:n_committed]
                 mask &= (column >= lo) & (column <= hi)
             doomed = np.nonzero(mask)[0].astype(np.int64)
         # Statement-level visibility: targets resolve against the last
@@ -235,12 +205,12 @@ class TransactionalTable:
                 count=len(self._pending_doomed),
             ))
             doomed = doomed[~sorted_isin(doomed, pending)]
-        out_of_range = doomed[(doomed < 0) | (doomed >= len(visible))]
+        out_of_range = doomed[(doomed < 0) | (doomed >= n_committed)]
         if len(out_of_range):
             raise TransactionError(
                 f"tids {out_of_range[:5].tolist()} are not committed rows"
             )
-        return doomed[visible[doomed]]
+        return doomed[~self.manager.deleted(doomed)]
 
     @staticmethod
     def _bounds(bounds) -> Tuple[float, float]:
@@ -345,9 +315,10 @@ class TransactionalTable:
             return len(records)
 
     def _apply(self, records: List[WalRecord]) -> int:
-        """Turn one durable batch into a partition (its inserted rows) and
-        a :class:`DeltaState` at a fresh version.  The partition put is the
-        only step that can fail, and it comes first."""
+        """Turn one durable batch into one catalog commit at a fresh
+        version: a partition of its inserted rows, its deletes stamped on
+        the catalog.  The partition put is the only step that can fail, and
+        it comes first."""
         new_tombstones: set = set()
         insert_tids: List[np.ndarray] = []
         insert_columns: List[Dict[str, np.ndarray]] = []
@@ -362,7 +333,9 @@ class TransactionalTable:
                 insert_tids.append(record.tids)
                 insert_columns.append(record.columns)
 
-        previous = self._state_at(self.manager.catalog_version)
+        deleted = np.fromiter(
+            sorted(new_tombstones), dtype=np.int64, count=len(new_tombstones)
+        )
         segments: Tuple = ()
         if insert_tids:
             all_tids = np.concatenate(insert_tids)
@@ -383,58 +356,38 @@ class TransactionalTable:
                 )[order].astype(self.schema[name].np_dtype, copy=False)
                 for name in names
             }
-            # The add-only swap is the commit's version bump.  Readers that
-            # pin the new version resolve its state under ``write_lock``,
-            # i.e. only once the tuple domain below has grown.
+            # The add-only swap is the commit's version bump.  A reader
+            # sizes its status vector from its view, never from the table
+            # meta, so the columns grow under in-flight reads.
             segments = tuple(self.manager.swap_partitions([
                 PhysicalPartition(
                     self.manager.next_pid(),
                     [PhysicalSegment(names, expected, merged, TID_IMPLICIT)],
                 )
-            ]))
-            # Grow the authoritative columns only when no engine is mid-scan
-            # (readers size their dense arrays from the table meta once).
-            with self._readers_cv:
-                while self._readers:
-                    self._readers_cv.wait()
-                self.data.append_rows(merged)
-                self._rebind_meta()
+            ], deleted=deleted))
+            self.data.append_rows(merged)
+            self._rebind_meta()
             self._next_tid = max(self._next_tid, self.data.n_tuples)
         else:
-            self.manager.advance_version()
+            self.manager.advance_version(deleted)
 
         version = self.manager.catalog_version
-        self._register_state(version, previous.with_commit(
-            segments, frozenset(new_tombstones), self.data.n_tuples
-        ))
+        self._state = self._state.with_commit(segments, frozenset(new_tombstones))
         self._applied_lsn = max(self._applied_lsn,
                                 max(r.lsn for r in records))
         self._lsn = max(self._lsn, self._applied_lsn)
         publish("txn", self)
         return version
 
-    def _register_state(self, version: int, state: DeltaState) -> None:
-        with self.write_lock:
-            self._states[version] = state
-            self._state_versions.append(version)
-            # A version below the floor can never be pinned again: keep the
-            # newest state at or below it (later versions may inherit it).
-            stale = bisect_right(
-                self._state_versions, self.manager.floor_version()
-            ) - 1
-            for old in self._state_versions[:max(stale, 0)]:
-                del self._states[old]
-            del self._state_versions[:max(stale, 0)]
-
     def record_compaction(self, state: DeltaState) -> bool:
-        """Install a compaction's post-fold ``state`` at the version its
-        swap just minted (called by the
+        """Install a compaction's post-fold ``state`` as the head's (called
+        by the
         :class:`~repro.txn.compactor.DeltaCompactor`, under ``write_lock``).
         When the fold left nothing outstanding the partitions alone
         reconstruct the table — a checkpoint — and the WAL is truncated;
         returns whether it was."""
         with self.write_lock:
-            self._register_state(self.manager.catalog_version, state)
+            self._state = state
             truncated = False
             if (
                 self.wal is not None
@@ -456,30 +409,6 @@ class TransactionalTable:
         self.layout.table = meta
         self.layout.executor.rebind(meta)
 
-    # ------------------------------------------------------------ pinning
-
-    def _pin_state(
-        self, version: Optional[int]
-    ) -> Tuple[CatalogSnapshot, DeltaState]:
-        """Pin ``version`` and resolve its write-path state.  The state is
-        immutable, but resolving it takes the write lock, which a committing
-        writer holds while it drains readers: it is resolved here, before
-        the caller may count as a reader, never from inside the readers
-        section."""
-        snapshot = self.manager.pin_snapshot(version)
-        return snapshot, self._state_at(snapshot.version)
-
-    def pin(self, version: Optional[int] = None) -> CatalogSnapshot:
-        """Pin a snapshot and attach what the version hides."""
-        snapshot, state = self._pin_state(version)
-        snapshot.hidden = state.hidden(self.data.n_tuples)
-        return snapshot
-
-    def _visible_mask(self, version: int) -> np.ndarray:
-        """True for tids visible to a query at ``version`` (read-only) — the
-        dense reference the write oracle also checks."""
-        return self._state_at(version).visible
-
     # -------------------------------------------------------------- reads
 
     def execute(
@@ -489,28 +418,16 @@ class TransactionalTable:
 
         ``as_of`` pins an older retained catalog version — time travel.  The
         layout's engine scans the snapshot's partition set, commit
-        partitions included, under the version's visibility mask.
+        partitions included, minus what the version deleted.
         """
         with request_scope(self.layout.executor.name, query):
-            snapshot, state = self._pin_state(as_of)
-            with snapshot:
-                with self._readers_cv:
-                    self._readers += 1
-                try:
-                    # The tuple domain cannot grow while this thread counts
-                    # as a reader, so the hidden tids are taken over the
-                    # domain the engine will see.
-                    snapshot.hidden = state.hidden(self.data.n_tuples)
-                    return self.layout.executor.execute(query, snapshot=snapshot)
-                finally:
-                    with self._readers_cv:
-                        self._readers -= 1
-                        self._readers_cv.notify_all()
+            with self.manager.pin_snapshot(as_of) as snapshot:
+                return self.layout.executor.execute(query, snapshot=snapshot)
 
     # ------------------------------------------------------- introspection
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = self._state_at(self.manager.catalog_version)
+        state = self._state
         return (
             f"TransactionalTable({self.data.meta.name!r}, "
             f"v{self.manager.catalog_version}, {len(state.segments)} "

@@ -140,7 +140,7 @@ class TestExecute:
             inner, config=FaultConfig(transient_error_rate=1.0), seed=2
         )
         with pytest.raises(StorageError):
-            repartitioner.execute(plan, manager, drift_table, verify=True)
+            repartitioner.execute(plan, manager, drift_table)
         manager.store = inner
         assert manager.pids() == pids_before
         assert manager.retired_pids() == ()

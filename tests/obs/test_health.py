@@ -198,7 +198,7 @@ class TestStalledCompactionScenario:
         failing = {r.name for r in report.failing()}
         assert "wal_backlog_bytes" in failing
 
-        reports = DeltaCompactor(txn, verify=True).run_until_clean()
+        reports = DeltaCompactor(txn).run_until_clean()
         assert reports and reports[-1].wal_truncated
         assert txn.wal.backlog_bytes == 0
         # the compactor republished right after the fold: no extra commit

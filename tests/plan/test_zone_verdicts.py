@@ -209,7 +209,7 @@ def test_views_after_commits_and_a_fold():
     queries = [random_query(rng, table) for _ in range(6)]
     pruned = 0
     for version in [None] + versions:
-        with txn.pin(version) as view:
+        with txn.manager.pin_snapshot(version) as view:
             for query in queries:
                 pruned += check_view(query, view)
     assert pruned > 0

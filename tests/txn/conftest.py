@@ -73,6 +73,11 @@ def referenced_keys(txn) -> set:
     return keys
 
 
+def visible_mask(txn) -> np.ndarray:
+    """True per committed tid that the head version shows."""
+    return ~txn.manager.deleted(np.arange(txn.data.n_tuples))
+
+
 def build_txn_table(
     seed: int = 7,
     n_attrs: int = 3,

@@ -61,7 +61,7 @@ def commit(txn):
 
 def fold(budget):
     def run(txn):
-        report = DeltaCompactor(txn, bytes_budget=budget, verify=True).run()
+        report = DeltaCompactor(txn, bytes_budget=budget).run()
         assert not report.is_empty
         if budget is not None:
             assert report.n_partitions_deferred > 0  # a partial pass

@@ -24,7 +24,7 @@ from repro.testing import (
 )
 from repro.txn import DeltaCompactor, TransactionalTable
 
-from .conftest import build_txn_table, referenced_keys
+from .conftest import build_txn_table, referenced_keys, visible_mask
 
 
 def run_batches(txn, rng, n_batches=4):
@@ -42,7 +42,7 @@ class TestCompactionCorrectness:
         _table, _layout, txn = build_txn_table(seed=41)
         rng = np.random.default_rng(41)
         shadow = run_batches(txn, rng)
-        reports = DeltaCompactor(txn, verify=True).run_until_clean()
+        reports = DeltaCompactor(txn).run_until_clean()
         assert reports and not reports[-1].is_empty
         state = txn.delta_state()
         assert not state.segments and not state.tombstones
@@ -83,7 +83,7 @@ class TestCompactionCorrectness:
             return sum(txn.execute(query)[1].bytes_read for query in sweep)
 
         fragmented = sweep_bytes()
-        DeltaCompactor(txn, verify=True).run_until_clean()
+        DeltaCompactor(txn).run_until_clean()
         assert fragmented >= 1.5 * sweep_bytes()
         assert verify_against_shadow(txn, shadow, rng, n_queries=1) == []
 
@@ -91,7 +91,7 @@ class TestCompactionCorrectness:
         _table, _layout, txn = build_txn_table(seed=42)
         txn.delete(tids=list(range(0, 10)))
         txn.commit()
-        report = DeltaCompactor(txn, verify=True).run()
+        report = DeltaCompactor(txn).run()
         assert report.n_segments_folded == 0
         assert report.n_tombstones_removed == 10
         assert report.n_tuples_dropped == 10
@@ -120,7 +120,7 @@ class TestBudget:
                 for pid in txn.manager.pids()
             ),
         )
-        compactor = DeltaCompactor(txn, bytes_budget=unit, verify=True)
+        compactor = DeltaCompactor(txn, bytes_budget=unit)
         first = compactor.run()
         assert first.n_segments_deferred + first.n_partitions_deferred > 0
         mid = txn.delta_state()
@@ -135,7 +135,7 @@ class TestBudget:
         _table, _layout, txn = build_txn_table(seed=45)
         rng = np.random.default_rng(45)
         run_batches(txn, rng, n_batches=2)
-        compactor = DeltaCompactor(txn, bytes_budget=1, verify=True)
+        compactor = DeltaCompactor(txn, bytes_budget=1)
         reports = compactor.run_until_clean(max_passes=4)
         assert reports == []  # first pass is an is_empty no-op report
         state = txn.delta_state()
@@ -164,9 +164,7 @@ class TestNoOrphanBlobs:
             budget = max(
                 manager.info(pid).n_bytes for pid in manager.pids()
             ) if budgeted else None
-            reports = DeltaCompactor(
-                txn, bytes_budget=budget, verify=True
-            ).run_until_clean()
+            reports = DeltaCompactor(txn, bytes_budget=budget).run_until_clean()
             assert (len(reports) > 1) == budgeted
             state = txn.delta_state()
             assert not state.segments and not state.tombstones
@@ -179,8 +177,8 @@ class TestNoOrphanBlobs:
         manager = txn.manager
         rng = np.random.default_rng(52)
         shadow = run_batches(txn, rng)
-        hold = txn.pin()
-        report = DeltaCompactor(txn, verify=True).run()
+        hold = txn.manager.pin_snapshot()
+        report = DeltaCompactor(txn).run()
         shadow.snapshot(report.version)
         manager.prune_retired()
         retired = {manager.info(pid).key for pid in manager.retired_pids()}
@@ -243,7 +241,7 @@ class TestBudgetedFoldAcrossColumnGroups:
         rng, txn = build_column_group_table(48, n_tuples, engine)
         shadow = run_batches(txn, rng)
         assert txn.delta_state().tombstones
-        compactor = DeltaCompactor(txn, bytes_budget=budget, verify=True)
+        compactor = DeltaCompactor(txn, bytes_budget=budget)
         first = compactor.run()
         assert first.n_partitions_deferred > 0  # a partial pass
         assert txn.delta_state().tombstones  # ... that keeps what it must
@@ -293,10 +291,10 @@ class TestSortedSetAlgebra:
         shadow.delete_where({names[0]: (0, 60)}, limit=committed)
         shadow.snapshot(txn.commit())
 
-        partial = DeltaCompactor(txn, bytes_budget=40_000, verify=True).run()
+        partial = DeltaCompactor(txn, bytes_budget=40_000).run()
         assert partial.scope_pids and partial.n_partitions_deferred > 0
         shadow.snapshot(partial.version)
-        final = DeltaCompactor(txn, verify=True).run()
+        final = DeltaCompactor(txn).run()
         shadow.snapshot(final.version)
         state = txn.delta_state()
         assert not state.segments and not state.tombstones
@@ -320,7 +318,7 @@ class TestWalCheckpoint:
                 for pid in txn.manager.pids()
             ),
         )
-        compactor = DeltaCompactor(txn, bytes_budget=unit, verify=True)
+        compactor = DeltaCompactor(txn, bytes_budget=unit)
         first = compactor.run()
         assert not first.wal_truncated
         assert txn.wal.replay() != []
@@ -343,7 +341,7 @@ class TestCacheCoherence:
         query = Query.build(meta, names, {"a1": (200, 800)}, label="hot")
 
         v0 = txn.current_version
-        hold = txn.pin(v0)
+        hold = txn.manager.pin_snapshot(v0)
         pinned_first, _ = txn.execute(query, as_of=v0)
         assert cache.stats.n_records >= 1
 
@@ -353,13 +351,13 @@ class TestCacheCoherence:
 
         # More writes, then the compaction swap bumps the catalog.
         run_batches(txn, rng, n_batches=1)
-        report = DeltaCompactor(txn, verify=True).run()
+        report = DeltaCompactor(txn).run()
         assert not report.is_empty
         assert cache.stats.n_invalidated > 0  # unpinned tokens purged
 
         # Live read after the swap: fresh verdicts, dense-reference exact.
         live_after, _ = txn.execute(query)
-        visible = txn._visible_mask(txn.current_version)
+        visible = visible_mask(txn)
         a1 = txn.data.column("a1")
         expected = np.nonzero(visible & (a1 >= 200) & (a1 <= 800))[0]
         assert np.array_equal(live_after.tuple_ids, expected)

@@ -13,7 +13,7 @@ from repro.layouts import BuildContext, IrregularLayout
 from repro.storage import ColumnTable
 from repro.txn import DeltaCompactor, TransactionalTable
 
-from .conftest import build_txn_table
+from .conftest import build_txn_table, visible_mask
 
 
 class TestPinning:
@@ -50,7 +50,7 @@ class TestPinning:
         txn.commit()
         txn.delete(tids=tids[:3])
         txn.commit()
-        DeltaCompactor(txn, verify=True).run()
+        DeltaCompactor(txn).run()
         assert set(snapshot.pids) == before
         assert set(manager.pids()) != before
         snapshot.release()
@@ -62,7 +62,7 @@ class TestPinning:
         rng = np.random.default_rng(1)
         txn.delete(tids=[0, 1])
         txn.commit()
-        DeltaCompactor(txn, verify=True).run()
+        DeltaCompactor(txn).run()
         manager.prune_retired()
         assert manager.floor_version() > old_version
         with pytest.raises(SnapshotUnavailableError):
@@ -74,7 +74,7 @@ class TestPinning:
         snapshot = manager.pin_snapshot()
         txn.delete(tids=[0, 1])
         txn.commit()
-        DeltaCompactor(txn, verify=True).run()
+        DeltaCompactor(txn).run()
         manager.prune_retired()
         # The pinned version's partitions must still be servable.
         for pid in snapshot.pids:
@@ -90,39 +90,54 @@ class TestPinning:
 
 
     def test_nothing_invisible_pins_without_a_mask(self, txn_table):
-        """A version's visibility is one immutable mask; a table nothing
-        was deleted from runs the read-only engines' exact path."""
+        """A version hides the tids deleted by then, over its own tid
+        domain; a table nothing was deleted from runs the read-only
+        engines' exact path."""
         table, _layout, txn = txn_table
+        manager = txn.manager
         names = list(table.schema.attribute_names)
-        with txn.pin() as clean:
+        with manager.pin_snapshot() as clean:
             assert clean.hidden is None
         first = txn.current_version
         txn.insert({name: np.arange(5, dtype=np.int32) for name in names})
         grown = txn.commit()
-        with txn.pin() as still_clean, txn.pin(first) as older:
+        with manager.pin_snapshot() as still_clean, manager.pin_snapshot(first) as older:
             assert still_clean.hidden is None
-            # The older version ends below the grown tid domain.
-            assert older.hidden is not None
-            assert older.hidden.tolist() == list(range(300, 305))
+            assert still_clean.index.tid_domain() == 305
+            # The older view's domain ends below the grown one: nothing
+            # past it needs hiding.
+            assert older.hidden is None
+            assert older.index.tid_domain() == 300
         txn.delete(tids=[4])
         txn.commit()
-        with txn.pin() as dirty, txn.pin() as again, txn.pin(grown) as back:
+        with manager.pin_snapshot() as dirty, manager.pin_snapshot() as again, \
+                manager.pin_snapshot(grown) as back:
             assert dirty.hidden is again.hidden  # built once
             assert dirty.hidden.tolist() == [4]
             assert back.hidden is None
+        with manager.pin_snapshot() as later:
+            assert later.hidden is dirty.hidden  # memoised for the head
 
-    def test_states_below_the_floor_are_dropped(self, txn_table):
+    def test_visibility_stays_one_array_over_the_tid_domain(self, txn_table):
+        """50 delete-and-fold cycles keep one per-tid deletion array in the
+        catalog, no longer than the tid domain, and no per-version state."""
         _table, _layout, txn = txn_table
-        for round_ in range(3):
-            txn.delete(tids=[2 * round_, 2 * round_ + 1])
+        manager = txn.manager
+        deleted = []
+        for round_ in range(50):
+            tids = [2 * round_, 2 * round_ + 1]
+            txn.delete(tids=tids)
+            deleted.extend(tids)
             txn.commit()
-            DeltaCompactor(txn, verify=True).run()
-            txn.manager.prune_retired()
-            floor = txn.manager.floor_version()
-            assert floor == txn.current_version
-            assert txn.versions() == (floor,)
-            # The newest state at or below the floor, and nothing older.
-            assert len(txn._states) <= 3
+            DeltaCompactor(txn).run()
+            manager.prune_retired()
+            assert manager.floor_version() == txn.current_version
+            head = manager._head
+            assert len(head.deleted_at) <= txn.data.n_tuples
+            assert int((head.deleted_at <= head.version).sum()) == len(deleted)
+            assert not txn.delta_state().tombstones
+        with manager.pin_snapshot() as view:
+            assert view.hidden.tolist() == deleted
 
 
 class TestReadStability:
@@ -151,7 +166,7 @@ class TestReadStability:
         # Hold a pin for the whole test: the daemon's auto_prune and the
         # compactor both retire partitions, and the pin is what keeps
         # version V servable through them.
-        hold = txn.pin(version)
+        hold = txn.manager.pin_snapshot(version)
         queries = list(train.queries) + [
             Query.build(meta, names, {}, label="full")
         ]
@@ -201,13 +216,10 @@ class TestReadStability:
         assert cycle.fired, cycle.reason
         check("after migration")
 
-        # Current-version reads stay duplicate-free and complete even
-        # though the migrated boxes absorbed committed rows whose cells
-        # their commit partitions still hold too (the engines key results
-        # by tid, so a cell stored twice is written twice, not returned
-        # twice).
+        # Current-version reads stay duplicate-free and complete after a
+        # migration over outstanding commit partitions and tombstones.
         def check_current(stage):
-            visible = txn._visible_mask(txn.current_version)
+            visible = visible_mask(txn)
             full = Query.build(txn.data.meta, names, {}, label="now")
             now, _ = txn.execute(full)
             assert np.array_equal(
@@ -221,7 +233,7 @@ class TestReadStability:
         check_current("current reads after migration")
 
         # Fold the outstanding tombstones out of the migrated catalog.
-        report = DeltaCompactor(txn, verify=True).run()
+        report = DeltaCompactor(txn).run()
         assert not report.is_empty
         check("after compaction")
         check_current("current reads after compaction")
@@ -245,7 +257,7 @@ class TestReadStability:
                 for name in names
             })
             visible = np.nonzero(
-                txn._visible_mask(txn.current_version)
+                visible_mask(txn)
             )[0]
             txn.delete(tids=rng.choice(visible, 5, replace=False))
             version = txn.commit()
@@ -264,8 +276,8 @@ class TestReadStability:
         _table, _layout, txn = txn_table
         obs.enable(trace=False, metrics=True)
         try:
-            s1 = txn.pin()
-            s2 = txn.pin()
+            s1 = txn.manager.pin_snapshot()
+            s2 = txn.manager.pin_snapshot()
             obs.publish("txn", txn)
             registry = obs.get_registry()
             gauge = registry.gauge(

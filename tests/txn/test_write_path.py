@@ -92,7 +92,7 @@ def run_workload(txn, rng, config=CONFIG, compact_at=None):
         version = txn.commit()
         shadow.snapshot(version)
         if compact_at is not None and batch == compact_at:
-            DeltaCompactor(txn, verify=True).run()
+            DeltaCompactor(txn).run()
     return shadow
 
 
@@ -265,7 +265,7 @@ def test_as_of_exact_across_commits_a_migration_and_a_fold(strategy):
     txn = TransactionalTable(layout, table)
     shadow = ShadowTable(txn.data)
     shadow.snapshot(txn.current_version)
-    hold = txn.pin()  # keeps every version below pinnable through the prunes
+    hold = txn.manager.pin_snapshot()  # keeps every version below pinnable through the prunes
     config = WriteWorkloadConfig()
 
     def commits(n):
@@ -294,7 +294,7 @@ def test_as_of_exact_across_commits_a_migration_and_a_fold(strategy):
     daemon.detach()
     shadow.snapshot(txn.current_version)
     commits(2)
-    report = DeltaCompactor(txn, verify=True).run()
+    report = DeltaCompactor(txn).run()
     assert report.scope_pids
     shadow.snapshot(report.version)
     commits(1)
@@ -346,7 +346,7 @@ class TestOneFlightRecordPerRequest:
         assert read.catalog_version == version
         assert [leaf["engine"] for leaf in read.leaves] == [read.engine]
 
-        report = DeltaCompactor(txn, verify=True).run()
+        report = DeltaCompactor(txn).run()
         (_, _, fold) = recorder.records()
         assert fold.engine == "txn.compaction"
         assert fold.catalog_version == report.version
