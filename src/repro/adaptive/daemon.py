@@ -42,7 +42,6 @@ from ..errors import AdaptationError, StorageError
 from ..layouts.base import MaterializedLayout
 from ..obs import publish
 from ..obs import tracer as obs_tracer
-from ..storage.table_data import ColumnTable
 from .advisor import AdvisorConfig, AdvisorVerdict, RepartitionAdvisor
 from .monitor import WorkloadMonitor
 from .repartitioner import IncrementalRepartitioner, MigrationPlan
@@ -129,7 +128,6 @@ class AdaptiveDaemon:
     def __init__(
         self,
         layout: MaterializedLayout,
-        data: ColumnTable,
         config: AdaptiveConfig | None = None,
         cost_model: CostModel | None = None,
         tuner_config: PartitionerConfig | None = None,
@@ -144,7 +142,6 @@ class AdaptiveDaemon:
                 "plan; only irregular plans are adaptable"
             )
         self.layout = layout
-        self.data = data
         self.config = config or AdaptiveConfig()
         self.planner = layout.executor.planner
         self.manager = layout.manager
@@ -334,7 +331,7 @@ class AdaptiveDaemon:
 
     def _execute(self, plan: MigrationPlan) -> None:
         # Staged partitions are read back and verified before the commit.
-        self.repartitioner.execute(plan, self.manager, self.data)
+        self.repartitioner.execute(plan, self.manager)
         for pid in plan.scope_pids:
             del self._current[pid]
         for partition in plan.new_partitions:

@@ -6,11 +6,12 @@ of drifted partitions: the union of their logical segments becomes the input
 region seeded into :meth:`~repro.core.partitioner.JigsawPartitioner.refine`.
 Because the tuner's splits partition cells and its merges only regroup them,
 the proposed partitions cover **exactly** the cells of the input region — no
-gaps, no overlaps.  Execution resolves their boxes over the rows the scope
-partitions store (a transactional table also holds committed rows, which
-live in their commit partitions), so swapping them for the scope
-partitions preserves Formula 4's validity constraints for the whole table.
-(The hypothesis property suite in ``tests/adaptive`` checks this
+gaps, no overlaps.  Execution reads the rows the scope partitions store
+from the store itself — the partitions it replaces are the only copy of
+the table — and resolves the new boxes over them (a transactional table's
+committed rows live in their commit partitions), so swapping them for the
+scope partitions preserves Formula 4's validity constraints for the whole
+table.  (The hypothesis property suite in ``tests/adaptive`` checks this
 cell-exactness directly.)
 
 Execution goes through :meth:`PartitionManager.swap_partitions` with fresh
@@ -33,10 +34,10 @@ from ..core.partition import Partition
 from ..core.partitioner import JigsawPartitioner, PartitionerConfig
 from ..core.query import Workload
 from ..core.segment import Segment
+from ..engine.base import rows
 from ..errors import AdaptationError
 from ..storage.partition_manager import PartitionInfo, PartitionManager
-from ..storage.physical import TID_EXPLICIT, physical_from_logical
-from ..storage.table_data import ColumnTable
+from ..storage.physical import physical_from_logical, sorted_isin, sorted_unique
 
 __all__ = ["MigrationPlan", "IncrementalRepartitioner"]
 
@@ -131,25 +132,39 @@ class IncrementalRepartitioner:
     # ------------------------------------------------------------ execute
 
     def execute(
-        self,
-        plan: MigrationPlan,
-        manager: PartitionManager,
-        table: ColumnTable,
+        self, plan: MigrationPlan, manager: PartitionManager
     ) -> List[PartitionInfo]:
         """Materialize and atomically swap in the migration's partitions,
         each read back before the commit.
 
+        Pins the head and reads, from the store, the rows its scope stores
+        that the view does not hide — each new segment's attributes and
+        ``tight`` attributes, wherever their cells live (a horizontal split
+        can tighten an attribute the segment does not store) — then
+        resolves every box over those rows.  A hidden row is not rewritten:
+        a budgeted fold may already have dropped its other cells, and no
+        version that sees the new partitions shows it.
+
         Raises :class:`~repro.errors.StorageError` (catalog untouched) when
-        staging or verification fails, or when the swap would give a cell a
-        second home; returns the new catalog entries on success.
+        a scope partition cannot be read, when staging or verification
+        fails, or when the swap would give a cell a second home; returns
+        the new catalog entries on success.
         """
         if plan.is_empty:
             return []
-        stored = np.zeros(table.n_tuples, dtype=bool)
-        for pid in plan.scope_pids:
-            stored[manager.info(pid).tuple_ids()] = True
+        names = sorted({
+            name for partition in plan.new_partitions for segment in partition.segments
+            for name in (*segment.attributes, *segment.tight)
+        })
+        with manager.pin_snapshot() as view:
+            tids = sorted_unique(np.concatenate([
+                view.info(pid).tuple_ids() for pid in plan.scope_pids
+            ]))
+            if view.hidden is not None:
+                tids = tids[~sorted_isin(tids, view.hidden)]
+            cells = rows(view, tids, names)
         physicals = [
-            physical_from_logical(partition, table, TID_EXPLICIT, rows=stored)
+            physical_from_logical(partition, tids, cells, manager.schema)
             for partition in plan.new_partitions
         ]
         return manager.swap_partitions(

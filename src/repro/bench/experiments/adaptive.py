@@ -150,7 +150,6 @@ def run(cfg: AdaptiveBenchConfig | None = None) -> ExperimentResult:
         )
     daemon = AdaptiveDaemon(
         adaptive,
-        table,
         AdaptiveConfig(
             window_size=cfg.window_size,
             advisor=AdvisorConfig(

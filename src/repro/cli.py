@@ -387,7 +387,7 @@ def _run_write(args) -> int:
     state = txn.delta_state()
     print(
         f"-- demo table {table.meta.name!r}: {base_n} -> "
-        f"{txn.data.n_tuples} tuples across {config.n_batches} commits "
+        f"{txn.n_tuples} tuples across {config.n_batches} commits "
         f"(v{base_version} -> v{txn.current_version}), layout "
         f"{args.layout!r}, WAL {args.wal}"
     )
@@ -428,7 +428,7 @@ def _run_write(args) -> int:
 
     as_of = args.as_of
     if args.sql is not None:
-        statement = parse_statement(txn.data.meta, args.sql)
+        statement = parse_statement(txn.meta, args.sql)
         if statement.as_of is not None:
             as_of = statement.as_of
         query = statement.query
@@ -436,7 +436,7 @@ def _run_write(args) -> int:
         names = list(table.schema.attribute_names)
         from .core.query import Query
 
-        query = Query.build(txn.data.meta, names, {}, label="write-demo")
+        query = Query.build(txn.meta, names, {}, label="write-demo")
     if as_of is None:
         as_of = versions[len(versions) // 2]
     result, stats = txn.execute(query, as_of=as_of)

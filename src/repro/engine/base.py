@@ -28,7 +28,9 @@ loop over the predicate partitions, handing each stretch of plan order
 between pruned pids to the reader and the driver's ``process`` one run at
 a time, and :func:`projection_loop`, Algorithm 5's projection probe (the
 partitions holding the selected tuples' missing cells, one tuple-level
-probe per owner map).
+probe per owner map).  The write path reads the stored table through the
+same probe: :func:`rows` fills a tid list's cells from the partitions it
+names, read without a charge.
 """
 
 from __future__ import annotations
@@ -56,7 +58,10 @@ from ..obs import request_scope
 from ..obs import tracer as obs_tracer
 from ..plan.explain import ExplainReport
 from ..plan.logical import POLICY_PARTITION
-from ..plan.operators import PlanReader, ProjectFillOp, SelectOp, finalize_stats
+from ..plan.operators import (
+    STATUS_VALID, PlanReader, ProjectFillOp, SelectOp, finalize_stats,
+)
+from ..plan.predicates import Conjunction
 from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
 from ..plan.stats import CpuModel, ExecutionStats
@@ -64,7 +69,8 @@ from ..storage.partition_manager import CatalogSnapshot, PartitionManager
 from ..storage.physical import PhysicalPartition
 
 __all__ = [
-    "QueryEngine", "QueryRun", "count_prunes", "projection_loop", "run_selection",
+    "QueryEngine", "QueryRun", "count_prunes", "projection_loop", "rows",
+    "run_selection",
 ]
 
 
@@ -250,16 +256,15 @@ def run_selection(
     return evictions
 
 
-def projection_loop(plan: PhysicalPlan, fill_op: ProjectFillOp) -> List[int]:
-    """The projection's reads, ascending: every partition holding a
-    projected cell the result still misses, found through the tuple-level
-    index — one probe per owner map, over the union of its attributes'
-    missing tids (a probe distributes over a union).  The driver loads
-    them."""
-    view = plan.snapshot
+def projection_loop(view: CatalogSnapshot, fill_op: ProjectFillOp) -> List[int]:
+    """The projection's reads, ascending: every partition of ``view``
+    holding a projected cell the result still misses, found through the
+    tuple-level index — one probe per owner map, over the union of its
+    attributes' missing tids (a probe distributes over a union).  The
+    caller loads them."""
     missing_by_attr: Dict[str, np.ndarray] = {}
     groups: Dict[Any, List[str]] = {}  # owner map -> its missing attributes
-    for name in plan.logical.projected:
+    for name in fill_op.projected:
         missing = fill_op.missing(name)
         if len(missing):
             missing_by_attr[name] = missing
@@ -273,3 +278,23 @@ def projection_loop(plan: PhysicalPlan, fill_op: ProjectFillOp) -> List[int]:
             tids = fill_op.valid[~filled]
         pids.update(view.partitions_with_missing_cells(names[0], tids))
     return sorted(pids)
+
+
+def rows(
+    view: CatalogSnapshot, tids: np.ndarray, names: Sequence[str]
+) -> Dict[str, np.ndarray]:
+    """The ``names`` cells of the tuples ``tids`` (distinct, each stored at
+    ``view``), in ascending tid order: the write path's read of the stored
+    table.  The tids are the VALID set of a selection, the partitions
+    :func:`projection_loop` names are read through
+    :meth:`PartitionManager.read
+    <repro.storage.partition_manager.PartitionManager.read>`, which charges
+    nothing, and a cell no partition supplies raises
+    :class:`~repro.errors.StorageError`."""
+    names = tuple(names)
+    select_op = SelectOp(Conjunction([]), names, view.index.tid_domain())
+    select_op.status[tids] = STATUS_VALID
+    fill_op = ProjectFillOp(names, select_op, view.manager.schema)
+    for pid in projection_loop(view, fill_op):
+        fill_op.fill(view.manager.read(view.info(pid)))
+    return fill_op.result(ExecutionStats()).columns

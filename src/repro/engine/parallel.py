@@ -225,7 +225,7 @@ class ThreadedPartitionEngine(QueryEngine):
         reader = PlanReader(self.manager, select_op.coordinator, plan.chunk_size)
         self._fill(fill_op, [
             partition
-            for _run, partitions in reader.load_run(projection_loop(plan, fill_op))
+            for _run, partitions in reader.load_run(projection_loop(plan.snapshot, fill_op))
             for partition in partitions
         ])
         select_op.tally(stats)

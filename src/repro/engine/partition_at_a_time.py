@@ -125,7 +125,7 @@ class PartitionAtATimeExecutor(QueryEngine):
         # Line 16: the evaluated selection slots supply their result
         # tuples' cells (counted when they were selected).
         select_op.fill(fill_op, select_op.evaluated)
-        pids = projection_loop(plan, fill_op)
+        pids = projection_loop(plan.snapshot, fill_op)
         for run_pids, partitions in reader.load_run(pids):
             stats.cells_scanned += select_op.add_run(run_pids, partitions, False)
         stats.hash_updates += select_op.fill(fill_op, pids)

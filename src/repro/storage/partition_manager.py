@@ -173,23 +173,27 @@ class PartitionManager:
         tids.flags.writeable = False
         return tids
 
-    def _verify_readable(self, info: PartitionInfo) -> StorageError | None:
-        """Read a just-staged blob back through the fault path; None when a
-        decode succeeds within the retry budget, else the last error.  A
-        verify read charges no query, so the latency a fault-injecting store
-        pends for it is drained after every attempt."""
+    def read(self, info: PartitionInfo) -> PhysicalPartition:
+        """Read a stored partition for a rewrite or a write-side lookup:
+        fetch, checksum and decode under its catalog entry, retried within
+        the retry budget.  It charges nothing — no device time, no simulated
+        OS cache, no buffer-pool admission or counter — and drains the
+        latency a fault-injecting store pends for it after every attempt.
+        Raises :class:`~repro.errors.StorageError` when no attempt decodes."""
         drain_latency = getattr(self.store, "consume_injected_latency", None)
         last_error: StorageError | None = None
         for _attempt in range(self.retry_policy.max_attempts):
             try:
-                deserialize_partition(self.store.get(info.key), self.schema, info)
-                return None
+                return deserialize_partition(self.store.get(info.key), self.schema, info)
             except StorageError as exc:
                 last_error = exc
             finally:
                 if drain_latency is not None:
                     drain_latency(info.key)
-        return last_error
+        raise StorageError(
+            f"partition {info.pid} ({info.key!r}) unreadable after "
+            f"{self.retry_policy.max_attempts} attempts: {last_error}"
+        ) from last_error
 
     def swap_partitions(
         self,
@@ -283,12 +287,13 @@ class PartitionManager:
                     staged.append(info)
             if verify:
                 for info in staged:
-                    error = self._verify_readable(info)
-                    if error is not None:
+                    try:
+                        self.read(info)
+                    except StorageError as error:
                         raise StorageError(
-                            f"staged partition {info.pid} ({info.key!r}) failed "
-                            f"read-back verification: {error}"
-                        )
+                            f"staged partition {info.pid} failed read-back "
+                            f"verification: {error}"
+                        ) from error
             yield staged
         except Exception:
             for info in staged:
@@ -456,8 +461,10 @@ class PartitionManager:
         sketcher: Optional[Sketcher] = None,
     ) -> List[PartitionInfo]:
         """Resolve every logical partition against the data and store it."""
+        tids = np.arange(table.n_tuples, dtype=np.int64)
+        columns = table.columns(table.schema.attribute_names)
         return self.materialize(
-            (physical_from_logical(partition, table, tid_storage)
+            (physical_from_logical(partition, tids, columns, table.schema, tid_storage)
              for partition in plan),
             sketcher,
         )
@@ -552,6 +559,12 @@ class PartitionManager:
 
     def pids(self) -> Tuple[int, ...]:
         return tuple(sorted(self._head.index.pids))
+
+    @property
+    def tid_end(self) -> int:
+        """One past the highest tid ever committed: the write path's tid
+        watermark."""
+        return self._head.tid_end
 
     def retired_pids(self) -> Tuple[int, ...]:
         return tuple(sorted(self._head.retired))

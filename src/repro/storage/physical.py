@@ -268,35 +268,47 @@ def build_physical_partition(
 
 def physical_from_logical(
     partition: Partition,
-    table: ColumnTable,
+    tids: np.ndarray,
+    columns: Mapping[str, np.ndarray],
+    schema: TableSchema,
     tid_storage: str = TID_EXPLICIT,
-    rows: Optional[np.ndarray] = None,
 ) -> PhysicalPartition:
-    """Resolve a logical partition's range boxes into a physical partition:
-    over every tuple of ``table``, or over the tuples a boolean ``rows``
-    mask marks (what a migration rewrites: the rows its scope stores)."""
-    specs = []
+    """Resolve a logical partition's range boxes over the rows ``tids``
+    (ascending) — a whole table at build time, the rows a migration's scope
+    stores when it runs — whose cells ``columns`` holds aligned with them:
+    each segment's attributes and ``tight`` attributes.  Segments with
+    identical attribute sets become one physical segment (the Figure 3
+    grouping).  When ``tid_storage`` is implicit but a segment is not a
+    natural contiguous run, it is demoted to catalog storage."""
+    grouped: Dict[Tuple[str, ...], np.ndarray] = {}
     for segment in partition.segments:
-        mask = table.mask_for_box(segment.ranges, segment.tight)
-        if rows is not None:
-            mask &= rows
-        tids = np.nonzero(mask)[0].astype(np.int64)
-        if len(tids):
-            specs.append(SegmentSpec(attributes=segment.attributes, tuple_ids=tids))
-    if not specs:
+        inside = np.ones(len(tids), dtype=bool)
+        for name in segment.tight:
+            interval = segment.ranges[name]
+            inside &= (columns[name] >= interval.lo) & (columns[name] <= interval.hi)
+        attrs = tuple(a for a in schema.attribute_names if a in segment.attributes)
+        if attrs in grouped:
+            inside |= grouped[attrs]
+        grouped[attrs] = inside
+    segments = []
+    for attrs, inside in grouped.items():
+        at = np.flatnonzero(inside)
+        if not len(at):
+            continue
+        mode = tid_storage
+        if mode == TID_IMPLICIT and not _natural_run(tids[at]):
+            mode = TID_CATALOG
+        segments.append(PhysicalSegment(
+            attrs, tids[at], {name: columns[name][at] for name in attrs}, mode
+        ))
+    if not segments:
         # A partition whose boxes match no tuples (estimation said otherwise)
         # still needs a placeholder so indexes stay consistent.
-        first_attrs = partition.segments[0].attributes
-        specs = [SegmentSpec(attributes=first_attrs, tuple_ids=np.empty(0, np.int64))]
-        return PhysicalPartition(
-            pid=partition.pid,
-            segments=[
-                PhysicalSegment(
-                    attributes=tuple(first_attrs),
-                    tuple_ids=np.empty(0, np.int64),
-                    columns={a: table.column(a)[:0] for a in first_attrs},
-                    tid_storage=tid_storage if tid_storage != TID_IMPLICIT else TID_CATALOG,
-                )
-            ],
-        )
-    return build_physical_partition(partition.pid, specs, table, tid_storage)
+        first_attrs = tuple(partition.segments[0].attributes)
+        segments = [PhysicalSegment(
+            first_attrs,
+            np.empty(0, np.int64),
+            {name: np.empty(0, schema[name].np_dtype) for name in first_attrs},
+            tid_storage if tid_storage != TID_IMPLICIT else TID_CATALOG,
+        )]
+    return PhysicalPartition(pid=partition.pid, segments=segments)

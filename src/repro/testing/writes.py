@@ -177,7 +177,7 @@ def apply_random_batch(
     """
     n_ops = int(rng.integers(config.min_ops, config.max_ops + 1))
     names = list(shadow.schema.attribute_names)
-    committed_n = txn.data.n_tuples
+    committed_n = txn.n_tuples
     for _ in range(n_ops):
         # Delete/update targets resolve against the last committed state
         # (the table never targets same-batch inserts), so clamp candidates
@@ -260,7 +260,7 @@ def verify_against_shadow(
     for version in check_versions:
         if version < floor:
             continue  # pruned away; no longer pinnable
-        meta = txn.data.meta
+        meta = txn.meta
         queries = [Query.build(meta, names, {}, label=f"v{version}-full")]
         for i in range(n_queries):
             name = names[int(rng.integers(len(names)))]

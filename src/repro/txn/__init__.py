@@ -6,14 +6,15 @@ Layering (top to bottom):
   through the WAL, lands each batch's inserted rows as one ordinary catalog
   partition, stamps each batch's deletes on the catalog, and serves MVCC
   snapshot reads (``AS OF`` time travel) by running the unmodified engines
-  on a pinned catalog view, which hides what its version deleted.
+  on a pinned catalog view, which hides what its version deleted.  It keeps
+  the table meta only: the stored partitions are the one copy of the rows.
 * :class:`WriteAheadLog` — append-only, CRC-framed batches persisted as
   blobs through :mod:`repro.storage.blob` (one blob put per group commit is
   the simulated fsync); deterministic replay that ignores a torn tail.
 * :class:`DeltaState` — the head's fold debt: the commit partitions not
   yet folded and the tombstones not yet resolved.
-* :class:`DeltaCompactor` — coalesces commit partitions and rewrites
-  tombstone-dirty ones through the same verified, versioned swap the
+* :class:`DeltaCompactor` — rewrites tombstone-dirty partitions from
+  their stored cells through the same verified, versioned swap the
   adaptive daemon's migrations use, under a bytes-rewritten budget.
 """
 

@@ -6,7 +6,12 @@ rows already are the full-schema partition a fold used to rewrite them
 into, so a pass has one kind of work: rebuild the *dirty* partitions (any
 partition holding deleted tuples, commit partitions included) without their
 dead rows and land them through one atomic, verified
-:meth:`~repro.storage.partition_manager.PartitionManager.swap_partitions` —
+:meth:`~repro.storage.partition_manager.PartitionManager.swap_partitions`.
+The rows come from the partitions being replaced — the only copy of the
+table — read at a pinned head view through
+:meth:`~repro.storage.partition_manager.PartitionManager.read`, which
+charges no query; a scope partition that cannot be read fails the pass
+before anything is put.  The swap is
 abort-safe and versioned exactly like a layout migration; pinned older
 snapshots keep reading the retired files until
 :meth:`~repro.storage.partition_manager.PartitionManager.prune_retired`
@@ -37,10 +42,11 @@ import numpy as np
 from ..errors import TransactionError
 from ..obs import request_scope
 from ..obs import tracer as obs_tracer
+from ..storage.catalog import CatalogSnapshot
 from ..storage.physical import (
     TID_EXPLICIT,
-    SegmentSpec,
-    build_physical_partition,
+    PhysicalPartition,
+    PhysicalSegment,
     sorted_isin,
 )
 from .delta import DeltaState
@@ -96,18 +102,18 @@ class DeltaCompactor:
     # ------------------------------------------------------------- planning
 
     def _plan(
-        self, tombs: np.ndarray
+        self, view: CatalogSnapshot, tombs: np.ndarray
     ) -> Tuple[List[int], List[int], Dict[int, np.ndarray]]:
-        """``(scope, deferred, dead)``: the dirty partitions, dirtiest
-        first, split by what fits the budget, and each one's dead tuple IDs
-        (ascending) — the only tombstones the rest of the pass tests.
-        ``tombs`` is the state's ascending tombstone array."""
+        """``(scope, deferred, dead)``: the dirty partitions of ``view``,
+        dirtiest first, split by what fits the budget, and each one's dead
+        tuple IDs (ascending) — the only tombstones the rest of the pass
+        tests.  ``tombs`` is the state's ascending tombstone array."""
         dead: Dict[int, np.ndarray] = {}
-        for pid in self.manager.pids():
-            held = self.manager.info(pid).tuple_ids()
+        for info in view.index.infos():
+            held = info.tuple_ids()
             dead_here = held[sorted_isin(held, tombs)]
             if len(dead_here):
-                dead[pid] = dead_here
+                dead[info.pid] = dead_here
         dirty = sorted(dead, key=lambda pid: (-len(dead[pid]), pid))
         budget_left = (
             float("inf") if self.bytes_budget is None else self.bytes_budget
@@ -115,7 +121,7 @@ class DeltaCompactor:
         scope: List[int] = []
         deferred: List[int] = []
         for pid in dirty:
-            n_bytes = self.manager.info(pid).n_bytes
+            n_bytes = view.info(pid).n_bytes
             if n_bytes <= budget_left:
                 scope.append(pid)
                 budget_left -= n_bytes
@@ -149,8 +155,25 @@ class DeltaCompactor:
             state = table.delta_state()
             if not state.segments and not state.tombstones:
                 return CompactionReport()
-            tombs = state.tombstone_array()
-            scope, deferred, dead = self._plan(tombs)
+            with self.manager.pin_snapshot() as view:
+                scope, deferred, dead = self._plan(view, state.tombstone_array())
+                # Each scope partition as stored, less its dead rows, under
+                # a fresh pid; one with no live row is dropped.
+                physicals = []
+                next_pid = self.manager.next_pid()
+                for pid in scope:
+                    segments = []
+                    for segment in self.manager.read(view.info(pid)).segments:
+                        live = ~sorted_isin(segment.tuple_ids, dead[pid])
+                        if live.any():
+                            segments.append(PhysicalSegment(
+                                segment.attributes, segment.tuple_ids[live],
+                                {a: segment.columns[a][live] for a in segment.attributes},
+                                TID_EXPLICIT,
+                            ))
+                    if segments:
+                        physicals.append(PhysicalPartition(next_pid, segments))
+                        next_pid += 1
             # A commit partition stays a segment only while it waits for
             # the rewrite that drops its dead rows.
             remaining_segments = tuple(
@@ -162,26 +185,7 @@ class DeltaCompactor:
                     n_segments_deferred=len(remaining_segments),
                     n_partitions_deferred=len(deferred),
                 )
-
-            physicals = []
-            n_dropped = 0
-            next_pid = self.manager.next_pid()
-            for pid in scope:
-                info = self.manager.info(pid)
-                dead_here = dead[pid]
-                n_dropped += len(dead_here)
-                specs = []
-                for attrs, seg_tids in zip(info.segment_attrs, info.segment_tids):
-                    live = seg_tids[~sorted_isin(seg_tids, dead_here)]
-                    if len(live):
-                        specs.append(SegmentSpec(
-                            attributes=tuple(attrs), tuple_ids=live
-                        ))
-                if specs:
-                    physicals.append(build_physical_partition(
-                        next_pid, specs, table.data, TID_EXPLICIT,
-                    ))
-                    next_pid += 1
+            n_dropped = sum(len(dead[pid]) for pid in scope)
 
             # A tombstone whose tuple a deferred partition still holds must
             # outlive this pass: it is what marks that partition dirty for

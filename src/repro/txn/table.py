@@ -24,6 +24,13 @@ unreadable fails the read) — and so does every other way in: an engine
 that pins its own view of the table's manager, a served engine and a DAG
 leaf read what :meth:`execute` reads.
 
+The stored partitions are the only copy of the table: the write path keeps
+the table meta and nothing else.  An update's old rows and a predicate
+delete's targets are reads at the head
+(:func:`~repro.engine.base.rows`, which charges no query), the tid
+watermark is the catalog's (``Catalog.tid_end``), and each commit widens
+the meta's bounds by its partition's zone map.
+
 Tuple-id discipline: inserts take fresh tids at the high-water mark;
 updates are delete + insert *under new tids* (a tid's cells are immutable
 once written, which is what keeps partitions and zone maps sound
@@ -34,11 +41,13 @@ without rewrites).  Deleted tids stay physically present until a
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.query import Query
+from ..core.schema import TableMeta
+from ..engine.base import rows as read_rows
 from ..errors import TransactionError
 from ..obs import publish, request_scope
 from ..plan.result import ResultSet
@@ -69,21 +78,24 @@ class TransactionalTable:
     def __init__(
         self,
         layout,
-        data: ColumnTable,
+        table: ColumnTable,
         wal_enabled: bool = True,
     ):
         self.layout = layout
         self.manager = layout.manager
-        self.data = data
+        #: the table meta at the head: ``n_tuples`` is the tid watermark,
+        #: the bounds cover every committed cell.  ``table`` is the build
+        #: input; no reference to it is kept.
+        self.meta: TableMeta = table.meta
         self.wal: Optional[WriteAheadLog] = (
             WriteAheadLog(
                 self.manager.store,
-                data.schema,
+                self.meta.schema,
                 retry_policy=self.manager.retry_policy,
             )
             if wal_enabled else None
         )
-        self._next_tid = data.n_tuples
+        self._next_tid = self.manager.tid_end
         self._lsn = 0  # mirrors the WAL's lsn when the WAL is disabled
         self._applied_lsn = 0
         self._pending: List[WalRecord] = []
@@ -98,7 +110,19 @@ class TransactionalTable:
 
     @property
     def schema(self):
-        return self.data.schema
+        return self.meta.schema
+
+    @property
+    def n_tuples(self) -> int:
+        """Committed tuples, deleted ones included: the tid watermark."""
+        return self.meta.n_tuples
+
+    @property
+    def data(self) -> "TransactionalTable":
+        """Read-only alias of this table, for the layer benchmark's
+        ``txn.data.meta`` / ``txn.data.n_tuples``; it goes when the
+        benchmark is re-pointed at :attr:`meta` and :attr:`n_tuples`."""
+        return self
 
     @property
     def current_version(self) -> int:
@@ -113,25 +137,7 @@ class TransactionalTable:
     def insert(self, rows: Mapping[str, Sequence]) -> np.ndarray:
         """Buffer full rows for insertion; returns their assigned tids."""
         with self.write_lock:
-            columns = {
-                name: np.asarray(rows[name]) if name in rows else None
-                for name in self.schema.attribute_names
-            }
-            missing = [n for n, v in columns.items() if v is None]
-            if missing:
-                raise TransactionError(f"insert missing attributes: {missing}")
-            lengths = {len(v) for v in columns.values()}
-            if len(lengths) != 1:
-                raise TransactionError(
-                    f"insert columns disagree on length: {sorted(lengths)}"
-                )
-            n = lengths.pop()
-            tids = np.arange(
-                self._next_tid, self._next_tid + n, dtype=np.int64
-            )
-            self._next_tid += n
-            self._append_record(KIND_INSERT, tids, columns)
-            return tids
+            return self._append_record(KIND_INSERT, columns=rows).tids
 
     def delete(
         self,
@@ -143,7 +149,7 @@ class TransactionalTable:
         with self.write_lock:
             doomed = self._resolve_targets(tids, where)
             if len(doomed):
-                self._append_record(KIND_DELETE, doomed)
+                self._append_record(KIND_DELETE, tids=doomed)
                 self._pending_doomed.update(int(t) for t in doomed)
             return doomed
 
@@ -154,7 +160,8 @@ class TransactionalTable:
         where: Optional[Mapping] = None,
     ) -> np.ndarray:
         """Buffer updates (delete + insert under fresh tids); returns the
-        *new* tids carrying the updated rows."""
+        *new* tids carrying the updated rows, whose other cells are the old
+        rows' as the head stores them."""
         bad = [n for n in assignments if n not in self.schema.attribute_names]
         if bad:
             raise TransactionError(f"update assigns unknown attributes: {bad}")
@@ -162,41 +169,39 @@ class TransactionalTable:
             doomed = self._resolve_targets(tids, where)
             if not len(doomed):
                 return np.empty(0, dtype=np.int64)
-            columns = self.data.gather(self.schema.attribute_names, doomed)
+            with self.manager.pin_snapshot() as view:
+                columns = read_rows(view, doomed, self.schema.attribute_names)
             for name, value in assignments.items():
                 replacement = np.asarray(value)
                 if replacement.ndim == 0:
                     replacement = np.full(
-                        len(doomed), value,
-                        dtype=self.data.column(name).dtype,
+                        len(doomed), value, dtype=self.schema[name].np_dtype
                     )
                 columns[name] = replacement
-            new_tids = np.arange(
-                self._next_tid, self._next_tid + len(doomed), dtype=np.int64
-            )
-            self._next_tid += len(doomed)
-            self._append_record(
-                KIND_UPDATE, new_tids, columns, old_tids=doomed
-            )
+            record = self._append_record(KIND_UPDATE, columns=columns, old_tids=doomed)
             self._pending_doomed.update(int(t) for t in doomed)
-            return new_tids
+            return record.tids
 
     def _resolve_targets(
         self, tids: Optional[Sequence[int]], where: Optional[Mapping]
     ) -> np.ndarray:
         if (tids is None) == (where is None):
             raise TransactionError("pass exactly one of tids= or where=")
-        n_committed = self.data.n_tuples
+        n_committed = self.manager.tid_end
         if tids is not None:
             doomed = sorted_unique(np.asarray(tids, dtype=np.int64))
         else:
             assert where is not None  # exactly one of the two, checked above
-            mask = np.ones(n_committed, dtype=bool)
+            # Every committed tuple no commit deleted is stored at the head.
+            doomed = np.arange(n_committed, dtype=np.int64)
+            doomed = doomed[~self.manager.deleted(doomed)]
+            with self.manager.pin_snapshot() as view:
+                cells = read_rows(view, doomed, list(where))
+            mask = np.ones(len(doomed), dtype=bool)
             for name, bounds in where.items():
                 lo, hi = self._bounds(bounds)
-                column = self.data.column(name)[:n_committed]
-                mask &= (column >= lo) & (column <= hi)
-            doomed = np.nonzero(mask)[0].astype(np.int64)
+                mask &= (cells[name] >= lo) & (cells[name] <= hi)
+            doomed = doomed[mask]
         # Statement-level visibility: targets resolve against the last
         # committed state, minus anything this batch already doomed.
         if self._pending_doomed:
@@ -222,17 +227,34 @@ class TransactionalTable:
     def _append_record(
         self,
         kind: str,
-        tids: np.ndarray,
-        columns: Optional[Mapping[str, np.ndarray]] = None,
+        tids: Optional[np.ndarray] = None,
+        columns: Optional[Mapping[str, Any]] = None,
         old_tids: Optional[np.ndarray] = None,
     ) -> WalRecord:
+        """Buffer one record, with the log on or off.  A row payload (an
+        insert's, or an update's for its ``old_tids``) takes fresh tids at
+        the watermark once it holds one value per tuple for every
+        attribute; a refused record leaves the batch as it was."""
         if columns is not None:
+            names = self.schema.attribute_names
+            missing = [name for name in names if name not in columns]
+            if missing:
+                raise TransactionError(f"{kind} missing attributes: {missing}")
             columns = {
                 name: np.asarray(columns[name]).astype(
                     self.schema[name].np_dtype, copy=False
                 )
-                for name in self.schema.attribute_names
+                for name in names
             }
+            lengths = sorted({len(v) for v in columns.values()})
+            n = len(old_tids) if old_tids is not None else lengths[0]
+            if lengths != [n]:
+                raise TransactionError(
+                    f"{kind} payload holds {lengths} values per attribute "
+                    f"for {n} tuples"
+                )
+            tids = np.arange(self._next_tid, self._next_tid + n, dtype=np.int64)
+        assert tids is not None  # a delete names its tids
         if self.wal is not None:
             record = self.wal.append(kind, tids, columns, old_tids)
         else:
@@ -244,6 +266,8 @@ class TransactionalTable:
                 if old_tids is not None else None,
             )
         self._pending.append(record)
+        if columns is not None:
+            self._next_tid += len(record.tids)
         return record
 
     def pending_count(self) -> int:
@@ -256,7 +280,7 @@ class TransactionalTable:
             n = len(self._pending)
             self._pending.clear()
             self._pending_doomed.clear()
-            self._next_tid = self.data.n_tuples
+            self._next_tid = self.manager.tid_end
             if self.wal is not None:
                 self.wal.discard_pending()
             return n
@@ -337,11 +361,11 @@ class TransactionalTable:
             sorted(new_tombstones), dtype=np.int64, count=len(new_tombstones)
         )
         segments: Tuple = ()
-        if insert_tids:
-            all_tids = np.concatenate(insert_tids)
+        all_tids = np.concatenate(insert_tids) if insert_tids else np.empty(0, np.int64)
+        if len(all_tids):  # else nothing to store: a version bump
+            watermark = self.manager.tid_end
             expected = np.arange(
-                self.data.n_tuples, self.data.n_tuples + len(all_tids),
-                dtype=np.int64,
+                watermark, watermark + len(all_tids), dtype=np.int64
             )
             if not np.array_equal(np.sort(all_tids), expected):
                 raise TransactionError(
@@ -358,16 +382,15 @@ class TransactionalTable:
             }
             # The add-only swap is the commit's version bump.  A reader
             # sizes its status vector from its view, never from the table
-            # meta, so the columns grow under in-flight reads.
+            # meta, so the meta grows under in-flight reads.
             segments = tuple(self.manager.swap_partitions([
                 PhysicalPartition(
                     self.manager.next_pid(),
                     [PhysicalSegment(names, expected, merged, TID_IMPLICIT)],
                 )
             ], deleted=deleted))
-            self.data.append_rows(merged)
-            self._rebind_meta()
-            self._next_tid = max(self._next_tid, self.data.n_tuples)
+            self._grow_meta(segments[0].zone_map)
+            self._next_tid = max(self._next_tid, self.manager.tid_end)
         else:
             self.manager.advance_version(deleted)
 
@@ -403,11 +426,21 @@ class TransactionalTable:
             publish("txn", self)
             return truncated
 
-    def _rebind_meta(self) -> None:
-        """Point the layout and engine(s) at the grown table meta."""
-        meta = self.data.meta
-        self.layout.table = meta
-        self.layout.executor.rebind(meta)
+    def _grow_meta(self, zones: Mapping[str, Tuple[float, float]]) -> None:
+        """Widen the meta by a commit partition's ``zones`` (bounds only
+        widen, so existing zone maps stay sound), count up to the
+        watermark, and point the layout and engine(s) at it."""
+        meta = self.meta
+        if meta.n_tuples:
+            zones = {
+                name: (min(lo, meta.ranges[name].lo), max(hi, meta.ranges[name].hi))
+                for name, (lo, hi) in zones.items()
+            }
+        self.meta = TableMeta.from_bounds(
+            meta.name, meta.schema, self.manager.tid_end, zones
+        )
+        self.layout.table = self.meta
+        self.layout.executor.rebind(self.meta)
 
     # -------------------------------------------------------------- reads
 
@@ -429,7 +462,7 @@ class TransactionalTable:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = self._state
         return (
-            f"TransactionalTable({self.data.meta.name!r}, "
+            f"TransactionalTable({self.meta.name!r}, "
             f"v{self.manager.catalog_version}, {len(state.segments)} "
             f"unfolded commit partitions, {len(state.tombstones)} tombstones)"
         )

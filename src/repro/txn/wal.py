@@ -160,29 +160,20 @@ class WriteAheadLog:
         columns: Optional[Mapping[str, np.ndarray]] = None,
         old_tids: Optional[np.ndarray] = None,
     ) -> WalRecord:
-        """Buffer one typed record; durable only after :meth:`commit`."""
+        """Buffer one typed record; durable only after :meth:`commit`.  A
+        payload holding one value per tid for every attribute is the
+        caller's check (:class:`~repro.txn.table.TransactionalTable` makes
+        it with the log on or off)."""
         if kind not in _KIND_CODES:
             raise TransactionError(f"unknown WAL record kind {kind!r}")
         tids = np.asarray(tids, dtype=np.int64)
         if kind in (KIND_INSERT, KIND_UPDATE):
             if columns is None:
                 raise TransactionError(f"{kind} record needs row payloads")
-            missing = [
-                a for a in self.schema.attribute_names if a not in columns
-            ]
-            if missing:
-                raise TransactionError(
-                    f"{kind} record missing attributes: {missing}"
-                )
             columns = {
                 name: np.asarray(columns[name])
                 for name in self.schema.attribute_names
             }
-            lengths = {len(v) for v in columns.values()} | {len(tids)}
-            if len(lengths) != 1:
-                raise TransactionError(
-                    f"{kind} record rows disagree on length: {sorted(lengths)}"
-                )
         else:
             columns = None
         if kind == KIND_UPDATE:

@@ -13,7 +13,7 @@ from repro.storage import FaultConfig, FaultInjectingBlobStore
 from repro.testing.oracle import oracle_check
 
 
-def make_daemon(layout, table, **overrides):
+def make_daemon(layout, **overrides):
     defaults = dict(
         window_size=32,
         advisor=AdvisorConfig(drift_threshold=0.2, drift_reset=0.1,
@@ -21,7 +21,7 @@ def make_daemon(layout, table, **overrides):
         bytes_budget_per_cycle=1 << 30,
     )
     defaults.update(overrides)
-    return AdaptiveDaemon(layout, table, AdaptiveConfig(**defaults))
+    return AdaptiveDaemon(layout, AdaptiveConfig(**defaults))
 
 
 def run_queries(layout, queries, repeat=1):
@@ -34,17 +34,17 @@ class TestConstruction:
     def test_rejects_layout_without_plan(self, drift_layout, drift_table):
         drift_layout.plan = None
         with pytest.raises(AdaptationError, match="no logical partitioning plan"):
-            AdaptiveDaemon(drift_layout, drift_table)
+            AdaptiveDaemon(drift_layout)
 
     def test_rejects_columnar_plan(self, drift_table, train_workload):
         layout = ColumnLayout().build(
             drift_table, train_workload, BuildContext(file_segment_bytes=8 * 1024)
         )
         with pytest.raises(AdaptationError):
-            AdaptiveDaemon(layout, drift_table)
+            AdaptiveDaemon(layout)
 
     def test_attach_sets_observer_and_baseline(self, drift_layout, drift_table):
-        daemon = make_daemon(drift_layout, drift_table)
+        daemon = make_daemon(drift_layout)
         planner = drift_layout.executor.planner
         assert planner.observer is not None
         assert daemon.monitor.fitted is drift_layout.train
@@ -58,7 +58,7 @@ class TestConstruction:
 
 class TestCycle:
     def test_no_drift_no_migration(self, drift_layout, drift_table, train_workload):
-        daemon = make_daemon(drift_layout, drift_table)
+        daemon = make_daemon(drift_layout)
         run_queries(drift_layout, train_workload, repeat=4)
         report = daemon.run_cycle()
         assert not report.fired
@@ -68,7 +68,7 @@ class TestCycle:
     def test_drift_triggers_migration_and_results_stay_exact(
         self, drift_layout, drift_table, train_workload, shifted_queries
     ):
-        daemon = make_daemon(drift_layout, drift_table)
+        daemon = make_daemon(drift_layout)
         run_queries(drift_layout, train_workload)
         run_queries(drift_layout, shifted_queries, repeat=16)
         report = daemon.run_cycle()
@@ -88,7 +88,7 @@ class TestCycle:
     def test_oscillating_workload_does_not_thrash(
         self, drift_layout, drift_table, train_workload, shifted_queries
     ):
-        daemon = make_daemon(drift_layout, drift_table)
+        daemon = make_daemon(drift_layout)
         run_queries(drift_layout, shifted_queries, repeat=16)
         assert daemon.run_cycle().fired
         # Same shifted mix keeps flowing: drift stays ~0, nothing re-fires.
@@ -100,7 +100,7 @@ class TestCycle:
     def test_budget_too_small_skips_cycle(
         self, drift_layout, drift_table, shifted_queries
     ):
-        daemon = make_daemon(drift_layout, drift_table, bytes_budget_per_cycle=1)
+        daemon = make_daemon(drift_layout, bytes_budget_per_cycle=1)
         run_queries(drift_layout, shifted_queries, repeat=16)
         report = daemon.run_cycle()
         assert not report.fired
@@ -110,7 +110,7 @@ class TestCycle:
     def test_aborted_migration_keeps_old_layout_queryable(
         self, drift_layout, drift_table, train_workload, shifted_queries
     ):
-        daemon = make_daemon(drift_layout, drift_table)
+        daemon = make_daemon(drift_layout)
         run_queries(drift_layout, shifted_queries, repeat=16)
         manager = drift_layout.manager
         pids_before = manager.pids()
@@ -146,7 +146,7 @@ class TestCycle:
             config=FaultConfig(transient_error_rate=0.3, corruption_rate=0.1),
             seed=11,
         )
-        daemon = make_daemon(drift_layout, drift_table)
+        daemon = make_daemon(drift_layout)
         for query in train_workload:
             assert oracle_check(drift_layout, drift_table, query) is None
         run_queries(drift_layout, shifted_queries, repeat=16)
@@ -158,7 +158,7 @@ class TestCycle:
     def test_cycle_every_runs_cycles_from_observer(
         self, drift_layout, drift_table, shifted_queries
     ):
-        daemon = make_daemon(drift_layout, drift_table, cycle_every=10)
+        daemon = make_daemon(drift_layout, cycle_every=10)
         run_queries(drift_layout, shifted_queries, repeat=16)
         assert daemon.stats.n_cycles >= 3
         assert daemon.stats.n_migrations >= 1
@@ -168,7 +168,7 @@ class TestCycle:
 
 class TestBackgroundThread:
     def test_start_stop(self, drift_layout, drift_table, shifted_queries):
-        daemon = make_daemon(drift_layout, drift_table, poll_interval_s=0.01)
+        daemon = make_daemon(drift_layout, poll_interval_s=0.01)
         daemon.start()
         try:
             assert daemon.running

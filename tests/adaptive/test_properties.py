@@ -103,7 +103,7 @@ class TestInterleavedMigrations:
     def test_queries_oracle_exact_across_migrations(self, seed):
         rng, table, train, layout = build_irregular(seed)
         daemon = AdaptiveDaemon(
-            layout, table,
+            layout,
             AdaptiveConfig(
                 window_size=16,
                 advisor=AdvisorConfig(drift_threshold=0.05, drift_reset=0.0,
@@ -136,7 +136,7 @@ class TestInterleavedMigrations:
             seed=seed,
         )
         daemon = AdaptiveDaemon(
-            layout, table,
+            layout,
             AdaptiveConfig(
                 window_size=16,
                 advisor=AdvisorConfig(drift_threshold=0.05, drift_reset=0.0,

@@ -102,7 +102,6 @@ class TestExecute:
         infos = repartitioner.execute(
             MigrationPlan(scope_pids=(), new_partitions=()),
             drift_layout.manager,
-            drift_table,
         )
         assert infos == []
         assert drift_layout.manager.catalog_version == version
@@ -116,7 +115,7 @@ class TestExecute:
         plan = repartitioner.propose(
             current, list(current), window, manager.next_pid()
         )
-        infos = repartitioner.execute(plan, manager, drift_table)
+        infos = repartitioner.execute(plan, manager)
         assert {info.pid for info in infos} == set(
             partition.pid for partition in plan.new_partitions
         )
@@ -140,7 +139,7 @@ class TestExecute:
             inner, config=FaultConfig(transient_error_rate=1.0), seed=2
         )
         with pytest.raises(StorageError):
-            repartitioner.execute(plan, manager, drift_table)
+            repartitioner.execute(plan, manager)
         manager.store = inner
         assert manager.pids() == pids_before
         assert manager.retired_pids() == ()

@@ -1,15 +1,23 @@
 """Shared fixtures: small tables, workloads, build contexts and catalog
-frames — plus the suite-wide thread-leak check and the write-once guard on
-partition files."""
+frames — plus the suite-wide thread-leak check, the write-once guard on
+partition files and the Hypothesis profiles.
+
+Hypothesis runs the ``deterministic`` profile unless ``HYPOTHESIS_PROFILE``
+names another: every property draws the same examples on every run and
+keeps no example database, so a tier-1 run is a function of the tree.
+``HYPOTHESIS_PROFILE=explore`` searches at random instead (the nightly
+tier).  Neither changes a test's ``max_examples``."""
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import (
     CostModel,
@@ -21,6 +29,10 @@ from repro.core import (
 )
 from repro.layouts import BuildContext
 from repro.storage import ColumnTable, DirectoryBlobStore, MemoryBlobStore
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 
 @pytest.fixture(autouse=True)

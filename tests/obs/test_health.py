@@ -177,14 +177,14 @@ class TestStalledCompactionScenario:
         CRIT threshold; ``run_until_clean`` folds the deltas, truncates the
         WAL at the checkpoint and republishes — health returns to OK."""
         obs.enable(trace=False, metrics=True)
-        _table, _layout, txn = build_txn_table(seed=23, wal_enabled=True)
+        table, _layout, txn = build_txn_table(seed=23, wal_enabled=True)
         monitor = HealthMonitor(
             rules=default_rules(
                 overrides={"wal_backlog_bytes": (1.0, 64.0)}
             )
         )
 
-        shadow = ShadowTable(txn.data)
+        shadow = ShadowTable(table)
         shadow.snapshot(txn.current_version)
         rng = np.random.default_rng(23)
         config = WriteWorkloadConfig()

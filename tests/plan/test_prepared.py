@@ -42,6 +42,7 @@ from repro.storage import (
     SegmentSpec,
     StorageDevice,
 )
+from repro.testing import ShadowTable
 from repro.testing.join_oracle import build_join_catalog, random_join_tables, run_reference_join
 from repro.txn import TransactionalTable
 
@@ -334,7 +335,7 @@ def test_a_commit_a_fold_and_growth_each_miss_the_memos():
     catalog, tables = build(seed=21)
     fact = catalog["fact"]
     txn = TransactionalTable(fact, tables["fact"])
-    tables = {"fact": txn.data, "dim": tables["dim"]}
+    shadow = ShadowTable(tables["fact"])
     executor = DagExecutor(catalog)
     text = SHAPES[1].format(40, 300, 0, 399)
     first = run_exact(executor, tables, text)
@@ -345,8 +346,11 @@ def test_a_commit_a_fold_and_growth_each_miss_the_memos():
     # derived by with_added): both memos miss.
     rng = np.random.default_rng(4)
     columns = ("f_key", "f_a", "f_b")
-    txn.insert({name: rng.integers(0, 400, 40).astype(np.int32) for name in columns})
+    rows = {name: rng.integers(0, 400, 40).astype(np.int32) for name in columns}
+    txn.insert(rows)
+    shadow.insert(rows)
     txn.commit()
+    tables = {**tables, "fact": ColumnTable(txn.meta, shadow.columns)}
     derived = fact.manager.catalog_index()
     assert derived is not index and derived.pids > index.pids
     assert not derived._key_zones  # pid lists are carried; the join memo is not

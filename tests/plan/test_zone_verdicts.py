@@ -202,7 +202,7 @@ def test_views_after_commits_and_a_fold():
     versions = [txn.current_version]
     for _ in range(4):
         txn.insert({name: rng.integers(0, 1_000, 30).astype(np.int32) for name in names})
-        txn.delete(tids=rng.choice(txn.data.n_tuples, 10, replace=False))
+        txn.delete(tids=rng.choice(txn.n_tuples, 10, replace=False))
         versions.append(txn.commit())
     report = DeltaCompactor(txn, bytes_budget=4 * 1024).run()
     assert report.n_new_partitions and report.n_partitions_deferred

@@ -139,7 +139,6 @@ class TestSwapMidReplay:
         manager = layout.manager
         daemon = AdaptiveDaemon(
             layout,
-            table,
             AdaptiveConfig(
                 window_size=32,
                 advisor=AdvisorConfig(

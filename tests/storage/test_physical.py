@@ -92,6 +92,16 @@ class TestBuildFromSpecs:
             build_physical_partition(0, [], small_table)
 
 
+def resolve(partition, table):
+    """``partition``'s boxes resolved over every row of ``table``."""
+    return physical_from_logical(
+        partition,
+        np.arange(table.n_tuples, dtype=np.int64),
+        table.columns(table.schema.attribute_names),
+        table.schema,
+    )
+
+
 class TestPhysicalFromLogical:
     def test_box_membership(self, small_table):
         """Tuples are assigned by the tight range box, matching the data."""
@@ -100,7 +110,7 @@ class TestPhysicalFromLogical:
         box = small_table.meta.full_range().replace("a1", Interval(0, 4_999))
         segment = Segment(("a2",), 1.0, box, tight=frozenset({"a1"}))
         partition = Partition(0, (segment,))
-        physical = physical_from_logical(partition, small_table)
+        physical = resolve(partition, small_table)
         expected = np.nonzero(small_table.column("a1") <= 4_999)[0]
         assert np.array_equal(physical.segments[0].tuple_ids, expected)
 
@@ -112,8 +122,8 @@ class TestPhysicalFromLogical:
         )
         units = small_table.schema.units()
         lower, upper = horizontal_split(root, "a1", 4_999, units)
-        p_low = physical_from_logical(Partition(0, (lower,)), small_table)
-        p_high = physical_from_logical(Partition(1, (upper,)), small_table)
+        p_low = resolve(Partition(0, (lower,)), small_table)
+        p_high = resolve(Partition(1, (upper,)), small_table)
         combined = np.concatenate(
             [p_low.segments[0].tuple_ids, p_high.segments[0].tuple_ids]
         )
@@ -125,6 +135,6 @@ class TestPhysicalFromLogical:
         # a1 values are < 10_000; an impossible box matches nothing.
         box = small_table.meta.full_range().replace("a1", Interval(50_000, 60_000))
         segment = Segment(("a2",), 1.0, box, tight=frozenset({"a1"}))
-        physical = physical_from_logical(Partition(0, (segment,)), small_table)
+        physical = resolve(Partition(0, (segment,)), small_table)
         assert physical.n_tuples == 0
         assert len(physical.segments) == 1

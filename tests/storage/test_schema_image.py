@@ -147,16 +147,16 @@ def transactional(seed):
         ),
     )
     txn = TransactionalTable(layout, table, wal_enabled=False)
-    shadow = ShadowTable(txn.data)
+    shadow = ShadowTable(table)
     shadow.snapshot(txn.current_version)
     return rng, txn, shadow
 
 
 def head_queries(rng, txn, n=4):
-    meta = txn.data.meta
+    meta = txn.meta
     names = list(meta.schema.attribute_names)
     return [Query.build(meta, names, {}, label="full")] + [
-        random_query(rng, txn.data, label=f"h{i}") for i in range(n)
+        random_query(rng, txn, label=f"h{i}") for i in range(n)
     ]
 
 

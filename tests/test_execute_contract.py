@@ -291,7 +291,7 @@ def test_rebind_reaches_the_engine(small_table, small_workload, ctx):
         for name in small_table.schema.attribute_names
     })
     txn.commit()
-    grown = txn.data.meta
+    grown = txn.meta
     assert grown is not before and grown.n_tuples == before.n_tuples + 3
     for bound in (layout, engine):
         assert bound.table is grown

@@ -150,7 +150,6 @@ class TestAdaptiveSwap:
 
         daemon = AdaptiveDaemon(
             fact_layout,
-            fact,
             AdaptiveConfig(
                 window_size=16,
                 advisor=AdvisorConfig(

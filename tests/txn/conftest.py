@@ -75,7 +75,7 @@ def referenced_keys(txn) -> set:
 
 def visible_mask(txn) -> np.ndarray:
     """True per committed tid that the head version shows."""
-    return ~txn.manager.deleted(np.arange(txn.data.n_tuples))
+    return ~txn.manager.deleted(np.arange(txn.n_tuples))
 
 
 def build_txn_table(

@@ -30,7 +30,7 @@ def mixed_batch(txn, shadow, rng):
     rows = random_rows(rng, shadow, 12, 1_000)
     txn.insert(rows)
     shadow.insert(rows)
-    visible = np.nonzero(shadow.visible[: txn.data.n_tuples])[0]
+    visible = np.nonzero(shadow.visible[: txn.n_tuples])[0]
     picked = rng.choice(visible, size=6, replace=False)
     name = shadow.schema.attribute_names[0]
     txn.update({name: 7}, tids=np.sort(picked[:3]))
@@ -40,7 +40,7 @@ def mixed_batch(txn, shadow, rng):
 
 
 def delete_only_batch(txn, shadow, rng):
-    visible = np.nonzero(shadow.visible[: txn.data.n_tuples])[0]
+    visible = np.nonzero(shadow.visible[: txn.n_tuples])[0]
     doomed = rng.choice(visible, size=5, replace=False)
     txn.delete(tids=doomed)
     shadow.delete(doomed)
@@ -69,16 +69,16 @@ def fold(budget):
 
 
 def small_table():
-    _table, _layout, txn = build_txn_table(seed=61, n_tuples=900)
-    return txn
+    table, layout, _txn = build_txn_table(seed=61, n_tuples=900)
+    return table, layout
 
 
 def column_group_table():
     """The PR 14 budgeted-fold table: every tuple's cells span three
     partitions, so a budgeted pass rewrites some holders of a deleted tuple
     and defers others — the tombstone must outlive the pass."""
-    _rng, txn = build_column_group_table(48, 1_500)
-    return txn
+    _rng, table, txn = build_column_group_table(48, 1_500)
+    return table, txn.layout
 
 
 #: (name, table factory, [(stage, act), ...]): ``stage`` buffers writes on
@@ -111,10 +111,10 @@ def play(make_table, steps, fail_step, fail_put):
     """Run ``steps`` on a fresh table; the ``fail_put``-th put of step
     ``fail_step`` fails, the table is checked, and the step is retried.
     Returns whether that put was ever reached."""
-    built = make_table()  # only its layout and data: the store comes first
-    store = script_store(built.layout)
-    txn = TransactionalTable(built.layout, built.data)
-    shadow = ShadowTable(txn.data)
+    table, layout = make_table()  # only these two: the store comes first
+    store = script_store(layout)
+    txn = TransactionalTable(layout, table)
+    shadow = ShadowTable(table)
     shadow.snapshot(txn.current_version)
     rng = np.random.default_rng(5)
     reached = False

@@ -27,8 +27,9 @@ from repro.txn import DeltaCompactor, TransactionalTable
 from .conftest import build_txn_table, referenced_keys, visible_mask
 
 
-def run_batches(txn, rng, n_batches=4):
-    shadow = ShadowTable(txn.data)
+def run_batches(txn, shadow, rng, n_batches=4):
+    """Commit ``n_batches`` seeded batches, mirrored on ``shadow`` (built
+    from the table before its first write); returns the shadow."""
     shadow.snapshot(txn.current_version)
     config = WriteWorkloadConfig()
     for _ in range(n_batches):
@@ -39,9 +40,9 @@ def run_batches(txn, rng, n_batches=4):
 
 class TestCompactionCorrectness:
     def test_every_version_oracle_exact_after_run_until_clean(self):
-        _table, _layout, txn = build_txn_table(seed=41)
+        table, _layout, txn = build_txn_table(seed=41)
         rng = np.random.default_rng(41)
-        shadow = run_batches(txn, rng)
+        shadow = run_batches(txn, ShadowTable(table), rng)
         reports = DeltaCompactor(txn).run_until_clean()
         assert reports and not reports[-1].is_empty
         state = txn.delta_state()
@@ -75,7 +76,7 @@ class TestCompactionCorrectness:
             lo = int(sweep_rng.integers(0, 900))
             hi = min(lo + int(sweep_rng.integers(20, 100)), 999)
             sweep.append(Query.build(
-                txn.data.meta, [f"a{1 + (index + 1) % 6}"],
+                txn.meta, [f"a{1 + (index + 1) % 6}"],
                 {f"a{1 + index % 6}": (lo, hi)}, label=f"s{index}",
             ))
 
@@ -106,9 +107,9 @@ class TestCompactionCorrectness:
 
 class TestBudget:
     def test_small_budget_defers_and_converges(self):
-        _table, _layout, txn = build_txn_table(seed=44)
+        table, _layout, txn = build_txn_table(seed=44)
         rng = np.random.default_rng(44)
-        run_batches(txn, rng)
+        run_batches(txn, ShadowTable(table), rng)
         state = txn.delta_state()
         assert state.segments and state.tombstones
         # One unit of work per pass: big enough for the largest single
@@ -132,9 +133,9 @@ class TestBudget:
         assert sum(r.n_segments_folded for r in reports) >= 1
 
     def test_undersized_budget_makes_no_progress_and_stops(self):
-        _table, _layout, txn = build_txn_table(seed=45)
+        table, _layout, txn = build_txn_table(seed=45)
         rng = np.random.default_rng(45)
-        run_batches(txn, rng, n_batches=2)
+        run_batches(txn, ShadowTable(table), rng, n_batches=2)
         compactor = DeltaCompactor(txn, bytes_budget=1)
         reports = compactor.run_until_clean(max_passes=4)
         assert reports == []  # first pass is an is_empty no-op report
@@ -156,11 +157,12 @@ class TestNoOrphanBlobs:
     @pytest.mark.parametrize("budgeted", [False, True],
                              ids=["unbudgeted", "budgeted"])
     def test_fold_and_prune_leave_only_live_partitions(self, budgeted):
-        _table, _layout, txn = build_txn_table(seed=51)
+        table, _layout, txn = build_txn_table(seed=51)
         manager = txn.manager
         rng = np.random.default_rng(51)
+        shadow = ShadowTable(table)
         for _fold in range(2):
-            run_batches(txn, rng)
+            run_batches(txn, shadow, rng)
             budget = max(
                 manager.info(pid).n_bytes for pid in manager.pids()
             ) if budgeted else None
@@ -173,10 +175,10 @@ class TestNoOrphanBlobs:
             assert set(manager.store.keys()) == self.live_keys(txn)
 
     def test_pinned_snapshot_keeps_retired_blobs_until_released(self):
-        _table, _layout, txn = build_txn_table(seed=52)
+        table, _layout, txn = build_txn_table(seed=52)
         manager = txn.manager
         rng = np.random.default_rng(52)
-        shadow = run_batches(txn, rng)
+        shadow = run_batches(txn, ShadowTable(table), rng)
         hold = txn.manager.pin_snapshot()
         report = DeltaCompactor(txn).run()
         shadow.snapshot(report.version)
@@ -212,7 +214,7 @@ def build_column_group_table(seed, n_tuples, engine=None):
         layout.executor = engine(layout.manager, meta)
     manager = layout.manager
     assert len({manager.info(pid).attributes for pid in manager.pids()}) >= 3
-    return rng, TransactionalTable(layout, table)
+    return rng, table, TransactionalTable(layout, table)
 
 
 class TestBudgetedFoldAcrossColumnGroups:
@@ -238,8 +240,8 @@ class TestBudgetedFoldAcrossColumnGroups:
         ids=["partition-at-a-time", "scan", "threaded"],
     )
     def test_every_partial_pass_is_oracle_exact(self, engine, n_tuples, budget):
-        rng, txn = build_column_group_table(48, n_tuples, engine)
-        shadow = run_batches(txn, rng)
+        rng, table, txn = build_column_group_table(48, n_tuples, engine)
+        shadow = run_batches(txn, ShadowTable(table), rng)
         assert txn.delta_state().tombstones
         compactor = DeltaCompactor(txn, bytes_budget=budget)
         first = compactor.run()
@@ -265,11 +267,11 @@ class TestSortedSetAlgebra:
     and every version still matches the shadow."""
 
     def test_commit_and_folds_never_call_hash_set_operations(self, monkeypatch):
-        rng, txn = build_column_group_table(49, 1_500)
-        shadow = ShadowTable(txn.data)
+        rng, table, txn = build_column_group_table(49, 1_500)
+        shadow = ShadowTable(table)
         shadow.snapshot(txn.current_version)
         names = list(txn.schema.attribute_names)
-        committed = txn.data.n_tuples
+        committed = txn.n_tuples
         rows = random_rows(rng, shadow, 16, 1_000)
 
         def refuse(*_args, **_kwargs):
@@ -305,9 +307,9 @@ class TestSortedSetAlgebra:
 
 class TestWalCheckpoint:
     def test_wal_truncates_only_when_state_is_clean(self):
-        _table, _layout, txn = build_txn_table(seed=46)
+        table, _layout, txn = build_txn_table(seed=46)
         rng = np.random.default_rng(46)
-        run_batches(txn, rng)
+        run_batches(txn, ShadowTable(table), rng)
         state = txn.delta_state()
         assert len(state.segments) > 1
         # A budget that folds some-but-not-all: no checkpoint yet.
@@ -337,7 +339,7 @@ class TestCacheCoherence:
         cache = PartitionCache(txn.manager)
         planner.partition_cache = cache
         names = list(table.schema.attribute_names)
-        meta = txn.data.meta
+        meta = txn.meta
         query = Query.build(meta, names, {"a1": (200, 800)}, label="hot")
 
         v0 = txn.current_version
@@ -346,11 +348,11 @@ class TestCacheCoherence:
         assert cache.stats.n_records >= 1
 
         rng = np.random.default_rng(47)
-        shadow = run_batches(txn, rng, n_batches=1)
+        shadow = run_batches(txn, ShadowTable(table), rng, n_batches=1)
         live_before, _ = txn.execute(query)  # records under version v1
 
         # More writes, then the compaction swap bumps the catalog.
-        run_batches(txn, rng, n_batches=1)
+        run_batches(txn, shadow, rng, n_batches=1)
         report = DeltaCompactor(txn).run()
         assert not report.is_empty
         assert cache.stats.n_invalidated > 0  # unpinned tokens purged
@@ -358,7 +360,7 @@ class TestCacheCoherence:
         # Live read after the swap: fresh verdicts, dense-reference exact.
         live_after, _ = txn.execute(query)
         visible = visible_mask(txn)
-        a1 = txn.data.column("a1")
+        a1 = shadow.columns["a1"]
         expected = np.nonzero(visible & (a1 >= 200) & (a1 <= 800))[0]
         assert np.array_equal(live_after.tuple_ids, expected)
 

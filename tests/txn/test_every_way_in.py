@@ -52,7 +52,7 @@ def written():
 
 
 def queries(txn, rng, n=4):
-    meta = txn.data.meta
+    meta = txn.meta
     names = list(meta.schema.attribute_names)
     out = [Query.build(meta, names, {}, label="full")]
     for i in range(n):
@@ -72,7 +72,7 @@ def same(result, expected) -> bool:
 def test_layout_and_served_engines_read_the_head(written):
     txn, shadow, _early, rng = written
     head = txn.current_version
-    meta = txn.data.meta
+    meta = txn.meta
     engines = {
         "pat": PartitionAtATimeExecutor(txn.manager, meta),
         "scan": ScanExecutor(txn.manager, meta),
@@ -102,7 +102,7 @@ def test_dag_leaves_read_the_head(written):
     catalog.bind(txn.layout)
     catalog.bind(dim_layout)
     dag = DagExecutor(catalog)
-    name = txn.data.meta.name
+    name = txn.meta.name
 
     count = parse_relational_statement(catalog.metas(), f"SELECT COUNT(*) FROM {name}")
     result, _stats = dag.execute(count.query)

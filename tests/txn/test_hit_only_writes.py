@@ -84,7 +84,7 @@ def differential(scenario):
 
 def queries(rng, txn, n=4):
     """Point-like and range queries on random predicate attributes."""
-    meta = txn.data.meta
+    meta = txn.meta
     names = list(meta.schema.attribute_names)
     out = []
     for i in range(n):
@@ -103,13 +103,14 @@ def build(layout, engine, seed, n_attrs=4, n_tuples=600):
         table, random_workload(rng, table, 4), BuildContext(file_segment_bytes=2048)
     )
     built.executor = ENGINES[engine](built.manager, table.meta)
-    return rng, TransactionalTable(built, table)
+    return rng, table, TransactionalTable(built, table)
 
 
-def commit_batches(txn, rng, n_batches, read=None, config=WriteWorkloadConfig()):
-    """``n_batches`` seeded commits in lockstep with a shadow; reads the
-    head after each through ``read``.  Returns the shadow and the versions."""
-    shadow = ShadowTable(txn.data)
+def commit_batches(txn, table, rng, n_batches, read=None, config=WriteWorkloadConfig()):
+    """``n_batches`` seeded commits in lockstep with a shadow built from
+    ``table``; reads the head after each through ``read``.  Returns the
+    shadow and the versions."""
+    shadow = ShadowTable(table)
     versions = [txn.current_version]
     shadow.snapshot(versions[0])
     for _ in range(n_batches):
@@ -129,13 +130,13 @@ def test_reads_after_tombstoning_commits_and_as_of(layout, engine):
     state = {}
 
     def scenario(read):
-        rng, txn = build(layout, engine, seed=21)
-        shadow, versions = commit_batches(txn, rng, 6, read)
+        rng, table, txn = build(layout, engine, seed=21)
+        shadow, versions = commit_batches(txn, table, rng, 6, read)
         assert txn.delta_state().tombstones
         state["head_reads"] = len(read.entries)
         for version in versions[1:-1]:
             with txn.manager.pin_snapshot(version) as view:
-                assert view.index.tid_domain() < txn.data.n_tuples
+                assert view.index.tid_domain() < txn.n_tuples
             for query in queries(rng, txn):
                 read(txn, shadow, query, version)
 
@@ -160,13 +161,13 @@ def column_groups(seed, n_tuples, engine):
         table, train, BuildContext(file_segment_bytes=16 * 1024)
     )
     layout.executor = ENGINES[engine](layout.manager, meta)
-    return rng, TransactionalTable(layout, table)
+    return rng, table, TransactionalTable(layout, table)
 
 
 def partly_folded(txn) -> bool:
     """Whether some hidden tid still has a cell stored in one partition
     while the fold dropped another of its cells."""
-    names = list(txn.data.schema.attribute_names)
+    names = list(txn.schema.attribute_names)
     with txn.manager.pin_snapshot() as view:
         hidden = view.hidden
         stored = np.array([
@@ -184,9 +185,9 @@ def test_reads_after_a_budgeted_fold(engine):
     state = {}
 
     def scenario(read):
-        rng, txn = column_groups(48, 12_000, engine)
+        rng, table, txn = column_groups(48, 12_000, engine)
         config = WriteWorkloadConfig(max_delete_rows=60, max_update_rows=30)
-        shadow, versions = commit_batches(txn, rng, 4, config=config)
+        shadow, versions = commit_batches(txn, table, rng, 4, config=config)
         first = DeltaCompactor(txn, bytes_budget=128 * 1024).run()
         state.update(deferred=first.n_partitions_deferred, partly=partly_folded(txn))
         shadow.snapshot(first.version)

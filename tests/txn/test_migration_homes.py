@@ -1,11 +1,12 @@
 """A layout migration over a grown table stores exactly the cells it retires.
 
-On a :class:`~repro.txn.TransactionalTable` the data table holds committed
-rows that no layout partition stores: each commit's rows live in its own
-commit partition.  A migration's boxes, resolved over the whole table,
-would cover those rows too and give their cells a second home; resolved
-over the rows its scope stores, the new partitions hold exactly the scope's
-cells, and every cell of the live set keeps one home.
+On a :class:`~repro.txn.TransactionalTable` each commit's rows live in its
+own commit partition, which no layout partition's boxes were fitted to.  A
+migration's boxes, resolved over the whole table, would cover those rows
+too and give their cells a second home; resolved over the rows its scope
+stores (read from the store, less the rows the head hides), the new
+partitions hold exactly the scope's cells of visible rows, and every cell
+of the live set keeps one home.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _committed(n_commits):
         table, train, BuildContext(file_segment_bytes=2 * 1024)
     )
     txn = TransactionalTable(layout, table)
-    shadow = ShadowTable(txn.data)
+    shadow = ShadowTable(table)
     for _ in range(n_commits):
         apply_random_batch(txn, shadow, rng, WriteWorkloadConfig())
         shadow.snapshot(txn.commit())
@@ -63,8 +64,8 @@ def _committed(n_commits):
 
 def _drifted_cycle(layout, txn, train):
     """The window of a workload shifted to a7/a8, then one daemon cycle."""
-    meta = txn.data.meta
-    daemon = AdaptiveDaemon(layout, txn.data, AdaptiveConfig(
+    meta = txn.meta
+    daemon = AdaptiveDaemon(layout, AdaptiveConfig(
         window_size=32,
         advisor=AdvisorConfig(drift_threshold=0.2, drift_reset=0.1,
                               min_improvement=0.01, cooldown_queries=4),
@@ -84,7 +85,7 @@ def _drifted_cycle(layout, txn, train):
 def test_a_migration_over_unfolded_commits_stores_exactly_its_scope():
     rng, train, layout, txn, shadow = _committed(2)
     manager = txn.manager
-    assert txn.data.n_tuples > 1_500  # the commits grew the table
+    assert txn.n_tuples > 1_500  # the commits grew the table
     before = {pid: cells(manager, [pid]) for pid in manager.pids()}
 
     cycle = _drifted_cycle(layout, txn, train)
@@ -93,8 +94,12 @@ def test_a_migration_over_unfolded_commits_stores_exactly_its_scope():
     after = set(manager.pids())
     scope, added = before.keys() - after, after - before.keys()
     assert scope and added
+    # A deleted row the scope still stores is not rewritten.
+    scope_cells = [cell for pid in scope for cell in before[pid]]
+    deleted = manager.deleted(np.array([tid for tid, _name in scope_cells]))
+    assert deleted.any()
     assert sorted(cells(manager, added)) == sorted(
-        cell for pid in scope for cell in before[pid]
+        cell for cell, gone in zip(scope_cells, deleted) if not gone
     )
 
     # One home per cell across the live set: every stored cell is counted
@@ -102,7 +107,7 @@ def test_a_migration_over_unfolded_commits_stores_exactly_its_scope():
     live = cells(manager, after)
     assert len(live) == len(set(live))
     index = manager.catalog_index()
-    for name in txn.data.schema.attribute_names:
+    for name in txn.schema.attribute_names:
         owners = index.owners(name)
         n_stored = sum(1 for _tid, attribute in live if attribute == name)
         assert int((owners.owner != len(owners.pids)).sum()) == n_stored

@@ -35,7 +35,7 @@ def test_pinned_reads_race_commits_and_a_budgeted_fold():
     table, _layout, txn = build_txn_table(seed=31, n_tuples=600)
     shadow = ShadowTable(table)
     shadow.snapshot(txn.current_version)
-    meta = txn.data.meta
+    meta = txn.meta
     names = list(meta.schema.attribute_names)
     queries = [Query.build(meta, names, {}, label="full")] + [
         Query.build(meta, names[:2], {name: (lo, lo + 300)}, label=f"{name}@{lo}")

@@ -11,6 +11,7 @@ from repro.core.query import Query
 from repro.errors import SnapshotUnavailableError
 from repro.layouts import BuildContext, IrregularLayout
 from repro.storage import ColumnTable
+from repro.testing import ShadowTable
 from repro.txn import DeltaCompactor, TransactionalTable
 
 from .conftest import build_txn_table, visible_mask
@@ -80,7 +81,7 @@ class TestPinning:
         for pid in snapshot.pids:
             manager.info(pid)
         names = list(table.schema.attribute_names)
-        query = Query.build(txn.data.meta, names, {}, label="pinned")
+        query = Query.build(txn.meta, names, {}, label="pinned")
         result, _ = txn.execute(query, as_of=snapshot.version)
         assert result.n_tuples == 300
         snapshot.release()
@@ -133,7 +134,7 @@ class TestPinning:
             manager.prune_retired()
             assert manager.floor_version() == txn.current_version
             head = manager._head
-            assert len(head.deleted_at) <= txn.data.n_tuples
+            assert len(head.deleted_at) <= txn.n_tuples
             assert int((head.deleted_at <= head.version).sum()) == len(deleted)
             assert not txn.delta_state().tombstones
         with manager.pin_snapshot() as view:
@@ -183,21 +184,26 @@ class TestReadStability:
                     assert got.dtype == values.dtype, stage
                     assert np.array_equal(got, values), stage
 
-        # Writes.
-        tids = txn.insert({
+        # Writes, mirrored on a shadow built from the table before them.
+        shadow = ShadowTable(table)
+        rows = {
             name: rng.integers(0, 10_000, 60).astype(np.int32)
             for name in names
-        })
+        }
+        tids = txn.insert(rows)
+        shadow.insert(rows)
         txn.delete(tids=list(range(0, 25)))
+        shadow.delete(np.arange(25))
         txn.commit()
         txn.update({"a1": 7}, tids=tids[:5].tolist())
+        shadow.update({"a1": 7}, tids[:5])
         txn.commit()
         check("after writes")
 
         # Drift the workload onto attributes the layout was never tuned
         # for and let the adaptive daemon migrate the live catalog while
         # commit partitions and tombstones are still outstanding.
-        daemon = AdaptiveDaemon(layout, txn.data, AdaptiveConfig(
+        daemon = AdaptiveDaemon(layout, AdaptiveConfig(
             window_size=32,
             advisor=AdvisorConfig(drift_threshold=0.2, drift_reset=0.1,
                                   min_improvement=0.01, cooldown_queries=4),
@@ -220,12 +226,12 @@ class TestReadStability:
         # migration over outstanding commit partitions and tombstones.
         def check_current(stage):
             visible = visible_mask(txn)
-            full = Query.build(txn.data.meta, names, {}, label="now")
+            full = Query.build(txn.meta, names, {}, label="now")
             now, _ = txn.execute(full)
             assert np.array_equal(
                 now.tuple_ids, np.nonzero(visible)[0]
             ), stage
-            a7 = txn.data.column("a7")
+            a7 = shadow.columns["a7"]
             pred, _ = txn.execute(shifted[0])
             expected_tids = np.nonzero(visible & (a7 >= 0) & (a7 <= 2999))[0]
             assert np.array_equal(pred.tuple_ids, expected_tids), stage

@@ -80,12 +80,13 @@ def build(
     return rng, table, layout, txn
 
 
-def run_workload(txn, rng, config=CONFIG, compact_at=None):
+def run_workload(txn, table, rng, config=CONFIG, compact_at=None):
     """Seeded batches with commits; optional mid-stream compaction.
 
-    Returns the shadow with one visibility snapshot per committed version.
+    Returns the shadow, built from ``table`` before the first write, with
+    one visibility snapshot per committed version.
     """
-    shadow = ShadowTable(txn.data)
+    shadow = ShadowTable(table)
     shadow.snapshot(txn.current_version)
     for batch in range(config.n_batches):
         apply_random_batch(txn, shadow, rng, config)
@@ -102,34 +103,34 @@ class TestWorkloadOracle:
         ids=[name for name, _ in LAYOUTS],
     )
     def test_snapshot_reads_oracle_exact_every_version(self, builder):
-        rng, _table, _layout, txn = build(21, builder=builder)
-        shadow = run_workload(txn, rng, compact_at=2)
+        rng, table, _layout, txn = build(21, builder=builder)
+        shadow = run_workload(txn, table, rng, compact_at=2)
         mismatches = verify_against_shadow(txn, shadow, rng)
         assert mismatches == []
 
     def test_threaded_engine_sees_identical_merged_reads(self):
-        rng, _table, _layout, txn = build(22, threaded=True)
-        shadow = run_workload(txn, rng, compact_at=1)
+        rng, table, _layout, txn = build(22, threaded=True)
+        shadow = run_workload(txn, table, rng, compact_at=1)
         mismatches = verify_against_shadow(txn, shadow, rng)
         assert mismatches == []
 
     def test_oracle_exact_under_storage_faults(self):
         """Transient faults + latency spikes under every read and write:
         the retry policy absorbs them and snapshots stay oracle-exact."""
-        rng, _table, _layout, txn = build(
+        rng, table, _layout, txn = build(
             23,
             fault_config=FaultConfig(
                 transient_error_rate=0.05, latency_spike_rate=0.05,
                 latency_spike_s=0.0,
             ),
         )
-        shadow = run_workload(txn, rng, compact_at=2)
+        shadow = run_workload(txn, table, rng, compact_at=2)
         mismatches = verify_against_shadow(txn, shadow, rng)
         assert mismatches == []
 
     def test_wal_off_workload_still_oracle_exact(self):
-        rng, _table, _layout, txn = build(24, wal_enabled=False)
-        shadow = run_workload(txn, rng)
+        rng, table, _layout, txn = build(24, wal_enabled=False)
+        shadow = run_workload(txn, table, rng)
         assert verify_against_shadow(txn, shadow, rng) == []
         with pytest.raises(TransactionError):
             txn.replay_wal()
@@ -149,7 +150,7 @@ class TestDirtyReadsAreOrdinaryReads:
         )
         if "zone_maps" in layout.executor.options:
             layout.executor = layout.executor.clone(zone_maps=True)
-        shadow = ShadowTable(txn.data)
+        shadow = ShadowTable(table)
         names = list(table.schema.attribute_names)
         # Far outside the base domain [0, 1000): one commit partition whose
         # zone map no in-domain predicate overlaps.
@@ -167,7 +168,7 @@ class TestDirtyReadsAreOrdinaryReads:
 
     def test_disjoint_commit_partition_is_pruned(self, driver):
         txn, shadow, layout, names, segment = self.dirty(driver, 71)
-        meta = txn.data.meta
+        meta = txn.meta
         inside = Query.build(meta, names, {names[0]: (0, 400)}, label="in")
         result, stats = txn.execute(inside)
         expected = shadow.query(inside, txn.current_version)
@@ -195,7 +196,7 @@ class TestDirtyReadsAreOrdinaryReads:
         )
         store = txn.manager.store
         query = Query.build(
-            txn.data.meta, names, {names[0]: (0, 6_000)}, label="warm"
+            txn.meta, names, {names[0]: (0, 6_000)}, label="warm"
         )
         first, _ = txn.execute(query)
         gets = store.n_gets
@@ -214,7 +215,7 @@ class TestDirtyReadsAreOrdinaryReads:
         )
         store = txn.manager.store
         query = Query.build(
-            txn.data.meta, names, {names[0]: (0, 6_000)}, label="all"
+            txn.meta, names, {names[0]: (0, 6_000)}, label="all"
         )
         pristine = store.flip_bit(segment.key)
         gets = store.n_gets
@@ -263,7 +264,7 @@ def test_as_of_exact_across_commits_a_migration_and_a_fold(strategy):
             layout.manager, meta, n_threads=2, strategy=strategy
         )
     txn = TransactionalTable(layout, table)
-    shadow = ShadowTable(txn.data)
+    shadow = ShadowTable(table)
     shadow.snapshot(txn.current_version)
     hold = txn.manager.pin_snapshot()  # keeps every version below pinnable through the prunes
     config = WriteWorkloadConfig()
@@ -274,7 +275,7 @@ def test_as_of_exact_across_commits_a_migration_and_a_fold(strategy):
             shadow.snapshot(txn.commit())
 
     commits(2)
-    daemon = AdaptiveDaemon(layout, txn.data, AdaptiveConfig(
+    daemon = AdaptiveDaemon(layout, AdaptiveConfig(
         window_size=32,
         advisor=AdvisorConfig(drift_threshold=0.2, drift_reset=0.1,
                               min_improvement=0.01, cooldown_queries=4),
@@ -319,7 +320,7 @@ class TestOneFlightRecordPerRequest:
     @staticmethod
     def dirty_table():
         rng, table, layout, txn = build(31)
-        shadow = ShadowTable(txn.data)
+        shadow = ShadowTable(table)
         apply_random_batch(txn, shadow, rng, CONFIG)
         return rng, shadow, table, layout, txn
 
@@ -339,7 +340,7 @@ class TestOneFlightRecordPerRequest:
 
         assert txn.delta_state().segments  # dirty
         names = list(table.schema.attribute_names)
-        _result, stats = txn.execute(Query.build(txn.data.meta, names, {}))
+        _result, stats = txn.execute(Query.build(txn.meta, names, {}))
         (_, read) = recorder.records()
         assert read.engine == layout.executor.name
         assert read.bytes_read == stats.bytes_read
@@ -361,7 +362,7 @@ class TestOneFlightRecordPerRequest:
             txn.commit()
         assert txn.current_version == first + 2
         names = list(table.schema.attribute_names)
-        txn.execute(Query.build(txn.data.meta, names, {}), as_of=first)
+        txn.execute(Query.build(txn.meta, names, {}), as_of=first)
         assert recorder.records()[-1].catalog_version == first
 
 
@@ -371,8 +372,8 @@ class TestCrashReplay:
             target.manager.store.put(key, source.wal.store.get(key))
 
     def test_replay_recovers_all_committed_batches(self):
-        rng, _t1, _l1, txn1 = build(31)
-        shadow = run_workload(txn1, rng)
+        rng, t1, _l1, txn1 = build(31)
+        shadow = run_workload(txn1, t1, rng)
         # "Crash": a second, identically seeded process comes up with only
         # the base files and the durable WAL blobs.
         _rng2, _t2, _l2, txn2 = build(31)
@@ -381,7 +382,7 @@ class TestCrashReplay:
         assert applied == txn1._applied_lsn
         final = max(shadow.history)
         names = list(shadow.schema.attribute_names)
-        full = Query.build(txn2.data.meta, names, {}, label="recovered")
+        full = Query.build(txn2.meta, names, {}, label="recovered")
         result, _ = txn2.execute(full)
         expected_tids = np.nonzero(shadow.mask_at(final))[0]
         assert np.array_equal(result.tuple_ids, expected_tids)
@@ -391,8 +392,8 @@ class TestCrashReplay:
             )
 
     def test_torn_tail_recovers_to_previous_commit(self):
-        rng, _t1, _l1, txn1 = build(32)
-        shadow = run_workload(txn1, rng)
+        rng, t1, _l1, txn1 = build(32)
+        shadow = run_workload(txn1, t1, rng)
         versions = sorted(shadow.history)
         _rng2, _t2, _l2, txn2 = build(32)
         self._copy_wal(txn1, txn2)
@@ -403,7 +404,7 @@ class TestCrashReplay:
         txn2.replay_wal()
         durable = versions[-2]  # every batch is one commit = one version
         names = list(shadow.schema.attribute_names)
-        full = Query.build(txn2.data.meta, names, {}, label="torn")
+        full = Query.build(txn2.meta, names, {}, label="torn")
         result, _ = txn2.execute(full)
         expected_tids = np.nonzero(shadow.mask_at(durable))[0]
         assert np.array_equal(result.tuple_ids, expected_tids)
@@ -413,8 +414,8 @@ class TestCrashReplay:
             )
 
     def test_replay_is_idempotent_on_a_live_table(self):
-        rng, _t1, _l1, txn1 = build(33)
-        run_workload(txn1, rng)
+        rng, t1, _l1, txn1 = build(33)
+        run_workload(txn1, t1, rng)
         before = txn1.current_version
         assert txn1.replay_wal() == 0  # nothing beyond the applied LSN
         assert txn1.current_version == before
@@ -429,7 +430,7 @@ class TestDeltaMergeProperty:
         every retained version is byte-for-byte the dense numpy shadow."""
         config = WriteWorkloadConfig(n_batches=3, max_ops=2,
                                      max_insert_rows=12)
-        rng, _table, _layout, txn = build(seed, n_tuples=120)
-        shadow = run_workload(txn, rng, config=config, compact_at=1)
+        rng, table, _layout, txn = build(seed, n_tuples=120)
+        shadow = run_workload(txn, table, rng, config=config, compact_at=1)
         mismatches = verify_against_shadow(txn, shadow, rng, n_queries=1)
         assert mismatches == []
