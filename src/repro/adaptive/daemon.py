@@ -192,10 +192,12 @@ class AdaptiveDaemon:
     # -------------------------------------------------------------- scope
 
     def _select_scope(self) -> Tuple[Tuple[int, ...], int]:
-        """Hottest observed partitions, packed under the rewrite budget."""
+        """Hottest observed partitions of the plan that are live at the
+        head, packed under the rewrite budget."""
         counts = self.monitor.observed_partition_counts()
+        live = self.manager.catalog_index().pids
         ranked = sorted(
-            (pid for pid in counts if pid in self._current),
+            (pid for pid in counts if pid in self._current and pid in live),
             key=lambda pid: (-counts[pid], pid),
         )
         scope: List[int] = []
@@ -213,11 +215,19 @@ class AdaptiveDaemon:
     def _why_no_scope(self) -> str:
         """Why :meth:`_select_scope` found nothing to migrate."""
         observed = self.monitor.observed_partition_counts()
-        if self._current.keys().isdisjoint(observed):
+        planned = self._current.keys() & observed.keys()
+        if not planned:
             # E.g. a fold rewrote every partition of the plan under fresh pids.
             return (
                 f"the window observed {len(observed)} partitions and none "
                 "of them is in the daemon's plan"
+            )
+        if planned.isdisjoint(self.manager.catalog_index().pids):
+            # A fold retired them after the window observed them.
+            return (
+                f"the window observed {len(planned)} partitions of the "
+                f"daemon's plan and a later commit retired every one of them "
+                f"(pids {sorted(planned)})"
             )
         return (
             "no observed partition fits the "

@@ -29,13 +29,14 @@ between pruned pids to the reader and the driver's ``process`` one run at
 a time, and :func:`projection_loop`, Algorithm 5's projection probe (the
 partitions holding the selected tuples' missing cells, one tuple-level
 probe per owner map).  The write path reads the stored table through the
-same probe: :func:`rows` fills a tid list's cells from the partitions it
-names, read without a charge.
+same probe: :func:`rows` gathers a tid list's cells from the partitions it
+names, read without a charge, at the cost of the tids.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from itertools import groupby
 from typing import (
     Any,
@@ -54,14 +55,12 @@ import numpy as np
 
 from ..core.query import Query
 from ..core.schema import TableMeta
+from ..errors import StorageError
 from ..obs import request_scope
 from ..obs import tracer as obs_tracer
 from ..plan.explain import ExplainReport
 from ..plan.logical import POLICY_PARTITION
-from ..plan.operators import (
-    STATUS_VALID, PlanReader, ProjectFillOp, SelectOp, finalize_stats,
-)
-from ..plan.predicates import Conjunction
+from ..plan.operators import PlanReader, ProjectFillOp, SelectOp, finalize_stats
 from ..plan.physical import PhysicalPlan, QueryPlanner
 from ..plan.result import ResultSet
 from ..plan.stats import CpuModel, ExecutionStats
@@ -283,18 +282,65 @@ def projection_loop(view: CatalogSnapshot, fill_op: ProjectFillOp) -> List[int]:
 def rows(
     view: CatalogSnapshot, tids: np.ndarray, names: Sequence[str]
 ) -> Dict[str, np.ndarray]:
-    """The ``names`` cells of the tuples ``tids`` (distinct, each stored at
-    ``view``), in ascending tid order: the write path's read of the stored
-    table.  The tids are the VALID set of a selection, the partitions
-    :func:`projection_loop` names are read through
+    """The ``names`` cells of the tuples ``tids`` (ascending, distinct, each
+    stored at ``view``), aligned with ``tids``: the write path's read of
+    the stored table, at the cost of its targets.
+
+    One tuple-level probe per owner map (as :func:`projection_loop` makes)
+    names the partitions holding a target's cell; each is read through
     :meth:`PartitionManager.read
     <repro.storage.partition_manager.PartitionManager.read>`, which charges
-    nothing, and a cell no partition supplies raises
-    :class:`~repro.errors.StorageError`."""
-    names = tuple(names)
-    select_op = SelectOp(Conjunction([]), names, view.index.tid_domain())
-    select_op.status[tids] = STATUS_VALID
-    fill_op = ProjectFillOp(names, select_op, view.manager.schema)
-    for pid in projection_loop(view, fill_op):
-        fill_op.fill(view.manager.read(view.info(pid)))
-    return fill_op.result(ExecutionStats()).columns
+    nothing and checks and retries like a query's load.  Per segment the
+    targets inside its tid span are a slice of ``tids`` (two binary
+    searches), found in the segment by one more, and each wanted attribute
+    is one gather: O(targets) per segment touched, and O(segment) for a
+    whole-table call (a migration's rows, a predicate delete's targets).
+    A cell has one home, so the cells written number ``len(tids) *
+    len(names)`` exactly when none is missing; a missing one raises
+    :class:`~repro.errors.StorageError` naming its attribute and tuple."""
+    names = tuple(dict.fromkeys(names))
+    tids = np.asarray(tids, dtype=np.int64)
+    schema = view.manager.schema
+    columns = {name: np.empty(len(tids), dtype=schema[name].np_dtype) for name in names}
+    groups: Dict[Any, List[str]] = {}  # owner map -> its attributes
+    for name in names:
+        groups.setdefault(view.index.owners(name), []).append(name)
+    groups.pop(None, None)  # stored nowhere: reported below
+    pids: Set[int] = set()
+    if len(tids):
+        for group in groups.values():
+            pids.update(view.partitions_with_missing_cells(group[0], tids))
+    wanted = frozenset(names)
+    written = 0
+    for pid in sorted(pids):
+        for segment in view.manager.read(view.info(pid)).segments:
+            stored = segment.tuple_ids
+            take = wanted.intersection(segment.attributes)
+            if not take or not len(stored):
+                continue
+            first, last = bisect_left(tids, stored[0]), bisect_right(tids, stored[-1])
+            if first == last:
+                continue
+            targets = tids[first:last]
+            at = stored.searchsorted(targets)  # within the span: no clip
+            found = (stored[at] == targets).nonzero()[0]
+            out: Any = slice(first, last)
+            if len(found) < last - first:
+                out, at = first + found, at[found]
+            for name in take:
+                columns[name][out] = segment.columns[name][at]
+            written += len(at) * len(take)
+    if written != len(tids) * len(names):
+        for name in names:
+            owners = view.index.owners(name)
+            absent = ~owners.stores(tids) if owners is not None else np.ones(len(tids), bool)
+            if absent.any():
+                raise StorageError(
+                    f"attribute {name!r} of tuple {int(tids[absent][0])} is stored "
+                    f"in no partition of catalog version {view.version}"
+                )
+        raise StorageError(
+            f"{len(tids) * len(names) - written} cells of {len(tids)} tuples were "
+            f"read from no partition of catalog version {view.version}"
+        )
+    return columns

@@ -14,7 +14,7 @@ the version that deleted each deleted tuple.  A commit
 (:meth:`Catalog.apply`) and a prune (:meth:`Catalog.prune`) each return a
 new value, and an old version's partition set and deleted tuples are
 interval filters over the one value (:meth:`Catalog.live_at`,
-:meth:`Catalog.hidden_at`).  The partition manager holds one reference to
+:meth:`Catalog.deleted_by`).  The partition manager holds one reference to
 the current value; a reader holds a :class:`CatalogSnapshot`.
 """
 
@@ -108,22 +108,100 @@ class PartitionInfo:
         return zone_hi < lo or zone_lo > hi
 
 
+class _Growth:
+    """The arrays behind a run of published prefixes, with a spare tail.
+
+    Each holder of a prefix keeps the generation it was published at, and
+    ``gen`` is the newest.  Only the newest holder may write past its
+    prefix in place (:meth:`claim`): no older holder reads those slots as
+    its own, so every published prefix stays what it was.  Any other holder
+    extends a copy.
+    """
+
+    __slots__ = ("arrays", "gen", "_lock")
+
+    def __init__(self, arrays: Tuple[np.ndarray, ...], gen: int = 0):
+        self.arrays = arrays
+        self.gen = gen
+        self._lock = threading.Lock()
+
+    def claim(self, gen: int) -> bool:
+        """Whether generation ``gen`` is the newest; if so, its successor
+        becomes the newest (``gen + 1``) and may write past its prefix."""
+        with self._lock:
+            if self.gen != gen:
+                return False
+            self.gen = gen + 1
+            return True
+
+
+def _resized(array: np.ndarray, n: int, size: int, fill=0) -> np.ndarray:
+    """A fresh ``size``-slot array of ``array``'s dtype: its first ``n``
+    slots, then ``fill``."""
+    grown = np.full(size, fill, dtype=array.dtype)
+    grown[:n] = array[:n]
+    return grown
+
+
+def _extended(
+    views: Tuple[np.ndarray, ...], tip: Tuple[_Growth, int], rows: Sequence[list]
+) -> Tuple[Tuple[np.ndarray, ...], Tuple[_Growth, int]]:
+    """``views`` — the prefixes generation ``tip`` holds — followed by
+    ``rows``, as read-only prefix views, and their generation: written past
+    the prefix in place when ``tip`` is the newest, else into a copy."""
+    n = len(views[0])
+    end = n + len(rows[0])
+    if end == n:
+        return views, tip
+    growth, gen = tip
+    if growth.claim(gen):
+        arrays, gen = growth.arrays, gen + 1
+        if len(arrays[0]) < end:
+            arrays = growth.arrays = tuple(_resized(a, n, 2 * end) for a in arrays)
+    else:
+        arrays, gen = tuple(_resized(a, n, 2 * end) for a in views), 0
+        growth = _Growth(arrays)
+    for array, row in zip(arrays, rows):
+        array[n:end] = row
+    return tuple(_prefix(array, end) for array in arrays), (growth, gen)
+
+
+def _prefix(array: np.ndarray, n: int) -> np.ndarray:
+    """``array``'s first ``n`` slots, as a read-only view."""
+    view = array[:n]
+    view.flags.writeable = False
+    return view
+
+
+#: per rank dtype up to 16 bits, the number of values a rank can take.
+_RANKS = {np.dtype(t): int(np.iinfo(t).max) + 1 for t in (np.uint8, np.uint16)}
+
+
 class _OwnerMap:
     """Dense ``tid -> owning partition`` array of one placement.
 
-    ``owner[tid]`` is the rank in ``pids`` of the partition storing the
-    cell, or ``len(pids)`` — the *no owner* rank — when none does.  A
-    segment storing a cell an earlier one stores raises
-    :class:`~repro.errors.StorageError`: a cell has one home.  The array
-    ends in one extra *no owner* slot: probing with ``take(mode="clip")``
-    sends tids past the stored domain there instead of raising.
+    ``owner[tid]`` is one plus the rank in ``pids`` of the partition
+    storing the cell, or ``NO_OWNER`` (0) when none does, over the map's
+    ``domain`` (one past its highest tid).  A segment storing a cell an
+    earlier one stores raises :class:`~repro.errors.StorageError`: a cell
+    has one home.
 
-    ``base`` is the map of ``placement`` less its trailing pairs — an
-    add-only commit's predecessor — whose array is carried over instead of
-    scattered again; the result equals a build from scratch.
+    ``owner`` is a prefix of a growable buffer (:class:`_Growth`) with a
+    spare tail of ``NO_OWNER`` slots.  ``base`` is the map of ``placement``
+    less its trailing pairs — an add-only commit's predecessor.  When the
+    new pairs' tids all lie past ``base.domain`` and ``base`` is the newest
+    map of its buffer, they are written into the tail in place: O(batch),
+    nothing copied, and ``base``'s own prefix untouched.  Otherwise ``base``'s
+    prefix is copied (so is a rank dtype that must widen).  Either way the
+    result equals a build from scratch.  A probe reads the whole buffer and
+    clips into its last slot, always spare, so tids past the domain have no
+    owner; a slot past the domain that a successor wrote holds a rank past
+    ``pids`` and is ignored.
     """
 
-    __slots__ = ("pids", "owner", "placement")
+    NO_OWNER = 0
+
+    __slots__ = ("pids", "placement", "domain", "_slots", "_growth", "_gen")
 
     def __init__(
         self,
@@ -141,32 +219,60 @@ class _OwnerMap:
         ]
         new_pids = tuple(dict.fromkeys(pid for pid, _tids in added))
         self.pids = old_pids + new_pids
-        no_owner = len(self.pids)
-        ends = [int(tids[-1]) + 1 for _pid, tids in added if len(tids)]
-        if base is not None:
-            ends.append(len(base.owner) - 1)
-        self.owner = np.full(max(ends, default=0) + 1, no_owner, np.min_scalar_type(no_owner))
-        if base is not None:
-            np.copyto(self.owner[:len(base.owner)], base.owner, where=base.owner != len(old_pids))
-        ranks = {pid: rank for rank, pid in enumerate(new_pids, start=len(old_pids))}
+        added = [(pid, tids) for pid, tids in added if len(tids)]
+        start = base.domain if base is not None else 0
+        self.domain = max([start, *(int(tids[-1]) + 1 for _pid, tids in added)])
+        dtype = np.min_scalar_type(len(self.pids))
+        if (
+            base is not None and base._slots.dtype == dtype
+            and all(int(tids[0]) >= start for _pid, tids in added)
+            and base._growth.claim(base._gen)
+        ):
+            self._growth, self._gen = base._growth, base._gen + 1
+            slots = self._growth.arrays[0]
+            if len(slots) <= self.domain:
+                slots = _resized(slots, start, 2 * self.domain + 1)
+                self._growth.arrays = (slots,)
+        else:
+            slots = np.zeros(self.domain + 1, dtype)
+            if base is not None:
+                slots[:start] = base._slots[:start]
+            self._growth, self._gen = _Growth((slots,)), 0
+        self._slots = slots
+        ranks = {pid: rank for rank, pid in enumerate(new_pids, start=len(old_pids) + 1)}
         for pid, tids in added:
-            taken = np.flatnonzero(self.owner[tids] != no_owner)
-            if len(taken):
-                tid = int(tids[taken[0]])
+            if slots[tids].any():
+                tid = int(tids[np.flatnonzero(slots[tids])[0]])
                 raise StorageError(
                     f"partition {pid} would store attribute {attribute!r} of tuple "
-                    f"{tid}, which partition {self.pids[self.owner[tid]]} already "
+                    f"{tid}, which partition {self.pids[slots[tid] - 1]} already "
                     f"stores: a cell has one home"
                 )
-            self.owner[tids] = ranks[pid]
+            slots[tids] = ranks[pid]
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The map over its domain, read-only."""
+        return _prefix(self._slots, self.domain)
+
+    def stores(self, tids: np.ndarray) -> np.ndarray:
+        """Per tid of ``tids``: whether a partition of ``pids`` stores its
+        cell."""
+        ranks = self._slots.take(tids, mode="clip")
+        return (ranks != self.NO_OWNER) & (ranks <= len(self.pids))
 
     def probe(self, tids: np.ndarray) -> Tuple[int, ...]:
         """Partitions owning a cell of any of ``tids``, in ``pids`` order."""
-        no_owner = len(self.pids)
-        seen = np.zeros(no_owner + 1, dtype=bool)
-        seen[self.owner.take(tids, mode="clip")] = True
+        ranks = self._slots.take(tids, mode="clip")
+        size = _RANKS.get(ranks.dtype)
+        if size is None:  # 32-bit ranks: a successor's all count as one
+            size = len(self.pids) + 2
+            np.minimum(ranks, size - 1, out=ranks)
+        seen = np.zeros(size, dtype=bool)
+        seen[ranks] = True
         return tuple(
-            self.pids[rank] for rank in np.flatnonzero(seen[:no_owner]).tolist()
+            self.pids[rank]
+            for rank in seen[1:len(self.pids) + 1].nonzero()[0].tolist()
         )
 
 
@@ -196,7 +302,9 @@ class CatalogIndex:
     (:meth:`with_added`), so what was built so far survives it: owner maps,
     zone arrays and pid lists are extended by the new partitions, and a
     :meth:`visits_once` verdict is carried by testing the new partitions
-    alone.
+    alone.  Owner maps and zone arrays are prefixes of growable buffers
+    (:class:`_Growth`): the successor writes past the predecessor's
+    prefix, which nothing the predecessor answers reads as its own.
     """
 
     def __init__(self, infos: Iterable[PartitionInfo]):
@@ -210,9 +318,10 @@ class CatalogIndex:
                 attribute_pids.setdefault(attribute, []).append(pid)
         self.attribute_pids = {a: tuple(p) for a, p in attribute_pids.items()}
         self._owners: Dict[str, _OwnerMap] = {}
-        self._by_placement: Dict[Tuple[Tuple[int, int], ...], _OwnerMap] = {}
         self._visits_once: Dict[frozenset, bool] = {}
         self._zones: Dict[str, Tuple[np.ndarray, ...]] = {}
+        #: per attribute of ``_zones``, the generation its arrays are of.
+        self._zone_tips: Dict[str, Tuple[_Growth, int]] = {}
         self._pids_for: Dict[frozenset, Tuple[int, ...]] = {}
         self._key_zones: Dict[Tuple[str, frozenset], tuple] = {}
         self._tid_domain: Optional[int] = None
@@ -276,7 +385,8 @@ class CatalogIndex:
     def owner_bytes(self) -> int:
         """Bytes held by the owner arrays built so far (shared ones once)."""
         with self._build_lock:
-            return sum(owners.owner.nbytes for owners in self._by_placement.values())
+            distinct = {id(owners): owners for owners in self._owners.values()}
+        return sum(owners.owner.nbytes for owners in distinct.values())
 
     def partitions_with_cells(
         self, attribute: str, tids: np.ndarray
@@ -316,11 +426,17 @@ class CatalogIndex:
         attribute holds ``(-inf, +inf)``, which refutes nothing.  Memoised."""
         zones = self._zones.get(attribute)
         if zones is None:
-            zones = _zone_arrays(attribute, [
+            pids, lo, hi = _zone_rows(attribute, [
                 self._infos[pid] for pid in self.attribute_pids.get(attribute, ())
             ])
+            zones = (
+                np.array(pids, np.int64), np.array(lo, np.float64), np.array(hi, np.float64)
+            )
             with self._build_lock:
-                zones = self._zones.setdefault(attribute, zones)
+                if attribute not in self._zones:
+                    self._zones[attribute] = zones
+                    self._zone_tips[attribute] = (_Growth(zones), 0)
+                zones = self._zones[attribute]
         return zones
 
     def _build_owners(self, attribute: str) -> _OwnerMap:
@@ -331,9 +447,13 @@ class CatalogIndex:
             key = _placement(
                 attribute, [self._infos[pid] for pid in self.attribute_pids[attribute]]
             )
-            owners = self._by_placement.get(key)
+            # An attribute whose cells sit in the same segments as a built
+            # one's shares its map.
+            owners = next(
+                (built for built in self._owners.values() if built.placement == key), None
+            )
             if owners is None:
-                owners = self._by_placement[key] = _OwnerMap(attribute, self._infos, key)
+                owners = _OwnerMap(attribute, self._infos, key)
             self._owners[attribute] = owners
             return owners
 
@@ -345,7 +465,15 @@ class CatalogIndex:
         memoised pid list extended, and every
         memoised :meth:`visits_once` verdict carried — a False one stays
         False; a True one holds while the new partitions' segments pass
-        the same test."""
+        the same test.
+
+        A write commit's partition holds fresh tids past every owner map's
+        domain, so when this index holds the newest prefix of each buffer
+        the extension writes only the new partitions' slots and zone rows
+        in place: O(batch) per distinct map and per zoned attribute, not
+        O(tid domain).  Deriving a second successor from the same index
+        copies instead (:class:`_Growth`), leaving the first one's answers
+        as they were."""
         successor = CatalogIndex(infos)
         fresh = list(successor.infos())
         if self._tid_domain is not None:
@@ -360,24 +488,35 @@ class CatalogIndex:
         with self._build_lock:
             built = dict(self._owners)
             zones = dict(self._zones)
+            tips = dict(self._zone_tips)
             pid_lists = dict(self._pids_for)
             verdicts = dict(self._visits_once)
+        placements: Dict[str, List[Tuple[int, int]]] = {}
+        for info in fresh:
+            for ordinal, attrs in enumerate(info.segment_attrs):
+                for attribute in attrs:
+                    placements.setdefault(attribute, []).append((info.pid, ordinal))
+        # Attributes of one map whose new pairs agree share the derived map
+        # (so no two derived maps have one placement): grouped by the map and
+        # the new pairs, no long placement is hashed.
+        derived_maps: Dict[Tuple[int, tuple], _OwnerMap] = {}
         for attribute, owners in built.items():
-            placement = _placement(attribute, fresh)
-            key = owners.placement + placement
-            derived = successor._by_placement.get(key)
+            placement = tuple(placements.get(attribute, ()))
+            derived = derived_maps.get((id(owners), placement))
             if derived is None:
-                derived = successor._by_placement[key] = (
-                    _OwnerMap(attribute, successor._infos, key, base=owners)
+                derived = derived_maps[id(owners), placement] = (
+                    _OwnerMap(
+                        attribute, successor._infos, owners.placement + placement,
+                        base=owners,
+                    )
                     if placement else owners
                 )
             successor._owners[attribute] = derived
         for attribute, old_zones in zones.items():
-            new_zones = _zone_arrays(attribute, [
-                successor._infos[pid] for pid in added.get(attribute, ())
-            ])
-            successor._zones[attribute] = tuple(
-                np.concatenate(pair) for pair in zip(old_zones, new_zones)
+            successor._zones[attribute], successor._zone_tips[attribute] = _extended(
+                old_zones, tips[attribute], _zone_rows(attribute, [
+                    successor._infos[pid] for pid in added.get(attribute, ())
+                ]),
             )
         for attributes, pids in pid_lists.items():
             successor._pids_for[attributes] = pids + tuple(
@@ -392,17 +531,15 @@ class CatalogIndex:
         return successor
 
 
-def _zone_arrays(
-    attribute: str, infos: Sequence[PartitionInfo]
-) -> Tuple[np.ndarray, ...]:
+def _zone_rows(attribute: str, infos: Sequence[PartitionInfo]) -> Tuple[list, ...]:
     """``(pids, lo, hi)`` of ``infos`` for ``attribute``; no bounds is
     ``(-inf, +inf)``."""
     unbounded = (-np.inf, np.inf)
     bounds = [info.zone_map.get(attribute, unbounded) for info in infos]
     return (
-        np.array([info.pid for info in infos], dtype=np.int64),
-        np.array([lo for lo, _hi in bounds], dtype=np.float64),
-        np.array([hi for _lo, hi in bounds], dtype=np.float64),
+        [info.pid for info in infos],
+        [lo for lo, _hi in bounds],
+        [hi for _lo, hi in bounds],
     )
 
 
@@ -433,11 +570,18 @@ def _refuse_second_homes(
     """Build, and so check, the owner map of each placement an added
     partition stores an attribute in, over the added partitions (tid
     ``spans``: first and last) and the kept ones whose span meets theirs.
-    Attributes of one placement share one check."""
-    kept_spans = np.array([_span(info) for info in kept]).reshape(-1, 2)
-    meets = (kept_spans[:, :1].T <= spans[:, 1:]) & (kept_spans[:, 1:].T >= spans[:, :1])
-    candidates = {info.pid: info for info, hit in zip(kept, meets.any(axis=0)) if hit}
+    Attributes of one placement share one check, and one segment (its
+    tids strictly ascending) needs none."""
+    candidates: Dict[int, PartitionInfo] = {}
+    if kept:
+        kept_spans = np.array([_span(info) for info in kept]).reshape(-1, 2)
+        meets = (kept_spans[:, :1].T <= spans[:, 1:]) & (kept_spans[:, 1:].T >= spans[:, :1])
+        candidates.update(
+            (info.pid, info) for info, hit in zip(kept, meets.any(axis=0)) if hit
+        )
     candidates.update((info.pid, info) for info in added)
+    if sum(len(info.segment_attrs) for info in candidates.values()) < 2:
+        return
     homed = frozenset().union(*(info.attributes for info in added))
     placements: Dict[str, List[Tuple[int, int]]] = {}
     for info in candidates.values():
@@ -470,11 +614,16 @@ class Catalog:
       (``NOT_DELETED`` for none), read-only; it ends past the highest
       deleted tid.  Tids are never reused, so a tuple is visible at ``v``
       iff the view of ``v`` stores it and ``deleted_at[tid] > v`` — the
-      partitions' interval rule, applied to tuples.
+      partitions' interval rule, applied to tuples.  The array is a prefix
+      of a buffer later commits stamp in place (a tuple is deleted once, so
+      a stamp only overwrites ``NOT_DELETED``): a value reads a stamp past
+      its own version as not deleted, as every reader compares with
+      ``<= version``;
+    * ``tombstones`` — the ascending tids this version's commit deleted.
 
     :meth:`apply` (a commit) and :meth:`prune` return new values; the
     version history is the interval filters :meth:`live_at` and
-    :meth:`hidden_at`, not a log.
+    :meth:`deleted_by`, not a log.
     """
 
     version: int = 0
@@ -486,6 +635,15 @@ class Catalog:
     tid_end: int = 0
     deleted_at: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64), compare=False
+    )
+    tombstones: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64), compare=False
+    )
+    #: the buffer ``deleted_at`` is a prefix of; its generation is the
+    #: version of the newest value stamping it.
+    stamps: _Growth = field(
+        default_factory=lambda: _Growth((np.empty(0, dtype=np.int64),)),
+        compare=False, repr=False,
     )
 
     def apply(
@@ -506,60 +664,72 @@ class Catalog:
         :class:`~repro.errors.StorageError` and changes nothing.
         """
         version = self.version + 1
-        deleted_at = self._stamp(deleted, version)
         gone = set(retired_pids) & self.index.pids
         if not added and not gone:
-            return replace(self, version=version, deleted_at=deleted_at)
-        kept = [info for info in self.index.infos() if info.pid not in gone]
+            return replace(self, version=version, **self._stamp(deleted))
         spans = np.array([_span(info) for info in added]).reshape(-1, 2)
         fresh = spans[:, 0].min(initial=self.tid_end) >= self.tid_end
+        pids = [info.pid for info in added]
+        last = next(reversed(self.index.infos()), None)  # the highest live pid's
+        derive = not gone and (last is None or min(pids) > last.pid)
+        # The live entries are listed only for a check or a rebuild that
+        # needs them, never for a write commit's derived index.
+        kept = [] if fresh and derive else [
+            info for info in self.index.infos() if info.pid not in gone
+        ]
         _refuse_second_homes([] if fresh else kept, added, spans)
         for info in added:
             info.version = version
-        pids = [info.pid for info in added]
-        if not gone and min(pids) > max(self.index.pids, default=-1):
-            index = self.index.with_added(added)
-        else:
-            index = CatalogIndex(kept + list(added))
+        index = self.index.with_added(added) if derive else CatalogIndex(kept + list(added))
         retired = {pid: (version, self.index.info(pid)) for pid in sorted(gone)}
         return Catalog(
             version, version, index, {**self.retired, **retired}, self.floor,
             max([self.next_pid, *(pid + 1 for pid in pids)]),
             max(self.tid_end, int(spans[:, 1].max(initial=-1)) + 1),
-            deleted_at,
+            **self._stamp(deleted),
         )
 
-    def _stamp(self, deleted: Sequence[int], version: int) -> np.ndarray:
-        """``deleted_at`` with ``version`` stamped on the tuples ``deleted``
-        (live ones: the write path deletes a tuple once)."""
-        tids = np.asarray(deleted, dtype=np.int64)
-        if not len(tids):
-            return self.deleted_at
-        grown = max(0, int(tids.max()) + 1 - len(self.deleted_at))
-        stamps = np.concatenate((self.deleted_at, np.full(grown, NOT_DELETED, np.int64)))
+    def _stamp(self, deleted: Sequence[int]) -> Dict[str, object]:
+        """The successor's ``deleted_at``, ``tombstones`` and ``stamps``:
+        its version stamped on the tuples ``deleted`` not deleted yet — in
+        the buffer's spare slots and over ``NOT_DELETED``, O(batch), when
+        this value is the buffer's newest; else in a copy that keeps only
+        this value's stamps.  Called last, once nothing can refuse the
+        commit."""
+        version = self.version + 1
+        tids = sorted_unique(np.asarray(deleted, dtype=np.int64))
+        tids = tids[~self.deleted(tids)]
+        n = len(self.deleted_at)
+        end = max(n, int(tids[-1]) + 1 if len(tids) else 0)
+        growth = self.stamps
+        if growth.claim(self.version):
+            if not len(tids):
+                return {"deleted_at": self.deleted_at, "tombstones": tids, "stamps": growth}
+            stamps = growth.arrays[0]
+            if len(stamps) < end:
+                stamps = _resized(stamps, n, 2 * end, NOT_DELETED)
+                growth.arrays = (stamps,)
+        else:
+            stamps = _resized(self.deleted_at, n, end, NOT_DELETED)
+            stamps[:n][stamps[:n] > self.version] = NOT_DELETED
+            growth = _Growth((stamps,), version)
         stamps[tids] = version
-        stamps.flags.writeable = False
-        return stamps
+        tids.flags.writeable = False
+        return {"deleted_at": _prefix(stamps, end), "tombstones": tids, "stamps": growth}
 
-    def hidden_at(self, version: int, index: CatalogIndex) -> Optional[np.ndarray]:
-        """What a read at ``version`` over ``index`` (that version's
-        partition set) must not return: the ascending tids of its
-        :meth:`~CatalogIndex.tid_domain` deleted by then, read-only — None
-        when there are none."""
-        if not len(self.deleted_at):
-            return None
-        hidden = np.flatnonzero(self.deleted_at[:index.tid_domain()] <= version)
-        if not len(hidden):
-            return None
-        hidden.flags.writeable = False
-        return hidden
+    def deleted_by(self, version: int) -> np.ndarray:
+        """The ascending tids deleted at or before ``version``, read-only:
+        one pass over ``deleted_at``."""
+        tids = np.flatnonzero(self.deleted_at <= version)
+        tids.flags.writeable = False
+        return tids
 
     def deleted(self, tids: np.ndarray) -> np.ndarray:
         """Per tid of ``tids``: whether a commit up to this version deleted
         it."""
         inside = tids < len(self.deleted_at)
         gone = np.zeros(len(tids), dtype=bool)
-        gone[inside] = self.deleted_at[tids[inside]] != NOT_DELETED
+        gone[inside] = self.deleted_at[tids[inside]] <= self.version
         return gone
 
     def prune(self, min_pinned: int) -> Tuple["Catalog", List[PartitionInfo]]:
@@ -633,7 +803,7 @@ class CatalogSnapshot:
 
     ``hidden`` is the version's visibility: the ascending tids of the
     view's tid domain (:meth:`CatalogIndex.tid_domain`) deleted by then
-    (:meth:`Catalog.hidden_at`), which engines mark INVALID before their
+    (:meth:`Catalog.deleted_by`), which engines mark INVALID before their
     selection phase.  ``None`` — nothing deleted by this version — is the
     read-only engines' exact path.  Every pin of a version carries the
     same ``hidden``, whoever pinned it.

@@ -59,6 +59,15 @@ __all__ = ["CatalogIndex", "CatalogSnapshot", "PartitionInfo", "PartitionManager
 Sketcher = Callable[[PartitionInfo], Optional[SketchSet]]
 
 
+def _merged(tids: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """The ascending union of two disjoint ascending tid arrays, read-only."""
+    if not len(more):
+        return tids
+    union = np.insert(tids, np.searchsorted(tids, more), more)
+    union.flags.writeable = False
+    return union
+
+
 class PartitionManager:
     """Materializes partitions to a blob store and serves indexed reads."""
 
@@ -90,9 +99,13 @@ class PartitionManager:
         #: version -> ``(pins, that version's index, its hidden tids)`` while
         #: it is pinned.
         self._pins: Dict[int, Tuple[int, CatalogIndex, Optional[np.ndarray]]] = {}
-        #: ``(version, hidden)`` of the head when it was last pinned, so
-        #: successive reads at the head share one array.
-        self._head_hidden: Tuple[int, Optional[np.ndarray]] = (-1, None)
+        #: ``(version, every tid deleted by then, hidden)`` of the head
+        #: when it was last pinned: successive reads at the head share one
+        #: array, and the next head's is this one merged with its commit's
+        #: tombstones.
+        self._head_hidden: Tuple[int, np.ndarray, Optional[np.ndarray]] = (
+            0, np.empty(0, dtype=np.int64), None,
+        )
         #: pids claimed by a stage in flight, refused to every other stage.
         self._staging: Set[int] = set()
 
@@ -374,10 +387,11 @@ class PartitionManager:
         <repro.storage.catalog.Catalog.live_at>` (:meth:`Catalog.index_at
         <repro.storage.catalog.Catalog.index_at>`; shared by every pin of
         that version and dropped with the last of them) — and what the
-        version hides, the tids deleted by then (:meth:`Catalog.hidden_at
-        <repro.storage.catalog.Catalog.hidden_at>`; shared likewise, and
-        kept for the head version, so a read at the head after another
-        computes nothing over the table).  While pinned,
+        version hides, the tids of its tid domain deleted by then (shared
+        likewise, and kept for the head version: a read at the head after
+        another computes nothing, and the first pin of a new head merges its
+        commit's tombstones into the previous head's, so neither scans
+        ``deleted_at``).  While pinned,
         :meth:`prune_retired` spares every retired partition the snapshot
         still needs.  Release with :meth:`CatalogSnapshot.release` (or use
         it as a context manager).
@@ -391,11 +405,16 @@ class PartitionManager:
             pin = self._pins.get(version)
             if pin is None:
                 index = head.index_at(version)
-                memo_version, hidden = self._head_hidden
+                memo_version, deleted, hidden = self._head_hidden
                 if memo_version != version:
-                    hidden = head.hidden_at(version, index)
+                    if memo_version + 1 == version == head.version:
+                        deleted = _merged(deleted, head.tombstones)
+                    else:
+                        deleted = head.deleted_by(version)
+                    below = deleted[:np.searchsorted(deleted, index.tid_domain())]
+                    hidden = below if len(below) else None
                     if version == head.version:
-                        self._head_hidden = (version, hidden)
+                        self._head_hidden = (version, deleted, hidden)
                 pin = (0, index, hidden)
             count, index, hidden = pin
             self._pins[version] = (count + 1, index, hidden)

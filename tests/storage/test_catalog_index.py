@@ -672,3 +672,163 @@ class TestCatalogValue:
         assert [info.pid for info in doomed] == [2] and final.floor == 3
         # The highest pid was retired and pruned; it is still never reused.
         assert final.next_pid == 3 and final.index.pids == {1}
+
+
+def rows_partition(pid, first, n, rng, split=False):
+    """Fresh tids ``first .. first + n - 1`` with drawn cells: one segment
+    of every attribute, or (``split``) two segments of two attributes."""
+    tids = np.arange(first, first + n, dtype=np.int64)
+    groups = (ATTRS[:2], ATTRS[2:]) if split else (ATTRS,)
+    return PhysicalPartition(pid=pid, segments=[
+        PhysicalSegment(
+            attributes=attrs, tuple_ids=tids,
+            columns={a: rng.integers(0, 1_000, n).astype(np.int32) for a in attrs},
+        )
+        for attrs in groups
+    ])
+
+
+def answers(view, catalog, probes, every):
+    """What a pinned view and its catalog value say: owner probes, zone
+    arrays, hidden tids, and per tid whether it is deleted."""
+    return (
+        [view.partitions_with_missing_cells(a, tids) for a in ATTRS for tids in probes],
+        [zone.tolist() for a in ATTRS for zone in view.index.zones(a)],
+        None if view.hidden is None else view.hidden.tolist(),
+        catalog.deleted(every).tolist(),
+    )
+
+
+def bare(pid, segments, zone=(0.0, 1.0)):
+    """A bare catalog entry of ``(attributes, tids)`` segments."""
+    attributes = frozenset().union(*(attrs for attrs, _tids in segments))
+    return PartitionInfo(
+        pid=pid, key=f"p{pid}", n_bytes=1, attributes=attributes,
+        n_tuples=len(set().union(*(tids for _attrs, tids in segments))),
+        zone_map={a: zone for a in attributes},
+        segment_attrs=[tuple(a for a in ATTRS if a in attrs) for attrs, _tids in segments],
+        segment_tids=[np.asarray(tids, dtype=np.int64) for _attrs, tids in segments],
+        segment_tid_modes=["explicit"] * len(segments),
+    )
+
+
+class TestViewsOutliveLaterCommits:
+    """A write commit extends the head's owner maps, zone arrays and
+    deletion stamps in place, past what earlier values publish.  Whatever
+    was published before stays what it was."""
+
+    def test_a_view_pinned_before_later_commits_answers_unchanged(self):
+        rng = np.random.default_rng(17)
+        manager = new_manager()
+        for part in halves(0):
+            manager.add_partition(part)
+        manager.advance_version(deleted=[3, 17])
+        view = manager.pin_snapshot()
+        catalog = manager._head
+        domain = view.index.tid_domain()
+        probes = PROBES + [
+            np.arange(domain, domain + 64, dtype=np.int64),  # what later commits store
+            np.arange(0, domain + 64, 3, dtype=np.int64),
+        ]
+        every = np.arange(domain + 64, dtype=np.int64)
+        before = answers(view, catalog, probes, every)  # builds every map and zone array
+        live = set(range(domain)) - {3, 17}
+        for step in range(12):
+            first, n = manager.tid_end, int(rng.integers(1, 6))
+            doomed = sorted(rng.choice(sorted(live), size=2, replace=False).tolist())
+            added = rows_partition(manager.next_pid(), first, n, rng, split=step % 4 == 3)
+            if step % 3 == 0:  # insert
+                manager.add_partition(added)
+                doomed = []
+            elif step % 3 == 1:  # update: fresh rows, the old ones deleted
+                manager.swap_partitions([added], deleted=doomed)
+            else:  # delete
+                manager.advance_version(deleted=doomed)
+                n = 0
+            live = (live - set(doomed)) | set(range(first, first + n))
+            with manager.pin_snapshot() as head:  # the head's memos grow
+                answers(head, manager._head, probes, every)
+        assert answers(view, catalog, probes, every) == before
+        view.release()
+
+        head = manager._head
+        rebuilt = CatalogIndex(head.index.infos())
+        for attribute in ATTRS:
+            for tids in probes:
+                assert head.index.partitions_with_cells(
+                    attribute, tids
+                ) == rebuilt.partitions_with_cells(attribute, tids)
+            for grown, fresh in zip(head.index.zones(attribute), rebuilt.zones(attribute)):
+                assert np.array_equal(grown, fresh)
+        with manager.pin_snapshot() as again:
+            assert again.hidden.tolist() == sorted(set(range(head.tid_end)) - live)
+
+    def test_two_successors_of_one_index_keep_their_own_answers(self):
+        """a3 has a hole at tids 6..17, inside its map's domain: an added
+        a3 cell there is written into a copy, one past the domain in place
+        when the predecessor is its buffer's newest map, else into a copy."""
+        manager = new_manager()
+        rest = set(ATTRS) - {"a3"}
+        manager.add_partition(physical(0, [(rest, range(12)), ({"a3"}, range(6))]))
+        manager.add_partition(physical(1, [(rest, range(12, 24)), ({"a3"}, range(18, 24))]))
+        tids = np.arange(2 * N_TUPLES, dtype=np.int64)
+        for attribute in ATTRS:
+            manager.catalog_index().partitions_with_cells(attribute, tids)
+            manager.catalog_index().zones(attribute)
+        # A commit past the domain: the maps and zone arrays grow a spare
+        # tail, so the index holds the newest prefix of each buffer.
+        manager.add_partition(rows_partition(2, N_TUPLES, 2, np.random.default_rng(0)))
+        index = manager.catalog_index()
+
+        def state(of):
+            return (
+                [of.partitions_with_cells(a, t) for a in ATTRS for t in (tids, tids[6:18], tids[N_TUPLES:])],
+                [zone.tolist() for a in ATTRS for zone in of.zones(a)],
+                [of.owners(a).owner.tolist() for a in ATTRS],
+            )
+
+        mine = state(index)
+        first = index.with_added([bare(3, [
+            ({"a3"}, range(8, 11)), (set(ATTRS), range(N_TUPLES + 2, N_TUPLES + 6)),
+        ], zone=(5.0, 6.0))])
+        theirs = state(first)
+        # A second derivation from the same predecessor: pid 3 again, other
+        # tids and attributes.  It must not write into the first's slots.
+        second = index.with_added([bare(3, [
+            ({"a3"}, range(7, 10)), ({"a1", "a2"}, range(N_TUPLES + 3, N_TUPLES + 9)),
+        ], zone=(7.0, 8.0))])
+        third = first.with_added([bare(4, [(set(ATTRS), range(N_TUPLES + 6, N_TUPLES + 8))])])
+        assert state(index) == mine == state(CatalogIndex(index.infos()))
+        assert state(first) == theirs
+        for derived in (first, second, third):
+            assert state(derived) == state(CatalogIndex(derived.infos()))
+        assert second.partitions_with_cells("a3", tids[N_TUPLES + 2:]) == ()
+        assert first.partitions_with_cells("a3", tids[N_TUPLES + 2:]) == (3,)
+
+    def test_two_successors_of_one_catalog_value_keep_their_own_deletions(self):
+        base = Catalog().apply([entry(0), entry(1), entry(2)], (), deleted=[2])
+        one = base.apply((), (), deleted=[0])
+        two = base.apply((), (), deleted=[1])  # not the buffer's newest: a copy
+        three = one.apply((), (), deleted=[1])  # one's successor, in place
+        probe = np.arange(4, dtype=np.int64)
+        assert base.deleted(probe).tolist() == [False, False, True, False]
+        assert one.deleted(probe).tolist() == [True, False, True, False]
+        assert two.deleted(probe).tolist() == [False, True, True, False]
+        assert three.deleted(probe).tolist() == [True, True, True, False]
+        assert two.deleted_by(two.version).tolist() == [1, 2]
+        assert one.deleted_by(one.version).tolist() == [0, 2]
+        assert three.tombstones.tolist() == [1]
+        # A tuple is deleted once: naming it again stamps nothing.
+        assert three.apply((), (), deleted=[0, 1]).tombstones.tolist() == []
+
+    def test_owner_ranks_widen_past_255_partitions(self):
+        catalog = Catalog().apply([entry(0)], ())
+        probe = np.array([0, 254, 255, 299, 400], dtype=np.int64)
+        catalog.index.partitions_with_cells("a1", probe)
+        for pid in range(1, 300):
+            catalog = catalog.apply([entry(pid)], ())
+        owners = catalog.index._owners["a1"]  # carried through every commit
+        assert owners.owner.dtype == np.uint16 and len(owners.pids) == 300
+        assert catalog.index.partitions_with_cells("a1", probe) == (0, 254, 255, 299)
+        rebuilt = CatalogIndex(catalog.index.infos())
+        assert np.array_equal(rebuilt.owners("a1").owner, owners.owner)

@@ -62,8 +62,9 @@ def _committed(n_commits):
     return rng, train, layout, txn, shadow
 
 
-def _drifted_cycle(layout, txn, train):
-    """The window of a workload shifted to a7/a8, then one daemon cycle."""
+def _drifted_cycle(layout, txn, train, before_cycle=lambda: None):
+    """The window of a workload shifted to a7/a8, then ``before_cycle()``,
+    then one daemon cycle."""
     meta = txn.meta
     daemon = AdaptiveDaemon(layout, AdaptiveConfig(
         window_size=32,
@@ -77,6 +78,7 @@ def _drifted_cycle(layout, txn, train):
         for _ in range(16):
             layout.execute(Query.build(meta, ["a7", "a8"], {"a7": (0, 299)}))
             layout.execute(Query.build(meta, ["a7", "a8"], {"a8": (700, 999)}))
+        before_cycle()
         return daemon.run_cycle()
     finally:
         daemon.detach()
@@ -110,7 +112,7 @@ def test_a_migration_over_unfolded_commits_stores_exactly_its_scope():
     for name in txn.schema.attribute_names:
         owners = index.owners(name)
         n_stored = sum(1 for _tid, attribute in live if attribute == name)
-        assert int((owners.owner != len(owners.pids)).sum()) == n_stored
+        assert int((owners.owner != owners.NO_OWNER).sum()) == n_stored
 
     shadow.snapshot(txn.current_version)
     assert verify_against_shadow(txn, shadow, rng) == []
@@ -131,3 +133,34 @@ def test_a_cycle_after_a_fold_of_the_whole_plan_says_why_it_skips():
         f"the window observed {len(live)} partitions and none of them is in "
         "the daemon's plan"
     )
+
+
+def test_a_fold_after_the_window_leaves_the_cycle_no_live_scope():
+    """The window observes the plan's partitions, then a fold retires every
+    one of them: the cycle ranks only pids live at the head, so it skips
+    and names the retired plan instead of migrating partitions the head no
+    longer holds, and the catalog and the store stay as the fold left
+    them."""
+    _rng, train, layout, txn, _shadow = _committed(3)
+    manager = txn.manager
+    plan_pids = {partition.pid for partition in layout.plan}
+    folded = {}
+
+    def fold():
+        DeltaCompactor(txn).run()
+        folded.update(
+            version=manager.catalog_version, pids=manager.pids(),
+            keys=sorted(manager.store.keys()),
+        )
+
+    cycle = _drifted_cycle(layout, txn, train, before_cycle=fold)
+    assert not plan_pids & set(folded["pids"])
+    assert not cycle.fired and not cycle.aborted
+    assert cycle.reason.startswith(
+        f"the window observed {len(plan_pids)} partitions of the daemon's "
+        "plan and a later commit retired every one of them"
+    )
+    assert str(sorted(plan_pids)) in cycle.reason
+    assert manager.catalog_version == folded["version"]
+    assert manager.pids() == folded["pids"]
+    assert sorted(manager.store.keys()) == folded["keys"]
