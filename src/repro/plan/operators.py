@@ -64,7 +64,7 @@ import numpy as np
 
 from ..errors import StorageError
 from ..storage.buffer_pool import BufferPool
-from ..storage.image import ImageGroup, ImageSlot, SchemaImage
+from ..storage.image import ImageGroup, ImageSlot, SchemaImage, TupleStackedTwice
 from ..storage.partition_manager import PartitionInfo, PartitionManager
 from ..storage.physical import TID_IMPLICIT, PhysicalPartition
 from .predicates import Conjunction
@@ -430,8 +430,12 @@ class GroupSelectOp(SelectOp):
     segments as slots of the schema-group image — the pool's
     (:meth:`~repro.storage.buffer_pool.BufferPool.image_slots`) while the
     pool holds the partition, else a private one over every partition this
-    query loaded, dropped with the query.  Evaluation then runs once per
-    group, over this query's slots only:
+    query loaded, dropped with the query.  The private image admits
+    nothing partition by partition: the loads wait in ``pending`` until
+    the next evaluation takes the lock (:meth:`_locked`), which stacks
+    them per schema in one batch (:meth:`SchemaImage.stack`) — the
+    selection's loads at the first, the projection's as a second batch.
+    Evaluation then runs once per group, over this query's slots only:
 
     * :meth:`select_groups` — the visit-once form: one predicate mask per
       block of each group's evaluated (loaded, unrefuted) slots — at most
@@ -444,9 +448,10 @@ class GroupSelectOp(SelectOp):
     Other plans select partition by partition, in plan order
     (:meth:`SelectOp.select`), so their counters see the same status
     transitions.  Every counter comes in closed form from slot lengths and
-    hit counts, as the paper's loop would have counted them."""
+    hit counts, as the paper's loop would have counted them, so none
+    depends on which image answered or how it admitted."""
 
-    __slots__ = ("pool", "image", "slots", "evaluated", "_epoch")
+    __slots__ = ("pool", "image", "slots", "evaluated", "pending", "layered", "_epoch")
 
     def __init__(self, conjunction: Conjunction, projected: Tuple[str, ...],
                  n_tuples: int, hidden: Optional[np.ndarray], hit_only: bool,
@@ -459,13 +464,18 @@ class GroupSelectOp(SelectOp):
         self.slots: Dict[int, Tuple[ImageSlot, ...]] = {}
         #: selection pids whose segments were evaluated, in load order.
         self.evaluated: List[int] = []
+        #: loaded partitions the private image has yet to admit.
+        self.pending: Dict[int, PhysicalPartition] = {}
+        #: whether the private image admits in layers (:meth:`_layered`).
+        self.layered = False
 
     def add_run(self, pids: Sequence[int], partitions: List[PhysicalPartition],
                 selection: bool) -> int:
-        """File a run of loaded partitions' segments as slots (a refuted
-        selection partition is read, never evaluated: it needs none).
-        Returns the cells the run stores, as the per-partition loop counts
-        them (refuted partitions included)."""
+        """File a run of loaded partitions' segments (a refuted selection
+        partition is read, never evaluated: it needs none): as the pool
+        image's slots, else pending for the private image.  Returns the
+        cells the run stores, as the per-partition loop counts them
+        (refuted partitions included)."""
         refuted = self.refuted if selection and self.hit_only else ()
         cells = 0
         for pid, partition in zip(pids, partitions):
@@ -475,12 +485,13 @@ class GroupSelectOp(SelectOp):
             if selection:
                 self.evaluated.append(pid)
             self.loaded[pid] = partition
+            if self.pool is None:
+                if pid not in self.slots:
+                    self.pending[pid] = partition
+                continue
             slots = self.image.slots(pid)
             if slots is None:
-                slots = (
-                    self.pool.image_slots(pid, partition) if self.pool is not None
-                    else self.image.attach(partition)
-                )
+                slots = self.pool.image_slots(pid, partition)
                 if slots is None:
                     self._private()
                     continue
@@ -490,14 +501,19 @@ class GroupSelectOp(SelectOp):
     def _private(self) -> None:
         """Move to a private image over every partition loaded so far."""
         self.pool, self.image = None, SchemaImage()
-        self.slots = {
-            pid: self.image.attach(partition)
-            for pid, partition in self.loaded.items()
-        }
+        self.slots, self.pending = {}, dict(self.loaded)
+
+    def _layered(self) -> None:
+        """Move to a private image that admits in layers: some tuple was
+        stacked twice, which partitions of one pinned view never are."""
+        self._private()
+        self.layered = True
 
     def _locked(self):
         """Acquire an image lock under which every slot of this query is
-        live (else move to a private image first); returns the lock."""
+        live (else move to a private image first) and every loaded
+        partition admitted; returns the lock.  The private image admits
+        what is pending in one batch (:meth:`SchemaImage.stack`)."""
         lock = self.image.lock
         lock.acquire()
         if self.pool is not None and self.image.epoch != self._epoch:
@@ -508,6 +524,13 @@ class GroupSelectOp(SelectOp):
                 self._private()
                 lock = self.image.lock
                 lock.acquire()
+        if self.pending:
+            if self.layered:
+                for pid, partition in self.pending.items():
+                    self.slots[pid] = self.image.attach(partition)
+            else:
+                self.slots.update(self.image.stack(list(self.pending.values())))
+            self.pending = {}
         return lock
 
     def _by_group(self, pids: List[int]) -> Dict[ImageGroup, List[ImageSlot]]:
@@ -570,36 +593,43 @@ class GroupSelectOp(SelectOp):
         valid = fill_op.valid
         if not len(valid) or not pids:
             return 0
-        written = 0
         lock = self._locked()
         try:
-            for group, slots in self._by_group(pids).items():
-                wanted = self.wanted(group.attributes)
-                if not wanted:
-                    continue
-                rows = group.rows(valid)
-                held = rows >= 0
-                if len(slots) < group.n_live:  # some live slot is not ours
-                    ours = np.zeros(group.n_rows, dtype=bool)
-                    for slot in slots:
-                        ours[slot.start:slot.stop] = True
-                    held &= ours[rows]  # (row -1 reads the last: not held)
-                n_held = int(np.count_nonzero(held))
-                if not n_held:
-                    continue
-                written += n_held * len(wanted)
-                if n_held < len(valid):
-                    out = held.nonzero()[0]
-                    rows = rows[out]
-                    for name in wanted:
-                        fill_op.columns[name][out] = group.column(name)[rows]
-                        fill_op.filled[name][out] = True
-                else:
-                    for name in wanted:
-                        np.take(group.column(name), rows, out=fill_op.columns[name])
-                        fill_op.filled[name].fill(True)
+            return self._fill(fill_op, valid, pids)
+        except TupleStackedTwice:
+            pass
         finally:
             lock.release()
+        self._layered()  # rewrites every cell it wrote, and counts afresh
+        return self.fill(fill_op, pids)
+
+    def _fill(self, fill_op: ProjectFillOp, valid: np.ndarray, pids: List[int]) -> int:
+        written = 0
+        for group, slots in self._by_group(pids).items():
+            wanted = self.wanted(group.attributes)
+            if not wanted:
+                continue
+            rows = group.rows(valid)
+            held = rows >= 0
+            if len(slots) < group.n_live:  # some live slot is not ours
+                ours = np.zeros(group.n_rows, dtype=bool)
+                for slot in slots:
+                    ours[slot.start:slot.stop] = True
+                held &= ours[rows]  # (row -1 reads the last: not held)
+            n_held = int(np.count_nonzero(held))
+            if not n_held:
+                continue
+            written += n_held * len(wanted)
+            if n_held < len(valid):
+                out = held.nonzero()[0]
+                rows = rows[out]
+                for name in wanted:
+                    fill_op.columns[name][out] = group.column(name)[rows]
+                    fill_op.filled[name][out] = True
+            else:
+                for name in wanted:
+                    np.take(group.column(name), rows, out=fill_op.columns[name])
+                    fill_op.filled[name].fill(True)
         return written
 
 

@@ -34,12 +34,20 @@ group, not once per partition:
   the largest tid admitted.  It reserves nothing and asks the catalog
   nothing.
 
-Two lifetimes, one form.  The :class:`~repro.storage.buffer_pool.BufferPool`
-holds one image over its resident partitions: a pid is admitted when an
+Two lifetimes, two admissions.  The
+:class:`~repro.storage.buffer_pool.BufferPool` holds one image over its
+resident partitions: a pid is admitted (:meth:`SchemaImage.attach`,
+segment by segment, each checked against the schema's layers) when an
 engine first reads it through the pool, and dies when the pool evicts or
-invalidates it.  Without a pool, or when one of a query's pids was evicted
-while the query ran, the engine builds a private image over the partitions
-it loaded and drops it with the query.
+invalidates it.  That image serves every pinned version, hence the layers.
+Without a pool, or when one of a query's pids was evicted while the query
+ran, the engine builds a private image over the partitions it loaded and
+drops it with the query.  Those partitions come from one pinned view, so
+the private image needs no layer: it admits a query's loads in one batch
+(:meth:`SchemaImage.stack`), one :class:`StackedGroup` per schema, whose
+columns, row tids and positions are each built in one step when a read
+first asks.  The positions check that no tuple was stacked twice; if one
+was, the query admits its partitions in layers after all.
 
 Every mutation, and every read that relies on its slots being live, holds
 :attr:`SchemaImage.lock`.  The image charges nothing to the simulated
@@ -51,28 +59,32 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .physical import PhysicalPartition, PhysicalSegment
 
-__all__ = ["ImageGroup", "ImageSlot", "SchemaImage"]
+__all__ = ["ImageGroup", "ImageSlot", "SchemaImage", "StackedGroup", "TupleStackedTwice"]
+
+
+_UINT16, _UINT32, _INT64 = np.dtype(np.uint16), np.dtype(np.uint32), np.dtype(np.int64)
+_UINT16_MAX = int(np.iinfo(np.uint16).max)
+_UINT32_MAX = int(np.iinfo(np.uint32).max)
 
 
 def _tid_dtype(tid: int) -> np.dtype:
     """The narrowest dtype for tuple IDs up to ``tid``: unsigned up to 32
     bits, int64 past them (it mixes with int64 tids without a float)."""
-    for dtype in (np.uint16, np.uint32):
-        if tid <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
+    if tid <= _UINT16_MAX:
+        return _UINT16
+    return _UINT32 if tid <= _UINT32_MAX else _INT64
 
 
 def _row_dtype(n_rows: int) -> np.dtype:
     """The narrowest position dtype for rows up to ``n_rows`` (a position
     is its row plus one: 0 means no row)."""
-    return np.dtype(np.uint16 if n_rows < np.iinfo(np.uint16).max else np.uint32)
+    return _UINT16 if n_rows < _UINT16_MAX else _UINT32
 
 
 class ImageSlot:
@@ -202,8 +214,8 @@ class ImageGroup:
                 positions = np.zeros(domain + 1 + domain // 8, self.positions.dtype)
                 positions[:len(self.positions) - 1] = self.positions[:-1]
                 self.positions = positions
-            if slot.stop >= np.iinfo(self.positions.dtype).max:
-                self.positions = self.positions.astype(np.uint32)
+            if slot.stop >= _UINT16_MAX:
+                self.positions = self.positions.astype(_UINT32, copy=False)
             self._place(slot)
         for name, column in self.columns.items():
             column[n:slot.stop] = source[name]
@@ -280,6 +292,107 @@ class ImageGroup:
         return rows * width + positions
 
 
+class TupleStackedTwice(Exception):
+    """Two slots of a :class:`StackedGroup` hold one tuple."""
+
+
+class StackedGroup(ImageGroup):
+    """One segment schema of a private image: the segments of one query's
+    batches (:meth:`stack`), laid out one after another.  Nothing is copied
+    when a batch is stacked: a read builds what it asks for over the rows
+    stacked since it last asked — a column or the ``row -> tid`` array by
+    one ``np.concatenate``, the positions by one ``arange``.  A group of
+    one segment reads the segment's own arrays, as :class:`ImageGroup`
+    does.
+
+    Its slots never die, and no tuple is stacked twice: every partition
+    comes from one pinned view, whose catalog gives each cell one home.
+    :meth:`rows` checks that (positions placed == rows stacked) and raises
+    :class:`TupleStackedTwice` when it fails, so the query admits its
+    partitions in layers."""
+
+    __slots__ = ("n_placed",)
+
+    def __init__(self, attributes: Tuple[str, ...]):
+        super().__init__(attributes)
+        #: rows the positions index.
+        self.n_placed = 0
+
+    def stack(self, batch: List[Tuple[int, PhysicalSegment]]) -> List[ImageSlot]:
+        """Append ``(pid, segment)`` pairs as contiguous slots."""
+        slots = []
+        start = self.n_rows
+        for pid, segment in batch:
+            slot = ImageSlot(pid, self, start, segment.tuple_ids, segment.columns)
+            slots.append(slot)
+            start = slot.stop
+        self.slots += slots
+        self.n_live += len(slots)
+        self.n_rows = self.capacity = start
+        return slots
+
+    def _since(self, row: int) -> List[ImageSlot]:
+        """The slots from ``row`` on (slot starts ascend)."""
+        slots = self.slots
+        first = len(slots)
+        while first and slots[first - 1].start >= row:
+            first -= 1
+        return slots[first:]
+
+    def column(self, name: str) -> np.ndarray:
+        if len(self.slots) == 1:
+            return self._extended(None, name)
+        column = self.columns.get(name)
+        if column is None or len(column) < self.n_rows:
+            column = self.columns[name] = self._extended(column, name)
+        return column
+
+    def row_tids(self) -> np.ndarray:
+        if len(self.slots) == 1:
+            return self.slots[0].tids
+        if self.tids is None or len(self.tids) < self.n_rows:
+            self.tids = self._extended(self.tids, None)
+        return self.tids
+
+    def _extended(self, built: Optional[np.ndarray], name: Optional[str]) -> np.ndarray:
+        """``built`` (None: no row yet) followed by ``name``'s cells (the
+        tids for None) of the rows stacked since: one concatenate, none for
+        one array."""
+        parts = [] if built is None else [built]
+        parts += [
+            slot.tids if name is None else slot.source[name]
+            for slot in self._since(0 if built is None else len(built))
+            if slot.source is not None
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def rows(self, tids: np.ndarray) -> np.ndarray:
+        """The rows of ascending ``tids`` (-1 where no slot holds one);
+        raises :class:`TupleStackedTwice` if two slots hold one tuple."""
+        if len(self.slots) == 1:
+            return super().rows(tids)
+        if self.n_placed < self.n_rows:
+            placed = self.n_placed
+            top = max((int(s.tids[-1]) for s in self._since(placed) if len(s.tids)),
+                      default=0)
+            positions = self.positions
+            dtype = _row_dtype(self.n_rows)
+            if positions is None or top + 1 >= len(positions):
+                grown = np.zeros(top + 2, dtype=dtype)
+                if positions is not None:
+                    grown[:len(positions)] = positions
+                positions = grown
+            elif dtype.itemsize > positions.itemsize:
+                positions = positions.astype(dtype)
+            positions[self.row_tids()[placed:]] = np.arange(
+                placed + 1, self.n_rows + 1, dtype=positions.dtype)
+            if np.count_nonzero(positions) != self.n_rows:
+                self.positions, self.n_placed = None, 0
+                raise TupleStackedTwice(self.attributes)
+            self.positions, self.n_placed = positions, self.n_rows
+        return super().rows(tids)
+
+
 class SchemaImage:
     """The slots of a set of partitions, grouped by segment schema."""
 
@@ -301,6 +414,34 @@ class SchemaImage:
                     for segment in partition.segments
                 )
             return slots
+
+    def stack(
+        self, partitions: List[PhysicalPartition]
+    ) -> Dict[int, Tuple[ImageSlot, ...]]:
+        """Admit a batch of partitions, none admitted yet, into a private
+        image: their segments stacked per schema, one :class:`StackedGroup`
+        a schema (see its checks).  Returns each pid's slots, one per
+        segment, in segment order."""
+        batch: Dict[Tuple[str, ...], List[Tuple[int, PhysicalSegment]]] = {}
+        for partition in partitions:
+            for segment in partition.segments:
+                batch.setdefault(segment.attributes, []).append((partition.pid, segment))
+        with self.lock:
+            fresh: Dict[Tuple[str, ...], Iterator[ImageSlot]] = {}
+            for attributes, entries in batch.items():
+                layers = self._groups.setdefault(attributes, [])
+                if not layers:
+                    layers.append(StackedGroup(attributes))
+                group = layers[0]
+                assert isinstance(group, StackedGroup)
+                fresh[attributes] = iter(group.stack(entries))
+            # Each schema's fresh slots are in partition, then segment, order.
+            admitted: Dict[int, Tuple[ImageSlot, ...]] = {}
+            for partition in partitions:
+                admitted[partition.pid] = self._slots[partition.pid] = tuple(
+                    next(fresh[segment.attributes]) for segment in partition.segments
+                )
+            return admitted
 
     def slots(self, pid: int) -> Optional[Tuple[ImageSlot, ...]]:
         """``pid``'s slots if it is admitted: one lookup, no lock (whether
